@@ -114,7 +114,6 @@ func main() {
 		traceDir   = flag.String("trace-dir", "", "directory to write one chrome trace_event JSON per system run into (enables the flight recorder)")
 		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) and dump runtime/metrics after the experiments finish")
 		allocProf  = flag.String("allocprofile", "", "write a pprof allocs profile to this file after the experiments finish")
-		arrivalF   = flag.Bool("arrivalstamp", false, "timestamp contending payloads at envelope arrival instead of per-payload service instant in every experiment (the ablarrival ablation compares both)")
 		groups     = flag.Int("groups", 2, "net backend: number of OS processes (forked from this one by default)")
 		rankF      = flag.Int("rank", 0, "net backend: this process's rank when launched standalone with -peers")
 		listenF    = flag.String("listen", "", "net backend: override this rank's bind address in the -peers list")
@@ -156,7 +155,6 @@ func main() {
 		os.Exit(2)
 	}
 	ov.Backend = backend
-	ov.ArrivalStamp = *arrivalF
 
 	// Net backend: resolve this process's place in the process group. In the
 	// default fork mode rank 0 spawns the worker ranks below; forked children

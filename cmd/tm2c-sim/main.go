@@ -52,7 +52,6 @@ func main() {
 		epoch    = flag.Int("epoch", 0, "adaptive placement: lock accesses per repartition epoch (0 = default)")
 		platform = flag.String("platform", "scc", "scc | scc800 | opteron | scc:N (setting N)")
 		backendF = flag.String("backend", "sim", "execution backend: sim (deterministic, virtual time) | live (real goroutines, wall-clock) | net (cores spread over OS processes)")
-		arrivalF = flag.Bool("arrivalstamp", false, "timestamp contending payloads at envelope arrival instead of per-payload service instant")
 		groups   = flag.Int("groups", 2, "net backend: number of OS processes (forked from this one by default)")
 		rankF    = flag.Int("rank", 0, "net backend: this process's rank when launched standalone with -peers")
 		listenF  = flag.String("listen", "", "net backend: override this rank's bind address in the -peers list")
@@ -109,7 +108,6 @@ func main() {
 		NoBatching:       *nobatch,
 		Placement:        placeKind,
 		RepartitionEpoch: *epoch,
-		ArrivalStamp:     *arrivalF,
 	}
 	var plan *netboot.Plan
 	isChild := false

@@ -359,14 +359,6 @@ type Config struct {
 	// Defaults to 2s on net; ignored on sim/live, whose transports cannot
 	// lose messages.
 	RPCDeadline time.Duration
-	// ArrivalStamp makes a DTM node timestamp contending requests at
-	// envelope arrival instead of each payload's service instant: every
-	// payload of one coalesced burst then carries the same OffsetGreedy
-	// arrival time. Answers the FairCM fairness question raised when the
-	// coalescing plane landed; see README. Sim-visible knob, off by
-	// default (per-payload service-instant stamping is the pinned
-	// historic behavior).
-	ArrivalStamp bool
 }
 
 func (c *Config) normalize() error {

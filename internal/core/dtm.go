@@ -9,7 +9,6 @@ import (
 	"repro/internal/dslock"
 	"repro/internal/mem"
 	"repro/internal/port"
-	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -41,14 +40,6 @@ type dtmNode struct {
 	// table has shrunk since (release, early release, or revocation).
 	handoffGen uint64
 	shrunk     bool
-
-	// arrival is the delivery instant of the message currently being
-	// handled (set by handle). Under Config.ArrivalStamp the contention
-	// managers timestamp contending requests with it instead of the
-	// service instant p.Now() — all payloads of one coalesced envelope
-	// then carry the same arrival time, so a burst's service order cannot
-	// skew their relative priorities.
-	arrival sim.Time
 
 	// acqScratch accumulates the addresses a write-lock batch has acquired
 	// so far, for rollback on a mid-batch conflict. Serving is single-
@@ -125,7 +116,6 @@ func (n *dtmNode) flushOut(p port.Port) {
 // was a DTM request (the multitask await loop uses this to distinguish
 // requests from transaction responses).
 func (n *dtmNode) handle(p port.Port, m port.Msg) bool {
-	n.arrival = m.At
 	// The node is each request's final toucher: handleX consumes the message
 	// (responses carry no pointer back into it), so the arms recycle it.
 	switch r := m.Payload.(type) {
@@ -158,17 +148,6 @@ func (n *dtmNode) handle(p port.Port, m port.Msg) bool {
 	}
 	n.reqs++
 	return true
-}
-
-// stamp returns the instant the contention managers timestamp the request
-// being handled with: the per-payload service instant by default, the
-// payload's delivery instant under Config.ArrivalStamp (identical for
-// every payload of one coalesced envelope).
-func (n *dtmNode) stamp(p port.Port) sim.Time {
-	if n.s.cfg.ArrivalStamp {
-		return n.arrival
-	}
-	return p.Now()
 }
 
 // switchIn charges the coroutine-switch cost of serving a request on a
@@ -280,7 +259,7 @@ func (n *dtmNode) handleReadLock(p port.Port, r *reqReadLock) {
 		return
 	}
 	meta := r.Meta
-	n.s.cfg.Policy.ArrivalPrio(&meta, n.stamp(p))
+	n.s.cfg.Policy.ArrivalPrio(&meta, p.Now())
 	for {
 		conf := n.table.ReadConflict(r.Addr, meta)
 		if conf == nil {
@@ -324,7 +303,7 @@ func (n *dtmNode) handleWriteLock(p port.Port, r *reqWriteLock) {
 		return
 	}
 	meta := r.Meta
-	n.s.cfg.Policy.ArrivalPrio(&meta, n.stamp(p))
+	n.s.cfg.Policy.ArrivalPrio(&meta, p.Now())
 	acquired := n.acqScratch[:0]
 	defer func() { n.acqScratch = acquired[:0] }()
 	for _, addr := range r.Addrs {

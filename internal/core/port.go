@@ -12,9 +12,11 @@ import "repro/internal/port"
 //   - BackendSim: a proc of the deterministic discrete-event kernel.
 //     Advance consumes virtual time, Send is charged the platform's modeled
 //     latency, and a fixed seed reproduces the run bit-for-bit.
-//   - BackendLive: a real goroutine with a channel mailbox. Advance is a
-//     no-op, Now is the monotonic clock, and messages travel at channel
-//     speed — the protocol at whatever rate the hardware sustains.
+//   - BackendLive, BackendNet: a real goroutine of the real-time runtime
+//     (port.HostPort) — in this process on live, in the process of the rank
+//     owning the core on net. Advance is a no-op, Now is the monotonic
+//     clock, and messages travel as fast as a mailbox push (or a socket)
+//     goes — the protocol at whatever rate the hardware sustains.
 //
 // Application code normally stays above this seam (workers get a *Runtime,
 // transactions a *Tx); Port surfaces through SpawnRaw for

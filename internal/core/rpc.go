@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/mem"
 	"repro/internal/port"
@@ -29,22 +28,14 @@ import (
 // wireMsg is any protocol message with a modeled on-wire size.
 type wireMsg interface{ bytes() int }
 
-// deadlineRecver is the optional port capability behind per-RPC deadlines:
-// a selective receive that gives up after d. Only the net backend's ports
-// provide it — sim and live transports never lose messages, so their
-// awaits may block indefinitely.
-type deadlineRecver interface {
-	RecvMatchTimeout(pred func(port.Msg) bool, d time.Duration) (port.Msg, bool)
-}
-
 // initRPC prepares the per-core RPC state. The selective-receive predicate
 // is built once and reads rt.awaitIDs, so the hot single-response path
 // (every read lock) performs no per-call heap allocation.
 func (rt *Runtime) initRPC() {
-	if rt.s.cfg.RPCDeadline > 0 {
-		if dr, ok := rt.proc.(deadlineRecver); ok {
-			rt.deadlineRecv = dr
-		}
+	if rt.s.neng != nil && rt.s.cfg.RPCDeadline > 0 {
+		// Only the net transport can lose a message; sim and live awaits
+		// may block indefinitely.
+		rt.deadlineRecv = rt.proc.(*port.HostPort)
 	}
 	rt.awaitPred = func(m port.Msg) bool {
 		if resp, ok := m.Payload.(*respLock); ok {
@@ -149,7 +140,7 @@ func (rt *Runtime) placementAbort() {
 // heat the adaptive policy reads.
 func (rt *Runtime) rpcReadLock(tx *Tx, key mem.Addr) *respLock {
 	rt.s.dir.Record(rt.cluster, key)
-	node, epoch := rt.s.nodeFor(key), rt.s.dir.Epoch()
+	node, epoch := rt.s.dir.Resolve(key)
 	for hop := 0; ; hop++ {
 		id := rt.nextReqID()
 		req := getReadLockReq()
@@ -181,7 +172,7 @@ func (rt *Runtime) rpcReadLock(tx *Tx, key mem.Addr) *respLock {
 			node, epoch = hintOwner, hintEpoch
 			rt.shard.StaleNackHints++
 		} else {
-			node, epoch = rt.s.nodeFor(key), rt.s.dir.Epoch()
+			node, epoch = rt.s.dir.Resolve(key)
 		}
 	}
 }
@@ -238,7 +229,7 @@ func (rt *Runtime) rpcWriteLock(tx *Tx, node int, epoch uint64, keys []mem.Addr)
 // owner hint steers the retry without a fresh directory resolution.
 func (rt *Runtime) rpcWriteLockEager(tx *Tx, key mem.Addr) *respLock {
 	rt.s.dir.Record(rt.cluster, key)
-	node, epoch := rt.s.nodeFor(key), rt.s.dir.Epoch()
+	node, epoch := rt.s.dir.Resolve(key)
 	for hop := 0; ; hop++ {
 		rt.eagerKey[0] = key
 		resp := rt.rpcWriteLock(tx, node, epoch, rt.eagerKey[:])
@@ -257,7 +248,7 @@ func (rt *Runtime) rpcWriteLockEager(tx *Tx, key mem.Addr) *respLock {
 			node, epoch = hintOwner, hintEpoch
 			rt.shard.StaleNackHints++
 		} else {
-			node, epoch = rt.s.nodeFor(key), rt.s.dir.Epoch()
+			node, epoch = rt.s.dir.Resolve(key)
 		}
 	}
 }

@@ -21,20 +21,31 @@ import (
 
 // System is one TM2C instance: a many-core with a DTM service partition and
 // an application partition (Figure 1), executing on the backend selected by
-// Config.Backend — the deterministic simulator or the real-concurrency
-// goroutine backend. Build it with NewSystem, allocate shared data through
-// Mem, start application code with SpawnWorkers, then call Run exactly once.
+// Config.Backend — the deterministic simulator, or the real-time port
+// runtime as one process (live) or several (net). Build it with NewSystem,
+// allocate shared data through Mem, start application code with
+// SpawnWorkers, then call Run exactly once.
 type System struct {
 	cfg Config
 
 	// K is the simulation kernel (nil on the live and net backends).
 	K *sim.Kernel
-	// eng is the live engine (nil on the sim and net backends).
-	eng *live.Engine
-	// neng is the cross-process engine (nil except on the net backend). It
-	// hosts the ports of the cores this rank owns; every other core's port
-	// is a Stub that serializes sends onto the owning rank's connection.
+	// host is the real-time port runtime of this process (nil on sim): the
+	// live engine's, or this rank's share of a net system. It carries the
+	// clock, fault capture, start gate and drain-then-kill shutdown.
+	host *port.Host
+	// neng is the cross-process engine (nil except on the net backend), for
+	// the steps that are about ranks: rendezvous, state plane, drain
+	// barriers, stats exchange. Every core another rank owns is a Stub port
+	// that serializes sends onto that rank's connection.
 	neng *netbe.Engine
+	// spawn starts fn on a fresh execution port of the configured backend,
+	// for the actor bound to a physical core. On sim the proc is scheduled
+	// at the current virtual instant; on live the goroutine blocks until
+	// Run starts the host; on net only the rank owning core runs fn — every
+	// other rank gets a Stub with the same spawn-order ID (replicated
+	// construction).
+	spawn func(name string, core int, fn func(port.Port)) port.Port
 
 	Mem  *mem.Memory
 	Regs *mem.Registers
@@ -110,7 +121,9 @@ func NewSystem(cfg Config) (*System, error) {
 	}
 	switch cfg.Backend {
 	case BackendLive:
-		s.eng = live.New(cfg.Seed)
+		eng := live.New(cfg.Seed)
+		s.host = eng.Host
+		s.spawn = func(name string, _ int, fn func(port.Port)) port.Port { return eng.Spawn(name, fn) }
 	case BackendNet:
 		sess := cfg.Net.Session
 		if sess < 0 {
@@ -126,9 +139,15 @@ func NewSystem(cfg Config) (*System, error) {
 		if err != nil {
 			return nil, err
 		}
-		s.neng = eng
+		s.neng, s.host = eng, eng.Host
+		s.spawn = func(name string, core int, fn func(port.Port)) port.Port {
+			return eng.Spawn(name, s.rankOf(core), fn)
+		}
 	default:
 		s.K = sim.New(cfg.Seed)
+		s.spawn = func(name string, _ int, fn func(port.Port)) port.Port {
+			return port.SimPort{P: s.K.Spawn(name, func(p *sim.Proc) { fn(port.SimPort{P: p}) })}
+		}
 	}
 	s.Mem = mem.New(&s.cfg.Platform)
 	s.Regs = mem.NewRegisters(&s.cfg.Platform)
@@ -190,26 +209,11 @@ func NewSystem(cfg Config) (*System, error) {
 	if cfg.Deployment == Dedicated {
 		for _, n := range s.nodes {
 			n := n
-			s.nodePorts[n.idx] = s.spawnPort(fmt.Sprintf("dtm%d", n.core), n.core, n.serveLoop)
+			s.nodePorts[n.idx] = s.spawn(fmt.Sprintf("dtm%d", n.core), n.core, n.serveLoop)
 			s.hookBatches(s.nodePorts[n.idx], n.rec)
 		}
 	}
 	return s, nil
-}
-
-// spawnPort starts fn on a fresh execution port of the configured backend,
-// for the actor bound to physical core. On sim the proc is scheduled at the
-// current virtual instant; on live the goroutine blocks until Run starts
-// the engine; on net only the rank owning core runs fn — every other rank
-// gets a Stub with the same spawn-order ID (replicated construction).
-func (s *System) spawnPort(name string, core int, fn func(port.Port)) port.Port {
-	if s.neng != nil {
-		return s.neng.Spawn(name, s.rankOf(core), fn)
-	}
-	if s.eng != nil {
-		return s.eng.Spawn(name, fn)
-	}
-	return port.SimPort{P: s.K.Spawn(name, func(p *sim.Proc) { fn(port.SimPort{P: p}) })}
 }
 
 // rankOf maps a physical core to the rank hosting it on the net backend:
@@ -280,7 +284,7 @@ func (s *System) SpawnWorkers(worker func(rt *Runtime)) {
 			// ranks afterwards).
 			s.workersDone.Add(1)
 		}
-		p := s.spawnPort(fmt.Sprintf("app%d", rt.core), rt.core, func(p port.Port) {
+		p := s.spawn(fmt.Sprintf("app%d", rt.core), rt.core, func(p port.Port) {
 			rt.initLocal()
 			func() {
 				// Mark the workload finished even if the worker panics, so
@@ -342,7 +346,7 @@ func (s *System) SpawnRaw(worker func(p Port, core int)) {
 		if s.localCore(c) {
 			s.workersDone.Add(1)
 		}
-		s.spawnPort(fmt.Sprintf("raw%d", c), c, func(p port.Port) {
+		s.spawn(fmt.Sprintf("raw%d", c), c, func(p port.Port) {
 			defer s.workersDone.Done()
 			worker(p, c)
 		})
@@ -368,32 +372,15 @@ func (s *System) Deadline() sim.Time { return s.deadline }
 // that shared memory is never left with a half-persisted write set. Run
 // must be called exactly once.
 func (s *System) Run(d time.Duration) *Stats {
-	if s.ran {
-		panic("core: Run called twice")
-	}
 	if d <= 0 {
 		panic("core: Run with non-positive duration")
 	}
-	s.ran = true
-	s.deadline = sim.Time(d)
-	if s.neng != nil {
-		s.runNet(20*d + 10*time.Second)
-		return &s.stats
-	}
-	if s.eng != nil {
-		// Watchdog: the drain tail must fit one last long transaction, but
-		// a pathological stall must not hang the host process forever.
-		s.runLive(20*d + 10*time.Second)
-		return &s.stats
-	}
-	// Hard cap at 6x the deadline: the drain tail must accommodate one
-	// last long transaction (e.g. a full bank balance scan), but a
-	// pathological livelock among the final in-flight transactions must
-	// not hang the host process.
-	s.K.Run(s.deadline * 6)
-	s.snapshot(s.K.Now())
-	s.K.Shutdown()
-	return &s.stats
+	// Either cap lets the drain tail fit one last long transaction (e.g. a
+	// full bank balance scan) while keeping a pathological livelock or
+	// stall among the final in-flight transactions from hanging the host
+	// process: 6x the deadline in virtual time, a wall-clock watchdog in
+	// real time.
+	return s.run(sim.Time(d), sim.Time(d)*6, 20*d+10*time.Second)
 }
 
 // RunToCompletion executes until every worker has finished (all finite
@@ -401,81 +388,57 @@ func (s *System) Run(d time.Duration) *Stats {
 // sim backend it drains the event queue; on live it waits for the worker
 // goroutines.
 func (s *System) RunToCompletion() *Stats {
+	return s.run(sim.Infinity, sim.Infinity, 5*time.Minute)
+}
+
+// run is the one run path: the kernel's event loop up to simCap on sim, the
+// real-time runtime under a watchdog otherwise.
+func (s *System) run(deadline, simCap sim.Time, watchdog time.Duration) *Stats {
 	if s.ran {
 		panic("core: Run called twice")
 	}
 	s.ran = true
-	s.deadline = sim.Infinity
-	if s.neng != nil {
-		s.runNet(5 * time.Minute)
-		return &s.stats
+	s.deadline = deadline
+	if s.host != nil {
+		s.runRealtime(watchdog)
+	} else {
+		s.K.Run(simCap)
+		s.snapshot(s.K.Now())
+		s.K.Shutdown()
 	}
-	if s.eng != nil {
-		s.runLive(5 * time.Minute)
-		return &s.stats
-	}
-	s.K.Run(sim.Infinity)
-	s.snapshot(s.K.Now())
-	s.K.Shutdown()
 	return &s.stats
 }
 
-// liveDrainExpired reports whether a deadline-bounded live run is past its
-// drain window (6x the deadline, like the sim backend's hard cap in Run):
-// transactions that are still aborting then are killed at their next retry
-// boundary so the drain terminates even under livelock-prone policies.
+// liveDrainExpired reports whether a deadline-bounded real-time run is past
+// its drain window (6x the deadline, like the sim backend's hard cap in
+// Run): transactions that are still aborting then are killed at their next
+// retry boundary so the drain terminates even under livelock-prone policies.
 func (s *System) liveDrainExpired() bool {
-	if s.deadline == sim.Infinity {
-		return false
-	}
-	switch {
-	case s.eng != nil:
-		return s.eng.Now() >= s.deadline*6
-	case s.neng != nil:
-		return s.neng.Now() >= s.deadline*6
-	}
-	return false
+	return s.host != nil && s.deadline != sim.Infinity && s.host.Now() >= s.deadline*6
 }
 
-// runLive drives one live-backend run: release the goroutines, wait for
-// every workload loop to finish on its own (bounded by the watchdog), then
-// drain and kill the service loops and snapshot. Shutdown re-raises the
-// first worker panic, so faults surface to Run's caller exactly like sim
-// proc panics do.
-func (s *System) runLive(watchdog time.Duration) {
-	s.eng.Start()
-	s.snap.Start()
-	done := make(chan struct{})
-	go func() {
-		s.workersDone.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(watchdog):
-		if f := s.eng.Fault(); f != nil {
-			panic(f)
+// runRealtime drives one run on the real-time port runtime — the whole
+// system on live, this rank's share of it on net: release the goroutines,
+// wait for every local workload loop to finish on its own (bounded by the
+// watchdog), then drain and kill the service loops and snapshot. Shutdown
+// re-raises the first worker panic, so faults surface to Run's caller
+// exactly like sim proc panics do.
+//
+// A net rank adds the steps that are about ranks, and their order is what
+// makes the lock tables quiesce empty across process boundaries: bind the
+// state plane and rendezvous with the peers before anything runs; after the
+// local workers, the DONE barrier (no process can issue new requests) and
+// the DRAIN barrier (per-connection FIFO means every release already
+// reached its destination mailbox) before the local drain-and-kill; and
+// last the stats exchange, so every rank holds the merged totals.
+func (s *System) runRealtime(watchdog time.Duration) {
+	if s.neng != nil {
+		s.neng.BindState(s.Mem, s.Regs, s.rankOf)
+		if err := s.neng.Start(); err != nil {
+			panic(err)
 		}
-		panic(fmt.Sprintf("core: live backend: workers failed to drain within %v", watchdog))
-	}
-	dur := s.eng.Now()
-	s.eng.Shutdown()
-	s.snap.Stop()
-	s.snapshot(dur)
-}
-
-// runNet drives one rank of a cross-process run: bind the state plane,
-// rendezvous with the peers, wait for this rank's local workload loops,
-// then run the drain protocol — DONE barrier (no process can issue new
-// requests), DRAIN barrier (per-connection FIFO means every release
-// already reached its destination mailbox), local drain-and-kill — and
-// finally snapshot and exchange statistics so every rank holds the merged
-// totals. The order is what makes the lock tables quiesce empty across
-// process boundaries.
-func (s *System) runNet(watchdog time.Duration) {
-	s.neng.BindState(s.Mem, s.Regs, s.rankOf)
-	if err := s.neng.Start(); err != nil {
-		panic(err)
+	} else {
+		s.host.Start()
 	}
 	s.snap.Start()
 	done := make(chan struct{})
@@ -486,24 +449,28 @@ func (s *System) runNet(watchdog time.Duration) {
 	select {
 	case <-done:
 	case <-time.After(watchdog):
-		if f := s.neng.Fault(); f != nil {
+		if f := s.host.Fault(); f != nil {
 			panic(f)
 		}
-		panic(fmt.Sprintf("core: net backend: local workers failed to drain within %v", watchdog))
+		panic(fmt.Sprintf("core: %v backend: local workers failed to drain within %v", s.cfg.Backend, watchdog))
 	}
-	// Peers may lag by their own drain tails; give them the same budget.
-	if err := s.neng.BarrierDone(watchdog); err != nil {
-		panic(err)
+	if s.neng != nil {
+		// Peers may lag by their own drain tails; give them the same budget.
+		if err := s.neng.BarrierDone(watchdog); err != nil {
+			panic(err)
+		}
+		if err := s.neng.BarrierDrain(30 * time.Second); err != nil {
+			panic(err)
+		}
 	}
-	if err := s.neng.BarrierDrain(30 * time.Second); err != nil {
-		panic(err)
-	}
-	dur := s.neng.Now()
-	s.neng.Shutdown()
+	dur := s.host.Now()
+	s.host.Shutdown()
 	s.snap.Stop()
 	s.snapshot(dur)
-	s.mergeNetStats()
-	s.neng.Close()
+	if s.neng != nil {
+		s.mergeNetStats()
+		s.neng.Close()
+	}
 }
 
 // netShare is one rank's contribution to the merged post-run statistics.

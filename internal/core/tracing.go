@@ -46,11 +46,8 @@ func (n *dtmNode) emit(p port.Port, k trace.Kind, txID, a, b, c uint64) {
 // any port context: envelope-deliver hooks (kernel/receiver context) and
 // the placement tracer (caller context, directory lock held).
 func (s *System) now() sim.Time {
-	if s.eng != nil {
-		return s.eng.Now()
-	}
-	if s.neng != nil {
-		return s.neng.Now()
+	if s.host != nil {
+		return s.host.Now()
 	}
 	return s.K.Now()
 }
@@ -83,8 +80,8 @@ func (s *System) setupTrace() {
 // hookBatches installs the envelope-deliver observer on port p: every
 // multi-payload envelope unpacked at p's mailbox emits one KEnvelopeDeliver
 // on rec's lane. The hook runs in the receiver's execution context — the
-// sim kernel's delivery closure, or the live receiver's own goroutine — the
-// same single writer as the lane's other emits.
+// sim kernel's delivery closure, or the real-time receiver's own goroutine —
+// the same single writer as the lane's other emits.
 func (s *System) hookBatches(p port.Port, rec *trace.Recorder) {
 	if rec == nil {
 		return

@@ -46,7 +46,7 @@ type Runtime struct {
 	reqID        uint64
 	awaitIDs     []uint64
 	awaitPred    func(port.Msg) bool
-	deadlineRecv deadlineRecver
+	deadlineRecv *port.HostPort
 
 	// out is the core's coalescing outbox (Config.Coalesce): burst sends —
 	// commit scatter, release bursts — stage into it and flush at the end
@@ -786,9 +786,14 @@ func (tx *Tx) scatterAcquire(keys []mem.Addr) (stale []mem.Addr) {
 // grouping was resolved at. Requests built from these batches must go to
 // the batch's node and carry that epoch, so a directory change between
 // grouping and send (or between serial sends) is always visible to the
-// receiver (see sendWriteLock).
+// receiver (see sendWriteLock). The epoch is read BEFORE the first owner
+// lookup: a handoff racing the grouping can then only make the stamp older
+// than some owner it vouches for, which fails the receiver's fast path and
+// forces the authoritative per-key check — read after, it would pair an old
+// owner with the new epoch and a non-owner would grant (Directory.Resolve).
 func (tx *Tx) commitBatches(keys []mem.Addr) ([]nodeGroup, uint64) {
 	rt := tx.rt
+	epoch := rt.s.dir.Epoch()
 	batches := rt.batchScratch[:0]
 	for _, g := range rt.groupByNode(keys) {
 		if rt.s.cfg.NoBatching {
@@ -804,7 +809,7 @@ func (tx *Tx) commitBatches(keys []mem.Addr) ([]nodeGroup, uint64) {
 		}
 	}
 	rt.batchScratch = batches
-	return batches, rt.s.dir.Epoch()
+	return batches, epoch
 }
 
 // abortCleanup releases every lock held by the failed attempt and marks the

@@ -193,8 +193,9 @@ func init() {
 	wire.Register(wire.Codec{
 		// The coalescing envelope: a count followed by the nested encoding of
 		// each staged payload. Nesting reuses the registry, so an envelope
-		// may carry any mix of the message types above (but not another
-		// Batch: the Outbox never stages envelopes).
+		// may carry any mix of the message types above — but not another
+		// Batch: the Outbox never stages envelopes, and a decoder that
+		// followed them would recurse as deep as a hostile frame is long.
 		Kind: wkBatch, Type: typeOf[*port.Batch](),
 		Encode: func(e *wire.Enc, v any) {
 			b := v.(*port.Batch)
@@ -206,12 +207,21 @@ func init() {
 			}
 		},
 		Decode: func(d *wire.Dec) any {
-			n := int(d.U32())
+			// Every payload takes at least its kind byte, which bounds the
+			// count — and the allocation below — by the bytes received.
+			n := d.Count(1)
+			if d.Err() != nil {
+				return nil
+			}
 			b := &port.Batch{Payloads: make([]any, 0, n)}
 			for i := 0; i < n; i++ {
+				if d.Peek() == wkBatch {
+					d.Failf("wire: Batch envelope nested inside a Batch envelope")
+					return nil
+				}
 				pl, err := wire.DecodePayload(d)
 				if err != nil {
-					return b // d carries the error; caller checks Err
+					return nil // d carries the error
 				}
 				b.Payloads = append(b.Payloads, pl)
 			}

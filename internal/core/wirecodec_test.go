@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -232,4 +233,67 @@ func TestWireEncodingStable(t *testing.T) {
 	if !reflect.DeepEqual(e.Bytes(), want) {
 		t.Fatalf("encoding drifted:\n got %v\nwant %v", e.Bytes(), want)
 	}
+}
+
+// decodeAllocated decodes one payload from b and returns the heap bytes the
+// decode allocated (everything the process allocated meanwhile, strictly).
+func decodeAllocated(b []byte) (v any, alloc uint64, err error) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	v, err = wire.DecodePayload(wire.NewDec(b, testResolver))
+	runtime.ReadMemStats(&after)
+	return v, after.TotalAlloc - before.TotalAlloc, err
+}
+
+// TestWireDecodeDistrustsCounts: a count field is a claim by the peer, not
+// a size to allocate. Both frames are five to eleven bytes long; neither may
+// cost more than the error that rejects it.
+func TestWireDecodeDistrustsCounts(t *testing.T) {
+	for name, frame := range map[string][]byte{
+		"batch of 2^32-1 payloads": {wkBatch, 0xff, 0xff, 0xff, 0xff},
+		"batch inside a batch":     {wkBatch, 1, 0, 0, 0, wkBatch, 0, 0, 0, 0},
+		"2^32-1 lock addresses":    {wkEarlyRelease, 0xff, 0xff, 0xff, 0xff},
+	} {
+		v, alloc, err := decodeAllocated(frame)
+		if err == nil {
+			t.Errorf("%s: decoded to %#v without error", name, v)
+		}
+		if alloc > 4096 {
+			t.Errorf("%s: rejecting %d bytes allocated %d", name, len(frame), alloc)
+		}
+	}
+	// An unknown kind inside an envelope must fail the envelope, not
+	// silently shorten it.
+	if v, _, err := decodeAllocated([]byte{wkBatch, 1, 0, 0, 0, 0xee}); err == nil {
+		t.Errorf("envelope with an unknown nested kind decoded to %#v", v)
+	}
+}
+
+// FuzzDecodePayload feeds arbitrary bytes to the decoder every MSG frame off
+// a socket goes through. Properties: it never panics, and it never allocates
+// more than a small multiple of what it was sent — the densest legitimate
+// encoding is an envelope of one-byte payloads, 16 bytes of slice per byte.
+func FuzzDecodePayload(f *testing.F) {
+	for _, typ := range wire.RegisteredTypes() {
+		zero := reflect.Zero(typ).Interface()
+		if typ.Kind() == reflect.Pointer {
+			zero = reflect.New(typ.Elem()).Interface()
+		}
+		e := wire.NewEnc(nil)
+		if err := wire.EncodePayload(e, zero); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(e.Bytes())
+	}
+	f.Add([]byte{wkBatch, 0xff, 0xff, 0xff, 0xff})
+	f.Add([]byte{wkBatch, 1, 0, 0, 0, wkBatch, 0, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		v, alloc, err := decodeAllocated(b)
+		if err != nil && v != nil {
+			t.Errorf("decode failed (%v) but returned %#v", err, v)
+		}
+		if limit := uint64(64*len(b) + 16<<10); alloc > limit {
+			t.Errorf("decoding %d bytes allocated %d (limit %d)", len(b), alloc, limit)
+		}
+	})
 }

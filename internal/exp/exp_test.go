@@ -17,7 +17,7 @@ func TestRegistryComplete(t *testing.T) {
 		"fig6a", "fig6b", "fig7a", "fig7b",
 		"fig8a", "fig8b", "fig8c", "fig8d",
 		"ablbatch", "ablpoll", "ablgran", "ablrpc", "ablplace", "ablro", "abltl2",
-		"ablarrival", "extskip", "extirrev", "scaleplace",
+		"extskip", "extirrev", "scaleplace",
 	}
 	ids := IDs()
 	for _, w := range want {

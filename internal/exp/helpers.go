@@ -71,11 +71,6 @@ type Overrides struct {
 	// next per-process session, which stays aligned across ranks because
 	// every rank runs the identical experiment sequence.
 	Net *core.NetConfig
-	// ArrivalStamp timestamps contending payloads at envelope arrival
-	// instead of the per-payload service instant (Config.ArrivalStamp) —
-	// the ablarrival ablation quantifies the commit-order difference this
-	// makes to timestamp-priority contention managers.
-	ArrivalStamp bool
 }
 
 // sysConfig carries the per-run knobs shared by the experiment helpers.
@@ -130,7 +125,6 @@ func (c sysConfig) build(ov Overrides) *core.System {
 		cfg.Protocol = ov.Protocol
 	}
 	cfg.Trace = ov.Trace
-	cfg.ArrivalStamp = ov.ArrivalStamp
 	if ov.Net != nil && cfg.Backend == core.BackendNet {
 		// Every build gets its own copy: normalization must not mutate the
 		// caller's template across runs.

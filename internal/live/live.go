@@ -1,382 +1,41 @@
-// Package live implements the real-concurrency execution backend of TM2C-Go:
-// every port is an actual goroutine, mailboxes are buffered channels with
-// selective receive, Advance is a no-op (the hardware runs as fast as it
-// runs) and Now is the monotonic clock.
+// Package live is the real-concurrency execution backend of TM2C-Go: the
+// one-rank case of the real-time port runtime in internal/port. Every port
+// is an actual goroutine with a selective-receive mailbox, Advance is a
+// no-op (the hardware runs as fast as it runs), Now is the monotonic clock,
+// and every Send destination is local.
 //
-// The backend implements the same port.Port contract as the deterministic
+// The ports implement the same port.Port contract as the deterministic
 // simulator (internal/sim via port.SimPort), so the whole DTM protocol in
-// internal/core runs on it unchanged: lock requests, scatter-gather commits,
-// contention management, adaptive placement, irrevocability. What changes is
-// the meaning of time — run windows are wall-clock, message latency is
-// channel latency, and interleavings are whatever the Go scheduler produces,
-// so runs are NOT reproducible. Correctness on this backend is checked with
-// invariants (money conservation, empty lock tables at quiesce, -race)
-// rather than the simulator's serializability audit.
+// internal/core runs on them unchanged: lock requests, scatter-gather
+// commits, contention management, adaptive placement, irrevocability. What
+// changes is the meaning of time — run windows are wall-clock, message
+// latency is channel latency, and interleavings are whatever the Go
+// scheduler produces, so runs are NOT reproducible. Correctness on this
+// backend is checked with invariants (money conservation, empty lock tables
+// at quiesce, -race) rather than the simulator's serializability audit.
 //
-// Lifecycle: Spawn all ports first (goroutines block on an internal gate),
-// then Start releases them and starts the clock, and Shutdown drains and
-// kills the ports that are still serving (the DTM service loops). A killed
-// port first empties its mailbox — releases sent by the last transactions
-// must still be processed so the lock tables quiesce empty — and only then
-// unwinds.
+// Lifecycle (port.Host): Spawn all ports first, then Start releases them
+// and starts the clock, and Shutdown drains and kills the ports that are
+// still serving.
 package live
 
-import (
-	"fmt"
-	"runtime"
-	"sync"
-	"time"
+import "repro/internal/port"
 
-	"repro/internal/port"
-	"repro/internal/sim"
-)
-
-// mailboxCap is each port's channel buffer. The DTM protocol keeps at most a
-// handful of requests in flight per core (one awaited RPC phase, plus
-// fire-and-forget releases and barrier traffic), so this never fills in
-// practice; if it ever does, senders simply block — backpressure, not loss.
-const mailboxCap = 4096
-
-// killSentinel unwinds a port goroutine blocked in a receive when the engine
-// shuts down; the spawn wrapper recovers it (same pattern as the sim
-// kernel).
-type killSentinel struct{}
-
-// Engine owns the goroutine ports of one live system.
-type Engine struct {
-	seed    uint64
-	ports   []*Port
-	started chan struct{} // closed by Start; gates every port goroutine
-	quit    chan struct{} // closed by Shutdown; drains and kills receivers
-	all     sync.WaitGroup
-
-	start time.Time // monotonic epoch, set just before started closes
-
-	mu      sync.Mutex
-	fault   any
-	running bool
-	down    bool
-}
+// Engine owns the goroutine ports of one live system. Its mailboxes are
+// bounded channels (port.Bounded): every sender here is itself a port that
+// may block, so a full mailbox is backpressure, and on this backend the
+// channel is the faster raw queue.
+type Engine struct{ *port.Host }
 
 // New returns an engine whose port RNGs derive from seed exactly like the
 // sim kernel's proc RNGs, so workload shapes match across backends.
 func New(seed uint64) *Engine {
-	return &Engine{
-		seed:    seed,
-		started: make(chan struct{}),
-		quit:    make(chan struct{}),
-	}
+	return &Engine{port.NewHost(seed, port.Bounded, nil)}
 }
 
 // Spawn creates a port running fn in its own goroutine. The goroutine
 // blocks until Start, so all spawning (and all raw-memory setup) happens
 // before any worker code runs. Spawn must not be called after Start.
 func (e *Engine) Spawn(name string, fn func(port.Port)) port.Port {
-	e.mu.Lock()
-	if e.running {
-		e.mu.Unlock()
-		panic("live: Spawn after Start")
-	}
-	p := &Port{
-		eng:  e,
-		id:   len(e.ports),
-		name: name,
-		ch:   make(chan port.Msg, mailboxCap),
-		rng:  sim.NewRand(e.seed ^ (0x9e3779b97f4a7c15 * uint64(len(e.ports)+1))),
-	}
-	e.ports = append(e.ports, p)
-	e.mu.Unlock()
-	e.all.Add(1)
-	go func() {
-		defer e.all.Done()
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(killSentinel); !ok {
-					e.setFault(r)
-				}
-			}
-		}()
-		<-e.started
-		fn(p)
-	}()
-	return p
-}
-
-// Start releases every spawned goroutine and starts the monotonic clock.
-func (e *Engine) Start() {
-	e.mu.Lock()
-	if e.running {
-		e.mu.Unlock()
-		panic("live: Start called twice")
-	}
-	e.running = true
-	e.mu.Unlock()
-	e.start = time.Now()
-	close(e.started)
-}
-
-// Now returns the monotonic time since Start as a sim.Time (nanoseconds);
-// zero before Start.
-func (e *Engine) Now() sim.Time {
-	e.mu.Lock()
-	running := e.running
-	e.mu.Unlock()
-	if !running {
-		return 0
-	}
-	return sim.Time(time.Since(e.start))
-}
-
-// NumPorts returns how many ports were spawned.
-func (e *Engine) NumPorts() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return len(e.ports)
-}
-
-// Shutdown drains and terminates every port that is still receiving (the
-// DTM service loops), waits for all goroutines to exit, and re-raises the
-// first fault any port goroutine died with. Callers must first wait for the
-// application workers to finish on their own, so that every release message
-// of the final transactions is already sitting in a service mailbox: a
-// killed receiver empties its mailbox before unwinding, which is what lets
-// the lock tables quiesce empty.
-func (e *Engine) Shutdown() {
-	e.mu.Lock()
-	if !e.down {
-		e.down = true
-		close(e.quit)
-	}
-	e.mu.Unlock()
-	e.all.Wait()
-	e.mu.Lock()
-	f := e.fault
-	e.fault = nil
-	e.mu.Unlock()
-	if f != nil {
-		panic(f)
-	}
-}
-
-// Fault returns the first panic value captured from a port goroutine, if
-// any. Watchdogs consult it while waiting for workers to drain.
-func (e *Engine) Fault() any {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.fault
-}
-
-func (e *Engine) setFault(r any) {
-	e.mu.Lock()
-	if e.fault == nil {
-		e.fault = r
-	}
-	e.mu.Unlock()
-}
-
-// Port is one live execution context: a goroutine with a channel mailbox.
-// All methods except ID must be called from the port's own goroutine; the
-// stash (messages set aside by selective receive) is single-consumer state.
-type Port struct {
-	eng  *Engine
-	id   int
-	name string
-	rng  sim.Rand
-	ch   chan port.Msg
-
-	// stash holds delivered-but-deferred messages in delivery order:
-	// everything RecvMatch/TryRecvMatch skipped — the same MsgQueue the
-	// sim kernel's procs use as their mailbox.
-	stash sim.MsgQueue
-
-	// onBatch, when set, observes every Batch envelope unpacked into the
-	// stash (the payload count). deliver runs on the port's own goroutine,
-	// so the hook shares the port's single-consumer discipline.
-	onBatch func(n int)
-}
-
-// SetBatchHook installs fn to observe every multi-payload Batch envelope
-// this port unpacks (called with the envelope's payload count). It must be
-// installed before Engine.Start releases the goroutines; a nil fn disables
-// it.
-func (p *Port) SetBatchHook(fn func(n int)) { p.onBatch = fn }
-
-var _ port.Port = (*Port)(nil)
-
-// ID returns the engine-assigned port identifier.
-func (p *Port) ID() int { return p.id }
-
-// Name returns the name given at Spawn time.
-func (p *Port) Name() string { return p.name }
-
-// Now returns monotonic nanoseconds since Start.
-func (p *Port) Now() sim.Time { return sim.Time(time.Since(p.eng.start)) }
-
-// Rand returns the port's deterministic random source.
-func (p *Port) Rand() *sim.Rand { return &p.rng }
-
-// Advance consumes no time — nominal compute costs and modeled waits are a
-// simulation concept; on the live backend the hardware is exactly as fast
-// as it is. It does yield the processor: code that uses Advance as a wait
-// (contention-manager backoff, test-and-set spin loops) must not turn into
-// a hot spin that starves the very goroutine it is waiting on.
-func (p *Port) Advance(d time.Duration) {
-	if d < 0 {
-		panic(fmt.Sprintf("live: %s: negative advance %v", p.name, d))
-	}
-	if d > 0 {
-		runtime.Gosched()
-	}
-}
-
-// Yield lets other goroutines run.
-func (p *Port) Yield() { runtime.Gosched() }
-
-// Send delivers payload to dst immediately (the delay parameter models
-// simulated latency and is ignored). If dst's mailbox is full the sender
-// blocks — backpressure — unless the engine is shutting down, in which case
-// the message is dropped (its receiver is being killed anyway).
-func (p *Port) Send(dst port.Port, payload any, delay time.Duration) {
-	if delay < 0 {
-		panic(fmt.Sprintf("live: negative send delay %v", delay))
-	}
-	if b, ok := payload.(*port.Batch); ok && len(b.Payloads) == 0 {
-		panic("live: empty batch envelope")
-	}
-	d := dst.(*Port)
-	m := port.Msg{From: p.id, Payload: payload}
-	select {
-	case d.ch <- m:
-	default:
-		select {
-		case d.ch <- m:
-		case <-p.eng.quit:
-		}
-	}
-}
-
-// recvChan blocks for the next channel message, bypassing the stash. During
-// shutdown it first drains the mailbox, then unwinds the goroutine.
-func (p *Port) recvChan() port.Msg {
-	select {
-	case m := <-p.ch:
-		return m
-	default:
-	}
-	select {
-	case m := <-p.ch:
-		return m
-	case <-p.eng.quit:
-		// Drain: releases from the final transactions must be served so
-		// the lock tables quiesce empty; die only on a provably empty box.
-		select {
-		case m := <-p.ch:
-			return m
-		default:
-			panic(killSentinel{})
-		}
-	}
-}
-
-// deliver appends a channel message to the stash, unpacking Batch envelopes
-// into one stashed message per payload (staged order, the envelope's
-// sender). Receivers therefore only ever observe individual protocol
-// payloads, exactly as on the simulated backend, and selective receive is
-// unchanged.
-func (p *Port) deliver(m port.Msg) {
-	if b, ok := m.Payload.(*port.Batch); ok {
-		for _, pl := range b.Payloads {
-			p.stash.Push(port.Msg{From: m.From, Payload: pl})
-		}
-		if p.onBatch != nil {
-			p.onBatch(len(b.Payloads))
-		}
-		port.PutBatch(b)
-		return
-	}
-	p.stash.Push(m)
-}
-
-// Recv blocks until a message is available and returns the earliest
-// delivered one (stashed messages first — they were delivered earlier).
-func (p *Port) Recv() port.Msg {
-	for p.stash.Len() == 0 {
-		p.deliver(p.recvChan())
-	}
-	return p.stash.Pop()
-}
-
-// TryRecv returns the earliest queued message without blocking.
-func (p *Port) TryRecv() (port.Msg, bool) {
-	if p.stash.Len() > 0 {
-		return p.stash.Pop(), true
-	}
-	select {
-	case m := <-p.ch:
-		p.deliver(m)
-		return p.stash.Pop(), true
-	default:
-		return port.Msg{}, false
-	}
-}
-
-// RecvMatch blocks until a message satisfying pred is available and returns
-// the earliest such message; everything else stays queued in delivery
-// order.
-func (p *Port) RecvMatch(pred func(port.Msg) bool) port.Msg {
-	for {
-		if m, ok := p.stash.TakeMatch(pred); ok {
-			return m
-		}
-		p.deliver(p.recvChan())
-	}
-}
-
-// TryRecvMatch returns the earliest queued message satisfying pred, if any,
-// without blocking. Non-matching messages stay queued.
-func (p *Port) TryRecvMatch(pred func(port.Msg) bool) (port.Msg, bool) {
-	for {
-		if m, ok := p.stash.TakeMatch(pred); ok {
-			return m, true
-		}
-		select {
-		case m := <-p.ch:
-			p.deliver(m)
-		default:
-			return port.Msg{}, false
-		}
-	}
-}
-
-// RecvTimeout waits up to d for a message; ok is false on timeout.
-func (p *Port) RecvTimeout(d time.Duration) (port.Msg, bool) {
-	if p.stash.Len() > 0 {
-		return p.stash.Pop(), true
-	}
-	if d <= 0 {
-		select {
-		case m := <-p.ch:
-			p.deliver(m)
-			return p.stash.Pop(), true
-		default:
-			return port.Msg{}, false
-		}
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case m := <-p.ch:
-		p.deliver(m)
-		return p.stash.Pop(), true
-	case <-t.C:
-		return port.Msg{}, false
-	case <-p.eng.quit:
-		select {
-		case m := <-p.ch:
-			p.deliver(m)
-			return p.stash.Pop(), true
-		default:
-			panic(killSentinel{})
-		}
-	}
+	return e.Host.Spawn(name, fn)
 }

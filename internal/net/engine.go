@@ -1,8 +1,11 @@
 // Package net implements the cross-process execution backend of TM2C-Go:
 // the system's cores are partitioned over separate OS processes ("ranks"),
-// each rank hosts its share as live-style goroutine ports, and messages to
-// cores of other ranks travel as length-prefixed binary frames
-// (internal/wire) over persistent TCP or Unix-domain connections.
+// each rank hosts its share on the real-time port runtime the live backend
+// also uses (port.Host), and messages to cores of other ranks travel as
+// length-prefixed binary frames (internal/wire) over persistent TCP or
+// Unix-domain connections. This package holds only what is about ranks:
+// links, Stubs, the remote send, barriers, the state plane and the stats
+// exchange.
 //
 // The backend relies on replicated construction: every rank builds the
 // identical System from the identical Config (differing only in
@@ -35,7 +38,6 @@ import (
 	"time"
 
 	"repro/internal/port"
-	"repro/internal/sim"
 )
 
 // Frame kinds (the u8 after the length prefix; see docs/WIRE.md).
@@ -53,11 +55,6 @@ const (
 	ctrlDrain uint8 = 2 // conn flush marker: no more port messages behind it
 	ctrlStats uint8 = 3 // this rank's serialized post-run statistics
 )
-
-// killSentinel unwinds a port goroutine blocked in a receive when the
-// engine shuts down; the spawn wrapper recovers it (same pattern as the sim
-// kernel and the live engine).
-type killSentinel struct{}
 
 // Config places one engine within a cross-process system.
 type Config struct {
@@ -83,22 +80,18 @@ var sessionCounter atomic.Int64
 // NextSession draws from the per-process auto-session counter.
 func NextSession() int { return int(sessionCounter.Add(1) - 1) }
 
-// Engine owns one rank's goroutine ports and peer connections.
+// Engine owns one rank's goroutine ports and peer connections. The embedded
+// Host supplies the start gate, clock, fault capture and drain-then-kill
+// Shutdown (connections stay up for ExchangeStats; Close tears them down).
+// Its mailboxes are port.Unbounded: the connection readers push into them
+// and must never block.
 type Engine struct {
-	cfg   Config
-	ports []port.Port // by spawn ID: *Port (local) or *Stub (remote)
+	*port.Host
+	cfg Config
 
-	started chan struct{} // closed by Start; gates every port goroutine
-	quit    chan struct{} // closed by Shutdown; drains and kills receivers
-	all     sync.WaitGroup
-
-	start time.Time // monotonic epoch, set just before started closes
-
-	mu      sync.Mutex
-	fault   any
-	running bool
-	down    bool
-	closed  bool
+	mu     sync.Mutex
+	ports  []port.Port // by spawn ID: *port.HostPort (local) or *Stub (remote)
+	closed bool
 
 	ln    gonet.Listener
 	links []*link // by peer rank; links[cfg.Rank] == nil
@@ -108,10 +101,9 @@ type Engine struct {
 	pend   map[uint64]chan []byte
 	corr   atomic.Uint64
 
-	// Control-plane rendezvous (one token per peer rank).
-	doneCh  chan struct{}
-	drainCh chan struct{}
-	statsCh chan []byte
+	// Control-plane rendezvous, by control subkind: one frame body per peer
+	// rank (buffered for all of them, so a connection reader never blocks).
+	ctrl [ctrlStats + 1]chan []byte
 
 	// State plane (BindState).
 	st stateHooks
@@ -142,15 +134,11 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.StateTimeout <= 0 {
 		cfg.StateTimeout = 10 * time.Second
 	}
-	e := &Engine{
-		cfg:     cfg,
-		started: make(chan struct{}),
-		quit:    make(chan struct{}),
-		pend:    make(map[uint64]chan []byte),
-		doneCh:  make(chan struct{}, cfg.Ranks),
-		drainCh: make(chan struct{}, cfg.Ranks),
-		statsCh: make(chan []byte, cfg.Ranks),
+	e := &Engine{cfg: cfg, pend: make(map[uint64]chan []byte)}
+	for sub := ctrlDone; sub <= ctrlStats; sub++ {
+		e.ctrl[sub] = make(chan []byte, cfg.Ranks)
 	}
+	e.Host = port.NewHost(cfg.Seed, port.Unbounded, e.sendRemote)
 	e.links = make([]*link, cfg.Ranks)
 	for r := 0; r < cfg.Ranks; r++ {
 		if r == cfg.Rank {
@@ -170,46 +158,20 @@ func New(cfg Config) (*Engine, error) {
 // Rank returns this engine's rank.
 func (e *Engine) Rank() int { return e.cfg.Rank }
 
-// Spawn creates the port of spawn index len(ports). If owner is this rank
-// the port runs fn in its own goroutine (gated on Start, exactly like the
-// live engine); otherwise a Stub stands in and fn never runs here — the
-// owning rank, constructing the same system, spawns the real one. Spawn
-// must not be called after Start.
+// Spawn creates the port with the next spawn-order ID. If owner is this rank
+// the Host runs fn in its own goroutine (gated on Start); otherwise a Stub
+// stands in and fn never runs here — the owning rank, constructing the same
+// system, spawns the real one. Spawn must not be called after Start.
 func (e *Engine) Spawn(name string, owner int, fn func(port.Port)) port.Port {
 	e.mu.Lock()
-	if e.running {
-		e.mu.Unlock()
-		panic("net: Spawn after Start")
-	}
-	id := len(e.ports)
-	if owner != e.cfg.Rank {
-		st := &Stub{eng: e, id: id, rank: owner, name: name}
-		e.ports = append(e.ports, st)
-		e.mu.Unlock()
-		return st
-	}
-	p := &Port{
-		eng:  e,
-		id:   id,
-		name: name,
-		rng:  sim.NewRand(e.cfg.Seed ^ (0x9e3779b97f4a7c15 * uint64(id+1))),
-		wake: make(chan struct{}, 1),
+	defer e.mu.Unlock()
+	var p port.Port
+	if owner == e.cfg.Rank {
+		p = e.Host.Spawn(name, fn)
+	} else {
+		p = &Stub{id: e.Reserve(), rank: owner, name: name}
 	}
 	e.ports = append(e.ports, p)
-	e.mu.Unlock()
-	e.all.Add(1)
-	go func() {
-		defer e.all.Done()
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(killSentinel); !ok {
-					e.setFault(r)
-				}
-			}
-		}()
-		<-e.started
-		fn(p)
-	}()
 	return p
 }
 
@@ -226,13 +188,6 @@ func (e *Engine) resolvePort(id int) port.Port {
 // goroutines and starts the clock. The connection rendezvous doubles as the
 // start barrier: no rank proceeds until every peer it talks to exists.
 func (e *Engine) Start() error {
-	e.mu.Lock()
-	if e.running {
-		e.mu.Unlock()
-		panic("net: Start called twice")
-	}
-	e.mu.Unlock()
-
 	// Listen if any higher rank will dial us.
 	if e.cfg.Rank < e.cfg.Ranks-1 {
 		netw, addr, err := resolveAddr(e.cfg.Addrs[e.cfg.Rank], e.cfg.Session, e.cfg.Ranks)
@@ -265,24 +220,8 @@ func (e *Engine) Start() error {
 			return err
 		}
 	}
-	e.mu.Lock()
-	e.running = true
-	e.mu.Unlock()
-	e.start = time.Now()
-	close(e.started)
+	e.Host.Start()
 	return nil
-}
-
-// Now returns the monotonic time since Start as a sim.Time (nanoseconds);
-// zero before Start.
-func (e *Engine) Now() sim.Time {
-	e.mu.Lock()
-	running := e.running
-	e.mu.Unlock()
-	if !running {
-		return 0
-	}
-	return sim.Time(time.Since(e.start))
 }
 
 // BarrierDone announces that this rank's workers all finished and waits for
@@ -290,7 +229,8 @@ func (e *Engine) Now() sim.Time {
 // throughout — that is the point: a rank may only tear down once no process
 // can still need its locks.
 func (e *Engine) BarrierDone(timeout time.Duration) error {
-	return e.barrier(ctrlDone, nil, e.doneCh, timeout)
+	_, err := e.exchange(ctrlDone, nil, timeout)
+	return err
 }
 
 // BarrierDrain flushes every connection: a DRAIN marker is written behind
@@ -299,43 +239,28 @@ func (e *Engine) BarrierDone(timeout time.Duration) error {
 // rank has already been pushed into its destination mailbox. Call after
 // BarrierDone; Shutdown's mailbox drain then leaves the lock tables empty.
 func (e *Engine) BarrierDrain(timeout time.Duration) error {
-	return e.barrier(ctrlDrain, nil, e.drainCh, timeout)
-}
-
-func (e *Engine) barrier(sub uint8, payload []byte, ch chan struct{}, timeout time.Duration) error {
-	body := append([]byte{sub}, payload...)
-	for _, l := range e.links {
-		if l == nil {
-			continue
-		}
-		if err := l.write(frCtrl, body); err != nil {
-			return fmt.Errorf("net: rank %d: barrier %d to rank %d: %w", e.cfg.Rank, sub, l.peer, err)
-		}
-	}
-	t := time.NewTimer(timeout)
-	defer t.Stop()
-	for i := 0; i < e.cfg.Ranks-1; i++ {
-		select {
-		case <-ch:
-		case <-t.C:
-			return fmt.Errorf("net: rank %d: barrier %d timed out after %v (%d/%d peers)",
-				e.cfg.Rank, sub, timeout, i, e.cfg.Ranks-1)
-		}
-	}
-	return nil
+	_, err := e.exchange(ctrlDrain, nil, timeout)
+	return err
 }
 
 // ExchangeStats broadcasts this rank's serialized post-run statistics and
 // returns every peer's. Call after Shutdown (local counters quiesced) and
 // before Close (the connections carry the exchange).
 func (e *Engine) ExchangeStats(local []byte, timeout time.Duration) ([][]byte, error) {
-	body := append([]byte{ctrlStats}, local...)
+	return e.exchange(ctrlStats, local, timeout)
+}
+
+// exchange writes one control frame of subkind sub to every peer and
+// collects the one every peer writes back: a barrier when the payloads are
+// empty.
+func (e *Engine) exchange(sub uint8, payload []byte, timeout time.Duration) ([][]byte, error) {
+	body := append([]byte{sub}, payload...)
 	for _, l := range e.links {
 		if l == nil {
 			continue
 		}
 		if err := l.write(frCtrl, body); err != nil {
-			return nil, fmt.Errorf("net: rank %d: stats to rank %d: %w", e.cfg.Rank, l.peer, err)
+			return nil, fmt.Errorf("net: rank %d: control %d to rank %d: %w", e.cfg.Rank, sub, l.peer, err)
 		}
 	}
 	t := time.NewTimer(timeout)
@@ -343,34 +268,14 @@ func (e *Engine) ExchangeStats(local []byte, timeout time.Duration) ([][]byte, e
 	var out [][]byte
 	for i := 0; i < e.cfg.Ranks-1; i++ {
 		select {
-		case b := <-e.statsCh:
+		case b := <-e.ctrl[sub]:
 			out = append(out, b)
 		case <-t.C:
-			return nil, fmt.Errorf("net: rank %d: stats exchange timed out after %v", e.cfg.Rank, timeout)
+			return nil, fmt.Errorf("net: rank %d: control %d timed out after %v (%d/%d peers)",
+				e.cfg.Rank, sub, timeout, i, e.cfg.Ranks-1)
 		}
 	}
 	return out, nil
-}
-
-// Shutdown drains and terminates every local port goroutine (mirroring the
-// live engine: a killed receiver empties its mailbox before unwinding) and
-// re-raises the first fault. Connections stay up for ExchangeStats; Close
-// tears them down.
-func (e *Engine) Shutdown() {
-	e.mu.Lock()
-	if !e.down {
-		e.down = true
-		close(e.quit)
-	}
-	e.mu.Unlock()
-	e.all.Wait()
-	e.mu.Lock()
-	f := e.fault
-	e.fault = nil
-	e.mu.Unlock()
-	if f != nil {
-		panic(f)
-	}
 }
 
 // Close tears down the listener and every connection. State RPCs fail fast
@@ -392,22 +297,6 @@ func (e *Engine) Close() {
 			l.close()
 		}
 	}
-}
-
-// Fault returns the first panic value captured from a port goroutine or the
-// transport, if any. Watchdogs consult it while waiting for workers.
-func (e *Engine) Fault() any {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.fault
-}
-
-func (e *Engine) setFault(r any) {
-	e.mu.Lock()
-	if e.fault == nil {
-		e.fault = r
-	}
-	e.mu.Unlock()
 }
 
 func (e *Engine) isClosed() bool {

@@ -176,7 +176,7 @@ func (l *link) redial() {
 			c.Close()
 		}
 		if time.Now().After(deadline) {
-			e.setFault(fmt.Errorf("net: rank %d: cannot reach rank %d at %s: %v",
+			e.Fail(fmt.Errorf("net: rank %d: cannot reach rank %d at %s: %v",
 				e.cfg.Rank, l.peer, l.addr, err))
 			l.mu.Lock()
 			l.dialing = false
@@ -284,7 +284,7 @@ func (e *Engine) acceptConn(c gonet.Conn) {
 
 // readLoop serves one physical connection until it breaks or the engine
 // closes, dispatching every frame inline: port messages push into local
-// mailboxes (never blocking — see Port.push), state RPCs execute against
+// mailboxes (never blocking — see port.Unbounded), state RPCs execute against
 // the local memory/register owners, control frames feed the barriers.
 func (e *Engine) readLoop(l *link, c gonet.Conn) {
 	for {
@@ -309,15 +309,15 @@ func (e *Engine) handleFrame(l *link, kind uint8, body []byte) {
 		src := int(d.U32())
 		payload, err := wire.DecodePayload(d)
 		if err != nil {
-			e.setFault(fmt.Errorf("net: rank %d: bad MSG frame from rank %d: %w", e.cfg.Rank, l.peer, err))
+			e.Fail(fmt.Errorf("net: rank %d: bad MSG frame from rank %d: %w", e.cfg.Rank, l.peer, err))
 			return
 		}
-		p, ok := e.resolvePort(dst).(*Port)
+		p, ok := e.resolvePort(dst).(*port.HostPort)
 		if !ok {
-			e.setFault(fmt.Errorf("net: rank %d: MSG for port %d, which is not hosted here", e.cfg.Rank, dst))
+			e.Fail(fmt.Errorf("net: rank %d: MSG for port %d, which is not hosted here", e.cfg.Rank, dst))
 			return
 		}
-		p.push(port.Msg{From: src, Payload: payload})
+		p.Push(port.Msg{From: src, Payload: payload})
 	case frStateReq:
 		e.serveState(l, body)
 	case frStateResp:
@@ -334,20 +334,12 @@ func (e *Engine) handleFrame(l *link, kind uint8, body []byte) {
 			ch <- body[8:]
 		}
 	case frCtrl:
-		if len(body) == 0 {
-			return
-		}
-		switch body[0] {
-		case ctrlDone:
-			e.doneCh <- struct{}{}
-		case ctrlDrain:
-			e.drainCh <- struct{}{}
-		case ctrlStats:
-			e.statsCh <- body[1:]
+		if len(body) > 0 && ctrlDone <= body[0] && body[0] <= ctrlStats {
+			e.ctrl[body[0]] <- body[1:]
 		}
 	case frHello:
 		// Duplicate HELLO on an established connection: ignore.
 	default:
-		e.setFault(fmt.Errorf("net: rank %d: unknown frame kind %d from rank %d", e.cfg.Rank, kind, l.peer))
+		e.Fail(fmt.Errorf("net: rank %d: unknown frame kind %d from rank %d", e.cfg.Rank, kind, l.peer))
 	}
 }

@@ -2,8 +2,6 @@ package net
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 	"time"
 
 	"repro/internal/port"
@@ -11,278 +9,11 @@ import (
 	"repro/internal/wire"
 )
 
-// Port is one locally-hosted execution context: a goroutine with an
-// unbounded, mutex-guarded inbox fed both by local senders and by the
-// connection readers. The inbox is deliberately unbounded where the live
-// backend uses a bounded channel: a connection reader must never block on a
-// full mailbox, or a port waiting for a state-RPC response queued behind
-// its backlog would deadlock the whole rank.
-//
-// Like the live backend, selective receive runs entirely on the port's own
-// goroutine: raw messages (possibly Batch envelopes) are popped from the
-// inbox and unpacked into the single-consumer stash, so the flight-recorder
-// hook and stash never race.
-type Port struct {
-	eng  *Engine
-	id   int
-	name string
-	rng  sim.Rand
-
-	mu    sync.Mutex
-	inbox sim.MsgQueue
-	wake  chan struct{} // cap 1: at least one token per non-empty inbox
-
-	// stash holds delivered-but-deferred messages in delivery order —
-	// receiver-goroutine-only state, exactly like live.Port.stash.
-	stash sim.MsgQueue
-
-	onBatch func(n int)
-}
-
-var _ port.Port = (*Port)(nil)
-
-// SetBatchHook installs fn to observe every multi-payload Batch envelope
-// this port unpacks. Install before Engine.Start; nil disables.
-func (p *Port) SetBatchHook(fn func(n int)) { p.onBatch = fn }
-
-// ID returns the engine-assigned (spawn-order) port identifier.
-func (p *Port) ID() int { return p.id }
-
-// Name returns the name given at Spawn time.
-func (p *Port) Name() string { return p.name }
-
-// Now returns monotonic nanoseconds since Start.
-func (p *Port) Now() sim.Time { return sim.Time(time.Since(p.eng.start)) }
-
-// Rand returns the port's deterministic random source (seeded by spawn
-// index exactly like the sim kernel and live engine, so workload shapes
-// match across backends and ranks).
-func (p *Port) Rand() *sim.Rand { return &p.rng }
-
-// Advance consumes no time (see live.Port.Advance); it yields so backoff
-// loops don't starve the goroutines they wait on.
-func (p *Port) Advance(d time.Duration) {
-	if d < 0 {
-		panic(fmt.Sprintf("net: %s: negative advance %v", p.name, d))
-	}
-	if d > 0 {
-		runtime.Gosched()
-	}
-}
-
-// Yield lets other goroutines run.
-func (p *Port) Yield() { runtime.Gosched() }
-
-// push delivers a raw message into the inbox. Any goroutine may call it
-// (local sender or connection reader); it never blocks.
-func (p *Port) push(m port.Msg) {
-	p.mu.Lock()
-	p.inbox.Push(m)
-	p.mu.Unlock()
-	select {
-	case p.wake <- struct{}{}:
-	default:
-	}
-}
-
-// Send delivers payload to dst: straight into the inbox when dst is hosted
-// here, serialized onto the owning rank's connection when it is a Stub. The
-// delay parameter models simulated latency and is ignored.
-func (p *Port) Send(dst port.Port, payload any, delay time.Duration) {
-	if delay < 0 {
-		panic(fmt.Sprintf("net: negative send delay %v", delay))
-	}
-	if b, ok := payload.(*port.Batch); ok && len(b.Payloads) == 0 {
-		panic("net: empty batch envelope")
-	}
-	switch d := dst.(type) {
-	case *Port:
-		d.push(port.Msg{From: p.id, Payload: payload})
-	case *Stub:
-		p.eng.sendRemote(p.id, d, payload)
-	default:
-		panic(fmt.Sprintf("net: Send to foreign port type %T", dst))
-	}
-}
-
-// popInbox returns the next raw inbox message if one is queued.
-func (p *Port) popInbox() (port.Msg, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.inbox.Len() == 0 {
-		return port.Msg{}, false
-	}
-	return p.inbox.Pop(), true
-}
-
-// recvRaw blocks for the next raw inbox message. During shutdown it first
-// drains the inbox, then unwinds the goroutine (killSentinel) — releases
-// from the final transactions must be served so lock tables quiesce empty.
-func (p *Port) recvRaw() port.Msg {
-	for {
-		if m, ok := p.popInbox(); ok {
-			return m
-		}
-		select {
-		case <-p.wake:
-		case <-p.eng.quit:
-			if m, ok := p.popInbox(); ok {
-				return m
-			}
-			panic(killSentinel{})
-		}
-	}
-}
-
-// deliver unpacks a raw message into the stash (Batch envelopes become one
-// stashed message per payload, staged order, the envelope's sender).
-func (p *Port) deliver(m port.Msg) {
-	if b, ok := m.Payload.(*port.Batch); ok {
-		for _, pl := range b.Payloads {
-			p.stash.Push(port.Msg{From: m.From, Payload: pl})
-		}
-		if p.onBatch != nil {
-			p.onBatch(len(b.Payloads))
-		}
-		port.PutBatch(b)
-		return
-	}
-	p.stash.Push(m)
-}
-
-// Recv blocks until a message is available and returns the earliest
-// delivered one (stashed messages first — they were delivered earlier).
-func (p *Port) Recv() port.Msg {
-	for p.stash.Len() == 0 {
-		p.deliver(p.recvRaw())
-	}
-	return p.stash.Pop()
-}
-
-// TryRecv returns the earliest queued message without blocking.
-func (p *Port) TryRecv() (port.Msg, bool) {
-	if p.stash.Len() > 0 {
-		return p.stash.Pop(), true
-	}
-	if m, ok := p.popInbox(); ok {
-		p.deliver(m)
-		return p.stash.Pop(), true
-	}
-	return port.Msg{}, false
-}
-
-// RecvMatch blocks until a message satisfying pred is available; everything
-// else stays queued in delivery order.
-func (p *Port) RecvMatch(pred func(port.Msg) bool) port.Msg {
-	for {
-		if m, ok := p.stash.TakeMatch(pred); ok {
-			return m
-		}
-		p.deliver(p.recvRaw())
-	}
-}
-
-// TryRecvMatch returns the earliest queued message satisfying pred, if any,
-// without blocking.
-func (p *Port) TryRecvMatch(pred func(port.Msg) bool) (port.Msg, bool) {
-	for {
-		if m, ok := p.stash.TakeMatch(pred); ok {
-			return m, true
-		}
-		m, ok := p.popInbox()
-		if !ok {
-			return port.Msg{}, false
-		}
-		p.deliver(m)
-	}
-}
-
-// RecvTimeout waits up to d for a message; ok is false on timeout.
-func (p *Port) RecvTimeout(d time.Duration) (port.Msg, bool) {
-	if p.stash.Len() > 0 {
-		return p.stash.Pop(), true
-	}
-	if m, ok := p.waitRaw(d, nil); ok {
-		p.deliver(m)
-		return p.stash.Pop(), true
-	}
-	return port.Msg{}, false
-}
-
-// RecvMatchTimeout is RecvMatch bounded by d: it returns the earliest
-// message satisfying pred, or ok=false once d elapses without one. This is
-// the capability behind the DTM layer's per-RPC deadlines; it sits outside
-// the Port interface and is discovered by type assertion, like
-// SetBatchHook.
-func (p *Port) RecvMatchTimeout(pred func(port.Msg) bool, d time.Duration) (port.Msg, bool) {
-	var t *time.Timer
-	defer func() {
-		if t != nil {
-			t.Stop()
-		}
-	}()
-	deadline := time.Now().Add(d)
-	for {
-		if m, ok := p.stash.TakeMatch(pred); ok {
-			return m, true
-		}
-		left := time.Until(deadline)
-		if left <= 0 {
-			return port.Msg{}, false
-		}
-		if t == nil {
-			t = time.NewTimer(left)
-		} else {
-			t.Reset(left)
-		}
-		m, ok := p.waitRawTimer(t)
-		if !ok {
-			return port.Msg{}, false
-		}
-		p.deliver(m)
-	}
-}
-
-// waitRaw waits up to d for a raw inbox message (d <= 0: poll only).
-func (p *Port) waitRaw(d time.Duration, _ func(port.Msg) bool) (port.Msg, bool) {
-	if m, ok := p.popInbox(); ok {
-		return m, true
-	}
-	if d <= 0 {
-		return port.Msg{}, false
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	return p.waitRawTimer(t)
-}
-
-// waitRawTimer waits for a raw inbox message until the timer fires. During
-// shutdown it drains, then unwinds the goroutine.
-func (p *Port) waitRawTimer(t *time.Timer) (port.Msg, bool) {
-	for {
-		if m, ok := p.popInbox(); ok {
-			return m, true
-		}
-		select {
-		case <-p.wake:
-		case <-t.C:
-			// One last poll: a push may have raced the timer.
-			return p.popInbox()
-		case <-p.eng.quit:
-			if m, ok := p.popInbox(); ok {
-				return m, true
-			}
-			panic(killSentinel{})
-		}
-	}
-}
-
 // Stub stands in for a port hosted by another rank. Only its identity (ID)
 // and its role as a Send destination are usable here; everything execution-
 // context-like panics — by replicated construction nothing on this rank
 // should ever run on a remote core's port.
 type Stub struct {
-	eng  *Engine
 	id   int
 	rank int
 	name string
@@ -313,10 +44,15 @@ func (s *Stub) TryRecvMatch(func(port.Msg) bool) (port.Msg, bool) {
 }
 func (s *Stub) RecvTimeout(time.Duration) (port.Msg, bool) { panic(s.remoteUse("RecvTimeout")) }
 
-// sendRemote serializes payload and writes it as one MSG frame on the
-// destination rank's connection. A write failure (connection mid-reconnect)
-// drops the message: the protocol's RPC deadlines absorb the loss.
-func (e *Engine) sendRemote(src int, dst *Stub, payload any) {
+// sendRemote is the Host's remote-send hook: it serializes payload and
+// writes it as one MSG frame on the connection to the rank hosting dst. A
+// write failure (connection mid-reconnect) drops the message: the protocol's
+// RPC deadlines absorb the loss.
+func (e *Engine) sendRemote(src int, to port.Port, payload any) {
+	dst, ok := to.(*Stub)
+	if !ok {
+		panic(fmt.Sprintf("net: Send to foreign port type %T", to))
+	}
 	enc := wire.GetEnc()
 	enc.U32(uint32(dst.id))
 	enc.U32(uint32(src))

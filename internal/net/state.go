@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/mem"
+	"repro/internal/port"
 	"repro/internal/wire"
 )
 
@@ -33,6 +34,12 @@ const (
 	opTAS
 	opTASRelease
 )
+
+// maxReadBatch is the most words one opReadBatchRaw response can carry in a
+// frame (correlation ID and count ahead of them). The requested count comes
+// off the wire and sizes an allocation, so it is checked against this
+// before it is trusted.
+const maxReadBatch = (wire.MaxFrame - 1 - 8 - 4) / 8
 
 // stateHooks is the engine's view of the locally-owned state.
 type stateHooks struct {
@@ -83,11 +90,12 @@ func (e *Engine) stateCall(rank int, build func(enc *wire.Enc)) []byte {
 		e.pendMu.Unlock()
 		panic(fmt.Errorf("net: rank %d: state RPC to rank %d timed out after %v",
 			e.cfg.Rank, rank, e.cfg.StateTimeout))
-	case <-e.quit:
+	case <-e.Quit():
 		// The engine is tearing down; unwind like any blocked receive.
 		// (Workers are all done before Shutdown, so a state call here can
 		// only belong to a goroutine being killed anyway.)
-		panic(killSentinel{})
+		port.Unwind()
+		return nil
 	}
 }
 
@@ -102,7 +110,7 @@ func (e *Engine) serveState(l *link, body []byte) {
 	resp.U64(corr)
 	st := e.st
 	if st.mem == nil {
-		e.setFault(fmt.Errorf("net: rank %d: state RPC before BindState", e.cfg.Rank))
+		e.Fail(fmt.Errorf("net: rank %d: state RPC before BindState", e.cfg.Rank))
 		return
 	}
 	switch op {
@@ -113,6 +121,10 @@ func (e *Engine) serveState(l *link, body []byte) {
 		st.mem.WriteRaw(a, v)
 	case opReadBatchRaw:
 		base, n := mem.Addr(d.U64()), d.Int()
+		if n < 0 || n > maxReadBatch {
+			e.Fail(fmt.Errorf("net: rank %d: state read of %d words from rank %d exceeds one frame", e.cfg.Rank, n, l.peer))
+			return
+		}
 		if d.Err() == nil {
 			resp.U64s(st.mem.ReadBatchRaw(base, n))
 		}
@@ -151,11 +163,11 @@ func (e *Engine) serveState(l *link, body []byte) {
 			st.regs.TASReleaseRaw(reg)
 		}
 	default:
-		e.setFault(fmt.Errorf("net: rank %d: unknown state op %d", e.cfg.Rank, op))
+		e.Fail(fmt.Errorf("net: rank %d: unknown state op %d", e.cfg.Rank, op))
 		return
 	}
 	if err := d.Err(); err != nil {
-		e.setFault(fmt.Errorf("net: rank %d: bad state request: %w", e.cfg.Rank, err))
+		e.Fail(fmt.Errorf("net: rank %d: bad state request: %w", e.cfg.Rank, err))
 		return
 	}
 	if err := l.write(frStateResp, resp.Bytes()); err != nil {

@@ -459,6 +459,20 @@ func (d *Directory) Owner(key mem.Addr) int {
 	return d.pol.Owner(d, key)
 }
 
+// Resolve is Owner plus the remap epoch that resolution was made at, read
+// under one lock acquisition. A lock request carries the pair: the epoch
+// vouches that the owner was current, which is what lets the receiving node
+// skip its per-key ownership scan (core's placeOK). Reading the two
+// separately — owner first, epoch second — lets a handoff complete in
+// between and produces (old owner, new epoch): a stale resolution the fast
+// path would wave through at a node that no longer owns the key. An epoch
+// read no later than the owner can only err the safe way, towards older.
+func (d *Directory) Resolve(key mem.Addr) (owner int, epoch uint64) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.pol.Owner(d, key), d.epoch
+}
+
 // StripeOwner returns the current owner of stripe s (adaptive directories;
 // static policies resolve per key, not per stripe).
 func (d *Directory) StripeOwner(s int) int {

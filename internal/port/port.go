@@ -11,10 +11,13 @@
 //   - internal/sim: a proc of the deterministic discrete-event kernel, where
 //     Advance consumes virtual time and exactly one goroutine runs at any
 //     instant (the bit-identical default; see SimPort);
-//   - internal/live: a real goroutine with a channel mailbox, where Advance
-//     is a no-op and Now is the monotonic clock (hardware speed).
+//   - internal/live and internal/net: a real goroutine with a selective-
+//     receive mailbox (HostPort, host.go), where Advance is a no-op and Now
+//     is the monotonic clock (hardware speed). The runtime is written once,
+//     here; live is a Host on its own and net one Host per rank plus the
+//     links between them.
 //
-// The package sits below both backends and below internal/core, so nothing
+// The package sits below every backend and below internal/core, so nothing
 // here may import them; the shared message, time and RNG types come from
 // internal/sim, which is the one package every backend already builds on.
 package port
@@ -27,7 +30,7 @@ import (
 
 // Msg is one delivered mailbox message. It is sim.Msg verbatim: From is the
 // sender's port ID and Payload the protocol message; the SentAt/At
-// timestamps are meaningful on the simulated backend and zero on live.
+// timestamps are meaningful on the simulated backend and zero in real time.
 type Msg = sim.Msg
 
 // Port is one core's execution context: its identity, clock, deterministic
@@ -44,7 +47,7 @@ type Port interface {
 	// ID returns the backend-assigned port identifier.
 	ID() int
 	// Now returns the current time: virtual nanoseconds on the simulated
-	// backend, monotonic nanoseconds since Run on the live backend.
+	// backend, monotonic nanoseconds since Run in real time.
 	Now() sim.Time
 	// Rand returns the port's deterministic random source. Streams are
 	// seeded identically on every backend, so workload shapes (access
@@ -119,7 +122,5 @@ func (s SimPort) TryRecvMatch(pred func(Msg) bool) (Msg, bool) { return s.P.TryR
 func (s SimPort) RecvTimeout(d time.Duration) (Msg, bool) { return s.P.RecvTimeout(d) }
 
 // SetBatchHook forwards the envelope-deliver observer to the proc (see
-// sim.Proc.SetBatchHook). Backends expose this method outside the Port
-// interface; observers discover it by type assertion, so a backend without
-// envelope visibility simply has no hook.
+// sim.Proc.SetBatchHook; HostPort.SetBatchHook documents the contract).
 func (s SimPort) SetBatchHook(fn func(n int)) { s.P.SetBatchHook(fn) }

@@ -137,10 +137,37 @@ func (d *Dec) Err() error { return d.err }
 // Len reports the number of unread bytes.
 func (d *Dec) Len() int { return len(d.b) - d.off }
 
-func (d *Dec) fail(format string, args ...any) {
+// Failf latches a decode error (the first one wins). Registered decoders
+// use it to reject input that is well-framed but not a valid message.
+func (d *Dec) Failf(format string, args ...any) {
 	if d.err == nil {
 		d.err = fmt.Errorf(format, args...)
 	}
+}
+
+// Peek returns the next unread byte without consuming it; zero when none is
+// left (the read that follows latches the truncation).
+func (d *Dec) Peek() uint8 {
+	if d.err != nil || d.off >= len(d.b) {
+		return 0
+	}
+	return d.b[d.off]
+}
+
+// Count reads a u32 element count written ahead of a sequence whose every
+// element takes at least elemBytes on the wire, and fails unless that many
+// can still fit in the unread payload. A decoder may therefore allocate for
+// the count it gets back: a peer-supplied count can never ask for more
+// memory than a small multiple of the bytes the peer actually sent.
+func (d *Dec) Count(elemBytes int) int {
+	n := int(d.U32())
+	if d.err == nil && n > d.Len()/elemBytes {
+		d.Failf("wire: count %d exceeds remaining payload (%d bytes)", n, d.Len())
+	}
+	if d.err != nil {
+		return 0
+	}
+	return n
 }
 
 func (d *Dec) take(n int) []byte {
@@ -148,7 +175,7 @@ func (d *Dec) take(n int) []byte {
 		return nil
 	}
 	if d.off+n > len(d.b) {
-		d.fail("wire: truncated payload: need %d bytes at offset %d of %d", n, d.off, len(d.b))
+		d.Failf("wire: truncated payload: need %d bytes at offset %d of %d", n, d.off, len(d.b))
 		return nil
 	}
 	s := d.b[d.off : d.off+n]
@@ -196,12 +223,8 @@ func (d *Dec) Bool() bool     { return d.U8() != 0 }
 // U64s decodes a slice written by Enc.U64s. A zero count yields nil so
 // round-trips preserve the in-memory convention of nil empty slices.
 func (d *Dec) U64s() []uint64 {
-	n := int(d.U32())
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	if n > d.Len()/8 {
-		d.fail("wire: slice count %d exceeds remaining payload", n)
+	n := d.Count(8)
+	if n == 0 {
 		return nil
 	}
 	vs := make([]uint64, n)
@@ -218,12 +241,12 @@ func (d *Dec) Port() port.Port {
 		return nil
 	}
 	if d.Resolve == nil {
-		d.fail("wire: payload carries port ID %d but decoder has no resolver", id)
+		d.Failf("wire: payload carries port ID %d but decoder has no resolver", id)
 		return nil
 	}
 	p := d.Resolve(int(id))
 	if p == nil {
-		d.fail("wire: unknown port ID %d", id)
+		d.Failf("wire: unknown port ID %d", id)
 	}
 	return p
 }
@@ -231,15 +254,7 @@ func (d *Dec) Port() port.Port {
 // Bytes32 decodes a byte slice written by Enc.Bytes32. The result aliases
 // the decoder's buffer.
 func (d *Dec) Bytes32() []byte {
-	n := int(d.U32())
-	if d.err != nil {
-		return nil
-	}
-	if n > d.Len() {
-		d.fail("wire: byte-slice length %d exceeds remaining payload", n)
-		return nil
-	}
-	return d.take(n)
+	return d.take(d.Count(1))
 }
 
 // Codec describes one registered payload type: a stable kind byte, the
@@ -303,7 +318,10 @@ func DecodePayload(d *Dec) (any, error) {
 	}
 	c := byKind[k]
 	if c == nil {
-		return nil, fmt.Errorf("wire: unknown payload kind %d", k)
+		// Latched, not just returned: an envelope decoder nesting this call
+		// reports failure through d.
+		d.Failf("wire: unknown payload kind %d", k)
+		return nil, d.err
 	}
 	v := c.Decode(d)
 	if d.err != nil {
