@@ -81,7 +81,6 @@ func BenchmarkFig8d(b *testing.B) { benchExperiment(b, "fig8d") }
 func BenchmarkAblationBatching(b *testing.B)    { benchExperiment(b, "ablbatch") }
 func BenchmarkAblationPollCost(b *testing.B)    { benchExperiment(b, "ablpoll") }
 func BenchmarkAblationGranularity(b *testing.B) { benchExperiment(b, "ablgran") }
-func BenchmarkAblationSerialRPC(b *testing.B)   { benchExperiment(b, "ablrpc") }
 
 // Extensions beyond the paper.
 func BenchmarkExtensionSkipList(b *testing.B)    { benchExperiment(b, "extskip") }

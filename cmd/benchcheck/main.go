@@ -21,13 +21,6 @@
 // live backend, where each row's wall-clock window covers a different
 // amount of work.
 //
-// Independent of the table dispatch, -maxallocs and -maxnsop gate the
-// artifact's top-level allocs_per_op / ns_per_op fields (process-wide heap
-// allocations and wall-clock nanoseconds per completed transactional
-// operation, recorded by tm2c-bench around the whole run). They are the CI
-// regression guard for the pooled zero-allocation hot path: a change that
-// reintroduces per-commit allocation shows up directly in allocs_per_op.
-//
 // Two further modes bypass the table dispatch:
 //
 //   - -trace validates a flight-recorder chrome trace_event JSON file:
@@ -55,8 +48,6 @@
 //	benchcheck -file fresh/BENCH_fig5a.json -baseline BENCH_fig5a.json
 //	tm2c-bench -run fig5a -scale quick -backend net -json out/
 //	benchcheck -file out/BENCH_fig5a_net.json -netsmoke
-//	tm2c-bench -run fig5a -scale quick -backend live -json out/
-//	benchcheck -file out/BENCH_fig5a_live.json -maxallocs 2 -maxnsop 200000
 package main
 
 import (
@@ -76,12 +67,10 @@ type table struct {
 }
 
 type benchResult struct {
-	ID          string   `json:"id"`
-	Backend     string   `json:"backend"`
-	ElapsedMS   int64    `json:"elapsed_ms"`
-	AllocsPerOp float64  `json:"allocs_per_op"`
-	NsPerOp     float64  `json:"ns_per_op"`
-	Tables      []*table `json:"tables"`
+	ID        string   `json:"id"`
+	Backend   string   `json:"backend"`
+	ElapsedMS int64    `json:"elapsed_ms"`
+	Tables    []*table `json:"tables"`
 }
 
 func main() {
@@ -95,8 +84,6 @@ func main() {
 		baseline        = flag.String("baseline", "", "committed artifact to gate -file against (sim tables must be cell-identical)")
 		maxSlowdown     = flag.Float64("maxslowdown", 0, "-baseline: max allowed elapsed_ms ratio fresh/baseline (0 disables the wall-clock gate)")
 		netSmoke        = flag.Bool("netsmoke", false, "validate -file as a cross-process net-backend artifact (backend tag, table shape, nonzero throughput) instead of the table dispatch")
-		maxAllocs       = flag.Float64("maxallocs", -1, "fail if the artifact's allocs_per_op exceeds this (-1 disables)")
-		maxNsOp         = flag.Float64("maxnsop", -1, "fail if the artifact's ns_per_op exceeds this (-1 disables)")
 		minScaleTput    = flag.Float64("minscaletput", 0.9, "scaleplace: minimum hier/hash throughput ratio required on Zipf rows")
 		maxImbalance    = flag.Float64("maximbalance", -1, "scaleplace: fail if an adaptive/hier row's node imbalance exceeds this (-1 disables)")
 		maxWireOp       = flag.Float64("maxwireop", -1, "scaleplace: fail if any row's wire/op exceeds this (-1 disables)")
@@ -132,25 +119,6 @@ func main() {
 		return
 	}
 	checked, failed := false, false
-	// Per-operation cost gates apply to any artifact that recorded them —
-	// the CI guard against alloc/op and ns/op regressions on the live
-	// backend's pooled hot path.
-	if *maxAllocs >= 0 {
-		checked = true
-		fmt.Printf("%s backend=%s: %.3f allocs/op (budget %.3f)\n", res.ID, res.Backend, res.AllocsPerOp, *maxAllocs)
-		if res.AllocsPerOp > *maxAllocs {
-			fmt.Printf("FAIL: allocs_per_op %.3f exceeds -maxallocs %.3f\n", res.AllocsPerOp, *maxAllocs)
-			failed = true
-		}
-	}
-	if *maxNsOp >= 0 {
-		checked = true
-		fmt.Printf("%s backend=%s: %.0f ns/op (budget %.0f)\n", res.ID, res.Backend, res.NsPerOp, *maxNsOp)
-		if res.NsPerOp > *maxNsOp {
-			fmt.Printf("FAIL: ns_per_op %.0f exceeds -maxnsop %.0f\n", res.NsPerOp, *maxNsOp)
-			failed = true
-		}
-	}
 	if grid := findTable(res.Tables, "ablbatch"); grid != nil {
 		checked = true
 		failed = checkABLBatch(&res, grid, *minReduction) || failed
@@ -164,7 +132,7 @@ func main() {
 		failed = checkScalePlace(&res, grid, *minScaleTput, *maxImbalance, *maxWireOp) || failed
 	}
 	if !checked {
-		fatal(fmt.Errorf("%s: no table benchcheck knows how to check (want ablbatch, abltl2 or scaleplace, or enable -maxallocs/-maxnsop)", *file))
+		fatal(fmt.Errorf("%s: no table benchcheck knows how to check (want ablbatch, abltl2 or scaleplace)", *file))
 	}
 	if failed {
 		os.Exit(1)

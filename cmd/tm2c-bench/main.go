@@ -7,7 +7,6 @@
 //	tm2c-bench -run fig5a
 //	tm2c-bench -run all -scale quick
 //	tm2c-bench -run fig8a,fig8b -scale full -csv
-//	tm2c-bench -run fig5a -serialrpc
 //	tm2c-bench -run ablbatch -coalesce
 //	tm2c-bench -run ablplace -placement adaptive
 //	tm2c-bench -run ablro -readonly
@@ -19,17 +18,14 @@
 // Scales: quick (seconds), default (a few minutes), full (closest to the
 // paper's parameters; tens of minutes), large (million-object working sets
 // on a 256-core mesh — the scale dimension of the scaleplace experiment).
-// Results print as aligned text
-// tables, or CSV with -csv. -serialrpc forces serial commit-time lock
-// acquisition (instead of scatter-gather) in every experiment, for A/B
-// comparisons; the ablrpc ablation compares the two modes directly.
-// -coalesce enables the coalescing message plane (per-destination wire
-// batching, Config.Coalesce) in every experiment; the ablbatch ablation
-// compares both planes directly. -adaptiveflush additionally defers
+// Results print as aligned text tables, or CSV with -csv. -coalesce enables
+// the coalescing message plane (per-destination wire batching,
+// Config.Coalesce) in every experiment; the ablbatch ablation compares
+// both planes directly. -adaptiveflush additionally defers
 // sub-threshold fire-and-forget envelopes until a size/age trigger fires
 // (implies -coalesce); ablbatch compares all three transport modes.
 // -placement forces an object→DTM-node placement policy in every
-// experiment; the ablplace ablation compares the three policies directly.
+// experiment; the ablplace ablation compares hash and adaptive directly.
 // -readonly runs every bank balance scan as a declared read-only
 // transaction; the ablro ablation compares the two kinds directly.
 // -protocol forces a read-visibility protocol (visible | tl2) in every
@@ -68,7 +64,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/exp"
 	"repro/internal/netboot"
-	"repro/internal/placement"
 	"repro/internal/trace"
 )
 
@@ -81,12 +76,6 @@ type benchResult struct {
 	Seed           uint64 `json:"seed"`
 	ThroughputUnit string `json:"throughput_unit"`
 	ElapsedMS      int64  `json:"elapsed_ms"`
-	// AllocsPerOp and NsPerOp are process-wide costs per completed
-	// transactional operation across the whole experiment (heap objects
-	// allocated, wall-clock nanoseconds): the coarse speed invariants
-	// benchcheck -maxallocs / -maxnsop gate in CI.
-	AllocsPerOp float64 `json:"allocs_per_op"`
-	NsPerOp     float64 `json:"ns_per_op"`
 	// Directory is the process-wide placement-directory delta across the
 	// experiment (core.DirSoFar bracketing): hierarchical-directory gauges
 	// (materialized leaves vs leaf universe), migration/handoff counts and
@@ -97,27 +86,20 @@ type benchResult struct {
 
 func main() {
 	var (
-		list       = flag.Bool("list", false, "list experiment IDs and exit")
-		run        = flag.String("run", "all", "comma-separated experiment IDs, or 'all'")
-		scale      = flag.String("scale", "default", "quick | default | full | large")
-		csv        = flag.Bool("csv", false, "emit CSV instead of aligned tables")
-		seed       = flag.Uint64("seed", 1, "simulation seed")
-		serialRPC  = flag.Bool("serialrpc", false, "force serial (non-scatter-gather) commit lock acquisition in every experiment")
-		coalesce   = flag.Bool("coalesce", false, "enable the coalescing message plane (per-destination wire batching) in every experiment")
-		adaptiveF  = flag.Bool("adaptiveflush", false, "enable size/age-triggered adaptive outbox flush in every experiment (implies -coalesce)")
-		placementF = flag.String("placement", "", "force a placement policy (hash | range | adaptive | hier) in every experiment")
-		readonly   = flag.Bool("readonly", false, "run every bank balance scan as a declared read-only transaction")
-		protocolF  = flag.String("protocol", "", "force a read-visibility protocol (visible | tl2) in every experiment")
-		backendF   = flag.String("backend", "sim", "execution backend: sim (deterministic simulator) | live (real goroutines, wall-clock)")
-		jsonDir    = flag.String("json", "", "directory to write one BENCH_<id>.json per experiment into")
-		timings    = flag.Bool("timings", false, "print wall-clock time per experiment")
-		traceDir   = flag.String("trace-dir", "", "directory to write one chrome trace_event JSON per system run into (enables the flight recorder)")
-		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) and dump runtime/metrics after the experiments finish")
-		allocProf  = flag.String("allocprofile", "", "write a pprof allocs profile to this file after the experiments finish")
-		groups     = flag.Int("groups", 2, "net backend: number of OS processes (forked from this one by default)")
-		rankF      = flag.Int("rank", 0, "net backend: this process's rank when launched standalone with -peers")
-		listenF    = flag.String("listen", "", "net backend: override this rank's bind address in the -peers list")
-		peersF     = flag.String("peers", "", "net backend: full rank-ordered address list (unix:<path> or host:port) for standalone launches; empty forks -groups local workers over unix sockets")
+		list      = flag.Bool("list", false, "list experiment IDs and exit")
+		run       = flag.String("run", "all", "comma-separated experiment IDs, or 'all'")
+		scale     = flag.String("scale", "default", "quick | default | full | large")
+		csv       = flag.Bool("csv", false, "emit CSV instead of aligned tables")
+		readonly  = flag.Bool("readonly", false, "run every bank balance scan as a declared read-only transaction")
+		jsonDir   = flag.String("json", "", "directory to write one BENCH_<id>.json per experiment into")
+		timings   = flag.Bool("timings", false, "print wall-clock time per experiment")
+		traceDir  = flag.String("trace-dir", "", "directory to write one chrome trace_event JSON per system run into (enables the flight recorder)")
+		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) and dump runtime/metrics after the experiments finish")
+		allocProf = flag.String("allocprofile", "", "write a pprof allocs profile to this file after the experiments finish")
+		// The system knobs shared with tm2c-sim; a set one is forced onto
+		// every system of every experiment.
+		sysFlags   = core.BindFlags(flag.CommandLine)
+		resolveNet = netboot.BindFlags(flag.CommandLine)
 	)
 	flag.Parse()
 
@@ -130,31 +112,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, "pprof: serving on http://%s/debug/pprof/\n", *pprofAddr)
 	}
 
-	var ov exp.Overrides
-	ov.SerialRPC = *serialRPC
-	ov.ReadOnly = *readonly
-	ov.Coalesce = *coalesce
-	ov.AdaptiveFlush = *adaptiveF
-	if *placementF != "" {
-		k, err := placement.Parse(*placementF)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "tm2c-bench: %v\n", err)
-			os.Exit(2)
-		}
-		ov.Placement = &k
-	}
-	proto, err := core.ParseProtocol(*protocolF)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "tm2c-bench: %v\n", err)
-		os.Exit(2)
-	}
-	ov.Protocol = proto
-	backend, err := core.ParseBackend(*backendF)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "tm2c-bench: %v\n", err)
-		os.Exit(2)
-	}
-	ov.Backend = backend
+	// What the command line forces on every system, read off a Config that
+	// starts at the flags' defaults (sim backend, seed 1).
+	forced := core.Config{Seed: 1}
+	sysFlags(&forced)
+	backend := forced.Backend
 
 	// Net backend: resolve this process's place in the process group. In the
 	// default fork mode rank 0 spawns the worker ranks below; forked children
@@ -163,15 +125,16 @@ func main() {
 	var plan *netboot.Plan
 	isChild := false
 	if backend == core.BackendNet {
-		plan, err = netboot.Resolve(*groups, *rankF, *listenF, *peersF)
+		var err error
+		plan, err = resolveNet()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "tm2c-bench: %v\n", err)
 			os.Exit(2)
 		}
-		ov.Net = plan.NetConfig()
 		isChild = plan.Rank != 0
 	}
 
+	var traceOpts *trace.Options
 	if *traceDir != "" {
 		if err := os.MkdirAll(*traceDir, 0o755); err != nil {
 			fmt.Fprintf(os.Stderr, "tm2c-bench: %v\n", err)
@@ -183,8 +146,17 @@ func main() {
 		if plan != nil {
 			prefix = fmt.Sprintf("run-r%d-", plan.Rank)
 		}
-		ov.Trace = &trace.Options{Sink: traceSink(*traceDir, prefix)}
+		traceOpts = &trace.Options{Sink: traceSink(*traceDir, prefix)}
 	}
+	ov := exp.Overrides{ReadOnly: *readonly, Sys: func(c *core.Config) {
+		sysFlags(c)
+		c.Trace = traceOpts
+		if plan != nil {
+			// A fresh NetConfig per system: normalization must not mutate
+			// one shared across runs.
+			c.Net = plan.NetConfig()
+		}
+	}}
 
 	if *list {
 		for _, e := range exp.All {
@@ -207,7 +179,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "tm2c-bench: unknown scale %q\n", *scale)
 		os.Exit(2)
 	}
-	sc.Seed = *seed
+	sc.Seed = forced.Seed
 
 	if *jsonDir != "" {
 		if err := os.MkdirAll(*jsonDir, 0o755); err != nil {
@@ -254,20 +226,10 @@ func main() {
 			fmt.Fprintf(os.Stderr, "tm2c-bench: unknown experiment %q (try -list)\n", id)
 			os.Exit(2)
 		}
-		var msBefore runtime.MemStats
-		runtime.ReadMemStats(&msBefore)
-		opsBefore := core.OpsSoFar()
 		dirBefore := core.DirSoFar()
 		start := time.Now()
 		tables := e.Run(sc, ov)
 		elapsed := time.Since(start)
-		var msAfter runtime.MemStats
-		runtime.ReadMemStats(&msAfter)
-		var allocsPerOp, nsPerOp float64
-		if dOps := core.OpsSoFar() - opsBefore; dOps > 0 {
-			allocsPerOp = float64(msAfter.Mallocs-msBefore.Mallocs) / float64(dOps)
-			nsPerOp = float64(elapsed.Nanoseconds()) / float64(dOps)
-		}
 		if isChild {
 			// Worker ranks participate in every system but rank 0 owns the
 			// merged stats report and artifacts.
@@ -295,11 +257,9 @@ func main() {
 				Title:          e.Title,
 				Backend:        resBackend,
 				Scale:          *scale,
-				Seed:           *seed,
+				Seed:           sc.Seed,
 				ThroughputUnit: resUnit,
 				ElapsedMS:      elapsed.Milliseconds(),
-				AllocsPerOp:    allocsPerOp,
-				NsPerOp:        nsPerOp,
 				Directory:      core.DirSoFar().Delta(dirBefore),
 				Tables:         tables,
 			}

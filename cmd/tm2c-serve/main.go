@@ -22,10 +22,12 @@
 //	all:    PING → OK, QUIT (closes the connection),
 //	        SHUTDOWN → OK and the server drains and exits.
 //
-// Malformed requests get "ERR <reason>" and the connection stays up. On
-// SIGINT/SIGTERM or SHUTDOWN the server stops accepting, closes the op
-// queue, lets the in-flight transactions finish, and exits 0 only if the
-// lock tables drained empty.
+// Malformed requests get "ERR <reason>" and the connection stays up; a
+// request line over 64 KiB gets "ERR line too long" and the connection
+// closes (the reader cannot resynchronize past it). On SIGINT/SIGTERM or
+// SHUTDOWN the server stops accepting, closes the op queue, lets the
+// in-flight transactions finish, and exits 0 only if the lock tables
+// drained empty.
 package main
 
 import (

@@ -2,11 +2,14 @@ package main
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
+	"io"
 	"net"
 	"strconv"
 	"strings"
 	"sync"
+	"time"
 
 	"repro/internal/apps/bank"
 	"repro/internal/apps/intset"
@@ -137,12 +140,10 @@ func (s *server) serveConn(conn net.Conn) {
 	out := bufio.NewWriter(conn)
 	resp := make(chan string, 1)
 	for in.Scan() {
-		line := strings.TrimSpace(in.Text())
-		if line == "" {
+		verb, args := splitLine(in.Text())
+		if verb == "" {
 			continue
 		}
-		fields := strings.Fields(line)
-		verb, args := strings.ToUpper(fields[0]), fields[1:]
 		var reply string
 		switch verb {
 		case "PING":
@@ -170,6 +171,27 @@ func (s *server) serveConn(conn net.Conn) {
 			return
 		}
 	}
+	if errors.Is(in.Err(), bufio.ErrTooLong) {
+		// A Scanner cannot resynchronize past an over-long token, so the
+		// connection ends here — but with a reason, not silently.
+		fmt.Fprintln(out, "ERR line too long")
+		out.Flush()
+		// Closing with the rest of the line unread would reset the connection
+		// and could take the reply with it: let the client finish sending
+		// (bounded in bytes and time) before the deferred Close.
+		conn.SetReadDeadline(time.Now().Add(time.Second))
+		io.Copy(io.Discard, io.LimitReader(conn, 1<<20))
+	}
+}
+
+// splitLine tokenizes one request line into its upper-cased verb and its
+// arguments; a blank line has no verb.
+func splitLine(line string) (verb string, args []string) {
+	fields := strings.Fields(line)
+	if len(fields) == 0 {
+		return "", nil
+	}
+	return strings.ToUpper(fields[0]), fields[1:]
 }
 
 // --- bank ---------------------------------------------------------------

@@ -9,6 +9,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/apps/bank"
+	"repro/internal/apps/intset"
 	"repro/internal/core"
 )
 
@@ -173,4 +175,67 @@ func TestServeIntset(t *testing.T) {
 	tc.rt(t, "SHUTDOWN")
 	tc.c.Close()
 	waitDrained(t, srv, done)
+}
+
+// TestServeLineTooLong: a request line over the Scanner's 64 KiB token limit
+// ends the connection, but the client is told why first.
+func TestServeLineTooLong(t *testing.T) {
+	srv, done := startTestServer(t, "kv")
+	tc := dialTest(t, srv.Addr())
+	if got := tc.rt(t, "PUT 1 "+strings.Repeat("9", 70<<10)); got != "ERR line too long" {
+		t.Errorf("over-long line: got %q, want %q", got, "ERR line too long")
+	}
+	// Done sending: the server stops waiting for the rest of the line.
+	tc.c.(*net.TCPConn).CloseWrite()
+	if tc.in.Scan() {
+		t.Errorf("connection still open after an over-long line: read %q", tc.in.Text())
+	}
+	tc.c.Close()
+
+	tc = dialTest(t, srv.Addr()) // the server itself is unaffected
+	if got := tc.rt(t, "PING"); got != "OK" {
+		t.Errorf("PING after another client's over-long line: %q", got)
+	}
+	tc.rt(t, "SHUTDOWN")
+	tc.c.Close()
+	waitDrained(t, srv, done)
+}
+
+// FuzzParseLine feeds arbitrary request lines through the tokenizer and
+// every hosted app's parser — the bytes a network client controls.
+// Properties: nothing panics, and a parser returns exactly one of an
+// executor or an error. Seeded from the commands the tests above send.
+func FuzzParseLine(f *testing.F) {
+	for _, line := range []string{
+		"TRANSFER 1 2 3", "TRANSFER 1 1 3", "TRANSFER 64 0 1", "TRANSFER a b c", "BALANCE", "TOTAL", "BOGUS 1",
+		"GET 42", "PUT 42 7", "DEL 42", "PUT 0 1", "PUT 18446744073709551615 1", "PUT 1",
+		"HAS 5", "ADD 5", "DEL 5", "ADD -1", "add 9223372036854775808",
+		"", "   ", "PING", "get\t42  ",
+	} {
+		f.Add(line)
+	}
+	sys, err := core.NewSystem(core.Config{TotalCores: 4})
+	if err != nil {
+		f.Fatal(err)
+	}
+	apps := map[string]workload{
+		"bank":   &bankWorkload{b: bank.New(sys, 64)},
+		"intset": &intsetWorkload{l: intset.New(sys)},
+		"kv":     newKVWorkload(sys, 256),
+	}
+	f.Fuzz(func(t *testing.T, line string) {
+		verb, args := splitLine(line)
+		if verb == "" {
+			if len(args) != 0 {
+				t.Fatalf("blank verb with arguments %q", args)
+			}
+			return
+		}
+		for name, app := range apps {
+			exec, err := app.parse(verb, args)
+			if (exec == nil) == (err == nil) {
+				t.Errorf("%s.parse(%q, %q) = (exec %v, err %v), want exactly one", name, verb, args, exec != nil, err)
+			}
+		}
+	})
 }

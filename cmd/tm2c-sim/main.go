@@ -32,6 +32,7 @@ import (
 	"repro/internal/apps/hashset"
 	"repro/internal/apps/intset"
 	"repro/internal/apps/mapreduce"
+	"repro/internal/core"
 	"repro/internal/netboot"
 	"repro/internal/trace"
 )
@@ -44,21 +45,10 @@ func main() {
 		cmName   = flag.String("cm", "faircm", "none | backoff | offset-greedy | wholly | faircm")
 		deploy   = flag.String("deployment", "dedicated", "dedicated | multitask")
 		acquire  = flag.String("acquire", "lazy", "lazy | eager")
-		serial   = flag.Bool("serialrpc", false, "serial commit lock acquisition instead of scatter-gather")
-		coalesce = flag.Bool("coalesce", false, "coalescing message plane: same-destination payloads of one burst share a wire message")
-		adaptive = flag.Bool("adaptiveflush", false, "size/age-triggered adaptive outbox flush: defer sub-threshold fire-and-forget envelopes into the next burst (implies -coalesce)")
 		nobatch  = flag.Bool("nobatching", false, "disable per-node write-lock batching (one request per object; the ablbatch ablation's off arm)")
-		place    = flag.String("placement", "hash", "hash | range | adaptive | hier object→DTM-node placement")
 		epoch    = flag.Int("epoch", 0, "adaptive placement: lock accesses per repartition epoch (0 = default)")
 		platform = flag.String("platform", "scc", "scc | scc800 | opteron | scc:N (setting N)")
-		backendF = flag.String("backend", "sim", "execution backend: sim (deterministic, virtual time) | live (real goroutines, wall-clock) | net (cores spread over OS processes)")
-		groups   = flag.Int("groups", 2, "net backend: number of OS processes (forked from this one by default)")
-		rankF    = flag.Int("rank", 0, "net backend: this process's rank when launched standalone with -peers")
-		listenF  = flag.String("listen", "", "net backend: override this rank's bind address in the -peers list")
-		peersF   = flag.String("peers", "", "net backend: full rank-ordered address list (unix:<path> or host:port) for standalone launches; empty forks -groups local workers over unix sockets")
-		protoF   = flag.String("protocol", "visible", "read-visibility protocol: visible (per-read DTM round trips) | tl2 (invisible reads, commit-time validation)")
 		duration = flag.Duration("duration", 20*time.Millisecond, "virtual run length")
-		seed     = flag.Uint64("seed", 1, "simulation seed")
 		traceF   = flag.String("trace", "", "write a flight-recorder trace of the run: .json for chrome://tracing, anything else for a plain-text timeline")
 		traceCap = flag.Int("trace-events", 0, "flight recorder: ring capacity per core/DTM node in events (0 = default)")
 		snapF    = flag.String("snapshot", "", "live backend: write interval-sampled throughput snapshots (JSONL) to this file")
@@ -76,6 +66,10 @@ func main() {
 		mode     = flag.String("mode", "normal", "list: normal | elastic-early | elastic-read")
 		size     = flag.Int("size", 4<<20, "mapreduce: input bytes")
 		chunk    = flag.Int("chunk", 8<<10, "mapreduce: chunk bytes")
+
+		// The system knobs and net process-group flags shared with tm2c-bench.
+		sysFlags   = core.BindFlags(flag.CommandLine)
+		resolveNet = netboot.BindFlags(flag.CommandLine)
 	)
 	flag.Parse()
 
@@ -83,36 +77,20 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	placeKind, err := repro.ParsePlacement(*place)
-	if err != nil {
-		fatal(err)
-	}
-	backend, err := repro.ParseBackend(*backendF)
-	if err != nil {
-		fatal(err)
-	}
-	proto, err := repro.ParseProtocol(*protoF)
-	if err != nil {
-		fatal(err)
-	}
 	cfg := repro.Config{
-		Backend:          backend,
-		Protocol:         proto,
-		Seed:             *seed,
+		Seed:             1, // -seed's default; an unset flag leaves it
 		TotalCores:       *cores,
 		ServiceCores:     *svc,
 		Policy:           pol,
-		SerialRPC:        *serial,
-		Coalesce:         *coalesce || *adaptive,
-		AdaptiveFlush:    *adaptive,
 		NoBatching:       *nobatch,
-		Placement:        placeKind,
 		RepartitionEpoch: *epoch,
 	}
+	sysFlags(&cfg)
+	backend, seed := cfg.Backend, cfg.Seed
 	var plan *netboot.Plan
 	isChild := false
 	if backend == repro.BackendNet {
-		plan, err = netboot.Resolve(*groups, *rankF, *listenF, *peersF)
+		plan, err = resolveNet()
 		if err != nil {
 			fatal(err)
 		}
@@ -205,12 +183,12 @@ func main() {
 	case "hashset":
 		set := hashset.New(sys, *buckets)
 		n := *buckets * *load
-		rr := repro.NewRand(*seed)
+		rr := repro.NewRand(seed)
 		set.InitFill(n, uint64(2*n), &rr)
 		sys.SpawnWorkers(set.Worker(hashset.Workload{UpdatePct: *update, KeyRange: uint64(2 * n)}))
 	case "list":
 		l := intset.New(sys)
-		rr := repro.NewRand(*seed)
+		rr := repro.NewRand(seed)
 		l.InitFill(*elems, uint64(2**elems), &rr)
 		var m intset.Mode
 		switch *mode {
@@ -225,7 +203,7 @@ func main() {
 		}
 		sys.SpawnWorkers(l.Worker(intset.Workload{UpdatePct: *update, KeyRange: uint64(2 * *elems), Mode: m}))
 	case "mapreduce":
-		j := mapreduce.NewJob(sys, *seed, *size, *chunk)
+		j := mapreduce.NewJob(sys, seed, *size, *chunk)
 		sys.SpawnWorkers(func(rt *repro.Runtime) { j.Worker(rt) })
 		verify = func() error {
 			if j.HistogramRaw() != j.Expected() && int(j.HistogramTotal()) == *size {

@@ -8,8 +8,8 @@
 // The paper uses 256 MB-1 GB text files; we do not have them, so the input
 // is synthetic: each chunk's letters are generated from a PRNG seeded by
 // (seed, chunk offset), which makes the counting work real and the expected
-// totals verifiable, at any size. Sizes are scaled down by the harness (see
-// EXPERIMENTS.md).
+// totals verifiable, at any size. Sizes are scaled down by the harness
+// (internal/exp mrSize; README "Reproducing the paper's figures").
 package mapreduce
 
 import (

@@ -172,56 +172,47 @@ func TestRunReturnsAttemptCount(t *testing.T) {
 // committed attempt only — and OnAbort exactly once, for the rolled-back
 // attempt.
 func TestOnCommitFiresExactlyOnce(t *testing.T) {
-	for _, serial := range []bool{false, true} {
-		name := "scatter"
-		if serial {
-			name = "serial"
+	cfg := Config{
+		Platform:     noc.SCC(0),
+		Seed:         7,
+		TotalCores:   4,
+		ServiceCores: 2,
+		Policy:       cm.NoCM,
+	}
+	s, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := s.Mem.Alloc(64, 0)
+	a1, a2, node2 := findTwoNodeAddrs(t, s, pool, 64)
+	key2 := s.lockKey(a2)
+	s.nodes[node2].table.SetWriter(key2, cm.Meta{Core: 0, TxID: 99})
+
+	attempts, commitFires, abortFires := 0, 0, 0
+	s.SpawnWorkers(func(rt *Runtime) {
+		if rt.AppIndex() != 1 {
+			return
 		}
-		t.Run(name, func(t *testing.T) {
-			cfg := Config{
-				Platform:     noc.SCC(0),
-				Seed:         7,
-				TotalCores:   4,
-				ServiceCores: 2,
-				Policy:       cm.NoCM,
-				SerialRPC:    serial,
-			}
-			s, err := NewSystem(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pool := s.Mem.Alloc(64, 0)
-			a1, a2, node2 := findTwoNodeAddrs(t, s, pool, 64)
-			key2 := s.lockKey(a2)
-			s.nodes[node2].table.SetWriter(key2, cm.Meta{Core: 0, TxID: 99})
-
-			attempts, commitFires, abortFires := 0, 0, 0
-			s.SpawnWorkers(func(rt *Runtime) {
-				if rt.AppIndex() != 1 {
-					return
-				}
-				rt.Run(func(tx *Tx) {
-					attempts++
-					tx.OnCommit(func() { commitFires++ })
-					tx.OnAbort(func() { abortFires++ })
-					tx.Write(a1, 11)
-					if attempts == 1 {
-						tx.Write(a2, 22) // rejected at node2 on the first try
-					}
-				})
-			})
-			st := s.RunToCompletion()
-
-			if st.Commits != 1 || st.Aborts != 1 {
-				t.Fatalf("commits=%d aborts=%d, want 1/1", st.Commits, st.Aborts)
-			}
-			if commitFires != 1 {
-				t.Fatalf("OnCommit fired %d times for 1 committed transaction", commitFires)
-			}
-			if abortFires != 1 {
-				t.Fatalf("OnAbort fired %d times for 1 aborted attempt", abortFires)
+		rt.Run(func(tx *Tx) {
+			attempts++
+			tx.OnCommit(func() { commitFires++ })
+			tx.OnAbort(func() { abortFires++ })
+			tx.Write(a1, 11)
+			if attempts == 1 {
+				tx.Write(a2, 22) // rejected at node2 on the first try
 			}
 		})
+	})
+	st := s.RunToCompletion()
+
+	if st.Commits != 1 || st.Aborts != 1 {
+		t.Fatalf("commits=%d aborts=%d, want 1/1", st.Commits, st.Aborts)
+	}
+	if commitFires != 1 {
+		t.Fatalf("OnCommit fired %d times for 1 committed transaction", commitFires)
+	}
+	if abortFires != 1 {
+		t.Fatalf("OnAbort fired %d times for 1 aborted attempt", abortFires)
 	}
 }
 

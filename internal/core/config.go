@@ -280,13 +280,6 @@ type Config struct {
 	// NoBatching disables write-lock batching (one message per object
 	// instead of one per DTM node) for the batching ablation.
 	NoBatching bool
-	// SerialRPC disables commit-time scatter-gather lock acquisition: the
-	// per-node write-lock batches of a lazy commit are sent one at a time,
-	// each awaiting its response before the next is sent (one round trip
-	// per responsible node, the pre-RPC-layer behavior), instead of all at
-	// once with a single gather phase. For the RPC ablation; releases stay
-	// fire-and-forget either way.
-	SerialRPC bool
 	// Coalesce enables the coalescing message plane: protocol payloads
 	// headed to the same destination within one burst — a commit scatter,
 	// a release burst, the responses of one DTM dispatch — leave as a
@@ -320,9 +313,9 @@ type Config struct {
 	// are locked by their base address.
 	LockGranule int
 	// Placement selects the object→DTM-node placement policy: the static
-	// multiplicative hash of §3.2 (default), contiguous range striping, the
-	// adaptive epoch-based repartitioner, or the hierarchical adaptive
-	// repartitioner with locality-aware co-mapping (internal/placement).
+	// multiplicative hash of §3.2 (default), the adaptive epoch-based
+	// repartitioner, or the hierarchical adaptive repartitioner with
+	// locality-aware co-mapping (internal/placement).
 	Placement placement.Kind
 	// RepartitionEpoch is the adaptive placement epoch length: the number
 	// of recorded lock-key accesses between repartition evaluations
@@ -499,10 +492,11 @@ type Stats struct {
 	Responses         uint64
 
 	// CommitRoundTrips counts the awaited round-trip phases of commit-time
-	// write-lock acquisition: under SerialRPC one per per-node batch, under
-	// scatter-gather one per commit attempt with a non-empty write set
-	// (however many batches are in flight). Eager acquisition pays its round
-	// trips inside the write wrappers and contributes zero here.
+	// write-lock acquisition: one per scatter-gather phase, i.e. one per
+	// commit attempt with a non-empty write set however many batches are in
+	// flight (plus one per stale-placement re-scatter). Eager acquisition
+	// pays its round trips inside the write wrappers and contributes zero
+	// here.
 	CommitRoundTrips uint64
 
 	// DTM activity.

@@ -2,7 +2,6 @@ package core
 
 import (
 	"testing"
-	"time"
 
 	"repro/internal/cm"
 	"repro/internal/mem"
@@ -76,157 +75,6 @@ func TestAdaptiveMigrationNoLockLeak(t *testing.T) {
 	}
 	if err := s.Placement().CheckInvariants(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestSerialCommitMidMigrationStaleBatch deterministically reproduces the
-// serial-commit placement race: the commit groups its per-node batches once,
-// then awaits a full round trip per batch, so a migration can complete while
-// an earlier batch is in flight. The later batch then contains a key its
-// destination no longer owns. Requests must carry the grouping-time epoch —
-// stamped with the send-time epoch, the batch passes the receiver's
-// current-epoch fast path and the non-owner grants a lock it has no
-// authority over, which this test observes as a missing stale NACK plus a
-// lock stranded in the wrong node's table.
-//
-// Construction (Multitask, 3 cores = 3 co-located DTM nodes): the committer
-// writes a on node 0 and b1, b2 on node 1, giving serial batches [a]@n0 then
-// [b1,b2]@n1. Node 0's core computes for 11ms, stretching the first round
-// trip; 1ms in, its worker migrates b2's drained stripe to node 0 and
-// completes the handoff — inside the committer's first round trip, after
-// grouping and long before the second batch is sent.
-func TestSerialCommitMidMigrationStaleBatch(t *testing.T) {
-	cfg := Config{
-		Platform:         noc.SCC(0),
-		Seed:             2,
-		TotalCores:       3,
-		Deployment:       Multitask,
-		Policy:           cm.FairCM,
-		SerialRPC:        true,
-		Placement:        placement.Adaptive,
-		RepartitionEpoch: 1 << 30, // no automatic rounds; the test drives the move
-	}
-	s, err := NewSystem(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool := s.Mem.Alloc(64, 0)
-	dir := s.Placement()
-	pick := func(node int, not mem.Addr) mem.Addr {
-		for i := 0; i < 64; i++ {
-			ad := pool + mem.Addr(i)
-			if k := s.lockKey(ad); k != not && s.nodeFor(k) == node {
-				return ad
-			}
-		}
-		t.Fatalf("no address on node %d", node)
-		return 0
-	}
-	a := pick(0, ^mem.Addr(0))
-	b1 := pick(1, ^mem.Addr(0))
-	b2 := pick(1, s.lockKey(b1))
-	stripe := dir.StripeOf(s.lockKey(b2))
-
-	s.SpawnWorkers(func(rt *Runtime) {
-		switch rt.AppIndex() {
-		case 0:
-			// Stall node 0 (co-located: requests are served only when this
-			// worker yields), then migrate b2's stripe mid-round-trip. The
-			// stripe holds no lock, so completing the handoff immediately is
-			// exactly what the owner would do on its next scan. Directory
-			// calls are plain bookkeeping on the single-threaded kernel.
-			rt.Compute(time.Millisecond)
-			if !dir.InitiateMove(stripe, 0) {
-				panic("InitiateMove refused")
-			}
-			dir.CompleteHandoff(stripe)
-			rt.Compute(10 * time.Millisecond)
-		case 2:
-			rt.Run(func(tx *Tx) {
-				tx.Write(a, 1)
-				tx.Write(b1, 2)
-				tx.Write(b2, 3)
-			})
-			rt.AddOps(1)
-		}
-		// AppIndex 1 returns immediately; its proc keeps serving node 1.
-	})
-	st := s.RunToCompletion()
-
-	if st.Commits != 1 {
-		t.Fatalf("commits = %d, want 1", st.Commits)
-	}
-	if st.Migrations != 1 || st.Handoffs != 1 {
-		t.Fatalf("migrations=%d handoffs=%d, want 1/1", st.Migrations, st.Handoffs)
-	}
-	if st.StaleNacks == 0 {
-		t.Fatal("stale batch was granted: node 1 accepted a key that migrated mid-commit " +
-			"(request must carry the grouping-time epoch, not the send-time epoch)")
-	}
-	for _, w := range []struct {
-		addr mem.Addr
-		want uint64
-	}{{a, 1}, {b1, 2}, {b2, 3}} {
-		if got := s.Mem.ReadRaw(w.addr); got != w.want {
-			t.Fatalf("mem[%#x] = %d, want %d", w.addr, got, w.want)
-		}
-	}
-	if got := dir.Owner(s.lockKey(b2)); got != 0 {
-		t.Fatalf("b2 owned by node %d after handoff, want 0", got)
-	}
-	if leaked := s.LockedAddrs(); leaked != 0 {
-		t.Fatalf("%d addresses still locked: the stale grant stranded a lock in the old owner's table", leaked)
-	}
-	if err := dir.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestAdaptiveSerialRPCMigration drives the SerialRPC commit path against
-// live adaptive migrations. Serial acquisition awaits a full round trip
-// between batches, so the directory can migrate ownership mid-commit; the
-// later batches were grouped under the old layout and must fail the
-// receiver's epoch fast path (grouping-time stamp) so the authoritative
-// per-key check NACKs keys the addressed node no longer owns. A send-time
-// stamp would let a non-owner blindly grant such a batch, which the
-// linearizability audit surfaces as a lost update. Several seeds widen the
-// interleavings exercised.
-func TestAdaptiveSerialRPCMigration(t *testing.T) {
-	for _, seed := range []uint64{3, 9, 17} {
-		cfg := Config{
-			Platform:         noc.SCC(0),
-			Seed:             seed,
-			TotalCores:       8,
-			ServiceCores:     4,
-			Policy:           cm.FairCM,
-			SerialRPC:        true,
-			Placement:        placement.Adaptive,
-			RepartitionEpoch: 64,
-		}
-		s, err := NewSystem(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.EnableAudit()
-		pool := s.Mem.Alloc(128, 0)
-		s.SpawnWorkers(skewedWriteWorker(pool, 4, 128, 40))
-		st := s.RunToCompletion()
-
-		if st.Ops != 4*40 {
-			t.Fatalf("seed %d: ops = %d, want 160 (run did not drain)", seed, st.Ops)
-		}
-		if st.Migrations == 0 || st.Handoffs == 0 {
-			t.Fatalf("seed %d: migrations=%d handoffs=%d, want both > 0", seed, st.Migrations, st.Handoffs)
-		}
-		if err := s.CheckAudit(nil); err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		if leaked := s.LockedAddrs(); leaked != 0 {
-			t.Fatalf("seed %d: %d addresses still locked after drained run", seed, leaked)
-		}
-		if err := s.Placement().CheckInvariants(); err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
 	}
 }
 

@@ -16,8 +16,7 @@ import (
 // that to scatter-gather its per-node write-lock batches: all batches are
 // sent in one burst and their responses awaited together, so a lazy commit
 // touching k DTM nodes pays one awaited round-trip phase instead of k
-// serial round trips (Config.SerialRPC restores the serial behavior for the
-// ablation).
+// serial round trips (what that buys: README "Answered and retired").
 //
 // Determinism: requests are sent in a deterministic order (first-use order
 // of the write set), responses are matched by ID and processed in send
@@ -177,26 +176,6 @@ func (rt *Runtime) rpcReadLock(tx *Tx, key mem.Addr) *respLock {
 	}
 }
 
-// sendWriteLock sends one write-lock batch to node — all keys must map to
-// node under the resolution the batch was grouped with — and returns its
-// correlation ID without waiting. The request carries the directory epoch
-// captured when the batch was grouped, NOT the epoch at send time: a serial
-// commit awaits a full round trip between sends, so a migration can
-// complete after grouping, and a send-time stamp would let a stale batch
-// pass the receiver's current-epoch fast path at a node that no longer owns
-// all of its keys. The grouping-time stamp forces the authoritative per-key
-// ValidFor check whenever the directory changed since the batch was formed.
-// The caller has already recorded the accesses (once per logical
-// acquisition, not per resend).
-func (rt *Runtime) sendWriteLock(tx *Tx, node int, epoch uint64, keys []mem.Addr) uint64 {
-	req := rt.writeLockReq(tx, epoch, keys)
-	// Capture the correlation ID before the handoff: once sent, the node
-	// may consume and recycle the pooled request at any moment.
-	id := req.ReqID
-	rt.sendToNode(node, req)
-	return id
-}
-
 // writeLockReq builds one write-lock batch request with a fresh correlation
 // ID, counting it in the shard (the request will be transmitted exactly
 // once, sent directly or staged for a coalesced burst).
@@ -216,23 +195,21 @@ func (rt *Runtime) writeLockReq(tx *Tx, epoch uint64, keys []mem.Addr) *reqWrite
 	return req
 }
 
-// rpcWriteLock sends one batched write-lock request and waits for its
-// response (a single round trip; the serial-commit path). The caller
-// handles Stale responses — a batch grouped under a stale resolution must
-// be re-partitioned, not just resent.
-func (rt *Runtime) rpcWriteLock(tx *Tx, node int, epoch uint64, keys []mem.Addr) *respLock {
-	return rt.awaitOne(rt.sendWriteLock(tx, node, epoch, keys))
-}
-
-// rpcWriteLockEager acquires the write lock of a single key (eager mode),
-// retrying when a migration NACKs the request; like rpcReadLock, a NACK's
-// owner hint steers the retry without a fresh directory resolution.
-func (rt *Runtime) rpcWriteLockEager(tx *Tx, key mem.Addr) *respLock {
+// rpcWriteLock acquires the write lock of a single key (eager mode) in one
+// awaited round trip, retrying when a migration NACKs the request; like
+// rpcReadLock, a NACK's owner hint steers the retry without a fresh
+// directory resolution.
+func (rt *Runtime) rpcWriteLock(tx *Tx, key mem.Addr) *respLock {
 	rt.s.dir.Record(rt.cluster, key)
 	node, epoch := rt.s.dir.Resolve(key)
 	for hop := 0; ; hop++ {
 		rt.eagerKey[0] = key
-		resp := rt.rpcWriteLock(tx, node, epoch, rt.eagerKey[:])
+		req := rt.writeLockReq(tx, epoch, rt.eagerKey[:])
+		// Capture the correlation ID before the handoff: once sent, the node
+		// may consume and recycle the pooled request at any moment.
+		id := req.ReqID
+		rt.sendToNode(node, req)
+		resp := rt.awaitOne(id)
 		if resp == nil {
 			rt.timeoutAbort(tx, nil, rt.eagerKey[:])
 		}
@@ -318,9 +295,9 @@ func (rt *Runtime) scatterWriteLocks(tx *Tx, epoch uint64, batches []nodeGroup) 
 
 // awaitOne blocks until the response with correlation ID id arrives — the
 // allocation-free fast path for the one-outstanding-request case (every
-// read lock, eager write locks, serial commits). It returns nil when the
-// per-RPC deadline expires (net backend only); the caller must then abort
-// via timeoutAbort with its awaited keys.
+// read lock, eager write locks). It returns nil when the per-RPC deadline
+// expires (net backend only); the caller must then abort via timeoutAbort
+// with its awaited keys.
 func (rt *Runtime) awaitOne(id uint64) *respLock {
 	rt.awaitIDs = append(rt.awaitIDs[:0], id)
 	for {

@@ -58,17 +58,15 @@ type System struct {
 
 	// CommitLatency aggregates the commit-phase latency of every committed
 	// transaction: from commit entry through lock acquisition, persist and
-	// the release burst. The rpc ablation (ablrpc) reads it to compare
-	// serial against scatter-gather lock acquisition. Valid after Run.
+	// the release burst. Valid after Run.
 	CommitLatency hist.Histogram
 
 	// Per-commit-phase latency breakdowns, populated like CommitLatency.
 	// ScatterLatency covers the scatter-gather commit's send burst (batch
-	// build through outbox flush), GatherLatency its response-await phase;
-	// both stay empty under SerialRPC, whose round trips have no distinct
-	// phases. RevalidateLatency covers the TL2 commit's read-set
-	// revalidation (successful ones; a failed revalidation aborts the
-	// commit). Valid after Run.
+	// build through outbox flush), GatherLatency its response-await phase.
+	// RevalidateLatency covers the TL2 commit's read-set revalidation
+	// (successful ones; a failed revalidation aborts the commit). Valid
+	// after Run.
 	ScatterLatency    hist.Histogram
 	GatherLatency     hist.Histogram
 	RevalidateLatency hist.Histogram
@@ -523,19 +521,9 @@ func (s *System) mergeNetStats() {
 	}
 }
 
-// globalOps accumulates every run's completed operations process-wide.
-// tm2c-bench samples it (with runtime.MemStats.Mallocs) around each
-// experiment to derive allocs/op and ns/op for the benchcheck gates.
-var globalOps atomic.Uint64
-
-// OpsSoFar returns the total operations completed by every system run in
-// this process so far (updated at snapshot time, i.e. once each run has
-// quiesced).
-func OpsSoFar() uint64 { return globalOps.Load() }
-
 // DirStats is the process-wide directory-activity accumulator tm2c-bench
-// samples around each experiment, mirroring OpsSoFar: leaf counts sum over
-// the runs bracketed, LeafUniverse keeps the largest universe seen.
+// samples around each experiment: leaf counts sum over the runs bracketed,
+// LeafUniverse keeps the largest universe seen.
 type DirStats struct {
 	MaterializedLeaves int    `json:"materialized_leaves"`
 	LeafUniverse       int    `json:"leaf_universe"`
@@ -627,7 +615,6 @@ func (s *System) snapshot(d sim.Time) {
 		s.stats.LeafUniverse = s.dir.LeafUniverse()
 		s.stats.LocalAccesses, s.stats.RemoteAccesses = s.dir.AccessLocality()
 	}
-	globalOps.Add(s.stats.Ops)
 	globalDir.add(&s.stats)
 	s.assembleTrace()
 }

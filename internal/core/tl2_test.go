@@ -250,13 +250,12 @@ func TestTL2AllKindsStrictAudit(t *testing.T) {
 }
 
 // TestTL2ConfigMatrix drives TL2 through the acquisition/transport variants
-// it must compose with: eager acquisition, serial commit RPC, the
-// coalescing plane, unbatched write locks, multitask deployment, and a
-// coarser lock granule. Conservation plus audit in each cell.
+// it must compose with: eager acquisition, the coalescing plane, unbatched
+// write locks, multitask deployment, and a coarser lock granule.
+// Conservation plus audit in each cell.
 func TestTL2ConfigMatrix(t *testing.T) {
 	muts := map[string]func(*Config){
 		"eager":     func(c *Config) { c.Acquire = Eager },
-		"serialrpc": func(c *Config) { c.SerialRPC = true },
 		"coalesce":  func(c *Config) { c.Coalesce = true },
 		"nobatch":   func(c *Config) { c.NoBatching = true },
 		"multitask": func(c *Config) { c.Deployment = Multitask; c.TotalCores = 4 },

@@ -524,7 +524,7 @@ func (tx *Tx) WriteN(base mem.Addr, vals []uint64) {
 		key := rt.s.lockKey(base)
 		if !containsAddr(tx.wlocked, key) {
 			tx.checkAborted()
-			resp := rt.rpcWriteLockEager(tx, key)
+			resp := rt.rpcWriteLock(tx, key)
 			if !resp.OK {
 				k := resp.Kind
 				putRespLock(resp)
@@ -675,9 +675,8 @@ func (tx *Tx) writeBackLists() ([]mem.Addr, []uint64) {
 
 // acquireCommitLocks performs the lazy commit's write-lock acquisition: the
 // write set is partitioned into per-node batches (one per object under the
-// NoBatching ablation) and acquired either serially, one awaited round trip
-// per batch (SerialRPC), or scatter-gather — every batch sent at once, all
-// responses awaited in a single round-trip phase.
+// NoBatching ablation) and acquired scatter-gather — every batch sent at
+// once, all responses awaited in a single round-trip phase.
 //
 // Scatter-gather needs a two-phase rollback: when any node rejects its
 // batch, the batches that other nodes already granted are recorded in
@@ -696,12 +695,7 @@ func (tx *Tx) acquireCommitLocks() {
 	keys := tx.writeKeys()
 	rt.s.dir.Record(rt.cluster, keys...) // once per attempt; stale retries resend, not re-record
 	for hop := 0; ; hop++ {
-		var stale []mem.Addr
-		if rt.s.cfg.SerialRPC {
-			stale = tx.serialAcquire(keys)
-		} else {
-			stale = tx.scatterAcquire(keys)
-		}
+		stale := tx.scatterAcquire(keys)
 		if len(stale) == 0 {
 			return
 		}
@@ -710,43 +704,6 @@ func (tx *Tx) acquireCommitLocks() {
 		}
 		keys = stale
 	}
-}
-
-// serialAcquire acquires the keys' write locks one awaited round trip per
-// batch (the SerialRPC ablation), returning the keys whose batches were
-// NACKed for stale placement. A conflict rejection aborts immediately.
-// Every batch is stamped with the grouping-time epoch: a migration that
-// completes during an earlier batch's awaited round trip bumps the
-// directory epoch, so the later batches fail the receiver's fast path and
-// get the authoritative per-key check instead of a blind grant at a node
-// that no longer owns some of their keys.
-func (tx *Tx) serialAcquire(keys []mem.Addr) (stale []mem.Addr) {
-	rt := tx.rt
-	batches, epoch := tx.commitBatches(keys)
-	for _, b := range batches {
-		tx.checkAborted()
-		rt.shard.CommitRoundTrips++
-		resp := rt.rpcWriteLock(tx, b.node, epoch, b.addrs)
-		if resp == nil {
-			// Earlier batches are already in tx.wlocked; this one's grant
-			// state is unknown, so hand it to the release burst too.
-			rt.timeoutAbort(tx, nil, b.addrs)
-		}
-		switch {
-		case resp.OK:
-			tx.wlocked = append(tx.wlocked, b.addrs...)
-			tx.recordGrantVers(b.addrs, resp.Vers)
-			putRespLock(resp)
-		case resp.Stale:
-			stale = append(stale, b.addrs...)
-			putRespLock(resp)
-		default:
-			k := resp.Kind
-			putRespLock(resp)
-			panic(abortSignal{kind: k, hasKind: true, reason: trace.ReasonConflict})
-		}
-	}
-	return stale
 }
 
 // scatterAcquire sends every batch in one burst and gathers all responses
@@ -785,12 +742,12 @@ func (tx *Tx) scatterAcquire(keys []mem.Addr) (stale []mem.Addr) {
 // under the NoBatching ablation — and returns the directory epoch the
 // grouping was resolved at. Requests built from these batches must go to
 // the batch's node and carry that epoch, so a directory change between
-// grouping and send (or between serial sends) is always visible to the
-// receiver (see sendWriteLock). The epoch is read BEFORE the first owner
-// lookup: a handoff racing the grouping can then only make the stamp older
-// than some owner it vouches for, which fails the receiver's fast path and
-// forces the authoritative per-key check — read after, it would pair an old
-// owner with the new epoch and a non-owner would grant (Directory.Resolve).
+// grouping and send is always visible to the receiver. The epoch is read
+// BEFORE the first owner lookup: a handoff racing the grouping can then only
+// make the stamp older than some owner it vouches for, which fails the
+// receiver's fast path and forces the authoritative per-key check — read
+// after, it would pair an old owner with the new epoch and a non-owner would
+// grant (Directory.Resolve).
 func (tx *Tx) commitBatches(keys []mem.Addr) ([]nodeGroup, uint64) {
 	rt := tx.rt
 	epoch := rt.s.dir.Epoch()

@@ -11,14 +11,13 @@ import (
 )
 
 // Ablations beyond the paper's figures: each isolates one design decision
-// that DESIGN.md calls out.
+// (README "Ablations beyond the paper" lists the question each answers).
 
 func init() {
 	register("ablbatch", "Ablation: message-plane coalescing x write-lock batching (scatter-write transactions)", ablBatch)
 	register("ablpoll", "Ablation: sensitivity to the per-peer polling cost (the Fig.8a mechanism)", ablPoll)
 	register("ablgran", "Ablation: lock granularity vs false conflicts (bank)", ablGran)
-	register("ablrpc", "Ablation: serial vs scatter-gather commit lock acquisition vs DTM node count", ablRPC)
-	register("ablplace", "Ablation: placement policy (hash/range/adaptive) across workload skew (bank)", ablPlace)
+	register("ablplace", "Ablation: placement policy (hash/adaptive) across workload skew (bank)", ablPlace)
 }
 
 // ablBatch compares the two batching layers of the message plane on a
@@ -40,12 +39,12 @@ func init() {
 func ablBatch(sc Scale, ov Overrides) []*Table {
 	run := func(total, svc int, batching bool, mode string) *core.Stats {
 		c := defaultSys(total)
-		c.svc = svc
-		c.batch = batching
-		c.coalesce = mode != "off"
-		c.adaptive = mode == "adaptive"
-		c.seed = sc.Seed
-		s := c.build(ov)
+		c.ServiceCores = svc
+		c.NoBatching = !batching
+		c.Coalesce = mode != "off"
+		c.AdaptiveFlush = mode == "adaptive"
+		c.Seed = sc.Seed
+		s := ov.build(c)
 		const words = 4096
 		arr := core.NewTArray(s, core.Uint64Codec(), words, 0)
 		s.SpawnWorkers(func(rt *core.Runtime) {
@@ -116,76 +115,28 @@ func ablPoll(sc Scale, ov Overrides) []*Table {
 	base := defaultSys(48)
 	for _, scale := range []float64{0, 0.5, 1, 2, 4} {
 		c := base
-		c.pl.PollPerPeer = time.Duration(float64(c.pl.PollPerPeer) * scale)
-		c.seed = sc.Seed
+		c.Platform.PollPerPeer = time.Duration(float64(c.Platform.PollPerPeer) * scale)
+		c.Seed = sc.Seed
 		st, _ := bankRun(sc, ov, c, accounts, func(b *bank.Bank) func(*core.Runtime) {
 			return b.TransferWorker(0)
 		})
-		t.AddRow(fmt.Sprintf("%.1fx", scale), c.pl.PollPerPeer.String(), perMs(st.Ops, st.Duration))
+		t.AddRow(fmt.Sprintf("%.1fx", scale), c.Platform.PollPerPeer.String(), perMs(st.Ops, st.Duration))
 	}
 	t.Notes = append(t.Notes,
 		"the polling cost is the mechanism behind the SCC's latency degradation in Fig.8(a): removing it makes messaging — and TM2C — scale almost linearly")
 	return []*Table{t}
 }
 
-// ablRPC compares commit-time write-lock acquisition strategies as the
-// write set spreads over more DTM nodes: serial (one awaited round trip per
-// responsible node, Config.SerialRPC) against scatter-gather (all per-node
-// batches in flight at once, one awaited gather phase; the default).
-func ablRPC(sc Scale, ov Overrides) []*Table {
-	t := &Table{
-		ID:      "ablrpc",
-		Title:   "Commit RPC: serial vs scatter-gather lock acquisition, 8-object scatter writes, 16 app cores",
-		Columns: []string{"dtm nodes", "mode", "ops/ms", "awaited rt/commit", "mean commit latency"},
-	}
-	const words = 2048
-	for _, svc := range []int{2, 4, 8, 16} {
-		for _, serial := range []bool{true, false} {
-			c := defaultSys(16 + svc)
-			c.svc = svc
-			c.serialRPC = serial
-			c.seed = sc.Seed
-			s := c.build(ov)
-			arr := core.NewTArray(s, core.Uint64Codec(), words, 0)
-			s.SpawnWorkers(func(rt *core.Runtime) {
-				r := rt.Rand()
-				for !rt.Stopped() {
-					rt.Run(func(tx *core.Tx) {
-						for i := 0; i < 8; i++ {
-							arr.Set(tx, r.Intn(words), uint64(i))
-						}
-					})
-					rt.AddOps(1)
-				}
-			})
-			st := s.Run(sc.Duration)
-			mode := "scatter"
-			if serial {
-				mode = "serial"
-			}
-			rtPerCommit := 0.0
-			if st.Commits > 0 {
-				rtPerCommit = float64(st.CommitRoundTrips) / float64(st.Commits)
-			}
-			t.AddRow(svc, mode, perMs(st.Ops, st.Duration), rtPerCommit, s.CommitLatency.Mean().Duration())
-		}
-	}
-	t.Notes = append(t.Notes,
-		"a lazy commit touching k DTM nodes pays k serial round trips under SerialRPC but a single awaited gather phase under scatter-gather (correlation-tagged RPC, rpc.go)",
-		"rt/commit counts awaited commit-phase round-trip phases over committed transactions; aborted attempts contribute phases but no commits")
-	return []*Table{t}
-}
-
-// ablPlace compares the three placement policies (internal/placement)
-// across access skew on two bank workloads. The headline is the hot-read
-// mix: skewed reads take shared read locks, so the skew creates no data
-// conflicts — only service load concentrated on the DTM nodes owning the
-// hot accounts, which is exactly the imbalance placement can and cannot
-// fix. The transfer companion shows the conflict-bound regime, where the
-// hot keys conflict no matter which node arbitrates them and every policy
-// converges.
+// ablPlace compares static hash against adaptive placement
+// (internal/placement) across access skew on two bank workloads. The
+// headline is the hot-read mix: skewed reads take shared read locks, so the
+// skew creates no data conflicts — only service load concentrated on the
+// DTM nodes owning the hot accounts, which is exactly the imbalance
+// placement can and cannot fix. The transfer companion shows the
+// conflict-bound regime, where the hot keys conflict no matter which node
+// arbitrates them and every policy converges.
 func ablPlace(sc Scale, ov Overrides) []*Table {
-	policies := []placement.Kind{placement.Hash, placement.Range, placement.Adaptive}
+	policies := []placement.Kind{placement.Hash, placement.Adaptive}
 	skews := []float64{0, 0.9, 1.25}
 	label := func(theta float64) string {
 		if theta == 0 {
@@ -203,10 +154,10 @@ func ablPlace(sc Scale, ov Overrides) []*Table {
 	for _, theta := range skews {
 		for _, k := range policies {
 			c := defaultSys(48)
-			c.svc = 6
-			c.place = k
-			c.repEpoch = 1024 // adapt within even the quick scale's window
-			c.seed = sc.Seed
+			c.ServiceCores = 6
+			c.Placement = k
+			c.RepartitionEpoch = 1024 // adapt within even the quick scale's window
+			c.Seed = sc.Seed
 			st, _ := bankRun(sc, ov, c, accounts, func(b *bank.Bank) func(*core.Runtime) {
 				return b.HotReadWorker(10, 12, theta)
 			})
@@ -216,7 +167,7 @@ func ablPlace(sc Scale, ov Overrides) []*Table {
 	}
 	hot.Notes = append(hot.Notes,
 		"node imbalance = max/mean served requests across DTM nodes (1 = perfectly balanced)",
-		"range places contiguous accounts on one node, so Zipf heat (hot ranks = low addresses) piles onto a single DTM node and its queue bounds throughput; adaptive migrates hot stripes back out via the epoch/NACK remap protocol and tracks hash's balance or better",
+		"adaptive migrates hot stripes off overloaded nodes via the epoch/NACK remap protocol and tracks hash's balance or better",
 		"migrations count stripe moves initiated by the directory; stale nacks are requests that chased a moving stripe and re-resolved")
 
 	xfer := &Table{
@@ -228,8 +179,8 @@ func ablPlace(sc Scale, ov Overrides) []*Table {
 	for _, theta := range []float64{0, 0.9} {
 		for _, k := range policies {
 			c := defaultSys(32)
-			c.place = k
-			c.seed = sc.Seed
+			c.Placement = k
+			c.Seed = sc.Seed
 			st, _ := bankRun(sc, ov, c, xaccounts, func(b *bank.Bank) func(*core.Runtime) {
 				return b.ZipfTransferWorker(0, theta)
 			})
@@ -250,8 +201,8 @@ func ablGran(sc Scale, ov Overrides) []*Table {
 	}
 	for _, g := range []int{1, 4, 16} {
 		c := defaultSys(48)
-		c.gran = g
-		c.seed = sc.Seed
+		c.LockGranule = g
+		c.Seed = sc.Seed
 		st := hashRun(sc, ov, c, sc.div(128, 8), 4, hashset.Workload{UpdatePct: 20})
 		t.AddRow(g, perMs(st.Ops, st.Duration), st.CommitRate(), st.Conflicts)
 	}

@@ -29,7 +29,7 @@ func ablRO(sc Scale, ov Overrides) []*Table {
 		for _, ro := range []bool{false, true} {
 			ro := ro
 			c := defaultSys(48)
-			c.seed = sc.Seed
+			c.Seed = sc.Seed
 			st, _ := bankRun(sc, ov, c, accounts, func(b *bank.Bank) func(*core.Runtime) {
 				b.UseReadOnlyBalance(ro)
 				return b.TransferWorker(balPct)

@@ -39,8 +39,8 @@ func ablTL2(sc Scale, ov Overrides) []*Table {
 	// realistic skew.
 	for _, proto := range protocols {
 		c := defaultSys(48)
-		c.seed = sc.Seed
-		c.protocol = proto
+		c.Seed = sc.Seed
+		c.Protocol = proto
 		st, _ := bankRun(sc, ov, c, accounts, func(b *bank.Bank) func(*core.Runtime) {
 			return b.HotReadWorker(10, 8, 0.85)
 		})
@@ -52,9 +52,9 @@ func ablTL2(sc Scale, ov Overrides) []*Table {
 	// dominant cost.
 	for _, proto := range protocols {
 		c := defaultSys(48)
-		c.seed = sc.Seed
-		c.protocol = proto
-		s := c.build(ov)
+		c.Seed = sc.Seed
+		c.Protocol = proto
+		s := ov.build(c)
 		l := intset.New(s)
 		r := sim.NewRand(sc.Seed ^ 0x77)
 		keyRange := uint64(2 * elems)

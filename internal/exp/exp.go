@@ -1,14 +1,15 @@
 // Package exp regenerates every table and figure of the paper's evaluation
 // (§5-§7). Each experiment is registered under the paper's figure ID
 // (fig4a ... fig8d, settings) plus ablations beyond the paper (ablbatch,
-// ablpoll, ablgran, ablrpc, ablplace, ablro), and produces one or more
+// ablpoll, ablgran, ablplace, ablro, abltl2), and produces one or more
 // text tables whose rows correspond to the points of the original plot.
 //
 // Experiments run at a configurable Scale: the Full scale uses the paper's
 // structure sizes; smaller scales shrink data structures, input sizes and
 // the measurement window so the whole suite stays cheap enough for CI and
 // `go test -bench`. Shapes (who wins, where the curves cross) are preserved
-// across scales; see EXPERIMENTS.md for the recorded full-scale results.
+// across scales; README "Reproducing the paper's figures" has the commands
+// and the committed BENCH_*.json files the recorded results.
 package exp
 
 import (

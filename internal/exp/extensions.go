@@ -33,13 +33,13 @@ func extSkip(sc Scale, ov Overrides) []*Table {
 		row := []any{n}
 
 		ch := defaultSys(n)
-		ch.seed = sc.Seed
+		ch.Seed = sc.Seed
 		st := hashRun(sc, ov, ch, elems/4, 4, hashset.Workload{UpdatePct: 20, KeyRange: keyRange})
 		row = append(row, perMs(st.Ops, st.Duration))
 
 		cs := defaultSys(n)
-		cs.seed = sc.Seed
-		s := cs.build(ov)
+		cs.Seed = sc.Seed
+		s := ov.build(cs)
 		sl := skiplist.New(s)
 		r := sim.NewRand(sc.Seed ^ 0x51)
 		sl.InitFill(elems, keyRange, &r)
@@ -63,7 +63,13 @@ func extIrrev(sc Scale, ov Overrides) []*Table {
 	// Irrevocability is a visible-protocol facility (TL2 readers bypass the
 	// DTM exclusivity tokens), so this experiment pins the protocol rather
 	// than crashing under a forced -protocol tl2.
-	ov.Protocol = core.ProtocolVisible
+	forced := ov.Sys
+	ov.Sys = func(c *core.Config) {
+		if forced != nil {
+			forced(c)
+		}
+		c.Protocol = core.ProtocolVisible
+	}
 	accounts := sc.div(1024, 64)
 	t := &Table{
 		ID:      "extirrev",
@@ -72,8 +78,8 @@ func extIrrev(sc Scale, ov Overrides) []*Table {
 	}
 	for _, pct := range []int{0, 1, 5, 10} {
 		c := defaultSys(48)
-		c.seed = sc.Seed
-		s := c.build(ov)
+		c.Seed = sc.Seed
+		s := ov.build(c)
 		accts := core.NewTArray(s, core.Uint64Codec(), accounts, 1000)
 		s.SpawnWorkers(func(rt *core.Runtime) {
 			r := rt.Rand()

@@ -14,14 +14,14 @@ func init() {
 
 // hashRun builds a hash table of nbuckets with loadFactor*nbuckets initial
 // elements and runs the transactional workload for the scale's window.
-func hashRun(sc Scale, ov Overrides, c sysConfig, nbuckets, loadFactor int, w hashset.Workload) *core.Stats {
-	s := c.build(ov)
+func hashRun(sc Scale, ov Overrides, c core.Config, nbuckets, loadFactor int, w hashset.Workload) *core.Stats {
+	s := ov.build(c)
 	set := hashset.New(s, nbuckets)
 	elems := nbuckets * loadFactor
 	if w.KeyRange == 0 {
 		w.KeyRange = uint64(2 * elems)
 	}
-	r := sim.NewRand(c.seed ^ 0xabcd)
+	r := sim.NewRand(c.Seed ^ 0xabcd)
 	set.InitFill(elems, w.KeyRange, &r)
 	s.SpawnWorkers(set.Worker(w))
 	return s.Run(sc.Duration)
@@ -31,9 +31,9 @@ func hashRun(sc Scale, ov Overrides, c sysConfig, nbuckets, loadFactor int, w ha
 // one core.
 func hashSeq(sc Scale, ov Overrides, nbuckets, loadFactor int, w hashset.Workload) float64 {
 	c := defaultSys(2)
-	c.svc = 1
-	c.seed = sc.Seed
-	s := c.build(ov)
+	c.ServiceCores = 1
+	c.Seed = sc.Seed
+	s := ov.build(c)
 	set := hashset.New(s, nbuckets)
 	elems := nbuckets * loadFactor
 	if w.KeyRange == 0 {
@@ -66,8 +66,8 @@ func fig4a(sc Scale, ov Overrides) []*Table {
 		for _, dep := range []core.Deployment{core.Multitask, core.Dedicated} {
 			for _, lf := range []int{2, 8} {
 				c := defaultSys(n)
-				c.dep = dep
-				c.seed = sc.Seed
+				c.Deployment = dep
+				c.Seed = sc.Seed
 				st := hashRun(sc, ov, c, buckets, lf, w)
 				row = append(row, perMs(st.Ops, st.Duration))
 			}
@@ -92,7 +92,7 @@ func fig4b(sc Scale, ov Overrides) []*Table {
 		for _, upd := range []int{20, 30, 40, 50} {
 			w := hashset.Workload{UpdatePct: upd}
 			c := defaultSys(48)
-			c.seed = sc.Seed
+			c.Seed = sc.Seed
 			st := hashRun(sc, ov, c, buckets, lf, w)
 			seq := hashSeq(sc, ov, buckets, lf, w)
 			row = append(row, ratio(perMs(st.Ops, st.Duration), seq))
@@ -122,8 +122,8 @@ func fig4c(sc Scale, ov Overrides) []*Table {
 		for _, nb := range []int{64, 128} {
 			for _, acq := range []core.AcquireMode{core.Eager, core.Lazy} {
 				c := defaultSys(n)
-				c.acq = acq
-				c.seed = sc.Seed
+				c.Acquire = acq
+				c.Seed = sc.Seed
 				st := hashRun(sc, ov, c, sc.div(nb, 8), 4, w)
 				rowT = append(rowT, perMs(st.Ops, st.Duration))
 				rowR = append(rowR, st.CommitRate())

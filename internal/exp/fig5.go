@@ -19,8 +19,8 @@ func init() {
 // bankRun runs the transactional bank with the given worker assignment.
 // The worker factory runs after the Overrides.ReadOnly default is applied,
 // so an ablation can still pick the balance-scan kind per row.
-func bankRun(sc Scale, ov Overrides, c sysConfig, accounts int, worker func(*bank.Bank) func(*core.Runtime)) (*core.Stats, *bank.Bank) {
-	s := c.build(ov)
+func bankRun(sc Scale, ov Overrides, c core.Config, accounts int, worker func(*bank.Bank) func(*core.Runtime)) (*core.Stats, *bank.Bank) {
+	s := ov.build(c)
 	b := bank.New(s, accounts)
 	b.UseReadOnlyBalance(ov.ReadOnly)
 	s.SpawnWorkers(worker(b))
@@ -46,8 +46,8 @@ func fig5a(sc Scale, ov Overrides) []*Table {
 		rowR := []any{n}
 		for _, p := range policies {
 			c := defaultSys(n)
-			c.pol = p
-			c.seed = sc.Seed
+			c.Policy = p
+			c.Seed = sc.Seed
 			st, _ := bankRun(sc, ov, c, accounts, func(b *bank.Bank) func(*core.Runtime) {
 				return b.TransferWorker(20)
 			})
@@ -73,8 +73,8 @@ func fig5b(sc Scale, ov Overrides) []*Table {
 		row := []any{svc}
 		for _, balPct := range []int{20, 0} {
 			c := defaultSys(48)
-			c.svc = svc
-			c.seed = sc.Seed
+			c.ServiceCores = svc
+			c.Seed = sc.Seed
 			st, _ := bankRun(sc, ov, c, accounts, func(b *bank.Bank) func(*core.Runtime) {
 				return b.TransferWorker(balPct)
 			})
@@ -119,8 +119,8 @@ func fig5c(sc Scale, ov Overrides) []*Table {
 		rowR := []any{n}
 		for _, p := range policies {
 			c := defaultSys(n)
-			c.pol = p
-			c.seed = sc.Seed
+			c.Policy = p
+			c.Seed = sc.Seed
 			st, _ := bankRun(sc, ov, c, accounts, func(b *bank.Bank) func(*core.Runtime) {
 				return func(rt *core.Runtime) {
 					if rt.AppIndex() == 0 {
@@ -159,9 +159,9 @@ func fig5d(sc Scale, ov Overrides) []*Table {
 	}
 	lockRun := func(n int, oneReader bool) float64 {
 		c := defaultSys(n)
-		c.svc = -1 // raw-only: every core runs the lock-based app
-		c.seed = sc.Seed
-		s := c.build(ov)
+		c.ServiceCores = -1 // raw-only: every core runs the lock-based app
+		c.Seed = sc.Seed
+		s := ov.build(c)
 		b := bank.New(s, accounts)
 		l := bank.NewGlobalLock(s)
 		deadline := sim.Time(sc.Duration)
@@ -183,7 +183,7 @@ func fig5d(sc Scale, ov Overrides) []*Table {
 	}
 	txRun := func(n int, oneReader bool) float64 {
 		c := defaultSys(n)
-		c.seed = sc.Seed
+		c.Seed = sc.Seed
 		st, _ := bankRun(sc, ov, c, accounts, func(b *bank.Bank) func(*core.Runtime) {
 			return func(rt *core.Runtime) {
 				if oneReader && rt.AppIndex() == 0 {

@@ -30,9 +30,9 @@ func mrSize(sc Scale, mb int) int {
 // §5.4) and returns the completion time.
 func mrParallel(sc Scale, ov Overrides, n, size, chunk int) sim.Time {
 	c := defaultSys(n)
-	c.svc = 1
-	c.seed = sc.Seed
-	s := c.build(ov)
+	c.ServiceCores = 1
+	c.Seed = sc.Seed
+	s := ov.build(c)
 	j := mapreduce.NewJob(s, sc.Seed, size, chunk)
 	s.SpawnWorkers(func(rt *core.Runtime) { j.Worker(rt) })
 	st := s.RunToCompletion()
@@ -45,9 +45,9 @@ func mrParallel(sc Scale, ov Overrides, n, size, chunk int) sim.Time {
 // mrSequential runs the single-core baseline and returns its duration.
 func mrSequential(sc Scale, ov Overrides, size, chunk int) sim.Time {
 	c := defaultSys(2)
-	c.svc = 1
-	c.seed = sc.Seed
-	s := c.build(ov)
+	c.ServiceCores = 1
+	c.Seed = sc.Seed
+	s := ov.build(c)
 	j := mapreduce.NewJob(s, sc.Seed, size, chunk)
 	var dur sim.Time
 	s.SpawnRaw(func(p core.Port, coreID int) { dur = j.Sequential(p, coreID) })

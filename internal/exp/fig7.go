@@ -17,9 +17,9 @@ func init() {
 // listRun measures the list benchmark throughput for one mode.
 func listRun(sc Scale, ov Overrides, pl noc.Platform, n, elems, updatePct int, mode intset.Mode, seed uint64) *core.Stats {
 	c := defaultSys(n)
-	c.pl = pl
-	c.seed = seed
-	s := c.build(ov)
+	c.Platform = pl
+	c.Seed = seed
+	s := ov.build(c)
 	l := intset.New(s)
 	r := sim.NewRand(seed ^ 0x77)
 	keyRange := uint64(2 * elems)

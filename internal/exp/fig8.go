@@ -113,8 +113,8 @@ func fig8b(sc Scale, ov Overrides) []*Table {
 		for _, pl := range platforms() {
 			for i, balPct := range []int{20, 0} {
 				c := defaultSys(n)
-				c.pl = pl
-				c.seed = sc.Seed
+				c.Platform = pl
+				c.Seed = sc.Seed
 				st, _ := bankRun(sc, ov, c, accounts, func(b *bank.Bank) func(*core.Runtime) {
 					return b.TransferWorker(balPct)
 				})
@@ -171,8 +171,8 @@ func fig8d(sc Scale, ov Overrides) []*Table {
 			row := []any{n}
 			for _, pl := range platforms() {
 				c := defaultSys(n)
-				c.pl = pl
-				c.seed = sc.Seed
+				c.Platform = pl
+				c.Seed = sc.Seed
 				st := hashRun(sc, ov, c, buckets, lf, hashset.Workload{UpdatePct: 10})
 				row = append(row, perMs(st.Ops, st.Duration))
 			}

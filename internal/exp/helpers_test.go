@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/noc"
 )
 
@@ -38,14 +39,28 @@ func TestHalfSplit(t *testing.T) {
 	}
 }
 
-func TestSysConfigBuildPanicsOnBadConfig(t *testing.T) {
+func TestBuildPanicsOnBadConfig(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("bad config did not panic")
 		}
 	}()
-	c := defaultSys(1) // 1 core is invalid
-	c.build(Overrides{})
+	Overrides{}.build(defaultSys(1)) // 1 core is invalid
+}
+
+// TestBuildAppliesSysOverride: Overrides.Sys edits the experiment's Config
+// after the experiment filled it in, and leaves the rest of it alone.
+func TestBuildAppliesSysOverride(t *testing.T) {
+	c := defaultSys(4)
+	c.Seed = 9
+	ov := Overrides{Sys: func(c *core.Config) { c.Coalesce = true }}
+	got := ov.build(c).Config()
+	if !got.Coalesce || got.Seed != 9 || got.TotalCores != 4 {
+		t.Fatalf("built config = coalesce %v seed %d cores %d, want true/9/4", got.Coalesce, got.Seed, got.TotalCores)
+	}
+	if (Overrides{}).build(c).Config().Coalesce {
+		t.Fatal("nil Sys changed the experiment's config")
+	}
 }
 
 func TestPingPongMatchesAnalyticalLatency(t *testing.T) {

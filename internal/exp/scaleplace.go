@@ -57,11 +57,11 @@ func scalePlace(sc Scale, ov Overrides) []*Table {
 	for _, theta := range []float64{0, 0.99} {
 		for _, k := range []placement.Kind{placement.Hash, placement.Adaptive, placement.AdaptiveHier} {
 			c := defaultSys(cores)
-			c.pl = pl
-			c.svc = cores / 8
-			c.place = k
-			c.repEpoch = 1024
-			c.seed = sc.Seed
+			c.Platform = pl
+			c.ServiceCores = cores / 8
+			c.Placement = k
+			c.RepartitionEpoch = 1024
+			c.Seed = sc.Seed
 			st, _ := bankRun(sc, ov, c, objects, func(b *bank.Bank) func(*core.Runtime) {
 				return b.LocalZipfWorker(parts, pl.ClusterOf, theta)
 			})

@@ -1,20 +1,21 @@
 // Package netboot bootstraps the cross-process net backend for the CLI
-// front-ends (tm2c-bench, tm2c-sim): it resolves this process's place in
-// the process group from the -groups/-listen/-peers flags and, in the
-// default fork mode, launches the worker ranks as re-execs of the current
-// binary over unix sockets in a private temp dir.
+// front-ends (tm2c-bench, tm2c-sim): BindFlags registers the
+// -groups/-rank/-listen/-peers flags and returns the resolver of this
+// process's place in the process group; in the default fork mode the Plan
+// then launches the worker ranks as re-execs of the current binary over
+// unix sockets in a private temp dir.
 //
 // Three ways into a net-backend run:
 //
-//   - Fork mode (default): the invoked process is rank 0; Resolve allocates
-//     unix-socket addresses and Fork starts ranks 1..N-1 as copies of this
+//   - Fork mode (default): the invoked process is rank 0; the resolver
+//     allocates unix-socket addresses and Fork starts ranks 1..N-1 as copies of this
 //     process with the topology in TM2C_NET_* environment variables. The
 //     children re-parse the identical command line, so every rank constructs
 //     the identical deterministic sequence of systems — the property the
 //     backend's replicated-construction model requires.
 //
-//   - Forked child: TM2C_NET_RANK/TM2C_NET_PEERS are set; Resolve returns
-//     that topology and IsChild reports true so the front-end can suppress
+//   - Forked child: TM2C_NET_RANK/TM2C_NET_PEERS are set; the resolver
+//     returns that topology and IsChild reports true so the front-end can suppress
 //     its rank-0-only output and verification.
 //
 //   - Standalone (-peers, for multi-host or manual launches): the full
@@ -24,6 +25,7 @@
 package netboot
 
 import (
+	"flag"
 	"fmt"
 	"os"
 	"os/exec"
@@ -53,10 +55,22 @@ type Plan struct {
 // IsChild reports whether this process was forked by a netboot parent.
 func IsChild() bool { return os.Getenv(envRank) != "" }
 
-// Resolve builds the topology plan from the flag values. groups is the
+// BindFlags registers the net-backend process-group flags (-groups -rank
+// -listen -peers) on fs and returns the function that resolves them into
+// this process's Plan. Call it only after fs has been parsed, and only for
+// a net-backend run: resolving allocates the fork-mode socket directory.
+func BindFlags(fs *flag.FlagSet) func() (*Plan, error) {
+	groups := fs.Int("groups", 2, "net backend: number of OS processes (forked from this one by default)")
+	rank := fs.Int("rank", 0, "net backend: this process's rank when launched standalone with -peers")
+	listen := fs.String("listen", "", "net backend: override this rank's bind address in the -peers list")
+	peers := fs.String("peers", "", "net backend: full rank-ordered address list (unix:<path> or host:port) for standalone launches; empty forks -groups local workers over unix sockets")
+	return func() (*Plan, error) { return resolve(*groups, *rank, *listen, *peers) }
+}
+
+// resolve builds the topology plan from the flag values. groups is the
 // process count for fork mode; rank/listen/peers configure standalone mode
 // (peers empty selects fork mode).
-func Resolve(groups, rank int, listen, peers string) (*Plan, error) {
+func resolve(groups, rank int, listen, peers string) (*Plan, error) {
 	if r := os.Getenv(envRank); r != "" {
 		rk, err := strconv.Atoi(r)
 		if err != nil {

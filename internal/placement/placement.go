@@ -4,11 +4,9 @@
 //
 // TM2C (§3.2) fixes this mapping to a static multiplicative hash, which
 // balances load only under uniform access. This package makes placement a
-// first-class subsystem behind a Policy interface with four strategies:
+// first-class subsystem behind a Policy interface with three strategies:
 //
 //   - Hash: the paper's static multiplicative hash (the default);
-//   - Range: contiguous striping, so neighbouring addresses share a DTM
-//     node (spatial locality for scans and block-structured data);
 //   - Adaptive: a per-stripe ownership table that tracks access counts per
 //     epoch and migrates hot stripes from overloaded to underloaded nodes;
 //   - AdaptiveHier: Adaptive plus locality-aware thread/data co-mapping —
@@ -77,8 +75,6 @@ type Kind uint8
 const (
 	// Hash is the paper's static multiplicative hash of the lock key.
 	Hash Kind = iota
-	// Range stripes the address space contiguously across the nodes.
-	Range
 	// Adaptive starts from an interleaved stripe assignment and migrates
 	// hot stripes between nodes at epoch boundaries.
 	Adaptive
@@ -90,8 +86,6 @@ const (
 
 func (k Kind) String() string {
 	switch k {
-	case Range:
-		return "range"
 	case Adaptive:
 		return "adaptive"
 	case AdaptiveHier:
@@ -101,23 +95,21 @@ func (k Kind) String() string {
 	}
 }
 
-// Parse parses a placement policy name (hash|range|adaptive|hier).
+// Parse parses a placement policy name (hash | adaptive | hier).
 func Parse(s string) (Kind, error) {
 	switch s {
 	case "", "hash":
 		return Hash, nil
-	case "range":
-		return Range, nil
 	case "adaptive":
 		return Adaptive, nil
 	case "hier", "adaptive-hier":
 		return AdaptiveHier, nil
 	}
-	return Hash, fmt.Errorf("placement: unknown policy %q", s)
+	return Hash, fmt.Errorf("placement: unknown policy %q (want hash | adaptive | hier)", s)
 }
 
 // Kinds lists every policy in presentation order.
-func Kinds() []Kind { return []Kind{Hash, Range, Adaptive, AdaptiveHier} }
+func Kinds() []Kind { return []Kind{Hash, Adaptive, AdaptiveHier} }
 
 // Config describes one directory.
 type Config struct {

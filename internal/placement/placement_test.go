@@ -1,6 +1,7 @@
 package placement
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/mem"
@@ -17,8 +18,13 @@ func TestParseAndString(t *testing.T) {
 	if k, err := Parse(""); err != nil || k != Hash {
 		t.Errorf("Parse(\"\") = %v, %v, want Hash", k, err)
 	}
-	if _, err := Parse("nope"); err == nil {
-		t.Error("Parse(\"nope\") succeeded")
+	// "range" is the retired contiguous-striping policy (README "Answered
+	// and retired"): it must fail like any unknown name, naming what is left.
+	for _, bad := range []string{"nope", "range"} {
+		_, err := Parse(bad)
+		if err == nil || !strings.Contains(err.Error(), "hash | adaptive | hier") {
+			t.Errorf("Parse(%q) error = %v, want one listing hash | adaptive | hier", bad, err)
+		}
 	}
 }
 
@@ -50,34 +56,6 @@ func TestHashMatchesLegacyNodeFor(t *testing.T) {
 	}
 	if d.Epoch() != 0 {
 		t.Errorf("static hash directory at epoch %d, want 0", d.Epoch())
-	}
-}
-
-// TestRangeIsContiguous checks that the range policy maps contiguous
-// address blocks to the same node and covers every node.
-func TestRangeIsContiguous(t *testing.T) {
-	const nodes, stripes, span = 4, 64, 8
-	d, err := New(Config{Nodes: nodes, Kind: Range, Stripes: stripes, Span: span})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := make(map[int]bool)
-	switches := 0
-	prev := d.Owner(0)
-	seen[prev] = true
-	for key := mem.Addr(1); key < stripes*span; key++ {
-		o := d.Owner(key)
-		if o != prev {
-			switches++
-			prev = o
-		}
-		seen[o] = true
-	}
-	if switches != nodes-1 {
-		t.Errorf("range placement switched owner %d times over one wrap, want %d", switches, nodes-1)
-	}
-	if len(seen) != nodes {
-		t.Errorf("range placement used %d nodes, want %d", len(seen), nodes)
 	}
 }
 

@@ -18,8 +18,6 @@ type Policy interface {
 
 func policyFor(k Kind) Policy {
 	switch k {
-	case Range:
-		return rangePolicy{}
 	case Adaptive:
 		return adaptivePolicy{}
 	case AdaptiveHier:
@@ -45,20 +43,6 @@ func (hashPolicy) Owner(d *Directory, key mem.Addr) int {
 }
 
 func (hashPolicy) Repartition(*Directory) []Move { return nil }
-
-// rangePolicy stripes the address space contiguously: each node owns one
-// contiguous block of stripes, so neighbouring addresses resolve to the
-// same node (spatial locality across the whole configured universe).
-type rangePolicy struct{}
-
-func (rangePolicy) Name() string { return "range" }
-
-func (rangePolicy) Owner(d *Directory, key mem.Addr) int {
-	s := d.StripeOf(key)
-	return int(uint64(s) * uint64(d.cfg.Nodes) / uint64(d.totalStripes))
-}
-
-func (rangePolicy) Repartition(*Directory) []Move { return nil }
 
 // nodeLoads sums the closing epoch's access counts per owning node over the
 // materialized leaves. Unmaterialized stripes were never recorded this

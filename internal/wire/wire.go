@@ -351,19 +351,34 @@ func WriteFrame(w io.Writer, kind uint8, body []byte) error {
 	return err
 }
 
-// ReadFrame reads one frame written by WriteFrame.
+// readChunk is the most ReadFrame allocates on the strength of a length
+// prefix alone. Protocol frames are far smaller, so they still cost one
+// exact-size allocation.
+const readChunk = 64 << 10
+
+// ReadFrame reads one frame written by WriteFrame. The announced length is
+// a claim by the peer: beyond readChunk the buffer grows only as fast as
+// body bytes actually arrive (at most doubling), so a header announcing
+// MaxFrame on a stream that then stalls or ends costs one chunk, not 16 MiB.
 func ReadFrame(r io.Reader) (kind uint8, body []byte, err error) {
 	var hdr [4]byte
 	if _, err = io.ReadFull(r, hdr[:]); err != nil {
 		return 0, nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
+	n := int(binary.LittleEndian.Uint32(hdr[:]))
 	if n == 0 || n > MaxFrame {
 		return 0, nil, fmt.Errorf("wire: frame length %d out of range", n)
 	}
-	buf := make([]byte, n)
+	buf := make([]byte, min(n, readChunk))
 	if _, err = io.ReadFull(r, buf); err != nil {
 		return 0, nil, err
+	}
+	for len(buf) < n {
+		got := len(buf)
+		buf = append(buf, make([]byte, min(n-got, got))...)
+		if _, err = io.ReadFull(r, buf[got:]); err != nil {
+			return 0, nil, err
+		}
 	}
 	return buf[0], buf[1:], nil
 }

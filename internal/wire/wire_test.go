@@ -2,7 +2,9 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
+	"runtime"
 	"testing"
 )
 
@@ -10,7 +12,8 @@ import (
 // after frame on one stream.
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	bodies := [][]byte{{}, {1}, bytes.Repeat([]byte{0xab}, 4096)}
+	// The last body is read in several growth steps (over readChunk).
+	bodies := [][]byte{{}, {1}, bytes.Repeat([]byte{0xab}, 4096), bytes.Repeat([]byte{0xcd}, 5*readChunk+7)}
 	for i, b := range bodies {
 		if err := WriteFrame(&buf, uint8(i+1), b); err != nil {
 			t.Fatal(err)
@@ -47,6 +50,26 @@ func TestDecCountBoundsAllocation(t *testing.T) {
 	if n := d.Count(1); n != 2 || d.Err() != nil || d.Peek() != 9 {
 		t.Errorf("Count = %d (err %v), next byte %d; want 2, nil, 9", n, d.Err(), d.Peek())
 	}
+	// A frame header is the same kind of claim: announcing MaxFrame and
+	// then ending the stream after 8 body bytes must cost an error and one
+	// read chunk, not the announced 16 MiB.
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, body, err := ReadFrame(bytes.NewReader(truncatedMaxFrame()))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Errorf("ReadFrame returned a %d-byte body from an 8-byte stream", len(body))
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 128<<10 {
+		t.Errorf("ReadFrame allocated %d bytes for 8 received body bytes, want < 128 KiB", alloc)
+	}
+}
+
+// truncatedMaxFrame is a header announcing a MaxFrame-byte frame followed
+// by only 8 body bytes.
+func truncatedMaxFrame() []byte {
+	b := binary.LittleEndian.AppendUint32(nil, MaxFrame)
+	return append(b, 1, 2, 3, 4, 5, 6, 7, 8)
 }
 
 // FuzzReadFrame reads frames from arbitrary bytes the way a connection
@@ -60,6 +83,7 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0})             // zero length: no kind byte
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff}) // length far over MaxFrame
 	f.Add([]byte{5, 0, 0, 0, 1, 2})       // truncated body
+	f.Add(truncatedMaxFrame())            // announces 16 MiB, delivers 8 bytes
 	f.Fuzz(func(t *testing.T, b []byte) {
 		r := bytes.NewReader(b)
 		for {

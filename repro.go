@@ -45,8 +45,8 @@
 // deterministic discrete-event simulation of the target platform, so results
 // are reproducible bit-for-bit for a given Config.Seed.
 //
-// See DESIGN.md for the architecture and EXPERIMENTS.md for the paper's
-// reproduced figures.
+// See README.md: "Architecture" for the layers, "Reproducing the paper's
+// figures" and "Ablations beyond the paper" for the experiments.
 package repro
 
 import (
@@ -245,12 +245,10 @@ const (
 )
 
 // Placement policies (internal/placement): the paper's static hash
-// (default), contiguous range striping, epoch-based adaptive
-// repartitioning, and the hierarchical locality-aware variant of the
-// adaptive policy.
+// (default), epoch-based adaptive repartitioning, and the hierarchical
+// locality-aware variant of the adaptive policy.
 const (
 	PlacementHash     = placement.Hash
-	PlacementRange    = placement.Range
 	PlacementAdaptive = placement.Adaptive
 	PlacementHier     = placement.AdaptiveHier
 )
@@ -273,7 +271,7 @@ func Opteron() Platform { return noc.Opteron() }
 // (none|backoff|offset-greedy|wholly|faircm).
 func ParsePolicy(s string) (Policy, error) { return cm.Parse(s) }
 
-// ParsePlacement parses a placement policy name (hash|range|adaptive|hier).
+// ParsePlacement parses a placement policy name (hash|adaptive|hier).
 func ParsePlacement(s string) (PlacementKind, error) { return placement.Parse(s) }
 
 // ParseBackend parses an execution backend name (sim|live).
