@@ -1,90 +1,15 @@
-// Benchmarks: one testing.B target per table/figure of the paper (run via
-// the internal/exp harness at a reduced scale so `go test -bench=.`
-// completes in minutes) plus end-to-end transaction micro-benchmarks on the
-// public API.
-//
-// The figure benches report virtual-time throughput of the headline series
-// as ops/vms (operations per virtual millisecond) where that is meaningful;
-// wall-clock ns/op measures simulator cost, not SCC performance. Full-scale
-// figure regeneration is `go run ./cmd/tm2c-bench -run all -scale full`.
+// Benchmarks: end-to-end transaction micro-benchmarks on the public API.
+// Wall-clock ns/op measures simulator cost, not SCC performance; figures
+// regenerate with `go run ./cmd/tm2c-bench`, and the repo benchmark with
+// its per-layer micro pass lives in bench/.
 package repro_test
 
 import (
 	"fmt"
-	"strconv"
 	"testing"
-	"time"
 
 	"repro"
-	"repro/internal/exp"
 )
-
-// benchScale keeps every figure bench in the tens-of-milliseconds range.
-var benchScale = exp.Scale{
-	Duration: 1500 * time.Microsecond,
-	SizeDiv:  16,
-	Cores:    []int{8, 24},
-	Seed:     1,
-}
-
-func benchExperiment(b *testing.B, id string) {
-	b.Helper()
-	e, ok := exp.ByID(id)
-	if !ok {
-		b.Fatalf("experiment %q not registered", id)
-	}
-	var firstVal float64
-	for i := 0; i < b.N; i++ {
-		tables := e.Run(benchScale, exp.Overrides{})
-		if len(tables) == 0 || len(tables[0].Rows) == 0 {
-			b.Fatalf("%s produced no data", id)
-		}
-		row := tables[0].Rows[len(tables[0].Rows)-1]
-		if v, err := strconv.ParseFloat(row[len(row)-1], 64); err == nil {
-			firstVal = v
-		}
-	}
-	if firstVal != 0 {
-		b.ReportMetric(firstVal, "headline")
-	}
-}
-
-// §5.1 settings table.
-func BenchmarkSettingsTable(b *testing.B) { benchExperiment(b, "settings") }
-
-// Figure 4: hash table.
-func BenchmarkFig4a(b *testing.B) { benchExperiment(b, "fig4a") }
-func BenchmarkFig4b(b *testing.B) { benchExperiment(b, "fig4b") }
-func BenchmarkFig4c(b *testing.B) { benchExperiment(b, "fig4c") }
-
-// Figure 5: bank.
-func BenchmarkFig5a(b *testing.B) { benchExperiment(b, "fig5a") }
-func BenchmarkFig5b(b *testing.B) { benchExperiment(b, "fig5b") }
-func BenchmarkFig5c(b *testing.B) { benchExperiment(b, "fig5c") }
-func BenchmarkFig5d(b *testing.B) { benchExperiment(b, "fig5d") }
-
-// Figure 6: MapReduce.
-func BenchmarkFig6a(b *testing.B) { benchExperiment(b, "fig6a") }
-func BenchmarkFig6b(b *testing.B) { benchExperiment(b, "fig6b") }
-
-// Figure 7: elastic transactions on the linked list.
-func BenchmarkFig7a(b *testing.B) { benchExperiment(b, "fig7a") }
-func BenchmarkFig7b(b *testing.B) { benchExperiment(b, "fig7b") }
-
-// Figure 8: portability (SCC vs SCC800 vs Opteron).
-func BenchmarkFig8a(b *testing.B) { benchExperiment(b, "fig8a") }
-func BenchmarkFig8b(b *testing.B) { benchExperiment(b, "fig8b") }
-func BenchmarkFig8c(b *testing.B) { benchExperiment(b, "fig8c") }
-func BenchmarkFig8d(b *testing.B) { benchExperiment(b, "fig8d") }
-
-// Ablations beyond the paper.
-func BenchmarkAblationBatching(b *testing.B)    { benchExperiment(b, "ablbatch") }
-func BenchmarkAblationPollCost(b *testing.B)    { benchExperiment(b, "ablpoll") }
-func BenchmarkAblationGranularity(b *testing.B) { benchExperiment(b, "ablgran") }
-
-// Extensions beyond the paper.
-func BenchmarkExtensionSkipList(b *testing.B)    { benchExperiment(b, "extskip") }
-func BenchmarkExtensionIrrevocable(b *testing.B) { benchExperiment(b, "extirrev") }
 
 // BenchmarkTransactionRoundTrip measures the simulator cost of one complete
 // read-modify-write transaction (two reads, two writes, commit) end to end.

@@ -13,7 +13,6 @@
 //	tm2c-bench -run abltl2 -scale quick
 //	tm2c-bench -run fig5a -protocol tl2
 //	tm2c-bench -run fig5a -scale quick -backend live
-//	tm2c-bench -run fig5a -json results/
 //
 // Scales: quick (seconds), default (a few minutes), full (closest to the
 // paper's parameters; tens of minutes), large (million-object working sets
@@ -37,9 +36,7 @@
 // cross-process backend (net; like live but the cores are spread over
 // -groups OS processes connected by framed sockets — rank 0 forks the
 // worker ranks by default, or launch each rank standalone with
-// -peers/-rank/-listen). -json writes one machine-readable BENCH_<id>.json
-// (BENCH_<id>_live.json / BENCH_<id>_net.json for live / net results) per
-// experiment into the given directory, seeding the bench trajectory.
+// -peers/-rank/-listen). -timings reports each experiment's elapsed time.
 // -trace-dir enables the flight recorder in every experiment and writes one
 // chrome://tracing JSON per system run into the directory. -pprof serves
 // net/http/pprof while the experiments run and dumps runtime/metrics at
@@ -47,7 +44,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"net/http"
@@ -67,23 +63,6 @@ import (
 	"repro/internal/trace"
 )
 
-// benchResult is the schema of one BENCH_<id>.json file.
-type benchResult struct {
-	ID             string `json:"id"`
-	Title          string `json:"title"`
-	Backend        string `json:"backend"`
-	Scale          string `json:"scale"`
-	Seed           uint64 `json:"seed"`
-	ThroughputUnit string `json:"throughput_unit"`
-	ElapsedMS      int64  `json:"elapsed_ms"`
-	// Directory is the process-wide placement-directory delta across the
-	// experiment (core.DirSoFar bracketing): hierarchical-directory gauges
-	// (materialized leaves vs leaf universe), migration/handoff counts and
-	// the cumulative local/remote access split behind RemoteAccessRatio.
-	Directory core.DirStats `json:"directory"`
-	Tables    []*exp.Table  `json:"tables"`
-}
-
 func main() {
 	var (
 		list      = flag.Bool("list", false, "list experiment IDs and exit")
@@ -91,7 +70,6 @@ func main() {
 		scale     = flag.String("scale", "default", "quick | default | full | large")
 		csv       = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 		readonly  = flag.Bool("readonly", false, "run every bank balance scan as a declared read-only transaction")
-		jsonDir   = flag.String("json", "", "directory to write one BENCH_<id>.json per experiment into")
 		timings   = flag.Bool("timings", false, "print wall-clock time per experiment")
 		traceDir  = flag.String("trace-dir", "", "directory to write one chrome trace_event JSON per system run into (enables the flight recorder)")
 		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) and dump runtime/metrics after the experiments finish")
@@ -181,15 +159,12 @@ func main() {
 	}
 	sc.Seed = forced.Seed
 
-	if *jsonDir != "" {
-		if err := os.MkdirAll(*jsonDir, 0o755); err != nil {
-			fmt.Fprintf(os.Stderr, "tm2c-bench: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	unit := "ops/vms" // operations per virtual millisecond
-	if backend == core.BackendLive || backend == core.BackendNet {
-		unit = "ops/ms" // operations per wall-clock millisecond
+	// Every ID resolves before anything runs or forks: a typo must not cost
+	// the experiments listed before it, nor leave worker ranks behind.
+	exps, err := resolveExperiments(*run)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "tm2c-bench: %v\n", err)
+		os.Exit(2)
 	}
 
 	maxCores := 0
@@ -214,25 +189,13 @@ func main() {
 		}
 	}
 
-	var ids []string
-	if *run == "all" {
-		ids = exp.IDs()
-	} else {
-		ids = strings.Split(*run, ",")
-	}
-	for _, id := range ids {
-		e, ok := exp.ByID(strings.TrimSpace(id))
-		if !ok {
-			fmt.Fprintf(os.Stderr, "tm2c-bench: unknown experiment %q (try -list)\n", id)
-			os.Exit(2)
-		}
-		dirBefore := core.DirSoFar()
+	for _, e := range exps {
 		start := time.Now()
 		tables := e.Run(sc, ov)
 		elapsed := time.Since(start)
 		if isChild {
 			// Worker ranks participate in every system but rank 0 owns the
-			// merged stats report and artifacts.
+			// merged stats report.
 			continue
 		}
 		for _, t := range tables {
@@ -242,47 +205,6 @@ func main() {
 				fmt.Println()
 			} else {
 				t.Render(os.Stdout)
-			}
-		}
-		if *jsonDir != "" {
-			// Stamp the backend that actually produced the numbers: a few
-			// experiments (fig8a's ping-pong, the settings table) measure
-			// the simulator's timing model and ignore -backend entirely.
-			resBackend, resUnit := backend.String(), unit
-			if e.SimOnly {
-				resBackend, resUnit = core.BackendSim.String(), "ops/vms"
-			}
-			res := benchResult{
-				ID:             e.ID,
-				Title:          e.Title,
-				Backend:        resBackend,
-				Scale:          *scale,
-				Seed:           sc.Seed,
-				ThroughputUnit: resUnit,
-				ElapsedMS:      elapsed.Milliseconds(),
-				Directory:      core.DirSoFar().Delta(dirBefore),
-				Tables:         tables,
-			}
-			// Sim results keep the historic BENCH_<id>.json name; live and
-			// net results carry a backend suffix so all three backends'
-			// baselines can sit in one directory without clobbering each
-			// other.
-			name := fmt.Sprintf("BENCH_%s.json", e.ID)
-			switch resBackend {
-			case core.BackendLive.String():
-				name = fmt.Sprintf("BENCH_%s_live.json", e.ID)
-			case core.BackendNet.String():
-				name = fmt.Sprintf("BENCH_%s_net.json", e.ID)
-			}
-			path := filepath.Join(*jsonDir, name)
-			buf, err := json.MarshalIndent(&res, "", "  ")
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "tm2c-bench: marshal %s: %v\n", e.ID, err)
-				os.Exit(1)
-			}
-			if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
-				fmt.Fprintf(os.Stderr, "tm2c-bench: %v\n", err)
-				os.Exit(1)
 			}
 		}
 		if *timings {
@@ -304,6 +226,23 @@ func main() {
 			os.Exit(1)
 		}
 	}
+}
+
+// resolveExperiments maps -run's value ("all" or comma-separated IDs) to
+// the registered experiments, in the order given.
+func resolveExperiments(run string) ([]*exp.Experiment, error) {
+	if run == "all" {
+		return exp.All, nil
+	}
+	var exps []*exp.Experiment
+	for _, id := range strings.Split(run, ",") {
+		e, ok := exp.ByID(strings.TrimSpace(id))
+		if !ok {
+			return nil, fmt.Errorf("unknown experiment %q (try -list)", id)
+		}
+		exps = append(exps, e)
+	}
+	return exps, nil
 }
 
 // writeAllocProfile dumps the cumulative allocation profile at quiesce — the

@@ -22,6 +22,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"strings"
@@ -217,7 +218,7 @@ func main() {
 
 	st := sys.Run(*duration)
 	if !isChild {
-		report(sys, st)
+		report(os.Stdout, sys, st)
 		// Verification reads raw memory, which is homed on rank 0 — worker
 		// ranks cannot check it after the group has shut down.
 		if verify != nil {
@@ -276,77 +277,80 @@ func writeTrace(path string, t *trace.Trace) error {
 	return nil
 }
 
-func report(sys *repro.System, st *repro.Stats) {
+// report prints the run's statistics; the placement line carries the
+// directory counters for every policy that has a directory to count.
+func report(w io.Writer, sys *repro.System, st *repro.Stats) {
 	cfg := sys.Config()
-	fmt.Printf("platform            %s\n", cfg.Platform.Name)
-	fmt.Printf("cores               %d (%d app + %d service, %v)\n",
+	fmt.Fprintf(w, "platform            %s\n", cfg.Platform.Name)
+	fmt.Fprintf(w, "cores               %d (%d app + %d service, %v)\n",
 		cfg.TotalCores, sys.NumAppCores(), sys.NumServiceCores(), cfg.Deployment)
-	fmt.Printf("contention manager  %v\n", cfg.Policy)
-	fmt.Printf("backend             %v\n", cfg.Backend)
-	fmt.Printf("protocol            %v\n", cfg.Protocol)
+	fmt.Fprintf(w, "contention manager  %v\n", cfg.Policy)
+	fmt.Fprintf(w, "backend             %v\n", cfg.Backend)
+	fmt.Fprintf(w, "protocol            %v\n", cfg.Protocol)
 	if cfg.Backend == repro.BackendLive || cfg.Backend == repro.BackendNet {
-		fmt.Printf("wall duration       %v\n", st.Duration)
+		fmt.Fprintf(w, "wall duration       %v\n", st.Duration)
 	} else {
-		fmt.Printf("virtual duration    %v\n", st.Duration)
+		fmt.Fprintf(w, "virtual duration    %v\n", st.Duration)
 	}
-	fmt.Printf("throughput          %.2f ops/ms\n", st.Throughput())
-	fmt.Printf("commits / aborts    %d / %d (commit rate %.1f%%)\n", st.Commits, st.Aborts, st.CommitRate())
-	fmt.Printf("read-only commits   %d (declared read-only transactions; zero write-lock traffic)\n", st.ReadOnlyCommits)
-	fmt.Printf("user aborts         %d (withdrawn via Tx.Abort; not retried)\n", st.UserAborts)
-	fmt.Printf("aborts by reason    conflict=%d revoked=%d doomed-read=%d stale-placement=%d timeout=%d user=%d\n",
+	fmt.Fprintf(w, "throughput          %.2f ops/ms\n", st.Throughput())
+	fmt.Fprintf(w, "commits / aborts    %d / %d (commit rate %.1f%%)\n", st.Commits, st.Aborts, st.CommitRate())
+	fmt.Fprintf(w, "read-only commits   %d (declared read-only transactions; zero write-lock traffic)\n", st.ReadOnlyCommits)
+	fmt.Fprintf(w, "user aborts         %d (withdrawn via Tx.Abort; not retried)\n", st.UserAborts)
+	fmt.Fprintf(w, "aborts by reason    conflict=%d revoked=%d doomed-read=%d stale-placement=%d timeout=%d user=%d\n",
 		st.AbortReasons[trace.ReasonConflict], st.AbortReasons[trace.ReasonRevoked],
 		st.AbortReasons[trace.ReasonDoomedRead], st.AbortReasons[trace.ReasonStalePlacement],
 		st.AbortReasons[trace.ReasonTimeout], st.AbortReasons[trace.ReasonUser])
-	fmt.Printf("  conflict kinds    RAW=%d WAW=%d WAR=%d\n",
+	fmt.Fprintf(w, "  conflict kinds    RAW=%d WAW=%d WAR=%d\n",
 		st.AbortsByKind[0], st.AbortsByKind[1], st.AbortsByKind[2])
-	fmt.Printf("conflicts/revokes   %d / %d\n", st.Conflicts, st.Revocations)
+	fmt.Fprintf(w, "conflicts/revokes   %d / %d\n", st.Conflicts, st.Revocations)
 	if dir := sys.Placement(); dir != nil {
-		fmt.Printf("placement           %s", dir.PolicyName())
-		if dir.Kind() == repro.PlacementAdaptive {
-			fmt.Printf(": epoch %d, %d rounds, %d migrations (%d completed), %d stale NACKs (%d retries hint-steered), %d placement aborts",
-				dir.Epoch(), st.RepartitionRounds, st.Migrations, st.Handoffs, st.StaleNacks, st.StaleNackHints, st.PlacementAborts)
+		fmt.Fprintf(w, "placement           %s", dir.PolicyName())
+		if dir.Kind() != repro.PlacementHash {
+			fmt.Fprintf(w, ": epoch %d, %d rounds, %d migrations (%d completed), %d stale NACKs (%d retries hint-steered), %d placement aborts, %.1f%% remote accesses",
+				dir.Epoch(), st.RepartitionRounds, st.Migrations, st.Handoffs, st.StaleNacks, st.StaleNackHints, st.PlacementAborts,
+				100*st.RemoteAccessRatio())
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 	if len(st.NodeLoad) > 0 {
-		fmt.Printf("node load           imbalance %.2f (max/mean across %d DTM nodes)\n",
+		fmt.Fprintf(w, "node load           imbalance %.2f (max/mean across %d DTM nodes)\n",
 			st.LoadImbalance(), len(st.NodeLoad))
 	}
-	fmt.Printf("messages            %d (%.1f KB), read-lock %d, write-lock %d, release %d, early %d\n",
+	fmt.Fprintf(w, "messages            %d (%.1f KB), read-lock %d, write-lock %d, release %d, early %d\n",
 		st.Msgs, float64(st.MsgBytes)/1024, st.ReadLockReqs, st.WriteLockReqs, st.ReleaseMsgs, st.EarlyReleases)
-	fmt.Printf("wire messages       %d (%.2f avg payloads/wire msg; %d payloads coalesced into shared envelopes)\n",
+	fmt.Fprintf(w, "wire messages       %d (%.2f avg payloads/wire msg; %d payloads coalesced into shared envelopes)\n",
 		st.WireMsgs, st.PayloadsPerWireMsg(), st.CoalescedPayloads)
 	if st.Commits > 0 {
-		fmt.Printf("commit round trips  %d (%.2f awaited/commit)\n",
+		fmt.Fprintf(w, "commit round trips  %d (%.2f awaited/commit)\n",
 			st.CommitRoundTrips, float64(st.CommitRoundTrips)/float64(st.Commits))
 	}
 	if cfg.Protocol == repro.ProtocolTL2 {
-		fmt.Printf("tl2 local reads     %d (served from the local version table; zero wire traffic)\n", st.LocalReads)
-		fmt.Printf("tl2 doomed reads    %d (snapshot-staleness aborts at read time)\n", st.DoomedReads)
-		fmt.Printf("tl2 revalidations   %d", st.Revalidations)
+		fmt.Fprintf(w, "tl2 local reads     %d (served from the local version table; zero wire traffic)\n", st.LocalReads)
+		fmt.Fprintf(w, "tl2 doomed reads    %d (snapshot-staleness aborts at read time)\n", st.DoomedReads)
+		fmt.Fprintf(w, "tl2 revalidations   %d", st.Revalidations)
 		if st.Commits > 0 {
-			fmt.Printf(" (%.2f read-set stripes checked/commit)", float64(st.Revalidations)/float64(st.Commits))
+			fmt.Fprintf(w, " (%.2f read-set stripes checked/commit)", float64(st.Revalidations)/float64(st.Commits))
 		}
-		fmt.Println()
-		fmt.Printf("tl2 clock advances  %d (one global-clock tick per update commit)\n", st.ClockAdvances)
+		fmt.Fprintln(w)
+		fmt.Fprintf(w, "tl2 clock advances  %d (one global-clock tick per update commit)\n", st.ClockAdvances)
 	}
 	if sys.TxLifespans.Count() > 0 {
-		fmt.Printf("tx lifespan         %s\n", sys.TxLifespans.String())
+		fmt.Fprintf(w, "tx lifespan         %s\n", sys.TxLifespans.String())
 	}
 	if sys.CommitLatency.Count() > 0 {
-		fmt.Printf("commit latency      %s\n", sys.CommitLatency.String())
+		fmt.Fprintf(w, "commit latency      %s\n", sys.CommitLatency.String())
 	}
 	if sys.ScatterLatency.Count() > 0 {
-		fmt.Printf("scatter phase       %s\n", sys.ScatterLatency.String())
+		fmt.Fprintf(w, "scatter phase       %s\n", sys.ScatterLatency.String())
 	}
 	if sys.GatherLatency.Count() > 0 {
-		fmt.Printf("gather phase        %s\n", sys.GatherLatency.String())
+		fmt.Fprintf(w, "gather phase        %s\n", sys.GatherLatency.String())
 	}
 	if sys.RevalidateLatency.Count() > 0 {
-		fmt.Printf("tl2 revalidation    %s\n", sys.RevalidateLatency.String())
+		fmt.Fprintf(w, "tl2 revalidation    %s\n", sys.RevalidateLatency.String())
 	}
 	if sys.K != nil {
-		fmt.Printf("kernel events       %d\n", sys.K.EventsRun())
+		fmt.Fprintf(w, "kernel events       %d\n", sys.K.EventsRun())
 	}
 }
 

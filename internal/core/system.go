@@ -521,69 +521,6 @@ func (s *System) mergeNetStats() {
 	}
 }
 
-// DirStats is the process-wide directory-activity accumulator tm2c-bench
-// samples around each experiment: leaf counts sum over the runs bracketed,
-// LeafUniverse keeps the largest universe seen.
-type DirStats struct {
-	MaterializedLeaves int    `json:"materialized_leaves"`
-	LeafUniverse       int    `json:"leaf_universe"`
-	Migrations         uint64 `json:"migrations"`
-	Handoffs           uint64 `json:"handoffs"`
-	LocalAccesses      uint64 `json:"local_accesses"`
-	RemoteAccesses     uint64 `json:"remote_accesses"`
-}
-
-// Delta returns the directory activity accumulated since an earlier
-// DirSoFar sample. LeafUniverse is a gauge, not a counter: the delta keeps
-// the later sample's value.
-func (d DirStats) Delta(before DirStats) DirStats {
-	return DirStats{
-		MaterializedLeaves: d.MaterializedLeaves - before.MaterializedLeaves,
-		LeafUniverse:       d.LeafUniverse,
-		Migrations:         d.Migrations - before.Migrations,
-		Handoffs:           d.Handoffs - before.Handoffs,
-		LocalAccesses:      d.LocalAccesses - before.LocalAccesses,
-		RemoteAccesses:     d.RemoteAccesses - before.RemoteAccesses,
-	}
-}
-
-// RemoteRatio returns the remote share of clustered directory accesses, 0
-// when nothing was tracked.
-func (d DirStats) RemoteRatio() float64 {
-	if t := d.LocalAccesses + d.RemoteAccesses; t > 0 {
-		return float64(d.RemoteAccesses) / float64(t)
-	}
-	return 0
-}
-
-type dirAccum struct {
-	mu sync.Mutex
-	d  DirStats
-}
-
-var globalDir dirAccum
-
-func (g *dirAccum) add(st *Stats) {
-	g.mu.Lock()
-	g.d.MaterializedLeaves += st.MaterializedLeaves
-	if st.LeafUniverse > g.d.LeafUniverse {
-		g.d.LeafUniverse = st.LeafUniverse
-	}
-	g.d.Migrations += st.Migrations
-	g.d.Handoffs += st.Handoffs
-	g.d.LocalAccesses += st.LocalAccesses
-	g.d.RemoteAccesses += st.RemoteAccesses
-	g.mu.Unlock()
-}
-
-// DirSoFar returns the accumulated directory activity of every system run
-// in this process so far (updated at snapshot time).
-func DirSoFar() DirStats {
-	globalDir.mu.Lock()
-	defer globalDir.mu.Unlock()
-	return globalDir.d
-}
-
 // snapshot merges the per-runtime and per-node counter shards into the
 // run's Stats. It must run after the machine quiesced (kernel drained or
 // every goroutine joined), so no shard is concurrently written.
@@ -615,7 +552,6 @@ func (s *System) snapshot(d sim.Time) {
 		s.stats.LeafUniverse = s.dir.LeafUniverse()
 		s.stats.LocalAccesses, s.stats.RemoteAccesses = s.dir.AccessLocality()
 	}
-	globalDir.add(&s.stats)
 	s.assembleTrace()
 }
 

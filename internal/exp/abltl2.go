@@ -19,7 +19,8 @@ func init() {
 // round trip per first read while TL2 reads locally against the sharded
 // version clock and only talks to the DTM nodes at commit (and not at all
 // for pure readers). The wire/op column is the ablation's headline — the
-// per-read round trips simply vanish — and cmd/benchcheck gates on it.
+// per-read round trips simply vanish — and TestShapeTL2KillsReadTraffic
+// gates on it.
 func ablTL2(sc Scale, ov Overrides) []*Table {
 	accounts := sc.div(1024, 64)
 	elems := sc.div(512, 32)

@@ -6,10 +6,11 @@
 //
 // Experiments run at a configurable Scale: the Full scale uses the paper's
 // structure sizes; smaller scales shrink data structures, input sizes and
-// the measurement window so the whole suite stays cheap enough for CI and
-// `go test -bench`. Shapes (who wins, where the curves cross) are preserved
-// across scales; README "Reproducing the paper's figures" has the commands
-// and the committed BENCH_*.json files the recorded results.
+// the measurement window so the whole suite stays cheap enough for CI.
+// Shapes (who wins, where the curves cross) are preserved across scales,
+// and the claims the tables back are this package's TestShape* and
+// fingerprint tests; README "Reproducing the paper's figures" has the
+// commands.
 package exp
 
 import (
@@ -60,14 +61,13 @@ func (sc Scale) div(n, floor int) int {
 	return v
 }
 
-// Table is one rendered result grid. The first column is the x-axis. The
-// json tags define the schema of tm2c-bench's BENCH_<id>.json files.
+// Table is one rendered result grid. The first column is the x-axis.
 type Table struct {
-	ID      string     `json:"id"`
-	Title   string     `json:"title"`
-	Columns []string   `json:"columns"`
-	Rows    [][]string `json:"rows"`
-	Notes   []string   `json:"notes,omitempty"`
+	ID      string
+	Title   string
+	Columns []string
+	Rows    [][]string
+	Notes   []string
 }
 
 // AddRow appends a formatted row; cells may be strings or numbers.
@@ -156,13 +156,7 @@ func (t *Table) CSV(w io.Writer) {
 type Experiment struct {
 	ID    string
 	Title string
-	// SimOnly marks experiments Overrides.Backend does not apply to: they
-	// measure the simulator's timing model itself (fig8a's ping-pong) or
-	// execute nothing at all (the settings table). Consumers of bench
-	// results use it to attribute the numbers to the backend that actually
-	// produced them.
-	SimOnly bool
-	Run     func(Scale, Overrides) []*Table
+	Run   func(Scale, Overrides) []*Table
 }
 
 // All lists every experiment in paper order.
@@ -170,12 +164,6 @@ var All []*Experiment
 
 func register(id, title string, run func(Scale, Overrides) []*Table) {
 	All = append(All, &Experiment{ID: id, Title: title, Run: run})
-}
-
-// registerSimOnly registers an experiment that always runs on the sim
-// backend regardless of Overrides.Backend.
-func registerSimOnly(id, title string, run func(Scale, Overrides) []*Table) {
-	All = append(All, &Experiment{ID: id, Title: title, SimOnly: true, Run: run})
 }
 
 // ByID finds an experiment.
@@ -186,13 +174,4 @@ func ByID(id string) (*Experiment, bool) {
 		}
 	}
 	return nil, false
-}
-
-// IDs returns all experiment IDs in order.
-func IDs() []string {
-	ids := make([]string, len(All))
-	for i, e := range All {
-		ids[i] = e.ID
-	}
-	return ids
 }

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/core"
 )
 
 // tiny is the cheapest scale that still exercises every code path.
@@ -19,21 +21,13 @@ func TestRegistryComplete(t *testing.T) {
 		"ablbatch", "ablpoll", "ablgran", "ablplace", "ablro", "abltl2",
 		"extskip", "extirrev", "scaleplace",
 	}
-	ids := IDs()
 	for _, w := range want {
-		found := false
-		for _, id := range ids {
-			if id == w {
-				found = true
-				break
-			}
-		}
-		if !found {
+		if _, ok := ByID(w); !ok {
 			t.Errorf("experiment %q not registered", w)
 		}
 	}
-	if len(ids) != len(want) {
-		t.Errorf("registry has %d experiments, want %d (%v)", len(ids), len(want), ids)
+	if len(All) != len(want) {
+		t.Errorf("registry has %d experiments, want %d", len(All), len(want))
 	}
 }
 
@@ -143,23 +137,31 @@ func TestShapeFairCMThrottlesBalanceCore(t *testing.T) {
 // TestShapeTL2KillsReadTraffic checks the abltl2 headline at shape scale:
 // on both read-mostly workloads TL2 sends at least 60% fewer wire messages
 // per operation than the visible protocol — the per-read round trips are
-// the traffic, and TL2 deletes them.
+// the traffic, and TL2 deletes them — without losing throughput. The live
+// subtest keeps only what one run can show: TL2 reads were served locally.
 func TestShapeTL2KillsReadTraffic(t *testing.T) {
 	sc := Scale{Duration: 3 * time.Millisecond, SizeDiv: 8, Cores: []int{48}, Seed: 5}
-	tabs := ablTL2(sc, Overrides{})
-	rows := tabs[0].Rows // (visible, tl2) row pairs per workload
-	if len(rows) == 0 || len(rows)%2 != 0 {
-		t.Fatalf("abltl2 produced %d rows, want non-empty pairs", len(rows))
-	}
-	for i := 0; i+1 < len(rows); i += 2 {
-		if rows[i][1] != "visible" || rows[i+1][1] != "tl2" {
-			t.Fatalf("row pair %d is (%s, %s), want (visible, tl2)", i, rows[i][1], rows[i+1][1])
-		}
-		visWire, tl2Wire := parse(t, rows[i][3]), parse(t, rows[i+1][3])
-		if tl2Wire > 0.4*visWire {
-			t.Errorf("%s: tl2 wire/op %v vs visible %v: reduction below 60%%",
-				rows[i][0], tl2Wire, visWire)
-		}
+	for _, be := range backends {
+		t.Run(be.name, func(t *testing.T) {
+			tab := ablTL2(sc, be.ov)[0]
+			for _, w := range []string{"bank-zipf", "intset-lookup"} {
+				vis := rowWhere(t, tab, "workload", w, "protocol", "visible")
+				tl2 := rowWhere(t, tab, "workload", w, "protocol", "tl2")
+				if be.live {
+					if rd := num(t, tab, tl2, "local rd/op"); rd <= 0 {
+						t.Errorf("%s: tl2 served %v local reads per op, want > 0", w, rd)
+					}
+					continue
+				}
+				visWire, tl2Wire := num(t, tab, vis, "wire/op"), num(t, tab, tl2, "wire/op")
+				if visWire <= 0 || tl2Wire > 0.4*visWire {
+					t.Errorf("%s: tl2 wire/op %v vs visible %v: reduction below 60%%", w, tl2Wire, visWire)
+				}
+				if visTput, tl2Tput := num(t, tab, vis, "ops/ms"), num(t, tab, tl2, "ops/ms"); tl2Tput < visTput {
+					t.Errorf("%s: tl2 throughput %v ops/ms below visible %v", w, tl2Tput, visTput)
+				}
+			}
+		})
 	}
 }
 
@@ -195,36 +197,152 @@ func parse(t *testing.T, s string) float64 {
 	return v
 }
 
+// backends is the table the claim tests that gate both backends run over.
+// A live row is a few wall-clock milliseconds of 48 goroutines on however
+// many CPUs the host has, so live subtests assert only quantities computed
+// within one run; comparing two such rows is bench/'s job (15 s windows).
+var backends = []struct {
+	name string
+	live bool
+	ov   Overrides
+}{
+	{name: "sim"},
+	{name: "live", live: true, ov: Overrides{Sys: func(c *core.Config) { c.Backend = core.BackendLive }}},
+}
+
+// colIndex finds a column by name, so a reordered table fails loudly
+// instead of comparing the wrong cells.
+func colIndex(t *testing.T, tab *Table, col string) int {
+	t.Helper()
+	for i, c := range tab.Columns {
+		if c == col {
+			return i
+		}
+	}
+	t.Fatalf("table %s has no %q column (have %v)", tab.ID, col, tab.Columns)
+	return -1
+}
+
+// num parses the cell of row under the named column.
+func num(t *testing.T, tab *Table, row []string, col string) float64 {
+	t.Helper()
+	return parse(t, row[colIndex(t, tab, col)])
+}
+
+// rowWhere returns the one row whose cells equal every (column, value) pair.
+func rowWhere(t *testing.T, tab *Table, kv ...string) []string {
+	t.Helper()
+	var found []string
+	for _, row := range tab.Rows {
+		match := true
+		for i := 0; i+1 < len(kv); i += 2 {
+			match = match && row[colIndex(t, tab, kv[i])] == kv[i+1]
+		}
+		if match {
+			if found != nil {
+				t.Fatalf("table %s: more than one row matches %v", tab.ID, kv)
+			}
+			found = row
+		}
+	}
+	if found == nil {
+		t.Fatalf("table %s: no row matches %v", tab.ID, kv)
+	}
+	return found
+}
+
 // TestShapeCoalescingRecoversBatchingWin checks the ablbatch headline: with
 // protocol batching off, transport coalescing must cut wire messages by at
 // least 20% on the contended scatter-write workload (the acceptance bar of
 // the message-plane refactor), and with protocol batching on it must not
 // inflate them by more than noise — while adaptive flush must make the
 // coalescing transport WIN on that plane, where plain coalescing finds
-// nothing left to merge.
+// nothing left to merge. The live subtest keeps the structural form of the
+// 20% bar: 1 - 1/(payloads per wire message) is exactly the share of wire
+// messages the envelopes of that one run absorbed.
 func TestShapeCoalescingRecoversBatchingWin(t *testing.T) {
 	sc := Scale{Duration: 2 * time.Millisecond, SizeDiv: 8, Cores: []int{8}, Seed: 5}
-	tabs := ablBatch(sc, Overrides{})
-	rows := tabs[0].Rows // (batching, mode) grid: on x off/on/adaptive, off x off/on/adaptive
-	if len(rows) != 6 {
-		t.Fatalf("ablbatch grid has %d rows, want 6", len(rows))
+	for _, be := range backends {
+		t.Run(be.name, func(t *testing.T) {
+			grid := ablBatch(sc, be.ov)[0]
+			if len(grid.Rows) != 6 {
+				t.Fatalf("ablbatch grid has %d rows, want 6 (batching on/off x coalesce off/on/adaptive)", len(grid.Rows))
+			}
+			cell := func(batching, mode, col string) float64 {
+				return num(t, grid, rowWhere(t, grid, "batching", batching, "coalesce", mode), col)
+			}
+			if ppw := cell("off", "on", "payloads/wire"); ppw < 1.25 {
+				t.Errorf("batching off + coalesce: payloads/wire = %.3f, want >= 1.25 (>= 20%% of wire messages absorbed)", ppw)
+			}
+			if be.live {
+				return
+			}
+			for _, col := range []string{"wire msgs", "wire/op"} {
+				batchedOff, batchedOn, batchedAdpt := cell("on", "off", col), cell("on", "on", col), cell("on", "adaptive", col)
+				plainOff, plainOn, plainAdpt := cell("off", "off", col), cell("off", "on", col), cell("off", "adaptive", col)
+				if plainOn > 0.8*plainOff {
+					t.Errorf("batching off: coalescing %s %v vs %v — want >= 20%% reduction", col, plainOn, plainOff)
+				}
+				if batchedOn > 1.05*batchedOff {
+					t.Errorf("batching on: coalescing inflated %s %v vs %v", col, batchedOn, batchedOff)
+				}
+				if batchedAdpt >= batchedOff {
+					t.Errorf("batching on: adaptive flush %s %v vs %v uncoalesced — the deferral must win this plane", col, batchedAdpt, batchedOff)
+				}
+				if plainAdpt >= plainOn {
+					t.Errorf("batching off: adaptive flush %s %v vs %v plain coalescing — deferral found nothing extra to merge", col, plainAdpt, plainOn)
+				}
+			}
+		})
 	}
-	batchedOff, batchedOn, batchedAdpt := parse(t, rows[0][3]), parse(t, rows[1][3]), parse(t, rows[2][3])
-	plainOff, plainOn, plainAdpt := parse(t, rows[3][3]), parse(t, rows[4][3]), parse(t, rows[5][3])
-	if plainOn > 0.8*plainOff {
-		t.Errorf("batching off: coalescing sent %.0f wire msgs vs %.0f — want >= 20%% reduction", plainOn, plainOff)
-	}
-	if batchedOn > 1.05*batchedOff {
-		t.Errorf("batching on: coalescing inflated wire msgs %.0f vs %.0f", batchedOn, batchedOff)
-	}
-	if batchedAdpt >= batchedOff {
-		t.Errorf("batching on: adaptive flush sent %.0f wire msgs vs %.0f uncoalesced — the deferral must win this plane", batchedAdpt, batchedOff)
-	}
-	if plainAdpt >= plainOn {
-		t.Errorf("batching off: adaptive flush sent %.0f wire msgs vs %.0f plain coalescing — deferral found nothing extra to merge", plainAdpt, plainOn)
-	}
-	// payloads/wire must exceed 1 exactly where merging happens.
-	if ppw := parse(t, rows[4][5]); ppw <= 1.1 {
-		t.Errorf("batching off + coalesce: payloads/wire = %.3f, want > 1.1", ppw)
+}
+
+// TestShapeHierPlacementAtScale checks the scaleplace claims on a fresh
+// run: the hierarchical directory materializes far fewer leaves than the
+// universe a flat table would scan, and on the Zipf rows hier holds hash's
+// throughput while pulling the remote-access share below flat adaptive's,
+// with bounded node imbalance and wire traffic. Live keeps leaves vs
+// universe, the one claim that does not compare two rows.
+//
+// The sim run is Quick at seed 1, the configuration CI always gated. At
+// this size the two row comparisons sit inside seed-to-seed variation
+// (seeds 1-8: the remote-share ordering holds on 6, the throughput ratio on
+// 7; at the Default scale both hold on all 8), so they are a pinned
+// regression check: if a deliberate behaviour change flips one here, read
+// `tm2c-bench -run scaleplace` at the default scale before believing it.
+// The seed-independent form of the co-mapping claim is core's comap test.
+func TestShapeHierPlacementAtScale(t *testing.T) {
+	for _, be := range backends {
+		t.Run(be.name, func(t *testing.T) {
+			tab := scalePlace(Quick, be.ov)[0]
+			for _, skew := range []string{"uniform", "zipf-0.99"} {
+				hier := rowWhere(t, tab, "skew", skew, "policy", "hier")
+				if leaves, univ := num(t, tab, hier, "leaves"), num(t, tab, hier, "leaf universe"); univ <= 0 || 10*leaves >= univ {
+					t.Errorf("%s: hier materialized %v leaves of a %v-leaf universe (not ≪)", skew, leaves, univ)
+				}
+			}
+			if be.live {
+				return
+			}
+			for _, row := range tab.Rows {
+				skew, policy := row[colIndex(t, tab, "skew")], row[colIndex(t, tab, "policy")]
+				if w := num(t, tab, row, "wire/op"); w > 30 {
+					t.Errorf("%s %s: wire/op %v, want <= 30", skew, policy, w)
+				}
+				if imb := num(t, tab, row, "node imbalance"); policy != "hash" && imb > 2 {
+					t.Errorf("%s %s: node imbalance %v, want <= 2", skew, policy, imb)
+				}
+			}
+			// Uniform rows are informational: every policy converges.
+			hash := rowWhere(t, tab, "skew", "zipf-0.99", "policy", "hash")
+			flat := rowWhere(t, tab, "skew", "zipf-0.99", "policy", "adaptive")
+			hier := rowWhere(t, tab, "skew", "zipf-0.99", "policy", "hier")
+			if h, r := num(t, tab, hash, "ops/ms"), num(t, tab, hier, "ops/ms"); r < 0.9*h {
+				t.Errorf("zipf: hier %v ops/ms below 0.9x hash %v", r, h)
+			}
+			if f, r := num(t, tab, flat, "remote %"), num(t, tab, hier, "remote %"); r >= f {
+				t.Errorf("zipf: hier remote share %v%% not below flat adaptive's %v%%", r, f)
+			}
+		})
 	}
 }

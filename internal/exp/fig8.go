@@ -13,7 +13,7 @@ import (
 )
 
 func init() {
-	registerSimOnly("fig8a", "Round-trip message latency vs cores (SCC, SCC800, Opteron)", fig8a)
+	register("fig8a", "Round-trip message latency vs cores (SCC, SCC800, Opteron)", fig8a)
 	register("fig8b", "Bank on many-core vs multi-core", fig8b)
 	register("fig8c", "Linked list on many-core vs multi-core", fig8c)
 	register("fig8d", "Hash table on many-core vs multi-core", fig8d)

@@ -7,7 +7,7 @@ import (
 )
 
 func init() {
-	registerSimOnly("settings", "SCC performance settings table (§5.1) and derived model parameters", settingsTable)
+	register("settings", "SCC performance settings table (§5.1) and derived model parameters", settingsTable)
 }
 
 func settingsTable(Scale, Overrides) []*Table {

@@ -183,8 +183,11 @@ func TestWriteChrome(t *testing.T) {
 	for _, ev := range parsed.TraceEvents {
 		name, _ := ev["name"].(string)
 		ph, _ := ev["ph"].(string)
-		if _, ok := ev["ts"]; !ok && ph != "M" {
-			t.Fatalf("event without ts: %v", ev)
+		if !strings.Contains("XisfM", ph) || len(ph) != 1 {
+			t.Fatalf("event with unknown phase type %q: %v", ph, ev)
+		}
+		if ts, ok := ev["ts"].(float64); (!ok || ts < 0) && ph != "M" {
+			t.Fatalf("event with missing or negative ts: %v", ev)
 		}
 		if args, ok := ev["args"].(map[string]any); ok && ph == "X" {
 			if args["outcome"] == "abort" && args["reason"] == "conflict" {

@@ -41,9 +41,12 @@
 // Declared read-only transactions (Runtime.RunReadOnly/AtomicReadOnly) skip
 // the whole commit-time write machinery and serialize at their last read.
 //
-// Time inside a System is virtual: Run executes the workload on a
-// deterministic discrete-event simulation of the target platform, so results
-// are reproducible bit-for-bit for a given Config.Seed.
+// Config.Backend picks where a System runs. On the default sim backend time
+// is virtual: Run executes the workload on a deterministic discrete-event
+// simulation of the target platform, so results are reproducible bit-for-bit
+// for a given Config.Seed. On the live and net backends the same protocol
+// runs on real goroutines (net: spread over OS processes), durations are
+// wall-clock and runs are not reproducible.
 //
 // See README.md: "Architecture" for the layers, "Reproducing the paper's
 // figures" and "Ablations beyond the paper" for the experiments.
