@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-
+	"slices"
 	"time"
 
 	"repro/internal/cm"
@@ -38,8 +38,9 @@ type dtmNode struct {
 	// Drained-stripe scan gate (maybeHandoffs): the directory freeze
 	// generation covered by the last tryHandoffs scan, and whether the lock
 	// table has shrunk since (release, early release, or revocation).
-	handoffGen uint64
-	shrunk     bool
+	handoffGen  uint64
+	shrunk      bool
+	heldScratch []bool // tryHandoffs: pending stripe i still holds a lock
 
 	// acqScratch accumulates the addresses a write-lock batch has acquired
 	// so far, for rollback on a mid-batch conflict. Serving is single-
@@ -170,13 +171,15 @@ func (n *dtmNode) switchIn(p port.Port) {
 // frozen stripe keeps its owner marked pending until completion) and the
 // per-key scan is skipped. That covers all traffic outside migration
 // windows.
+// All reads come from one snapshot, taken after this node's own handoffs: a
+// freeze another core publishes meanwhile is seen by every read or by none.
 func (n *dtmNode) placeOK(epoch uint64, keys ...mem.Addr) bool {
-	dir := n.s.dir
 	n.maybeHandoffs()
-	if epoch == dir.Epoch() && !dir.HasPending(n.idx) {
+	v := n.s.dir.Snapshot()
+	if epoch == v.Epoch() && !v.HasPending(n.idx) {
 		return true
 	}
-	return dir.ValidFor(n.idx, keys...)
+	return v.ValidFor(n.idx, keys...)
 }
 
 // maybeHandoffs runs the drained-stripe scan only when a frozen stripe
@@ -186,36 +189,39 @@ func (n *dtmNode) placeOK(epoch uint64, keys ...mem.Addr) bool {
 // gate, every request arriving during a migration window would pay a full
 // O(lock-table) scan.
 func (n *dtmNode) maybeHandoffs() {
-	dir := n.s.dir
-	if !dir.HasPending(n.idx) {
+	v := n.s.dir.Snapshot()
+	if !v.HasPending(n.idx) {
 		n.shrunk = false
 		return
 	}
-	gen := dir.FreezeGen(n.idx)
+	gen := v.FreezeGen(n.idx)
 	if !n.shrunk && gen == n.handoffGen {
 		return
 	}
 	n.handoffGen = gen
 	n.shrunk = false
-	n.tryHandoffs()
+	n.tryHandoffs(v.PendingFor(n.idx))
 }
 
 // tryHandoffs completes every pending outgoing migration whose stripe holds
 // no live lock in this node's table, in one pass over the table: ownership
 // flips in the directory and subsequent resolutions return the new owner.
-// Nothing is copied — a drained stripe has no lock state to move.
-func (n *dtmNode) tryHandoffs() {
+// Nothing is copied — a drained stripe has no lock state to move. pending is
+// this node's frozen stripes, ascending, from the caller's snapshot.
+func (n *dtmNode) tryHandoffs(pending []int) {
 	dir := n.s.dir
-	pending := dir.PendingFor(n.idx)
-	held := make(map[int]bool, len(pending))
+	held := append(n.heldScratch[:0], make([]bool, len(pending))...)
 	n.table.ForEach(func(a mem.Addr) {
-		held[dir.StripeOf(a)] = true
+		if i, ok := slices.BinarySearch(pending, dir.StripeOf(a)); ok {
+			held[i] = true
+		}
 	})
-	for _, stripe := range pending {
-		if !held[stripe] {
+	for i, stripe := range pending {
+		if !held[i] {
 			dir.CompleteHandoff(stripe)
 		}
 	}
+	n.heldScratch = held
 }
 
 // nackStale rejects a lock request whose placement resolution went stale.
@@ -230,10 +236,11 @@ func (n *dtmNode) nackStale(p port.Port, reply port.Port, replyTo int, reqID uin
 	resp := getRespLock()
 	resp.ReqID = reqID
 	resp.Stale = true
-	resp.NackEpoch = n.s.dir.Epoch()
+	v := n.s.dir.Snapshot()
+	resp.NackEpoch = v.Epoch()
 	resp.NackOwner = -1
 	if len(keys) == 1 {
-		resp.NackOwner = n.s.dir.Owner(keys[0])
+		resp.NackOwner = v.Owner(keys[0])
 	}
 	n.emit(p, trace.KLockStale, 0, trace.FlowID(replyTo, reqID), resp.NackEpoch, uint64(resp.NackOwner+1))
 	n.respond(p, reply, replyTo, resp)

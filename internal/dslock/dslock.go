@@ -39,6 +39,8 @@ type Table struct {
 	// tables drain back to empty after every transaction, so without reuse
 	// each acquire/release cycle would allocate a fresh entry.
 	free []*entry
+	// conf is the scratch behind every ReadConflict/WriteConflict result.
+	conf Conflict
 
 	// Stats.
 	Grants, Conflicts uint64
@@ -54,6 +56,10 @@ func (t *Table) Size() int { return len(t.locks) }
 
 // Conflict describes why a request cannot be granted: the conflict kind and
 // the metadata of every enemy transaction, for the contention manager.
+//
+// ReadConflict and WriteConflict return one table-owned Conflict and reuse
+// its Enemies: valid only until the next such call on the table. Enemies is
+// a copy, so revoking the listed locks while iterating it is safe.
 type Conflict struct {
 	Kind    cm.Kind
 	Enemies []cm.Meta
@@ -67,7 +73,8 @@ func (t *Table) ReadConflict(addr mem.Addr, req cm.Meta) *Conflict {
 	if e == nil || e.writer == nil || e.writer.Core == req.Core {
 		return nil
 	}
-	return &Conflict{Kind: cm.RAW, Enemies: []cm.Meta{*e.writer}}
+	t.conf = Conflict{cm.RAW, append(t.conf.Enemies[:0], *e.writer)}
+	return &t.conf
 }
 
 // WriteConflict checks a write-lock request by req. It returns nil if the
@@ -79,16 +86,18 @@ func (t *Table) WriteConflict(addr mem.Addr, req cm.Meta) *Conflict {
 		return nil
 	}
 	if e.writer != nil && e.writer.Core != req.Core {
-		return &Conflict{Kind: cm.WAW, Enemies: []cm.Meta{*e.writer}}
+		t.conf = Conflict{cm.WAW, append(t.conf.Enemies[:0], *e.writer)}
+		return &t.conf
 	}
-	var enemies []cm.Meta
+	enemies := t.conf.Enemies[:0]
 	for _, r := range e.readers {
 		if r.Core != req.Core {
 			enemies = append(enemies, r)
 		}
 	}
 	if len(enemies) > 0 {
-		return &Conflict{Kind: cm.WAR, Enemies: enemies}
+		t.conf = Conflict{cm.WAR, enemies}
+		return &t.conf
 	}
 	return nil
 }

@@ -74,6 +74,35 @@ func TestWriteLockWARConflict(t *testing.T) {
 	}
 }
 
+// TestConflictScanAllocFree pins the table-owned scratch behind the conflict
+// results: a WAR scan over a populated reader set allocates nothing, and its
+// Enemies are a copy — revoking them while iterating (what the DTM node's
+// abortEnemies does) neither skips nor repeats an enemy.
+func TestConflictScanAllocFree(t *testing.T) {
+	tab := NewTable()
+	const a mem.Addr = 7
+	for c := 0; c < 16; c++ {
+		tab.AddReader(a, meta(c, uint64(c)))
+	}
+	req := meta(99, 100)
+	if n := testing.AllocsPerRun(100, func() {
+		if c := tab.WriteConflict(a, req); c == nil || len(c.Enemies) != 16 {
+			t.Fatalf("want 16 WAR enemies, got %+v", c)
+		}
+	}); n != 0 {
+		t.Errorf("WriteConflict allocates %.1f times per scan, want 0", n)
+	}
+	revoked := 0
+	for _, e := range tab.WriteConflict(a, req).Enemies {
+		if tab.Revoke(a, e.Core, e.TxID) {
+			revoked++
+		}
+	}
+	if revoked != 16 || tab.WriteConflict(a, req) != nil {
+		t.Fatalf("revoked %d of 16 enemies while iterating the scan result", revoked)
+	}
+}
+
 func TestWAWCheckedBeforeWAR(t *testing.T) {
 	// Algorithm 2 checks the writer first, then the readers.
 	tab := NewTable()

@@ -18,21 +18,22 @@ import (
 
 	"repro/internal/cm"
 	"repro/internal/core"
+	"repro/internal/placement"
 )
 
 // measureLiveAllocs runs the given per-transaction body on every app core
-// (disjoint key ranges) and returns the average heap allocations per
-// committed transaction over the measured window.
-func measureLiveAllocs(t *testing.T, proto core.Protocol, coalesce bool, slotsPerWorker int, body func(tx *core.Tx, a core.TArray[uint64], base, n int)) float64 {
+// (disjoint key ranges) of a system configured by tune and returns the
+// average heap allocations per committed transaction over the measured
+// window, after warmup transactions per worker.
+func measureLiveAllocs(t *testing.T, tune func(*core.Config), slotsPerWorker, warmup int, body func(tx *core.Tx, a core.TArray[uint64], base, n int)) float64 {
 	t.Helper()
 	cfg := core.Config{
 		Backend:    core.BackendLive,
 		Seed:       7,
 		TotalCores: 8,
 		Policy:     cm.FairCM,
-		Coalesce:   coalesce,
-		Protocol:   proto,
 	}
+	tune(&cfg)
 	s, err := core.NewSystem(cfg)
 	if err != nil {
 		t.Fatalf("NewSystem: %v", err)
@@ -40,7 +41,6 @@ func measureLiveAllocs(t *testing.T, proto core.Protocol, coalesce bool, slotsPe
 	workers := s.NumAppCores()
 	accts := core.NewTArray(s, core.Uint64Codec(), workers*slotsPerWorker, 100)
 
-	const warmup = 400
 	const measured = 600
 	var m1, m2 runtime.MemStats
 	s.SpawnWorkers(func(rt *core.Runtime) {
@@ -101,12 +101,16 @@ func readMostlyBody(tx *core.Tx, a core.TArray[uint64], base, n int) {
 // 10+ allocs per commit on these workloads before pooling.
 const liveAllocBudget = 0.5
 
+// liveWarmup is the per-worker warm-up that fills the message-plane pools.
+const liveWarmup = 400
+
 func TestLiveCommitAllocationFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates on otherwise allocation-free paths")
 	}
 	bothPlanes(t, func(t *testing.T, coalesce bool) {
-		got := measureLiveAllocs(t, core.ProtocolVisible, coalesce, 2, transferBody)
+		tune := func(c *core.Config) { c.Coalesce = coalesce }
+		got := measureLiveAllocs(t, tune, 2, liveWarmup, transferBody)
 		t.Logf("visible commit: %.2f allocs/tx", got)
 		if got > liveAllocBudget {
 			t.Errorf("visible commit hot path allocates %.2f objects/tx, budget %.1f", got, liveAllocBudget)
@@ -119,10 +123,51 @@ func TestLiveTL2ReadAllocationFree(t *testing.T) {
 		t.Skip("race-detector instrumentation allocates on otherwise allocation-free paths")
 	}
 	bothPlanes(t, func(t *testing.T, coalesce bool) {
-		got := measureLiveAllocs(t, core.ProtocolTL2, coalesce, 8, readMostlyBody)
+		tune := func(c *core.Config) { c.Coalesce, c.Protocol = coalesce, core.ProtocolTL2 }
+		got := measureLiveAllocs(t, tune, 8, liveWarmup, readMostlyBody)
 		t.Logf("TL2 read-mostly commit: %.2f allocs/tx", got)
 		if got > liveAllocBudget {
 			t.Errorf("TL2 read-mostly hot path allocates %.2f objects/tx, budget %.1f", got, liveAllocBudget)
 		}
 	})
+}
+
+// TestLivePlaceHierAllocationFree is the placement half of the same claim,
+// on live-place-hier's shape: hier placement with a 1024-access epoch over
+// keys spread so widely (2^20 words per worker, 4096 directory leaves each)
+// that nearly every lock request splits a leaf and nearly every epoch
+// merges it away again. The directory recycles those leaves and its epoch
+// scratch, so once the leaf pool has reached its working size (a warm-up
+// of a few dozen epochs) the transfer allocates no more than it does under
+// the static hash.
+func TestLivePlaceHierAllocationFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates on otherwise allocation-free paths")
+	}
+	const slots = 1 << 20
+	var next [64]struct {
+		n uint64
+		_ [56]byte // workers bump their own counter only; keep them off each other's line
+	}
+	// A stride coprime to the slot count walks a worker's range one leaf or
+	// more at a time without ever pairing an account with itself.
+	spread := func(tx *core.Tx, a core.TArray[uint64], base, n int) {
+		c := &next[base/n]
+		from := base + int(c.n*7919%uint64(n))
+		to := base + int((c.n*7919+524287)%uint64(n))
+		c.n++
+		f := a.Get(tx, from)
+		v := a.Get(tx, to)
+		a.Set(tx, from, f-1)
+		a.Set(tx, to, v+1)
+	}
+	tune := func(c *core.Config) {
+		c.Placement = placement.AdaptiveHier
+		c.RepartitionEpoch = 1024
+	}
+	got := measureLiveAllocs(t, tune, slots, 8000, spread)
+	t.Logf("hier-placed transfer: %.3f allocs/tx", got)
+	if got > 0.1 {
+		t.Errorf("hier placement hot path allocates %.3f objects/tx, budget 0.1", got)
+	}
 }

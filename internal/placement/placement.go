@@ -4,7 +4,7 @@
 //
 // TM2C (§3.2) fixes this mapping to a static multiplicative hash, which
 // balances load only under uniform access. This package makes placement a
-// first-class subsystem behind a Policy interface with three strategies:
+// first-class subsystem with three strategies:
 //
 //   - Hash: the paper's static multiplicative hash (the default);
 //   - Adaptive: a per-stripe ownership table that tracks access counts per
@@ -23,20 +23,42 @@
 // at large universes, coarsening migration in ways that were impossible to
 // diagnose).
 //
+// # Two planes
+//
+// The paper resolves an address with a pure function no core shares state
+// over. The directory keeps that property by splitting its state in two:
+//
+//   - The ownership plane is one immutable snapshot — the remap epoch, an
+//     override for every stripe that is frozen or off its default owner, the
+//     per-node frozen lists and freeze generations — behind one atomic
+//     pointer. Every ownership read (Owner, Resolve, Epoch, HasPending,
+//     PendingFor, ValidFor, ...) loads the pointer and takes no lock under
+//     any policy; under Hash the snapshot is never replaced at all. Only
+//     InitiateMove and CompleteHandoff change ownership, copy-on-write, at
+//     most 2·MaxMoves times per epoch and never per access.
+//   - The heat plane — access counts, affinity votes, locality accounting
+//     and the epoch evaluation that turns them into migrations — is guarded
+//     by the directory mutex, which Record and the two writers take.
+//
+// The one memory-ordering rule: a snapshot is fully built before it is
+// published and never written afterwards, so a reader sees a freeze or a
+// handoff entirely or not at all, and Resolve — owner and epoch from the
+// same snapshot — cannot pair an old owner with a new epoch.
+//
 // # Hierarchical storage
 //
 // A universe sized for millions of objects makes flat per-stripe arrays an
-// O(universe) cost paid on every epoch. The adaptive directory therefore
-// stores its ownership table hierarchically: the universe is divided into
-// super-stripes of LeafStripes leaf stripes, and a super-stripe is
-// materialized into a leaf — per-stripe owner/pending/count/affinity arrays
-// — only when one of its stripes is first recorded or frozen (a split).
-// Unmaterialized stripes implicitly carry the interleaved default owner
-// (stripe mod Nodes) and a zero count, so resolution never needs the leaf.
-// Epoch decay, repartition scans and invariant checks walk only the
-// materialized leaves; a leaf whose counts have decayed to zero, with no
-// frozen stripe and every owner back at the default, is merged away
-// (dematerialized). Directory work is thus O(touched), not O(universe).
+// O(universe) cost paid on every epoch. The heat plane is therefore stored
+// hierarchically: the universe is divided into super-stripes of LeafStripes
+// leaf stripes, and a super-stripe is materialized into a leaf — per-stripe
+// count/affinity arrays — only when one of its stripes is first recorded or
+// frozen (a split). Unmaterialized stripes carry a zero count, and a stripe
+// without an override the interleaved default owner (stripe mod Nodes), so
+// resolution never needs the leaf. Epoch decay and repartition scans walk
+// only the materialized leaves; a leaf whose counts have decayed to zero,
+// with no frozen stripe and every owner back at the default, is merged away
+// and its arrays recycled for the next split. Directory work is thus
+// O(touched), not O(universe), and steady-state recording allocates nothing.
 //
 // # Migration protocol
 //
@@ -56,15 +78,19 @@
 //     re-resolution.
 //
 // Ownership is therefore never lost or duplicated: at every epoch each key
-// has exactly one owner, and only that owner can grant its locks. The
-// directory is plain bookkeeping driven by the simulator's event loop, so
-// it stays deterministic like everything else in the system.
+// has exactly one owner, and only that owner can grant its locks. On the
+// simulation backend the directory is plain bookkeeping driven by the event
+// loop, so it stays deterministic like everything else in the system.
 package placement
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/mem"
 )
@@ -215,42 +241,80 @@ const (
 	TraceHandoff
 )
 
-// leaf is one materialized super-stripe: per-stripe adaptive state for
-// LeafStripes consecutive leaf stripes. Everything in it is guarded by the
-// directory mutex.
+// leaf is one materialized super-stripe of the heat plane, guarded by the
+// directory mutex. Ownership is not stored here: frozen and moved count the
+// snapshot's overrides that fall in the leaf's range, for the merge rule.
 type leaf struct {
-	owner   []int32  // stripe -> owning node
-	pending []int32  // stripe -> migration target, -1 when none
-	counts  []uint64 // stripe -> accesses in the current epoch window
-	aff     []uint64 // stripe -> packed accessor-affinity vote (co-mapping)
-	total   uint64   // sum of counts (the super-stripe heat aggregate)
-	frozen  int      // stripes with a pending migration
-	moved   int      // stripes whose owner differs from the default formula
+	counts []uint32 // stripe -> accesses in the current epoch window (saturating)
+	aff    []uint64 // stripe -> packed accessor-affinity vote (co-mapping); nil unclustered
+	total  uint64   // sum of counts (the super-stripe heat aggregate)
+	frozen int      // stripes with a pending migration
+	moved  int      // stripes whose owner differs from the default formula
+}
+
+// override is a stripe that is frozen, off its default owner, or both.
+type override struct {
+	stripe  int
+	owner   int32
+	pending int32 // migration target, -1 when none
+}
+
+// ownership is one snapshot of the ownership plane, immutable once
+// published: fields read through one loaded pointer are mutually consistent.
+type ownership struct {
+	epoch     uint64
+	over      []override // ascending by stripe
+	frozen    [][]int    // node -> frozen stripes it still owns, ascending
+	freezeGen []uint64   // node -> freezes ever initiated on its stripes
+}
+
+// find returns the index of stripe s's override, or where to insert one.
+func (o *ownership) find(s int) (int, bool) {
+	return slices.BinarySearchFunc(o.over, s, func(ov override, s int) int { return cmp.Compare(ov.stripe, s) })
+}
+
+// next starts the successor snapshot: epoch bumped, per-node tables copied;
+// the writer replaces the overrides and the one frozen list it changes.
+func (o *ownership) next() *ownership {
+	return &ownership{
+		epoch:     o.epoch + 1,
+		over:      o.over,
+		frozen:    slices.Clone(o.frozen),
+		freezeGen: slices.Clone(o.freezeGen),
+	}
 }
 
 // Directory owns the key→node mapping and drives the epoch-numbered remap
-// protocol. Methods are safe for concurrent use: a mutex linearizes every
-// resolution, record and migration step. On the single-threaded simulation
-// backend the lock is uncontended and changes nothing; on the live backend
-// it is what keeps the ownership invariants (one owner per stripe, grants
-// only from the owner) intact under real goroutine concurrency.
+// protocol. Methods are safe for concurrent use: ownership reads go through
+// the atomically published snapshot and never block; Record and the two
+// ownership writers (InitiateMove, CompleteHandoff) serialize on the mutex.
+// On the live backend the snapshot is what keeps the ownership invariants
+// (one owner per stripe, grants only from the owner) intact under real
+// goroutine concurrency without a lock on every lock request.
 type Directory struct {
 	cfg Config
-	pol Policy
 
 	stripesPerRegion int // leaf stripes per region
 	totalStripes     int // leaf-stripe universe size
 	leafShift        uint
 	numLeaves        int // super-stripe universe size
 
+	// own is the ownership plane: loaded lock-free by every reader, stored
+	// only with mu held and only with a fully built snapshot.
+	own atomic.Pointer[ownership]
+
+	// mu guards the heat plane (below) and serializes the ownership writers.
 	mu        sync.Mutex
-	epoch     uint64
 	leaves    map[int]*leaf // super-stripe -> materialized leaf (adaptive only)
 	leafOrder []int         // materialized super-stripes, ascending
-	frozen    [][]int       // node -> frozen stripes it still owns, ascending
-	freezeGen []uint64      // node -> freezes ever initiated on its stripes
 	accesses  uint64
 	nextEval  uint64
+
+	// Recycled so steady-state Record and evaluate allocate nothing: merged
+	// leaves (never more than the peak materialized at once), epoch scratch.
+	freeLeaves []*leaf
+	load       []uint64
+	moves      []Move
 
 	// Locality accounting (Clusters set): recorded accesses whose owner
 	// node shares / does not share the accessor's cluster, cumulative and
@@ -286,7 +350,7 @@ func New(cfg Config) (*Directory, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
-	d := &Directory{cfg: cfg, pol: policyFor(cfg.Kind), nextEval: uint64(cfg.EvalEvery)}
+	d := &Directory{cfg: cfg, nextEval: uint64(cfg.EvalEvery)}
 	d.stripesPerRegion = int((cfg.RegionWords + uint64(cfg.Span) - 1) / uint64(cfg.Span))
 	d.totalStripes = d.stripesPerRegion * cfg.Regions
 	for 1<<d.leafShift < cfg.LeafStripes {
@@ -295,9 +359,10 @@ func New(cfg Config) (*Directory, error) {
 	d.numLeaves = (d.totalStripes + cfg.LeafStripes - 1) / cfg.LeafStripes
 	if cfg.Kind == Adaptive || cfg.Kind == AdaptiveHier {
 		d.leaves = make(map[int]*leaf)
-		d.frozen = make([][]int, cfg.Nodes)
-		d.freezeGen = make([]uint64, cfg.Nodes)
+		d.load = make([]uint64, cfg.Nodes)
 	}
+	// Under Hash this first snapshot — epoch 0, nothing frozen — is the last.
+	d.own.Store(&ownership{frozen: make([][]int, cfg.Nodes), freezeGen: make([]uint64, cfg.Nodes)})
 	return d, nil
 }
 
@@ -305,7 +370,7 @@ func New(cfg Config) (*Directory, error) {
 func (d *Directory) Kind() Kind { return d.cfg.Kind }
 
 // PolicyName returns the active policy's name.
-func (d *Directory) PolicyName() string { return d.pol.Name() }
+func (d *Directory) PolicyName() string { return d.cfg.Kind.String() }
 
 // Nodes returns the number of DTM nodes.
 func (d *Directory) Nodes() int { return d.cfg.Nodes }
@@ -346,13 +411,6 @@ func (d *Directory) RemoteHistory() []float64 {
 	return append([]float64(nil), d.remoteHist...)
 }
 
-// Epoch returns the current remap epoch. Static policies stay at 0.
-func (d *Directory) Epoch() uint64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.epoch
-}
-
 func (d *Directory) adaptive() bool { return d.leaves != nil }
 
 func (d *Directory) clustered() bool { return d.cfg.Clusters != nil }
@@ -376,93 +434,104 @@ func (d *Directory) StripeOf(key mem.Addr) int {
 // KeyInStripe reports whether key belongs to stripe s.
 func (d *Directory) KeyInStripe(key mem.Addr, s int) bool { return d.StripeOf(key) == s }
 
-// defaultOwner is the implicit owner of an unmaterialized stripe: the
+// defaultOwner is the implicit owner of a stripe without an override: the
 // interleaved start assignment (consecutive stripes round-robin across the
 // nodes, balanced under uniform access; migration refines it).
 func (d *Directory) defaultOwner(s int) int32 { return int32(s % d.cfg.Nodes) }
 
-// leafAt returns the materialized leaf covering stripe s, or nil. Called
-// with mu held.
-func (d *Directory) leafAt(s int) (*leaf, int) {
-	lf := d.leaves[s>>d.leafShift]
-	if lf == nil {
-		return nil, 0
-	}
-	return lf, s & (d.cfg.LeafStripes - 1)
+// Snapshot is one consistent view of the ownership plane: every answer comes
+// from the same published state, however many handoffs complete meanwhile.
+type Snapshot struct {
+	d *Directory
+	o *ownership
 }
 
-// materialize splits the super-stripe covering s into a leaf (no-op when
-// already materialized) and returns it with s's index inside it. Called
-// with mu held.
-func (d *Directory) materialize(s int) (*leaf, int) {
-	id := s >> d.leafShift
-	lf := d.leaves[id]
-	if lf == nil {
-		base := id << d.leafShift
-		size := d.cfg.LeafStripes
-		if base+size > d.totalStripes {
-			size = d.totalStripes - base
-		}
-		lf = &leaf{
-			owner:   make([]int32, size),
-			pending: make([]int32, size),
-			counts:  make([]uint64, size),
-		}
-		if d.clustered() {
-			lf.aff = make([]uint64, size)
-		}
-		for i := range lf.owner {
-			lf.owner[i] = d.defaultOwner(base + i)
-			lf.pending[i] = -1
-		}
-		d.leaves[id] = lf
-		at := sort.SearchInts(d.leafOrder, id)
-		d.leafOrder = append(d.leafOrder, 0)
-		copy(d.leafOrder[at+1:], d.leafOrder[at:])
-		d.leafOrder[at] = id
-		d.Splits++
+// Snapshot returns the current ownership snapshot. It takes no lock.
+func (d *Directory) Snapshot() Snapshot { return Snapshot{d, d.own.Load()} }
+
+// stripe returns stripe s's owner and migration target (-1 when none).
+func (v Snapshot) stripe(s int) (owner, pending int32) {
+	if i, ok := v.o.find(s); ok {
+		return v.o.over[i].owner, v.o.over[i].pending
 	}
-	return lf, s & (d.cfg.LeafStripes - 1)
+	return v.d.defaultOwner(s), -1
 }
 
-// ownerAt returns stripe s's owner without materializing. Called with mu
-// held.
-func (d *Directory) ownerAt(s int) int32 {
-	if lf, i := d.leafAt(s); lf != nil {
-		return lf.owner[i]
+// Epoch returns the snapshot's remap epoch. Static policies stay at 0.
+func (v Snapshot) Epoch() uint64 { return v.o.epoch }
+
+// Owner resolves a lock key to its owning DTM node: the paper's static
+// multiplicative hash under Hash, the stripe-ownership table otherwise.
+func (v Snapshot) Owner(key mem.Addr) int {
+	if !v.d.adaptive() {
+		return hashOwner(key, v.d.cfg.Nodes)
 	}
-	return d.defaultOwner(s)
+	owner, _ := v.stripe(v.d.StripeOf(key))
+	return int(owner)
 }
 
-// pendingAt returns stripe s's migration target (-1 when none) without
-// materializing. Called with mu held.
-func (d *Directory) pendingAt(s int) int32 {
-	if lf, i := d.leafAt(s); lf != nil {
-		return lf.pending[i]
+// HasPending reports whether node still has frozen stripes to hand off.
+func (v Snapshot) HasPending(node int) bool { return len(v.o.frozen[node]) > 0 }
+
+// FreezeGen returns how many freezes have ever been initiated on stripes
+// node owned — a monotonic cursor DTM nodes use to gate their drained-stripe
+// scans: a frozen stripe can only become drainable when the owner's lock
+// table shrinks or a new freeze appears, so an unchanged generation plus an
+// unchanged table means the scan can be skipped (see core's dtmNode).
+func (v Snapshot) FreezeGen(node int) uint64 { return v.o.freezeGen[node] }
+
+// PendingFor returns the frozen stripes node still owns, in ascending
+// stripe order (deterministic handoff order). The slice belongs to the
+// immutable snapshot: completing handoffs while iterating it is safe, and
+// the caller must not modify it.
+func (v Snapshot) PendingFor(node int) []int { return v.o.frozen[node] }
+
+// ValidFor reports whether a lock request for keys sent to node is
+// serviceable by that node: every key must currently map to node and none
+// of their stripes may be frozen for migration. The check is authoritative
+// per key — a request whose resolution happens to still be correct is
+// accepted even if it was resolved epochs ago, and a mis-addressed request
+// is rejected regardless of its stamp. (The wire epoch's job is the
+// receiver's fast path: a current-epoch request from a protocol-obeying
+// sender needs no per-key scan; see dtmNode.placeOK.) Static policies
+// never invalidate a resolution.
+func (v Snapshot) ValidFor(node int, keys ...mem.Addr) bool {
+	if !v.d.adaptive() {
+		return true
 	}
-	return -1
+	for _, k := range keys {
+		if owner, pending := v.stripe(v.d.StripeOf(k)); int(owner) != node || pending >= 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // Owner resolves a lock key to its owning DTM node under the current
 // assignment. Resolution is pure lookup; use Record to account accesses.
-func (d *Directory) Owner(key mem.Addr) int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.pol.Owner(d, key)
+func (d *Directory) Owner(key mem.Addr) int { return d.Snapshot().Owner(key) }
+
+// Resolve is Owner plus the remap epoch that resolution was made at, both
+// read from one snapshot. A lock request carries the pair: the epoch vouches
+// that the owner was current, which is what lets the receiving node skip its
+// per-key ownership scan (core's placeOK). Reading the two from different
+// snapshots — owner first, epoch second — lets a handoff complete in between
+// and produces (old owner, new epoch): a stale resolution the fast path
+// would wave through at a node that no longer owns the key.
+func (d *Directory) Resolve(key mem.Addr) (owner int, epoch uint64) {
+	v := d.Snapshot()
+	return v.Owner(key), v.Epoch()
 }
 
-// Resolve is Owner plus the remap epoch that resolution was made at, read
-// under one lock acquisition. A lock request carries the pair: the epoch
-// vouches that the owner was current, which is what lets the receiving node
-// skip its per-key ownership scan (core's placeOK). Reading the two
-// separately — owner first, epoch second — lets a handoff complete in
-// between and produces (old owner, new epoch): a stale resolution the fast
-// path would wave through at a node that no longer owns the key. An epoch
-// read no later than the owner can only err the safe way, towards older.
-func (d *Directory) Resolve(key mem.Addr) (owner int, epoch uint64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.pol.Owner(d, key), d.epoch
+// Epoch returns the current remap epoch. Static policies stay at 0.
+func (d *Directory) Epoch() uint64 { return d.Snapshot().Epoch() }
+
+// HasPending, PendingFor and ValidFor are the Snapshot methods of the same
+// name on the current snapshot.
+func (d *Directory) HasPending(node int) bool  { return d.Snapshot().HasPending(node) }
+func (d *Directory) PendingFor(node int) []int { return d.Snapshot().PendingFor(node) }
+func (d *Directory) ValidFor(node int, keys ...mem.Addr) bool {
+	return d.Snapshot().ValidFor(node, keys...)
 }
 
 // StripeOwner returns the current owner of stripe s (adaptive directories;
@@ -471,44 +540,79 @@ func (d *Directory) StripeOwner(s int) int {
 	if !d.adaptive() {
 		return -1
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return int(d.ownerAt(s))
+	owner, _ := d.Snapshot().stripe(s)
+	return int(owner)
 }
 
 // PendingTarget returns the migration target of stripe s, if it is frozen.
 func (d *Directory) PendingTarget(s int) (int, bool) {
-	if !d.adaptive() {
-		return 0, false
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if t := d.pendingAt(s); t >= 0 {
+	if _, t := d.Snapshot().stripe(s); t >= 0 {
 		return int(t), true
 	}
 	return 0, false
+}
+
+// materialize splits the super-stripe covering s into a leaf (no-op when
+// already materialized), recycling a merged leaf if one is free. mu held.
+func (d *Directory) materialize(s int) *leaf {
+	id := s >> d.leafShift
+	lf := d.leaves[id]
+	if lf != nil {
+		return lf
+	}
+	size := min(d.cfg.LeafStripes, d.totalStripes-id<<d.leafShift)
+	if n := len(d.freeLeaves); n > 0 {
+		lf, d.freeLeaves = d.freeLeaves[n-1], d.freeLeaves[:n-1]
+	} else {
+		// Full capacity even for the short last leaf: recycled leaves fit anywhere.
+		lf = &leaf{counts: make([]uint32, d.cfg.LeafStripes)}
+		if d.clustered() {
+			lf.aff = make([]uint64, d.cfg.LeafStripes)
+		}
+	}
+	lf.counts = lf.counts[:size]
+	if lf.aff != nil {
+		lf.aff = lf.aff[:size]
+	}
+	d.leaves[id] = lf
+	d.leafOrder = slices.Insert(d.leafOrder, sort.SearchInts(d.leafOrder, id), id)
+	d.Splits++
+	return lf
+}
+
+// inLeaf is stripe for an s that lf covers: a leaf with no frozen or moved
+// stripe has no override to search for. mu held, so v is the latest snapshot.
+func (v Snapshot) inLeaf(lf *leaf, s int) (owner, pending int32) {
+	if lf.frozen == 0 && lf.moved == 0 {
+		return v.d.defaultOwner(s), -1
+	}
+	return v.stripe(s)
 }
 
 // Record accounts intended lock acquisitions on each key by an accessor in
 // cluster src (see noc.Platform.ClusterOf; pass -1 when unknown) and, at
 // epoch boundaries, lets the policy initiate a repartition round. Static
 // policies ignore it. Recording materializes the touched super-stripes:
-// counters, affinity votes and freeze state live only in those leaves, so
-// everything downstream — epoch decay, repartition scans, handoff walks —
-// costs O(touched), never O(universe).
+// counters and affinity votes live only in those leaves, so everything
+// downstream — epoch decay, repartition scans — costs O(touched), never
+// O(universe).
 func (d *Directory) Record(src int, keys ...mem.Addr) {
 	if !d.adaptive() {
 		return
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	v := d.Snapshot()
+	mask := d.cfg.LeafStripes - 1
 	for _, k := range keys {
 		s := d.StripeOf(k)
-		lf, i := d.materialize(s)
-		lf.counts[i]++
-		lf.total++
+		lf, i := d.materialize(s), s&mask
+		if lf.counts[i] != math.MaxUint32 {
+			lf.counts[i]++
+			lf.total++
+		}
 		if d.clustered() && src >= 0 {
-			if d.cfg.Clusters[lf.owner[i]] == src {
+			if owner, _ := v.inLeaf(lf, s); d.cfg.Clusters[owner] == src {
 				d.localAcc++
 				d.winLocal++
 			} else {
@@ -533,7 +637,7 @@ func (d *Directory) Record(src int, keys ...mem.Addr) {
 // stripe, all owners back at the default) merges away. Called with mu held.
 func (d *Directory) evaluate() {
 	moved := false
-	for _, m := range d.pol.Repartition(d) {
+	for _, m := range repartition(d) {
 		if d.initiateMove(m.Stripe, m.To) {
 			moved = true
 		}
@@ -541,34 +645,33 @@ func (d *Directory) evaluate() {
 	if moved {
 		d.Epochs++
 	}
-	var cold []int
+	kept := d.leafOrder[:0]
 	for _, id := range d.leafOrder {
 		lf := d.leaves[id]
 		if lf.total != 0 {
 			var tot uint64
 			for i := range lf.counts {
 				lf.counts[i] >>= 1
-				tot += lf.counts[i]
+				tot += uint64(lf.counts[i])
 			}
 			lf.total = tot
 		}
-		if lf.aff != nil {
-			for i, a := range lf.aff {
-				if a != 0 {
-					lf.aff[i] = affDecay(a)
-				}
+		for i, a := range lf.aff {
+			if a != 0 {
+				lf.aff[i] = affDecay(a)
 			}
 		}
-		if lf.total == 0 && lf.frozen == 0 && lf.moved == 0 {
-			cold = append(cold, id)
+		if lf.total != 0 || lf.frozen != 0 || lf.moved != 0 {
+			kept = append(kept, id)
+			continue
 		}
-	}
-	for _, id := range cold {
+		// Cold. Counts are all zero; a vote may still name a leadless candidate.
+		clear(lf.aff)
+		d.freeLeaves = append(d.freeLeaves, lf)
 		delete(d.leaves, id)
-		at := sort.SearchInts(d.leafOrder, id)
-		d.leafOrder = append(d.leafOrder[:at], d.leafOrder[at+1:]...)
 		d.Merges++
 	}
+	d.leafOrder = kept
 	if w := d.winLocal + d.winRemote; w > 0 {
 		if len(d.remoteHist) < 4096 {
 			d.remoteHist = append(d.remoteHist, float64(d.winRemote)/float64(w))
@@ -596,24 +699,35 @@ func (d *Directory) initiateMove(s, to int) bool {
 	if s < 0 || s >= d.totalStripes || to < 0 || to >= d.cfg.Nodes {
 		return false
 	}
-	lf, i := d.materialize(s)
-	if lf.pending[i] >= 0 || int(lf.owner[i]) == to {
+	lf := d.materialize(s)
+	cur := d.own.Load()
+	at, overridden := cur.find(s)
+	owner := d.defaultOwner(s)
+	if overridden {
+		if cur.over[at].pending >= 0 {
+			return false
+		}
+		owner = cur.over[at].owner
+	}
+	if int(owner) == to {
 		return false
 	}
-	lf.pending[i] = int32(to)
+	next := cur.next()
+	if overridden {
+		next.over = slices.Clone(cur.over)
+		next.over[at].pending = int32(to)
+	} else {
+		next.over = slices.Concat(cur.over[:at], []override{{stripe: s, owner: owner, pending: int32(to)}}, cur.over[at:])
+	}
+	list := cur.frozen[owner]
+	fi := sort.SearchInts(list, s)
+	next.frozen[owner] = slices.Concat(list[:fi], []int{s}, list[fi:])
+	next.freezeGen[owner]++
+	d.own.Store(next)
 	lf.frozen++
-	owner := int(lf.owner[i])
-	list := d.frozen[owner]
-	at := sort.SearchInts(list, s)
-	list = append(list, 0)
-	copy(list[at+1:], list[at:])
-	list[at] = s
-	d.frozen[owner] = list
-	d.freezeGen[owner]++
-	d.epoch++
 	d.Migrations++
 	if d.tracer != nil {
-		d.tracer(TraceFreeze, s, owner, to)
+		d.tracer(TraceFreeze, s, int(owner), to)
 	}
 	return true
 }
@@ -622,113 +736,49 @@ func (d *Directory) initiateMove(s, to int) bool {
 // the epoch. The caller — the owning DTM node — must have verified that its
 // lock table holds no live lock on the stripe.
 func (d *Directory) CompleteHandoff(s int) {
-	if !d.adaptive() {
-		panic(fmt.Sprintf("placement: CompleteHandoff(%d) without a pending migration", s))
-	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	lf, i := d.leafAt(s)
-	if lf == nil || lf.pending[i] < 0 {
+	cur := d.own.Load()
+	at, overridden := cur.find(s)
+	if !overridden || cur.over[at].pending < 0 {
 		panic(fmt.Sprintf("placement: CompleteHandoff(%d) without a pending migration", s))
 	}
-	owner := int(lf.owner[i])
-	list := d.frozen[owner]
-	at := sort.SearchInts(list, s)
-	d.frozen[owner] = append(list[:at], list[at+1:]...)
+	from, to := cur.over[at].owner, cur.over[at].pending
 	def := d.defaultOwner(s)
-	wasDefault := lf.owner[i] == def
-	lf.owner[i] = lf.pending[i]
-	lf.pending[i] = -1
-	lf.frozen--
-	if isDefault := lf.owner[i] == def; wasDefault != isDefault {
-		if isDefault {
-			lf.moved--
-		} else {
-			lf.moved++
-		}
+	next := cur.next()
+	if to == def {
+		next.over = slices.Concat(cur.over[:at], cur.over[at+1:]) // back home: the default says it all
+	} else {
+		next.over = slices.Clone(cur.over)
+		next.over[at] = override{stripe: s, owner: to, pending: -1}
 	}
-	d.epoch++
+	list := cur.frozen[from]
+	fi := sort.SearchInts(list, s)
+	next.frozen[from] = slices.Concat(list[:fi], list[fi+1:])
+	d.own.Store(next)
+	lf := d.leaves[s>>d.leafShift] // a frozen stripe pins its leaf
+	lf.frozen--
+	if from != def {
+		lf.moved--
+	}
+	if to != def {
+		lf.moved++
+	}
 	d.Handoffs++
 	if d.tracer != nil {
-		d.tracer(TraceHandoff, s, owner, int(lf.owner[i]))
+		d.tracer(TraceHandoff, s, int(from), int(to))
 	}
-}
-
-// HasPending reports whether node still has frozen stripes to hand off.
-func (d *Directory) HasPending(node int) bool {
-	if !d.adaptive() {
-		return false
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return len(d.frozen[node]) > 0
-}
-
-// FreezeGen returns how many freezes have ever been initiated on stripes
-// node owned — a monotonic cursor DTM nodes use to gate their drained-stripe
-// scans: a frozen stripe can only become drainable when the owner's lock
-// table shrinks or a new freeze appears, so an unchanged generation plus an
-// unchanged table means the scan can be skipped (see core's dtmNode).
-func (d *Directory) FreezeGen(node int) uint64 {
-	if !d.adaptive() {
-		return 0
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.freezeGen[node]
-}
-
-// PendingFor returns the frozen stripes node still owns, in ascending
-// stripe order (deterministic handoff order). The returned slice is a
-// copy: callers complete handoffs while iterating it.
-func (d *Directory) PendingFor(node int) []int {
-	if !d.adaptive() {
-		return nil
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if len(d.frozen[node]) == 0 {
-		return nil
-	}
-	return append([]int(nil), d.frozen[node]...)
-}
-
-// ValidFor reports whether a lock request for keys sent to node is
-// serviceable by that node: every key must currently map to node and none
-// of their stripes may be frozen for migration. The check is authoritative
-// per key — a request whose resolution happens to still be correct is
-// accepted even if it was resolved epochs ago, and a mis-addressed request
-// is rejected regardless of its stamp. (The wire epoch's job is the
-// receiver's fast path: a current-epoch request from a protocol-obeying
-// sender needs no per-key scan; see dtmNode.placeOK.) Static policies
-// never invalidate a resolution.
-func (d *Directory) ValidFor(node int, keys ...mem.Addr) bool {
-	if !d.adaptive() {
-		return true
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	for _, k := range keys {
-		s := d.StripeOf(k)
-		if lf, i := d.leafAt(s); lf != nil {
-			if int(lf.owner[i]) != node || lf.pending[i] >= 0 {
-				return false
-			}
-		} else if int(d.defaultOwner(s)) != node {
-			return false
-		}
-	}
-	return true
 }
 
 // CheckInvariants validates the directory's structural invariants; tests
-// call it after random migration schedules. The invariants are: every
-// stripe has exactly one owner in range, frozen-stripe bookkeeping matches
-// the pending table, a pending target never equals the current owner, and
-// every leaf's aggregate counters (total heat, frozen count, moved count)
-// agree with its per-stripe state — in particular no frozen stripe can live
-// outside a materialized leaf, so a leaf is never merged away while a
-// migration is in flight on it.
+// call it after random migration schedules. The invariants are: the
+// overrides are ascending, in range, and each is frozen or off its default
+// owner (so every stripe has exactly one owner); a pending target never
+// equals the current owner; the per-node frozen lists are exactly the
+// overrides with a pending target; and every leaf's aggregates (total heat,
+// frozen, moved) agree with its counts and the overrides in its range — in
+// particular no override lives outside a materialized leaf, so a leaf is
+// never merged away while a migration is in flight on it.
 func (d *Directory) CheckInvariants() error {
 	if !d.adaptive() {
 		return nil
@@ -738,7 +788,32 @@ func (d *Directory) CheckInvariants() error {
 	if len(d.leafOrder) != len(d.leaves) {
 		return fmt.Errorf("%d leaves ordered, %d materialized", len(d.leafOrder), len(d.leaves))
 	}
+	o := d.own.Load()
 	wantFrozen := make([][]int, d.cfg.Nodes)
+	frozenIn, movedIn := map[int]int{}, map[int]int{}
+	for j, ov := range o.over {
+		s := ov.stripe
+		if s < 0 || s >= d.totalStripes || (j > 0 && o.over[j-1].stripe >= s) {
+			return fmt.Errorf("override %d on stripe %d out of range or out of order", j, s)
+		}
+		if ov.owner < 0 || int(ov.owner) >= d.cfg.Nodes || int(ov.pending) >= d.cfg.Nodes || ov.pending == ov.owner {
+			return fmt.Errorf("stripe %d: owner %d, pending %d out of range or equal", s, ov.owner, ov.pending)
+		}
+		if ov.pending < 0 && ov.owner == d.defaultOwner(s) {
+			return fmt.Errorf("stripe %d has an override but is neither frozen nor off its default owner", s)
+		}
+		id := s >> d.leafShift
+		if d.leaves[id] == nil {
+			return fmt.Errorf("stripe %d has an override outside any materialized leaf", s)
+		}
+		if ov.pending >= 0 {
+			frozenIn[id]++
+			wantFrozen[ov.owner] = append(wantFrozen[ov.owner], s)
+		}
+		if ov.owner != d.defaultOwner(s) {
+			movedIn[id]++
+		}
+	}
 	for oi, id := range d.leafOrder {
 		if oi > 0 && d.leafOrder[oi-1] >= id {
 			return fmt.Errorf("leaf order not ascending at %d", oi)
@@ -747,44 +822,18 @@ func (d *Directory) CheckInvariants() error {
 		if lf == nil {
 			return fmt.Errorf("ordered leaf %d not materialized", id)
 		}
-		base := id << d.leafShift
 		var tot uint64
-		frozen, moved := 0, 0
-		for i := range lf.owner {
-			s := base + i
-			o := lf.owner[i]
-			if o < 0 || int(o) >= d.cfg.Nodes {
-				return fmt.Errorf("stripe %d owned by out-of-range node %d", s, o)
-			}
-			if o != d.defaultOwner(s) {
-				moved++
-			}
-			tot += lf.counts[i]
-			if t := lf.pending[i]; t >= 0 {
-				if int(t) >= d.cfg.Nodes {
-					return fmt.Errorf("stripe %d pending to out-of-range node %d", s, t)
-				}
-				if t == o {
-					return fmt.Errorf("stripe %d pending to its own owner %d", s, o)
-				}
-				frozen++
-				wantFrozen[o] = append(wantFrozen[o], s)
-			}
+		for _, c := range lf.counts {
+			tot += uint64(c)
 		}
-		if tot != lf.total || frozen != lf.frozen || moved != lf.moved {
-			return fmt.Errorf("leaf %d aggregates (total %d, frozen %d, moved %d) disagree with per-stripe state (%d, %d, %d)",
-				id, lf.total, lf.frozen, lf.moved, tot, frozen, moved)
+		if tot != lf.total || frozenIn[id] != lf.frozen || movedIn[id] != lf.moved {
+			return fmt.Errorf("leaf %d aggregates (total %d, frozen %d, moved %d) disagree with its counts and overrides (%d, %d, %d)",
+				id, lf.total, lf.frozen, lf.moved, tot, frozenIn[id], movedIn[id])
 		}
 	}
 	for n, want := range wantFrozen {
-		got := d.frozen[n]
-		if len(got) != len(want) {
-			return fmt.Errorf("node %d frozen list has %d stripes, table says %d", n, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] { // both ascending
-				return fmt.Errorf("node %d frozen list %v, table says %v", n, got, want)
-			}
+		if !slices.Equal(o.frozen[n], want) { // both ascending
+			return fmt.Errorf("node %d frozen list %v, overrides say %v", n, o.frozen[n], want)
 		}
 	}
 	return nil

@@ -2,63 +2,37 @@ package placement
 
 import "repro/internal/mem"
 
-// Policy is one pluggable mapping strategy behind a Directory. Implementations
-// must be deterministic pure functions of the directory state: the same
-// directory always resolves the same key to the same node, and Repartition
-// proposes the same moves for the same counts.
-type Policy interface {
-	// Name is the policy's flag-friendly name.
-	Name() string
-	// Owner resolves a lock key under the directory's current assignment.
-	Owner(d *Directory, key mem.Addr) int
-	// Repartition inspects the closing epoch's per-stripe access counts and
-	// returns the migrations to initiate. Static policies return nil.
-	Repartition(d *Directory) []Move
-}
-
-func policyFor(k Kind) Policy {
-	switch k {
-	case Adaptive:
-		return adaptivePolicy{}
-	case AdaptiveHier:
-		return hierPolicy{}
-	default:
-		return hashPolicy{}
-	}
-}
-
-// hashPolicy is §3.2's static placement: a multiplicative (Murmur3
-// finalizer) hash of the lock key, bit-identical to the pre-directory
-// System.nodeFor.
-type hashPolicy struct{}
-
-func (hashPolicy) Name() string { return "hash" }
-
-func (hashPolicy) Owner(d *Directory, key mem.Addr) int {
+// hashOwner is §3.2's resolution: a multiplicative (Murmur3 finalizer) hash
+// of the lock key, bit-identical to the pre-directory System.nodeFor — a
+// pure function no core shares state over.
+func hashOwner(key mem.Addr, nodes int) int {
 	x := uint64(key)
 	x ^= x >> 33
 	x *= 0xff51afd7ed558ccd
 	x ^= x >> 33
-	return int(x % uint64(d.cfg.Nodes))
+	return int(x % uint64(nodes))
 }
 
-func (hashPolicy) Repartition(*Directory) []Move { return nil }
-
 // nodeLoads sums the closing epoch's access counts per owning node over the
-// materialized leaves. Unmaterialized stripes were never recorded this
-// window, so their contribution is exactly zero — walking leaves only is
-// bit-identical to the historic flat scan. Called with d.mu held.
+// materialized leaves, into the directory's load scratch. Unmaterialized
+// stripes were never recorded this window, so their contribution is exactly
+// zero — walking leaves only is bit-identical to the historic flat scan.
+// Called with d.mu held.
 func nodeLoads(d *Directory) (load []uint64, total uint64) {
-	load = make([]uint64, d.cfg.Nodes)
+	load = d.load
+	clear(load)
+	v := d.Snapshot()
 	for _, id := range d.leafOrder {
 		lf := d.leaves[id]
 		if lf.total == 0 {
 			continue
 		}
+		base := id << d.leafShift
 		for i, c := range lf.counts {
 			if c != 0 {
-				load[lf.owner[i]] += c
-				total += c
+				owner, _ := v.inLeaf(lf, base+i)
+				load[owner] += uint64(c)
+				total += uint64(c)
 			}
 		}
 	}
@@ -71,8 +45,9 @@ func nodeLoads(d *Directory) (load []uint64, total uint64) {
 // whole leaf is skipped when its aggregate heat cannot beat the incumbent.
 // Returns the stripe, its count and its packed affinity vote, or stripe -1.
 // Called with d.mu held.
-func hottestFit(d *Directory, donor int, maxHeat float64, planned map[int]bool) (stripe int, count, aff uint64) {
+func hottestFit(d *Directory, donor int, maxHeat float64, planned []Move) (stripe int, count, aff uint64) {
 	stripe = -1
+	v := d.Snapshot()
 	for _, id := range d.leafOrder {
 		lf := d.leaves[id]
 		if lf.total <= count {
@@ -80,10 +55,15 @@ func hottestFit(d *Directory, donor int, maxHeat float64, planned map[int]bool) 
 		}
 		base := id << d.leafShift
 		for i, c := range lf.counts {
-			if c <= count || float64(c) > maxHeat || int(lf.owner[i]) != donor || lf.pending[i] >= 0 || planned[base+i] {
+			if uint64(c) <= count || float64(c) > maxHeat {
 				continue
 			}
-			stripe, count = base+i, c
+			s := base + i
+			owner, pending := v.inLeaf(lf, s)
+			if int(owner) != donor || pending >= 0 || isPlanned(planned, s) {
+				continue
+			}
+			stripe, count = s, uint64(c)
 			if lf.aff != nil {
 				aff = lf.aff[i]
 			}
@@ -92,26 +72,41 @@ func hottestFit(d *Directory, donor int, maxHeat float64, planned map[int]bool) 
 	return stripe, count, aff
 }
 
-// adaptivePolicy resolves through the directory's stripe-ownership table
-// and rebalances it at epoch boundaries: while the hottest node carries
-// more than ImbalanceFactor times the mean load, its hottest migratable
-// stripe moves to the coolest node — greedy, capped at MaxMoves per round,
-// and only when the move strictly narrows the donor/recipient gap.
+// isPlanned reports whether this round already plans to move stripe s; a
+// round holds at most MaxMoves moves, so the scan beats a set.
+func isPlanned(moves []Move, s int) bool {
+	for _, m := range moves {
+		if m.Stripe == s {
+			return true
+		}
+	}
+	return false
+}
+
+// repartition is the epoch-boundary round of the adaptive policies: it
+// inspects the closing window's per-stripe access counts and returns the
+// migrations to initiate — a deterministic pure function of the directory
+// state, in the directory's scratch (valid until the next round). Called
+// with d.mu held.
 //
-// A stripe hotter than the donor's excess over the mean never moves:
-// migrating it would only relocate the hotspot while freezing the most
-// contended keys (every in-flight transaction on them aborts during the
-// drain). Instead the donor sheds its cooler stripes until the mega-stripe
-// is all it owns — the best balance a stripe-granular directory can reach.
-type adaptivePolicy struct{}
-
-func (adaptivePolicy) Name() string { return "adaptive" }
-
-func (adaptivePolicy) Owner(d *Directory, key mem.Addr) int {
-	return int(d.ownerAt(d.StripeOf(key)))
-}
-
-func (adaptivePolicy) Repartition(d *Directory) []Move {
+// While the hottest node carries more than ImbalanceFactor times the mean
+// load, its hottest migratable stripe moves away — greedy, capped at
+// MaxMoves per round, and only when the move strictly narrows the
+// donor/recipient gap. A stripe hotter than the donor's excess over the mean
+// never moves: migrating it would only relocate the hotspot while freezing
+// the most contended keys (every in-flight transaction on them aborts during
+// the drain). Instead the donor sheds its cooler stripes until the
+// mega-stripe is all it owns — the best balance a stripe-granular directory
+// can reach.
+//
+// Adaptive sends the stripe to the globally coolest node. AdaptiveHier adds
+// locality-aware co-mapping: the recipient is chosen by the stripe's
+// accessors — the least-loaded DTM node in the cluster of the stripe's
+// dominant accessor group (its Boyer-Moore affinity vote), falling back to
+// the coolest node when the affinity cluster has no improving node. Moves
+// therefore pull data toward its users (shrinking the remote-access ratio)
+// while still strictly narrowing the gap.
+func repartition(d *Directory) []Move {
 	n := d.cfg.Nodes
 	if n < 2 {
 		return nil
@@ -120,72 +115,9 @@ func (adaptivePolicy) Repartition(d *Directory) []Move {
 	if total == 0 {
 		return nil
 	}
+	comap := d.cfg.Kind == AdaptiveHier && d.clustered()
 	mean := float64(total) / float64(n)
-	var moves []Move
-	planned := make(map[int]bool)
-	for len(moves) < d.cfg.MaxMoves {
-		donor, recip := 0, 0
-		for i := 1; i < n; i++ {
-			if load[i] > load[donor] {
-				donor = i
-			}
-			if load[i] < load[recip] {
-				recip = i
-			}
-		}
-		if donor == recip || float64(load[donor]) <= d.cfg.ImbalanceFactor*mean {
-			break
-		}
-		// Hottest unfrozen stripe of the donor that fits in its excess over
-		// the mean and strictly improves the pair; ties break to the lowest
-		// stripe index (determinism). The recipient constraint folds into
-		// the heat cap: a candidate must also leave the recipient below the
-		// donor after the move.
-		excess := float64(load[donor]) - mean
-		maxHeat := excess
-		if gap := float64(load[donor]) - float64(load[recip]) - 1; gap < maxHeat {
-			maxHeat = gap
-		}
-		best, bestCount, _ := hottestFit(d, donor, maxHeat, planned)
-		if best < 0 {
-			break
-		}
-		moves = append(moves, Move{Stripe: best, From: donor, To: recip})
-		planned[best] = true
-		load[donor] -= bestCount
-		load[recip] += bestCount
-	}
-	return moves
-}
-
-// hierPolicy is adaptivePolicy plus locality-aware co-mapping: the stripe
-// to shed is still the donor's hottest migratable stripe within its excess,
-// but the recipient is chosen by the stripe's accessors — the least-loaded
-// DTM node in the cluster of the stripe's dominant accessor group (its
-// Boyer-Moore affinity vote), falling back to the globally coolest node
-// when the affinity cluster has no improving node. Moves therefore pull
-// data toward its users (shrinking the remote-access ratio) while still
-// strictly narrowing the donor/recipient gap.
-type hierPolicy struct{}
-
-func (hierPolicy) Name() string { return "hier" }
-
-func (hierPolicy) Owner(d *Directory, key mem.Addr) int {
-	return int(d.ownerAt(d.StripeOf(key)))
-}
-
-func (hierPolicy) Repartition(d *Directory) []Move {
-	n := d.cfg.Nodes
-	if n < 2 {
-		return nil
-	}
-	load, total := nodeLoads(d)
-	if total == 0 {
-		return nil
-	}
-	mean := float64(total) / float64(n)
-	var moves []Move
-	planned := make(map[int]bool)
+	moves := d.moves[:0]
 	for len(moves) < d.cfg.MaxMoves {
 		donor, coolest := 0, 0
 		for i := 1; i < n; i++ {
@@ -199,25 +131,27 @@ func (hierPolicy) Repartition(d *Directory) []Move {
 		if donor == coolest || float64(load[donor]) <= d.cfg.ImbalanceFactor*mean {
 			break
 		}
-		excess := float64(load[donor]) - mean
-		best, bestCount, aff := hottestFit(d, donor, excess, planned)
+		// Hottest unfrozen stripe of the donor that fits in its excess over
+		// the mean; ties break to the lowest stripe index (determinism).
+		// Adaptive knows its recipient already, so the constraint that the
+		// move leave the recipient below the donor folds into the heat cap.
+		maxHeat := float64(load[donor]) - mean
+		if gap := float64(load[donor]) - float64(load[coolest]) - 1; d.cfg.Kind == Adaptive && gap < maxHeat {
+			maxHeat = gap
+		}
+		best, bestCount, aff := hottestFit(d, donor, maxHeat, moves)
 		if best < 0 {
 			break
 		}
-		// Co-mapping: prefer the least-loaded node in the candidate's
-		// dominant accessor cluster, provided moving there still strictly
-		// narrows the gap; otherwise fall back to the globally coolest node.
 		recip := -1
-		if d.clustered() {
-			if cl := affCluster(aff); cl >= 0 {
-				for i := 0; i < n; i++ {
-					if i != donor && d.cfg.Clusters[i] == cl && (recip < 0 || load[i] < load[recip]) {
-						recip = i
-					}
+		if cl := affCluster(aff); comap && cl >= 0 {
+			for i := 0; i < n; i++ {
+				if i != donor && d.cfg.Clusters[i] == cl && (recip < 0 || load[i] < load[recip]) {
+					recip = i
 				}
-				if recip >= 0 && load[recip]+bestCount >= load[donor] {
-					recip = -1
-				}
+			}
+			if recip >= 0 && load[recip]+bestCount >= load[donor] {
+				recip = -1
 			}
 		}
 		if recip < 0 {
@@ -227,9 +161,9 @@ func (hierPolicy) Repartition(d *Directory) []Move {
 			recip = coolest
 		}
 		moves = append(moves, Move{Stripe: best, From: donor, To: recip})
-		planned[best] = true
 		load[donor] -= bestCount
 		load[recip] += bestCount
 	}
+	d.moves = moves
 	return moves
 }

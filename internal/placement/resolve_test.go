@@ -46,15 +46,40 @@ func TestResolveOwnerThenEpochIsStale(t *testing.T) {
 // TestResolveNeverStaleUnderCurrentEpoch flips stripes between two owners
 // (freeze, then handoff) on one goroutine while others resolve keys of
 // those stripes. Replacing Resolve below with Owner followed by Epoch — the
-// read order core used before — trips it within milliseconds.
+// read order core used before — trips it within milliseconds. A recorder
+// and a validator run beside them so -race covers snapshot publication
+// against the heat plane (Record reads ownership under the mutex the
+// writers publish under) and against the other lock-free readers.
 func TestResolveNeverStaleUnderCurrentEpoch(t *testing.T) {
 	const stripes = 8
-	d, err := New(Config{Nodes: 2, Kind: Adaptive, Stripes: stripes})
+	// ImbalanceFactor prohibitive: Record must not start moves of its own,
+	// or the flipper's freezes would find their stripe already frozen.
+	d, err := New(Config{Nodes: 2, Kind: AdaptiveHier, Stripes: stripes, Clusters: []int{0, 1},
+		EvalEvery: 64, ImbalanceFactor: 1e9})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var stop atomic.Bool
 	var readers sync.WaitGroup
+	readers.Add(2)
+	go func() {
+		defer readers.Done()
+		for i := 0; !stop.Load(); i++ {
+			d.Record(i&1, mem.Addr(i%stripes))
+		}
+	}()
+	go func() {
+		defer readers.Done()
+		for i := 0; !stop.Load(); i++ {
+			// One snapshot cannot name two valid owners for a key.
+			key, v := mem.Addr(i%stripes), d.Snapshot()
+			if v.ValidFor(0, key) && v.ValidFor(1, key) {
+				t.Errorf("key %d valid at both nodes in one snapshot", key)
+				return
+			}
+			d.ValidFor(i&1, key)
+		}
+	}()
 	for r := 0; r < 3; r++ {
 		readers.Add(1)
 		go func(r int) {
@@ -80,5 +105,48 @@ func TestResolveNeverStaleUnderCurrentEpoch(t *testing.T) {
 	readers.Wait()
 	if err := d.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestResolveTakesNoLock holds the directory mutex — the heat plane's and
+// the ownership writers' — on the test goroutine and requires every
+// ownership read to return regardless, under each policy, with overrides
+// and a frozen stripe in the snapshot.
+func TestResolveTakesNoLock(t *testing.T) {
+	for _, kind := range Kinds() {
+		d, err := New(Config{Nodes: 2, Kind: kind, Stripes: 8, Clusters: []int{0, 1}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if kind != Hash {
+			d.InitiateMove(0, 1)
+			d.CompleteHandoff(0)
+			d.InitiateMove(1, 0)
+		}
+		d.mu.Lock()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for key := mem.Addr(0); key < 8; key++ {
+				d.Owner(key)
+				d.Resolve(key)
+				d.ValidFor(0, key)
+				d.StripeOwner(int(key))
+				d.PendingTarget(int(key))
+			}
+			d.Epoch()
+			for n := 0; n < 2; n++ {
+				d.HasPending(n)
+				d.Snapshot().FreezeGen(n)
+				d.PendingFor(n)
+			}
+		}()
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Errorf("%v: an ownership read blocked on the directory mutex", kind)
+		}
+		d.mu.Unlock()
+		<-done
 	}
 }
