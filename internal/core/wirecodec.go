@@ -53,14 +53,16 @@ func encAddrs(e *wire.Enc, as []mem.Addr) {
 	}
 }
 
+// decAddrs mirrors Dec.U64s: the count bounds the allocation by the bytes
+// received, and a zero count yields nil.
 func decAddrs(d *wire.Dec) []mem.Addr {
-	vs := d.U64s()
-	if vs == nil {
+	n := d.Count(8)
+	if n == 0 {
 		return nil
 	}
-	as := make([]mem.Addr, len(vs))
-	for i, v := range vs {
-		as[i] = mem.Addr(v)
+	as := make([]mem.Addr, n)
+	for i := range as {
+		as[i] = mem.Addr(d.U64())
 	}
 	return as
 }

@@ -98,7 +98,7 @@ type Memory struct {
 type Remote interface {
 	ReadRaw(addr Addr) uint64
 	WriteRaw(addr Addr, v uint64)
-	ReadBatchRaw(base Addr, n int) []uint64
+	ReadBatchRaw(base Addr, dst []uint64) // len(dst) words into dst
 	WriteBatchRaw(addrs []Addr, vals []uint64)
 	Alloc(n, mc int) Addr
 }
@@ -267,7 +267,7 @@ func (m *Memory) ReadBatchTo(p Ctx, core int, base Addr, dst []uint64) []uint64 
 	m.mu.Unlock()
 	m.access(p, core, base, n)
 	if m.remote != nil {
-		copy(dst, m.remote.ReadBatchRaw(base, n))
+		m.remote.ReadBatchRaw(base, dst)
 		return dst
 	}
 	m.mu.Lock()
@@ -404,14 +404,12 @@ func (m *Memory) WriteRaw(addr Addr, v uint64) {
 	m.mu.Unlock()
 }
 
-// ReadBatchRaw returns n contiguous words starting at base without charging
-// latency: the serving side of a forwarded ReadBatch.
-func (m *Memory) ReadBatchRaw(base Addr, n int) []uint64 {
-	out := make([]uint64, n)
+// ReadBatchRaw reads the len(dst) contiguous words starting at base into dst
+// without charging latency: the serving side of a forwarded ReadBatch.
+func (m *Memory) ReadBatchRaw(base Addr, dst []uint64) {
 	m.mu.Lock()
-	m.getBatch(base, out)
+	m.getBatch(base, dst)
 	m.mu.Unlock()
-	return out
 }
 
 // WriteBatchRaw stores values[i] at addrs[i] without charging latency: the

@@ -104,6 +104,9 @@ func NewRegisters(pl *noc.Platform) *Registers {
 	}
 }
 
+// Cores returns how many cores have a register here.
+func (r *Registers) Cores() int { return len(r.status) }
+
 // SetStatusLocal installs (txID, state) in owner's own register. Local
 // register access is free.
 func (r *Registers) SetStatusLocal(owner int, txID uint64, state TxState) {

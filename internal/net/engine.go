@@ -19,6 +19,14 @@
 // rank owning the core, both reached through synchronous state RPCs served
 // directly by the connection readers (see state.go, mem.SetRemote).
 //
+// Buffer ownership: the per-frame path allocates nothing, because every
+// buffer on it has one owner. A connection's readLoop owns its frame reader,
+// decoder and scratch, and lends each frame's body to the handler until the
+// next frame is read — a handler that keeps bytes (STATE_RESP, CTRL) copies
+// them. A sender owns its pooled encoder until link.write's single Write
+// returns. A state RPC owns a pooled stateCall slot until it has decoded
+// its reply; one that times out or unwinds abandons the slot (see stateCall).
+//
 // Failure handling: a broken connection is redialed with backoff by the
 // higher-ranked side while the acceptor swaps in the replacement; frames in
 // flight at the moment of the break are lost, which the DTM layer absorbs
@@ -38,6 +46,7 @@ import (
 	"time"
 
 	"repro/internal/port"
+	"repro/internal/wire"
 )
 
 // Frame kinds (the u8 after the length prefix; see docs/WIRE.md).
@@ -96,9 +105,9 @@ type Engine struct {
 	ln    gonet.Listener
 	links []*link // by peer rank; links[cfg.Rank] == nil
 
-	// State-RPC correlation: corr → waiting caller.
+	// State-RPC correlation: corr → the waiting caller's slot.
 	pendMu sync.Mutex
-	pend   map[uint64]chan []byte
+	pend   map[uint64]*stateCall
 	corr   atomic.Uint64
 
 	// Control-plane rendezvous, by control subkind: one frame body per peer
@@ -134,7 +143,7 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.StateTimeout <= 0 {
 		cfg.StateTimeout = 10 * time.Second
 	}
-	e := &Engine{cfg: cfg, pend: make(map[uint64]chan []byte)}
+	e := &Engine{cfg: cfg, pend: make(map[uint64]*stateCall)}
 	for sub := ctrlDone; sub <= ctrlStats; sub++ {
 		e.ctrl[sub] = make(chan []byte, cfg.Ranks)
 	}
@@ -148,15 +157,10 @@ func New(cfg Config) (*Engine, error) {
 		if err != nil {
 			return nil, err
 		}
-		l := &link{eng: e, peer: r, dialer: cfg.Rank > r, netw: netw, addr: addr}
-		l.cond = sync.NewCond(&l.mu)
-		e.links[r] = l
+		e.links[r] = &link{eng: e, peer: r, dialer: cfg.Rank > r, netw: netw, addr: addr}
 	}
 	return e, nil
 }
-
-// Rank returns this engine's rank.
-func (e *Engine) Rank() int { return e.cfg.Rank }
 
 // Spawn creates the port with the next spawn-order ID. If owner is this rank
 // the Host runs fn in its own goroutine (gated on Start); otherwise a Stub
@@ -254,12 +258,15 @@ func (e *Engine) ExchangeStats(local []byte, timeout time.Duration) ([][]byte, e
 // collects the one every peer writes back: a barrier when the payloads are
 // empty.
 func (e *Engine) exchange(sub uint8, payload []byte, timeout time.Duration) ([][]byte, error) {
-	body := append([]byte{sub}, payload...)
+	enc := wire.GetEnc()
+	defer wire.PutEnc(enc)
+	enc.U8(sub)
+	enc.Raw(payload)
 	for _, l := range e.links {
 		if l == nil {
 			continue
 		}
-		if err := l.write(frCtrl, body); err != nil {
+		if err := l.write(frCtrl, enc); err != nil {
 			return nil, fmt.Errorf("net: rank %d: control %d to rank %d: %w", e.cfg.Rank, sub, l.peer, err)
 		}
 	}
@@ -297,10 +304,4 @@ func (e *Engine) Close() {
 			l.close()
 		}
 	}
-}
-
-func (e *Engine) isClosed() bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.closed
 }

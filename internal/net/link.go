@@ -1,6 +1,7 @@
 package net
 
 import (
+	"bytes"
 	"fmt"
 	gonet "net"
 	"strconv"
@@ -8,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/mem"
 	"repro/internal/port"
 	"repro/internal/wire"
 )
@@ -53,7 +55,6 @@ type link struct {
 	addr   string
 
 	mu      sync.Mutex
-	cond    *sync.Cond
 	conn    gonet.Conn
 	closed  bool
 	dialing bool
@@ -79,9 +80,15 @@ func (l *link) waitConnected(deadline time.Time) error {
 	return nil
 }
 
-// write sends one frame, blocking while the link is mid-reconnect (bounded
-// by ConnectTimeout — after that the frame is reported lost).
-func (l *link) write(kind uint8, body []byte) error {
+// write sends what enc holds as one frame — a single Write of the encoder's
+// own bytes, so enc can be recycled once write returns — blocking while the
+// link is mid-reconnect (bounded by ConnectTimeout — after that the frame is
+// reported lost).
+func (l *link) write(kind uint8, enc *wire.Enc) error {
+	frame, err := enc.Frame(kind)
+	if err != nil {
+		return err
+	}
 	deadline := time.Now().Add(l.eng.cfg.ConnectTimeout)
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -97,7 +104,7 @@ func (l *link) write(kind uint8, body []byte) error {
 		return fmt.Errorf("net: rank %d: link to rank %d closed", l.eng.cfg.Rank, l.peer)
 	}
 	c := l.conn
-	if err := wire.WriteFrame(c, kind, body); err != nil {
+	if _, err := c.Write(frame); err != nil {
 		l.dropLocked(c)
 		return err
 	}
@@ -133,7 +140,6 @@ func (l *link) setConn(c gonet.Conn) {
 	if old != nil {
 		old.Close()
 	}
-	l.cond.Broadcast()
 	go l.eng.readLoop(l, c)
 }
 
@@ -146,7 +152,6 @@ func (l *link) close() {
 	if c != nil {
 		c.Close()
 	}
-	l.cond.Broadcast()
 }
 
 // redial dials the peer with exponential backoff until connected, the link
@@ -287,8 +292,10 @@ func (e *Engine) acceptConn(c gonet.Conn) {
 // mailboxes (never blocking — see port.Unbounded), state RPCs execute against
 // the local memory/register owners, control frames feed the barriers.
 func (e *Engine) readLoop(l *link, c gonet.Conn) {
+	fr := wire.NewFrameReader(c)
+	r := &connReader{l: l, dec: wire.Dec{Resolve: e.resolvePort}}
 	for {
-		kind, body, err := wire.ReadFrame(c)
+		kind, body, err := fr.Next()
 		if err != nil {
 			l.mu.Lock()
 			if !l.closed {
@@ -297,19 +304,29 @@ func (e *Engine) readLoop(l *link, c gonet.Conn) {
 			l.mu.Unlock()
 			return
 		}
-		e.handleFrame(l, kind, body)
+		r.handleFrame(kind, body)
 	}
 }
 
-func (e *Engine) handleFrame(l *link, kind uint8, body []byte) {
+// connReader is what one readLoop reuses from frame to frame.
+type connReader struct {
+	l     *link
+	dec   wire.Dec   // over the current body; resolves ports for MSG payloads
+	addrs []mem.Addr // serveState's scratch: a write-back's addresses,
+	words []uint64   // and its values or a batch read's words
+}
+
+// handleFrame dispatches one frame. body is only valid until it returns: a
+// handler that keeps bytes (a state response, a control payload) copies them.
+func (r *connReader) handleFrame(kind uint8, body []byte) {
+	e, d := r.l.eng, &r.dec
+	d.Reset(body)
 	switch kind {
 	case frMsg:
-		d := wire.NewDec(body, e.resolvePort)
-		dst := int(d.U32())
-		src := int(d.U32())
+		dst, src := int(d.U32()), int(d.U32())
 		payload, err := wire.DecodePayload(d)
 		if err != nil {
-			e.Fail(fmt.Errorf("net: rank %d: bad MSG frame from rank %d: %w", e.cfg.Rank, l.peer, err))
+			e.Fail(fmt.Errorf("net: rank %d: bad MSG frame from rank %d: %w", e.cfg.Rank, r.l.peer, err))
 			return
 		}
 		p, ok := e.resolvePort(dst).(*port.HostPort)
@@ -319,27 +336,18 @@ func (e *Engine) handleFrame(l *link, kind uint8, body []byte) {
 		}
 		p.Push(port.Msg{From: src, Payload: payload})
 	case frStateReq:
-		e.serveState(l, body)
+		r.serveState(body)
 	case frStateResp:
-		d := wire.NewDec(body, nil)
-		corr := d.U64()
-		if d.Err() != nil {
-			return
-		}
-		e.pendMu.Lock()
-		ch := e.pend[corr]
-		delete(e.pend, corr)
-		e.pendMu.Unlock()
-		if ch != nil {
-			ch <- body[8:]
+		if corr := d.U64(); d.Err() == nil {
+			e.completeCall(corr, body[8:])
 		}
 	case frCtrl:
 		if len(body) > 0 && ctrlDone <= body[0] && body[0] <= ctrlStats {
-			e.ctrl[body[0]] <- body[1:]
+			e.ctrl[body[0]] <- bytes.Clone(body[1:])
 		}
 	case frHello:
 		// Duplicate HELLO on an established connection: ignore.
 	default:
-		e.Fail(fmt.Errorf("net: rank %d: unknown frame kind %d from rank %d", e.cfg.Rank, kind, l.peer))
+		e.Fail(fmt.Errorf("net: rank %d: unknown frame kind %d from rank %d", e.cfg.Rank, kind, r.l.peer))
 	}
 }

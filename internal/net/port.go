@@ -59,9 +59,7 @@ func (e *Engine) sendRemote(src int, to port.Port, payload any) {
 	if err := wire.EncodePayload(enc, payload); err != nil {
 		panic(err) // unregistered payload type: a protocol bug, not an I/O fault
 	}
-	// write copies the frame out before returning, so the encoder recycles
-	// regardless of the write's outcome.
-	err := e.links[dst.rank].write(frMsg, enc.Bytes())
+	err := e.links[dst.rank].write(frMsg, enc)
 	wire.PutEnc(enc)
 	if err != nil {
 		e.Drops.Add(1)

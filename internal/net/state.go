@@ -2,6 +2,7 @@ package net
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/mem"
@@ -61,118 +62,168 @@ func (e *Engine) BindState(m *mem.Memory, r *mem.Registers, rankOf func(core int
 	r.SetRemote(func(core int) bool { return rankOf(core) == e.cfg.Rank }, regRemote{e})
 }
 
-// stateCall sends one state RPC to rank and blocks for the response.
-func (e *Engine) stateCall(rank int, build func(enc *wire.Enc)) []byte {
-	corr := e.corr.Add(1)
-	ch := make(chan []byte, 1)
+// stateCall is the slot of one in-flight state RPC. newCall draws it from
+// callPool, done hands it back once the caller has decoded the reply. A call
+// that timed out or unwound never reaches done: the connection reader may be
+// completing it at that very moment (a token on its way into reply), so its
+// slot is left to the garbage collector.
+type stateCall struct {
+	corr  uint64
+	req   *wire.Enc     // correlation ID, opcode, then the caller's arguments
+	reply chan struct{} // buffered: completeCall signals after filling resp
+	resp  []byte        // the response behind its correlation ID
+	dec   wire.Dec      // over resp, for the caller
+	timer *time.Timer   // StateTimeout; stopped while the slot is pooled
+}
+
+var callPool = sync.Pool{New: func() any {
+	c := &stateCall{reply: make(chan struct{}, 1), timer: time.NewTimer(time.Hour)}
+	c.timer.Stop()
+	return c
+}}
+
+// newCall starts a state RPC: the caller appends op's arguments to req.
+func (e *Engine) newCall(op uint8) *stateCall {
+	c := callPool.Get().(*stateCall)
+	c.corr = e.corr.Add(1)
+	c.req = wire.GetEnc()
+	c.req.U64(c.corr)
+	c.req.U8(op)
+	return c
+}
+
+// done recycles a completed call's slot; its decoder dies with it.
+func (c *stateCall) done() { callPool.Put(c) }
+
+// roundTrip sends c's request to rank and blocks for the response, which it
+// returns as a decoder valid until c.done.
+func (e *Engine) roundTrip(rank int, c *stateCall) *wire.Dec {
 	e.pendMu.Lock()
-	e.pend[corr] = ch
+	e.pend[c.corr] = c
 	e.pendMu.Unlock()
-	enc := wire.GetEnc()
-	enc.U64(corr)
-	build(enc)
-	err := e.links[rank].write(frStateReq, enc.Bytes())
-	wire.PutEnc(enc)
-	if err != nil {
-		e.pendMu.Lock()
-		delete(e.pend, corr)
-		e.pendMu.Unlock()
-		panic(fmt.Errorf("net: rank %d: state RPC to rank %d: %w", e.cfg.Rank, rank, err))
+	err := e.links[rank].write(frStateReq, c.req)
+	wire.PutEnc(c.req)
+	if err == nil {
+		// go.mod's go 1.24 gives Reset and Stop their post-1.23 meaning: no
+		// stale expiry can be received from timer.C after either returns.
+		c.timer.Reset(e.cfg.StateTimeout)
+		select {
+		case <-c.reply:
+			c.timer.Stop()
+			c.dec.Reset(c.resp)
+			return &c.dec
+		case <-c.timer.C:
+			err = fmt.Errorf("timed out after %v", e.cfg.StateTimeout)
+		case <-e.Quit():
+			// The engine is tearing down; unwind like any blocked receive.
+			// (Workers are all done before Shutdown, so a state call here
+			// can only belong to a goroutine being killed anyway.)
+		}
 	}
-	t := time.NewTimer(e.cfg.StateTimeout)
-	defer t.Stop()
-	select {
-	case resp := <-ch:
-		return resp
-	case <-t.C:
-		e.pendMu.Lock()
-		delete(e.pend, corr)
-		e.pendMu.Unlock()
-		panic(fmt.Errorf("net: rank %d: state RPC to rank %d timed out after %v",
-			e.cfg.Rank, rank, e.cfg.StateTimeout))
-	case <-e.Quit():
-		// The engine is tearing down; unwind like any blocked receive.
-		// (Workers are all done before Shutdown, so a state call here can
-		// only belong to a goroutine being killed anyway.)
+	// Nobody waits for this call any more, and its slot is not recycled.
+	e.pendMu.Lock()
+	delete(e.pend, c.corr)
+	e.pendMu.Unlock()
+	if err == nil {
 		port.Unwind()
-		return nil
+	}
+	panic(fmt.Errorf("net: rank %d: state RPC to rank %d: %w", e.cfg.Rank, rank, err))
+}
+
+// completeCall hands a response to the call waiting under corr, if one still
+// is. resp is the connection reader's borrowed frame body, so it is copied
+// into the slot; under pendMu, which orders the copy against a caller that
+// is giving up.
+func (e *Engine) completeCall(corr uint64, resp []byte) {
+	e.pendMu.Lock()
+	c := e.pend[corr]
+	if c != nil {
+		delete(e.pend, corr)
+		c.resp = append(c.resp[:0], resp...)
+	}
+	e.pendMu.Unlock()
+	if c != nil {
+		c.reply <- struct{}{}
 	}
 }
 
 // serveState executes one state request against the locally-owned state and
-// writes the response on the same link.
-func (e *Engine) serveState(l *link, body []byte) {
+// writes the response on the same link. A request that is truncated, or names
+// what this rank cannot apply (a count no frame could carry, a write-back of
+// unequal halves, a core hosted elsewhere), faults the run untouched.
+func (r *connReader) serveState(body []byte) {
+	e, st := r.l.eng, r.l.eng.st
 	d := wire.NewDec(body, nil)
-	corr := d.U64()
-	op := d.U8()
+	corr, op := d.U64(), d.U8()
 	resp := wire.GetEnc()
-	defer wire.PutEnc(resp) // l.write copies the frame out before returning
+	defer wire.PutEnc(resp)
 	resp.U64(corr)
-	st := e.st
 	if st.mem == nil {
 		e.Fail(fmt.Errorf("net: rank %d: state RPC before BindState", e.cfg.Rank))
 		return
 	}
+	// may reports whether to apply a request: it decoded whole and ok holds.
+	valid := true
+	may := func(ok bool) bool {
+		valid = valid && ok
+		return ok && d.Err() == nil
+	}
+	hosts := func(c int) bool { return 0 <= c && c < st.regs.Cores() && st.rankOf(c) == e.cfg.Rank }
 	switch op {
 	case opReadRaw:
 		resp.U64(st.mem.ReadRaw(mem.Addr(d.U64())))
 	case opWriteRaw:
-		a, v := mem.Addr(d.U64()), d.U64()
-		st.mem.WriteRaw(a, v)
-	case opReadBatchRaw:
-		base, n := mem.Addr(d.U64()), d.Int()
-		if n < 0 || n > maxReadBatch {
-			e.Fail(fmt.Errorf("net: rank %d: state read of %d words from rank %d exceeds one frame", e.cfg.Rank, n, l.peer))
-			return
+		if a, v := mem.Addr(d.U64()), d.U64(); d.Err() == nil {
+			st.mem.WriteRaw(a, v)
 		}
-		if d.Err() == nil {
-			resp.U64s(st.mem.ReadBatchRaw(base, n))
+	case opReadBatchRaw:
+		if base, n := mem.Addr(d.U64()), d.Int(); may(0 <= n && n <= maxReadBatch) {
+			if cap(r.words) < n {
+				r.words = make([]uint64, n)
+			}
+			st.mem.ReadBatchRaw(base, r.words[:n])
+			resp.U64s(r.words[:n])
 		}
 	case opWriteBatchRaw:
-		as := d.U64s()
-		vs := d.U64s()
-		if d.Err() == nil {
-			addrs := make([]mem.Addr, len(as))
-			for i, a := range as {
-				addrs[i] = mem.Addr(a)
-			}
-			st.mem.WriteBatchRaw(addrs, vs)
+		r.addrs, r.words = r.addrs[:0], r.words[:0]
+		for n := d.Count(8); n > 0; n-- {
+			r.addrs = append(r.addrs, mem.Addr(d.U64()))
+		}
+		for n := d.Count(8); n > 0; n-- {
+			r.words = append(r.words, d.U64())
+		}
+		if may(len(r.addrs) == len(r.words)) {
+			st.mem.WriteBatchRaw(r.addrs, r.words)
 		}
 	case opAlloc:
-		n, mc := d.Int(), d.Int()
-		if d.Err() == nil {
+		if n, mc := d.Int(), d.Int(); may(n > 0 && mc >= 0) {
 			resp.U64(uint64(st.mem.Alloc(n, mc)))
 		}
 	case opCAS:
 		owner, txID := d.Int(), d.U64()
-		from, to := mem.TxState(d.U8()), mem.TxState(d.U8())
-		if d.Err() == nil {
+		if from, to := mem.TxState(d.U8()), mem.TxState(d.U8()); may(hosts(owner)) {
 			sw, obsTx, obsState := st.regs.CASStatusObserveRaw(owner, txID, from, to)
 			resp.Bool(sw)
 			resp.U64(obsTx)
 			resp.U8(uint8(obsState))
 		}
 	case opTAS:
-		reg := d.Int()
-		if d.Err() == nil {
+		if reg := d.Int(); may(hosts(reg)) {
 			resp.Bool(st.regs.TASRaw(reg))
 		}
 	case opTASRelease:
-		reg := d.Int()
-		if d.Err() == nil {
+		if reg := d.Int(); may(hosts(reg)) {
 			st.regs.TASReleaseRaw(reg)
 		}
 	default:
-		e.Fail(fmt.Errorf("net: rank %d: unknown state op %d", e.cfg.Rank, op))
-		return
+		valid = false
 	}
-	if err := d.Err(); err != nil {
-		e.Fail(fmt.Errorf("net: rank %d: bad state request: %w", e.cfg.Rank, err))
-		return
-	}
-	if err := l.write(frStateResp, resp.Bytes()); err != nil {
-		// The requester's StateTimeout will surface the loss.
-		e.Drops.Add(1)
+	if err := d.Err(); err != nil { // the zero values of failed reads are not the peer's
+		e.Fail(fmt.Errorf("net: rank %d: bad state request from rank %d: %w", e.cfg.Rank, r.l.peer, err))
+	} else if !valid {
+		e.Fail(fmt.Errorf("net: rank %d: state request from rank %d (op %d) names what this rank cannot apply", e.cfg.Rank, r.l.peer, op))
+	} else if r.l.write(frStateResp, resp) != nil {
+		e.Drops.Add(1) // the requester's StateTimeout will surface the loss
 	}
 }
 
@@ -180,52 +231,53 @@ func (e *Engine) serveState(l *link, body []byte) {
 type memRemote struct{ e *Engine }
 
 func (m memRemote) ReadRaw(addr mem.Addr) uint64 {
-	resp := m.e.stateCall(0, func(enc *wire.Enc) {
-		enc.U8(opReadRaw)
-		enc.U64(uint64(addr))
-	})
-	return wire.NewDec(resp, nil).U64()
+	c := m.e.newCall(opReadRaw)
+	c.req.U64(uint64(addr))
+	v := m.e.roundTrip(0, c).U64()
+	c.done()
+	return v
 }
 
 func (m memRemote) WriteRaw(addr mem.Addr, v uint64) {
-	m.e.stateCall(0, func(enc *wire.Enc) {
-		enc.U8(opWriteRaw)
-		enc.U64(uint64(addr))
-		enc.U64(v)
-	})
+	c := m.e.newCall(opWriteRaw)
+	c.req.U64(uint64(addr))
+	c.req.U64(v)
+	m.e.roundTrip(0, c)
+	c.done()
 }
 
-func (m memRemote) ReadBatchRaw(base mem.Addr, n int) []uint64 {
-	resp := m.e.stateCall(0, func(enc *wire.Enc) {
-		enc.U8(opReadBatchRaw)
-		enc.U64(uint64(base))
-		enc.Int(n)
-	})
-	vs := wire.NewDec(resp, nil).U64s()
-	if vs == nil {
-		vs = make([]uint64, n)
+func (m memRemote) ReadBatchRaw(base mem.Addr, dst []uint64) {
+	c := m.e.newCall(opReadBatchRaw)
+	c.req.U64(uint64(base))
+	c.req.Int(len(dst))
+	d := m.e.roundTrip(0, c)
+	if n := d.Count(8); n != len(dst) {
+		panic(fmt.Errorf("net: rank %d: state read of %d words answered with %d (%v)", m.e.cfg.Rank, len(dst), n, d.Err()))
 	}
-	return vs
+	for i := range dst {
+		dst[i] = d.U64()
+	}
+	c.done()
 }
 
 func (m memRemote) WriteBatchRaw(addrs []mem.Addr, vals []uint64) {
-	m.e.stateCall(0, func(enc *wire.Enc) {
-		enc.U8(opWriteBatchRaw)
-		enc.U32(uint32(len(addrs)))
-		for _, a := range addrs {
-			enc.U64(uint64(a))
-		}
-		enc.U64s(vals)
-	})
+	c := m.e.newCall(opWriteBatchRaw)
+	c.req.U32(uint32(len(addrs)))
+	for _, a := range addrs {
+		c.req.U64(uint64(a))
+	}
+	c.req.U64s(vals)
+	m.e.roundTrip(0, c)
+	c.done()
 }
 
 func (m memRemote) Alloc(n, mc int) mem.Addr {
-	resp := m.e.stateCall(0, func(enc *wire.Enc) {
-		enc.U8(opAlloc)
-		enc.Int(n)
-		enc.Int(mc)
-	})
-	return mem.Addr(wire.NewDec(resp, nil).U64())
+	c := m.e.newCall(opAlloc)
+	c.req.Int(n)
+	c.req.Int(mc)
+	a := mem.Addr(m.e.roundTrip(0, c).U64())
+	c.done()
+	return a
 }
 
 // regRemote forwards register operations to the rank owning the target core
@@ -233,28 +285,28 @@ func (m memRemote) Alloc(n, mc int) mem.Addr {
 type regRemote struct{ e *Engine }
 
 func (r regRemote) CASStatus(owner int, txID uint64, from, to mem.TxState) (bool, uint64, mem.TxState) {
-	resp := r.e.stateCall(r.e.st.rankOf(owner), func(enc *wire.Enc) {
-		enc.U8(opCAS)
-		enc.Int(owner)
-		enc.U64(txID)
-		enc.U8(uint8(from))
-		enc.U8(uint8(to))
-	})
-	d := wire.NewDec(resp, nil)
-	return d.Bool(), d.U64(), mem.TxState(d.U8())
+	c := r.e.newCall(opCAS)
+	c.req.Int(owner)
+	c.req.U64(txID)
+	c.req.U8(uint8(from))
+	c.req.U8(uint8(to))
+	d := r.e.roundTrip(r.e.st.rankOf(owner), c)
+	swapped, obsTx, obsState := d.Bool(), d.U64(), mem.TxState(d.U8())
+	c.done()
+	return swapped, obsTx, obsState
 }
 
 func (r regRemote) TAS(reg int) bool {
-	resp := r.e.stateCall(r.e.st.rankOf(reg), func(enc *wire.Enc) {
-		enc.U8(opTAS)
-		enc.Int(reg)
-	})
-	return wire.NewDec(resp, nil).Bool()
+	c := r.e.newCall(opTAS)
+	c.req.Int(reg)
+	won := r.e.roundTrip(r.e.st.rankOf(reg), c).Bool()
+	c.done()
+	return won
 }
 
 func (r regRemote) TASRelease(reg int) {
-	r.e.stateCall(r.e.st.rankOf(reg), func(enc *wire.Enc) {
-		enc.U8(opTASRelease)
-		enc.Int(reg)
-	})
+	c := r.e.newCall(opTASRelease)
+	c.req.Int(reg)
+	r.e.roundTrip(r.e.st.rankOf(reg), c)
+	c.done()
 }

@@ -117,11 +117,7 @@ func (k *Kernel) Spawn(name string, fn func(*Proc)) *Proc {
 		p.started = true
 		fn(p)
 	}()
-	k.schedule(k.now, func() {
-		if !k.killing {
-			k.resume(p)
-		}
-	})
+	k.schedule(k.now, event{kind: evResume, proc: p})
 	return p
 }
 
@@ -158,7 +154,7 @@ func (p *Proc) Advance(d time.Duration) {
 		return
 	}
 	k := p.k
-	k.schedule(k.now+Time(d), func() { k.resume(p) })
+	k.schedule(k.now+Time(d), event{kind: evResume, proc: p})
 	p.park()
 }
 
@@ -166,7 +162,7 @@ func (p *Proc) Advance(d time.Duration) {
 // events, letting same-timestamp work elsewhere proceed first.
 func (p *Proc) Yield() {
 	k := p.k
-	k.schedule(k.now, func() { k.resume(p) })
+	k.schedule(k.now, event{kind: evResume, proc: p})
 	p.park()
 }
 
@@ -187,31 +183,35 @@ func (k *Kernel) SendFrom(src int, dst *Proc, payload any, delay time.Duration) 
 	if b, ok := payload.(*Batch); ok && len(b.Payloads) == 0 {
 		panic("sim: empty batch envelope")
 	}
-	sent := k.now
 	at := k.deliverAt(int32(src), int32(dst.id), k.now+Time(delay))
-	k.schedule(at, func() {
-		if dst.finished {
-			return
+	k.schedule(at, event{kind: evDeliver, src: int32(src), proc: dst, sent: k.now, payload: payload})
+}
+
+// deliver fires an evDeliver event: the message lands in its destination's
+// mailbox, and a destination blocked in a receive is resumed.
+func (k *Kernel) deliver(ev *event) {
+	dst, src := ev.proc, int(ev.src)
+	if dst.finished {
+		return
+	}
+	// A Batch envelope is unpacked here, at the mailbox: each payload
+	// becomes its own Msg in staged order, so receive loops and
+	// selective-receive predicates never see the envelope itself.
+	if b, ok := ev.payload.(*Batch); ok {
+		for _, pl := range b.Payloads {
+			dst.mbox.Push(Msg{From: src, SentAt: ev.sent, At: k.now, Payload: pl})
 		}
-		// A Batch envelope is unpacked here, at the mailbox: each payload
-		// becomes its own Msg in staged order, so receive loops and
-		// selective-receive predicates never see the envelope itself.
-		if b, ok := payload.(*Batch); ok {
-			for _, pl := range b.Payloads {
-				dst.mbox.Push(Msg{From: src, SentAt: sent, At: k.now, Payload: pl})
-			}
-			if dst.onBatch != nil {
-				dst.onBatch(len(b.Payloads))
-			}
-			PutBatch(b)
-		} else {
-			dst.mbox.Push(Msg{From: src, SentAt: sent, At: k.now, Payload: payload})
+		if dst.onBatch != nil {
+			dst.onBatch(len(b.Payloads))
 		}
-		if dst.waiting {
-			dst.waiting = false
-			k.resume(dst)
-		}
-	})
+		PutBatch(b)
+	} else {
+		dst.mbox.Push(Msg{From: src, SentAt: ev.sent, At: k.now, Payload: ev.payload})
+	}
+	if dst.waiting {
+		dst.waiting = false
+		k.resume(dst)
+	}
 }
 
 // Pending reports how many messages are queued in the proc's mailbox.
@@ -270,14 +270,14 @@ func (p *Proc) RecvTimeout(d time.Duration) (m Msg, ok bool) {
 	p.tgen++
 	gen := p.tgen
 	expired := false
-	k.schedule(k.now+Time(d), func() {
+	k.schedule(k.now+Time(d), event{fn: func() {
 		// Fire only if the proc is still blocked in the same RecvTimeout.
 		if p.waiting && gen == p.tgen && !p.finished {
 			p.waiting = false
 			expired = true
 			k.resume(p)
 		}
-	})
+	}})
 	p.waiting = true
 	p.park()
 	if expired && p.Pending() == 0 {

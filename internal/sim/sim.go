@@ -15,7 +15,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"time"
@@ -34,27 +33,66 @@ func (t Time) Duration() time.Duration { return time.Duration(t) }
 
 func (t Time) String() string { return time.Duration(t).String() }
 
-// event is a scheduled callback. Events with equal timestamps fire in
-// scheduling order (seq), which makes the simulation deterministic.
+// event is one scheduled occurrence: a proc to resume or a message to
+// deliver (fields inline: the hot paths schedule without a closure), or a
+// callback. Events with equal timestamps fire in scheduling order (seq).
 type event struct {
-	at  Time
-	seq uint64
-	fn  func()
+	at   Time
+	seq  uint64
+	kind evKind
+	src  int32 // evDeliver: sender proc ID
+	proc *Proc // evResume: the proc to run; evDeliver: the destination
+	fn   func()
+
+	sent    Time // evDeliver: when the send was issued
+	payload any  // evDeliver
 }
 
+type evKind uint8
+
+const (
+	evFn      evKind = iota // call fn (At, RecvTimeout timers)
+	evResume                // hand control to proc (Spawn, Advance, Yield)
+	evDeliver               // push payload into proc's mailbox (SendFrom)
+)
+
+// before is the queue's total order: (at, seq), seq unique.
+func (e *event) before(o *event) bool {
+	return e.at < o.at || e.at == o.at && e.seq < o.seq
+}
+
+// eventHeap is a binary min-heap ordered by before; typed, because
+// container/heap boxes an event into an interface on every Push and Pop.
 type eventHeap []event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (h *eventHeap) push(ev event) {
+	q := append(*h, ev)
+	for i := len(q) - 1; i > 0 && q[i].before(&q[(i-1)/2]); i = (i - 1) / 2 {
+		q[i], q[(i-1)/2] = q[(i-1)/2], q[i]
 	}
-	return h[i].seq < h[j].seq
+	*h = q
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any     { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
-func (h eventHeap) peek() event   { return h[0] }
+
+// pop removes and returns the earliest event of a non-empty queue.
+func (h *eventHeap) pop() event {
+	q := *h
+	n := len(q) - 1
+	top := q[0]
+	q[0], q[n] = q[n], event{} // the vacated slot drops its references
+	for i := 0; ; {
+		c := 2*i + 1
+		if c+1 < n && q[c+1].before(&q[c]) {
+			c++
+		}
+		if c >= n || !q[c].before(&q[i]) {
+			break
+		}
+		q[i], q[c] = q[c], q[i]
+		i = c
+	}
+	*h = q[:n]
+	return top
+}
 
 // Kernel is the discrete-event scheduler. The zero value is not usable; use
 // New.
@@ -112,13 +150,14 @@ func (k *Kernel) EnableTraceHash() { k.hashing = true; k.hash = 1469598103934665
 // TraceHash returns the accumulated event-trace hash (see EnableTraceHash).
 func (k *Kernel) TraceHash() uint64 { return k.hash }
 
-// schedule enqueues fn to run at timestamp at (clamped to now).
-func (k *Kernel) schedule(at Time, fn func()) {
+// schedule enqueues ev to fire at timestamp at (clamped to now).
+func (k *Kernel) schedule(at Time, ev event) {
 	if at < k.now {
 		at = k.now
 	}
 	k.seq++
-	heap.Push(&k.events, event{at: at, seq: k.seq, fn: fn})
+	ev.at, ev.seq = at, k.seq
+	k.events.push(ev)
 }
 
 // At schedules fn to run in kernel context after virtual delay d. It may be
@@ -128,7 +167,7 @@ func (k *Kernel) At(d time.Duration, fn func()) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", d))
 	}
-	k.schedule(k.now+Time(d), fn)
+	k.schedule(k.now+Time(d), event{fn: fn})
 }
 
 // Run executes events until the event queue is empty (which implies every
@@ -138,13 +177,13 @@ func (k *Kernel) At(d time.Duration, fn func()) {
 func (k *Kernel) Run(until Time) uint64 {
 	var fired uint64
 	for len(k.events) > 0 && !k.killing {
-		if k.events.peek().at > until {
+		if k.events[0].at > until {
 			if until > k.now {
 				k.now = until
 			}
 			return fired
 		}
-		ev := heap.Pop(&k.events).(event)
+		ev := k.events.pop()
 		k.now = ev.at
 		k.eventsRun++
 		fired++
@@ -154,7 +193,14 @@ func (k *Kernel) Run(until Time) uint64 {
 			k.hash ^= ev.seq
 			k.hash *= 1099511628211
 		}
-		ev.fn()
+		switch ev.kind {
+		case evResume:
+			k.resume(ev.proc)
+		case evDeliver:
+			k.deliver(&ev)
+		default:
+			ev.fn()
+		}
 	}
 	return fired
 }

@@ -21,11 +21,13 @@
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
 	"reflect"
+	"slices"
 	"sync"
 
 	"repro/internal/port"
@@ -51,31 +53,53 @@ type PortResolver func(id int) port.Port
 // nilPort is the on-wire encoding of a nil port.Port reference.
 const nilPort = math.MaxUint32
 
-// Enc is an append-only little-endian encoder.
+// frameHdr is the size of a frame's header: the u32 length and the kind.
+const frameHdr = 5
+
+// Enc is an append-only little-endian encoder. Its storage opens with room
+// for a frame header, so what was encoded goes out as one frame (Frame)
+// without being copied behind a header first.
 type Enc struct {
-	b []byte
+	b []byte // frameHdr reserved bytes, then the encoded body
+}
+
+// reset empties the encoder, keeping its storage.
+func (e *Enc) reset() *Enc {
+	e.b = append(e.b[:0], make([]byte, frameHdr)...)
+	return e
 }
 
 // NewEnc returns an encoder reusing buf's storage (pass nil for a fresh one).
-func NewEnc(buf []byte) *Enc { return &Enc{b: buf[:0]} }
+func NewEnc(buf []byte) *Enc { return (&Enc{b: buf}).reset() }
 
 // encPool recycles encoders for the per-message send paths. An encoder's
 // buffer grows to the largest frame it ever carried and stays that size.
 var encPool = sync.Pool{New: func() any { return &Enc{} }}
 
 // GetEnc returns a pooled encoder, empty but with retained capacity.
-func GetEnc() *Enc {
-	e := encPool.Get().(*Enc)
-	e.b = e.b[:0]
-	return e
-}
+func GetEnc() *Enc { return encPool.Get().(*Enc).reset() }
 
 // PutEnc recycles an encoder. The caller must be done with every slice
-// obtained from Bytes — the storage is reused by the next GetEnc.
+// obtained from Bytes or Frame — the storage is reused by the next GetEnc.
 func PutEnc(e *Enc) { encPool.Put(e) }
 
 // Bytes returns the encoded buffer. It aliases the encoder's storage.
-func (e *Enc) Bytes() []byte { return e.b }
+func (e *Enc) Bytes() []byte { return e.b[frameHdr:] }
+
+// Frame returns what was encoded as the body of one complete frame, ready
+// for a single Write. It aliases the encoder's storage.
+func (e *Enc) Frame(kind uint8) ([]byte, error) {
+	n := len(e.b) - frameHdr
+	if n+1 > MaxFrame {
+		return nil, fmt.Errorf("wire: frame body %d bytes exceeds MaxFrame", n)
+	}
+	binary.LittleEndian.PutUint32(e.b, uint32(n+1))
+	e.b[4] = kind
+	return e.b, nil
+}
+
+// Raw appends b as it is, with no count ahead of it.
+func (e *Enc) Raw(b []byte) { e.b = append(e.b, b...) }
 
 func (e *Enc) U8(v uint8)      { e.b = append(e.b, v) }
 func (e *Enc) U16(v uint16)    { e.b = binary.LittleEndian.AppendUint16(e.b, v) }
@@ -95,6 +119,7 @@ func (e *Enc) Bool(v bool) {
 
 // U64s encodes a slice as a u32 count followed by the elements.
 func (e *Enc) U64s(vs []uint64) {
+	e.b = slices.Grow(e.b, 4+8*len(vs))
 	e.U32(uint32(len(vs)))
 	for _, v := range vs {
 		e.U64(v)
@@ -108,12 +133,6 @@ func (e *Enc) Port(p port.Port) {
 		return
 	}
 	e.U32(uint32(p.ID()))
-}
-
-// Bytes32 encodes a byte slice as a u32 count followed by the raw bytes.
-func (e *Enc) Bytes32(b []byte) {
-	e.U32(uint32(len(b)))
-	e.b = append(e.b, b...)
 }
 
 // Dec is a little-endian decoder over a fixed buffer. The first malformed
@@ -130,6 +149,9 @@ type Dec struct {
 
 // NewDec returns a decoder over b.
 func NewDec(b []byte, r PortResolver) *Dec { return &Dec{b: b, Resolve: r} }
+
+// Reset points the decoder at b, unread and error-free, keeping Resolve.
+func (d *Dec) Reset(b []byte) { d.b, d.off, d.err = b, 0, nil }
 
 // Err reports the first decode error, if any.
 func (d *Dec) Err() error { return d.err }
@@ -251,12 +273,6 @@ func (d *Dec) Port() port.Port {
 	return p
 }
 
-// Bytes32 decodes a byte slice written by Enc.Bytes32. The result aliases
-// the decoder's buffer.
-func (d *Dec) Bytes32() []byte {
-	return d.take(d.Count(1))
-}
-
 // Codec describes one registered payload type: a stable kind byte, the
 // concrete Go type it encodes, and the encoder/decoder pair. Decode must
 // return the same concrete type as Type (pointer types round-trip as new
@@ -330,55 +346,76 @@ func DecodePayload(d *Dec) (any, error) {
 	return v, nil
 }
 
-// framePool recycles the scratch buffers WriteFrame uses to emit header and
-// body as a single Write call (one syscall, no partial-frame interleaving).
-var framePool = sync.Pool{New: func() any { return new([]byte) }}
-
-// WriteFrame writes one [u32 length][u8 kind][body] frame.
+// WriteFrame writes one [u32 length][u8 kind][body] frame as a single Write
+// call (one syscall, no partial-frame interleaving).
 func WriteFrame(w io.Writer, kind uint8, body []byte) error {
-	if len(body)+1 > MaxFrame {
-		return fmt.Errorf("wire: frame body %d bytes exceeds MaxFrame", len(body))
+	e := GetEnc()
+	e.Raw(body)
+	f, err := e.Frame(kind)
+	if err == nil {
+		_, err = w.Write(f)
 	}
-	var hdr [5]byte
-	binary.LittleEndian.PutUint32(hdr[:4], uint32(len(body)+1))
-	hdr[4] = kind
-	bp := framePool.Get().(*[]byte)
-	buf := append((*bp)[:0], hdr[:]...)
-	buf = append(buf, body...)
-	_, err := w.Write(buf)
-	*bp = buf[:0]
-	framePool.Put(bp)
+	PutEnc(e)
 	return err
 }
 
-// readChunk is the most ReadFrame allocates on the strength of a length
-// prefix alone. Protocol frames are far smaller, so they still cost one
-// exact-size allocation.
+// readChunk is the most a reader allocates on the strength of a length
+// prefix alone.
 const readChunk = 64 << 10
 
-// ReadFrame reads one frame written by WriteFrame. The announced length is
-// a claim by the peer: beyond readChunk the buffer grows only as fast as
-// body bytes actually arrive (at most doubling), so a header announcing
-// MaxFrame on a stream that then stalls or ends costs one chunk, not 16 MiB.
+// ReadFrame reads one frame written by WriteFrame into a buffer of its own,
+// consuming exactly the frame's bytes from r: the form for a stream's first
+// frame (the handshake), before a FrameReader takes the connection over.
 func ReadFrame(r io.Reader) (kind uint8, body []byte, err error) {
-	var hdr [4]byte
-	if _, err = io.ReadFull(r, hdr[:]); err != nil {
+	return (&FrameReader{r: r}).Next()
+}
+
+// FrameReader reads a connection's frames through a small read-ahead (a
+// burst of frames costs one read syscall) into one buffer it reuses for every
+// frame, which stays at the largest frame it carried.
+type FrameReader struct {
+	r   io.Reader
+	buf []byte
+}
+
+// readAhead is the size of a FrameReader's read buffer.
+const readAhead = 4 << 10
+
+// NewFrameReader returns a frame reader over r. It reads ahead: bytes of r
+// behind the last frame returned may already be consumed.
+func NewFrameReader(r io.Reader) *FrameReader {
+	return &FrameReader{r: bufio.NewReaderSize(r, readAhead)}
+}
+
+// Next reads one frame. body is borrowed: it is valid until the next call
+// to Next, so a caller copies whatever it keeps. The announced length is a
+// claim by the peer: storage not already held grows only as fast as bytes
+// arrive (one readChunk, then at most doubling), so a header announcing
+// MaxFrame on a stream that then stalls or ends costs one chunk, not 16 MiB.
+func (fr *FrameReader) Next() (kind uint8, body []byte, err error) {
+	buf := fr.buf
+	if cap(buf) < 4 {
+		buf = make([]byte, 4, 128) // a small first frame (the handshake) fits behind its header
+	}
+	if _, err = io.ReadFull(fr.r, buf[:4]); err != nil {
 		return 0, nil, err
 	}
-	n := int(binary.LittleEndian.Uint32(hdr[:]))
+	n := int(binary.LittleEndian.Uint32(buf[:4]))
 	if n == 0 || n > MaxFrame {
 		return 0, nil, fmt.Errorf("wire: frame length %d out of range", n)
 	}
-	buf := make([]byte, min(n, readChunk))
-	if _, err = io.ReadFull(r, buf); err != nil {
-		return 0, nil, err
-	}
-	for len(buf) < n {
-		got := len(buf)
-		buf = append(buf, make([]byte, min(n-got, got))...)
-		if _, err = io.ReadFull(r, buf[got:]); err != nil {
+	for got, size := 0, min(n, max(readChunk, cap(buf))); got < n; got, size = size, min(n, 2*size) {
+		if size > cap(buf) {
+			buf = append(make([]byte, 0, size), buf[:got]...)
+		}
+		buf = buf[:size]
+		if _, err = io.ReadFull(fr.r, buf[got:]); err == io.EOF {
+			err = io.ErrUnexpectedEOF // the header promised these bytes
+		}
+		if err != nil {
 			return 0, nil, err
 		}
 	}
+	fr.buf = buf
 	return buf[0], buf[1:], nil
 }
