@@ -8,8 +8,7 @@
 //	tm2c-bench -run all -scale quick
 //	tm2c-bench -run fig8a,fig8b -scale full -csv
 //	tm2c-bench -run ablbatch -coalesce
-//	tm2c-bench -run ablplace -placement adaptive
-//	tm2c-bench -run ablro -readonly
+//	tm2c-bench -run scaleplace -placement adaptive
 //	tm2c-bench -run abltl2 -scale quick
 //	tm2c-bench -run fig5a -protocol tl2
 //	tm2c-bench -run fig5a -scale quick -backend live
@@ -20,13 +19,9 @@
 // Results print as aligned text tables, or CSV with -csv. -coalesce enables
 // the coalescing message plane (per-destination wire batching,
 // Config.Coalesce) in every experiment; the ablbatch ablation compares
-// both planes directly. -adaptiveflush additionally defers
-// sub-threshold fire-and-forget envelopes until a size/age trigger fires
-// (implies -coalesce); ablbatch compares all three transport modes.
-// -placement forces an object→DTM-node placement policy in every
-// experiment; the ablplace ablation compares hash and adaptive directly.
-// -readonly runs every bank balance scan as a declared read-only
-// transaction; the ablro ablation compares the two kinds directly.
+// both settings directly. -placement forces an object→DTM-node placement
+// policy in every experiment; scaleplace compares hash, adaptive and hier
+// directly.
 // -protocol forces a read-visibility protocol (visible | tl2) in every
 // experiment; the abltl2 ablation compares the two protocols directly.
 // -backend selects the execution backend: the deterministic simulator
@@ -69,7 +64,6 @@ func main() {
 		run       = flag.String("run", "all", "comma-separated experiment IDs, or 'all'")
 		scale     = flag.String("scale", "default", "quick | default | full | large")
 		csv       = flag.Bool("csv", false, "emit CSV instead of aligned tables")
-		readonly  = flag.Bool("readonly", false, "run every bank balance scan as a declared read-only transaction")
 		timings   = flag.Bool("timings", false, "print wall-clock time per experiment")
 		traceDir  = flag.String("trace-dir", "", "directory to write one chrome trace_event JSON per system run into (enables the flight recorder)")
 		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) and dump runtime/metrics after the experiments finish")
@@ -126,7 +120,7 @@ func main() {
 		}
 		traceOpts = &trace.Options{Sink: traceSink(*traceDir, prefix)}
 	}
-	ov := exp.Overrides{ReadOnly: *readonly, Sys: func(c *core.Config) {
+	ov := exp.Overrides{Sys: func(c *core.Config) {
 		sysFlags(c)
 		c.Trace = traceOpts
 		if plan != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -330,5 +331,102 @@ func TestCoalesceSingletonPlaneBitIdentical(t *testing.T) {
 	if on.WireMsgs != on.Msgs || on.CoalescedPayloads != 0 {
 		t.Fatalf("singleton bursts produced envelopes: %d wire msgs for %d payloads, %d coalesced",
 			on.WireMsgs, on.Msgs, on.CoalescedPayloads)
+	}
+}
+
+// TestOutboxEmptyWheneverAPortBlocks pins the invariant the message plane
+// rests on: no payload is ever staged across a point where its port can
+// block. Every burst site flushes before its port receives, so whenever a
+// core is between transactions, about to enter a barrier, or parked at
+// quiesce, its outbox — and under Multitask the co-located node's — holds
+// nothing, on either setting of Coalesce and in every protocol mode; and a
+// run that leaves nothing staged leaves no lock behind.
+func TestOutboxEmptyWheneverAPortBlocks(t *testing.T) {
+	const words = 16
+	flushed := func(t *testing.T, rt *Runtime, where string) {
+		if n := rt.out.Pending(); n != 0 {
+			t.Errorf("app%d %s: %d payloads staged in the core's outbox", rt.core, where, n)
+		}
+		if rt.node != nil {
+			if n := rt.node.out.Pending(); n != 0 {
+				t.Errorf("app%d %s: %d responses staged in the co-located node's outbox", rt.core, where, n)
+			}
+		}
+	}
+	// Every workload is rounds of one transaction then one barrier, so the
+	// barrier is entered with the last transaction's release burst behind it.
+	run := func(t *testing.T, cfg Config, txn func(rt *Runtime, base mem.Addr, i int)) {
+		cfg.Platform, cfg.Seed, cfg.TotalCores, cfg.Policy = noc.SCC(0), 19, 8, cm.FairCM
+		s, err := NewSystem(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base := s.Mem.Alloc(words, 0)
+		s.SpawnWorkers(func(rt *Runtime) {
+			for i := 0; i < 10; i++ {
+				txn(rt, base, i)
+				flushed(t, rt, "after a transaction")
+				rt.Barrier()
+				flushed(t, rt, "after a barrier")
+			}
+		})
+		if st := s.RunToCompletion(); st.Commits == 0 {
+			t.Fatal("nothing committed")
+		}
+		for _, rt := range s.runtimes {
+			flushed(t, rt, "at quiesce")
+		}
+		for _, n := range s.nodes {
+			if p := n.out.Pending(); p != 0 {
+				t.Errorf("dtm%d at quiesce: %d responses staged", n.core, p)
+			}
+		}
+		if leaked := s.LockedAddrs(); leaked != 0 {
+			t.Errorf("%d locks leaked", leaked)
+		}
+	}
+	// scatter reads two words and writes four: with NoBatching the commit
+	// burst has several payloads per node, without it one.
+	scatter := func(kind TxKind) func(*Runtime, mem.Addr, int) {
+		return func(rt *Runtime, base mem.Addr, i int) {
+			r := rt.Rand()
+			rt.RunKind(kind, func(tx *Tx) {
+				a := base + mem.Addr(r.Intn(words))
+				v := tx.Read(a) + tx.Read(base+mem.Addr(r.Intn(words)))
+				if kind == ElasticEarly {
+					tx.EarlyRelease(a)
+				}
+				for k := 0; k < 4; k++ {
+					tx.Write(base+mem.Addr(r.Intn(words)), v+uint64(i))
+				}
+			})
+		}
+	}
+	for _, coalesce := range []bool{false, true} {
+		for _, dep := range []Deployment{Dedicated, Multitask} {
+			for _, acq := range []AcquireMode{Lazy, Eager} {
+				for _, proto := range []Protocol{ProtocolVisible, ProtocolTL2} {
+					for _, noBatching := range []bool{false, true} {
+						cfg := Config{Coalesce: coalesce, Deployment: dep, Acquire: acq, Protocol: proto, NoBatching: noBatching}
+						name := fmt.Sprintf("coalesce=%v/%v/%v/%v/nobatching=%v", coalesce, dep, acq, proto, noBatching)
+						t.Run(name, func(t *testing.T) { run(t, cfg, scatter(Normal)) })
+					}
+				}
+			}
+		}
+		t.Run(fmt.Sprintf("coalesce=%v/elastic-early", coalesce), func(t *testing.T) {
+			run(t, Config{Coalesce: coalesce, NoBatching: true}, scatter(ElasticEarly))
+		})
+		t.Run(fmt.Sprintf("coalesce=%v/irrevocable", coalesce), func(t *testing.T) {
+			run(t, Config{Coalesce: coalesce, NoBatching: true}, func(rt *Runtime, base mem.Addr, i int) {
+				if rt.AppIndex() != 0 {
+					scatter(Normal)(rt, base, i)
+					return
+				}
+				rt.RunIrrevocable(func(ir *Irrevocable) {
+					ir.Write(base+mem.Addr(i%words), ir.Read(base)+1)
+				})
+			})
+		})
 	}
 }

@@ -280,34 +280,19 @@ type Config struct {
 	// NoBatching disables write-lock batching (one message per object
 	// instead of one per DTM node) for the batching ablation.
 	NoBatching bool
-	// Coalesce enables the coalescing message plane: protocol payloads
-	// headed to the same destination within one burst — a commit scatter,
-	// a release burst, the responses of one DTM dispatch — leave as a
-	// single multi-payload wire message (port.Outbox → sim.Batch), charged
-	// the batched cost model (noc.BatchDelay: fixed software overheads
-	// once per wire message, marginal bytes per payload). Off by default:
-	// the uncoalesced plane is the bit-identical historic behavior the
-	// figure fingerprints pin. Stats.WireMsgs/CoalescedPayloads quantify
-	// the effect; the ablbatch ablation compares both planes.
+	// Coalesce is the message plane's one setting. Every burst — a commit
+	// scatter, a release burst, the responses of one DTM dispatch — goes
+	// through one staging point (System.stage) and leaves at the burst's
+	// flush point. Set, payloads headed to the same destination within a
+	// burst share a single multi-payload wire message (port.Outbox →
+	// sim.Batch), charged the batched cost model (noc.BatchDelay: fixed
+	// software overheads once per wire message, marginal bytes per
+	// payload). Unset (the default) is the degenerate plane: staging sends
+	// at once, the flush points find nothing to flush, and behaviour is the
+	// bit-identical historic one the figure fingerprints pin.
+	// Stats.WireMsgs/CoalescedPayloads quantify the effect; the ablbatch
+	// ablation compares both settings.
 	Coalesce bool
-	// AdaptiveFlush upgrades the application cores' coalescing outbox from
-	// flush-at-burst-end to size/age-triggered emission: a release or
-	// early-release burst leaves a staged entry in place unless it already
-	// carries FlushBytes of payload or has waited FlushAge since its first
-	// payload, so releases from consecutive transactions headed to the same
-	// DTM node share a wire message across burst boundaries. Fire-and-forget
-	// traffic only — everything awaited (lock requests, responses, DTM node
-	// replies, barriers) still flushes at the burst end, and a held release
-	// is revocable (the lock-stealing path treats a finished attempt's lock
-	// as stale), so deferral can cost an enemy a retry but never a deadlock.
-	// Requires Coalesce; sim-visible knob, off by default (the pinned
-	// fingerprints run the plain coalescing plane).
-	AdaptiveFlush bool
-	// FlushBytes and FlushAge override the adaptive-flush triggers (defaults
-	// from the platform: Platform.FlushBytes/FlushAge). Ignored unless
-	// AdaptiveFlush is set.
-	FlushBytes int
-	FlushAge   time.Duration
 	// LockGranule is the number of words covered by one lock stripe; it
 	// must be a power of two (default 1). Objects larger than the granule
 	// are locked by their base address.
@@ -408,20 +393,6 @@ func (c *Config) normalize() error {
 		if c.ServiceCores < 0 || c.ServiceCores >= c.TotalCores {
 			return fmt.Errorf("core: invalid service-core count %d of %d",
 				c.ServiceCores, c.TotalCores)
-		}
-	}
-	if c.AdaptiveFlush {
-		if !c.Coalesce {
-			return errors.New("core: AdaptiveFlush requires Coalesce (there is no outbox to govern without it)")
-		}
-		if c.FlushBytes == 0 {
-			c.FlushBytes = c.Platform.FlushBytes()
-		}
-		if c.FlushAge == 0 {
-			c.FlushAge = c.Platform.FlushAge()
-		}
-		if c.FlushBytes < 0 || c.FlushAge < 0 {
-			return fmt.Errorf("core: negative adaptive-flush trigger (bytes %d, age %v)", c.FlushBytes, c.FlushAge)
 		}
 	}
 	if c.LockGranule == 0 {

@@ -47,34 +47,22 @@ type dtmNode struct {
 	// threaded per node, so one buffer serves every batch.
 	acqScratch []mem.Addr
 
-	// out is the node's coalescing outbox (Config.Coalesce): responses
-	// stage into it during a dispatch and flush when the mailbox is
-	// momentarily empty, so the grants/NACKs answering requests that
-	// arrived together (e.g. an unpacked commit-scatter envelope) share
-	// one wire message per requesting core. Unused when coalescing is off.
+	// out is the node's outbox: responses are staged into it during a
+	// dispatch (System.stage) and flush when the sender changes or the
+	// mailbox is momentarily empty, so on the coalescing plane the
+	// grants/NACKs answering requests that arrived together (e.g. an
+	// unpacked commit-scatter envelope) share one wire message per
+	// requesting core. Always empty on the uncoalesced plane.
 	out port.Outbox
 }
 
-// serveLoop is the dedicated-deployment service loop: receive, handle,
-// repeat. Under Config.Coalesce one dispatch serves the whole contiguous
-// burst queued from the SAME sender — exactly what an unpacked multi-payload
-// envelope leaves in the mailbox — before flushing the staged responses, so
-// the grants/NACKs answering one core's burst share a wire message. The
-// window never extends across senders: responses to different cores cannot
-// coalesce anyway, so delaying them behind another core's service time
-// would cost latency for nothing, and a lone request is answered at the
-// same instant the uncoalesced plane answers it. The port is reclaimed by
+// serveLoop is the one DTM service loop — a dedicated node's whole life, and
+// a multitasked core's once its workload has finished: block for a message,
+// serve it and whatever queued behind it, repeat. The port is reclaimed by
 // the backend at shutdown.
 func (n *dtmNode) serveLoop(p port.Port) {
-	if !n.s.cfg.Coalesce {
-		for {
-			m := p.Recv()
-			n.handle(p, m)
-		}
-	}
 	for {
-		m := p.Recv()
-		n.dispatchBurst(p, m)
+		n.dispatchBurst(p, p.Recv())
 	}
 }
 
@@ -83,9 +71,13 @@ func (n *dtmNode) serveLoop(p port.Port) {
 // once the mailbox is momentarily empty. Payloads of an unpacked envelope
 // sit contiguously in the mailbox, so one core's burst is answered with one
 // coalesced response envelope, while a response to anyone else never waits
-// (a sender change flushes first) and service order stays exactly the
-// uncoalesced plane's FIFO — the loop is Recv-handle unrolled with O(1)
-// receives, no mailbox scans. Only used when coalescing is on.
+// (a sender change flushes first: responses to different cores cannot share
+// an envelope anyway, so delaying them behind another core's service time
+// would cost latency for nothing) and a lone request is answered the
+// instant it was served. Service order is plain FIFO — the loop is
+// Recv-handle unrolled with O(1) receives, no mailbox scans — and on the
+// uncoalesced plane, where nothing is ever staged, the flushes are no-ops
+// and the loop is exactly Recv-handle.
 func (n *dtmNode) dispatchBurst(p port.Port, m port.Msg) {
 	for {
 		from := m.From
@@ -412,9 +404,5 @@ func (n *dtmNode) respond(p port.Port, reply port.Port, replyCore int, resp *res
 		panic(fmt.Sprintf("core: dtm%d response with no reply proc", n.core))
 	}
 	n.shard.Responses++
-	if n.s.cfg.Coalesce {
-		n.out.Stage(reply, replyCore, resp, respBytes(resp), p.Now())
-		return
-	}
-	n.s.send(&n.shard, n.rec, p, n.core, reply, replyCore, resp, respBytes(resp))
+	n.s.stage(&n.out, &n.shard, n.rec, p, n.core, reply, replyCore, resp, respBytes(resp))
 }

@@ -24,7 +24,6 @@ func BindFlags(fs *flag.FlagSet) func(*Config) {
 	fs.Func("placement", "object→DTM-node placement policy: hash (the default) | adaptive | hier",
 		func(v string) (err error) { f.Placement, err = placement.Parse(v); return })
 	fs.BoolVar(&f.Coalesce, "coalesce", false, "coalescing message plane: same-destination payloads of one burst share a wire message")
-	fs.BoolVar(&f.AdaptiveFlush, "adaptiveflush", false, "size/age-triggered adaptive outbox flush: defer sub-threshold fire-and-forget envelopes into the next burst (implies -coalesce)")
 	fs.Uint64Var(&f.Seed, "seed", 1, "simulation seed")
 	return func(c *Config) {
 		fs.Visit(func(fl *flag.Flag) { // set flags only
@@ -37,11 +36,6 @@ func BindFlags(fs *flag.FlagSet) func(*Config) {
 				c.Placement = f.Placement
 			case "coalesce":
 				c.Coalesce = c.Coalesce || f.Coalesce
-			case "adaptiveflush":
-				// Adaptive flush is a policy over staged envelopes: there is
-				// nothing for it to defer on the uncoalesced plane.
-				c.AdaptiveFlush = c.AdaptiveFlush || f.AdaptiveFlush
-				c.Coalesce = c.Coalesce || f.AdaptiveFlush
 			case "seed":
 				c.Seed = f.Seed
 			}

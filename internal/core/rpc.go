@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/mem"
 	"repro/internal/port"
-	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -67,51 +66,21 @@ func (rt *Runtime) sendToNode(ni int, msg wireMsg) {
 	rt.s.send(&rt.shard, rt.rec, rt.proc, rt.core, rt.s.nodePorts[ni], rt.s.nodes[ni].core, msg, msg.bytes())
 }
 
-// burstToNode queues one protocol message of a burst for DTM node ni:
-// staged in the core's outbox under Config.Coalesce (payloads sharing a
-// destination node then share a wire message at the next flushOut), sent
-// directly otherwise. Burst sites call it unconditionally and follow with
-// flushOut, which is a no-op on the uncoalesced plane.
+// burstToNode hands one protocol message of a burst for DTM node ni to the
+// message plane's staging point (System.stage). Burst sites call it for
+// every message of the burst and end the burst with flushOut. Awaited single
+// requests (read locks, eager write locks) use sendToNode instead: the core
+// blocks on the response at once, so there is no burst for them to join.
 func (rt *Runtime) burstToNode(ni int, msg wireMsg) {
-	if !rt.s.cfg.Coalesce {
-		rt.sendToNode(ni, msg)
-		return
-	}
-	rt.out.Stage(rt.s.nodePorts[ni], rt.s.nodes[ni].core, msg, msg.bytes(), rt.proc.Now())
+	rt.s.stage(&rt.out, &rt.shard, rt.rec, rt.proc, rt.core, rt.s.nodePorts[ni], rt.s.nodes[ni].core, msg, msg.bytes())
 }
 
-// flushOut transmits every burst staged in the core's outbox, one wire
-// message per destination node. Every staging site that a response depends
-// on flushes before the core can block on a receive, so no staged message a
-// peer is waiting for ever waits on mailbox traffic.
+// flushOut ends a burst: everything staged in the core's outbox leaves, one
+// wire message per destination node. Every burst site flushes before the
+// core can block on a receive, so no payload is ever staged across a point
+// where its port can block.
 func (rt *Runtime) flushOut() {
 	rt.out.Flush(func(e *port.OutEntry) {
-		rt.s.sendEntry(&rt.shard, rt.rec, rt.proc, rt.core, e)
-	})
-}
-
-// flushOutSoft ends a fire-and-forget burst (releases, early releases).
-// Without adaptive flushing it is a plain flushOut. With it, only the
-// entries that reached the platform's bytes-per-fixed-cost sweet spot
-// (Config.FlushBytes) or aged past Config.FlushAge leave now; the rest stay
-// staged so the NEXT burst to the same node — typically the following
-// transaction's commit scatter — shares their envelope and its fixed wire
-// cost. Deferring a release is safe: a lock whose release is staged belongs
-// to a finished attempt, so any node that needs it revoked can do so
-// unilaterally through the requester's status register (abortEnemies), and
-// the age bound keeps the deferral from outliving the platform's fixed-cost
-// horizon even on an idle core (every subsequent soft flush re-checks it).
-func (rt *Runtime) flushOutSoft() {
-	if !rt.s.cfg.AdaptiveFlush {
-		rt.flushOut()
-		return
-	}
-	now := rt.proc.Now()
-	minBytes := rt.s.cfg.FlushBytes
-	maxAge := sim.Time(rt.s.cfg.FlushAge)
-	rt.out.FlushMatching(func(e *port.OutEntry) bool {
-		return e.Bytes >= minBytes || now-e.First >= maxAge
-	}, func(e *port.OutEntry) {
 		rt.s.sendEntry(&rt.shard, rt.rec, rt.proc, rt.core, e)
 	})
 }
@@ -232,10 +201,11 @@ func (rt *Runtime) rpcWriteLock(tx *Tx, key mem.Addr) *respLock {
 
 // scatterWriteLocks sends every write-lock batch in one burst and gathers
 // all responses, stamping every request with the batches' shared grouping
-// epoch. Results are indexed by batch, in send order. Under Config.Coalesce
-// the burst goes through the outbox, so batches addressed to the same node
-// (the NoBatching ablation splits per object) share one wire message; the
-// flush marks the end of the scatter burst, before the gather phase blocks.
+// epoch. Results are indexed by batch, in send order. The burst goes through
+// the staging point, so on the coalescing plane batches addressed to the same
+// node (the NoBatching ablation splits per object) share one wire message;
+// the flush marks the end of the scatter burst, before the gather phase
+// blocks.
 func (rt *Runtime) scatterWriteLocks(tx *Tx, epoch uint64, batches []nodeGroup) []*respLock {
 	scStart := rt.proc.Now()
 	rt.emit(trace.KPhaseBegin, tx.id, uint64(trace.PhaseScatter), 0, 0)

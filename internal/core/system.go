@@ -298,20 +298,9 @@ func (s *System) SpawnWorkers(worker func(rt *Runtime)) {
 				}()
 				worker(rt)
 			}()
-			// Adaptive flush may still hold deferred fire-and-forget entries
-			// from the final transaction; emit them before the port goes
-			// passive so lock tables quiesce empty.
-			rt.flushOut()
 			if rt.node != nil {
 				// Keep serving DTM requests after the workload finishes.
-				for {
-					m := p.Recv()
-					if s.cfg.Coalesce {
-						rt.node.dispatchBurst(p, m)
-					} else {
-						rt.node.handle(p, m)
-					}
-				}
+				rt.node.serveLoop(p)
 			}
 		})
 		// Install the port before any worker starts running: peers read it
@@ -596,6 +585,20 @@ func (s *System) recvPeers(dstCore int) int {
 		return len(s.appCores)
 	}
 	return len(s.svcCores)
+}
+
+// stage is the message plane's one staging point, and the only place outside
+// configuration that reads Config.Coalesce: a burst payload from srcCore for
+// dstPort on dstCore is staged in the sender's outbox, to leave with the rest
+// of its burst at the owner's next flush, or — on the degenerate plane — sent
+// now, which leaves that flush nothing to do. The arguments after out are
+// send's.
+func (s *System) stage(out *port.Outbox, st *Stats, rec *trace.Recorder, p port.Port, srcCore int, dstPort port.Port, dstCore int, payload any, nbytes int) {
+	if !s.cfg.Coalesce {
+		s.send(st, rec, p, srcCore, dstPort, dstCore, payload, nbytes)
+		return
+	}
+	out.Stage(dstPort, dstCore, payload, nbytes, p.Now())
 }
 
 // send transmits payload from srcCore (running on port p) to dstPort on

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/cm"
@@ -48,10 +49,11 @@ type Runtime struct {
 	awaitPred    func(port.Msg) bool
 	deadlineRecv *port.HostPort
 
-	// out is the core's coalescing outbox (Config.Coalesce): burst sends —
-	// commit scatter, release bursts — stage into it and flush at the end
-	// of the burst, so payloads sharing a destination DTM node share one
-	// wire message. Unused (always empty) when coalescing is off.
+	// out is the core's outbox: burst sends — commit scatter, release
+	// bursts — are staged into it (System.stage) and flush at the end of
+	// the burst, so on the coalescing plane payloads sharing a destination
+	// DTM node share one wire message. Always empty on the uncoalesced
+	// plane.
 	out port.Outbox
 
 	// rvBuf is the reusable TL2 clock-snapshot buffer (tl2.go); only one
@@ -81,6 +83,7 @@ type Runtime struct {
 	wbAddrs      []mem.Addr        // commit write-back address list
 	wbVals       []uint64          // commit write-back value list
 	erKeys       []mem.Addr        // EarlyRelease key list
+	winBuf       []uint64          // validateWindow re-read buffer
 	rvInWrite    map[mem.Addr]bool // revalidateTL2 write-stripe set
 	rvSeen       map[mem.Addr]bool // revalidateTL2 visited-stripe set
 
@@ -467,7 +470,7 @@ func (tx *Tx) elasticRead(base mem.Addr, n int) []uint64 {
 		}
 	}
 	tx.validateWindow(true)
-	vals := rt.s.Mem.ReadBatch(rt.proc, rt.core, base, n)
+	vals := rt.s.Mem.ReadBatchTo(rt.proc, rt.core, base, rt.wordBuf(n))
 	tx.pushWindow(base, vals)
 	return vals
 }
@@ -489,20 +492,24 @@ func (tx *Tx) validateWindow(charged bool) {
 	rt := tx.rt
 	for i := 0; i < tx.nwin; i++ {
 		w := tx.window[i]
-		var cur []uint64
+		changed := false
 		if charged {
-			cur = rt.s.Mem.ReadBatch(rt.proc, rt.core, w.base, len(w.vals))
+			if cap(rt.winBuf) < len(w.vals) {
+				rt.winBuf = make([]uint64, len(w.vals))
+			}
+			cur := rt.s.Mem.ReadBatchTo(rt.proc, rt.core, w.base, rt.winBuf[:len(w.vals)])
+			changed = !slices.Equal(cur, w.vals)
 		} else {
-			cur = make([]uint64, len(w.vals))
-			for j := range cur {
-				cur[j] = rt.s.Mem.ReadRaw(w.base + mem.Addr(j))
+			for j, was := range w.vals {
+				if rt.s.Mem.ReadRaw(w.base+mem.Addr(j)) != was {
+					changed = true
+					break
+				}
 			}
 		}
-		for j := range cur {
-			if cur[j] != w.vals[j] {
-				rt.emit(trace.KDoomedRead, tx.id, uint64(w.base), 0, 0)
-				panic(abortSignal{reason: trace.ReasonDoomedRead})
-			}
+		if changed {
+			rt.emit(trace.KDoomedRead, tx.id, uint64(w.base), 0, 0)
+			panic(abortSignal{reason: trace.ReasonDoomedRead})
 		}
 	}
 }
@@ -576,7 +583,7 @@ func (tx *Tx) EarlyRelease(bases ...mem.Addr) {
 		rt.shard.EarlyReleases++
 		rt.burstToNode(g.node, msg)
 	}
-	rt.flushOutSoft()
+	rt.flushOut()
 }
 
 // commit implements Algorithm 3 (txcommit): acquire the write locks (batched
@@ -825,7 +832,7 @@ func (rt *Runtime) releaseAll(tx *Tx) {
 		rt.shard.ReleaseMsgs++
 		rt.burstToNode(g.node, msg)
 	}
-	rt.flushOutSoft()
+	rt.flushOut()
 	rt.emit(trace.KPhaseEnd, tx.id, uint64(trace.PhaseRelease), 0, 0)
 }
 
@@ -940,9 +947,6 @@ func (rt *Runtime) drainRequests() {
 // (§8 privatization support): each core sends a barrier message to all other
 // application cores and waits for all of theirs.
 func (rt *Runtime) Barrier() {
-	// Adaptive flush may have deferred release messages from the last
-	// transaction; a barrier must not let them age behind the rendezvous.
-	rt.flushOut()
 	rt.barrierEpoch++
 	epoch := rt.barrierEpoch
 	msg := barrierMsg{Epoch: epoch}

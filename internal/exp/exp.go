@@ -1,8 +1,8 @@
 // Package exp regenerates every table and figure of the paper's evaluation
 // (§5-§7). Each experiment is registered under the paper's figure ID
 // (fig4a ... fig8d, settings) plus ablations beyond the paper (ablbatch,
-// ablpoll, ablgran, ablplace, ablro, abltl2), and produces one or more
-// text tables whose rows correspond to the points of the original plot.
+// ablgran, abltl2), and produces one or more text tables whose rows
+// correspond to the points of the original plot.
 //
 // Experiments run at a configurable Scale: the Full scale uses the paper's
 // structure sizes; smaller scales shrink data structures, input sizes and

@@ -18,7 +18,7 @@ func TestRegistryComplete(t *testing.T) {
 		"fig5a", "fig5b", "fig5c", "fig5d",
 		"fig6a", "fig6b", "fig7a", "fig7b",
 		"fig8a", "fig8b", "fig8c", "fig8d",
-		"ablbatch", "ablpoll", "ablgran", "ablplace", "ablro", "abltl2",
+		"ablbatch", "ablgran", "abltl2",
 		"extskip", "extirrev", "scaleplace",
 	}
 	for _, w := range want {
@@ -143,10 +143,12 @@ func TestShapeTL2KillsReadTraffic(t *testing.T) {
 	sc := Scale{Duration: 3 * time.Millisecond, SizeDiv: 8, Cores: []int{48}, Seed: 5}
 	for _, be := range backends {
 		t.Run(be.name, func(t *testing.T) {
-			tab := ablTL2(sc, be.ov)[0]
+			tab := ablTL2(be.scale(sc), be.ov)[0]
 			for _, w := range []string{"bank-zipf", "intset-lookup"} {
 				vis := rowWhere(t, tab, "workload", w, "protocol", "visible")
 				tl2 := rowWhere(t, tab, "workload", w, "protocol", "tl2")
+				nonEmpty(t, tab, vis)
+				nonEmpty(t, tab, tl2)
 				if be.live {
 					if rd := num(t, tab, tl2, "local rd/op"); rd <= 0 {
 						t.Errorf("%s: tl2 served %v local reads per op, want > 0", w, rd)
@@ -165,29 +167,6 @@ func TestShapeTL2KillsReadTraffic(t *testing.T) {
 	}
 }
 
-// TestShapeAdaptivePlacementTracksHashUnderSkew checks the ablplace
-// headline on its hot-read rows: adaptive stays at least competitive with
-// hash at every skew (generous margin — the two are typically within a few
-// percent, with adaptive ahead).
-func TestShapeAdaptivePlacementTracksHashUnderSkew(t *testing.T) {
-	sc := Scale{Duration: 4 * time.Millisecond, SizeDiv: 4, Cores: []int{48}, Seed: 5}
-	tabs := ablPlace(sc, Overrides{})
-	rows := tabs[0].Rows // pairs: hash, adaptive per skew level
-	if len(rows) == 0 || len(rows)%2 != 0 {
-		t.Fatalf("ablplace produced %d rows, want non-empty policy pairs", len(rows))
-	}
-	for i := 0; i+1 < len(rows); i += 2 {
-		if rows[i][1] != "hash" || rows[i+1][1] != "adaptive" {
-			t.Fatalf("row pair %d is (%s, %s), want (hash, adaptive)", i, rows[i][1], rows[i+1][1])
-		}
-		skew := rows[i][0]
-		hash, adaptive := parse(t, rows[i][2]), parse(t, rows[i+1][2])
-		if adaptive < 0.9*hash {
-			t.Errorf("%s: adaptive %.1f ops/ms fell >10%% behind hash %.1f", skew, adaptive, hash)
-		}
-	}
-}
-
 func parse(t *testing.T, s string) float64 {
 	t.Helper()
 	var v float64
@@ -198,16 +177,39 @@ func parse(t *testing.T, s string) float64 {
 }
 
 // backends is the table the claim tests that gate both backends run over.
-// A live row is a few wall-clock milliseconds of 48 goroutines on however
-// many CPUs the host has, so live subtests assert only quantities computed
-// within one run; comparing two such rows is bench/'s job (15 s windows).
-var backends = []struct {
+// A live row is wall-clock time of 48 goroutines on however many CPUs the
+// host has, so live subtests assert only quantities computed within one
+// run; comparing two such rows is bench/'s job (15 s windows).
+var backends = []backend{
+	{name: "sim"},
+	{name: "live", live: true, ov: Overrides{Sys: func(c *core.Config) { c.Backend = core.BackendLive }}},
+}
+
+type backend struct {
 	name string
 	live bool
 	ov   Overrides
-}{
-	{name: "sim"},
-	{name: "live", live: true, ov: Overrides{Sys: func(c *core.Config) { c.Backend = core.BackendLive }}},
+}
+
+// scale is the scale a claim test runs sc at on this backend: unchanged on
+// sim; on live the window is stretched to at least 30 ms, because a
+// 2-3 ms wall-clock window on a loaded 2-vCPU host can pass before any
+// worker goroutine is scheduled and complete nothing.
+func (be backend) scale(sc Scale) Scale {
+	if be.live && sc.Duration < 30*time.Millisecond {
+		sc.Duration = 30 * time.Millisecond
+	}
+	return sc
+}
+
+// nonEmpty fails the subtest if row's window completed no operation: every
+// ratio in such a row is 0/0 rendered as 0, which would read as a claim
+// failing (or holding) when nothing was measured.
+func nonEmpty(t *testing.T, tab *Table, row []string) {
+	t.Helper()
+	if num(t, tab, row, "ops/ms") == 0 {
+		t.Fatalf("table %s: row completed 0 ops: %v", tab.ID, row)
+	}
 }
 
 // colIndex finds a column by name, so a reordered table fails loudly
@@ -255,21 +257,21 @@ func rowWhere(t *testing.T, tab *Table, kv ...string) []string {
 // protocol batching off, transport coalescing must cut wire messages by at
 // least 20% on the contended scatter-write workload (the acceptance bar of
 // the message-plane refactor), and with protocol batching on it must not
-// inflate them by more than noise — while adaptive flush must make the
-// coalescing transport WIN on that plane, where plain coalescing finds
-// nothing left to merge. The live subtest keeps the structural form of the
-// 20% bar: 1 - 1/(payloads per wire message) is exactly the share of wire
-// messages the envelopes of that one run absorbed.
+// inflate them by more than noise. The live subtest keeps the structural
+// form of the 20% bar: 1 - 1/(payloads per wire message) is exactly the
+// share of wire messages the envelopes of that one run absorbed.
 func TestShapeCoalescingRecoversBatchingWin(t *testing.T) {
 	sc := Scale{Duration: 2 * time.Millisecond, SizeDiv: 8, Cores: []int{8}, Seed: 5}
 	for _, be := range backends {
 		t.Run(be.name, func(t *testing.T) {
-			grid := ablBatch(sc, be.ov)[0]
-			if len(grid.Rows) != 6 {
-				t.Fatalf("ablbatch grid has %d rows, want 6 (batching on/off x coalesce off/on/adaptive)", len(grid.Rows))
+			grid := ablBatch(be.scale(sc), be.ov)[0]
+			if len(grid.Rows) != 4 {
+				t.Fatalf("ablbatch grid has %d rows, want 4 (batching on/off x coalesce off/on)", len(grid.Rows))
 			}
-			cell := func(batching, mode, col string) float64 {
-				return num(t, grid, rowWhere(t, grid, "batching", batching, "coalesce", mode), col)
+			cell := func(batching, coalesce, col string) float64 {
+				row := rowWhere(t, grid, "batching", batching, "coalesce", coalesce)
+				nonEmpty(t, grid, row)
+				return num(t, grid, row, col)
 			}
 			if ppw := cell("off", "on", "payloads/wire"); ppw < 1.25 {
 				t.Errorf("batching off + coalesce: payloads/wire = %.3f, want >= 1.25 (>= 20%% of wire messages absorbed)", ppw)
@@ -278,19 +280,13 @@ func TestShapeCoalescingRecoversBatchingWin(t *testing.T) {
 				return
 			}
 			for _, col := range []string{"wire msgs", "wire/op"} {
-				batchedOff, batchedOn, batchedAdpt := cell("on", "off", col), cell("on", "on", col), cell("on", "adaptive", col)
-				plainOff, plainOn, plainAdpt := cell("off", "off", col), cell("off", "on", col), cell("off", "adaptive", col)
+				batchedOff, batchedOn := cell("on", "off", col), cell("on", "on", col)
+				plainOff, plainOn := cell("off", "off", col), cell("off", "on", col)
 				if plainOn > 0.8*plainOff {
 					t.Errorf("batching off: coalescing %s %v vs %v — want >= 20%% reduction", col, plainOn, plainOff)
 				}
 				if batchedOn > 1.05*batchedOff {
 					t.Errorf("batching on: coalescing inflated %s %v vs %v", col, batchedOn, batchedOff)
-				}
-				if batchedAdpt >= batchedOff {
-					t.Errorf("batching on: adaptive flush %s %v vs %v uncoalesced — the deferral must win this plane", col, batchedAdpt, batchedOff)
-				}
-				if plainAdpt >= plainOn {
-					t.Errorf("batching off: adaptive flush %s %v vs %v plain coalescing — deferral found nothing extra to merge", col, plainAdpt, plainOn)
 				}
 			}
 		})
@@ -314,9 +310,10 @@ func TestShapeCoalescingRecoversBatchingWin(t *testing.T) {
 func TestShapeHierPlacementAtScale(t *testing.T) {
 	for _, be := range backends {
 		t.Run(be.name, func(t *testing.T) {
-			tab := scalePlace(Quick, be.ov)[0]
+			tab := scalePlace(be.scale(Quick), be.ov)[0]
 			for _, skew := range []string{"uniform", "zipf-0.99"} {
 				hier := rowWhere(t, tab, "skew", skew, "policy", "hier")
+				nonEmpty(t, tab, hier)
 				if leaves, univ := num(t, tab, hier, "leaves"), num(t, tab, hier, "leaf universe"); univ <= 0 || 10*leaves >= univ {
 					t.Errorf("%s: hier materialized %v leaves of a %v-leaf universe (not ≪)", skew, leaves, univ)
 				}
@@ -333,7 +330,17 @@ func TestShapeHierPlacementAtScale(t *testing.T) {
 					t.Errorf("%s %s: node imbalance %v, want <= 2", skew, policy, imb)
 				}
 			}
-			// Uniform rows are informational: every policy converges.
+			// The retired ablplace ablation's claim, on these rows: flat
+			// adaptive placement stays within 10% of hash's throughput at
+			// every skew (seeds 1-8 at this scale: 0.95x at worst).
+			for _, skew := range []string{"uniform", "zipf-0.99"} {
+				h := num(t, tab, rowWhere(t, tab, "skew", skew, "policy", "hash"), "ops/ms")
+				a := num(t, tab, rowWhere(t, tab, "skew", skew, "policy", "adaptive"), "ops/ms")
+				if a < 0.9*h {
+					t.Errorf("%s: adaptive %v ops/ms fell >10%% behind hash %v", skew, a, h)
+				}
+			}
+			// For hier, uniform rows are informational: every policy converges.
 			hash := rowWhere(t, tab, "skew", "zipf-0.99", "policy", "hash")
 			flat := rowWhere(t, tab, "skew", "zipf-0.99", "policy", "adaptive")
 			hier := rowWhere(t, tab, "skew", "zipf-0.99", "policy", "hier")

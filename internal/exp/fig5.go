@@ -17,12 +17,9 @@ func init() {
 }
 
 // bankRun runs the transactional bank with the given worker assignment.
-// The worker factory runs after the Overrides.ReadOnly default is applied,
-// so an ablation can still pick the balance-scan kind per row.
 func bankRun(sc Scale, ov Overrides, c core.Config, accounts int, worker func(*bank.Bank) func(*core.Runtime)) (*core.Stats, *bank.Bank) {
 	s := ov.build(c)
 	b := bank.New(s, accounts)
-	b.UseReadOnlyBalance(ov.ReadOnly)
 	s.SpawnWorkers(worker(b))
 	st := s.Run(sc.Duration)
 	return st, b

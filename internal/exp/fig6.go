@@ -71,7 +71,7 @@ func fig6a(sc Scale, ov Overrides) []*Table {
 		t.AddRow(row...)
 	}
 	t.Notes = append(t.Notes,
-		fmt.Sprintf("input sizes are the paper's divided by %d*SizeDiv; shapes are preserved (see EXPERIMENTS.md)", mrInputDiv),
+		fmt.Sprintf("input sizes are the paper's divided by %d*SizeDiv; shapes are preserved (see README \"Reproducing the paper's figures\")", mrInputDiv),
 		"paper Fig.6(a): duration drops near-linearly with cores; one DTM core suffices for the low transactional load")
 	return []*Table{t}
 }

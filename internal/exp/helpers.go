@@ -15,15 +15,10 @@ import (
 // runs (e.g. live-backend runs racing sim runs in tests) cannot observe
 // each other's settings.
 type Overrides struct {
-	// ReadOnly runs every bank balance scan (and zipf hot-read audit) as a
-	// declared ReadOnly transaction instead of a Normal one — wired to the
-	// -readonly flag for A/B-ing the bank figures against the read-only
-	// fast path. The ablro ablation compares both kinds itself.
-	ReadOnly bool
 	// Sys, when non-nil, edits the core.Config of every system an
 	// experiment builds, after the experiment filled it in — how tm2c-bench
 	// forces the shared system flags (core.BindFlags: -backend, -protocol,
-	// -placement, -coalesce, -adaptiveflush), the flight recorder and this
+	// -placement, -coalesce), the flight recorder and this
 	// process's place in a net-backend group onto any figure for A/B runs.
 	// An ablation that sweeps a forced knob itself degenerates to the forced
 	// value on every row. The fig8a ping-pong microbenchmark measures the

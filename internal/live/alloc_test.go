@@ -21,11 +21,12 @@ import (
 	"repro/internal/placement"
 )
 
-// measureLiveAllocs runs the given per-transaction body on every app core
-// (disjoint key ranges) of a system configured by tune and returns the
-// average heap allocations per committed transaction over the measured
-// window, after warmup transactions per worker.
-func measureLiveAllocs(t *testing.T, tune func(*core.Config), slotsPerWorker, warmup int, body func(tx *core.Tx, a core.TArray[uint64], base, n int)) float64 {
+// measureLiveAllocs runs the given per-transaction body as a transaction of
+// the given kind on every app core (disjoint key ranges) of a system
+// configured by tune and returns the average heap allocations per committed
+// transaction over the measured window, after warmup transactions per
+// worker.
+func measureLiveAllocs(t *testing.T, tune func(*core.Config), kind core.TxKind, slotsPerWorker, warmup int, body func(tx *core.Tx, a core.TArray[uint64], base, n int)) float64 {
 	t.Helper()
 	cfg := core.Config{
 		Backend:    core.BackendLive,
@@ -48,7 +49,7 @@ func measureLiveAllocs(t *testing.T, tune func(*core.Config), slotsPerWorker, wa
 		base := i * slotsPerWorker
 		run := func(tx *core.Tx) { body(tx, accts, base, slotsPerWorker) }
 		for n := 0; n < warmup; n++ {
-			rt.Run(run)
+			rt.RunKind(kind, run)
 		}
 		rt.Barrier()
 		if i == 0 {
@@ -57,7 +58,7 @@ func measureLiveAllocs(t *testing.T, tune func(*core.Config), slotsPerWorker, wa
 		}
 		rt.Barrier()
 		for n := 0; n < measured; n++ {
-			rt.Run(run)
+			rt.RunKind(kind, run)
 		}
 		rt.Barrier()
 		if i == 0 {
@@ -110,7 +111,7 @@ func TestLiveCommitAllocationFree(t *testing.T) {
 	}
 	bothPlanes(t, func(t *testing.T, coalesce bool) {
 		tune := func(c *core.Config) { c.Coalesce = coalesce }
-		got := measureLiveAllocs(t, tune, 2, liveWarmup, transferBody)
+		got := measureLiveAllocs(t, tune, core.Normal, 2, liveWarmup, transferBody)
 		t.Logf("visible commit: %.2f allocs/tx", got)
 		if got > liveAllocBudget {
 			t.Errorf("visible commit hot path allocates %.2f objects/tx, budget %.1f", got, liveAllocBudget)
@@ -124,12 +125,35 @@ func TestLiveTL2ReadAllocationFree(t *testing.T) {
 	}
 	bothPlanes(t, func(t *testing.T, coalesce bool) {
 		tune := func(c *core.Config) { c.Coalesce, c.Protocol = coalesce, core.ProtocolTL2 }
-		got := measureLiveAllocs(t, tune, 8, liveWarmup, readMostlyBody)
+		got := measureLiveAllocs(t, tune, core.Normal, 8, liveWarmup, readMostlyBody)
 		t.Logf("TL2 read-mostly commit: %.2f allocs/tx", got)
 		if got > liveAllocBudget {
 			t.Errorf("TL2 read-mostly hot path allocates %.2f objects/tx, budget %.1f", got, liveAllocBudget)
 		}
 	})
+}
+
+// TestLiveElasticReadCommitAllocationFree: the elastic-read list update —
+// a run of consecutive lock-free reads, each revalidating the two-entry
+// window, then one write whose commit revalidates the window a last time at
+// the persist instant. The traversal reads into the word arena and both
+// window checks compare in place, so the whole path allocates nothing.
+func TestLiveElasticReadCommitAllocationFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates on otherwise allocation-free paths")
+	}
+	listUpdate := func(tx *core.Tx, a core.TArray[uint64], base, n int) {
+		var last uint64
+		for j := 0; j < n; j++ {
+			last = a.Get(tx, base+j)
+		}
+		a.Set(tx, base+n-1, last+1)
+	}
+	got := measureLiveAllocs(t, func(*core.Config) {}, core.ElasticRead, 8, liveWarmup, listUpdate)
+	t.Logf("elastic-read list update: %.3f allocs/tx", got)
+	if got > 0.1 {
+		t.Errorf("elastic-read update hot path allocates %.3f objects/tx, budget 0.1", got)
+	}
 }
 
 // TestLivePlaceHierAllocationFree is the placement half of the same claim,
@@ -165,7 +189,7 @@ func TestLivePlaceHierAllocationFree(t *testing.T) {
 		c.Placement = placement.AdaptiveHier
 		c.RepartitionEpoch = 1024
 	}
-	got := measureLiveAllocs(t, tune, slots, 8000, spread)
+	got := measureLiveAllocs(t, tune, core.Normal, slots, 8000, spread)
 	t.Logf("hier-placed transfer: %.3f allocs/tx", got)
 	if got > 0.1 {
 		t.Errorf("hier placement hot path allocates %.3f objects/tx, budget 0.1", got)

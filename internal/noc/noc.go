@@ -234,25 +234,6 @@ func (pl *Platform) BatchDelay(src, dst, payloadBytes, payloads, recvPeers int) 
 	return pl.MsgDelay(src, dst, payloadBytes, recvPeers)
 }
 
-// FlushBytes returns the adaptive-flush size trigger this platform suggests:
-// the payload volume whose serialization cost equals the fixed per-message
-// software overhead. A staged entry that big amortizes the envelope as well
-// as a second wire message would, so holding it longer buys nothing.
-func (pl *Platform) FlushBytes() int {
-	if pl.PerByte <= 0 {
-		return 1 << 10
-	}
-	return int((pl.SendOverhead + pl.RecvOverhead) / pl.PerByte)
-}
-
-// FlushAge returns the adaptive-flush age bound this platform suggests: twice
-// the fixed per-message software overhead. Entries older than this stop
-// waiting for more payloads — the latency already spent rivals what a
-// dedicated message would have cost.
-func (pl *Platform) FlushAge() time.Duration {
-	return 2 * (pl.SendOverhead + pl.RecvOverhead)
-}
-
 // Compute scales a nominal (SCC-533) compute duration to this platform.
 func (pl *Platform) Compute(d time.Duration) time.Duration {
 	return time.Duration(float64(d) * pl.ComputeScale)

@@ -114,31 +114,3 @@ func (o *Outbox) Flush(send func(e *OutEntry)) {
 		delete(o.index, id)
 	}
 }
-
-// FlushMatching hands only the entries satisfying pred to send (first-staged
-// destination order, same ownership contract as Flush) and keeps the rest
-// staged, preserving their relative order. Adaptive flushing uses it to emit
-// entries that reached the size or age bound while younger, smaller ones
-// keep accumulating.
-func (o *Outbox) FlushMatching(pred func(e *OutEntry) bool, send func(e *OutEntry)) {
-	if len(o.entries) == 0 {
-		return
-	}
-	kept := 0
-	for i := range o.entries {
-		e := &o.entries[i]
-		if pred(e) {
-			send(e)
-			o.recycle(e)
-			delete(o.index, e.Dst.ID())
-			continue
-		}
-		if kept != i {
-			o.entries[kept] = *e
-			o.index[e.Dst.ID()] = kept
-			e.Payloads = nil
-		}
-		kept++
-	}
-	o.entries = o.entries[:kept]
-}

@@ -106,61 +106,6 @@ func TestOutboxEmptyFlushIsNoop(t *testing.T) {
 	}
 }
 
-// TestOutboxFlushMatching: the adaptive-flush primitive. Only entries the
-// predicate selects are emitted; the rest stay staged, keep their payload
-// order and First instant, and a later full Flush emits them in original
-// staging order.
-func TestOutboxFlushMatching(t *testing.T) {
-	var o Outbox
-	a, b, c := fakePort{id: 1}, fakePort{id: 2}, fakePort{id: 3}
-	o.Stage(a, 10, "a1", 100, 1)
-	o.Stage(b, 20, "b1", 5, 2)
-	o.Stage(c, 30, "c1", 200, 3)
-	o.Stage(b, 20, "b2", 5, 4)
-
-	// Emit only the big entries (a and c); b stays.
-	var sent []snapshot
-	o.FlushMatching(
-		func(e *OutEntry) bool { return e.Bytes >= 100 },
-		func(e *OutEntry) { sent = append(sent, snap(e)) },
-	)
-	if len(sent) != 2 || sent[0].dst != 1 || sent[1].dst != 3 {
-		t.Fatalf("matching flush sent %+v, want entries for ports 1 and 3 in staged order", sent)
-	}
-	if o.Pending() != 2 {
-		t.Fatalf("Pending after partial flush = %d, want 2 (b1+b2 retained)", o.Pending())
-	}
-
-	// The retained entry must still accumulate: staging more for b lands in
-	// the SAME entry, with the original First preserved.
-	o.Stage(b, 20, "b3", 5, 9)
-	var rest []snapshot
-	o.Flush(func(e *OutEntry) { rest = append(rest, snap(e)) })
-	if len(rest) != 1 {
-		t.Fatalf("final flush sent %d entries, want 1", len(rest))
-	}
-	e := rest[0]
-	if e.dst != 2 || len(e.payloads) != 3 || e.payloads[0] != "b1" || e.payloads[1] != "b2" || e.payloads[2] != "b3" {
-		t.Fatalf("retained entry %+v, want b1 b2 b3 in staged order", e)
-	}
-	if e.bytes != 15 || e.first != 2 {
-		t.Fatalf("retained entry bytes/first = %d/%d, want 15/2 (first staging instant survives)", e.bytes, e.first)
-	}
-}
-
-// TestOutboxFlushMatchingNone: a predicate matching nothing emits nothing
-// and leaves the outbox untouched.
-func TestOutboxFlushMatchingNone(t *testing.T) {
-	var o Outbox
-	p := fakePort{id: 1}
-	o.Stage(p, 1, "x", 8, 0)
-	calls := 0
-	o.FlushMatching(func(*OutEntry) bool { return false }, func(*OutEntry) { calls++ })
-	if calls != 0 || o.Pending() != 1 {
-		t.Fatalf("no-match flush: %d sends, %d pending; want 0 sends, 1 pending", calls, o.Pending())
-	}
-}
-
 // TestOutboxStageAllocFree: steady-state staging and flushing allocates
 // nothing once the outbox's storage has warmed up.
 func TestOutboxStageAllocFree(t *testing.T) {
