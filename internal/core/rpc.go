@@ -96,7 +96,7 @@ const maxPlacementHops = 8
 // budget.
 func (rt *Runtime) placementAbort() {
 	rt.shard.PlacementAborts++
-	panic(abortSignal{reason: trace.ReasonStalePlacement})
+	panic(rt.signal(abortSignal{reason: trace.ReasonStalePlacement}))
 }
 
 // rpcReadLock sends a read-lock request and waits for the response,
@@ -330,5 +330,5 @@ func (rt *Runtime) timeoutAbort(tx *Tx, readKeys, writeKeys []mem.Addr) {
 		}
 	}
 	tx.wlocked = append(tx.wlocked, writeKeys...)
-	panic(abortSignal{reason: trace.ReasonTimeout})
+	panic(rt.signal(abortSignal{reason: trace.ReasonTimeout}))
 }

@@ -75,7 +75,7 @@ func (tx *Tx) readTL2(base mem.Addr, n int) []uint64 {
 		// snapshot, so the attempt dies here.
 		rt.shard.DoomedReads++
 		rt.emit(trace.KDoomedRead, tx.id, uint64(key), 0, 0)
-		panic(abortSignal{reason: trace.ReasonDoomedRead})
+		panic(tx.rt.signal(abortSignal{reason: trace.ReasonDoomedRead}))
 	}
 	if prev, seen := tx.readVers[key]; seen {
 		if prev != ver {
@@ -83,7 +83,7 @@ func (tx *Tx) readTL2(base mem.Addr, n int) []uint64 {
 			// version: the stripe changed between our reads.
 			rt.shard.DoomedReads++
 			rt.emit(trace.KDoomedRead, tx.id, uint64(key), 0, 0)
-			panic(abortSignal{reason: trace.ReasonDoomedRead})
+			panic(tx.rt.signal(abortSignal{reason: trace.ReasonDoomedRead}))
 		}
 	} else {
 		tx.readVers[key] = ver
@@ -123,7 +123,7 @@ func (tx *Tx) commitTL2() {
 	}
 	// Become non-abortable. If the CAS fails, a CM got to us first.
 	if !rt.s.Regs.CASStatusLocal(rt.core, tx.id, mem.TxPending, mem.TxCommitting) {
-		panic(abortSignal{reason: trace.ReasonRevoked})
+		panic(tx.rt.signal(abortSignal{reason: trace.ReasonRevoked}))
 	}
 	// Mark the write stripes. Safe: we hold their DTM write locks and are
 	// already Committing, so no CM can revoke them (abortEnemies refuses),
@@ -200,7 +200,7 @@ func (tx *Tx) revalidateTL2(writeKeys []mem.Addr) {
 			rt.s.Mem.UnlockVersions(writeKeys)
 			rt.s.Regs.SetStatusLocal(rt.core, tx.id, mem.TxAborted)
 			rt.emit(trace.KDoomedRead, tx.id, uint64(key), 0, 0)
-			panic(abortSignal{reason: trace.ReasonDoomedRead})
+			panic(tx.rt.signal(abortSignal{reason: trace.ReasonDoomedRead}))
 		}
 	}
 }

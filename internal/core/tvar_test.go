@@ -226,7 +226,7 @@ func TestTVarDirectAccess(t *testing.T) {
 	if got := v.GetRaw(); got != want {
 		t.Fatalf("SetDirect wrote %+v, want %+v", got, want)
 	}
-	if s.Mem.Stats.Reads == 0 || s.Mem.Stats.Writes == 0 {
+	if st := s.Mem.Stats(); st.Reads == 0 || st.Writes == 0 {
 		t.Fatal("direct accessors did not charge memory traffic")
 	}
 }

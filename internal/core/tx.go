@@ -28,6 +28,7 @@ type Runtime struct {
 	node    *dtmNode // co-located DTM node (Multitask only)
 
 	nextTxID   uint64
+	abortSig   abortSignal // the attempt's pending abort, see signal
 	stats      CoreStats
 	shard      Stats          // this core's counters, merged at snapshot
 	life       hist.Histogram // committed-transaction lifespans
@@ -158,6 +159,14 @@ type abortSignal struct {
 	kind    cm.Kind
 	hasKind bool // false for elastic-read validation aborts and remote aborts
 	reason  trace.Reason
+}
+
+// signal parks sig in the runtime and returns its address for the panic
+// that unwinds the attempt: a pointer becomes the panic's interface value as
+// it is, where the struct would be boxed on the heap once per abort.
+func (rt *Runtime) signal(sig abortSignal) *abortSignal {
+	rt.abortSig = sig
+	return &rt.abortSig
 }
 
 // Tx is one transaction attempt. All accesses are at object granularity: an
@@ -372,8 +381,8 @@ func (rt *Runtime) attempt(tx *Tx, fn func(*Tx) error) (outcome attemptOutcome, 
 	defer func() {
 		if r := recover(); r != nil {
 			switch sig := r.(type) {
-			case abortSignal:
-				rt.abortCleanup(tx, sig)
+			case *abortSignal:
+				rt.abortCleanup(tx, *sig)
 				outcome, userErr = attemptAborted, nil
 			case userAbortSignal:
 				outcome, userErr = rt.finishUserAbort(tx, sig.err)
@@ -394,7 +403,7 @@ func (rt *Runtime) attempt(tx *Tx, fn func(*Tx) error) (outcome attemptOutcome, 
 // register locally, which is free.
 func (tx *Tx) checkAborted() {
 	if _, st := tx.rt.s.Regs.LoadStatusLocal(tx.rt.core); st == mem.TxAborted {
-		panic(abortSignal{reason: trace.ReasonRevoked})
+		panic(tx.rt.signal(abortSignal{reason: trace.ReasonRevoked}))
 	}
 }
 
@@ -440,7 +449,7 @@ func (tx *Tx) readNView(base mem.Addr, n int) []uint64 {
 	if !resp.OK {
 		k := resp.Kind
 		putRespLock(resp)
-		panic(abortSignal{kind: k, hasKind: true, reason: trace.ReasonConflict})
+		panic(tx.rt.signal(abortSignal{kind: k, hasKind: true, reason: trace.ReasonConflict}))
 	}
 	putRespLock(resp)
 	// Record the grant before anything can abort the attempt: if the lock
@@ -509,7 +518,7 @@ func (tx *Tx) validateWindow(charged bool) {
 		}
 		if changed {
 			rt.emit(trace.KDoomedRead, tx.id, uint64(w.base), 0, 0)
-			panic(abortSignal{reason: trace.ReasonDoomedRead})
+			panic(tx.rt.signal(abortSignal{reason: trace.ReasonDoomedRead}))
 		}
 	}
 }
@@ -535,7 +544,7 @@ func (tx *Tx) WriteN(base mem.Addr, vals []uint64) {
 			if !resp.OK {
 				k := resp.Kind
 				putRespLock(resp)
-				panic(abortSignal{kind: k, hasKind: true, reason: trace.ReasonConflict})
+				panic(tx.rt.signal(abortSignal{kind: k, hasKind: true, reason: trace.ReasonConflict}))
 			}
 			tx.wlocked = append(tx.wlocked, key)
 			rt.eagerKey[0] = key
@@ -611,7 +620,7 @@ func (tx *Tx) commit() {
 	if len(tx.writeOrd) > 0 {
 		// Become non-abortable. If the CAS fails, a CM got to us first.
 		if !rt.s.Regs.CASStatusLocal(rt.core, tx.id, mem.TxPending, mem.TxCommitting) {
-			panic(abortSignal{reason: trace.ReasonRevoked})
+			panic(tx.rt.signal(abortSignal{reason: trace.ReasonRevoked}))
 		}
 		if tx.kind == ElasticRead {
 			// Final consecutive-read validation at the persist instant.
@@ -739,7 +748,7 @@ func (tx *Tx) scatterAcquire(keys []mem.Addr) (stale []mem.Addr) {
 		resps[i] = nil
 	}
 	if failed {
-		panic(abortSignal{kind: failKind, hasKind: true, reason: trace.ReasonConflict})
+		panic(tx.rt.signal(abortSignal{kind: failKind, hasKind: true, reason: trace.ReasonConflict}))
 	}
 	return stale
 }

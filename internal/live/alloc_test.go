@@ -14,6 +14,7 @@ package live_test
 
 import (
 	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/cm"
@@ -25,8 +26,9 @@ import (
 // the given kind on every app core (disjoint key ranges) of a system
 // configured by tune and returns the average heap allocations per committed
 // transaction over the measured window, after warmup transactions per
-// worker.
-func measureLiveAllocs(t *testing.T, tune func(*core.Config), kind core.TxKind, slotsPerWorker, warmup int, body func(tx *core.Tx, a core.TArray[uint64], base, n int)) float64 {
+// worker — and how many attempts (runs of the body) a transaction took on
+// average there: 1 unless the body makes workers conflict.
+func measureLiveAllocs(t *testing.T, tune func(*core.Config), kind core.TxKind, slotsPerWorker, warmup int, body func(tx *core.Tx, a core.TArray[uint64], base, n int)) (allocsPerTx, attemptsPerTx float64) {
 	t.Helper()
 	cfg := core.Config{
 		Backend:    core.BackendLive,
@@ -44,10 +46,15 @@ func measureLiveAllocs(t *testing.T, tune func(*core.Config), kind core.TxKind, 
 
 	const measured = 600
 	var m1, m2 runtime.MemStats
+	var attempts atomic.Int64
 	s.SpawnWorkers(func(rt *core.Runtime) {
 		i := rt.AppIndex()
 		base := i * slotsPerWorker
-		run := func(tx *core.Tx) { body(tx, accts, base, slotsPerWorker) }
+		mine := 0
+		run := func(tx *core.Tx) {
+			mine++
+			body(tx, accts, base, slotsPerWorker)
+		}
 		for n := 0; n < warmup; n++ {
 			rt.RunKind(kind, run)
 		}
@@ -57,9 +64,11 @@ func measureLiveAllocs(t *testing.T, tune func(*core.Config), kind core.TxKind, 
 			runtime.ReadMemStats(&m1)
 		}
 		rt.Barrier()
+		mine = 0
 		for n := 0; n < measured; n++ {
 			rt.RunKind(kind, run)
 		}
+		attempts.Add(int64(mine))
 		rt.Barrier()
 		if i == 0 {
 			runtime.ReadMemStats(&m2)
@@ -68,11 +77,12 @@ func measureLiveAllocs(t *testing.T, tune func(*core.Config), kind core.TxKind, 
 	st := s.RunToCompletion()
 	wantCommits := uint64(workers * (warmup + measured))
 	if st.Commits < wantCommits {
-		t.Fatalf("commits %d < %d: disjoint-key workload should never abort", st.Commits, wantCommits)
+		t.Fatalf("commits %d < %d: every transaction must commit in the end", st.Commits, wantCommits)
 	}
 	// The window includes two barrier crossings; their handful of messages
 	// is amortized over workers*measured transactions.
-	return float64(m2.Mallocs-m1.Mallocs) / float64(workers*measured)
+	txs := float64(workers * measured)
+	return float64(m2.Mallocs-m1.Mallocs) / txs, float64(attempts.Load()) / txs
 }
 
 // transferBody is the visible-protocol commit shape: two reads, two writes,
@@ -111,7 +121,7 @@ func TestLiveCommitAllocationFree(t *testing.T) {
 	}
 	bothPlanes(t, func(t *testing.T, coalesce bool) {
 		tune := func(c *core.Config) { c.Coalesce = coalesce }
-		got := measureLiveAllocs(t, tune, core.Normal, 2, liveWarmup, transferBody)
+		got, _ := measureLiveAllocs(t, tune, core.Normal, 2, liveWarmup, transferBody)
 		t.Logf("visible commit: %.2f allocs/tx", got)
 		if got > liveAllocBudget {
 			t.Errorf("visible commit hot path allocates %.2f objects/tx, budget %.1f", got, liveAllocBudget)
@@ -125,12 +135,42 @@ func TestLiveTL2ReadAllocationFree(t *testing.T) {
 	}
 	bothPlanes(t, func(t *testing.T, coalesce bool) {
 		tune := func(c *core.Config) { c.Coalesce, c.Protocol = coalesce, core.ProtocolTL2 }
-		got := measureLiveAllocs(t, tune, core.Normal, 8, liveWarmup, readMostlyBody)
+		got, _ := measureLiveAllocs(t, tune, core.Normal, 8, liveWarmup, readMostlyBody)
 		t.Logf("TL2 read-mostly commit: %.2f allocs/tx", got)
 		if got > liveAllocBudget {
 			t.Errorf("TL2 read-mostly hot path allocates %.2f objects/tx, budget %.1f", got, liveAllocBudget)
 		}
 	})
+}
+
+// TestLiveAbortPathAllocationFree: two workers move units between the same
+// two accounts, so attempts conflict and abort all the time — and an abort
+// (signal, unwind, release burst, back-off, retry) allocates nothing: the
+// budget is per attempt, and a window that happened to see too few aborts
+// to tell is run again rather than passed.
+func TestLiveAbortPathAllocationFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates on otherwise allocation-free paths")
+	}
+	contended := func(tx *core.Tx, a core.TArray[uint64], base, n int) {
+		f := a.Get(tx, 0)
+		v := a.Get(tx, 1)
+		a.Set(tx, 0, f-1)
+		a.Set(tx, 1, v+1)
+	}
+	tune := func(c *core.Config) { c.TotalCores = 4 }
+	for try := 0; try < 5; try++ {
+		allocs, attempts := measureLiveAllocs(t, tune, core.Normal, 1, liveWarmup, contended)
+		t.Logf("contended transfer: %.3f allocs/tx over %.2f attempts/tx", allocs, attempts)
+		if attempts < 1.1 {
+			continue // under one abort in ten transactions: one allocation each would hide in the budget
+		}
+		if perAttempt := allocs / attempts; perAttempt > 0.05 {
+			t.Errorf("abort path allocates %.3f objects/attempt, budget 0.05", perAttempt)
+		}
+		return
+	}
+	t.Skip("the two workers never conflicted often enough to measure the abort path")
 }
 
 // TestLiveElasticReadCommitAllocationFree: the elastic-read list update —
@@ -149,7 +189,7 @@ func TestLiveElasticReadCommitAllocationFree(t *testing.T) {
 		}
 		a.Set(tx, base+n-1, last+1)
 	}
-	got := measureLiveAllocs(t, func(*core.Config) {}, core.ElasticRead, 8, liveWarmup, listUpdate)
+	got, _ := measureLiveAllocs(t, func(*core.Config) {}, core.ElasticRead, 8, liveWarmup, listUpdate)
 	t.Logf("elastic-read list update: %.3f allocs/tx", got)
 	if got > 0.1 {
 		t.Errorf("elastic-read update hot path allocates %.3f objects/tx, budget 0.1", got)
@@ -189,7 +229,7 @@ func TestLivePlaceHierAllocationFree(t *testing.T) {
 		c.Placement = placement.AdaptiveHier
 		c.RepartitionEpoch = 1024
 	}
-	got := measureLiveAllocs(t, tune, core.Normal, slots, 8000, spread)
+	got, _ := measureLiveAllocs(t, tune, core.Normal, slots, 8000, spread)
 	t.Logf("hier-placed transfer: %.3f allocs/tx", got)
 	if got > 0.1 {
 		t.Errorf("hier placement hot path allocates %.3f objects/tx, budget 0.1", got)

@@ -129,11 +129,12 @@ func TestControllerCongestion(t *testing.T) {
 		})
 	}
 	k.Run(sim.Infinity)
-	if m.Stats.WaitTime == 0 {
+	st := m.Stats()
+	if st.WaitTime == 0 {
 		t.Fatal("expected queueing wait under contention")
 	}
-	if m.Stats.Reads != 10 {
-		t.Fatalf("reads = %d", m.Stats.Reads)
+	if st.Reads != 10 {
+		t.Fatalf("reads = %d", st.Reads)
 	}
 }
 
@@ -200,9 +201,44 @@ func TestWriteBatchEmptyIsFree(t *testing.T) {
 	k.Run(sim.Infinity)
 }
 
-func TestZeroWritesKeepMapSparse(t *testing.T) {
+// Footprint returns the number of non-zero words stored, by scanning every
+// materialized page; each page is locked while it is counted.
+func (m *Memory) Footprint() int {
+	n := 0
+	var walk func(*dirNode)
+	walk = func(d *dirNode) {
+		for i := range d.kids {
+			if kid := d.kids[i].Load(); kid != nil {
+				walk(kid)
+			}
+		}
+		leaf := d.pages.Load()
+		for i := 0; leaf != nil && i < len(leaf); i++ {
+			pg := &leaf[i]
+			pg.mu.Lock()
+			if pg.w != nil {
+				for _, w := range pg.w {
+					if w != 0 {
+						n++
+					}
+				}
+			}
+			pg.mu.Unlock()
+		}
+	}
+	for r := range m.dir {
+		walk(&m.dir[r])
+	}
+	return n
+}
+
+func TestZeroWritesKeepPagesSparse(t *testing.T) {
 	_, m := newTestMem()
 	a := m.Alloc(1, 0)
+	m.WriteRaw(a, 0)
+	if m.pageOf(a).w != nil {
+		t.Fatal("a zero write materialized a page's words")
+	}
 	m.WriteRaw(a, 7)
 	if m.Footprint() != 1 {
 		t.Fatalf("footprint = %d", m.Footprint())

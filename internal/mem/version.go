@@ -87,20 +87,31 @@ func VersionLEQ(ver uint64, snap []uint64) bool {
 	return ver&versionCountMask <= snap[shard]
 }
 
-// objVer is the version metadata of one lock stripe: the packed version of
-// its last committed write-back and the write-back marker a committer holds
-// while its writes are in flight. A reader observing the marker cannot tell
-// old from new data and must abort.
-type objVer struct {
-	ver    uint64
-	locked bool
+// The version table lives on the pages: a lock stripe's metadata — the
+// packed version of its last committed write-back and the write-back marker
+// a committer holds while its writes are in flight — sits at the stripe
+// key's slot of the key's page, in arrays the page grows on its first
+// LockVersions (8 bytes and one bit per slot; a page no committer ever
+// wrote through carries neither). A reader observing the marker cannot tell
+// old from new data and must abort. Version words are read and written
+// under their page's lock like the data words, and a call that needs a
+// stripe's version together with words on other pages locks them all
+// (mem.go, "Atomicity").
+
+// version returns the metadata of stripe key; called with pg.mu held.
+func (pg *page) version(key Addr) (ver uint64, locked bool) {
+	if pg.ver == nil {
+		return 0, false
+	}
+	i := key & pageMask
+	return pg.ver[i], pg.marked[i>>6]>>(i&63)&1 != 0
 }
 
 // ReadVersioned returns the n-word object at base together with the version
-// metadata of its lock stripe key, all observed atomically under the memory
-// mutex (within one controller an object read is untorn). It charges one
-// batched access of n+1 words — the version word co-located with the
-// object rides the same controller visit.
+// metadata of its lock stripe key, all observed in one indivisible step
+// (within one controller an object read is untorn). It charges one batched
+// access of n+1 words — the version word co-located with the object rides
+// the same controller visit.
 func (m *Memory) ReadVersioned(p Ctx, core int, base Addr, n int, key Addr) (vals []uint64, ver uint64, locked bool) {
 	if n <= 0 {
 		panic("mem: ReadVersioned of non-positive size")
@@ -116,28 +127,20 @@ func (m *Memory) ReadVersionedTo(p Ctx, core int, base Addr, key Addr, dst []uin
 	if n <= 0 {
 		panic("mem: ReadVersionedTo of empty buffer")
 	}
-	m.mu.Lock()
-	m.Stats.Reads += uint64(n) + 1
-	m.mu.Unlock()
-	m.access(p, core, base, n+1)
-	m.mu.Lock()
-	m.getBatch(base, dst)
-	ov := m.vers[key]
-	m.mu.Unlock()
-	return dst, ov.ver, ov.locked
+	m.charge(p, core, m.MCOf(base), n+1, read)
+	ver, locked = m.readWith(base, key, dst)
+	return dst, ver, locked
 }
 
 // LoadVersion returns the version metadata of one lock stripe, charging a
 // one-word access (commit-time read-set revalidation pays this per stripe).
 func (m *Memory) LoadVersion(p Ctx, core int, key Addr) (ver uint64, locked bool) {
-	m.mu.Lock()
-	m.Stats.Reads++
-	m.mu.Unlock()
-	m.access(p, core, key, 1)
-	m.mu.Lock()
-	ov := m.vers[key]
-	m.mu.Unlock()
-	return ov.ver, ov.locked
+	m.charge(p, core, m.MCOf(key), 1, read)
+	pg := m.pageOf(key)
+	pg.mu.Lock()
+	ver, locked = pg.version(key)
+	pg.mu.Unlock()
+	return ver, locked
 }
 
 // VersionRaw returns a stripe's current version without charging latency.
@@ -145,10 +148,11 @@ func (m *Memory) LoadVersion(p Ctx, core int, key Addr) (ver uint64, locked bool
 // rides the already-charged lock service cost); tests use it to inspect
 // state.
 func (m *Memory) VersionRaw(key Addr) uint64 {
-	m.mu.Lock()
-	v := m.vers[key].ver
-	m.mu.Unlock()
-	return v
+	pg := m.pageOf(key)
+	pg.mu.Lock()
+	ver, _ := pg.version(key)
+	pg.mu.Unlock()
+	return ver
 }
 
 // LockVersions sets the write-back marker of every given stripe, charging
@@ -156,35 +160,17 @@ func (m *Memory) VersionRaw(key Addr) uint64 {
 // The caller must hold the stripes' DTM write locks; a marker already set
 // would mean two committers hold the same write lock, so it panics.
 func (m *Memory) LockVersions(p Ctx, core int, keys []Addr) {
-	m.chargeKeyBatch(p, core, keys)
-	m.mu.Lock()
-	for _, k := range keys {
-		ov := m.vers[k]
-		if ov.locked {
-			m.mu.Unlock()
-			panic(fmt.Sprintf("mem: version marker of %#x already locked", uint64(k)))
-		}
-		ov.locked = true
-		m.vers[k] = ov
+	if len(keys) > 0 {
+		m.chargeWrites(p, core, keys)
 	}
-	m.mu.Unlock()
+	m.setMarkers(keys, true, nil, "version marker of %#x already locked")
 }
 
 // UnlockVersions clears the write-back markers without advancing versions —
 // the abort path of a commit whose revalidation failed after the markers
 // were set. Free of charge, like the other abort bookkeeping.
 func (m *Memory) UnlockVersions(keys []Addr) {
-	m.mu.Lock()
-	for _, k := range keys {
-		ov := m.vers[k]
-		if !ov.locked {
-			m.mu.Unlock()
-			panic(fmt.Sprintf("mem: unlock of unmarked stripe %#x", uint64(k)))
-		}
-		ov.locked = false
-		m.vers[k] = ov
-	}
-	m.mu.Unlock()
+	m.setMarkers(keys, false, nil, "unlock of unmarked stripe %#x")
 }
 
 // PublishVersions installs ver as every given stripe's version and clears
@@ -192,46 +178,37 @@ func (m *Memory) UnlockVersions(keys []Addr) {
 // touched. Called after the write set has persisted: from this instant
 // readers see the new data under the new version instead of the marker.
 func (m *Memory) PublishVersions(p Ctx, core int, keys []Addr, ver uint64) {
-	m.chargeKeyBatch(p, core, keys)
-	m.mu.Lock()
-	for _, k := range keys {
-		ov := m.vers[k]
-		if !ov.locked {
-			m.mu.Unlock()
-			panic(fmt.Sprintf("mem: publish to unmarked stripe %#x", uint64(k)))
-		}
-		m.vers[k] = objVer{ver: ver}
+	if len(keys) > 0 {
+		m.chargeWrites(p, core, keys)
 	}
-	m.mu.Unlock()
+	m.setMarkers(keys, false, &ver, "publish to unmarked stripe %#x")
 }
 
-// chargeKeyBatch charges one word of write traffic per key, batched per
-// controller exactly like WriteBatch.
-func (m *Memory) chargeKeyBatch(p Ctx, core int, keys []Addr) {
-	if len(keys) == 0 {
-		return
-	}
-	var mcBuf [8]int
-	perMC := mcBuf[:0]
-	if len(m.brk) <= len(mcBuf) {
-		perMC = mcBuf[:len(m.brk)]
-	} else {
-		perMC = make([]int, len(m.brk))
-	}
+// setMarkers flips every key's write-back marker to on — and, when ver is
+// non-nil, installs *ver as the stripe's version — in one step over all
+// the keys' pages. A marker already in the target state panics with msg.
+func (m *Memory) setMarkers(keys []Addr, on bool, ver *uint64, msg string) {
+	var buf [4]pageRef
+	s := pageSet(buf[:0])
 	for _, k := range keys {
-		perMC[m.MCOf(k)]++
+		s = s.add(m, k)
 	}
-	m.mu.Lock()
-	m.Stats.Writes += uint64(len(keys))
-	m.mu.Unlock()
-	for mc, n := range perMC {
-		if n == 0 {
-			continue
+	s.lock()
+	for _, k := range keys {
+		pg := s.of(k)
+		if pg.ver == nil {
+			pg.ver, pg.marked = new([pageWords]uint64), new([pageWords / 64]uint64)
 		}
-		now := p.Now()
-		m.mu.Lock()
-		busy := m.charge(now, mc, n)
-		m.mu.Unlock()
-		p.Advance(busy.Duration() + m.pl.MemDelay(core, mc))
+		i := k & pageMask
+		word, bit := &pg.marked[i>>6], uint64(1)<<(i&63)
+		if (*word&bit != 0) == on {
+			s.unlock()
+			panic("mem: " + fmt.Sprintf(msg, uint64(k)))
+		}
+		*word ^= bit
+		if ver != nil {
+			pg.ver[i] = *ver
+		}
 	}
+	s.unlock()
 }

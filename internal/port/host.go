@@ -251,7 +251,8 @@ type HostPort struct {
 	// receive does not invalidate every sender's copy of the inbox pointer.
 	_ [64]byte
 
-	rng sim.Rand
+	rng  sim.Rand
+	owed time.Duration // modelled time advanced through since the last yield
 
 	// stash holds delivered-but-deferred messages in delivery order:
 	// everything RecvMatch/TryRecvMatch skipped — the same MsgQueue the sim
@@ -283,16 +284,29 @@ func (p *HostPort) Now() sim.Time { return sim.Time(time.Since(p.host.start)) }
 // Rand returns the port's deterministic random source.
 func (p *HostPort) Rand() *sim.Rand { return &p.rng }
 
-// Advance consumes no time — nominal compute costs and modeled waits are a
-// simulation concept; in real time the hardware is exactly as fast as it
-// is. It does yield the processor: code that uses Advance as a wait
-// (contention-manager backoff, test-and-set spin loops) must not turn into
-// a hot spin that starves the very goroutine it is waiting on.
+// yieldQuantum is how much modelled time a port may Advance through before
+// it yields the processor once. Measured at 1, 4, 16, 32 and 64 us
+// (CHANGES.md, PR 19): at 1 us live-readmostly-tl2 loses a third of its
+// throughput to scheduler round trips, past 32 us its p99 grows by half (a
+// port holds its P through several transactions while a runnable one
+// waits), live-bank is flat from 4 us up. At 16 us a spin that waits
+// through Advance in 100-300 ns steps still yields every 50-160 turns.
+const yieldQuantum = 16 * time.Microsecond
+
+// Advance consumes no real time: d is the simulator's price for a step the
+// hardware here has just executed at its own speed. What remains of it in
+// real time is fairness: code written against virtual time also waits
+// through Advance (contention-manager back-off, test-and-set spins), and
+// such a loop must not starve the goroutine it is waiting on. So the port
+// totals d and yields once per yieldQuantum of it: a long back-off yields
+// at once, a spin every few dozen turns, and a transaction's compute costs
+// (a few us per attempt) no longer cost a scheduler round trip each.
 func (p *HostPort) Advance(d time.Duration) {
 	if d < 0 {
 		panic(fmt.Sprintf("port: %s: negative advance %v", p.name, d))
 	}
-	if d > 0 {
+	if p.owed += d; p.owed >= yieldQuantum {
+		p.owed = 0
 		runtime.Gosched()
 	}
 }
