@@ -294,6 +294,7 @@ func report(w io.Writer, sys *repro.System, st *repro.Stats) {
 	}
 	fmt.Fprintf(w, "throughput          %.2f ops/ms\n", st.Throughput())
 	fmt.Fprintf(w, "commits / aborts    %d / %d (commit rate %.1f%%)\n", st.Commits, st.Aborts, st.CommitRate())
+	fmt.Fprintf(w, "max attempts        %d (the most any one operation needed to commit)\n", st.MaxAttempts)
 	fmt.Fprintf(w, "read-only commits   %d (declared read-only transactions; zero write-lock traffic)\n", st.ReadOnlyCommits)
 	fmt.Fprintf(w, "user aborts         %d (withdrawn via Tx.Abort; not retried)\n", st.UserAborts)
 	fmt.Fprintf(w, "aborts by reason    conflict=%d revoked=%d doomed-read=%d stale-placement=%d timeout=%d user=%d\n",
@@ -323,6 +324,10 @@ func report(w io.Writer, sys *repro.System, st *repro.Stats) {
 	if st.Commits > 0 {
 		fmt.Fprintf(w, "commit round trips  %d (%.2f awaited/commit)\n",
 			st.CommitRoundTrips, float64(st.CommitRoundTrips)/float64(st.Commits))
+	}
+	if cfg.Backend == repro.BackendNet && st.Ops > 0 {
+		fmt.Fprintf(w, "state rpcs          %d (%.2f/op; synchronous round trips to the rank homing the word or register, not in the message counts above)\n",
+			st.StateRPCs, float64(st.StateRPCs)/float64(st.Ops))
 	}
 	if cfg.Protocol == repro.ProtocolTL2 {
 		fmt.Fprintf(w, "tl2 local reads     %d (served from the local version table; zero wire traffic)\n", st.LocalReads)

@@ -118,7 +118,7 @@ func NewGlobalLock(sys *core.System) *GlobalLock {
 func (l *GlobalLock) Acquire(p core.Port, coreID int) {
 	backoff := 2 * time.Microsecond
 	for l.sys.Regs.TAS(p, coreID, l.reg) {
-		p.Advance(time.Duration(p.Rand().Int63() % int64(backoff)))
+		p.Pause(time.Duration(p.Rand().Int63() % int64(backoff)))
 		if backoff < 128*time.Microsecond {
 			backoff *= 2
 		}

@@ -428,6 +428,11 @@ type Stats struct {
 	// never contribute write-lock requests or commit round trips.
 	ReadOnlyCommits uint64
 
+	// MaxAttempts is the most attempts any one operation needed (1 when
+	// nothing ever aborted): the length of the longest retry storm, which
+	// the sums above average away. Merged by max, not by sum.
+	MaxAttempts uint64
+
 	// UserAborts counts transactions withdrawn by the application through
 	// Tx.Abort or a non-retry error returned from an Atomic body. They are
 	// not retried and are counted separately from Aborts (which tracks
@@ -518,6 +523,13 @@ type Stats struct {
 	// attempt under AbortReasons[ReasonTimeout]). Zero on sim/live.
 	RPCTimeouts uint64
 
+	// StateRPCs counts the state-plane round trips the net backend issued:
+	// word reads and write-backs forwarded to the rank-0 home, register
+	// operations forwarded to the owning rank. They are synchronous socket
+	// round trips that WireMsgs — the DTM message plane — does not see.
+	// Zero on sim/live.
+	StateRPCs uint64
+
 	// Run length: virtual on the sim backend, wall-clock on live.
 	Duration sim.Time
 
@@ -527,11 +539,12 @@ type Stats struct {
 // addShard folds one execution context's counter shard into s. Every
 // runtime and DTM node accumulates into its own shard — the only thing
 // that makes the live backend's concurrent increments race-free — and the
-// post-quiesce snapshot merges them here. All fields are sums, so the
-// merged totals are independent of merge order and bit-identical to the
-// old single-struct accumulation on the sim backend.
+// post-quiesce snapshot merges them here. All fields are sums (MaxAttempts
+// a max), so the merged totals are independent of merge order and
+// bit-identical to the old single-struct accumulation on the sim backend.
 func (s *Stats) addShard(o *Stats) {
 	s.ReadOnlyCommits += o.ReadOnlyCommits
+	s.MaxAttempts = max(s.MaxAttempts, o.MaxAttempts)
 	s.UserAborts += o.UserAborts
 	for i, v := range o.AbortsByKind {
 		s.AbortsByKind[i] += v
@@ -560,6 +573,7 @@ func (s *Stats) addShard(o *Stats) {
 	s.ClockAdvances += o.ClockAdvances
 	s.Irrevocables += o.Irrevocables
 	s.RPCTimeouts += o.RPCTimeouts
+	s.StateRPCs += o.StateRPCs
 }
 
 // CoreStats is the per-application-core breakdown.

@@ -10,12 +10,14 @@ import "repro/internal/port"
 // Config.Backend chooses its implementation:
 //
 //   - BackendSim: a proc of the deterministic discrete-event kernel.
-//     Advance consumes virtual time, Send is charged the platform's modeled
-//     latency, and a fixed seed reproduces the run bit-for-bit.
+//     Advance (a cost) and Pause (a wait) both consume virtual time, Send is
+//     charged the platform's modeled latency, and a fixed seed reproduces
+//     the run bit-for-bit.
 //   - BackendLive, BackendNet: a real goroutine of the real-time runtime
 //     (port.HostPort) — in this process on live, in the process of the rank
-//     owning the core on net. Advance is a no-op, Now is the monotonic
-//     clock, and messages travel as fast as a mailbox push (or a socket)
+//     owning the core on net. Now is the monotonic clock, Advance takes no
+//     time (a modelled cost only earns a yield per quantum), Pause waits in
+//     real time, and messages travel as fast as a mailbox push (or a socket)
 //     goes — the protocol at whatever rate the hardware sustains.
 //
 // Application code normally stays above this seam (workers get a *Runtime,

@@ -531,6 +531,9 @@ func (s *System) snapshot(d sim.Time) {
 		s.stats.NodeLoad = append(s.stats.NodeLoad, n.reqs)
 		s.stats.addShard(&n.shard)
 	}
+	if s.neng != nil {
+		s.stats.StateRPCs = s.neng.StateRPCs()
+	}
 	if s.dir != nil {
 		s.stats.RepartitionRounds = s.dir.Epochs
 		s.stats.Migrations = s.dir.Migrations

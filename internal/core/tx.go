@@ -29,6 +29,7 @@ type Runtime struct {
 
 	nextTxID   uint64
 	abortSig   abortSignal // the attempt's pending abort, see signal
+	waitRng    sim.Rand    // retryWait's draws; proc.Rand's are the workload's
 	stats      CoreStats
 	shard      Stats          // this core's counters, merged at snapshot
 	life       hist.Histogram // committed-transaction lifespans
@@ -116,6 +117,7 @@ func (rt *Runtime) wordBuf(n int) []uint64 {
 
 func (rt *Runtime) initLocal() {
 	rt.local = cm.NewLocal(rt.s.cfg.Policy, rt.core, rt.proc.Rand())
+	rt.waitRng = sim.NewRand(rt.s.cfg.Seed ^ (0xd1b54a32d192ed03 * uint64(rt.core+1)))
 	rt.barrierSeen = make(map[uint64]int)
 	rt.initRPC()
 }
@@ -339,6 +341,7 @@ func (rt *Runtime) runLoop(kind TxKind, fn func(*Tx) error) (attempts int, userE
 			// Lifespan = start of the first attempt to commit, across
 			// aborts — the paper's §4.1 definition.
 			rt.life.Observe(rt.proc.Now() - lifeStart)
+			rt.shard.MaxAttempts = max(rt.shard.MaxAttempts, uint64(attempts))
 			rt.emit(trace.KCommit, tx.id, uint64(attempts), 0, 0)
 			rt.s.snap.AddCommit()
 			tx.runHooks(tx.onCommit)
@@ -347,7 +350,7 @@ func (rt *Runtime) runLoop(kind TxKind, fn func(*Tx) error) (attempts int, userE
 			return attempts, err
 		}
 		if backoff := rt.local.OnAbort(); backoff > 0 {
-			rt.proc.Advance(rt.s.compute(backoff))
+			rt.proc.Pause(rt.s.compute(backoff))
 		}
 		// Live-backend drain cap, mirroring the sim backend's hard stop at
 		// 6x the deadline: a transaction still aborting that far past the
@@ -359,8 +362,47 @@ func (rt *Runtime) runLoop(kind TxKind, fn func(*Tx) error) (attempts int, userE
 		if rt.s.liveDrainExpired() {
 			panic(liveDrainKill{})
 		}
+		// FairCM lets the loser retry at once, which is right where a core
+		// runs one thread and a lock holder is never descheduled. Here the
+		// host deschedules holders for milliseconds, and until the holder is
+		// back nothing the loser sends can succeed: so in real time the
+		// loser waits (retryWait). The simulator's wait is the begin jitter
+		// it has always had.
+		if rt.s.host != nil {
+			rt.proc.Pause(rt.retryWait(lifeStart))
+		}
 		rt.local.StartAttempt(rt.proc.Now())
 	}
+}
+
+// retryWaitCap bounds one retry wait. Measured at 64 us, 256 us, 1 ms, 4 ms
+// and uncapped (CHANGES.md, PR 20). From 256 us up the two-core bank sits on
+// the protocol's message floor (8.54 wire msgs/op against 9.5-9.8 without the
+// wait, 8.64 at 64 us) and 48 oversubscribed cores commit 92 % of their
+// attempts, so long absences and long transactions decide. A holder away
+// for 10 ms costs the loser a dozen attempts until its waits reach the cap
+// and one per half cap from there: over 15 s the worst operation needs 27-36
+// attempts at 1 ms and 21-22 at 4 ms (thousands without the wait). And with
+// 20 % 1,024-account balance scans an uncapped wait grows with the scan it
+// follows — tens of milliseconds in which the core attempts nothing — and
+// loses a third of the throughput (1.02 ops/ms against the parent's 1.42,
+// p99 lifespan 170-200 ms against 100-130), where 1 ms and 4 ms do not
+// (1.72 and 1.62, inside each other's spread).
+const retryWaitCap = 4 * time.Millisecond
+
+// retryWait draws how long an operation waits between an aborted attempt and
+// its next one: uniform over the time the operation has already spent, up to
+// retryWaitCap. Proportional, so the wait is nothing after a 5 us loss to a
+// holder that is running and grows only while the holder stays away; random,
+// so two losers do not come back in step. The draws are the runtime's own:
+// proc.Rand's belong to the workload, whose op stream must not depend on how
+// often the host made it wait.
+func (rt *Runtime) retryWait(lifeStart sim.Time) time.Duration {
+	spent := min(rt.proc.Now()-lifeStart, sim.Time(retryWaitCap))
+	if spent <= 0 {
+		return 0
+	}
+	return time.Duration(rt.waitRng.Int63() % int64(spent))
 }
 
 // liveDrainKill unwinds a worker whose transaction cannot finish within the

@@ -53,18 +53,14 @@ func encAddrs(e *wire.Enc, as []mem.Addr) {
 	}
 }
 
-// decAddrs mirrors Dec.U64s: the count bounds the allocation by the bytes
-// received, and a zero count yields nil.
-func decAddrs(d *wire.Dec) []mem.Addr {
-	n := d.Count(8)
-	if n == 0 {
-		return nil
+// decAddrs mirrors Dec.U64s: it decodes into the storage of into, growing it
+// by no more than the count, which the bytes received bound.
+func decAddrs(d *wire.Dec, into []mem.Addr) []mem.Addr {
+	into = into[:0]
+	for n := d.Count(8); n > 0; n-- {
+		into = append(into, mem.Addr(d.U64()))
 	}
-	as := make([]mem.Addr, n)
-	for i := range as {
-		as[i] = mem.Addr(d.U64())
-	}
-	return as
+	return into
 }
 
 func typeOf[T any]() reflect.Type { return reflect.TypeOf((*T)(nil)).Elem() }
@@ -82,11 +78,12 @@ func init() {
 			e.Int(r.ReplyTo)
 		},
 		Decode: func(d *wire.Dec) any {
-			return &reqReadLock{
-				ReqID: d.U64(), Epoch: d.U64(), Addr: mem.Addr(d.U64()),
-				Meta: decMeta(d), Reply: d.Port(), ReplyTo: d.Int(),
-			}
+			r := getReadLockReq()
+			r.ReqID, r.Epoch, r.Addr = d.U64(), d.U64(), mem.Addr(d.U64())
+			r.Meta, r.Reply, r.ReplyTo = decMeta(d), d.Port(), d.Int()
+			return r
 		},
+		Release: func(v any) { putReadLockReq(v.(*reqReadLock)) },
 	})
 	wire.Register(wire.Codec{
 		Kind: wkReqWriteLock, Type: typeOf[*reqWriteLock](),
@@ -100,11 +97,12 @@ func init() {
 			e.Int(r.ReplyTo)
 		},
 		Decode: func(d *wire.Dec) any {
-			return &reqWriteLock{
-				ReqID: d.U64(), Epoch: d.U64(), Addrs: decAddrs(d),
-				Meta: decMeta(d), Reply: d.Port(), ReplyTo: d.Int(),
-			}
+			r := getWriteLockReq()
+			r.ReqID, r.Epoch, r.Addrs = d.U64(), d.U64(), decAddrs(d, r.Addrs)
+			r.Meta, r.Reply, r.ReplyTo = decMeta(d), d.Port(), d.Int()
+			return r
 		},
+		Release: func(v any) { putWriteLockReq(v.(*reqWriteLock)) },
 	})
 	wire.Register(wire.Codec{
 		Kind: wkRespLock, Type: typeOf[*respLock](),
@@ -119,11 +117,12 @@ func init() {
 			e.Int(r.NackOwner)
 		},
 		Decode: func(d *wire.Dec) any {
-			return &respLock{
-				ReqID: d.U64(), OK: d.Bool(), Stale: d.Bool(), Kind: cm.Kind(d.U8()),
-				Vers: d.U64s(), NackEpoch: d.U64(), NackOwner: d.Int(),
-			}
+			r := getRespLock()
+			r.ReqID, r.OK, r.Stale, r.Kind = d.U64(), d.Bool(), d.Bool(), cm.Kind(d.U8())
+			r.Vers, r.NackEpoch, r.NackOwner = d.U64s(r.Vers), d.U64(), d.Int()
+			return r
 		},
+		Release: func(v any) { putRespLock(v.(*respLock)) },
 	})
 	wire.Register(wire.Codec{
 		Kind: wkRelLocks, Type: typeOf[*relLocks](),
@@ -135,11 +134,12 @@ func init() {
 			e.U64(r.TxID)
 		},
 		Decode: func(d *wire.Dec) any {
-			return &relLocks{
-				ReadAddrs: decAddrs(d), WriteAddrs: decAddrs(d),
-				Core: d.Int(), TxID: d.U64(),
-			}
+			r := getRelLocks()
+			r.ReadAddrs, r.WriteAddrs = decAddrs(d, r.ReadAddrs), decAddrs(d, r.WriteAddrs)
+			r.Core, r.TxID = d.Int(), d.U64()
+			return r
 		},
+		Release: func(v any) { putRelLocks(v.(*relLocks)) },
 	})
 	wire.Register(wire.Codec{
 		Kind: wkEarlyRelease, Type: typeOf[*earlyRelease](),
@@ -150,8 +150,11 @@ func init() {
 			e.U64(r.TxID)
 		},
 		Decode: func(d *wire.Dec) any {
-			return &earlyRelease{Addrs: decAddrs(d), Core: d.Int(), TxID: d.U64()}
+			r := getEarlyRelease()
+			r.Addrs, r.Core, r.TxID = decAddrs(d, r.Addrs), d.Int(), d.U64()
+			return r
 		},
+		Release: func(v any) { putEarlyRelease(v.(*earlyRelease)) },
 	})
 	wire.Register(wire.Codec{
 		// barrierMsg is the one value-type payload (messages.go sends it
@@ -210,12 +213,13 @@ func init() {
 		},
 		Decode: func(d *wire.Dec) any {
 			// Every payload takes at least its kind byte, which bounds the
-			// count — and the allocation below — by the bytes received.
+			// count — and what the appends below can grow — by the bytes
+			// received.
 			n := d.Count(1)
 			if d.Err() != nil {
 				return nil
 			}
-			b := &port.Batch{Payloads: make([]any, 0, n)}
+			b := port.GetBatch()
 			for i := 0; i < n; i++ {
 				if d.Peek() == wkBatch {
 					d.Failf("wire: Batch envelope nested inside a Batch envelope")
@@ -228,6 +232,14 @@ func init() {
 				b.Payloads = append(b.Payloads, pl)
 			}
 			return b
+		},
+		// An envelope releases its payloads, then itself.
+		Release: func(v any) {
+			b := v.(*port.Batch)
+			for _, pl := range b.Payloads {
+				wire.ReleasePayload(pl)
+			}
+			port.PutBatch(b)
 		},
 	})
 }

@@ -143,9 +143,12 @@ func TestLiveTL2ReadAllocationFree(t *testing.T) {
 	})
 }
 
-// TestLiveAbortPathAllocationFree: two workers move units between the same
-// two accounts, so attempts conflict and abort all the time — and an abort
-// (signal, unwind, release burst, back-off, retry) allocates nothing: the
+// TestLiveAbortPathAllocationFree: four workers move units between the same
+// two accounts, each giving the processor away after either read so the
+// others get in — since the retry wait a loser stands back long enough for
+// the winner to run several transfers, and two workers that never yield
+// commit 99 % of their attempts. So attempts conflict and abort all the time — and an abort
+// (signal, unwind, release burst, retry wait, retry) allocates nothing: the
 // budget is per attempt, and a window that happened to see too few aborts
 // to tell is run again rather than passed.
 func TestLiveAbortPathAllocationFree(t *testing.T) {
@@ -154,11 +157,13 @@ func TestLiveAbortPathAllocationFree(t *testing.T) {
 	}
 	contended := func(tx *core.Tx, a core.TArray[uint64], base, n int) {
 		f := a.Get(tx, 0)
+		runtime.Gosched()
 		v := a.Get(tx, 1)
+		runtime.Gosched()
 		a.Set(tx, 0, f-1)
 		a.Set(tx, 1, v+1)
 	}
-	tune := func(c *core.Config) { c.TotalCores = 4 }
+	tune := func(c *core.Config) { c.TotalCores = 8 }
 	for try := 0; try < 5; try++ {
 		allocs, attempts := measureLiveAllocs(t, tune, core.Normal, 1, liveWarmup, contended)
 		t.Logf("contended transfer: %.3f allocs/tx over %.2f attempts/tx", allocs, attempts)

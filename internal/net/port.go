@@ -34,6 +34,7 @@ func (s *Stub) remoteUse(method string) string {
 func (s *Stub) Now() sim.Time                          { panic(s.remoteUse("Now")) }
 func (s *Stub) Rand() *sim.Rand                        { panic(s.remoteUse("Rand")) }
 func (s *Stub) Advance(time.Duration)                  { panic(s.remoteUse("Advance")) }
+func (s *Stub) Pause(time.Duration)                    { panic(s.remoteUse("Pause")) }
 func (s *Stub) Yield()                                 { panic(s.remoteUse("Yield")) }
 func (s *Stub) Send(port.Port, any, time.Duration)     { panic(s.remoteUse("Send")) }
 func (s *Stub) Recv() port.Msg                         { panic(s.remoteUse("Recv")) }
@@ -59,6 +60,7 @@ func (e *Engine) sendRemote(src int, to port.Port, payload any) {
 	if err := wire.EncodePayload(enc, payload); err != nil {
 		panic(err) // unregistered payload type: a protocol bug, not an I/O fault
 	}
+	wire.ReleasePayload(payload) // the bytes travel on; this rank is payload's final toucher
 	err := e.links[dst.rank].write(frMsg, enc)
 	wire.PutEnc(enc)
 	if err != nil {

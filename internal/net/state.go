@@ -92,6 +92,10 @@ func (e *Engine) newCall(op uint8) *stateCall {
 	return c
 }
 
+// StateRPCs returns how many state RPCs this rank has issued: every call
+// takes the next correlation ID.
+func (e *Engine) StateRPCs() uint64 { return e.corr.Load() }
+
 // done recycles a completed call's slot; its decoder dies with it.
 func (c *stateCall) done() { callPool.Put(c) }
 

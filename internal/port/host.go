@@ -260,7 +260,7 @@ type HostPort struct {
 	stash sim.MsgQueue
 
 	onBatch func(n int)
-	timer   *time.Timer // reused by the deadline receives
+	timer   *time.Timer // reused by the deadline receives and parked pauses
 }
 
 var _ Port = (*HostPort)(nil)
@@ -295,12 +295,11 @@ const yieldQuantum = 16 * time.Microsecond
 
 // Advance consumes no real time: d is the simulator's price for a step the
 // hardware here has just executed at its own speed. What remains of it in
-// real time is fairness: code written against virtual time also waits
-// through Advance (contention-manager back-off, test-and-set spins), and
-// such a loop must not starve the goroutine it is waiting on. So the port
-// totals d and yields once per yieldQuantum of it: a long back-off yields
-// at once, a spin every few dozen turns, and a transaction's compute costs
-// (a few us per attempt) no longer cost a scheduler round trip each.
+// real time is fairness: a port that computes without ever blocking (a
+// register spin, a long read-only scan) must not starve the goroutines
+// around it. So the port totals d and yields once per yieldQuantum of it: a
+// spin every few dozen turns, and a transaction's compute costs (a few us
+// per attempt) do not cost a scheduler round trip each. Waiting is Pause.
 func (p *HostPort) Advance(d time.Duration) {
 	if d < 0 {
 		panic(fmt.Sprintf("port: %s: negative advance %v", p.name, d))
@@ -308,6 +307,49 @@ func (p *HostPort) Advance(d time.Duration) {
 	if p.owed += d; p.owed >= yieldQuantum {
 		p.owed = 0
 		runtime.Gosched()
+	}
+}
+
+// parkThreshold is the shortest Pause that parks the goroutine on a timer
+// instead of yielding until the clock says d has passed. A parked port frees
+// its P (48 backing-off cores on 2 CPUs must not all stay runnable), but a
+// timer on an otherwise idle P fires when the OS wakes the thread: ~1.1 ms
+// late on the reference host for any d from 10 us to 500 us, ~0.1 ms late at
+// 1 ms (CHANGES.md, PR 20). Below the threshold a wait is therefore exact
+// and costs at most this much processor time; from it up, it may overshoot
+// by the host's timer granularity.
+const parkThreshold = time.Millisecond
+
+// Pause waits until d of the monotonic clock has passed, allocating nothing:
+// a short wait yields the processor in a loop (whoever the caller is waiting
+// for gets the P as soon as it is runnable), a long one parks on the port's
+// timer. Messages that arrive meanwhile stay queued. A parked Pause unwinds
+// the goroutine when the Host shuts down, like a blocked receive.
+func (p *HostPort) Pause(d time.Duration) {
+	if d < 0 {
+		panic(fmt.Sprintf("port: %s: negative pause %v", p.name, d))
+	}
+	if d < parkThreshold {
+		for start := time.Now(); time.Since(start) < d; {
+			runtime.Gosched()
+		}
+		return
+	}
+	p.armTimer(d)
+	select {
+	case <-p.timer.C:
+	case <-p.host.quit:
+		p.timer.Stop()
+		panic(unwind{})
+	}
+}
+
+// armTimer starts the port's one reusable timer, to fire after d.
+func (p *HostPort) armTimer(d time.Duration) {
+	if p.timer == nil {
+		p.timer = time.NewTimer(d)
+	} else {
+		p.timer.Reset(d)
 	}
 }
 
@@ -474,11 +516,7 @@ func (p *HostPort) fillUntil(deadline time.Time) bool {
 	if left <= 0 {
 		return false
 	}
-	if p.timer == nil {
-		p.timer = time.NewTimer(left)
-	} else {
-		p.timer.Reset(left)
-	}
+	p.armTimer(left)
 	m, ok := p.pop(p.timer)
 	p.timer.Stop()
 	if ok {

@@ -1,10 +1,13 @@
 package port
 
 import (
+	"reflect"
 	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/sim"
 )
 
 // onOneP runs fn as the only port of a Host on a single P, next to an
@@ -26,13 +29,16 @@ func onOneP(t *testing.T, fn func(p Port, turns *atomic.Int64)) {
 		}
 	}()
 	h := NewHost(1, Bounded, nil)
+	done := make(chan struct{})
 	h.Spawn("p", func(p Port) {
+		defer close(done)
 		for turns.Load() == 0 {
 			runtime.Gosched() // until the observer is up
 		}
 		fn(p, &turns)
 	})
 	h.Start()
+	<-done // Shutdown would unwind a port it finds parked in a Pause
 	h.Shutdown()
 	stop.Store(true)
 	<-observed
@@ -58,9 +64,9 @@ func TestAdvanceYieldsOncePerQuantum(t *testing.T) {
 	}
 }
 
-// TestSpinOnAdvanceCannotStarve: a goroutine that waits by spinning on
-// Advance — the TAS loops, contention-manager back-off — must let the
-// goroutine it waits for run even when both share one P. The spin ends
+// TestSpinOnAdvanceCannotStarve: a goroutine that spins on a charged step —
+// a test-and-set loop pays Advance per probe — must let the goroutine it
+// waits for run even when both share one P. The spin ends
 // after about one quantum's worth of turns: well inside the 10 ms the
 // runtime would take to preempt a spin that never yielded, by which time
 // the loop below would have gone round a million times.
@@ -74,5 +80,92 @@ func TestSpinOnAdvanceCannotStarve(t *testing.T) {
 	})
 	if limit := 4 * int(yieldQuantum/step); spins > limit {
 		t.Fatalf("the spin went round %d times before the other goroutine ran, want at most %d", spins, limit)
+	}
+}
+
+// TestPauseIsAdvanceOnSim: in virtual time a wait and a cost are the same
+// kernel event. Three procs interleaving random delays fire the same number
+// of events, wake at the same instants and fold to the same trace hash
+// whether they move the clock through Pause or through Advance — which is
+// why moving the simulator's wait sites onto Pause moves no fingerprint.
+func TestPauseIsAdvanceOnSim(t *testing.T) {
+	run := func(wait func(Port, time.Duration)) (events uint64, woke [3][]sim.Time, hash uint64) {
+		k := sim.New(7)
+		k.EnableTraceHash()
+		for i := range woke {
+			i := i
+			k.Spawn("p", func(pr *sim.Proc) {
+				p := SimPort{P: pr}
+				for j := 0; j < 20; j++ {
+					wait(p, time.Duration(p.Rand().Intn(1000)))
+					woke[i] = append(woke[i], p.Now())
+				}
+			})
+		}
+		k.Run(sim.Infinity)
+		k.Shutdown()
+		return k.EventsRun(), woke, k.TraceHash()
+	}
+	ae, aw, ah := run(Port.Advance)
+	pe, pw, ph := run(Port.Pause)
+	if ae != pe || ah != ph || !reflect.DeepEqual(aw, pw) {
+		t.Fatalf("Advance: %d events, hash %#x, wakes %v\nPause:   %d events, hash %#x, wakes %v", ae, ah, aw, pe, ph, pw)
+	}
+	if last := aw[0][len(aw[0])-1]; last == 0 {
+		t.Fatal("the clock never moved")
+	}
+}
+
+// TestHostPauseWaitsAndYields: in real time Pause is a wait. Below the park
+// threshold it returns no earlier than asked while the other goroutine on
+// the one P keeps running; from the threshold up it parks on the port's
+// timer (nothing of the port stays runnable); and neither allocates.
+func TestHostPauseWaitsAndYields(t *testing.T) {
+	onOneP(t, func(p Port, turns *atomic.Int64) {
+		hp := p.(*HostPort)
+		for _, d := range []time.Duration{200 * time.Microsecond, parkThreshold} {
+			from, start := turns.Load(), time.Now()
+			p.Pause(d)
+			if el := time.Since(start); el < d {
+				t.Errorf("Pause(%v) returned after %v", d, el)
+			}
+			if turns.Load() == from {
+				t.Errorf("Pause(%v) never let the observer run", d)
+			}
+			if parked := hp.timer != nil; parked != (d >= parkThreshold) {
+				t.Errorf("Pause(%v): parked on the timer = %v", d, parked)
+			}
+			if a := testing.AllocsPerRun(5, func() { p.Pause(d) }); a != 0 {
+				t.Errorf("Pause(%v) allocates %v objects", d, a)
+			}
+		}
+	})
+}
+
+// TestHostPauseUnwindsOnQuit: a port parked in a long Pause is no obstacle
+// to Shutdown — it unwinds like a blocked receive.
+func TestHostPauseUnwindsOnQuit(t *testing.T) {
+	h := NewHost(1, Bounded, nil)
+	parked := make(chan struct{})
+	returned := false
+	h.Spawn("p", func(p Port) {
+		close(parked)
+		p.Pause(time.Hour)
+		returned = true
+	})
+	h.Start()
+	<-parked
+	done := make(chan struct{})
+	go func() {
+		h.Shutdown()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Shutdown waits for a paused port")
+	}
+	if returned {
+		t.Fatal("an hour's Pause returned")
 	}
 }

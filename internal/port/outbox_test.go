@@ -15,6 +15,7 @@ func (f fakePort) ID() int                                 { return f.id }
 func (f fakePort) Now() sim.Time                           { return 0 }
 func (f fakePort) Rand() *sim.Rand                         { return nil }
 func (f fakePort) Advance(time.Duration)                   {}
+func (f fakePort) Pause(time.Duration)                     {}
 func (f fakePort) Yield()                                  {}
 func (f fakePort) Send(Port, any, time.Duration)           {}
 func (f fakePort) Recv() Msg                               { return Msg{} }

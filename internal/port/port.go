@@ -9,13 +9,14 @@
 // Port, and a backend decides what a "core" physically is —
 //
 //   - internal/sim: a proc of the deterministic discrete-event kernel, where
-//     Advance consumes virtual time and exactly one goroutine runs at any
-//     instant (the bit-identical default; see SimPort);
+//     Advance and Pause both consume virtual time and exactly one goroutine
+//     runs at any instant (the bit-identical default; see SimPort);
 //   - internal/live and internal/net: a real goroutine with a selective-
-//     receive mailbox (HostPort, host.go), where Advance is a no-op and Now
-//     is the monotonic clock (hardware speed). The runtime is written once,
-//     here; live is a Host on its own and net one Host per rank plus the
-//     links between them.
+//     receive mailbox (HostPort, host.go), where Now is the monotonic clock,
+//     Advance consumes no time (the hardware is as fast as it is; the port
+//     yields once per quantum of modelled cost) and Pause waits in real
+//     time. The runtime is written once, here; live is a Host on its own and
+//     net one Host per rank plus the links between them.
 //
 // The package sits below every backend and below internal/core, so nothing
 // here may import them; the shared message, time and RNG types come from
@@ -54,9 +55,16 @@ type Port interface {
 	// patterns, jitter draws) match across backends even though live
 	// interleavings do not.
 	Rand() *sim.Rand
-	// Advance consumes d of nominal compute time: virtual time on sim, a
-	// no-op on live (the hardware is as fast as it is).
+	// Advance charges d of modelled cost for a step the caller has just
+	// executed: virtual time on sim; no time in real time, where the step
+	// took what it took and the port only yields the processor once per
+	// quantum of accumulated cost. Never wait through Advance.
 	Advance(d time.Duration)
+	// Pause waits for d: back-off, a spin's delay, anything whose purpose is
+	// that time passes for the other cores. On sim it is the very event
+	// Advance schedules; in real time the port is off its processor (or
+	// yielding it) until d of the monotonic clock has elapsed.
+	Pause(d time.Duration)
 	// Yield lets other runnable work proceed before continuing.
 	Yield()
 	// Send delivers payload to dst after the backend's notion of delay
@@ -96,6 +104,10 @@ func (s SimPort) Rand() *sim.Rand { return s.P.Rand() }
 
 // Advance consumes d of virtual compute time.
 func (s SimPort) Advance(d time.Duration) { s.P.Advance(d) }
+
+// Pause waits d of virtual time: the same kernel event as Advance, since in
+// virtual time a cost and a wait are both just the clock moving.
+func (s SimPort) Pause(d time.Duration) { s.P.Advance(d) }
 
 // Yield reschedules the proc behind already-pending same-instant events.
 func (s SimPort) Yield() { s.P.Yield() }

@@ -242,18 +242,14 @@ func (d *Dec) Int() int       { return int(d.I64()) }
 func (d *Dec) Time() sim.Time { return sim.Time(d.I64()) }
 func (d *Dec) Bool() bool     { return d.U8() != 0 }
 
-// U64s decodes a slice written by Enc.U64s. A zero count yields nil so
-// round-trips preserve the in-memory convention of nil empty slices.
-func (d *Dec) U64s() []uint64 {
-	n := d.Count(8)
-	if n == 0 {
-		return nil
+// U64s decodes a slice written by Enc.U64s into the storage of into (nil for
+// none), growing it by no more than the count Count has checked.
+func (d *Dec) U64s(into []uint64) []uint64 {
+	into = into[:0]
+	for n := d.Count(8); n > 0; n-- {
+		into = append(into, d.U64())
 	}
-	vs := make([]uint64, n)
-	for i := range vs {
-		vs[i] = d.U64()
-	}
-	return vs
+	return into
 }
 
 // Port decodes a port reference via the resolver (sentinel → nil).
@@ -276,12 +272,14 @@ func (d *Dec) Port() port.Port {
 // Codec describes one registered payload type: a stable kind byte, the
 // concrete Go type it encodes, and the encoder/decoder pair. Decode must
 // return the same concrete type as Type (pointer types round-trip as new
-// pointers).
+// pointers). Release, when set, takes back a value of a pooled type whose
+// last use was being encoded (ReleasePayload).
 type Codec struct {
-	Kind   uint8
-	Type   reflect.Type
-	Encode func(e *Enc, v any)
-	Decode func(d *Dec) any
+	Kind    uint8
+	Type    reflect.Type
+	Encode  func(e *Enc, v any)
+	Decode  func(d *Dec) any
+	Release func(v any)
 }
 
 var (
@@ -324,6 +322,15 @@ func EncodePayload(e *Enc, v any) error {
 	e.U8(c.Kind)
 	c.Encode(e, v)
 	return nil
+}
+
+// ReleasePayload recycles v through its codec's Release, if it has one. A
+// transport calls it once v is encoded: the bytes travel on, and v — which
+// the sender gave up at Send — has no other reader left.
+func ReleasePayload(v any) {
+	if c := byType[reflect.TypeOf(v)]; c != nil && c.Release != nil {
+		c.Release(v)
+	}
 }
 
 // DecodePayload reads one kind byte and body from d.

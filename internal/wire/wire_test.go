@@ -92,7 +92,7 @@ func TestDecCountBoundsAllocation(t *testing.T) {
 	if d := NewDec(huge, nil); d.Count(1) != 0 || d.Err() == nil {
 		t.Error("Count accepted 2^32-1 one-byte elements in 3 bytes")
 	}
-	if d := NewDec(huge, nil); d.U64s() != nil || d.Err() == nil {
+	if d := NewDec(huge, nil); len(d.U64s(nil)) != 0 || d.Err() == nil {
 		t.Error("U64s accepted 2^32-1 words in 3 bytes")
 	}
 	d := NewDec([]byte{2, 0, 0, 0, 9, 8}, nil)
