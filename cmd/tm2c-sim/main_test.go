@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -10,9 +11,11 @@ import (
 )
 
 // TestReportPlacementLine: every placement kind that keeps a directory
-// reports its counters; hash has none and prints its bare name.
+// reports its counters — among them how many epochs the heat plane spent
+// awake, the one-line answer to "is placement paying?" — and hash has none
+// and prints its bare name.
 func TestReportPlacementLine(t *testing.T) {
-	counters := []string{"epoch ", "rounds", "migrations", "stale NACKs", "% remote accesses"}
+	counters := []string{"epoch ", "awake ", "rounds", "migrations", "stale NACKs", "% remote accesses"}
 	for _, tc := range []struct {
 		kind repro.PlacementKind
 		want []string
@@ -31,7 +34,7 @@ func TestReportPlacementLine(t *testing.T) {
 			}
 			b := bank.New(sys, 64)
 			sys.SpawnWorkers(b.ZipfTransferWorker(0, 1.1))
-			st := sys.Run(500 * time.Microsecond)
+			st := sys.Run(3 * time.Millisecond)
 
 			var out strings.Builder
 			report(&out, sys, st)
@@ -50,6 +53,14 @@ func TestReportPlacementLine(t *testing.T) {
 			for _, w := range tc.want {
 				if !strings.Contains(line, w) {
 					t.Errorf("placement line %q lacks %q", line, w)
+				}
+			}
+			if tc.want != nil {
+				if st.PlacementEpochs == 0 || st.AwakeEpochs == 0 || st.AwakeEpochs > st.PlacementEpochs {
+					t.Errorf("zipf-1.1 bank: awake %d of %d epochs, want some and not more than all", st.AwakeEpochs, st.PlacementEpochs)
+				}
+				if want := fmt.Sprintf("awake %d/%d epochs", st.AwakeEpochs, st.PlacementEpochs); !strings.Contains(line, want) {
+					t.Errorf("placement line %q lacks %q", line, want)
 				}
 			}
 			for _, w := range []string{"throughput", "node load", "wire messages"} {

@@ -484,6 +484,8 @@ type Stats struct {
 	StaleNackHints    uint64 // stale-NACK retries steered by the piggybacked owner hint
 	PlacementAborts   uint64 // attempts aborted after chasing migrating ownership too long
 	RepartitionRounds uint64 // repartition rounds that initiated at least one migration
+	PlacementEpochs   uint64 // epoch windows the directory closed
+	AwakeEpochs       uint64 // of those, windows whose heat plane recorded per stripe
 	Migrations        uint64 // stripe migrations initiated by the directory
 	Handoffs          uint64 // stripe handoffs completed by DTM nodes
 

@@ -536,6 +536,7 @@ func (s *System) snapshot(d sim.Time) {
 	}
 	if s.dir != nil {
 		s.stats.RepartitionRounds = s.dir.Epochs
+		s.stats.PlacementEpochs, s.stats.AwakeEpochs = s.dir.Evaluated, s.dir.AwakeEpochs
 		s.stats.Migrations = s.dir.Migrations
 		s.stats.Handoffs = s.dir.Handoffs
 		s.stats.DirSplits = s.dir.Splits

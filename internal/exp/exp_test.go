@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -293,62 +294,78 @@ func TestShapeCoalescingRecoversBatchingWin(t *testing.T) {
 	}
 }
 
-// TestShapeHierPlacementAtScale checks the scaleplace claims on a fresh
-// run: the hierarchical directory materializes far fewer leaves than the
-// universe a flat table would scan, and on the Zipf rows hier holds hash's
-// throughput while pulling the remote-access share below flat adaptive's,
-// with bounded node imbalance and wire traffic. Live keeps leaves vs
-// universe, the one claim that does not compare two rows.
+// TestShapeHierPlacementAtScale checks the scaleplace claims on fresh runs:
+// the hierarchical directory materializes far fewer leaves than the universe
+// a flat table would scan; on the uniform rows, where no mapping can gain,
+// the adaptive policies move nothing, hold no leaves and run no more than
+// 1 % behind hash (the interleaved start assignment is often ahead of it);
+// and on the Zipf rows hier holds hash's throughput while pulling the
+// remote-access share below flat adaptive's, with bounded node imbalance and
+// wire traffic. Live keeps leaves vs universe, the one claim that does not
+// compare two rows.
 //
-// The sim run is Quick at seed 1, the configuration CI always gated. At
-// this size the two row comparisons sit inside seed-to-seed variation
-// (seeds 1-8: the remote-share ordering holds on 6, the throughput ratio on
-// 7; at the Default scale both hold on all 8), so they are a pinned
-// regression check: if a deliberate behaviour change flips one here, read
-// `tm2c-bench -run scaleplace` at the default scale before believing it.
-// The seed-independent form of the co-mapping claim is core's comap test.
+// The sim runs are Quick at seeds 1-8. A Quick Zipf row is 3 ms at a ~36 %
+// commit rate with one to six migrations in it, so two rows of one seed
+// differ by seed-to-seed noise (hash alone spans 298-371 ops/ms): the three
+// row comparisons are asserted on the medians over the eight seeds, the
+// per-row bounds on every seed. The seed-independent form of the co-mapping
+// claim is core's comap test; the Default-scale table is docs/perf/PR-21.md.
 func TestShapeHierPlacementAtScale(t *testing.T) {
 	for _, be := range backends {
 		t.Run(be.name, func(t *testing.T) {
-			tab := scalePlace(be.scale(Quick), be.ov)[0]
-			for _, skew := range []string{"uniform", "zipf-0.99"} {
-				hier := rowWhere(t, tab, "skew", skew, "policy", "hier")
-				nonEmpty(t, tab, hier)
-				if leaves, univ := num(t, tab, hier, "leaves"), num(t, tab, hier, "leaf universe"); univ <= 0 || 10*leaves >= univ {
-					t.Errorf("%s: hier materialized %v leaves of a %v-leaf universe (not ≪)", skew, leaves, univ)
+			seeds := 8
+			if be.live {
+				seeds = 1
+			}
+			cells := map[string][]float64{} // "skew policy column" -> one value a seed
+			for seed := 1; seed <= seeds; seed++ {
+				sc := be.scale(Quick)
+				sc.Seed = uint64(seed)
+				tab := scalePlace(sc, be.ov)[0]
+				for _, row := range tab.Rows {
+					skew, policy := row[colIndex(t, tab, "skew")], row[colIndex(t, tab, "policy")]
+					nonEmpty(t, tab, row)
+					if leaves, univ := num(t, tab, row, "leaves"), num(t, tab, row, "leaf universe"); univ <= 0 || 10*leaves >= univ {
+						t.Errorf("seed %d %s %s: %v leaves of a %v-leaf universe (not ≪)", seed, skew, policy, leaves, univ)
+					}
+					if be.live {
+						continue
+					}
+					if w := num(t, tab, row, "wire/op"); w > 30 {
+						t.Errorf("seed %d %s %s: wire/op %v, want <= 30", seed, skew, policy, w)
+					}
+					if imb := num(t, tab, row, "node imbalance"); policy != "hash" && imb > 2 {
+						t.Errorf("seed %d %s %s: node imbalance %v, want <= 2", seed, skew, policy, imb)
+					}
+					if skew == "uniform" && policy != "hash" {
+						h := num(t, tab, rowWhere(t, tab, "skew", skew, "policy", "hash"), "ops/ms")
+						if m, l, r := num(t, tab, row, "migrations"), num(t, tab, row, "leaves"), num(t, tab, row, "ops/ms"); m != 0 || l != 0 || r < 0.99*h {
+							t.Errorf("seed %d uniform %s: %v migrations, %v leaves, %v ops/ms vs hash %v; want a dormant heat plane no more than 1%% behind hash", seed, policy, m, l, r, h)
+						}
+					}
+					for _, col := range []string{"ops/ms", "remote %"} {
+						k := skew + " " + policy + " " + col
+						cells[k] = append(cells[k], num(t, tab, row, col))
+					}
 				}
 			}
 			if be.live {
 				return
 			}
-			for _, row := range tab.Rows {
-				skew, policy := row[colIndex(t, tab, "skew")], row[colIndex(t, tab, "policy")]
-				if w := num(t, tab, row, "wire/op"); w > 30 {
-					t.Errorf("%s %s: wire/op %v, want <= 30", skew, policy, w)
-				}
-				if imb := num(t, tab, row, "node imbalance"); policy != "hash" && imb > 2 {
-					t.Errorf("%s %s: node imbalance %v, want <= 2", skew, policy, imb)
-				}
+			med := func(k string) float64 {
+				v := slices.Sorted(slices.Values(cells[k]))
+				return (v[(len(v)-1)/2] + v[len(v)/2]) / 2
 			}
 			// The retired ablplace ablation's claim, on these rows: flat
-			// adaptive placement stays within 10% of hash's throughput at
-			// every skew (seeds 1-8 at this scale: 0.95x at worst).
-			for _, skew := range []string{"uniform", "zipf-0.99"} {
-				h := num(t, tab, rowWhere(t, tab, "skew", skew, "policy", "hash"), "ops/ms")
-				a := num(t, tab, rowWhere(t, tab, "skew", skew, "policy", "adaptive"), "ops/ms")
-				if a < 0.9*h {
-					t.Errorf("%s: adaptive %v ops/ms fell >10%% behind hash %v", skew, a, h)
-				}
+			// adaptive placement stays within 10% of hash's throughput.
+			if h, a := med("zipf-0.99 hash ops/ms"), med("zipf-0.99 adaptive ops/ms"); a < 0.9*h {
+				t.Errorf("zipf: adaptive median %v ops/ms fell >10%% behind hash %v", a, h)
 			}
-			// For hier, uniform rows are informational: every policy converges.
-			hash := rowWhere(t, tab, "skew", "zipf-0.99", "policy", "hash")
-			flat := rowWhere(t, tab, "skew", "zipf-0.99", "policy", "adaptive")
-			hier := rowWhere(t, tab, "skew", "zipf-0.99", "policy", "hier")
-			if h, r := num(t, tab, hash, "ops/ms"), num(t, tab, hier, "ops/ms"); r < 0.9*h {
-				t.Errorf("zipf: hier %v ops/ms below 0.9x hash %v", r, h)
+			if h, r := med("zipf-0.99 hash ops/ms"), med("zipf-0.99 hier ops/ms"); r < 0.9*h {
+				t.Errorf("zipf: hier median %v ops/ms below 0.9x hash %v", r, h)
 			}
-			if f, r := num(t, tab, flat, "remote %"), num(t, tab, hier, "remote %"); r >= f {
-				t.Errorf("zipf: hier remote share %v%% not below flat adaptive's %v%%", r, f)
+			if f, r := med("zipf-0.99 adaptive remote %"), med("zipf-0.99 hier remote %"); r >= f {
+				t.Errorf("zipf: hier median remote share %v%% not below flat adaptive's %v%%", r, f)
 			}
 		})
 	}

@@ -37,16 +37,23 @@ func uniformKeys(n int) []mem.Addr {
 
 var benchSink int
 
-// TestRecordSteadyStateAllocFree states the heat plane's claim: once the
-// leaf pool and the epoch scratch have reached their working size, resolving
-// and recording a uniform stream — a leaf split for nearly every key, a
-// merge two epochs later — allocates nothing.
+// TestRecordSteadyStateAllocFree states the awake heat plane's claim: once
+// the leaf pool and the epoch scratch have reached their working size,
+// resolving and recording allocates nothing while leaves split and merge.
+// Two accesses in three hit stripe 0 — hotter than its node's excess over the
+// mean, so it can never move and the plane stays awake without migrating —
+// and the third is a uniform key of the other node: a leaf split for nearly
+// each, a merge at the end of the epoch. (The dormant plane's zero is a case
+// of TestHeatPlaneSleepsAndWakes.)
 func TestRecordSteadyStateAllocFree(t *testing.T) {
 	d := benchDirectory(t, AdaptiveHier)
 	keys := uniformKeys(1 << 16)
 	i := 0
 	step := func() {
-		k := keys[i&(len(keys)-1)]
+		k := mem.Addr(0)
+		if i%3 == 0 {
+			k = keys[i&(len(keys)-1)] | 1
+		}
 		benchSink += d.Owner(k)
 		d.Record(i&1, k)
 		i++
@@ -54,10 +61,13 @@ func TestRecordSteadyStateAllocFree(t *testing.T) {
 	for i < 16*1024 { // 16 epochs of warm-up
 		step()
 	}
-	if got := testing.AllocsPerRun(32*1024, step); got >= 0.05 {
-		t.Errorf("steady-state Owner+Record allocates %.3f times per key, want < 0.05", got)
+	if got := testing.AllocsPerRun(32*1024, step); got != 0 {
+		t.Errorf("steady-state Owner+Record allocates %.3f times per key, want 0", got)
 	}
-	if d.Merges == 0 || d.MaterializedLeaves() == 0 {
+	if d.AwakeEpochs+1 != d.Evaluated || d.Migrations != 0 {
+		t.Errorf("awake %d of %d epochs with %d migrations, want all but the first and none: not the case under test", d.AwakeEpochs, d.Evaluated, d.Migrations)
+	}
+	if d.Merges == 0 || d.MaterializedLeaves() < 2 {
 		t.Errorf("stream never cycled leaves (%d merges, %d materialized): not the case under test", d.Merges, d.MaterializedLeaves())
 	}
 	if err := d.CheckInvariants(); err != nil {
@@ -91,7 +101,8 @@ func BenchmarkResolveParallel(b *testing.B) {
 }
 
 // BenchmarkRecordUniform is one lock request's directory work on a uniform
-// working set: resolve, record, and every 1024th call an epoch evaluation.
+// working set, where the heat plane stays dormant: resolve, a coarse-tier
+// record, and every 1024th call an O(nodes) epoch evaluation.
 func BenchmarkRecordUniform(b *testing.B) {
 	keys := uniformKeys(1 << 16)
 	for _, kind := range []Kind{Adaptive, AdaptiveHier} {
@@ -107,11 +118,13 @@ func BenchmarkRecordUniform(b *testing.B) {
 	}
 }
 
-// BenchmarkEvaluate closes one epoch over 700 materialized leaves — about
-// what live-place-hier holds — each re-heated first so none merges away.
+// BenchmarkEvaluate closes one awake epoch over 700 materialized leaves,
+// each re-heated first so none merges away. Every hot stripe is node 0's, so
+// the plane stays awake.
 func BenchmarkEvaluate(b *testing.B) {
 	d := benchDirectory(b, AdaptiveHier)
 	d.nextEval = ^uint64(0) // evaluate only when the loop says so
+	d.awake = true
 	hot := make([]mem.Addr, 700)
 	for i := range hot {
 		hot[i] = mem.Addr(i * d.LeafSpan())

@@ -1,6 +1,7 @@
 package placement
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/mem"
@@ -9,11 +10,11 @@ import (
 
 // TestHierSplitMergeProperty drives hierarchical directories through random
 // schedules of clustered accesses, forced migrations, handoff completions
-// and full decay cycles, asserting after every step that the structural
-// invariants hold — in particular that exactly one node owns every stripe
-// (materialized or not) and that no leaf carrying a frozen stripe is ever
-// merged away (CheckInvariants recounts each leaf's frozen bookkeeping, so
-// a stranded freeze would surface as a mismatch or a panic on handoff).
+// and full decay cycles — waking and sleeping along the way — asserting after
+// every step that the structural invariants hold: in particular that exactly
+// one node owns every stripe (materialized or not), that a freeze or a
+// handoff on a stripe whose leaf has merged away or was dropped by a sleep
+// is sound (leaves are heat only; nothing pins one).
 func TestHierSplitMergeProperty(t *testing.T) {
 	r := sim.NewRand(99)
 	for trial := 0; trial < 20; trial++ {
@@ -26,7 +27,7 @@ func TestHierSplitMergeProperty(t *testing.T) {
 		d, err := New(Config{
 			Nodes: nodes, Kind: AdaptiveHier, Stripes: stripes, Span: 1,
 			LeafStripes: 8, Clusters: clusters,
-			EvalEvery: 16 + r.Intn(64), MaxMoves: 1 + r.Intn(4),
+			EvalEvery: 32 + r.Intn(32), MaxMoves: 1 + r.Intn(4),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -42,19 +43,23 @@ func TestHierSplitMergeProperty(t *testing.T) {
 					}
 				}
 			default:
-				// Skewed clustered accesses: a few hot leaves, the rest cold,
-				// so splits and merges both happen along the way.
-				base := r.Intn(4) * 8
-				d.Record(r.Intn(len(clusters)), mem.Addr(base+r.Intn(8)))
+				// Alternating bursts: four stripes that all start on node 0
+				// (the plane wakes; splits, moves and merges follow), then
+				// uniform traffic (it goes back to sleep).
+				k := nodes * r.Intn(4)
+				if step/400%2 == 1 {
+					k = r.Intn(stripes)
+				}
+				d.Record(r.Intn(len(clusters)), mem.Addr(k))
 			}
 			if err := d.CheckInvariants(); err != nil {
 				t.Fatalf("trial %d step %d: %v", trial, step, err)
 			}
 		}
-		// Drain everything, then let repeated evaluation decay all heat: no
-		// frozen stripe may survive the drain, and every still-materialized
-		// leaf must be there for a reason (moved ownership), never stranded
-		// with pending state.
+		if d.AwakeEpochs == 0 || d.AwakeEpochs == d.Evaluated {
+			t.Fatalf("trial %d: awake %d of %d epochs, want both states visited", trial, d.AwakeEpochs, d.Evaluated)
+		}
+		// Drain everything: no frozen stripe may survive the drain.
 		for n := 0; n < nodes; n++ {
 			for _, s := range d.PendingFor(n) {
 				d.CompleteHandoff(s)
@@ -85,40 +90,178 @@ func TestHierSplitMergeProperty(t *testing.T) {
 	}
 }
 
-// TestHierLeavesMergeWhenCold checks the merge half of the lifecycle: after
-// a burst of localized traffic stops, epoch decay must dematerialize every
-// cooled leaf, leaving only leaves that still carry migrated ownership.
+// TestHierLeavesMergeWhenCold checks the merge half of the lifecycle while
+// the plane stays awake: after a burst of localized traffic stops, epoch
+// decay must dematerialize the cooled leaf — even though stripes in it were
+// migrated, because ownership lives in the snapshot and pins nothing.
 func TestHierLeavesMergeWhenCold(t *testing.T) {
-	// ImbalanceFactor prohibitive: no migrations, so no stripe ever leaves
-	// its default owner and the merge path is isolated from the move path.
 	d, err := New(Config{
 		Nodes: 4, Kind: AdaptiveHier, Stripes: 1 << 12, Span: 1,
-		LeafStripes: 64, EvalEvery: 64, ImbalanceFactor: 1e9,
+		LeafStripes: 64, EvalEvery: 256,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Hammer one leaf's worth of stripes hard enough that per-epoch decay
-	// (halving) cannot zero them while the traffic lasts.
-	for i := 0; i < 512; i++ {
-		d.Record(-1, mem.Addr(i%8))
+	// Half the traffic on one distant stripe of node 0's: hotter than its
+	// node's excess over the mean, it cannot move, so the plane wakes and
+	// stays awake. The other half hammers eight stripes of leaf 0, node 0's
+	// too: the leaf materializes and some of them move away.
+	for i := 0; i < 1024; i++ {
+		d.Record(-1, mem.Addr(4000), mem.Addr(4*(i%8)))
+		drain(d)
 	}
-	if d.MaterializedLeaves() == 0 {
-		t.Fatal("no leaves materialized by recorded traffic")
+	if got := d.MaterializedLeaves(); got != 2 {
+		t.Fatalf("%d leaves materialized for a working set inside two 64-stripe leaves, want 2", got)
 	}
-	if d.MaterializedLeaves() > 1 {
-		t.Fatalf("%d leaves materialized for an 8-stripe working set with 64-stripe leaves", d.MaterializedLeaves())
+	if d.Handoffs == 0 {
+		t.Fatal("no stripe moved off the one loaded node")
 	}
-	// Cold epochs: traffic on one distant stripe keeps evaluation ticking
-	// while the hot leaf's counts decay to zero and it merges away.
-	for i := 0; i < 64*64; i++ {
+	// The distant stripe alone keeps evaluation ticking while the first
+	// leaf's counts decay to zero.
+	for i := 0; i < 64*256; i++ {
 		d.Record(-1, mem.Addr(4000))
 	}
-	if d.Merges == 0 {
-		t.Error("no leaf merged after its counts fully decayed")
+	if got := d.MaterializedLeaves(); got != 1 || d.Merges != 1 || !d.awake {
+		t.Errorf("%d leaves, %d merges, awake %v: want the hot leaf only, the cooled one merged, still awake", got, d.Merges, d.awake)
+	}
+	if n := len(d.Snapshot().o.over); n == 0 {
+		t.Error("no stripe of the merged leaf is off its default owner: not the case under test")
 	}
 	if err := d.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// drain completes every pending handoff, as DTM nodes with empty lock tables
+// would.
+func drain(d *Directory) {
+	for n := 0; n < d.Nodes(); n++ {
+		for _, s := range d.PendingFor(n) {
+			d.CompleteHandoff(s)
+		}
+	}
+}
+
+// TestHeatPlaneSleepsAndWakes drives directories through phases of 1024-key
+// epochs over a 2^20-stripe universe and checks the gate's claims after
+// each: a uniform stream never wakes the plane, whatever the node count (32
+// nodes see ~32 samples a node an epoch: the parent's bare 1.25 factor fired
+// on that noise thousands of times); a stream that turns skewed wakes it
+// within two epochs and moves the hot stripes; when the skew stops every
+// leaf and the recycling pool go; and a Zipf stream wide enough to fill the
+// leaf table stays inside the cap and still moves its head.
+func TestHeatPlaneSleepsAndWakes(t *testing.T) {
+	const words = 1 << 20
+	uniform := func(r *sim.Rand) mem.Addr { return mem.Addr(r.Intn(words)) }
+	dormant := func(t *testing.T, d *Directory, peak int) {
+		if d.Migrations != 0 || d.Splits != 0 || d.AwakeEpochs != 0 || peak != 0 {
+			t.Errorf("uniform stream: %d migrations, %d splits, awake %d of %d epochs, peak %d leaves; want none",
+				d.Migrations, d.Splits, d.AwakeEpochs, d.Evaluated, peak)
+		}
+		r := sim.NewRand(2)
+		if got := testing.AllocsPerRun(4096, func() { d.Record(0, uniform(&r)) }); got != 0 {
+			t.Errorf("dormant Record allocates %.3f times per key, want 0", got)
+		}
+	}
+	// Half the accesses on four stripes that all start on node 0 of 6.
+	hot4 := func(r *sim.Rand) mem.Addr {
+		if r.Intn(2) == 0 {
+			return mem.Addr(6000 * r.Intn(4))
+		}
+		return uniform(r)
+	}
+	// Zipf(0.99) ranks by the continuous inverse CDF, scattered over the
+	// universe by an odd multiplier so the head stripes sit in distinct
+	// leaves and each needs a slot of its own.
+	zipfStripe := func(rank int) int { return rank * 2654435761 % words }
+	zipf := func(r *sim.Rand) mem.Addr {
+		const e = 1 - 0.99
+		x := math.Pow((math.Pow(words, e)-1)*r.Float64()+1, 1/e)
+		return mem.Addr(zipfStripe(min(int(x), words) - 1))
+	}
+	type phase struct {
+		epochs int
+		key    func(*sim.Rand) mem.Addr
+		after  func(t *testing.T, d *Directory, peak int) // peak: most leaves any epoch so far ended with
+	}
+	for _, tc := range []struct {
+		name      string
+		nodes     int
+		evalEvery int
+		phases    []phase
+	}{
+		{"uniform/2", 2, 1024, []phase{{200, uniform, dormant}}},
+		{"uniform/6", 6, 1024, []phase{{200, uniform, dormant}}},
+		{"uniform/32", 32, 1024, []phase{{200, uniform, dormant}}},
+		{"skew-comes-and-goes", 6, 1024, []phase{
+			{20, uniform, dormant},
+			{2, hot4, func(t *testing.T, d *Directory, _ int) {
+				if !d.awake || d.MaterializedLeaves() == 0 {
+					t.Errorf("two skewed epochs in: awake %v, %d leaves", d.awake, d.MaterializedLeaves())
+				}
+			}},
+			{8, hot4, func(t *testing.T, d *Directory, _ int) {
+				moved := 0
+				for i := 0; i < 4; i++ {
+					if d.StripeOwner(6000*i) != 0 {
+						moved++
+					}
+				}
+				if moved < 2 {
+					t.Errorf("%d of the four hot stripes left node 0 (%d migrations), want at least 2", moved, d.Migrations)
+				}
+			}},
+			{10, uniform, func(t *testing.T, d *Directory, _ int) {
+				if d.awake || d.MaterializedLeaves() != 0 || len(d.freeLeaves) != 0 || d.Splits != d.Merges {
+					t.Errorf("ten uniform epochs after the skew: awake %v, %d leaves, %d pooled, %d splits vs %d merges; want asleep and empty",
+						d.awake, d.MaterializedLeaves(), len(d.freeLeaves), d.Splits, d.Merges)
+				}
+				if len(d.Snapshot().o.over) == 0 {
+					t.Error("the moved stripes went home: ownership must outlive the heat that moved it")
+				}
+			}},
+		}},
+		{"zipf-fills-the-table", 8, 4096, []phase{{50, zipf, func(t *testing.T, d *Directory, peak int) {
+			if peak != maxLeaves {
+				t.Errorf("peak %d leaves, want the cap %d reached and held: not the case under test", peak, maxLeaves)
+			}
+			moved := 0
+			for rank := 0; rank < 32; rank++ {
+				if s := zipfStripe(rank); d.StripeOwner(s) != s%8 {
+					moved++
+				}
+			}
+			if d.Migrations == 0 || moved == 0 {
+				t.Errorf("%d migrations, %d of the 32 head stripes moved: a full table starved the stripes worth moving", d.Migrations, moved)
+			}
+		}}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			clusters := make([]int, tc.nodes)
+			for i := range clusters {
+				clusters[i] = i % 2
+			}
+			d, err := New(Config{Nodes: tc.nodes, Kind: AdaptiveHier, RegionWords: words,
+				Clusters: clusters, EvalEvery: tc.evalEvery})
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, peak := sim.NewRand(1), 0
+			for _, ph := range tc.phases {
+				for e := 0; e < ph.epochs; e++ {
+					for i := 0; i < tc.evalEvery-1; i++ {
+						d.Record(i&1, ph.key(&r))
+					}
+					peak = max(peak, d.MaterializedLeaves()) // before the boundary's merges
+					d.Record(1, ph.key(&r))
+					drain(d)
+				}
+				if err := d.CheckInvariants(); err != nil {
+					t.Fatal(err)
+				}
+				ph.after(t, d, peak)
+			}
+		})
 	}
 }
 
@@ -214,5 +357,37 @@ func TestHierCoMappingPullsDataToAccessors(t *testing.T) {
 	}
 	if err := hier.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRemoteHistoryKeepsTheRecentWindows pins what RemoteHistory returns on
+// a run longer than its ring: the most recent remoteHistLen windows, oldest
+// first, from storage allocated once at New.
+func TestRemoteHistoryKeepsTheRecentWindows(t *testing.T) {
+	// ImbalanceFactor prohibitive: no migration may turn a remote key local.
+	d, err := New(Config{Nodes: 2, Kind: AdaptiveHier, Stripes: 8, Clusters: []int{0, 1},
+		EvalEvery: 16, ImbalanceFactor: 1e9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	epochs := func(n int, key mem.Addr) {
+		for i := 0; i < n*16; i++ {
+			d.Record(0, key) // cluster 0: stripe 0 is local, stripe 1 remote
+		}
+	}
+	epochs(5, 0)
+	if got := d.RemoteHistory(); len(got) != 5 || got[0] != 0 || got[4] != 0 {
+		t.Fatalf("five local windows recorded as %v", got)
+	}
+	epochs(remoteHistLen, 0)
+	ring := &d.remoteHist[0]
+	epochs(10, 1)
+	got := d.RemoteHistory()
+	if len(got) != remoteHistLen || got[0] != 0 || got[remoteHistLen-11] != 0 || got[remoteHistLen-10] != 1 || got[remoteHistLen-1] != 1 {
+		t.Errorf("after %d windows, the last 10 remote: len %d, [0]=%v, [-11]=%v, [-10]=%v, [-1]=%v",
+			d.Evaluated, len(got), got[0], got[remoteHistLen-11], got[remoteHistLen-10], got[remoteHistLen-1])
+	}
+	if ring != &d.remoteHist[0] || len(d.remoteHist) != remoteHistLen {
+		t.Error("the history ring was reallocated or grew")
 	}
 }

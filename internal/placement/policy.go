@@ -13,24 +13,22 @@ func hashOwner(key mem.Addr, nodes int) int {
 	return int(x % uint64(nodes))
 }
 
-// nodeLoads sums the closing epoch's access counts per owning node over the
-// materialized leaves, into the directory's load scratch. Unmaterialized
-// stripes were never recorded this window, so their contribution is exactly
-// zero — walking leaves only is bit-identical to the historic flat scan.
+// nodeLoads sums the per-stripe access counts per owning node over the
+// materialized leaves, into the directory's load scratch — the loads the
+// policy balances. They are not the coarse tier's: a stripe touched once in
+// a window decays to zero at its end, so these sums weigh heat that persists
+// across windows (what a migration can carry along) over the one-touch tail,
+// and a stripe counts for its current owner however recently it moved.
 // Called with d.mu held.
 func nodeLoads(d *Directory) (load []uint64, total uint64) {
 	load = d.load
 	clear(load)
 	v := d.Snapshot()
 	for _, id := range d.leafOrder {
-		lf := d.leaves[id]
-		if lf.total == 0 {
-			continue
-		}
 		base := id << d.leafShift
-		for i, c := range lf.counts {
+		for i, c := range d.leaves[id].counts {
 			if c != 0 {
-				owner, _ := v.inLeaf(lf, base+i)
+				owner, _ := v.stripe(base + i)
 				load[owner] += uint64(c)
 				total += uint64(c)
 			}
@@ -59,7 +57,7 @@ func hottestFit(d *Directory, donor int, maxHeat float64, planned []Move) (strip
 				continue
 			}
 			s := base + i
-			owner, pending := v.inLeaf(lf, s)
+			owner, pending := v.stripe(s)
 			if int(owner) != donor || pending >= 0 || isPlanned(planned, s) {
 				continue
 			}
@@ -83,21 +81,21 @@ func isPlanned(moves []Move, s int) bool {
 	return false
 }
 
-// repartition is the epoch-boundary round of the adaptive policies: it
-// inspects the closing window's per-stripe access counts and returns the
-// migrations to initiate — a deterministic pure function of the directory
-// state, in the directory's scratch (valid until the next round). Called
-// with d.mu held.
+// repartition is the epoch-boundary round of the adaptive policies while the
+// directory is awake: it inspects the closing window's per-stripe access
+// counts and returns the migrations to initiate — a deterministic pure
+// function of the directory state, in the directory's scratch (valid until
+// the next round). Called with d.mu held.
 //
-// While the hottest node carries more than ImbalanceFactor times the mean
-// load, its hottest migratable stripe moves away — greedy, capped at
-// MaxMoves per round, and only when the move strictly narrows the
-// donor/recipient gap. A stripe hotter than the donor's excess over the mean
-// never moves: migrating it would only relocate the hotspot while freezing
-// the most contended keys (every in-flight transaction on them aborts during
-// the drain). Instead the donor sheds its cooler stripes until the
-// mega-stripe is all it owns — the best balance a stripe-granular directory
-// can reach.
+// While the hottest node is hot (Directory.hot: more than ImbalanceFactor
+// times the mean load, by more than sampling noise), its hottest migratable
+// stripe moves away — greedy, capped at MaxMoves per round, and only when
+// the move strictly narrows the donor/recipient gap. A stripe hotter than
+// the donor's excess over the mean never moves: migrating it would only
+// relocate the hotspot while freezing the most contended keys (every
+// in-flight transaction on them aborts during the drain). Instead the donor
+// sheds its cooler stripes until the mega-stripe is all it owns — the best
+// balance a stripe-granular directory can reach.
 //
 // Adaptive sends the stripe to the globally coolest node. AdaptiveHier adds
 // locality-aware co-mapping: the recipient is chosen by the stripe's
@@ -128,7 +126,7 @@ func repartition(d *Directory) []Move {
 				coolest = i
 			}
 		}
-		if donor == coolest || float64(load[donor]) <= d.cfg.ImbalanceFactor*mean {
+		if donor == coolest || !d.hot(load[donor], mean) {
 			break
 		}
 		// Hottest unfrozen stripe of the donor that fits in its excess over

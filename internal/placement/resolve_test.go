@@ -61,15 +61,36 @@ func TestResolveNeverStaleUnderCurrentEpoch(t *testing.T) {
 	}
 	var stop atomic.Bool
 	var readers sync.WaitGroup
-	readers.Add(2)
+	readers.Add(1)
 	go func() {
 		defer readers.Done()
 		for i := 0; !stop.Load(); i++ {
 			d.Record(i&1, mem.Addr(i%stripes))
 		}
 	}()
+	startResolvers(t, d, stripes, &stop, &readers)
+	deadline := time.Now().Add(300 * time.Millisecond)
+	for flips := 0; time.Now().Before(deadline) || flips < 1000; flips++ {
+		s := flips % stripes
+		if !d.InitiateMove(s, 1-d.StripeOwner(s)) {
+			t.Fatalf("flip %d: stripe %d would not freeze", flips, s)
+		}
+		d.CompleteHandoff(s)
+	}
+	stop.Store(true)
+	readers.Wait()
+	if err := d.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// startResolvers runs the lock-free readers of the two concurrency tests
+// until stop: one checks that no snapshot names two valid owners for a key,
+// three that Resolve never pairs a stale owner with the current epoch.
+func startResolvers(t *testing.T, d *Directory, stripes int, stop *atomic.Bool, wg *sync.WaitGroup) {
+	wg.Add(4)
 	go func() {
-		defer readers.Done()
+		defer wg.Done()
 		for i := 0; !stop.Load(); i++ {
 			// One snapshot cannot name two valid owners for a key.
 			key, v := mem.Addr(i%stripes), d.Snapshot()
@@ -81,9 +102,8 @@ func TestResolveNeverStaleUnderCurrentEpoch(t *testing.T) {
 		}
 	}()
 	for r := 0; r < 3; r++ {
-		readers.Add(1)
 		go func(r int) {
-			defer readers.Done()
+			defer wg.Done()
 			for i := r; !stop.Load(); i++ {
 				key := mem.Addr(i % stripes)
 				if owner, epoch := d.Resolve(key); staleButCurrent(d, key, owner, epoch) {
@@ -93,16 +113,63 @@ func TestResolveNeverStaleUnderCurrentEpoch(t *testing.T) {
 			}
 		}(r)
 	}
-	deadline := time.Now().Add(300 * time.Millisecond)
-	for flips := 0; time.Now().Before(deadline) || flips < 1000; flips++ {
-		s := flips % stripes
-		if !d.InitiateMove(s, 1-d.StripeOwner(s)) {
-			t.Fatalf("flip %d: stripe %d would not freeze", flips, s)
+}
+
+// TestResolveAcrossWakeAndSleep runs the same readers while the heat plane
+// itself changes state: a recorder alternates bursts in which one node owns
+// every accessed stripe (the plane wakes, materializes leaves and freezes
+// stripes of its own accord) with uniform stretches (it drops them and goes
+// dormant), and the test goroutine completes the handoffs. Under -race this
+// covers the dormant↔awake transition — leaves created, recycled and dropped
+// under the mutex — against snapshot publication and the lock-free readers.
+func TestResolveAcrossWakeAndSleep(t *testing.T) {
+	const stripes = 64
+	d, err := New(Config{Nodes: 2, Kind: AdaptiveHier, Stripes: stripes, LeafStripes: 8,
+		Clusters: []int{0, 1}, EvalEvery: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stop atomic.Bool
+	var readers sync.WaitGroup
+	startResolvers(t, d, stripes, &stop, &readers)
+	recorded := make(chan struct{})
+	go func() {
+		defer close(recorded)
+		for cycle := 0; cycle < 40; cycle++ {
+			// Eight epochs on the stripes node cycle%2 owns right now, then
+			// eight spread evenly over both nodes' stripes.
+			var mine, theirs []mem.Addr
+			for s := 0; s < stripes; s++ {
+				if d.StripeOwner(s) == cycle%2 {
+					mine = append(mine, mem.Addr(s))
+				} else {
+					theirs = append(theirs, mem.Addr(s))
+				}
+			}
+			for i := 0; i < 8*64; i++ {
+				d.Record(i&1, mine[i%len(mine)])
+			}
+			for i := 0; i < 8*64 && len(theirs) > 0; i += 2 {
+				d.Record(i&1, mine[i%len(mine)], theirs[i%len(theirs)])
+			}
 		}
-		d.CompleteHandoff(s)
+	}()
+	for done := false; !done; {
+		select {
+		case <-recorded:
+			done = true
+		default:
+		}
+		drain(d)
 	}
 	stop.Store(true)
 	readers.Wait()
+	if d.AwakeEpochs == 0 || d.AwakeEpochs == d.Evaluated || d.Handoffs == 0 {
+		t.Errorf("awake %d of %d epochs, %d handoffs: want the plane to have woken, moved stripes and slept", d.AwakeEpochs, d.Evaluated, d.Handoffs)
+	}
+	if d.awake || d.MaterializedLeaves() != 0 {
+		t.Errorf("ended awake=%v with %d leaves after a balanced stretch", d.awake, d.MaterializedLeaves())
+	}
 	if err := d.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
