@@ -32,6 +32,12 @@ import (
 // cell-identical except leaves 64 -> 0; the Zipf adaptive/hier rows moved
 // inside their seed-to-seed spread (docs/perf/PR-21.md has both tables).
 //
+// The abltl2, ablbatch, ablgran and extirrev rows were captured on the parent
+// of PR 23, before that PR touched internal/core: fig4–fig8 all run the
+// visible protocol, uncoalesced, at granule 1, so until then TL2, the
+// coalescing plane, LockGranule > 1 and irrevocables were pinned by nothing
+// but run-to-run determinism tests.
+//
 // The two fig6a rows were re-captured once, in PR 18, when the table's note
 // stopped citing a deleted document; every cell of the table was unchanged.
 var figFingerprints = []struct {
@@ -70,6 +76,14 @@ var figFingerprints = []struct {
 	{"fig8b", fingerprintScale, 9, 0x04a28c15e10c39c0},
 	{"fig8c", fingerprintScale, 9, 0xf52f8afde22ee9c6},
 	{"fig8d", fingerprintScale, 9, 0x946c178421d0f179},
+	{"abltl2", fingerprintScale, 3, 0x84e277e3c28e8f87},
+	{"ablbatch", fingerprintScale, 3, 0x9a3e75a30103f0f9},
+	{"ablgran", fingerprintScale, 3, 0xcdc1d09e5efa5355},
+	{"extirrev", fingerprintScale, 3, 0x3d1c1f725ce55d8e},
+	{"abltl2", fingerprintScale, 9, 0x55d323ba658cbbb4},
+	{"ablbatch", fingerprintScale, 9, 0x01658815faa05d72},
+	{"ablgran", fingerprintScale, 9, 0xbb808df68b20c039},
+	{"extirrev", fingerprintScale, 9, 0x61b69368588094fd},
 	{"fig5a", Quick, 1, 0xf849c55454ba64dc},
 	{"scaleplace", Quick, 1, 0x40154b68196c5aa3},
 }
