@@ -51,9 +51,7 @@ func main() {
 		platform = flag.String("platform", "scc", "scc | scc800 | opteron | scc:N (setting N)")
 		duration = flag.Duration("duration", 20*time.Millisecond, "virtual run length")
 		traceF   = flag.String("trace", "", "write a flight-recorder trace of the run: .json for chrome://tracing, anything else for a plain-text timeline")
-		traceCap = flag.Int("trace-events", 0, "flight recorder: ring capacity per core/DTM node in events (0 = default)")
 		snapF    = flag.String("snapshot", "", "live backend: write interval-sampled throughput snapshots (JSONL) to this file")
-		snapInt  = flag.Duration("snapshot-every", 0, "live backend: snapshot sampling interval (0 = default 10ms)")
 
 		// workload knobs
 		update   = flag.Int("update", 20, "hashset/list: update percentage")
@@ -106,7 +104,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "tm2c-sim: "+w)
 	}
 	if *traceF != "" {
-		cfg.Trace = &trace.Options{ActorEvents: *traceCap}
+		cfg.Trace = &trace.Options{}
 	}
 	var snapFile *os.File
 	if *snapF != "" {
@@ -118,7 +116,7 @@ func main() {
 			fatal(err)
 		}
 		snapFile = f
-		cfg.Snapshot = &trace.SnapshotOptions{W: f, Every: *snapInt}
+		cfg.Snapshot = &trace.SnapshotOptions{W: f}
 	}
 	switch *platform {
 	case "scc":

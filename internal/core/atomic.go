@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 
-	"repro/internal/mem"
 	"repro/internal/trace"
 )
 
@@ -72,23 +71,16 @@ func (tx *Tx) runHooks(hooks []func()) {
 	}
 }
 
-// finishUserAbort tears an attempt down on behalf of the application: the
-// status register flips to aborted, every lock is released, and the
-// transaction is handed back to the caller instead of the retry loop.
-// ErrRetry (possibly wrapped) is rerouted through the ordinary abort path
-// so it backs off and retries like a conflict.
+// finishUserAbort tears an attempt down on behalf of the application through
+// the ordinary abort path. ErrRetry (possibly wrapped) backs off and retries
+// like a conflict; any other error withdraws the transaction, which is
+// handed back to the caller instead of the retry loop.
 func (rt *Runtime) finishUserAbort(tx *Tx, err error) (attemptOutcome, error) {
-	if errors.Is(err, ErrRetry) {
-		rt.abortCleanup(tx, abortSignal{reason: trace.ReasonUser})
+	retry := errors.Is(err, ErrRetry)
+	rt.abortCleanup(tx, abortSignal{reason: trace.ReasonUser, withdrawn: !retry})
+	if retry {
 		return attemptAborted, nil
 	}
-	rt.s.Regs.SetStatusLocal(rt.core, tx.id, mem.TxAborted)
-	rt.releaseAll(tx)
-	rt.shard.UserAborts++
-	rt.shard.AbortReasons[trace.ReasonUser]++
-	rt.emit(trace.KAbort, tx.id, uint64(trace.ReasonUser), 0, 0)
-	rt.s.snap.AddAbort()
-	tx.runHooks(tx.onAbort)
 	return attemptUserAborted, err
 }
 

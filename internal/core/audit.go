@@ -80,7 +80,7 @@ func (s *System) recordCommit(tx *Tx, commit sim.Time) {
 		// every kind's reads are snapshot-validated (elastic relaxations
 		// degenerate to plain TL2), so ALL kinds are checked strictly —
 		// updates at their clock tick, pure readers at their snapshot.
-		strict: s.tl2() || tx.kind == Normal || tx.kind == ReadOnly,
+		strict: !s.proto.readsHoldLocks() || tx.kind == Normal || tx.kind == ReadOnly,
 		commit: commit,
 		seq:    a.seq,
 	}
@@ -89,12 +89,8 @@ func (s *System) recordCommit(tx *Tx, commit sim.Time) {
 		if !ok {
 			continue // early-released; not part of the atomic snapshot
 		}
-		if _, written := tx.writes[base]; written {
-			// reads[] holds the first-read (pre-write) value because
-			// Write buffers into writes[], never into reads[].
-			rec.reads = append(rec.reads, auditAccess{base, cloneWords(vals)})
-			continue
-		}
+		// For an object also written, reads[] still holds the first-read
+		// (pre-write) value: Write buffers into writes[], never into reads[].
 		rec.reads = append(rec.reads, auditAccess{base, cloneWords(vals)})
 	}
 	for _, base := range tx.writeOrd {

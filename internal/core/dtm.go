@@ -37,7 +37,7 @@ type dtmNode struct {
 
 	// Drained-stripe scan gate (maybeHandoffs): the directory freeze
 	// generation covered by the last tryHandoffs scan, and whether the lock
-	// table has shrunk since (release, early release, or revocation).
+	// table has shrunk since (release or revocation).
 	handoffGen  uint64
 	shrunk      bool
 	heldScratch []bool // tryHandoffs: pending stripe i still holds a lock
@@ -125,11 +125,6 @@ func (n *dtmNode) handle(p port.Port, m port.Msg) bool {
 		n.handleRelease(p, r)
 		n.tryGrantExclusive(p)
 		putRelLocks(r)
-	case *earlyRelease:
-		n.switchIn(p)
-		n.handleEarlyRelease(p, r)
-		n.tryGrantExclusive(p)
-		putEarlyRelease(r)
 	case *reqExclusive:
 		n.switchIn(p)
 		n.handleExclusive(p, r)
@@ -238,6 +233,15 @@ func (n *dtmNode) nackStale(p port.Port, reply port.Port, replyTo int, reqID uin
 	n.respond(p, reply, replyTo, resp)
 }
 
+// nack rejects a lock request over a conflict of the given class: the
+// requester's attempt aborts.
+func (n *dtmNode) nack(p port.Port, reply port.Port, replyTo int, reqID, txID uint64, kind cm.Kind) {
+	n.emit(p, trace.KLockNack, txID, trace.FlowID(replyTo, reqID), uint64(kind), 0)
+	resp := getRespLock()
+	resp.ReqID, resp.Kind = reqID, kind
+	n.respond(p, reply, replyTo, resp)
+}
+
 // handleReadLock implements Algorithm 1 (dsl_read_lock) plus the revocation
 // protocol: on a RAW conflict the contention manager either aborts the
 // requester or remotely aborts the writer and steals its lock.
@@ -251,10 +255,7 @@ func (n *dtmNode) handleReadLock(p port.Port, r *reqReadLock) {
 	if n.excl.blocked() {
 		// An irrevocable transaction holds or awaits this node's
 		// exclusivity token: reject so the table drains (§2 extension).
-		n.emit(p, trace.KLockNack, r.Meta.TxID, trace.FlowID(r.ReplyTo, r.ReqID), uint64(cm.RAW), 0)
-		resp := getRespLock()
-		resp.ReqID, resp.Kind = r.ReqID, cm.RAW
-		n.respond(p, r.Reply, r.ReplyTo, resp)
+		n.nack(p, r.Reply, r.ReplyTo, r.ReqID, r.Meta.TxID, cm.RAW)
 		return
 	}
 	meta := r.Meta
@@ -295,10 +296,7 @@ func (n *dtmNode) handleWriteLock(p port.Port, r *reqWriteLock) {
 		return
 	}
 	if n.excl.blocked() {
-		n.emit(p, trace.KLockNack, r.Meta.TxID, trace.FlowID(r.ReplyTo, r.ReqID), uint64(cm.WAW), 0)
-		resp := getRespLock()
-		resp.ReqID, resp.Kind = r.ReqID, cm.WAW
-		n.respond(p, r.Reply, r.ReplyTo, resp)
+		n.nack(p, r.Reply, r.ReplyTo, r.ReqID, r.Meta.TxID, cm.WAW)
 		return
 	}
 	meta := r.Meta
@@ -319,10 +317,7 @@ func (n *dtmNode) handleWriteLock(p port.Port, r *reqWriteLock) {
 				for _, a := range acquired {
 					n.table.ReleaseWrite(a, meta.Core, meta.TxID)
 				}
-				n.emit(p, trace.KLockNack, r.Meta.TxID, trace.FlowID(r.ReplyTo, r.ReqID), uint64(conf.Kind), 0)
-				resp := getRespLock()
-				resp.ReqID, resp.Kind = r.ReqID, conf.Kind
-				n.respond(p, r.Reply, r.ReplyTo, resp)
+				n.nack(p, r.Reply, r.ReplyTo, r.ReqID, r.Meta.TxID, conf.Kind)
 				return
 			}
 		}
@@ -330,11 +325,12 @@ func (n *dtmNode) handleWriteLock(p port.Port, r *reqWriteLock) {
 	n.emit(p, trace.KLockGrant, r.Meta.TxID, trace.FlowID(r.ReplyTo, r.ReqID), uint64(len(r.Addrs)), 0)
 	resp := getRespLock()
 	resp.ReqID, resp.OK = r.ReqID, true
-	if n.s.tl2() {
-		// Piggyback the granted stripes' current versions: the committer
-		// revalidates its read∩write stripes against these without touching
-		// memory again. Stable until the holder's own write-back — a marker
-		// could only be set by another lock holder, which cannot exist.
+	if n.s.clock != nil {
+		// Stripes are versioned (a version clock exists: TL2). Piggyback the
+		// granted stripes' current versions: the committer revalidates its
+		// read∩write stripes against these without touching memory again.
+		// Stable until the holder's own write-back — a marker could only be
+		// set by another lock holder, which cannot exist.
 		for _, a := range r.Addrs {
 			resp.Vers = append(resp.Vers, n.s.Mem.VersionRaw(a))
 		}
@@ -385,16 +381,6 @@ func (n *dtmNode) handleRelease(p port.Port, r *relLocks) {
 	}
 	// Releases are what drain a frozen stripe: try the handoff now so
 	// ownership flips as early as possible.
-	n.shrunk = true
-	n.maybeHandoffs()
-}
-
-func (n *dtmNode) handleEarlyRelease(p port.Port, r *earlyRelease) {
-	c := n.s.cfg.Costs
-	p.Advance(n.s.compute(c.SvcBase + c.SvcRelease*time.Duration(len(r.Addrs))))
-	for _, a := range r.Addrs {
-		n.table.ReleaseRead(a, r.Core, r.TxID)
-	}
 	n.shrunk = true
 	n.maybeHandoffs()
 }

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/mem"
 	"repro/internal/port"
 	"repro/internal/sim"
@@ -136,7 +134,7 @@ func (ir *Irrevocable) Compute(d sim.Time) { ir.rt.proc.Advance(d.Duration()) }
 // node, so it could observe an irrevocable transaction's direct writes
 // mid-flight. RunIrrevocable therefore panics under Protocol=tl2.
 func (rt *Runtime) RunIrrevocable(fn func(*Irrevocable)) {
-	if rt.s.tl2() {
+	if !rt.s.proto.readsHoldLocks() {
 		panic("core: irrevocable transactions require the visible protocol (tl2 readers bypass the DTM exclusivity tokens)")
 	}
 	rt.nextTxID++
@@ -171,17 +169,9 @@ func (rt *Runtime) RunIrrevocable(fn func(*Irrevocable)) {
 func (rt *Runtime) awaitExclusiveGrant() {
 	for {
 		m := rt.proc.Recv()
-		switch pl := m.Payload.(type) {
-		case *respExclusive:
+		if _, granted := m.Payload.(*respExclusive); granted {
 			return
-		case barrierMsg:
-			rt.barrierSeen[pl.Epoch]++
-		default:
-			if rt.node != nil && rt.node.handle(rt.proc, m) {
-				rt.node.flushOut(rt.proc)
-				continue
-			}
-			panic(fmt.Sprintf("core: app%d unexpected message %T awaiting exclusivity", rt.core, m.Payload))
 		}
+		rt.absorb(m, "awaiting exclusivity", true)
 	}
 }

@@ -11,7 +11,7 @@ import (
 // The DTM wire protocol. Every transactional wrapper is "similar to an
 // RPC-like call ... but uses message passing" (Algorithm 3/4): the app core
 // sends a request to the responsible DTM node and blocks for the response.
-// Releases and early releases are fire-and-forget.
+// Releases are fire-and-forget.
 //
 // Lock requests carry a correlation ID (ReqID) assigned by the requesting
 // core's RPC layer (rpc.go) and echoed verbatim in the response, so a core
@@ -49,7 +49,6 @@ type dtmRequest interface{ dtmRequest() }
 func (*reqReadLock) dtmRequest()  {}
 func (*reqWriteLock) dtmRequest() {}
 func (*relLocks) dtmRequest()     {}
-func (*earlyRelease) dtmRequest() {}
 
 // reqReadLock asks for the read lock of one object (Algorithm 1 trigger).
 type reqReadLock struct {
@@ -112,8 +111,10 @@ func respBytes(resp *respLock) int {
 	return msgRespBytes + msgAddrBytes*len(resp.Vers)
 }
 
-// relLocks releases the given read and write locks of attempt (Core, TxID).
-// Fire-and-forget: stale releases are no-ops at the lock table.
+// relLocks releases the given read and write locks of attempt (Core, TxID):
+// the burst that ends every attempt, and — with only ReadAddrs set — the
+// elastic-early release before commit (§6.1). Fire-and-forget: stale
+// releases are no-ops at the lock table.
 type relLocks struct {
 	ReadAddrs  []mem.Addr
 	WriteAddrs []mem.Addr
@@ -123,17 +124,6 @@ type relLocks struct {
 
 func (r *relLocks) bytes() int {
 	return msgHeaderBytes + 16 + msgAddrBytes*(len(r.ReadAddrs)+len(r.WriteAddrs))
-}
-
-// earlyRelease releases read locks before commit (elastic-early, §6.1).
-type earlyRelease struct {
-	Addrs []mem.Addr
-	Core  int
-	TxID  uint64
-}
-
-func (r *earlyRelease) bytes() int {
-	return msgHeaderBytes + 16 + msgAddrBytes*len(r.Addrs)
 }
 
 // barrierMsg implements the §8 privatization barrier: each app core sends
@@ -160,11 +150,10 @@ func (barrierMsg) bytes() int { return msgHeaderBytes + 8 }
 // Every get function fully reinitializes the struct — a pooled object
 // carries arbitrary stale field values from its previous life.
 var (
-	readLockPool     = sync.Pool{New: func() any { return new(reqReadLock) }}
-	writeLockPool    = sync.Pool{New: func() any { return new(reqWriteLock) }}
-	respLockPool     = sync.Pool{New: func() any { return new(respLock) }}
-	relLocksPool     = sync.Pool{New: func() any { return new(relLocks) }}
-	earlyReleasePool = sync.Pool{New: func() any { return new(earlyRelease) }}
+	readLockPool  = sync.Pool{New: func() any { return new(reqReadLock) }}
+	writeLockPool = sync.Pool{New: func() any { return new(reqWriteLock) }}
+	respLockPool  = sync.Pool{New: func() any { return new(respLock) }}
+	relLocksPool  = sync.Pool{New: func() any { return new(relLocks) }}
 )
 
 func getReadLockReq() *reqReadLock {
@@ -210,15 +199,4 @@ func getRelLocks() *relLocks {
 
 func putRelLocks(r *relLocks) {
 	relLocksPool.Put(r)
-}
-
-func getEarlyRelease() *earlyRelease {
-	r := earlyReleasePool.Get().(*earlyRelease)
-	addrs := r.Addrs[:0]
-	*r = earlyRelease{Addrs: addrs}
-	return r
-}
-
-func putEarlyRelease(r *earlyRelease) {
-	earlyReleasePool.Put(r)
 }

@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
+	"repro/internal/cm"
 	"repro/internal/mem"
 	"repro/internal/port"
 	"repro/internal/trace"
@@ -37,12 +39,7 @@ func (rt *Runtime) initRPC() {
 	}
 	rt.awaitPred = func(m port.Msg) bool {
 		if resp, ok := m.Payload.(*respLock); ok {
-			for _, id := range rt.awaitIDs {
-				if id == resp.ReqID {
-					return true
-				}
-			}
-			return false
+			return slices.Contains(rt.awaitIDs, resp.ReqID)
 		}
 		if rt.node == nil {
 			return false
@@ -99,52 +96,6 @@ func (rt *Runtime) placementAbort() {
 	panic(rt.signal(abortSignal{reason: trace.ReasonStalePlacement}))
 }
 
-// rpcReadLock sends a read-lock request and waits for the response,
-// retrying when a migration NACKs the request. A NACK carrying an owner
-// hint (nackStale) steers the retry directly — the epoch and owner the
-// NACKing node saw — saving the re-resolution against the directory; a
-// hintless NACK re-resolves as before. The access is recorded once per
-// logical acquisition — NACK-chasing resends must not inflate the stripe
-// heat the adaptive policy reads.
-func (rt *Runtime) rpcReadLock(tx *Tx, key mem.Addr) *respLock {
-	rt.s.dir.Record(rt.cluster, key)
-	node, epoch := rt.s.dir.Resolve(key)
-	for hop := 0; ; hop++ {
-		id := rt.nextReqID()
-		req := getReadLockReq()
-		req.ReqID = id
-		req.Epoch = epoch
-		req.Addr = key
-		req.Meta = rt.local.RequestMeta(tx.id, rt.proc.Now())
-		req.Reply = rt.proc
-		req.ReplyTo = rt.core
-		rt.shard.ReadLockReqs++
-		rt.emit(trace.KLockReq, tx.id, trace.FlowID(rt.core, id), uint64(key), 1)
-		rt.sendToNode(node, req)
-		resp := rt.awaitOne(id)
-		if resp == nil {
-			// Deadline expired: the request or its response is lost. The
-			// lock may nonetheless have been granted, so treat it as held
-			// and let the abort's release burst cover it.
-			rt.timeoutAbort(tx, []mem.Addr{key}, nil)
-		}
-		if !resp.Stale {
-			return resp
-		}
-		hintOwner, hintEpoch := resp.NackOwner, resp.NackEpoch
-		putRespLock(resp)
-		if hop >= maxPlacementHops {
-			rt.placementAbort()
-		}
-		if hintOwner >= 0 {
-			node, epoch = hintOwner, hintEpoch
-			rt.shard.StaleNackHints++
-		} else {
-			node, epoch = rt.s.dir.Resolve(key)
-		}
-	}
-}
-
 // writeLockReq builds one write-lock batch request with a fresh correlation
 // ID, counting it in the shard (the request will be transmitted exactly
 // once, sent directly or staged for a coalesced burst).
@@ -164,26 +115,62 @@ func (rt *Runtime) writeLockReq(tx *Tx, epoch uint64, keys []mem.Addr) *reqWrite
 	return req
 }
 
-// rpcWriteLock acquires the write lock of a single key (eager mode) in one
-// awaited round trip, retrying when a migration NACKs the request; like
-// rpcReadLock, a NACK's owner hint steers the retry without a fresh
-// directory resolution.
-func (rt *Runtime) rpcWriteLock(tx *Tx, key mem.Addr) *respLock {
+// conflictAbort aborts the attempt over a lock request a DTM node rejected
+// with the given conflict class.
+func (rt *Runtime) conflictAbort(kind cm.Kind) {
+	panic(rt.signal(abortSignal{kind: kind, hasKind: true, reason: trace.ReasonConflict}))
+}
+
+// rpcLock acquires the read or write lock of one key in one awaited round
+// trip — every visible read, every eager write — and returns once it is
+// granted; a conflict NACK aborts the attempt. A NACK for stale placement (a
+// migration moved or froze the stripe) is chased instead: when it carries an
+// owner hint, the epoch and owner the NACKing node saw steer the resend
+// directly, saving the re-resolution against the directory; a hintless one
+// re-resolves. The access is recorded once per logical acquisition —
+// NACK-chasing resends must not inflate the stripe heat the adaptive policy
+// reads.
+func (rt *Runtime) rpcLock(tx *Tx, key mem.Addr, write bool) {
+	rt.oneKey[0] = key
 	rt.s.dir.Record(rt.cluster, key)
 	node, epoch := rt.s.dir.Resolve(key)
 	for hop := 0; ; hop++ {
-		rt.eagerKey[0] = key
-		req := rt.writeLockReq(tx, epoch, rt.eagerKey[:])
-		// Capture the correlation ID before the handoff: once sent, the node
-		// may consume and recycle the pooled request at any moment.
-		id := req.ReqID
-		rt.sendToNode(node, req)
+		// Either branch captures the correlation ID before the handoff: once
+		// sent, the node may consume and recycle the pooled request.
+		var id uint64
+		if write {
+			req := rt.writeLockReq(tx, epoch, rt.oneKey[:])
+			id = req.ReqID
+			rt.sendToNode(node, req)
+		} else {
+			id = rt.nextReqID()
+			req := getReadLockReq()
+			req.ReqID = id
+			req.Epoch = epoch
+			req.Addr = key
+			req.Meta = rt.local.RequestMeta(tx.id, rt.proc.Now())
+			req.Reply = rt.proc
+			req.ReplyTo = rt.core
+			rt.shard.ReadLockReqs++
+			rt.emit(trace.KLockReq, tx.id, trace.FlowID(rt.core, id), uint64(key), 1)
+			rt.sendToNode(node, req)
+		}
 		resp := rt.awaitOne(id)
 		if resp == nil {
-			rt.timeoutAbort(tx, nil, rt.eagerKey[:])
+			// Deadline expired: the request or its response is lost. The
+			// lock may nonetheless have been granted, so treat it as held
+			// and let the abort's release burst cover it.
+			rt.timeoutAbort(tx, rt.oneKey[:], write)
+		}
+		if resp.OK {
+			tx.recordGrantVers(rt.oneKey[:], resp.Vers) // none except on a TL2 write grant
+			putRespLock(resp)
+			return
 		}
 		if !resp.Stale {
-			return resp
+			kind := resp.Kind
+			putRespLock(resp)
+			rt.conflictAbort(kind)
 		}
 		hintOwner, hintEpoch := resp.NackOwner, resp.NackEpoch
 		putRespLock(resp)
@@ -211,7 +198,7 @@ func (rt *Runtime) scatterWriteLocks(tx *Tx, epoch uint64, batches []nodeGroup) 
 	rt.emit(trace.KPhaseBegin, tx.id, uint64(trace.PhaseScatter), 0, 0)
 	ids := rt.scatterIDs[:0]
 	for _, b := range batches {
-		req := rt.writeLockReq(tx, epoch, b.addrs)
+		req := rt.writeLockReq(tx, epoch, b.writes)
 		// Record the correlation ID before the handoff: once staged or
 		// sent, the node may consume and recycle the pooled request.
 		ids = append(ids, req.ReqID)
@@ -223,10 +210,7 @@ func (rt *Runtime) scatterWriteLocks(tx *Tx, epoch uint64, batches []nodeGroup) 
 	rt.scatterLat.Observe(rt.proc.Now() - scStart)
 	gaStart := rt.proc.Now()
 	rt.emit(trace.KPhaseBegin, tx.id, uint64(trace.PhaseGather), 0, 0)
-	out := rt.scatterResps[:0]
-	for range ids {
-		out = append(out, nil)
-	}
+	out := append(rt.scatterResps[:0], make([]*respLock, len(ids))...)
 	rt.scatterResps = out
 	rt.awaitIDs = append(rt.awaitIDs[:0], ids...)
 	for remaining := len(ids); remaining > 0; {
@@ -239,9 +223,9 @@ func (rt *Runtime) scatterWriteLocks(tx *Tx, epoch uint64, batches []nodeGroup) 
 			// at the node).
 			var all []mem.Addr
 			for _, b := range batches {
-				all = append(all, b.addrs...)
+				all = append(all, b.writes...)
 			}
-			rt.timeoutAbort(tx, nil, all)
+			rt.timeoutAbort(tx, all, true)
 		}
 		if resp == nil {
 			continue
@@ -272,13 +256,9 @@ func (rt *Runtime) awaitOne(id uint64) *respLock {
 	rt.awaitIDs = append(rt.awaitIDs[:0], id)
 	for {
 		resp, timedOut := rt.recvRPC()
-		if timedOut {
+		if timedOut || resp != nil {
 			rt.awaitIDs = rt.awaitIDs[:0]
-			return nil
-		}
-		if resp != nil {
-			rt.awaitIDs = rt.awaitIDs[:0]
-			return resp
+			return resp // nil on a timeout
 		}
 	}
 }
@@ -305,13 +285,27 @@ func (rt *Runtime) recvRPC() (resp *respLock, timedOut bool) {
 	if resp, ok := m.Payload.(*respLock); ok {
 		return resp, false
 	}
-	if !rt.node.handle(rt.proc, m) {
-		panic(fmt.Sprintf("core: app%d matched unservable message %T", rt.core, m.Payload))
-	}
-	// One-request dispatch: the next loop turn blocks in RecvMatch, so the
-	// co-located node's staged response must leave now.
-	rt.node.flushOut(rt.proc)
+	rt.absorb(m, "awaiting a lock response", true)
 	return nil, false
+}
+
+// absorb takes a message that is not what the core is waiting for: a barrier
+// arrival is counted for Barrier to find, a request is served by the
+// co-located DTM node (Multitask), anything else is a protocol bug. blocking
+// says the caller's next step is a blocking receive, so the response the node
+// staged must leave now; the boundary drain passes false and flushes once,
+// after the backlog.
+func (rt *Runtime) absorb(m port.Msg, where string, blocking bool) {
+	if b, ok := m.Payload.(barrierMsg); ok {
+		rt.barrierSeen[b.Epoch]++
+		return
+	}
+	if rt.node == nil || !rt.node.handle(rt.proc, m) {
+		panic(fmt.Sprintf("core: app%d unexpected message %T %s", rt.core, m.Payload, where))
+	}
+	if blocking {
+		rt.node.flushOut(rt.proc)
+	}
 }
 
 // timeoutAbort aborts the attempt after an awaited lock RPC exceeded its
@@ -321,14 +315,17 @@ func (rt *Runtime) recvRPC() (resp *respLock, timedOut bool) {
 // then frees whatever the nodes actually granted, and a release for a lock
 // never granted is a no-op. Leaking the lock instead would block its object
 // until the run's drain.
-func (rt *Runtime) timeoutAbort(tx *Tx, readKeys, writeKeys []mem.Addr) {
+func (rt *Runtime) timeoutAbort(tx *Tx, keys []mem.Addr, write bool) {
 	rt.shard.RPCTimeouts++
-	for _, k := range readKeys {
-		if _, held := tx.reads[k]; !held {
-			tx.reads[k] = nil
-			tx.readOrder = append(tx.readOrder, k)
+	if write {
+		tx.wlocked = append(tx.wlocked, keys...)
+	} else {
+		for _, k := range keys {
+			if _, held := tx.reads[k]; !held {
+				tx.reads[k] = nil
+				tx.readOrder = append(tx.readOrder, k)
+			}
 		}
 	}
-	tx.wlocked = append(tx.wlocked, writeKeys...)
 	panic(rt.signal(abortSignal{reason: trace.ReasonTimeout}))
 }

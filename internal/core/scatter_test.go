@@ -24,92 +24,6 @@ func findTwoNodeAddrs(t *testing.T, s *System, pool mem.Addr, words int) (a1, a2
 	return 0, 0, 0
 }
 
-// TestScatterRollbackOnPartialGrant injects a conflict at the second of two
-// DTM nodes touched by a lazy commit and verifies the two-phase rollback:
-// the write locks the first node already granted must be released before the
-// abort unwinds, leaving no stale entries in any lock table.
-func TestScatterRollbackOnPartialGrant(t *testing.T) {
-	cfg := Config{
-		Platform:     noc.SCC(0),
-		Seed:         7,
-		TotalCores:   4,
-		ServiceCores: 2,
-		Policy:       cm.NoCM, // rejects the requester without touching the enemy
-	}
-	s, err := NewSystem(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool := s.Mem.Alloc(64, 0)
-	a1, a2, node2 := findTwoNodeAddrs(t, s, pool, 64)
-
-	// A foreign write lock on a2's stripe makes node2 reject the
-	// commit's second batch with WAW; node1 has already granted the
-	// first batch by then. The enemy core never runs a transaction,
-	// and NoCM aborts the requester without consulting the enemy's
-	// status register, so the injected lock stays put.
-	enemyCore, enemyTx := 0, uint64(99)
-	key2 := s.lockKey(a2)
-	s.nodes[node2].table.SetWriter(key2, cm.Meta{Core: enemyCore, TxID: enemyTx})
-
-	attempts := 0
-	var used int
-	s.SpawnWorkers(func(rt *Runtime) {
-		if rt.AppIndex() != 1 {
-			return
-		}
-		used = rt.Run(func(tx *Tx) {
-			attempts++
-			tx.Write(a1, 11)
-			if attempts == 1 {
-				tx.Write(a2, 22) // rejected at node2 on the first try
-			}
-		})
-	})
-	st := s.RunToCompletion()
-
-	if used != 2 {
-		t.Fatalf("transaction used %d attempts, want 2 (one scatter rollback)", used)
-	}
-	if st.Commits != 1 || st.Aborts != 1 {
-		t.Fatalf("commits=%d aborts=%d, want 1/1", st.Commits, st.Aborts)
-	}
-	if st.AbortsByKind[cm.WAW] != 1 {
-		t.Fatalf("WAW aborts = %d, want 1", st.AbortsByKind[cm.WAW])
-	}
-	if got := s.Mem.ReadRaw(a1); got != 11 {
-		t.Fatalf("mem[a1] = %d, want 11 (retry committed)", got)
-	}
-	if got := s.Mem.ReadRaw(a2); got != 0 {
-		t.Fatalf("mem[a2] = %d, want 0 (first attempt rolled back)", got)
-	}
-	// The only surviving lock is the injected one: the batch node1
-	// granted on the failed attempt was released by the rollback,
-	// and the retry's locks by its commit.
-	if n := s.LockedAddrs(); n != 1 {
-		t.Fatalf("%d addresses locked after the run, want only the injected lock", n)
-	}
-	if !s.nodes[node2].table.ReleaseWrite(key2, enemyCore, enemyTx) {
-		t.Fatal("injected lock vanished: the rollback released a foreign lock")
-	}
-	if n := s.LockedAddrs(); n != 0 {
-		t.Fatalf("%d stale lock entries survive the rollback", n)
-	}
-
-	// Counter consistency: the first attempt sends two batches, the
-	// retry one; both attempts abort or commit through exactly one
-	// release burst to node1.
-	if st.WriteLockReqs != 3 {
-		t.Errorf("WriteLockReqs = %d, want 3", st.WriteLockReqs)
-	}
-	if st.ReleaseMsgs != 2 {
-		t.Errorf("ReleaseMsgs = %d, want 2", st.ReleaseMsgs)
-	}
-	if st.CommitRoundTrips != 2 { // one gather per attempt
-		t.Errorf("CommitRoundTrips = %d, want 2", st.CommitRoundTrips)
-	}
-}
-
 // scatterWriteWorker returns a worker running ops read-modify-write
 // transactions of `writes` objects drawn from a pool — write sets that
 // almost always span several DTM nodes.

@@ -79,6 +79,7 @@ type System struct {
 	nodePorts []port.Port
 	runtimes  []*Runtime
 	dir       *placement.Directory // key→DTM-node directory (nil on raw-only systems)
+	proto     protocol             // read/commit strategy (tx.go), chosen once by NewSystem
 	clock     *mem.VClock          // TL2 global version clock (nil under the visible protocol)
 
 	// workersDone counts the application workload loops (SpawnWorkers
@@ -149,8 +150,9 @@ func NewSystem(cfg Config) (*System, error) {
 	}
 	s.Mem = mem.New(&s.cfg.Platform)
 	s.Regs = mem.NewRegisters(&s.cfg.Platform)
-	if s.tl2() {
-		s.clock = mem.NewVClock(tl2ClockShards)
+	s.proto = &visibleProto{}
+	if cfg.Protocol == ProtocolTL2 {
+		s.proto, s.clock = &tl2Proto{}, mem.NewVClock(tl2ClockShards)
 	}
 
 	if cfg.Deployment == Multitask {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"repro/internal/mem"
+	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -14,13 +15,15 @@ import (
 // placement NACK chasing, contention management, and the release burst.
 //
 // Opacity argument. Every transaction snapshots the sharded clock at
-// attempt start (tx.rv, one counter per shard). A committer, once its write
-// locks are granted and it has become non-abortable, sets a write-back
-// marker on every write stripe, ticks its clock shard to obtain the new
-// version wv, revalidates its read set, persists, then publishes wv and
-// clears the markers. A reader accepts a stripe only if it is unmarked and
-// its version is covered by rv (mem.VersionLEQ): rv covering a version
-// means the snapshot loaded that shard AFTER the tick that produced it,
+// attempt start (begin: tx.rv, one counter per shard). A committer takes
+// Tx.commit's steps — tx.go states their order, once, for both protocols —
+// and what TL2 puts into them is validate, once the write locks are granted
+// and the commit is non-abortable (a write-back marker on every write
+// stripe, a tick of its clock shard for the new version wv, a re-check of
+// the read set), and publish, once the write set has persisted (wv
+// installed, markers cleared). A reader accepts a stripe only if it is
+// unmarked and its version is covered by rv (mem.VersionLEQ): rv covering a
+// version means the snapshot loaded that shard AFTER the tick that produced it,
 // which happened AFTER the markers went up — so an uncovered-or-marked
 // stripe can be mid-write-back and is refused (a doomed read aborts rather
 // than return a possibly torn value). Hence all accepted reads reflect
@@ -48,122 +51,72 @@ import (
 // begin-time snapshot stays a register-plane operation.
 const tl2ClockShards = 8
 
-// tl2 reports whether the system runs the invisible-read protocol.
-func (s *System) tl2() bool { return s.cfg.Protocol == ProtocolTL2 }
+// tl2Proto is the invisible-read strategy described above.
+type tl2Proto struct{}
 
-// snapshotTL2 loads the version clock into the attempt's read snapshot.
-// Called once per attempt, after the begin cost; the per-runtime buffer is
-// reused across attempts (only one attempt is ever live per runtime).
-func (rt *Runtime) snapshotTL2(tx *Tx) {
+func (*tl2Proto) readsHoldLocks() bool { return false }
+
+// begin loads the version clock into the attempt's read snapshot. Each
+// attempt gets a fresh one: retrying with the aborted attempt's snapshot
+// would doom every read of a stripe committed since. The per-runtime buffer
+// is reused across attempts (only one attempt is ever live per runtime). A
+// transaction that writes nothing serializes here.
+func (*tl2Proto) begin(tx *Tx) {
+	rt := tx.rt
+	if tx.readVers == nil {
+		tx.readVers, tx.grantVers = make(map[mem.Addr]uint64), make(map[mem.Addr]uint64)
+	}
 	rt.proc.Advance(rt.s.compute(rt.s.cfg.Costs.ClockSnap))
 	rt.rvBuf = rt.s.clock.Snapshot(rt.rvBuf[:0])
 	tx.rv = rt.rvBuf
-	tx.snapAt = rt.proc.Now()
+	tx.serialAt = rt.proc.Now()
 }
 
-// readTL2 is the invisible read: fetch the object and its stripe's version
+// firstRead is the invisible read: fetch the object and its stripe's version
 // metadata in one atomic memory visit, refuse anything the snapshot does
-// not cover. No message leaves the core.
-func (tx *Tx) readTL2(base mem.Addr, n int) []uint64 {
+// not cover. No message leaves the core. Every kind reads this way: the
+// elastic relaxations exist to soften visible read locking, which TL2 never
+// performs.
+func (*tl2Proto) firstRead(tx *Tx, base mem.Addr, n int) []uint64 {
 	rt := tx.rt
 	tx.checkAborted() // eager-mode enemies can still remote-abort us
 	key := rt.s.lockKey(base)
 	vals, ver, locked := rt.s.Mem.ReadVersionedTo(rt.proc, rt.core, base, key, rt.wordBuf(n))
-	if locked || !mem.VersionLEQ(ver, tx.rv) {
-		// Doomed: the stripe is newer than our snapshot, or a committer's
-		// write-back is in flight. Returning the value could tear the
-		// snapshot, so the attempt dies here.
+	// Doomed: a committer's write-back is in flight, or the stripe is newer
+	// than our snapshot, or a second object on it observed a different
+	// version than the first (the stripe changed between our reads).
+	// Returning the value could tear the snapshot, so the attempt dies here.
+	if prev, seen := tx.readVers[key]; locked || !mem.VersionLEQ(ver, tx.rv) || (seen && prev != ver) {
 		rt.shard.DoomedReads++
-		rt.emit(trace.KDoomedRead, tx.id, uint64(key), 0, 0)
-		panic(tx.rt.signal(abortSignal{reason: trace.ReasonDoomedRead}))
+		tx.doomed(key)
 	}
-	if prev, seen := tx.readVers[key]; seen {
-		if prev != ver {
-			// A second object on the same stripe observed a different
-			// version: the stripe changed between our reads.
-			rt.shard.DoomedReads++
-			rt.emit(trace.KDoomedRead, tx.id, uint64(key), 0, 0)
-			panic(tx.rt.signal(abortSignal{reason: trace.ReasonDoomedRead}))
-		}
-	} else {
-		tx.readVers[key] = ver
-	}
+	tx.readVers[key] = ver
 	tx.reads[base] = vals
 	tx.readOrder = append(tx.readOrder, base)
 	rt.shard.LocalReads++
 	return vals
 }
 
-// commitTL2 is the TL2 commit. A transaction with an empty write buffer
-// serializes at its snapshot instant and completes without a single
-// message; an update commit acquires its write locks through the shared
-// scatter machinery, marks the write stripes, ticks the clock, revalidates
-// the read set, persists, publishes, and releases.
-func (tx *Tx) commitTL2() {
+// validate marks the write stripes, ticks the clock and re-checks every
+// stripe of the read set after the tick. Marking is safe: we hold the
+// stripes' DTM write locks and are already Committing, so no CM can revoke
+// them (abortEnemies refuses), and a marker therefore always belongs to a
+// lock holder — two markers on one stripe would need two holders of the same
+// write lock. Stripes we also write are checked against the version the DTM
+// node piggybacked on the grant (no memory traffic); pure-read stripes pay
+// one charged version load each. Any change — or a foreign write-back marker
+// — since the first read fails the commit (Tx.rollback clears tx.marked).
+func (*tl2Proto) validate(tx *Tx) (mem.Addr, bool) {
 	rt := tx.rt
-	tx.checkAborted()
-	start := rt.proc.Now()
-
-	if len(tx.writeOrd) == 0 {
-		// Pure reader (including the declared ReadOnly kind): every read was
-		// validated against rv when it happened, so the whole transaction is
-		// a consistent view as of the snapshot. Nothing is locked, nothing
-		// to release — zero commit-time network work.
-		rt.s.Regs.SetStatusLocal(rt.core, tx.id, mem.TxCommitted)
-		if rt.s.audit != nil {
-			rt.s.recordCommit(tx, tx.snapAt)
-		}
-		rt.commitLat.Observe(rt.proc.Now() - start)
-		return
-	}
-
-	rt.proc.Advance(rt.s.compute(rt.s.cfg.Costs.Commit))
-	if rt.s.cfg.Acquire == Lazy {
-		tx.acquireCommitLocks() // records grant-time versions (tx.grantVers)
-	}
-	// Become non-abortable. If the CAS fails, a CM got to us first.
-	if !rt.s.Regs.CASStatusLocal(rt.core, tx.id, mem.TxPending, mem.TxCommitting) {
-		panic(tx.rt.signal(abortSignal{reason: trace.ReasonRevoked}))
-	}
-	// Mark the write stripes. Safe: we hold their DTM write locks and are
-	// already Committing, so no CM can revoke them (abortEnemies refuses),
-	// and a marker therefore always belongs to a lock holder — two markers
-	// on one stripe would need two holders of the same write lock.
 	keys := tx.writeKeys()
 	rt.s.Mem.LockVersions(rt.proc, rt.core, keys)
+	tx.marked = keys
 	rt.proc.Advance(rt.s.compute(rt.s.cfg.Costs.ClockTick))
-	wv := rt.s.clock.Tick(rt.core)
+	tx.wv = rt.s.clock.Tick(rt.core)
 	rt.shard.ClockAdvances++
-	rt.emit(trace.KClockTick, tx.id, wv, 0, 0)
-	tickAt := rt.proc.Now()
-	rvStart := rt.proc.Now()
+	rt.emit(trace.KClockTick, tx.id, tx.wv, 0, 0)
+	tx.tickAt = rt.proc.Now()
 	rt.emit(trace.KPhaseBegin, tx.id, uint64(trace.PhaseRevalidate), 0, 0)
-	tx.revalidateTL2(keys)
-	rt.emit(trace.KPhaseEnd, tx.id, uint64(trace.PhaseRevalidate), 0, 0)
-	rt.revalLat.Observe(rt.proc.Now() - rvStart)
-	// Persist the write set, then publish the new version: readers see the
-	// marker until the very instant the new data is fully in place.
-	rt.emit(trace.KPhaseBegin, tx.id, uint64(trace.PhaseWriteBack), 0, 0)
-	addrs, vals := tx.writeBackLists()
-	rt.s.Mem.WriteBatch(rt.proc, rt.core, addrs, vals)
-	rt.s.Mem.PublishVersions(rt.proc, rt.core, keys, wv)
-	rt.emit(trace.KPhaseEnd, tx.id, uint64(trace.PhaseWriteBack), 0, 0)
-	rt.s.Regs.SetStatusLocal(rt.core, tx.id, mem.TxCommitted)
-	if rt.s.audit != nil {
-		rt.s.recordCommit(tx, tickAt) // serializes at the clock tick
-	}
-	rt.releaseAll(tx)
-	rt.commitLat.Observe(rt.proc.Now() - start)
-}
-
-// revalidateTL2 re-checks every stripe of the read set after the clock
-// tick. Stripes we also write are checked against the version the DTM node
-// piggybacked on the grant (no memory traffic); pure-read stripes pay one
-// charged version load each. Any change — or a foreign write-back marker —
-// since the first read aborts the commit, which must first clear its own
-// markers and roll the status back to abortable before unwinding.
-func (tx *Tx) revalidateTL2(writeKeys []mem.Addr) {
-	rt := tx.rt
 	if rt.rvInWrite == nil {
 		rt.rvInWrite = make(map[mem.Addr]bool)
 		rt.rvSeen = make(map[mem.Addr]bool)
@@ -172,7 +125,7 @@ func (tx *Tx) revalidateTL2(writeKeys []mem.Addr) {
 	clear(inWrite)
 	clear(seen)
 	if len(tx.readVers) > 0 {
-		for _, k := range writeKeys {
+		for _, k := range keys {
 			inWrite[k] = true
 		}
 	}
@@ -197,28 +150,30 @@ func (tx *Tx) revalidateTL2(writeKeys []mem.Addr) {
 			ok = !locked && cur == want
 		}
 		if !ok {
-			rt.s.Mem.UnlockVersions(writeKeys)
-			rt.s.Regs.SetStatusLocal(rt.core, tx.id, mem.TxAborted)
-			rt.emit(trace.KDoomedRead, tx.id, uint64(key), 0, 0)
-			panic(tx.rt.signal(abortSignal{reason: trace.ReasonDoomedRead}))
+			return key, false
 		}
 	}
+	rt.emit(trace.KPhaseEnd, tx.id, uint64(trace.PhaseRevalidate), 0, 0)
+	rt.revalLat.Observe(rt.proc.Now() - tx.tickAt)
+	return 0, true
+}
+
+// publish installs the new version and clears the markers: readers see the
+// marker until the very instant the new data is fully in place. The commit
+// serializes at its clock tick.
+func (*tl2Proto) publish(tx *Tx) sim.Time {
+	tx.rt.s.Mem.PublishVersions(tx.rt.proc, tx.rt.core, tx.marked, tx.wv)
+	return tx.tickAt
 }
 
 // recordGrantVers stores the versions a DTM node piggybacked on a
-// write-lock grant (respLock.Vers, request order). Nil under the visible
+// write-lock grant (respLock.Vers, request order): none under the visible
 // protocol, where this is a no-op.
 func (tx *Tx) recordGrantVers(keys []mem.Addr, vers []uint64) {
-	if len(vers) == 0 {
-		return
-	}
-	if len(vers) != len(keys) {
+	if len(vers) != 0 && len(vers) != len(keys) {
 		panic("core: write-lock grant version count does not match its batch")
 	}
-	if tx.grantVers == nil {
-		tx.grantVers = make(map[mem.Addr]uint64, len(keys))
-	}
-	for i, k := range keys {
-		tx.grantVers[k] = vers[i]
+	for i, v := range vers {
+		tx.grantVers[keys[i]] = v
 	}
 }

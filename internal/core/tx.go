@@ -58,10 +58,6 @@ type Runtime struct {
 	// plane.
 	out port.Outbox
 
-	// rvBuf is the reusable TL2 clock-snapshot buffer (tl2.go); only one
-	// attempt is ever live per runtime, so attempts may share it.
-	rvBuf []uint64
-
 	// Hot-path scratch, all single-consumer state of this runtime's port:
 	// one attempt is ever live per runtime, so the commit and read paths
 	// reuse these across attempts and allocate nothing in steady state.
@@ -72,22 +68,21 @@ type Runtime struct {
 	// them across attempts.
 	txScratch    *Tx
 	words        []uint64
-	eagerKey     [1]mem.Addr       // single-key batch for eager write locks
+	oneKey       [1]mem.Addr       // rpcLock's single-key batch
 	scatterIDs   []uint64          // scatter-gather correlation IDs
 	scatterResps []*respLock       // scatter-gather response slots
-	relGroups    []relGroup        // releaseAll per-node grouping
-	relIdx       map[int]int       // releaseAll node → relGroups index
-	ngGroups     []nodeGroup       // groupByNode result slots
-	ngIdx        map[int]int       // groupByNode node → ngGroups index
+	groups       []nodeGroup       // groupByNode result slots
+	groupIdx     map[int]int       // groupByNode node → groups index
 	wkSeen       map[mem.Addr]bool // writeKeys dedup set
 	wkKeys       []mem.Addr        // writeKeys result
 	batchScratch []nodeGroup       // commitBatches result slots
 	wbAddrs      []mem.Addr        // commit write-back address list
 	wbVals       []uint64          // commit write-back value list
 	erKeys       []mem.Addr        // EarlyRelease key list
-	winBuf       []uint64          // validateWindow re-read buffer
-	rvInWrite    map[mem.Addr]bool // revalidateTL2 write-stripe set
-	rvSeen       map[mem.Addr]bool // revalidateTL2 visited-stripe set
+	winBuf       []uint64          // windowChanged re-read buffer
+	rvBuf        []uint64          // TL2 clock-snapshot buffer (tx.rv)
+	rvInWrite    map[mem.Addr]bool // TL2 revalidation write-stripe set
+	rvSeen       map[mem.Addr]bool // TL2 revalidation visited-stripe set
 
 	barrierEpoch uint64
 	barrierSeen  map[uint64]int
@@ -158,9 +153,10 @@ func (rt *Runtime) AddOps(n int) {
 // (trace.Reason) partitions all aborts, and abortCleanup counts it into
 // Stats.AbortReasons.
 type abortSignal struct {
-	kind    cm.Kind
-	hasKind bool // false for elastic-read validation aborts and remote aborts
-	reason  trace.Reason
+	kind      cm.Kind
+	hasKind   bool // false for elastic-read validation aborts and remote aborts
+	reason    trace.Reason
+	withdrawn bool // a user abort that is not retried: Stats.UserAborts, not Aborts
 }
 
 // signal parks sig in the runtime and returns its address for the panic
@@ -194,18 +190,23 @@ type Tx struct {
 	onCommit []func()
 	onAbort  []func()
 
-	// lastGrant is the completion time of the latest successful read,
-	// used by the auditor: a read-only transaction serializes at its last
-	// read, the only instant all of its locks are provably held.
-	lastGrant sim.Time
+	// serialAt is the instant a transaction that wrote nothing serializes
+	// at, kept by the protocol (the auditor's replay point): under visible
+	// reads the completion of the latest read — the only instant all of its
+	// locks are provably held — under TL2 the clock snapshot.
+	serialAt sim.Time
 
 	// TL2 state (tl2.go), untouched under the visible protocol: the clock
-	// snapshot and its instant, the version each read stripe was first
-	// observed at, and the versions piggybacked on write-lock grants.
+	// snapshot, the version each read stripe was first observed at, the
+	// versions piggybacked on write-lock grants, and — between validate and
+	// publish — the write stripes carrying this commit's write-back marker,
+	// its new version and the instant of the tick that drew it.
 	rv        []uint64
-	snapAt    sim.Time
 	readVers  map[mem.Addr]uint64
 	grantVers map[mem.Addr]uint64
+	marked    []mem.Addr
+	wv        uint64
+	tickAt    sim.Time
 }
 
 type winEntry struct {
@@ -226,22 +227,17 @@ func (tx *Tx) reset(id uint64, kind TxKind) {
 	clear(tx.writes)
 	tx.writeOrd = tx.writeOrd[:0]
 	tx.wlocked = tx.wlocked[:0]
-	tx.window[0] = winEntry{}
-	tx.window[1] = winEntry{}
+	tx.window = [2]winEntry{}
 	tx.nwin = 0
-	for i := range tx.onCommit {
-		tx.onCommit[i] = nil
-	}
+	clear(tx.onCommit)
 	tx.onCommit = tx.onCommit[:0]
-	for i := range tx.onAbort {
-		tx.onAbort[i] = nil
-	}
+	clear(tx.onAbort)
 	tx.onAbort = tx.onAbort[:0]
-	tx.lastGrant = 0
+	tx.serialAt = 0
 	tx.rv = nil
-	tx.snapAt = 0
 	clear(tx.readVers)
 	clear(tx.grantVers)
+	tx.marked = nil
 }
 
 // ID returns the attempt identifier.
@@ -300,9 +296,6 @@ func (rt *Runtime) runLoop(kind TxKind, fn func(*Tx) error) (attempts int, userE
 				reads:  make(map[mem.Addr][]uint64),
 				writes: make(map[mem.Addr][]uint64),
 			}
-			if rt.s.tl2() {
-				tx.readVers = make(map[mem.Addr]uint64)
-			}
 			rt.txScratch = tx
 		}
 		tx.reset(rt.nextTxID, kind)
@@ -324,12 +317,7 @@ func (rt *Runtime) runLoop(kind TxKind, fn func(*Tx) error) (attempts int, userE
 		bound := 257 << uint(min(attempts-1, 6))
 		jitter := time.Duration(rt.proc.Rand().Intn(bound)) * time.Nanosecond
 		rt.proc.Advance(rt.s.compute(rt.s.cfg.Costs.TxBegin + jitter))
-		if rt.s.tl2() {
-			// Each attempt gets a fresh clock snapshot: retrying with the
-			// aborted attempt's snapshot would doom every read of a stripe
-			// committed since.
-			rt.snapshotTL2(tx)
-		}
+		rt.s.proto.begin(tx)
 		rt.emit(trace.KAttemptStart, tx.id, uint64(attempts), 0, 0)
 		switch outcome, err := rt.attempt(tx, fn); outcome {
 		case attemptCommitted:
@@ -449,15 +437,36 @@ func (tx *Tx) checkAborted() {
 	}
 }
 
+// protocol is the read/commit strategy — how a transaction observes memory
+// and what a commit must prove before it persists — chosen once in NewSystem
+// (Config.Protocol) and shared by every runtime. Everything else is common:
+// the Tx read/write set, the retry loop, write-lock acquisition and
+// Tx.commit, which states the step order. Transaction kinds are
+// per-transaction variations inside the visible strategy.
+type protocol interface {
+	// begin starts an attempt, after its begin cost.
+	begin(tx *Tx)
+	// firstRead returns the n-word object at base, which is in neither the
+	// write buffer nor the read set, or aborts the attempt.
+	firstRead(tx *Tx, base mem.Addr, n int) []uint64
+	// validate runs once the commit holds all its write locks and is
+	// Committing. ok false names the object or stripe whose change dooms
+	// the commit, which rolls back.
+	validate(tx *Tx) (at mem.Addr, ok bool)
+	// publish follows the persist and returns the instant the update
+	// serializes at.
+	publish(tx *Tx) sim.Time
+	// readsHoldLocks reports whether the read set is covered by read locks
+	// held at DTM nodes (visible reads) or by nothing outside the core.
+	readsHoldLocks() bool
+}
+
 // Read returns the single word object at addr.
 func (tx *Tx) Read(addr mem.Addr) uint64 { return tx.readNView(addr, 1)[0] }
 
-// ReadN returns the n-word object at base. Under Normal and ElasticEarly
-// kinds this is Algorithm 4: the read lock is acquired from the responsible
-// DTM node before the shared memory is read (visible reads, early
-// acquisition). Under ElasticRead no lock is taken; the previous reads in
-// the validation window are re-read instead. The returned slice is a copy
-// the caller owns.
+// ReadN returns the n-word object at base: from the write buffer or the read
+// set when the transaction has touched it, through the protocol otherwise
+// (protocol.firstRead). The returned slice is a copy the caller owns.
 func (tx *Tx) ReadN(base mem.Addr, n int) []uint64 {
 	return cloneWords(tx.readNView(base, n))
 }
@@ -477,92 +486,14 @@ func (tx *Tx) readNView(base mem.Addr, n int) []uint64 {
 	if v, ok := tx.reads[base]; ok {
 		return v
 	}
-	if rt.s.tl2() {
-		// Every kind reads invisibly under TL2: the elastic relaxations
-		// exist to soften visible read locking, which TL2 never performs.
-		return tx.readTL2(base, n)
-	}
-	if tx.kind == ElasticRead {
-		return tx.elasticRead(base, n)
-	}
-	tx.checkAborted()
-	key := rt.s.lockKey(base)
-	resp := rt.rpcReadLock(tx, key)
-	if !resp.OK {
-		k := resp.Kind
-		putRespLock(resp)
-		panic(tx.rt.signal(abortSignal{kind: k, hasKind: true, reason: trace.ReasonConflict}))
-	}
-	putRespLock(resp)
-	// Record the grant before anything can abort the attempt: if the lock
-	// were not in the read set when the post-read abort check fires, the
-	// cleanup would never release it and the stale entry could block that
-	// object forever.
-	vals := rt.s.Mem.ReadBatchTo(rt.proc, rt.core, base, rt.wordBuf(n))
-	tx.reads[base] = vals
-	tx.readOrder = append(tx.readOrder, base)
-	tx.lastGrant = rt.proc.Now()
-	rt.emit(trace.KRead, tx.id, uint64(key), 0, 0)
-	tx.checkAborted()
-	return vals
+	return rt.s.proto.firstRead(tx, base, n)
 }
 
-// elasticRead performs a lock-free read with consecutive-read validation
-// (§6.1, elastic-read): before reading the next object, every object in the
-// window is re-read from shared memory; a change aborts the attempt.
-// Re-reading an object already in the window returns the windowed value
-// without rotating the window, so update operations that re-touch the node
-// they are about to write keep that node under commit-time validation.
-func (tx *Tx) elasticRead(base mem.Addr, n int) []uint64 {
-	rt := tx.rt
-	for i := 0; i < tx.nwin; i++ {
-		if tx.window[i].base == base {
-			return tx.window[i].vals
-		}
-	}
-	tx.validateWindow(true)
-	vals := rt.s.Mem.ReadBatchTo(rt.proc, rt.core, base, rt.wordBuf(n))
-	tx.pushWindow(base, vals)
-	return vals
-}
-
-func (tx *Tx) pushWindow(base mem.Addr, vals []uint64) {
-	if tx.nwin < len(tx.window) {
-		tx.window[tx.nwin] = winEntry{base, vals}
-		tx.nwin++
-		return
-	}
-	tx.window[0] = tx.window[1]
-	tx.window[1] = winEntry{base, vals}
-}
-
-// validateWindow re-reads the window entries and aborts on any change.
-// charged selects whether the re-reads cost memory latency (the final
-// commit-time re-check is folded into the persist and is free).
-func (tx *Tx) validateWindow(charged bool) {
-	rt := tx.rt
-	for i := 0; i < tx.nwin; i++ {
-		w := tx.window[i]
-		changed := false
-		if charged {
-			if cap(rt.winBuf) < len(w.vals) {
-				rt.winBuf = make([]uint64, len(w.vals))
-			}
-			cur := rt.s.Mem.ReadBatchTo(rt.proc, rt.core, w.base, rt.winBuf[:len(w.vals)])
-			changed = !slices.Equal(cur, w.vals)
-		} else {
-			for j, was := range w.vals {
-				if rt.s.Mem.ReadRaw(w.base+mem.Addr(j)) != was {
-					changed = true
-					break
-				}
-			}
-		}
-		if changed {
-			rt.emit(trace.KDoomedRead, tx.id, uint64(w.base), 0, 0)
-			panic(tx.rt.signal(abortSignal{reason: trace.ReasonDoomedRead}))
-		}
-	}
+// doomed aborts the attempt over a read that cannot be part of a consistent
+// view: the object or stripe at changed under it.
+func (tx *Tx) doomed(at mem.Addr) {
+	tx.rt.emit(trace.KDoomedRead, tx.id, uint64(at), 0, 0)
+	panic(tx.rt.signal(abortSignal{reason: trace.ReasonDoomedRead}))
 }
 
 // Write buffers a single-word write.
@@ -580,18 +511,10 @@ func (tx *Tx) WriteN(base mem.Addr, vals []uint64) {
 	rt.proc.Advance(rt.s.compute(rt.s.cfg.Costs.Wrapper))
 	if rt.s.cfg.Acquire == Eager {
 		key := rt.s.lockKey(base)
-		if !containsAddr(tx.wlocked, key) {
+		if !slices.Contains(tx.wlocked, key) {
 			tx.checkAborted()
-			resp := rt.rpcWriteLock(tx, key)
-			if !resp.OK {
-				k := resp.Kind
-				putRespLock(resp)
-				panic(tx.rt.signal(abortSignal{kind: k, hasKind: true, reason: trace.ReasonConflict}))
-			}
+			rt.rpcLock(tx, key, true)
 			tx.wlocked = append(tx.wlocked, key)
-			rt.eagerKey[0] = key
-			tx.recordGrantVers(rt.eagerKey[:], resp.Vers)
-			putRespLock(resp)
 		}
 	}
 	if _, ok := tx.writes[base]; !ok {
@@ -602,116 +525,63 @@ func (tx *Tx) WriteN(base mem.Addr, vals []uint64) {
 	tx.writes[base] = buf
 }
 
-// EarlyRelease drops the read locks of the given objects before commit
-// (elastic-early, §6.1). The release messages are fire-and-forget, like
-// DSTM's explicit release. Objects not in the read set are ignored.
-func (tx *Tx) EarlyRelease(bases ...mem.Addr) {
-	rt := tx.rt
-	if tx.kind != ElasticEarly {
-		panic(fmt.Sprintf("core: EarlyRelease on %v transaction", tx.kind))
-	}
-	if rt.s.tl2() {
-		// Invisible reads hold no locks to release; the reads stay in the
-		// set and remain snapshot-validated (strictly stronger semantics).
-		return
-	}
-	keys := rt.erKeys[:0]
-	for _, b := range bases {
-		if _, ok := tx.reads[b]; !ok {
-			continue
-		}
-		delete(tx.reads, b)
-		keys = append(keys, rt.s.lockKey(b))
-	}
-	rt.erKeys = keys
-	// Scatter: all per-node release messages go out in one burst (they are
-	// fire-and-forget, so there is nothing to gather).
-	for _, g := range rt.groupByNode(keys) {
-		msg := getEarlyRelease()
-		msg.Addrs = append(msg.Addrs[:0], g.addrs...)
-		msg.Core = rt.core
-		msg.TxID = tx.id
-		rt.shard.EarlyReleases++
-		rt.burstToNode(g.node, msg)
-	}
-	rt.flushOut()
-}
-
-// commit implements Algorithm 3 (txcommit): acquire the write locks (batched
-// per responsible node unless disabled), switch to the non-abortable
-// committing state, persist the write set, release every lock. Declared
-// read-only transactions branch into the leaner commitReadOnly instead.
+// commit is the one commit (Algorithm 3, txcommit), and the order of its
+// steps is the protocol's safety argument: the attempt is still alive →
+// every write lock is held → Pending becomes Committing, after which no
+// contention manager can abort it or revoke a lock → the protocol validates
+// what the transaction read → the write set persists → the protocol
+// publishes it → Committed → audit record → release burst → latency. A
+// transaction that wrote nothing skips from the first step to Committed: the
+// protocol vouched for each of its reads as it happened, and it serializes
+// at tx.serialAt.
 func (tx *Tx) commit() {
-	if tx.rt.s.tl2() {
-		tx.commitTL2()
-		return
-	}
-	if tx.kind == ReadOnly {
-		tx.commitReadOnly()
-		return
-	}
-	rt := tx.rt
+	rt, p := tx.rt, tx.rt.s.proto
 	tx.checkAborted()
 	start := rt.proc.Now()
-	rt.proc.Advance(rt.s.compute(rt.s.cfg.Costs.Commit))
-
-	if len(tx.writeOrd) > 0 && rt.s.cfg.Acquire == Lazy {
-		tx.acquireCommitLocks()
+	update := len(tx.writeOrd) > 0
+	// The bookkeeping cost is a write-set scan. A declared read-only
+	// transaction has none to scan; nor does an invisible reader that wrote
+	// nothing, declared or not — nothing at its commit depends on the kind.
+	if update || (tx.kind != ReadOnly && p.readsHoldLocks()) {
+		rt.proc.Advance(rt.s.compute(rt.s.cfg.Costs.Commit))
 	}
-
-	if len(tx.writeOrd) > 0 {
+	instant := tx.serialAt
+	if update {
+		if rt.s.cfg.Acquire == Lazy {
+			tx.acquireCommitLocks()
+		}
 		// Become non-abortable. If the CAS fails, a CM got to us first.
 		if !rt.s.Regs.CASStatusLocal(rt.core, tx.id, mem.TxPending, mem.TxCommitting) {
-			panic(tx.rt.signal(abortSignal{reason: trace.ReasonRevoked}))
+			panic(rt.signal(abortSignal{reason: trace.ReasonRevoked}))
 		}
-		if tx.kind == ElasticRead {
-			// Final consecutive-read validation at the persist instant.
-			func() {
-				defer func() {
-					if r := recover(); r != nil {
-						// Roll back to abortable state before unwinding.
-						rt.s.Regs.SetStatusLocal(rt.core, tx.id, mem.TxAborted)
-						panic(r)
-					}
-				}()
-				tx.validateWindow(false)
-			}()
+		if at, ok := p.validate(tx); !ok {
+			tx.rollback(at)
 		}
-		// Persist the write set to shared memory.
 		rt.emit(trace.KPhaseBegin, tx.id, uint64(trace.PhaseWriteBack), 0, 0)
 		addrs, vals := tx.writeBackLists()
 		rt.s.Mem.WriteBatch(rt.proc, rt.core, addrs, vals)
+		instant = p.publish(tx)
 		rt.emit(trace.KPhaseEnd, tx.id, uint64(trace.PhaseWriteBack), 0, 0)
 	}
-
 	rt.s.Regs.SetStatusLocal(rt.core, tx.id, mem.TxCommitted)
 	if rt.s.audit != nil {
-		instant := rt.proc.Now() // updates: persist completion, all locks held
-		if len(tx.writeOrd) == 0 {
-			instant = tx.lastGrant // read-only: the last read's instant
-		}
 		rt.s.recordCommit(tx, instant)
 	}
-	rt.releaseAll(tx)
+	if len(tx.wlocked) > 0 || p.readsHoldLocks() {
+		rt.releaseAll(tx)
+	}
 	rt.commitLat.Observe(rt.proc.Now() - start)
 }
 
-// commitReadOnly is the declared read-only commit: there is no write set to
-// scan, no committing-state CAS, no persist, and no commit-lock machinery —
-// only the fire-and-forget release burst for the read locks, whose validity
-// the read-lock protocol already established. It therefore charges no
-// commit bookkeeping cost: the transaction serializes at its last read, the
-// one instant all of its read locks are provably held.
-func (tx *Tx) commitReadOnly() {
+// rollback is the one way out of a commit whose validation failed after it
+// became Committing: the write-back markers validate set come off (none
+// under visible reads), the status goes back to abortable, and the attempt
+// unwinds as a doomed read; abortCleanup releases the write locks.
+func (tx *Tx) rollback(at mem.Addr) {
 	rt := tx.rt
-	tx.checkAborted()
-	start := rt.proc.Now()
-	rt.s.Regs.SetStatusLocal(rt.core, tx.id, mem.TxCommitted)
-	if rt.s.audit != nil {
-		rt.s.recordCommit(tx, tx.lastGrant)
-	}
-	rt.releaseAll(tx)
-	rt.commitLat.Observe(rt.proc.Now() - start)
+	rt.s.Mem.UnlockVersions(tx.marked)
+	rt.s.Regs.SetStatusLocal(rt.core, tx.id, mem.TxAborted)
+	tx.doomed(at)
 }
 
 // writeBackLists flattens the write set into parallel address/value lists
@@ -779,10 +649,10 @@ func (tx *Tx) scatterAcquire(keys []mem.Addr) (stale []mem.Addr) {
 	for i, resp := range resps {
 		switch {
 		case resp.OK:
-			tx.wlocked = append(tx.wlocked, batches[i].addrs...)
-			tx.recordGrantVers(batches[i].addrs, resp.Vers)
+			tx.wlocked = append(tx.wlocked, batches[i].writes...)
+			tx.recordGrantVers(batches[i].writes, resp.Vers)
 		case resp.Stale:
-			stale = append(stale, batches[i].addrs...)
+			stale = append(stale, batches[i].writes...)
 		case !failed:
 			failed, failKind = true, resp.Kind // first rejection in send order, for determinism
 		}
@@ -790,7 +660,7 @@ func (tx *Tx) scatterAcquire(keys []mem.Addr) (stale []mem.Addr) {
 		resps[i] = nil
 	}
 	if failed {
-		panic(tx.rt.signal(abortSignal{kind: failKind, hasKind: true, reason: trace.ReasonConflict}))
+		rt.conflictAbort(failKind)
 	}
 	return stale
 }
@@ -810,14 +680,14 @@ func (tx *Tx) commitBatches(keys []mem.Addr) ([]nodeGroup, uint64) {
 	rt := tx.rt
 	epoch := rt.s.dir.Epoch()
 	batches := rt.batchScratch[:0]
-	for _, g := range rt.groupByNode(keys) {
+	for _, g := range rt.groupByNode(nil, nil, keys) {
 		if rt.s.cfg.NoBatching {
 			// One batch per object: each aliases a one-element sub-slice of
 			// the group's storage (full slice expression, so appends to one
 			// batch can never scribble on the next). The batches are consumed
 			// before the next groupByNode call reuses that storage.
-			for i := range g.addrs {
-				batches = append(batches, nodeGroup{node: g.node, addrs: g.addrs[i : i+1 : i+1]})
+			for i := range g.writes {
+				batches = append(batches, nodeGroup{node: g.node, writes: g.writes[i : i+1 : i+1]})
 			}
 		} else {
 			batches = append(batches, g)
@@ -832,7 +702,11 @@ func (tx *Tx) commitBatches(keys []mem.Addr) ([]nodeGroup, uint64) {
 func (rt *Runtime) abortCleanup(tx *Tx, sig abortSignal) {
 	rt.s.Regs.SetStatusLocal(rt.core, tx.id, mem.TxAborted)
 	rt.releaseAll(tx)
-	rt.stats.Aborts++
+	if sig.withdrawn {
+		rt.shard.UserAborts++
+	} else {
+		rt.stats.Aborts++
+	}
 	rt.shard.AbortReasons[sig.reason]++
 	if sig.hasKind {
 		rt.shard.AbortsByKind[sig.kind]++
@@ -846,74 +720,33 @@ func (rt *Runtime) abortCleanup(tx *Tx, sig abortSignal) {
 	tx.runHooks(tx.onAbort)
 }
 
-// releaseAll sends one release message per DTM node covering the attempt's
-// remaining read locks and acquired write locks, all in one fire-and-forget
-// burst (scatter with nothing to gather). Nodes are visited in first-use
-// order (reads in read order, then write locks in acquisition order) so
-// identical runs schedule identical events.
+// releaseAll ends an attempt's hold on the DTM nodes: one release message
+// per node covering the remaining read locks and the acquired write locks.
+// Nodes are visited in first-use order (reads in read order, then write
+// locks in acquisition order) so identical runs schedule identical events.
 func (rt *Runtime) releaseAll(tx *Tx) {
 	rt.emit(trace.KPhaseBegin, tx.id, uint64(trace.PhaseRelease), 0, 0)
-	if rt.relIdx == nil {
-		rt.relIdx = make(map[int]int)
+	var reads []mem.Addr
+	if rt.s.proto.readsHoldLocks() {
+		reads = tx.readOrder
 	}
-	clear(rt.relIdx)
-	rt.relGroups = rt.relGroups[:0]
-	if tx.kind != ElasticRead && !rt.s.tl2() {
-		// Elastic-read and TL2 reads are invisible: no read locks exist.
-		for _, base := range tx.readOrder {
-			if _, held := tx.reads[base]; !held {
-				continue // early-released
-			}
-			key := rt.s.lockKey(base)
-			g := rt.relGroupFor(rt.s.nodeFor(key))
-			g.reads = append(g.reads, key)
-		}
-	}
-	for _, key := range tx.wlocked {
-		g := rt.relGroupFor(rt.s.nodeFor(key))
-		g.writes = append(g.writes, key)
-	}
-	for i := range rt.relGroups {
-		g := &rt.relGroups[i]
+	rt.sendReleases(tx, rt.groupByNode(reads, tx.reads, tx.wlocked), &rt.shard.ReleaseMsgs)
+	rt.emit(trace.KPhaseEnd, tx.id, uint64(trace.PhaseRelease), 0, 0)
+}
+
+// sendReleases sends one relLocks per group, all in one fire-and-forget
+// burst (scatter with nothing to gather), counting each message in sent.
+func (rt *Runtime) sendReleases(tx *Tx, groups []nodeGroup, sent *uint64) {
+	for _, g := range groups {
 		msg := getRelLocks()
 		msg.ReadAddrs = append(msg.ReadAddrs[:0], g.reads...)
 		msg.WriteAddrs = append(msg.WriteAddrs[:0], g.writes...)
 		msg.Core = rt.core
 		msg.TxID = tx.id
-		rt.shard.ReleaseMsgs++
+		*sent++
 		rt.burstToNode(g.node, msg)
 	}
 	rt.flushOut()
-	rt.emit(trace.KPhaseEnd, tx.id, uint64(trace.PhaseRelease), 0, 0)
-}
-
-// relGroup is releaseAll's per-node accumulator; the slices are runtime-
-// owned scratch, copied into the pooled message before send.
-type relGroup struct {
-	node          int
-	reads, writes []mem.Addr
-}
-
-// relGroupFor returns the release group for node ni, appending a new one
-// (reusing any retained slice capacity in that slot) on first use. The
-// returned pointer is only valid until the next relGroupFor call — callers
-// use it immediately.
-func (rt *Runtime) relGroupFor(ni int) *relGroup {
-	if gi, ok := rt.relIdx[ni]; ok {
-		return &rt.relGroups[gi]
-	}
-	gi := len(rt.relGroups)
-	rt.relIdx[ni] = gi
-	if gi < cap(rt.relGroups) {
-		rt.relGroups = rt.relGroups[:gi+1]
-		g := &rt.relGroups[gi]
-		g.node = ni
-		g.reads = g.reads[:0]
-		g.writes = g.writes[:0]
-	} else {
-		rt.relGroups = append(rt.relGroups, relGroup{node: ni})
-	}
-	return &rt.relGroups[gi]
 }
 
 // writeKeys returns the deduplicated lock keys of the write set, in first-
@@ -936,36 +769,55 @@ func (tx *Tx) writeKeys() []mem.Addr {
 	return keys
 }
 
+// nodeGroup is the lock keys one DTM node is responsible for, out of the
+// lists handed to groupByNode. The slices are runtime-owned scratch, copied
+// into a pooled message before send.
 type nodeGroup struct {
-	node  int
-	addrs []mem.Addr
+	node          int
+	reads, writes []mem.Addr
 }
 
-// groupByNode partitions lock keys by responsible DTM node, preserving the
-// relative order of first appearance (deterministic batching).
-func (rt *Runtime) groupByNode(keys []mem.Addr) []nodeGroup {
-	if rt.ngIdx == nil {
-		rt.ngIdx = make(map[int]int)
+// groupByNode partitions lock keys by responsible DTM node: the read locks of
+// the objects in bases — those still in held, when it is given; the rest were
+// released early — then the write locks in writes. Groups appear in order of
+// first use and keep their keys' relative order, so identical runs build
+// identical messages. The result is valid until the next call, which reuses
+// its storage.
+func (rt *Runtime) groupByNode(bases []mem.Addr, held map[mem.Addr][]uint64, writes []mem.Addr) []nodeGroup {
+	if rt.groupIdx == nil {
+		rt.groupIdx = make(map[int]int)
 	}
-	clear(rt.ngIdx)
-	groups := rt.ngGroups[:0]
-	for _, k := range keys {
-		ni := rt.s.nodeFor(k)
-		gi, ok := rt.ngIdx[ni]
-		if !ok {
-			gi = len(groups)
-			rt.ngIdx[ni] = gi
-			if gi < cap(groups) {
-				groups = groups[:gi+1]
-				groups[gi].node = ni
-				groups[gi].addrs = groups[gi].addrs[:0]
+	clear(rt.groupIdx)
+	groups := rt.groups[:0]
+	for pass, keys := range [2][]mem.Addr{bases, writes} {
+		for _, k := range keys {
+			if pass == 0 {
+				if _, ok := held[k]; held != nil && !ok {
+					continue // released early
+				}
+				k = rt.s.lockKey(k)
+			}
+			ni := rt.s.nodeFor(k)
+			gi, ok := rt.groupIdx[ni]
+			if !ok {
+				gi = len(groups)
+				rt.groupIdx[ni] = gi
+				if gi < cap(groups) {
+					groups = groups[:gi+1]
+					g := &groups[gi]
+					g.node, g.reads, g.writes = ni, g.reads[:0], g.writes[:0]
+				} else {
+					groups = append(groups, nodeGroup{node: ni})
+				}
+			}
+			if pass == 0 {
+				groups[gi].reads = append(groups[gi].reads, k)
 			} else {
-				groups = append(groups, nodeGroup{node: ni})
+				groups[gi].writes = append(groups[gi].writes, k)
 			}
 		}
-		groups[gi].addrs = append(groups[gi].addrs, k)
 	}
-	rt.ngGroups = groups
+	rt.groups = groups
 	return groups
 }
 
@@ -975,23 +827,13 @@ func (rt *Runtime) drainRequests() {
 	if rt.node == nil {
 		return
 	}
-	for {
-		m, ok := rt.proc.TryRecv()
-		if !ok {
-			// End of the boundary dispatch: responses staged for the
-			// requests served above leave before the core resumes
-			// transactional work (which may block on its own receives).
-			rt.node.flushOut(rt.proc)
-			return
-		}
-		if !rt.node.handle(rt.proc, m) {
-			if b, isB := m.Payload.(barrierMsg); isB {
-				rt.barrierSeen[b.Epoch]++
-				continue
-			}
-			panic(fmt.Sprintf("core: app%d unexpected message %T at tx boundary", rt.core, m.Payload))
-		}
+	for m, ok := rt.proc.TryRecv(); ok; m, ok = rt.proc.TryRecv() {
+		rt.absorb(m, "at tx boundary", false)
 	}
+	// End of the boundary dispatch: responses staged for the requests served
+	// above leave before the core resumes transactional work (which may
+	// block on its own receives).
+	rt.node.flushOut(rt.proc)
 }
 
 // Barrier blocks until every application core has reached the same barrier
@@ -1008,17 +850,7 @@ func (rt *Runtime) Barrier() {
 		rt.s.send(&rt.shard, rt.rec, rt.proc, rt.core, other.proc, other.core, msg, msg.bytes())
 	}
 	for rt.barrierSeen[epoch] < len(rt.s.runtimes)-1 {
-		m := rt.proc.Recv()
-		switch pl := m.Payload.(type) {
-		case barrierMsg:
-			rt.barrierSeen[pl.Epoch]++
-		default:
-			if rt.node != nil && rt.node.handle(rt.proc, m) {
-				rt.node.flushOut(rt.proc)
-				continue
-			}
-			panic(fmt.Sprintf("core: app%d unexpected message %T in barrier", rt.core, m.Payload))
-		}
+		rt.absorb(rt.proc.Recv(), "in barrier", true)
 	}
 	delete(rt.barrierSeen, epoch)
 }
@@ -1027,13 +859,4 @@ func cloneWords(v []uint64) []uint64 {
 	out := make([]uint64, len(v))
 	copy(out, v)
 	return out
-}
-
-func containsAddr(s []mem.Addr, a mem.Addr) bool {
-	for _, x := range s {
-		if x == a {
-			return true
-		}
-	}
-	return false
 }

@@ -12,10 +12,10 @@ import (
 // Wire codec registration for the cross-process net backend. Exactly the
 // closed set of DTM protocol messages (messages.go, irrevocable.go) plus the
 // Batch coalescing envelope ever crosses a port boundary — applications go
-// through the typed transaction API, never Port.Send — so these ten codecs
+// through the typed transaction API, never Port.Send — so these nine codecs
 // are the complete wire vocabulary. Kind bytes are stable protocol
-// constants: never renumber one, add new ones at the end and bump
-// wire.Version.
+// constants: never renumber one or reuse a retired one, add new ones at the
+// end and bump wire.Version.
 //
 // Encodings are little-endian and fixed-width (see internal/wire and
 // docs/WIRE.md). Ints are encoded as two's-complement u64 so negative
@@ -27,7 +27,7 @@ const (
 	wkReqWriteLock
 	wkRespLock
 	wkRelLocks
-	wkEarlyRelease
+	_ // 5 reserved: the retired earlyRelease, now relLocks with only ReadAddrs set
 	wkBarrier
 	wkReqExclusive
 	wkRespExclusive
@@ -140,21 +140,6 @@ func init() {
 			return r
 		},
 		Release: func(v any) { putRelLocks(v.(*relLocks)) },
-	})
-	wire.Register(wire.Codec{
-		Kind: wkEarlyRelease, Type: typeOf[*earlyRelease](),
-		Encode: func(e *wire.Enc, v any) {
-			r := v.(*earlyRelease)
-			encAddrs(e, r.Addrs)
-			e.Int(r.Core)
-			e.U64(r.TxID)
-		},
-		Decode: func(d *wire.Dec) any {
-			r := getEarlyRelease()
-			r.Addrs, r.Core, r.TxID = decAddrs(d, r.Addrs), d.Int(), d.U64()
-			return r
-		},
-		Release: func(v any) { putEarlyRelease(v.(*earlyRelease)) },
 	})
 	wire.Register(wire.Codec{
 		// barrierMsg is the one value-type payload (messages.go sends it

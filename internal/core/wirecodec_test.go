@@ -108,9 +108,6 @@ func messageGens() []func(r *rand.Rand) any {
 				Core: r.Intn(1 << 20), TxID: r.Uint64(),
 			}
 		},
-		func(r *rand.Rand) any {
-			return &earlyRelease{Addrs: randAddrs(r, 8), Core: r.Intn(1 << 20), TxID: r.Uint64()}
-		},
 		func(r *rand.Rand) any { return barrierMsg{Epoch: r.Uint64()} },
 		func(r *rand.Rand) any {
 			return &reqExclusive{Core: r.Intn(1 << 20), TxID: r.Uint64(), Reply: randReply(r)}
@@ -221,6 +218,11 @@ func TestWireDecodeRejectsCorruptInput(t *testing.T) {
 	if _, err := wire.DecodePayload(d); err == nil {
 		t.Fatal("unknown payload kind decoded without error")
 	}
+	// Kind 5 is reserved: the retired earlyRelease, in its old encoding.
+	d = wire.NewDec([]byte{5, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0}, testResolver)
+	if _, err := wire.DecodePayload(d); err == nil {
+		t.Fatal("retired payload kind 5 decoded without error")
+	}
 	// Kind 0 is reserved so zeroed buffers fail loudly.
 	d = wire.NewDec(make([]byte, 16), testResolver)
 	if _, err := wire.DecodePayload(d); err == nil {
@@ -275,7 +277,7 @@ func TestWireDecodeDistrustsCounts(t *testing.T) {
 	for name, frame := range map[string][]byte{
 		"batch of 2^32-1 payloads": {wkBatch, 0xff, 0xff, 0xff, 0xff},
 		"batch inside a batch":     {wkBatch, 1, 0, 0, 0, wkBatch, 0, 0, 0, 0},
-		"2^32-1 lock addresses":    {wkEarlyRelease, 0xff, 0xff, 0xff, 0xff},
+		"2^32-1 lock addresses":    {wkRelLocks, 0xff, 0xff, 0xff, 0xff},
 	} {
 		v, alloc, err := decodeAllocated(frame)
 		if err == nil {
@@ -310,10 +312,14 @@ func FuzzDecodePayload(f *testing.F) {
 	}
 	f.Add([]byte{wkBatch, 0xff, 0xff, 0xff, 0xff})
 	f.Add([]byte{wkBatch, 1, 0, 0, 0, wkBatch, 0, 0, 0, 0})
+	f.Add([]byte{5, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0}) // kind 5 is retired: rejected
 	f.Fuzz(func(t *testing.T, b []byte) {
 		v, alloc, err := decodeAllocated(b)
 		if err != nil && v != nil {
 			t.Errorf("decode failed (%v) but returned %#v", err, v)
+		}
+		if len(b) > 0 && b[0] == 5 && err == nil {
+			t.Errorf("retired payload kind 5 decoded to %#v", v)
 		}
 		if limit := uint64(64*len(b) + 16<<10); alloc > limit {
 			t.Errorf("decoding %d bytes allocated %d (limit %d)", len(b), alloc, limit)
