@@ -18,7 +18,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/mem"
-	"repro/internal/sim"
+	"repro/internal/port"
 )
 
 // InitialPerAccount is the starting balance of every account.
@@ -171,7 +171,7 @@ func (b *Bank) SeqBalance(p core.Port, coreID int) uint64 {
 }
 
 // PickTransfer draws a random (from, to) pair with from != to.
-func PickTransfer(r *sim.Rand, n int) (from, to int) {
+func PickTransfer(r *port.Rand, n int) (from, to int) {
 	from = r.Intn(n)
 	to = (from + 1 + r.Intn(n-1)) % n
 	return from, to

@@ -9,7 +9,7 @@ import (
 	"repro/internal/cm"
 	"repro/internal/core"
 	"repro/internal/noc"
-	"repro/internal/sim"
+	"repro/internal/port"
 )
 
 func newSys(t *testing.T, mut func(*core.Config)) *core.System {
@@ -106,7 +106,7 @@ func TestSequentialVariant(t *testing.T) {
 func TestPickTransferProperty(t *testing.T) {
 	if err := quick.Check(func(seed uint64, n8 uint8) bool {
 		n := int(n8%100) + 2
-		r := sim.NewRand(seed)
+		r := port.NewRand(seed)
 		for i := 0; i < 20; i++ {
 			from, to := PickTransfer(&r, n)
 			if from == to || from < 0 || from >= n || to < 0 || to >= n {
@@ -173,7 +173,7 @@ func TestGlobalLockSerializes(t *testing.T) {
 // transfer/balance mix) with worker logic supplied by op, and returns the
 // run's Stats. Both callers below must produce the exact same virtual
 // schedule for the exact same seed.
-func bankStats(t *testing.T, op func(b *Bank, rt *core.Runtime, r *sim.Rand)) *core.Stats {
+func bankStats(t *testing.T, op func(b *Bank, rt *core.Runtime, r *port.Rand)) *core.Stats {
 	t.Helper()
 	s := newSys(t, nil)
 	b := New(s, 12)
@@ -196,7 +196,7 @@ func bankStats(t *testing.T, op func(b *Bank, rt *core.Runtime, r *sim.Rand)) *c
 // methods produces bit-identical Stats for the same Config.Seed — the
 // typed layer is a zero-cost veneer and the word path is unchanged.
 func TestTypedBankMatchesLegacyWordPath(t *testing.T) {
-	legacy := bankStats(t, func(b *Bank, rt *core.Runtime, r *sim.Rand) {
+	legacy := bankStats(t, func(b *Bank, rt *core.Runtime, r *port.Rand) {
 		if r.Intn(100) < 20 {
 			// Word-level balance scan.
 			rt.Run(func(tx *core.Tx) {
@@ -220,7 +220,7 @@ func TestTypedBankMatchesLegacyWordPath(t *testing.T) {
 		}
 		rt.AddOps(1)
 	})
-	typed := bankStats(t, func(b *Bank, rt *core.Runtime, r *sim.Rand) {
+	typed := bankStats(t, func(b *Bank, rt *core.Runtime, r *port.Rand) {
 		if r.Intn(100) < 20 {
 			if got := b.Balance(rt); got != b.Total() {
 				t.Errorf("typed balance %d != %d", got, b.Total())

@@ -6,7 +6,7 @@ import (
 	"sort"
 
 	"repro/internal/core"
-	"repro/internal/sim"
+	"repro/internal/port"
 )
 
 // Zipf draws ranks 0..n-1 with probability proportional to 1/(rank+1)^theta
@@ -46,7 +46,7 @@ func NewZipf(n int, theta float64) *Zipf {
 func (z *Zipf) Ranks() int { return len(z.cdf) }
 
 // Pick draws one rank.
-func (z *Zipf) Pick(r *sim.Rand) int {
+func (z *Zipf) Pick(r *port.Rand) int {
 	return sort.SearchFloat64s(z.cdf, r.Float64())
 }
 

@@ -3,7 +3,7 @@ package bank
 import (
 	"testing"
 
-	"repro/internal/sim"
+	"repro/internal/port"
 )
 
 func TestZipfDistribution(t *testing.T) {
@@ -12,7 +12,7 @@ func TestZipfDistribution(t *testing.T) {
 	if z.Ranks() != n {
 		t.Fatalf("Ranks = %d, want %d", z.Ranks(), n)
 	}
-	r := sim.NewRand(7)
+	r := port.NewRand(7)
 	counts := make([]int, n)
 	for i := 0; i < draws; i++ {
 		k := z.Pick(&r)
@@ -49,7 +49,7 @@ func TestZipfThetaZeroIsUniformWorker(t *testing.T) {
 	}
 	// And a degenerate sampler must still cover all ranks roughly evenly.
 	z := NewZipf(64, 0)
-	r := sim.NewRand(3)
+	r := port.NewRand(3)
 	counts := make([]int, 64)
 	for i := 0; i < 64000; i++ {
 		counts[z.Pick(&r)]++

@@ -17,7 +17,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/mem"
-	"repro/internal/sim"
+	"repro/internal/port"
 )
 
 // Nominal per-operation compute costs (SCC-533 cycles turned into time);
@@ -90,7 +90,7 @@ func (s *Set) nodeAt(base mem.Addr) core.TVar[node] {
 // InitFill populates the set with n distinct keys drawn from [1, keyRange]
 // using raw accesses (setup code outside the simulation). It returns the
 // inserted keys.
-func (s *Set) InitFill(n int, keyRange uint64, r *sim.Rand) []uint64 {
+func (s *Set) InitFill(n int, keyRange uint64, r *port.Rand) []uint64 {
 	inserted := make([]uint64, 0, n)
 	for len(inserted) < n {
 		key := r.Uint64()%keyRange + 1
@@ -327,7 +327,7 @@ func (s *Set) Worker(w Workload) func(rt *core.Runtime) {
 }
 
 // RunOp executes one randomly drawn operation of the workload.
-func (s *Set) RunOp(rt *core.Runtime, r *sim.Rand, w Workload) {
+func (s *Set) RunOp(rt *core.Runtime, r *port.Rand, w Workload) {
 	key := r.Uint64()%w.KeyRange + 1
 	roll := r.Intn(100)
 	switch {
@@ -345,7 +345,7 @@ func (s *Set) RunOp(rt *core.Runtime, r *sim.Rand, w Workload) {
 }
 
 // SeqOp executes one randomly drawn sequential operation.
-func (s *Set) SeqOp(p core.Port, coreID int, r *sim.Rand, w Workload) {
+func (s *Set) SeqOp(p core.Port, coreID int, r *port.Rand, w Workload) {
 	key := r.Uint64()%w.KeyRange + 1
 	roll := r.Intn(100)
 	switch {

@@ -7,7 +7,7 @@ import (
 	"repro/internal/cm"
 	"repro/internal/core"
 	"repro/internal/noc"
-	"repro/internal/sim"
+	"repro/internal/port"
 )
 
 func newSys(t *testing.T, cores int) *core.System {
@@ -52,7 +52,7 @@ func checkIntegrity(t *testing.T, s *Set) []uint64 {
 func TestInitFillCountAndIntegrity(t *testing.T) {
 	s := newSys(t, 4)
 	set := New(s, 16)
-	r := sim.NewRand(3)
+	r := port.NewRand(3)
 	keys := set.InitFill(100, 1000, &r)
 	if len(keys) != 100 {
 		t.Fatalf("InitFill returned %d keys", len(keys))
@@ -141,7 +141,7 @@ func TestSeqOpsMatchModel(t *testing.T) {
 func TestConcurrentTortureKeepsIntegrity(t *testing.T) {
 	s := newSys(t, 8)
 	set := New(s, 4) // tiny table: heavy conflicts
-	r := sim.NewRand(5)
+	r := port.NewRand(5)
 	set.InitFill(8, 64, &r)
 	// Track net successful structural updates to validate against the
 	// final size.
@@ -177,7 +177,7 @@ func TestConcurrentTortureKeepsIntegrity(t *testing.T) {
 func TestMoveIsAtomic(t *testing.T) {
 	s := newSys(t, 2)
 	set := New(s, 8)
-	r := sim.NewRand(1)
+	r := port.NewRand(1)
 	set.InitFill(10, 100, &r)
 	before := len(set.RawKeys())
 	s.SpawnWorkers(func(rt *core.Runtime) {
@@ -211,7 +211,7 @@ func TestMoveIsAtomic(t *testing.T) {
 func TestWorkerAndOpMixSmoke(t *testing.T) {
 	s := newSys(t, 8)
 	set := New(s, 64)
-	r := sim.NewRand(2)
+	r := port.NewRand(2)
 	set.InitFill(128, 256, &r)
 	s.SpawnWorkers(set.Worker(Workload{UpdatePct: 20, KeyRange: 256}))
 	st := s.Run(2_000_000) // 2ms
@@ -224,7 +224,7 @@ func TestWorkerAndOpMixSmoke(t *testing.T) {
 func TestMoveWorkloadMix(t *testing.T) {
 	s := newSys(t, 8)
 	set := New(s, 16)
-	r := sim.NewRand(2)
+	r := port.NewRand(2)
 	set.InitFill(64, 128, &r)
 	s.SpawnWorkers(set.Worker(Workload{UpdatePct: 10, MovePct: 20, KeyRange: 128}))
 	st := s.Run(2_000_000)

@@ -14,7 +14,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/mem"
-	"repro/internal/sim"
+	"repro/internal/port"
 )
 
 // PerNodeCompute is the nominal per-node traversal cost.
@@ -91,7 +91,7 @@ func (l *List) nodeAt(base mem.Addr) core.TVar[node] {
 }
 
 // InitFill inserts n distinct keys from [1, keyRange] with raw accesses.
-func (l *List) InitFill(n int, keyRange uint64, r *sim.Rand) []uint64 {
+func (l *List) InitFill(n int, keyRange uint64, r *port.Rand) []uint64 {
 	inserted := make([]uint64, 0, n)
 	for len(inserted) < n {
 		key := r.Uint64()%keyRange + 1
@@ -249,7 +249,7 @@ func (l *List) Worker(w Workload) func(rt *core.Runtime) {
 }
 
 // RunOp executes one randomly drawn operation.
-func (l *List) RunOp(rt *core.Runtime, r *sim.Rand, w Workload) {
+func (l *List) RunOp(rt *core.Runtime, r *port.Rand, w Workload) {
 	key := r.Uint64()%w.KeyRange + 1
 	if r.Intn(100) < w.UpdatePct {
 		if r.Intn(2) == 0 {

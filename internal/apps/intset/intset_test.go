@@ -7,7 +7,7 @@ import (
 	"repro/internal/cm"
 	"repro/internal/core"
 	"repro/internal/noc"
-	"repro/internal/sim"
+	"repro/internal/port"
 )
 
 func newSys(t *testing.T, cores int) *core.System {
@@ -35,7 +35,7 @@ func checkSorted(t *testing.T, l *List) []uint64 {
 func TestInitFillSorted(t *testing.T) {
 	s := newSys(t, 4)
 	l := New(s)
-	r := sim.NewRand(1)
+	r := port.NewRand(1)
 	keys := l.InitFill(50, 500, &r)
 	if len(keys) != 50 {
 		t.Fatalf("inserted %d", len(keys))
@@ -103,7 +103,7 @@ func TestConcurrentTorturePerMode(t *testing.T) {
 		t.Run(mode.String(), func(t *testing.T) {
 			s := newSys(t, 8)
 			l := New(s)
-			r := sim.NewRand(9)
+			r := port.NewRand(9)
 			init := len(l.InitFill(16, 64, &r))
 			deltas := make([]int, s.NumAppCores())
 			s.SpawnWorkers(func(rt *core.Runtime) {
@@ -139,7 +139,7 @@ func TestConcurrentTorturePerMode(t *testing.T) {
 func TestElasticEarlySendsEarlyReleases(t *testing.T) {
 	s := newSys(t, 2)
 	l := New(s)
-	r := sim.NewRand(3)
+	r := port.NewRand(3)
 	l.InitFill(32, 64, &r)
 	s.SpawnWorkers(func(rt *core.Runtime) {
 		for i := 0; i < 10; i++ {
@@ -155,7 +155,7 @@ func TestElasticEarlySendsEarlyReleases(t *testing.T) {
 func TestElasticReadTakesNoReadLocks(t *testing.T) {
 	s := newSys(t, 2)
 	l := New(s)
-	r := sim.NewRand(3)
+	r := port.NewRand(3)
 	l.InitFill(32, 64, &r)
 	s.SpawnWorkers(func(rt *core.Runtime) {
 		for i := 0; i < 10; i++ {
@@ -176,7 +176,7 @@ func TestElasticReadDetectsConcurrentChange(t *testing.T) {
 	// traversal must abort and retry rather than return stale structure.
 	s := newSys(t, 4)
 	l := New(s)
-	r := sim.NewRand(3)
+	r := port.NewRand(3)
 	l.InitFill(64, 128, &r)
 	s.SpawnWorkers(func(rt *core.Runtime) {
 		rr := rt.Rand()
@@ -203,7 +203,7 @@ func TestWorkerSmokeAllModes(t *testing.T) {
 	for _, mode := range []Mode{Normal, ElasticEarly, ElasticRead} {
 		s := newSys(t, 8)
 		l := New(s)
-		r := sim.NewRand(4)
+		r := port.NewRand(4)
 		l.InitFill(64, 128, &r)
 		s.SpawnWorkers(l.Worker(Workload{UpdatePct: 20, KeyRange: 128, Mode: mode}))
 		st := s.Run(2 * time.Millisecond)

@@ -16,7 +16,7 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/sim"
+	"repro/internal/port"
 )
 
 // Letters is the alphabet size of the histogram.
@@ -82,7 +82,7 @@ func NewJob(sys *core.System, seed uint64, size, chunk int) *Job {
 // chunk, so the final histogram is verifiable.
 func (j *Job) countChunk(offset, n int) Histogram {
 	var counts Histogram
-	r := sim.NewRand(j.seed ^ uint64(offset)*0x9e3779b97f4a7c15)
+	r := port.NewRand(j.seed ^ uint64(offset)*0x9e3779b97f4a7c15)
 	// Generate 8 letters per PRNG draw.
 	for i := 0; i < n; i += 8 {
 		x := r.Uint64()
@@ -151,7 +151,7 @@ func (j *Job) Worker(rt *core.Runtime) int {
 // L1 chunk penalty — those are artifacts of the parallel version's
 // chunk-at-a-time processing — so the chunk-size trade-off of Figure 6(b)
 // shows up in the speedups, as in the paper.
-func (j *Job) Sequential(p core.Port, coreID int) sim.Time {
+func (j *Job) Sequential(p core.Port, coreID int) port.Time {
 	start := p.Now()
 	var total Histogram
 	for off := 0; off < j.size; off += j.chunk {

@@ -6,7 +6,7 @@ import (
 	"repro/internal/cm"
 	"repro/internal/core"
 	"repro/internal/noc"
-	"repro/internal/sim"
+	"repro/internal/port"
 )
 
 func newSys(t *testing.T, cores, svc int) *core.System {
@@ -54,7 +54,7 @@ func TestUnevenLastChunk(t *testing.T) {
 func TestSequentialMatchesExpected(t *testing.T) {
 	s := newSys(t, 2, 1)
 	j := NewJob(s, 7, 32<<10, 8<<10)
-	var dur sim.Time
+	var dur port.Time
 	s.SpawnRaw(func(p core.Port, coreID int) {
 		dur = j.Sequential(p, coreID)
 	})

@@ -19,7 +19,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/mem"
-	"repro/internal/sim"
+	"repro/internal/port"
 )
 
 // MaxLevel is the tallest tower; 2^8 = 256x fan-out covers the benchmark
@@ -75,7 +75,7 @@ func (l *List) nodeAt(base mem.Addr) core.TVar[node] {
 }
 
 // randomLevel draws a geometric tower height in [1, MaxLevel].
-func randomLevel(r *sim.Rand) int {
+func randomLevel(r *port.Rand) int {
 	lvl := 1
 	for lvl < MaxLevel && r.Uint64()&3 == 0 { // p = 1/4
 		lvl++
@@ -84,7 +84,7 @@ func randomLevel(r *sim.Rand) int {
 }
 
 // InitFill inserts n distinct keys from [1, keyRange] with raw accesses.
-func (l *List) InitFill(n int, keyRange uint64, r *sim.Rand) []uint64 {
+func (l *List) InitFill(n int, keyRange uint64, r *port.Rand) []uint64 {
 	inserted := make([]uint64, 0, n)
 	for len(inserted) < n {
 		key := r.Uint64()%keyRange + 1

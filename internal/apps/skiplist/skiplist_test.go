@@ -9,7 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/mem"
 	"repro/internal/noc"
-	"repro/internal/sim"
+	"repro/internal/port"
 )
 
 func newSys(t *testing.T, cores int) *core.System {
@@ -24,7 +24,7 @@ func newSys(t *testing.T, cores int) *core.System {
 }
 
 func TestRandomLevelDistribution(t *testing.T) {
-	r := sim.NewRand(1)
+	r := port.NewRand(1)
 	counts := make([]int, MaxLevel+1)
 	const n = 100000
 	for i := 0; i < n; i++ {
@@ -46,7 +46,7 @@ func TestRandomLevelDistribution(t *testing.T) {
 func TestInitFillAndIntegrity(t *testing.T) {
 	s := newSys(t, 4)
 	l := New(s)
-	r := sim.NewRand(2)
+	r := port.NewRand(2)
 	keys := l.InitFill(200, 1000, &r)
 	size, err := l.CheckTowers()
 	if err != nil {
@@ -103,7 +103,7 @@ func TestOpsMatchModel(t *testing.T) {
 func TestConcurrentTortureIntegrity(t *testing.T) {
 	s := newSys(t, 8)
 	l := New(s)
-	r := sim.NewRand(7)
+	r := port.NewRand(7)
 	init := len(l.InitFill(32, 128, &r))
 	deltas := make([]int, s.NumAppCores())
 	s.SpawnWorkers(func(rt *core.Runtime) {
@@ -144,7 +144,7 @@ func TestConcurrentAuditSerializable(t *testing.T) {
 	s := newSys(t, 8)
 	s.EnableAudit()
 	l := New(s)
-	r := sim.NewRand(3)
+	r := port.NewRand(3)
 	l.InitFill(32, 96, &r)
 	// Capture the raw initial state for the audit model.
 	initial := snapshotWords(s)
@@ -173,7 +173,7 @@ func snapshotWords(s *core.System) map[mem.Addr]uint64 {
 func TestWorkerSmoke(t *testing.T) {
 	s := newSys(t, 8)
 	l := New(s)
-	r := sim.NewRand(4)
+	r := port.NewRand(4)
 	l.InitFill(64, 256, &r)
 	s.SpawnWorkers(l.Worker(Workload{UpdatePct: 20, KeyRange: 256}))
 	st := s.Run(2 * time.Millisecond)

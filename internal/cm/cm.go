@@ -28,7 +28,7 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/sim"
+	"repro/internal/port"
 )
 
 // Policy selects a contention-management algorithm.
@@ -110,10 +110,10 @@ func (k Kind) String() string {
 // Meta is the per-transaction information piggybacked on every DTM request
 // and stored with each lock grant. It is everything a CM may consult.
 type Meta struct {
-	Core   int      // requesting application core
-	TxID   uint64   // attempt identifier (unique per core)
-	Prio   int64    // lifespan priority; lower value = higher priority
-	Offset sim.Time // OffsetGreedy: elapsed time since lifespan start
+	Core   int       // requesting application core
+	TxID   uint64    // attempt identifier (unique per core)
+	Prio   int64     // lifespan priority; lower value = higher priority
+	Offset port.Time // OffsetGreedy: elapsed time since lifespan start
 }
 
 // ArrivalPrio finalizes a request's priority on the DTM side. OffsetGreedy
@@ -121,7 +121,7 @@ type Meta struct {
 // piggybacked offset — deliberately ignoring message flight time, exactly as
 // the paper's Offset-Greedy does (§4.3), so estimates from different nodes
 // may disagree.
-func (p Policy) ArrivalPrio(m *Meta, now sim.Time) {
+func (p Policy) ArrivalPrio(m *Meta, now port.Time) {
 	if p == OffsetGreedy {
 		m.Prio = int64(now - m.Offset)
 	}
@@ -187,24 +187,24 @@ type Local struct {
 	Policy Policy
 	Core   int
 
-	rng *sim.Rand
+	rng *port.Rand
 
-	commits      uint64   // committed transactions (Wholly priority)
-	effTime      sim.Time // cumulative effective transactional time (FairCM)
-	lifeStart    sim.Time // current lifespan start (OffsetGreedy offsets)
-	attemptStart sim.Time // current attempt start (FairCM effective time)
-	attempts     int      // aborts of the current lifespan (backoff growth)
-	prio         int64    // priority fixed for the current lifespan
+	commits      uint64    // committed transactions (Wholly priority)
+	effTime      port.Time // cumulative effective transactional time (FairCM)
+	lifeStart    port.Time // current lifespan start (OffsetGreedy offsets)
+	attemptStart port.Time // current attempt start (FairCM effective time)
+	attempts     int       // aborts of the current lifespan (backoff growth)
+	prio         int64     // priority fixed for the current lifespan
 }
 
 // NewLocal returns the CM-local state for core under policy p.
-func NewLocal(p Policy, core int, rng *sim.Rand) *Local {
+func NewLocal(p Policy, core int, rng *port.Rand) *Local {
 	return &Local{Policy: p, Core: core, rng: rng}
 }
 
 // StartLifespan begins a new transaction: its priority is computed once and
 // stays fixed until commit (Property 1, rule (a)).
-func (l *Local) StartLifespan(now sim.Time) {
+func (l *Local) StartLifespan(now port.Time) {
 	l.lifeStart = now
 	l.attempts = 0
 	switch l.Policy {
@@ -219,11 +219,11 @@ func (l *Local) StartLifespan(now sim.Time) {
 }
 
 // StartAttempt marks the beginning of an attempt (initial or after abort).
-func (l *Local) StartAttempt(now sim.Time) { l.attemptStart = now }
+func (l *Local) StartAttempt(now port.Time) { l.attemptStart = now }
 
 // RequestMeta builds the metadata to piggyback on a DTM request issued now
 // by attempt txID.
-func (l *Local) RequestMeta(txID uint64, now sim.Time) Meta {
+func (l *Local) RequestMeta(txID uint64, now port.Time) Meta {
 	m := Meta{Core: l.Core, TxID: txID, Prio: l.prio}
 	if l.Policy == OffsetGreedy {
 		m.Offset = now - l.lifeStart
@@ -248,7 +248,7 @@ func (l *Local) OnAbort() time.Duration {
 // OnCommit finalizes the lifespan: the commit counter and the effective
 // transactional time (the successful attempt only, §4.5) both advance, so
 // the next lifespan's priority is strictly less favourable (rule (c)).
-func (l *Local) OnCommit(now sim.Time) {
+func (l *Local) OnCommit(now port.Time) {
 	l.commits++
 	d := now - l.attemptStart
 	if d <= 0 {
@@ -262,7 +262,7 @@ func (l *Local) OnCommit(now sim.Time) {
 func (l *Local) Commits() uint64 { return l.commits }
 
 // EffectiveTime returns the cumulative successful-attempt time.
-func (l *Local) EffectiveTime() sim.Time { return l.effTime }
+func (l *Local) EffectiveTime() port.Time { return l.effTime }
 
 // Attempts returns the abort count of the current lifespan.
 func (l *Local) Attempts() int { return l.attempts }

@@ -5,7 +5,7 @@ import (
 	"testing/quick"
 	"time"
 
-	"repro/internal/sim"
+	"repro/internal/port"
 )
 
 func TestPolicyStringAndParse(t *testing.T) {
@@ -157,7 +157,7 @@ func TestOffsetGreedyInconsistentViews(t *testing.T) {
 }
 
 func TestLocalWhollyPriorityIsCommitCount(t *testing.T) {
-	rng := sim.NewRand(1)
+	rng := port.NewRand(1)
 	l := NewLocal(Wholly, 3, &rng)
 	l.StartLifespan(0)
 	m := l.RequestMeta(1, 10)
@@ -175,7 +175,7 @@ func TestLocalWhollyPriorityIsCommitCount(t *testing.T) {
 }
 
 func TestLocalFairCMUsesEffectiveTimeOnly(t *testing.T) {
-	rng := sim.NewRand(1)
+	rng := port.NewRand(1)
 	l := NewLocal(FairCM, 2, &rng)
 	// Lifespan: start 0, abort at 50, restart at 60, commit at 100.
 	// Only the successful attempt (60..100) counts.
@@ -193,7 +193,7 @@ func TestLocalFairCMUsesEffectiveTimeOnly(t *testing.T) {
 }
 
 func TestLocalFairCMEffTimeStrictlyIncreases(t *testing.T) {
-	rng := sim.NewRand(1)
+	rng := port.NewRand(1)
 	l := NewLocal(FairCM, 0, &rng)
 	l.StartLifespan(5)
 	l.StartAttempt(5)
@@ -204,7 +204,7 @@ func TestLocalFairCMEffTimeStrictlyIncreases(t *testing.T) {
 }
 
 func TestLocalPriorityFixedDuringLifespan(t *testing.T) {
-	rng := sim.NewRand(1)
+	rng := port.NewRand(1)
 	l := NewLocal(Wholly, 0, &rng)
 	l.StartLifespan(0)
 	p1 := l.RequestMeta(1, 10).Prio
@@ -217,7 +217,7 @@ func TestLocalPriorityFixedDuringLifespan(t *testing.T) {
 }
 
 func TestBackoffGrowsAndResets(t *testing.T) {
-	rng := sim.NewRand(7)
+	rng := port.NewRand(7)
 	l := NewLocal(BackoffRetry, 0, &rng)
 	l.StartLifespan(0)
 	// The random wait is bounded by BackoffBase << attempts; verify the
@@ -245,7 +245,7 @@ func TestBackoffGrowsAndResets(t *testing.T) {
 }
 
 func TestNonBackoffPoliciesRestartImmediately(t *testing.T) {
-	rng := sim.NewRand(1)
+	rng := port.NewRand(1)
 	for _, p := range []Policy{NoCM, OffsetGreedy, Wholly, FairCM} {
 		l := NewLocal(p, 0, &rng)
 		l.StartLifespan(0)
@@ -262,10 +262,10 @@ func TestRuleCPriorityStrictlyDropsAfterCommit(t *testing.T) {
 		if len(spans) == 0 {
 			return true
 		}
-		rng := sim.NewRand(seed)
+		rng := port.NewRand(seed)
 		for _, p := range []Policy{Wholly, FairCM} {
 			l := NewLocal(p, 1, &rng)
-			now := sim.Time(0)
+			now := port.Time(0)
 			last := int64(-1)
 			for _, s := range spans {
 				l.StartLifespan(now)
@@ -274,7 +274,7 @@ func TestRuleCPriorityStrictlyDropsAfterCommit(t *testing.T) {
 					return false // must be strictly worse (larger)
 				}
 				last = m.Prio
-				now += sim.Time(s)
+				now += port.Time(s)
 				l.OnCommit(now)
 			}
 		}

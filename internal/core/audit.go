@@ -5,7 +5,7 @@ import (
 	"sort"
 
 	"repro/internal/mem"
-	"repro/internal/sim"
+	"repro/internal/port"
 )
 
 // The audit subsystem is an executable check of the correctness claim of
@@ -30,7 +30,7 @@ type auditRecord struct {
 	txID   uint64
 	kind   TxKind
 	strict bool // reads must match the serial state at the commit instant
-	commit sim.Time
+	commit port.Time
 	seq    uint64 // tie-break for equal commit instants
 	reads  []auditAccess
 	writes []auditAccess
@@ -64,7 +64,7 @@ func (s *System) EnableAudit() {
 
 // recordCommit captures a committed transaction. Called at the commit
 // instant (after persist), while the kernel guarantees mutual exclusion.
-func (s *System) recordCommit(tx *Tx, commit sim.Time) {
+func (s *System) recordCommit(tx *Tx, commit port.Time) {
 	a := s.audit
 	if a == nil {
 		return
@@ -103,7 +103,7 @@ func (s *System) recordCommit(tx *Tx, commit sim.Time) {
 type AuditViolation struct {
 	Core   int
 	TxID   uint64
-	Commit sim.Time
+	Commit port.Time
 	Addr   mem.Addr
 	Got    uint64 // value the transaction read
 	Want   uint64 // value the serial replay holds at its commit point

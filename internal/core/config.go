@@ -3,11 +3,16 @@
 // handling with distributed contention management, §3.2/§4), the two
 // deployment strategies (§3.1), and the elastic transaction extension (§6).
 //
-// A System wires a simulated many-core (internal/sim + internal/noc +
-// internal/mem) to a set of DTM nodes and application runtimes. Application
-// code runs inside worker procs and uses the Tx API; every shared access is
-// transparently turned into message-passing lock acquisition against the
-// responsible DTM node, exactly following Algorithms 1-4 of the paper.
+// A System wires a many-core — execution ports from one of three backends
+// (internal/sim, internal/live, internal/net; all reached through
+// internal/port), a shared memory (internal/mem) and a platform description
+// (internal/noc) — to a set of DTM nodes and application runtimes.
+// Application code runs inside worker ports and uses the Tx API; every
+// shared access is transparently turned into message-passing lock
+// acquisition against the responsible DTM node, exactly following
+// Algorithms 1-4 of the paper. The platform's latencies are a price list
+// that runs only where time is virtual (NewSystem decides, from
+// Config.Backend).
 package core
 
 import (
@@ -18,7 +23,7 @@ import (
 	"repro/internal/cm"
 	"repro/internal/noc"
 	"repro/internal/placement"
-	"repro/internal/sim"
+	"repro/internal/port"
 	"repro/internal/trace"
 )
 
@@ -251,8 +256,9 @@ var DefaultCosts = Costs{
 // Config describes one TM2C system instance.
 type Config struct {
 	// Platform is the timing model (default: SCC setting 0). On the live
-	// backend it still shapes the workload topology (core counts, memory
-	// regions) but its latencies are not charged.
+	// and net backends it still shapes the topology (core counts, memory
+	// regions, clusters, nearest controllers) but its latencies are neither
+	// charged nor computed.
 	Platform noc.Platform
 	// Backend selects the execution backend: the deterministic simulator
 	// (default) or the real-concurrency goroutine backend.
@@ -285,7 +291,7 @@ type Config struct {
 	// through one staging point (System.stage) and leaves at the burst's
 	// flush point. Set, payloads headed to the same destination within a
 	// burst share a single multi-payload wire message (port.Outbox →
-	// sim.Batch), charged the batched cost model (noc.BatchDelay: fixed
+	// port.Batch), charged the batched cost model (noc.BatchDelay: fixed
 	// software overheads once per wire message, marginal bytes per
 	// payload). Unset (the default) is the degenerate plane: staging sends
 	// at once, the flush points find nothing to flush, and behaviour is the
@@ -533,7 +539,7 @@ type Stats struct {
 	StateRPCs uint64
 
 	// Run length: virtual on the sim backend, wall-clock on live.
-	Duration sim.Time
+	Duration port.Time
 
 	PerCore []CoreStats
 }

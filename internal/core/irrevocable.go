@@ -3,7 +3,6 @@ package core
 import (
 	"repro/internal/mem"
 	"repro/internal/port"
-	"repro/internal/sim"
 )
 
 // Irrevocable transactions are the extension sketched in §2 of the paper:
@@ -121,9 +120,6 @@ func (ir *Irrevocable) WriteN(base mem.Addr, vals []uint64) {
 	}
 	ir.rt.s.Mem.WriteBatch(ir.rt.proc, ir.rt.core, addrs, vals)
 }
-
-// Compute charges local computation time.
-func (ir *Irrevocable) Compute(d sim.Time) { ir.rt.proc.Advance(d.Duration()) }
 
 // RunIrrevocable executes fn as an irrevocable transaction: it blocks until
 // every DTM node has granted exclusive access, runs fn pessimistically, and

@@ -96,7 +96,7 @@ type System struct {
 	traceOut *trace.Trace
 	snap     *trace.Snapshotter
 
-	deadline sim.Time
+	deadline port.Time
 	stats    Stats
 	audit    *auditor
 	spawned  bool
@@ -145,11 +145,17 @@ func NewSystem(cfg Config) (*System, error) {
 	default:
 		s.K = sim.New(cfg.Seed)
 		s.spawn = func(name string, _ int, fn func(port.Port)) port.Port {
-			return port.SimPort{P: s.K.Spawn(name, func(p *sim.Proc) { fn(port.SimPort{P: p}) })}
+			return s.K.Spawn(name, func(p *sim.Proc) { fn(p) })
 		}
 	}
-	s.Mem = mem.New(&s.cfg.Platform)
-	s.Regs = mem.NewRegisters(&s.cfg.Platform)
+	// The platform's price list — controller queues, remote-atomic and
+	// message latencies (send) — runs only where time is virtual. What a
+	// modelled cost means in real time is HostPort.Advance's decision alone.
+	if pl := &s.cfg.Platform; s.K != nil {
+		s.Mem, s.Regs = mem.New(pl), mem.NewRegisters(pl)
+	} else {
+		s.Mem, s.Regs = mem.NewRealtime(pl), mem.NewRealtimeRegisters(pl.NumCores())
+	}
 	s.proto = &visibleProto{}
 	if cfg.Protocol == ProtocolTL2 {
 		s.proto, s.clock = &tl2Proto{}, mem.NewVClock(tl2ClockShards)
@@ -352,7 +358,7 @@ func (s *System) AddOps(n int) {
 
 // Deadline returns the stop time (set by Run): virtual on sim, monotonic
 // nanoseconds since Run on live.
-func (s *System) Deadline() sim.Time { return s.deadline }
+func (s *System) Deadline() port.Time { return s.deadline }
 
 // Run executes the workload until the deadline d — virtual time on the sim
 // backend, wall-clock time on live — then lets in-flight transactions drain
@@ -369,7 +375,7 @@ func (s *System) Run(d time.Duration) *Stats {
 	// stall among the final in-flight transactions from hanging the host
 	// process: 6x the deadline in virtual time, a wall-clock watchdog in
 	// real time.
-	return s.run(sim.Time(d), sim.Time(d)*6, 20*d+10*time.Second)
+	return s.run(port.Time(d), port.Time(d)*6, 20*d+10*time.Second)
 }
 
 // RunToCompletion executes until every worker has finished (all finite
@@ -377,12 +383,12 @@ func (s *System) Run(d time.Duration) *Stats {
 // sim backend it drains the event queue; on live it waits for the worker
 // goroutines.
 func (s *System) RunToCompletion() *Stats {
-	return s.run(sim.Infinity, sim.Infinity, 5*time.Minute)
+	return s.run(port.Infinity, port.Infinity, 5*time.Minute)
 }
 
 // run is the one run path: the kernel's event loop up to simCap on sim, the
 // real-time runtime under a watchdog otherwise.
-func (s *System) run(deadline, simCap sim.Time, watchdog time.Duration) *Stats {
+func (s *System) run(deadline, simCap port.Time, watchdog time.Duration) *Stats {
 	if s.ran {
 		panic("core: Run called twice")
 	}
@@ -403,7 +409,7 @@ func (s *System) run(deadline, simCap sim.Time, watchdog time.Duration) *Stats {
 // Run): transactions that are still aborting then are killed at their next
 // retry boundary so the drain terminates even under livelock-prone policies.
 func (s *System) liveDrainExpired() bool {
-	return s.host != nil && s.deadline != sim.Infinity && s.host.Now() >= s.deadline*6
+	return s.host != nil && s.deadline != port.Infinity && s.host.Now() >= s.deadline*6
 }
 
 // runRealtime drives one run on the real-time port runtime — the whole
@@ -515,7 +521,7 @@ func (s *System) mergeNetStats() {
 // snapshot merges the per-runtime and per-node counter shards into the
 // run's Stats. It must run after the machine quiesced (kernel drained or
 // every goroutine joined), so no shard is concurrently written.
-func (s *System) snapshot(d sim.Time) {
+func (s *System) snapshot(d port.Time) {
 	s.stats.Duration = d
 	for _, rt := range s.runtimes {
 		s.stats.Commits += rt.stats.Commits
@@ -608,14 +614,18 @@ func (s *System) stage(out *port.Outbox, st *Stats, rec *trace.Recorder, p port.
 }
 
 // send transmits payload from srcCore (running on port p) to dstPort on
-// dstCore, charging the platform's message latency (modeled on sim, ignored
-// on live). The message counters land in the sender's shard st; rec is the
-// sender's flight-recorder lane (nil when tracing is off).
+// dstCore, charging the platform's message latency on sim (real time has no
+// use for a delay and none is computed). The message counters land in the
+// sender's shard st; rec is the sender's flight-recorder lane (nil when
+// tracing is off).
 func (s *System) send(st *Stats, rec *trace.Recorder, p port.Port, srcCore int, dstPort port.Port, dstCore int, payload any, nbytes int) {
 	if rec != nil {
 		rec.Emit(p.Now(), trace.KWireSend, 0, uint64(dstCore), uint64(nbytes), 1)
 	}
-	delay := s.cfg.Platform.MsgDelay(srcCore, dstCore, nbytes, s.recvPeers(dstCore))
+	var delay time.Duration
+	if s.K != nil {
+		delay = s.cfg.Platform.MsgDelay(srcCore, dstCore, nbytes, s.recvPeers(dstCore))
+	}
 	p.Send(dstPort, payload, delay)
 	st.Msgs++
 	st.WireMsgs++
@@ -640,7 +650,10 @@ func (s *System) sendEntry(st *Stats, rec *trace.Recorder, p port.Port, srcCore 
 		// envelope; the receiver's lane answers with KEnvelopeDeliver.
 		rec.Emit(p.Now(), trace.KWireSend, 0, uint64(dstCore), uint64(e.Bytes), uint64(len(e.Payloads)))
 	}
-	delay := s.cfg.Platform.BatchDelay(srcCore, dstCore, e.Bytes, len(e.Payloads), s.recvPeers(dstCore))
+	var delay time.Duration
+	if s.K != nil {
+		delay = s.cfg.Platform.BatchDelay(srcCore, dstCore, e.Bytes, len(e.Payloads), s.recvPeers(dstCore))
+	}
 	// The outbox retains e.Payloads after the flush, so the envelope copies
 	// the staged payloads into pooled storage; the receiving mailbox recycles
 	// the envelope after unpacking it.

@@ -2,7 +2,7 @@ package core
 
 import (
 	"repro/internal/mem"
-	"repro/internal/sim"
+	"repro/internal/port"
 	"repro/internal/trace"
 )
 
@@ -161,7 +161,7 @@ func (*tl2Proto) validate(tx *Tx) (mem.Addr, bool) {
 // publish installs the new version and clears the markers: readers see the
 // marker until the very instant the new data is fully in place. The commit
 // serializes at its clock tick.
-func (*tl2Proto) publish(tx *Tx) sim.Time {
+func (*tl2Proto) publish(tx *Tx) port.Time {
 	tx.rt.s.Mem.PublishVersions(tx.rt.proc, tx.rt.core, tx.marked, tx.wv)
 	return tx.tickAt
 }

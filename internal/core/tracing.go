@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/placement"
 	"repro/internal/port"
-	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -45,7 +44,7 @@ func (n *dtmNode) emit(p port.Port, k trace.Kind, txID, a, b, c uint64) {
 // now is the backend-neutral current time for emit sites that run outside
 // any port context: envelope-deliver hooks (kernel/receiver context) and
 // the placement tracer (caller context, directory lock held).
-func (s *System) now() sim.Time {
+func (s *System) now() port.Time {
 	if s.host != nil {
 		return s.host.Now()
 	}

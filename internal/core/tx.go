@@ -9,7 +9,6 @@ import (
 	"repro/internal/hist"
 	"repro/internal/mem"
 	"repro/internal/port"
-	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -29,7 +28,7 @@ type Runtime struct {
 
 	nextTxID   uint64
 	abortSig   abortSignal // the attempt's pending abort, see signal
-	waitRng    sim.Rand    // retryWait's draws; proc.Rand's are the workload's
+	waitRng    port.Rand   // retryWait's draws; proc.Rand's are the workload's
 	stats      CoreStats
 	shard      Stats          // this core's counters, merged at snapshot
 	life       hist.Histogram // committed-transaction lifespans
@@ -112,7 +111,7 @@ func (rt *Runtime) wordBuf(n int) []uint64 {
 
 func (rt *Runtime) initLocal() {
 	rt.local = cm.NewLocal(rt.s.cfg.Policy, rt.core, rt.proc.Rand())
-	rt.waitRng = sim.NewRand(rt.s.cfg.Seed ^ (0xd1b54a32d192ed03 * uint64(rt.core+1)))
+	rt.waitRng = port.NewRand(rt.s.cfg.Seed ^ (0xd1b54a32d192ed03 * uint64(rt.core+1)))
 	rt.barrierSeen = make(map[uint64]int)
 	rt.initRPC()
 }
@@ -127,7 +126,7 @@ func (rt *Runtime) AppIndex() int { return rt.appIdx }
 func (rt *Runtime) Port() Port { return rt.proc }
 
 // Rand returns the core's deterministic random source.
-func (rt *Runtime) Rand() *sim.Rand { return rt.proc.Rand() }
+func (rt *Runtime) Rand() *port.Rand { return rt.proc.Rand() }
 
 // Mem returns the shared memory (for direct, weakly-atomic accesses; see
 // §2 — transactional data must not be accessed non-transactionally while
@@ -194,7 +193,7 @@ type Tx struct {
 	// at, kept by the protocol (the auditor's replay point): under visible
 	// reads the completion of the latest read — the only instant all of its
 	// locks are provably held — under TL2 the clock snapshot.
-	serialAt sim.Time
+	serialAt port.Time
 
 	// TL2 state (tl2.go), untouched under the visible protocol: the clock
 	// snapshot, the version each read stripe was first observed at, the
@@ -206,7 +205,7 @@ type Tx struct {
 	grantVers map[mem.Addr]uint64
 	marked    []mem.Addr
 	wv        uint64
-	tickAt    sim.Time
+	tickAt    port.Time
 }
 
 type winEntry struct {
@@ -284,7 +283,7 @@ func (rt *Runtime) RunKind(kind TxKind, fn func(*Tx)) int {
 // time advances and random draws it always has.
 func (rt *Runtime) runLoop(kind TxKind, fn func(*Tx) error) (attempts int, userErr error) {
 	rt.local.StartLifespan(rt.proc.Now())
-	var lifeStart sim.Time
+	var lifeStart port.Time
 	for {
 		attempts++
 		rt.drainRequests()
@@ -385,8 +384,8 @@ const retryWaitCap = 4 * time.Millisecond
 // so two losers do not come back in step. The draws are the runtime's own:
 // proc.Rand's belong to the workload, whose op stream must not depend on how
 // often the host made it wait.
-func (rt *Runtime) retryWait(lifeStart sim.Time) time.Duration {
-	spent := min(rt.proc.Now()-lifeStart, sim.Time(retryWaitCap))
+func (rt *Runtime) retryWait(lifeStart port.Time) time.Duration {
+	spent := min(rt.proc.Now()-lifeStart, port.Time(retryWaitCap))
 	if spent <= 0 {
 		return 0
 	}
@@ -455,7 +454,7 @@ type protocol interface {
 	validate(tx *Tx) (at mem.Addr, ok bool)
 	// publish follows the persist and returns the instant the update
 	// serializes at.
-	publish(tx *Tx) sim.Time
+	publish(tx *Tx) port.Time
 	// readsHoldLocks reports whether the read set is covered by read locks
 	// held at DTM nodes (visible reads) or by nothing outside the core.
 	readsHoldLocks() bool

@@ -5,7 +5,7 @@ import (
 	"slices"
 
 	"repro/internal/mem"
-	"repro/internal/sim"
+	"repro/internal/port"
 	"repro/internal/trace"
 )
 
@@ -53,7 +53,7 @@ func (*visibleProto) validate(tx *Tx) (mem.Addr, bool) {
 }
 
 // publish: an update serializes when its persist completes, all locks held.
-func (*visibleProto) publish(tx *Tx) sim.Time { return tx.rt.proc.Now() }
+func (*visibleProto) publish(tx *Tx) port.Time { return tx.rt.proc.Now() }
 
 // elasticRead performs a lock-free read with consecutive-read validation
 // (§6.1, elastic-read): before reading the next object, every object in the

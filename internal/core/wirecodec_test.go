@@ -10,7 +10,6 @@ import (
 	"repro/internal/cm"
 	"repro/internal/mem"
 	"repro/internal/port"
-	"repro/internal/sim"
 	"repro/internal/wire"
 )
 
@@ -21,8 +20,8 @@ import (
 type idPort struct{ id int }
 
 func (p idPort) ID() int                                { return p.id }
-func (p idPort) Now() sim.Time                          { panic("idPort: Now") }
-func (p idPort) Rand() *sim.Rand                        { panic("idPort: Rand") }
+func (p idPort) Now() port.Time                         { panic("idPort: Now") }
+func (p idPort) Rand() *port.Rand                       { panic("idPort: Rand") }
 func (p idPort) Advance(time.Duration)                  { panic("idPort: Advance") }
 func (p idPort) Pause(time.Duration)                    { panic("idPort: Pause") }
 func (p idPort) Yield()                                 { panic("idPort: Yield") }
@@ -66,7 +65,7 @@ func randMeta(r *rand.Rand) cm.Meta {
 		Core:   r.Intn(1 << 20),
 		TxID:   r.Uint64(),
 		Prio:   int64(r.Uint64()), // exercises negative priorities
-		Offset: sim.Time(r.Int63()),
+		Offset: port.Time(r.Int63()),
 	}
 }
 

@@ -6,7 +6,7 @@ import (
 	"repro/internal/apps/bank"
 	"repro/internal/apps/intset"
 	"repro/internal/core"
-	"repro/internal/sim"
+	"repro/internal/port"
 	"repro/internal/trace"
 )
 
@@ -57,7 +57,7 @@ func ablTL2(sc Scale, ov Overrides) []*Table {
 		c.Protocol = proto
 		s := ov.build(c)
 		l := intset.New(s)
-		r := sim.NewRand(sc.Seed ^ 0x77)
+		r := port.NewRand(sc.Seed ^ 0x77)
 		keyRange := uint64(2 * elems)
 		l.InitFill(elems, keyRange, &r)
 		s.SpawnWorkers(l.Worker(intset.Workload{UpdatePct: 10, KeyRange: keyRange, Mode: intset.Normal}))

@@ -6,7 +6,7 @@ import (
 	"repro/internal/apps/skiplist"
 	"repro/internal/core"
 	"repro/internal/noc"
-	"repro/internal/sim"
+	"repro/internal/port"
 )
 
 // Extension experiments beyond the paper's evaluation.
@@ -41,7 +41,7 @@ func extSkip(sc Scale, ov Overrides) []*Table {
 		cs.Seed = sc.Seed
 		s := ov.build(cs)
 		sl := skiplist.New(s)
-		r := sim.NewRand(sc.Seed ^ 0x51)
+		r := port.NewRand(sc.Seed ^ 0x51)
 		sl.InitFill(elems, keyRange, &r)
 		s.SpawnWorkers(sl.Worker(skiplist.Workload{UpdatePct: 20, KeyRange: keyRange}))
 		st = s.Run(sc.Duration)

@@ -3,7 +3,7 @@ package exp
 import (
 	"repro/internal/apps/hashset"
 	"repro/internal/core"
-	"repro/internal/sim"
+	"repro/internal/port"
 )
 
 func init() {
@@ -21,7 +21,7 @@ func hashRun(sc Scale, ov Overrides, c core.Config, nbuckets, loadFactor int, w 
 	if w.KeyRange == 0 {
 		w.KeyRange = uint64(2 * elems)
 	}
-	r := sim.NewRand(c.Seed ^ 0xabcd)
+	r := port.NewRand(c.Seed ^ 0xabcd)
 	set.InitFill(elems, w.KeyRange, &r)
 	s.SpawnWorkers(set.Worker(w))
 	return s.Run(sc.Duration)
@@ -39,9 +39,9 @@ func hashSeq(sc Scale, ov Overrides, nbuckets, loadFactor int, w hashset.Workloa
 	if w.KeyRange == 0 {
 		w.KeyRange = uint64(2 * elems)
 	}
-	r := sim.NewRand(sc.Seed ^ 0xabcd)
+	r := port.NewRand(sc.Seed ^ 0xabcd)
 	set.InitFill(elems, w.KeyRange, &r)
-	deadline := sim.Time(sc.Duration)
+	deadline := port.Time(sc.Duration)
 	s.SpawnRaw(func(p core.Port, coreID int) {
 		rr := p.Rand()
 		for p.Now() < deadline {

@@ -6,7 +6,7 @@ import (
 	"repro/internal/apps/bank"
 	"repro/internal/cm"
 	"repro/internal/core"
-	"repro/internal/sim"
+	"repro/internal/port"
 )
 
 func init() {
@@ -161,7 +161,7 @@ func fig5d(sc Scale, ov Overrides) []*Table {
 		s := ov.build(c)
 		b := bank.New(s, accounts)
 		l := bank.NewGlobalLock(s)
-		deadline := sim.Time(sc.Duration)
+		deadline := port.Time(sc.Duration)
 		s.SpawnRaw(func(p core.Port, coreID int) {
 			r := p.Rand()
 			first := coreID == s.AppCores()[0]

@@ -5,7 +5,7 @@ import (
 
 	"repro/internal/apps/mapreduce"
 	"repro/internal/core"
-	"repro/internal/sim"
+	"repro/internal/port"
 )
 
 func init() {
@@ -28,7 +28,7 @@ func mrSize(sc Scale, mb int) int {
 
 // mrParallel runs the job on n total cores (1 dedicated service core, as in
 // §5.4) and returns the completion time.
-func mrParallel(sc Scale, ov Overrides, n, size, chunk int) sim.Time {
+func mrParallel(sc Scale, ov Overrides, n, size, chunk int) port.Time {
 	c := defaultSys(n)
 	c.ServiceCores = 1
 	c.Seed = sc.Seed
@@ -43,13 +43,13 @@ func mrParallel(sc Scale, ov Overrides, n, size, chunk int) sim.Time {
 }
 
 // mrSequential runs the single-core baseline and returns its duration.
-func mrSequential(sc Scale, ov Overrides, size, chunk int) sim.Time {
+func mrSequential(sc Scale, ov Overrides, size, chunk int) port.Time {
 	c := defaultSys(2)
 	c.ServiceCores = 1
 	c.Seed = sc.Seed
 	s := ov.build(c)
 	j := mapreduce.NewJob(s, sc.Seed, size, chunk)
-	var dur sim.Time
+	var dur port.Time
 	s.SpawnRaw(func(p core.Port, coreID int) { dur = j.Sequential(p, coreID) })
 	s.RunToCompletion()
 	return dur

@@ -6,7 +6,7 @@ import (
 	"repro/internal/apps/intset"
 	"repro/internal/core"
 	"repro/internal/noc"
-	"repro/internal/sim"
+	"repro/internal/port"
 )
 
 func init() {
@@ -21,7 +21,7 @@ func listRun(sc Scale, ov Overrides, pl noc.Platform, n, elems, updatePct int, m
 	c.Seed = seed
 	s := ov.build(c)
 	l := intset.New(s)
-	r := sim.NewRand(seed ^ 0x77)
+	r := port.NewRand(seed ^ 0x77)
 	keyRange := uint64(2 * elems)
 	l.InitFill(elems, keyRange, &r)
 	s.SpawnWorkers(l.Worker(intset.Workload{UpdatePct: updatePct, KeyRange: keyRange, Mode: mode}))

@@ -9,6 +9,7 @@ import (
 	"repro/internal/apps/intset"
 	"repro/internal/core"
 	"repro/internal/noc"
+	"repro/internal/port"
 	"repro/internal/sim"
 )
 
@@ -64,7 +65,7 @@ func pingPong(pl noc.Platform, total int, msgsPerCore int, seed uint64) time.Dur
 			}
 		})
 	}
-	k.Run(sim.Infinity)
+	k.Run(port.Infinity)
 	k.Shutdown()
 	if count == 0 {
 		return 0

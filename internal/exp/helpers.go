@@ -6,7 +6,7 @@ import (
 	"repro/internal/cm"
 	"repro/internal/core"
 	"repro/internal/noc"
-	"repro/internal/sim"
+	"repro/internal/port"
 )
 
 // Overrides are cross-cutting knobs applied to every system an experiment
@@ -45,7 +45,7 @@ func (ov Overrides) build(cfg core.Config) *core.System {
 }
 
 // perMs converts an ops count over a virtual duration to ops per virtual ms.
-func perMs(ops uint64, d sim.Time) float64 {
+func perMs(ops uint64, d port.Time) float64 {
 	if d == 0 {
 		return 0
 	}

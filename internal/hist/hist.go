@@ -10,7 +10,7 @@ import (
 	"math"
 	"strings"
 
-	"repro/internal/sim"
+	"repro/internal/port"
 )
 
 // branching factor: each bucket spans a x2 range starting at 1ns, with 4
@@ -25,12 +25,12 @@ const (
 type Histogram struct {
 	counts [maxBuckets]uint64
 	n      uint64
-	sum    sim.Time
-	max    sim.Time
-	min    sim.Time
+	sum    port.Time
+	max    port.Time
+	min    port.Time
 }
 
-func bucketOf(d sim.Time) int {
+func bucketOf(d port.Time) int {
 	if d < 1 {
 		d = 1
 	}
@@ -56,18 +56,18 @@ func leadingZeros(x uint64) int {
 }
 
 // bucketLow returns the lower bound of bucket b.
-func bucketLow(b int) sim.Time {
+func bucketLow(b int) port.Time {
 	exp := b / subBuckets
 	sub := b % subBuckets
 	if exp < subBits {
-		return sim.Time(uint64(1) << uint(exp))
+		return port.Time(uint64(1) << uint(exp))
 	}
 	base := uint64(1) << uint(exp)
-	return sim.Time(base | uint64(sub)<<(uint(exp)-subBits))
+	return port.Time(base | uint64(sub)<<(uint(exp)-subBits))
 }
 
 // Observe records one duration.
-func (h *Histogram) Observe(d sim.Time) {
+func (h *Histogram) Observe(d port.Time) {
 	if d < 0 {
 		d = 0
 	}
@@ -86,22 +86,22 @@ func (h *Histogram) Observe(d sim.Time) {
 func (h *Histogram) Count() uint64 { return h.n }
 
 // Mean returns the mean observation.
-func (h *Histogram) Mean() sim.Time {
+func (h *Histogram) Mean() port.Time {
 	if h.n == 0 {
 		return 0
 	}
-	return h.sum / sim.Time(h.n)
+	return h.sum / port.Time(h.n)
 }
 
 // Max returns the largest observation.
-func (h *Histogram) Max() sim.Time { return h.max }
+func (h *Histogram) Max() port.Time { return h.max }
 
 // Min returns the smallest observation.
-func (h *Histogram) Min() sim.Time { return h.min }
+func (h *Histogram) Min() port.Time { return h.min }
 
 // Quantile returns an approximation (bucket lower bound) of quantile q in
 // [0, 1].
-func (h *Histogram) Quantile(q float64) sim.Time {
+func (h *Histogram) Quantile(q float64) port.Time {
 	if h.n == 0 {
 		return 0
 	}

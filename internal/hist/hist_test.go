@@ -6,7 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/sim"
+	"repro/internal/port"
 )
 
 func TestEmptyHistogram(t *testing.T) {
@@ -21,7 +21,7 @@ func TestEmptyHistogram(t *testing.T) {
 
 func TestBasicStats(t *testing.T) {
 	var h Histogram
-	for _, d := range []sim.Time{100, 200, 300, 400} {
+	for _, d := range []port.Time{100, 200, 300, 400} {
 		h.Observe(d)
 	}
 	if h.Count() != 4 {
@@ -46,10 +46,10 @@ func TestNegativeClampedToZeroBucket(t *testing.T) {
 func TestQuantileApproximation(t *testing.T) {
 	// Quantiles are bucket lower bounds: within ~19% below the true value.
 	var h Histogram
-	var vals []sim.Time
-	r := sim.NewRand(1)
+	var vals []port.Time
+	r := port.NewRand(1)
 	for i := 0; i < 10000; i++ {
-		v := sim.Time(r.Intn(1_000_000) + 1)
+		v := port.Time(r.Intn(1_000_000) + 1)
 		vals = append(vals, v)
 		h.Observe(v)
 	}
@@ -57,8 +57,8 @@ func TestQuantileApproximation(t *testing.T) {
 	for _, q := range []float64{0.5, 0.9, 0.99} {
 		want := vals[int(q*float64(len(vals)))-1]
 		got := h.Quantile(q)
-		lo := sim.Time(float64(want) * 0.75)
-		hi := sim.Time(float64(want) * 1.05)
+		lo := port.Time(float64(want) * 0.75)
+		hi := port.Time(float64(want) * 1.05)
 		if got < lo || got > hi {
 			t.Errorf("q%.2f = %v, want within [%v, %v] of %v", q, got, lo, hi, want)
 		}
@@ -99,7 +99,7 @@ func TestMerge(t *testing.T) {
 
 func TestBucketMonotonicProperty(t *testing.T) {
 	if err := quick.Check(func(a, b uint32) bool {
-		x, y := sim.Time(a), sim.Time(b)
+		x, y := port.Time(a), port.Time(b)
 		if x > y {
 			x, y = y, x
 		}
@@ -111,7 +111,7 @@ func TestBucketMonotonicProperty(t *testing.T) {
 
 func TestBucketLowIsLowerBoundProperty(t *testing.T) {
 	if err := quick.Check(func(v uint32) bool {
-		d := sim.Time(v) + 1
+		d := port.Time(v) + 1
 		b := bucketOf(d)
 		return bucketLow(b) <= d
 	}, nil); err != nil {

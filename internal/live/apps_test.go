@@ -27,7 +27,7 @@ import (
 	"repro/internal/cm"
 	"repro/internal/core"
 	"repro/internal/placement"
-	"repro/internal/sim"
+	"repro/internal/port"
 	"repro/internal/trace"
 )
 
@@ -136,7 +136,7 @@ func TestLiveHashSet(t *testing.T) {
 	eachVariant(t, func(t *testing.T, coalesce bool, proto core.Protocol) {
 		s := liveSystem(t, coalesce, proto, nil)
 		set := hashset.New(s, 32)
-		r := sim.NewRand(11)
+		r := port.NewRand(11)
 		keys := set.InitFill(128, 512, &r)
 		s.SpawnWorkers(set.Worker(hashset.Workload{UpdatePct: 30, KeyRange: 512}))
 		st := s.Run(liveWindow)
@@ -161,7 +161,7 @@ func TestLiveIntSet(t *testing.T) {
 			eachVariant(t, func(t *testing.T, coalesce bool, proto core.Protocol) {
 				s := liveSystem(t, coalesce, proto, nil)
 				l := intset.New(s)
-				r := sim.NewRand(13)
+				r := port.NewRand(13)
 				l.InitFill(96, 384, &r)
 				s.SpawnWorkers(l.Worker(intset.Workload{UpdatePct: 25, KeyRange: 384, Mode: mode}))
 				st := s.Run(liveWindow)
@@ -184,7 +184,7 @@ func TestLiveSkipList(t *testing.T) {
 	eachVariant(t, func(t *testing.T, coalesce bool, proto core.Protocol) {
 		s := liveSystem(t, coalesce, proto, nil)
 		l := skiplist.New(s)
-		r := sim.NewRand(17)
+		r := port.NewRand(17)
 		l.InitFill(96, 384, &r)
 		s.SpawnWorkers(l.Worker(skiplist.Workload{UpdatePct: 25, KeyRange: 384}))
 		st := s.Run(liveWindow)
@@ -253,7 +253,7 @@ func TestLiveRawBaseline(t *testing.T) {
 	s := liveSystem(t, false, core.ProtocolVisible, func(c *core.Config) { c.ServiceCores = -1; c.TotalCores = 8 })
 	b := bank.New(s, 32)
 	l := bank.NewGlobalLock(s)
-	deadline := sim.Time(liveWindow)
+	deadline := port.Time(liveWindow)
 	s.SpawnRaw(func(p core.Port, coreID int) {
 		r := p.Rand()
 		for p.Now() < deadline {

@@ -1,12 +1,13 @@
 // Package live is the real-concurrency execution backend of TM2C-Go: the
 // one-rank case of the real-time port runtime in internal/port. Every port
-// is an actual goroutine with a selective-receive mailbox, Advance is a
-// no-op (the hardware runs as fast as it runs), Now is the monotonic clock,
-// and every Send destination is local.
+// is an actual goroutine with a selective-receive mailbox, Advance takes no
+// time (the hardware runs as fast as it runs; a port only yields once per
+// fixed count of calls), Now is the monotonic clock, and every Send
+// destination is local.
 //
 // The ports implement the same port.Port contract as the deterministic
-// simulator (internal/sim via port.SimPort), so the whole DTM protocol in
-// internal/core runs on them unchanged: lock requests, scatter-gather
+// simulator's procs (*sim.Proc) and the net backend's, so the whole DTM
+// protocol in internal/core runs on them unchanged: lock requests, scatter-gather
 // commits, contention management, adaptive placement, irrevocability. What
 // changes is the meaning of time — run windows are wall-clock, message
 // latency is channel latency, and interleavings are whatever the Go

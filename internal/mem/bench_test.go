@@ -7,7 +7,7 @@ import (
 	"time"
 
 	"repro/internal/noc"
-	"repro/internal/sim"
+	"repro/internal/port"
 )
 
 // Micro-benchmarks of the four memory operations a transaction's hot path
@@ -20,7 +20,7 @@ import (
 
 type benchCtx struct{}
 
-func (benchCtx) Now() sim.Time         { return 0 }
+func (benchCtx) Now() port.Time        { return 0 }
 func (benchCtx) Advance(time.Duration) {}
 
 const benchWords = 1 << 16
@@ -39,12 +39,12 @@ func benchMem() (*Memory, Addr) {
 // benchParallel runs, on every goroutine of b.RunParallel, the operation
 // setup returns for it; setup hands each goroutine a distinct core and
 // random stream, and is where the goroutine's buffers live.
-func benchParallel(b *testing.B, setup func(core int, r *sim.Rand) func()) {
+func benchParallel(b *testing.B, setup func(core int, r *port.Rand) func()) {
 	var cores atomic.Int32
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		core := int(cores.Add(1) - 1)
-		r := sim.NewRand(uint64(core) + 1)
+		r := port.NewRand(uint64(core) + 1)
 		op := setup(core, &r)
 		for pb.Next() {
 			op()
@@ -54,7 +54,7 @@ func benchParallel(b *testing.B, setup func(core int, r *sim.Rand) func()) {
 
 func BenchmarkReadBatchTo(b *testing.B) {
 	m, base := benchMem()
-	benchParallel(b, func(core int, r *sim.Rand) func() {
+	benchParallel(b, func(core int, r *port.Rand) func() {
 		dst := make([]uint64, 1)
 		return func() { m.ReadBatchTo(benchCtx{}, core, base+Addr(r.Intn(benchWords)), dst) }
 	})
@@ -62,7 +62,7 @@ func BenchmarkReadBatchTo(b *testing.B) {
 
 func BenchmarkReadVersionedTo(b *testing.B) {
 	m, base := benchMem()
-	benchParallel(b, func(core int, r *sim.Rand) func() {
+	benchParallel(b, func(core int, r *port.Rand) func() {
 		dst := make([]uint64, 1)
 		return func() {
 			a := base + Addr(r.Intn(benchWords))
@@ -75,7 +75,7 @@ func BenchmarkReadVersionedTo(b *testing.B) {
 // always on two pages.
 func BenchmarkWriteBatchPair(b *testing.B) {
 	m, base := benchMem()
-	benchParallel(b, func(core int, r *sim.Rand) func() {
+	benchParallel(b, func(core int, r *port.Rand) func() {
 		addrs, vals := make([]Addr, 2), []uint64{1, 2}
 		return func() {
 			addrs[0], addrs[1] = base+Addr(r.Intn(benchWords)), base+Addr(r.Intn(benchWords))
@@ -91,7 +91,7 @@ func BenchmarkTL2CommitTriple(b *testing.B) {
 	m, base := benchMem()
 	vc := NewVClock(8)
 	share := benchWords / runtime.GOMAXPROCS(0)
-	benchParallel(b, func(core int, r *sim.Rand) func() {
+	benchParallel(b, func(core int, r *port.Rand) func() {
 		lo := base + Addr(core*share)
 		keys, vals := make([]Addr, 2), []uint64{3, 4}
 		return func() {

@@ -9,10 +9,11 @@
 // this ("each core adding a new element stores it in its closest memory
 // controller", §5.2).
 //
-// Accesses are charged virtual latency: distance to the controller plus a
-// queueing term, so controller congestion emerges when many cores hammer
-// the same region (the effect behind Fig. 4(b) and the elastic-read knee in
-// Fig. 7(b)).
+// In virtual time (New) accesses are charged latency: distance to the
+// controller plus a queueing term, so controller congestion emerges when
+// many cores hammer the same region (the effect behind Fig. 4(b) and the
+// elastic-read knee in Fig. 7(b)). In real time (NewRealtime) an access costs
+// what the host's memory makes it cost: it is counted, not priced.
 //
 // # Happens-before on the real-time backends
 //
@@ -46,8 +47,9 @@
 //     loaded; a page's arrays are created and found under its lock.
 //     TestDirectoryInstallRace.
 //   - Counters: a core's are written by its one goroutine and summed after
-//     Host.Shutdown has waited for it (any live test under -race); a
-//     controller's queue is one atomic word.
+//     Host.Shutdown has waited for it (any live test under -race). The
+//     controllers' queueing horizons, the one other word cores would share,
+//     do not exist in real time (NewRealtime).
 package mem
 
 import (
@@ -57,15 +59,15 @@ import (
 	"time"
 
 	"repro/internal/noc"
-	"repro/internal/sim"
+	"repro/internal/port"
 )
 
 // Ctx is the execution context charged for a memory access: any execution
 // port (a simulated proc or a live goroutine port) that can report time and
 // absorb latency. Keeping the interface this small lets mem sit below the
-// backend packages.
+// backend packages. A realtime memory never asks a Ctx the time.
 type Ctx interface {
-	Now() sim.Time
+	Now() port.Time
 	Advance(d time.Duration)
 }
 
@@ -208,7 +210,7 @@ const Nil Addr = 0
 // a cache line of its own: cores hammering different controllers share
 // nothing.
 type controller struct {
-	busy atomic.Int64  // sim.Time the controller is busy until
+	busy atomic.Int64  // port.Time the controller is busy until
 	brk  atomic.Uint64 // next unallocated word of the region
 	_    [48]byte
 }
@@ -220,7 +222,7 @@ type controller struct {
 // run concurrently, and the race detector catches a caller that breaks the
 // rule.
 type coreStats struct {
-	wait sim.Time
+	wait port.Time
 	mc   []coreMC // per controller
 	_    [32]byte
 }
@@ -241,10 +243,14 @@ const read, written = 0, 1
 // backend every lock is uncontended and behavior-free, on the live backend
 // accesses to a page linearize at its lock and others run in parallel.
 type Memory struct {
-	pl    *noc.Platform
-	dir   []dirNode                   // per-region page directory
-	mcs   []controller                // per-controller queue and bump pointer
-	stats []atomic.Pointer[coreStats] // per-core counters, summed by Stats
+	pl *noc.Platform
+	// priced: an access extends its controller's queue and advances the
+	// caller by the modelled latency. Unset (NewRealtime), it is counted and
+	// the caller advanced by nothing — a step, for the port's yield policy.
+	priced bool
+	dir    []dirNode                   // per-region page directory
+	mcs    []controller                // per-controller queue and bump pointer
+	stats  []atomic.Pointer[coreStats] // per-core counters, summed by Stats
 
 	// remote, when set, redirects word storage and allocation to another
 	// process (the net backend homes all words on rank 0). Latency is still
@@ -276,7 +282,7 @@ func (m *Memory) SetRemote(r Remote) { m.remote = r }
 type MemStats struct {
 	Reads, Writes uint64
 	PerMC         []uint64
-	WaitTime      sim.Time // total queueing delay experienced
+	WaitTime      port.Time // total queueing delay experienced
 }
 
 // Stats sums the per-core and per-controller counters. Call it after a run,
@@ -297,14 +303,23 @@ func (m *Memory) Stats() MemStats {
 	return st
 }
 
-// New returns an empty memory for the platform.
-func New(pl *noc.Platform) *Memory {
+// New returns an empty memory that charges every access the platform's
+// modelled latency: the memory of a simulated machine.
+func New(pl *noc.Platform) *Memory { return newMemory(pl, true) }
+
+// NewRealtime returns an empty memory for a backend whose time is the
+// host's: the platform gives it its shape (controllers, cores, distances for
+// NearestMC) and no prices. MemStats word counts stay exact; WaitTime is 0.
+func NewRealtime(pl *noc.Platform) *Memory { return newMemory(pl, false) }
+
+func newMemory(pl *noc.Platform, priced bool) *Memory {
 	n := pl.MCCount()
 	m := &Memory{
-		pl:    pl,
-		dir:   make([]dirNode, n),
-		mcs:   make([]controller, n),
-		stats: make([]atomic.Pointer[coreStats], pl.NumCores()),
+		pl:     pl,
+		priced: priced,
+		dir:    make([]dirNode, n),
+		mcs:    make([]controller, n),
+		stats:  make([]atomic.Pointer[coreStats], pl.NumCores()),
 	}
 	for i := range m.mcs {
 		// Start each region at word 1 so that Nil (0) is never allocated.
@@ -364,26 +379,33 @@ func (m *Memory) statsOf(core int) *coreStats {
 	}
 	n := len(m.mcs)
 	st := &coreStats{mc: make([]coreMC, n, (n+7)&^7)} // 8 x 24 B: whole lines
-	for mc := range st.mc {
-		st.mc[mc].delay = m.pl.MemDelay(core, mc)
+	if m.priced {
+		for mc := range st.mc {
+			st.mc[mc].delay = m.pl.MemDelay(core, mc)
+		}
 	}
 	m.stats[core].Store(st)
 	return st
 }
 
 // charge accounts nWords accesses of one kind (read or written) by core
-// through controller mc and advances p by their latency: queueing and
-// service at the controller plus the distance to it. The controller's queue
-// moves by one CAS: racing chargers each extend the busy horizon the other
-// left.
+// through controller mc and, where they have a price, advances p by their
+// latency: queueing and service at the controller plus the distance to it.
+// The controller's queue moves by one CAS: racing chargers each extend the
+// busy horizon the other left.
 func (m *Memory) charge(p Ctx, core, mc, nWords, kind int) {
-	st, c := m.statsOf(core), &m.mcs[mc]
+	st := m.statsOf(core)
 	acct := &st.mc[mc]
 	acct.words[kind] += uint64(nWords)
-	now, service := p.Now(), sim.Time(m.pl.MemService)*sim.Time(nWords)
+	if !m.priced {
+		p.Advance(0)
+		return
+	}
+	c := &m.mcs[mc]
+	now, service := p.Now(), port.Time(m.pl.MemService)*port.Time(nWords)
 	for {
 		busy := c.busy.Load()
-		start := max(now, sim.Time(busy))
+		start := max(now, port.Time(busy))
 		if c.busy.CompareAndSwap(busy, int64(start+service)) {
 			st.wait += start - now
 			p.Advance((start - now + service).Duration() + acct.delay)

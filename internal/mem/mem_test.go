@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/noc"
+	"repro/internal/port"
 	"repro/internal/sim"
 )
 
@@ -95,21 +96,21 @@ func TestReadAfterWrite(t *testing.T) {
 			t.Errorf("unwritten word = %d, want 0", v)
 		}
 	})
-	k.Run(sim.Infinity)
+	k.Run(port.Infinity)
 }
 
 func TestAccessChargesLatency(t *testing.T) {
 	pl, m := newTestMem()
 	k := sim.New(1)
 	a := m.Alloc(1, 0)
-	var elapsed sim.Time
+	var elapsed port.Time
 	k.Spawn("c", func(p *sim.Proc) {
 		start := p.Now()
 		m.Read(p, 0, a)
 		elapsed = p.Now() - start
 	})
-	k.Run(sim.Infinity)
-	min := sim.Time(pl.MemBase)
+	k.Run(port.Infinity)
+	min := port.Time(pl.MemBase)
 	if elapsed < min {
 		t.Fatalf("read took %v, want >= %v", elapsed, min)
 	}
@@ -120,7 +121,7 @@ func TestControllerCongestion(t *testing.T) {
 	k := sim.New(1)
 	a := m.Alloc(1, 0)
 	// Ten cores hit the same controller at t=0; later ones must queue.
-	var times []sim.Time
+	var times []port.Time
 	for c := 0; c < 10; c++ {
 		core := c
 		k.Spawn("c", func(p *sim.Proc) {
@@ -128,7 +129,7 @@ func TestControllerCongestion(t *testing.T) {
 			times = append(times, p.Now())
 		})
 	}
-	k.Run(sim.Infinity)
+	k.Run(port.Infinity)
 	st := m.Stats()
 	if st.WaitTime == 0 {
 		t.Fatal("expected queueing wait under contention")
@@ -139,7 +140,7 @@ func TestControllerCongestion(t *testing.T) {
 }
 
 func TestWriteBatchCheaperThanSingles(t *testing.T) {
-	cost := func(batch bool) sim.Time {
+	cost := func(batch bool) port.Time {
 		_, m := newTestMem()
 		k := sim.New(1)
 		addrs := make([]Addr, 16)
@@ -149,7 +150,7 @@ func TestWriteBatchCheaperThanSingles(t *testing.T) {
 			addrs[i] = base + Addr(i)
 			vals[i] = uint64(i + 1)
 		}
-		var elapsed sim.Time
+		var elapsed port.Time
 		k.Spawn("c", func(p *sim.Proc) {
 			start := p.Now()
 			if batch {
@@ -161,7 +162,7 @@ func TestWriteBatchCheaperThanSingles(t *testing.T) {
 			}
 			elapsed = p.Now() - start
 		})
-		k.Run(sim.Infinity)
+		k.Run(port.Infinity)
 		for i := range addrs {
 			if m.ReadRaw(addrs[i]) != vals[i] {
 				t.Fatalf("batch=%v lost write at %d", batch, i)
@@ -185,7 +186,7 @@ func TestWriteBatchValidation(t *testing.T) {
 		}()
 		m.WriteBatch(p, 0, []Addr{1}, nil)
 	})
-	k.Run(sim.Infinity)
+	k.Run(port.Infinity)
 }
 
 func TestWriteBatchEmptyIsFree(t *testing.T) {
@@ -198,7 +199,7 @@ func TestWriteBatchEmptyIsFree(t *testing.T) {
 			t.Errorf("empty batch consumed time")
 		}
 	})
-	k.Run(sim.Infinity)
+	k.Run(port.Infinity)
 }
 
 // Footprint returns the number of non-zero words stored, by scanning every
@@ -307,7 +308,7 @@ func TestRemoteCASChargesLatency(t *testing.T) {
 			t.Errorf("remote CAS was free")
 		}
 	})
-	k.Run(sim.Infinity)
+	k.Run(port.Infinity)
 	if _, st := r.LoadStatusLocal(40); st != TxAborted {
 		t.Fatalf("state = %v, want aborted", st)
 	}
@@ -332,7 +333,7 @@ func TestTASSemantics(t *testing.T) {
 			t.Errorf("TAS after release should return false")
 		}
 	})
-	k.Run(sim.Infinity)
+	k.Run(port.Infinity)
 }
 
 func TestTxStateString(t *testing.T) {

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"sync"
+	"time"
 
 	"repro/internal/noc"
 )
@@ -11,8 +12,9 @@ import (
 // The SCC exposes one globally accessible test-and-set register per core;
 // TM2C uses it to switch a transaction's status "atomically from pending to
 // aborted" (§4.1). We model the register as a (txID, state) word supporting
-// compare-and-swap, charged with the platform's remote-atomic latency when
-// accessed from another core and free when a core inspects its own register.
+// compare-and-swap, charged with the platform's remote-atomic latency (in
+// virtual time) when accessed from another core and free when a core
+// inspects its own register.
 type TxState uint8
 
 const (
@@ -58,7 +60,7 @@ type statusWord struct {
 // behavior-free — on the single-threaded simulation backend). The mutex is
 // never held across an Advance.
 type Registers struct {
-	pl     *noc.Platform
+	pl     *noc.Platform // the price of a remote operation; nil in real time
 	mu     sync.Mutex
 	status []statusWord
 	tas    []bool
@@ -94,14 +96,32 @@ func (r *Registers) SetRemote(owns func(core int) bool, fwd RemoteRegs) {
 	r.fwd = fwd
 }
 
-// NewRegisters returns registers for every core of the platform.
+// NewRegisters returns registers for every core of the platform, a remote
+// operation charged the platform's modelled round trip: the registers of a
+// simulated machine.
 func NewRegisters(pl *noc.Platform) *Registers {
-	n := pl.NumCores()
-	return &Registers{
-		pl:     pl,
-		status: make([]statusWord, n),
-		tas:    make([]bool, n),
+	r := NewRealtimeRegisters(pl.NumCores())
+	r.pl = pl
+	return r
+}
+
+// NewRealtimeRegisters returns registers for n cores on a backend whose
+// time is the host's: a remote operation costs the mutex it takes.
+func NewRealtimeRegisters(n int) *Registers {
+	return &Registers{status: make([]statusWord, n), tas: make([]bool, n)}
+}
+
+// chargeRemote counts one remote operation by core src on core reg's register
+// and advances p by its price.
+func (r *Registers) chargeRemote(p Ctx, src, reg int) {
+	r.mu.Lock()
+	r.RemoteOps++
+	r.mu.Unlock()
+	var d time.Duration
+	if r.pl != nil {
+		d = r.pl.AtomicDelay(src, reg)
 	}
+	p.Advance(d)
 }
 
 // Cores returns how many cores have a register here.
@@ -145,10 +165,7 @@ func (r *Registers) casLocked(owner int, txID uint64, from, to TxState) bool {
 // CASStatusRemote attempts the same swap from core src, charging the remote
 // atomic round-trip latency to p.
 func (r *Registers) CASStatusRemote(p Ctx, src, owner int, txID uint64, from, to TxState) bool {
-	r.mu.Lock()
-	r.RemoteOps++
-	r.mu.Unlock()
-	p.Advance(r.pl.AtomicDelay(src, owner))
+	r.chargeRemote(p, src, owner)
 	if r.fwd != nil && !r.owns(owner) {
 		sw, _, _ := r.fwd.CASStatus(owner, txID, from, to)
 		return sw
@@ -162,10 +179,7 @@ func (r *Registers) CASStatusRemote(p Ctx, src, owner int, txID uint64, from, to
 // committing (non-abortable) from a stale lock left by a finished attempt.
 // The swap and the observation are one atomic step.
 func (r *Registers) CASStatusRemoteObserve(p Ctx, src, owner int, txID uint64, from, to TxState) (swapped bool, obsTxID uint64, obsState TxState) {
-	r.mu.Lock()
-	r.RemoteOps++
-	r.mu.Unlock()
-	p.Advance(r.pl.AtomicDelay(src, owner))
+	r.chargeRemote(p, src, owner)
 	if r.fwd != nil && !r.owns(owner) {
 		return r.fwd.CASStatus(owner, txID, from, to)
 	}
@@ -186,10 +200,7 @@ func (r *Registers) CASStatusObserveRaw(owner int, txID uint64, from, to TxState
 // it sets the bit and returns its previous value. The caller acquired the
 // "lock" iff TAS returns false.
 func (r *Registers) TAS(p Ctx, src, reg int) bool {
-	r.mu.Lock()
-	r.RemoteOps++
-	r.mu.Unlock()
-	p.Advance(r.pl.AtomicDelay(src, reg))
+	r.chargeRemote(p, src, reg)
 	if r.fwd != nil && !r.owns(reg) {
 		return r.fwd.TAS(reg)
 	}
@@ -208,10 +219,7 @@ func (r *Registers) TASRaw(reg int) bool {
 
 // TASRelease clears core reg's test-and-set bit from core src.
 func (r *Registers) TASRelease(p Ctx, src, reg int) {
-	r.mu.Lock()
-	r.RemoteOps++
-	r.mu.Unlock()
-	p.Advance(r.pl.AtomicDelay(src, reg))
+	r.chargeRemote(p, src, reg)
 	if r.fwd != nil && !r.owns(reg) {
 		r.fwd.TASRelease(reg)
 		return

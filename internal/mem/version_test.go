@@ -3,6 +3,7 @@ package mem
 import (
 	"testing"
 
+	"repro/internal/port"
 	"repro/internal/sim"
 )
 
@@ -115,7 +116,7 @@ func TestVersionTableLifecycle(t *testing.T) {
 			t.Errorf("after abort unlock: ver=%#x locked=%v, want %#x unlocked", got, locked, wv)
 		}
 	})
-	k.Run(sim.Infinity)
+	k.Run(port.Infinity)
 }
 
 func TestVersionOpsChargeMemoryTraffic(t *testing.T) {
@@ -145,7 +146,7 @@ func TestVersionOpsChargeMemoryTraffic(t *testing.T) {
 			t.Error("VersionRaw charged latency")
 		}
 	})
-	k.Run(sim.Infinity)
+	k.Run(port.Infinity)
 }
 
 func TestDoubleLockVersionPanics(t *testing.T) {
@@ -161,7 +162,7 @@ func TestDoubleLockVersionPanics(t *testing.T) {
 		}()
 		m.LockVersions(p, 0, []Addr{base})
 	})
-	k.Run(sim.Infinity)
+	k.Run(port.Infinity)
 }
 
 func TestUnlockUnmarkedVersionPanics(t *testing.T) {

@@ -31,7 +31,7 @@ import (
 	"repro/internal/apps/skiplist"
 	"repro/internal/cm"
 	"repro/internal/core"
-	"repro/internal/sim"
+	"repro/internal/port"
 	"repro/internal/trace"
 )
 
@@ -68,7 +68,7 @@ var netApps = map[string]netApp{
 	"hashset": {
 		run: func(s *core.System) (*core.Stats, func() error) {
 			set := hashset.New(s, 32)
-			r := sim.NewRand(11)
+			r := port.NewRand(11)
 			keys := set.InitFill(128, 512, &r)
 			s.SpawnWorkers(set.Worker(hashset.Workload{UpdatePct: 30, KeyRange: 512}))
 			st := s.Run(netWindow)
@@ -90,7 +90,7 @@ var netApps = map[string]netApp{
 	"intset": {
 		run: func(s *core.System) (*core.Stats, func() error) {
 			l := intset.New(s)
-			r := sim.NewRand(13)
+			r := port.NewRand(13)
 			l.InitFill(96, 384, &r)
 			s.SpawnWorkers(l.Worker(intset.Workload{UpdatePct: 25, KeyRange: 384, Mode: intset.ElasticEarly}))
 			st := s.Run(netWindow)
@@ -111,7 +111,7 @@ var netApps = map[string]netApp{
 	"skiplist": {
 		run: func(s *core.System) (*core.Stats, func() error) {
 			l := skiplist.New(s)
-			r := sim.NewRand(17)
+			r := port.NewRand(17)
 			l.InitFill(96, 384, &r)
 			s.SpawnWorkers(l.Worker(skiplist.Workload{UpdatePct: 25, KeyRange: 384}))
 			st := s.Run(netWindow)

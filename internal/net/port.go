@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/port"
-	"repro/internal/sim"
 	"repro/internal/wire"
 )
 
@@ -31,8 +30,8 @@ func (s *Stub) remoteUse(method string) string {
 	return fmt.Sprintf("net: %s on %q, a stub for rank %d — remote ports are Send destinations only", method, s.name, s.rank)
 }
 
-func (s *Stub) Now() sim.Time                          { panic(s.remoteUse("Now")) }
-func (s *Stub) Rand() *sim.Rand                        { panic(s.remoteUse("Rand")) }
+func (s *Stub) Now() port.Time                         { panic(s.remoteUse("Now")) }
+func (s *Stub) Rand() *port.Rand                       { panic(s.remoteUse("Rand")) }
 func (s *Stub) Advance(time.Duration)                  { panic(s.remoteUse("Advance")) }
 func (s *Stub) Pause(time.Duration)                    { panic(s.remoteUse("Pause")) }
 func (s *Stub) Yield()                                 { panic(s.remoteUse("Yield")) }

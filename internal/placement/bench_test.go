@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/mem"
-	"repro/internal/sim"
+	"repro/internal/port"
 )
 
 // The benchmarks and the allocation test share bench/'s microPlacement
@@ -27,7 +27,7 @@ func benchDirectory(tb testing.TB, kind Kind) *Directory {
 // uniformKeys returns n uniformly drawn keys; n is a power of two so the
 // loops below index it with a mask.
 func uniformKeys(n int) []mem.Addr {
-	r := sim.NewRand(1)
+	r := port.NewRand(1)
 	keys := make([]mem.Addr, n)
 	for i := range keys {
 		keys[i] = mem.Addr(r.Intn(benchWords))

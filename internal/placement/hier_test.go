@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/mem"
-	"repro/internal/sim"
+	"repro/internal/port"
 )
 
 // TestHierSplitMergeProperty drives hierarchical directories through random
@@ -16,7 +16,7 @@ import (
 // handoff on a stripe whose leaf has merged away or was dropped by a sleep
 // is sound (leaves are heat only; nothing pins one).
 func TestHierSplitMergeProperty(t *testing.T) {
-	r := sim.NewRand(99)
+	r := port.NewRand(99)
 	for trial := 0; trial < 20; trial++ {
 		nodes := 2 + r.Intn(6)
 		stripes := 64 << r.Intn(3)
@@ -152,19 +152,19 @@ func drain(d *Directory) {
 // leaf table stays inside the cap and still moves its head.
 func TestHeatPlaneSleepsAndWakes(t *testing.T) {
 	const words = 1 << 20
-	uniform := func(r *sim.Rand) mem.Addr { return mem.Addr(r.Intn(words)) }
+	uniform := func(r *port.Rand) mem.Addr { return mem.Addr(r.Intn(words)) }
 	dormant := func(t *testing.T, d *Directory, peak int) {
 		if d.Migrations != 0 || d.Splits != 0 || d.AwakeEpochs != 0 || peak != 0 {
 			t.Errorf("uniform stream: %d migrations, %d splits, awake %d of %d epochs, peak %d leaves; want none",
 				d.Migrations, d.Splits, d.AwakeEpochs, d.Evaluated, peak)
 		}
-		r := sim.NewRand(2)
+		r := port.NewRand(2)
 		if got := testing.AllocsPerRun(4096, func() { d.Record(0, uniform(&r)) }); got != 0 {
 			t.Errorf("dormant Record allocates %.3f times per key, want 0", got)
 		}
 	}
 	// Half the accesses on four stripes that all start on node 0 of 6.
-	hot4 := func(r *sim.Rand) mem.Addr {
+	hot4 := func(r *port.Rand) mem.Addr {
 		if r.Intn(2) == 0 {
 			return mem.Addr(6000 * r.Intn(4))
 		}
@@ -174,14 +174,14 @@ func TestHeatPlaneSleepsAndWakes(t *testing.T) {
 	// universe by an odd multiplier so the head stripes sit in distinct
 	// leaves and each needs a slot of its own.
 	zipfStripe := func(rank int) int { return rank * 2654435761 % words }
-	zipf := func(r *sim.Rand) mem.Addr {
+	zipf := func(r *port.Rand) mem.Addr {
 		const e = 1 - 0.99
 		x := math.Pow((math.Pow(words, e)-1)*r.Float64()+1, 1/e)
 		return mem.Addr(zipfStripe(min(int(x), words) - 1))
 	}
 	type phase struct {
 		epochs int
-		key    func(*sim.Rand) mem.Addr
+		key    func(*port.Rand) mem.Addr
 		after  func(t *testing.T, d *Directory, peak int) // peak: most leaves any epoch so far ended with
 	}
 	for _, tc := range []struct {
@@ -246,7 +246,7 @@ func TestHeatPlaneSleepsAndWakes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			r, peak := sim.NewRand(1), 0
+			r, peak := port.NewRand(1), 0
 			for _, ph := range tc.phases {
 				for e := 0; e < ph.epochs; e++ {
 					for i := 0; i < tc.evalEvery-1; i++ {
@@ -281,7 +281,7 @@ func TestHierDirectoryWorkIsOTouched(t *testing.T) {
 		t.Fatalf("leaf universe = %d, want %d", d.LeafUniverse(), universeWords/256)
 	}
 	// A 4096-word working set scattered across the universe.
-	r := sim.NewRand(7)
+	r := port.NewRand(7)
 	keys := make([]mem.Addr, 4096)
 	for i := range keys {
 		keys[i] = mem.Addr(r.Intn(universeWords))
@@ -317,7 +317,7 @@ func TestHierCoMappingPullsDataToAccessors(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := sim.NewRand(11)
+		r := port.NewRand(11)
 		// Cluster 0 hammers stripes whose interleaved default owners sit in
 		// cluster 1 and vice versa: every access starts remote, and only
 		// affinity-aware migration can fix it. Heat is skewed (Zipf-ish via

@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/mem"
-	"repro/internal/sim"
+	"repro/internal/port"
 )
 
 func TestParseAndString(t *testing.T) {
@@ -67,7 +67,7 @@ func TestHashMatchesLegacyNodeFor(t *testing.T) {
 // frozen key, and (c) ownership only changes when the epoch changes — i.e.
 // every key has exactly one owner per epoch, with no loss or duplication.
 func TestDirectoryOwnershipProperty(t *testing.T) {
-	r := sim.NewRand(42)
+	r := port.NewRand(42)
 	for trial := 0; trial < 25; trial++ {
 		nodes := 2 + r.Intn(6)
 		stripes := 16 << r.Intn(3)

@@ -81,9 +81,7 @@ func runSim(t *testing.T, _ bool, recv, send actor) {
 	k := sim.New(rigSeed)
 	var ports [2]port.Port
 	for i, fn := range []actor{recv, send} {
-		ports[i] = port.SimPort{P: k.Spawn(fmt.Sprint("actor", i), func(p *sim.Proc) {
-			fn(port.SimPort{P: p}, ports[1-i])
-		})}
+		ports[i] = k.Spawn(fmt.Sprint("actor", i), func(p *sim.Proc) { fn(p, ports[1-i]) })
 	}
 	k.Run(sim.Infinity) // an empty event queue is quiescence
 	k.Shutdown()
@@ -309,7 +307,7 @@ var contract = []contractCase{
 				dr, ok := self.(deadliner)
 				if !ok {
 					// Virtual time has no lost messages to bound.
-					if _, isSim := self.(port.SimPort); !isSim {
+					if _, isSim := self.(*sim.Proc); !isSim {
 						t.Errorf("%T lacks RecvMatchTimeout", self)
 					}
 					self.Send(peer, &note{V: 1}, 0)
@@ -417,7 +415,7 @@ func TestHostFaultPropagation(t *testing.T) {
 // HostPort is a programming error, not a silent drop.
 func TestHostSendLocalOnly(t *testing.T) {
 	h := port.NewHost(1, port.Bounded, nil)
-	h.Spawn("p", func(p port.Port) { p.Send(port.SimPort{}, &note{}, 0) })
+	h.Spawn("p", func(p port.Port) { p.Send((*sim.Proc)(nil), &note{}, 0) })
 	h.Start()
 	defer func() {
 		if r := recover(); r == nil {
@@ -425,4 +423,49 @@ func TestHostSendLocalOnly(t *testing.T) {
 		}
 	}()
 	h.Shutdown()
+}
+
+// TestSimSendLocalOnly: the same on the kernel — a proc can only send to a
+// proc, and says so out of Run instead of dropping the message.
+func TestSimSendLocalOnly(t *testing.T) {
+	k := sim.New(1)
+	k.Spawn("p", func(p *sim.Proc) { p.Send((*port.HostPort)(nil), &note{}, 0) })
+	defer func() {
+		if r := recover(); r == nil {
+			t.Fatal("Send to a foreign port type did not fault")
+		}
+	}()
+	k.Run(sim.Infinity)
+}
+
+// TestPauseIsAdvanceOnSim: in virtual time a wait and a cost are the same
+// kernel event. Three procs interleaving random delays fire the same number
+// of events, wake at the same instants and fold to the same trace hash
+// whether they move the clock through Pause or through Advance — which is
+// why moving the simulator's wait sites onto Pause moves no fingerprint.
+func TestPauseIsAdvanceOnSim(t *testing.T) {
+	run := func(wait func(port.Port, time.Duration)) (events uint64, woke [3][]port.Time, hash uint64) {
+		k := sim.New(7)
+		k.EnableTraceHash()
+		for i := range woke {
+			i := i
+			k.Spawn("p", func(p *sim.Proc) {
+				for j := 0; j < 20; j++ {
+					wait(p, time.Duration(p.Rand().Intn(1000)))
+					woke[i] = append(woke[i], p.Now())
+				}
+			})
+		}
+		k.Run(sim.Infinity)
+		k.Shutdown()
+		return k.EventsRun(), woke, k.TraceHash()
+	}
+	ae, aw, ah := run(port.Port.Advance)
+	pe, pw, ph := run(port.Port.Pause)
+	if ae != pe || ah != ph || !reflect.DeepEqual(aw, pw) {
+		t.Fatalf("Advance: %d events, hash %#x, wakes %v\nPause:   %d events, hash %#x, wakes %v", ae, ah, aw, pe, ph, pw)
+	}
+	if last := aw[0][len(aw[0])-1]; last == 0 {
+		t.Fatal("the clock never moved")
+	}
 }

@@ -5,8 +5,6 @@ import (
 	"runtime"
 	"sync"
 	"time"
-
-	"repro/internal/sim"
 )
 
 // The real-time port runtime: goroutine ports with a selective-receive
@@ -47,7 +45,7 @@ const boundedCap = 4096
 // token for its parked receiver.
 type unbounded struct {
 	mu   sync.Mutex
-	q    sim.MsgQueue
+	q    MsgQueue
 	wake chan struct{} // cap 1: at least one token while q is non-empty
 }
 
@@ -139,7 +137,7 @@ func (h *Host) Spawn(name string, fn func(Port)) *HostPort {
 		host: h,
 		id:   id,
 		name: name,
-		rng:  sim.NewRand(h.seed ^ (0x9e3779b97f4a7c15 * uint64(id+1))),
+		rng:  NewRand(h.seed ^ (0x9e3779b97f4a7c15 * uint64(id+1))),
 	}
 	if h.queue == Bounded {
 		p.ch = make(chan Msg, boundedCap)
@@ -175,12 +173,12 @@ func (h *Host) Start() {
 	close(h.started)
 }
 
-// Now returns the monotonic time since Start as a sim.Time (nanoseconds);
+// Now returns the monotonic time since Start as a Time (nanoseconds);
 // zero before Start.
-func (h *Host) Now() sim.Time {
+func (h *Host) Now() Time {
 	select {
 	case <-h.started:
-		return sim.Time(time.Since(h.start))
+		return Time(time.Since(h.start))
 	default:
 		return 0
 	}
@@ -251,13 +249,13 @@ type HostPort struct {
 	// receive does not invalidate every sender's copy of the inbox pointer.
 	_ [64]byte
 
-	rng  sim.Rand
-	owed time.Duration // modelled time advanced through since the last yield
+	rng   Rand
+	steps int // Advance calls since the last yield
 
 	// stash holds delivered-but-deferred messages in delivery order:
 	// everything RecvMatch/TryRecvMatch skipped — the same MsgQueue the sim
 	// kernel's procs use as their mailbox.
-	stash sim.MsgQueue
+	stash MsgQueue
 
 	onBatch func(n int)
 	timer   *time.Timer // reused by the deadline receives and parked pauses
@@ -269,7 +267,7 @@ var _ Port = (*HostPort)(nil)
 // this port unpacks (called with the envelope's payload count, on the
 // port's own goroutine). Install it before Host.Start; nil disables it. The
 // hook sits outside the Port interface — observers discover it by type
-// assertion, as they do on SimPort.
+// assertion, as they do on *sim.Proc.
 func (p *HostPort) SetBatchHook(fn func(n int)) { p.onBatch = fn }
 
 // ID returns the spawn-order port identifier.
@@ -279,33 +277,34 @@ func (p *HostPort) ID() int { return p.id }
 func (p *HostPort) Name() string { return p.name }
 
 // Now returns monotonic nanoseconds since Start.
-func (p *HostPort) Now() sim.Time { return sim.Time(time.Since(p.host.start)) }
+func (p *HostPort) Now() Time { return Time(time.Since(p.host.start)) }
 
 // Rand returns the port's deterministic random source.
-func (p *HostPort) Rand() *sim.Rand { return &p.rng }
+func (p *HostPort) Rand() *Rand { return &p.rng }
 
-// yieldQuantum is how much modelled time a port may Advance through before
-// it yields the processor once. Measured at 1, 4, 16, 32 and 64 us
-// (CHANGES.md, PR 19): at 1 us live-readmostly-tl2 loses a third of its
-// throughput to scheduler round trips, past 32 us its p99 grows by half (a
-// port holds its P through several transactions while a runnable one
-// waits), live-bank is flat from 4 us up. At 16 us a spin that waits
-// through Advance in 100-300 ns steps still yields every 50-160 turns.
-const yieldQuantum = 16 * time.Microsecond
+// yieldEvery is how many Advance calls a port makes between two yields of
+// the processor. A call is one charged step (a memory access, a wrapper, a
+// DTM service); the benchmark workloads make 16-21 per operation. Measured
+// at 4, 16, 64, 256 and 1024 (docs/perf/PR-24.md): at 4 live-readmostly-tl2
+// loses a third of its throughput to scheduler round trips, from 256 up its
+// p99 doubles (a port holds its P through a dozen transactions while a
+// runnable one waits), live-bank's throughput is flat from 16 up. The 16 us
+// of modelled time this constant replaces came to 42-49 calls.
+const yieldEvery = 64
 
-// Advance consumes no real time: d is the simulator's price for a step the
-// hardware here has just executed at its own speed. What remains of it in
-// real time is fairness: a port that computes without ever blocking (a
-// register spin, a long read-only scan) must not starve the goroutines
-// around it. So the port totals d and yields once per yieldQuantum of it: a
-// spin every few dozen turns, and a transaction's compute costs (a few us
-// per attempt) do not cost a scheduler round trip each. Waiting is Pause.
+// Advance consumes no real time and ignores d: d is the simulator's price
+// for a step the hardware here has just executed at its own speed, and no
+// real-time backend computes one. What remains of a charged step is
+// fairness: a port that computes without ever blocking (a register spin, a
+// long read-only scan) must not starve the goroutines around it, so the port
+// yields once per yieldEvery calls. This is the one place that decides what
+// a modelled cost means in real time. Waiting is Pause.
 func (p *HostPort) Advance(d time.Duration) {
 	if d < 0 {
 		panic(fmt.Sprintf("port: %s: negative advance %v", p.name, d))
 	}
-	if p.owed += d; p.owed >= yieldQuantum {
-		p.owed = 0
+	if p.steps++; p.steps == yieldEvery {
+		p.steps = 0
 		runtime.Gosched()
 	}
 }

@@ -1,13 +1,10 @@
 package port
 
 import (
-	"reflect"
 	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"repro/internal/sim"
 )
 
 // onOneP runs fn as the only port of a Host on a single P, next to an
@@ -44,75 +41,44 @@ func onOneP(t *testing.T, fn func(p Port, turns *atomic.Int64)) {
 	<-observed
 }
 
-// TestAdvanceYieldsOncePerQuantum: a port that advances through k quanta of
-// modelled time in small steps gives the processor away k times, not once
-// per step.
+// TestAdvanceYieldsOncePerQuantum: a port that makes k*yieldEvery Advance
+// calls gives the processor away k times, not once per call — whatever the
+// modelled cost passed, zero included: in real time a step is a step.
 func TestAdvanceYieldsOncePerQuantum(t *testing.T) {
-	const quanta, stepsPerQuantum = 50, 16
-	var yields int64
-	onOneP(t, func(p Port, turns *atomic.Int64) {
-		before := turns.Load()
-		for i := 0; i < quanta*stepsPerQuantum; i++ {
-			p.Advance(yieldQuantum / stepsPerQuantum)
+	const quanta = 50
+	for _, d := range []time.Duration{0, 100 * time.Nanosecond, time.Hour} {
+		var yields int64
+		onOneP(t, func(p Port, turns *atomic.Int64) {
+			before := turns.Load()
+			for i := 0; i < quanta*yieldEvery; i++ {
+				p.Advance(d)
+			}
+			yields = turns.Load() - before
+		})
+		// One observer turn per yield, give or take what else the scheduler
+		// had to run on the one P (a timer or GC worker in place of the
+		// observer).
+		if yields < quanta-3 || yields > quanta+3 {
+			t.Errorf("%d calls of Advance(%v) let the observer run %d times, want %d", quanta*yieldEvery, d, yields, quanta)
 		}
-		yields = turns.Load() - before
-	})
-	// One observer turn per yield, give or take what else the scheduler had
-	// to run on the one P (a timer or GC worker in place of the observer).
-	if yields < quanta-3 || yields > quanta+3 {
-		t.Fatalf("%d steps through %d quanta let the observer run %d times, want %d", quanta*stepsPerQuantum, quanta, yields, quanta)
 	}
 }
 
 // TestSpinOnAdvanceCannotStarve: a goroutine that spins on a charged step —
 // a test-and-set loop pays Advance per probe — must let the goroutine it
-// waits for run even when both share one P. The spin ends
-// after about one quantum's worth of turns: well inside the 10 ms the
-// runtime would take to preempt a spin that never yielded, by which time
-// the loop below would have gone round a million times.
+// waits for run even when both share one P. The spin ends within a few
+// times yieldEvery turns: well inside the 10 ms the runtime would take to
+// preempt a spin that never yielded, by which time the loop below would have
+// gone round a million times.
 func TestSpinOnAdvanceCannotStarve(t *testing.T) {
-	const step = 100 * time.Nanosecond
 	spins := 0
 	onOneP(t, func(p Port, turns *atomic.Int64) {
 		for from := turns.Load(); turns.Load() == from; spins++ {
-			p.Advance(step)
+			p.Advance(0)
 		}
 	})
-	if limit := 4 * int(yieldQuantum/step); spins > limit {
+	if limit := 4 * yieldEvery; spins > limit {
 		t.Fatalf("the spin went round %d times before the other goroutine ran, want at most %d", spins, limit)
-	}
-}
-
-// TestPauseIsAdvanceOnSim: in virtual time a wait and a cost are the same
-// kernel event. Three procs interleaving random delays fire the same number
-// of events, wake at the same instants and fold to the same trace hash
-// whether they move the clock through Pause or through Advance — which is
-// why moving the simulator's wait sites onto Pause moves no fingerprint.
-func TestPauseIsAdvanceOnSim(t *testing.T) {
-	run := func(wait func(Port, time.Duration)) (events uint64, woke [3][]sim.Time, hash uint64) {
-		k := sim.New(7)
-		k.EnableTraceHash()
-		for i := range woke {
-			i := i
-			k.Spawn("p", func(pr *sim.Proc) {
-				p := SimPort{P: pr}
-				for j := 0; j < 20; j++ {
-					wait(p, time.Duration(p.Rand().Intn(1000)))
-					woke[i] = append(woke[i], p.Now())
-				}
-			})
-		}
-		k.Run(sim.Infinity)
-		k.Shutdown()
-		return k.EventsRun(), woke, k.TraceHash()
-	}
-	ae, aw, ah := run(Port.Advance)
-	pe, pw, ph := run(Port.Pause)
-	if ae != pe || ah != ph || !reflect.DeepEqual(aw, pw) {
-		t.Fatalf("Advance: %d events, hash %#x, wakes %v\nPause:   %d events, hash %#x, wakes %v", ae, ah, aw, pe, ph, pw)
-	}
-	if last := aw[0][len(aw[0])-1]; last == 0 {
-		t.Fatal("the clock never moved")
 	}
 }
 

@@ -1,19 +1,5 @@
 package port
 
-import "repro/internal/sim"
-
-// Batch is the multi-payload wire envelope backends unpack at the receiving
-// mailbox. It is sim.Batch verbatim, re-exported so protocol code above the
-// port seam never imports a backend for it.
-type Batch = sim.Batch
-
-// GetBatch and PutBatch expose the shared envelope pool (see sim.GetBatch):
-// senders draw pooled envelopes, the unpacking mailbox recycles them.
-var (
-	GetBatch = sim.GetBatch
-	PutBatch = sim.PutBatch
-)
-
 // Outbox is the coalescing half of the message plane: protocol endpoints
 // stage typed payloads into it per destination and flush at explicit
 // protocol points (the end of a commit scatter burst, of a release burst,
@@ -40,11 +26,11 @@ type Outbox struct {
 
 // OutEntry is the staged traffic for one destination.
 type OutEntry struct {
-	Dst      Port     // destination port
-	DstTag   int      // caller-supplied destination tag (e.g. physical core ID)
-	Payloads []any    // staged payloads, in staged order
-	Bytes    int      // summed modeled payload bytes
-	First    sim.Time // when the entry's first payload was staged
+	Dst      Port  // destination port
+	DstTag   int   // caller-supplied destination tag (e.g. physical core ID)
+	Payloads []any // staged payloads, in staged order
+	Bytes    int   // summed modeled payload bytes
+	First    Time  // when the entry's first payload was staged
 }
 
 // Stage queues payload for dst, to be sent at the next Flush. dstTag is an
@@ -53,7 +39,7 @@ type OutEntry struct {
 // the port interface does not expose). nbytes is the payload's modeled
 // on-wire size; now stamps the entry's First when this payload opens it, so
 // flush policies can age-bound staged traffic.
-func (o *Outbox) Stage(dst Port, dstTag int, payload any, nbytes int, now sim.Time) {
+func (o *Outbox) Stage(dst Port, dstTag int, payload any, nbytes int, now Time) {
 	if o.index == nil {
 		o.index = make(map[int]int)
 	}

@@ -3,8 +3,6 @@ package port
 import (
 	"testing"
 	"time"
-
-	"repro/internal/sim"
 )
 
 // fakePort implements Port with just enough behavior for Outbox keying;
@@ -12,8 +10,8 @@ import (
 type fakePort struct{ id int }
 
 func (f fakePort) ID() int                                 { return f.id }
-func (f fakePort) Now() sim.Time                           { return 0 }
-func (f fakePort) Rand() *sim.Rand                         { return nil }
+func (f fakePort) Now() Time                               { return 0 }
+func (f fakePort) Rand() *Rand                             { return nil }
 func (f fakePort) Advance(time.Duration)                   {}
 func (f fakePort) Pause(time.Duration)                     {}
 func (f fakePort) Yield()                                  {}
@@ -32,7 +30,7 @@ type snapshot struct {
 	dstTag   int
 	payloads []any
 	bytes    int
-	first    sim.Time
+	first    Time
 }
 
 func snap(e *OutEntry) snapshot {

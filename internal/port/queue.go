@@ -1,8 +1,8 @@
-package sim
+package port
 
 // MsgQueue is an in-order message queue with selective take: the mailbox
-// representation shared by every execution backend (the kernel's procs here,
-// the live backend's stash of deferred messages). Messages keep their
+// representation shared by every execution backend (the sim kernel's procs,
+// the real-time runtime's stash of deferred messages). Messages keep their
 // delivery order; TakeMatch removes the earliest message satisfying a
 // predicate and leaves the rest untouched. The zero value is an empty queue.
 //

@@ -1,9 +1,9 @@
-package sim
+package port
 
 // Rand is a small, fast, deterministic pseudo-random source
-// (splitmix64-seeded xorshift128+). Each Proc owns one, derived from the
-// kernel seed and the proc ID, so simulations are reproducible regardless of
-// goroutine scheduling.
+// (splitmix64-seeded xorshift128+). Each port owns one, derived from the
+// system seed and the port ID the same way on every backend, so workload
+// shapes are reproducible regardless of goroutine scheduling.
 type Rand struct {
 	s0, s1 uint64
 }
@@ -41,7 +41,7 @@ func (r *Rand) Uint64() uint64 {
 // Intn returns a uniform value in [0, n). It panics if n <= 0.
 func (r *Rand) Intn(n int) int {
 	if n <= 0 {
-		panic("sim: Intn with non-positive n")
+		panic("port: Intn with non-positive n")
 	}
 	return int(r.Uint64() % uint64(n))
 }

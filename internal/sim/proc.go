@@ -2,65 +2,18 @@ package sim
 
 import (
 	"fmt"
-	"sync"
 	"time"
+
+	"repro/internal/port"
 )
-
-// Msg is a message delivered to a Proc's mailbox.
-type Msg struct {
-	From    int  // sender proc ID
-	SentAt  Time // virtual time the send was issued
-	At      Time // virtual delivery time
-	Payload any  // application payload
-}
-
-// Batch is a multi-payload wire envelope: one physical message carrying
-// several protocol payloads coalesced for the same destination (the
-// message-plane transport optimization behind port.Outbox). Every backend
-// unpacks the envelope at the receiving mailbox — each payload becomes its
-// own Msg, in staged order, with the envelope's sender and timestamps — so
-// receivers and their selective-receive predicates never observe a Batch.
-// The sender charges the wire cost of the envelope once (noc.BatchDelay);
-// delivery as individual messages is free. Payloads must be non-empty:
-// both backends reject an empty envelope loudly rather than diverge on
-// what a message that delivers nothing means.
-type Batch struct {
-	Payloads []any
-}
-
-// batchPool recycles Batch envelopes and their payload backing arrays. The
-// lifetime is one wire hop: a sender draws an envelope with GetBatch and
-// copies the staged payloads in; the receiving mailbox unpacks it and hands
-// it back with PutBatch. Envelopes that are never unpacked (a shutdown drops
-// the mailbox) simply fall to the garbage collector.
-var batchPool = sync.Pool{New: func() any { return new(Batch) }}
-
-// GetBatch returns an empty envelope from the pool. Its Payloads slice is
-// length zero but may retain capacity from a previous hop.
-func GetBatch() *Batch {
-	b := batchPool.Get().(*Batch)
-	b.Payloads = b.Payloads[:0]
-	return b
-}
-
-// PutBatch recycles an unpacked envelope. The caller must be done with b and
-// with the Payloads slice header (the payload values themselves have already
-// been re-homed into the receiver's mailbox).
-func PutBatch(b *Batch) {
-	for i := range b.Payloads {
-		b.Payloads[i] = nil
-	}
-	b.Payloads = b.Payloads[:0]
-	batchPool.Put(b)
-}
 
 // killSentinel is panicked out of park() during Kernel.Shutdown so that the
 // spawn wrapper can unwind a blocked proc's goroutine.
 type killSentinel struct{}
 
-// Proc is a simulated process (one core, one service loop, ...). All methods
-// except ID and Name must be called only from the proc's own goroutine while
-// it is the running process.
+// Proc is a simulated process (one core, one service loop, ...) and the sim
+// backend's port.Port. All methods except ID and Name must be called only
+// from the proc's own goroutine while it is the running process.
 type Proc struct {
 	k    *Kernel
 	id   int
@@ -70,7 +23,7 @@ type Proc struct {
 	started  bool
 	finished bool
 
-	mbox    MsgQueue
+	mbox    port.MsgQueue
 	waiting bool
 	tgen    uint64 // generation counter cancelling stale RecvTimeout timers
 
@@ -81,6 +34,8 @@ type Proc struct {
 
 	rng Rand
 }
+
+var _ port.Port = (*Proc)(nil)
 
 // SetBatchHook installs fn to observe every multi-payload Batch envelope
 // delivered to this proc (called with the envelope's payload count at the
@@ -127,9 +82,6 @@ func (p *Proc) ID() int { return p.id }
 // Name returns the name given at Spawn time.
 func (p *Proc) Name() string { return p.name }
 
-// Kernel returns the owning kernel.
-func (p *Proc) Kernel() *Kernel { return p.k }
-
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.k.now }
 
@@ -158,6 +110,10 @@ func (p *Proc) Advance(d time.Duration) {
 	p.park()
 }
 
+// Pause waits d of virtual time: the same kernel event as Advance, since in
+// virtual time a cost and a wait are both just the clock moving.
+func (p *Proc) Pause(d time.Duration) { p.Advance(d) }
+
 // Yield reschedules the proc at the current instant behind already-pending
 // events, letting same-timestamp work elsewhere proceed first.
 func (p *Proc) Yield() {
@@ -169,22 +125,21 @@ func (p *Proc) Yield() {
 // Send delivers payload to dst after the given delay. Messages between the
 // same (src, dst) pair are never reordered: if a later send computes an
 // earlier delivery time it is clamped to the previous delivery time.
-// Send does not block the sender.
-func (p *Proc) Send(dst *Proc, payload any, delay time.Duration) {
-	p.k.SendFrom(p.id, dst, payload, delay)
-}
-
-// SendFrom is Send with an explicit source ID; the kernel may use it from
-// event context (e.g. environment-injected messages).
-func (k *Kernel) SendFrom(src int, dst *Proc, payload any, delay time.Duration) {
+// Send does not block the sender. dst must be a proc (of the same kernel).
+func (p *Proc) Send(dst port.Port, payload any, delay time.Duration) {
+	d, ok := dst.(*Proc)
+	if !ok {
+		panic(fmt.Sprintf("sim: Send to foreign port type %T", dst))
+	}
 	if delay < 0 {
 		panic(fmt.Sprintf("sim: negative send delay %v", delay))
 	}
-	if b, ok := payload.(*Batch); ok && len(b.Payloads) == 0 {
+	if b, ok := payload.(*port.Batch); ok && len(b.Payloads) == 0 {
 		panic("sim: empty batch envelope")
 	}
-	at := k.deliverAt(int32(src), int32(dst.id), k.now+Time(delay))
-	k.schedule(at, event{kind: evDeliver, src: int32(src), proc: dst, sent: k.now, payload: payload})
+	k := p.k
+	at := k.deliverAt(int32(p.id), int32(d.id), k.now+Time(delay))
+	k.schedule(at, event{kind: evDeliver, src: int32(p.id), proc: d, sent: k.now, payload: payload})
 }
 
 // deliver fires an evDeliver event: the message lands in its destination's
@@ -197,16 +152,16 @@ func (k *Kernel) deliver(ev *event) {
 	// A Batch envelope is unpacked here, at the mailbox: each payload
 	// becomes its own Msg in staged order, so receive loops and
 	// selective-receive predicates never see the envelope itself.
-	if b, ok := ev.payload.(*Batch); ok {
+	if b, ok := ev.payload.(*port.Batch); ok {
 		for _, pl := range b.Payloads {
-			dst.mbox.Push(Msg{From: src, SentAt: ev.sent, At: k.now, Payload: pl})
+			dst.mbox.Push(port.Msg{From: src, SentAt: ev.sent, At: k.now, Payload: pl})
 		}
 		if dst.onBatch != nil {
 			dst.onBatch(len(b.Payloads))
 		}
-		PutBatch(b)
+		port.PutBatch(b)
 	} else {
-		dst.mbox.Push(Msg{From: src, SentAt: ev.sent, At: k.now, Payload: ev.payload})
+		dst.mbox.Push(port.Msg{From: src, SentAt: ev.sent, At: k.now, Payload: ev.payload})
 	}
 	if dst.waiting {
 		dst.waiting = false
@@ -218,7 +173,7 @@ func (k *Kernel) deliver(ev *event) {
 func (p *Proc) Pending() int { return p.mbox.Len() }
 
 // Recv blocks until a message is available and returns it.
-func (p *Proc) Recv() Msg {
+func (p *Proc) Recv() port.Msg {
 	for p.Pending() == 0 {
 		p.waiting = true
 		p.park()
@@ -227,9 +182,9 @@ func (p *Proc) Recv() Msg {
 }
 
 // TryRecv returns a queued message, if any, without blocking.
-func (p *Proc) TryRecv() (Msg, bool) {
+func (p *Proc) TryRecv() (port.Msg, bool) {
 	if p.Pending() == 0 {
-		return Msg{}, false
+		return port.Msg{}, false
 	}
 	return p.mbox.Pop(), true
 }
@@ -242,7 +197,7 @@ func (p *Proc) TryRecv() (Msg, bool) {
 //
 // pred must be a pure function of the message: it may be re-evaluated over
 // the same queued message any number of times.
-func (p *Proc) RecvMatch(pred func(Msg) bool) Msg {
+func (p *Proc) RecvMatch(pred func(port.Msg) bool) port.Msg {
 	for {
 		if m, ok := p.mbox.TakeMatch(pred); ok {
 			return m
@@ -254,17 +209,17 @@ func (p *Proc) RecvMatch(pred func(Msg) bool) Msg {
 
 // TryRecvMatch returns the earliest queued message satisfying pred, if any,
 // without blocking. Non-matching messages stay queued.
-func (p *Proc) TryRecvMatch(pred func(Msg) bool) (Msg, bool) {
+func (p *Proc) TryRecvMatch(pred func(port.Msg) bool) (port.Msg, bool) {
 	return p.mbox.TakeMatch(pred)
 }
 
 // RecvTimeout waits up to d for a message. ok is false on timeout.
-func (p *Proc) RecvTimeout(d time.Duration) (m Msg, ok bool) {
+func (p *Proc) RecvTimeout(d time.Duration) (m port.Msg, ok bool) {
 	if p.Pending() > 0 {
 		return p.mbox.Pop(), true
 	}
 	if d <= 0 {
-		return Msg{}, false
+		return port.Msg{}, false
 	}
 	k := p.k
 	p.tgen++
@@ -281,7 +236,7 @@ func (p *Proc) RecvTimeout(d time.Duration) (m Msg, ok bool) {
 	p.waiting = true
 	p.park()
 	if expired && p.Pending() == 0 {
-		return Msg{}, false
+		return port.Msg{}, false
 	}
 	p.tgen++ // cancel the pending timer if a message won the race
 	return p.mbox.Pop(), true

@@ -3,6 +3,8 @@ package sim
 import (
 	"testing"
 	"time"
+
+	"repro/internal/port"
 )
 
 func TestAdvanceMovesVirtualTime(t *testing.T) {
@@ -419,7 +421,7 @@ func TestRecvMatchSelectsAcrossQueue(t *testing.T) {
 		}
 		// Take the even payloads first, in delivery order, leaving the odd
 		// ones queued.
-		even := func(m Msg) bool { return m.Payload.(int)%2 == 0 }
+		even := func(m port.Msg) bool { return m.Payload.(int)%2 == 0 }
 		got = append(got, p.RecvMatch(even).Payload.(int))
 		got = append(got, p.RecvMatch(even).Payload.(int))
 		// Plain Recv drains the remainder in delivery order.
@@ -445,7 +447,7 @@ func TestRecvMatchBlocksUntilMatchArrives(t *testing.T) {
 	var rx *Proc
 	var matchedAt Time
 	rx = k.Spawn("rx", func(p *Proc) {
-		m := p.RecvMatch(func(m Msg) bool { return m.Payload.(string) == "yes" })
+		m := p.RecvMatch(func(m port.Msg) bool { return m.Payload.(string) == "yes" })
 		matchedAt = p.Now()
 		if m.Payload.(string) != "yes" {
 			t.Errorf("matched payload %v", m.Payload)
@@ -472,10 +474,10 @@ func TestTryRecvMatch(t *testing.T) {
 		for p.Pending() < 2 {
 			p.Advance(10 * time.Microsecond)
 		}
-		if _, ok := p.TryRecvMatch(func(m Msg) bool { return m.Payload.(int) > 10 }); ok {
+		if _, ok := p.TryRecvMatch(func(m port.Msg) bool { return m.Payload.(int) > 10 }); ok {
 			t.Errorf("TryRecvMatch matched nothing-should-match")
 		}
-		m, ok := p.TryRecvMatch(func(m Msg) bool { return m.Payload.(int) == 2 })
+		m, ok := p.TryRecvMatch(func(m port.Msg) bool { return m.Payload.(int) == 2 })
 		if !ok || m.Payload.(int) != 2 {
 			t.Errorf("TryRecvMatch = %v, %v", m.Payload, ok)
 		}
@@ -496,14 +498,14 @@ func TestTryRecvMatch(t *testing.T) {
 // Batch itself. This is the delivery half of the coalescing message plane.
 func TestBatchEnvelopeUnpacksAtMailbox(t *testing.T) {
 	k := New(1)
-	var got []Msg
+	var got []port.Msg
 	recvd := k.Spawn("recv", func(p *Proc) {
 		for i := 0; i < 4; i++ {
 			got = append(got, p.Recv())
 		}
 	})
 	k.Spawn("send", func(p *Proc) {
-		p.Send(recvd, &Batch{Payloads: []any{"a", "b", "c"}}, 10*time.Nanosecond)
+		p.Send(recvd, &port.Batch{Payloads: []any{"a", "b", "c"}}, 10*time.Nanosecond)
 		p.Send(recvd, "solo", 20*time.Nanosecond)
 	})
 	k.Run(Infinity)
@@ -515,7 +517,7 @@ func TestBatchEnvelopeUnpacksAtMailbox(t *testing.T) {
 		if m.Payload != want[i] {
 			t.Errorf("msg %d payload %v, want %v", i, m.Payload, want[i])
 		}
-		if _, isBatch := m.Payload.(*Batch); isBatch {
+		if _, isBatch := m.Payload.(*port.Batch); isBatch {
 			t.Errorf("msg %d: receiver observed a raw Batch envelope", i)
 		}
 	}
@@ -535,14 +537,14 @@ func TestBatchEnvelopeSelectiveReceive(t *testing.T) {
 	k := New(1)
 	var order []any
 	recvd := k.Spawn("recv", func(p *Proc) {
-		m := p.RecvMatch(func(m Msg) bool { return m.Payload == "pick" })
+		m := p.RecvMatch(func(m port.Msg) bool { return m.Payload == "pick" })
 		order = append(order, m.Payload)
 		for i := 0; i < 2; i++ {
 			order = append(order, p.Recv().Payload)
 		}
 	})
 	k.Spawn("send", func(p *Proc) {
-		p.Send(recvd, &Batch{Payloads: []any{"x", "pick", "y"}}, 0)
+		p.Send(recvd, &port.Batch{Payloads: []any{"x", "pick", "y"}}, 0)
 	})
 	k.Run(Infinity)
 	want := []any{"pick", "x", "y"}

@@ -27,7 +27,7 @@ package trace
 import (
 	"sort"
 
-	"repro/internal/sim"
+	"repro/internal/port"
 )
 
 // Kind identifies one event record type. The A/B/C payload words are
@@ -227,7 +227,7 @@ func FlowID(core int, reqID uint64) uint64 {
 // Now() at emit time; Actor identifies the lane (see Trace.Labels); the
 // payload words A/B/C are interpreted per Kind.
 type Event struct {
-	At   sim.Time
+	At   port.Time
 	TxID uint64
 	A    uint64
 	B    uint64
@@ -291,7 +291,7 @@ func NewRecorder(actor int32, capacity int) *Recorder {
 
 // Emit appends one event to the ring, overwriting the oldest when full.
 // It never allocates and never blocks; on a nil receiver it is a no-op.
-func (r *Recorder) Emit(at sim.Time, k Kind, txID, a, b, c uint64) {
+func (r *Recorder) Emit(at port.Time, k Kind, txID, a, b, c uint64) {
 	if r == nil {
 		return
 	}

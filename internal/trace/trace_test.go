@@ -7,13 +7,13 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/sim"
+	"repro/internal/port"
 )
 
 func TestRecorderBasic(t *testing.T) {
 	r := NewRecorder(3, 8)
 	for i := 0; i < 5; i++ {
-		r.Emit(sim.Time(i*10), KRead, 1, uint64(i), 0, 0)
+		r.Emit(port.Time(i*10), KRead, 1, uint64(i), 0, 0)
 	}
 	if got := r.Len(); got != 5 {
 		t.Fatalf("Len = %d, want 5", got)
@@ -32,7 +32,7 @@ func TestRecorderBasic(t *testing.T) {
 func TestRecorderWrap(t *testing.T) {
 	r := NewRecorder(1, 8)
 	for i := 0; i < 20; i++ {
-		r.Emit(sim.Time(i), KRead, 0, uint64(i), 0, 0)
+		r.Emit(port.Time(i), KRead, 0, uint64(i), 0, 0)
 	}
 	if got := r.Len(); got != 8 {
 		t.Fatalf("Len after wrap = %d, want 8", got)

@@ -31,7 +31,6 @@ import (
 	"sync"
 
 	"repro/internal/port"
-	"repro/internal/sim"
 )
 
 // Version identifies the wire format: frame layout, handshake shape, and
@@ -101,13 +100,13 @@ func (e *Enc) Frame(kind uint8) ([]byte, error) {
 // Raw appends b as it is, with no count ahead of it.
 func (e *Enc) Raw(b []byte) { e.b = append(e.b, b...) }
 
-func (e *Enc) U8(v uint8)      { e.b = append(e.b, v) }
-func (e *Enc) U16(v uint16)    { e.b = binary.LittleEndian.AppendUint16(e.b, v) }
-func (e *Enc) U32(v uint32)    { e.b = binary.LittleEndian.AppendUint32(e.b, v) }
-func (e *Enc) U64(v uint64)    { e.b = binary.LittleEndian.AppendUint64(e.b, v) }
-func (e *Enc) I64(v int64)     { e.U64(uint64(v)) }
-func (e *Enc) Int(v int)       { e.I64(int64(v)) }
-func (e *Enc) Time(t sim.Time) { e.I64(int64(t)) }
+func (e *Enc) U8(v uint8)       { e.b = append(e.b, v) }
+func (e *Enc) U16(v uint16)     { e.b = binary.LittleEndian.AppendUint16(e.b, v) }
+func (e *Enc) U32(v uint32)     { e.b = binary.LittleEndian.AppendUint32(e.b, v) }
+func (e *Enc) U64(v uint64)     { e.b = binary.LittleEndian.AppendUint64(e.b, v) }
+func (e *Enc) I64(v int64)      { e.U64(uint64(v)) }
+func (e *Enc) Int(v int)        { e.I64(int64(v)) }
+func (e *Enc) Time(t port.Time) { e.I64(int64(t)) }
 
 func (e *Enc) Bool(v bool) {
 	if v {
@@ -237,10 +236,10 @@ func (d *Dec) U64() uint64 {
 	return binary.LittleEndian.Uint64(s)
 }
 
-func (d *Dec) I64() int64     { return int64(d.U64()) }
-func (d *Dec) Int() int       { return int(d.I64()) }
-func (d *Dec) Time() sim.Time { return sim.Time(d.I64()) }
-func (d *Dec) Bool() bool     { return d.U8() != 0 }
+func (d *Dec) I64() int64      { return int64(d.U64()) }
+func (d *Dec) Int() int        { return int(d.I64()) }
+func (d *Dec) Time() port.Time { return port.Time(d.I64()) }
+func (d *Dec) Bool() bool      { return d.U8() != 0 }
 
 // U64s decodes a slice written by Enc.U64s into the storage of into (nil for
 // none), growing it by no more than the count Count has checked.

@@ -58,7 +58,7 @@ import (
 	"repro/internal/mem"
 	"repro/internal/noc"
 	"repro/internal/placement"
-	"repro/internal/sim"
+	"repro/internal/port"
 )
 
 // Core system types.
@@ -96,8 +96,9 @@ type (
 	Platform = noc.Platform
 	// Addr is a word address in the simulated shared memory.
 	Addr = mem.Addr
-	// Time is a virtual timestamp (nanoseconds).
-	Time = sim.Time
+	// Time is a timestamp in nanoseconds: virtual on sim, monotonic in real
+	// time.
+	Time = port.Time
 	// Port is one core's execution context on the configured backend
 	// (used by SpawnRaw baselines and Runtime.Port); see core.Port.
 	Port = core.Port
@@ -111,11 +112,8 @@ type (
 	// reads (per-read DTM round trips) or invisible-read TL2 (local reads
 	// against a sharded version clock, commit-time validation).
 	Protocol = core.Protocol
-	// Proc is a simulated process (the sim backend's Port implementation
-	// wraps it; advanced simulator-level tooling only).
-	Proc = sim.Proc
 	// Rand is the deterministic per-core random source.
-	Rand = sim.Rand
+	Rand = port.Rand
 )
 
 // Deployment strategies (§3.1).
@@ -286,7 +284,7 @@ func ParseProtocol(s string) (Protocol, error) { return core.ParseProtocol(s) }
 
 // NewRand returns a deterministic random source seeded from seed, suitable
 // for building workloads outside the simulated machine.
-func NewRand(seed uint64) Rand { return sim.NewRand(seed) }
+func NewRand(seed uint64) Rand { return port.NewRand(seed) }
 
 // Policies lists every contention manager in presentation order.
 func Policies() []Policy { return append([]Policy(nil), cm.Policies...) }
