@@ -30,48 +30,48 @@ type WordCodec[T any] interface {
 	Decode(src []uint64) T
 }
 
-type uint64Codec struct{}
+// oneWord is what the built-in one-word codecs add to WordCodec: a value to
+// and from its word without a word slice, so raw access through them
+// allocates nothing (a slice passed through the interface escapes).
+type oneWord[T any] interface {
+	toWord(T) uint64
+	fromWord(uint64) T
+}
 
-func (uint64Codec) Words() int                  { return 1 }
-func (uint64Codec) Encode(v uint64, d []uint64) { d[0] = v }
-func (uint64Codec) Decode(s []uint64) uint64    { return s[0] }
+// wordCodec is the codec of every integer type one word holds as is.
+type wordCodec[T ~uint64 | ~int64] struct{}
+
+func (wordCodec[T]) Words() int             { return 1 }
+func (wordCodec[T]) Encode(v T, d []uint64) { d[0] = uint64(v) }
+func (wordCodec[T]) Decode(s []uint64) T    { return T(s[0]) }
+func (wordCodec[T]) toWord(v T) uint64      { return uint64(v) }
+func (wordCodec[T]) fromWord(w uint64) T    { return T(w) }
 
 // Uint64Codec returns the codec for a single uint64 word.
-func Uint64Codec() WordCodec[uint64] { return uint64Codec{} }
-
-type int64Codec struct{}
-
-func (int64Codec) Words() int                 { return 1 }
-func (int64Codec) Encode(v int64, d []uint64) { d[0] = uint64(v) }
-func (int64Codec) Decode(s []uint64) int64    { return int64(s[0]) }
+func Uint64Codec() WordCodec[uint64] { return wordCodec[uint64]{} }
 
 // Int64Codec returns the codec for a single int64 (two's complement word).
-func Int64Codec() WordCodec[int64] { return int64Codec{} }
-
-type boolCodec struct{}
-
-func (boolCodec) Words() int { return 1 }
-func (boolCodec) Encode(v bool, d []uint64) {
-	if v {
-		d[0] = 1
-	} else {
-		d[0] = 0
-	}
-}
-func (boolCodec) Decode(s []uint64) bool { return s[0] != 0 }
-
-// BoolCodec returns the codec for a bool (0/1 word).
-func BoolCodec() WordCodec[bool] { return boolCodec{} }
-
-type addrCodec struct{}
-
-func (addrCodec) Words() int                    { return 1 }
-func (addrCodec) Encode(v mem.Addr, d []uint64) { d[0] = uint64(v) }
-func (addrCodec) Decode(s []uint64) mem.Addr    { return mem.Addr(s[0]) }
+func Int64Codec() WordCodec[int64] { return wordCodec[int64]{} }
 
 // AddrCodec returns the codec for a shared-memory address — the typed form
 // of a pointer field in a linked structure (mem.Nil is the null pointer).
-func AddrCodec() WordCodec[mem.Addr] { return addrCodec{} }
+func AddrCodec() WordCodec[mem.Addr] { return wordCodec[mem.Addr]{} }
+
+type boolCodec struct{}
+
+func (boolCodec) Words() int                  { return 1 }
+func (c boolCodec) Encode(v bool, d []uint64) { d[0] = c.toWord(v) }
+func (boolCodec) Decode(s []uint64) bool      { return s[0] != 0 }
+func (boolCodec) toWord(v bool) uint64 {
+	if v {
+		return 1
+	}
+	return 0
+}
+func (boolCodec) fromWord(w uint64) bool { return w != 0 }
+
+// BoolCodec returns the codec for a bool (0/1 word).
+func BoolCodec() WordCodec[bool] { return boolCodec{} }
 
 // funcCodec adapts a (words, encode, decode) triple into a WordCodec.
 type funcCodec[T any] struct {
@@ -164,6 +164,9 @@ func (v TVar[T]) Set(tx *Tx, val T) {
 // GetRaw reads the variable without latency accounting (setup and
 // verification code outside the simulated machine).
 func (v TVar[T]) GetRaw() T {
+	if c, ok := v.codec.(oneWord[T]); ok {
+		return c.fromWord(v.sys.Mem.ReadRaw(v.base))
+	}
 	buf := make([]uint64, v.codec.Words())
 	for i := range buf {
 		buf[i] = v.sys.Mem.ReadRaw(v.base + mem.Addr(i))
@@ -173,11 +176,18 @@ func (v TVar[T]) GetRaw() T {
 
 // SetRaw writes the variable without latency accounting.
 func (v TVar[T]) SetRaw(val T) {
+	if c, ok := v.codec.(oneWord[T]); ok {
+		v.sys.Mem.WriteRaw(v.base, c.toWord(val))
+		return
+	}
+	v.sys.Mem.FillRaw(v.base, 1, v.encode(val))
+}
+
+// encode returns val's words in a fresh slice.
+func (v TVar[T]) encode(val T) []uint64 {
 	buf := make([]uint64, v.codec.Words())
 	v.codec.Encode(val, buf)
-	for i, w := range buf {
-		v.sys.Mem.WriteRaw(v.base+mem.Addr(i), w)
-	}
+	return buf
 }
 
 // GetDirect reads the variable non-transactionally with charged memory
@@ -192,14 +202,11 @@ func (v TVar[T]) GetDirect(p Port, core int) T {
 // SetDirect writes the variable non-transactionally with charged memory
 // latency (one batched access).
 func (v TVar[T]) SetDirect(p Port, core int, val T) {
-	n := v.codec.Words()
-	buf := make([]uint64, n)
-	v.codec.Encode(val, buf)
-	addrs := make([]mem.Addr, n)
+	addrs := make([]mem.Addr, v.codec.Words())
 	for i := range addrs {
 		addrs[i] = v.base + mem.Addr(i)
 	}
-	v.sys.Mem.WriteBatch(p, core, addrs, buf)
+	v.sys.Mem.WriteBatch(p, core, addrs, v.encode(val))
 }
 
 // GetIr reads the variable inside an irrevocable transaction.
@@ -209,11 +216,7 @@ func (v TVar[T]) GetIr(ir *Irrevocable) T {
 
 // SetIr writes the variable inside an irrevocable transaction
 // (write-through; there is no abort).
-func (v TVar[T]) SetIr(ir *Irrevocable, val T) {
-	buf := make([]uint64, v.codec.Words())
-	v.codec.Encode(val, buf)
-	ir.WriteN(v.base, buf)
-}
+func (v TVar[T]) SetIr(ir *Irrevocable, val T) { ir.WriteN(v.base, v.encode(val)) }
 
 // EarlyRelease drops the object's read lock before commit (elastic-early
 // transactions only; see Tx.EarlyRelease).
@@ -237,15 +240,14 @@ func NewTArray[T any](sys *System, c WordCodec[T], n int, init T) TArray[T] {
 }
 
 // NewTArrayAt allocates the array behind the given memory controller and
-// raw-writes init into every element.
+// raw-writes init into every element: one encode, then a page-at-a-time
+// fill (a zero init touches no page).
 func NewTArrayAt[T any](sys *System, c WordCodec[T], n, mc int, init T) TArray[T] {
 	if n <= 0 {
 		panic(fmt.Sprintf("core: TArray of %d elements", n))
 	}
 	a := TArray[T]{sys: sys, codec: c, base: sys.Mem.Alloc(n*c.Words(), mc), n: n}
-	for i := 0; i < n; i++ {
-		a.SetRaw(i, init)
-	}
+	sys.Mem.FillRaw(a.base, n, a.At(0).encode(init))
 	return a
 }
 

@@ -206,6 +206,34 @@ func TestTArrayLayout(t *testing.T) {
 	}
 }
 
+// TestTVarRawOneWordAllocationFree: raw access through the built-in one-word
+// codecs allocates nothing (setup and verification loops over whole arrays
+// use it); a FuncCodec still round-trips.
+func TestTVarRawOneWordAllocationFree(t *testing.T) {
+	s := testSystem(t, nil)
+	u := NewTArray(s, Uint64Codec(), 4, 3)
+	i := NewTVar(s, Int64Codec(), -1)
+	b := NewTVar(s, BoolCodec(), true)
+	a := NewTVar(s, AddrCodec(), mem.Addr(5))
+	allocs := testing.AllocsPerRun(20, func() {
+		u.SetRaw(2, u.GetRaw(1)+1)
+		i.SetRaw(i.GetRaw() - 1)
+		b.SetRaw(!b.GetRaw())
+		a.SetRaw(a.GetRaw() + 1)
+	})
+	if allocs != 0 {
+		t.Errorf("one-word raw Get/Set allocates %v objects", allocs)
+	}
+	if u.GetRaw(2) != 4 || i.GetRaw() != -22 || b.GetRaw() || a.GetRaw() != 26 {
+		t.Errorf("raw values after 21 rounds: %d %d %v %d", u.GetRaw(2), i.GetRaw(), b.GetRaw(), a.GetRaw())
+	}
+	f := FuncCodec(1, func(v uint64, d []uint64) { d[0] = v }, func(s []uint64) uint64 { return s[0] })
+	v := NewTVar(s, f, 11)
+	if v.SetRaw(v.GetRaw() + 1); v.GetRaw() != 12 {
+		t.Errorf("FuncCodec TVar = %d, want 12", v.GetRaw())
+	}
+}
+
 // TestTVarDirectAccess covers the charged non-transactional accessors used
 // by the bare-sequential baselines.
 func TestTVarDirectAccess(t *testing.T) {

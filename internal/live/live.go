@@ -22,16 +22,14 @@ package live
 
 import "repro/internal/port"
 
-// Engine owns the goroutine ports of one live system. Its mailboxes are
-// bounded channels (port.Bounded): every sender here is itself a port that
-// may block, so a full mailbox is backpressure, and on this backend the
-// channel is the faster raw queue.
+// Engine owns the goroutine ports of one live system: a port.Host with no
+// remote hook, the same Host (and raw inbox) every net rank runs.
 type Engine struct{ *port.Host }
 
 // New returns an engine whose port RNGs derive from seed exactly like the
 // sim kernel's proc RNGs, so workload shapes match across backends.
 func New(seed uint64) *Engine {
-	return &Engine{port.NewHost(seed, port.Bounded, nil)}
+	return &Engine{port.NewHost(seed, nil)}
 }
 
 // Spawn creates a port running fn in its own goroutine. The goroutine

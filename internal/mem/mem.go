@@ -26,9 +26,10 @@
 //
 //   - Write-back -> a later visible reader's read: WriteBatch, then the
 //     release message -> DTM node -> grant -> the reader's mailbox receive,
-//     then ReadBatchTo. Every hop is a channel (or mutex queue and socket)
-//     send/receive; the page lock both calls take is a second, shorter
-//     edge. TestLiveBank/*/visible, TestNetApps.
+//     then ReadBatchTo. Every hop is an inbox send/receive (its channel, or
+//     its spill queue's mutex; on net a socket before it); the page lock
+//     both calls take is a second, shorter edge. TestLiveBank/*/visible,
+//     TestNetApps.
 //   - Write-back -> a TL2 reader, who exchanges no message: LockVersions,
 //     WriteBatch and PublishVersions hold the locks of all their pages and
 //     ReadVersionedTo holds the object's and the key's together, so it sees
@@ -579,6 +580,32 @@ func (m *Memory) WriteRaw(addr Addr, v uint64) {
 	pg.mu.Lock()
 	pg.set(addr, v)
 	pg.mu.Unlock()
+}
+
+// FillRaw stores n copies of pattern back to back from base on without
+// charging latency, with one page walk and lock per page rather than per
+// word: the setup of an array whose elements share one initial value. Like
+// WriteRaw, a zero word materializes no page.
+func (m *Memory) FillRaw(base Addr, n int, pattern []uint64) {
+	w := len(pattern)
+	if m.remote != nil {
+		for i := range n * w {
+			m.remote.WriteRaw(base+Addr(i), pattern[i%w])
+		}
+		return
+	}
+	for i, j := 0, 0; i < n*w; {
+		a := base + Addr(i)
+		pg, end := m.pageOf(a), min(i+pageWords-int(a&pageMask), n*w)
+		pg.mu.Lock()
+		for ; i < end; i++ {
+			pg.set(base+Addr(i), pattern[j])
+			if j++; j == w {
+				j = 0
+			}
+		}
+		pg.mu.Unlock()
+	}
 }
 
 // ReadBatchRaw reads the len(dst) contiguous words starting at base into dst

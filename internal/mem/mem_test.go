@@ -250,6 +250,42 @@ func TestZeroWritesKeepPagesSparse(t *testing.T) {
 	}
 }
 
+// TestFillRaw: n copies of a pattern land back to back across page
+// boundaries, in the words WriteRaw would have written; an all-zero pattern
+// materializes no page but does clear a materialized one.
+func TestFillRaw(t *testing.T) {
+	_, m := newTestMem()
+	m.Alloc(pageWords-5, 0) // the fill starts 4 words before a page ends
+	const n = pageWords + 3
+	pattern := []uint64{7, 0, 9}
+	base := m.Alloc(n*len(pattern), 0)
+	m.FillRaw(base, n, pattern)
+	for i := 0; i < n*len(pattern); i++ {
+		if got, want := m.ReadRaw(base+Addr(i)), pattern[i%len(pattern)]; got != want {
+			t.Fatalf("word %d = %d, want %d", i, got, want)
+		}
+	}
+	if got, want := m.Footprint(), 2*n; got != want {
+		t.Fatalf("footprint %d, want %d", got, want)
+	}
+	if got := m.ReadRaw(base + Addr(n*len(pattern))); got != 0 {
+		t.Fatalf("the word past the fill = %d", got)
+	}
+
+	m.Alloc(pageWords, 0) // no page shared with the fill above
+	zeros := m.Alloc(3*pageWords, 0)
+	m.FillRaw(zeros, pageWords, []uint64{0, 0, 0})
+	for a := zeros; a < zeros+3*pageWords; a += pageWords {
+		if m.pageOf(a).w != nil {
+			t.Fatalf("a zero fill materialized the page of %#x", uint64(a))
+		}
+	}
+	m.FillRaw(base, n, []uint64{0, 0, 0})
+	if got := m.Footprint(); got != 0 {
+		t.Fatalf("footprint after a zero fill over the words = %d", got)
+	}
+}
+
 func TestNearestMC(t *testing.T) {
 	_, m := newTestMem()
 	// Core 0 is at tile (0,0): controller 0's corner.

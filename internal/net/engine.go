@@ -92,8 +92,8 @@ func NextSession() int { return int(sessionCounter.Add(1) - 1) }
 // Engine owns one rank's goroutine ports and peer connections. The embedded
 // Host supplies the start gate, clock, fault capture and drain-then-kill
 // Shutdown (connections stay up for ExchangeStats; Close tears them down).
-// Its mailboxes are port.Unbounded: the connection readers push into them
-// and must never block.
+// The connection readers push into its ports' inboxes, which never block
+// (port.HostPort.Push).
 type Engine struct {
 	*port.Host
 	cfg Config
@@ -147,7 +147,7 @@ func New(cfg Config) (*Engine, error) {
 	for sub := ctrlDone; sub <= ctrlStats; sub++ {
 		e.ctrl[sub] = make(chan []byte, cfg.Ranks)
 	}
-	e.Host = port.NewHost(cfg.Seed, port.Unbounded, e.sendRemote)
+	e.Host = port.NewHost(cfg.Seed, e.sendRemote)
 	e.links = make([]*link, cfg.Ranks)
 	for r := 0; r < cfg.Ranks; r++ {
 		if r == cfg.Rank {

@@ -289,7 +289,7 @@ func (e *Engine) acceptConn(c gonet.Conn) {
 
 // readLoop serves one physical connection until it breaks or the engine
 // closes, dispatching every frame inline: port messages push into local
-// mailboxes (never blocking — see port.Unbounded), state RPCs execute against
+// mailboxes (never blocking — see port.HostPort.Push), state RPCs execute against
 // the local memory/register owners, control frames feed the barriers.
 func (e *Engine) readLoop(l *link, c gonet.Conn) {
 	fr := wire.NewFrameReader(c)

@@ -17,10 +17,9 @@ import (
 )
 
 // The port contract: one table of mailbox cases, run over every backend —
-// the sim kernel's procs, the live engine (a Host with bounded channel
-// inboxes) and a two-rank net loopback (Hosts with unbounded inboxes, the
-// sender's messages crossing a unix socket). internal/core is written
-// against exactly these semantics.
+// the sim kernel's procs, the live engine (one Host) and a two-rank net
+// loopback (a Host per rank, the sender's messages crossing a unix socket).
+// internal/core is written against exactly these semantics.
 
 // note is the payload every case sends; registered with the wire codec
 // (kind 201, far above the protocol's kinds) so it can cross the net rig.
@@ -361,21 +360,40 @@ func TestPortContract(t *testing.T) {
 	}
 }
 
-// The Host lifecycle, on both raw queues.
+// The Host lifecycle, in both states of the raw inbox: "bounded" queues
+// what the channel holds, "unbounded" queues past it into the spill.
 
-func eachQueue(t *testing.T, fn func(t *testing.T, h *port.Host)) {
-	for name, q := range map[string]port.Queue{"bounded": port.Bounded, "unbounded": port.Unbounded} {
-		t.Run(name, func(t *testing.T) { fn(t, port.NewHost(1, q, nil)) })
+func eachInbox(t *testing.T, fn func(t *testing.T, h *port.Host, queued int)) {
+	for _, c := range []struct {
+		name   string
+		queued int
+	}{{"bounded", port.InboxCap}, {"unbounded", 2*port.InboxCap + 1}} {
+		t.Run(c.name, func(t *testing.T) { fn(t, port.NewHost(1, nil), c.queued) })
+	}
+}
+
+// pushSeq pushes notes 0..n-1 at p from outside any port.
+func pushSeq(p *port.HostPort, n int) {
+	for i := 0; i < n; i++ {
+		p.Push(port.Msg{From: -1, Payload: &note{V: i}})
 	}
 }
 
 // TestHostStartGate: spawned goroutines must not run before Start — raw-
 // memory setup happens between Spawn and Start, exactly like the sim
-// kernel's pre-Run phase — and the clock reads zero until then.
+// kernel's pre-Run phase — and the clock reads zero until then. Messages
+// pushed before Start open no gate and all arrive, in order, after it.
 func TestHostStartGate(t *testing.T) {
-	eachQueue(t, func(t *testing.T, h *port.Host) {
+	eachInbox(t, func(t *testing.T, h *port.Host, queued int) {
 		var ran atomic.Bool
-		h.Spawn("w", func(port.Port) { ran.Store(true) })
+		var got []int
+		p := h.Spawn("w", func(self port.Port) {
+			ran.Store(true)
+			for i := 0; i < queued; i++ {
+				got = append(got, val(self.Recv()))
+			}
+		})
+		pushSeq(p, queued)
 		time.Sleep(20 * time.Millisecond)
 		if ran.Load() {
 			t.Fatal("goroutine ran before Start")
@@ -388,15 +406,22 @@ func TestHostStartGate(t *testing.T) {
 		if !ran.Load() {
 			t.Fatal("goroutine never ran")
 		}
+		if !reflect.DeepEqual(got, seq(queued)) {
+			t.Fatalf("received %v, want %v", got, seq(queued))
+		}
 	})
 }
 
 // TestHostFaultPropagation: a panic in a port goroutine must surface from
 // Shutdown, like sim proc panics surface from Kernel.Run — and only the
-// first one.
+// first one — even with messages still queued at the faulted port.
 func TestHostFaultPropagation(t *testing.T) {
-	eachQueue(t, func(t *testing.T, h *port.Host) {
-		h.Spawn("bad", func(port.Port) { panic("boom") })
+	eachInbox(t, func(t *testing.T, h *port.Host, queued int) {
+		p := h.Spawn("bad", func(self port.Port) {
+			self.Recv()
+			panic("boom")
+		})
+		pushSeq(p, queued)
 		h.Start()
 		defer func() {
 			if r := recover(); r != "boom" {
@@ -414,7 +439,7 @@ func TestHostFaultPropagation(t *testing.T) {
 // TestHostSendLocalOnly: without a remote hook, a destination that is not a
 // HostPort is a programming error, not a silent drop.
 func TestHostSendLocalOnly(t *testing.T) {
-	h := port.NewHost(1, port.Bounded, nil)
+	h := port.NewHost(1, nil)
 	h.Spawn("p", func(p port.Port) { p.Send((*sim.Proc)(nil), &note{}, 0) })
 	h.Start()
 	defer func() {

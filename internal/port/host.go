@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -12,61 +13,19 @@ import (
 // rank, every destination local); internal/net is a Host per rank plus the
 // links that carry sends to the ports other ranks host. Everything the two
 // share — start gate, clock, fault capture, drain-then-die shutdown, the
-// stash-backed receive family — lives here once; only the raw inbox under a
-// port differs (Queue).
+// raw inbox and the stash-backed receive family above it — lives here once.
 
-// Queue selects the raw inbox under every port of a Host. It is chosen by
-// the engine constructor from what the engine is, never by configuration:
-// both queues pass the same port-contract suite, and each is the better one
-// on its side of the choice (README, "Execution backends", has the
-// measurement).
-type Queue uint8
+// inboxCap is the channel part of a port's raw inbox. The DTM protocol keeps
+// at most a handful of messages in flight to a core (one awaited RPC phase,
+// fire-and-forget releases, barrier traffic), so the channel holds what is
+// queued in practice and a burst past it spills (HostPort.Push) instead of
+// blocking. Chosen from a 4 / 16 / 64 table of the inbox benchmarks and
+// live-bank (docs/perf/PR-25.md).
+const inboxCap = 16
 
-const (
-	// Bounded is a buffered Go channel: a sender that finds it full blocks
-	// (backpressure, not loss). Correct only where every sender is itself a
-	// port of the same Host that may block — the live backend.
-	Bounded Queue = iota
-	// Unbounded is a mutex-guarded queue whose push never blocks. Required
-	// where a connection reader pushes: a reader stuck on a full mailbox
-	// could not deliver the state-RPC response queued behind it, and the
-	// port waiting for that response would deadlock the rank — the net
-	// backend.
-	Unbounded
-)
-
-// boundedCap is a Bounded inbox's channel buffer. The DTM protocol keeps at
-// most a handful of requests in flight per core (one awaited RPC phase, plus
-// fire-and-forget releases and barrier traffic), so it never fills in
-// practice; if it ever does, senders block.
-const boundedCap = 4096
-
-// unbounded is the Unbounded raw inbox: a mutex-guarded queue plus a wake
-// token for its parked receiver.
-type unbounded struct {
-	mu   sync.Mutex
-	q    MsgQueue
-	wake chan struct{} // cap 1: at least one token while q is non-empty
-}
-
-func (b *unbounded) push(m Msg) {
-	b.mu.Lock()
-	b.q.Push(m)
-	b.mu.Unlock()
-	select {
-	case b.wake <- struct{}{}:
-	default:
-	}
-}
-
-func (b *unbounded) tryPop() (Msg, bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.q.Len() == 0 {
-		return Msg{}, false
-	}
-	return b.q.Pop(), true
-}
+// spills counts the spills any port of the process has started. Only tests
+// read it (export_test.go): it shows that a workload reaches the spill path.
+var spills atomic.Uint64
 
 // unwind is panicked out of a blocked receive when the Host shuts down; the
 // Spawn wrapper recovers it (the sim kernel's kill pattern).
@@ -86,7 +45,6 @@ func Unwind() { panic(unwind{}) }
 // and only then unwinds.
 type Host struct {
 	seed   uint64
-	queue  Queue
 	remote func(src int, dst Port, payload any)
 
 	started chan struct{} // closed by Start; gates every port goroutine
@@ -105,10 +63,9 @@ type Host struct {
 // sim kernel's proc RNGs, so workload shapes match across backends. remote
 // carries a Send whose destination is not a port of this process (the net
 // engine's Stub); nil makes Send local-only.
-func NewHost(seed uint64, q Queue, remote func(src int, dst Port, payload any)) *Host {
+func NewHost(seed uint64, remote func(src int, dst Port, payload any)) *Host {
 	return &Host{
 		seed:    seed,
-		queue:   q,
 		remote:  remote,
 		started: make(chan struct{}),
 		quit:    make(chan struct{}),
@@ -137,12 +94,8 @@ func (h *Host) Spawn(name string, fn func(Port)) *HostPort {
 		host: h,
 		id:   id,
 		name: name,
+		ch:   make(chan Msg, inboxCap),
 		rng:  NewRand(h.seed ^ (0x9e3779b97f4a7c15 * uint64(id+1))),
-	}
-	if h.queue == Bounded {
-		p.ch = make(chan Msg, boundedCap)
-	} else {
-		p.q = &unbounded{wake: make(chan struct{}, 1)}
 	}
 	h.all.Add(1)
 	go func() {
@@ -237,16 +190,19 @@ type HostPort struct {
 	id   int
 	name string
 
-	// The raw inbox, the only part of the runtime that differs between live
-	// and net: exactly one of ch (Bounded) and q (Unbounded) is set. It is
-	// touched only through push, tryPop and pop below. Raw messages may be
-	// Batch envelopes; deliver unpacks them on the receiver's goroutine.
-	ch chan Msg
-	q  *unbounded
+	// The raw inbox: a channel of inboxCap slots, and a spill queue that is
+	// used only while the channel is full (like the stash, it keeps the
+	// array a burst grew). It is touched only through Push, tryPop, pop and
+	// next below. Raw messages may be Batch envelopes; deliver unpacks them
+	// on the receiver's goroutine.
+	ch       chan Msg
+	spilling atomic.Bool // raised under mu by the push that starts a spill, lowered when it empties
+	mu       sync.Mutex  // guards spill and every change of spilling
+	spill    MsgQueue
 
-	// Senders on other cores read ch/q on every Send; the owner writes rng
-	// and the stash on every receive. Keep the two a cache line apart, so a
-	// receive does not invalidate every sender's copy of the inbox pointer.
+	// Senders on other cores read ch and spilling on every Send; the owner
+	// writes rng and the stash on every receive. Keep the two a cache line
+	// apart, so a receive does not invalidate every sender's copy of them.
 	_ [64]byte
 
 	rng   Rand
@@ -366,7 +322,7 @@ func (p *HostPort) Send(dst Port, payload any, delay time.Duration) {
 		panic("port: empty batch envelope")
 	}
 	if d, ok := dst.(*HostPort); ok {
-		d.push(Msg{From: p.id, Payload: payload})
+		d.Push(Msg{From: p.id, Payload: payload})
 		return
 	}
 	if p.host.remote == nil {
@@ -375,40 +331,69 @@ func (p *HostPort) Send(dst Port, payload any, delay time.Duration) {
 	p.host.remote(p.id, dst, payload)
 }
 
-// Push delivers a raw message from outside any port — the net engine's
-// connection readers. Any goroutine may call it.
-func (p *HostPort) Push(m Msg) { p.push(m) }
-
-// push enqueues a raw message from any goroutine. A full bounded inbox
-// blocks the sender until there is room — or until the Host shuts down,
-// when m is dropped (its receiver is being killed anyway); an unbounded one
-// never blocks.
-func (p *HostPort) push(m Msg) {
-	if p.ch == nil {
-		p.q.push(m)
-		return
-	}
-	select {
-	case p.ch <- m:
-	default:
+// Push enqueues a raw message. Any goroutine may call it — a port's Send,
+// the net engine's connection readers — and it never blocks, so a port may
+// send itself any number of messages and a reader never waits on a slow
+// port. While nothing is spilled it is one non-blocking channel send. The
+// push that finds the channel full starts a spill, and until the receiver
+// has emptied it every push appends behind it: each sender's messages stay
+// in order.
+//
+// No wake-up is lost: the receiver parks only after it found the channel
+// empty and then the flag down. The spill-starting push raises the flag
+// before its last channel try, so if it still finds the channel full, the
+// messages filling it arrived after the receiver looked, and its park ends
+// on them.
+func (p *HostPort) Push(m Msg) {
+	if !p.spilling.Load() {
 		select {
 		case p.ch <- m:
-		case <-p.host.quit:
+			return
+		default:
 		}
 	}
+	p.mu.Lock()
+	if !p.spilling.Load() { // the receiver emptied the spill meanwhile, or none began
+		p.spilling.Store(true)
+		select {
+		case p.ch <- m:
+			p.spilling.Store(false)
+			p.mu.Unlock()
+			return
+		default:
+		}
+		spills.Add(1)
+	}
+	p.spill.Push(m)
+	p.mu.Unlock()
 }
 
-// tryPop takes the next raw message without blocking.
+// tryPop takes the next raw message without blocking: the channel first,
+// the spill only once the channel is empty — checked again under mu, because
+// a sender's earlier message may have entered the channel after the first
+// look and before its later one spilled.
 func (p *HostPort) tryPop() (Msg, bool) {
-	if p.ch == nil {
-		return p.q.tryPop()
-	}
 	select {
 	case m := <-p.ch:
 		return m, true
 	default:
+	}
+	if !p.spilling.Load() {
 		return Msg{}, false
 	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	select {
+	case m := <-p.ch:
+		return m, true
+	default:
+	}
+	if p.spill.Len() == 0 { // the flag was up only for a push's last channel try
+		return Msg{}, false
+	}
+	m := p.spill.Pop()
+	p.spilling.Store(p.spill.Len() > 0)
+	return m, true
 }
 
 // pop blocks for the next raw message — until t fires, when t is non-nil
@@ -416,41 +401,24 @@ func (p *HostPort) tryPop() (Msg, bool) {
 // queued and unwinds the goroutine only on an empty inbox: a killed
 // receiver drains before it dies.
 func (p *HostPort) pop(t *time.Timer) (Msg, bool) {
+	if m, ok := p.tryPop(); ok {
+		return m, true
+	}
 	var expire <-chan time.Time // nil (never ready) without a timer
 	if t != nil {
 		expire = t.C
 	}
-	for {
-		if m, ok := p.tryPop(); ok {
-			return m, true
-		}
-		expired := false
-		if p.ch != nil {
-			select {
-			case m := <-p.ch:
-				return m, true
-			case <-expire:
-				expired = true
-			case <-p.host.quit:
-			}
-		} else {
-			select {
-			case <-p.q.wake:
-				continue
-			case <-expire:
-				expired = true
-			case <-p.host.quit:
-			}
-		}
-		// One last poll: a push may have raced the timer or the kill.
-		if m, ok := p.tryPop(); ok {
-			return m, true
-		}
-		if expired {
-			return Msg{}, false
-		}
-		panic(unwind{})
+	select {
+	case m := <-p.ch:
+		return m, true
+	case <-expire:
+		return p.tryPop() // a push may have raced the timer
+	case <-p.host.quit:
 	}
+	if m, ok := p.tryPop(); ok { // a push may have raced the kill
+		return m, true
+	}
+	panic(unwind{})
 }
 
 // deliver appends a raw message to the stash, unpacking a Batch envelope
@@ -472,8 +440,8 @@ func (p *HostPort) deliver(m Msg) {
 	PutBatch(b)
 }
 
-// next blocks for the next raw message: pop(nil), with the bounded inbox's
-// common case — a wait that ends with a message — in a frame of its own
+// next blocks for the next raw message: pop(nil), with the common case — no
+// spill, a wait that ends with a channel message — in a frame of its own
 // that holds a two-case select and nothing else. A receiver resumes on a
 // cold stack, and what it resumes into is measurable: with the receive
 // loops going straight through the generic pop (three select cases, timer
@@ -481,12 +449,12 @@ func (p *HostPort) deliver(m Msg) {
 // than the parent's in ten of ten pairs (p50 +11 %); with it, 2 % lower in
 // seven of ten, inside the run-to-run spread.
 func (p *HostPort) next() Msg {
-	if p.ch != nil {
-		select {
-		case m := <-p.ch:
-			return m
-		default:
-		}
+	select {
+	case m := <-p.ch:
+		return m
+	default:
+	}
+	if !p.spilling.Load() {
 		select {
 		case m := <-p.ch:
 			return m

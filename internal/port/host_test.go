@@ -25,7 +25,7 @@ func onOneP(t *testing.T, fn func(p Port, turns *atomic.Int64)) {
 			runtime.Gosched()
 		}
 	}()
-	h := NewHost(1, Bounded, nil)
+	h := NewHost(1, nil)
 	done := make(chan struct{})
 	h.Spawn("p", func(p Port) {
 		defer close(done)
@@ -111,7 +111,7 @@ func TestHostPauseWaitsAndYields(t *testing.T) {
 // TestHostPauseUnwindsOnQuit: a port parked in a long Pause is no obstacle
 // to Shutdown — it unwinds like a blocked receive.
 func TestHostPauseUnwindsOnQuit(t *testing.T) {
-	h := NewHost(1, Bounded, nil)
+	h := NewHost(1, nil)
 	parked := make(chan struct{})
 	returned := false
 	h.Spawn("p", func(p Port) {
