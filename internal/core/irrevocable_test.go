@@ -1,7 +1,10 @@
 package core
 
 import (
+	"fmt"
+	"hash/fnv"
 	"testing"
+	"time"
 
 	"repro/internal/cm"
 	"repro/internal/mem"
@@ -134,6 +137,68 @@ func TestStaleExclusiveReleaseIgnored(t *testing.T) {
 	s.RunToCompletion()
 	if got := s.Mem.ReadRaw(a); got != 2 {
 		t.Fatalf("a = %d, want 2", got)
+	}
+}
+
+// TestIrrevocableMixFingerprint pins a bank run where 5 % of the transfers
+// are irrevocable among ordinary optimistic ones (sim, 8 cores, 64
+// accounts, 800 µs of virtual time): the hash of the run's Stats must
+// stay bit-identical, the balance total must be conserved and no lock may
+// survive the drain. The values were captured before the exp package's
+// irrevocable-mix experiment was retired; this is now the pin on the
+// irrevocable path under contention.
+func TestIrrevocableMixFingerprint(t *testing.T) {
+	const accounts, initial = 64, 1000
+	for _, c := range []struct {
+		seed uint64
+		want uint64
+	}{
+		{3, 0x49ee71bffadf2f39},
+		{9, 0xede6616aee5afafa},
+	} {
+		s := testSystem(t, func(cfg *Config) { cfg.Seed = c.seed })
+		accts := NewTArray(s, Uint64Codec(), accounts, initial)
+		s.SpawnWorkers(func(rt *Runtime) {
+			r := rt.Rand()
+			for !rt.Stopped() {
+				from := r.Intn(accounts)
+				to := (from + 1 + r.Intn(accounts-1)) % accounts
+				if r.Intn(100) < 5 {
+					rt.RunIrrevocable(func(ir *Irrevocable) {
+						f, tv := accts.At(from).GetIr(ir), accts.At(to).GetIr(ir)
+						accts.At(from).SetIr(ir, f-1)
+						accts.At(to).SetIr(ir, tv+1)
+					})
+				} else {
+					rt.Run(func(tx *Tx) {
+						f, tv := accts.Get(tx, from), accts.Get(tx, to)
+						accts.Set(tx, from, f-1)
+						accts.Set(tx, to, tv+1)
+					})
+				}
+				rt.AddOps(1)
+			}
+		})
+		st := s.Run(800 * time.Microsecond)
+		if st.Irrevocables == 0 {
+			t.Errorf("seed %d: no irrevocable transaction ran", c.seed)
+		}
+		var sum uint64
+		for i := 0; i < accounts; i++ {
+			sum += accts.GetRaw(i)
+		}
+		if sum != accounts*initial {
+			t.Errorf("seed %d: balance total %d, want %d", c.seed, sum, accounts*initial)
+		}
+		if n := s.LockedAddrs(); n != 0 {
+			t.Errorf("seed %d: %d locks leaked", c.seed, n)
+		}
+		h := fnv.New64a()
+		fmt.Fprintf(h, "%d %d %d %d %d %d", st.Ops, st.Commits, st.Aborts, st.Irrevocables, st.Msgs, st.Duration)
+		if got := h.Sum64(); got != c.want {
+			t.Errorf("seed %d: fingerprint %#016x, want %#016x (ops %d commits %d aborts %d irrevocables %d msgs %d duration %d) — simulated behavior changed",
+				c.seed, got, c.want, st.Ops, st.Commits, st.Aborts, st.Irrevocables, st.Msgs, st.Duration)
+		}
 	}
 }
 
