@@ -8,7 +8,7 @@
 //	tm2c-bench -run all -scale quick
 //	tm2c-bench -run fig8a,fig8b -scale full -csv
 //	tm2c-bench -run ablbatch -coalesce
-//	tm2c-bench -run scaleplace -placement adaptive
+//	tm2c-bench -run fig5a -placement hier
 //	tm2c-bench -run abltl2 -scale quick
 //	tm2c-bench -run fig5a -protocol tl2
 //	tm2c-bench -run fig5a -scale quick -backend live
@@ -20,8 +20,7 @@
 // the coalescing message plane (per-destination wire batching,
 // Config.Coalesce) in every experiment; the ablbatch ablation compares
 // both settings directly. -placement forces an object→DTM-node placement
-// policy in every experiment; scaleplace compares hash, adaptive and hier
-// directly.
+// policy in every experiment; scaleplace compares hash and hier directly.
 // -protocol forces a read-visibility protocol (visible | tl2) in every
 // experiment; the abltl2 ablation compares the two protocols directly.
 // -backend selects the execution backend: the deterministic simulator

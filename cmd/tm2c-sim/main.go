@@ -47,7 +47,7 @@ func main() {
 		deploy   = flag.String("deployment", "dedicated", "dedicated | multitask")
 		acquire  = flag.String("acquire", "lazy", "lazy | eager")
 		nobatch  = flag.Bool("nobatching", false, "disable per-node write-lock batching (one request per object; the ablbatch ablation's off arm)")
-		epoch    = flag.Int("epoch", 0, "adaptive placement: lock accesses per repartition epoch (0 = default)")
+		epoch    = flag.Int("epoch", 0, "hier placement: lock accesses per repartition epoch (0 = default)")
 		platform = flag.String("platform", "scc", "scc | scc800 | opteron | scc:N (setting N)")
 		duration = flag.Duration("duration", 20*time.Millisecond, "virtual run length")
 		traceF   = flag.String("trace", "", "write a flight-recorder trace of the run: .json for chrome://tracing, anything else for a plain-text timeline")

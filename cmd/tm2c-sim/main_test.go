@@ -10,7 +10,7 @@ import (
 	"repro/internal/apps/bank"
 )
 
-// TestReportPlacementLine: every placement kind that keeps a directory
+// TestReportPlacementLine: the placement kind that keeps a directory
 // reports its counters — among them how many epochs the heat plane spent
 // awake, the one-line answer to "is placement paying?" — and hash has none
 // and prints its bare name.
@@ -21,7 +21,6 @@ func TestReportPlacementLine(t *testing.T) {
 		want []string
 	}{
 		{repro.PlacementHash, nil},
-		{repro.PlacementAdaptive, counters},
 		{repro.PlacementHier, counters},
 	} {
 		t.Run(tc.kind.String(), func(t *testing.T) {

@@ -50,12 +50,14 @@ type auditor struct {
 
 // EnableAudit switches on commit recording. Call before SpawnWorkers. The
 // audit is a sim-backend facility: it replays commits in their exact
-// recorded order, which only exists under the deterministic kernel. Live
-// runs are checked with invariants instead (conservation, lock-table
-// emptiness at quiesce; see internal/live's tests).
+// recorded order, which only exists under the deterministic kernel's one
+// clock. Live and net runs have no such order — every net rank would replay
+// its own clock — so EnableAudit panics on them; they are checked with
+// invariants instead (conservation, lock-table emptiness at quiesce; see
+// internal/live's and internal/net's tests).
 func (s *System) EnableAudit() {
-	if s.cfg.Backend == BackendLive {
-		panic("core: EnableAudit requires the sim backend (live runs have no global commit order to replay)")
+	if s.cfg.Backend != BackendSim {
+		panic(fmt.Sprintf("core: EnableAudit requires the sim backend (%v runs have no global commit order to replay)", s.cfg.Backend))
 	}
 	if s.audit == nil {
 		s.audit = &auditor{}

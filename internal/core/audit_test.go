@@ -115,6 +115,31 @@ func TestCheckAuditWithoutEnableErrors(t *testing.T) {
 	}
 }
 
+// TestEnableAuditRequiresSim: the replay orders commits by port.Time, one
+// global clock only under the sim kernel. Live has no such order, and on net
+// every rank would replay its own clock, so EnableAudit refuses both. The
+// systems are raw-only (no DTM node), so a host that never starts leaves no
+// goroutine behind.
+func TestEnableAuditRequiresSim(t *testing.T) {
+	for _, cfg := range []Config{
+		{Backend: BackendLive, ServiceCores: -1},
+		{Backend: BackendNet, ServiceCores: -1, Net: &NetConfig{Ranks: 2, Addrs: []string{"unix:a", "unix:b"}}},
+	} {
+		t.Run(cfg.Backend.String(), func(t *testing.T) {
+			s, err := NewSystem(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() {
+				if recover() == nil {
+					t.Errorf("EnableAudit accepted a %v system", cfg.Backend)
+				}
+			}()
+			s.EnableAudit()
+		})
+	}
+}
+
 func TestAuditReadOnlySerializesAtLastRead(t *testing.T) {
 	// A long-running read-only transaction overlapping many writers must
 	// still audit clean because it serializes at its last read.

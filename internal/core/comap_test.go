@@ -24,8 +24,9 @@ var (
 	// nodes cannot tell that from noise (node 0 would have to reach 1.5x).
 	// Before PR 21 the directory migrated here anyway — its per-stripe sums
 	// drop every stripe touched once per window, which read as 1.13-1.47x —
-	// 42 times, and hier's remote share fell to 0.695 against flat's 0.746.
-	// PR 21's gate sleeps through this run: a stated loss, pinned below.
+	// 42 times, and hier's remote share fell to 0.695 against the retired
+	// flat policy's 0.746. PR 21's gate sleeps through this run: a stated
+	// loss, pinned below.
 	comapMild = comapFixture{draws: 2, epoch: 256, ops: 120}
 	// comapSteep is the same structure with an imbalance the gate can see:
 	// ~1.4x on node 0, in 1024-access epochs.
@@ -90,16 +91,29 @@ func runComap(t *testing.T, kind placement.Kind, fx comapFixture) (*Stats, *plac
 	return st, s.Placement()
 }
 
+// interleavedStart runs fx with an epoch no run reaches: the directory never
+// evaluates, so every stripe stays on its interleaved default owner — the
+// start every migration departs from — while the accesses are still counted.
+func interleavedStart(t *testing.T, fx comapFixture) *Stats {
+	t.Helper()
+	fx.epoch = 1 << 30
+	st, _ := runComap(t, placement.AdaptiveHier, fx)
+	if st.Migrations != 0 || st.PlacementEpochs != 0 {
+		t.Fatalf("interleaved start: %d migrations over %d epochs, want none", st.Migrations, st.PlacementEpochs)
+	}
+	return st
+}
+
 // TestCoMappingConvergesOnStableSkew is the deterministic end-to-end
-// co-mapping test the ISSUE asks for: on a stable clustered Zipf workload,
-// the hier policy's migrations must pull stripes toward their accessor
-// clusters, so (a) its remote-access ratio across epoch windows strictly
-// drops from the first window to the last, and (b) its final remote ratio
-// beats flat adaptive's on the identical workload and seed — the
-// Stats.RemoteAccessRatio counter proving the win.
+// co-mapping test: on a stable clustered Zipf workload, the hier policy's
+// migrations must pull stripes toward their accessor clusters, so (a) its
+// remote-access ratio across epoch windows strictly drops from the first
+// window to the last, and (b) its final remote ratio beats the interleaved
+// start's on the identical workload and seed — the Stats.RemoteAccessRatio
+// counter proving the win.
 func TestCoMappingConvergesOnStableSkew(t *testing.T) {
 	hierStats, hierDir := runComap(t, placement.AdaptiveHier, comapSteep)
-	flatStats, _ := runComap(t, placement.Adaptive, comapSteep)
+	startStats := interleavedStart(t, comapSteep)
 
 	if hierStats.Migrations == 0 {
 		t.Fatal("hier policy initiated no migrations under clustered skew")
@@ -111,30 +125,30 @@ func TestCoMappingConvergesOnStableSkew(t *testing.T) {
 	if first, last := hist[0], hist[len(hist)-1]; last >= first {
 		t.Errorf("hier remote-access ratio did not drop: first window %.3f, last %.3f", first, last)
 	}
-	hr, fr := hierStats.RemoteAccessRatio(), flatStats.RemoteAccessRatio()
-	if hr == 0 || fr == 0 {
-		t.Fatalf("remote ratios not tracked (hier %.3f, flat %.3f)", hr, fr)
+	hr, sr := hierStats.RemoteAccessRatio(), startStats.RemoteAccessRatio()
+	if hr == 0 || sr == 0 {
+		t.Fatalf("remote ratios not tracked (hier %.3f, interleaved start %.3f)", hr, sr)
 	}
-	if hr >= fr {
-		t.Errorf("co-mapping remote ratio %.3f not below flat adaptive's %.3f", hr, fr)
+	if hr >= sr {
+		t.Errorf("co-mapping remote ratio %.3f not below the interleaved start's %.3f", hr, sr)
 	}
 }
 
 // TestCoMappingSleepsThroughMildSkew pins what PR 21 gave up (see comapMild):
 // on the fixture the test above was written on, node 0 never clears the
-// noise margin and the heat plane never wakes, so hier and flat adaptive
-// both stay on the interleaved start — no migration, the same remote share.
-// If the gate ever learns to act on a persistent 1.24x, this test fails and
-// the assertions above move back onto comapMild.
+// noise margin and the heat plane never wakes, so hier stays on the
+// interleaved start — no migration, the start's remote share. If the gate
+// ever learns to act on a persistent 1.24x, this test fails and the
+// assertions above move back onto comapMild.
 func TestCoMappingSleepsThroughMildSkew(t *testing.T) {
 	hier, _ := runComap(t, placement.AdaptiveHier, comapMild)
-	flat, _ := runComap(t, placement.Adaptive, comapMild)
+	start := interleavedStart(t, comapMild)
 	if hier.PlacementEpochs < 30 || hier.AwakeEpochs != 0 || hier.Migrations != 0 || hier.DirSplits != 0 {
 		t.Errorf("hier: awake %d of %d epochs, %d migrations, %d splits; want a run of >= 30 epochs slept through",
 			hier.AwakeEpochs, hier.PlacementEpochs, hier.Migrations, hier.DirSplits)
 	}
-	if hr, fr := hier.RemoteAccessRatio(), flat.RemoteAccessRatio(); hr != fr || hr < 0.7 {
-		t.Errorf("remote share hier %.3f, flat %.3f; want equal and at the interleaved start's ~0.75", hr, fr)
+	if hr, sr := hier.RemoteAccessRatio(), start.RemoteAccessRatio(); hr != sr || hr < 0.7 {
+		t.Errorf("remote share hier %.3f, interleaved start %.3f; want equal, ~0.75", hr, sr)
 	}
 }
 

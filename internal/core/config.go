@@ -304,9 +304,8 @@ type Config struct {
 	// are locked by their base address.
 	LockGranule int
 	// Placement selects the object→DTM-node placement policy: the static
-	// multiplicative hash of §3.2 (default), the adaptive epoch-based
-	// repartitioner, or the hierarchical adaptive repartitioner with
-	// locality-aware co-mapping (internal/placement).
+	// multiplicative hash of §3.2 (default) or the hierarchical adaptive
+	// repartitioner with locality-aware co-mapping (internal/placement).
 	Placement placement.Kind
 	// RepartitionEpoch is the adaptive placement epoch length: the number
 	// of recorded lock-key accesses between repartition evaluations
@@ -369,7 +368,7 @@ func (c *Config) normalize() error {
 		if c.Protocol == ProtocolTL2 {
 			return errors.New("core: tl2 protocol needs a shared version clock; unsupported on the net backend")
 		}
-		if c.Placement == placement.Adaptive || c.Placement == placement.AdaptiveHier {
+		if c.Placement != placement.Hash {
 			return errors.New("core: adaptive placement needs a shared directory; unsupported on the net backend")
 		}
 		if c.RPCDeadline == 0 {
@@ -485,7 +484,7 @@ type Stats struct {
 	Conflicts   uint64
 	Revocations uint64 // enemy aborts performed by CMs
 
-	// Placement activity (adaptive policies; see internal/placement).
+	// Placement activity (hier placement; see internal/placement).
 	StaleNacks        uint64 // lock requests NACKed for stale placement resolution
 	StaleNackHints    uint64 // stale-NACK retries steered by the piggybacked owner hint
 	PlacementAborts   uint64 // attempts aborted after chasing migrating ownership too long
@@ -495,7 +494,7 @@ type Stats struct {
 	Migrations        uint64 // stripe migrations initiated by the directory
 	Handoffs          uint64 // stripe handoffs completed by DTM nodes
 
-	// Hierarchical-directory activity (adaptive policies). The leaf counters
+	// Hierarchical-directory activity (hier placement). The leaf counters
 	// are end-of-run gauges, not sums: MaterializedLeaves ≪ LeafUniverse is
 	// the O(touched) scaling witness.
 	DirSplits          uint64 // super-stripes materialized into leaves
@@ -503,7 +502,7 @@ type Stats struct {
 	MaterializedLeaves int    // leaves materialized at the end of the run
 	LeafUniverse       int    // super-stripes the universe divides into
 
-	// Thread/data locality (adaptive policies with platform clusters wired;
+	// Thread/data locality (hier placement, over the platform's clusters;
 	// see noc.Platform.ClusterOf). A recorded access is local when the
 	// accessor's cluster contains the owning DTM node. RemoteAccessRatio
 	// summarizes; the hier policy's co-mapping exists to shrink it.

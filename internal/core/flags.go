@@ -21,7 +21,7 @@ func BindFlags(fs *flag.FlagSet) func(*Config) {
 		func(v string) (err error) { f.Backend, err = ParseBackend(v); return })
 	fs.Func("protocol", "read-visibility protocol: visible (per-read DTM round trips; the default) | tl2 (invisible reads, commit-time validation)",
 		func(v string) (err error) { f.Protocol, err = ParseProtocol(v); return })
-	fs.Func("placement", "object→DTM-node placement policy: hash (the default) | adaptive | hier",
+	fs.Func("placement", "object→DTM-node placement policy: hash (the default) | hier",
 		func(v string) (err error) { f.Placement, err = placement.Parse(v); return })
 	fs.BoolVar(&f.Coalesce, "coalesce", false, "coalescing message plane: same-destination payloads of one burst share a wire message")
 	fs.Uint64Var(&f.Seed, "seed", 1, "simulation seed")

@@ -34,7 +34,6 @@ func TestBindFlags(t *testing.T) {
 		{[]string{"-backend", "sim"}, filled, with(filled, func(c *Config) { c.Backend = BackendSim })},
 		{[]string{"-protocol", "tl2"}, Config{}, Config{Protocol: ProtocolTL2}},
 		{[]string{"-protocol", "visible"}, filled, with(filled, func(c *Config) { c.Protocol = ProtocolVisible })},
-		{[]string{"-placement", "adaptive"}, Config{}, Config{Placement: placement.Adaptive}},
 		{[]string{"-placement", "hier"}, Config{}, Config{Placement: placement.AdaptiveHier}},
 		{[]string{"-placement", "hash"}, filled, with(filled, func(c *Config) { c.Placement = placement.Hash })},
 		{[]string{"-coalesce"}, Config{}, Config{Coalesce: true}},
@@ -64,10 +63,11 @@ func TestBindFlags(t *testing.T) {
 	for flagName, accepted := range map[string]string{
 		"backend":   "sim|live|net",
 		"protocol":  "visible|tl2",
-		"placement": "hash | adaptive | hier",
+		"placement": "(want hash | hier)",
 	} {
-		// "range" is the retired placement policy: as unknown as any other.
-		for _, bad := range []string{"bogus", "range"} {
+		// "range" and "adaptive" are retired placement policies: as unknown
+		// as any other.
+		for _, bad := range []string{"bogus", "range", "adaptive"} {
 			_, err := parse("-"+flagName, bad)
 			if err == nil || !strings.Contains(err.Error(), accepted) {
 				t.Errorf("-%s %s: error %v, want a parse error listing %q", flagName, bad, err, accepted)

@@ -45,7 +45,7 @@ func TestAdaptiveMigrationNoLockLeak(t *testing.T) {
 		TotalCores:       8,
 		ServiceCores:     4,
 		Policy:           cm.FairCM,
-		Placement:        placement.Adaptive,
+		Placement:        placement.AdaptiveHier,
 		RepartitionEpoch: 64,
 	}
 	s, err := NewSystem(cfg)
@@ -88,7 +88,7 @@ func TestAdaptiveMigrationMultitask(t *testing.T) {
 		TotalCores:       4,
 		Deployment:       Multitask,
 		Policy:           cm.FairCM,
-		Placement:        placement.Adaptive,
+		Placement:        placement.AdaptiveHier,
 		RepartitionEpoch: 64,
 	}
 	s, err := NewSystem(cfg)
@@ -126,7 +126,7 @@ func TestAdaptiveDeterminism(t *testing.T) {
 					TotalCores:       8,
 					Deployment:       dep,
 					Policy:           cm.FairCM,
-					Placement:        placement.Adaptive,
+					Placement:        placement.AdaptiveHier,
 					RepartitionEpoch: 64,
 				}
 				s, err := NewSystem(cfg)
@@ -171,7 +171,7 @@ func TestPlacementStaleNackRerouting(t *testing.T) {
 		TotalCores:       4,
 		ServiceCores:     2,
 		Policy:           cm.FairCM,
-		Placement:        placement.Adaptive,
+		Placement:        placement.AdaptiveHier,
 		RepartitionEpoch: 1 << 30, // no automatic rounds
 	}
 	s, err := NewSystem(cfg)

@@ -17,7 +17,7 @@ import (
 // that to scatter-gather its per-node write-lock batches: all batches are
 // sent in one burst and their responses awaited together, so a lazy commit
 // touching k DTM nodes pays one awaited round-trip phase instead of k
-// serial round trips (what that buys: README "Answered and retired").
+// serial round trips (what that buys: docs/RETIRED.md, ablrpc).
 //
 // Determinism: requests are sent in a deterministic order (first-use order
 // of the write set), responses are matched by ID and processed in send

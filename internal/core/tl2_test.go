@@ -359,7 +359,7 @@ func TestStaleNackHintSteersRetry(t *testing.T) {
 		TotalCores:       4,
 		ServiceCores:     2,
 		Policy:           cm.FairCM,
-		Placement:        placement.Adaptive,
+		Placement:        placement.AdaptiveHier,
 		RepartitionEpoch: 1 << 30, // no automatic rounds; the test drives the move
 	}
 	s, err := NewSystem(cfg)

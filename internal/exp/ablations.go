@@ -24,8 +24,8 @@ func init() {
 // protocol batching win without protocol knowledge. With protocol batching
 // on, every burst is already one payload per node and plain coalescing
 // finds little to merge — the planes compose, they do not stack (a third
-// arm that deferred releases across bursts to win that row is README
-// "Answered and retired: adaptive outbox flush").
+// arm that deferred releases across bursts to win that row is
+// docs/RETIRED.md, "Adaptive outbox flush").
 func ablBatch(sc Scale, ov Overrides) []*Table {
 	run := func(total, svc int, batching, coalesce bool) *core.Stats {
 		c := defaultSys(total)

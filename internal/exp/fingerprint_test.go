@@ -25,18 +25,22 @@ import (
 // committed fig5a and scaleplace tables used to be: captured on the parent
 // of PR 15, where rendering the committed tables gave the same two hashes.
 // They keep what those files gated — the default, trace-off plane of the
-// bank figure and of all three placement policies stays cell-identical.
+// bank figure and of every placement policy stays cell-identical.
 //
-// The scaleplace row was re-captured once, in PR 21, when the heat plane
-// learned to sleep: hash rows cell-identical; uniform adaptive/hier rows
+// The scaleplace row was re-captured twice. When the heat plane learned to
+// sleep: hash rows cell-identical; uniform adaptive/hier rows
 // cell-identical except leaves 64 -> 0; the Zipf adaptive/hier rows moved
 // inside their seed-to-seed spread (docs/perf/PR-21.md has both tables).
+// When the flat adaptive policy was retired: its two rows and the last note
+// went, the hash and hier rows stayed cell-identical (docs/RETIRED.md).
 //
-// The abltl2, ablbatch, ablgran and extirrev rows were captured on the parent
-// of PR 23, before that PR touched internal/core: fig4–fig8 all run the
-// visible protocol, uncoalesced, at granule 1, so until then TL2, the
-// coalescing plane, LockGranule > 1 and irrevocables were pinned by nothing
-// but run-to-run determinism tests.
+// The abltl2, ablbatch and ablgran rows were captured on the parent of PR 23,
+// before that PR touched internal/core: fig4–fig8 all run the visible
+// protocol, uncoalesced, at granule 1, so until then TL2, the coalescing
+// plane and LockGranule > 1 were pinned by nothing but run-to-run
+// determinism tests. Irrevocables are pinned in internal/core
+// (TestIrrevocableMixFingerprint), since the experiment that mixed them into
+// the bank was retired (docs/RETIRED.md).
 //
 // The two fig6a rows were re-captured once, in PR 18, when the table's note
 // stopped citing a deleted document; every cell of the table was unchanged.
@@ -79,13 +83,11 @@ var figFingerprints = []struct {
 	{"abltl2", fingerprintScale, 3, 0x84e277e3c28e8f87},
 	{"ablbatch", fingerprintScale, 3, 0x9a3e75a30103f0f9},
 	{"ablgran", fingerprintScale, 3, 0xcdc1d09e5efa5355},
-	{"extirrev", fingerprintScale, 3, 0x3d1c1f725ce55d8e},
 	{"abltl2", fingerprintScale, 9, 0x55d323ba658cbbb4},
 	{"ablbatch", fingerprintScale, 9, 0x01658815faa05d72},
 	{"ablgran", fingerprintScale, 9, 0xbb808df68b20c039},
-	{"extirrev", fingerprintScale, 9, 0x61b69368588094fd},
 	{"fig5a", Quick, 1, 0xf849c55454ba64dc},
-	{"scaleplace", Quick, 1, 0x40154b68196c5aa3},
+	{"scaleplace", Quick, 1, 0xdad56360507d7d79},
 }
 
 // fingerprintScale matches the fig4–fig8 capture run exactly; any change

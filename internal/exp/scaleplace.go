@@ -10,7 +10,7 @@ import (
 )
 
 func init() {
-	register("scaleplace", "Scale: flat vs hierarchical placement across skew on a million-object bank", scalePlace)
+	register("scaleplace", "Scale: static vs hierarchical adaptive placement across skew on a million-object bank", scalePlace)
 }
 
 // scalePlace is the scale ablation of the hierarchical directory: the bank
@@ -18,13 +18,14 @@ func init() {
 // scale) and every cluster's workers hammer a Zipf-skewed slice of their
 // own contiguous partition (bank.LocalZipfWorker), so the heat is both
 // skewed and locality-structured. Rows compare hash (static, perfectly
-// spread, locality-blind), flat adaptive (balances totals, locality-blind)
-// and hier (balances totals toward the accessors' cluster) at uniform and
-// Zipf skew. The directory gauges make the scaling claim checkable: the
-// leaf universe covers every stripe the configured memory could hold,
-// while materialized leaves stay proportional to the touched working set —
-// repartition scans walk only the latter. Above 48 cores the paper's SCC
-// is out of tiles and the run moves to a 16x8 mesh of 2-core tiles.
+// spread, locality-blind) and hier (balances totals toward the accessors'
+// cluster) at uniform and Zipf skew; a uniform hier row never wakes its heat
+// plane, so its remote % is the interleaved start's. The directory gauges
+// make the scaling claim checkable: the leaf universe covers every stripe
+// the configured memory could hold, while materialized leaves stay
+// proportional to the touched working set — repartition scans walk only the
+// latter. Above 48 cores the paper's SCC is out of tiles and the run moves
+// to a 16x8 mesh of 2-core tiles.
 func scalePlace(sc Scale, ov Overrides) []*Table {
 	objects := sc.Objects
 	if objects == 0 {
@@ -55,7 +56,7 @@ func scalePlace(sc Scale, ov Overrides) []*Table {
 	}
 	parts := pl.NumClusters()
 	for _, theta := range []float64{0, 0.99} {
-		for _, k := range []placement.Kind{placement.Hash, placement.Adaptive, placement.AdaptiveHier} {
+		for _, k := range placement.Kinds() {
 			c := defaultSys(cores)
 			c.Platform = pl
 			c.ServiceCores = cores / 8
@@ -75,6 +76,6 @@ func scalePlace(sc Scale, ov Overrides) []*Table {
 		"every worker's transfers stay inside its cluster's contiguous account partition, Zipf-skewed within it — heat is locality-structured, the regime co-mapping exists for",
 		"leaves / leaf universe: owner state the hierarchical directory materialized vs the leaf count a flat table would scan — epoch repartitioning walks only the former",
 		"remote % counts directory-recorded accesses whose owning DTM node sat outside the accessor's cluster (0 for hash: the static policy records no accesses)",
-		"hier must track flat adaptive's throughput and balance while pulling remote % down; at uniform skew all policies converge")
+		"under Zipf, hier must hold hash's throughput and pull remote % below the uniform row's, which is the interleaved start's; at uniform skew its heat plane sleeps and it tracks hash")
 	return []*Table{t}
 }

@@ -1,4 +1,4 @@
-// Cross-process backend tests: the five applications of the evaluation run
+// Cross-process backend tests: the four applications of the evaluation run
 // on the net backend, with the ranks either as goroutine-hosted engine
 // replicas inside one test binary (cheap, race-checked) or as genuinely
 // separate OS processes re-execing this test binary (TestNetOSProcesses).
@@ -28,7 +28,6 @@ import (
 	"repro/internal/apps/hashset"
 	"repro/internal/apps/intset"
 	"repro/internal/apps/mapreduce"
-	"repro/internal/apps/skiplist"
 	"repro/internal/cm"
 	"repro/internal/core"
 	"repro/internal/port"
@@ -108,21 +107,6 @@ var netApps = map[string]netApp{
 			}
 		},
 	},
-	"skiplist": {
-		run: func(s *core.System) (*core.Stats, func() error) {
-			l := skiplist.New(s)
-			r := port.NewRand(17)
-			l.InitFill(96, 384, &r)
-			s.SpawnWorkers(l.Worker(skiplist.Workload{UpdatePct: 25, KeyRange: 384}))
-			st := s.Run(netWindow)
-			return st, func() error {
-				if _, err := l.CheckTowers(); err != nil {
-					return fmt.Errorf("skip list structure broken: %v", err)
-				}
-				return nil
-			}
-		},
-	},
 	"mapreduce": {
 		mut: func(c *core.Config) { c.ServiceCores = 2 },
 		run: func(s *core.System) (*core.Stats, func() error) {
@@ -144,7 +128,7 @@ var netApps = map[string]netApp{
 }
 
 // appNames is the deterministic iteration order for subtests.
-var appNames = []string{"bank", "hashset", "intset", "skiplist", "mapreduce"}
+var appNames = []string{"bank", "hashset", "intset", "mapreduce"}
 
 // netConfig is the shared per-rank Config: everything identical across
 // ranks except Net.Rank.

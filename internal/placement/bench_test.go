@@ -105,16 +105,12 @@ func BenchmarkResolveParallel(b *testing.B) {
 // record, and every 1024th call an O(nodes) epoch evaluation.
 func BenchmarkRecordUniform(b *testing.B) {
 	keys := uniformKeys(1 << 16)
-	for _, kind := range []Kind{Adaptive, AdaptiveHier} {
-		b.Run(kind.String(), func(b *testing.B) {
-			d := benchDirectory(b, kind)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				k := keys[i&(len(keys)-1)]
-				benchSink += d.Owner(k)
-				d.Record(i&1, k)
-			}
-		})
+	d := benchDirectory(b, AdaptiveHier)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		k := keys[i&(len(keys)-1)]
+		benchSink += d.Owner(k)
+		d.Record(i&1, k)
 	}
 }
 

@@ -305,14 +305,14 @@ func TestHierDirectoryWorkIsOTouched(t *testing.T) {
 // policy level: with two clusters whose cores touch disjoint stripe sets
 // (each set starting on the wrong side), the hier policy must migrate
 // stripes toward their accessors' cluster, strictly lowering the remote
-// access ratio across epoch windows; the flat adaptive policy, blind to
-// affinity, must end up with a higher remote ratio on the same stream.
+// access ratio across epoch windows and ending below the same stream with
+// migration disabled (a prohibitive ImbalanceFactor: the interleaved start).
 func TestHierCoMappingPullsDataToAccessors(t *testing.T) {
-	run := func(kind Kind) *Directory {
+	run := func(imbalance float64) *Directory {
 		d, err := New(Config{
-			Nodes: 4, Kind: kind, Stripes: 256, Span: 1,
+			Nodes: 4, Kind: AdaptiveHier, Stripes: 256, Span: 1,
 			LeafStripes: 16, Clusters: []int{0, 0, 1, 1},
-			EvalEvery: 512, MaxMoves: 8,
+			EvalEvery: 512, MaxMoves: 8, ImbalanceFactor: imbalance,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -338,8 +338,8 @@ func TestHierCoMappingPullsDataToAccessors(t *testing.T) {
 		}
 		return d
 	}
-	hier := run(AdaptiveHier)
-	flat := run(Adaptive)
+	hier := run(0) // the default factor
+	start := run(1e9)
 	hist := hier.RemoteHistory()
 	if len(hist) < 2 {
 		t.Fatalf("only %d epoch windows recorded", len(hist))
@@ -348,12 +348,15 @@ func TestHierCoMappingPullsDataToAccessors(t *testing.T) {
 	if last >= first {
 		t.Errorf("hier remote ratio did not drop: first window %.3f, last %.3f", first, last)
 	}
+	if start.Migrations != 0 {
+		t.Fatalf("%d migrations under a prohibitive imbalance factor", start.Migrations)
+	}
 	hl, hr := hier.AccessLocality()
-	fl, fr := flat.AccessLocality()
+	sl, sr := start.AccessLocality()
 	hierRatio := float64(hr) / float64(hl+hr)
-	flatRatio := float64(fr) / float64(fl+fr)
-	if hierRatio >= flatRatio {
-		t.Errorf("co-mapping remote ratio %.3f not below flat adaptive %.3f", hierRatio, flatRatio)
+	startRatio := float64(sr) / float64(sl+sr)
+	if hierRatio >= startRatio {
+		t.Errorf("co-mapping remote ratio %.3f not below the interleaved start's %.3f", hierRatio, startRatio)
 	}
 	if err := hier.CheckInvariants(); err != nil {
 		t.Fatal(err)

@@ -4,14 +4,14 @@
 //
 // TM2C (§3.2) fixes this mapping to a static multiplicative hash, which
 // balances load only under uniform access. This package makes placement a
-// first-class subsystem with three strategies:
+// first-class subsystem with two strategies, one static and one dynamic:
 //
 //   - Hash: the paper's static multiplicative hash (the default);
-//   - Adaptive: a per-stripe ownership table that tracks access counts per
-//     epoch and migrates hot stripes from overloaded to underloaded nodes;
-//   - AdaptiveHier: Adaptive plus locality-aware thread/data co-mapping —
-//     migrations are biased toward a DTM node in the cluster (mesh
-//     quadrant / socket) of the stripe's dominant accessor group.
+//   - AdaptiveHier: a per-stripe ownership table that tracks access counts
+//     per epoch and migrates hot stripes from overloaded to underloaded
+//     nodes, with locality-aware thread/data co-mapping — migrations are
+//     biased toward a DTM node in the cluster (mesh quadrant / socket) of
+//     the stripe's dominant accessor group.
 //
 // # Stripe universe
 //
@@ -127,41 +127,37 @@ type Kind uint8
 const (
 	// Hash is the paper's static multiplicative hash of the lock key.
 	Hash Kind = iota
-	// Adaptive starts from an interleaved stripe assignment and migrates
-	// hot stripes between nodes at epoch boundaries.
-	Adaptive
-	// AdaptiveHier is Adaptive with locality-aware co-mapping: hot stripes
-	// migrate toward a DTM node in the cluster of their dominant accessor
-	// group instead of merely toward the globally coolest node.
+	// AdaptiveHier starts from an interleaved stripe assignment and migrates
+	// hot stripes between nodes at epoch boundaries, toward a DTM node in
+	// the cluster of their dominant accessor group when Config.Clusters
+	// names one, else toward the globally coolest node.
 	AdaptiveHier
 )
 
+// Adaptive is AdaptiveHier under the name of the retired flat policy. The
+// repo benchmark's micro metrics (bench/micro.go) are its only user.
+const Adaptive = AdaptiveHier
+
 func (k Kind) String() string {
-	switch k {
-	case Adaptive:
-		return "adaptive"
-	case AdaptiveHier:
+	if k == AdaptiveHier {
 		return "hier"
-	default:
-		return "hash"
 	}
+	return "hash"
 }
 
-// Parse parses a placement policy name (hash | adaptive | hier).
+// Parse parses a placement policy name (hash | hier).
 func Parse(s string) (Kind, error) {
 	switch s {
 	case "", "hash":
 		return Hash, nil
-	case "adaptive":
-		return Adaptive, nil
 	case "hier", "adaptive-hier":
 		return AdaptiveHier, nil
 	}
-	return Hash, fmt.Errorf("placement: unknown policy %q (want hash | adaptive | hier)", s)
+	return Hash, fmt.Errorf("placement: unknown policy %q (want hash | hier)", s)
 }
 
 // Kinds lists every policy in presentation order.
-func Kinds() []Kind { return []Kind{Hash, Adaptive, AdaptiveHier} }
+func Kinds() []Kind { return []Kind{Hash, AdaptiveHier} }
 
 // Config describes one directory.
 type Config struct {
@@ -410,7 +406,7 @@ func New(cfg Config) (*Directory, error) {
 		d.leafShift++
 	}
 	d.numLeaves = (d.totalStripes + cfg.LeafStripes - 1) / cfg.LeafStripes
-	if cfg.Kind == Adaptive || cfg.Kind == AdaptiveHier {
+	if cfg.Kind == AdaptiveHier {
 		d.leaves = make(map[int]*leaf)
 		d.load = make([]uint64, cfg.Nodes)
 		d.nodeLoad = make([]uint64, cfg.Nodes)

@@ -18,13 +18,17 @@ func TestParseAndString(t *testing.T) {
 	if k, err := Parse(""); err != nil || k != Hash {
 		t.Errorf("Parse(\"\") = %v, %v, want Hash", k, err)
 	}
-	// "range" is the retired contiguous-striping policy (README "Answered
-	// and retired"): it must fail like any unknown name, naming what is left.
-	for _, bad := range []string{"nope", "range"} {
+	// "range" and "adaptive" are the retired contiguous-striping and flat
+	// adaptive policies (docs/RETIRED.md): each must fail like any unknown
+	// name, naming what is left.
+	for _, bad := range []string{"nope", "range", "adaptive"} {
 		_, err := Parse(bad)
-		if err == nil || !strings.Contains(err.Error(), "hash | adaptive | hier") {
-			t.Errorf("Parse(%q) error = %v, want one listing hash | adaptive | hier", bad, err)
+		if err == nil || !strings.Contains(err.Error(), "(want hash | hier)") {
+			t.Errorf("Parse(%q) error = %v, want one listing hash | hier", bad, err)
 		}
+	}
+	if Adaptive != AdaptiveHier {
+		t.Errorf("Adaptive = %v, want the alias of AdaptiveHier", Adaptive)
 	}
 }
 
@@ -73,7 +77,7 @@ func TestDirectoryOwnershipProperty(t *testing.T) {
 		stripes := 16 << r.Intn(3)
 		span := 1 + r.Intn(4)
 		d, err := New(Config{
-			Nodes: nodes, Kind: Adaptive, Stripes: stripes, Span: span,
+			Nodes: nodes, Kind: AdaptiveHier, Stripes: stripes, Span: span,
 			EvalEvery: 16 + r.Intn(64), MaxMoves: 1 + r.Intn(4),
 			LeafStripes: 8 << r.Intn(3), // several leaves even at 16 stripes
 		})
@@ -163,7 +167,7 @@ func TestDirectoryOwnershipProperty(t *testing.T) {
 // the policy migrate hot stripes off the overloaded node.
 func TestAdaptiveRepartitionMovesHeat(t *testing.T) {
 	const nodes = 4
-	d, err := New(Config{Nodes: nodes, Kind: Adaptive, Stripes: 64, Span: 1, EvalEvery: 256})
+	d, err := New(Config{Nodes: nodes, Kind: AdaptiveHier, Stripes: 64, Span: 1, EvalEvery: 256})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -81,7 +81,7 @@ func isPlanned(moves []Move, s int) bool {
 	return false
 }
 
-// repartition is the epoch-boundary round of the adaptive policies while the
+// repartition is the epoch-boundary round of the adaptive policy while the
 // directory is awake: it inspects the closing window's per-stripe access
 // counts and returns the migrations to initiate — a deterministic pure
 // function of the directory state, in the directory's scratch (valid until
@@ -97,13 +97,13 @@ func isPlanned(moves []Move, s int) bool {
 // sheds its cooler stripes until the mega-stripe is all it owns — the best
 // balance a stripe-granular directory can reach.
 //
-// Adaptive sends the stripe to the globally coolest node. AdaptiveHier adds
-// locality-aware co-mapping: the recipient is chosen by the stripe's
-// accessors — the least-loaded DTM node in the cluster of the stripe's
+// The recipient is chosen by the stripe's accessors (locality-aware
+// co-mapping): the least-loaded DTM node in the cluster of the stripe's
 // dominant accessor group (its Boyer-Moore affinity vote), falling back to
-// the coolest node when the affinity cluster has no improving node. Moves
-// therefore pull data toward its users (shrinking the remote-access ratio)
-// while still strictly narrowing the gap.
+// the coolest node when the affinity cluster has no improving node or the
+// directory has no clusters. Moves therefore pull data toward its users
+// (shrinking the remote-access ratio) while still strictly narrowing the
+// gap.
 func repartition(d *Directory) []Move {
 	n := d.cfg.Nodes
 	if n < 2 {
@@ -113,7 +113,6 @@ func repartition(d *Directory) []Move {
 	if total == 0 {
 		return nil
 	}
-	comap := d.cfg.Kind == AdaptiveHier && d.clustered()
 	mean := float64(total) / float64(n)
 	moves := d.moves[:0]
 	for len(moves) < d.cfg.MaxMoves {
@@ -131,18 +130,12 @@ func repartition(d *Directory) []Move {
 		}
 		// Hottest unfrozen stripe of the donor that fits in its excess over
 		// the mean; ties break to the lowest stripe index (determinism).
-		// Adaptive knows its recipient already, so the constraint that the
-		// move leave the recipient below the donor folds into the heat cap.
-		maxHeat := float64(load[donor]) - mean
-		if gap := float64(load[donor]) - float64(load[coolest]) - 1; d.cfg.Kind == Adaptive && gap < maxHeat {
-			maxHeat = gap
-		}
-		best, bestCount, aff := hottestFit(d, donor, maxHeat, moves)
+		best, bestCount, aff := hottestFit(d, donor, float64(load[donor])-mean, moves)
 		if best < 0 {
 			break
 		}
 		recip := -1
-		if cl := affCluster(aff); comap && cl >= 0 {
+		if cl := affCluster(aff); d.clustered() && cl >= 0 {
 			for i := 0; i < n; i++ {
 				if i != donor && d.cfg.Clusters[i] == cl && (recip < 0 || load[i] < load[recip]) {
 					recip = i

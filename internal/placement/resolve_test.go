@@ -27,7 +27,7 @@ func staleButCurrent(d *Directory, key mem.Addr, owner int, epoch uint64) bool {
 // single-stepped: the owner is read, a handoff completes, the epoch is
 // read. Resolve cannot be split that way.
 func TestResolveOwnerThenEpochIsStale(t *testing.T) {
-	d, err := New(Config{Nodes: 2, Kind: Adaptive, Stripes: 8})
+	d, err := New(Config{Nodes: 2, Kind: AdaptiveHier, Stripes: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

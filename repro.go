@@ -246,12 +246,10 @@ const (
 )
 
 // Placement policies (internal/placement): the paper's static hash
-// (default), epoch-based adaptive repartitioning, and the hierarchical
-// locality-aware variant of the adaptive policy.
+// (default) and hierarchical, locality-aware epoch-based repartitioning.
 const (
-	PlacementHash     = placement.Hash
-	PlacementAdaptive = placement.Adaptive
-	PlacementHier     = placement.AdaptiveHier
+	PlacementHash = placement.Hash
+	PlacementHier = placement.AdaptiveHier
 )
 
 // NewSystem builds a simulated TM2C machine from cfg. Zero-valued fields
@@ -272,7 +270,7 @@ func Opteron() Platform { return noc.Opteron() }
 // (none|backoff|offset-greedy|wholly|faircm).
 func ParsePolicy(s string) (Policy, error) { return cm.Parse(s) }
 
-// ParsePlacement parses a placement policy name (hash|adaptive|hier).
+// ParsePlacement parses a placement policy name (hash|hier).
 func ParsePlacement(s string) (PlacementKind, error) { return placement.Parse(s) }
 
 // ParseBackend parses an execution backend name (sim|live).
