@@ -1,0 +1,86 @@
+package core
+
+import (
+	"math/bits"
+
+	"repro/internal/mem"
+)
+
+// accessSet is a read or write set: the objects a transaction touched, in
+// first-access order, each entry holding the offset and length of its value
+// in the runtime's word arena (16 bytes). A linear-probing index of entry
+// positions + 1 (0: empty) maps a base to its latest entry. EarlyRelease
+// marks an entry released in place, so the order the release bursts and the
+// audit follow holds, and a base read again gets one new entry at the end.
+// reset keeps every capacity, so a warm runtime allocates nothing here.
+type accessSet struct {
+	entries []accessEntry
+	index   []int32
+	live    int // entries not released
+}
+
+type accessEntry struct {
+	base   mem.Addr
+	off, n uint32 // the value is arena[off, off+n); n carries entryReleased
+}
+
+const entryReleased = 1 << 31
+
+func (e accessEntry) released() bool { return e.n&entryReleased != 0 }
+
+// vals returns a live entry's value.
+func (e accessEntry) vals(arena []uint64) []uint64 { return arena[e.off : e.off+e.n : e.off+e.n] }
+
+// slot returns the index slot holding base, or the empty one it would take,
+// probing from base's fibonacci hash.
+func (s *accessSet) slot(base mem.Addr) int {
+	mask := len(s.index) - 1
+	i := int(uint64(base) * 0x9e3779b97f4a7c15 >> bits.LeadingZeros64(uint64(mask)))
+	for s.index[i] != 0 && s.entries[s.index[i]-1].base != base {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+// find returns the position of base's entry, or -1 if it is absent or released.
+func (s *accessSet) find(base mem.Addr) int {
+	if len(s.entries) > 0 {
+		if j := s.index[s.slot(base)]; j != 0 && !s.entries[j-1].released() {
+			return int(j) - 1
+		}
+	}
+	return -1
+}
+
+// put makes arena[off, off+n) base's value, in place if base is in the set
+// and as a new last entry otherwise.
+func (s *accessSet) put(base mem.Addr, off, n int) {
+	if j := s.find(base); j >= 0 {
+		s.entries[j].off, s.entries[j].n = uint32(off), uint32(n)
+		return
+	}
+	s.entries = append(s.entries, accessEntry{base, uint32(off), uint32(n)})
+	if 2*len(s.entries) > len(s.index) {
+		s.index = make([]int32, max(16, 2*len(s.index)))
+		for j, e := range s.entries[:len(s.entries)-1] {
+			s.index[s.slot(e.base)] = int32(j + 1)
+		}
+	}
+	s.index[s.slot(base)] = int32(len(s.entries))
+	s.live++
+}
+
+// release marks base's entry released and reports whether it was in the set.
+func (s *accessSet) release(base mem.Addr) bool {
+	j := s.find(base)
+	if j >= 0 {
+		s.entries[j].n |= entryReleased
+		s.live--
+	}
+	return j >= 0
+}
+
+func (s *accessSet) reset() {
+	clear(s.index)
+	s.entries, s.live = s.entries[:0], 0
+}

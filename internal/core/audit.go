@@ -86,17 +86,17 @@ func (s *System) recordCommit(tx *Tx, commit port.Time) {
 		commit: commit,
 		seq:    a.seq,
 	}
-	for _, base := range tx.readOrder {
-		vals, ok := tx.reads[base]
-		if !ok {
+	words := tx.rt.words
+	for _, e := range tx.reads.entries {
+		if e.released() {
 			continue // early-released; not part of the atomic snapshot
 		}
-		// For an object also written, reads[] still holds the first-read
-		// (pre-write) value: Write buffers into writes[], never into reads[].
-		rec.reads = append(rec.reads, auditAccess{base, cloneWords(vals)})
+		// For an object also written, the read set still holds the
+		// first-read (pre-write) value: Write buffers into the write set.
+		rec.reads = append(rec.reads, auditAccess{e.base, cloneWords(e.vals(words))})
 	}
-	for _, base := range tx.writeOrd {
-		rec.writes = append(rec.writes, auditAccess{base, cloneWords(tx.writes[base])})
+	for _, e := range tx.writes.entries {
+		rec.writes = append(rec.writes, auditAccess{e.base, cloneWords(e.vals(words))})
 	}
 	a.records = append(a.records, rec)
 }

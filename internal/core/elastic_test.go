@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/cm"
@@ -31,6 +32,50 @@ func TestEarlyReleaseDropsLocksAndSkipsCommitRelease(t *testing.T) {
 	st := s.RunToCompletion()
 	if st.EarlyReleases != 1 {
 		t.Fatalf("EarlyReleases = %d, want 1", st.EarlyReleases)
+	}
+}
+
+// TestEarlyReleaseThenRereadRecordsOnce: an object read again after its early
+// release is back in the read set once — counted once, audited once and
+// released once by the commit, like any other read.
+func TestEarlyReleaseThenRereadRecordsOnce(t *testing.T) {
+	s := testSystem(t, nil)
+	s.EnableAudit()
+	a := s.Mem.Alloc(2, 0)
+	var r0 *Runtime
+	s.SpawnWorkers(func(rt *Runtime) {
+		if rt.AppIndex() != 0 {
+			return
+		}
+		r0 = rt
+		rt.RunKind(ElasticEarly, func(tx *Tx) {
+			tx.Read(a)
+			tx.EarlyRelease(a)
+			tx.Read(a)
+			tx.Read(a + 1)
+			if tx.ReadSetSize() != 2 {
+				t.Errorf("read set = %d, want 2", tx.ReadSetSize())
+			}
+		})
+	})
+	s.RunToCompletion()
+	if len(s.audit.records) != 1 {
+		t.Fatalf("audited %d commits, want 1", len(s.audit.records))
+	}
+	var audited []mem.Addr
+	for _, rd := range s.audit.records[0].reads {
+		audited = append(audited, rd.base)
+	}
+	if want := []mem.Addr{a, a + 1}; !slices.Equal(audited, want) {
+		t.Errorf("audited reads %v, want %v", audited, want)
+	}
+	var released []mem.Addr
+	for _, g := range r0.groups { // the commit's release burst
+		released = append(released, g.reads...)
+	}
+	slices.Sort(released)
+	if want := []mem.Addr{a, a + 1}; !slices.Equal(released, want) {
+		t.Errorf("commit released read locks %v, want %v", released, want)
 	}
 }
 

@@ -321,10 +321,7 @@ func (rt *Runtime) timeoutAbort(tx *Tx, keys []mem.Addr, write bool) {
 		tx.wlocked = append(tx.wlocked, keys...)
 	} else {
 		for _, k := range keys {
-			if _, held := tx.reads[k]; !held {
-				tx.reads[k] = nil
-				tx.readOrder = append(tx.readOrder, k)
-			}
+			tx.reads.put(k, 0, 0) // a held entry keeps its place
 		}
 	}
 	panic(rt.signal(abortSignal{reason: trace.ReasonTimeout}))

@@ -81,7 +81,8 @@ func (*tl2Proto) firstRead(tx *Tx, base mem.Addr, n int) []uint64 {
 	rt := tx.rt
 	tx.checkAborted() // eager-mode enemies can still remote-abort us
 	key := rt.s.lockKey(base)
-	vals, ver, locked := rt.s.Mem.ReadVersionedTo(rt.proc, rt.core, base, key, rt.wordBuf(n))
+	off, buf := rt.wordBuf(n)
+	vals, ver, locked := rt.s.Mem.ReadVersionedTo(rt.proc, rt.core, base, key, buf)
 	// Doomed: a committer's write-back is in flight, or the stripe is newer
 	// than our snapshot, or a second object on it observed a different
 	// version than the first (the stripe changed between our reads).
@@ -91,8 +92,7 @@ func (*tl2Proto) firstRead(tx *Tx, base mem.Addr, n int) []uint64 {
 		tx.doomed(key)
 	}
 	tx.readVers[key] = ver
-	tx.reads[base] = vals
-	tx.readOrder = append(tx.readOrder, base)
+	tx.reads.put(base, off, n)
 	rt.shard.LocalReads++
 	return vals
 }
@@ -117,34 +117,20 @@ func (*tl2Proto) validate(tx *Tx) (mem.Addr, bool) {
 	rt.emit(trace.KClockTick, tx.id, tx.wv, 0, 0)
 	tx.tickAt = rt.proc.Now()
 	rt.emit(trace.KPhaseBegin, tx.id, uint64(trace.PhaseRevalidate), 0, 0)
-	if rt.rvInWrite == nil {
-		rt.rvInWrite = make(map[mem.Addr]bool)
-		rt.rvSeen = make(map[mem.Addr]bool)
-	}
-	inWrite, seen := rt.rvInWrite, rt.rvSeen
-	clear(inWrite)
-	clear(seen)
-	if len(tx.readVers) > 0 {
-		for _, k := range keys {
-			inWrite[k] = true
-		}
-	}
-	for _, base := range tx.readOrder {
-		key := rt.s.lockKey(base)
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
+	for _, e := range tx.reads.entries {
+		key := rt.s.lockKey(e.base)
 		want, recorded := tx.readVers[key]
 		if !recorded {
-			continue // read served from the write buffer; never versioned
+			continue // its stripe is checked already
 		}
+		delete(tx.readVers, key) // once per stripe
 		rt.shard.Revalidations++
 		var ok bool
-		if inWrite[key] {
-			// Our own marker sits on this stripe; the authoritative version
-			// is the one its owner node reported with the write-lock grant.
-			ok = tx.grantVers[key] == want
+		if granted, mine := tx.grantVers[key]; mine {
+			// Our own marker sits on this stripe (every write stripe's grant
+			// carries its version); the authoritative version is the one its
+			// owner node reported with the write-lock grant.
+			ok = granted == want
 		} else {
 			cur, locked := rt.s.Mem.LoadVersion(rt.proc, rt.core, key)
 			ok = !locked && cur == want

@@ -156,7 +156,7 @@ func (v TVar[T]) Get(tx *Tx) T {
 func (v TVar[T]) Set(tx *Tx, val T) {
 	// Encode into the per-attempt word arena; WriteN copies the words into
 	// the write buffer, so the scratch is free for the next operation.
-	buf := tx.rt.wordBuf(v.codec.Words())
+	_, buf := tx.rt.wordBuf(v.codec.Words())
 	v.codec.Encode(val, buf)
 	tx.WriteN(v.base, buf)
 }

@@ -67,52 +67,43 @@ type Runtime struct {
 	// them across attempts.
 	txScratch    *Tx
 	words        []uint64
-	oneKey       [1]mem.Addr       // rpcLock's single-key batch
-	scatterIDs   []uint64          // scatter-gather correlation IDs
-	scatterResps []*respLock       // scatter-gather response slots
-	groups       []nodeGroup       // groupByNode result slots
-	groupIdx     map[int]int       // groupByNode node → groups index
-	wkSeen       map[mem.Addr]bool // writeKeys dedup set
-	wkKeys       []mem.Addr        // writeKeys result
-	batchScratch []nodeGroup       // commitBatches result slots
-	wbAddrs      []mem.Addr        // commit write-back address list
-	wbVals       []uint64          // commit write-back value list
-	erKeys       []mem.Addr        // EarlyRelease key list
-	winBuf       []uint64          // windowChanged re-read buffer
-	rvBuf        []uint64          // TL2 clock-snapshot buffer (tx.rv)
-	rvInWrite    map[mem.Addr]bool // TL2 revalidation write-stripe set
-	rvSeen       map[mem.Addr]bool // TL2 revalidation visited-stripe set
+	oneKey       [1]mem.Addr // rpcLock's single-key batch
+	scatterIDs   []uint64    // scatter-gather correlation IDs
+	scatterResps []*respLock // scatter-gather response slots
+	groups       []nodeGroup // groupAdd's groups, in first-use order
+	groupIdx     []int32     // DTM node → groups index + 1; 0: no group
+	wkKeys       []mem.Addr  // writeKeys result
+	batchScratch []nodeGroup // commitBatches result slots
+	wbAddrs      []mem.Addr  // commit write-back address list
+	wbVals       []uint64    // commit write-back value list
+	winBuf       []uint64    // windowChanged re-read buffer
+	rvBuf        []uint64    // TL2 clock-snapshot buffer (tx.rv)
 
 	barrierEpoch uint64
 	barrierSeen  map[uint64]int
 }
 
-// wordBuf carves an n-word slice out of the runtime's word arena. The arena
-// is reset at every attempt start, so the slices only back attempt-internal
-// state (tx.reads/tx.writes values, window entries); anything with a longer
-// lifetime must be cloned (cloneWords). When the arena is full a larger one
-// replaces it — outstanding slices keep the old array alive until the
-// attempt ends, so they stay valid.
-func (rt *Runtime) wordBuf(n int) []uint64 {
-	if len(rt.words)+n > cap(rt.words) {
-		grow := 2 * cap(rt.words)
-		if grow < n {
-			grow = n
-		}
-		if grow < 64 {
-			grow = 64
-		}
-		rt.words = make([]uint64, 0, grow)
+// wordBuf carves n words out of the runtime's word arena, reset at every
+// attempt start, and returns them with their offset: they back only
+// attempt-internal state (read/write-set values, window entries), and
+// anything kept longer is cloned (cloneWords). A full arena grows by copying,
+// since the sets hold offsets; slices handed out earlier keep the old array.
+func (rt *Runtime) wordBuf(n int) (off int, buf []uint64) {
+	off = len(rt.words)
+	if off+n > cap(rt.words) {
+		grown := make([]uint64, off, max(2*cap(rt.words), off+n, 64))
+		copy(grown, rt.words)
+		rt.words = grown
 	}
-	l := len(rt.words)
-	rt.words = rt.words[:l+n]
-	return rt.words[l : l+n : l+n]
+	rt.words = rt.words[:off+n]
+	return off, rt.words[off : off+n : off+n]
 }
 
 func (rt *Runtime) initLocal() {
 	rt.local = cm.NewLocal(rt.s.cfg.Policy, rt.core, rt.proc.Rand())
 	rt.waitRng = port.NewRand(rt.s.cfg.Seed ^ (0xd1b54a32d192ed03 * uint64(rt.core+1)))
 	rt.barrierSeen = make(map[uint64]int)
+	rt.groupIdx = make([]int32, len(rt.s.nodes))
 	rt.initRPC()
 }
 
@@ -174,11 +165,9 @@ type Tx struct {
 	id   uint64
 	kind TxKind
 
-	reads     map[mem.Addr][]uint64
-	readOrder []mem.Addr
-	writes    map[mem.Addr][]uint64
-	writeOrd  []mem.Addr
-	wlocked   []mem.Addr // lock keys of write locks already held (eager mode)
+	reads   accessSet  // first-read values; released entries stay in place
+	writes  accessSet  // buffered values, in first-write order
+	wlocked []mem.Addr // lock keys of write locks already held (eager mode)
 
 	window [2]winEntry // elastic-read validation window (last two reads)
 	nwin   int
@@ -213,18 +202,16 @@ type winEntry struct {
 	vals []uint64
 }
 
-// reset prepares the runtime's reusable Tx for a fresh attempt: maps are
-// cleared in place and slice capacities retained, while slots referencing
-// heap objects (hooks, window values) are zeroed so nothing registered by a
-// previous attempt stays reachable — the semantics of a brand-new Tx, minus
-// the allocations.
+// reset prepares the runtime's reusable Tx for a fresh attempt: sets and maps
+// are cleared in place and slice capacities retained, while slots
+// referencing heap objects (hooks, window values) are zeroed so nothing
+// registered by a previous attempt stays reachable — the semantics of a
+// brand-new Tx, minus the allocations.
 func (tx *Tx) reset(id uint64, kind TxKind) {
 	tx.id = id
 	tx.kind = kind
-	clear(tx.reads)
-	tx.readOrder = tx.readOrder[:0]
-	clear(tx.writes)
-	tx.writeOrd = tx.writeOrd[:0]
+	tx.reads.reset()
+	tx.writes.reset()
 	tx.wlocked = tx.wlocked[:0]
 	tx.window = [2]winEntry{}
 	tx.nwin = 0
@@ -245,11 +232,13 @@ func (tx *Tx) ID() uint64 { return tx.id }
 // Kind returns the transactional model of this transaction.
 func (tx *Tx) Kind() TxKind { return tx.kind }
 
-// ReadSetSize returns the number of objects currently read-locked.
-func (tx *Tx) ReadSetSize() int { return len(tx.reads) }
+// ReadSetSize returns the number of objects in the read set: those read
+// through the protocol and not given back by EarlyRelease. Under visible
+// reads each holds a read lock; TL2 holds none.
+func (tx *Tx) ReadSetSize() int { return tx.reads.live }
 
 // WriteSetSize returns the number of objects in the write buffer.
-func (tx *Tx) WriteSetSize() int { return len(tx.writes) }
+func (tx *Tx) WriteSetSize() int { return tx.writes.live }
 
 // Run executes fn as a Normal transaction, retrying on aborts until it
 // commits. It returns the number of attempts the transaction used: 1 when
@@ -290,11 +279,7 @@ func (rt *Runtime) runLoop(kind TxKind, fn func(*Tx) error) (attempts int, userE
 		rt.nextTxID++
 		tx := rt.txScratch
 		if tx == nil {
-			tx = &Tx{
-				rt:     rt,
-				reads:  make(map[mem.Addr][]uint64),
-				writes: make(map[mem.Addr][]uint64),
-			}
+			tx = &Tx{rt: rt}
 			rt.txScratch = tx
 		}
 		tx.reset(rt.nextTxID, kind)
@@ -479,11 +464,11 @@ func (tx *Tx) ReadN(base mem.Addr, n int) []uint64 {
 func (tx *Tx) readNView(base mem.Addr, n int) []uint64 {
 	rt := tx.rt
 	rt.proc.Advance(rt.s.compute(rt.s.cfg.Costs.Wrapper))
-	if v, ok := tx.writes[base]; ok {
-		return v
+	if j := tx.writes.find(base); j >= 0 {
+		return tx.writes.entries[j].vals(rt.words)
 	}
-	if v, ok := tx.reads[base]; ok {
-		return v
+	if j := tx.reads.find(base); j >= 0 {
+		return tx.reads.entries[j].vals(rt.words)
 	}
 	return rt.s.proto.firstRead(tx, base, n)
 }
@@ -516,12 +501,9 @@ func (tx *Tx) WriteN(base mem.Addr, vals []uint64) {
 			tx.wlocked = append(tx.wlocked, key)
 		}
 	}
-	if _, ok := tx.writes[base]; !ok {
-		tx.writeOrd = append(tx.writeOrd, base)
-	}
-	buf := rt.wordBuf(len(vals))
+	off, buf := rt.wordBuf(len(vals))
 	copy(buf, vals)
-	tx.writes[base] = buf
+	tx.writes.put(base, off, len(buf))
 }
 
 // commit is the one commit (Algorithm 3, txcommit), and the order of its
@@ -537,7 +519,7 @@ func (tx *Tx) commit() {
 	rt, p := tx.rt, tx.rt.s.proto
 	tx.checkAborted()
 	start := rt.proc.Now()
-	update := len(tx.writeOrd) > 0
+	update := tx.writes.live > 0
 	// The bookkeeping cost is a write-set scan. A declared read-only
 	// transaction has none to scan; nor does an invisible reader that wrote
 	// nothing, declared or not — nothing at its commit depends on the kind.
@@ -590,9 +572,9 @@ func (tx *Tx) writeBackLists() ([]mem.Addr, []uint64) {
 	rt := tx.rt
 	addrs := rt.wbAddrs[:0]
 	vals := rt.wbVals[:0]
-	for _, base := range tx.writeOrd {
-		for i, v := range tx.writes[base] {
-			addrs = append(addrs, base+mem.Addr(i))
+	for _, e := range tx.writes.entries {
+		for i, v := range e.vals(rt.words) {
+			addrs = append(addrs, e.base+mem.Addr(i))
 			vals = append(vals, v)
 		}
 	}
@@ -679,12 +661,14 @@ func (tx *Tx) commitBatches(keys []mem.Addr) ([]nodeGroup, uint64) {
 	rt := tx.rt
 	epoch := rt.s.dir.Epoch()
 	batches := rt.batchScratch[:0]
-	for _, g := range rt.groupByNode(nil, nil, keys) {
+	rt.groupStart()
+	rt.groupAdd(true, keys...)
+	for _, g := range rt.groups {
 		if rt.s.cfg.NoBatching {
 			// One batch per object: each aliases a one-element sub-slice of
 			// the group's storage (full slice expression, so appends to one
 			// batch can never scribble on the next). The batches are consumed
-			// before the next groupByNode call reuses that storage.
+			// before the next groupStart reuses that storage.
 			for i := range g.writes {
 				batches = append(batches, nodeGroup{node: g.node, writes: g.writes[i : i+1 : i+1]})
 			}
@@ -725,18 +709,24 @@ func (rt *Runtime) abortCleanup(tx *Tx, sig abortSignal) {
 // locks in acquisition order) so identical runs schedule identical events.
 func (rt *Runtime) releaseAll(tx *Tx) {
 	rt.emit(trace.KPhaseBegin, tx.id, uint64(trace.PhaseRelease), 0, 0)
-	var reads []mem.Addr
+	rt.groupStart()
 	if rt.s.proto.readsHoldLocks() {
-		reads = tx.readOrder
+		for _, e := range tx.reads.entries {
+			if !e.released() {
+				rt.groupAdd(false, rt.s.lockKey(e.base))
+			}
+		}
 	}
-	rt.sendReleases(tx, rt.groupByNode(reads, tx.reads, tx.wlocked), &rt.shard.ReleaseMsgs)
+	rt.groupAdd(true, tx.wlocked...)
+	rt.sendReleases(tx, &rt.shard.ReleaseMsgs)
 	rt.emit(trace.KPhaseEnd, tx.id, uint64(trace.PhaseRelease), 0, 0)
 }
 
-// sendReleases sends one relLocks per group, all in one fire-and-forget
-// burst (scatter with nothing to gather), counting each message in sent.
-func (rt *Runtime) sendReleases(tx *Tx, groups []nodeGroup, sent *uint64) {
-	for _, g := range groups {
+// sendReleases sends one relLocks per group in rt.groups, all in one
+// fire-and-forget burst (scatter with nothing to gather), counting each
+// message in sent.
+func (rt *Runtime) sendReleases(tx *Tx, sent *uint64) {
+	for _, g := range rt.groups {
 		msg := getRelLocks()
 		msg.ReadAddrs = append(msg.ReadAddrs[:0], g.reads...)
 		msg.WriteAddrs = append(msg.WriteAddrs[:0], g.writes...)
@@ -749,18 +739,13 @@ func (rt *Runtime) sendReleases(tx *Tx, groups []nodeGroup, sent *uint64) {
 }
 
 // writeKeys returns the deduplicated lock keys of the write set, in first-
-// write order.
+// write order. With one object per stripe they are the write set's bases,
+// distinct by construction.
 func (tx *Tx) writeKeys() []mem.Addr {
 	rt := tx.rt
-	if rt.wkSeen == nil {
-		rt.wkSeen = make(map[mem.Addr]bool, len(tx.writeOrd))
-	}
-	clear(rt.wkSeen)
 	keys := rt.wkKeys[:0]
-	for _, base := range tx.writeOrd {
-		k := rt.s.lockKey(base)
-		if !rt.wkSeen[k] {
-			rt.wkSeen[k] = true
+	for _, e := range tx.writes.entries {
+		if k := rt.s.lockKey(e.base); rt.s.cfg.LockGranule == 1 || !slices.Contains(keys, k) {
 			keys = append(keys, k)
 		}
 	}
@@ -768,56 +753,43 @@ func (tx *Tx) writeKeys() []mem.Addr {
 	return keys
 }
 
-// nodeGroup is the lock keys one DTM node is responsible for, out of the
-// lists handed to groupByNode. The slices are runtime-owned scratch, copied
-// into a pooled message before send.
+// nodeGroup is the lock keys one DTM node is responsible for, out of those
+// handed to groupAdd. The slices are runtime-owned scratch, copied into a
+// pooled message before send.
 type nodeGroup struct {
 	node          int
 	reads, writes []mem.Addr
 }
 
-// groupByNode partitions lock keys by responsible DTM node: the read locks of
-// the objects in bases — those still in held, when it is given; the rest were
-// released early — then the write locks in writes. Groups appear in order of
-// first use and keep their keys' relative order, so identical runs build
-// identical messages. The result is valid until the next call, which reuses
-// its storage.
-func (rt *Runtime) groupByNode(bases []mem.Addr, held map[mem.Addr][]uint64, writes []mem.Addr) []nodeGroup {
-	if rt.groupIdx == nil {
-		rt.groupIdx = make(map[int]int)
+// groupStart begins a new partition of lock keys by responsible DTM node in
+// rt.groups, reusing the previous partition's storage.
+func (rt *Runtime) groupStart() {
+	for _, g := range rt.groups {
+		rt.groupIdx[g.node] = 0
 	}
-	clear(rt.groupIdx)
-	groups := rt.groups[:0]
-	for pass, keys := range [2][]mem.Addr{bases, writes} {
-		for _, k := range keys {
-			if pass == 0 {
-				if _, ok := held[k]; held != nil && !ok {
-					continue // released early
-				}
-				k = rt.s.lockKey(k)
-			}
-			ni := rt.s.nodeFor(k)
-			gi, ok := rt.groupIdx[ni]
-			if !ok {
-				gi = len(groups)
-				rt.groupIdx[ni] = gi
-				if gi < cap(groups) {
-					groups = groups[:gi+1]
-					g := &groups[gi]
-					g.node, g.reads, g.writes = ni, g.reads[:0], g.writes[:0]
-				} else {
-					groups = append(groups, nodeGroup{node: ni})
-				}
-			}
-			if pass == 0 {
-				groups[gi].reads = append(groups[gi].reads, k)
-			} else {
-				groups[gi].writes = append(groups[gi].writes, k)
-			}
+	rt.groups = rt.groups[:0]
+}
+
+// groupAdd adds lock keys to their DTM nodes' groups, as read or write locks.
+// Groups appear in order of first use and keep their keys' relative order,
+// so identical runs build identical messages.
+func (rt *Runtime) groupAdd(write bool, keys ...mem.Addr) {
+	for _, k := range keys {
+		ni := rt.s.nodeFor(k)
+		gi := int(rt.groupIdx[ni]) - 1
+		if gi < 0 {
+			gi = len(rt.groups)
+			rt.groupIdx[ni] = int32(gi + 1)
+			rt.groups = slices.Grow(rt.groups, 1)[:gi+1] // a reused slot keeps its key storage
+			g := &rt.groups[gi]
+			g.node, g.reads, g.writes = ni, g.reads[:0], g.writes[:0]
+		}
+		if g := &rt.groups[gi]; write {
+			g.writes = append(g.writes, k)
+		} else {
+			g.reads = append(g.reads, k)
 		}
 	}
-	rt.groups = groups
-	return groups
 }
 
 // drainRequests serves any queued DTM requests at a transaction boundary

@@ -33,9 +33,9 @@ func (*visibleProto) firstRead(tx *Tx, base mem.Addr, n int) []uint64 {
 	// were not in the read set when the post-read abort check fires, the
 	// cleanup would never release it and the stale entry could block that
 	// object forever.
-	vals := rt.s.Mem.ReadBatchTo(rt.proc, rt.core, base, rt.wordBuf(n))
-	tx.reads[base] = vals
-	tx.readOrder = append(tx.readOrder, base)
+	off, buf := rt.wordBuf(n)
+	vals := rt.s.Mem.ReadBatchTo(rt.proc, rt.core, base, buf)
+	tx.reads.put(base, off, n)
 	tx.serialAt = rt.proc.Now()
 	rt.emit(trace.KRead, tx.id, uint64(key), 0, 0)
 	tx.checkAborted()
@@ -71,7 +71,8 @@ func (tx *Tx) elasticRead(base mem.Addr, n int) []uint64 {
 	if at, ok := tx.windowChanged(true); !ok {
 		tx.doomed(at)
 	}
-	vals := rt.s.Mem.ReadBatchTo(rt.proc, rt.core, base, rt.wordBuf(n))
+	_, buf := rt.wordBuf(n)
+	vals := rt.s.Mem.ReadBatchTo(rt.proc, rt.core, base, buf)
 	if tx.nwin < len(tx.window) {
 		tx.window[tx.nwin] = winEntry{base, vals}
 		tx.nwin++
@@ -125,18 +126,16 @@ func (tx *Tx) EarlyRelease(bases ...mem.Addr) {
 		// set and remain snapshot-validated (strictly stronger semantics).
 		return
 	}
-	keys := rt.erKeys[:0]
+	rt.groupStart()
 	for _, b := range bases {
-		if _, ok := tx.reads[b]; !ok {
+		if !tx.reads.release(b) {
 			continue
 		}
-		delete(tx.reads, b)
 		if key := rt.s.lockKey(b); !tx.readsOnStripe(key) {
-			keys = append(keys, key)
+			rt.groupAdd(false, key)
 		}
 	}
-	rt.erKeys = keys
-	rt.sendReleases(tx, rt.groupByNode(keys, nil, nil), &rt.shard.EarlyReleases)
+	rt.sendReleases(tx, &rt.shard.EarlyReleases)
 }
 
 // readsOnStripe reports whether any object of the read set lies on the lock
@@ -146,8 +145,8 @@ func (tx *Tx) readsOnStripe(key mem.Addr) bool {
 	if tx.rt.s.cfg.LockGranule == 1 {
 		return false
 	}
-	for base := range tx.reads {
-		if tx.rt.s.lockKey(base) == key {
+	for _, e := range tx.reads.entries {
+		if !e.released() && tx.rt.s.lockKey(e.base) == key {
 			return true
 		}
 	}

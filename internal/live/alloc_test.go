@@ -178,6 +178,27 @@ func TestLiveAbortPathAllocationFree(t *testing.T) {
 	t.Skip("the two workers never conflicted often enough to measure the abort path")
 }
 
+// TestLiveReadScanAllocationFree: a declared read-only scan of 1,024 objects,
+// the Fig. 5(a) balance shape, under TL2 so that the scan's reads cost no
+// lock traffic. The warm-up grows the read set's entries and index through
+// every size a scan needs. From then on a scan allocates nothing.
+func TestLiveReadScanAllocationFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates on otherwise allocation-free paths")
+	}
+	scan := func(tx *core.Tx, a core.TArray[uint64], base, n int) {
+		for j := 0; j < n; j++ {
+			a.Get(tx, base+j)
+		}
+	}
+	tune := func(c *core.Config) { c.Protocol = core.ProtocolTL2 }
+	got, _ := measureLiveAllocs(t, tune, core.ReadOnly, 1024, 20, scan)
+	t.Logf("1,024-object read-only scan: %.3f allocs/tx", got)
+	if got > 0.1 {
+		t.Errorf("read-only scan allocates %.3f objects/tx, budget 0.1", got)
+	}
+}
+
 // TestLiveElasticReadCommitAllocationFree: the elastic-read list update —
 // a run of consecutive lock-free reads, each revalidating the two-entry
 // window, then one write whose commit revalidates the window a last time at
