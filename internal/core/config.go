@@ -29,7 +29,7 @@ import (
 
 // Backend selects the execution backend a System runs on. The whole DTM
 // protocol is written against the Port interface, so the same code runs on
-// either backend; what changes is what a "core" physically is and what time
+// every backend; what changes is what a "core" physically is and what time
 // means. See the package comments of internal/sim and internal/live.
 type Backend uint8
 
@@ -218,9 +218,9 @@ func (k TxKind) String() string {
 	}
 }
 
-// Costs are the nominal software costs of the runtime, defined for the SCC's
+// costs are the nominal software costs of the runtime, defined for the SCC's
 // 533 MHz cores and scaled by the platform's compute factor.
-type Costs struct {
+var costs = struct {
 	TxBegin    time.Duration // starting a transaction attempt
 	Wrapper    time.Duration // per transactional read/write wrapper call
 	Commit     time.Duration // commit bookkeeping
@@ -238,10 +238,7 @@ type Costs struct {
 	// protocol never pays either.
 	ClockSnap time.Duration
 	ClockTick time.Duration
-}
-
-// DefaultCosts are the calibrated nominal costs.
-var DefaultCosts = Costs{
+}{
 	TxBegin:         200 * time.Nanosecond,
 	Wrapper:         150 * time.Nanosecond,
 	Commit:          300 * time.Nanosecond,
@@ -261,7 +258,8 @@ type Config struct {
 	// charged nor computed.
 	Platform noc.Platform
 	// Backend selects the execution backend: the deterministic simulator
-	// (default) or the real-concurrency goroutine backend.
+	// (default), the real-concurrency goroutine backend, or the
+	// cross-process net backend.
 	Backend Backend
 	// Protocol selects the read/commit protocol: the paper's visible-read
 	// default, or the invisible-read TL2 mode.
@@ -317,8 +315,6 @@ type Config struct {
 	// resolution instead of silently aliasing onto low stripes; raise it
 	// for workloads allocating beyond 64M words behind one controller.
 	MemWords uint64
-	// Costs overrides the nominal software costs (default DefaultCosts).
-	Costs *Costs
 	// Trace enables the flight recorder (internal/trace): every runtime,
 	// DTM node and the placement directory gets a ring buffer of fixed-size
 	// event records, assembled into a Trace at snapshot time (System.Trace,
@@ -414,9 +410,6 @@ func (c *Config) normalize() error {
 	}
 	if c.MemWords == 0 {
 		c.MemWords = 1 << 26
-	}
-	if c.Costs == nil {
-		c.Costs = &DefaultCosts
 	}
 	return nil
 }

@@ -109,28 +109,20 @@ func (n *dtmNode) flushOut(p port.Port) {
 // was a DTM request (the multitask await loop uses this to distinguish
 // requests from transaction responses).
 func (n *dtmNode) handle(p port.Port, m port.Msg) bool {
-	// The node is each request's final toucher: handleX consumes the message
-	// (responses carry no pointer back into it), so the arms recycle it.
+	// The node is each request's final toucher: the handlers consume the
+	// message (responses carry no pointer back into it), so the arms recycle
+	// it — except a token request handleLock queued.
 	switch r := m.Payload.(type) {
-	case *reqReadLock:
+	case *reqLock:
 		n.switchIn(p)
-		n.handleReadLock(p, r)
-		putReadLockReq(r)
-	case *reqWriteLock:
-		n.switchIn(p)
-		n.handleWriteLock(p, r)
-		putWriteLockReq(r)
+		if n.handleLock(p, r) {
+			putLockReq(r)
+		}
 	case *relLocks:
 		n.switchIn(p)
 		n.handleRelease(p, r)
 		n.tryGrantExclusive(p)
 		putRelLocks(r)
-	case *reqExclusive:
-		n.switchIn(p)
-		n.handleExclusive(p, r)
-	case *relExclusive:
-		n.switchIn(p)
-		n.handleExclusiveRelease(p, r)
 	default:
 		return false
 	}
@@ -142,7 +134,7 @@ func (n *dtmNode) handle(p port.Port, m port.Msg) bool {
 // multitasked core (§3.1/Figure 2); dedicated service cores pay nothing.
 func (n *dtmNode) switchIn(p port.Port) {
 	if n.s.cfg.Deployment == Multitask {
-		p.Advance(n.s.compute(n.s.cfg.Costs.MultitaskSwitch))
+		p.Advance(n.s.compute(costs.MultitaskSwitch))
 	}
 }
 
@@ -218,86 +210,60 @@ func (n *dtmNode) tryHandoffs(pending []int) {
 // directory anyway (migration may split them) and get no owner hint. The
 // receiver's placeOK stays authoritative, so a hint gone stale in flight
 // costs at worst one more NACK, inside the same hop bound.
-func (n *dtmNode) nackStale(p port.Port, reply port.Port, replyTo int, reqID uint64, keys ...mem.Addr) {
+func (n *dtmNode) nackStale(p port.Port, r *reqLock) {
 	n.shard.StaleNacks++
 	resp := getRespLock()
-	resp.ReqID = reqID
+	resp.ReqID = r.ReqID
 	resp.Stale = true
 	v := n.s.dir.Snapshot()
 	resp.NackEpoch = v.Epoch()
 	resp.NackOwner = -1
-	if len(keys) == 1 {
-		resp.NackOwner = v.Owner(keys[0])
+	if len(r.Addrs) == 1 {
+		resp.NackOwner = v.Owner(r.Addrs[0])
 	}
-	n.emit(p, trace.KLockStale, 0, trace.FlowID(replyTo, reqID), resp.NackEpoch, uint64(resp.NackOwner+1))
-	n.respond(p, reply, replyTo, resp)
+	n.emit(p, trace.KLockStale, 0, trace.FlowID(r.ReplyTo, r.ReqID), resp.NackEpoch, uint64(resp.NackOwner+1))
+	n.respond(p, r.Reply, r.ReplyTo, resp)
 }
 
 // nack rejects a lock request over a conflict of the given class: the
 // requester's attempt aborts.
-func (n *dtmNode) nack(p port.Port, reply port.Port, replyTo int, reqID, txID uint64, kind cm.Kind) {
-	n.emit(p, trace.KLockNack, txID, trace.FlowID(replyTo, reqID), uint64(kind), 0)
+func (n *dtmNode) nack(p port.Port, r *reqLock, kind cm.Kind) {
+	n.emit(p, trace.KLockNack, r.Meta.TxID, trace.FlowID(r.ReplyTo, r.ReqID), uint64(kind), 0)
 	resp := getRespLock()
-	resp.ReqID, resp.Kind = reqID, kind
-	n.respond(p, reply, replyTo, resp)
+	resp.ReqID, resp.Kind = r.ReqID, kind
+	n.respond(p, r.Reply, r.ReplyTo, resp)
 }
 
-// handleReadLock implements Algorithm 1 (dsl_read_lock) plus the revocation
-// protocol: on a RAW conflict the contention manager either aborts the
-// requester or remotely aborts the writer and steals its lock.
-func (n *dtmNode) handleReadLock(p port.Port, r *reqReadLock) {
-	c := n.s.cfg.Costs
-	p.Advance(n.s.compute(c.SvcBase + c.SvcLock))
-	if !n.placeOK(r.Epoch, r.Addr) {
-		n.nackStale(p, r.Reply, r.ReplyTo, r.ReqID, r.Addr)
-		return
+// handleLock implements Algorithm 1 (dsl_read_lock) in read mode and
+// Algorithm 2 (dsl_write_lock) in write mode, for every key of the request,
+// plus the revocation protocol: on a conflict the contention manager either
+// aborts the requester or remotely aborts the holders and steals their
+// locks. A batch is all or nothing: on failure its own acquisitions are
+// rolled back before the conflict reply, so the requester never holds
+// partial state it does not know about. Exclusive mode queues for the
+// token instead; only then does it return false, and tryGrantExclusive
+// recycles the request once it grants.
+func (n *dtmNode) handleLock(p port.Port, r *reqLock) bool {
+	p.Advance(n.s.compute(costs.SvcBase + costs.SvcLock*time.Duration(len(r.Addrs))))
+	if r.Mode == lockExclusive {
+		n.excl.queue = append(n.excl.queue, r)
+		n.tryGrantExclusive(p)
+		return false
 	}
+	if !n.placeOK(r.Epoch, r.Addrs...) {
+		n.nackStale(p, r)
+		return true
+	}
+	write := r.Mode == lockWrite
 	if n.excl.blocked() {
 		// An irrevocable transaction holds or awaits this node's
 		// exclusivity token: reject so the table drains (§2 extension).
-		n.nack(p, r.Reply, r.ReplyTo, r.ReqID, r.Meta.TxID, cm.RAW)
-		return
-	}
-	meta := r.Meta
-	n.s.cfg.Policy.ArrivalPrio(&meta, p.Now())
-	for {
-		conf := n.table.ReadConflict(r.Addr, meta)
-		if conf == nil {
-			n.table.AddReader(r.Addr, meta)
-			n.emit(p, trace.KLockGrant, r.Meta.TxID, trace.FlowID(r.ReplyTo, r.ReqID), 1, 0)
-			resp := getRespLock()
-			resp.ReqID, resp.OK = r.ReqID, true
-			n.respond(p, r.Reply, r.ReplyTo, resp)
-			return
+		kind := cm.RAW
+		if write {
+			kind = cm.WAW
 		}
-		n.shard.Conflicts++
-		if n.s.cfg.Policy.Resolve(meta, conf.Enemies, conf.Kind) == cm.AbortRequester ||
-			!n.abortEnemies(p, r.Addr, conf.Enemies) {
-			n.emit(p, trace.KLockNack, r.Meta.TxID, trace.FlowID(r.ReplyTo, r.ReqID), uint64(conf.Kind), 0)
-			resp := getRespLock()
-			resp.ReqID, resp.Kind = r.ReqID, conf.Kind
-			n.respond(p, r.Reply, r.ReplyTo, resp)
-			return
-		}
-		// Enemies aborted and revoked; re-check (bounded: the conflict
-		// classes can only shrink).
-	}
-}
-
-// handleWriteLock implements Algorithm 2 (dsl_write_lock) for a batch of
-// objects. Either every lock in the batch is acquired or none: on failure
-// the batch's own acquisitions are rolled back before the conflict reply, so
-// the requester never holds partial state it does not know about.
-func (n *dtmNode) handleWriteLock(p port.Port, r *reqWriteLock) {
-	c := n.s.cfg.Costs
-	p.Advance(n.s.compute(c.SvcBase + c.SvcLock*time.Duration(len(r.Addrs))))
-	if !n.placeOK(r.Epoch, r.Addrs...) {
-		n.nackStale(p, r.Reply, r.ReplyTo, r.ReqID, r.Addrs...)
-		return
-	}
-	if n.excl.blocked() {
-		n.nack(p, r.Reply, r.ReplyTo, r.ReqID, r.Meta.TxID, cm.WAW)
-		return
+		n.nack(p, r, kind)
+		return true
 	}
 	meta := r.Meta
 	n.s.cfg.Policy.ArrivalPrio(&meta, p.Now())
@@ -305,9 +271,18 @@ func (n *dtmNode) handleWriteLock(p port.Port, r *reqWriteLock) {
 	defer func() { n.acqScratch = acquired[:0] }()
 	for _, addr := range r.Addrs {
 		for {
-			conf := n.table.WriteConflict(addr, meta)
+			var conf *dslock.Conflict
+			if write {
+				conf = n.table.WriteConflict(addr, meta)
+			} else {
+				conf = n.table.ReadConflict(addr, meta)
+			}
 			if conf == nil {
-				n.table.SetWriter(addr, meta)
+				if write {
+					n.table.SetWriter(addr, meta)
+				} else {
+					n.table.AddReader(addr, meta)
+				}
 				acquired = append(acquired, addr)
 				break
 			}
@@ -315,17 +290,23 @@ func (n *dtmNode) handleWriteLock(p port.Port, r *reqWriteLock) {
 			if n.s.cfg.Policy.Resolve(meta, conf.Enemies, conf.Kind) == cm.AbortRequester ||
 				!n.abortEnemies(p, addr, conf.Enemies) {
 				for _, a := range acquired {
-					n.table.ReleaseWrite(a, meta.Core, meta.TxID)
+					if write {
+						n.table.ReleaseWrite(a, meta.Core, meta.TxID)
+					} else {
+						n.table.ReleaseRead(a, meta.Core, meta.TxID)
+					}
 				}
-				n.nack(p, r.Reply, r.ReplyTo, r.ReqID, r.Meta.TxID, conf.Kind)
-				return
+				n.nack(p, r, conf.Kind)
+				return true
 			}
+			// Enemies aborted and revoked; re-check (bounded: the conflict
+			// classes can only shrink).
 		}
 	}
 	n.emit(p, trace.KLockGrant, r.Meta.TxID, trace.FlowID(r.ReplyTo, r.ReqID), uint64(len(r.Addrs)), 0)
 	resp := getRespLock()
 	resp.ReqID, resp.OK = r.ReqID, true
-	if n.s.clock != nil {
+	if write && n.s.clock != nil {
 		// Stripes are versioned (a version clock exists: TL2). Piggyback the
 		// granted stripes' current versions: the committer revalidates its
 		// read∩write stripes against these without touching memory again.
@@ -336,6 +317,7 @@ func (n *dtmNode) handleWriteLock(p port.Port, r *reqWriteLock) {
 		}
 	}
 	n.respond(p, r.Reply, r.ReplyTo, resp)
+	return true
 }
 
 // abortEnemies tries to remotely abort every enemy transaction via its
@@ -369,10 +351,17 @@ func (n *dtmNode) abortEnemies(p port.Port, addr mem.Addr, enemies []cm.Meta) bo
 	return true
 }
 
+// handleRelease frees a release burst's locks, or returns the exclusivity
+// token (a stale token release is a no-op).
 func (n *dtmNode) handleRelease(p port.Port, r *relLocks) {
-	c := n.s.cfg.Costs
 	ops := len(r.ReadAddrs) + len(r.WriteAddrs)
-	p.Advance(n.s.compute(c.SvcBase + c.SvcRelease*time.Duration(ops)))
+	p.Advance(n.s.compute(costs.SvcBase + costs.SvcRelease*time.Duration(ops)))
+	if r.Exclusive {
+		if n.excl.held && n.excl.owner == r.Core && n.excl.ownerTx == r.TxID {
+			n.excl.held = false
+		}
+		return
+	}
 	for _, a := range r.ReadAddrs {
 		n.table.ReleaseRead(a, r.Core, r.TxID)
 	}

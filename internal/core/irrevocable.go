@@ -18,62 +18,24 @@ import (
 // acquisitions, which aborts optimistic transactions into their usual retry
 // path and guarantees the drain terminates. Once all tokens are held the
 // body runs pessimistically with direct shared-memory access, then the
-// tokens are released.
-
-// reqExclusive asks a DTM node for its exclusivity token.
-type reqExclusive struct {
-	Core  int
-	TxID  uint64
-	Reply port.Port
-}
-
-func (r *reqExclusive) bytes() int { return msgHeaderBytes + 16 }
-func (*reqExclusive) dtmRequest()  {}
-
-// respExclusive grants the token.
-type respExclusive struct{}
-
-// relExclusive returns the token (fire-and-forget).
-type relExclusive struct {
-	Core int
-	TxID uint64
-}
-
-func (r *relExclusive) bytes() int { return msgHeaderBytes + 16 }
-func (*relExclusive) dtmRequest()  {}
+// tokens are released. The token travels in the lock vocabulary: a reqLock
+// in exclusive mode asks for it, a respLock grants it, and a relLocks with
+// Exclusive set returns it.
 
 // exclState is a DTM node's exclusivity bookkeeping.
 type exclState struct {
 	held    bool
 	owner   int
 	ownerTx uint64
-	queue   []*reqExclusive
+	queue   []*reqLock // token requests (lockExclusive), in arrival order
 }
 
 // blocked reports whether ordinary lock traffic must be rejected: either a
 // token is held or someone is waiting for the table to drain.
 func (e *exclState) blocked() bool { return e.held || len(e.queue) > 0 }
 
-// handleExclusive enqueues or immediately grants a token request.
-func (n *dtmNode) handleExclusive(p port.Port, r *reqExclusive) {
-	c := n.s.cfg.Costs
-	p.Advance(n.s.compute(c.SvcBase))
-	n.excl.queue = append(n.excl.queue, r)
-	n.tryGrantExclusive(p)
-}
-
-// handleExclusiveRelease returns the token and hands it to the next waiter.
-func (n *dtmNode) handleExclusiveRelease(p port.Port, r *relExclusive) {
-	c := n.s.cfg.Costs
-	p.Advance(n.s.compute(c.SvcBase))
-	if !n.excl.held || n.excl.owner != r.Core || n.excl.ownerTx != r.TxID {
-		return // stale release
-	}
-	n.excl.held = false
-	n.tryGrantExclusive(p)
-}
-
-// tryGrantExclusive grants the head waiter once the lock table is empty.
+// tryGrantExclusive grants the head waiter once the lock table is empty,
+// and recycles its request.
 func (n *dtmNode) tryGrantExclusive(p port.Port) {
 	if n.excl.held || len(n.excl.queue) == 0 || n.table.Size() != 0 {
 		return
@@ -81,10 +43,13 @@ func (n *dtmNode) tryGrantExclusive(p port.Port) {
 	r := n.excl.queue[0]
 	n.excl.queue = n.excl.queue[1:]
 	n.excl.held = true
-	n.excl.owner = r.Core
-	n.excl.ownerTx = r.TxID
+	n.excl.owner = r.Meta.Core
+	n.excl.ownerTx = r.Meta.TxID
 	n.shard.Responses++
-	n.s.send(&n.shard, n.rec, p, n.core, r.Reply, r.Core, &respExclusive{}, msgRespBytes)
+	resp := getRespLock()
+	resp.ReqID, resp.OK = r.ReqID, true
+	n.s.send(&n.shard, n.rec, p, n.core, r.Reply, r.ReplyTo, resp, respBytes(resp))
+	putLockReq(r)
 }
 
 // Irrevocable is the handle passed to an irrevocable transaction body. Its
@@ -138,36 +103,34 @@ func (rt *Runtime) RunIrrevocable(fn func(*Irrevocable)) {
 	// The status register stays in Committing: an irrevocable transaction
 	// is never abortable.
 	rt.s.Regs.SetStatusLocal(rt.core, id, mem.TxCommitting)
-	rt.proc.Advance(rt.s.compute(rt.s.cfg.Costs.TxBegin))
+	rt.proc.Advance(rt.s.compute(costs.TxBegin))
 
 	// Acquire every node's token in ascending node order (global order =>
 	// no deadlock between two irrevocable transactions).
 	for ni := range rt.s.nodes {
-		rt.sendToNode(ni, &reqExclusive{Core: rt.core, TxID: id, Reply: rt.proc})
-		rt.awaitExclusiveGrant()
+		req := rt.lockReq(id, lockExclusive, 0, nil)
+		reqID := req.ReqID // the node recycles req once it grants
+		rt.sendToNode(ni, req)
+		// The grant waits for the node's table to drain, which no deadline
+		// bounds: an expired wait is simply re-armed.
+		resp := rt.awaitOne(reqID)
+		for resp == nil {
+			resp = rt.awaitOne(reqID)
+		}
+		putRespLock(resp)
 	}
 	fn(&Irrevocable{rt: rt, id: id})
 	// Token-release burst: fire-and-forget to every node, coalesced like
 	// any other burst when the message plane coalesces (one payload per
 	// node here, so the win is uniformity, not merging).
 	for ni := range rt.s.nodes {
-		rt.burstToNode(ni, &relExclusive{Core: rt.core, TxID: id})
+		rel := getRelLocks()
+		rel.Core, rel.TxID, rel.Exclusive = rt.core, id, true
+		rt.burstToNode(ni, rel)
 	}
 	rt.flushOut()
 	rt.s.Regs.SetStatusLocal(rt.core, id, mem.TxCommitted)
 	rt.stats.Commits++
 	rt.shard.Irrevocables++
-}
-
-// awaitExclusiveGrant waits for one respExclusive, serving co-located DTM
-// requests under Multitask deployment (which keeps the drain making
-// progress on this core's own node).
-func (rt *Runtime) awaitExclusiveGrant() {
-	for {
-		m := rt.proc.Recv()
-		if _, granted := m.Payload.(*respExclusive); granted {
-			return
-		}
-		rt.absorb(m, "awaiting exclusivity", true)
-	}
+	rt.s.snap.AddCommit()
 }

@@ -128,7 +128,7 @@ func TestStaleExclusiveReleaseIgnored(t *testing.T) {
 		}
 		// A stray release for a token nobody holds must be a no-op.
 		for ni := range s.nodes {
-			rel := &relExclusive{Core: rt.Core(), TxID: 9999}
+			rel := &relLocks{Core: rt.Core(), TxID: 9999, Exclusive: true}
 			s.send(&rt.shard, rt.rec, rt.Port(), rt.Core(), s.nodePorts[ni], s.nodes[ni].core, rel, rel.bytes())
 		}
 		rt.RunIrrevocable(func(ir *Irrevocable) { ir.Write(a, 1) })

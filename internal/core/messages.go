@@ -11,7 +11,8 @@ import (
 // The DTM wire protocol. Every transactional wrapper is "similar to an
 // RPC-like call ... but uses message passing" (Algorithm 3/4): the app core
 // sends a request to the responsible DTM node and blocks for the response.
-// Releases are fire-and-forget.
+// Releases are fire-and-forget. The whole lock service is three types: a
+// reqLock in read, write or exclusive mode, its respLock, and relLocks.
 //
 // Lock requests carry a correlation ID (ReqID) assigned by the requesting
 // core's RPC layer (rpc.go) and echoed verbatim in the response, so a core
@@ -39,50 +40,40 @@ const (
 	msgRespBytes   = msgHeaderBytes + 16
 )
 
-// dtmRequest marks every message type a DTM node serves, i.e. exactly the
-// request arms of dtmNode.handle. The RPC await loop (rpc.go) uses the
-// marker to keep a multitasked core's co-located node live while the
-// application side awaits remote responses; handle panics are loud there,
-// so a type carrying the marker without a handle arm is caught immediately.
-type dtmRequest interface{ dtmRequest() }
+// lockMode says what a reqLock asks for.
+type lockMode uint8
 
-func (*reqReadLock) dtmRequest()  {}
-func (*reqWriteLock) dtmRequest() {}
-func (*relLocks) dtmRequest()     {}
+const (
+	lockRead      lockMode = iota // Algorithm 1: the read lock of each key
+	lockWrite                     // Algorithm 2: the write locks of a batch (§3.3)
+	lockExclusive                 // the node's irrevocability token; no keys
+)
 
-// reqReadLock asks for the read lock of one object (Algorithm 1 trigger).
-type reqReadLock struct {
+// reqLock asks a DTM node for the read or write locks of keys it owns, or
+// for its exclusivity token (irrevocable.go).
+type reqLock struct {
 	ReqID   uint64 // correlation ID, echoed in the response
 	Epoch   uint64 // placement epoch at resolution time
-	Addr    mem.Addr
+	Mode    lockMode
+	Addrs   []mem.Addr
 	Meta    cm.Meta
 	Reply   port.Port
 	ReplyTo int // app core ID
 }
 
-func (r *reqReadLock) bytes() int { return msgHeaderBytes + msgMetaBytes + msgAddrBytes }
-
-// reqWriteLock asks for the write locks of one or more objects owned by the
-// same DTM node (Algorithm 2 trigger; batching per §3.3).
-type reqWriteLock struct {
-	ReqID   uint64 // correlation ID, echoed in the response
-	Epoch   uint64 // placement epoch at resolution time
-	Addrs   []mem.Addr
-	Meta    cm.Meta
-	Reply   port.Port
-	ReplyTo int
-}
-
-func (r *reqWriteLock) bytes() int {
+func (r *reqLock) bytes() int {
+	if r.Mode == lockExclusive {
+		return msgHeaderBytes + 16 // the holder's core and transaction ID
+	}
 	return msgHeaderBytes + msgMetaBytes + msgAddrBytes*len(r.Addrs)
 }
 
-// respLock answers a read- or write-lock request. OK means NO_CONFLICT; on
-// failure Kind reports the conflict class that aborted the requester,
-// unless Stale is set: then the request was NACKed because the node no
-// longer (or not yet) owns a requested key, or its stripe is frozen for
-// migration, and the requester must re-resolve and retry. ReqID echoes the
-// request's correlation ID.
+// respLock answers a reqLock. OK means NO_CONFLICT, or for a token request
+// that the token is granted; on failure Kind reports the conflict class that
+// aborted the requester, unless Stale is set: then the request was NACKed
+// because the node no longer (or not yet) owns a requested key, or its
+// stripe is frozen for migration, and the requester must re-resolve and
+// retry. ReqID echoes the request's correlation ID.
 type respLock struct {
 	ReqID uint64
 	OK    bool
@@ -113,13 +104,15 @@ func respBytes(resp *respLock) int {
 
 // relLocks releases the given read and write locks of attempt (Core, TxID):
 // the burst that ends every attempt, and — with only ReadAddrs set — the
-// elastic-early release before commit (§6.1). Fire-and-forget: stale
-// releases are no-ops at the lock table.
+// elastic-early release before commit (§6.1). With Exclusive set and no
+// addresses it returns the exclusivity token instead. Fire-and-forget:
+// stale releases are no-ops.
 type relLocks struct {
 	ReadAddrs  []mem.Addr
 	WriteAddrs []mem.Addr
 	Core       int
 	TxID       uint64
+	Exclusive  bool
 }
 
 func (r *relLocks) bytes() int {
@@ -139,7 +132,8 @@ func (barrierMsg) bytes() int { return msgHeaderBytes + 8 }
 // every one of them is a fresh heap object. Ownership follows the message:
 // the creator fills a pooled struct and sends it, and the FINAL toucher
 // recycles it — requests and fire-and-forget releases by the DTM node after
-// its handle arm returns, responses by the requesting core once consumed.
+// its handle arm returns (a queued token request once it is granted),
+// responses by the requesting core once consumed.
 // Messages that are never consumed (dropped at shutdown, expired deadlines,
 // duplicate responses) simply fall to the garbage collector; nothing is ever
 // recycled twice. Address and version slices are pool-owned: builders copy
@@ -150,33 +144,21 @@ func (barrierMsg) bytes() int { return msgHeaderBytes + 8 }
 // Every get function fully reinitializes the struct — a pooled object
 // carries arbitrary stale field values from its previous life.
 var (
-	readLockPool  = sync.Pool{New: func() any { return new(reqReadLock) }}
-	writeLockPool = sync.Pool{New: func() any { return new(reqWriteLock) }}
-	respLockPool  = sync.Pool{New: func() any { return new(respLock) }}
-	relLocksPool  = sync.Pool{New: func() any { return new(relLocks) }}
+	lockReqPool  = sync.Pool{New: func() any { return new(reqLock) }}
+	respLockPool = sync.Pool{New: func() any { return new(respLock) }}
+	relLocksPool = sync.Pool{New: func() any { return new(relLocks) }}
 )
 
-func getReadLockReq() *reqReadLock {
-	r := readLockPool.Get().(*reqReadLock)
-	*r = reqReadLock{}
-	return r
-}
-
-func putReadLockReq(r *reqReadLock) {
-	r.Reply = nil
-	readLockPool.Put(r)
-}
-
-func getWriteLockReq() *reqWriteLock {
-	r := writeLockPool.Get().(*reqWriteLock)
+func getLockReq() *reqLock {
+	r := lockReqPool.Get().(*reqLock)
 	addrs := r.Addrs[:0]
-	*r = reqWriteLock{Addrs: addrs}
+	*r = reqLock{Addrs: addrs}
 	return r
 }
 
-func putWriteLockReq(r *reqWriteLock) {
+func putLockReq(r *reqLock) {
 	r.Reply = nil
-	writeLockPool.Put(r)
+	lockReqPool.Put(r)
 }
 
 func getRespLock() *respLock {

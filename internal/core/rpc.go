@@ -38,14 +38,13 @@ func (rt *Runtime) initRPC() {
 		rt.deadlineRecv = rt.proc.(*port.HostPort)
 	}
 	rt.awaitPred = func(m port.Msg) bool {
-		if resp, ok := m.Payload.(*respLock); ok {
-			return slices.Contains(rt.awaitIDs, resp.ReqID)
+		switch pl := m.Payload.(type) {
+		case *respLock:
+			return slices.Contains(rt.awaitIDs, pl.ReqID)
+		case *reqLock, *relLocks: // a request for the co-located node
+			return rt.node != nil
 		}
-		if rt.node == nil {
-			return false
-		}
-		_, ok := m.Payload.(dtmRequest)
-		return ok
+		return false
 	}
 }
 
@@ -96,22 +95,29 @@ func (rt *Runtime) placementAbort() {
 	panic(rt.signal(abortSignal{reason: trace.ReasonStalePlacement}))
 }
 
-// writeLockReq builds one write-lock batch request with a fresh correlation
-// ID, counting it in the shard (the request will be transmitted exactly
-// once, sent directly or staged for a coalesced burst).
-func (rt *Runtime) writeLockReq(tx *Tx, epoch uint64, keys []mem.Addr) *reqWriteLock {
-	req := getWriteLockReq()
+// lockReq builds one lock request with a fresh correlation ID, counting it
+// in the shard (the request will be transmitted exactly once, sent directly
+// or staged for a coalesced burst).
+func (rt *Runtime) lockReq(txID uint64, mode lockMode, epoch uint64, keys []mem.Addr) *reqLock {
+	req := getLockReq()
 	req.ReqID = rt.nextReqID()
-	req.Epoch = epoch
+	req.Epoch, req.Mode = epoch, mode
 	// Copy the keys into the request's pool-owned storage: the caller's
 	// batch slice is per-attempt scratch that will be reused while this
 	// request may still be in flight.
 	req.Addrs = append(req.Addrs[:0], keys...)
-	req.Meta = rt.local.RequestMeta(tx.id, rt.proc.Now())
+	req.Meta = rt.local.RequestMeta(txID, rt.proc.Now())
 	req.Reply = rt.proc
 	req.ReplyTo = rt.core
-	rt.shard.WriteLockReqs++
-	rt.emit(trace.KLockReq, tx.id, trace.FlowID(rt.core, req.ReqID), uint64(keys[0]), uint64(len(keys)))
+	switch mode {
+	case lockRead:
+		rt.shard.ReadLockReqs++
+	case lockWrite:
+		rt.shard.WriteLockReqs++
+	default:
+		return req // a token request is neither counted nor traced
+	}
+	rt.emit(trace.KLockReq, txID, trace.FlowID(rt.core, req.ReqID), uint64(keys[0]), uint64(len(keys)))
 	return req
 }
 
@@ -130,37 +136,20 @@ func (rt *Runtime) conflictAbort(kind cm.Kind) {
 // re-resolves. The access is recorded once per logical acquisition —
 // NACK-chasing resends must not inflate the stripe heat the adaptive policy
 // reads.
-func (rt *Runtime) rpcLock(tx *Tx, key mem.Addr, write bool) {
+func (rt *Runtime) rpcLock(tx *Tx, key mem.Addr, mode lockMode) {
 	rt.oneKey[0] = key
 	rt.s.dir.Record(rt.cluster, key)
 	node, epoch := rt.s.dir.Resolve(key)
 	for hop := 0; ; hop++ {
-		// Either branch captures the correlation ID before the handoff: once
-		// sent, the node may consume and recycle the pooled request.
-		var id uint64
-		if write {
-			req := rt.writeLockReq(tx, epoch, rt.oneKey[:])
-			id = req.ReqID
-			rt.sendToNode(node, req)
-		} else {
-			id = rt.nextReqID()
-			req := getReadLockReq()
-			req.ReqID = id
-			req.Epoch = epoch
-			req.Addr = key
-			req.Meta = rt.local.RequestMeta(tx.id, rt.proc.Now())
-			req.Reply = rt.proc
-			req.ReplyTo = rt.core
-			rt.shard.ReadLockReqs++
-			rt.emit(trace.KLockReq, tx.id, trace.FlowID(rt.core, id), uint64(key), 1)
-			rt.sendToNode(node, req)
-		}
+		req := rt.lockReq(tx.id, mode, epoch, rt.oneKey[:])
+		id := req.ReqID // once sent, the node may consume and recycle req
+		rt.sendToNode(node, req)
 		resp := rt.awaitOne(id)
 		if resp == nil {
 			// Deadline expired: the request or its response is lost. The
 			// lock may nonetheless have been granted, so treat it as held
 			// and let the abort's release burst cover it.
-			rt.timeoutAbort(tx, rt.oneKey[:], write)
+			rt.timeoutAbort(tx, rt.oneKey[:], mode == lockWrite)
 		}
 		if resp.OK {
 			tx.recordGrantVers(rt.oneKey[:], resp.Vers) // none except on a TL2 write grant
@@ -198,7 +187,7 @@ func (rt *Runtime) scatterWriteLocks(tx *Tx, epoch uint64, batches []nodeGroup) 
 	rt.emit(trace.KPhaseBegin, tx.id, uint64(trace.PhaseScatter), 0, 0)
 	ids := rt.scatterIDs[:0]
 	for _, b := range batches {
-		req := rt.writeLockReq(tx, epoch, b.writes)
+		req := rt.lockReq(tx.id, lockWrite, epoch, b.writes)
 		// Record the correlation ID before the handoff: once staged or
 		// sent, the node may consume and recycle the pooled request.
 		ids = append(ids, req.ReqID)

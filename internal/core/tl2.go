@@ -66,7 +66,7 @@ func (*tl2Proto) begin(tx *Tx) {
 	if tx.readVers == nil {
 		tx.readVers, tx.grantVers = make(map[mem.Addr]uint64), make(map[mem.Addr]uint64)
 	}
-	rt.proc.Advance(rt.s.compute(rt.s.cfg.Costs.ClockSnap))
+	rt.proc.Advance(rt.s.compute(costs.ClockSnap))
 	rt.rvBuf = rt.s.clock.Snapshot(rt.rvBuf[:0])
 	tx.rv = rt.rvBuf
 	tx.serialAt = rt.proc.Now()
@@ -111,7 +111,7 @@ func (*tl2Proto) validate(tx *Tx) (mem.Addr, bool) {
 	keys := tx.writeKeys()
 	rt.s.Mem.LockVersions(rt.proc, rt.core, keys)
 	tx.marked = keys
-	rt.proc.Advance(rt.s.compute(rt.s.cfg.Costs.ClockTick))
+	rt.proc.Advance(rt.s.compute(costs.ClockTick))
 	tx.wv = rt.s.clock.Tick(rt.core)
 	rt.shard.ClockAdvances++
 	rt.emit(trace.KClockTick, tx.id, tx.wv, 0, 0)

@@ -300,7 +300,7 @@ func (rt *Runtime) runLoop(kind TxKind, fn func(*Tx) error) (attempts int, userE
 		// phase lock within a useful number of retries.
 		bound := 257 << uint(min(attempts-1, 6))
 		jitter := time.Duration(rt.proc.Rand().Intn(bound)) * time.Nanosecond
-		rt.proc.Advance(rt.s.compute(rt.s.cfg.Costs.TxBegin + jitter))
+		rt.proc.Advance(rt.s.compute(costs.TxBegin + jitter))
 		rt.s.proto.begin(tx)
 		rt.emit(trace.KAttemptStart, tx.id, uint64(attempts), 0, 0)
 		switch outcome, err := rt.attempt(tx, fn); outcome {
@@ -463,7 +463,7 @@ func (tx *Tx) ReadN(base mem.Addr, n int) []uint64 {
 // through ReadN.
 func (tx *Tx) readNView(base mem.Addr, n int) []uint64 {
 	rt := tx.rt
-	rt.proc.Advance(rt.s.compute(rt.s.cfg.Costs.Wrapper))
+	rt.proc.Advance(rt.s.compute(costs.Wrapper))
 	if j := tx.writes.find(base); j >= 0 {
 		return tx.writes.entries[j].vals(rt.words)
 	}
@@ -492,12 +492,12 @@ func (tx *Tx) WriteN(base mem.Addr, vals []uint64) {
 		panic(fmt.Sprintf("core: write to %#x inside a read-only transaction", uint64(base)))
 	}
 	rt := tx.rt
-	rt.proc.Advance(rt.s.compute(rt.s.cfg.Costs.Wrapper))
+	rt.proc.Advance(rt.s.compute(costs.Wrapper))
 	if rt.s.cfg.Acquire == Eager {
 		key := rt.s.lockKey(base)
 		if !slices.Contains(tx.wlocked, key) {
 			tx.checkAborted()
-			rt.rpcLock(tx, key, true)
+			rt.rpcLock(tx, key, lockWrite)
 			tx.wlocked = append(tx.wlocked, key)
 		}
 	}
@@ -524,7 +524,7 @@ func (tx *Tx) commit() {
 	// transaction has none to scan; nor does an invisible reader that wrote
 	// nothing, declared or not — nothing at its commit depends on the kind.
 	if update || (tx.kind != ReadOnly && p.readsHoldLocks()) {
-		rt.proc.Advance(rt.s.compute(rt.s.cfg.Costs.Commit))
+		rt.proc.Advance(rt.s.compute(costs.Commit))
 	}
 	instant := tx.serialAt
 	if update {

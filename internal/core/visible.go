@@ -28,7 +28,7 @@ func (*visibleProto) firstRead(tx *Tx, base mem.Addr, n int) []uint64 {
 	rt := tx.rt
 	tx.checkAborted()
 	key := rt.s.lockKey(base)
-	rt.rpcLock(tx, key, false)
+	rt.rpcLock(tx, key, lockRead)
 	// Record the grant before anything can abort the attempt: if the lock
 	// were not in the read set when the post-read abort check fires, the
 	// cleanup would never release it and the stale entry could block that

@@ -10,9 +10,9 @@ import (
 )
 
 // Wire codec registration for the cross-process net backend. Exactly the
-// closed set of DTM protocol messages (messages.go, irrevocable.go) plus the
-// Batch coalescing envelope ever crosses a port boundary — applications go
-// through the typed transaction API, never Port.Send — so these nine codecs
+// closed set of DTM protocol messages (messages.go) plus the Batch
+// coalescing envelope ever crosses a port boundary — applications go
+// through the typed transaction API, never Port.Send — so these five codecs
 // are the complete wire vocabulary. Kind bytes are stable protocol
 // constants: never renumber one or reuse a retired one, add new ones at the
 // end and bump wire.Version.
@@ -23,15 +23,16 @@ import (
 // spawn-order port IDs and are re-resolved against the receiving process's
 // replicated port table.
 const (
-	wkReqReadLock uint8 = iota + 1 // 0 reserved: catches zeroed buffers
-	wkReqWriteLock
+	// 0 is reserved: it catches zeroed buffers.
+	_ uint8 = iota + 1 // 1 retired: reqReadLock, now reqLock's read mode
+	wkReqLock
 	wkRespLock
 	wkRelLocks
-	_ // 5 reserved: the retired earlyRelease, now relLocks with only ReadAddrs set
+	_ // 5 retired: earlyRelease, now relLocks with only ReadAddrs set
 	wkBarrier
-	wkReqExclusive
-	wkRespExclusive
-	wkRelExclusive
+	_ // 7 retired: reqExclusive, now reqLock's exclusive mode
+	_ // 8 retired: respExclusive, now a respLock grant
+	_ // 9 retired: relExclusive, now relLocks with Exclusive set
 	wkBatch
 )
 
@@ -67,42 +68,28 @@ func typeOf[T any]() reflect.Type { return reflect.TypeOf((*T)(nil)).Elem() }
 
 func init() {
 	wire.Register(wire.Codec{
-		Kind: wkReqReadLock, Type: typeOf[*reqReadLock](),
+		Kind: wkReqLock, Type: typeOf[*reqLock](),
 		Encode: func(e *wire.Enc, v any) {
-			r := v.(*reqReadLock)
+			r := v.(*reqLock)
 			e.U64(r.ReqID)
 			e.U64(r.Epoch)
-			e.U64(uint64(r.Addr))
-			encMeta(e, r.Meta)
-			e.Port(r.Reply)
-			e.Int(r.ReplyTo)
-		},
-		Decode: func(d *wire.Dec) any {
-			r := getReadLockReq()
-			r.ReqID, r.Epoch, r.Addr = d.U64(), d.U64(), mem.Addr(d.U64())
-			r.Meta, r.Reply, r.ReplyTo = decMeta(d), d.Port(), d.Int()
-			return r
-		},
-		Release: func(v any) { putReadLockReq(v.(*reqReadLock)) },
-	})
-	wire.Register(wire.Codec{
-		Kind: wkReqWriteLock, Type: typeOf[*reqWriteLock](),
-		Encode: func(e *wire.Enc, v any) {
-			r := v.(*reqWriteLock)
-			e.U64(r.ReqID)
-			e.U64(r.Epoch)
+			e.U8(uint8(r.Mode))
 			encAddrs(e, r.Addrs)
 			encMeta(e, r.Meta)
 			e.Port(r.Reply)
 			e.Int(r.ReplyTo)
 		},
 		Decode: func(d *wire.Dec) any {
-			r := getWriteLockReq()
-			r.ReqID, r.Epoch, r.Addrs = d.U64(), d.U64(), decAddrs(d, r.Addrs)
+			r := getLockReq()
+			r.ReqID, r.Epoch, r.Mode = d.U64(), d.U64(), lockMode(d.U8())
+			if r.Mode > lockExclusive {
+				d.Failf("wire: unknown lock mode %d", r.Mode)
+			}
+			r.Addrs = decAddrs(d, r.Addrs)
 			r.Meta, r.Reply, r.ReplyTo = decMeta(d), d.Port(), d.Int()
 			return r
 		},
-		Release: func(v any) { putWriteLockReq(v.(*reqWriteLock)) },
+		Release: func(v any) { putLockReq(v.(*reqLock)) },
 	})
 	wire.Register(wire.Codec{
 		Kind: wkRespLock, Type: typeOf[*respLock](),
@@ -132,11 +119,12 @@ func init() {
 			encAddrs(e, r.WriteAddrs)
 			e.Int(r.Core)
 			e.U64(r.TxID)
+			e.Bool(r.Exclusive)
 		},
 		Decode: func(d *wire.Dec) any {
 			r := getRelLocks()
 			r.ReadAddrs, r.WriteAddrs = decAddrs(d, r.ReadAddrs), decAddrs(d, r.WriteAddrs)
-			r.Core, r.TxID = d.Int(), d.U64()
+			r.Core, r.TxID, r.Exclusive = d.Int(), d.U64(), d.Bool()
 			return r
 		},
 		Release: func(v any) { putRelLocks(v.(*relLocks)) },
@@ -150,34 +138,6 @@ func init() {
 		},
 		Decode: func(d *wire.Dec) any {
 			return barrierMsg{Epoch: d.U64()}
-		},
-	})
-	wire.Register(wire.Codec{
-		Kind: wkReqExclusive, Type: typeOf[*reqExclusive](),
-		Encode: func(e *wire.Enc, v any) {
-			r := v.(*reqExclusive)
-			e.Int(r.Core)
-			e.U64(r.TxID)
-			e.Port(r.Reply)
-		},
-		Decode: func(d *wire.Dec) any {
-			return &reqExclusive{Core: d.Int(), TxID: d.U64(), Reply: d.Port()}
-		},
-	})
-	wire.Register(wire.Codec{
-		Kind: wkRespExclusive, Type: typeOf[*respExclusive](),
-		Encode: func(e *wire.Enc, v any) {},
-		Decode: func(d *wire.Dec) any { return &respExclusive{} },
-	})
-	wire.Register(wire.Codec{
-		Kind: wkRelExclusive, Type: typeOf[*relExclusive](),
-		Encode: func(e *wire.Enc, v any) {
-			r := v.(*relExclusive)
-			e.Int(r.Core)
-			e.U64(r.TxID)
-		},
-		Decode: func(d *wire.Dec) any {
-			return &relExclusive{Core: d.Int(), TxID: d.U64()}
 		},
 	})
 	wire.Register(wire.Codec{

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -76,23 +77,23 @@ func randReply(r *rand.Rand) port.Port {
 	return idPort{id: r.Intn(1 << 16)}
 }
 
-// messageGens builds one random instance per protocol message type. Every
-// registered wire type except the Batch envelope must appear here; the
-// completeness check in TestWireRoundTripAllMessages enforces that.
+// messageGens builds one random instance per protocol message type, and per
+// reqLock mode and relLocks flavour. Every registered wire type except the
+// Batch envelope must appear here; the completeness check in
+// TestWireRoundTripAllMessages enforces that.
 func messageGens() []func(r *rand.Rand) any {
+	reqLockGen := func(mode lockMode, maxAddrs int) func(r *rand.Rand) any {
+		return func(r *rand.Rand) any {
+			return &reqLock{
+				ReqID: r.Uint64(), Epoch: r.Uint64(), Mode: mode, Addrs: randAddrs(r, maxAddrs),
+				Meta: randMeta(r), Reply: randReply(r), ReplyTo: r.Intn(1 << 20),
+			}
+		}
+	}
 	return []func(r *rand.Rand) any{
-		func(r *rand.Rand) any {
-			return &reqReadLock{
-				ReqID: r.Uint64(), Epoch: r.Uint64(), Addr: mem.Addr(r.Uint64()),
-				Meta: randMeta(r), Reply: randReply(r), ReplyTo: r.Intn(1 << 20),
-			}
-		},
-		func(r *rand.Rand) any {
-			return &reqWriteLock{
-				ReqID: r.Uint64(), Epoch: r.Uint64(), Addrs: randAddrs(r, 12),
-				Meta: randMeta(r), Reply: randReply(r), ReplyTo: r.Intn(1 << 20),
-			}
-		},
+		reqLockGen(lockRead, 1),
+		reqLockGen(lockWrite, 12),
+		reqLockGen(lockExclusive, 0),
 		func(r *rand.Rand) any {
 			owner := r.Intn(64) - 1 // exercises the -1 "no single owner" sentinel
 			return &respLock{
@@ -107,14 +108,10 @@ func messageGens() []func(r *rand.Rand) any {
 				Core: r.Intn(1 << 20), TxID: r.Uint64(),
 			}
 		},
+		func(r *rand.Rand) any {
+			return &relLocks{Core: r.Intn(1 << 20), TxID: r.Uint64(), Exclusive: true}
+		},
 		func(r *rand.Rand) any { return barrierMsg{Epoch: r.Uint64()} },
-		func(r *rand.Rand) any {
-			return &reqExclusive{Core: r.Intn(1 << 20), TxID: r.Uint64(), Reply: randReply(r)}
-		},
-		func(r *rand.Rand) any { return &respExclusive{} },
-		func(r *rand.Rand) any {
-			return &relExclusive{Core: r.Intn(1 << 20), TxID: r.Uint64()}
-		},
 	}
 }
 
@@ -197,8 +194,8 @@ func TestWireRoundTripAllMessages(t *testing.T) {
 // errors, never panics or silent truncation.
 func TestWireDecodeRejectsCorruptInput(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
-	v := &reqWriteLock{
-		ReqID: 7, Epoch: 3, Addrs: randAddrs(r, 6), Meta: randMeta(r),
+	v := &reqLock{
+		ReqID: 7, Epoch: 3, Mode: lockWrite, Addrs: randAddrs(r, 6), Meta: randMeta(r),
 		Reply: idPort{id: 9}, ReplyTo: 4,
 	}
 	e := wire.NewEnc(nil)
@@ -217,10 +214,19 @@ func TestWireDecodeRejectsCorruptInput(t *testing.T) {
 	if _, err := wire.DecodePayload(d); err == nil {
 		t.Fatal("unknown payload kind decoded without error")
 	}
-	// Kind 5 is reserved: the retired earlyRelease, in its old encoding.
-	d = wire.NewDec([]byte{5, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0}, testResolver)
-	if _, err := wire.DecodePayload(d); err == nil {
-		t.Fatal("retired payload kind 5 decoded without error")
+	// Retired kinds, each in its old encoding: 1 reqReadLock, 5 earlyRelease,
+	// 7 reqExclusive, 8 respExclusive, 9 relExclusive.
+	for _, frame := range retiredKindFrames {
+		d = wire.NewDec(frame, testResolver)
+		if _, err := wire.DecodePayload(d); err == nil {
+			t.Fatalf("retired payload kind %d decoded without error", frame[0])
+		}
+	}
+	// A reqLock mode past lockExclusive.
+	bad := slices.Clone(full)
+	bad[1+8+8] = uint8(lockExclusive) + 1
+	if _, err := wire.DecodePayload(wire.NewDec(bad, testResolver)); err == nil {
+		t.Fatal("reqLock with an unknown mode decoded without error")
 	}
 	// Kind 0 is reserved so zeroed buffers fail loudly.
 	d = wire.NewDec(make([]byte, 16), testResolver)
@@ -229,24 +235,22 @@ func TestWireDecodeRejectsCorruptInput(t *testing.T) {
 	}
 }
 
-// TestWireEncodingStable pins exact bytes for one representative message:
-// the encoding is a protocol constant (docs/WIRE.md), and accidental layout
-// drift must show up as a test failure, not a cross-version hang.
+// retiredKindFrames holds one frame per retired payload kind, each in the
+// encoding it had before it was retired.
+var retiredKindFrames = [][]byte{
+	append([]byte{1}, make([]byte, 8+8+8+32+4+8)...),                // reqReadLock
+	{5, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0}, // earlyRelease
+	append([]byte{7}, make([]byte, 8+8+4)...),                       // reqExclusive
+	{8},                                     // respExclusive
+	append([]byte{9}, make([]byte, 8+8)...), // relExclusive
+}
+
+// TestWireEncodingStable pins exact bytes for a read-mode and an
+// exclusive-mode reqLock: the encoding is a protocol constant
+// (docs/WIRE.md), and accidental layout drift must show up as a test
+// failure, not a cross-version hang.
 func TestWireEncodingStable(t *testing.T) {
-	v := &reqReadLock{
-		ReqID: 0x0102030405060708, Epoch: 2, Addr: 0x0a0b,
-		Meta:  cm.Meta{Core: 3, TxID: 9, Prio: -1, Offset: 5},
-		Reply: idPort{id: 17}, ReplyTo: 3,
-	}
-	e := wire.NewEnc(nil)
-	if err := wire.EncodePayload(e, v); err != nil {
-		t.Fatal(err)
-	}
-	want := []byte{
-		1,                      // kind: reqReadLock
-		8, 7, 6, 5, 4, 3, 2, 1, // ReqID
-		2, 0, 0, 0, 0, 0, 0, 0, // Epoch
-		0x0b, 0x0a, 0, 0, 0, 0, 0, 0, // Addr
+	meta := []byte{
 		3, 0, 0, 0, 0, 0, 0, 0, // Meta.Core
 		9, 0, 0, 0, 0, 0, 0, 0, // Meta.TxID
 		0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, // Meta.Prio = -1
@@ -254,8 +258,35 @@ func TestWireEncodingStable(t *testing.T) {
 		17, 0, 0, 0, // Reply port ID
 		3, 0, 0, 0, 0, 0, 0, 0, // ReplyTo
 	}
-	if !reflect.DeepEqual(e.Bytes(), want) {
-		t.Fatalf("encoding drifted:\n got %v\nwant %v", e.Bytes(), want)
+	for _, c := range []struct {
+		v    *reqLock
+		want []byte
+	}{
+		{&reqLock{ReqID: 0x0102030405060708, Epoch: 2, Mode: lockRead, Addrs: []mem.Addr{0x0a0b}}, slices.Concat([]byte{
+			2,                      // kind: reqLock
+			8, 7, 6, 5, 4, 3, 2, 1, // ReqID
+			2, 0, 0, 0, 0, 0, 0, 0, // Epoch
+			0,          // Mode: read
+			1, 0, 0, 0, // len(Addrs)
+			0x0b, 0x0a, 0, 0, 0, 0, 0, 0, // Addrs[0]
+		}, meta)},
+		{&reqLock{ReqID: 4, Mode: lockExclusive}, slices.Concat([]byte{
+			2,                      // kind: reqLock
+			4, 0, 0, 0, 0, 0, 0, 0, // ReqID
+			0, 0, 0, 0, 0, 0, 0, 0, // Epoch
+			2,          // Mode: exclusive
+			0, 0, 0, 0, // len(Addrs)
+		}, meta)},
+	} {
+		c.v.Meta = cm.Meta{Core: 3, TxID: 9, Prio: -1, Offset: 5}
+		c.v.Reply, c.v.ReplyTo = idPort{id: 17}, 3
+		e := wire.NewEnc(nil)
+		if err := wire.EncodePayload(e, c.v); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(e.Bytes(), c.want) {
+			t.Fatalf("mode %d encoding drifted:\n got %v\nwant %v", c.v.Mode, e.Bytes(), c.want)
+		}
 	}
 }
 
@@ -311,14 +342,16 @@ func FuzzDecodePayload(f *testing.F) {
 	}
 	f.Add([]byte{wkBatch, 0xff, 0xff, 0xff, 0xff})
 	f.Add([]byte{wkBatch, 1, 0, 0, 0, wkBatch, 0, 0, 0, 0})
-	f.Add([]byte{5, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0}) // kind 5 is retired: rejected
+	for _, frame := range retiredKindFrames {
+		f.Add(frame) // rejected
+	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		v, alloc, err := decodeAllocated(b)
 		if err != nil && v != nil {
 			t.Errorf("decode failed (%v) but returned %#v", err, v)
 		}
-		if len(b) > 0 && b[0] == 5 && err == nil {
-			t.Errorf("retired payload kind 5 decoded to %#v", v)
+		if len(b) > 0 && slices.Contains([]byte{1, 5, 7, 8, 9}, b[0]) && err == nil {
+			t.Errorf("retired payload kind %d decoded to %#v", b[0], v)
 		}
 		if limit := uint64(64*len(b) + 16<<10); alloc > limit {
 			t.Errorf("decoding %d bytes allocated %d (limit %d)", len(b), alloc, limit)

@@ -14,8 +14,11 @@
 package live_test
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -297,42 +300,72 @@ func TestLiveBarrier(t *testing.T) {
 // requires it (RunIrrevocable panics under tl2).
 func TestLiveIrrevocable(t *testing.T) {
 	bothPlanes(t, func(t *testing.T, coalesce bool) {
-		s := liveSystem(t, coalesce, core.ProtocolVisible, func(c *core.Config) { c.TotalCores = 8 })
-		const accounts = 64
-		accts := core.NewTArray(s, core.Uint64Codec(), accounts, 1000)
-		s.SpawnWorkers(func(rt *core.Runtime) {
-			r := rt.Rand()
-			for !rt.Stopped() {
-				from, to := bank.PickTransfer(r, accounts)
-				if r.Intn(100) < 5 {
-					rt.RunIrrevocable(func(ir *core.Irrevocable) {
-						f := accts.At(from).GetIr(ir)
-						tv := accts.At(to).GetIr(ir)
-						accts.At(from).SetIr(ir, f-1)
-						accts.At(to).SetIr(ir, tv+1)
-					})
-				} else {
-					rt.Run(func(tx *core.Tx) {
-						f := accts.Get(tx, from)
-						tv := accts.Get(tx, to)
-						accts.Set(tx, from, f-1)
-						accts.Set(tx, to, tv+1)
-					})
-				}
-				rt.AddOps(1)
-			}
-		})
-		st := s.Run(liveWindow)
-		checkQuiesced(t, s, st)
-		if st.Irrevocables == 0 {
-			t.Error("no irrevocable transaction completed")
-		}
-		var sum uint64
-		for i := 0; i < accounts; i++ {
-			sum += accts.GetRaw(i)
-		}
-		if want := uint64(accounts) * 1000; sum != want {
-			t.Errorf("money not conserved across irrevocable mix: %d != %d", sum, want)
+		runIrrevocableBank(t, coalesce, nil)
+	})
+}
+
+// TestLiveIrrevocableSnapshotCountsCommits: the snapshotter's final JSONL
+// line counts irrevocable commits like any other, so its commits equal
+// Stats.Commits on an irrevocable mix.
+func TestLiveIrrevocableSnapshotCountsCommits(t *testing.T) {
+	var buf bytes.Buffer
+	st := runIrrevocableBank(t, false, func(c *core.Config) {
+		c.Snapshot = &trace.SnapshotOptions{W: &buf, Every: time.Millisecond}
+	})
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	var last struct{ Commits uint64 }
+	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &last); err != nil {
+		t.Fatalf("final snapshot line %q: %v", lines[len(lines)-1], err)
+	}
+	if last.Commits != st.Commits {
+		t.Errorf("final snapshot commits = %d, Stats.Commits = %d (%d irrevocable)", last.Commits, st.Commits, st.Irrevocables)
+	}
+}
+
+// runIrrevocableBank runs a bank mix whose transfers are 5 % irrevocable and
+// checks it quiesced, ran irrevocables and conserved the money.
+func runIrrevocableBank(t *testing.T, coalesce bool, mut func(*core.Config)) *core.Stats {
+	s := liveSystem(t, coalesce, core.ProtocolVisible, func(c *core.Config) {
+		c.TotalCores = 8
+		if mut != nil {
+			mut(c)
 		}
 	})
+	const accounts = 64
+	accts := core.NewTArray(s, core.Uint64Codec(), accounts, 1000)
+	s.SpawnWorkers(func(rt *core.Runtime) {
+		r := rt.Rand()
+		for !rt.Stopped() {
+			from, to := bank.PickTransfer(r, accounts)
+			if r.Intn(100) < 5 {
+				rt.RunIrrevocable(func(ir *core.Irrevocable) {
+					f := accts.At(from).GetIr(ir)
+					tv := accts.At(to).GetIr(ir)
+					accts.At(from).SetIr(ir, f-1)
+					accts.At(to).SetIr(ir, tv+1)
+				})
+			} else {
+				rt.Run(func(tx *core.Tx) {
+					f := accts.Get(tx, from)
+					tv := accts.Get(tx, to)
+					accts.Set(tx, from, f-1)
+					accts.Set(tx, to, tv+1)
+				})
+			}
+			rt.AddOps(1)
+		}
+	})
+	st := s.Run(liveWindow)
+	checkQuiesced(t, s, st)
+	if st.Irrevocables == 0 {
+		t.Error("no irrevocable transaction completed")
+	}
+	var sum uint64
+	for i := 0; i < accounts; i++ {
+		sum += accts.GetRaw(i)
+	}
+	if want := uint64(accounts) * 1000; sum != want {
+		t.Errorf("money not conserved across irrevocable mix: %d != %d", sum, want)
+	}
+	return st
 }

@@ -25,7 +25,7 @@ func TestHierSplitMergeProperty(t *testing.T) {
 			clusters[i] = r.Intn(1 + i)
 		}
 		d, err := New(Config{
-			Nodes: nodes, Kind: AdaptiveHier, Stripes: stripes, Span: 1,
+			Nodes: nodes, Kind: AdaptiveHier, RegionWords: uint64(stripes), Span: 1,
 			LeafStripes: 8, Clusters: clusters,
 			EvalEvery: 32 + r.Intn(32), MaxMoves: 1 + r.Intn(4),
 		})
@@ -96,7 +96,7 @@ func TestHierSplitMergeProperty(t *testing.T) {
 // migrated, because ownership lives in the snapshot and pins nothing.
 func TestHierLeavesMergeWhenCold(t *testing.T) {
 	d, err := New(Config{
-		Nodes: 4, Kind: AdaptiveHier, Stripes: 1 << 12, Span: 1,
+		Nodes: 4, Kind: AdaptiveHier, RegionWords: 1 << 12, Span: 1,
 		LeafStripes: 64, EvalEvery: 256,
 	})
 	if err != nil {
@@ -310,7 +310,7 @@ func TestHierDirectoryWorkIsOTouched(t *testing.T) {
 func TestHierCoMappingPullsDataToAccessors(t *testing.T) {
 	run := func(imbalance float64) *Directory {
 		d, err := New(Config{
-			Nodes: 4, Kind: AdaptiveHier, Stripes: 256, Span: 1,
+			Nodes: 4, Kind: AdaptiveHier, RegionWords: 256, Span: 1,
 			LeafStripes: 16, Clusters: []int{0, 0, 1, 1},
 			EvalEvery: 512, MaxMoves: 8, ImbalanceFactor: imbalance,
 		})
@@ -368,7 +368,7 @@ func TestHierCoMappingPullsDataToAccessors(t *testing.T) {
 // first, from storage allocated once at New.
 func TestRemoteHistoryKeepsTheRecentWindows(t *testing.T) {
 	// ImbalanceFactor prohibitive: no migration may turn a remote key local.
-	d, err := New(Config{Nodes: 2, Kind: AdaptiveHier, Stripes: 8, Clusters: []int{0, 1},
+	d, err := New(Config{Nodes: 2, Kind: AdaptiveHier, RegionWords: 8, Clusters: []int{0, 1},
 		EvalEvery: 16, ImbalanceFactor: 1e9})
 	if err != nil {
 		t.Fatal(err)

@@ -165,20 +165,14 @@ type Config struct {
 	Nodes int
 	// Kind selects the policy (default Hash).
 	Kind Kind
-	// Stripes is the legacy stripe-universe size, used only when
-	// RegionWords is unset: the universe then covers Stripes*Span words in
-	// a single region (default 4096). Prefer deriving the universe from the
-	// memory size via Regions/RegionWords.
-	Stripes int
 	// Span is the number of contiguous words per stripe (default 1).
 	Span int
 	// Regions is the number of memory-controller regions the universe
 	// covers (default 1). Region r serves addresses [r<<mem.RegionShift,
 	// r<<mem.RegionShift + RegionWords).
 	Regions int
-	// RegionWords is the per-region word capacity of the stripe universe.
-	// Keys outside it panic instead of aliasing. Default: Stripes*Span
-	// (the legacy single-region universe).
+	// RegionWords is the per-region word capacity of the stripe universe
+	// (required, > 0). Keys outside it panic instead of aliasing.
 	RegionWords uint64
 	// LeafStripes is the number of leaf stripes per super-stripe (rounded
 	// up to a power of two; default 256). Adaptive state materializes in
@@ -204,9 +198,6 @@ func (c *Config) normalize() error {
 	if c.Nodes <= 0 {
 		return fmt.Errorf("placement: need at least one node, got %d", c.Nodes)
 	}
-	if c.Stripes <= 0 {
-		c.Stripes = 4096
-	}
 	if c.Span <= 0 {
 		c.Span = 1
 	}
@@ -214,7 +205,7 @@ func (c *Config) normalize() error {
 		c.Regions = 1
 	}
 	if c.RegionWords == 0 {
-		c.RegionWords = uint64(c.Stripes) * uint64(c.Span)
+		return fmt.Errorf("placement: need a RegionWords universe, got 0")
 	}
 	if c.RegionWords > 1<<mem.RegionShift {
 		return fmt.Errorf("placement: RegionWords %d exceeds the %d-word region capacity", c.RegionWords, uint64(1)<<mem.RegionShift)

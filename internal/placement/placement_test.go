@@ -38,11 +38,17 @@ func TestNewRejectsZeroNodes(t *testing.T) {
 	}
 }
 
+func TestNewRejectsZeroRegionWords(t *testing.T) {
+	if _, err := New(Config{Nodes: 2}); err == nil {
+		t.Fatal("New without a RegionWords universe succeeded")
+	}
+}
+
 // TestHashMatchesLegacyNodeFor pins the hash policy to the seed's
 // multiplicative hash so switching resolution behind the directory cannot
 // silently change the paper's default placement.
 func TestHashMatchesLegacyNodeFor(t *testing.T) {
-	d, err := New(Config{Nodes: 24})
+	d, err := New(Config{Nodes: 24, RegionWords: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +83,7 @@ func TestDirectoryOwnershipProperty(t *testing.T) {
 		stripes := 16 << r.Intn(3)
 		span := 1 + r.Intn(4)
 		d, err := New(Config{
-			Nodes: nodes, Kind: AdaptiveHier, Stripes: stripes, Span: span,
+			Nodes: nodes, Kind: AdaptiveHier, RegionWords: uint64(stripes * span), Span: span,
 			EvalEvery: 16 + r.Intn(64), MaxMoves: 1 + r.Intn(4),
 			LeafStripes: 8 << r.Intn(3), // several leaves even at 16 stripes
 		})
@@ -167,7 +173,7 @@ func TestDirectoryOwnershipProperty(t *testing.T) {
 // the policy migrate hot stripes off the overloaded node.
 func TestAdaptiveRepartitionMovesHeat(t *testing.T) {
 	const nodes = 4
-	d, err := New(Config{Nodes: nodes, Kind: AdaptiveHier, Stripes: 64, Span: 1, EvalEvery: 256})
+	d, err := New(Config{Nodes: nodes, Kind: AdaptiveHier, RegionWords: 64, Span: 1, EvalEvery: 256})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,7 +27,7 @@ func staleButCurrent(d *Directory, key mem.Addr, owner int, epoch uint64) bool {
 // single-stepped: the owner is read, a handoff completes, the epoch is
 // read. Resolve cannot be split that way.
 func TestResolveOwnerThenEpochIsStale(t *testing.T) {
-	d, err := New(Config{Nodes: 2, Kind: AdaptiveHier, Stripes: 8})
+	d, err := New(Config{Nodes: 2, Kind: AdaptiveHier, RegionWords: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestResolveNeverStaleUnderCurrentEpoch(t *testing.T) {
 	const stripes = 8
 	// ImbalanceFactor prohibitive: Record must not start moves of its own,
 	// or the flipper's freezes would find their stripe already frozen.
-	d, err := New(Config{Nodes: 2, Kind: AdaptiveHier, Stripes: stripes, Clusters: []int{0, 1},
+	d, err := New(Config{Nodes: 2, Kind: AdaptiveHier, RegionWords: stripes, Clusters: []int{0, 1},
 		EvalEvery: 64, ImbalanceFactor: 1e9})
 	if err != nil {
 		t.Fatal(err)
@@ -124,7 +124,7 @@ func startResolvers(t *testing.T, d *Directory, stripes int, stop *atomic.Bool, 
 // under the mutex — against snapshot publication and the lock-free readers.
 func TestResolveAcrossWakeAndSleep(t *testing.T) {
 	const stripes = 64
-	d, err := New(Config{Nodes: 2, Kind: AdaptiveHier, Stripes: stripes, LeafStripes: 8,
+	d, err := New(Config{Nodes: 2, Kind: AdaptiveHier, RegionWords: stripes, LeafStripes: 8,
 		Clusters: []int{0, 1}, EvalEvery: 64})
 	if err != nil {
 		t.Fatal(err)
@@ -181,7 +181,7 @@ func TestResolveAcrossWakeAndSleep(t *testing.T) {
 // and a frozen stripe in the snapshot.
 func TestResolveTakesNoLock(t *testing.T) {
 	for _, kind := range Kinds() {
-		d, err := New(Config{Nodes: 2, Kind: kind, Stripes: 8, Clusters: []int{0, 1}})
+		d, err := New(Config{Nodes: 2, Kind: kind, RegionWords: 8, Clusters: []int{0, 1}})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -9,7 +9,7 @@
 //
 //   - Payload codec: a registry mapping each protocol message type to a
 //     stable one-byte payload kind and a hand-written encoder/decoder pair.
-//     internal/core registers its eight DTM protocol messages plus the Batch
+//     internal/core registers its four DTM protocol messages plus the Batch
 //     envelope at init time; nothing else ever crosses the wire, so the
 //     registry is closed and the encoding is exhaustively property-tested.
 //
@@ -36,7 +36,7 @@ import (
 // Version identifies the wire format: frame layout, handshake shape, and
 // every registered payload encoding. Peers with different versions refuse
 // to talk during the handshake rather than misparse each other mid-run.
-const Version uint16 = 2
+const Version uint16 = 3
 
 // MaxFrame bounds a frame body so a corrupt or hostile length prefix cannot
 // make a reader allocate unboundedly. The largest legitimate frames are

@@ -78,8 +78,6 @@ type (
 	Stats = core.Stats
 	// CoreStats is the per-core breakdown inside Stats.
 	CoreStats = core.CoreStats
-	// Costs are the nominal software costs of the runtime.
-	Costs = core.Costs
 	// Deployment selects dedicated or multitasked service cores.
 	Deployment = core.Deployment
 	// AcquireMode selects lazy or eager write-lock acquisition.
@@ -103,7 +101,8 @@ type (
 	// (used by SpawnRaw baselines and Runtime.Port); see core.Port.
 	Port = core.Port
 	// Backend selects the execution backend of a System: the
-	// deterministic simulator or the real-concurrency goroutine backend.
+	// deterministic simulator, the real-concurrency goroutine backend, or
+	// the cross-process net backend.
 	Backend = core.Backend
 	// NetConfig places one process within a cross-process (BackendNet)
 	// system: rank, rank count, per-rank addresses, session.
@@ -273,7 +272,7 @@ func ParsePolicy(s string) (Policy, error) { return cm.Parse(s) }
 // ParsePlacement parses a placement policy name (hash|hier).
 func ParsePlacement(s string) (PlacementKind, error) { return placement.Parse(s) }
 
-// ParseBackend parses an execution backend name (sim|live).
+// ParseBackend parses an execution backend name (sim|live|net).
 func ParseBackend(s string) (Backend, error) { return core.ParseBackend(s) }
 
 // ParseProtocol parses a read-visibility protocol name (visible|tl2; the
