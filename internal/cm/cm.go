@@ -107,8 +107,10 @@ func (k Kind) String() string {
 	}
 }
 
-// Meta is the per-transaction information piggybacked on every DTM request
-// and stored with each lock grant. It is everything a CM may consult.
+// Meta is the per-transaction information piggybacked on every DTM request.
+// It is everything a CM may consult. The DTM node's lock table keeps Core,
+// TxID and Prio per grant; Offset is consumed on arrival by ArrivalPrio,
+// which folds it into Prio before the grant is recorded.
 type Meta struct {
 	Core   int       // requesting application core
 	TxID   uint64    // attempt identifier (unique per core)

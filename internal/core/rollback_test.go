@@ -228,7 +228,8 @@ func runRollbackRow(t *testing.T, c rollbackCell, phase string) {
 			key := s.lockKey(w1)
 			table := s.nodes[s.nodeFor(key)].table
 			for i := 0; i < 1_000_000; i++ {
-				if m, held := table.WriterOf(key); held {
+				if c := table.ReadConflict(key, cm.Meta{Core: -1}); c != nil { // the writer, foreign to every core
+					m := c.Enemies[0]
 					if swapped, _, _ := s.Regs.CASStatusObserveRaw(m.Core, m.TxID, mem.TxPending, mem.TxAborted); !swapped {
 						t.Error("the lock holder was no longer Pending when its grant became visible")
 					}

@@ -70,8 +70,9 @@ type Runtime struct {
 	oneKey       [1]mem.Addr // rpcLock's single-key batch
 	scatterIDs   []uint64    // scatter-gather correlation IDs
 	scatterResps []*respLock // scatter-gather response slots
-	groups       []nodeGroup // groupAdd's groups, in first-use order
-	groupIdx     []int32     // DTM node → groups index + 1; 0: no group
+	groups       []nodeGroup // commitBatches' groups, in first-use order
+	rels         []relDraft  // relAdd's release messages, in first-use order
+	groupIdx     []int32     // DTM node → groups or rels index + 1; all 0 between uses
 	wkKeys       []mem.Addr  // writeKeys result
 	batchScratch []nodeGroup // commitBatches result slots
 	wbAddrs      []mem.Addr  // commit write-back address list
@@ -660,15 +661,29 @@ func (tx *Tx) scatterAcquire(keys []mem.Addr) (stale []mem.Addr) {
 func (tx *Tx) commitBatches(keys []mem.Addr) ([]nodeGroup, uint64) {
 	rt := tx.rt
 	epoch := rt.s.dir.Epoch()
+	// Group the keys by DTM node. Groups appear in order of first use and
+	// keep their keys' relative order, so identical runs build identical
+	// messages.
+	rt.groups = rt.groups[:0]
+	for _, k := range keys {
+		ni := rt.s.nodeFor(k)
+		gi := int(rt.groupIdx[ni]) - 1
+		if gi < 0 {
+			gi = len(rt.groups)
+			rt.groupIdx[ni] = int32(gi + 1)
+			rt.groups = slices.Grow(rt.groups, 1)[:gi+1] // a reused slot keeps its key storage
+			rt.groups[gi].node, rt.groups[gi].writes = ni, rt.groups[gi].writes[:0]
+		}
+		rt.groups[gi].writes = append(rt.groups[gi].writes, k)
+	}
 	batches := rt.batchScratch[:0]
-	rt.groupStart()
-	rt.groupAdd(true, keys...)
 	for _, g := range rt.groups {
+		rt.groupIdx[g.node] = 0 // relAdd shares the index
 		if rt.s.cfg.NoBatching {
 			// One batch per object: each aliases a one-element sub-slice of
 			// the group's storage (full slice expression, so appends to one
 			// batch can never scribble on the next). The batches are consumed
-			// before the next groupStart reuses that storage.
+			// before the next commitBatches reuses that storage.
 			for i := range g.writes {
 				batches = append(batches, nodeGroup{node: g.node, writes: g.writes[i : i+1 : i+1]})
 			}
@@ -709,32 +724,65 @@ func (rt *Runtime) abortCleanup(tx *Tx, sig abortSignal) {
 // locks in acquisition order) so identical runs schedule identical events.
 func (rt *Runtime) releaseAll(tx *Tx) {
 	rt.emit(trace.KPhaseBegin, tx.id, uint64(trace.PhaseRelease), 0, 0)
-	rt.groupStart()
 	if rt.s.proto.readsHoldLocks() {
 		for _, e := range tx.reads.entries {
 			if !e.released() {
-				rt.groupAdd(false, rt.s.lockKey(e.base))
+				rt.relAdd(tx, false, rt.s.lockKey(e.base))
 			}
 		}
 	}
-	rt.groupAdd(true, tx.wlocked...)
-	rt.sendReleases(tx, &rt.shard.ReleaseMsgs)
+	for _, k := range tx.wlocked {
+		rt.relAdd(tx, true, k)
+	}
+	rt.sendReleases(&rt.shard.ReleaseMsgs)
 	rt.emit(trace.KPhaseEnd, tx.id, uint64(trace.PhaseRelease), 0, 0)
 }
 
-// sendReleases sends one relLocks per group in rt.groups, all in one
-// fire-and-forget burst (scatter with nothing to gather), counting each
-// message in sent.
-func (rt *Runtime) sendReleases(tx *Tx, sent *uint64) {
-	for _, g := range rt.groups {
+// relDraft is one pooled release message being filled for its DTM node.
+type relDraft struct {
+	node int
+	msg  *relLocks
+}
+
+// relAdd adds one lock key to its DTM node's release message, drawing the
+// message from the pool on the node's first key. Messages appear in order of
+// first use and keep their keys' relative order, so identical runs build
+// identical messages.
+func (rt *Runtime) relAdd(tx *Tx, write bool, k mem.Addr) {
+	ni := rt.s.nodeFor(k)
+	ri := int(rt.groupIdx[ni]) - 1
+	if ri < 0 {
+		ri = len(rt.rels)
+		rt.groupIdx[ni] = int32(ri + 1)
 		msg := getRelLocks()
-		msg.ReadAddrs = append(msg.ReadAddrs[:0], g.reads...)
-		msg.WriteAddrs = append(msg.WriteAddrs[:0], g.writes...)
-		msg.Core = rt.core
-		msg.TxID = tx.id
-		*sent++
-		rt.burstToNode(g.node, msg)
+		msg.Core, msg.TxID = rt.core, tx.id
+		rt.rels = append(rt.rels, relDraft{node: ni, msg: msg})
 	}
+	if msg := rt.rels[ri].msg; write {
+		msg.WriteAddrs = append(msg.WriteAddrs, k)
+	} else {
+		msg.ReadAddrs = append(msg.ReadAddrs, k)
+	}
+}
+
+// releaseSent, when set by a test, sees every release message just before
+// it is sent.
+var releaseSent func(node int, msg *relLocks)
+
+// sendReleases sends the drafted release messages, all in one
+// fire-and-forget burst (scatter with nothing to gather), counting each in
+// sent, and clears their indices in rt.groupIdx for the next user.
+func (rt *Runtime) sendReleases(sent *uint64) {
+	for i, d := range rt.rels {
+		rt.groupIdx[d.node] = 0
+		rt.rels[i].msg = nil
+		if releaseSent != nil {
+			releaseSent(d.node, d.msg)
+		}
+		*sent++
+		rt.burstToNode(d.node, d.msg)
+	}
+	rt.rels = rt.rels[:0]
 	rt.flushOut()
 }
 
@@ -753,43 +801,12 @@ func (tx *Tx) writeKeys() []mem.Addr {
 	return keys
 }
 
-// nodeGroup is the lock keys one DTM node is responsible for, out of those
-// handed to groupAdd. The slices are runtime-owned scratch, copied into a
-// pooled message before send.
+// nodeGroup is the write-lock keys one DTM node is responsible for, out of
+// those commitBatches groups. The slice is runtime-owned scratch, copied
+// into a pooled message before send.
 type nodeGroup struct {
-	node          int
-	reads, writes []mem.Addr
-}
-
-// groupStart begins a new partition of lock keys by responsible DTM node in
-// rt.groups, reusing the previous partition's storage.
-func (rt *Runtime) groupStart() {
-	for _, g := range rt.groups {
-		rt.groupIdx[g.node] = 0
-	}
-	rt.groups = rt.groups[:0]
-}
-
-// groupAdd adds lock keys to their DTM nodes' groups, as read or write locks.
-// Groups appear in order of first use and keep their keys' relative order,
-// so identical runs build identical messages.
-func (rt *Runtime) groupAdd(write bool, keys ...mem.Addr) {
-	for _, k := range keys {
-		ni := rt.s.nodeFor(k)
-		gi := int(rt.groupIdx[ni]) - 1
-		if gi < 0 {
-			gi = len(rt.groups)
-			rt.groupIdx[ni] = int32(gi + 1)
-			rt.groups = slices.Grow(rt.groups, 1)[:gi+1] // a reused slot keeps its key storage
-			g := &rt.groups[gi]
-			g.node, g.reads, g.writes = ni, g.reads[:0], g.writes[:0]
-		}
-		if g := &rt.groups[gi]; write {
-			g.writes = append(g.writes, k)
-		} else {
-			g.reads = append(g.reads, k)
-		}
-	}
+	node   int
+	writes []mem.Addr
 }
 
 // drainRequests serves any queued DTM requests at a transaction boundary

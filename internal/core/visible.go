@@ -126,16 +126,15 @@ func (tx *Tx) EarlyRelease(bases ...mem.Addr) {
 		// set and remain snapshot-validated (strictly stronger semantics).
 		return
 	}
-	rt.groupStart()
 	for _, b := range bases {
 		if !tx.reads.release(b) {
 			continue
 		}
 		if key := rt.s.lockKey(b); !tx.readsOnStripe(key) {
-			rt.groupAdd(false, key)
+			rt.relAdd(tx, false, key)
 		}
 	}
-	rt.sendReleases(tx, &rt.shard.EarlyReleases)
+	rt.sendReleases(&rt.shard.EarlyReleases)
 }
 
 // readsOnStripe reports whether any object of the read set lies on the lock

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"reflect"
 
 	"repro/internal/cm"
@@ -44,7 +45,18 @@ func encMeta(e *wire.Enc, m cm.Meta) {
 }
 
 func decMeta(d *wire.Dec) cm.Meta {
-	return cm.Meta{Core: d.Int(), TxID: d.U64(), Prio: d.I64(), Offset: d.Time()}
+	return cm.Meta{Core: decCore(d), TxID: d.U64(), Prio: d.I64(), Offset: d.Time()}
+}
+
+// decCore decodes the core ID of a lock holder. The lock table keeps it as
+// an int32, so a value outside [0, MaxInt32] would alias another core's
+// locks: it fails the decode.
+func decCore(d *wire.Dec) int {
+	c := d.Int()
+	if c < 0 || c > math.MaxInt32 {
+		d.Failf("wire: core ID %d out of range", c)
+	}
+	return c
 }
 
 func encAddrs(e *wire.Enc, as []mem.Addr) {
@@ -124,7 +136,7 @@ func init() {
 		Decode: func(d *wire.Dec) any {
 			r := getRelLocks()
 			r.ReadAddrs, r.WriteAddrs = decAddrs(d, r.ReadAddrs), decAddrs(d, r.WriteAddrs)
-			r.Core, r.TxID, r.Exclusive = d.Int(), d.U64(), d.Bool()
+			r.Core, r.TxID, r.Exclusive = decCore(d), d.U64(), d.Bool()
 			return r
 		},
 		Release: func(v any) { putRelLocks(v.(*relLocks)) },

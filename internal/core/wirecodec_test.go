@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -228,11 +229,37 @@ func TestWireDecodeRejectsCorruptInput(t *testing.T) {
 	if _, err := wire.DecodePayload(wire.NewDec(bad, testResolver)); err == nil {
 		t.Fatal("reqLock with an unknown mode decoded without error")
 	}
+	// Core IDs the lock table cannot hold, in a request's Meta and in a
+	// release.
+	for _, frame := range badCoreFrames() {
+		if v, err := wire.DecodePayload(wire.NewDec(frame, testResolver)); err == nil {
+			t.Fatalf("core ID out of range decoded to %#v", v)
+		}
+	}
 	// Kind 0 is reserved so zeroed buffers fail loudly.
 	d = wire.NewDec(make([]byte, 16), testResolver)
 	if _, err := wire.DecodePayload(d); err == nil {
 		t.Fatal("zeroed buffer decoded without error")
 	}
+}
+
+// badCoreFrames encodes a reqLock and a relLocks whose core IDs are -1 and
+// MaxInt32+1: both would alias another core in the lock table's int32.
+func badCoreFrames() [][]byte {
+	var frames [][]byte
+	for _, core := range []int{-1, math.MaxInt32 + 1} {
+		for _, v := range []any{
+			&reqLock{Mode: lockRead, Addrs: []mem.Addr{1}, Meta: cm.Meta{Core: core}},
+			&relLocks{ReadAddrs: []mem.Addr{1}, Core: core},
+		} {
+			e := wire.NewEnc(nil)
+			if err := wire.EncodePayload(e, v); err != nil {
+				panic(err)
+			}
+			frames = append(frames, e.Bytes())
+		}
+	}
+	return frames
 }
 
 // retiredKindFrames holds one frame per retired payload kind, each in the
@@ -343,6 +370,9 @@ func FuzzDecodePayload(f *testing.F) {
 	f.Add([]byte{wkBatch, 0xff, 0xff, 0xff, 0xff})
 	f.Add([]byte{wkBatch, 1, 0, 0, 0, wkBatch, 0, 0, 0, 0})
 	for _, frame := range retiredKindFrames {
+		f.Add(frame) // rejected
+	}
+	for _, frame := range badCoreFrames() {
 		f.Add(frame) // rejected
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {

@@ -20,17 +20,41 @@ import (
 	"repro/internal/mem"
 )
 
-// entry is the lock state of one address. The writer pointer, when set,
-// always points at the entry's own wmeta field: entries are recycled through
-// the table's freelist on the release hot path, so the writer metadata lives
-// inline instead of in a fresh heap box per write lock.
-type entry struct {
-	writer  *cm.Meta
-	wmeta   cm.Meta
-	readers []cm.Meta // at most one per core
+// holder is what the table keeps per granted lock: the identity a release
+// or revocation must match (core, attempt) and the priority the contention
+// manager weighs. cm.Meta's Offset is not kept — ArrivalPrio has already
+// folded it into Prio when the request reached the node.
+type holder struct {
+	TxID uint64
+	Prio int64
+	Core int32
 }
 
-func (e *entry) empty() bool { return e.writer == nil && len(e.readers) == 0 }
+func hold(m cm.Meta) holder { return holder{TxID: m.TxID, Prio: m.Prio, Core: int32(m.Core)} }
+
+func (h holder) meta() cm.Meta { return cm.Meta{Core: int(h.Core), TxID: h.TxID, Prio: h.Prio} }
+
+func (h holder) is(core int, txID uint64) bool { return int(h.Core) == core && h.TxID == txID }
+
+// entry is the lock state of one address. Entries are recycled through the
+// table's freelist on the release hot path, so the writer lives inline.
+type entry struct {
+	writer  holder
+	written bool     // writer is set
+	readers []holder // at most one per core
+}
+
+func (e *entry) empty() bool { return !e.written && len(e.readers) == 0 }
+
+// addReader appends h, growing the reader capacity by doubling up to 16 and
+// by 8 after that: a recycled entry keeps its capacity, so the growth step
+// bounds what the freelist retains after a burst of readers.
+func (e *entry) addReader(h holder) {
+	if n := len(e.readers); n == cap(e.readers) && n >= 16 {
+		e.readers = append(make([]holder, 0, n+8), e.readers...)
+	}
+	e.readers = append(e.readers, h)
+}
 
 // Table is the lock table of one DTM node.
 type Table struct {
@@ -59,7 +83,8 @@ func (t *Table) Size() int { return len(t.locks) }
 //
 // ReadConflict and WriteConflict return one table-owned Conflict and reuse
 // its Enemies: valid only until the next such call on the table. Enemies is
-// a copy, so revoking the listed locks while iterating it is safe.
+// a copy, so revoking the listed locks while iterating it is safe. Each
+// enemy carries the Core, TxID and Prio it was granted with (Offset is 0).
 type Conflict struct {
 	Kind    cm.Kind
 	Enemies []cm.Meta
@@ -70,10 +95,10 @@ type Conflict struct {
 // with the current writer (Algorithm 1).
 func (t *Table) ReadConflict(addr mem.Addr, req cm.Meta) *Conflict {
 	e := t.locks[addr]
-	if e == nil || e.writer == nil || e.writer.Core == req.Core {
+	if e == nil || !e.written || int(e.writer.Core) == req.Core {
 		return nil
 	}
-	t.conf = Conflict{cm.RAW, append(t.conf.Enemies[:0], *e.writer)}
+	t.conf = Conflict{cm.RAW, append(t.conf.Enemies[:0], e.writer.meta())}
 	return &t.conf
 }
 
@@ -85,14 +110,14 @@ func (t *Table) WriteConflict(addr mem.Addr, req cm.Meta) *Conflict {
 	if e == nil {
 		return nil
 	}
-	if e.writer != nil && e.writer.Core != req.Core {
-		t.conf = Conflict{cm.WAW, append(t.conf.Enemies[:0], *e.writer)}
+	if e.written && int(e.writer.Core) != req.Core {
+		t.conf = Conflict{cm.WAW, append(t.conf.Enemies[:0], e.writer.meta())}
 		return &t.conf
 	}
 	enemies := t.conf.Enemies[:0]
 	for _, r := range e.readers {
-		if r.Core != req.Core {
-			enemies = append(enemies, r)
+		if int(r.Core) != req.Core {
+			enemies = append(enemies, r.meta())
 		}
 	}
 	if len(enemies) > 0 {
@@ -107,13 +132,14 @@ func (t *Table) WriteConflict(addr mem.Addr, req cm.Meta) *Conflict {
 func (t *Table) AddReader(addr mem.Addr, m cm.Meta) {
 	t.Grants++
 	e := t.ensure(addr)
+	h := hold(m)
 	for i := range e.readers {
-		if e.readers[i].Core == m.Core {
-			e.readers[i] = m
+		if e.readers[i].Core == h.Core {
+			e.readers[i] = h
 			return
 		}
 	}
-	e.readers = append(e.readers, m)
+	e.addReader(h)
 }
 
 // SetWriter records a granted write lock. It panics if a different core
@@ -121,30 +147,10 @@ func (t *Table) AddReader(addr mem.Addr, m cm.Meta) {
 func (t *Table) SetWriter(addr mem.Addr, m cm.Meta) {
 	t.Grants++
 	e := t.ensure(addr)
-	if e.writer != nil && e.writer.Core != m.Core {
+	if e.written && int(e.writer.Core) != m.Core {
 		panic(fmt.Sprintf("dslock: SetWriter(%#x) over foreign writer core %d", uint64(addr), e.writer.Core))
 	}
-	e.wmeta = m
-	e.writer = &e.wmeta
-}
-
-// WriterOf returns the current writer's metadata, if any.
-func (t *Table) WriterOf(addr mem.Addr) (cm.Meta, bool) {
-	if e := t.locks[addr]; e != nil && e.writer != nil {
-		return *e.writer, true
-	}
-	return cm.Meta{}, false
-}
-
-// ReadersOf returns a copy of the reader set of addr.
-func (t *Table) ReadersOf(addr mem.Addr) []cm.Meta {
-	e := t.locks[addr]
-	if e == nil || len(e.readers) == 0 {
-		return nil
-	}
-	out := make([]cm.Meta, len(e.readers))
-	copy(out, e.readers)
-	return out
+	e.writer, e.written = hold(m), true
 }
 
 // ReleaseRead removes (core, txID)'s read lock on addr. It reports whether
@@ -155,7 +161,7 @@ func (t *Table) ReleaseRead(addr mem.Addr, core int, txID uint64) bool {
 		return false
 	}
 	for i := range e.readers {
-		if e.readers[i].Core == core && e.readers[i].TxID == txID {
+		if e.readers[i].is(core, txID) {
 			e.readers = append(e.readers[:i], e.readers[i+1:]...)
 			t.gc(addr, e)
 			return true
@@ -167,10 +173,10 @@ func (t *Table) ReleaseRead(addr mem.Addr, core int, txID uint64) bool {
 // ReleaseWrite removes (core, txID)'s write lock on addr.
 func (t *Table) ReleaseWrite(addr mem.Addr, core int, txID uint64) bool {
 	e := t.locks[addr]
-	if e == nil || e.writer == nil || e.writer.Core != core || e.writer.TxID != txID {
+	if e == nil || !e.written || !e.writer.is(core, txID) {
 		return false
 	}
-	e.writer = nil
+	e.written = false
 	t.gc(addr, e)
 	return true
 }
@@ -184,12 +190,12 @@ func (t *Table) Revoke(addr mem.Addr, core int, txID uint64) bool {
 		return false
 	}
 	removed := false
-	if e.writer != nil && e.writer.Core == core && e.writer.TxID == txID {
-		e.writer = nil
+	if e.written && e.writer.is(core, txID) {
+		e.written = false
 		removed = true
 	}
 	for i := 0; i < len(e.readers); {
-		if e.readers[i].Core == core && e.readers[i].TxID == txID {
+		if e.readers[i].is(core, txID) {
 			e.readers = append(e.readers[:i], e.readers[i+1:]...)
 			removed = true
 			continue
@@ -228,8 +234,8 @@ func (t *Table) ensure(addr mem.Addr) *entry {
 
 func (t *Table) gc(addr mem.Addr, e *entry) {
 	if e.empty() {
-		// empty() guarantees writer == nil and len(readers) == 0; the
-		// reader backing array survives for the next acquire.
+		// empty() guarantees no writer and len(readers) == 0; the reader
+		// backing array survives for the next acquire.
 		delete(t.locks, addr)
 		t.free = append(t.free, e)
 	}
@@ -245,14 +251,14 @@ func (t *Table) CheckInvariants() error {
 		if e.empty() {
 			return fmt.Errorf("empty entry lingers at %#x", uint64(addr))
 		}
-		seen := make(map[int]bool)
+		seen := make(map[int32]bool)
 		for _, r := range e.readers {
 			if seen[r.Core] {
 				return fmt.Errorf("duplicate reader core %d at %#x", r.Core, uint64(addr))
 			}
 			seen[r.Core] = true
 		}
-		if e.writer != nil {
+		if e.written {
 			for _, r := range e.readers {
 				if r.Core != e.writer.Core {
 					return fmt.Errorf("foreign reader core %d coexists with writer core %d at %#x",

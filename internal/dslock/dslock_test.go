@@ -1,6 +1,7 @@
 package dslock
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -168,13 +169,25 @@ func TestRevokeRemovesBothKinds(t *testing.T) {
 	}
 }
 
+// outsider is a requester on no core: every holder is foreign to it, so a
+// conflict check by it lists the whole writer or reader set.
+var outsider = cm.Meta{Core: -1}
+
+// readersOf lists addr's readers, through the WAR scan of a write request.
+func readersOf(tab *Table, a mem.Addr) []cm.Meta {
+	if c := tab.WriteConflict(a, outsider); c != nil && c.Kind == cm.WAR {
+		return c.Enemies
+	}
+	return nil
+}
+
 func TestRevokeLeavesOthersIntact(t *testing.T) {
 	tab := NewTable()
 	const a mem.Addr = 14
 	tab.AddReader(a, meta(1, 5))
 	tab.AddReader(a, meta(2, 6))
 	tab.Revoke(a, 1, 5)
-	rs := tab.ReadersOf(a)
+	rs := readersOf(tab, a)
 	if len(rs) != 1 || rs[0].Core != 2 {
 		t.Fatalf("readers after revoke = %+v", rs)
 	}
@@ -185,7 +198,7 @@ func TestAddReaderReplacesSameCore(t *testing.T) {
 	const a mem.Addr = 15
 	tab.AddReader(a, meta(1, 5))
 	tab.AddReader(a, cm.Meta{Core: 1, TxID: 6})
-	rs := tab.ReadersOf(a)
+	rs := readersOf(tab, a)
 	if len(rs) != 1 || rs[0].TxID != 6 {
 		t.Fatalf("readers = %+v, want single entry with TxID 6", rs)
 	}
@@ -202,25 +215,28 @@ func TestSetWriterOverForeignWriterPanics(t *testing.T) {
 	tab.SetWriter(1, meta(1, 2))
 }
 
-func TestWriterOf(t *testing.T) {
+// TestRAWConflictReportsWriter: a foreign read meets the writer with the
+// identity and priority it was granted with.
+func TestRAWConflictReportsWriter(t *testing.T) {
 	tab := NewTable()
-	if _, ok := tab.WriterOf(3); ok {
-		t.Fatal("writer on empty table")
+	if c := tab.ReadConflict(3, outsider); c != nil {
+		t.Fatalf("writer on empty table: %+v", c)
 	}
-	tab.SetWriter(3, meta(2, 9))
-	w, ok := tab.WriterOf(3)
-	if !ok || w.Core != 2 || w.TxID != 9 {
-		t.Fatalf("WriterOf = %+v, %v", w, ok)
+	tab.SetWriter(3, cm.Meta{Core: 2, TxID: 9, Prio: -4, Offset: 77})
+	c := tab.ReadConflict(3, outsider)
+	if c == nil || len(c.Enemies) != 1 || c.Enemies[0] != (cm.Meta{Core: 2, TxID: 9, Prio: -4}) {
+		t.Fatalf("RAW conflict = %+v, want writer core 2 tx 9 prio -4", c)
 	}
 }
 
-func TestReadersOfReturnsCopy(t *testing.T) {
+// TestConflictEnemiesAreACopy: writing to a conflict's Enemies does not
+// reach the table.
+func TestConflictEnemiesAreACopy(t *testing.T) {
 	tab := NewTable()
 	tab.AddReader(1, meta(0, 1))
-	rs := tab.ReadersOf(1)
-	rs[0].Core = 99
-	if tab.ReadersOf(1)[0].Core != 0 {
-		t.Fatal("ReadersOf exposed internal state")
+	readersOf(tab, 1)[0].Core = 99
+	if rs := readersOf(tab, 1); rs[0].Core != 0 {
+		t.Fatal("Enemies exposed internal state")
 	}
 }
 
@@ -282,5 +298,192 @@ func TestInvariantsUnderRandomOps(t *testing.T) {
 		return true
 	}, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// FuzzTable drives a Table with the DTM node's discipline (a lock is set
+// only once its conflict check comes back empty, or after revoking every
+// enemy it lists) against a naive model: one writer pointer and an ordered
+// reader list per address. After every op it compares grants, conflict
+// kinds and the enemies' Core/TxID/Prio in order, the release and revoke
+// verdicts, Size and Grants, and runs CheckInvariants. Each op is four
+// bytes: the op and the address, the core, the attempt, the priority.
+func FuzzTable(f *testing.F) {
+	var crowd []byte
+	for c := byte(0); c < 24; c++ {
+		crowd = append(crowd, 0, c, 1, c) // 24 cores read-lock address 0
+	}
+	crowd = append(crowd, 1, 30, 2, 200, 5, 30, 2, 200, 2, 5, 1, 5, 0, 5, 3, 9, 3, 30, 2, 0)
+	f.Add(crowd)
+	f.Add([]byte{1, 1, 1, 1, 0, 2, 2, 2, 1, 2, 2, 2, 5, 2, 2, 2, 4, 2, 2, 2, 0, 1, 1, 1, 3, 1, 1, 1})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		type slot struct {
+			writer  *cm.Meta
+			readers []cm.Meta
+		}
+		model := map[mem.Addr]*slot{}
+		at := func(a mem.Addr) *slot {
+			if model[a] == nil {
+				model[a] = &slot{}
+			}
+			return model[a]
+		}
+		// conflict is the model's answer to a read (write false) or write
+		// request, in Algorithm 1 and 2's order.
+		conflict := func(a mem.Addr, req cm.Meta, write bool) (cm.Kind, []cm.Meta) {
+			s := at(a)
+			if s.writer != nil && s.writer.Core != req.Core {
+				if write {
+					return cm.WAW, []cm.Meta{*s.writer}
+				}
+				return cm.RAW, []cm.Meta{*s.writer}
+			}
+			var enemies []cm.Meta
+			if write {
+				for _, r := range s.readers {
+					if r.Core != req.Core {
+						enemies = append(enemies, r)
+					}
+				}
+			}
+			return cm.WAR, enemies
+		}
+		same := func(c *Conflict, kind cm.Kind, want []cm.Meta) bool {
+			if c == nil || len(want) == 0 {
+				return c == nil && len(want) == 0
+			}
+			if c.Kind != kind || len(c.Enemies) != len(want) {
+				return false
+			}
+			for i, e := range c.Enemies {
+				if w := want[i]; e.Core != w.Core || e.TxID != w.TxID || e.Prio != w.Prio {
+					return false
+				}
+			}
+			return true
+		}
+		revoke := func(a mem.Addr, core int, txID uint64) bool {
+			s, removed := at(a), false
+			if s.writer != nil && s.writer.Core == core && s.writer.TxID == txID {
+				s.writer, removed = nil, true
+			}
+			s.readers = slices.DeleteFunc(s.readers, func(r cm.Meta) bool {
+				hit := r.Core == core && r.TxID == txID
+				removed = removed || hit
+				return hit
+			})
+			return removed
+		}
+		tab := NewTable()
+		var grants uint64
+		for i := 0; i+3 < len(ops); i += 4 {
+			op, a := ops[i]&7, mem.Addr(ops[i]>>3&3)
+			m := cm.Meta{Core: int(ops[i+1] % 32), TxID: uint64(ops[i+2] % 4), Prio: int64(int8(ops[i+3])), Offset: 5}
+			s := at(a)
+			switch op {
+			case 0: // read-lock request
+				kind, want := conflict(a, m, false)
+				if c := tab.ReadConflict(a, m); !same(c, kind, want) {
+					t.Fatalf("op %d: ReadConflict(%d, %+v) = %+v, model %v %+v", i/4, a, m, c, kind, want)
+				}
+				if want == nil {
+					tab.AddReader(a, m)
+					grants++
+					if j := slices.IndexFunc(s.readers, func(r cm.Meta) bool { return r.Core == m.Core }); j >= 0 {
+						s.readers[j] = m
+					} else {
+						s.readers = append(s.readers, m)
+					}
+				}
+			case 1, 5: // write-lock request; 5 revokes every enemy first
+				// Like the DTM node, 5 re-checks after each revocation round:
+				// revoking a WAW writer can uncover its own core's older
+				// read locks as WAR enemies.
+				var want []cm.Meta
+				for round := 0; ; round++ {
+					var kind cm.Kind
+					kind, want = conflict(a, m, true)
+					c := tab.WriteConflict(a, m)
+					if !same(c, kind, want) {
+						t.Fatalf("op %d: WriteConflict(%d, %+v) = %+v, model %v %+v", i/4, a, m, c, kind, want)
+					}
+					if want == nil || op != 5 {
+						break
+					}
+					if round == 2 {
+						t.Fatalf("op %d: conflict %+v left after two revocation rounds", i/4, c)
+					}
+					for _, e := range c.Enemies {
+						if got, wantOK := tab.Revoke(a, e.Core, e.TxID), revoke(a, e.Core, e.TxID); got != wantOK {
+							t.Fatalf("op %d: Revoke of enemy %+v = %v, model %v", i/4, e, got, wantOK)
+						}
+					}
+				}
+				if want == nil {
+					tab.SetWriter(a, m)
+					grants++
+					w := m
+					s.writer = &w
+				}
+			case 2:
+				j := slices.IndexFunc(s.readers, func(r cm.Meta) bool { return r.Core == m.Core && r.TxID == m.TxID })
+				if got := tab.ReleaseRead(a, m.Core, m.TxID); got != (j >= 0) {
+					t.Fatalf("op %d: ReleaseRead(%d, %d, %d) = %v, model %v", i/4, a, m.Core, m.TxID, got, j >= 0)
+				}
+				if j >= 0 {
+					s.readers = slices.Delete(s.readers, j, j+1)
+				}
+			case 3:
+				held := s.writer != nil && s.writer.Core == m.Core && s.writer.TxID == m.TxID
+				if got := tab.ReleaseWrite(a, m.Core, m.TxID); got != held {
+					t.Fatalf("op %d: ReleaseWrite(%d, %d, %d) = %v, model %v", i/4, a, m.Core, m.TxID, got, held)
+				}
+				if held {
+					s.writer = nil
+				}
+			default:
+				if got, want := tab.Revoke(a, m.Core, m.TxID), revoke(a, m.Core, m.TxID); got != want {
+					t.Fatalf("op %d: Revoke(%d, %d, %d) = %v, model %v", i/4, a, m.Core, m.TxID, got, want)
+				}
+			}
+			live := 0
+			for _, s := range model {
+				if s.writer != nil || len(s.readers) > 0 {
+					live++
+				}
+			}
+			if tab.Size() != live || tab.Grants != grants {
+				t.Fatalf("op %d: Size %d, Grants %d; model %d, %d", i/4, tab.Size(), tab.Grants, live, grants)
+			}
+			if err := tab.CheckInvariants(); err != nil {
+				t.Fatalf("op %d: %v", i/4, err)
+			}
+		}
+	})
+}
+
+// TestRecycledEntryFootprint: after 24 readers hold 1,024 addresses at once
+// and let go, every recycled entry keeps room for at most 24 readers — the
+// growth step past 16 is 8, not a doubling to 32.
+func TestRecycledEntryFootprint(t *testing.T) {
+	tab := NewTable()
+	const addrs, readers = 1024, 24
+	for c := 0; c < readers; c++ {
+		for a := mem.Addr(0); a < addrs; a++ {
+			tab.AddReader(a, meta(c, 1))
+		}
+	}
+	for c := 0; c < readers; c++ {
+		for a := mem.Addr(0); a < addrs; a++ {
+			tab.ReleaseRead(a, c, 1)
+		}
+	}
+	if len(tab.free) != addrs {
+		t.Fatalf("%d recycled entries, want %d", len(tab.free), addrs)
+	}
+	for _, e := range tab.free {
+		if c := cap(e.readers); c > readers {
+			t.Fatalf("a recycled entry keeps capacity for %d readers, want <= %d", c, readers)
+		}
 	}
 }
