@@ -678,7 +678,7 @@ func (tx *Tx) commitBatches(keys []mem.Addr) ([]nodeGroup, uint64) {
 	}
 	batches := rt.batchScratch[:0]
 	for _, g := range rt.groups {
-		rt.groupIdx[g.node] = 0 // relAdd shares the index
+		rt.groupIdx[g.node] = 0 // draftFor shares the index
 		if rt.s.cfg.NoBatching {
 			// One batch per object: each aliases a one-element sub-slice of
 			// the group's storage (full slice expression, so appends to one
@@ -722,43 +722,73 @@ func (rt *Runtime) abortCleanup(tx *Tx, sig abortSignal) {
 // per node covering the remaining read locks and the acquired write locks.
 // Nodes are visited in first-use order (reads in read order, then write
 // locks in acquisition order) so identical runs schedule identical events.
+// A first walk counts each node's keys, so the messages' key slices are
+// sized once before a second walk fills them: a message drawn fresh from
+// the pool, as after every GC, would otherwise grow them one append at a
+// time. Both walks resolve keys in one placement snapshot, so they agree on
+// every key's node even while stripes migrate.
 func (rt *Runtime) releaseAll(tx *Tx) {
 	rt.emit(trace.KPhaseBegin, tx.id, uint64(trace.PhaseRelease), 0, 0)
-	if rt.s.proto.readsHoldLocks() {
+	reads, place := rt.s.proto.readsHoldLocks(), rt.s.dir.Snapshot()
+	if reads {
 		for _, e := range tx.reads.entries {
 			if !e.released() {
-				rt.relAdd(tx, false, rt.s.lockKey(e.base))
+				rt.rels[rt.draftFor(tx, place.Owner(rt.s.lockKey(e.base)))].reads++
 			}
 		}
 	}
 	for _, k := range tx.wlocked {
-		rt.relAdd(tx, true, k)
+		rt.rels[rt.draftFor(tx, place.Owner(k))].writes++
+	}
+	for i := range rt.rels {
+		d := &rt.rels[i]
+		d.msg.ReadAddrs = slices.Grow(d.msg.ReadAddrs, int(d.reads))
+		d.msg.WriteAddrs = slices.Grow(d.msg.WriteAddrs, int(d.writes))
+	}
+	if reads {
+		for _, e := range tx.reads.entries {
+			if !e.released() {
+				k := rt.s.lockKey(e.base)
+				msg := rt.rels[rt.groupIdx[place.Owner(k)]-1].msg
+				msg.ReadAddrs = append(msg.ReadAddrs, k)
+			}
+		}
+	}
+	for _, k := range tx.wlocked {
+		msg := rt.rels[rt.groupIdx[place.Owner(k)]-1].msg
+		msg.WriteAddrs = append(msg.WriteAddrs, k)
 	}
 	rt.sendReleases(&rt.shard.ReleaseMsgs)
 	rt.emit(trace.KPhaseEnd, tx.id, uint64(trace.PhaseRelease), 0, 0)
 }
 
-// relDraft is one pooled release message being filled for its DTM node.
+// relDraft is one pooled release message being filled for its DTM node, and
+// the read and write keys releaseAll counted for it.
 type relDraft struct {
-	node int
-	msg  *relLocks
+	node          int
+	msg           *relLocks
+	reads, writes int32
 }
 
-// relAdd adds one lock key to its DTM node's release message, drawing the
-// message from the pool on the node's first key. Messages appear in order of
-// first use and keep their keys' relative order, so identical runs build
-// identical messages.
-func (rt *Runtime) relAdd(tx *Tx, write bool, k mem.Addr) {
-	ni := rt.s.nodeFor(k)
-	ri := int(rt.groupIdx[ni]) - 1
+// draftFor returns the index in rt.rels of DTM node ni's release message,
+// drawing the message from the pool on the node's first key. Messages
+// appear in order of first use and keep their keys' relative order, so
+// identical runs build identical messages.
+func (rt *Runtime) draftFor(tx *Tx, ni int) int32 {
+	ri := rt.groupIdx[ni] - 1
 	if ri < 0 {
-		ri = len(rt.rels)
-		rt.groupIdx[ni] = int32(ri + 1)
+		ri = int32(len(rt.rels))
+		rt.groupIdx[ni] = ri + 1
 		msg := getRelLocks()
 		msg.Core, msg.TxID = rt.core, tx.id
 		rt.rels = append(rt.rels, relDraft{node: ni, msg: msg})
 	}
-	if msg := rt.rels[ri].msg; write {
+	return ri
+}
+
+// relAdd adds one lock key to its DTM node's release message.
+func (rt *Runtime) relAdd(tx *Tx, write bool, k mem.Addr) {
+	if msg := rt.rels[rt.draftFor(tx, rt.s.nodeFor(k))].msg; write {
 		msg.WriteAddrs = append(msg.WriteAddrs, k)
 	} else {
 		msg.ReadAddrs = append(msg.ReadAddrs, k)

@@ -8,9 +8,15 @@
 // service loop in internal/core, which keeps this package directly
 // unit-testable.
 //
-// Lock identity is the pair (core, txID): releases and revocations only
-// remove entries whose identity matches, so a stale release from an aborted
+// Lock identity is an interned (core, txID) record: releases and revocations
+// only remove locks whose record matches, so a stale release from an aborted
 // attempt can never disturb a lock legitimately held by a newer transaction.
+// A lock names its holders by 4-byte record index. A grant reuses its core's
+// newest record if that has the grant's attempt and priority, so a scan's
+// 1,024 read locks on a node share one record, and starts a new one
+// otherwise: O(1) per grant, however many locks the core holds. That is
+// exact under every policy but OffsetGreedy, whose per-grant priorities may
+// give a repeated priority a second 24 B record.
 package dslock
 
 import (
@@ -20,41 +26,24 @@ import (
 	"repro/internal/mem"
 )
 
-// holder is what the table keeps per granted lock: the identity a release
-// or revocation must match (core, attempt) and the priority the contention
-// manager weighs. cm.Meta's Offset is not kept — ArrivalPrio has already
-// folded it into Prio when the request reached the node.
-type holder struct {
-	TxID uint64
-	Prio int64
-	Core int32
+// record is one interned lock identity. cm.Meta's Offset is not kept —
+// ArrivalPrio has already folded it into Prio when the request reached the
+// node.
+type record struct {
+	txID uint64
+	prio int64
+	core int32
+	refs int32 // locks that name it; 0 while on the free list
 }
 
-func hold(m cm.Meta) holder { return holder{TxID: m.TxID, Prio: m.Prio, Core: int32(m.Core)} }
-
-func (h holder) meta() cm.Meta { return cm.Meta{Core: int(h.Core), TxID: h.TxID, Prio: h.Prio} }
-
-func (h holder) is(core int, txID uint64) bool { return int(h.Core) == core && h.TxID == txID }
-
-// entry is the lock state of one address. Entries are recycled through the
-// table's freelist on the release hot path, so the writer lives inline.
+// entry is the lock state of one address: record indices, 0 for none.
+// Entries are recycled through the table's freelist on the release hot path.
 type entry struct {
-	writer  holder
-	written bool     // writer is set
-	readers []holder // at most one per core
+	writer  int32
+	readers []int32 // at most one per core
 }
 
-func (e *entry) empty() bool { return !e.written && len(e.readers) == 0 }
-
-// addReader appends h, growing the reader capacity by doubling up to 16 and
-// by 8 after that: a recycled entry keeps its capacity, so the growth step
-// bounds what the freelist retains after a burst of readers.
-func (e *entry) addReader(h holder) {
-	if n := len(e.readers); n == cap(e.readers) && n >= 16 {
-		e.readers = append(make([]holder, 0, n+8), e.readers...)
-	}
-	e.readers = append(e.readers, h)
-}
+func (e *entry) empty() bool { return e.writer == 0 && len(e.readers) == 0 }
 
 // Table is the lock table of one DTM node.
 type Table struct {
@@ -63,6 +52,13 @@ type Table struct {
 	// tables drain back to empty after every transaction, so without reuse
 	// each acquire/release cycle would allocate a fresh entry.
 	free []*entry
+	// recs is the record slab; recs[0] is the unused "none". freeRecs lists
+	// the slots whose records were dropped, for reuse.
+	recs     []record
+	freeRecs []int32
+	// last is each core's newest live record, 0 when it is gone: the one a
+	// scan's next grant reuses. Cores index it, so they are non-negative.
+	last []int32
 	// conf is the scratch behind every ReadConflict/WriteConflict result.
 	conf Conflict
 
@@ -72,11 +68,60 @@ type Table struct {
 
 // NewTable returns an empty lock table.
 func NewTable() *Table {
-	return &Table{locks: make(map[mem.Addr]*entry)}
+	return &Table{locks: make(map[mem.Addr]*entry), recs: make([]record, 1)}
 }
 
 // Size returns the number of addresses with at least one lock held.
 func (t *Table) Size() int { return len(t.locks) }
+
+func (t *Table) meta(id int32) cm.Meta {
+	r := &t.recs[id]
+	return cm.Meta{Core: int(r.core), TxID: r.txID, Prio: r.prio}
+}
+
+func (t *Table) coreOf(id int32) int { return int(t.recs[id].core) }
+
+func (t *Table) is(id int32, core int, txID uint64) bool {
+	r := &t.recs[id]
+	return int(r.core) == core && r.txID == txID
+}
+
+// intern returns a record for m with one more reference. That is m's core's
+// newest record when it has m's attempt and priority; otherwise it is a new
+// record, which becomes the core's newest.
+func (t *Table) intern(m cm.Meta) int32 {
+	if m.Core >= len(t.last) {
+		t.last = append(t.last, make([]int32, m.Core+1-len(t.last))...)
+	}
+	if id := t.last[m.Core]; id != 0 {
+		if r := &t.recs[id]; r.txID == m.TxID && r.prio == m.Prio {
+			r.refs++
+			return id
+		}
+	}
+	var id int32
+	if n := len(t.freeRecs); n > 0 {
+		id, t.freeRecs = t.freeRecs[n-1], t.freeRecs[:n-1]
+	} else {
+		id = int32(len(t.recs))
+		t.recs = append(t.recs, record{})
+	}
+	t.recs[id] = record{txID: m.TxID, prio: m.Prio, core: int32(m.Core), refs: 1}
+	t.last[m.Core] = id
+	return id
+}
+
+// unref drops one reference to record id, freeing it with the last.
+func (t *Table) unref(id int32) {
+	r := &t.recs[id]
+	if r.refs--; r.refs > 0 {
+		return
+	}
+	if t.last[r.core] == id {
+		t.last[r.core] = 0
+	}
+	t.freeRecs = append(t.freeRecs, id)
+}
 
 // Conflict describes why a request cannot be granted: the conflict kind and
 // the metadata of every enemy transaction, for the contention manager.
@@ -95,10 +140,10 @@ type Conflict struct {
 // with the current writer (Algorithm 1).
 func (t *Table) ReadConflict(addr mem.Addr, req cm.Meta) *Conflict {
 	e := t.locks[addr]
-	if e == nil || !e.written || int(e.writer.Core) == req.Core {
+	if e == nil || e.writer == 0 || t.coreOf(e.writer) == req.Core {
 		return nil
 	}
-	t.conf = Conflict{cm.RAW, append(t.conf.Enemies[:0], e.writer.meta())}
+	t.conf = Conflict{cm.RAW, append(t.conf.Enemies[:0], t.meta(e.writer))}
 	return &t.conf
 }
 
@@ -110,14 +155,14 @@ func (t *Table) WriteConflict(addr mem.Addr, req cm.Meta) *Conflict {
 	if e == nil {
 		return nil
 	}
-	if e.written && int(e.writer.Core) != req.Core {
-		t.conf = Conflict{cm.WAW, append(t.conf.Enemies[:0], e.writer.meta())}
+	if e.writer != 0 && t.coreOf(e.writer) != req.Core {
+		t.conf = Conflict{cm.WAW, append(t.conf.Enemies[:0], t.meta(e.writer))}
 		return &t.conf
 	}
 	enemies := t.conf.Enemies[:0]
 	for _, r := range e.readers {
-		if int(r.Core) != req.Core {
-			enemies = append(enemies, r.meta())
+		if t.coreOf(r) != req.Core {
+			enemies = append(enemies, t.meta(r))
 		}
 	}
 	if len(enemies) > 0 {
@@ -132,14 +177,15 @@ func (t *Table) WriteConflict(addr mem.Addr, req cm.Meta) *Conflict {
 func (t *Table) AddReader(addr mem.Addr, m cm.Meta) {
 	t.Grants++
 	e := t.ensure(addr)
-	h := hold(m)
-	for i := range e.readers {
-		if e.readers[i].Core == h.Core {
-			e.readers[i] = h
+	id := t.intern(m)
+	for i, r := range e.readers {
+		if t.coreOf(r) == m.Core {
+			e.readers[i] = id
+			t.unref(r)
 			return
 		}
 	}
-	e.addReader(h)
+	e.readers = append(e.readers, id)
 }
 
 // SetWriter records a granted write lock. It panics if a different core
@@ -147,10 +193,14 @@ func (t *Table) AddReader(addr mem.Addr, m cm.Meta) {
 func (t *Table) SetWriter(addr mem.Addr, m cm.Meta) {
 	t.Grants++
 	e := t.ensure(addr)
-	if e.written && int(e.writer.Core) != m.Core {
-		panic(fmt.Sprintf("dslock: SetWriter(%#x) over foreign writer core %d", uint64(addr), e.writer.Core))
+	if e.writer != 0 && t.coreOf(e.writer) != m.Core {
+		panic(fmt.Sprintf("dslock: SetWriter(%#x) over foreign writer core %d", uint64(addr), t.coreOf(e.writer)))
 	}
-	e.writer, e.written = hold(m), true
+	id := t.intern(m)
+	if e.writer != 0 {
+		t.unref(e.writer)
+	}
+	e.writer = id
 }
 
 // ReleaseRead removes (core, txID)'s read lock on addr. It reports whether
@@ -160,9 +210,10 @@ func (t *Table) ReleaseRead(addr mem.Addr, core int, txID uint64) bool {
 	if e == nil {
 		return false
 	}
-	for i := range e.readers {
-		if e.readers[i].is(core, txID) {
+	for i, r := range e.readers {
+		if t.is(r, core, txID) {
 			e.readers = append(e.readers[:i], e.readers[i+1:]...)
+			t.unref(r)
 			t.gc(addr, e)
 			return true
 		}
@@ -173,10 +224,11 @@ func (t *Table) ReleaseRead(addr mem.Addr, core int, txID uint64) bool {
 // ReleaseWrite removes (core, txID)'s write lock on addr.
 func (t *Table) ReleaseWrite(addr mem.Addr, core int, txID uint64) bool {
 	e := t.locks[addr]
-	if e == nil || !e.written || !e.writer.is(core, txID) {
+	if e == nil || e.writer == 0 || !t.is(e.writer, core, txID) {
 		return false
 	}
-	e.written = false
+	t.unref(e.writer)
+	e.writer = 0
 	t.gc(addr, e)
 	return true
 }
@@ -190,13 +242,15 @@ func (t *Table) Revoke(addr mem.Addr, core int, txID uint64) bool {
 		return false
 	}
 	removed := false
-	if e.written && e.writer.is(core, txID) {
-		e.written = false
+	if e.writer != 0 && t.is(e.writer, core, txID) {
+		t.unref(e.writer)
+		e.writer = 0
 		removed = true
 	}
 	for i := 0; i < len(e.readers); {
-		if e.readers[i].is(core, txID) {
+		if r := e.readers[i]; t.is(r, core, txID) {
 			e.readers = append(e.readers[:i], e.readers[i+1:]...)
+			t.unref(r)
 			removed = true
 			continue
 		}
@@ -251,19 +305,15 @@ func (t *Table) CheckInvariants() error {
 		if e.empty() {
 			return fmt.Errorf("empty entry lingers at %#x", uint64(addr))
 		}
-		seen := make(map[int32]bool)
+		seen := make(map[int]bool)
 		for _, r := range e.readers {
-			if seen[r.Core] {
-				return fmt.Errorf("duplicate reader core %d at %#x", r.Core, uint64(addr))
+			if seen[t.coreOf(r)] {
+				return fmt.Errorf("duplicate reader core %d at %#x", t.coreOf(r), uint64(addr))
 			}
-			seen[r.Core] = true
-		}
-		if e.written {
-			for _, r := range e.readers {
-				if r.Core != e.writer.Core {
-					return fmt.Errorf("foreign reader core %d coexists with writer core %d at %#x",
-						r.Core, e.writer.Core, uint64(addr))
-				}
+			seen[t.coreOf(r)] = true
+			if e.writer != 0 && t.coreOf(r) != t.coreOf(e.writer) {
+				return fmt.Errorf("foreign reader core %d coexists with writer core %d at %#x",
+					t.coreOf(r), t.coreOf(e.writer), uint64(addr))
 			}
 		}
 	}

@@ -1,9 +1,12 @@
 package dslock
 
 import (
+	"fmt"
+	"math/rand/v2"
 	"slices"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/cm"
 	"repro/internal/mem"
@@ -290,7 +293,7 @@ func TestInvariantsUnderRandomOps(t *testing.T) {
 			case 4:
 				tab.Revoke(addr, m.Core, m.TxID)
 			}
-			if err := tab.CheckInvariants(); err != nil {
+			if err := checkTable(tab); err != nil {
 				t.Logf("invariant violated: %v", err)
 				return false
 			}
@@ -304,9 +307,11 @@ func TestInvariantsUnderRandomOps(t *testing.T) {
 // FuzzTable drives a Table with the DTM node's discipline (a lock is set
 // only once its conflict check comes back empty, or after revoking every
 // enemy it lists) against a naive model: one writer pointer and an ordered
-// reader list per address. After every op it compares grants, conflict
-// kinds and the enemies' Core/TxID/Prio in order, the release and revoke
-// verdicts, Size and Grants, and runs CheckInvariants. Each op is four
+// reader list per address, each lock naming a model record that a grant
+// reuses only while it is its core's newest and has the grant's attempt and
+// priority. After every op it compares grants, conflict kinds and the
+// enemies' Core/TxID/Prio in order, the release and revoke verdicts, Size,
+// Grants and the live record count, and runs checkTable. Each op is four
 // bytes: the op and the address, the core, the attempt, the priority.
 func FuzzTable(f *testing.F) {
 	var crowd []byte
@@ -316,12 +321,38 @@ func FuzzTable(f *testing.F) {
 	crowd = append(crowd, 1, 30, 2, 200, 5, 30, 2, 200, 2, 5, 1, 5, 0, 5, 3, 9, 3, 30, 2, 0)
 	f.Add(crowd)
 	f.Add([]byte{1, 1, 1, 1, 0, 2, 2, 2, 1, 2, 2, 2, 5, 2, 2, 2, 4, 2, 2, 2, 0, 1, 1, 1, 3, 1, 1, 1})
+	// The OffsetGreedy shape: one attempt (core 7, attempt 1) holds every
+	// address, each granted at its own priority, so no record is shared;
+	// then a foreign reader, a revoking writer, a release, a revocation and
+	// a re-read at an earlier, still held priority, which gets a record of
+	// its own.
+	f.Add([]byte{0, 7, 1, 10, 8, 7, 1, 20, 16, 7, 1, 30, 24, 7, 1, 40, 1, 7, 1, 50, 8, 3, 2, 60,
+		13, 7, 1, 70, 10, 7, 1, 0, 20, 7, 1, 0, 3, 7, 1, 0, 24, 7, 1, 10, 25, 3, 2, 60})
 	f.Fuzz(func(t *testing.T, ops []byte) {
+		type record struct {
+			txID uint64
+			prio int64
+			refs int
+		}
+		type lock struct {
+			cm.Meta
+			rec *record
+		}
 		type slot struct {
-			writer  *cm.Meta
-			readers []cm.Meta
+			writer  *lock
+			readers []lock
 		}
 		model := map[mem.Addr]*slot{}
+		newest := map[int]*record{}
+		grant := func(m cm.Meta) lock {
+			r := newest[m.Core]
+			if r == nil || r.refs == 0 || r.txID != m.TxID || r.prio != m.Prio {
+				r = &record{txID: m.TxID, prio: m.Prio}
+				newest[m.Core] = r
+			}
+			r.refs++
+			return lock{m, r}
+		}
 		at := func(a mem.Addr) *slot {
 			if model[a] == nil {
 				model[a] = &slot{}
@@ -334,15 +365,15 @@ func FuzzTable(f *testing.F) {
 			s := at(a)
 			if s.writer != nil && s.writer.Core != req.Core {
 				if write {
-					return cm.WAW, []cm.Meta{*s.writer}
+					return cm.WAW, []cm.Meta{s.writer.Meta}
 				}
-				return cm.RAW, []cm.Meta{*s.writer}
+				return cm.RAW, []cm.Meta{s.writer.Meta}
 			}
 			var enemies []cm.Meta
 			if write {
 				for _, r := range s.readers {
 					if r.Core != req.Core {
-						enemies = append(enemies, r)
+						enemies = append(enemies, r.Meta)
 					}
 				}
 			}
@@ -365,10 +396,14 @@ func FuzzTable(f *testing.F) {
 		revoke := func(a mem.Addr, core int, txID uint64) bool {
 			s, removed := at(a), false
 			if s.writer != nil && s.writer.Core == core && s.writer.TxID == txID {
+				s.writer.rec.refs--
 				s.writer, removed = nil, true
 			}
-			s.readers = slices.DeleteFunc(s.readers, func(r cm.Meta) bool {
+			s.readers = slices.DeleteFunc(s.readers, func(r lock) bool {
 				hit := r.Core == core && r.TxID == txID
+				if hit {
+					r.rec.refs--
+				}
 				removed = removed || hit
 				return hit
 			})
@@ -389,10 +424,12 @@ func FuzzTable(f *testing.F) {
 				if want == nil {
 					tab.AddReader(a, m)
 					grants++
-					if j := slices.IndexFunc(s.readers, func(r cm.Meta) bool { return r.Core == m.Core }); j >= 0 {
-						s.readers[j] = m
+					l := grant(m)
+					if j := slices.IndexFunc(s.readers, func(r lock) bool { return r.Core == m.Core }); j >= 0 {
+						s.readers[j].rec.refs--
+						s.readers[j] = l
 					} else {
-						s.readers = append(s.readers, m)
+						s.readers = append(s.readers, l)
 					}
 				}
 			case 1, 5: // write-lock request; 5 revokes every enemy first
@@ -422,15 +459,19 @@ func FuzzTable(f *testing.F) {
 				if want == nil {
 					tab.SetWriter(a, m)
 					grants++
-					w := m
+					w := grant(m)
+					if s.writer != nil {
+						s.writer.rec.refs--
+					}
 					s.writer = &w
 				}
 			case 2:
-				j := slices.IndexFunc(s.readers, func(r cm.Meta) bool { return r.Core == m.Core && r.TxID == m.TxID })
+				j := slices.IndexFunc(s.readers, func(r lock) bool { return r.Core == m.Core && r.TxID == m.TxID })
 				if got := tab.ReleaseRead(a, m.Core, m.TxID); got != (j >= 0) {
 					t.Fatalf("op %d: ReleaseRead(%d, %d, %d) = %v, model %v", i/4, a, m.Core, m.TxID, got, j >= 0)
 				}
 				if j >= 0 {
+					s.readers[j].rec.refs--
 					s.readers = slices.Delete(s.readers, j, j+1)
 				}
 			case 3:
@@ -439,6 +480,7 @@ func FuzzTable(f *testing.F) {
 					t.Fatalf("op %d: ReleaseWrite(%d, %d, %d) = %v, model %v", i/4, a, m.Core, m.TxID, got, held)
 				}
 				if held {
+					s.writer.rec.refs--
 					s.writer = nil
 				}
 			default:
@@ -447,24 +489,88 @@ func FuzzTable(f *testing.F) {
 				}
 			}
 			live := 0
+			recs := map[*record]bool{}
 			for _, s := range model {
 				if s.writer != nil || len(s.readers) > 0 {
 					live++
+				}
+				if s.writer != nil {
+					recs[s.writer.rec] = true
+				}
+				for _, r := range s.readers {
+					recs[r.rec] = true
 				}
 			}
 			if tab.Size() != live || tab.Grants != grants {
 				t.Fatalf("op %d: Size %d, Grants %d; model %d, %d", i/4, tab.Size(), tab.Grants, live, grants)
 			}
-			if err := tab.CheckInvariants(); err != nil {
+			if n := liveRecords(tab); n != len(recs) {
+				t.Fatalf("op %d: %d live records, model %d", i/4, n, len(recs))
+			}
+			if err := checkTable(tab); err != nil {
 				t.Fatalf("op %d: %v", i/4, err)
 			}
 		}
 	})
 }
 
+// liveRecords counts the table's live identity records.
+func liveRecords(t *Table) int { return len(t.recs) - 1 - len(t.freeRecs) }
+
+// distinctHeld counts the distinct (core, attempt, priority) identities the
+// table's locks name.
+func distinctHeld(t *Table) int {
+	held := map[record]bool{}
+	for _, e := range t.locks {
+		for _, id := range append([]int32{e.writer}, e.readers...) {
+			if id != 0 {
+				r := t.recs[id]
+				r.refs = 0
+				held[r] = true
+			}
+		}
+	}
+	return len(held)
+}
+
+// checkTable runs CheckInvariants and then checks the records: each is
+// named by as many locks as its count says, each core's newest is live and
+// its own, and every dead slot is on the free list.
+func checkTable(t *Table) error {
+	if err := t.CheckInvariants(); err != nil {
+		return err
+	}
+	refs := make([]int32, len(t.recs))
+	for _, e := range t.locks {
+		refs[e.writer]++
+		for _, r := range e.readers {
+			refs[r]++
+		}
+	}
+	for core, id := range t.last {
+		if r := t.recs[id]; id != 0 && (r.refs == 0 || int(r.core) != core) {
+			return fmt.Errorf("core %d's newest record %d is dead or core %d's", core, id, r.core)
+		}
+	}
+	dead := 0
+	for id := 1; id < len(t.recs); id++ {
+		if r := t.recs[id]; r.refs != refs[id] {
+			return fmt.Errorf("record %d counts %d locks, %d name it", id, r.refs, refs[id])
+		}
+		if refs[id] == 0 {
+			dead++
+		}
+	}
+	if dead != len(t.freeRecs) {
+		return fmt.Errorf("%d dead record slots, %d on the free list", dead, len(t.freeRecs))
+	}
+	return nil
+}
+
 // TestRecycledEntryFootprint: after 24 readers hold 1,024 addresses at once
-// and let go, every recycled entry keeps room for at most 24 readers — the
-// growth step past 16 is 8, not a doubling to 32.
+// and let go, every recycled entry keeps at most 128 B of reader storage —
+// 24 record references grown by plain append — and the one record each
+// reader's attempt was interned as is free again.
 func TestRecycledEntryFootprint(t *testing.T) {
 	tab := NewTable()
 	const addrs, readers = 1024, 24
@@ -472,6 +578,9 @@ func TestRecycledEntryFootprint(t *testing.T) {
 		for a := mem.Addr(0); a < addrs; a++ {
 			tab.AddReader(a, meta(c, 1))
 		}
+	}
+	if n := liveRecords(tab); n != readers {
+		t.Fatalf("%d live records for %d attempts", n, readers)
 	}
 	for c := 0; c < readers; c++ {
 		for a := mem.Addr(0); a < addrs; a++ {
@@ -482,8 +591,116 @@ func TestRecycledEntryFootprint(t *testing.T) {
 		t.Fatalf("%d recycled entries, want %d", len(tab.free), addrs)
 	}
 	for _, e := range tab.free {
-		if c := cap(e.readers); c > readers {
-			t.Fatalf("a recycled entry keeps capacity for %d readers, want <= %d", c, readers)
+		if b := cap(e.readers) * int(unsafe.Sizeof(e.readers[0])); b > 128 {
+			t.Fatalf("a recycled entry keeps %d B of reader storage, want <= 128", b)
 		}
+	}
+	if n := liveRecords(tab); n != 0 {
+		t.Fatalf("%d live records after every release", n)
+	}
+}
+
+// TestStaleReleaseKeepsNewerAttempt is the stale-owner class on an interned
+// table: attempt 1 of a core reads A, attempt 2 of the same core
+// re-reads A (replacing the entry), and attempt 1's late release must find
+// nothing and leave attempt 2 holding A under its own record.
+func TestStaleReleaseKeepsNewerAttempt(t *testing.T) {
+	tab := NewTable()
+	const a mem.Addr = 21
+	tab.AddReader(a, meta(4, 1))
+	tab.AddReader(a, meta(4, 2))
+	if tab.ReleaseRead(a, 4, 1) {
+		t.Fatal("a stale release of attempt 1 removed a lock")
+	}
+	if rs := readersOf(tab, a); len(rs) != 1 || rs[0].Core != 4 || rs[0].TxID != 2 {
+		t.Fatalf("readers after the stale release = %+v, want core 4 attempt 2", rs)
+	}
+	if n := liveRecords(tab); n != 1 {
+		t.Fatalf("%d live records, want attempt 2's only", n)
+	}
+	if err := checkTable(tab); err != nil {
+		t.Fatal(err)
+	}
+	if !tab.ReleaseRead(a, 4, 2) || tab.Size() != 0 || liveRecords(tab) != 0 {
+		t.Fatal("attempt 2's release did not drain the table")
+	}
+}
+
+// TestAttemptRecordsDrain: 10,000 attempts over 8 cores, one attempt per
+// core at a time, take read and write locks over 64 addresses. Each attempt
+// either releases everything it holds or is revoked by a writer and then
+// sends its release burst, whose releases of the revoked locks are stale.
+// Each attempt grants at one priority, so interning is exact throughout:
+// one live record per distinct held identity. Afterwards no record is
+// live, and the slab never grew past the peak number of attempts alive at
+// once.
+func TestAttemptRecordsDrain(t *testing.T) {
+	const cores, attempts, addrs = 8, 10_000, 64
+	type attempt struct {
+		txID  uint64
+		reads []mem.Addr
+		write []mem.Addr
+	}
+	rng := rand.New(rand.NewPCG(1, 2))
+	tab := NewTable()
+	cur := make([]*attempt, cores)
+	started, alive, peak := 0, 0, 0
+	finish := func(c int) {
+		for _, a := range cur[c].reads {
+			tab.ReleaseRead(a, c, cur[c].txID)
+		}
+		for _, a := range cur[c].write {
+			tab.ReleaseWrite(a, c, cur[c].txID)
+		}
+		cur[c] = nil
+		alive--
+	}
+	for started < attempts || alive > 0 {
+		c := rng.IntN(cores)
+		at := cur[c]
+		if at == nil {
+			if started < attempts {
+				started++
+				cur[c] = &attempt{txID: uint64(started)}
+				alive++
+				peak = max(peak, alive)
+			}
+			continue
+		}
+		addr := mem.Addr(rng.IntN(addrs))
+		m := cm.Meta{Core: c, TxID: at.txID, Prio: int64(at.txID)}
+		switch rng.IntN(8) {
+		case 0: // commit or abort: the release burst
+			finish(c)
+		case 1: // write lock, revoking every enemy
+			for {
+				conf := tab.WriteConflict(addr, m)
+				if conf == nil {
+					break
+				}
+				for _, e := range conf.Enemies {
+					tab.Revoke(addr, e.Core, e.TxID)
+				}
+			}
+			tab.SetWriter(addr, m)
+			at.write = append(at.write, addr)
+		default: // read lock, unless a foreign writer holds it
+			if tab.ReadConflict(addr, m) == nil {
+				tab.AddReader(addr, m)
+				at.reads = append(at.reads, addr)
+			}
+		}
+		if err := checkTable(tab); err != nil {
+			t.Fatal(err)
+		}
+		if n, d := liveRecords(tab), distinctHeld(tab); n != d {
+			t.Fatalf("%d live records for %d distinct held identities", n, d)
+		}
+	}
+	if n := liveRecords(tab); n != 0 || tab.Size() != 0 {
+		t.Fatalf("%d live records, %d locked addresses after every attempt ended", n, tab.Size())
+	}
+	if slab := len(tab.recs) - 1; slab > peak {
+		t.Fatalf("record slab grew to %d for at most %d attempts alive at once", slab, peak)
 	}
 }

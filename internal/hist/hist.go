@@ -14,21 +14,40 @@ import (
 )
 
 // branching factor: each bucket spans a x2 range starting at 1ns, with 4
-// sub-buckets per octave for ~19% resolution.
+// sub-buckets per octave for ~19% resolution. Bucket 0 holds 0 and 1.
 const (
 	subBits    = 2
 	subBuckets = 1 << subBits
 	maxBuckets = 64 * subBuckets
+	// window is how many buckets a histogram stores from its first
+	// observation on: 24 octaves, a 16.7-million-fold range. It starts
+	// below buckets (4 octaves) under that observation: latencies skew up.
+	window = 24 * subBuckets
+	below  = 4 * subBuckets
 )
 
 // Histogram accumulates virtual durations. The zero value is ready to use.
+// Of the maxBuckets log buckets it stores only a window, allocated by the
+// first Observe around that value and widened only when a value falls
+// outside it: a core that never times a phase carries no buckets for it.
+// A copied Histogram would share its buckets, so go vet flags a copy by
+// value; Merge into a zero one to copy.
 type Histogram struct {
-	counts [maxBuckets]uint64
+	_      noCopy
+	counts []uint64 // buckets lo, lo+1, ...; nil until the first observation
+	lo     int
 	n      uint64
 	sum    port.Time
 	max    port.Time
 	min    port.Time
 }
+
+// noCopy has the Lock and Unlock methods go vet's copylocks check looks
+// for; it takes no space.
+type noCopy struct{}
+
+func (*noCopy) Lock()   {}
+func (*noCopy) Unlock() {}
 
 func bucketOf(d port.Time) int {
 	if d < 1 {
@@ -57,6 +76,9 @@ func leadingZeros(x uint64) int {
 
 // bucketLow returns the lower bound of bucket b.
 func bucketLow(b int) port.Time {
+	if b == 0 {
+		return 0 // it holds 0 as well as 1
+	}
 	exp := b / subBuckets
 	sub := b % subBuckets
 	if exp < subBits {
@@ -66,12 +88,34 @@ func bucketLow(b int) port.Time {
 	return port.Time(base | uint64(sub)<<(uint(exp)-subBits))
 }
 
+// cover makes the stored buckets include [lo, hi): at least a window from
+// below buckets under lo the first time, the union with what is stored
+// after that.
+func (h *Histogram) cover(lo, hi int) {
+	if h.counts != nil {
+		if lo >= h.lo && hi <= h.lo+len(h.counts) {
+			return
+		}
+		lo, hi = min(lo, h.lo), max(hi, h.lo+len(h.counts))
+	} else if hi-lo < window {
+		lo = min(max(lo-below, 0), maxBuckets-window)
+		hi = max(hi, lo+window)
+	}
+	grown := make([]uint64, hi-lo)
+	if h.counts != nil {
+		copy(grown[h.lo-lo:], h.counts)
+	}
+	h.counts, h.lo = grown, lo
+}
+
 // Observe records one duration.
 func (h *Histogram) Observe(d port.Time) {
 	if d < 0 {
 		d = 0
 	}
-	h.counts[bucketOf(d)]++
+	b := bucketOf(d)
+	h.cover(b, b+1)
+	h.counts[b-h.lo]++
 	h.n++
 	h.sum += d
 	if d > h.max {
@@ -116,10 +160,10 @@ func (h *Histogram) Quantile(q float64) port.Time {
 		target = 1
 	}
 	var cum uint64
-	for b := 0; b < maxBuckets; b++ {
-		cum += h.counts[b]
+	for i, c := range h.counts {
+		cum += c
 		if cum >= target {
-			return bucketLow(b)
+			return bucketLow(h.lo + i)
 		}
 	}
 	return h.max
@@ -130,8 +174,9 @@ func (h *Histogram) Merge(other *Histogram) {
 	if other == nil || other.n == 0 {
 		return
 	}
-	for b, c := range other.counts {
-		h.counts[b] += c
+	h.cover(other.lo, other.lo+len(other.counts))
+	for i, c := range other.counts {
+		h.counts[other.lo-h.lo+i] += c
 	}
 	if h.n == 0 || (other.min < h.min && other.n > 0) {
 		h.min = other.min

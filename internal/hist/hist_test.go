@@ -1,6 +1,10 @@
 package hist
 
 import (
+	"encoding/binary"
+	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -128,4 +132,143 @@ func TestStringFormat(t *testing.T) {
 			t.Errorf("String %q missing %q", s, want)
 		}
 	}
+}
+
+// TestQuantileNeverExceedsMax: every quantile is a bucket's lower bound, so
+// none lies above the largest observation — not even for durations of 0,
+// whose bucket also holds 1 ns.
+func TestQuantileNeverExceedsMax(t *testing.T) {
+	for _, obs := range [][]port.Time{{0}, {0, 0, 0}, {-3, 0}, {1}, {0, 1}, {2, 3}, {7, 1 << 40}} {
+		var h Histogram
+		for _, d := range obs {
+			h.Observe(d)
+		}
+		for _, q := range []float64{0, 0.5, 0.95, 0.99, 1} {
+			if got := h.Quantile(q); got > h.Max() {
+				t.Errorf("%v: Quantile(%v) = %v above Max %v", obs, q, got, h.Max())
+			}
+		}
+	}
+}
+
+// TestWindowStaysSmall: a histogram whose values stay within 24 octaves
+// stores only its first window of buckets; one far outside widens it.
+func TestWindowStaysSmall(t *testing.T) {
+	var h Histogram
+	for d := port.Time(1000); d < 1000<<20; d *= 2 {
+		h.Observe(d)
+	}
+	if len(h.counts) != window {
+		t.Fatalf("%d buckets stored for values within 24 octaves, want %d", len(h.counts), window)
+	}
+	h.Observe(1 << 62)
+	if len(h.counts) <= window || h.Quantile(1) != bucketLow(bucketOf(1<<62)) {
+		t.Fatalf("window %d buckets from %d after an outlier; p100 = %v", len(h.counts), h.lo, h.Quantile(1))
+	}
+}
+
+// fixedHist is the model FuzzHistogram holds Histogram to: every one of the
+// maxBuckets buckets stored, as Histogram did before it kept a window.
+type fixedHist struct {
+	counts        [maxBuckets]uint64
+	n             uint64
+	sum, max, min port.Time
+}
+
+func (h *fixedHist) observe(d port.Time) {
+	d = max(d, 0)
+	h.counts[bucketOf(d)]++
+	h.n++
+	h.sum += d
+	h.max = max(h.max, d)
+	if h.n == 1 || d < h.min {
+		h.min = d
+	}
+}
+
+func (h *fixedHist) merge(o *fixedHist) {
+	if o.n == 0 {
+		return
+	}
+	for b, c := range o.counts {
+		h.counts[b] += c
+	}
+	if h.n == 0 || o.min < h.min {
+		h.min = o.min
+	}
+	h.n += o.n
+	h.sum += o.sum
+	h.max = max(h.max, o.max)
+}
+
+func (h *fixedHist) quantile(q float64) port.Time {
+	if h.n == 0 {
+		return 0
+	}
+	target := max(uint64(math.Ceil(q*float64(h.n))), 1)
+	var cum uint64
+	for b, c := range h.counts {
+		if cum += c; cum >= target {
+			return bucketLow(b)
+		}
+	}
+	return h.max
+}
+
+func (h *fixedHist) String() string {
+	if h.n == 0 {
+		return "hist(empty)"
+	}
+	return fmt.Sprintf("n=%d mean=%v p50=%v p95=%v p99=%v max=%v",
+		h.n, h.sum/port.Time(h.n), h.quantile(0.50), h.quantile(0.95), h.quantile(0.99), h.max)
+}
+
+// FuzzHistogram drives two windowed histograms and their fixed-bucket models
+// with the same Observe and Merge sequence — nine bytes an op: the op and a
+// duration — and requires every reading to agree after each op.
+func FuzzHistogram(f *testing.F) {
+	op := func(kind byte, d int64) []byte {
+		return binary.LittleEndian.AppendUint64([]byte{kind}, uint64(d))
+	}
+	f.Add(slices.Concat(op(0, 0), op(0, 1), op(0, 1000), op(1, 1<<40), op(2, 0), op(0, -5)))
+	f.Add(slices.Concat(op(1, 3), op(1, 1<<62), op(3, 0), op(0, 1<<20), op(0, 7), op(2, 0)))
+	f.Add(slices.Concat(op(0, 1<<30), op(1, 2), op(2, 0), op(2, 0), op(0, math.MaxInt64), op(3, 0)))
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		var a, b Histogram
+		var ma, mb fixedHist
+		for i := 0; i+8 < len(ops); i += 9 {
+			d := port.Time(binary.LittleEndian.Uint64(ops[i+1:]))
+			switch ops[i] % 4 {
+			case 0:
+				a.Observe(d)
+				ma.observe(d)
+			case 1:
+				b.Observe(d)
+				mb.observe(d)
+			case 2:
+				a.Merge(&b)
+				ma.merge(&mb)
+			default:
+				b.Merge(&a)
+				mb.merge(&ma)
+			}
+			for _, h := range []struct {
+				got  *Histogram
+				want *fixedHist
+			}{{&a, &ma}, {&b, &mb}} {
+				g, w := h.got, h.want
+				if g.Count() != w.n || g.Min() != w.min || g.Max() != w.max || g.String() != w.String() {
+					t.Fatalf("op %d: %s min %v; model %s min %v", i/9, g, g.Min(), w, w.min)
+				}
+				if w.n > 0 && g.Mean() != w.sum/port.Time(w.n) {
+					t.Fatalf("op %d: mean %v; model %v", i/9, g.Mean(), w.sum/port.Time(w.n))
+				}
+				for _, q := range []float64{0, 0.5, 0.95, 0.99, 1} {
+					if g.Quantile(q) != w.quantile(q) {
+						t.Fatalf("op %d: Quantile(%v) = %v; model %v", i/9, q, g.Quantile(q), w.quantile(q))
+					}
+				}
+			}
+		}
+	})
 }
