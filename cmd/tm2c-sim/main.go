@@ -46,7 +46,6 @@ func main() {
 		cmName   = flag.String("cm", "faircm", "none | backoff | offset-greedy | wholly | faircm")
 		deploy   = flag.String("deployment", "dedicated", "dedicated | multitask")
 		acquire  = flag.String("acquire", "lazy", "lazy | eager")
-		nobatch  = flag.Bool("nobatching", false, "disable per-node write-lock batching (one request per object; the ablbatch ablation's off arm)")
 		epoch    = flag.Int("epoch", 0, "hier placement: lock accesses per repartition epoch (0 = default)")
 		platform = flag.String("platform", "scc", "scc | scc800 | opteron | scc:N (setting N)")
 		duration = flag.Duration("duration", 20*time.Millisecond, "virtual run length")
@@ -81,7 +80,6 @@ func main() {
 		TotalCores:       *cores,
 		ServiceCores:     *svc,
 		Policy:           pol,
-		NoBatching:       *nobatch,
 		RepartitionEpoch: *epoch,
 	}
 	sysFlags(&cfg)

@@ -185,8 +185,7 @@ func TestOnCommitFiresExactlyOnce(t *testing.T) {
 	}
 	pool := s.Mem.Alloc(64, 0)
 	a1, a2, node2 := findTwoNodeAddrs(t, s, pool, 64)
-	key2 := s.lockKey(a2)
-	s.nodes[node2].table.SetWriter(key2, cm.Meta{Core: 0, TxID: 99})
+	s.nodes[node2].table.SetWriter(a2, cm.Meta{Core: 0, TxID: 99})
 
 	attempts, commitFires, abortFires := 0, 0, 0
 	s.SpawnWorkers(func(rt *Runtime) {

@@ -8,21 +8,76 @@ import (
 	"repro/internal/cm"
 	"repro/internal/mem"
 	"repro/internal/noc"
+	"repro/internal/trace"
 )
 
-// The coalescing message plane (Config.Coalesce) must change how protocol
-// payloads travel — fewer, fatter wire messages — without changing what the
-// protocol decides. These tests pin both halves: per-seed outcome
-// equivalence (commits, aborts, final memory, serializability audit) on a
-// deterministic workload where coalescing genuinely merges, and an
-// invariant + wire-count check on a contended bank workload.
+// The coalescing message plane (Config.Coalesce) changes how protocol
+// payloads travel — same-destination payloads of one burst share a wire
+// message — and never what the protocol decides. With write-lock batching
+// unconditional, no protocol burst holds two payloads for one node, so the
+// plane is pinned from both ends: an envelope staged by hand must travel and
+// be served (TestOutboxEnvelopeDelivered), envelopes mixed into live protocol
+// traffic must not change its outcome (TestCoalesceOutcomeEquivalence), and
+// every protocol path must leave the plane singleton and bit-identical
+// (TestCoalesceSingletonPlaneBitIdentical).
 
-// coalesceSystem builds a sim system whose commit bursts produce several
-// payloads per destination node: NoBatching splits the scatter burst into
-// one request per object, which is exactly the multiplicity the transport
-// re-merges (the protocol-batching ablation grid in exp/ablations.go shows
-// the same effect at scale).
-func coalesceSystem(t *testing.T, seed uint64, coalesce bool) *System {
+// TestOutboxEnvelopeDelivered drives the outbox directly, on sim and on live:
+// two release payloads staged for one DTM node in one burst leave as one
+// wire envelope, the node unpacks and serves both, and the flight recorder
+// shows the send with its payload count and the delivery at the node.
+func TestOutboxEnvelopeDelivered(t *testing.T) {
+	for _, backend := range []Backend{BackendSim, BackendLive} {
+		t.Run(backend.String(), func(t *testing.T) {
+			s, err := NewSystem(Config{
+				Backend:      backend,
+				TotalCores:   2,
+				ServiceCores: 1,
+				Coalesce:     true,
+				Trace:        &trace.Options{},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			base := s.Mem.Alloc(2, 0)
+			s.SpawnWorkers(func(rt *Runtime) {
+				for i := range 2 {
+					msg := getRelLocks() // releasing a lock nobody holds is a no-op
+					msg.Core, msg.TxID = rt.core, 1
+					msg.ReadAddrs = append(msg.ReadAddrs, base+mem.Addr(i))
+					rt.burstToNode(0, msg)
+				}
+				rt.flushOut()
+			})
+			st := s.RunToCompletion()
+			if st.WireMsgs != 1 || st.Msgs != 2 || st.CoalescedPayloads != 2 {
+				t.Errorf("%d wire msgs for %d payloads, %d coalesced; want 1, 2, 2", st.WireMsgs, st.Msgs, st.CoalescedPayloads)
+			}
+			if st.NodeLoad[0] != 2 {
+				t.Errorf("node served %d requests, want 2", st.NodeLoad[0])
+			}
+			sent := false
+			for _, e := range s.Trace().Events {
+				switch {
+				case e.Kind == trace.KWireSend && e.C == 2:
+					sent = true
+				case e.Kind == trace.KEnvelopeDeliver && e.C == 2 && sent:
+					return
+				}
+			}
+			t.Error("trace lacks a 2-payload KWireSend followed by its KEnvelopeDeliver")
+		})
+	}
+}
+
+// disjointRun executes a fixed, conflict-free workload: every worker
+// performs a deterministic sequence of 6-object writes confined to its own
+// slice of the array, so the protocol outcome — commits, aborts, every
+// final memory word — is defined independently of message timing. After
+// each transaction the worker stages two releases of a scratch word nobody
+// locks (a no-op at the node) for DTM node 0 in one burst, so a coalesced
+// run has envelopes interleaved with the protocol's own traffic. Returns the
+// final memory image alongside the stats.
+func disjointRun(t *testing.T, seed uint64, coalesce bool) (*Stats, []uint64) {
 	t.Helper()
 	s, err := NewSystem(Config{
 		Platform:     noc.SCC(0),
@@ -30,27 +85,16 @@ func coalesceSystem(t *testing.T, seed uint64, coalesce bool) *System {
 		TotalCores:   12,
 		ServiceCores: 4,
 		Policy:       cm.FairCM,
-		NoBatching:   true,
 		Coalesce:     coalesce,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s
-}
-
-// disjointRun executes a fixed, conflict-free workload: every worker
-// performs a deterministic sequence of 6-object writes confined to its own
-// slice of the array, so the protocol outcome — commits, aborts, every
-// final memory word — is defined independently of message timing. Returns
-// the final memory image alongside the stats.
-func disjointRun(t *testing.T, seed uint64, coalesce bool) (*Stats, []uint64) {
-	t.Helper()
-	s := coalesceSystem(t, seed, coalesce)
 	s.EnableAudit()
 	const perCore, rounds = 64, 12
 	n := s.NumAppCores()
 	base := s.Mem.Alloc(n*perCore, 0)
+	scratch := s.Mem.Alloc(n, 0)
 	s.SpawnWorkers(func(rt *Runtime) {
 		r := rt.Rand()
 		lo := rt.AppIndex() * perCore
@@ -61,6 +105,13 @@ func disjointRun(t *testing.T, seed uint64, coalesce bool) (*Stats, []uint64) {
 					tx.Write(base+mem.Addr(slot), uint64(slot)<<16|uint64(i))
 				}
 			})
+			for range 2 {
+				msg := getRelLocks()
+				msg.Core, msg.TxID = rt.core, 1
+				msg.ReadAddrs = append(msg.ReadAddrs, scratch+mem.Addr(rt.AppIndex()))
+				rt.burstToNode(0, msg)
+			}
+			rt.flushOut()
 		}
 	})
 	st := s.RunToCompletion()
@@ -77,12 +128,12 @@ func disjointRun(t *testing.T, seed uint64, coalesce bool) (*Stats, []uint64) {
 	return st, img
 }
 
-// TestCoalesceOutcomeEquivalence: per seed, a coalesced run must reach the
-// exact same protocol outcome as the uncoalesced run — same commits, same
-// aborts, same logical message counts, identical final memory, clean audit
-// — while provably merging (strictly fewer wire messages, payloads riding
-// in shared envelopes). This is the non-vacuous equivalence the coalescing
-// refactor promises: only the wire format changed, not the protocol.
+// TestCoalesceOutcomeEquivalence: per seed, a coalesced run with envelopes
+// in flight must reach the exact same protocol outcome as the uncoalesced
+// run — same commits, same aborts, same logical message counts, identical
+// final memory, clean audit — while provably merging (strictly fewer wire
+// messages, payloads riding in shared envelopes). Only the wire format
+// changes, not the protocol.
 func TestCoalesceOutcomeEquivalence(t *testing.T) {
 	for _, seed := range []uint64{1, 5, 9} {
 		off, imgOff := disjointRun(t, seed, false)
@@ -112,140 +163,6 @@ func TestCoalesceOutcomeEquivalence(t *testing.T) {
 		if on.CoalescedPayloads == 0 {
 			t.Errorf("seed %d: no payload rode a shared envelope", seed)
 		}
-	}
-}
-
-// TestCoalesceContendedBankFewerWireMsgs: on a contended bank workload the
-// coalesced plane must send strictly fewer wire messages for the same kind
-// of work, and every correctness invariant must hold: money conserved,
-// empty lock tables, clean serializability audit.
-func TestCoalesceContendedBankFewerWireMsgs(t *testing.T) {
-	run := func(coalesce bool) *Stats {
-		s := coalesceSystem(t, 3, coalesce)
-		s.EnableAudit()
-		const accounts = 48
-		base := s.Mem.Alloc(accounts, 0)
-		initial := make(map[mem.Addr]uint64, accounts)
-		for i := 0; i < accounts; i++ {
-			s.Mem.WriteRaw(base+mem.Addr(i), 100)
-			initial[base+mem.Addr(i)] = 100
-		}
-		s.SpawnWorkers(func(rt *Runtime) {
-			r := rt.Rand()
-			for i := 0; i < 30; i++ {
-				from := r.Intn(accounts)
-				to := (from + 1 + r.Intn(accounts-1)) % accounts
-				rt.Run(func(tx *Tx) {
-					f := tx.Read(base + mem.Addr(from))
-					tv := tx.Read(base + mem.Addr(to))
-					tx.Write(base+mem.Addr(from), f-1)
-					tx.Write(base+mem.Addr(to), tv+1)
-				})
-			}
-		})
-		st := s.RunToCompletion()
-		if err := s.CheckAudit(initial); err != nil {
-			t.Fatalf("audit failed (coalesce=%v): %v", coalesce, err)
-		}
-		if leaked := s.LockedAddrs(); leaked != 0 {
-			t.Fatalf("%d locks leaked (coalesce=%v)", leaked, coalesce)
-		}
-		var total uint64
-		for i := 0; i < accounts; i++ {
-			total += s.Mem.ReadRaw(base + mem.Addr(i))
-		}
-		if want := uint64(accounts) * 100; total != want {
-			t.Fatalf("money not conserved (coalesce=%v): %d != %d", coalesce, total, want)
-		}
-		return st
-	}
-	off, on := run(false), run(true)
-	if on.WireMsgs >= off.WireMsgs {
-		t.Errorf("contended bank: coalesced run sent %d wire messages, uncoalesced %d — want strictly fewer",
-			on.WireMsgs, off.WireMsgs)
-	}
-	if on.PayloadsPerWireMsg() <= 1 {
-		t.Errorf("contended bank: payloads/wire = %.3f, want > 1", on.PayloadsPerWireMsg())
-	}
-}
-
-// TestCoalesceMultitaskConserves exercises the multitask flush points (the
-// co-located node's staged responses leave at every dispatch boundary):
-// a coalesced multitask bank must drain, conserve money, and leak no locks.
-func TestCoalesceMultitaskConserves(t *testing.T) {
-	s, err := NewSystem(Config{
-		Platform:   noc.SCC(0),
-		Seed:       11,
-		TotalCores: 6,
-		Deployment: Multitask,
-		Policy:     cm.FairCM,
-		NoBatching: true,
-		Coalesce:   true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const accounts = 32
-	base := s.Mem.Alloc(accounts, 0)
-	for i := 0; i < accounts; i++ {
-		s.Mem.WriteRaw(base+mem.Addr(i), 100)
-	}
-	s.SpawnWorkers(func(rt *Runtime) {
-		r := rt.Rand()
-		for i := 0; i < 25; i++ {
-			from := r.Intn(accounts)
-			to := (from + 1 + r.Intn(accounts-1)) % accounts
-			rt.Run(func(tx *Tx) {
-				f := tx.Read(base + mem.Addr(from))
-				tv := tx.Read(base + mem.Addr(to))
-				tx.Write(base+mem.Addr(from), f-1)
-				tx.Write(base+mem.Addr(to), tv+1)
-			})
-		}
-	})
-	st := s.RunToCompletion()
-	if st.Commits == 0 {
-		t.Fatal("nothing committed")
-	}
-	if leaked := s.LockedAddrs(); leaked != 0 {
-		t.Fatalf("%d locks leaked", leaked)
-	}
-	var total uint64
-	for i := 0; i < accounts; i++ {
-		total += s.Mem.ReadRaw(base + mem.Addr(i))
-	}
-	if want := uint64(accounts) * 100; total != want {
-		t.Fatalf("money not conserved: %d != %d", total, want)
-	}
-}
-
-// TestCoalesceDeterministic: the coalesced plane must stay bit-identical
-// across same-seed sim runs — staging and flushing introduce no map-order
-// or other nondeterminism.
-func TestCoalesceDeterministic(t *testing.T) {
-	run := func() *Stats {
-		s := coalesceSystem(t, 21, true)
-		const accounts = 24
-		base := s.Mem.Alloc(accounts, 0)
-		s.SpawnWorkers(func(rt *Runtime) {
-			r := rt.Rand()
-			for !rt.Stopped() {
-				from := r.Intn(accounts)
-				to := (from + 1 + r.Intn(accounts-1)) % accounts
-				rt.Run(func(tx *Tx) {
-					f := tx.Read(base + mem.Addr(from))
-					tx.Write(base+mem.Addr(from), f-1)
-					tx.Write(base+mem.Addr(to), tx.Read(base+mem.Addr(to))+1)
-				})
-				rt.AddOps(1)
-			}
-		})
-		return s.Run(2 * time.Millisecond)
-	}
-	a, b := run(), run()
-	if a.Commits != b.Commits || a.Aborts != b.Aborts || a.Msgs != b.Msgs ||
-		a.WireMsgs != b.WireMsgs || a.CoalescedPayloads != b.CoalescedPayloads {
-		t.Fatalf("same-seed coalesced runs diverged:\n%+v\n%+v", a, b)
 	}
 }
 
@@ -287,21 +204,16 @@ func TestCoalesceEagerAndElastic(t *testing.T) {
 
 // TestCoalesceSingletonPlaneBitIdentical pins the strongest transparency
 // property of the coalescing plane: when no burst has two payloads for one
-// destination (default protocol batching — one write-lock request, one
-// release per node per burst), every flush is a singleton and goes out as
-// a bare payload at the same virtual instant with the same MsgDelay, so a
-// coalesced sim run is BIT-IDENTICAL to the uncoalesced run — not merely
-// outcome-equivalent.
+// destination — one write-lock request and one release per node per burst,
+// one response per requester per dispatch — every flush is a singleton and
+// goes out as a bare payload at the same virtual instant with the same
+// MsgDelay, so a coalesced sim run is BIT-IDENTICAL to the uncoalesced run,
+// in every deployment, protocol and acquisition mode. A protocol path that
+// starts producing envelopes fails here.
 func TestCoalesceSingletonPlaneBitIdentical(t *testing.T) {
-	run := func(coalesce bool) *Stats {
-		s, err := NewSystem(Config{
-			Platform:     noc.SCC(0),
-			Seed:         13,
-			TotalCores:   12,
-			ServiceCores: 4,
-			Policy:       cm.FairCM,
-			Coalesce:     coalesce,
-		})
+	run := func(cfg Config) *Stats {
+		cfg.Platform, cfg.Seed, cfg.TotalCores, cfg.ServiceCores, cfg.Policy = noc.SCC(0), 13, 12, 4, cm.FairCM
+		s, err := NewSystem(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -323,14 +235,25 @@ func TestCoalesceSingletonPlaneBitIdentical(t *testing.T) {
 		})
 		return s.Run(2 * time.Millisecond)
 	}
-	off, on := run(false), run(true)
-	if off.Commits != on.Commits || off.Aborts != on.Aborts || off.Msgs != on.Msgs ||
-		off.MsgBytes != on.MsgBytes || off.Duration != on.Duration {
-		t.Fatalf("singleton-burst coalesced run diverged from uncoalesced:\noff %+v\non  %+v", off, on)
-	}
-	if on.WireMsgs != on.Msgs || on.CoalescedPayloads != 0 {
-		t.Fatalf("singleton bursts produced envelopes: %d wire msgs for %d payloads, %d coalesced",
-			on.WireMsgs, on.Msgs, on.CoalescedPayloads)
+	for _, dep := range []Deployment{Dedicated, Multitask} {
+		for _, proto := range []Protocol{ProtocolVisible, ProtocolTL2} {
+			for _, acq := range []AcquireMode{Lazy, Eager} {
+				t.Run(fmt.Sprintf("%v/%v/%v", dep, proto, acq), func(t *testing.T) {
+					cfg := Config{Deployment: dep, Protocol: proto, Acquire: acq}
+					off := run(cfg)
+					cfg.Coalesce = true
+					on := run(cfg)
+					if off.Commits != on.Commits || off.Aborts != on.Aborts || off.Msgs != on.Msgs ||
+						off.MsgBytes != on.MsgBytes || off.Duration != on.Duration {
+						t.Fatalf("singleton-burst coalesced run diverged from uncoalesced:\noff %+v\non  %+v", off, on)
+					}
+					if on.WireMsgs != on.Msgs || on.CoalescedPayloads != 0 {
+						t.Fatalf("singleton bursts produced envelopes: %d wire msgs for %d payloads, %d coalesced",
+							on.WireMsgs, on.Msgs, on.CoalescedPayloads)
+					}
+				})
+			}
+		}
 	}
 }
 
@@ -385,8 +308,7 @@ func TestOutboxEmptyWheneverAPortBlocks(t *testing.T) {
 			t.Errorf("%d locks leaked", leaked)
 		}
 	}
-	// scatter reads two words and writes four: with NoBatching the commit
-	// burst has several payloads per node, without it one.
+	// scatter reads two words and writes four.
 	scatter := func(kind TxKind) func(*Runtime, mem.Addr, int) {
 		return func(rt *Runtime, base mem.Addr, i int) {
 			r := rt.Rand()
@@ -406,19 +328,17 @@ func TestOutboxEmptyWheneverAPortBlocks(t *testing.T) {
 		for _, dep := range []Deployment{Dedicated, Multitask} {
 			for _, acq := range []AcquireMode{Lazy, Eager} {
 				for _, proto := range []Protocol{ProtocolVisible, ProtocolTL2} {
-					for _, noBatching := range []bool{false, true} {
-						cfg := Config{Coalesce: coalesce, Deployment: dep, Acquire: acq, Protocol: proto, NoBatching: noBatching}
-						name := fmt.Sprintf("coalesce=%v/%v/%v/%v/nobatching=%v", coalesce, dep, acq, proto, noBatching)
-						t.Run(name, func(t *testing.T) { run(t, cfg, scatter(Normal)) })
-					}
+					cfg := Config{Coalesce: coalesce, Deployment: dep, Acquire: acq, Protocol: proto}
+					name := fmt.Sprintf("coalesce=%v/%v/%v/%v", coalesce, dep, acq, proto)
+					t.Run(name, func(t *testing.T) { run(t, cfg, scatter(Normal)) })
 				}
 			}
 		}
 		t.Run(fmt.Sprintf("coalesce=%v/elastic-early", coalesce), func(t *testing.T) {
-			run(t, Config{Coalesce: coalesce, NoBatching: true}, scatter(ElasticEarly))
+			run(t, Config{Coalesce: coalesce}, scatter(ElasticEarly))
 		})
 		t.Run(fmt.Sprintf("coalesce=%v/irrevocable", coalesce), func(t *testing.T) {
-			run(t, Config{Coalesce: coalesce, NoBatching: true}, func(rt *Runtime, base mem.Addr, i int) {
+			run(t, Config{Coalesce: coalesce}, func(rt *Runtime, base mem.Addr, i int) {
 				if rt.AppIndex() != 0 {
 					scatter(Normal)(rt, base, i)
 					return

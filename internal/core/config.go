@@ -106,7 +106,7 @@ type Protocol uint8
 const (
 	// ProtocolVisible (the default) is TM2C's visible-read protocol: every
 	// read acquires a read lock from the responsible DTM node (one
-	// request/grant round trip per first read of a stripe), writes acquire
+	// request/grant round trip per first read of an object), writes acquire
 	// write locks lazily at commit, and conflicts are resolved eagerly by
 	// the distributed contention managers. Bit-identical to the pre-TL2
 	// engine; all figure fingerprints pin this mode.
@@ -281,9 +281,6 @@ type Config struct {
 	Policy cm.Policy
 	// Acquire selects lazy (default) or eager write-lock acquisition.
 	Acquire AcquireMode
-	// NoBatching disables write-lock batching (one message per object
-	// instead of one per DTM node) for the batching ablation.
-	NoBatching bool
 	// Coalesce is the message plane's one setting. Every burst — a commit
 	// scatter, a release burst, the responses of one DTM dispatch — goes
 	// through one staging point (System.stage) and leaves at the burst's
@@ -294,13 +291,11 @@ type Config struct {
 	// payload). Unset (the default) is the degenerate plane: staging sends
 	// at once, the flush points find nothing to flush, and behaviour is the
 	// bit-identical historic one the figure fingerprints pin.
-	// Stats.WireMsgs/CoalescedPayloads quantify the effect; the ablbatch
-	// ablation compares both settings.
+	// Stats.WireMsgs/CoalescedPayloads quantify the effect. Write-lock
+	// batching is unconditional, so every protocol burst already holds one
+	// payload per node and the set plane merges nothing (docs/RETIRED.md,
+	// ablbatch).
 	Coalesce bool
-	// LockGranule is the number of words covered by one lock stripe; it
-	// must be a power of two (default 1). Objects larger than the granule
-	// are locked by their base address.
-	LockGranule int
 	// Placement selects the object→DTM-node placement policy: the static
 	// multiplicative hash of §3.2 (default) or the hierarchical adaptive
 	// repartitioner with locality-aware co-mapping (internal/placement).
@@ -346,6 +341,15 @@ func (c *Config) normalize() error {
 	}
 	if c.Protocol > ProtocolTL2 {
 		return fmt.Errorf("core: unknown protocol %d", c.Protocol)
+	}
+	if c.Deployment > Multitask {
+		return fmt.Errorf("core: unknown deployment %d", c.Deployment)
+	}
+	if c.Acquire > Eager {
+		return fmt.Errorf("core: unknown acquire mode %d", c.Acquire)
+	}
+	if c.Policy > cm.FairCM {
+		return fmt.Errorf("core: unknown contention manager %d", c.Policy)
 	}
 	if c.Backend == BackendNet {
 		n := c.Net
@@ -395,12 +399,6 @@ func (c *Config) normalize() error {
 			return fmt.Errorf("core: invalid service-core count %d of %d",
 				c.ServiceCores, c.TotalCores)
 		}
-	}
-	if c.LockGranule == 0 {
-		c.LockGranule = 1
-	}
-	if c.LockGranule&(c.LockGranule-1) != 0 {
-		return fmt.Errorf("core: lock granule %d is not a power of two", c.LockGranule)
 	}
 	if c.Placement > placement.AdaptiveHier {
 		return fmt.Errorf("core: unknown placement policy %d", c.Placement)

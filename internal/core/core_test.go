@@ -34,7 +34,9 @@ func TestConfigValidation(t *testing.T) {
 		{TotalCores: 100},
 		{TotalCores: 4, ServiceCores: 4},
 		{TotalCores: 4, ServiceCores: 7},
-		{TotalCores: 4, LockGranule: 3},
+		{TotalCores: 4, Deployment: Deployment(2)},
+		{TotalCores: 4, Acquire: AcquireMode(2)},
+		{TotalCores: 4, Policy: cm.Policy(9)},
 	}
 	for i, cfg := range cases {
 		if _, err := NewSystem(cfg); err == nil {
@@ -49,8 +51,8 @@ func TestConfigDefaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := s.Config()
-	if cfg.TotalCores != 48 || cfg.ServiceCores != 24 || cfg.LockGranule != 1 {
-		t.Fatalf("defaults = %d cores, %d service, granule %d", cfg.TotalCores, cfg.ServiceCores, cfg.LockGranule)
+	if cfg.TotalCores != 48 || cfg.ServiceCores != 24 {
+		t.Fatalf("defaults = %d cores, %d service", cfg.TotalCores, cfg.ServiceCores)
 	}
 	if s.NumAppCores() != 24 || s.NumServiceCores() != 24 {
 		t.Fatalf("partition = %d app / %d svc", s.NumAppCores(), s.NumServiceCores())
@@ -252,19 +254,11 @@ func TestBankInvariantsEagerAcquisition(t *testing.T) {
 	}
 }
 
-func TestBankInvariantsNoBatching(t *testing.T) {
-	runMiniBank(t, func(c *Config) { c.NoBatching = true }, 30)
-}
-
 func TestBankInvariantsMultitask(t *testing.T) {
 	st := runMiniBank(t, func(c *Config) { c.Deployment = Multitask }, 25)
 	if st.Commits == 0 {
 		t.Fatal("no commits under multitask deployment")
 	}
-}
-
-func TestBankInvariantsLockGranule4(t *testing.T) {
-	runMiniBank(t, func(c *Config) { c.LockGranule = 4 }, 25)
 }
 
 func TestConflictsAreDetectedAndResolved(t *testing.T) {
@@ -280,33 +274,31 @@ func TestConflictsAreDetectedAndResolved(t *testing.T) {
 	}
 }
 
+// TestBatchingReducesMessages: a lazy commit sends exactly one write-lock
+// request per DTM node its write set touches (§3.3), not one per object.
 func TestBatchingReducesMessages(t *testing.T) {
-	run := func(noBatch bool) *Stats {
-		s := testSystem(t, func(c *Config) { c.NoBatching = noBatch })
-		base := s.Mem.Alloc(32, 0)
-		s.SpawnWorkers(func(rt *Runtime) {
-			if rt.AppIndex() != 0 {
-				return
-			}
-			for i := 0; i < 5; i++ {
-				rt.Run(func(tx *Tx) {
-					for j := 0; j < 16; j++ {
-						tx.Write(base+mem.Addr(j), uint64(i*100+j))
-					}
-				})
-			}
-		})
-		return s.RunToCompletion()
+	s := testSystem(t, nil)
+	base := s.Mem.Alloc(32, 0)
+	nodes := make(map[int]bool)
+	for j := 0; j < 16; j++ {
+		nodes[s.nodeFor(base+mem.Addr(j))] = true
 	}
-	batched, single := run(false), run(true)
-	if batched.WriteLockReqs >= single.WriteLockReqs {
-		t.Fatalf("batching did not reduce write-lock messages: %d vs %d",
-			batched.WriteLockReqs, single.WriteLockReqs)
-	}
-	// With 4 DTM nodes, a 16-object write set needs at most 4 batched
-	// requests per attempt vs 16 unbatched.
-	if single.WriteLockReqs != 16*5 {
-		t.Errorf("unbatched WriteLockReqs = %d, want 80", single.WriteLockReqs)
+	s.SpawnWorkers(func(rt *Runtime) {
+		if rt.AppIndex() != 0 {
+			return
+		}
+		for i := 0; i < 5; i++ {
+			rt.Run(func(tx *Tx) {
+				for j := 0; j < 16; j++ {
+					tx.Write(base+mem.Addr(j), uint64(i*100+j))
+				}
+			})
+		}
+	})
+	st := s.RunToCompletion()
+	// 16 objects over the 4 DTM nodes of an 8-core system.
+	if want := uint64(5 * len(nodes)); st.WriteLockReqs != want || len(nodes) >= 16 {
+		t.Fatalf("WriteLockReqs = %d for 5 commits over %d nodes, want %d", st.WriteLockReqs, len(nodes), want)
 	}
 }
 
@@ -499,13 +491,6 @@ func TestStatsStringsAndEnums(t *testing.T) {
 	}
 	if Normal.String() != "normal" || ElasticEarly.String() != "elastic-early" || ElasticRead.String() != "elastic-read" {
 		t.Error("TxKind.String")
-	}
-}
-
-func TestLockGranuleMapsNeighborsTogether(t *testing.T) {
-	s := testSystem(t, func(c *Config) { c.LockGranule = 4 })
-	if s.lockKey(0x1003) != 0x1000 || s.lockKey(0x1004) != 0x1004 {
-		t.Fatalf("lockKey wrong: %x %x", s.lockKey(0x1003), s.lockKey(0x1004))
 	}
 }
 

@@ -50,9 +50,8 @@ type dtmNode struct {
 	// out is the node's outbox: responses are staged into it during a
 	// dispatch (System.stage) and flush when the sender changes or the
 	// mailbox is momentarily empty, so on the coalescing plane the
-	// grants/NACKs answering requests that arrived together (e.g. an
-	// unpacked commit-scatter envelope) share one wire message per
-	// requesting core. Always empty on the uncoalesced plane.
+	// grants/NACKs answering requests that arrived together share one wire
+	// message per requesting core. Always empty on the uncoalesced plane.
 	out port.Outbox
 }
 

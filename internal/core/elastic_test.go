@@ -77,51 +77,6 @@ func TestEarlyReleaseThenRereadRecordsOnce(t *testing.T) {
 	}
 }
 
-// TestEarlyReleaseKeepsSharedStripeLock: under LockGranule > 1 a read lock
-// covers a stripe, and early-releasing one object must not drop the lock
-// while another object of the read set still lies on the stripe — or a
-// writer could change that object before the reader commits, with no
-// conflict. The writer-side witness is the WAR abort core 1 runs into.
-func TestEarlyReleaseKeepsSharedStripeLock(t *testing.T) {
-	s := testSystem(t, func(c *Config) { c.LockGranule = 4; c.Policy = cm.NoCM })
-	a := (s.Mem.Alloc(8, 0) + 3) &^ 3 // a and a+1 share a stripe
-	key := s.lockKey(a + 1)
-	table := s.nodes[s.nodeFor(key)].table
-	s.SpawnWorkers(func(rt *Runtime) {
-		switch rt.AppIndex() {
-		case 0:
-			rt.RunKind(ElasticEarly, func(tx *Tx) {
-				tx.Read(a)
-				tx.Read(a + 1)
-				tx.EarlyRelease(a)
-				rt.Compute(500_000) // core 1 tries to write-lock a+1 meanwhile
-				readers := 0
-				if c := table.WriteConflict(key, cm.Meta{Core: -1}); c != nil {
-					readers = len(c.Enemies)
-				}
-				if tx.ReadSetSize() != 1 || readers != 1 {
-					t.Errorf("read set %d, stripe readers %d: a+1 is read but its stripe is unlocked",
-						tx.ReadSetSize(), readers)
-				}
-				tx.EarlyRelease(a + 1) // the last object on the stripe: now the lock goes
-			})
-		case 1:
-			rt.Compute(100_000)
-			rt.Run(func(tx *Tx) { tx.Write(a+1, 7) })
-		}
-	})
-	st := s.RunToCompletion()
-	if st.AbortsByKind[cm.WAR] == 0 {
-		t.Error("a writer took a+1 while it was in a live read set, without a WAR conflict")
-	}
-	if st.EarlyReleases != 1 {
-		t.Errorf("EarlyReleases = %d, want 1 (one stripe, released once)", st.EarlyReleases)
-	}
-	if n := s.LockedAddrs(); n != 0 {
-		t.Errorf("%d addresses still locked after the run", n)
-	}
-}
-
 func TestEarlyReleasePanicsOutsideElasticEarly(t *testing.T) {
 	s := testSystem(t, nil)
 	a := s.Mem.Alloc(1, 0)
@@ -286,7 +241,7 @@ func TestMultitaskServesWhileComputing(t *testing.T) {
 	// Find an address whose responsible node is core 1's.
 	var addr mem.Addr
 	for a := mem.Addr(1); ; a++ {
-		if s.nodeFor(s.lockKey(a)) == 1 {
+		if s.nodeFor(a) == 1 {
 			addr = a
 			break
 		}

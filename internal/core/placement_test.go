@@ -180,9 +180,8 @@ func TestPlacementStaleNackRerouting(t *testing.T) {
 	}
 	addr := s.Mem.Alloc(8, 0)
 	dir := s.Placement()
-	key := s.lockKey(addr)
-	stripe := dir.StripeOf(key)
-	from := dir.Owner(key)
+	stripe := dir.StripeOf(addr)
+	from := dir.Owner(addr)
 	to := (from + 1) % s.NumServiceCores()
 	if !dir.InitiateMove(stripe, to) {
 		t.Fatal("InitiateMove refused")
@@ -208,7 +207,7 @@ func TestPlacementStaleNackRerouting(t *testing.T) {
 	if st.Handoffs != 1 {
 		t.Fatalf("handoffs = %d, want 1", st.Handoffs)
 	}
-	if got := dir.Owner(key); got != to {
+	if got := dir.Owner(addr); got != to {
 		t.Fatalf("key owned by node %d after handoff, want %d", got, to)
 	}
 	if got := s.Mem.ReadRaw(addr); got != 41 {

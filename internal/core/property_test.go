@@ -75,32 +75,27 @@ func TestSingleCoreSequentialEquivalence(t *testing.T) {
 }
 
 // TestConcurrentCounterExactness: under every starvation-free CM and every
-// acquisition/batching combination, concurrent increments of disjoint and
-// shared counters must never lose an update.
+// acquisition mode, concurrent increments of disjoint and shared counters
+// must never lose an update.
 func TestConcurrentCounterExactness(t *testing.T) {
 	type combo struct {
-		pol   cm.Policy
-		acq   AcquireMode
-		batch bool
+		pol cm.Policy
+		acq AcquireMode
 	}
 	combos := []combo{
-		{cm.Wholly, Lazy, true},
-		{cm.Wholly, Eager, true},
-		{cm.FairCM, Lazy, false},
-		{cm.FairCM, Eager, false},
-		{cm.OffsetGreedy, Lazy, true},
-		{cm.BackoffRetry, Lazy, true},
+		{cm.Wholly, Lazy},
+		{cm.Wholly, Eager},
+		{cm.FairCM, Lazy},
+		{cm.FairCM, Eager},
+		{cm.OffsetGreedy, Lazy},
+		{cm.BackoffRetry, Lazy},
 	}
 	for _, c := range combos {
 		c := c
-		name := c.pol.String() + "/" + c.acq.String()
-		if !c.batch {
-			name += "/nobatch"
-		}
-		t.Run(name, func(t *testing.T) {
+		t.Run(c.pol.String()+"/"+c.acq.String(), func(t *testing.T) {
 			s, err := NewSystem(Config{
 				Platform: noc.SCC(0), Seed: 5, TotalCores: 8,
-				Policy: c.pol, Acquire: c.acq, NoBatching: !c.batch,
+				Policy: c.pol, Acquire: c.acq,
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -84,7 +84,7 @@ func TestRollbackMatrix(t *testing.T) {
 func foreignCommit(s *System, rt *Runtime, addrs []mem.Addr, deltas []uint64) {
 	keys := make([]mem.Addr, len(addrs))
 	for i, a := range addrs {
-		keys[i] = s.lockKey(a)
+		keys[i] = a
 	}
 	s.Mem.LockVersions(rt.Port(), rt.Core(), keys)
 	wv := s.clock.Tick(rt.Core() + 1)
@@ -121,11 +121,11 @@ func runRollbackRow(t *testing.T, c rollbackCell, phase string) {
 	s.Mem.WriteRaw(y, 1000)
 	var w1, w2 mem.Addr
 	for a := pool + 2; a < pool+64 && w2 == 0; a++ {
-		switch n := s.nodeFor(s.lockKey(a)); {
+		switch n := s.nodeFor(a); {
 		case c.deploy == Multitask && n < 2:
 		case w1 == 0:
 			w1 = a
-		case n != s.nodeFor(s.lockKey(w1)):
+		case n != s.nodeFor(w1):
 			w2 = a
 		}
 	}
@@ -143,9 +143,9 @@ func runRollbackRow(t *testing.T, c rollbackCell, phase string) {
 	case phase == "partial-grant":
 		poisoned = w2
 	}
-	poisonTable := s.nodes[s.nodeFor(s.lockKey(poisoned))].table
+	poisonTable := s.nodes[s.nodeFor(poisoned)].table
 	if poisoned != 0 {
-		poisonTable.SetWriter(s.lockKey(poisoned), cm.Meta{Core: enemyCore, TxID: enemyTx})
+		poisonTable.SetWriter(poisoned, cm.Meta{Core: enemyCore, TxID: enemyTx})
 	}
 
 	wantReason := trace.ReasonDoomedRead
@@ -168,7 +168,7 @@ func runRollbackRow(t *testing.T, c rollbackCell, phase string) {
 					t.Errorf("status register reads %v in OnAbort, want aborted", st)
 				}
 				for _, w := range []mem.Addr{w1, w2} {
-					if _, marked := s.Mem.LoadVersion(rt.Port(), rt.Core(), s.lockKey(w)); marked {
+					if _, marked := s.Mem.LoadVersion(rt.Port(), rt.Core(), w); marked {
 						t.Errorf("write stripe %#x keeps its version marker after the abort", uint64(w))
 					}
 					if got := s.Mem.ReadRaw(w); got != 0 {
@@ -225,10 +225,9 @@ func runRollbackRow(t *testing.T, c rollbackCell, phase string) {
 			if phase != "lost-cas" {
 				return
 			}
-			key := s.lockKey(w1)
-			table := s.nodes[s.nodeFor(key)].table
+			table := s.nodes[s.nodeFor(w1)].table
 			for i := 0; i < 1_000_000; i++ {
-				if c := table.ReadConflict(key, cm.Meta{Core: -1}); c != nil { // the writer, foreign to every core
+				if c := table.ReadConflict(w1, cm.Meta{Core: -1}); c != nil { // the writer, foreign to every core
 					m := c.Enemies[0]
 					if swapped, _, _ := s.Regs.CASStatusObserveRaw(m.Core, m.TxID, mem.TxPending, mem.TxAborted); !swapped {
 						t.Error("the lock holder was no longer Pending when its grant became visible")
@@ -265,7 +264,7 @@ func runRollbackRow(t *testing.T, c rollbackCell, phase string) {
 		if n := s.LockedAddrs(); n != 1 {
 			t.Errorf("%d addresses locked after the run, want only the injected lock", n)
 		}
-		if !poisonTable.ReleaseWrite(s.lockKey(poisoned), enemyCore, enemyTx) {
+		if !poisonTable.ReleaseWrite(poisoned, enemyCore, enemyTx) {
 			t.Error("injected lock vanished: the rollback released a foreign lock")
 		}
 	}

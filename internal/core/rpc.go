@@ -178,10 +178,9 @@ func (rt *Runtime) rpcLock(tx *Tx, key mem.Addr, mode lockMode) {
 // scatterWriteLocks sends every write-lock batch in one burst and gathers
 // all responses, stamping every request with the batches' shared grouping
 // epoch. Results are indexed by batch, in send order. The burst goes through
-// the staging point, so on the coalescing plane batches addressed to the same
-// node (the NoBatching ablation splits per object) share one wire message;
-// the flush marks the end of the scatter burst, before the gather phase
-// blocks.
+// the staging point like every burst, though with one batch per node it has
+// nothing to merge; the flush marks the end of the scatter burst, before the
+// gather phase blocks.
 func (rt *Runtime) scatterWriteLocks(tx *Tx, epoch uint64, batches []nodeGroup) []*respLock {
 	scStart := rt.proc.Now()
 	rt.emit(trace.KPhaseBegin, tx.id, uint64(trace.PhaseScatter), 0, 0)
@@ -274,17 +273,18 @@ func (rt *Runtime) recvRPC() (resp *respLock, timedOut bool) {
 	if resp, ok := m.Payload.(*respLock); ok {
 		return resp, false
 	}
-	rt.absorb(m, "awaiting a lock response", true)
+	rt.absorb(m, "awaiting a lock response")
 	return nil, false
 }
 
 // absorb takes a message that is not what the core is waiting for: a barrier
 // arrival is counted for Barrier to find, a request is served by the
-// co-located DTM node (Multitask), anything else is a protocol bug. blocking
-// says the caller's next step is a blocking receive, so the response the node
-// staged must leave now; the boundary drain passes false and flushes once,
-// after the backlog.
-func (rt *Runtime) absorb(m port.Msg, where string, blocking bool) {
+// co-located DTM node (Multitask), anything else is a protocol bug. The
+// response the node staged leaves at once: a requester has at most one
+// request awaiting a response at any node, so a backlog never holds two
+// responses that could share an envelope, and holding one back would only
+// delay it.
+func (rt *Runtime) absorb(m port.Msg, where string) {
 	if b, ok := m.Payload.(barrierMsg); ok {
 		rt.barrierSeen[b.Epoch]++
 		return
@@ -292,9 +292,7 @@ func (rt *Runtime) absorb(m port.Msg, where string, blocking bool) {
 	if rt.node == nil || !rt.node.handle(rt.proc, m) {
 		panic(fmt.Sprintf("core: app%d unexpected message %T %s", rt.core, m.Payload, where))
 	}
-	if blocking {
-		rt.node.flushOut(rt.proc)
-	}
+	rt.node.flushOut(rt.proc)
 }
 
 // timeoutAbort aborts the attempt after an awaited lock RPC exceeded its

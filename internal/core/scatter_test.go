@@ -13,10 +13,10 @@ import (
 func findTwoNodeAddrs(t *testing.T, s *System, pool mem.Addr, words int) (a1, a2 mem.Addr, node2 int) {
 	t.Helper()
 	a1 = pool
-	n1 := s.nodeFor(s.lockKey(a1))
+	n1 := s.nodeFor(a1)
 	for i := 1; i < words; i++ {
 		a := pool + mem.Addr(i)
-		if n := s.nodeFor(s.lockKey(a)); n != n1 {
+		if n := s.nodeFor(a); n != n1 {
 			return a1, a, n
 		}
 	}

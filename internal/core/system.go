@@ -196,7 +196,6 @@ func NewSystem(cfg Config) (*System, error) {
 		dir, err := placement.New(placement.Config{
 			Nodes:       len(s.nodes),
 			Kind:        cfg.Placement,
-			Span:        cfg.LockGranule,
 			Regions:     cfg.Platform.MCCount(),
 			RegionWords: cfg.MemWords,
 			Clusters:    clusters,
@@ -570,11 +569,6 @@ func (s *System) LockedAddrs() int {
 		total += n.table.Size()
 	}
 	return total + s.remoteLocked
-}
-
-// lockKey maps an object base address to its lock stripe.
-func (s *System) lockKey(addr mem.Addr) mem.Addr {
-	return addr &^ mem.Addr(s.cfg.LockGranule-1)
 }
 
 // Placement returns the key→DTM-node directory (nil on raw-only systems).

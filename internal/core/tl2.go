@@ -80,18 +80,16 @@ func (*tl2Proto) begin(tx *Tx) {
 func (*tl2Proto) firstRead(tx *Tx, base mem.Addr, n int) []uint64 {
 	rt := tx.rt
 	tx.checkAborted() // eager-mode enemies can still remote-abort us
-	key := rt.s.lockKey(base)
 	off, buf := rt.wordBuf(n)
-	vals, ver, locked := rt.s.Mem.ReadVersionedTo(rt.proc, rt.core, base, key, buf)
-	// Doomed: a committer's write-back is in flight, or the stripe is newer
-	// than our snapshot, or a second object on it observed a different
-	// version than the first (the stripe changed between our reads).
-	// Returning the value could tear the snapshot, so the attempt dies here.
-	if prev, seen := tx.readVers[key]; locked || !mem.VersionLEQ(ver, tx.rv) || (seen && prev != ver) {
+	vals, ver, locked := rt.s.Mem.ReadVersionedTo(rt.proc, rt.core, base, base, buf)
+	// Doomed: a committer's write-back is in flight, or the object is newer
+	// than our snapshot. Returning the value could tear the snapshot, so the
+	// attempt dies here.
+	if locked || !mem.VersionLEQ(ver, tx.rv) {
 		rt.shard.DoomedReads++
-		tx.doomed(key)
+		tx.doomed(base)
 	}
-	tx.readVers[key] = ver
+	tx.readVers[base] = ver
 	tx.reads.put(base, off, n)
 	rt.shard.LocalReads++
 	return vals
@@ -118,12 +116,7 @@ func (*tl2Proto) validate(tx *Tx) (mem.Addr, bool) {
 	tx.tickAt = rt.proc.Now()
 	rt.emit(trace.KPhaseBegin, tx.id, uint64(trace.PhaseRevalidate), 0, 0)
 	for _, e := range tx.reads.entries {
-		key := rt.s.lockKey(e.base)
-		want, recorded := tx.readVers[key]
-		if !recorded {
-			continue // its stripe is checked already
-		}
-		delete(tx.readVers, key) // once per stripe
+		key, want := e.base, tx.readVers[e.base] // one entry, and one version, per object
 		rt.shard.Revalidations++
 		var ok bool
 		if granted, mine := tx.grantVers[key]; mine {

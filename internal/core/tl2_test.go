@@ -206,16 +206,13 @@ func TestTL2AllKindsStrictAudit(t *testing.T) {
 }
 
 // TestTL2ConfigMatrix drives TL2 through the acquisition/transport variants
-// it must compose with: eager acquisition, the coalescing plane, unbatched
-// write locks, multitask deployment, and a coarser lock granule.
-// Conservation plus audit in each cell.
+// it must compose with: eager acquisition, the coalescing plane and
+// multitask deployment. Conservation plus audit in each cell.
 func TestTL2ConfigMatrix(t *testing.T) {
 	muts := map[string]func(*Config){
 		"eager":     func(c *Config) { c.Acquire = Eager },
 		"coalesce":  func(c *Config) { c.Coalesce = true },
-		"nobatch":   func(c *Config) { c.NoBatching = true },
 		"multitask": func(c *Config) { c.Deployment = Multitask; c.TotalCores = 4 },
-		"granule4":  func(c *Config) { c.LockGranule = 4 },
 	}
 	for name, mut := range muts {
 		t.Run(name, func(t *testing.T) {
@@ -368,9 +365,8 @@ func TestStaleNackHintSteersRetry(t *testing.T) {
 	}
 	addr := s.Mem.Alloc(8, 0)
 	dir := s.Placement()
-	key := s.lockKey(addr)
-	stripe := dir.StripeOf(key)
-	from := dir.Owner(key)
+	stripe := dir.StripeOf(addr)
+	from := dir.Owner(addr)
 	to := (from + 1) % s.NumServiceCores()
 	if !dir.InitiateMove(stripe, to) {
 		t.Fatal("InitiateMove refused")
@@ -399,7 +395,7 @@ func TestStaleNackHintSteersRetry(t *testing.T) {
 	if st.StaleNackHints > st.StaleNacks {
 		t.Fatalf("hints used (%d) exceed NACKs issued (%d)", st.StaleNackHints, st.StaleNacks)
 	}
-	if got := dir.Owner(key); got != to {
+	if got := dir.Owner(addr); got != to {
 		t.Fatalf("key owned by node %d after handoff, want %d", got, to)
 	}
 	if got := s.Mem.ReadRaw(addr); got != 41 {

@@ -74,7 +74,6 @@ type Runtime struct {
 	rels         []relDraft  // relAdd's release messages, in first-use order
 	groupIdx     []int32     // DTM node → groups or rels index + 1; all 0 between uses
 	wkKeys       []mem.Addr  // writeKeys result
-	batchScratch []nodeGroup // commitBatches result slots
 	wbAddrs      []mem.Addr  // commit write-back address list
 	wbVals       []uint64    // commit write-back value list
 	winBuf       []uint64    // windowChanged re-read buffer
@@ -494,13 +493,10 @@ func (tx *Tx) WriteN(base mem.Addr, vals []uint64) {
 	}
 	rt := tx.rt
 	rt.proc.Advance(rt.s.compute(costs.Wrapper))
-	if rt.s.cfg.Acquire == Eager {
-		key := rt.s.lockKey(base)
-		if !slices.Contains(tx.wlocked, key) {
-			tx.checkAborted()
-			rt.rpcLock(tx, key, lockWrite)
-			tx.wlocked = append(tx.wlocked, key)
-		}
+	if rt.s.cfg.Acquire == Eager && !slices.Contains(tx.wlocked, base) {
+		tx.checkAborted()
+		rt.rpcLock(tx, base, lockWrite)
+		tx.wlocked = append(tx.wlocked, base)
 	}
 	off, buf := rt.wordBuf(len(vals))
 	copy(buf, vals)
@@ -584,9 +580,9 @@ func (tx *Tx) writeBackLists() ([]mem.Addr, []uint64) {
 }
 
 // acquireCommitLocks performs the lazy commit's write-lock acquisition: the
-// write set is partitioned into per-node batches (one per object under the
-// NoBatching ablation) and acquired scatter-gather — every batch sent at
-// once, all responses awaited in a single round-trip phase.
+// write set is partitioned into one batch per responsible DTM node (§3.3)
+// and acquired scatter-gather — every batch sent at once, all responses
+// awaited in a single round-trip phase.
 //
 // Scatter-gather needs a two-phase rollback: when any node rejects its
 // batch, the batches that other nodes already granted are recorded in
@@ -648,16 +644,15 @@ func (tx *Tx) scatterAcquire(keys []mem.Addr) (stale []mem.Addr) {
 }
 
 // commitBatches partitions lock keys into the batches the commit acquires —
-// one per responsible DTM node in first-write order, or one per object
-// under the NoBatching ablation — and returns the directory epoch the
-// grouping was resolved at. Requests built from these batches must go to
-// the batch's node and carry that epoch, so a directory change between
-// grouping and send is always visible to the receiver. The epoch is read
-// BEFORE the first owner lookup: a handoff racing the grouping can then only
-// make the stamp older than some owner it vouches for, which fails the
-// receiver's fast path and forces the authoritative per-key check — read
-// after, it would pair an old owner with the new epoch and a non-owner would
-// grant (Directory.Resolve).
+// one per responsible DTM node, in first-write order — and returns the
+// directory epoch the grouping was resolved at. Requests built from these
+// batches must go to the batch's node and carry that epoch, so a directory
+// change between grouping and send is always visible to the receiver. The
+// epoch is read BEFORE the first owner lookup: a handoff racing the grouping
+// can then only make the stamp older than some owner it vouches for, which
+// fails the receiver's fast path and forces the authoritative per-key check
+// — read after, it would pair an old owner with the new epoch and a
+// non-owner would grant (Directory.Resolve).
 func (tx *Tx) commitBatches(keys []mem.Addr) ([]nodeGroup, uint64) {
 	rt := tx.rt
 	epoch := rt.s.dir.Epoch()
@@ -676,23 +671,10 @@ func (tx *Tx) commitBatches(keys []mem.Addr) ([]nodeGroup, uint64) {
 		}
 		rt.groups[gi].writes = append(rt.groups[gi].writes, k)
 	}
-	batches := rt.batchScratch[:0]
 	for _, g := range rt.groups {
 		rt.groupIdx[g.node] = 0 // draftFor shares the index
-		if rt.s.cfg.NoBatching {
-			// One batch per object: each aliases a one-element sub-slice of
-			// the group's storage (full slice expression, so appends to one
-			// batch can never scribble on the next). The batches are consumed
-			// before the next commitBatches reuses that storage.
-			for i := range g.writes {
-				batches = append(batches, nodeGroup{node: g.node, writes: g.writes[i : i+1 : i+1]})
-			}
-		} else {
-			batches = append(batches, g)
-		}
 	}
-	rt.batchScratch = batches
-	return batches, epoch
+	return rt.groups, epoch
 }
 
 // abortCleanup releases every lock held by the failed attempt and marks the
@@ -733,7 +715,7 @@ func (rt *Runtime) releaseAll(tx *Tx) {
 	if reads {
 		for _, e := range tx.reads.entries {
 			if !e.released() {
-				rt.rels[rt.draftFor(tx, place.Owner(rt.s.lockKey(e.base)))].reads++
+				rt.rels[rt.draftFor(tx, place.Owner(e.base))].reads++
 			}
 		}
 	}
@@ -748,9 +730,8 @@ func (rt *Runtime) releaseAll(tx *Tx) {
 	if reads {
 		for _, e := range tx.reads.entries {
 			if !e.released() {
-				k := rt.s.lockKey(e.base)
-				msg := rt.rels[rt.groupIdx[place.Owner(k)]-1].msg
-				msg.ReadAddrs = append(msg.ReadAddrs, k)
+				msg := rt.rels[rt.groupIdx[place.Owner(e.base)]-1].msg
+				msg.ReadAddrs = append(msg.ReadAddrs, e.base)
 			}
 		}
 	}
@@ -816,16 +797,13 @@ func (rt *Runtime) sendReleases(sent *uint64) {
 	rt.flushOut()
 }
 
-// writeKeys returns the deduplicated lock keys of the write set, in first-
-// write order. With one object per stripe they are the write set's bases,
-// distinct by construction.
+// writeKeys returns the lock keys of the write set, in first-write order:
+// the write set's bases, distinct by construction.
 func (tx *Tx) writeKeys() []mem.Addr {
 	rt := tx.rt
 	keys := rt.wkKeys[:0]
 	for _, e := range tx.writes.entries {
-		if k := rt.s.lockKey(e.base); rt.s.cfg.LockGranule == 1 || !slices.Contains(keys, k) {
-			keys = append(keys, k)
-		}
+		keys = append(keys, e.base)
 	}
 	rt.wkKeys = keys
 	return keys
@@ -846,12 +824,8 @@ func (rt *Runtime) drainRequests() {
 		return
 	}
 	for m, ok := rt.proc.TryRecv(); ok; m, ok = rt.proc.TryRecv() {
-		rt.absorb(m, "at tx boundary", false)
+		rt.absorb(m, "at tx boundary")
 	}
-	// End of the boundary dispatch: responses staged for the requests served
-	// above leave before the core resumes transactional work (which may
-	// block on its own receives).
-	rt.node.flushOut(rt.proc)
 }
 
 // Barrier blocks until every application core has reached the same barrier
@@ -868,7 +842,7 @@ func (rt *Runtime) Barrier() {
 		rt.s.send(&rt.shard, rt.rec, rt.proc, rt.core, other.proc, other.core, msg, msg.bytes())
 	}
 	for rt.barrierSeen[epoch] < len(rt.s.runtimes)-1 {
-		rt.absorb(rt.proc.Recv(), "in barrier", true)
+		rt.absorb(rt.proc.Recv(), "in barrier")
 	}
 	delete(rt.barrierSeen, epoch)
 }

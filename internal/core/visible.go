@@ -27,8 +27,7 @@ func (*visibleProto) firstRead(tx *Tx, base mem.Addr, n int) []uint64 {
 	}
 	rt := tx.rt
 	tx.checkAborted()
-	key := rt.s.lockKey(base)
-	rt.rpcLock(tx, key, lockRead)
+	rt.rpcLock(tx, base, lockRead)
 	// Record the grant before anything can abort the attempt: if the lock
 	// were not in the read set when the post-read abort check fires, the
 	// cleanup would never release it and the stale entry could block that
@@ -37,7 +36,7 @@ func (*visibleProto) firstRead(tx *Tx, base mem.Addr, n int) []uint64 {
 	vals := rt.s.Mem.ReadBatchTo(rt.proc, rt.core, base, buf)
 	tx.reads.put(base, off, n)
 	tx.serialAt = rt.proc.Now()
-	rt.emit(trace.KRead, tx.id, uint64(key), 0, 0)
+	rt.emit(trace.KRead, tx.id, uint64(base), 0, 0)
 	tx.checkAborted()
 	return vals
 }
@@ -113,9 +112,7 @@ func (tx *Tx) windowChanged(charged bool) (at mem.Addr, ok bool) {
 
 // EarlyRelease drops the read locks of the given objects before commit
 // (elastic-early, §6.1). The release messages are fire-and-forget, like
-// DSTM's explicit release. Objects not in the read set are ignored. A lock
-// covers a stripe: it is released only once no object left in the read set
-// shares it.
+// DSTM's explicit release. Objects not in the read set are ignored.
 func (tx *Tx) EarlyRelease(bases ...mem.Addr) {
 	rt := tx.rt
 	if tx.kind != ElasticEarly {
@@ -127,27 +124,9 @@ func (tx *Tx) EarlyRelease(bases ...mem.Addr) {
 		return
 	}
 	for _, b := range bases {
-		if !tx.reads.release(b) {
-			continue
-		}
-		if key := rt.s.lockKey(b); !tx.readsOnStripe(key) {
-			rt.relAdd(tx, false, key)
+		if tx.reads.release(b) {
+			rt.relAdd(tx, false, b)
 		}
 	}
 	rt.sendReleases(&rt.shard.EarlyReleases)
-}
-
-// readsOnStripe reports whether any object of the read set lies on the lock
-// stripe key. With one object per stripe (LockGranule 1) the answer is no by
-// construction, and costs nothing.
-func (tx *Tx) readsOnStripe(key mem.Addr) bool {
-	if tx.rt.s.cfg.LockGranule == 1 {
-		return false
-	}
-	for _, e := range tx.reads.entries {
-		if !e.released() && tx.rt.s.lockKey(e.base) == key {
-			return true
-		}
-	}
-	return false
 }

@@ -1,7 +1,7 @@
 // Package exp regenerates every table and figure of the paper's evaluation
 // (§5-§7). Each experiment is registered under the paper's figure ID
-// (fig4a ... fig8d, settings) plus ablations beyond the paper (ablbatch,
-// ablgran, abltl2), and produces one or more text tables whose rows
+// (fig4a ... fig8d, settings) plus two experiments beyond the paper
+// (abltl2, scaleplace), and produces one or more text tables whose rows
 // correspond to the points of the original plot.
 //
 // Experiments run at a configurable Scale: the Full scale uses the paper's

@@ -19,7 +19,7 @@ func TestRegistryComplete(t *testing.T) {
 		"fig5a", "fig5b", "fig5c", "fig5d",
 		"fig6a", "fig6b", "fig7a", "fig7b",
 		"fig8a", "fig8b", "fig8c", "fig8d",
-		"ablbatch", "ablgran", "abltl2",
+		"abltl2",
 		"scaleplace",
 	}
 	for _, w := range want {
@@ -252,46 +252,6 @@ func rowWhere(t *testing.T, tab *Table, kv ...string) []string {
 		t.Fatalf("table %s: no row matches %v", tab.ID, kv)
 	}
 	return found
-}
-
-// TestShapeCoalescingRecoversBatchingWin checks the ablbatch headline: with
-// protocol batching off, transport coalescing must cut wire messages by at
-// least 20% on the contended scatter-write workload (the acceptance bar of
-// the message-plane refactor), and with protocol batching on it must not
-// inflate them by more than noise. The live subtest keeps the structural
-// form of the 20% bar: 1 - 1/(payloads per wire message) is exactly the
-// share of wire messages the envelopes of that one run absorbed.
-func TestShapeCoalescingRecoversBatchingWin(t *testing.T) {
-	sc := Scale{Duration: 2 * time.Millisecond, SizeDiv: 8, Cores: []int{8}, Seed: 5}
-	for _, be := range backends {
-		t.Run(be.name, func(t *testing.T) {
-			grid := ablBatch(be.scale(sc), be.ov)[0]
-			if len(grid.Rows) != 4 {
-				t.Fatalf("ablbatch grid has %d rows, want 4 (batching on/off x coalesce off/on)", len(grid.Rows))
-			}
-			cell := func(batching, coalesce, col string) float64 {
-				row := rowWhere(t, grid, "batching", batching, "coalesce", coalesce)
-				nonEmpty(t, grid, row)
-				return num(t, grid, row, col)
-			}
-			if ppw := cell("off", "on", "payloads/wire"); ppw < 1.25 {
-				t.Errorf("batching off + coalesce: payloads/wire = %.3f, want >= 1.25 (>= 20%% of wire messages absorbed)", ppw)
-			}
-			if be.live {
-				return
-			}
-			for _, col := range []string{"wire msgs", "wire/op"} {
-				batchedOff, batchedOn := cell("on", "off", col), cell("on", "on", col)
-				plainOff, plainOn := cell("off", "off", col), cell("off", "on", col)
-				if plainOn > 0.8*plainOff {
-					t.Errorf("batching off: coalescing %s %v vs %v — want >= 20%% reduction", col, plainOn, plainOff)
-				}
-				if batchedOn > 1.05*batchedOff {
-					t.Errorf("batching on: coalescing inflated %s %v vs %v", col, batchedOn, batchedOff)
-				}
-			}
-		})
-	}
 }
 
 // TestShapeHierPlacementAtScale checks the scaleplace claims on fresh runs:

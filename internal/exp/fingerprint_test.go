@@ -34,11 +34,14 @@ import (
 // When the flat adaptive policy was retired: its two rows and the last note
 // went, the hash and hier rows stayed cell-identical (docs/RETIRED.md).
 //
-// The abltl2, ablbatch and ablgran rows were captured on the parent of PR 23,
-// before that PR touched internal/core: fig4–fig8 all run the visible
-// protocol, uncoalesced, at granule 1, so until then TL2, the coalescing
-// plane and LockGranule > 1 were pinned by nothing but run-to-run
-// determinism tests. Irrevocables are pinned in internal/core
+// The abltl2 rows were captured before the change that first pinned them
+// touched internal/core: fig4–fig8 all run the visible protocol, so until
+// then TL2 was pinned by nothing but run-to-run determinism tests. The
+// ablbatch and ablgran rows captured beside them went with those two
+// experiments, once write-lock batching became unconditional and a lock key
+// became an object's base address (docs/RETIRED.md); the coalescing plane is
+// pinned in internal/core (TestCoalesceSingletonPlaneBitIdentical,
+// TestOutboxEnvelopeDelivered). Irrevocables are pinned in internal/core
 // (TestIrrevocableMixFingerprint), since the experiment that mixed them into
 // the bank was retired (docs/RETIRED.md).
 //
@@ -81,11 +84,7 @@ var figFingerprints = []struct {
 	{"fig8c", fingerprintScale, 9, 0xf52f8afde22ee9c6},
 	{"fig8d", fingerprintScale, 9, 0x946c178421d0f179},
 	{"abltl2", fingerprintScale, 3, 0x84e277e3c28e8f87},
-	{"ablbatch", fingerprintScale, 3, 0x9a3e75a30103f0f9},
-	{"ablgran", fingerprintScale, 3, 0xcdc1d09e5efa5355},
 	{"abltl2", fingerprintScale, 9, 0x55d323ba658cbbb4},
-	{"ablbatch", fingerprintScale, 9, 0x01658815faa05d72},
-	{"ablgran", fingerprintScale, 9, 0xbb808df68b20c039},
 	{"fig5a", Quick, 1, 0xf849c55454ba64dc},
 	{"scaleplace", Quick, 1, 0xdad56360507d7d79},
 }

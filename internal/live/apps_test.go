@@ -226,28 +226,6 @@ func TestLiveMultitaskDeployment(t *testing.T) {
 	})
 }
 
-// TestLiveCoalescedNoBatching drives the maximum-multiplicity path on real
-// goroutines: per-object write-lock requests (NoBatching) re-merged into
-// per-node envelopes by the outbox, with the per-sender DTM dispatch
-// coalescing the grants on the way back.
-func TestLiveCoalescedNoBatching(t *testing.T) {
-	s := liveSystem(t, true, core.ProtocolVisible, func(c *core.Config) { c.NoBatching = true; c.ServiceCores = 4 })
-	const accounts = 128
-	b := bank.New(s, accounts)
-	s.SpawnWorkers(b.TransferWorker(10))
-	st := s.Run(liveWindow)
-	checkQuiesced(t, s, st)
-	if b.TotalRaw() != b.Total() {
-		t.Errorf("money not conserved: %d != %d", b.TotalRaw(), b.Total())
-	}
-	if st.WireMsgs > st.Msgs {
-		t.Errorf("wire messages %d exceed logical payloads %d", st.WireMsgs, st.Msgs)
-	}
-	if st.CoalescedPayloads == 0 {
-		t.Error("no payload rode a shared envelope on the live backend")
-	}
-}
-
 func TestLiveRawBaseline(t *testing.T) {
 	// SpawnRaw + global lock on the live backend: TAS mutual exclusion
 	// must hold under real concurrency.

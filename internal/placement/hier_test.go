@@ -25,7 +25,7 @@ func TestHierSplitMergeProperty(t *testing.T) {
 			clusters[i] = r.Intn(1 + i)
 		}
 		d, err := New(Config{
-			Nodes: nodes, Kind: AdaptiveHier, RegionWords: uint64(stripes), Span: 1,
+			Nodes: nodes, Kind: AdaptiveHier, RegionWords: uint64(stripes),
 			LeafStripes: 8, Clusters: clusters,
 			EvalEvery: 32 + r.Intn(32), MaxMoves: 1 + r.Intn(4),
 		})
@@ -96,7 +96,7 @@ func TestHierSplitMergeProperty(t *testing.T) {
 // migrated, because ownership lives in the snapshot and pins nothing.
 func TestHierLeavesMergeWhenCold(t *testing.T) {
 	d, err := New(Config{
-		Nodes: 4, Kind: AdaptiveHier, RegionWords: 1 << 12, Span: 1,
+		Nodes: 4, Kind: AdaptiveHier, RegionWords: 1 << 12,
 		LeafStripes: 64, EvalEvery: 256,
 	})
 	if err != nil {
@@ -271,7 +271,7 @@ func TestHeatPlaneSleepsAndWakes(t *testing.T) {
 func TestHierDirectoryWorkIsOTouched(t *testing.T) {
 	const universeWords = 1 << 20
 	d, err := New(Config{
-		Nodes: 8, Kind: AdaptiveHier, RegionWords: universeWords, Span: 1,
+		Nodes: 8, Kind: AdaptiveHier, RegionWords: universeWords,
 		LeafStripes: 256, EvalEvery: 1024,
 	})
 	if err != nil {
@@ -310,7 +310,7 @@ func TestHierDirectoryWorkIsOTouched(t *testing.T) {
 func TestHierCoMappingPullsDataToAccessors(t *testing.T) {
 	run := func(imbalance float64) *Directory {
 		d, err := New(Config{
-			Nodes: 4, Kind: AdaptiveHier, RegionWords: 256, Span: 1,
+			Nodes: 4, Kind: AdaptiveHier, RegionWords: 256,
 			LeafStripes: 16, Clusters: []int{0, 0, 1, 1},
 			EvalEvery: 512, MaxMoves: 8, ImbalanceFactor: imbalance,
 		})

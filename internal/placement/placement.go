@@ -16,12 +16,12 @@
 // # Stripe universe
 //
 // The stripe universe is derived from the configured memory size: Regions
-// memory-controller regions of RegionWords words each, quantized into
-// stripes of Span words. A key outside the configured universe panics
-// loudly — the directory never aliases far-apart addresses onto the same
-// stripe (the historic wrap-modulo behavior silently merged unrelated keys
-// at large universes, coarsening migration in ways that were impossible to
-// diagnose).
+// memory-controller regions of RegionWords words each, one stripe per word
+// (a lock key is an object's base address). A key outside the configured
+// universe panics loudly — the directory never aliases far-apart addresses
+// onto the same stripe (the historic wrap-modulo behavior silently merged
+// unrelated keys at large universes, coarsening migration in ways that were
+// impossible to diagnose).
 //
 // # Two planes
 //
@@ -165,8 +165,6 @@ type Config struct {
 	Nodes int
 	// Kind selects the policy (default Hash).
 	Kind Kind
-	// Span is the number of contiguous words per stripe (default 1).
-	Span int
 	// Regions is the number of memory-controller regions the universe
 	// covers (default 1). Region r serves addresses [r<<mem.RegionShift,
 	// r<<mem.RegionShift + RegionWords).
@@ -198,9 +196,6 @@ func (c *Config) normalize() error {
 	if c.Nodes <= 0 {
 		return fmt.Errorf("placement: need at least one node, got %d", c.Nodes)
 	}
-	if c.Span <= 0 {
-		c.Span = 1
-	}
 	if c.Regions <= 0 {
 		c.Regions = 1
 	}
@@ -231,9 +226,8 @@ func (c *Config) normalize() error {
 	if c.ImbalanceFactor <= 1 {
 		c.ImbalanceFactor = 1.25
 	}
-	spr := (c.RegionWords + uint64(c.Span) - 1) / uint64(c.Span)
-	if total := spr * uint64(c.Regions); total > 1<<40 {
-		return fmt.Errorf("placement: stripe universe %d exceeds 2^40 stripes; raise Span", total)
+	if total := c.RegionWords * uint64(c.Regions); total > 1<<40 {
+		return fmt.Errorf("placement: stripe universe %d exceeds 2^40 stripes", total)
 	}
 	return nil
 }
@@ -391,7 +385,7 @@ func New(cfg Config) (*Directory, error) {
 		return nil, err
 	}
 	d := &Directory{cfg: cfg, nextEval: uint64(cfg.EvalEvery)}
-	d.stripesPerRegion = int((cfg.RegionWords + uint64(cfg.Span) - 1) / uint64(cfg.Span))
+	d.stripesPerRegion = int(cfg.RegionWords)
 	d.totalStripes = d.stripesPerRegion * cfg.Regions
 	for 1<<d.leafShift < cfg.LeafStripes {
 		d.leafShift++
@@ -463,20 +457,19 @@ func (d *Directory) adaptive() bool { return d.leaves != nil }
 
 func (d *Directory) clustered() bool { return d.cfg.Clusters != nil }
 
-// StripeOf maps a lock key to its stripe: region-major, Span words per
+// StripeOf maps a lock key to its stripe: region-major, one word per
 // stripe. It panics on a key outside the configured universe — the
 // directory derives its universe from the memory size precisely so that
 // far-apart keys can never silently alias.
 func (d *Directory) StripeOf(key mem.Addr) int {
 	r := uint64(key) >> mem.RegionShift
 	off := uint64(key) & (1<<mem.RegionShift - 1)
-	s := off / uint64(d.cfg.Span)
-	if int(r) >= d.cfg.Regions || s >= uint64(d.stripesPerRegion) {
+	if int(r) >= d.cfg.Regions || off >= uint64(d.stripesPerRegion) {
 		panic(fmt.Sprintf(
 			"placement: address %#x outside the configured stripe universe (%d regions x %d words); raise the configured memory size (core.Config.MemWords) instead of relying on aliasing",
 			uint64(key), d.cfg.Regions, d.cfg.RegionWords))
 	}
-	return int(r)*d.stripesPerRegion + int(s)
+	return int(r)*d.stripesPerRegion + int(off)
 }
 
 // KeyInStripe reports whether key belongs to stripe s.

@@ -81,20 +81,19 @@ func TestDirectoryOwnershipProperty(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		nodes := 2 + r.Intn(6)
 		stripes := 16 << r.Intn(3)
-		span := 1 + r.Intn(4)
 		d, err := New(Config{
-			Nodes: nodes, Kind: AdaptiveHier, RegionWords: uint64(stripes * span), Span: span,
+			Nodes: nodes, Kind: AdaptiveHier, RegionWords: uint64(stripes),
 			EvalEvery: 16 + r.Intn(64), MaxMoves: 1 + r.Intn(4),
 			LeafStripes: 8 << r.Intn(3), // several leaves even at 16 stripes
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Keys stay inside the configured universe (stripes*span words):
+		// Keys stay inside the configured universe (one word per stripe):
 		// out-of-universe addresses now panic instead of aliasing.
 		keys := make([]mem.Addr, 64)
 		for i := range keys {
-			keys[i] = mem.Addr(r.Intn(stripes * span))
+			keys[i] = mem.Addr(r.Intn(stripes))
 		}
 		lastEpoch := d.Epoch()
 		owners := make([]int, len(keys))
@@ -173,12 +172,12 @@ func TestDirectoryOwnershipProperty(t *testing.T) {
 // the policy migrate hot stripes off the overloaded node.
 func TestAdaptiveRepartitionMovesHeat(t *testing.T) {
 	const nodes = 4
-	d, err := New(Config{Nodes: nodes, Kind: AdaptiveHier, RegionWords: 64, Span: 1, EvalEvery: 256})
+	d, err := New(Config{Nodes: nodes, Kind: AdaptiveHier, RegionWords: 64, EvalEvery: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Hammer keys that all land on node 0 under the interleaved start
-	// (stripes 0, 4, 8, 12 with 4 nodes and span 1).
+	// (stripes 0, 4, 8, 12 with 4 nodes).
 	hot := []mem.Addr{0, 4, 8, 12}
 	for i := 0; i < 2048; i++ {
 		d.Record(-1, hot[i%len(hot)])
