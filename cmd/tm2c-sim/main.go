@@ -25,6 +25,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"strconv"
 	"strings"
 	"time"
 
@@ -35,6 +36,7 @@ import (
 	"repro/internal/apps/mapreduce"
 	"repro/internal/core"
 	"repro/internal/netboot"
+	"repro/internal/noc"
 	"repro/internal/trace"
 )
 
@@ -70,6 +72,21 @@ func main() {
 		resolveNet = netboot.BindFlags(flag.CommandLine)
 	)
 	flag.Parse()
+
+	// Each app panics on a size knob below its floor (a zero divides by zero
+	// deep inside it): reject one before anything is built or forked.
+	for _, c := range []struct {
+		app, flag string
+		v, min    int
+	}{
+		{"bank", "accounts", *accounts, 2}, {"hashset", "buckets", *buckets, 1},
+		{"hashset", "load", *load, 1}, {"list", "elems", *elems, 1},
+		{"mapreduce", "size", *size, 0}, {"mapreduce", "chunk", *chunk, 1},
+	} {
+		if c.app == *app && c.v < c.min {
+			fatal(fmt.Errorf("%s needs -%s >= %d, got %d", c.app, c.flag, c.min, c.v))
+		}
+	}
 
 	pol, err := repro.ParsePolicy(*cmName)
 	if err != nil {
@@ -116,19 +133,8 @@ func main() {
 		snapFile = f
 		cfg.Snapshot = &trace.SnapshotOptions{W: f}
 	}
-	switch *platform {
-	case "scc":
-		cfg.Platform = repro.SCC(0)
-	case "scc800":
-		cfg.Platform = repro.SCC(1)
-	case "opteron":
-		cfg.Platform = repro.Opteron()
-	default:
-		var n int
-		if _, err := fmt.Sscanf(*platform, "scc:%d", &n); err != nil {
-			fatal(fmt.Errorf("unknown platform %q", *platform))
-		}
-		cfg.Platform = repro.SCC(n)
+	if cfg.Platform, err = parsePlatform(*platform); err != nil {
+		fatal(err)
 	}
 	switch *deploy {
 	case "dedicated":
@@ -162,9 +168,6 @@ func main() {
 	var verify func() error
 	switch *app {
 	case "bank":
-		if *accounts < 2 {
-			fatal(fmt.Errorf("bank needs at least 2 accounts, got %d", *accounts))
-		}
 		if !(*zipf >= 0) { // rejects negatives and NaN
 			fatal(fmt.Errorf("invalid zipf exponent %v", *zipf))
 		}
@@ -246,6 +249,24 @@ func main() {
 			fatal(err)
 		}
 	}
+}
+
+// parsePlatform reads -platform: a preset name, or scc:N for SCC
+// performance setting N.
+func parsePlatform(s string) (repro.Platform, error) {
+	switch s {
+	case "scc":
+		return repro.SCC(0), nil
+	case "scc800":
+		return repro.SCC(1), nil
+	case "opteron":
+		return repro.Opteron(), nil
+	}
+	n, err := strconv.Atoi(strings.TrimPrefix(s, "scc:"))
+	if !strings.HasPrefix(s, "scc:") || err != nil || n < 0 || n >= len(noc.Settings) {
+		return repro.Platform{}, fmt.Errorf("unknown platform %q (scc, scc800, opteron, or scc:N with N in 0..%d)", s, len(noc.Settings)-1)
+	}
+	return repro.SCC(n), nil
 }
 
 // writeTrace renders the run's merged trace: chrome trace_event JSON for

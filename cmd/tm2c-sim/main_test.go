@@ -1,7 +1,10 @@
 package main
 
 import (
+	"errors"
 	"fmt"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
 	"time"
@@ -68,5 +71,47 @@ func TestReportPlacementLine(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+func TestParsePlatform(t *testing.T) {
+	for in, want := range map[string]string{
+		"scc": "SCC", "scc800": "SCC800", "opteron": "Opteron", "scc:0": "SCC", "scc:4": "SCC(setting 4)",
+		"scc:5": "", "scc:7": "", "scc:-1": "", "scc:1x": "", "scc:": "", "scc 1": "", "tile": "",
+	} {
+		p, err := parsePlatform(in)
+		if want == "" && err == nil {
+			t.Errorf("parsePlatform(%q) accepted as %q", in, p.Name)
+		}
+		if want != "" && (err != nil || p.Name != want) {
+			t.Errorf("parsePlatform(%q) = %q, %v; want %q", in, p.Name, err, want)
+		}
+	}
+}
+
+// TestBadInputExitsWithOneLine runs the command, re-executed from the test
+// binary, on flag values the platform table or an app cannot take: each
+// must print one "tm2c-sim:" line and exit 1, not panic or run anyway.
+func TestBadInputExitsWithOneLine(t *testing.T) {
+	if args := os.Getenv("TM2C_SIM_ARGS"); args != "" {
+		os.Args = append([]string{"tm2c-sim"}, strings.Fields(args)...)
+		main()
+		os.Exit(0)
+	}
+	for _, args := range []string{
+		"-platform scc:7", "-platform scc:-1", "-platform scc:1x",
+		"-app hashset -buckets 0", "-app hashset -load 0", "-app list -elems 0",
+		"-app mapreduce -chunk 0", "-app mapreduce -size -1", "-app bank -accounts 1",
+	} {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestBadInputExitsWithOneLine$")
+		cmd.Env = append(os.Environ(), "TM2C_SIM_ARGS="+args+" -duration 100us")
+		out, err := cmd.CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Errorf("%s: exit %v, want 1", args, err)
+		}
+		if lines := strings.Split(strings.TrimSpace(string(out)), "\n"); len(lines) != 1 || !strings.HasPrefix(lines[0], "tm2c-sim: ") {
+			t.Errorf("%s: output %q, want one tm2c-sim: line", args, out)
+		}
 	}
 }

@@ -67,9 +67,6 @@ func New(sys *core.System, nbuckets int) *Set {
 	}
 }
 
-// Buckets returns the bucket count.
-func (s *Set) Buckets() int { return s.nbuckets }
-
 func hashKey(key uint64) uint64 {
 	key ^= key >> 33
 	key *= 0x9e3779b97f4a7c15

@@ -331,7 +331,7 @@ type Config struct {
 	// Stats.RPCTimeouts) with conservative lock release, mapping peer
 	// stalls and broken connections onto the ordinary retry machinery.
 	// Defaults to 2s on net; ignored on sim/live, whose transports cannot
-	// lose messages.
+	// lose messages. A negative value is rejected on every backend.
 	RPCDeadline time.Duration
 }
 
@@ -350,6 +350,9 @@ func (c *Config) normalize() error {
 	}
 	if c.Policy > cm.FairCM {
 		return fmt.Errorf("core: unknown contention manager %d", c.Policy)
+	}
+	if c.RPCDeadline < 0 {
+		return fmt.Errorf("core: negative RPC deadline %v", c.RPCDeadline)
 	}
 	if c.Backend == BackendNet {
 		n := c.Net

@@ -37,6 +37,7 @@ func TestConfigValidation(t *testing.T) {
 		{TotalCores: 4, Deployment: Deployment(2)},
 		{TotalCores: 4, Acquire: AcquireMode(2)},
 		{TotalCores: 4, Policy: cm.Policy(9)},
+		{TotalCores: 4, RPCDeadline: -time.Second},
 	}
 	for i, cfg := range cases {
 		if _, err := NewSystem(cfg); err == nil {

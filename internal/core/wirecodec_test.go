@@ -26,15 +26,10 @@ func (p idPort) Now() port.Time                         { panic("idPort: Now") }
 func (p idPort) Rand() *port.Rand                       { panic("idPort: Rand") }
 func (p idPort) Advance(time.Duration)                  { panic("idPort: Advance") }
 func (p idPort) Pause(time.Duration)                    { panic("idPort: Pause") }
-func (p idPort) Yield()                                 { panic("idPort: Yield") }
 func (p idPort) Send(port.Port, any, time.Duration)     { panic("idPort: Send") }
 func (p idPort) Recv() port.Msg                         { panic("idPort: Recv") }
 func (p idPort) TryRecv() (port.Msg, bool)              { panic("idPort: TryRecv") }
 func (p idPort) RecvMatch(func(port.Msg) bool) port.Msg { panic("idPort: RecvMatch") }
-func (p idPort) TryRecvMatch(func(port.Msg) bool) (port.Msg, bool) {
-	panic("idPort: TryRecvMatch")
-}
-func (p idPort) RecvTimeout(time.Duration) (port.Msg, bool) { panic("idPort: RecvTimeout") }
 
 func testResolver(id int) port.Port { return idPort{id: id} }
 

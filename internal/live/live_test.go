@@ -2,6 +2,7 @@ package live
 
 import (
 	"fmt"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -79,7 +80,7 @@ func TestOutboxConcurrentFlushOrdering(t *testing.T) {
 					b.Payloads = append(b.Payloads, en.Payloads...)
 					p.Send(en.Dst, b, 0)
 				})
-				p.Yield()
+				runtime.Gosched()
 			}
 		})
 	}

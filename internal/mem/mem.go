@@ -38,7 +38,7 @@
 //   - A multi-page write set -> a reader of two of its pages: all page
 //     locks, ascending, held across each call.
 //     TestWriteBatchIndivisibleAcrossPages.
-//   - Remote abort -> the victim's checkAborted: CASStatusRemote and
+//   - Remote abort -> the victim's checkAborted: CASStatusRemoteObserve and
 //     LoadStatusLocal take Registers.mu (registers.go). The node re-grants
 //     the victim's lock only after that CAS, so a victim that reads the new
 //     holder's words finds itself aborted at the check after every read:

@@ -337,7 +337,7 @@ func TestRemoteCASChargesLatency(t *testing.T) {
 	k := sim.New(1)
 	k.Spawn("dtm", func(p *sim.Proc) {
 		start := p.Now()
-		if !r.CASStatusRemote(p, 0, 40, 7, TxPending, TxAborted) {
+		if sw, _, _ := r.CASStatusRemoteObserve(p, 0, 40, 7, TxPending, TxAborted); !sw {
 			t.Errorf("remote CAS failed")
 		}
 		if p.Now() == start {

@@ -50,8 +50,8 @@ func accessSequence(t *testing.T, m *Memory, r *Registers, p Ctx) {
 	}
 
 	r.SetStatusLocal(5, 9, TxPending)
-	if !r.CASStatusRemote(p, 0, 5, 9, TxPending, TxAborted) {
-		t.Error("CASStatusRemote lost to nobody")
+	if sw, id, st := r.CASStatusRemoteObserve(p, 0, 5, 9, TxPending, TxAborted); !sw || id != 9 || st != TxAborted {
+		t.Errorf("CASStatusRemoteObserve lost to nobody: %v, (%d, %v)", sw, id, st)
 	}
 	if sw, id, st := r.CASStatusRemoteObserve(p, 0, 5, 9, TxPending, TxAborted); sw || id != 9 || st != TxAborted {
 		t.Errorf("CASStatusRemoteObserve = %v, (%d, %v)", sw, id, st)

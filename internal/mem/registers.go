@@ -162,18 +162,8 @@ func (r *Registers) casLocked(owner int, txID uint64, from, to TxState) bool {
 	return true
 }
 
-// CASStatusRemote attempts the same swap from core src, charging the remote
-// atomic round-trip latency to p.
-func (r *Registers) CASStatusRemote(p Ctx, src, owner int, txID uint64, from, to TxState) bool {
-	r.chargeRemote(p, src, owner)
-	if r.fwd != nil && !r.owns(owner) {
-		sw, _, _ := r.fwd.CASStatus(owner, txID, from, to)
-		return sw
-	}
-	return r.CASStatusLocal(owner, txID, from, to)
-}
-
-// CASStatusRemoteObserve is CASStatusRemote but additionally returns the
+// CASStatusRemoteObserve attempts CASStatusLocal's swap from core src,
+// charging the remote atomic round-trip latency to p, and returns the
 // register word observed at the register (after the swap, if it happened).
 // The DTM service uses the observation to distinguish an enemy that is
 // committing (non-abortable) from a stale lock left by a finished attempt.

@@ -107,21 +107,12 @@ func (pg *page) version(key Addr) (ver uint64, locked bool) {
 	return pg.ver[i], pg.marked[i>>6]>>(i&63)&1 != 0
 }
 
-// ReadVersioned returns the n-word object at base together with the version
-// metadata of its lock stripe key, all observed in one indivisible step
-// (within one controller an object read is untorn). It charges one batched
-// access of n+1 words — the version word co-located with the object rides
-// the same controller visit.
-func (m *Memory) ReadVersioned(p Ctx, core int, base Addr, n int, key Addr) (vals []uint64, ver uint64, locked bool) {
-	if n <= 0 {
-		panic("mem: ReadVersioned of non-positive size")
-	}
-	return m.ReadVersionedTo(p, core, base, key, make([]uint64, n))
-}
-
-// ReadVersionedTo is ReadVersioned reading the object into dst (len(dst)
-// words) — identical atomicity and charging, no allocation — and returns
-// dst as vals.
+// ReadVersionedTo reads the object at base into dst (len(dst) words)
+// together with the version metadata of its lock stripe key, all observed
+// in one indivisible step (within one controller an object read is
+// untorn), and returns dst as vals. It allocates nothing and charges one
+// batched access of len(dst)+1 words — the version word co-located with the
+// object rides the same controller visit.
 func (m *Memory) ReadVersionedTo(p Ctx, core int, base Addr, key Addr, dst []uint64) (vals []uint64, ver uint64, locked bool) {
 	n := len(dst)
 	if n <= 0 {

@@ -93,12 +93,12 @@ func TestVersionTableLifecycle(t *testing.T) {
 		if _, locked := m.LoadVersion(p, 0, base); !locked {
 			t.Error("marker not observable via LoadVersion")
 		}
-		if _, _, locked := m.ReadVersioned(p, 0, base, 2, base); !locked {
-			t.Error("marker not observable via ReadVersioned")
+		if _, _, locked := m.ReadVersionedTo(p, 0, base, base, make([]uint64, 2)); !locked {
+			t.Error("marker not observable via ReadVersionedTo")
 		}
 		wv := clock.Tick(1)
 		m.PublishVersions(p, 0, keys, wv)
-		vals, ver, locked := m.ReadVersioned(p, 0, base, 2, base)
+		vals, ver, locked := m.ReadVersionedTo(p, 0, base, base, make([]uint64, 2))
 		if locked {
 			t.Error("marker survived PublishVersions")
 		}
@@ -125,9 +125,9 @@ func TestVersionOpsChargeMemoryTraffic(t *testing.T) {
 	base := m.Alloc(2, 0)
 	k.Spawn("c", func(p *sim.Proc) {
 		start := p.Now()
-		m.ReadVersioned(p, 0, base, 2, base)
+		m.ReadVersionedTo(p, 0, base, base, make([]uint64, 2))
 		if p.Now() == start {
-			t.Error("ReadVersioned charged no latency")
+			t.Error("ReadVersionedTo charged no latency")
 		}
 		start = p.Now()
 		m.LockVersions(p, 0, []Addr{base})

@@ -23,9 +23,6 @@ var _ port.Port = (*Stub)(nil)
 // ID returns the spawn-order port identifier (agreed across ranks).
 func (s *Stub) ID() int { return s.id }
 
-// Name returns the name given at Spawn time.
-func (s *Stub) Name() string { return s.name }
-
 func (s *Stub) remoteUse(method string) string {
 	return fmt.Sprintf("net: %s on %q, a stub for rank %d — remote ports are Send destinations only", method, s.name, s.rank)
 }
@@ -34,15 +31,10 @@ func (s *Stub) Now() port.Time                         { panic(s.remoteUse("Now"
 func (s *Stub) Rand() *port.Rand                       { panic(s.remoteUse("Rand")) }
 func (s *Stub) Advance(time.Duration)                  { panic(s.remoteUse("Advance")) }
 func (s *Stub) Pause(time.Duration)                    { panic(s.remoteUse("Pause")) }
-func (s *Stub) Yield()                                 { panic(s.remoteUse("Yield")) }
 func (s *Stub) Send(port.Port, any, time.Duration)     { panic(s.remoteUse("Send")) }
 func (s *Stub) Recv() port.Msg                         { panic(s.remoteUse("Recv")) }
 func (s *Stub) TryRecv() (port.Msg, bool)              { panic(s.remoteUse("TryRecv")) }
 func (s *Stub) RecvMatch(func(port.Msg) bool) port.Msg { panic(s.remoteUse("RecvMatch")) }
-func (s *Stub) TryRecvMatch(func(port.Msg) bool) (port.Msg, bool) {
-	panic(s.remoteUse("TryRecvMatch"))
-}
-func (s *Stub) RecvTimeout(time.Duration) (port.Msg, bool) { panic(s.remoteUse("RecvTimeout")) }
 
 // sendRemote is the Host's remote-send hook: it serializes payload and
 // writes it as one MSG frame on the connection to the rank hosting dst. A

@@ -15,8 +15,7 @@
 //     backend's replicated-construction model requires.
 //
 //   - Forked child: TM2C_NET_RANK/TM2C_NET_PEERS are set; the resolver
-//     returns that topology and IsChild reports true so the front-end can suppress
-//     its rank-0-only output and verification.
+//     returns that topology.
 //
 //   - Standalone (-peers, for multi-host or manual launches): the full
 //     rank-ordered address list is given explicitly, -rank selects this
@@ -51,9 +50,6 @@ type Plan struct {
 	children []*exec.Cmd
 	tmpDir   string
 }
-
-// IsChild reports whether this process was forked by a netboot parent.
-func IsChild() bool { return os.Getenv(envRank) != "" }
 
 // BindFlags registers the net-backend process-group flags (-groups -rank
 // -listen -peers) on fs and returns the function that resolves them into

@@ -472,9 +472,6 @@ func (d *Directory) StripeOf(key mem.Addr) int {
 	return int(r)*d.stripesPerRegion + int(off)
 }
 
-// KeyInStripe reports whether key belongs to stripe s.
-func (d *Directory) KeyInStripe(key mem.Addr, s int) bool { return d.StripeOf(key) == s }
-
 // defaultOwner is the implicit owner of a stripe without an override: the
 // interleaved start assignment (consecutive stripes round-robin across the
 // nodes, balanced under uniform access; migration refines it).

@@ -182,7 +182,7 @@ func (h *Host) Fail(r any) {
 }
 
 // HostPort is one real-time execution context: a goroutine with a mailbox.
-// All methods except ID, Name and Push must be called from the port's own
+// All methods except ID and Push must be called from the port's own
 // goroutine; the stash (messages set aside by selective receive) and the
 // batch hook are single-consumer state.
 type HostPort struct {
@@ -209,12 +209,12 @@ type HostPort struct {
 	steps int // Advance calls since the last yield
 
 	// stash holds delivered-but-deferred messages in delivery order:
-	// everything RecvMatch/TryRecvMatch skipped — the same MsgQueue the sim
-	// kernel's procs use as their mailbox.
+	// everything RecvMatch skipped — the same MsgQueue the sim kernel's
+	// procs use as their mailbox.
 	stash MsgQueue
 
 	onBatch func(n int)
-	timer   *time.Timer // reused by the deadline receives and parked pauses
+	timer   *time.Timer // reused by RecvMatchTimeout and parked pauses
 }
 
 var _ Port = (*HostPort)(nil)
@@ -228,9 +228,6 @@ func (p *HostPort) SetBatchHook(fn func(n int)) { p.onBatch = fn }
 
 // ID returns the spawn-order port identifier.
 func (p *HostPort) ID() int { return p.id }
-
-// Name returns the name given at Spawn time.
-func (p *HostPort) Name() string { return p.name }
 
 // Now returns monotonic nanoseconds since Start.
 func (p *HostPort) Now() Time { return Time(time.Since(p.host.start)) }
@@ -307,9 +304,6 @@ func (p *HostPort) armTimer(d time.Duration) {
 		p.timer.Reset(d)
 	}
 }
-
-// Yield lets other goroutines run.
-func (p *HostPort) Yield() { runtime.Gosched() }
 
 // Send delivers payload to dst immediately (the delay parameter models
 // simulated latency and is ignored): into the inbox when dst is hosted
@@ -474,7 +468,8 @@ func (p *HostPort) tryFill() bool {
 	return ok
 }
 
-// fillUntil is fill bounded by deadline; false when it passes first.
+// fillUntil delivers one raw message to the stash, waiting for it until
+// deadline; false when the deadline passes first.
 func (p *HostPort) fillUntil(deadline time.Time) bool {
 	if p.tryFill() {
 		return true
@@ -519,27 +514,6 @@ func (p *HostPort) RecvMatch(pred func(Msg) bool) Msg {
 		}
 		p.deliver(p.next())
 	}
-}
-
-// TryRecvMatch returns the earliest queued message satisfying pred, if any,
-// without blocking. Non-matching messages stay queued.
-func (p *HostPort) TryRecvMatch(pred func(Msg) bool) (Msg, bool) {
-	for {
-		if m, ok := p.stash.TakeMatch(pred); ok {
-			return m, true
-		}
-		if !p.tryFill() {
-			return Msg{}, false
-		}
-	}
-}
-
-// RecvTimeout waits up to d for a message; ok is false on timeout.
-func (p *HostPort) RecvTimeout(d time.Duration) (Msg, bool) {
-	if p.stash.Len() == 0 && !p.fillUntil(time.Now().Add(d)) {
-		return Msg{}, false
-	}
-	return p.stash.Pop(), true
 }
 
 // RecvMatchTimeout is RecvMatch bounded by d: the earliest message

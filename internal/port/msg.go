@@ -20,24 +20,22 @@ func (t Time) Duration() time.Duration { return time.Duration(t) }
 
 func (t Time) String() string { return time.Duration(t).String() }
 
-// Msg is one delivered mailbox message.
+// Msg is one delivered mailbox message: who sent it, and what.
 type Msg struct {
-	From    int  // sender port ID
-	SentAt  Time // virtual time the send was issued; zero in real time
-	At      Time // virtual delivery time; zero in real time
-	Payload any  // protocol payload
+	From    int // sender port ID
+	Payload any // protocol payload
 }
 
 // Batch is a multi-payload wire envelope: one physical message carrying
 // several protocol payloads coalesced for the same destination (the
 // message-plane transport optimization behind Outbox). Every backend
 // unpacks the envelope at the receiving mailbox — each payload becomes its
-// own Msg, in staged order, with the envelope's sender and timestamps — so
-// receivers and their selective-receive predicates never observe a Batch.
-// The sender charges the wire cost of the envelope once (noc.BatchDelay);
-// delivery as individual messages is free. Payloads must be non-empty:
-// every backend rejects an empty envelope loudly rather than diverge on
-// what a message that delivers nothing means.
+// own Msg, in staged order, with the envelope's sender — so receivers and
+// their selective-receive predicates never observe a Batch. The sender
+// charges the wire cost of the envelope once (noc.BatchDelay); delivery as
+// individual messages is free. Payloads must be non-empty: every backend
+// rejects an empty envelope loudly rather than diverge on what a message
+// that delivers nothing means.
 type Batch struct {
 	Payloads []any
 }

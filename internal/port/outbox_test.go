@@ -9,18 +9,15 @@ import (
 // the Outbox only ever calls ID.
 type fakePort struct{ id int }
 
-func (f fakePort) ID() int                                 { return f.id }
-func (f fakePort) Now() Time                               { return 0 }
-func (f fakePort) Rand() *Rand                             { return nil }
-func (f fakePort) Advance(time.Duration)                   {}
-func (f fakePort) Pause(time.Duration)                     {}
-func (f fakePort) Yield()                                  {}
-func (f fakePort) Send(Port, any, time.Duration)           {}
-func (f fakePort) Recv() Msg                               { return Msg{} }
-func (f fakePort) TryRecv() (Msg, bool)                    { return Msg{}, false }
-func (f fakePort) RecvMatch(func(Msg) bool) Msg            { return Msg{} }
-func (f fakePort) TryRecvMatch(func(Msg) bool) (Msg, bool) { return Msg{}, false }
-func (f fakePort) RecvTimeout(time.Duration) (Msg, bool)   { return Msg{}, false }
+func (f fakePort) ID() int                       { return f.id }
+func (f fakePort) Now() Time                     { return 0 }
+func (f fakePort) Rand() *Rand                   { return nil }
+func (f fakePort) Advance(time.Duration)         {}
+func (f fakePort) Pause(time.Duration)           {}
+func (f fakePort) Send(Port, any, time.Duration) {}
+func (f fakePort) Recv() Msg                     { return Msg{} }
+func (f fakePort) TryRecv() (Msg, bool)          { return Msg{}, false }
+func (f fakePort) RecvMatch(func(Msg) bool) Msg  { return Msg{} }
 
 // snapshot copies the parts of an OutEntry a test wants to assert on after
 // Flush returns — the entry's payload slice is outbox-owned and recycled as

@@ -6,8 +6,10 @@
 // TM2C's portability story (§3 of the paper) is that the protocol only ever
 // touches a small message-passing library, which is how the same code ran on
 // the SCC, the TILE-Gx and cache-coherent x86/SPARC machines. Port is this
-// reproduction's version of that seam: internal/core speaks exclusively to
-// Port, and a backend decides what a "core" physically is —
+// reproduction's version of that seam: nine methods, each of which the
+// protocol calls (the root layering test holds it to that). internal/core
+// speaks exclusively to Port, and a backend decides what a "core"
+// physically is —
 //
 //   - internal/sim: a proc of the deterministic discrete-event kernel
 //     (*sim.Proc is a Port), where Advance and Pause both consume virtual
@@ -33,10 +35,12 @@ import "time"
 // any other Port of the same backend.
 //
 // The receive family forms a selective-receive mailbox: Recv/TryRecv take
-// the earliest delivered message, RecvMatch/TryRecvMatch take the earliest
-// message satisfying a pure predicate and leave everything else queued in
-// delivery order, and RecvTimeout bounds the wait. The DTM protocol relies
-// on exactly these semantics for its correlation-tagged RPC layer.
+// the earliest delivered message, and RecvMatch takes the earliest message
+// satisfying a pure predicate and leaves everything else queued in delivery
+// order. The DTM protocol relies on exactly these semantics for its
+// correlation-tagged RPC layer. The interface holds only what the protocol
+// calls; a backend's extras (HostPort.RecvMatchTimeout, the SetBatchHook
+// observers) sit outside it and are found by type assertion.
 type Port interface {
 	// ID returns the backend-assigned port identifier.
 	ID() int
@@ -58,8 +62,6 @@ type Port interface {
 	// Advance schedules; in real time the port is off its processor (or
 	// yielding it) until d of the monotonic clock has elapsed.
 	Pause(d time.Duration)
-	// Yield lets other runnable work proceed before continuing.
-	Yield()
 	// Send delivers payload to dst after the backend's notion of delay
 	// (modeled latency on sim, ignored on live). It does not block the
 	// sender beyond backend-internal flow control.
@@ -73,8 +75,4 @@ type Port interface {
 	// returns the earliest such message; non-matching messages stay queued
 	// in delivery order. pred must be a pure function of the message.
 	RecvMatch(pred func(Msg) bool) Msg
-	// TryRecvMatch is RecvMatch without blocking.
-	TryRecvMatch(pred func(Msg) bool) (Msg, bool)
-	// RecvTimeout waits up to d for a message; ok is false on timeout.
-	RecvTimeout(d time.Duration) (Msg, bool)
 }

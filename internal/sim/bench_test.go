@@ -5,20 +5,20 @@ import (
 	"time"
 )
 
-// BenchmarkEventDispatch measures raw kernel event throughput (heap push +
-// pop + callback) without proc handoffs.
+// BenchmarkEventDispatch measures raw kernel event throughput: 64 procs each
+// advance once per round, so every dispatch pops a resume from a 64-deep
+// heap and hands control to its proc and back.
 func BenchmarkEventDispatch(b *testing.B) {
 	b.ReportAllocs()
+	const procs = 64
 	k := New(1)
-	n := 0
-	var tick func()
-	tick = func() {
-		n++
-		if n < b.N {
-			k.At(time.Nanosecond, tick)
-		}
+	for i := 0; i < procs; i++ {
+		k.Spawn("p", func(p *Proc) {
+			for j := i; j < b.N; j += procs {
+				p.Advance(time.Nanosecond)
+			}
+		})
 	}
-	k.At(time.Nanosecond, tick)
 	b.ResetTimer()
 	k.Run(Infinity)
 }

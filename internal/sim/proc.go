@@ -12,8 +12,8 @@ import (
 type killSentinel struct{}
 
 // Proc is a simulated process (one core, one service loop, ...) and the sim
-// backend's port.Port. All methods except ID and Name must be called only
-// from the proc's own goroutine while it is the running process.
+// backend's port.Port. All methods except ID must be called only from the
+// proc's own goroutine while it is the running process.
 type Proc struct {
 	k    *Kernel
 	id   int
@@ -25,7 +25,6 @@ type Proc struct {
 
 	mbox    port.MsgQueue
 	waiting bool
-	tgen    uint64 // generation counter cancelling stale RecvTimeout timers
 
 	// onBatch, when set, observes every Batch envelope unpacked into this
 	// proc's mailbox (the payload count). It runs in kernel context at the
@@ -79,9 +78,6 @@ func (k *Kernel) Spawn(name string, fn func(*Proc)) *Proc {
 // ID returns the proc's kernel-assigned identifier.
 func (p *Proc) ID() int { return p.id }
 
-// Name returns the name given at Spawn time.
-func (p *Proc) Name() string { return p.name }
-
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.k.now }
 
@@ -114,14 +110,6 @@ func (p *Proc) Advance(d time.Duration) {
 // virtual time a cost and a wait are both just the clock moving.
 func (p *Proc) Pause(d time.Duration) { p.Advance(d) }
 
-// Yield reschedules the proc at the current instant behind already-pending
-// events, letting same-timestamp work elsewhere proceed first.
-func (p *Proc) Yield() {
-	k := p.k
-	k.schedule(k.now, event{kind: evResume, proc: p})
-	p.park()
-}
-
 // Send delivers payload to dst after the given delay. Messages between the
 // same (src, dst) pair are never reordered: if a later send computes an
 // earlier delivery time it is clamped to the previous delivery time.
@@ -139,7 +127,7 @@ func (p *Proc) Send(dst port.Port, payload any, delay time.Duration) {
 	}
 	k := p.k
 	at := k.deliverAt(int32(p.id), int32(d.id), k.now+Time(delay))
-	k.schedule(at, event{kind: evDeliver, src: int32(p.id), proc: d, sent: k.now, payload: payload})
+	k.schedule(at, event{kind: evDeliver, src: int32(p.id), proc: d, payload: payload})
 }
 
 // deliver fires an evDeliver event: the message lands in its destination's
@@ -154,14 +142,14 @@ func (k *Kernel) deliver(ev *event) {
 	// selective-receive predicates never see the envelope itself.
 	if b, ok := ev.payload.(*port.Batch); ok {
 		for _, pl := range b.Payloads {
-			dst.mbox.Push(port.Msg{From: src, SentAt: ev.sent, At: k.now, Payload: pl})
+			dst.mbox.Push(port.Msg{From: src, Payload: pl})
 		}
 		if dst.onBatch != nil {
 			dst.onBatch(len(b.Payloads))
 		}
 		port.PutBatch(b)
 	} else {
-		dst.mbox.Push(port.Msg{From: src, SentAt: ev.sent, At: k.now, Payload: ev.payload})
+		dst.mbox.Push(port.Msg{From: src, Payload: ev.payload})
 	}
 	if dst.waiting {
 		dst.waiting = false
@@ -205,39 +193,4 @@ func (p *Proc) RecvMatch(pred func(port.Msg) bool) port.Msg {
 		p.waiting = true
 		p.park()
 	}
-}
-
-// TryRecvMatch returns the earliest queued message satisfying pred, if any,
-// without blocking. Non-matching messages stay queued.
-func (p *Proc) TryRecvMatch(pred func(port.Msg) bool) (port.Msg, bool) {
-	return p.mbox.TakeMatch(pred)
-}
-
-// RecvTimeout waits up to d for a message. ok is false on timeout.
-func (p *Proc) RecvTimeout(d time.Duration) (m port.Msg, ok bool) {
-	if p.Pending() > 0 {
-		return p.mbox.Pop(), true
-	}
-	if d <= 0 {
-		return port.Msg{}, false
-	}
-	k := p.k
-	p.tgen++
-	gen := p.tgen
-	expired := false
-	k.schedule(k.now+Time(d), event{fn: func() {
-		// Fire only if the proc is still blocked in the same RecvTimeout.
-		if p.waiting && gen == p.tgen && !p.finished {
-			p.waiting = false
-			expired = true
-			k.resume(p)
-		}
-	}})
-	p.waiting = true
-	p.park()
-	if expired && p.Pending() == 0 {
-		return port.Msg{}, false
-	}
-	p.tgen++ // cancel the pending timer if a message won the race
-	return p.mbox.Pop(), true
 }

@@ -16,12 +16,7 @@
 // internal/core) decide what the delays mean physically.
 package sim
 
-import (
-	"fmt"
-	"time"
-
-	"repro/internal/port"
-)
+import "repro/internal/port"
 
 // The value types every backend shares are defined in internal/port, the leaf
 // below all three backends. These four names stay as aliases only because
@@ -42,26 +37,23 @@ const Infinity = port.Infinity
 func NewRand(seed uint64) Rand { return port.NewRand(seed) }
 
 // event is one scheduled occurrence: a proc to resume or a message to
-// deliver (fields inline: the hot paths schedule without a closure), or a
-// callback. Events with equal timestamps fire in scheduling order (seq).
+// deliver, its fields inline so that scheduling allocates nothing. Events
+// with equal timestamps fire in scheduling order (seq).
 type event struct {
-	at   Time
-	seq  uint64
-	kind evKind
-	src  int32 // evDeliver: sender proc ID
-	proc *Proc // evResume: the proc to run; evDeliver: the destination
-	fn   func()
-
-	sent    Time // evDeliver: when the send was issued
-	payload any  // evDeliver
+	at      Time
+	seq     uint64
+	kind    evKind
+	src     int32 // evDeliver: sender proc ID
+	proc    *Proc // evResume: the proc to run; evDeliver: the destination
+	payload any   // evDeliver
 }
 
+// evKind says what an event does when it fires.
 type evKind uint8
 
 const (
-	evFn      evKind = iota // call fn (At, RecvTimeout timers)
-	evResume                // hand control to proc (Spawn, Advance, Yield)
-	evDeliver               // push payload into proc's mailbox (Send)
+	evResume  evKind = iota // hand control to proc: it starts (Spawn) or its Advance ends
+	evDeliver               // push payload into proc's mailbox, waking a blocked receive
 )
 
 // before is the queue's total order: (at, seq), seq unique.
@@ -165,16 +157,6 @@ func (k *Kernel) schedule(at Time, ev event) {
 	k.events.push(ev)
 }
 
-// At schedules fn to run in kernel context after virtual delay d. It may be
-// called from kernel context (before Run, or inside another event) or from a
-// running Proc.
-func (k *Kernel) At(d time.Duration, fn func()) {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative delay %v", d))
-	}
-	k.schedule(k.now+Time(d), event{fn: fn})
-}
-
 // Run executes events until the event queue is empty (which implies every
 // proc has finished or is blocked forever) or until the virtual deadline
 // passes, whichever comes first. It returns the number of events fired
@@ -198,13 +180,10 @@ func (k *Kernel) Run(until Time) uint64 {
 			k.hash ^= ev.seq
 			k.hash *= 1099511628211
 		}
-		switch ev.kind {
-		case evResume:
+		if ev.kind == evResume {
 			k.resume(ev.proc)
-		case evDeliver:
+		} else {
 			k.deliver(&ev)
-		default:
-			ev.fn()
 		}
 	}
 	return fired

@@ -36,13 +36,22 @@ func TestAdvanceZeroIsNoop(t *testing.T) {
 	k.Run(Infinity)
 }
 
+// TestEventOrderingByTimeThenSeq: four procs start at 0 in spawn order and
+// each schedules its resume; resumes fire by time, and equal times in the
+// order they were scheduled.
 func TestEventOrderingByTimeThenSeq(t *testing.T) {
 	k := New(1)
 	var got []int
-	k.At(2*time.Nanosecond, func() { got = append(got, 2) })
-	k.At(1*time.Nanosecond, func() { got = append(got, 1) })
-	k.At(1*time.Nanosecond, func() { got = append(got, 11) }) // same time, later seq
-	k.At(0, func() { got = append(got, 0) })
+	after := func(d time.Duration, tag int) {
+		k.Spawn("p", func(p *Proc) {
+			p.Advance(d)
+			got = append(got, tag)
+		})
+	}
+	after(2*time.Nanosecond, 2)
+	after(1*time.Nanosecond, 1)
+	after(1*time.Nanosecond, 11) // same time, later seq
+	after(0, 0)
 	k.Run(Infinity)
 	want := []int{0, 1, 11, 2}
 	if len(got) != len(want) {
@@ -64,12 +73,6 @@ func TestSendRecvDeliversWithDelay(t *testing.T) {
 		m := p.Recv()
 		gotAt = p.Now()
 		gotPayload = m.Payload
-		if m.At != gotAt {
-			t.Errorf("m.At = %v, now = %v", m.At, gotAt)
-		}
-		if m.SentAt != Time(3*time.Microsecond) {
-			t.Errorf("m.SentAt = %v, want 3µs", m.SentAt)
-		}
 	})
 	k.Spawn("tx", func(p *Proc) {
 		p.Advance(3 * time.Microsecond)
@@ -157,64 +160,15 @@ func TestTryRecv(t *testing.T) {
 	k.Run(Infinity)
 }
 
-func TestRecvTimeoutExpires(t *testing.T) {
-	k := New(1)
-	k.Spawn("rx", func(p *Proc) {
-		start := p.Now()
-		_, ok := p.RecvTimeout(4 * time.Microsecond)
-		if ok {
-			t.Errorf("expected timeout")
-		}
-		if p.Now()-start != Time(4*time.Microsecond) {
-			t.Errorf("woke at %v after start", p.Now()-start)
-		}
-	})
-	k.Run(Infinity)
-}
-
-func TestRecvTimeoutGetsMessage(t *testing.T) {
-	k := New(1)
-	var rx *Proc
-	rx = k.Spawn("rx", func(p *Proc) {
-		m, ok := p.RecvTimeout(10 * time.Microsecond)
-		if !ok || m.Payload.(int) != 9 {
-			t.Errorf("ok=%v m=%v", ok, m)
-		}
-		if p.Now() != Time(2*time.Microsecond) {
-			t.Errorf("woke at %v, want 2µs", p.Now())
-		}
-		// The stale timer must not disturb a later Recv.
-		m2 := p.Recv()
-		if m2.Payload.(int) != 10 {
-			t.Errorf("second recv got %v", m2.Payload)
-		}
-	})
-	k.Spawn("tx", func(p *Proc) {
-		p.Send(rx, 9, 2*time.Microsecond)
-		p.Advance(20 * time.Microsecond)
-		p.Send(rx, 10, time.Microsecond)
-	})
-	k.Run(Infinity)
-}
-
-func TestRecvTimeoutZeroOrNegative(t *testing.T) {
-	k := New(1)
-	k.Spawn("rx", func(p *Proc) {
-		if _, ok := p.RecvTimeout(0); ok {
-			t.Errorf("RecvTimeout(0) returned ok on empty mailbox")
-		}
-		if _, ok := p.RecvTimeout(-time.Second); ok {
-			t.Errorf("RecvTimeout(<0) returned ok on empty mailbox")
-		}
-	})
-	k.Run(Infinity)
-}
-
 func TestRunUntilStopsAtDeadline(t *testing.T) {
 	k := New(1)
 	fired := 0
-	k.At(time.Millisecond, func() { fired++ })
-	k.At(3*time.Millisecond, func() { fired++ })
+	k.Spawn("p", func(p *Proc) {
+		p.Advance(time.Millisecond)
+		fired++
+		p.Advance(2 * time.Millisecond)
+		fired++
+	})
 	k.Run(Time(2 * time.Millisecond))
 	if fired != 1 {
 		t.Fatalf("fired = %d, want 1", fired)
@@ -255,33 +209,13 @@ func TestSpawnFromProc(t *testing.T) {
 			c.Advance(time.Microsecond)
 			done = true
 		})
-		if child.Name() != "child" {
-			t.Errorf("child name = %q", child.Name())
+		if child.ID() != 1 {
+			t.Errorf("child ID = %d, want 1", child.ID())
 		}
 	})
 	k.Run(Infinity)
 	if !done {
 		t.Fatal("child did not run")
-	}
-}
-
-func TestYieldLetsPeersRun(t *testing.T) {
-	k := New(1)
-	var order []string
-	k.Spawn("a", func(p *Proc) {
-		order = append(order, "a1")
-		p.Yield()
-		order = append(order, "a2")
-	})
-	k.Spawn("b", func(p *Proc) {
-		order = append(order, "b1")
-	})
-	k.Run(Infinity)
-	want := []string{"a1", "b1", "a2"}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order = %v, want %v", order, want)
-		}
 	}
 }
 
@@ -293,12 +227,8 @@ func TestDeterministicTraceHash(t *testing.T) {
 		for i := 0; i < 8; i++ {
 			procs = append(procs, k.Spawn("svc", func(p *Proc) {
 				for {
-					m, ok := p.RecvTimeout(50 * time.Microsecond)
-					if !ok {
-						return
-					}
+					p.Recv()
 					p.Advance(time.Duration(p.Rand().Intn(500)) * time.Nanosecond)
-					_ = m
 				}
 			}))
 		}
@@ -310,6 +240,7 @@ func TestDeterministicTraceHash(t *testing.T) {
 			}
 		})
 		k.Run(Infinity)
+		k.Shutdown() // the services are blocked in Recv
 		return k.TraceHash()
 	}
 	h1, h2 := run(), run()
@@ -467,44 +398,22 @@ func TestRecvMatchBlocksUntilMatchArrives(t *testing.T) {
 	}
 }
 
-func TestTryRecvMatch(t *testing.T) {
-	k := New(1)
-	var rx *Proc
-	rx = k.Spawn("rx", func(p *Proc) {
-		for p.Pending() < 2 {
-			p.Advance(10 * time.Microsecond)
-		}
-		if _, ok := p.TryRecvMatch(func(m port.Msg) bool { return m.Payload.(int) > 10 }); ok {
-			t.Errorf("TryRecvMatch matched nothing-should-match")
-		}
-		m, ok := p.TryRecvMatch(func(m port.Msg) bool { return m.Payload.(int) == 2 })
-		if !ok || m.Payload.(int) != 2 {
-			t.Errorf("TryRecvMatch = %v, %v", m.Payload, ok)
-		}
-		if p.Pending() != 1 {
-			t.Errorf("pending = %d, want 1", p.Pending())
-		}
-	})
-	k.Spawn("tx", func(p *Proc) {
-		p.Send(rx, 1, time.Microsecond)
-		p.Send(rx, 2, 2*time.Microsecond)
-	})
-	k.Run(Infinity)
-}
-
 // TestBatchEnvelopeUnpacksAtMailbox: a *Batch payload must be unpacked at
-// delivery — the receiver observes one Msg per payload, in staged order,
-// all carrying the envelope's sender and timestamps, and never sees the
-// Batch itself. This is the delivery half of the coalescing message plane.
+// delivery — the receiver observes one Msg per payload, in staged order, at
+// the envelope's delivery instant and carrying its sender, and never sees
+// the Batch itself. This is the delivery half of the coalescing message
+// plane.
 func TestBatchEnvelopeUnpacksAtMailbox(t *testing.T) {
 	k := New(1)
 	var got []port.Msg
+	var at []Time
 	recvd := k.Spawn("recv", func(p *Proc) {
 		for i := 0; i < 4; i++ {
 			got = append(got, p.Recv())
+			at = append(at, p.Now())
 		}
 	})
-	k.Spawn("send", func(p *Proc) {
+	sender := k.Spawn("send", func(p *Proc) {
 		p.Send(recvd, &port.Batch{Payloads: []any{"a", "b", "c"}}, 10*time.Nanosecond)
 		p.Send(recvd, "solo", 20*time.Nanosecond)
 	})
@@ -521,12 +430,14 @@ func TestBatchEnvelopeUnpacksAtMailbox(t *testing.T) {
 			t.Errorf("msg %d: receiver observed a raw Batch envelope", i)
 		}
 	}
-	// The unpacked messages share the envelope's delivery instant.
-	if got[0].At != got[1].At || got[1].At != got[2].At {
-		t.Errorf("unpacked delivery times differ: %v %v %v", got[0].At, got[1].At, got[2].At)
+	// The unpacked messages share the envelope's delivery instant and sender.
+	if at[0] != Time(10) || at[1] != at[0] || at[2] != at[0] || at[3] != Time(20) {
+		t.Errorf("received at %v, want [10ns 10ns 10ns 20ns]", at)
 	}
-	if got[0].From != got[1].From || got[0].SentAt != got[2].SentAt {
-		t.Error("unpacked messages lost the envelope's sender or send time")
+	for i, m := range got {
+		if m.From != sender.ID() {
+			t.Errorf("msg %d from %d, want the envelope's sender %d", i, m.From, sender.ID())
+		}
 	}
 }
 
