@@ -161,16 +161,25 @@ func (d Decision) String() string {
 // holders. For priority-based policies the requester wins only if it beats
 // every enemy ("aborts all of them but the highest priority one", §4.1).
 func (p Policy) Resolve(req Meta, enemies []Meta, kind Kind) Decision {
+	d, _ := p.ResolveWinner(req, enemies, kind)
+	return d
+}
+
+// ResolveWinner is Resolve that also names the enemy whose priority decided
+// the verdict: the index in enemies of the first one the requester does not
+// beat, or -1 when no priority decided it (NoCM and BackoffRetry abort the
+// requester unconditionally; AbortEnemies has no winning enemy).
+func (p Policy) ResolveWinner(req Meta, enemies []Meta, kind Kind) (d Decision, winner int) {
 	switch p {
 	case NoCM, BackoffRetry:
-		return AbortRequester
+		return AbortRequester, -1
 	default:
-		for _, e := range enemies {
+		for i, e := range enemies {
 			if !req.Beats(e) {
-				return AbortRequester
+				return AbortRequester, i
 			}
 		}
-		return AbortEnemies
+		return AbortEnemies, -1
 	}
 }
 

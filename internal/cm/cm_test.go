@@ -111,6 +111,27 @@ func TestResolvePriorityPolicies(t *testing.T) {
 	}
 }
 
+// TestResolveWinnerNamesTheDecidingEnemy: a priority verdict against the
+// requester names the first enemy it does not beat; no verdict that a
+// priority did not decide names one.
+func TestResolveWinnerNamesTheDecidingEnemy(t *testing.T) {
+	req := Meta{Core: 3, Prio: 5}
+	enemies := []Meta{{Core: 1, Prio: 9}, {Core: 2, Prio: 4}, {Core: 0, Prio: 1}}
+	for _, p := range Policies {
+		d, w := p.ResolveWinner(req, enemies, WAR)
+		want := 1
+		if !p.StarvationFree() && p != OffsetGreedy {
+			want = -1
+		}
+		if d != AbortRequester || w != want {
+			t.Errorf("%v: ResolveWinner = %v, %d; want abort-requester, %d", p, d, w, want)
+		}
+		if d, w := p.ResolveWinner(Meta{Core: 0, Prio: 0}, enemies[:1], WAR); w != -1 || (want >= 0) != (d == AbortEnemies) {
+			t.Errorf("%v: a requester beating every enemy: ResolveWinner = %v, %d", p, d, w)
+		}
+	}
+}
+
 func TestDecisionString(t *testing.T) {
 	if AbortRequester.String() != "abort-requester" || AbortEnemies.String() != "abort-enemies" {
 		t.Fatal("Decision.String mismatch")

@@ -216,7 +216,6 @@ func (n *dtmNode) nackStale(p port.Port, r *reqLock) {
 	resp.Stale = true
 	v := n.s.dir.Snapshot()
 	resp.NackEpoch = v.Epoch()
-	resp.NackOwner = -1
 	if len(r.Addrs) == 1 {
 		resp.NackOwner = v.Owner(r.Addrs[0])
 	}
@@ -225,13 +224,20 @@ func (n *dtmNode) nackStale(p port.Port, r *reqLock) {
 }
 
 // nack rejects a lock request over a conflict of the given class: the
-// requester's attempt aborts.
-func (n *dtmNode) nack(p port.Port, r *reqLock, kind cm.Kind) {
+// requester's attempt aborts. winner is the enemy whose priority decided the
+// conflict, named in the NACK when the conflict is WAR (Core < 0: none).
+func (n *dtmNode) nack(p port.Port, r *reqLock, kind cm.Kind, winner cm.Meta) {
 	n.emit(p, trace.KLockNack, r.Meta.TxID, trace.FlowID(r.ReplyTo, r.ReqID), uint64(kind), 0)
 	resp := getRespLock()
 	resp.ReqID, resp.Kind = r.ReqID, kind
+	if kind == cm.WAR && winner.Core >= 0 {
+		resp.NackOwner, resp.NackEpoch = winner.Core, winner.TxID
+	}
 	n.respond(p, r.Reply, r.ReplyTo, resp)
 }
+
+// noWinner is nack's winner for a verdict no priority decided.
+var noWinner = cm.Meta{Core: -1}
 
 // handleLock implements Algorithm 1 (dsl_read_lock) in read mode and
 // Algorithm 2 (dsl_write_lock) in write mode, for every key of the request,
@@ -261,7 +267,7 @@ func (n *dtmNode) handleLock(p port.Port, r *reqLock) bool {
 		if write {
 			kind = cm.WAW
 		}
-		n.nack(p, r, kind)
+		n.nack(p, r, kind, noWinner)
 		return true
 	}
 	meta := r.Meta
@@ -286,8 +292,12 @@ func (n *dtmNode) handleLock(p port.Port, r *reqLock) bool {
 				break
 			}
 			n.shard.Conflicts++
-			if n.s.cfg.Policy.Resolve(meta, conf.Enemies, conf.Kind) == cm.AbortRequester ||
-				!n.abortEnemies(p, addr, conf.Enemies) {
+			d, win := n.s.cfg.Policy.ResolveWinner(meta, conf.Enemies, conf.Kind)
+			if d == cm.AbortRequester || !n.abortEnemies(p, addr, conf.Enemies) {
+				winner := noWinner
+				if win >= 0 {
+					winner = conf.Enemies[win]
+				}
 				for _, a := range acquired {
 					if write {
 						n.table.ReleaseWrite(a, meta.Core, meta.TxID)
@@ -295,7 +305,7 @@ func (n *dtmNode) handleLock(p port.Port, r *reqLock) bool {
 						n.table.ReleaseRead(a, meta.Core, meta.TxID)
 					}
 				}
-				n.nack(p, r, conf.Kind)
+				n.nack(p, r, conf.Kind, winner)
 				return true
 			}
 			// Enemies aborted and revoked; re-check (bounded: the conflict

@@ -87,11 +87,14 @@ type respLock struct {
 	// the response (respBytes).
 	Vers []uint64
 
-	// NackEpoch and NackOwner piggyback the directory state on a Stale NACK
-	// (NackOwner < 0 when no single new owner applies, e.g. a multi-key
-	// batch): a requester chasing a migrated stripe can follow the hint
-	// directly instead of paying a fresh directory resolution. Both ride in
-	// the modeled 16-byte response body, so NACK sizes are unchanged.
+	// NackEpoch and NackOwner piggyback a hint on a NACK, in the modeled
+	// 16-byte response body, so NACK sizes are unchanged. NackOwner < 0
+	// means no hint.
+	//   - Stale: the directory epoch and the key's new owner (none for a
+	//     multi-key batch). A requester chasing a migrated stripe follows the
+	//     hint instead of paying a fresh directory resolution.
+	//   - Conflict: the core and attempt of the reader whose priority beat a
+	//     write request (WAR only).
 	NackEpoch uint64
 	NackOwner int
 }
@@ -164,7 +167,7 @@ func putLockReq(r *reqLock) {
 func getRespLock() *respLock {
 	r := respLockPool.Get().(*respLock)
 	vers := r.Vers[:0]
-	*r = respLock{Vers: vers}
+	*r = respLock{Vers: vers, NackOwner: -1}
 	return r
 }
 

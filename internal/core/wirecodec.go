@@ -59,6 +59,16 @@ func decCore(d *wire.Dec) int {
 	return c
 }
 
+// decHint decodes a NACK's NackOwner: a DTM node index or a winner's core
+// ID, or -1 for none. Anything else would pass for a hint it is not.
+func decHint(d *wire.Dec) int {
+	c := d.Int()
+	if c < -1 || c > math.MaxInt32 {
+		d.Failf("wire: NACK hint %d out of range", c)
+	}
+	return c
+}
+
 func encAddrs(e *wire.Enc, as []mem.Addr) {
 	e.U32(uint32(len(as)))
 	for _, a := range as {
@@ -118,7 +128,7 @@ func init() {
 		Decode: func(d *wire.Dec) any {
 			r := getRespLock()
 			r.ReqID, r.OK, r.Stale, r.Kind = d.U64(), d.Bool(), d.Bool(), cm.Kind(d.U8())
-			r.Vers, r.NackEpoch, r.NackOwner = d.U64s(r.Vers), d.U64(), d.Int()
+			r.Vers, r.NackEpoch, r.NackOwner = d.U64s(r.Vers), d.U64(), decHint(d)
 			return r
 		},
 		Release: func(v any) { putRespLock(v.(*respLock)) },

@@ -231,6 +231,12 @@ func TestWireDecodeRejectsCorruptInput(t *testing.T) {
 			t.Fatalf("core ID out of range decoded to %#v", v)
 		}
 	}
+	// NACK hints that are neither -1 nor a core or node index.
+	for _, frame := range badHintFrames() {
+		if v, err := wire.DecodePayload(wire.NewDec(frame, testResolver)); err == nil {
+			t.Fatalf("NACK hint out of range decoded to %#v", v)
+		}
+	}
 	// Kind 0 is reserved so zeroed buffers fail loudly.
 	d = wire.NewDec(make([]byte, 16), testResolver)
 	if _, err := wire.DecodePayload(d); err == nil {
@@ -249,6 +255,22 @@ func badCoreFrames() [][]byte {
 		} {
 			e := wire.NewEnc(nil)
 			if err := wire.EncodePayload(e, v); err != nil {
+				panic(err)
+			}
+			frames = append(frames, e.Bytes())
+		}
+	}
+	return frames
+}
+
+// badHintFrames encodes a conflict NACK and a stale NACK whose NackOwner is
+// -2 or MaxInt32+1: neither "none" (-1) nor a core or node index.
+func badHintFrames() [][]byte {
+	var frames [][]byte
+	for _, owner := range []int{-2, math.MaxInt32 + 1} {
+		for _, stale := range []bool{false, true} {
+			e := wire.NewEnc(nil)
+			if err := wire.EncodePayload(e, &respLock{Kind: cm.WAR, Stale: stale, NackOwner: owner}); err != nil {
 				panic(err)
 			}
 			frames = append(frames, e.Bytes())
@@ -370,6 +392,9 @@ func FuzzDecodePayload(f *testing.F) {
 	for _, frame := range badCoreFrames() {
 		f.Add(frame) // rejected
 	}
+	for _, frame := range badHintFrames() {
+		f.Add(frame) // rejected
+	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		v, alloc, err := decodeAllocated(b)
 		if err != nil && v != nil {
@@ -377,6 +402,9 @@ func FuzzDecodePayload(f *testing.F) {
 		}
 		if len(b) > 0 && slices.Contains([]byte{1, 5, 7, 8, 9}, b[0]) && err == nil {
 			t.Errorf("retired payload kind %d decoded to %#v", b[0], v)
+		}
+		if r, ok := v.(*respLock); ok && (r.NackOwner < -1 || r.NackOwner > math.MaxInt32) {
+			t.Errorf("NACK hint %d decoded", r.NackOwner)
 		}
 		if limit := uint64(64*len(b) + 16<<10); alloc > limit {
 			t.Errorf("decoding %d bytes allocated %d (limit %d)", len(b), alloc, limit)
