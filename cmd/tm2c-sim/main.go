@@ -321,6 +321,7 @@ func report(w io.Writer, sys *repro.System, st *repro.Stats) {
 	fmt.Fprintf(w, "  conflict kinds    RAW=%d WAW=%d WAR=%d\n",
 		st.AbortsByKind[0], st.AbortsByKind[1], st.AbortsByKind[2])
 	fmt.Fprintf(w, "conflicts/revokes   %d / %d\n", st.Conflicts, st.Revocations)
+	fmt.Fprintf(w, "winner waits        %d (%v waited for the reader that won a WAR conflict to end)\n", st.WinnerWaits, st.WinnerWaitTime)
 	if dir := sys.Placement(); dir != nil {
 		fmt.Fprintf(w, "placement           %s", dir.PolicyName())
 		if dir.Kind() != repro.PlacementHash {

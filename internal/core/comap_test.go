@@ -14,6 +14,9 @@ type comapFixture struct {
 	draws int // nested uniform draws picking a word: more is a steeper head
 	epoch int // Config.RepartitionEpoch
 	ops   int // transactions per worker
+	// untilAwake stops a worker at the first transaction boundary where the
+	// directory holds leaves (its heat plane is awake), ops being a cap.
+	untilAwake bool
 }
 
 var (
@@ -54,6 +57,9 @@ func clusteredWorker(pl *noc.Platform, pool mem.Addr, partWords int, fx comapFix
 				tx.Write(a, tx.Read(a)+1)
 			})
 			rt.AddOps(1)
+			if fx.untilAwake && rt.s.dir.MaterializedLeaves() > 0 {
+				return
+			}
 		}
 	}
 }
@@ -158,12 +164,14 @@ func TestCoMappingSleepsThroughMildSkew(t *testing.T) {
 // proportional to the pool, leaving the leaf universe overwhelmingly
 // unmaterialized — and the gauges surface through Stats for the bench
 // artifacts to record. The leaf gauge is read when the run ends, so the run
-// ends while the plane is still awake (60 transactions a worker: five
-// windows, the skew not yet balanced); run to its end, the same workload
-// balances itself, falls asleep and reports what it then holds — nothing.
+// ends while the plane is awake: every worker stops at the first transaction
+// boundary that finds leaves, and the last to stop found them after every
+// access of the run had been recorded, so no later epoch can put the plane
+// back to sleep. Run to its end, the same workload balances itself, falls
+// asleep and reports what it then holds — nothing.
 func TestDirectoryStateIsOTouched(t *testing.T) {
 	fx := comapSteep
-	fx.ops = 60
+	fx.untilAwake = true
 	st, _ := runComap(t, placement.AdaptiveHier, fx)
 	if st.MaterializedLeaves == 0 {
 		t.Fatal("no materialized leaves reported")

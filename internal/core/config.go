@@ -524,6 +524,12 @@ type Stats struct {
 	// attempt under AbortReasons[ReasonTimeout]). Zero on sim/live.
 	RPCTimeouts uint64
 
+	// WinnerWaits counts the aborts after which a core waited for the
+	// attempt its WAR NACK named as the winner to end (Wholly and FairCM
+	// only), and WinnerWaitTime sums those waits.
+	WinnerWaits    uint64
+	WinnerWaitTime port.Time
+
 	// StateRPCs counts the state-plane round trips the net backend issued:
 	// word reads and write-backs forwarded to the rank-0 home, register
 	// operations forwarded to the owning rank. They are synchronous socket
@@ -574,6 +580,8 @@ func (s *Stats) addShard(o *Stats) {
 	s.ClockAdvances += o.ClockAdvances
 	s.Irrevocables += o.Irrevocables
 	s.RPCTimeouts += o.RPCTimeouts
+	s.WinnerWaits += o.WinnerWaits
+	s.WinnerWaitTime += o.WinnerWaitTime
 	s.StateRPCs += o.StateRPCs
 }
 

@@ -404,6 +404,23 @@ func TestPerCoreStats(t *testing.T) {
 	}
 }
 
+// TestShardsMergeWinnerWaits: the winner-wait counters are kept per
+// execution context and summed at the snapshot, like RPCTimeouts.
+func TestShardsMergeWinnerWaits(t *testing.T) {
+	var st Stats
+	for _, sh := range []Stats{
+		{WinnerWaits: 2, WinnerWaitTime: 300, RPCTimeouts: 1},
+		{},
+		{WinnerWaits: 5, WinnerWaitTime: 700, RPCTimeouts: 2},
+	} {
+		st.addShard(&sh)
+	}
+	if st.WinnerWaits != 7 || st.WinnerWaitTime != 1000 || st.RPCTimeouts != 3 {
+		t.Fatalf("merged winner waits %d lasting %v, %d RPC timeouts; want 7, 1µs, 3",
+			st.WinnerWaits, st.WinnerWaitTime, st.RPCTimeouts)
+	}
+}
+
 func TestCommitRateAndThroughputHelpers(t *testing.T) {
 	st := &Stats{Commits: 75, Aborts: 25, Ops: 100, Duration: 2_000_000}
 	if st.CommitRate() != 75 {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 
-	"repro/internal/cm"
 	"repro/internal/mem"
 	"repro/internal/port"
 	"repro/internal/trace"
@@ -121,9 +120,13 @@ func (rt *Runtime) lockReq(txID uint64, mode lockMode, epoch uint64, keys []mem.
 	return req
 }
 
-// conflictAbort aborts the attempt over a lock request a DTM node rejected
-// with the given conflict class.
-func (rt *Runtime) conflictAbort(kind cm.Kind) {
+// conflictAbort aborts the attempt over a conflict NACK, consuming it. The
+// attempt the NACK names as its winner, if any, is kept for runLoop to wait
+// on (awaitWinner).
+func (rt *Runtime) conflictAbort(resp *respLock) {
+	kind := resp.Kind
+	rt.winCore, rt.winTx, rt.hasWin = resp.NackOwner, resp.NackEpoch, resp.NackOwner >= 0
+	putRespLock(resp)
 	panic(rt.signal(abortSignal{kind: kind, hasKind: true, reason: trace.ReasonConflict}))
 }
 
@@ -157,9 +160,7 @@ func (rt *Runtime) rpcLock(tx *Tx, key mem.Addr, mode lockMode) {
 			return
 		}
 		if !resp.Stale {
-			kind := resp.Kind
-			putRespLock(resp)
-			rt.conflictAbort(kind)
+			rt.conflictAbort(resp)
 		}
 		hintOwner, hintEpoch := resp.NackOwner, resp.NackEpoch
 		putRespLock(resp)

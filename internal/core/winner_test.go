@@ -1,0 +1,196 @@
+package core
+
+import (
+	"fmt"
+	"slices"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/cm"
+	"repro/internal/mem"
+	"repro/internal/noc"
+	"repro/internal/port"
+)
+
+// warRow is one run of TestWARLoserWaitsForWinner: a long read-only scan on
+// the lowest app core holds the read locks of two accounts, and a transfer
+// on the next app core, started once the scan holds them, loses the WAR
+// conflict its commit meets.
+type warRow struct {
+	name    string
+	backend Backend
+	policy  cm.Policy
+	deploy  Deployment
+	// attempts pins the transfer's attempts on sim under a policy that does
+	// not wait: the count the runtime gave before losers waited for winners
+	// (FairCM's was 70 too, 68 of them while the scan was live).
+	attempts int
+}
+
+// warOutcome is what a row observed of the transfer.
+type warOutcome struct {
+	attempts  int // attempts the transfer used
+	whileLive int // attempts after the first that began while the scan's attempt was live
+	stats     *Stats
+}
+
+// TestWARLoserWaitsForWinner: under the fixed-priority policies a transfer
+// that loses WAR to a scan sends nothing more while the scan's attempt is
+// live and commits within two attempts of its end; under the others it
+// retries exactly as before. Every run ends with empty, consistent lock
+// tables. The live row also runs in CI's -race step, the net rows in the net
+// job's.
+func TestWARLoserWaitsForWinner(t *testing.T) {
+	rows := []warRow{
+		{name: "sim/no-cm", policy: cm.NoCM, attempts: 70},
+		{name: "sim/backoff", policy: cm.BackoffRetry, attempts: 11},
+		{name: "sim/offset-greedy", policy: cm.OffsetGreedy, attempts: 70},
+		{name: "sim/wholly", policy: cm.Wholly},
+		{name: "sim/faircm", policy: cm.FairCM},
+		{name: "sim/faircm-multitask", policy: cm.FairCM, deploy: Multitask},
+		{name: "live/faircm", backend: BackendLive, policy: cm.FairCM},
+		{name: "live/no-cm", backend: BackendLive, policy: cm.NoCM},
+		{name: "net/faircm", backend: BackendNet, policy: cm.FairCM},
+		{name: "net/offset-greedy", backend: BackendNet, policy: cm.OffsetGreedy},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			out := runWARRow(t, row)
+			waits := out.stats.WinnerWaits
+			if row.policy.StarvationFree() {
+				if out.whileLive != 0 || out.attempts-1-out.whileLive > 2 {
+					t.Errorf("transfer: %d attempts, %d of them retries while the scan was live; want none, and a commit within 2 attempts of the scan's end",
+						out.attempts, out.whileLive)
+				}
+				if waits == 0 || out.stats.WinnerWaitTime <= 0 {
+					t.Errorf("%d winner waits lasting %v; want at least one", waits, out.stats.WinnerWaitTime)
+				}
+				return
+			}
+			if waits != 0 {
+				t.Errorf("%d winner waits under %v, which does not wait", waits, row.policy)
+			}
+			if row.backend == BackendSim && out.attempts != row.attempts {
+				t.Errorf("transfer took %d attempts, want %d as before winner waits", out.attempts, row.attempts)
+			}
+			if out.whileLive == 0 {
+				t.Errorf("transfer never retried while the scan was live (%d attempts)", out.attempts)
+			}
+		})
+	}
+}
+
+// runWARRow runs one row, on every rank of a net row, and checks the lock
+// tables once the run has drained.
+func runWARRow(t *testing.T, row warRow) warOutcome {
+	t.Helper()
+	hold := port.Time(2 * time.Millisecond) // virtual on sim
+	if row.backend != BackendSim {
+		hold = port.Time(20 * time.Millisecond)
+	}
+	ranks := 1
+	var addrs []string
+	if row.backend == BackendNet {
+		ranks = 2
+		dir := t.TempDir()
+		addrs = []string{"unix:" + dir + "/r0", "unix:" + dir + "/r1"}
+	}
+	var (
+		held      atomic.Bool   // the scan holds its read locks
+		lost      atomic.Bool   // the transfer has lost to the scan once
+		scanTx    atomic.Uint64 // the scan's attempt
+		out       warOutcome
+		wg        sync.WaitGroup
+		errs      = make([]error, ranks)
+		systems   = make([]*System, ranks)
+		rankStats = make([]*Stats, ranks)
+	)
+	for r := range ranks {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() {
+				if p := recover(); p != nil {
+					errs[r] = fmt.Errorf("rank %d: %v", r, p)
+				}
+			}()
+			cfg := Config{
+				Platform: noc.SCC(0), Backend: row.backend, Seed: 5, TotalCores: 4,
+				Policy: row.policy, Deployment: row.deploy,
+			}
+			if ranks > 1 {
+				cfg.Net = &NetConfig{Ranks: ranks, Rank: r, Addrs: addrs}
+			}
+			s, err := NewSystem(cfg)
+			if err != nil {
+				errs[r] = err
+				return
+			}
+			systems[r] = s
+			accts := s.Mem.Alloc(2, 0)
+			app := s.AppCores()
+			slices.Sort(app)
+			scanCore, xferCore := app[0], app[1]
+			s.SpawnWorkers(func(rt *Runtime) {
+				switch rt.Core() {
+				case scanCore:
+					rt.RunReadOnly(func(tx *Tx) {
+						tx.Read(accts)
+						tx.Read(accts + 1)
+						scanTx.Store(tx.ID())
+						held.Store(true)
+						for end := rt.proc.Now() + hold; rt.proc.Now() < end || !lost.Load(); {
+							pauseServing(rt)
+						}
+					})
+				case xferCore:
+					for !held.Load() {
+						pauseServing(rt)
+					}
+					attempts := 0
+					out.attempts = rt.Run(func(tx *Tx) {
+						tx.OnAbort(func() { lost.Store(true) })
+						if attempts++; attempts > 1 {
+							_, id, st := rt.s.Regs.CASStatusRemoteObserve(rt.proc, rt.core, scanCore, 0, mem.TxFree, mem.TxFree)
+							if id == scanTx.Load() && st == mem.TxPending {
+								out.whileLive++
+							}
+						}
+						a, b := tx.Read(accts), tx.Read(accts+1)
+						tx.Write(accts, a-1)
+						tx.Write(accts+1, b+1)
+					})
+				}
+			})
+			rankStats[r] = s.RunToCompletion()
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for r, s := range systems {
+		if n := s.LockedAddrs(); n != 0 {
+			t.Errorf("rank %d: %d addresses still locked after the run", r, n)
+		}
+		for _, n := range s.nodes {
+			if err := n.table.CheckInvariants(); err != nil {
+				t.Errorf("rank %d: DTM node %d: %v", r, n.idx, err)
+			}
+		}
+	}
+	out.stats = rankStats[0]
+	return out
+}
+
+// pauseServing waits a moment while the core's co-located DTM node, if any,
+// keeps serving: a multitasked core that only paused would stall the other
+// core's lock requests.
+func pauseServing(rt *Runtime) {
+	rt.drainRequests()
+	rt.proc.Pause(5 * time.Microsecond)
+}

@@ -275,24 +275,40 @@ const parkThreshold = time.Millisecond
 // Pause waits until d of the monotonic clock has passed, allocating nothing:
 // a short wait yields the processor in a loop (whoever the caller is waiting
 // for gets the P as soon as it is runnable), a long one parks on the port's
-// timer. Messages that arrive meanwhile stay queued. A parked Pause unwinds
-// the goroutine when the Host shuts down, like a blocked receive.
+// timer. Any non-zero wait yields before it first reads the clock: a thread
+// the OS took off the CPU for all of d would otherwise find d over at its
+// first look and return without ever giving its P away, and a caller pausing
+// in a poll loop would keep whoever it polls for off that P. Messages that
+// arrive meanwhile stay queued. A Pause unwinds the goroutine when the Host
+// shuts down, like a blocked receive, so a poll loop cannot outlive the run.
 func (p *HostPort) Pause(d time.Duration) {
 	if d < 0 {
 		panic(fmt.Sprintf("port: %s: negative pause %v", p.name, d))
 	}
-	if d < parkThreshold {
-		for start := time.Now(); time.Since(start) < d; {
-			runtime.Gosched()
+	if d == 0 {
+		return
+	}
+	if d >= parkThreshold {
+		runtime.Gosched()
+		p.armTimer(d)
+		select {
+		case <-p.timer.C:
+		case <-p.host.quit:
+			p.timer.Stop()
+			panic(unwind{})
 		}
 		return
 	}
-	p.armTimer(d)
-	select {
-	case <-p.timer.C:
-	case <-p.host.quit:
-		p.timer.Stop()
-		panic(unwind{})
+	for start := time.Now(); ; {
+		runtime.Gosched()
+		select {
+		case <-p.host.quit:
+			panic(unwind{})
+		default:
+		}
+		if time.Since(start) >= d {
+			return
+		}
 	}
 }
 

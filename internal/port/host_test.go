@@ -85,11 +85,14 @@ func TestSpinOnAdvanceCannotStarve(t *testing.T) {
 // TestHostPauseWaitsAndYields: in real time Pause is a wait. Below the park
 // threshold it returns no earlier than asked while the other goroutine on
 // the one P keeps running; from the threshold up it parks on the port's
-// timer (nothing of the port stays runnable); and neither allocates.
+// timer (nothing of the port stays runnable); and neither allocates. A
+// nanosecond is over by the time Pause can read the clock, as 1 ms is when
+// the OS deschedules the thread for longer than that: the other goroutine
+// runs all the same.
 func TestHostPauseWaitsAndYields(t *testing.T) {
 	onOneP(t, func(p Port, turns *atomic.Int64) {
 		hp := p.(*HostPort)
-		for _, d := range []time.Duration{200 * time.Microsecond, parkThreshold} {
+		for _, d := range []time.Duration{time.Nanosecond, 200 * time.Microsecond, parkThreshold} {
 			from, start := turns.Load(), time.Now()
 			p.Pause(d)
 			if el := time.Since(start); el < d {
@@ -108,30 +111,35 @@ func TestHostPauseWaitsAndYields(t *testing.T) {
 	})
 }
 
-// TestHostPauseUnwindsOnQuit: a port parked in a long Pause is no obstacle
-// to Shutdown — it unwinds like a blocked receive.
+// TestHostPauseUnwindsOnQuit: a port parked in a long Pause, or polling in a
+// loop of short ones, is no obstacle to Shutdown — it unwinds like a blocked
+// receive.
 func TestHostPauseUnwindsOnQuit(t *testing.T) {
-	h := NewHost(1, nil)
-	parked := make(chan struct{})
-	returned := false
-	h.Spawn("p", func(p Port) {
-		close(parked)
-		p.Pause(time.Hour)
-		returned = true
-	})
-	h.Start()
-	<-parked
-	done := make(chan struct{})
-	go func() {
-		h.Shutdown()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("Shutdown waits for a paused port")
-	}
-	if returned {
-		t.Fatal("an hour's Pause returned")
+	for _, d := range []time.Duration{time.Hour, 2 * time.Microsecond} {
+		h := NewHost(1, nil)
+		parked := make(chan struct{})
+		returned := false
+		h.Spawn("p", func(p Port) {
+			close(parked)
+			for i := time.Duration(0); i < time.Hour; i += d {
+				p.Pause(d)
+			}
+			returned = true
+		})
+		h.Start()
+		<-parked
+		done := make(chan struct{})
+		go func() {
+			h.Shutdown()
+			close(done)
+		}()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("Shutdown waits for a port pausing %v at a time", d)
+		}
+		if returned {
+			t.Fatalf("an hour of %v pauses returned", d)
+		}
 	}
 }
