@@ -322,6 +322,7 @@ func report(w io.Writer, sys *repro.System, st *repro.Stats) {
 		st.AbortsByKind[0], st.AbortsByKind[1], st.AbortsByKind[2])
 	fmt.Fprintf(w, "conflicts/revokes   %d / %d\n", st.Conflicts, st.Revocations)
 	fmt.Fprintf(w, "winner waits        %d (%v waited for the reader that won a WAR conflict to end)\n", st.WinnerWaits, st.WinnerWaitTime)
+	fmt.Fprintf(w, "read-ahead locks    %d (taken past the element a TArray scan missed), %d of them never read\n", st.ReadAheadKeys, st.ReadAheadUnused)
 	if dir := sys.Placement(); dir != nil {
 		fmt.Fprintf(w, "placement           %s", dir.PolicyName())
 		if dir.Kind() != repro.PlacementHash {

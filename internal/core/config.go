@@ -530,6 +530,13 @@ type Stats struct {
 	WinnerWaits    uint64
 	WinnerWaitTime port.Time
 
+	// ReadAheadKeys counts the read locks a batched TArray scan request took
+	// beyond the element that missed (Tx.readElem), and ReadAheadUnused
+	// those of them the attempt never read: counted when the run that took
+	// them breaks or the attempt ends.
+	ReadAheadKeys   uint64
+	ReadAheadUnused uint64
+
 	// StateRPCs counts the state-plane round trips the net backend issued:
 	// word reads and write-backs forwarded to the rank-0 home, register
 	// operations forwarded to the owning rank. They are synchronous socket
@@ -582,6 +589,8 @@ func (s *Stats) addShard(o *Stats) {
 	s.RPCTimeouts += o.RPCTimeouts
 	s.WinnerWaits += o.WinnerWaits
 	s.WinnerWaitTime += o.WinnerWaitTime
+	s.ReadAheadKeys += o.ReadAheadKeys
+	s.ReadAheadUnused += o.ReadAheadUnused
 	s.StateRPCs += o.StateRPCs
 }
 

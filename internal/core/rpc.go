@@ -130,34 +130,36 @@ func (rt *Runtime) conflictAbort(resp *respLock) {
 	panic(rt.signal(abortSignal{kind: kind, hasKind: true, reason: trace.ReasonConflict}))
 }
 
-// rpcLock acquires the read or write lock of one key in one awaited round
-// trip — every visible read, every eager write — and returns once it is
-// granted; a conflict NACK aborts the attempt. A NACK for stale placement (a
-// migration moved or froze the stripe) is chased instead: when it carries an
-// owner hint, the epoch and owner the NACKing node saw steer the resend
-// directly, saving the re-resolution against the directory; a hintless one
-// re-resolves. The access is recorded once per logical acquisition —
-// NACK-chasing resends must not inflate the stripe heat the adaptive policy
-// reads.
-func (rt *Runtime) rpcLock(tx *Tx, key mem.Addr, mode lockMode) {
-	rt.oneKey[0] = key
-	rt.s.dir.Record(rt.cluster, key)
-	node, epoch := rt.s.dir.Resolve(key)
+// rpcLock acquires the read or write locks of keys, all owned by one DTM
+// node, in one awaited round trip — every visible read, every eager write —
+// and returns the keys granted once it is granted; a conflict NACK aborts the
+// attempt. A NACK for stale placement (a migration moved or froze a stripe)
+// is chased instead, for keys[0] alone: when it carries an owner hint, the
+// epoch and owner the NACKing node saw steer the resend directly, saving the
+// re-resolution against the directory; a hintless one re-resolves. The
+// access is recorded once per logical acquisition — NACK-chasing resends
+// must not inflate the stripe heat the adaptive policy reads.
+func (rt *Runtime) rpcLock(tx *Tx, keys []mem.Addr, mode lockMode) []mem.Addr {
+	rt.s.dir.Record(rt.cluster, keys...)
+	node, epoch := rt.s.dir.Resolve(keys[0])
 	for hop := 0; ; hop++ {
-		req := rt.lockReq(tx.id, mode, epoch, rt.oneKey[:])
+		req := rt.lockReq(tx.id, mode, epoch, keys)
 		id := req.ReqID // once sent, the node may consume and recycle req
+		if lockSent != nil {
+			lockSent(node, req)
+		}
 		rt.sendToNode(node, req)
 		resp := rt.awaitOne(id)
 		if resp == nil {
 			// Deadline expired: the request or its response is lost. The
-			// lock may nonetheless have been granted, so treat it as held
-			// and let the abort's release burst cover it.
-			rt.timeoutAbort(tx, rt.oneKey[:], mode == lockWrite)
+			// locks may nonetheless have been granted, so treat them as
+			// held and let the abort's release burst cover them.
+			rt.timeoutAbort(tx, keys, mode == lockWrite)
 		}
 		if resp.OK {
-			tx.recordGrantVers(rt.oneKey[:], resp.Vers) // none except on a TL2 write grant
+			tx.recordGrantVers(keys, resp.Vers) // none except on a TL2 write grant
 			putRespLock(resp)
-			return
+			return keys
 		}
 		if !resp.Stale {
 			rt.conflictAbort(resp)
@@ -167,14 +169,19 @@ func (rt *Runtime) rpcLock(tx *Tx, key mem.Addr, mode lockMode) {
 		if hop >= maxPlacementHops {
 			rt.placementAbort()
 		}
+		keys = keys[:1]
 		if hintOwner >= 0 {
 			node, epoch = hintOwner, hintEpoch
 			rt.shard.StaleNackHints++
 		} else {
-			node, epoch = rt.s.dir.Resolve(key)
+			node, epoch = rt.s.dir.Resolve(keys[0])
 		}
 	}
 }
+
+// lockSent, when set by a test, sees every lock request rpcLock sends just
+// before it is sent.
+var lockSent func(node int, req *reqLock)
 
 // scatterWriteLocks sends every write-lock batch in one burst and gathers
 // all responses, stamping every request with the batches' shared grouping
@@ -288,6 +295,12 @@ func (rt *Runtime) recvRPC() (resp *respLock, timedOut bool) {
 func (rt *Runtime) absorb(m port.Msg, where string) {
 	if b, ok := m.Payload.(barrierMsg); ok {
 		rt.barrierSeen[b.Epoch]++
+		return
+	}
+	if r, ok := m.Payload.(*respLock); ok && rt.deadlineRecv != nil {
+		// The late answer to an RPC that timed out: the abort's release
+		// burst already covers whatever it granted.
+		putRespLock(r)
 		return
 	}
 	if rt.node == nil || !rt.node.handle(rt.proc, m) {

@@ -10,10 +10,13 @@ import (
 // WriteN over mem.Addr) mirrors the paper's TX_LOAD/TX_STORE and stays the
 // supported low-level substrate; TVar and TArray are a zero-cost veneer on
 // top of it: a typed handle over an n-word object plus a WordCodec that
-// translates the application type to and from the object's words. Every
-// typed access maps to exactly one ReadN/WriteN of the same base and
-// length, so migrating an application from hand-rolled word encodings to
-// TVars changes neither its lock keys nor its virtual-time behavior.
+// translates the application type to and from the object's words. A TVar
+// access, a TArray.Set and an At(i).Get map to exactly one ReadN/WriteN of
+// the same base and length, so migrating an application from hand-rolled
+// word encodings to TVars changes neither its lock keys nor its
+// virtual-time behavior. TArray.Get is the one exception: from the third
+// consecutive element of a scan on, a miss under visible reads also takes
+// read locks ahead of the scan, in the same request (Tx.readElem).
 //
 // Allocation is where data placement is decided on a many-core (§5.2 keeps
 // new elements in the allocating core's closest memory controller), so the
@@ -272,8 +275,11 @@ func (a TArray[T]) At(i int) TVar[T] {
 	return TVar[T]{sys: a.sys, codec: a.codec, base: a.Addr(i)}
 }
 
-// Get transactionally reads element i.
-func (a TArray[T]) Get(tx *Tx, i int) T { return a.At(i).Get(tx) }
+// Get transactionally reads element i. A run of consecutive Gets batches its
+// read locks under visible reads (Tx.readElem); At(i).Get never does.
+func (a TArray[T]) Get(tx *Tx, i int) T {
+	return a.codec.Decode(tx.readElem(a.base, a.Addr(i), a.codec.Words(), a.n))
+}
 
 // Set transactionally writes element i.
 func (a TArray[T]) Set(tx *Tx, i int, val T) { a.At(i).Set(tx, val) }

@@ -74,7 +74,7 @@ type Runtime struct {
 	// them across attempts.
 	txScratch    *Tx
 	words        []uint64
-	oneKey       [1]mem.Addr // rpcLock's single-key batch
+	lockKeys     []mem.Addr  // rpcLock's key list: one key, or a read-ahead batch
 	scatterIDs   []uint64    // scatter-gather correlation IDs
 	scatterResps []*respLock // scatter-gather response slots
 	groups       []nodeGroup // commitBatches' groups, in first-use order
@@ -179,6 +179,8 @@ type Tx struct {
 	window [2]winEntry // elastic-read validation window (last two reads)
 	nwin   int
 
+	run scanRun // the current run of consecutive TArray.Get reads (readElem)
+
 	// Deferred side effects (atomic.go): onCommit runs after this attempt
 	// commits, onAbort after it aborts. Each attempt gets a fresh Tx, so
 	// hooks registered by an aborted attempt never leak into the retry.
@@ -222,6 +224,7 @@ func (tx *Tx) reset(id uint64, kind TxKind) {
 	tx.wlocked = tx.wlocked[:0]
 	tx.window = [2]winEntry{}
 	tx.nwin = 0
+	tx.run.end(tx.rt)
 	clear(tx.onCommit)
 	tx.onCommit = tx.onCommit[:0]
 	clear(tx.onAbort)
@@ -502,15 +505,24 @@ func (tx *Tx) ReadN(base mem.Addr, n int) []uint64 {
 // keeps the codec hot path allocation-free; everything user-facing goes
 // through ReadN.
 func (tx *Tx) readNView(base mem.Addr, n int) []uint64 {
+	if vals, ok := tx.cached(base); ok {
+		return vals
+	}
+	return tx.rt.s.proto.firstRead(tx, base, n)
+}
+
+// cached charges a read wrapper's cost and returns base's value from the
+// write buffer or the read set, if the transaction has touched it.
+func (tx *Tx) cached(base mem.Addr) ([]uint64, bool) {
 	rt := tx.rt
 	rt.proc.Advance(rt.s.compute(costs.Wrapper))
 	if j := tx.writes.find(base); j >= 0 {
-		return tx.writes.entries[j].vals(rt.words)
+		return tx.writes.entries[j].vals(rt.words), true
 	}
 	if j := tx.reads.find(base); j >= 0 {
-		return tx.reads.entries[j].vals(rt.words)
+		return tx.reads.entries[j].vals(rt.words), true
 	}
-	return rt.s.proto.firstRead(tx, base, n)
+	return nil, false
 }
 
 // doomed aborts the attempt over a read that cannot be part of a consistent
@@ -535,7 +547,8 @@ func (tx *Tx) WriteN(base mem.Addr, vals []uint64) {
 	rt.proc.Advance(rt.s.compute(costs.Wrapper))
 	if rt.s.cfg.Acquire == Eager && !slices.Contains(tx.wlocked, base) {
 		tx.checkAborted()
-		rt.rpcLock(tx, base, lockWrite)
+		rt.lockKeys = append(rt.lockKeys[:0], base)
+		rt.rpcLock(tx, rt.lockKeys, lockWrite)
 		tx.wlocked = append(tx.wlocked, base)
 	}
 	off, buf := rt.wordBuf(len(vals))
@@ -751,6 +764,7 @@ func (rt *Runtime) abortCleanup(tx *Tx, sig abortSignal) {
 // every key's node even while stripes migrate.
 func (rt *Runtime) releaseAll(tx *Tx) {
 	rt.emit(trace.KPhaseBegin, tx.id, uint64(trace.PhaseRelease), 0, 0)
+	tx.run.end(rt)
 	reads, place := rt.s.proto.readsHoldLocks(), rt.s.dir.Snapshot()
 	if reads {
 		for _, e := range tx.reads.entries {

@@ -26,19 +26,130 @@ func (*visibleProto) firstRead(tx *Tx, base mem.Addr, n int) []uint64 {
 		return tx.elasticRead(base, n)
 	}
 	rt := tx.rt
+	rt.lockKeys = append(rt.lockKeys[:0], base)
+	return tx.lockedRead(rt.lockKeys, n)
+}
+
+// lockedRead takes the read locks of keys, n-word objects one DTM node owns,
+// in one request, then reads each object, and returns the value of keys[0].
+// A stale NACK leaves keys[0] alone to chase (rpcLock); any other key granted
+// is one locked ahead of a TArray scan (readAhead).
+func (tx *Tx) lockedRead(keys []mem.Addr, n int) []uint64 {
+	rt := tx.rt
 	tx.checkAborted()
-	rt.rpcLock(tx, base, lockRead)
-	// Record the grant before anything can abort the attempt: if the lock
+	keys = rt.rpcLock(tx, keys, lockRead)
+	// Record the grants before anything can abort the attempt: if a lock
 	// were not in the read set when the post-read abort check fires, the
 	// cleanup would never release it and the stale entry could block that
 	// object forever.
-	off, buf := rt.wordBuf(n)
-	vals := rt.s.Mem.ReadBatchTo(rt.proc, rt.core, base, buf)
-	tx.reads.put(base, off, n)
+	var first []uint64
+	for j, k := range keys {
+		off, buf := rt.wordBuf(n)
+		vals := rt.s.Mem.ReadBatchTo(rt.proc, rt.core, k, buf)
+		tx.reads.put(k, off, n)
+		rt.emit(trace.KRead, tx.id, uint64(k), 0, 0)
+		if j == 0 {
+			first = vals
+		} else {
+			tx.run.lockedAhead(k)
+		}
+	}
+	rt.shard.ReadAheadKeys += uint64(len(keys) - 1)
 	tx.serialAt = rt.proc.Now()
-	rt.emit(trace.KRead, tx.id, uint64(base), 0, 0)
 	tx.checkAborted()
-	return vals
+	return first
+}
+
+// readAheadCap caps how many elements past the one that missed a batched
+// read-lock request looks at, and so how many locks a scan that stops early
+// can hold without reading them. Swept from 64 to 1,024 on sim-bank-scc48
+// (docs/perf/PR-35.md), wire msgs/op went 164.7, 116.5, 90.6, 80.9, 80.9:
+// 256 is the last doubling that cut more than a fifth. A multiple of 64.
+const readAheadCap = 256
+
+// scanRun is an attempt's run of consecutive TArray.Get reads of one array:
+// the array, the index that continues the run, the run's length, and the
+// elements ahead of the run whose read locks a batched request took and the
+// run has not reached yet (bit j % readAheadCap; all lie within readAheadCap
+// past the run, so none share a bit).
+type scanRun struct {
+	arr    mem.Addr
+	words  int
+	next   int
+	len    int
+	ahead  [readAheadCap / 64]uint64
+	nAhead int
+}
+
+// step moves the run to element i of the array at arr and returns the
+// lookahead window of a miss there: the run's length, capped, from its third
+// element on, and 0 before. A read out of sequence starts a new run.
+func (r *scanRun) step(rt *Runtime, arr mem.Addr, words, i int) int {
+	if r.len == 0 || arr != r.arr || i != r.next {
+		r.end(rt)
+		r.arr, r.words = arr, words
+	} else if bit := uint64(1) << (i % 64); r.ahead[i%readAheadCap/64]&bit != 0 {
+		r.ahead[i%readAheadCap/64] &^= bit
+		r.nAhead--
+	}
+	r.next, r.len = i+1, r.len+1
+	if r.len < 3 {
+		return 0
+	}
+	return min(r.len, readAheadCap)
+}
+
+// lockedAhead notes that the element at k was locked ahead of the run.
+func (r *scanRun) lockedAhead(k mem.Addr) {
+	j := int(k-r.arr) / r.words
+	r.ahead[j%readAheadCap/64] |= 1 << (j % 64)
+	r.nAhead++
+}
+
+// end closes the run, counting the elements it locked ahead and never
+// reached as unused.
+func (r *scanRun) end(rt *Runtime) {
+	if r.nAhead > 0 {
+		rt.shard.ReadAheadUnused += uint64(r.nAhead)
+		r.ahead, r.nAhead = [readAheadCap / 64]uint64{}, 0
+	}
+	r.len = 0
+}
+
+// readElem is readNView for the element at base of the n-element array at
+// arr (TArray.Get). It keeps the attempt's run of consecutive element reads;
+// from the run's third element on, a miss in a Normal or ReadOnly
+// transaction under visible reads locks the next elements of the window that
+// the missed element's DTM node owns in the same request (readAhead).
+func (tx *Tx) readElem(arr, base mem.Addr, words, n int) []uint64 {
+	i := int(base-arr) / words
+	win := tx.run.step(tx.rt, arr, words, i)
+	if vals, ok := tx.cached(base); ok {
+		return vals
+	}
+	if win == 0 || !tx.rt.s.proto.readsHoldLocks() || tx.kind != Normal && tx.kind != ReadOnly {
+		return tx.rt.s.proto.firstRead(tx, base, words)
+	}
+	return tx.readAhead(arr, words, n, i, win)
+}
+
+// readAhead reads element i, a miss, with the read locks of elements i+1 to
+// i+win that lie inside the array, belong to element i's DTM node and are in
+// neither set, all in one request.
+func (tx *Tx) readAhead(arr mem.Addr, words, n, i, win int) []uint64 {
+	rt := tx.rt
+	base := arr + mem.Addr(i*words)
+	place := rt.s.dir.Snapshot()
+	node := place.Owner(base)
+	keys := append(rt.lockKeys[:0], base)
+	for j := i + 1; j <= min(i+win, n-1); j++ {
+		k := arr + mem.Addr(j*words)
+		if place.Owner(k) == node && tx.reads.find(k) < 0 && tx.writes.find(k) < 0 {
+			keys = append(keys, k)
+		}
+	}
+	rt.lockKeys = keys
+	return tx.lockedRead(keys, words)
 }
 
 // validate has nothing to prove for reads that hold locks; an ElasticRead's

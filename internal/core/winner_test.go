@@ -1,16 +1,13 @@
 package core
 
 import (
-	"fmt"
 	"slices"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/cm"
 	"repro/internal/mem"
-	"repro/internal/noc"
 	"repro/internal/port"
 )
 
@@ -90,100 +87,51 @@ func runWARRow(t *testing.T, row warRow) warOutcome {
 	if row.backend != BackendSim {
 		hold = port.Time(20 * time.Millisecond)
 	}
-	ranks := 1
-	var addrs []string
-	if row.backend == BackendNet {
-		ranks = 2
-		dir := t.TempDir()
-		addrs = []string{"unix:" + dir + "/r0", "unix:" + dir + "/r1"}
-	}
 	var (
-		held      atomic.Bool   // the scan holds its read locks
-		lost      atomic.Bool   // the transfer has lost to the scan once
-		scanTx    atomic.Uint64 // the scan's attempt
-		out       warOutcome
-		wg        sync.WaitGroup
-		errs      = make([]error, ranks)
-		systems   = make([]*System, ranks)
-		rankStats = make([]*Stats, ranks)
+		held   atomic.Bool   // the scan holds its read locks
+		lost   atomic.Bool   // the transfer has lost to the scan once
+		scanTx atomic.Uint64 // the scan's attempt
+		out    warOutcome
 	)
-	for r := range ranks {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if p := recover(); p != nil {
-					errs[r] = fmt.Errorf("rank %d: %v", r, p)
-				}
-			}()
-			cfg := Config{
-				Platform: noc.SCC(0), Backend: row.backend, Seed: 5, TotalCores: 4,
-				Policy: row.policy, Deployment: row.deploy,
-			}
-			if ranks > 1 {
-				cfg.Net = &NetConfig{Ranks: ranks, Rank: r, Addrs: addrs}
-			}
-			s, err := NewSystem(cfg)
-			if err != nil {
-				errs[r] = err
-				return
-			}
-			systems[r] = s
-			accts := s.Mem.Alloc(2, 0)
-			app := s.AppCores()
-			slices.Sort(app)
-			scanCore, xferCore := app[0], app[1]
-			s.SpawnWorkers(func(rt *Runtime) {
-				switch rt.Core() {
-				case scanCore:
-					rt.RunReadOnly(func(tx *Tx) {
-						tx.Read(accts)
-						tx.Read(accts + 1)
-						scanTx.Store(tx.ID())
-						held.Store(true)
-						for end := rt.proc.Now() + hold; rt.proc.Now() < end || !lost.Load(); {
-							pauseServing(rt)
-						}
-					})
-				case xferCore:
-					for !held.Load() {
+	_, out.stats = runRanks(t, row.backend, func(c *Config) {
+		c.TotalCores, c.Policy, c.Deployment = 4, row.policy, row.deploy
+	}, func(s *System) func(rt *Runtime) {
+		accts := s.Mem.Alloc(2, 0)
+		app := s.AppCores()
+		slices.Sort(app)
+		scanCore, xferCore := app[0], app[1]
+		return func(rt *Runtime) {
+			switch rt.Core() {
+			case scanCore:
+				rt.RunReadOnly(func(tx *Tx) {
+					tx.Read(accts)
+					tx.Read(accts + 1)
+					scanTx.Store(tx.ID())
+					held.Store(true)
+					for end := rt.proc.Now() + hold; rt.proc.Now() < end || !lost.Load(); {
 						pauseServing(rt)
 					}
-					attempts := 0
-					out.attempts = rt.Run(func(tx *Tx) {
-						tx.OnAbort(func() { lost.Store(true) })
-						if attempts++; attempts > 1 {
-							_, id, st := rt.s.Regs.CASStatusRemoteObserve(rt.proc, rt.core, scanCore, 0, mem.TxFree, mem.TxFree)
-							if id == scanTx.Load() && st == mem.TxPending {
-								out.whileLive++
-							}
-						}
-						a, b := tx.Read(accts), tx.Read(accts+1)
-						tx.Write(accts, a-1)
-						tx.Write(accts+1, b+1)
-					})
+				})
+			case xferCore:
+				for !held.Load() {
+					pauseServing(rt)
 				}
-			})
-			rankStats[r] = s.RunToCompletion()
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	for r, s := range systems {
-		if n := s.LockedAddrs(); n != 0 {
-			t.Errorf("rank %d: %d addresses still locked after the run", r, n)
-		}
-		for _, n := range s.nodes {
-			if err := n.table.CheckInvariants(); err != nil {
-				t.Errorf("rank %d: DTM node %d: %v", r, n.idx, err)
+				attempts := 0
+				out.attempts = rt.Run(func(tx *Tx) {
+					tx.OnAbort(func() { lost.Store(true) })
+					if attempts++; attempts > 1 {
+						_, id, st := rt.s.Regs.CASStatusRemoteObserve(rt.proc, rt.core, scanCore, 0, mem.TxFree, mem.TxFree)
+						if id == scanTx.Load() && st == mem.TxPending {
+							out.whileLive++
+						}
+					}
+					a, b := tx.Read(accts), tx.Read(accts+1)
+					tx.Write(accts, a-1)
+					tx.Write(accts+1, b+1)
+				})
 			}
 		}
-	}
-	out.stats = rankStats[0]
+	})
 	return out
 }
 
