@@ -1,141 +1,207 @@
 package exp
 
 import (
+	"flag"
 	"fmt"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 )
 
-// figFingerprints pins the rendered output of every fig4–fig8 experiment at
-// a tiny scale across a seed matrix to the values captured on the tree
-// IMMEDIATELY BEFORE the execution-port refactor (PR 4), when internal/core
-// still hard-coded *sim.Proc. The rendered tables are a function of the
+var update = flag.Bool("update", false, "rewrite testdata/fingerprints.golden")
+
+// figFingerprints pins the rendered output of every fig4–fig8 experiment,
+// and of abltl2, at a tiny scale across a seed matrix, plus the Quick-scale
+// seed-1 tables of fig5a and scaleplace, to the tables committed in
+// testdata/fingerprints.golden. The rendered tables are a function of the
 // run's Stats (ops, commits, message counts, latencies in virtual time), so
-// matching hashes mean the port extraction — interface indirection, stats
-// sharding, memory/register/directory locking — changed no simulated
-// behavior: same seed ⇒ same Stats, bit for bit.
+// identical tables mean same seed ⇒ same simulated behaviour, bit for bit.
 //
-// If a LATER change legitimately alters simulated behavior (a protocol or
-// timing change), re-capture these values and say so in the commit message;
-// this test exists so that such changes are loud and deliberate, never
-// accidental.
-//
-// The two Quick-scale seed-1 rows are the sim baselines tm2c-bench's
-// committed fig5a and scaleplace tables used to be: captured on the parent
-// of PR 15, where rendering the committed tables gave the same two hashes.
-// They keep what those files gated — the default, trace-off plane of the
-// bank figure and of every placement policy stays cell-identical.
-//
-// The scaleplace row was re-captured twice. When the heat plane learned to
-// sleep: hash rows cell-identical; uniform adaptive/hier rows
-// cell-identical except leaves 64 -> 0; the Zipf adaptive/hier rows moved
-// inside their seed-to-seed spread (docs/perf/PR-21.md has both tables).
-// When the flat adaptive policy was retired: its two rows and the last note
-// went, the hash and hier rows stayed cell-identical (docs/RETIRED.md).
-//
-// The abltl2 rows were captured before the change that first pinned them
-// touched internal/core: fig4–fig8 all run the visible protocol, so until
-// then TL2 was pinned by nothing but run-to-run determinism tests. The
-// ablbatch and ablgran rows captured beside them went with those two
-// experiments, once write-lock batching became unconditional and a lock key
-// became an object's base address (docs/RETIRED.md); the coalescing plane is
-// pinned in internal/core (TestCoalesceSingletonPlaneBitIdentical,
-// TestOutboxEnvelopeDelivered). Irrevocables are pinned in internal/core
-// (TestIrrevocableMixFingerprint), since the experiment that mixed them into
-// the bank was retired (docs/RETIRED.md).
-//
-// The two fig6a rows were re-captured once, in PR 18, when the table's note
-// stopped citing a deleted document; every cell of the table was unchanged.
-//
-// 26 rows were re-captured when a write losing WAR to a reader under Wholly
-// or FairCM began to wait for that reader's attempt to end before retrying:
-// a deliberate protocol change. The offset-greedy, backoff and no-cm cells of
-// fig5a and fig5c are unchanged; CHANGES.md lists every old and new hash.
-//
-// 11 rows were re-captured when a TArray scan began to batch its read locks
-// per DTM node (Tx.readElem), a deliberate protocol change: the rows of the
-// experiments that scan a TArray, fig5a-d and fig8b at seeds 3 and 9 and
-// fig5a at Quick scale. CHANGES.md lists every old and new hash.
+// A change that legitimately alters simulated behaviour (a protocol or
+// timing change) re-captures the file with -update, and the diff shows the
+// cells that moved; this test exists so that such changes are loud and
+// deliberate, never accidental. Irrevocables are pinned in internal/core
+// (TestIrrevocableMixFingerprint), the coalescing plane there too
+// (TestCoalesceSingletonPlaneBitIdentical, TestOutboxEnvelopeDelivered).
 var figFingerprints = []struct {
 	id    string
-	scale Scale // Seed is overridden by seed
+	scale string // a key of fingerprintScales; Seed is overridden by seed
 	seed  uint64
-	want  uint64
 }{
-	{"fig4a", fingerprintScale, 3, 0x8e82d9232008be69},
-	{"fig4b", fingerprintScale, 3, 0x27c546527f4123bb},
-	{"fig4c", fingerprintScale, 3, 0x84e4f3d7031fe844},
-	{"fig5a", fingerprintScale, 3, 0x48fc5371076f8832},
-	{"fig5b", fingerprintScale, 3, 0x976dbde57bf88981},
-	{"fig5c", fingerprintScale, 3, 0x5f586acb86769f88},
-	{"fig5d", fingerprintScale, 3, 0x2f148536d3eb908d},
-	{"fig6a", fingerprintScale, 3, 0xab36ffbde42e2920},
-	{"fig6b", fingerprintScale, 3, 0xf8ebf93688805c3b},
-	{"fig7a", fingerprintScale, 3, 0xcce4d693817cb46c},
-	{"fig7b", fingerprintScale, 3, 0x7a69c2aa780744e7},
-	{"fig8a", fingerprintScale, 3, 0x604384acd9a27940},
-	{"fig8b", fingerprintScale, 3, 0x39b03aa75e347081},
-	{"fig8c", fingerprintScale, 3, 0x9300e6932a37de85},
-	{"fig8d", fingerprintScale, 3, 0xb90fa0f0d7b7fe30},
-	{"fig4a", fingerprintScale, 9, 0x015438014b323726},
-	{"fig4b", fingerprintScale, 9, 0xd0319fff92d161c8},
-	{"fig4c", fingerprintScale, 9, 0xcd466a6fd0082c6a},
-	{"fig5a", fingerprintScale, 9, 0x2c311fbcdf84e882},
-	{"fig5b", fingerprintScale, 9, 0x1ea78f25fde61595},
-	{"fig5c", fingerprintScale, 9, 0x675f821592aedbfb},
-	{"fig5d", fingerprintScale, 9, 0xe44ae908ac0ce6de},
-	{"fig6a", fingerprintScale, 9, 0xa4c86f38da2ec514},
-	{"fig6b", fingerprintScale, 9, 0x5c91c7a1e24c406f},
-	{"fig7a", fingerprintScale, 9, 0xf30198ad6bdc2877},
-	{"fig7b", fingerprintScale, 9, 0x2d3dc2a3c90bcfbb},
-	{"fig8a", fingerprintScale, 9, 0x604384acd9a27940},
-	{"fig8b", fingerprintScale, 9, 0x717feed197ae8895},
-	{"fig8c", fingerprintScale, 9, 0xfea70bafce390712},
-	{"fig8d", fingerprintScale, 9, 0x946c178421d0f179},
-	{"abltl2", fingerprintScale, 3, 0x909db25ef2d95b41},
-	{"abltl2", fingerprintScale, 9, 0xb3c4fa690dcd8903},
-	{"fig5a", Quick, 1, 0x2807108ecc682bdb},
-	{"scaleplace", Quick, 1, 0xa95c9310bfddb96f},
+	{"fig4a", "tiny", 3},
+	{"fig4b", "tiny", 3},
+	{"fig4c", "tiny", 3},
+	{"fig5a", "tiny", 3},
+	{"fig5b", "tiny", 3},
+	{"fig5c", "tiny", 3},
+	{"fig5d", "tiny", 3},
+	{"fig6a", "tiny", 3},
+	{"fig6b", "tiny", 3},
+	{"fig7a", "tiny", 3},
+	{"fig7b", "tiny", 3},
+	{"fig8a", "tiny", 3},
+	{"fig8b", "tiny", 3},
+	{"fig8c", "tiny", 3},
+	{"fig8d", "tiny", 3},
+	{"fig4a", "tiny", 9},
+	{"fig4b", "tiny", 9},
+	{"fig4c", "tiny", 9},
+	{"fig5a", "tiny", 9},
+	{"fig5b", "tiny", 9},
+	{"fig5c", "tiny", 9},
+	{"fig5d", "tiny", 9},
+	{"fig6a", "tiny", 9},
+	{"fig6b", "tiny", 9},
+	{"fig7a", "tiny", 9},
+	{"fig7b", "tiny", 9},
+	{"fig8a", "tiny", 9},
+	{"fig8b", "tiny", 9},
+	{"fig8c", "tiny", 9},
+	{"fig8d", "tiny", 9},
+	{"abltl2", "tiny", 3},
+	{"abltl2", "tiny", 9},
+	{"fig5a", "quick", 1},
+	{"scaleplace", "quick", 1},
 }
 
-// fingerprintScale matches the fig4–fig8 capture run exactly; any change
-// invalidates the recorded hashes.
-var fingerprintScale = Scale{Duration: 800 * time.Microsecond, SizeDiv: 16, Cores: []int{4, 8}}
-
-func fnv1a(s string) uint64 {
-	h := uint64(1469598103934665603)
-	for _, b := range []byte(s) {
-		h ^= uint64(b)
-		h *= 1099511628211
-	}
-	return h
+// fingerprintScales names the scales the golden rows ran at; changing one
+// invalidates its rows.
+var fingerprintScales = map[string]Scale{
+	"tiny":  {Duration: 800 * time.Microsecond, SizeDiv: 16, Cores: []int{4, 8}},
+	"quick": Quick,
 }
+
+const fingerprintGolden = "testdata/fingerprints.golden"
 
 // TestFigureFingerprintsBitIdentical runs the fingerprint matrix on the sim
-// backend and asserts the rendered results are bit-identical to the
-// captures.
+// backend and asserts the rendered tables equal the golden ones, naming
+// every cell that differs. Regenerate with:
+// go test ./internal/exp -run Fingerprints -update
 func TestFigureFingerprintsBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full fig4–fig8 seed matrix takes a few seconds")
 	}
-	for _, c := range figFingerprints {
-		c := c
+	golden := readGolden(t, fingerprintGolden)
+	got := make([]string, len(figFingerprints))
+	for i, c := range figFingerprints {
 		t.Run(fmt.Sprintf("%s/seed%d", c.id, c.seed), func(t *testing.T) {
 			e, ok := ByID(c.id)
 			if !ok {
 				t.Fatalf("experiment %q not registered", c.id)
 			}
-			sc := c.scale
+			sc := fingerprintScales[c.scale]
 			sc.Seed = c.seed
 			var sb strings.Builder
 			for _, tab := range e.Run(sc, Overrides{}) {
 				tab.Render(&sb)
 			}
-			if got := fnv1a(sb.String()); got != c.want {
-				t.Errorf("%s seed %d: fingerprint %#016x, want %#016x — simulated behavior changed",
-					c.id, c.seed, got, c.want)
+			got[i] = sb.String()
+			if *update {
+				return
+			}
+			want, ok := golden[goldenHeader(c.id, c.scale, c.seed)]
+			if !ok {
+				t.Fatalf("no golden row for %s %s seed %d (run with -update)", c.id, c.scale, c.seed)
+			}
+			for _, d := range cellDiff(want, got[i]) {
+				t.Errorf("%s %s seed %d: %s", c.id, c.scale, c.seed, d)
 			}
 		})
 	}
+	if *update {
+		var sb strings.Builder
+		for i, c := range figFingerprints {
+			body, ok := got[i], got[i] != ""
+			if !ok { // a row -run filtered out keeps its golden table
+				body = golden[goldenHeader(c.id, c.scale, c.seed)]
+			}
+			fmt.Fprintf(&sb, "%s\n%s", goldenHeader(c.id, c.scale, c.seed), body)
+		}
+		if err := os.WriteFile(fingerprintGolden, []byte(sb.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+func goldenHeader(id, scale string, seed uint64) string {
+	return "== " + id + " " + scale + " " + strconv.FormatUint(seed, 10)
+}
+
+// readGolden splits a golden file into its rows: each starts with an
+// "== id scale seed" line and runs to the next one.
+func readGolden(t *testing.T, path string) map[string]string {
+	t.Helper()
+	data, err := os.ReadFile(filepath.FromSlash(path))
+	if err != nil {
+		if *update {
+			return nil
+		}
+		t.Fatalf("read golden (run with -update to regenerate): %v", err)
+	}
+	rows := map[string]string{}
+	var head string
+	for _, line := range strings.SplitAfter(string(data), "\n") {
+		if strings.HasPrefix(line, "== ") {
+			head = strings.TrimSuffix(line, "\n")
+			continue
+		}
+		rows[head] += line
+	}
+	return rows
+}
+
+// cellSep splits a rendered table line into its cells: Render pads every
+// cell and joins them with two spaces.
+var cellSep = regexp.MustCompile(`\s{2,}`)
+
+// cellDiff compares two rendered tables line by line and describes each
+// difference as a cell — table | row label | column: old → new — or, for a
+// line that is not a table row of the same shape, as the whole line.
+func cellDiff(want, got string) []string {
+	if want == got {
+		return nil
+	}
+	wl, gl := strings.Split(want, "\n"), strings.Split(got, "\n")
+	var out []string
+	var table string
+	var cols []string
+	phase := 0 // 1: the next line is the column header, 2: the rule, 3: rows
+	for i := range max(len(wl), len(gl)) {
+		var w, g string
+		if i < len(wl) {
+			w = wl[i]
+		}
+		if i < len(gl) {
+			g = gl[i]
+		}
+		switch {
+		case strings.HasPrefix(w, "## "):
+			table, _, _ = strings.Cut(w[3:], " ")
+			phase = 1
+		case phase == 1:
+			cols, phase = cellSep.Split(w, -1), 2
+		case phase == 2:
+			phase = 3
+		case w == "" || strings.HasPrefix(w, "note: "):
+			phase = 0
+		}
+		if w == g {
+			continue
+		}
+		wc, gc := cellSep.Split(w, -1), cellSep.Split(g, -1)
+		if phase != 3 || len(wc) != len(cols) || len(gc) != len(cols) || wc[0] != gc[0] {
+			out = append(out, fmt.Sprintf("line %d: %q → %q", i+1, w, g))
+			continue
+		}
+		for j := range wc {
+			if wc[j] != gc[j] {
+				out = append(out, fmt.Sprintf("%s | %s | %s: %s → %s", table, wc[0], cols[j], wc[j], gc[j]))
+			}
+		}
+	}
+	return out
 }
