@@ -159,8 +159,8 @@ func readGolden(t *testing.T, path string) map[string]string {
 var cellSep = regexp.MustCompile(`\s{2,}`)
 
 // cellDiff compares two rendered tables line by line and describes each
-// difference as a cell — table | row label | column: old → new — or, for a
-// line that is not a table row of the same shape, as the whole line.
+// difference as a cell — table | row | column: old → new — or, for a line
+// that is not a table row of the same shape, as the whole line.
 func cellDiff(want, got string) []string {
 	if want == got {
 		return nil
@@ -197,9 +197,16 @@ func cellDiff(want, got string) []string {
 			out = append(out, fmt.Sprintf("line %d: %q → %q", i+1, w, g))
 			continue
 		}
+		label := wc[0] // a row is named by its leading cells that are not numbers
+		for j := 1; j < len(wc); j++ {
+			if _, err := strconv.ParseFloat(wc[j], 64); err == nil {
+				break
+			}
+			label += " " + wc[j]
+		}
 		for j := range wc {
 			if wc[j] != gc[j] {
-				out = append(out, fmt.Sprintf("%s | %s | %s: %s → %s", table, wc[0], cols[j], wc[j], gc[j]))
+				out = append(out, fmt.Sprintf("%s | %s | %s: %s → %s", table, label, cols[j], wc[j], gc[j]))
 			}
 		}
 	}
