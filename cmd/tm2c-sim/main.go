@@ -320,7 +320,7 @@ func report(w io.Writer, sys *repro.System, st *repro.Stats) {
 		st.AbortReasons[trace.ReasonTimeout], st.AbortReasons[trace.ReasonUser])
 	fmt.Fprintf(w, "  conflict kinds    RAW=%d WAW=%d WAR=%d\n",
 		st.AbortsByKind[0], st.AbortsByKind[1], st.AbortsByKind[2])
-	fmt.Fprintf(w, "conflicts/revokes   %d / %d\n", st.Conflicts, st.Revocations)
+	fmt.Fprintf(w, "conflicts/revokes   %d / %d, %d locks of finished attempts revoked\n", st.Conflicts, st.Revocations, st.StaleRevokes)
 	fmt.Fprintf(w, "winner waits        %d (%v waited for the reader that won a WAR conflict to end)\n", st.WinnerWaits, st.WinnerWaitTime)
 	fmt.Fprintf(w, "read-ahead locks    %d (taken past the element a TArray scan missed), %d of them never read\n", st.ReadAheadKeys, st.ReadAheadUnused)
 	if dir := sys.Placement(); dir != nil {
@@ -336,8 +336,8 @@ func report(w io.Writer, sys *repro.System, st *repro.Stats) {
 		fmt.Fprintf(w, "node load           imbalance %.2f (max/mean across %d DTM nodes)\n",
 			st.LoadImbalance(), len(st.NodeLoad))
 	}
-	fmt.Fprintf(w, "messages            %d (%.1f KB), read-lock %d, write-lock %d, release %d, early %d\n",
-		st.Msgs, float64(st.MsgBytes)/1024, st.ReadLockReqs, st.WriteLockReqs, st.ReleaseMsgs, st.EarlyReleases)
+	fmt.Fprintf(w, "messages            %d (%.1f KB), read-lock %d, write-lock %d, release %d (+%d carried), early %d\n",
+		st.Msgs, float64(st.MsgBytes)/1024, st.ReadLockReqs, st.WriteLockReqs, st.ReleaseMsgs, st.CarriedReleases, st.EarlyReleases)
 	fmt.Fprintf(w, "wire messages       %d (%.2f avg payloads/wire msg; %d payloads coalesced into shared envelopes)\n",
 		st.WireMsgs, st.PayloadsPerWireMsg(), st.CoalescedPayloads)
 	if st.Commits > 0 {

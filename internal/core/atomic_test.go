@@ -185,7 +185,9 @@ func TestOnCommitFiresExactlyOnce(t *testing.T) {
 	}
 	pool := s.Mem.Alloc(64, 0)
 	a1, a2, node2 := findTwoNodeAddrs(t, s, pool, 64)
+	// A foreign writer that is still running (Pending), so it wins.
 	s.nodes[node2].table.SetWriter(a2, cm.Meta{Core: 0, TxID: 99})
+	s.Regs.SetStatusLocal(0, 99, mem.TxPending)
 
 	attempts, commitFires, abortFires := 0, 0, 0
 	s.SpawnWorkers(func(rt *Runtime) {

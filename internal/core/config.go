@@ -462,7 +462,8 @@ type Stats struct {
 	CoalescedPayloads uint64
 	ReadLockReqs      uint64
 	WriteLockReqs     uint64
-	ReleaseMsgs       uint64
+	ReleaseMsgs       uint64 // release messages sent on their own
+	CarriedReleases   uint64 // releases that rode inside a lock request (reqLock.Rel)
 	EarlyReleases     uint64
 	Responses         uint64
 
@@ -475,8 +476,9 @@ type Stats struct {
 	CommitRoundTrips uint64
 
 	// DTM activity.
-	Conflicts   uint64
-	Revocations uint64 // enemy aborts performed by CMs
+	Conflicts    uint64
+	Revocations  uint64 // enemy aborts performed by CMs
+	StaleRevokes uint64 // locks of already finished attempts revoked for a requester
 
 	// Placement activity (hier placement; see internal/placement).
 	StaleNacks        uint64 // lock requests NACKed for stale placement resolution
@@ -573,11 +575,13 @@ func (s *Stats) addShard(o *Stats) {
 	s.ReadLockReqs += o.ReadLockReqs
 	s.WriteLockReqs += o.WriteLockReqs
 	s.ReleaseMsgs += o.ReleaseMsgs
+	s.CarriedReleases += o.CarriedReleases
 	s.EarlyReleases += o.EarlyReleases
 	s.Responses += o.Responses
 	s.CommitRoundTrips += o.CommitRoundTrips
 	s.Conflicts += o.Conflicts
 	s.Revocations += o.Revocations
+	s.StaleRevokes += o.StaleRevokes
 	s.StaleNacks += o.StaleNacks
 	s.StaleNackHints += o.StaleNackHints
 	s.PlacementAborts += o.PlacementAborts

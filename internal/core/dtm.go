@@ -42,6 +42,12 @@ type dtmNode struct {
 	shrunk      bool
 	heldScratch []bool // tryHandoffs: pending stripe i still holds a lock
 
+	// doneBelow[c]: every attempt of core c numbered below it has finished,
+	// as the node last read c's status register (finished).
+	doneBelow []uint64
+
+	drainKeys []mem.Addr // drainFinished: the table's keys, in order
+
 	// acqScratch accumulates the addresses a write-lock batch has acquired
 	// so far, for rollback on a mid-batch conflict. Serving is single-
 	// threaded per node, so one buffer serves every batch.
@@ -114,12 +120,25 @@ func (n *dtmNode) handle(p port.Port, m port.Msg) bool {
 	switch r := m.Payload.(type) {
 	case *reqLock:
 		n.switchIn(p)
+		rel := r.Rel
+		r.Rel = nil
 		if n.handleLock(p, r) {
 			putLockReq(r)
 		}
+		if rel != nil {
+			// The requester's release of an earlier attempt, served after
+			// the request's answer leaves. Safe: a core's own locks never
+			// conflict with its request, and a lock the request took
+			// replaced the older attempt's entry, which the release then no
+			// longer matches.
+			n.flushOut(p)
+			n.handleRelease(p, rel, 0)
+			n.tryGrantExclusive(p)
+			putRelLocks(rel)
+		}
 	case *relLocks:
 		n.switchIn(p)
-		n.handleRelease(p, r)
+		n.handleRelease(p, r, costs.SvcBase)
 		n.tryGrantExclusive(p)
 		putRelLocks(r)
 	default:
@@ -243,11 +262,12 @@ var noWinner = cm.Meta{Core: -1}
 // Algorithm 2 (dsl_write_lock) in write mode, for every key of the request,
 // plus the revocation protocol: on a conflict the contention manager either
 // aborts the requester or remotely aborts the holders and steals their
-// locks. A batch is all or nothing: on failure its own acquisitions are
-// rolled back before the conflict reply, so the requester never holds
-// partial state it does not know about. Exclusive mode queues for the
-// token instead; only then does it return false, and tryGrantExclusive
-// recycles the request once it grants.
+// locks; a verdict for the holders first takes the locks of finished
+// attempts away (revokeFinished). A batch is all or nothing: on failure its
+// own acquisitions are rolled back before the conflict reply, so the
+// requester never holds partial state it does not know about. Exclusive
+// mode queues for the token instead; only then does it return false, and
+// tryGrantExclusive recycles the request once it grants.
 func (n *dtmNode) handleLock(p port.Port, r *reqLock) bool {
 	p.Advance(n.s.compute(costs.SvcBase + costs.SvcLock*time.Duration(len(r.Addrs))))
 	if r.Mode == lockExclusive {
@@ -293,7 +313,10 @@ func (n *dtmNode) handleLock(p port.Port, r *reqLock) bool {
 			}
 			n.shard.Conflicts++
 			d, win := n.s.cfg.Policy.ResolveWinner(meta, conf.Enemies, conf.Kind)
-			if d == cm.AbortRequester || !n.abortEnemies(p, addr, conf.Enemies) {
+			if d == cm.AbortRequester && n.revokeFinished(p, addr, meta, conf.Enemies, win) {
+				continue // a finished attempt's lock never wins: re-check
+			}
+			if d == cm.AbortRequester || !n.abortEnemies(p, addr, meta, conf.Enemies) {
 				winner := noWinner
 				if win >= 0 {
 					winner = conf.Enemies[win]
@@ -331,18 +354,16 @@ func (n *dtmNode) handleLock(p port.Port, r *reqLock) bool {
 
 // abortEnemies tries to remotely abort every enemy transaction via its
 // status register (§4.1: "the status of such an aborting transaction is
-// atomically switched from pending to aborted"). It returns false if any
-// enemy has already entered its commit phase (TxCommitting) and is therefore
-// no longer abortable; stale locks left by finished attempts are revoked.
-func (n *dtmNode) abortEnemies(p port.Port, addr mem.Addr, enemies []cm.Meta) bool {
+// atomically switched from pending to aborted"), for requester by. It
+// returns false if any enemy has already entered its commit phase
+// (TxCommitting) and is therefore no longer abortable; stale locks left by
+// finished attempts are revoked.
+func (n *dtmNode) abortEnemies(p port.Port, addr mem.Addr, by cm.Meta, enemies []cm.Meta) bool {
 	for _, e := range enemies {
 		swapped, obsID, obsState := n.s.Regs.CASStatusRemoteObserve(
 			p, n.core, e.Core, e.TxID, mem.TxPending, mem.TxAborted)
 		if swapped {
-			n.shard.Revocations++
-			n.emit(p, trace.KRevoke, 0, uint64(e.Core), e.TxID, uint64(addr))
-			n.table.Revoke(addr, e.Core, e.TxID)
-			n.shrunk = true
+			n.revoke(p, addr, by, e, false)
 			continue
 		}
 		if obsID == e.TxID && obsState == mem.TxCommitting {
@@ -354,17 +375,69 @@ func (n *dtmNode) abortEnemies(p port.Port, addr mem.Addr, enemies []cm.Meta) bo
 		// The lock is stale: the attempt already aborted or committed
 		// (persist happens before release, so revoking is safe), or the
 		// core has moved on to a newer attempt.
-		n.table.Revoke(addr, e.Core, e.TxID)
-		n.shrunk = true
+		n.revoke(p, addr, by, e, true)
 	}
 	return true
 }
 
-// handleRelease frees a release burst's locks, or returns the exclusivity
-// token (a stale token release is a no-op).
-func (n *dtmNode) handleRelease(p port.Port, r *relLocks) {
+// revokeFinished checks a verdict against the requester: from the enemy that
+// decided it (win, or the first), every enemy whose attempt has finished
+// loses its lock at addr, up to the first one still running, which keeps its
+// lock and its win. It reports whether it revoked any: the conflict must
+// then be checked again. A finished attempt's lock is only a release on its
+// way or still carried (Runtime.carryOn), so it never wins; revoking it is
+// safe for the reason abortEnemies' stale branch is: write-back happens
+// before Committed, rollback before Aborted.
+func (n *dtmNode) revokeFinished(p port.Port, addr mem.Addr, by cm.Meta, enemies []cm.Meta, win int) bool {
+	revoked := false
+	for _, e := range enemies[max(win, 0):] {
+		if !n.finished(p, e) {
+			break
+		}
+		n.revoke(p, addr, by, e, true)
+		revoked = true
+	}
+	return revoked
+}
+
+// finished reports whether enemy e's attempt has ended, reading its core's
+// status register unless an earlier read settled it: attempt numbers only
+// grow, so a register that showed a later attempt, or this one Committed or
+// Aborted, settles every older lock of that core.
+func (n *dtmNode) finished(p port.Port, e cm.Meta) bool {
+	if e.Core >= len(n.doneBelow) {
+		n.doneBelow = append(n.doneBelow, make([]uint64, e.Core+1-len(n.doneBelow))...)
+	}
+	if e.TxID >= n.doneBelow[e.Core] {
+		_, id, st := n.s.Regs.CASStatusRemoteObserve(p, n.core, e.Core, 0, mem.TxFree, mem.TxFree)
+		if st == mem.TxCommitted || st == mem.TxAborted {
+			id++
+		}
+		n.doneBelow[e.Core] = max(n.doneBelow[e.Core], id)
+	}
+	return e.TxID < n.doneBelow[e.Core]
+}
+
+// revoke takes enemy e's lock at addr away for requester by: a remote abort,
+// or with stale set the lock of an attempt that had already finished.
+func (n *dtmNode) revoke(p port.Port, addr mem.Addr, by, e cm.Meta, stale bool) {
+	if stale {
+		n.shard.StaleRevokes++
+	} else {
+		n.shard.Revocations++
+	}
+	n.emit(p, trace.KRevoke, by.TxID, trace.RevokeWord(e.Core, by.Core, stale), e.TxID, uint64(addr))
+	n.table.Revoke(addr, e.Core, e.TxID)
+	n.shrunk = true
+}
+
+// handleRelease frees a release's locks, or returns the exclusivity token
+// (a stale token release is a no-op), charging base plus SvcRelease per key:
+// SvcBase for a release that came on its own, nothing more for one a lock
+// request carried.
+func (n *dtmNode) handleRelease(p port.Port, r *relLocks, base time.Duration) {
 	ops := len(r.ReadAddrs) + len(r.WriteAddrs)
-	p.Advance(n.s.compute(costs.SvcBase + costs.SvcRelease*time.Duration(ops)))
+	p.Advance(n.s.compute(base + costs.SvcRelease*time.Duration(ops)))
 	if r.Exclusive {
 		if n.excl.held && n.excl.owner == r.Core && n.excl.ownerTx == r.TxID {
 			n.excl.held = false

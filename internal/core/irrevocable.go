@@ -1,6 +1,9 @@
 package core
 
 import (
+	"slices"
+
+	"repro/internal/cm"
 	"repro/internal/mem"
 	"repro/internal/port"
 )
@@ -13,14 +16,14 @@ import (
 //
 // Protocol: the core requests an exclusivity token from every DTM node in
 // ascending node order (a global order, so two irrevocable transactions can
-// never deadlock). A node grants the token once its lock table has drained;
-// while a token is held or requested, the node rejects new lock
-// acquisitions, which aborts optimistic transactions into their usual retry
-// path and guarantees the drain terminates. Once all tokens are held the
-// body runs pessimistically with direct shared-memory access, then the
-// tokens are released. The token travels in the lock vocabulary: a reqLock
-// in exclusive mode asks for it, a respLock grants it, and a relLocks with
-// Exclusive set returns it.
+// never deadlock). A node grants the token once no running attempt holds a
+// lock in its table (drainFinished); while a token is held or requested,
+// the node rejects new lock acquisitions, which aborts optimistic
+// transactions into their usual retry path and guarantees the drain
+// terminates. Once all tokens are held the body runs pessimistically with
+// direct shared-memory access, then the tokens are released. The token
+// travels in the lock vocabulary: a reqLock in exclusive mode asks for it, a
+// respLock grants it, and a relLocks with Exclusive set returns it.
 
 // exclState is a DTM node's exclusivity bookkeeping.
 type exclState struct {
@@ -34,10 +37,10 @@ type exclState struct {
 // token is held or someone is waiting for the table to drain.
 func (e *exclState) blocked() bool { return e.held || len(e.queue) > 0 }
 
-// tryGrantExclusive grants the head waiter once the lock table is empty,
-// and recycles its request.
+// tryGrantExclusive grants the head waiter once the lock table holds no lock
+// of a running attempt, and recycles its request.
 func (n *dtmNode) tryGrantExclusive(p port.Port) {
-	if n.excl.held || len(n.excl.queue) == 0 || n.table.Size() != 0 {
+	if n.excl.held || len(n.excl.queue) == 0 || !n.drainFinished(p, n.excl.queue[0].Meta) {
 		return
 	}
 	r := n.excl.queue[0]
@@ -50,6 +53,29 @@ func (n *dtmNode) tryGrantExclusive(p port.Port) {
 	resp.ReqID, resp.OK = r.ReqID, true
 	n.s.send(&n.shard, n.rec, p, n.core, r.Reply, r.ReplyTo, resp, respBytes(resp))
 	putLockReq(r)
+}
+
+// drainFinished reports whether the lock table is empty once the locks of
+// finished attempts are revoked for requester by, key by key in address
+// order, stopping at the first key a running attempt holds. A core that
+// pauses on its own keeps its last attempt's releases (Runtime.carry), and
+// a token must not wait for them.
+func (n *dtmNode) drainFinished(p port.Port, by cm.Meta) bool {
+	if n.table.Size() == 0 {
+		return true
+	}
+	keys := n.drainKeys[:0]
+	n.table.ForEach(func(a mem.Addr) { keys = append(keys, a) })
+	slices.Sort(keys)
+	n.drainKeys = keys
+	for _, a := range keys {
+		for conf := n.table.WriteConflict(a, by); conf != nil; conf = n.table.WriteConflict(a, by) {
+			if !n.revokeFinished(p, a, by, conf.Enemies, -1) {
+				return false
+			}
+		}
+	}
+	return n.table.Size() == 0
 }
 
 // Irrevocable is the handle passed to an irrevocable transaction body. Its
@@ -106,7 +132,9 @@ func (rt *Runtime) RunIrrevocable(fn func(*Irrevocable)) {
 	rt.proc.Advance(rt.s.compute(costs.TxBegin))
 
 	// Acquire every node's token in ascending node order (global order =>
-	// no deadlock between two irrevocable transactions).
+	// no deadlock between two irrevocable transactions), after this core's
+	// own releases.
+	rt.sendCarry()
 	for ni := range rt.s.nodes {
 		req := rt.lockReq(id, lockExclusive, 0, nil)
 		reqID := req.ReqID // the node recycles req once it grants

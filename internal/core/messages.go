@@ -59,13 +59,24 @@ type reqLock struct {
 	Meta    cm.Meta
 	Reply   port.Port
 	ReplyTo int // app core ID
+
+	// Rel is the requesting core's release of an earlier attempt's locks at
+	// this node, carried instead of sent on its own (Runtime.carryOn), or
+	// nil. The node serves it after the request. Never set in exclusive
+	// mode.
+	Rel *relLocks
 }
 
 func (r *reqLock) bytes() int {
 	if r.Mode == lockExclusive {
 		return msgHeaderBytes + 16 // the holder's core and transaction ID
 	}
-	return msgHeaderBytes + msgMetaBytes + msgAddrBytes*len(r.Addrs)
+	n := msgHeaderBytes + msgMetaBytes + msgAddrBytes*len(r.Addrs)
+	if r.Rel != nil {
+		// The release's attempt and keys; its core is the requester's.
+		n += 8 + msgAddrBytes*(len(r.Rel.ReadAddrs)+len(r.Rel.WriteAddrs))
+	}
+	return n
 }
 
 // respLock answers a reqLock. OK means NO_CONFLICT, or for a token request
@@ -106,8 +117,9 @@ func respBytes(resp *respLock) int {
 }
 
 // relLocks releases the given read and write locks of attempt (Core, TxID):
-// the burst that ends every attempt, and — with only ReadAddrs set — the
-// elastic-early release before commit (§6.1). With Exclusive set and no
+// one per node at the end of every attempt, sent on its own or carried by
+// the core's next lock request (reqLock.Rel), and — with only ReadAddrs set
+// — the elastic-early release before commit (§6.1). With Exclusive set and no
 // addresses it returns the exclusivity token instead. Fire-and-forget:
 // stale releases are no-ops.
 type relLocks struct {
@@ -159,8 +171,12 @@ func getLockReq() *reqLock {
 	return r
 }
 
+// putLockReq recycles r and the release it still carries, if any.
 func putLockReq(r *reqLock) {
-	r.Reply = nil
+	if r.Rel != nil {
+		putRelLocks(r.Rel)
+	}
+	r.Reply, r.Rel = nil, nil
 	lockReqPool.Put(r)
 }
 

@@ -526,6 +526,76 @@ func TestReadAheadTimeoutReleasesBatch(t *testing.T) {
 	}
 }
 
+// TestCarriedReleaseResentOnTimeout: on net, a lock request that times out
+// while carrying a release may have been lost with it, so the core sends
+// that release again on its own before the abort unwinds. A release is
+// idempotent: the node frees nothing twice.
+func TestCarriedReleaseResentOnTimeout(t *testing.T) {
+	const deadline = 200 * time.Millisecond
+	var (
+		stallCore      atomic.Int64 // the core whose node stops serving (-1: none yet)
+		stalled, done  atomic.Bool
+		firstTx, sends atomic.Uint64 // the first attempt, and its releases that left
+		carried        atomic.Bool   // the first of them rode a lock request
+	)
+	stallCore.Store(-1)
+	lockSent = func(_ int, req *reqLock) {
+		if req.Rel != nil && req.Rel.TxID == firstTx.Load() {
+			carried.Store(true)
+		}
+	}
+	releaseSent = func(_ int, msg *relLocks) {
+		if msg.TxID == firstTx.Load() {
+			sends.Add(1)
+		}
+	}
+	t.Cleanup(func() { lockSent, releaseSent = nil, nil })
+	_, st := runRanks(t, BackendNet, func(c *Config) {
+		c.TotalCores, c.Deployment, c.RPCDeadline = 4, Multitask, deadline
+	}, func(s *System) func(rt *Runtime) {
+		words := s.Mem.Alloc(64, 0)
+		key := words
+		for s.rankOf(s.nodes[s.nodeFor(key)].core) != 1 {
+			key++ // a key whose DTM node serves on rank 1
+		}
+		node := s.nodes[s.nodeFor(key)].core
+		xfer := firstApp(s)
+		return func(rt *Runtime) {
+			switch {
+			case rt.Core() == xfer:
+				rt.Run(func(tx *Tx) {
+					firstTx.Store(tx.ID())
+					tx.Write(key, 1)
+				})
+				// The release stays in the carry while the node stalls.
+				stallCore.Store(int64(node))
+				for !stalled.Load() {
+					pauseServing(rt)
+				}
+				rt.Run(func(tx *Tx) { tx.Write(key, tx.Read(key)+1) })
+				done.Store(true)
+			case s.rankOf(rt.Core()) == 1:
+				for !done.Load() {
+					if stallCore.Load() == int64(rt.Core()) && !stalled.Load() {
+						stalled.Store(true)
+						time.Sleep(deadline * 3 / 2) // serve nothing
+					}
+					pauseServing(rt)
+				}
+			}
+		}
+	})
+	if st.RPCTimeouts == 0 {
+		t.Fatal("no lock request timed out")
+	}
+	if !carried.Load() {
+		t.Error("the first attempt's release did not ride the timed-out request")
+	}
+	if n := sends.Load(); n != 2 {
+		t.Errorf("the first attempt's release left %d times, want 2: carried, then on its own after the timeout", n)
+	}
+}
+
 // TestReadAheadAuditedMix: a TArray mix of full scans (Normal and
 // ReadOnly) and transfers passes the sim's opacity audit under every
 // starvation-free policy and OffsetGreedy, while the scans batch.

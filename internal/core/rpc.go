@@ -145,10 +145,12 @@ func (rt *Runtime) rpcLock(tx *Tx, keys []mem.Addr, mode lockMode) []mem.Addr {
 	for hop := 0; ; hop++ {
 		req := rt.lockReq(tx.id, mode, epoch, keys)
 		id := req.ReqID // once sent, the node may consume and recycle req
+		rt.carryOn(node, req)
 		if lockSent != nil {
 			lockSent(node, req)
 		}
 		rt.sendToNode(node, req)
+		rt.sendCarry() // the other carried releases leave before the core blocks
 		resp := rt.awaitOne(id)
 		if resp == nil {
 			// Deadline expired: the request or its response is lost. The
@@ -156,6 +158,7 @@ func (rt *Runtime) rpcLock(tx *Tx, keys []mem.Addr, mode lockMode) []mem.Addr {
 			// held and let the abort's release burst cover them.
 			rt.timeoutAbort(tx, keys, mode == lockWrite)
 		}
+		rt.dropRiding()
 		if resp.OK {
 			tx.recordGrantVers(keys, resp.Vers) // none except on a TL2 write grant
 			putRespLock(resp)
@@ -180,7 +183,7 @@ func (rt *Runtime) rpcLock(tx *Tx, keys []mem.Addr, mode lockMode) []mem.Addr {
 }
 
 // lockSent, when set by a test, sees every lock request rpcLock sends just
-// before it is sent.
+// before it is sent, with the release it carries.
 var lockSent func(node int, req *reqLock)
 
 // scatterWriteLocks sends every write-lock batch in one burst and gathers
@@ -198,9 +201,11 @@ func (rt *Runtime) scatterWriteLocks(tx *Tx, epoch uint64, batches []nodeGroup) 
 		// Record the correlation ID before the handoff: once staged or
 		// sent, the node may consume and recycle the pooled request.
 		ids = append(ids, req.ReqID)
+		rt.carryOn(b.node, req)
 		rt.burstToNode(b.node, req)
 	}
 	rt.scatterIDs = ids
+	rt.sendCarry() // the other carried releases join the burst
 	rt.flushOut()
 	rt.emit(trace.KPhaseEnd, tx.id, uint64(trace.PhaseScatter), 0, 0)
 	rt.scatterLat.Observe(rt.proc.Now() - scStart)
@@ -209,6 +214,7 @@ func (rt *Runtime) scatterWriteLocks(tx *Tx, epoch uint64, batches []nodeGroup) 
 	out := append(rt.scatterResps[:0], make([]*respLock, len(ids))...)
 	rt.scatterResps = out
 	rt.awaitIDs = append(rt.awaitIDs[:0], ids...)
+	rt.blockingHook()
 	for remaining := len(ids); remaining > 0; {
 		resp, timedOut := rt.recvRPC()
 		if timedOut {
@@ -236,6 +242,7 @@ func (rt *Runtime) scatterWriteLocks(tx *Tx, epoch uint64, batches []nodeGroup) 
 		}
 	}
 	rt.awaitIDs = rt.awaitIDs[:0]
+	rt.dropRiding()
 	rt.emit(trace.KPhaseEnd, tx.id, uint64(trace.PhaseGather), 0, 0)
 	rt.gatherLat.Observe(rt.proc.Now() - gaStart)
 	// out is per-runtime scratch (rt.scatterResps): the caller must consume
@@ -250,6 +257,7 @@ func (rt *Runtime) scatterWriteLocks(tx *Tx, epoch uint64, batches []nodeGroup) 
 // with its awaited keys.
 func (rt *Runtime) awaitOne(id uint64) *respLock {
 	rt.awaitIDs = append(rt.awaitIDs[:0], id)
+	rt.blockingHook()
 	for {
 		resp, timedOut := rt.recvRPC()
 		if timedOut || resp != nil {
@@ -315,9 +323,13 @@ func (rt *Runtime) absorb(m port.Msg, where string) {
 // recorded as held before the abort unwinds: abortCleanup's release burst
 // then frees whatever the nodes actually granted, and a release for a lock
 // never granted is a no-op. Leaking the lock instead would block its object
-// until the run's drain.
+// until the run's drain. A release the lost request carried is sent again
+// on its own, for the same reason.
 func (rt *Runtime) timeoutAbort(tx *Tx, keys []mem.Addr, write bool) {
 	rt.shard.RPCTimeouts++
+	if len(rt.riding) > 0 {
+		rt.riding = rt.sendReleases(rt.riding, &rt.shard.ReleaseMsgs)
+	}
 	if write {
 		tx.wlocked = append(tx.wlocked, keys...)
 	} else {

@@ -302,6 +302,8 @@ func (s *System) SpawnWorkers(worker func(rt *Runtime)) {
 							panic(r)
 						}
 					}
+					rt.sendCarry() // the last attempt's releases
+					rt.blockingHook()
 				}()
 				worker(rt)
 			}()

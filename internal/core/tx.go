@@ -78,13 +78,22 @@ type Runtime struct {
 	scatterIDs   []uint64    // scatter-gather correlation IDs
 	scatterResps []*respLock // scatter-gather response slots
 	groups       []nodeGroup // commitBatches' groups, in first-use order
-	rels         []relDraft  // relAdd's release messages, in first-use order
+	rels         []relDraft  // release messages being drafted, in first-use order
 	groupIdx     []int32     // DTM node → groups or rels index + 1; all 0 between uses
 	wkKeys       []mem.Addr  // writeKeys result
 	wbAddrs      []mem.Addr  // commit write-back address list
 	wbVals       []uint64    // commit write-back value list
 	winBuf       []uint64    // windowChanged re-read buffer
 	rvBuf        []uint64    // TL2 clock-snapshot buffer (tx.rv)
+
+	// carry is the last attempt's release messages, one per DTM node, in
+	// first-use order: releaseAll drafts them and sends none. The core's
+	// next lock request to a node carries that node's (carryOn), and
+	// sendCarry sends the rest on their own before the core blocks or
+	// waits. riding keeps, on net only, a copy of each release carried by a
+	// request still unanswered: the request may be lost with its release.
+	carry  []relDraft
+	riding []relDraft
 
 	barrierEpoch uint64
 	barrierSeen  map[uint64]int
@@ -332,11 +341,13 @@ func (rt *Runtime) runLoop(kind TxKind, fn func(*Tx) error) (attempts int, userE
 			return attempts, err
 		}
 		if backoff := rt.local.OnAbort(); backoff > 0 {
-			rt.proc.Pause(rt.s.compute(backoff))
+			rt.wait(rt.s.compute(backoff))
 		}
 		if rt.hasWin {
 			rt.hasWin = false
 			if rt.s.cfg.Policy.StarvationFree() {
+				rt.sendCarry()
+				rt.blockingHook()
 				rt.awaitWinner()
 			}
 		}
@@ -357,9 +368,29 @@ func (rt *Runtime) runLoop(kind TxKind, fn func(*Tx) error) (attempts int, userE
 		// also waits out retryWait, winner or not (skipped after a winner
 		// wait, live-bank's worst operation took 125-296 attempts, not 20).
 		if rt.s.host != nil {
-			rt.proc.Pause(rt.retryWait(lifeStart))
+			if d := rt.retryWait(lifeStart); d > 0 {
+				rt.wait(d)
+			}
 		}
 		rt.local.StartAttempt(rt.proc.Now())
+	}
+}
+
+// wait pauses the core between two attempts, after its carried releases
+// leave: a release never waits with the core.
+func (rt *Runtime) wait(d time.Duration) {
+	rt.sendCarry()
+	rt.blockingHook()
+	rt.proc.Pause(d)
+}
+
+// blocking, when set by a test, is called each time a core is about to block
+// on a lock response, wait between attempts, wait at a barrier or exit.
+var blocking func(rt *Runtime)
+
+func (rt *Runtime) blockingHook() {
+	if blocking != nil {
+		blocking(rt)
 	}
 }
 
@@ -600,6 +631,8 @@ func (tx *Tx) commit() {
 	}
 	if len(tx.wlocked) > 0 || p.readsHoldLocks() {
 		rt.releaseAll(tx)
+	} else {
+		rt.sendCarry() // nothing to carry on: an earlier attempt's releases leave now
 	}
 	rt.commitLat.Observe(rt.proc.Now() - start)
 }
@@ -753,17 +786,19 @@ func (rt *Runtime) abortCleanup(tx *Tx, sig abortSignal) {
 	tx.runHooks(tx.onAbort)
 }
 
-// releaseAll ends an attempt's hold on the DTM nodes: one release message
-// per node covering the remaining read locks and the acquired write locks.
+// releaseAll ends an attempt's hold on the DTM nodes: it drafts one release
+// message per node covering the remaining read locks and the acquired write
+// locks, and keeps them as the core's carry (see Runtime.carry), since a
+// finished attempt's lock never wins a conflict (dtmNode.revokeFinished).
 // Nodes are visited in first-use order (reads in read order, then write
-// locks in acquisition order) so identical runs schedule identical events.
-// A first walk counts each node's keys, so the messages' key slices are
-// sized once before a second walk fills them: a message drawn fresh from
-// the pool, as after every GC, would otherwise grow them one append at a
-// time. Both walks resolve keys in one placement snapshot, so they agree on
-// every key's node even while stripes migrate.
+// locks in acquisition order) so identical runs schedule identical events. A first walk counts each node's keys, so the messages'
+// key slices are sized once before a second walk fills them: a message
+// drawn fresh from the pool, as after every GC, would otherwise grow them
+// one append at a time. Both walks resolve keys in one placement snapshot,
+// so they agree on every key's node even while stripes migrate.
 func (rt *Runtime) releaseAll(tx *Tx) {
 	rt.emit(trace.KPhaseBegin, tx.id, uint64(trace.PhaseRelease), 0, 0)
+	rt.sendCarry()
 	tx.run.end(rt)
 	reads, place := rt.s.proto.readsHoldLocks(), rt.s.dir.Snapshot()
 	if reads {
@@ -793,7 +828,9 @@ func (rt *Runtime) releaseAll(tx *Tx) {
 		msg := rt.rels[rt.groupIdx[place.Owner(k)]-1].msg
 		msg.WriteAddrs = append(msg.WriteAddrs, k)
 	}
-	rt.sendReleases(&rt.shard.ReleaseMsgs)
+	rt.endDrafts()
+	rt.carry = append(rt.carry, rt.rels...) // sendCarry emptied it
+	rt.rels = rt.rels[:0]
 	rt.emit(trace.KPhaseEnd, tx.id, uint64(trace.PhaseRelease), 0, 0)
 }
 
@@ -830,25 +867,71 @@ func (rt *Runtime) relAdd(tx *Tx, write bool, k mem.Addr) {
 	}
 }
 
+// endDrafts ends the drafting of rt.rels: their indices in rt.groupIdx are
+// cleared for the next user.
+func (rt *Runtime) endDrafts() {
+	for _, d := range rt.rels {
+		rt.groupIdx[d.node] = 0
+	}
+}
+
 // releaseSent, when set by a test, sees every release message just before
-// it is sent.
+// it leaves, on its own or carried by a lock request.
 var releaseSent func(node int, msg *relLocks)
 
-// sendReleases sends the drafted release messages, all in one
-// fire-and-forget burst (scatter with nothing to gather), counting each in
-// sent, and clears their indices in rt.groupIdx for the next user.
-func (rt *Runtime) sendReleases(sent *uint64) {
-	for i, d := range rt.rels {
-		rt.groupIdx[d.node] = 0
-		rt.rels[i].msg = nil
+// sendReleases sends the release messages of drafts in one fire-and-forget
+// burst (scatter with nothing to gather), counting each in sent, and
+// returns drafts emptied for reuse.
+func (rt *Runtime) sendReleases(drafts []relDraft, sent *uint64) []relDraft {
+	for i, d := range drafts {
+		drafts[i].msg = nil
 		if releaseSent != nil {
 			releaseSent(d.node, d.msg)
 		}
 		*sent++
 		rt.burstToNode(d.node, d.msg)
 	}
-	rt.rels = rt.rels[:0]
 	rt.flushOut()
+	return drafts[:0]
+}
+
+// sendCarry sends the carried releases on their own, in one burst.
+func (rt *Runtime) sendCarry() {
+	if len(rt.carry) > 0 {
+		rt.carry = rt.sendReleases(rt.carry, &rt.shard.ReleaseMsgs)
+	}
+}
+
+// carryOn moves DTM node ni's carried release, if there is one, into req,
+// which the core is about to send to ni.
+func (rt *Runtime) carryOn(ni int, req *reqLock) {
+	for i, d := range rt.carry {
+		if d.node != ni {
+			continue
+		}
+		req.Rel = d.msg
+		rt.carry = slices.Delete(rt.carry, i, i+1)
+		rt.shard.CarriedReleases++
+		if releaseSent != nil {
+			releaseSent(ni, d.msg)
+		}
+		if rt.deadlineRecv != nil {
+			c := getRelLocks()
+			*c = relLocks{Core: d.msg.Core, TxID: d.msg.TxID,
+				ReadAddrs: append(c.ReadAddrs, d.msg.ReadAddrs...), WriteAddrs: append(c.WriteAddrs, d.msg.WriteAddrs...)}
+			rt.riding = append(rt.riding, relDraft{node: ni, msg: c})
+		}
+		return
+	}
+}
+
+// dropRiding forgets the copies of carried releases once their requests are
+// answered: the node that answered served them.
+func (rt *Runtime) dropRiding() {
+	for _, d := range rt.riding {
+		putRelLocks(d.msg)
+	}
+	rt.riding = rt.riding[:0]
 }
 
 // writeKeys returns the lock keys of the write set, in first-write order:
@@ -886,6 +969,7 @@ func (rt *Runtime) drainRequests() {
 // (§8 privatization support): each core sends a barrier message to all other
 // application cores and waits for all of theirs.
 func (rt *Runtime) Barrier() {
+	rt.sendCarry()
 	rt.barrierEpoch++
 	epoch := rt.barrierEpoch
 	msg := barrierMsg{Epoch: epoch}
@@ -895,6 +979,7 @@ func (rt *Runtime) Barrier() {
 		}
 		rt.s.send(&rt.shard, rt.rec, rt.proc, rt.core, other.proc, other.core, msg, msg.bytes())
 	}
+	rt.blockingHook()
 	for rt.barrierSeen[epoch] < len(rt.s.runtimes)-1 {
 		rt.absorb(rt.proc.Recv(), "in barrier")
 	}

@@ -234,10 +234,12 @@ func (tx *Tx) EarlyRelease(bases ...mem.Addr) {
 		// set and remain snapshot-validated (strictly stronger semantics).
 		return
 	}
+	rt.sendCarry()
 	for _, b := range bases {
 		if tx.reads.release(b) {
 			rt.relAdd(tx, false, b)
 		}
 	}
-	rt.sendReleases(&rt.shard.EarlyReleases)
+	rt.endDrafts()
+	rt.rels = rt.sendReleases(rt.rels, &rt.shard.EarlyReleases)
 }

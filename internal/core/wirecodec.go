@@ -100,6 +100,14 @@ func init() {
 			encMeta(e, r.Meta)
 			e.Port(r.Reply)
 			e.Int(r.ReplyTo)
+			// The carried release: its attempt and keys. Its core is the
+			// requester's, Meta.Core.
+			e.Bool(r.Rel != nil)
+			if r.Rel != nil {
+				e.U64(r.Rel.TxID)
+				encAddrs(e, r.Rel.ReadAddrs)
+				encAddrs(e, r.Rel.WriteAddrs)
+			}
 		},
 		Decode: func(d *wire.Dec) any {
 			r := getLockReq()
@@ -109,6 +117,15 @@ func init() {
 			}
 			r.Addrs = decAddrs(d, r.Addrs)
 			r.Meta, r.Reply, r.ReplyTo = decMeta(d), d.Port(), d.Int()
+			if d.Bool() {
+				if r.Mode == lockExclusive {
+					d.Failf("wire: token request carrying a release")
+				}
+				rel := getRelLocks()
+				rel.Core, rel.TxID = r.Meta.Core, d.U64()
+				rel.ReadAddrs, rel.WriteAddrs = decAddrs(d, rel.ReadAddrs), decAddrs(d, rel.WriteAddrs)
+				r.Rel = rel
+			}
 			return r
 		},
 		Release: func(v any) { putLockReq(v.(*reqLock)) },

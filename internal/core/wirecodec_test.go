@@ -78,18 +78,27 @@ func randReply(r *rand.Rand) port.Port {
 // Batch envelope must appear here; the completeness check in
 // TestWireRoundTripAllMessages enforces that.
 func messageGens() []func(r *rand.Rand) any {
-	reqLockGen := func(mode lockMode, maxAddrs int) func(r *rand.Rand) any {
+	reqLockGen := func(mode lockMode, maxAddrs int, carry bool) func(r *rand.Rand) any {
 		return func(r *rand.Rand) any {
-			return &reqLock{
+			req := &reqLock{
 				ReqID: r.Uint64(), Epoch: r.Uint64(), Mode: mode, Addrs: randAddrs(r, maxAddrs),
 				Meta: randMeta(r), Reply: randReply(r), ReplyTo: r.Intn(1 << 20),
 			}
+			if carry {
+				req.Rel = &relLocks{
+					ReadAddrs: randAddrs(r, 8), WriteAddrs: randAddrs(r, 8),
+					Core: req.Meta.Core, TxID: r.Uint64(),
+				}
+			}
+			return req
 		}
 	}
 	return []func(r *rand.Rand) any{
-		reqLockGen(lockRead, 1),
-		reqLockGen(lockWrite, 12),
-		reqLockGen(lockExclusive, 0),
+		reqLockGen(lockRead, 1, false),
+		reqLockGen(lockRead, 4, true),
+		reqLockGen(lockWrite, 12, false),
+		reqLockGen(lockWrite, 12, true),
+		reqLockGen(lockExclusive, 0, false),
 		func(r *rand.Rand) any {
 			owner := r.Intn(64) - 1 // exercises the -1 "no single owner" sentinel
 			return &respLock{
@@ -132,9 +141,9 @@ func wireRoundTrip(t *testing.T, v any) any {
 }
 
 // nilEmpty returns v with every empty slice field set to nil (in place, for
-// the pointer messages; through an envelope's payloads): decoders fill
-// pooled structs, whose empty lists are len 0 over retained storage, so a
-// round trip preserves contents, not nil-ness.
+// the pointer messages; through an envelope's payloads and a carried
+// release): decoders fill pooled structs, whose empty lists are len 0 over
+// retained storage, so a round trip preserves contents, not nil-ness.
 func nilEmpty(v any) any {
 	rv := reflect.ValueOf(v)
 	if rv.Kind() != reflect.Pointer {
@@ -148,6 +157,8 @@ func nilEmpty(v any) any {
 	for i, st := 0, rv.Elem(); i < st.NumField(); i++ {
 		if f := st.Field(i); f.Kind() == reflect.Slice && f.Len() == 0 {
 			f.SetZero()
+		} else if rel, ok := f.Interface().(*relLocks); ok && rel != nil {
+			nilEmpty(rel)
 		}
 	}
 	return v
@@ -224,6 +235,15 @@ func TestWireDecodeRejectsCorruptInput(t *testing.T) {
 	if _, err := wire.DecodePayload(wire.NewDec(bad, testResolver)); err == nil {
 		t.Fatal("reqLock with an unknown mode decoded without error")
 	}
+	// A token request carrying a release, otherwise well formed.
+	e = wire.NewEnc(nil)
+	if err := wire.EncodePayload(e, &reqLock{Mode: lockExclusive}); err != nil {
+		t.Fatal(err)
+	}
+	bad = slices.Concat(e.Bytes()[:len(e.Bytes())-1], []byte{1, 7, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
+	if _, err := wire.DecodePayload(wire.NewDec(bad, testResolver)); err == nil {
+		t.Fatal("token request carrying a release decoded without error")
+	}
 	// Core IDs the lock table cannot hold, in a request's Meta and in a
 	// release.
 	for _, frame := range badCoreFrames() {
@@ -289,8 +309,9 @@ var retiredKindFrames = [][]byte{
 	append([]byte{9}, make([]byte, 8+8)...), // relExclusive
 }
 
-// TestWireEncodingStable pins exact bytes for a read-mode and an
-// exclusive-mode reqLock: the encoding is a protocol constant
+// TestWireEncodingStable pins exact bytes for a read-mode reqLock with and
+// without a carried release and an exclusive-mode one: the encoding is a
+// protocol constant
 // (docs/WIRE.md), and accidental layout drift must show up as a test
 // failure, not a cross-version hang.
 func TestWireEncodingStable(t *testing.T) {
@@ -313,14 +334,33 @@ func TestWireEncodingStable(t *testing.T) {
 			0,          // Mode: read
 			1, 0, 0, 0, // len(Addrs)
 			0x0b, 0x0a, 0, 0, 0, 0, 0, 0, // Addrs[0]
-		}, meta)},
+		}, meta, []byte{
+			0, // no carried release
+		})},
+		{&reqLock{ReqID: 5, Mode: lockRead, Addrs: []mem.Addr{0x0a0b},
+			Rel: &relLocks{WriteAddrs: []mem.Addr{0x0c}, Core: 3, TxID: 8}}, slices.Concat([]byte{
+			2,                      // kind: reqLock
+			5, 0, 0, 0, 0, 0, 0, 0, // ReqID
+			0, 0, 0, 0, 0, 0, 0, 0, // Epoch
+			0,          // Mode: read
+			1, 0, 0, 0, // len(Addrs)
+			0x0b, 0x0a, 0, 0, 0, 0, 0, 0, // Addrs[0]
+		}, meta, []byte{
+			1,                      // a carried release
+			8, 0, 0, 0, 0, 0, 0, 0, // Rel.TxID
+			0, 0, 0, 0, // len(Rel.ReadAddrs)
+			1, 0, 0, 0, // len(Rel.WriteAddrs)
+			0x0c, 0, 0, 0, 0, 0, 0, 0, // Rel.WriteAddrs[0]
+		})},
 		{&reqLock{ReqID: 4, Mode: lockExclusive}, slices.Concat([]byte{
 			2,                      // kind: reqLock
 			4, 0, 0, 0, 0, 0, 0, 0, // ReqID
 			0, 0, 0, 0, 0, 0, 0, 0, // Epoch
 			2,          // Mode: exclusive
 			0, 0, 0, 0, // len(Addrs)
-		}, meta)},
+		}, meta, []byte{
+			0, // no carried release
+		})},
 	} {
 		c.v.Meta = cm.Meta{Core: 3, TxID: 9, Prio: -1, Offset: 5}
 		c.v.Reply, c.v.ReplyTo = idPort{id: 17}, 3
@@ -384,6 +424,13 @@ func FuzzDecodePayload(f *testing.F) {
 		}
 		f.Add(e.Bytes())
 	}
+	// A write batch carrying a release.
+	e := wire.NewEnc(nil)
+	if err := wire.EncodePayload(e, &reqLock{Mode: lockWrite, Addrs: []mem.Addr{1, 2},
+		Rel: &relLocks{ReadAddrs: []mem.Addr{3}, WriteAddrs: []mem.Addr{1}, TxID: 7}}); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(e.Bytes())
 	f.Add([]byte{wkBatch, 0xff, 0xff, 0xff, 0xff})
 	f.Add([]byte{wkBatch, 1, 0, 0, 0, wkBatch, 0, 0, 0, 0})
 	for _, frame := range retiredKindFrames {

@@ -27,45 +27,22 @@ var update = flag.Bool("update", false, "rewrite testdata/fingerprints.golden")
 // deliberate, never accidental. Irrevocables are pinned in internal/core
 // (TestIrrevocableMixFingerprint), the coalescing plane there too
 // (TestCoalesceSingletonPlaneBitIdentical, TestOutboxEnvelopeDelivered).
-var figFingerprints = []struct {
+var figFingerprints = func() (rows []fingerprintRow) {
+	figs := []string{"fig4a", "fig4b", "fig4c", "fig5a", "fig5b", "fig5c", "fig5d",
+		"fig6a", "fig6b", "fig7a", "fig7b", "fig8a", "fig8b", "fig8c", "fig8d"}
+	for _, seed := range []uint64{3, 9} {
+		for _, id := range figs {
+			rows = append(rows, fingerprintRow{id, "tiny", seed})
+		}
+	}
+	return append(rows, fingerprintRow{"abltl2", "tiny", 3}, fingerprintRow{"abltl2", "tiny", 9},
+		fingerprintRow{"fig5a", "quick", 1}, fingerprintRow{"scaleplace", "quick", 1})
+}()
+
+type fingerprintRow struct {
 	id    string
 	scale string // a key of fingerprintScales; Seed is overridden by seed
 	seed  uint64
-}{
-	{"fig4a", "tiny", 3},
-	{"fig4b", "tiny", 3},
-	{"fig4c", "tiny", 3},
-	{"fig5a", "tiny", 3},
-	{"fig5b", "tiny", 3},
-	{"fig5c", "tiny", 3},
-	{"fig5d", "tiny", 3},
-	{"fig6a", "tiny", 3},
-	{"fig6b", "tiny", 3},
-	{"fig7a", "tiny", 3},
-	{"fig7b", "tiny", 3},
-	{"fig8a", "tiny", 3},
-	{"fig8b", "tiny", 3},
-	{"fig8c", "tiny", 3},
-	{"fig8d", "tiny", 3},
-	{"fig4a", "tiny", 9},
-	{"fig4b", "tiny", 9},
-	{"fig4c", "tiny", 9},
-	{"fig5a", "tiny", 9},
-	{"fig5b", "tiny", 9},
-	{"fig5c", "tiny", 9},
-	{"fig5d", "tiny", 9},
-	{"fig6a", "tiny", 9},
-	{"fig6b", "tiny", 9},
-	{"fig7a", "tiny", 9},
-	{"fig7b", "tiny", 9},
-	{"fig8a", "tiny", 9},
-	{"fig8b", "tiny", 9},
-	{"fig8c", "tiny", 9},
-	{"fig8d", "tiny", 9},
-	{"abltl2", "tiny", 3},
-	{"abltl2", "tiny", 9},
-	{"fig5a", "quick", 1},
-	{"scaleplace", "quick", 1},
 }
 
 // fingerprintScales names the scales the golden rows ran at; changing one

@@ -196,9 +196,11 @@ func WriteChrome(w io.Writer, t *Trace) error {
 				Pid: 1, Tid: tid, ID: fmt.Sprintf("%x", e.A),
 			})
 		case KRevoke:
+			victim, by, stale := RevokeParts(e.A)
 			out = append(out, chromeEvent{
 				Name: "revoke", Cat: "cm", Ph: "i", Ts: ts, Pid: 1, Tid: tid, S: "t",
-				Args: map[string]any{"victim_core": e.A, "victim_tx": e.B, "key": e.C},
+				Args: map[string]any{"victim_core": victim, "victim_tx": e.B, "key": e.C,
+					"by_core": by, "by_tx": e.TxID, "stale": stale},
 			})
 		case KClockTick:
 			out = append(out, chromeEvent{

@@ -53,7 +53,11 @@ func WriteText(w io.Writer, t *Trace) error {
 				fmt.Fprintf(bw, " owner=%d", e.C-1)
 			}
 		case KRevoke:
-			fmt.Fprintf(bw, "revoke victim core=%d tx=%d key=%d", e.A, e.B, e.C)
+			victim, by, stale := RevokeParts(e.A)
+			fmt.Fprintf(bw, "revoke victim core=%d tx=%d key=%d by core=%d tx=%d", victim, e.B, e.C, by, e.TxID)
+			if stale {
+				fmt.Fprint(bw, " (finished)")
+			}
 		case KPhaseBegin:
 			fmt.Fprintf(bw, "tx=%d phase %s {", e.TxID, Phase(e.A))
 		case KPhaseEnd:

@@ -62,8 +62,11 @@ const (
 	// directory epoch piggybacked on the NACK, C = owner hint + 1 (0 = no
 	// hint).
 	KLockStale
-	// KRevoke records a contention manager remotely aborting an enemy
-	// transaction. A = victim core, B = victim transaction ID, C = lock key.
+	// KRevoke records a DTM node taking an enemy attempt's lock away for a
+	// requester: a contention manager remotely aborting the enemy, or the
+	// lock of an attempt that had already finished (stale). TxID = the
+	// requester's attempt, A = RevokeWord(victim core, requester core,
+	// stale), B = victim transaction ID, C = lock key.
 	KRevoke
 	// KPhaseBegin/KPhaseEnd bracket one commit phase span. A = Phase.
 	KPhaseBegin
@@ -221,6 +224,22 @@ func Reasons() []Reason {
 // correlation IDs are per-core, so the pair is globally unique.
 func FlowID(core int, reqID uint64) uint64 {
 	return uint64(core)<<40 | reqID
+}
+
+// RevokeWord packs a KRevoke's A word: the victim's core in the low 32
+// bits, the revoking requester's core in the next 31, and whether the victim
+// had already finished in the top bit.
+func RevokeWord(victim, by int, stale bool) uint64 {
+	w := uint64(uint32(victim)) | uint64(uint32(by))<<32
+	if stale {
+		w |= 1 << 63
+	}
+	return w
+}
+
+// RevokeParts unpacks RevokeWord.
+func RevokeParts(a uint64) (victim, by int, stale bool) {
+	return int(uint32(a)), int(uint32(a>>32) &^ (1 << 31)), a>>63 == 1
 }
 
 // Event is one fixed-size flight-recorder record. At is the owning port's

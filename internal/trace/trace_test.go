@@ -154,7 +154,7 @@ func syntheticTrace() *Trace {
 	app.Emit(240, KPhaseEnd, 8, uint64(PhaseGather), 0, 0)
 	app.Emit(245, KClockTick, 8, 17, 0, 0)
 	app.Emit(250, KCommit, 8, 2, 0, 0)
-	dtm.Emit(260, KRevoke, 0, 5, 9, 42)
+	dtm.Emit(260, KRevoke, 8, RevokeWord(5, 2, true), 9, 42)
 	dtm.Emit(270, KLockStale, 9, FlowID(3, 1), 4, 11)
 	app.Emit(280, KDoomedRead, 9, 13, 0, 0)
 	place.Emit(300, KFreeze, 0, 6, 8, 10)
@@ -236,9 +236,24 @@ func TestWriteText(t *testing.T) {
 		"freeze stripe=6",
 		"handoff stripe=6",
 		"COMMIT attempts=2",
+		"revoke victim core=5 tx=9 key=42 by core=2 tx=8 (finished)",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("text render missing %q in:\n%s", want, out)
+		}
+	}
+}
+
+// TestRevokeWordRoundTrips: a KRevoke's A word gives back the victim, the
+// revoker and the stale mark it was packed from.
+func TestRevokeWordRoundTrips(t *testing.T) {
+	for _, c := range []struct {
+		victim, by int
+		stale      bool
+	}{{0, 0, false}, {5, 2, true}, {1<<31 - 1, 1<<31 - 1, true}, {47, 0, false}} {
+		victim, by, stale := RevokeParts(RevokeWord(c.victim, c.by, c.stale))
+		if victim != c.victim || by != c.by || stale != c.stale {
+			t.Errorf("RevokeWord(%d, %d, %v) unpacks to %d, %d, %v", c.victim, c.by, c.stale, victim, by, stale)
 		}
 	}
 }
