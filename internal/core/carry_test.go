@@ -8,19 +8,21 @@ import (
 
 	"repro/internal/cm"
 	"repro/internal/mem"
+	"repro/internal/placement"
 	"repro/internal/port"
 )
 
 // TestFinishedHolderNeverWins: under NoCM, where a requester loses every
 // conflict it is judged in, a transfer's commit loses WAR to a reader whose
 // attempt is still running, and wins against the same reader once that
-// attempt has committed, although the reader's core still withholds the
-// release: it pauses after the commit and sends nothing, so the release stays
-// in its carry. The transfer's retry starts once the reader has committed,
-// so it commits on exactly its second attempt. Without the DTM's
-// finished-holder rule the second attempt would lose too, and every retry
-// after it, until the reader gave up waiting. The live row also runs in CI's
-// -race step, the net row in the net job's.
+// attempt has committed, at a DTM node with nothing else queued, although
+// the reader's core still withholds the release: it pauses after the commit
+// and sends nothing, so the release stays in its carry. The transfer's
+// retry starts once the reader has committed, so it commits on exactly its
+// second attempt. Without the DTM's finished-holder rule the second attempt
+// would lose too, and every retry after it, until the reader gave up
+// waiting. The live row also runs in CI's -race step, the net row in the
+// net job's.
 func TestFinishedHolderNeverWins(t *testing.T) {
 	for _, backend := range []Backend{BackendSim, BackendLive, BackendNet} {
 		t.Run(backend.String(), func(t *testing.T) {
@@ -99,13 +101,13 @@ func byBackend(b Backend, sim, host time.Duration) port.Time {
 
 // TestCarriedReleaseBound: every lock an attempt held is in a release that
 // has left the core — on its own or inside a lock request — before the core
-// next blocks on a lock response or a token, waits between attempts, waits
-// at a barrier or exits, and before the next attempt ends. A hook on every
-// release that leaves, one on every blocking point and the attempts' own
-// commit and abort hooks check it, across transfers, read-ahead scans,
-// elastic-early reads, irrevocables and a barrier, under both protocols and
-// both deployments, with back-off and winner waits. The live row also runs
-// in CI's -race step.
+// next blocks on a lock response or a token, waits between attempts, pauses
+// or computes for the workload, waits at a barrier or exits, and before the
+// next attempt ends. A hook on every release that leaves, one on every such
+// point and the attempts' own commit and abort hooks check it, across
+// transfers, read-ahead scans, elastic-early reads, irrevocables, compute,
+// pauses and a barrier, under both protocols and both deployments, with
+// back-off and winner waits. The live row also runs in CI's -race step.
 func TestCarriedReleaseBound(t *testing.T) {
 	rows := []struct {
 		name    string
@@ -173,8 +175,13 @@ func TestCarriedReleaseBound(t *testing.T) {
 				return func(rt *Runtime) {
 					r := rt.Rand()
 					for op := range ops {
-						if op == ops/2 {
+						switch {
+						case op == ops/2:
 							rt.Barrier()
+						case op%7 == 3:
+							rt.Compute(time.Microsecond)
+						case op%11 == 5:
+							rt.Port().Pause(time.Microsecond)
 						}
 						switch k := r.Intn(10); {
 						case k == 0 && rt.AppIndex() == 0 && row.proto == ProtocolVisible:
@@ -245,42 +252,122 @@ func TestShardsMergeCarry(t *testing.T) {
 
 // TestTokenWaitsForNoFinishedHolder: an irrevocable transaction's token is
 // granted once a node holds no lock of a running attempt. A core that
-// committed and then waits outside the runtime for that transaction — a
-// pause sends nothing, so its release stays in its carry — must not keep
-// the token from being granted.
+// committed and then waits for that transaction must not keep the token from
+// being granted. Two orders: in "committed", the token is requested after
+// the commit and the core waits outside the runtime, sending nothing, so
+// the node revokes the release it still carries; in "running", the token is
+// requested while the core's attempt still holds its lock, and the core then
+// waits on its port, whose pause sends the carried release first.
 func TestTokenWaitsForNoFinishedHolder(t *testing.T) {
-	for _, backend := range []Backend{BackendSim, BackendLive} {
-		t.Run(backend.String(), func(t *testing.T) {
-			giveUp := byBackend(backend, 2*time.Millisecond, 200*time.Millisecond)
-			var committed, irrevocable, gaveUp atomic.Bool
-			runRanks(t, backend, func(c *Config) { c.TotalCores = 4 }, func(s *System) func(rt *Runtime) {
-				acct := s.Mem.Alloc(1, 0)
-				app := s.AppCores()
-				slices.Sort(app)
-				return func(rt *Runtime) {
-					switch rt.Core() {
-					case app[0]:
-						rt.Run(func(tx *Tx) { tx.Write(acct, tx.Read(acct)+1) })
-						committed.Store(true)
-						for end := rt.proc.Now() + giveUp; !irrevocable.Load(); {
-							if rt.proc.Now() >= end {
-								gaveUp.Store(true) // exiting sends the release
-								break
-							}
+	for _, order := range []string{"committed", "running"} {
+		for _, backend := range []Backend{BackendSim, BackendLive} {
+			t.Run(order+"/"+backend.String(), func(t *testing.T) {
+				tokenWaitRun(t, backend, order == "running")
+			})
+		}
+	}
+}
+
+func tokenWaitRun(t *testing.T, backend Backend, running bool) {
+	giveUp := byBackend(backend, 2*time.Millisecond, 200*time.Millisecond)
+	var held, asked, committed, irrevocable, gaveUp, early atomic.Bool
+	runRanks(t, backend, func(c *Config) { c.TotalCores = 4 }, func(s *System) func(rt *Runtime) {
+		acct := s.Mem.Alloc(1, 0)
+		app := s.AppCores()
+		slices.Sort(app)
+		return func(rt *Runtime) {
+			switch rt.Core() {
+			case app[0]:
+				if !running {
+					rt.Run(func(tx *Tx) { tx.Write(acct, tx.Read(acct)+1) })
+				} else {
+					rt.RunReadOnly(func(tx *Tx) {
+						tx.Read(acct)
+						held.Store(true)
+						for !asked.Load() {
 							pauseServing(rt)
 						}
-					case app[1]:
-						for !committed.Load() {
+						// Time for the token request to reach the node,
+						// which queues it behind this attempt's read lock.
+						for end := rt.proc.Now() + giveUp/10; rt.proc.Now() < end; {
 							pauseServing(rt)
 						}
-						rt.RunIrrevocable(func(ir *Irrevocable) { ir.Write(acct, ir.Read(acct)+1) })
-						irrevocable.Store(true)
+					})
+				}
+				early.Store(irrevocable.Load())
+				committed.Store(true)
+				for end := rt.proc.Now() + giveUp; !irrevocable.Load(); {
+					if rt.proc.Now() >= end {
+						gaveUp.Store(true) // exiting sends the release
+						break
+					}
+					if running {
+						rt.Port().Pause(5 * time.Microsecond)
+					} else {
+						pauseServing(rt) // sends nothing
 					}
 				}
-			})
-			if gaveUp.Load() {
-				t.Error("the token waited for a committed attempt's release")
+			case app[1]:
+				for !(running && held.Load()) && !committed.Load() {
+					pauseServing(rt)
+				}
+				asked.Store(true)
+				rt.RunIrrevocable(func(ir *Irrevocable) { ir.Write(acct, ir.Read(acct)+1) })
+				irrevocable.Store(true)
 			}
-		})
+		}
+	})
+	if early.Load() {
+		t.Error("the token was granted while a running attempt held a lock")
+	}
+	if gaveUp.Load() {
+		t.Error("the token waited for a committed attempt's release")
+	}
+}
+
+// TestFrozenStripeHandsOffPastFinishedHolder: a frozen placement stripe is
+// handed off once no running attempt holds a lock in it. Stripe A's only
+// lock belongs to an attempt that has committed, whose release its core
+// would still carry; stripe B's belongs to the same core's next attempt,
+// still running. A transaction that reads a key of A commits at A's new
+// owner, and B stays frozen.
+func TestFrozenStripeHandsOffPastFinishedHolder(t *testing.T) {
+	s := testSystem(t, func(c *Config) {
+		c.TotalCores, c.ServiceCores = 4, 2
+		c.Placement = placement.AdaptiveHier
+		c.RepartitionEpoch = 1 << 30 // no automatic rounds; the test drives the moves
+	})
+	dir := s.Placement()
+	pool := s.Mem.Alloc(4096, 0)
+	a, b := pool, pool
+	for dir.Owner(b) != dir.Owner(a) || dir.StripeOf(b) == dir.StripeOf(a) {
+		if b++; b == pool+4096 {
+			t.Fatal("no second stripe of the same node in pool")
+		}
+	}
+	node, to := dir.Owner(a), 1-dir.Owner(a)
+	holder := s.AppCores()[1] // runs nothing here: its register is the test's
+	s.nodes[node].table.SetWriter(a, cm.Meta{Core: holder, TxID: 5})
+	s.nodes[node].table.SetWriter(b, cm.Meta{Core: holder, TxID: 6})
+	s.Regs.SetStatusLocal(holder, 6, mem.TxPending) // attempt 5 has ended, 6 runs
+	for _, k := range []mem.Addr{a, b} {
+		if !dir.InitiateMove(dir.StripeOf(k), to) {
+			t.Fatal("InitiateMove refused")
+		}
+	}
+	reader := s.AppCores()[0]
+	s.SpawnWorkers(func(rt *Runtime) {
+		if rt.Core() == reader {
+			rt.Run(func(tx *Tx) { tx.Read(a) })
+		}
+	})
+	if st := s.Run(200 * time.Microsecond); st.Commits != 1 {
+		t.Fatalf("%d commits, want 1: the read of the frozen stripe never got through", st.Commits)
+	}
+	if got := dir.StripeOwner(dir.StripeOf(a)); got != to {
+		t.Errorf("stripe A owned by node %d, want %d", got, to)
+	}
+	if _, frozen := dir.PendingTarget(dir.StripeOf(b)); !frozen {
+		t.Error("stripe B was handed off under a running attempt's lock")
 	}
 }

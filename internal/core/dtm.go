@@ -42,11 +42,12 @@ type dtmNode struct {
 	shrunk      bool
 	heldScratch []bool // tryHandoffs: pending stripe i still holds a lock
 
-	// doneBelow[c]: every attempt of core c numbered below it has finished,
-	// as the node last read c's status register (finished).
-	doneBelow []uint64
+	// busy: another message waits behind the one being served
+	// (dispatchBurst). A busy node spends no register read on deciding
+	// whether a winning holder has finished (handleLock).
+	busy bool
 
-	drainKeys []mem.Addr // drainFinished: the table's keys, in order
+	keyScratch []mem.Addr // drainFinished, tryHandoffs: locked keys, in order
 
 	// acqScratch accumulates the addresses a write-lock batch has acquired
 	// so far, for rollback on a mid-batch conflict. Serving is single-
@@ -73,9 +74,11 @@ func (n *dtmNode) serveLoop(p port.Port) {
 
 // dispatchBurst serves m and the already-queued backlog in strict arrival
 // order, flushing the staged responses every time the sender changes and
-// once the mailbox is momentarily empty. Payloads of an unpacked envelope
-// sit contiguously in the mailbox, so one core's burst is answered with one
-// coalesced response envelope, while a response to anyone else never waits
+// once the mailbox is momentarily empty. The next message is taken before
+// the current one is served, so the node knows whether anyone waits behind
+// it (busy). Payloads of an unpacked envelope sit contiguously in the
+// mailbox, so one core's burst is answered with one coalesced response
+// envelope, while a response to anyone else never waits
 // (a sender change flushes first: responses to different cores cannot share
 // an envelope anyway, so delaying them behind another core's service time
 // would cost latency for nothing) and a lone request is answered the
@@ -84,19 +87,24 @@ func (n *dtmNode) serveLoop(p port.Port) {
 // uncoalesced plane, where nothing is ever staged, the flushes are no-ops
 // and the loop is exactly Recv-handle.
 func (n *dtmNode) dispatchBurst(p port.Port, m port.Msg) {
+	next, ok := p.TryRecv()
 	for {
 		from := m.From
+		n.busy = ok
 		n.handle(p, m)
-		next, ok := p.TryRecv()
 		if !ok {
-			break
+			if next, ok = p.TryRecv(); !ok {
+				break
+			}
 		}
 		if next.From != from {
 			// The previous sender's burst is over; its responses leave now.
 			n.flushOut(p)
 		}
 		m = next
+		next, ok = p.TryRecv()
 	}
+	n.busy = false
 	n.flushOut(p)
 }
 
@@ -170,8 +178,8 @@ func (n *dtmNode) switchIn(p port.Port) {
 // windows.
 // All reads come from one snapshot, taken after this node's own handoffs: a
 // freeze another core publishes meanwhile is seen by every read or by none.
-func (n *dtmNode) placeOK(epoch uint64, keys ...mem.Addr) bool {
-	n.maybeHandoffs()
+func (n *dtmNode) placeOK(p port.Port, epoch uint64, keys ...mem.Addr) bool {
+	n.maybeHandoffs(p)
 	v := n.s.dir.Snapshot()
 	if epoch == v.Epoch() && !v.HasPending(n.idx) {
 		return true
@@ -185,7 +193,7 @@ func (n *dtmNode) placeOK(epoch uint64, keys ...mem.Addr) bool {
 // already be lock-free and would otherwise never hand off). Without the
 // gate, every request arriving during a migration window would pay a full
 // O(lock-table) scan.
-func (n *dtmNode) maybeHandoffs() {
+func (n *dtmNode) maybeHandoffs(p port.Port) {
 	v := n.s.dir.Snapshot()
 	if !v.HasPending(n.idx) {
 		n.shrunk = false
@@ -197,16 +205,26 @@ func (n *dtmNode) maybeHandoffs() {
 	}
 	n.handoffGen = gen
 	n.shrunk = false
-	n.tryHandoffs(v.PendingFor(n.idx))
+	n.tryHandoffs(p, v.PendingFor(n.idx))
 }
 
 // tryHandoffs completes every pending outgoing migration whose stripe holds
-// no live lock in this node's table, in one pass over the table: ownership
-// flips in the directory and subsequent resolutions return the new owner.
-// Nothing is copied — a drained stripe has no lock state to move. pending is
-// this node's frozen stripes, ascending, from the caller's snapshot.
-func (n *dtmNode) tryHandoffs(pending []int) {
+// no lock of a running attempt in this node's table: the locks of finished
+// attempts in the frozen stripes are revoked first, key by key in address
+// order. Then ownership flips in the directory for every stripe left
+// without a lock, and subsequent resolutions return the new owner. Nothing
+// is copied — a drained stripe has no lock state to move. pending is this
+// node's frozen stripes, ascending, from the caller's snapshot.
+func (n *dtmNode) tryHandoffs(p port.Port, pending []int) {
 	dir := n.s.dir
+	frozen := func(a mem.Addr) bool {
+		_, ok := slices.BinarySearch(pending, dir.StripeOf(a))
+		return ok
+	}
+	by := cm.Meta{Core: n.core} // the node itself, not a requester
+	for _, a := range n.lockedKeys(frozen) {
+		n.clearFinished(p, a, by)
+	}
 	held := append(n.heldScratch[:0], make([]bool, len(pending))...)
 	n.table.ForEach(func(a mem.Addr) {
 		if i, ok := slices.BinarySearch(pending, dir.StripeOf(a)); ok {
@@ -262,12 +280,12 @@ var noWinner = cm.Meta{Core: -1}
 // Algorithm 2 (dsl_write_lock) in write mode, for every key of the request,
 // plus the revocation protocol: on a conflict the contention manager either
 // aborts the requester or remotely aborts the holders and steals their
-// locks; a verdict for the holders first takes the locks of finished
-// attempts away (revokeFinished). A batch is all or nothing: on failure its
-// own acquisitions are rolled back before the conflict reply, so the
-// requester never holds partial state it does not know about. Exclusive
-// mode queues for the token instead; only then does it return false, and
-// tryGrantExclusive recycles the request once it grants.
+// locks; at a node nobody waits at, a verdict for the holders first takes
+// the locks of finished attempts away (revokeFinished). A batch is all or
+// nothing: on failure its own acquisitions are rolled back before the
+// conflict reply, so the requester never holds partial state it does not
+// know about. Exclusive mode queues for the token instead; only then does it
+// return false, and tryGrantExclusive recycles the request once it grants.
 func (n *dtmNode) handleLock(p port.Port, r *reqLock) bool {
 	p.Advance(n.s.compute(costs.SvcBase + costs.SvcLock*time.Duration(len(r.Addrs))))
 	if r.Mode == lockExclusive {
@@ -275,7 +293,7 @@ func (n *dtmNode) handleLock(p port.Port, r *reqLock) bool {
 		n.tryGrantExclusive(p)
 		return false
 	}
-	if !n.placeOK(r.Epoch, r.Addrs...) {
+	if !n.placeOK(p, r.Epoch, r.Addrs...) {
 		n.nackStale(p, r)
 		return true
 	}
@@ -313,8 +331,8 @@ func (n *dtmNode) handleLock(p port.Port, r *reqLock) bool {
 			}
 			n.shard.Conflicts++
 			d, win := n.s.cfg.Policy.ResolveWinner(meta, conf.Enemies, conf.Kind)
-			if d == cm.AbortRequester && n.revokeFinished(p, addr, meta, conf.Enemies, win) {
-				continue // a finished attempt's lock never wins: re-check
+			if d == cm.AbortRequester && !n.busy && n.revokeFinished(p, addr, meta, conf.Enemies, win) {
+				continue // a finished attempt's lock does not win: re-check
 			}
 			if d == cm.AbortRequester || !n.abortEnemies(p, addr, meta, conf.Enemies) {
 				winner := noWinner
@@ -384,8 +402,8 @@ func (n *dtmNode) abortEnemies(p port.Port, addr mem.Addr, by cm.Meta, enemies [
 // decided it (win, or the first), every enemy whose attempt has finished
 // loses its lock at addr, up to the first one still running, which keeps its
 // lock and its win. It reports whether it revoked any: the conflict must
-// then be checked again. A finished attempt's lock is only a release on its
-// way or still carried (Runtime.carryOn), so it never wins; revoking it is
+// then be checked again. A finished attempt's lock stands only for a
+// release on its way or still carried (Runtime.carryOn); revoking it is
 // safe for the reason abortEnemies' stale branch is: write-back happens
 // before Committed, rollback before Aborted.
 func (n *dtmNode) revokeFinished(p port.Port, addr mem.Addr, by cm.Meta, enemies []cm.Meta, win int) bool {
@@ -400,22 +418,39 @@ func (n *dtmNode) revokeFinished(p port.Port, addr mem.Addr, by cm.Meta, enemies
 	return revoked
 }
 
-// finished reports whether enemy e's attempt has ended, reading its core's
-// status register unless an earlier read settled it: attempt numbers only
-// grow, so a register that showed a later attempt, or this one Committed or
-// Aborted, settles every older lock of that core.
+// finished reports whether enemy e's attempt has ended: its core's status
+// register, read with a compare-and-swap that cannot change it, shows a
+// later attempt, or this one Committed or Aborted.
 func (n *dtmNode) finished(p port.Port, e cm.Meta) bool {
-	if e.Core >= len(n.doneBelow) {
-		n.doneBelow = append(n.doneBelow, make([]uint64, e.Core+1-len(n.doneBelow))...)
-	}
-	if e.TxID >= n.doneBelow[e.Core] {
-		_, id, st := n.s.Regs.CASStatusRemoteObserve(p, n.core, e.Core, 0, mem.TxFree, mem.TxFree)
-		if st == mem.TxCommitted || st == mem.TxAborted {
-			id++
+	_, id, st := n.s.Regs.CASStatusRemoteObserve(p, n.core, e.Core, 0, mem.TxFree, mem.TxFree)
+	return id != e.TxID || st == mem.TxCommitted || st == mem.TxAborted
+}
+
+// clearFinished revokes, for by, the locks at addr of finished attempts, and
+// reports whether no attempt of another core than by's holds addr then:
+// false at the first running holder.
+func (n *dtmNode) clearFinished(p port.Port, addr mem.Addr, by cm.Meta) bool {
+	for conf := n.table.WriteConflict(addr, by); conf != nil; conf = n.table.WriteConflict(addr, by) {
+		if !n.revokeFinished(p, addr, by, conf.Enemies, -1) {
+			return false
 		}
-		n.doneBelow[e.Core] = max(n.doneBelow[e.Core], id)
 	}
-	return e.TxID < n.doneBelow[e.Core]
+	return true
+}
+
+// lockedKeys returns the locked addresses that keep selects, in address
+// order, so the register reads clearFinished makes over them happen in the
+// same order on every run. The slice is scratch, valid until the next call.
+func (n *dtmNode) lockedKeys(keep func(mem.Addr) bool) []mem.Addr {
+	keys := n.keyScratch[:0]
+	n.table.ForEach(func(a mem.Addr) {
+		if keep(a) {
+			keys = append(keys, a)
+		}
+	})
+	slices.Sort(keys)
+	n.keyScratch = keys
+	return keys
 }
 
 // revoke takes enemy e's lock at addr away for requester by: a remote abort,
@@ -453,7 +488,7 @@ func (n *dtmNode) handleRelease(p port.Port, r *relLocks, base time.Duration) {
 	// Releases are what drain a frozen stripe: try the handoff now so
 	// ownership flips as early as possible.
 	n.shrunk = true
-	n.maybeHandoffs()
+	n.maybeHandoffs(p)
 }
 
 func (n *dtmNode) respond(p port.Port, reply port.Port, replyCore int, resp *respLock) {

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"slices"
-
 	"repro/internal/cm"
 	"repro/internal/mem"
 	"repro/internal/port"
@@ -57,22 +55,16 @@ func (n *dtmNode) tryGrantExclusive(p port.Port) {
 
 // drainFinished reports whether the lock table is empty once the locks of
 // finished attempts are revoked for requester by, key by key in address
-// order, stopping at the first key a running attempt holds. A core that
-// pauses on its own keeps its last attempt's releases (Runtime.carry), and
-// a token must not wait for them.
+// order, stopping at the first key a running attempt holds. A core keeps
+// its last attempt's releases until its next lock request or wait
+// (Runtime.carry), and a token must not wait for them.
 func (n *dtmNode) drainFinished(p port.Port, by cm.Meta) bool {
 	if n.table.Size() == 0 {
 		return true
 	}
-	keys := n.drainKeys[:0]
-	n.table.ForEach(func(a mem.Addr) { keys = append(keys, a) })
-	slices.Sort(keys)
-	n.drainKeys = keys
-	for _, a := range keys {
-		for conf := n.table.WriteConflict(a, by); conf != nil; conf = n.table.WriteConflict(a, by) {
-			if !n.revokeFinished(p, a, by, conf.Enemies, -1) {
-				return false
-			}
+	for _, a := range n.lockedKeys(func(mem.Addr) bool { return true }) {
+		if !n.clearFinished(p, a, by) {
+			return false
 		}
 	}
 	return n.table.Size() == 0

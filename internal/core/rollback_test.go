@@ -284,11 +284,12 @@ func runRollbackRow(t *testing.T, c rollbackCell, phase string) {
 	case "partial-grant":
 		// Two requests on the first attempt, one on the retry; one awaited
 		// gather per attempt under lazy, none under eager; and each attempt
-		// ends with one release, to w1's node (w2's granted nothing), sent
-		// on its own or carried by the retry's request to w1's node.
-		if rels := st.ReleaseMsgs + st.CarriedReleases; st.AbortsByKind[cm.WAW] != 1 || st.WriteLockReqs != 3 || rels != 2 {
-			t.Errorf("WAW aborts = %d, WriteLockReqs = %d, releases = %d; want 1, 3 and 2",
-				st.AbortsByKind[cm.WAW], st.WriteLockReqs, rels)
+		// ends with one release, to w1's node (w2's granted nothing): the
+		// first attempt's rides the retry's request to w1's node, the
+		// retry's leaves on its own when the worker exits.
+		if st.AbortsByKind[cm.WAW] != 1 || st.WriteLockReqs != 3 || st.ReleaseMsgs != 1 || st.CarriedReleases != 1 {
+			t.Errorf("WAW aborts = %d, WriteLockReqs = %d, releases = %d (+%d carried); want 1, 3 and 1 (+1 carried)",
+				st.AbortsByKind[cm.WAW], st.WriteLockReqs, st.ReleaseMsgs, st.CarriedReleases)
 		}
 		if want := map[AcquireMode]uint64{Lazy: 2, Eager: 0}[c.acq]; st.CommitRoundTrips != want {
 			t.Errorf("CommitRoundTrips = %d, want %d", st.CommitRoundTrips, want)

@@ -23,6 +23,7 @@ type Runtime struct {
 	appIdx  int
 	cluster int // locality cluster of core (noc.Platform.ClusterOf)
 	proc    port.Port
+	app     port.Port // proc as Port hands it to the workload (appPort)
 	local   *cm.Local
 	node    *dtmNode // co-located DTM node (Multitask only)
 
@@ -117,6 +118,7 @@ func (rt *Runtime) wordBuf(n int) (off int, buf []uint64) {
 
 func (rt *Runtime) initLocal() {
 	rt.local = cm.NewLocal(rt.s.cfg.Policy, rt.core, rt.proc.Rand())
+	rt.app = appPort{rt.proc, rt}
 	rt.waitRng = port.NewRand(rt.s.cfg.Seed ^ (0xd1b54a32d192ed03 * uint64(rt.core+1)))
 	rt.barrierSeen = make(map[uint64]int)
 	rt.groupIdx = make([]int32, len(rt.s.nodes))
@@ -129,8 +131,20 @@ func (rt *Runtime) Core() int { return rt.core }
 // AppIndex returns the index of this core within the application partition.
 func (rt *Runtime) AppIndex() int { return rt.appIdx }
 
-// Port returns the core's execution port (clock, RNG, mailbox).
-func (rt *Runtime) Port() Port { return rt.proc }
+// Port returns the core's execution port (clock, RNG, mailbox). A Pause on
+// it sends the core's carried releases first, as every wait of the runtime
+// does: a release never waits with the core. A worker that waits for
+// another core must wait through it (or the runtime), not block elsewhere.
+func (rt *Runtime) Port() Port { return rt.app }
+
+// appPort is the port the workload sees: the core's own, except that a
+// pause is the runtime's wait.
+type appPort struct {
+	port.Port
+	rt *Runtime
+}
+
+func (p appPort) Pause(d time.Duration) { p.rt.wait(d) }
 
 // Rand returns the core's deterministic random source.
 func (rt *Runtime) Rand() *port.Rand { return rt.proc.Rand() }
@@ -144,8 +158,14 @@ func (rt *Runtime) Mem() *mem.Memory { return rt.s.Mem }
 // loops use it as their exit condition.
 func (rt *Runtime) Stopped() bool { return rt.proc.Now() >= rt.s.deadline }
 
-// Compute charges d of nominal local computation (scaled to the platform).
-func (rt *Runtime) Compute(d time.Duration) { rt.proc.Advance(rt.s.compute(d)) }
+// Compute charges d of nominal local computation (scaled to the platform),
+// after the core's carried releases leave: time passes for the other cores
+// while it computes, as while it waits.
+func (rt *Runtime) Compute(d time.Duration) {
+	rt.sendCarry()
+	rt.blockingHook()
+	rt.proc.Advance(rt.s.compute(d))
+}
 
 // AddOps records n completed application-level operations.
 func (rt *Runtime) AddOps(n int) {
@@ -376,8 +396,8 @@ func (rt *Runtime) runLoop(kind TxKind, fn func(*Tx) error) (attempts int, userE
 	}
 }
 
-// wait pauses the core between two attempts, after its carried releases
-// leave: a release never waits with the core.
+// wait pauses the core, between two attempts or for the workload (appPort),
+// after its carried releases leave: a release never waits with the core.
 func (rt *Runtime) wait(d time.Duration) {
 	rt.sendCarry()
 	rt.blockingHook()
@@ -385,7 +405,7 @@ func (rt *Runtime) wait(d time.Duration) {
 }
 
 // blocking, when set by a test, is called each time a core is about to block
-// on a lock response, wait between attempts, wait at a barrier or exit.
+// on a lock response, pause, compute, wait at a barrier or exit.
 var blocking func(rt *Runtime)
 
 func (rt *Runtime) blockingHook() {
@@ -791,11 +811,12 @@ func (rt *Runtime) abortCleanup(tx *Tx, sig abortSignal) {
 // locks, and keeps them as the core's carry (see Runtime.carry), since a
 // finished attempt's lock never wins a conflict (dtmNode.revokeFinished).
 // Nodes are visited in first-use order (reads in read order, then write
-// locks in acquisition order) so identical runs schedule identical events. A first walk counts each node's keys, so the messages'
-// key slices are sized once before a second walk fills them: a message
-// drawn fresh from the pool, as after every GC, would otherwise grow them
-// one append at a time. Both walks resolve keys in one placement snapshot,
-// so they agree on every key's node even while stripes migrate.
+// locks in acquisition order) so identical runs schedule identical events.
+// A first walk counts each node's keys, so the messages' key slices are
+// sized once before a second walk fills them: a message drawn fresh from
+// the pool, as after every GC, would otherwise grow them one append at a
+// time. Both walks resolve keys in one placement snapshot, so they agree on
+// every key's node even while stripes migrate.
 func (rt *Runtime) releaseAll(tx *Tx) {
 	rt.emit(trace.KPhaseBegin, tx.id, uint64(trace.PhaseRelease), 0, 0)
 	rt.sendCarry()
