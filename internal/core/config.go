@@ -527,8 +527,9 @@ type Stats struct {
 	RPCTimeouts uint64
 
 	// WinnerWaits counts the aborts after which a core waited for the
-	// attempt its WAR NACK named as the winner to end (Wholly and FairCM
-	// only), and WinnerWaitTime sums those waits.
+	// attempt its conflict NACK named as the winner to end (on live and net
+	// after every NACK that names one; on sim after a WAR NACK under Wholly
+	// and FairCM), and WinnerWaitTime sums those waits.
 	WinnerWaits    uint64
 	WinnerWaitTime port.Time
 

@@ -261,20 +261,17 @@ func (n *dtmNode) nackStale(p port.Port, r *reqLock) {
 }
 
 // nack rejects a lock request over a conflict of the given class: the
-// requester's attempt aborts. winner is the enemy whose priority decided the
-// conflict, named in the NACK when the conflict is WAR (Core < 0: none).
+// requester's attempt aborts. winner is the attempt that decided the
+// conflict, named in the NACK (Core < 0: none): the enemy whose priority
+// won, the enemy too far into its commit to be aborted, or the irrevocable
+// transaction that holds or awaits the node's token.
 func (n *dtmNode) nack(p port.Port, r *reqLock, kind cm.Kind, winner cm.Meta) {
 	n.emit(p, trace.KLockNack, r.Meta.TxID, trace.FlowID(r.ReplyTo, r.ReqID), uint64(kind), 0)
 	resp := getRespLock()
 	resp.ReqID, resp.Kind = r.ReqID, kind
-	if kind == cm.WAR && winner.Core >= 0 {
-		resp.NackOwner, resp.NackEpoch = winner.Core, winner.TxID
-	}
+	resp.NackOwner, resp.NackEpoch = winner.Core, winner.TxID
 	n.respond(p, r.Reply, r.ReplyTo, resp)
 }
-
-// noWinner is nack's winner for a verdict no priority decided.
-var noWinner = cm.Meta{Core: -1}
 
 // handleLock implements Algorithm 1 (dsl_read_lock) in read mode and
 // Algorithm 2 (dsl_write_lock) in write mode, for every key of the request,
@@ -305,7 +302,7 @@ func (n *dtmNode) handleLock(p port.Port, r *reqLock) bool {
 		if write {
 			kind = cm.WAW
 		}
-		n.nack(p, r, kind, noWinner)
+		n.nack(p, r, kind, n.excl.first())
 		return true
 	}
 	meta := r.Meta
@@ -334,23 +331,26 @@ func (n *dtmNode) handleLock(p port.Port, r *reqLock) bool {
 			if d == cm.AbortRequester && !n.busy && n.revokeFinished(p, addr, meta, conf.Enemies, win) {
 				continue // a finished attempt's lock does not win: re-check
 			}
-			if d == cm.AbortRequester || !n.abortEnemies(p, addr, meta, conf.Enemies) {
-				winner := noWinner
-				if win >= 0 {
-					winner = conf.Enemies[win]
+			if d == cm.AbortEnemies {
+				if win = n.abortEnemies(p, addr, meta, conf.Enemies); win < 0 {
+					// Enemies aborted and revoked; re-check (bounded: the
+					// conflict classes can only shrink).
+					continue
 				}
-				for _, a := range acquired {
-					if write {
-						n.table.ReleaseWrite(a, meta.Core, meta.TxID)
-					} else {
-						n.table.ReleaseRead(a, meta.Core, meta.TxID)
-					}
-				}
-				n.nack(p, r, conf.Kind, winner)
-				return true
 			}
-			// Enemies aborted and revoked; re-check (bounded: the conflict
-			// classes can only shrink).
+			winner := cm.Meta{Core: -1} // NoCM, BackoffRetry: no priority decided
+			if win >= 0 {
+				winner = conf.Enemies[win]
+			}
+			for _, a := range acquired {
+				if write {
+					n.table.ReleaseWrite(a, meta.Core, meta.TxID)
+				} else {
+					n.table.ReleaseRead(a, meta.Core, meta.TxID)
+				}
+			}
+			n.nack(p, r, conf.Kind, winner)
+			return true
 		}
 	}
 	n.emit(p, trace.KLockGrant, r.Meta.TxID, trace.FlowID(r.ReplyTo, r.ReqID), uint64(len(r.Addrs)), 0)
@@ -372,12 +372,13 @@ func (n *dtmNode) handleLock(p port.Port, r *reqLock) bool {
 
 // abortEnemies tries to remotely abort every enemy transaction via its
 // status register (§4.1: "the status of such an aborting transaction is
-// atomically switched from pending to aborted"), for requester by. It
-// returns false if any enemy has already entered its commit phase
-// (TxCommitting) and is therefore no longer abortable; stale locks left by
-// finished attempts are revoked.
-func (n *dtmNode) abortEnemies(p port.Port, addr mem.Addr, by cm.Meta, enemies []cm.Meta) bool {
-	for _, e := range enemies {
+// atomically switched from pending to aborted"), for requester by; stale
+// locks left by finished attempts are revoked. It returns the index of the
+// first enemy that has already entered its commit phase (TxCommitting) and
+// is therefore no longer abortable — the conflict's winner — or -1 once
+// every enemy was revoked.
+func (n *dtmNode) abortEnemies(p port.Port, addr mem.Addr, by cm.Meta, enemies []cm.Meta) int {
+	for i, e := range enemies {
 		swapped, obsID, obsState := n.s.Regs.CASStatusRemoteObserve(
 			p, n.core, e.Core, e.TxID, mem.TxPending, mem.TxAborted)
 		if swapped {
@@ -388,14 +389,14 @@ func (n *dtmNode) abortEnemies(p port.Port, addr mem.Addr, by cm.Meta, enemies [
 			// The enemy holds all its write locks and is persisting; it
 			// cannot be aborted. Its commit is finite, so aborting the
 			// requester preserves starvation-freedom.
-			return false
+			return i
 		}
 		// The lock is stale: the attempt already aborted or committed
 		// (persist happens before release, so revoking is safe), or the
 		// core has moved on to a newer attempt.
 		n.revoke(p, addr, by, e, true)
 	}
-	return true
+	return -1
 }
 
 // revokeFinished checks a verdict against the requester: from the enemy that

@@ -35,6 +35,16 @@ type exclState struct {
 // token is held or someone is waiting for the table to drain.
 func (e *exclState) blocked() bool { return e.held || len(e.queue) > 0 }
 
+// first names the irrevocable transaction a blocked node rejects lock
+// traffic for: the token's holder, else the head waiter. Its status register
+// shows Committing until it ends.
+func (e *exclState) first() cm.Meta {
+	if e.held {
+		return cm.Meta{Core: e.owner, TxID: e.ownerTx}
+	}
+	return e.queue[0].Meta
+}
+
 // tryGrantExclusive grants the head waiter once the lock table holds no lock
 // of a running attempt, and recycles its request.
 func (n *dtmNode) tryGrantExclusive(p port.Port) {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 
+	"repro/internal/cm"
 	"repro/internal/mem"
 	"repro/internal/port"
 	"repro/internal/trace"
@@ -121,13 +122,12 @@ func (rt *Runtime) lockReq(txID uint64, mode lockMode, epoch uint64, keys []mem.
 }
 
 // conflictAbort aborts the attempt over a conflict NACK, consuming it. The
-// attempt the NACK names as its winner, if any, is kept for runLoop to wait
-// on (awaitWinner).
+// attempt the NACK names as its winner, if any, is kept with the conflict's
+// class for runLoop to wait on (awaitWinner).
 func (rt *Runtime) conflictAbort(resp *respLock) {
-	kind := resp.Kind
-	rt.winCore, rt.winTx, rt.hasWin = resp.NackOwner, resp.NackEpoch, resp.NackOwner >= 0
+	rt.winner, rt.winKind = cm.Meta{Core: resp.NackOwner, TxID: resp.NackEpoch}, resp.Kind
 	putRespLock(resp)
-	panic(rt.signal(abortSignal{kind: kind, hasKind: true, reason: trace.ReasonConflict}))
+	panic(rt.signal(abortSignal{kind: rt.winKind, hasKind: true, reason: trace.ReasonConflict}))
 }
 
 // rpcLock acquires the read or write locks of keys, all owned by one DTM

@@ -29,7 +29,6 @@ type Runtime struct {
 
 	nextTxID   uint64
 	abortSig   abortSignal // the attempt's pending abort, see signal
-	waitRng    port.Rand   // retryWait's draws; proc.Rand's are the workload's
 	stats      CoreStats
 	shard      Stats          // this core's counters, merged at snapshot
 	life       hist.Histogram // committed-transaction lifespans
@@ -38,12 +37,12 @@ type Runtime struct {
 	gatherLat  hist.Histogram // commit response-gather latencies
 	revalLat   hist.Histogram // TL2 read-set revalidation latencies
 
-	// The attempt whose priority beat this core's last attempt in a WAR
-	// conflict, as the NACK named it (conflictAbort): runLoop waits for it
-	// to end before the next attempt (awaitWinner).
-	winCore int
-	winTx   uint64
-	hasWin  bool
+	// winner is the attempt that beat this core's last attempt, as its
+	// conflict NACK named it (conflictAbort; Core < 0: none), and winKind
+	// the conflict's class: runLoop may wait for it to end before the next
+	// attempt (awaitWinner).
+	winner  cm.Meta
+	winKind cm.Kind
 
 	// rec is the core's flight-recorder lane (nil when Config.Trace is
 	// unset; every emit is then a single nil comparison).
@@ -119,7 +118,7 @@ func (rt *Runtime) wordBuf(n int) (off int, buf []uint64) {
 func (rt *Runtime) initLocal() {
 	rt.local = cm.NewLocal(rt.s.cfg.Policy, rt.core, rt.proc.Rand())
 	rt.app = appPort{rt.proc, rt}
-	rt.waitRng = port.NewRand(rt.s.cfg.Seed ^ (0xd1b54a32d192ed03 * uint64(rt.core+1)))
+	rt.winner.Core = -1
 	rt.barrierSeen = make(map[uint64]int)
 	rt.groupIdx = make([]int32, len(rt.s.nodes))
 	rt.initRPC()
@@ -363,12 +362,17 @@ func (rt *Runtime) runLoop(kind TxKind, fn func(*Tx) error) (attempts int, userE
 		if backoff := rt.local.OnAbort(); backoff > 0 {
 			rt.wait(rt.s.compute(backoff))
 		}
-		if rt.hasWin {
-			rt.hasWin = false
-			if rt.s.cfg.Policy.StarvationFree() {
+		// A loss that named a winner waits for the winner's attempt to end.
+		// In real time, where the host deschedules a holder for milliseconds,
+		// every such loser waits; the simulator keeps its one case, a WAR
+		// loss under priorities fixed for a lifespan. Any other loss retries
+		// at once: the begin jitter is its whole wait.
+		if w := rt.winner; w.Core >= 0 {
+			rt.winner.Core = -1
+			if rt.s.host != nil || rt.winKind == cm.WAR && rt.s.cfg.Policy.StarvationFree() {
 				rt.sendCarry()
 				rt.blockingHook()
-				rt.awaitWinner()
+				rt.awaitWinner(w)
 			}
 		}
 		// Live-backend drain cap, mirroring the sim backend's hard stop at
@@ -380,17 +384,6 @@ func (rt *Runtime) runLoop(kind TxKind, fn func(*Tx) error) (attempts int, userE
 		// behind; the worker unwinds and the drain completes.
 		if rt.s.liveDrainExpired() {
 			panic(liveDrainKill{})
-		}
-		// A loss that named no winner retries at once in virtual time: the
-		// begin jitter is the simulator's whole wait. In real time the host
-		// deschedules lock holders for milliseconds, and until the holder is
-		// back nothing the loser sends can succeed: so there every loser
-		// also waits out retryWait, winner or not (skipped after a winner
-		// wait, live-bank's worst operation took 125-296 attempts, not 20).
-		if rt.s.host != nil {
-			if d := rt.retryWait(lifeStart); d > 0 {
-				rt.wait(d)
-			}
 		}
 		rt.local.StartAttempt(rt.proc.Now())
 	}
@@ -414,39 +407,26 @@ func (rt *Runtime) blockingHook() {
 	}
 }
 
-// retryWaitCap bounds one retry wait. Measured at 64 us, 256 us, 1 ms, 4 ms
-// and uncapped (CHANGES.md, PR 20). From 256 us up the two-core bank sits on
-// the protocol's message floor (8.54 wire msgs/op against 9.5-9.8 without the
-// wait, 8.64 at 64 us) and 48 oversubscribed cores commit 92 % of their
-// attempts, so long absences and long transactions decide. A holder away
-// for 10 ms costs the loser a dozen attempts until its waits reach the cap
-// and one per half cap from there: over 15 s the worst operation needs 27-36
-// attempts at 1 ms and 21-22 at 4 ms (thousands without the wait). And with
-// 20 % 1,024-account balance scans an uncapped wait grows with the scan it
-// follows — tens of milliseconds in which the core attempts nothing — and
-// loses a third of the throughput (1.02 ops/ms against the parent's 1.42,
-// p99 lifespan 170-200 ms against 100-130), where 1 ms and 4 ms do not
-// (1.72 and 1.62, inside each other's spread).
-const retryWaitCap = 4 * time.Millisecond
-
 // winnerPollPause is the pause between two reads of a winner's status
 // register (awaitWinner). Swept from 0.5 to 32 us on sim-bank-scc48, wire
 // msgs/op stayed within 465.6-477.4, with no trend.
 const winnerPollPause = 2 * time.Microsecond
 
-// awaitWinner holds the next attempt until the attempt that beat this one
-// has ended: its core's status register shows another attempt, Aborted or
-// Committed. Under a policy whose priorities are fixed for a lifespan
-// (Property 1, rule (a)) every retry before then would lose to it again. A
-// poll is one remote register read — a compare-and-swap from Free to Free,
-// which cannot change the register — and sends no message; between polls the
-// core serves its co-located DTM node. It cannot deadlock: a waiter holds no
-// locks, and the attempt it waits on is in flight, so not waiting itself.
-func (rt *Runtime) awaitWinner() {
+// awaitWinner holds the next attempt until w, the attempt that beat this
+// one, has ended: its core's status register shows another attempt, Aborted
+// or Committed. Until then a retry would meet w's lock again — and lose it
+// again under a policy whose priorities are fixed for a lifespan (Property
+// 1, rule (a)), to a commit that cannot be aborted, or to an irrevocable
+// transaction. A poll is one remote register read — a compare-and-swap from
+// Free to Free, which cannot change the register — and sends no message;
+// between polls the core serves its co-located DTM node. It cannot
+// deadlock: a waiter holds no locks, and the attempt it waits on is in
+// flight, so not waiting itself.
+func (rt *Runtime) awaitWinner(w cm.Meta) {
 	start := rt.proc.Now()
 	for !rt.s.liveDrainExpired() {
-		_, txID, st := rt.s.Regs.CASStatusRemoteObserve(rt.proc, rt.core, rt.winCore, 0, mem.TxFree, mem.TxFree)
-		if txID != rt.winTx || st == mem.TxAborted || st == mem.TxCommitted {
+		_, txID, st := rt.s.Regs.CASStatusRemoteObserve(rt.proc, rt.core, w.Core, 0, mem.TxFree, mem.TxFree)
+		if txID != w.TxID || st == mem.TxAborted || st == mem.TxCommitted {
 			break
 		}
 		rt.drainRequests()
@@ -454,21 +434,6 @@ func (rt *Runtime) awaitWinner() {
 	}
 	rt.shard.WinnerWaits++
 	rt.shard.WinnerWaitTime += rt.proc.Now() - start
-}
-
-// retryWait draws how long an operation waits between an aborted attempt and
-// its next one: uniform over the time the operation has already spent, up to
-// retryWaitCap. Proportional, so the wait is nothing after a 5 us loss to a
-// holder that is running and grows only while the holder stays away; random,
-// so two losers do not come back in step. The draws are the runtime's own:
-// proc.Rand's belong to the workload, whose op stream must not depend on how
-// often the host made it wait.
-func (rt *Runtime) retryWait(lifeStart port.Time) time.Duration {
-	spent := min(rt.proc.Now()-lifeStart, port.Time(retryWaitCap))
-	if spent <= 0 {
-		return 0
-	}
-	return time.Duration(rt.waitRng.Int63() % int64(spent))
 }
 
 // liveDrainKill unwinds a worker whose transaction cannot finish within the

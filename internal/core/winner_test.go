@@ -11,15 +11,25 @@ import (
 	"repro/internal/port"
 )
 
-// warRow is one run of TestWARLoserWaitsForWinner: a long read-only scan on
-// the lowest app core holds the read locks of two accounts, and a transfer
-// on the next app core, started once the scan holds them, loses the WAR
-// conflict its commit meets.
-type warRow struct {
-	name    string
-	backend Backend
-	policy  cm.Policy
-	deploy  Deployment
+// loserRow is one run of a winner-wait test: the lowest app core runs the
+// winner, an attempt that takes its lock and stays live until the loser on
+// the next app core has lost to it once, and at least for a hold; the loser
+// starts once the winner holds its lock.
+//
+//	war    the winner is a read-only scan of two accounts; the loser is a
+//	       transfer between them, whose commit loses WAR
+//	raw    under eager acquisition the winner write-locks an account and
+//	       keeps the lock while away; the loser reads it
+//	waw    as raw, but the loser writes the account
+//	token  the winner is an irrevocable transaction, holding every node's
+//	       token; the loser reads an account, and its request is NACKed
+//	       because the node is blocked
+type loserRow struct {
+	name     string
+	backend  Backend
+	policy   cm.Policy
+	deploy   Deployment
+	conflict string
 	// attempts pins the transfer's attempts on sim under a policy that does
 	// not wait: the count the runtime gave before losers waited for winners
 	// (FairCM's was 70 too, 68 of them while the scan was live), less one
@@ -28,21 +38,30 @@ type warRow struct {
 	attempts int
 }
 
-// warOutcome is what a row observed of the transfer.
-type warOutcome struct {
-	attempts  int // attempts the transfer used
-	whileLive int // attempts after the first that began while the scan's attempt was live
+// waits reports whether the row's loser must wait for the winner: the NACK
+// names it (a priority or the token decided the conflict, not NoCM's or
+// BackoffRetry's unconditional verdict), and every such loser waits in real
+// time, while the simulator keeps only a WAR loss under a policy whose
+// priorities are fixed for a lifespan.
+func (row loserRow) waits() bool {
+	named := row.conflict == "token" || row.policy != cm.NoCM && row.policy != cm.BackoffRetry
+	return named && (row.backend != BackendSim || row.conflict == "war" && row.policy.StarvationFree())
+}
+
+// loserOutcome is what a row observed of the loser.
+type loserOutcome struct {
+	attempts  int // attempts the loser used
+	whileLive int // attempts after the first that began while the winner's attempt was live
 	stats     *Stats
 }
 
-// TestWARLoserWaitsForWinner: under the fixed-priority policies a transfer
-// that loses WAR to a scan sends nothing more while the scan's attempt is
-// live and commits within two attempts of its end; under the others it
-// retries exactly as before. Every run ends with empty, consistent lock
-// tables. The live row also runs in CI's -race step, the net rows in the net
-// job's.
+// TestWARLoserWaitsForWinner: a transfer that loses WAR to a scan waits
+// for the scan's attempt to end where the NACK names it — in real time
+// under every policy with priorities, on sim under the fixed-priority ones —
+// and retries exactly as before otherwise. The live rows also run in CI's
+// -race step, the net rows in the net job's.
 func TestWARLoserWaitsForWinner(t *testing.T) {
-	rows := []warRow{
+	rows := []loserRow{
 		{name: "sim/no-cm", policy: cm.NoCM, attempts: 69},
 		{name: "sim/backoff", policy: cm.BackoffRetry, attempts: 11},
 		{name: "sim/offset-greedy", policy: cm.OffsetGreedy, attempts: 69},
@@ -51,70 +70,117 @@ func TestWARLoserWaitsForWinner(t *testing.T) {
 		{name: "sim/faircm-multitask", policy: cm.FairCM, deploy: Multitask},
 		{name: "live/faircm", backend: BackendLive, policy: cm.FairCM},
 		{name: "live/no-cm", backend: BackendLive, policy: cm.NoCM},
+		{name: "live/backoff", backend: BackendLive, policy: cm.BackoffRetry},
 		{name: "net/faircm", backend: BackendNet, policy: cm.FairCM},
 		{name: "net/offset-greedy", backend: BackendNet, policy: cm.OffsetGreedy},
+		{name: "net/wholly", backend: BackendNet, policy: cm.Wholly},
 	}
 	for _, row := range rows {
-		t.Run(row.name, func(t *testing.T) {
-			out := runWARRow(t, row)
-			waits := out.stats.WinnerWaits
-			if row.policy.StarvationFree() {
-				if out.whileLive != 0 || out.attempts-1-out.whileLive > 2 {
-					t.Errorf("transfer: %d attempts, %d of them retries while the scan was live; want none, and a commit within 2 attempts of the scan's end",
-						out.attempts, out.whileLive)
-				}
-				if waits == 0 || out.stats.WinnerWaitTime <= 0 {
-					t.Errorf("%d winner waits lasting %v; want at least one", waits, out.stats.WinnerWaitTime)
-				}
-				return
-			}
-			if waits != 0 {
-				t.Errorf("%d winner waits under %v, which does not wait", waits, row.policy)
-			}
-			if row.backend == BackendSim && out.attempts != row.attempts {
-				t.Errorf("transfer took %d attempts, want %d as before winner waits", out.attempts, row.attempts)
-			}
-			if out.whileLive == 0 {
-				t.Errorf("transfer never retried while the scan was live (%d attempts)", out.attempts)
-			}
-		})
+		row.conflict = "war"
+		t.Run(row.name, func(t *testing.T) { checkLoserRow(t, row) })
 	}
 }
 
-// runWARRow runs one row, on every rank of a net row, and checks the lock
+// TestLoserWaitsForWinner: every conflict NACK names the attempt that
+// decided it, so in real time a loser to a write lock kept by a holder that
+// is away (RAW, WAW), or to an irrevocable transaction's token, sends
+// nothing while that attempt is live and commits within two attempts of its
+// end; on sim those losers retry at once. The token rows run under NoCM:
+// the token, not a priority, decides them. The live rows also run in CI's
+// -race step, the net rows in the net job's.
+func TestLoserWaitsForWinner(t *testing.T) {
+	var rows []loserRow
+	for _, b := range []Backend{BackendSim, BackendLive, BackendNet} {
+		rows = append(rows,
+			loserRow{name: b.String() + "/raw", backend: b, policy: cm.FairCM, conflict: "raw"},
+			loserRow{name: b.String() + "/waw", backend: b, policy: cm.FairCM, conflict: "waw"},
+			loserRow{name: b.String() + "/token", backend: b, policy: cm.NoCM, conflict: "token"},
+		)
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) { checkLoserRow(t, row) })
+	}
+}
+
+// checkLoserRow runs row and checks the loser against the row's rule.
+func checkLoserRow(t *testing.T, row loserRow) {
+	out := runLoserRow(t, row)
+	waits := out.stats.WinnerWaits
+	if row.waits() {
+		if out.whileLive != 0 || out.attempts-1-out.whileLive > 2 {
+			t.Errorf("loser: %d attempts, %d of them retries while the winner was live; want none, and a commit within 2 attempts of the winner's end",
+				out.attempts, out.whileLive)
+		}
+		if waits == 0 || out.stats.WinnerWaitTime <= 0 {
+			t.Errorf("%d winner waits lasting %v; want at least one", waits, out.stats.WinnerWaitTime)
+		}
+		return
+	}
+	if waits != 0 {
+		t.Errorf("%d winner waits under %v on %v, which does not wait", waits, row.policy, row.backend)
+	}
+	if row.attempts != 0 && out.attempts != row.attempts {
+		t.Errorf("transfer took %d attempts, want %d as before winner waits", out.attempts, row.attempts)
+	}
+	if out.whileLive == 0 {
+		t.Errorf("loser never retried while the winner was live (%d attempts)", out.attempts)
+	}
+}
+
+// runLoserRow runs one row, on every rank of a net row, and checks the lock
 // tables once the run has drained.
-func runWARRow(t *testing.T, row warRow) warOutcome {
+func runLoserRow(t *testing.T, row loserRow) loserOutcome {
 	t.Helper()
 	hold := port.Time(2 * time.Millisecond) // virtual on sim
 	if row.backend != BackendSim {
 		hold = port.Time(20 * time.Millisecond)
 	}
 	var (
-		held   atomic.Bool   // the scan holds its read locks
-		lost   atomic.Bool   // the transfer has lost to the scan once
-		scanTx atomic.Uint64 // the scan's attempt
-		out    warOutcome
+		held  atomic.Bool   // the winner holds its lock
+		lost  atomic.Bool   // the loser has lost to the winner once
+		winTx atomic.Uint64 // the winner's attempt
+		out   loserOutcome
 	)
 	_, out.stats = runRanks(t, row.backend, func(c *Config) {
 		c.TotalCores, c.Policy, c.Deployment = 4, row.policy, row.deploy
+		if row.conflict == "raw" || row.conflict == "waw" {
+			c.Acquire = Eager
+		}
 	}, func(s *System) func(rt *Runtime) {
 		accts := s.Mem.Alloc(2, 0)
 		app := s.AppCores()
 		slices.Sort(app)
-		scanCore, xferCore := app[0], app[1]
+		winCore, loseCore := app[0], app[1]
+		// stay is the winner's body once it holds its lock.
+		stay := func(rt *Runtime, id uint64) {
+			winTx.Store(id)
+			held.Store(true)
+			for end := rt.proc.Now() + hold; rt.proc.Now() < end || !lost.Load(); {
+				pauseServing(rt)
+			}
+		}
 		return func(rt *Runtime) {
 			switch rt.Core() {
-			case scanCore:
-				rt.RunReadOnly(func(tx *Tx) {
-					tx.Read(accts)
-					tx.Read(accts + 1)
-					scanTx.Store(tx.ID())
-					held.Store(true)
-					for end := rt.proc.Now() + hold; rt.proc.Now() < end || !lost.Load(); {
-						pauseServing(rt)
-					}
-				})
-			case xferCore:
+			case winCore:
+				switch row.conflict {
+				case "war":
+					rt.RunReadOnly(func(tx *Tx) {
+						tx.Read(accts)
+						tx.Read(accts + 1)
+						stay(rt, tx.ID())
+					})
+				case "token":
+					rt.RunIrrevocable(func(ir *Irrevocable) {
+						ir.Write(accts, ir.Read(accts)+1)
+						stay(rt, ir.id)
+					})
+				default:
+					rt.Run(func(tx *Tx) {
+						tx.Write(accts, 7)
+						stay(rt, tx.ID())
+					})
+				}
+			case loseCore:
 				for !held.Load() {
 					pauseServing(rt)
 				}
@@ -122,19 +188,112 @@ func runWARRow(t *testing.T, row warRow) warOutcome {
 				out.attempts = rt.Run(func(tx *Tx) {
 					tx.OnAbort(func() { lost.Store(true) })
 					if attempts++; attempts > 1 {
-						_, id, st := rt.s.Regs.CASStatusRemoteObserve(rt.proc, rt.core, scanCore, 0, mem.TxFree, mem.TxFree)
-						if id == scanTx.Load() && st == mem.TxPending {
+						_, id, st := rt.s.Regs.CASStatusRemoteObserve(rt.proc, rt.core, winCore, 0, mem.TxFree, mem.TxFree)
+						if id == winTx.Load() && (st == mem.TxPending || st == mem.TxCommitting) {
 							out.whileLive++
 						}
 					}
-					a, b := tx.Read(accts), tx.Read(accts+1)
-					tx.Write(accts, a-1)
-					tx.Write(accts+1, b+1)
+					switch row.conflict {
+					case "war":
+						a, b := tx.Read(accts), tx.Read(accts+1)
+						tx.Write(accts, a-1)
+						tx.Write(accts+1, b+1)
+					case "waw":
+						tx.Write(accts, 9)
+					default:
+						tx.Read(accts)
+					}
 				})
 			}
 		}
 	})
 	return out
+}
+
+// TestConflictNackNamesWinner: a NACK names the attempt that decided it even
+// where no priority did. A requester that beats a holder planted in a DTM
+// node's table, whose status register shows it Committing, cannot abort it,
+// and the NACK names that holder, for every conflict class; a node whose
+// token an irrevocable transaction holds, or awaits, names that transaction.
+// The retry commits once the planted winner has ended.
+func TestConflictNackNamesWinner(t *testing.T) {
+	const enemyCore, enemyTx = 3, uint64(99)
+	cases := []struct {
+		name string
+		kind cm.Kind
+		// plant sets up what decides the conflict at node n for addr, and
+		// returns what ends it.
+		plant func(s *System, n *dtmNode, addr mem.Addr) (end func())
+		write bool // the requester writes addr (lazy: at commit)
+	}{
+		{"raw/committing-writer", cm.RAW, plantHolder(true), false},
+		{"waw/committing-writer", cm.WAW, plantHolder(true), true},
+		{"war/committing-reader", cm.WAR, plantHolder(false), true},
+		{"raw/token-held", cm.RAW, func(s *System, n *dtmNode, _ mem.Addr) func() {
+			n.excl.held, n.excl.owner, n.excl.ownerTx = true, enemyCore, enemyTx
+			return func() { n.excl.held = false }
+		}, false},
+		{"waw/token-awaited", cm.WAW, func(s *System, n *dtmNode, _ mem.Addr) func() {
+			n.excl.queue = []*reqLock{{Meta: cm.Meta{Core: enemyCore, TxID: enemyTx}}}
+			return func() { n.excl.queue = nil }
+		}, true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			s := testSystem(t, func(cfg *Config) { cfg.TotalCores, cfg.ServiceCores = 4, 2 })
+			addr := s.Mem.Alloc(1, 0)
+			end := c.plant(s, s.nodes[s.nodeFor(addr)], addr)
+			var (
+				named   []cm.Meta
+				kinds   []cm.Kind
+				attempt int
+			)
+			requester := s.AppCores()[0]
+			s.SpawnWorkers(func(rt *Runtime) {
+				if rt.Core() != requester {
+					return
+				}
+				rt.Run(func(tx *Tx) {
+					attempt++
+					tx.OnAbort(func() {
+						named, kinds = append(named, rt.winner), append(kinds, rt.winKind)
+						end()
+					})
+					if c.write {
+						tx.Write(addr, 1)
+					} else {
+						tx.Read(addr)
+					}
+				})
+			})
+			st := s.RunToCompletion()
+			want := cm.Meta{Core: enemyCore, TxID: enemyTx}
+			if len(named) != 1 || named[0] != want || kinds[0] != c.kind {
+				t.Fatalf("NACKs named %v (kinds %v); want one %v NACK naming %v", named, kinds, c.kind, want)
+			}
+			if st.Commits != 1 || attempt != 2 {
+				t.Errorf("%d commits in %d attempts; want the retry to commit", st.Commits, attempt)
+			}
+		})
+	}
+}
+
+// plantHolder returns a TestConflictNackNamesWinner plant: a writer (or a
+// reader) of addr on a core that runs nothing, with a priority every
+// requester beats, whose attempt is Committing until the returned func
+// marks it Committed.
+func plantHolder(writer bool) func(s *System, n *dtmNode, addr mem.Addr) func() {
+	return func(s *System, n *dtmNode, addr mem.Addr) func() {
+		const enemyCore, enemyTx = 3, uint64(99)
+		m := cm.Meta{Core: enemyCore, TxID: enemyTx, Prio: 1 << 40}
+		if writer {
+			n.table.SetWriter(addr, m)
+		} else {
+			n.table.AddReader(addr, m)
+		}
+		s.Regs.SetStatusLocal(enemyCore, enemyTx, mem.TxCommitting)
+		return func() { s.Regs.SetStatusLocal(enemyCore, enemyTx, mem.TxCommitted) }
+	}
 }
 
 // pauseServing waits a moment while the core's co-located DTM node, if any,

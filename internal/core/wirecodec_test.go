@@ -310,10 +310,10 @@ var retiredKindFrames = [][]byte{
 }
 
 // TestWireEncodingStable pins exact bytes for a read-mode reqLock with and
-// without a carried release and an exclusive-mode one: the encoding is a
-// protocol constant
-// (docs/WIRE.md), and accidental layout drift must show up as a test
-// failure, not a cross-version hang.
+// without a carried release, an exclusive-mode one and a RAW conflict NACK
+// that names its winner: the encoding is a protocol constant (docs/WIRE.md),
+// and accidental layout drift must show up as a test failure, not a
+// cross-version hang.
 func TestWireEncodingStable(t *testing.T) {
 	meta := []byte{
 		3, 0, 0, 0, 0, 0, 0, 0, // Meta.Core
@@ -324,7 +324,7 @@ func TestWireEncodingStable(t *testing.T) {
 		3, 0, 0, 0, 0, 0, 0, 0, // ReplyTo
 	}
 	for _, c := range []struct {
-		v    *reqLock
+		v    any
 		want []byte
 	}{
 		{&reqLock{ReqID: 0x0102030405060708, Epoch: 2, Mode: lockRead, Addrs: []mem.Addr{0x0a0b}}, slices.Concat([]byte{
@@ -361,15 +361,27 @@ func TestWireEncodingStable(t *testing.T) {
 		}, meta, []byte{
 			0, // no carried release
 		})},
+		{&respLock{ReqID: 6, Kind: cm.RAW, NackEpoch: 41, NackOwner: 2}, []byte{
+			3,                      // kind: respLock
+			6, 0, 0, 0, 0, 0, 0, 0, // ReqID
+			0,          // OK
+			0,          // Stale
+			0,          // Kind: RAW
+			0, 0, 0, 0, // len(Vers)
+			41, 0, 0, 0, 0, 0, 0, 0, // NackEpoch: the winner's attempt
+			2, 0, 0, 0, 0, 0, 0, 0, // NackOwner: the winner's core
+		}},
 	} {
-		c.v.Meta = cm.Meta{Core: 3, TxID: 9, Prio: -1, Offset: 5}
-		c.v.Reply, c.v.ReplyTo = idPort{id: 17}, 3
+		if r, ok := c.v.(*reqLock); ok {
+			r.Meta = cm.Meta{Core: 3, TxID: 9, Prio: -1, Offset: 5}
+			r.Reply, r.ReplyTo = idPort{id: 17}, 3
+		}
 		e := wire.NewEnc(nil)
 		if err := wire.EncodePayload(e, c.v); err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(e.Bytes(), c.want) {
-			t.Fatalf("mode %d encoding drifted:\n got %v\nwant %v", c.v.Mode, e.Bytes(), c.want)
+			t.Fatalf("%+v: encoding drifted:\n got %v\nwant %v", c.v, e.Bytes(), c.want)
 		}
 	}
 }

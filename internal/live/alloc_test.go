@@ -145,10 +145,8 @@ func TestLiveTL2ReadAllocationFree(t *testing.T) {
 
 // TestLiveAbortPathAllocationFree: four workers move units between the same
 // two accounts, each giving the processor away after either read so the
-// others get in — since the retry wait a loser stands back long enough for
-// the winner to run several transfers, and two workers that never yield
-// commit 99 % of their attempts. So attempts conflict and abort all the time — and an abort
-// (signal, unwind, release burst, retry wait, retry) allocates nothing: the
+// others get in. So attempts conflict and abort all the time — and an abort
+// (signal, unwind, release burst, winner wait, retry) allocates nothing: the
 // budget is per attempt, and a window that happened to see too few aborts
 // to tell is run again rather than passed.
 func TestLiveAbortPathAllocationFree(t *testing.T) {

@@ -15,13 +15,13 @@ import (
 // for 2 ms — a lock holder the host has descheduled. The loser has committed
 // enough to rank below it under FairCM, so its transfer out of account 0 is
 // NACKed (WAR) until the holder finishes, and nothing it sends meanwhile can
-// succeed. Retrying at once costs an attempt every 10-20 us — 89 to 210 of
-// them in 27 of 31 runs of the parent commit; waiting a random share of the
-// time already lost, 9 to 13 in nine runs of ten and 23 at most in 200. (Under
-// -race an attempt costs 100 us and 2 ms never fitted more than 23: there
-// the test is about conservation and the lock tables.) The host deschedules
-// the test's goroutines too, so a try in which the loser arrived after the
-// holder had left, or drew a one-in-hundreds tail, is run again.
+// succeed. Retrying at once cost an attempt every 10-20 us — 89 to 210 of
+// them in 27 of 31 runs of an early commit. The NACK names the holder's
+// attempt, and the loser waits for it to end before it retries, so it
+// commits on its second attempt. (Under -race an attempt costs 100 us and
+// 2 ms never fitted more than 23: there the test is about conservation and
+// the lock tables.) The host deschedules the test's goroutines too, so a
+// try in which the loser arrived after the holder had left is run again.
 func TestLiveRetryStormBounded(t *testing.T) {
 	for try := 0; try < 3; try++ {
 		attempts := retryStorm(t)
@@ -85,27 +85,52 @@ func retryStorm(t *testing.T) (attempts int) {
 }
 
 // TestLiveOversubscribedCommitRate: 48 cores on however few CPUs the host
-// has, every operation a two-account transfer over 1,024 accounts. Two
-// transfers rarely overlap, so nearly every attempt should commit — and did
-// not while a core that lost to a descheduled holder retried at once: 38 to
-// 84 % in twelve windows of the parent commit, 91 to 93 % with the retry wait. The rate is one
-// window's, on a shared host; a window below the bar is run again.
+// has, every core running bank operations over 1,024 accounts, each row one
+// 300 ms window on a shared host; a window below a bar is run again.
+//
+//	transfers  every operation a two-account transfer. Two transfers
+//	           rarely overlap, so nearly every attempt should commit — and
+//	           did not while a core that lost to a descheduled holder
+//	           retried at once: 38 to 84 % in twelve windows of an early
+//	           commit; 92.2-92.8 % in ten with losers waiting for the winner
+//	           their NACK names (93.2-93.9 % with the random retry wait it
+//	           replaced).
+//	balance20  the paper's Fig. 5(a)/(c) mix under FairCM: one operation in
+//	           five a balance scan of every account. In twelve windows with
+//	           losers waiting for the named winner, 55.1-60.7 % of attempts
+//	           committed and the longest operation took 12-26 attempts; with
+//	           the random retry wait, 53.4-60.7 % and 10-27. The commit bar
+//	           sits below both sides' minima, the attempts bar above both
+//	           sides' maxima.
 func TestLiveOversubscribedCommitRate(t *testing.T) {
-	const bar = 85.0
-	for try := 0; try < 3; try++ {
-		s := liveSystem(t, false, core.ProtocolVisible, func(c *core.Config) { c.TotalCores = 48 })
-		b := bank.New(s, 1024)
-		s.SpawnWorkers(b.TransferWorker(0))
-		st := s.Run(300 * time.Millisecond)
-		checkQuiesced(t, s, st)
-		if b.TotalRaw() != b.Total() {
-			t.Fatalf("money not conserved: %d != %d", b.TotalRaw(), b.Total())
-		}
-		t.Logf("commit rate %.1f %% (%d commits, %d aborts, most attempts for one operation %d)",
-			st.CommitRate(), st.Commits, st.Aborts, st.MaxAttempts)
-		if st.CommitRate() >= bar {
-			return
-		}
+	rows := []struct {
+		name        string
+		balancePct  int
+		bar         float64 // minimum commit rate, %
+		maxAttempts uint64  // most attempts for one operation; 0: unchecked
+	}{
+		{"transfers", 0, 85, 0},
+		{"balance20", 20, 50, 40},
 	}
-	t.Errorf("three windows of 48 oversubscribed cores, none committed %.0f %% of its attempts", bar)
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			for try := 0; try < 3; try++ {
+				s := liveSystem(t, false, core.ProtocolVisible, func(c *core.Config) { c.TotalCores = 48 })
+				b := bank.New(s, 1024)
+				s.SpawnWorkers(b.TransferWorker(row.balancePct))
+				st := s.Run(300 * time.Millisecond)
+				checkQuiesced(t, s, st)
+				if b.TotalRaw() != b.Total() {
+					t.Fatalf("money not conserved: %d != %d", b.TotalRaw(), b.Total())
+				}
+				t.Logf("commit rate %.1f %% (%d commits, %d aborts, most attempts for one operation %d)",
+					st.CommitRate(), st.Commits, st.Aborts, st.MaxAttempts)
+				if st.CommitRate() >= row.bar && (row.maxAttempts == 0 || st.MaxAttempts <= row.maxAttempts) {
+					return
+				}
+			}
+			t.Errorf("three windows of 48 oversubscribed cores, none within the bars: %.0f %% of attempts committed, at most %d attempts for one operation (0: any)",
+				row.bar, row.maxAttempts)
+		})
+	}
 }
