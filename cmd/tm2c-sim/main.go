@@ -321,7 +321,8 @@ func report(w io.Writer, sys *repro.System, st *repro.Stats) {
 	fmt.Fprintf(w, "  conflict kinds    RAW=%d WAW=%d WAR=%d\n",
 		st.AbortsByKind[0], st.AbortsByKind[1], st.AbortsByKind[2])
 	fmt.Fprintf(w, "conflicts/revokes   %d / %d, %d locks of finished attempts revoked\n", st.Conflicts, st.Revocations, st.StaleRevokes)
-	fmt.Fprintf(w, "winner waits        %d (%v waited for the attempt that won to end)\n", st.WinnerWaits, st.WinnerWaitTime)
+	fmt.Fprintf(w, "winner waits        %d (%v waited for the attempt that won to end), %d requests resent past a winner that had ended\n",
+		st.WinnerWaits, st.WinnerWaitTime, st.EndedResends)
 	fmt.Fprintf(w, "read-ahead locks    %d (taken past the element a TArray scan missed), %d of them never read\n", st.ReadAheadKeys, st.ReadAheadUnused)
 	if dir := sys.Placement(); dir != nil {
 		fmt.Fprintf(w, "placement           %s", dir.PolicyName())

@@ -533,6 +533,11 @@ type Stats struct {
 	WinnerWaits    uint64
 	WinnerWaitTime port.Time
 
+	// EndedResends counts the lock requests sent again in the same attempt
+	// because the attempt their conflict NACK named had already ended (live
+	// and net only; Runtime.winnerEnded).
+	EndedResends uint64
+
 	// ReadAheadKeys counts the read locks a batched TArray scan request took
 	// beyond the element that missed (Tx.readElem), and ReadAheadUnused
 	// those of them the attempt never read: counted when the run that took
@@ -594,6 +599,7 @@ func (s *Stats) addShard(o *Stats) {
 	s.RPCTimeouts += o.RPCTimeouts
 	s.WinnerWaits += o.WinnerWaits
 	s.WinnerWaitTime += o.WinnerWaitTime
+	s.EndedResends += o.EndedResends
 	s.ReadAheadKeys += o.ReadAheadKeys
 	s.ReadAheadUnused += o.ReadAheadUnused
 	s.StateRPCs += o.StateRPCs

@@ -404,20 +404,21 @@ func TestPerCoreStats(t *testing.T) {
 	}
 }
 
-// TestShardsMergeWinnerWaits: the winner-wait counters are kept per
-// execution context and summed at the snapshot, like RPCTimeouts.
+// TestShardsMergeWinnerWaits: the winner-wait and ended-winner resend
+// counters are kept per execution context and summed at the snapshot, like
+// RPCTimeouts.
 func TestShardsMergeWinnerWaits(t *testing.T) {
 	var st Stats
 	for _, sh := range []Stats{
-		{WinnerWaits: 2, WinnerWaitTime: 300, RPCTimeouts: 1},
+		{WinnerWaits: 2, WinnerWaitTime: 300, RPCTimeouts: 1, EndedResends: 4},
 		{},
-		{WinnerWaits: 5, WinnerWaitTime: 700, RPCTimeouts: 2},
+		{WinnerWaits: 5, WinnerWaitTime: 700, RPCTimeouts: 2, EndedResends: 6},
 	} {
 		st.addShard(&sh)
 	}
-	if st.WinnerWaits != 7 || st.WinnerWaitTime != 1000 || st.RPCTimeouts != 3 {
-		t.Fatalf("merged winner waits %d lasting %v, %d RPC timeouts; want 7, 1µs, 3",
-			st.WinnerWaits, st.WinnerWaitTime, st.RPCTimeouts)
+	if st.WinnerWaits != 7 || st.WinnerWaitTime != 1000 || st.RPCTimeouts != 3 || st.EndedResends != 10 {
+		t.Fatalf("merged winner waits %d lasting %v, %d RPC timeouts, %d ended-winner resends; want 7, 1µs, 3, 10",
+			st.WinnerWaits, st.WinnerWaitTime, st.RPCTimeouts, st.EndedResends)
 	}
 }
 

@@ -266,7 +266,7 @@ func (n *dtmNode) nackStale(p port.Port, r *reqLock) {
 // won, the enemy too far into its commit to be aborted, or the irrevocable
 // transaction that holds or awaits the node's token.
 func (n *dtmNode) nack(p port.Port, r *reqLock, kind cm.Kind, winner cm.Meta) {
-	n.emit(p, trace.KLockNack, r.Meta.TxID, trace.FlowID(r.ReplyTo, r.ReqID), uint64(kind), 0)
+	n.emit(p, trace.KLockNack, r.Meta.TxID, trace.FlowID(r.ReplyTo, r.ReqID), uint64(kind), trace.WinnerWord(winner.Core, winner.TxID))
 	resp := getRespLock()
 	resp.ReqID, resp.Kind = r.ReqID, kind
 	resp.NackOwner, resp.NackEpoch = winner.Core, winner.TxID
@@ -293,6 +293,12 @@ func (n *dtmNode) handleLock(p port.Port, r *reqLock) bool {
 	if !n.placeOK(p, r.Epoch, r.Addrs...) {
 		n.nackStale(p, r)
 		return true
+	}
+	if e := r.Ended; e.Core >= 0 {
+		// The requester found this attempt ended: its locks here are stale.
+		for _, a := range r.Addrs {
+			n.revoke(p, a, r.Meta, cm.Meta{Core: e.Core, TxID: e.TxID}, true)
+		}
 	}
 	write := r.Mode == lockWrite
 	if n.excl.blocked() {
@@ -410,21 +416,13 @@ func (n *dtmNode) abortEnemies(p port.Port, addr mem.Addr, by cm.Meta, enemies [
 func (n *dtmNode) revokeFinished(p port.Port, addr mem.Addr, by cm.Meta, enemies []cm.Meta, win int) bool {
 	revoked := false
 	for _, e := range enemies[max(win, 0):] {
-		if !n.finished(p, e) {
+		if !n.s.ended(p, n.core, e) {
 			break
 		}
 		n.revoke(p, addr, by, e, true)
 		revoked = true
 	}
 	return revoked
-}
-
-// finished reports whether enemy e's attempt has ended: its core's status
-// register, read with a compare-and-swap that cannot change it, shows a
-// later attempt, or this one Committed or Aborted.
-func (n *dtmNode) finished(p port.Port, e cm.Meta) bool {
-	_, id, st := n.s.Regs.CASStatusRemoteObserve(p, n.core, e.Core, 0, mem.TxFree, mem.TxFree)
-	return id != e.TxID || st == mem.TxCommitted || st == mem.TxAborted
 }
 
 // clearFinished revokes, for by, the locks at addr of finished attempts, and
@@ -454,16 +452,19 @@ func (n *dtmNode) lockedKeys(keep func(mem.Addr) bool) []mem.Addr {
 	return keys
 }
 
-// revoke takes enemy e's lock at addr away for requester by: a remote abort,
-// or with stale set the lock of an attempt that had already finished.
+// revoke takes enemy e's lock at addr away for requester by, if e holds
+// one: a remote abort, or with stale set the lock of an attempt that had
+// already finished.
 func (n *dtmNode) revoke(p port.Port, addr mem.Addr, by, e cm.Meta, stale bool) {
+	if !n.table.Revoke(addr, e.Core, e.TxID) {
+		return
+	}
 	if stale {
 		n.shard.StaleRevokes++
 	} else {
 		n.shard.Revocations++
 	}
 	n.emit(p, trace.KRevoke, by.TxID, trace.RevokeWord(e.Core, by.Core, stale), e.TxID, uint64(addr))
-	n.table.Revoke(addr, e.Core, e.TxID)
 	n.shrunk = true
 }
 

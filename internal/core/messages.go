@@ -65,6 +65,18 @@ type reqLock struct {
 	// nil. The node serves it after the request. Never set in exclusive
 	// mode.
 	Rel *relLocks
+
+	// Ended names an attempt the requester found ended, by its status
+	// register, after a NACK of this request named it as the winner
+	// (Core < 0: none). The node revokes that attempt's locks on Addrs
+	// before it judges the request again: live and net only.
+	Ended attemptRef
+}
+
+// attemptRef names one transaction attempt: its core and attempt ID.
+type attemptRef struct {
+	Core int
+	TxID uint64
 }
 
 func (r *reqLock) bytes() int {
@@ -75,6 +87,9 @@ func (r *reqLock) bytes() int {
 	if r.Rel != nil {
 		// The release's attempt and keys; its core is the requester's.
 		n += 8 + msgAddrBytes*(len(r.Rel.ReadAddrs)+len(r.Rel.WriteAddrs))
+	}
+	if r.Ended.Core >= 0 {
+		n += 16 // the ended attempt's core and ID
 	}
 	return n
 }
@@ -104,8 +119,9 @@ type respLock struct {
 	//   - Stale: the directory epoch and the key's new owner (none for a
 	//     multi-key batch). A requester chasing a migrated stripe follows the
 	//     hint instead of paying a fresh directory resolution.
-	//   - Conflict: the core and attempt of the reader whose priority beat a
-	//     write request (WAR only).
+	//   - Conflict: the core and attempt that decided it, for every conflict
+	//     class: the holder whose priority won, a holder already committing,
+	//     or the irrevocable transaction that blocks the node.
 	NackEpoch uint64
 	NackOwner int
 }
@@ -167,7 +183,7 @@ var (
 func getLockReq() *reqLock {
 	r := lockReqPool.Get().(*reqLock)
 	addrs := r.Addrs[:0]
-	*r = reqLock{Addrs: addrs}
+	*r = reqLock{Addrs: addrs, Ended: attemptRef{Core: -1}}
 	return r
 }
 

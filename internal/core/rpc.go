@@ -123,27 +123,55 @@ func (rt *Runtime) lockReq(txID uint64, mode lockMode, epoch uint64, keys []mem.
 
 // conflictAbort aborts the attempt over a conflict NACK, consuming it. The
 // attempt the NACK names as its winner, if any, is kept with the conflict's
-// class for runLoop to wait on (awaitWinner).
-func (rt *Runtime) conflictAbort(resp *respLock) {
+// class for runLoop to wait on (awaitWinner); polled says winnerEnded has
+// read its register once already.
+func (rt *Runtime) conflictAbort(resp *respLock, polled bool) {
 	rt.winner, rt.winKind = cm.Meta{Core: resp.NackOwner, TxID: resp.NackEpoch}, resp.Kind
+	rt.winPolled = polled
 	putRespLock(resp)
 	panic(rt.signal(abortSignal{kind: rt.winKind, hasKind: true, reason: trace.ReasonConflict}))
+}
+
+// winnerEnded reports whether a conflict NACK's request is sent again, in
+// the same attempt: on live and net, when one read of the named winner's
+// status register shows its attempt has ended. An attempt that has ended is
+// not concurrent and must not abort the requester; its lock only stands for
+// a release still on its way, which a busy node did not check for. The
+// resend names it (reqLock.Ended, set from *past) and the node revokes its
+// locks first. A NACK naming *past again aborts: an ended irrevocable
+// transaction blocks its node until its token release arrives. polled
+// reports a read that showed the winner running, awaitWinner's first poll.
+func (rt *Runtime) winnerEnded(resp *respLock, past *attemptRef) (ended, polled bool) {
+	w := attemptRef{resp.NackOwner, resp.NackEpoch}
+	if rt.s.host == nil || w.Core < 0 || w == *past {
+		return false, false
+	}
+	if !rt.s.ended(rt.proc, rt.core, cm.Meta{Core: w.Core, TxID: w.TxID}) {
+		return false, true
+	}
+	rt.shard.EndedResends++
+	*past = w
+	return true, false
 }
 
 // rpcLock acquires the read or write locks of keys, all owned by one DTM
 // node, in one awaited round trip — every visible read, every eager write —
 // and returns the keys granted once it is granted; a conflict NACK aborts the
-// attempt. A NACK for stale placement (a migration moved or froze a stripe)
-// is chased instead, for keys[0] alone: when it carries an owner hint, the
-// epoch and owner the NACKing node saw steer the resend directly, saving the
-// re-resolution against the directory; a hintless one re-resolves. The
-// access is recorded once per logical acquisition — NACK-chasing resends
-// must not inflate the stripe heat the adaptive policy reads.
+// attempt, unless it names an attempt that has already ended: then the
+// request goes to the same node again (winnerEnded). A NACK for stale
+// placement (a migration moved or froze a stripe) is chased instead, for
+// keys[0] alone: when it carries an owner hint, the epoch and owner the
+// NACKing node saw steer the resend directly, saving the re-resolution
+// against the directory; a hintless one re-resolves. The access is recorded
+// once per logical acquisition — NACK-chasing resends must not inflate the
+// stripe heat the adaptive policy reads.
 func (rt *Runtime) rpcLock(tx *Tx, keys []mem.Addr, mode lockMode) []mem.Addr {
 	rt.s.dir.Record(rt.cluster, keys...)
 	node, epoch := rt.s.dir.Resolve(keys[0])
-	for hop := 0; ; hop++ {
+	past := attemptRef{Core: -1}
+	for hop := 0; ; {
 		req := rt.lockReq(tx.id, mode, epoch, keys)
+		req.Ended = past
 		id := req.ReqID // once sent, the node may consume and recycle req
 		rt.carryOn(node, req)
 		if lockSent != nil {
@@ -165,13 +193,18 @@ func (rt *Runtime) rpcLock(tx *Tx, keys []mem.Addr, mode lockMode) []mem.Addr {
 			return keys
 		}
 		if !resp.Stale {
-			rt.conflictAbort(resp)
+			if ended, polled := rt.winnerEnded(resp, &past); !ended {
+				rt.conflictAbort(resp, polled)
+			}
+			putRespLock(resp)
+			continue
 		}
 		hintOwner, hintEpoch := resp.NackOwner, resp.NackEpoch
 		putRespLock(resp)
 		if hop >= maxPlacementHops {
 			rt.placementAbort()
 		}
+		hop++
 		keys = keys[:1]
 		if hintOwner >= 0 {
 			node, epoch = hintOwner, hintEpoch
@@ -198,6 +231,7 @@ func (rt *Runtime) scatterWriteLocks(tx *Tx, epoch uint64, batches []nodeGroup) 
 	ids := rt.scatterIDs[:0]
 	for _, b := range batches {
 		req := rt.lockReq(tx.id, lockWrite, epoch, b.writes)
+		req.Ended = b.past
 		// Record the correlation ID before the handoff: once staged or
 		// sent, the node may consume and recycle the pooled request.
 		ids = append(ids, req.ReqID)

@@ -40,9 +40,11 @@ type Runtime struct {
 	// winner is the attempt that beat this core's last attempt, as its
 	// conflict NACK named it (conflictAbort; Core < 0: none), and winKind
 	// the conflict's class: runLoop may wait for it to end before the next
-	// attempt (awaitWinner).
-	winner  cm.Meta
-	winKind cm.Kind
+	// attempt (awaitWinner). winPolled: the loser read the winner's
+	// register once before it aborted, and saw it running (winnerEnded).
+	winner    cm.Meta
+	winKind   cm.Kind
+	winPolled bool
 
 	// rec is the core's flight-recorder lane (nil when Config.Trace is
 	// unset; every emit is then a single nil comparison).
@@ -372,7 +374,7 @@ func (rt *Runtime) runLoop(kind TxKind, fn func(*Tx) error) (attempts int, userE
 			if rt.s.host != nil || rt.winKind == cm.WAR && rt.s.cfg.Policy.StarvationFree() {
 				rt.sendCarry()
 				rt.blockingHook()
-				rt.awaitWinner(w)
+				rt.awaitWinner(w, rt.winPolled)
 			}
 		}
 		// Live-backend drain cap, mirroring the sim backend's hard stop at
@@ -421,19 +423,30 @@ const winnerPollPause = 2 * time.Microsecond
 // Free to Free, which cannot change the register — and sends no message;
 // between polls the core serves its co-located DTM node. It cannot
 // deadlock: a waiter holds no locks, and the attempt it waits on is in
-// flight, so not waiting itself.
-func (rt *Runtime) awaitWinner(w cm.Meta) {
+// flight, so not waiting itself. polled: the loser already read the
+// register once, before it aborted (winnerEnded), which counts as the first
+// poll.
+func (rt *Runtime) awaitWinner(w cm.Meta, polled bool) {
 	start := rt.proc.Now()
 	for !rt.s.liveDrainExpired() {
-		_, txID, st := rt.s.Regs.CASStatusRemoteObserve(rt.proc, rt.core, w.Core, 0, mem.TxFree, mem.TxFree)
-		if txID != w.TxID || st == mem.TxAborted || st == mem.TxCommitted {
+		if !polled && rt.s.ended(rt.proc, rt.core, w) {
 			break
 		}
+		polled = false
 		rt.drainRequests()
 		rt.proc.Pause(rt.s.compute(winnerPollPause))
 	}
 	rt.shard.WinnerWaits++
 	rt.shard.WinnerWaitTime += rt.proc.Now() - start
+}
+
+// ended reports, for core by, whether attempt e has ended: its core's status
+// register, read with a compare-and-swap that cannot change it, shows a
+// later attempt, or this one Committed or Aborted. One remote register read,
+// no message.
+func (s *System) ended(p port.Port, by int, e cm.Meta) bool {
+	_, id, st := s.Regs.CASStatusRemoteObserve(p, by, e.Core, 0, mem.TxFree, mem.TxFree)
+	return id != e.TxID || st == mem.TxCommitted || st == mem.TxAborted
 }
 
 // liveDrainKill unwinds a worker whose transaction cannot finish within the
@@ -614,10 +627,11 @@ func (tx *Tx) commit() {
 	if rt.s.audit != nil {
 		rt.s.recordCommit(tx, instant)
 	}
+	// An attempt that held no lock leaves the carry as it is: an earlier
+	// attempt's releases ride the core's next lock request, or leave at its
+	// next abort or wait.
 	if len(tx.wlocked) > 0 || p.readsHoldLocks() {
 		rt.releaseAll(tx)
-	} else {
-		rt.sendCarry() // nothing to carry on: an earlier attempt's releases leave now
 	}
 	rt.commitLat.Observe(rt.proc.Now() - start)
 }
@@ -685,31 +699,43 @@ func (tx *Tx) acquireCommitLocks() {
 
 // scatterAcquire sends every batch in one burst and gathers all responses
 // in a single awaited phase, returning the keys NACKed for stale placement.
-// Any conflict rejection aborts after the granted batches are recorded for
-// rollback.
+// A batch whose NACK names an attempt that has already ended is sent again,
+// in a further phase (winnerEnded). Any other conflict rejection aborts
+// after the granted batches are recorded for rollback.
 func (tx *Tx) scatterAcquire(keys []mem.Addr) (stale []mem.Addr) {
 	rt := tx.rt
 	batches, epoch := tx.commitBatches(keys)
-	tx.checkAborted()
-	rt.shard.CommitRoundTrips++
-	resps := rt.scatterWriteLocks(tx, epoch, batches)
-	var failed *respLock
-	for i, resp := range resps {
-		resps[i] = nil
-		switch {
-		case resp.OK:
-			tx.wlocked = append(tx.wlocked, batches[i].writes...)
-			tx.recordGrantVers(batches[i].writes, resp.Vers)
-		case resp.Stale:
-			stale = append(stale, batches[i].writes...)
-		case failed == nil:
-			failed = resp // first rejection in send order, for determinism
-			continue
+	for len(batches) > 0 {
+		tx.checkAborted()
+		rt.shard.CommitRoundTrips++
+		resps := rt.scatterWriteLocks(tx, epoch, batches)
+		var failed *respLock
+		polled, resend := false, 0
+		for i, resp := range resps {
+			resps[i] = nil
+			b := &batches[i]
+			switch {
+			case resp.OK:
+				tx.wlocked = append(tx.wlocked, b.writes...)
+				tx.recordGrantVers(b.writes, resp.Vers)
+			case resp.Stale:
+				stale = append(stale, b.writes...)
+			case failed == nil:
+				var ended bool
+				if ended, polled = rt.winnerEnded(resp, &b.past); !ended {
+					failed = resp // first rejection in send order, for determinism
+					continue
+				}
+				// Swapped, not copied: every group keeps its own key storage.
+				batches[resend], batches[i] = batches[i], batches[resend]
+				resend++
+			}
+			putRespLock(resp)
 		}
-		putRespLock(resp)
-	}
-	if failed != nil {
-		rt.conflictAbort(failed)
+		if failed != nil {
+			rt.conflictAbort(failed, polled)
+		}
+		batches = batches[:resend]
 	}
 	return stale
 }
@@ -739,6 +765,7 @@ func (tx *Tx) commitBatches(keys []mem.Addr) ([]nodeGroup, uint64) {
 			rt.groupIdx[ni] = int32(gi + 1)
 			rt.groups = slices.Grow(rt.groups, 1)[:gi+1] // a reused slot keeps its key storage
 			rt.groups[gi].node, rt.groups[gi].writes = ni, rt.groups[gi].writes[:0]
+			rt.groups[gi].past = attemptRef{Core: -1}
 		}
 		rt.groups[gi].writes = append(rt.groups[gi].writes, k)
 	}
@@ -933,11 +960,13 @@ func (tx *Tx) writeKeys() []mem.Addr {
 }
 
 // nodeGroup is the write-lock keys one DTM node is responsible for, out of
-// those commitBatches groups. The slice is runtime-owned scratch, copied
-// into a pooled message before send.
+// those commitBatches groups, and the ended attempt the batch was last sent
+// again past (reqLock.Ended; Core < 0: none). The slice is runtime-owned
+// scratch, copied into a pooled message before send.
 type nodeGroup struct {
 	node   int
 	writes []mem.Addr
+	past   attemptRef
 }
 
 // drainRequests serves any queued DTM requests at a transaction boundary

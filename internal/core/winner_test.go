@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"slices"
 	"sync/atomic"
 	"testing"
@@ -276,6 +277,115 @@ func TestConflictNackNamesWinner(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestEndedWinnerResend: on live and net, a request whose conflict NACK names
+// an attempt that has already ended is sent again in the same attempt,
+// naming that attempt, and the node revokes its locks before judging it.
+//
+//	holder/read   a write lock of an ended attempt, whose release never
+//	              comes, at a node too busy to check for that
+//	              (dtmNode.busy): the read is granted after one resend, over
+//	              one stale revocation, in the transaction's first attempt
+//	holder/write  as holder/read, but a commit writes the key after a key of
+//	              another node: its second batch alone is sent again
+//	token-held    a node whose token an ended irrevocable transaction still
+//	              holds, its token release not yet sent: the resend is
+//	              NACKed naming the same attempt, and the attempt aborts
+//	              instead of sending again; the abort sends that release,
+//	              and the retry commits
+//
+// On sim the loser aborts at the first NACK and resends nothing: the retry
+// commits, over the idle node's own stale revocation in the holder rows. The
+// live rows also run in CI's -race step, the net rows in the net job's.
+func TestEndedWinnerResend(t *testing.T) {
+	for _, b := range []Backend{BackendSim, BackendLive, BackendNet} {
+		for _, row := range []string{"holder/read", "holder/write", "token-held"} {
+			t.Run(b.String()+"/"+row, func(t *testing.T) {
+				attempts, st := runEndedWinner(t, b, row)
+				wantAttempts, wantResends, wantRevokes := 1, uint64(1), uint64(1)
+				if row == "token-held" {
+					wantAttempts, wantRevokes = 2, 0
+				}
+				if b == BackendSim {
+					wantAttempts, wantResends = 2, 0
+				}
+				if attempts != wantAttempts || st.EndedResends != wantResends || st.StaleRevokes != wantRevokes {
+					t.Errorf("%d attempts, %d resends, %d stale revocations; want %d, %d, %d",
+						attempts, st.EndedResends, st.StaleRevokes, wantAttempts, wantResends, wantRevokes)
+				}
+			})
+		}
+	}
+}
+
+// runEndedWinner runs one TestEndedWinnerResend row and returns the
+// transaction's attempts and the run's stats. The ended attempt is attempt 5
+// of an app core that runs nothing, so its status register shows no attempt
+// at all. The holder rows run multitasked: the core hosting the key's node
+// serves the first request itself, marked busy as a backlog behind it would
+// mark it, then serves on as usual.
+func runEndedWinner(t *testing.T, backend Backend, row string) (int, *Stats) {
+	const endedTx = 5
+	token := row == "token-held"
+	var attempts atomic.Int64
+	_, st := runRanks(t, backend, func(c *Config) {
+		c.TotalCores = 4
+		if !token {
+			c.Deployment = Multitask
+		}
+	}, func(s *System) func(rt *Runtime) {
+		pool := s.Mem.Alloc(16, 0)
+		addr, other := pool, pool+1
+		ni := s.nodeFor(addr)
+		for s.nodeFor(other) == ni {
+			other++
+		}
+		n := s.nodes[ni]
+		app := s.AppCores()
+		slices.Sort(app)
+		loser, ended := app[0], app[1]
+		if !token {
+			// Loser and ended core apart from the node's, and on net the
+			// loser on the other rank.
+			loser, ended = (n.core+2)%4, (n.core+1)%4
+		}
+		switch {
+		case !s.localCore(n.core): // on net, the node is the other rank's
+		case token:
+			n.excl.held, n.excl.owner, n.excl.ownerTx = true, ended, endedTx
+		default:
+			n.table.SetWriter(addr, cm.Meta{Core: ended, TxID: endedTx, Prio: math.MinInt64})
+		}
+		return func(rt *Runtime) {
+			switch {
+			case rt.Core() == loser:
+				n := rt.Run(func(tx *Tx) {
+					if token {
+						tx.OnAbort(func() {
+							rel := getRelLocks()
+							rel.Core, rel.TxID, rel.Exclusive = ended, endedTx, true
+							rt.sendToNode(ni, rel)
+						})
+					}
+					if row == "holder/write" {
+						tx.Write(other, 1)
+						tx.Write(addr, 1)
+					} else {
+						tx.Read(addr)
+					}
+				})
+				attempts.Store(int64(n))
+			case !token && rt.node == n:
+				m := rt.proc.Recv() // the loser's first request
+				n.busy = true
+				n.handle(rt.proc, m)
+				n.busy = false
+				n.flushOut(rt.proc)
+			}
+		}
+	})
+	return int(attempts.Load()), st
 }
 
 // plantHolder returns a TestConflictNackNamesWinner plant: a writer (or a

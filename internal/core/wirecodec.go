@@ -59,12 +59,13 @@ func decCore(d *wire.Dec) int {
 	return c
 }
 
-// decHint decodes a NACK's NackOwner: a DTM node index or a winner's core
-// ID, or -1 for none. Anything else would pass for a hint it is not.
-func decHint(d *wire.Dec) int {
+// decHint decodes what, a core ID or a DTM node index, or -1 for none: a
+// NACK's NackOwner, a request's Ended.Core. Anything else would pass for a
+// value it is not.
+func decHint(d *wire.Dec, what string) int {
 	c := d.Int()
 	if c < -1 || c > math.MaxInt32 {
-		d.Failf("wire: NACK hint %d out of range", c)
+		d.Failf("wire: %s %d out of range", what, c)
 	}
 	return c
 }
@@ -108,6 +109,9 @@ func init() {
 				encAddrs(e, r.Rel.ReadAddrs)
 				encAddrs(e, r.Rel.WriteAddrs)
 			}
+			// The attempt a resend names as ended; core -1: none.
+			e.Int(r.Ended.Core)
+			e.U64(r.Ended.TxID)
 		},
 		Decode: func(d *wire.Dec) any {
 			r := getLockReq()
@@ -126,6 +130,7 @@ func init() {
 				rel.ReadAddrs, rel.WriteAddrs = decAddrs(d, rel.ReadAddrs), decAddrs(d, rel.WriteAddrs)
 				r.Rel = rel
 			}
+			r.Ended = attemptRef{Core: decHint(d, "ended attempt's core"), TxID: d.U64()}
 			return r
 		},
 		Release: func(v any) { putLockReq(v.(*reqLock)) },
@@ -145,7 +150,7 @@ func init() {
 		Decode: func(d *wire.Dec) any {
 			r := getRespLock()
 			r.ReqID, r.OK, r.Stale, r.Kind = d.U64(), d.Bool(), d.Bool(), cm.Kind(d.U8())
-			r.Vers, r.NackEpoch, r.NackOwner = d.U64s(r.Vers), d.U64(), decHint(d)
+			r.Vers, r.NackEpoch, r.NackOwner = d.U64s(r.Vers), d.U64(), decHint(d, "NACK hint")
 			return r
 		},
 		Release: func(v any) { putRespLock(v.(*respLock)) },

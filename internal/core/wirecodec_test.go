@@ -83,6 +83,7 @@ func messageGens() []func(r *rand.Rand) any {
 			req := &reqLock{
 				ReqID: r.Uint64(), Epoch: r.Uint64(), Mode: mode, Addrs: randAddrs(r, maxAddrs),
 				Meta: randMeta(r), Reply: randReply(r), ReplyTo: r.Intn(1 << 20),
+				Ended: attemptRef{Core: r.Intn(1<<20) - 1, TxID: r.Uint64()}, // -1: none
 			}
 			if carry {
 				req.Rel = &relLocks{
@@ -235,12 +236,14 @@ func TestWireDecodeRejectsCorruptInput(t *testing.T) {
 	if _, err := wire.DecodePayload(wire.NewDec(bad, testResolver)); err == nil {
 		t.Fatal("reqLock with an unknown mode decoded without error")
 	}
-	// A token request carrying a release, otherwise well formed.
+	// A token request carrying a release, otherwise well formed: the release
+	// goes between the request's fields and its Ended attempt (none).
 	e = wire.NewEnc(nil)
-	if err := wire.EncodePayload(e, &reqLock{Mode: lockExclusive}); err != nil {
+	if err := wire.EncodePayload(e, &reqLock{Mode: lockExclusive, Ended: attemptRef{Core: -1}}); err != nil {
 		t.Fatal(err)
 	}
-	bad = slices.Concat(e.Bytes()[:len(e.Bytes())-1], []byte{1, 7, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
+	enc := e.Bytes()
+	bad = slices.Concat(enc[:len(enc)-1-16], []byte{1, 7, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}, enc[len(enc)-16:])
 	if _, err := wire.DecodePayload(wire.NewDec(bad, testResolver)); err == nil {
 		t.Fatal("token request carrying a release decoded without error")
 	}
@@ -251,10 +254,11 @@ func TestWireDecodeRejectsCorruptInput(t *testing.T) {
 			t.Fatalf("core ID out of range decoded to %#v", v)
 		}
 	}
-	// NACK hints that are neither -1 nor a core or node index.
+	// NACK hints and ended attempts' cores that are neither -1 nor a core
+	// or node index.
 	for _, frame := range badHintFrames() {
 		if v, err := wire.DecodePayload(wire.NewDec(frame, testResolver)); err == nil {
-			t.Fatalf("NACK hint out of range decoded to %#v", v)
+			t.Fatalf("NACK hint or ended core out of range decoded to %#v", v)
 		}
 	}
 	// Kind 0 is reserved so zeroed buffers fail loudly.
@@ -284,13 +288,19 @@ func badCoreFrames() [][]byte {
 }
 
 // badHintFrames encodes a conflict NACK and a stale NACK whose NackOwner is
-// -2 or MaxInt32+1: neither "none" (-1) nor a core or node index.
+// -2 or MaxInt32+1, and a read and a write request whose Ended core is:
+// neither "none" (-1) nor a core or node index.
 func badHintFrames() [][]byte {
 	var frames [][]byte
-	for _, owner := range []int{-2, math.MaxInt32 + 1} {
-		for _, stale := range []bool{false, true} {
+	for _, core := range []int{-2, math.MaxInt32 + 1} {
+		for _, v := range []any{
+			&respLock{Kind: cm.WAR, NackOwner: core},
+			&respLock{Stale: true, NackOwner: core},
+			&reqLock{Mode: lockRead, Addrs: []mem.Addr{1}, Ended: attemptRef{Core: core, TxID: 5}},
+			&reqLock{Mode: lockWrite, Addrs: []mem.Addr{1, 2}, Ended: attemptRef{Core: core, TxID: 5}},
+		} {
 			e := wire.NewEnc(nil)
-			if err := wire.EncodePayload(e, &respLock{Kind: cm.WAR, Stale: stale, NackOwner: owner}); err != nil {
+			if err := wire.EncodePayload(e, v); err != nil {
 				panic(err)
 			}
 			frames = append(frames, e.Bytes())
@@ -310,10 +320,10 @@ var retiredKindFrames = [][]byte{
 }
 
 // TestWireEncodingStable pins exact bytes for a read-mode reqLock with and
-// without a carried release, an exclusive-mode one and a RAW conflict NACK
-// that names its winner: the encoding is a protocol constant (docs/WIRE.md),
-// and accidental layout drift must show up as a test failure, not a
-// cross-version hang.
+// without a carried release, an exclusive-mode one, a write-mode resend that
+// names an ended attempt and a RAW conflict NACK that names its winner: the
+// encoding is a protocol constant (docs/WIRE.md), and accidental layout
+// drift must show up as a test failure, not a cross-version hang.
 func TestWireEncodingStable(t *testing.T) {
 	meta := []byte{
 		3, 0, 0, 0, 0, 0, 0, 0, // Meta.Core
@@ -322,6 +332,10 @@ func TestWireEncodingStable(t *testing.T) {
 		5, 0, 0, 0, 0, 0, 0, 0, // Meta.Offset
 		17, 0, 0, 0, // Reply port ID
 		3, 0, 0, 0, 0, 0, 0, 0, // ReplyTo
+	}
+	noEnded := []byte{
+		0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, // Ended.Core = -1: none
+		0, 0, 0, 0, 0, 0, 0, 0, // Ended.TxID
 	}
 	for _, c := range []struct {
 		v    any
@@ -336,7 +350,7 @@ func TestWireEncodingStable(t *testing.T) {
 			0x0b, 0x0a, 0, 0, 0, 0, 0, 0, // Addrs[0]
 		}, meta, []byte{
 			0, // no carried release
-		})},
+		}, noEnded)},
 		{&reqLock{ReqID: 5, Mode: lockRead, Addrs: []mem.Addr{0x0a0b},
 			Rel: &relLocks{WriteAddrs: []mem.Addr{0x0c}, Core: 3, TxID: 8}}, slices.Concat([]byte{
 			2,                      // kind: reqLock
@@ -351,7 +365,7 @@ func TestWireEncodingStable(t *testing.T) {
 			0, 0, 0, 0, // len(Rel.ReadAddrs)
 			1, 0, 0, 0, // len(Rel.WriteAddrs)
 			0x0c, 0, 0, 0, 0, 0, 0, 0, // Rel.WriteAddrs[0]
-		})},
+		}, noEnded)},
 		{&reqLock{ReqID: 4, Mode: lockExclusive}, slices.Concat([]byte{
 			2,                      // kind: reqLock
 			4, 0, 0, 0, 0, 0, 0, 0, // ReqID
@@ -360,6 +374,18 @@ func TestWireEncodingStable(t *testing.T) {
 			0, 0, 0, 0, // len(Addrs)
 		}, meta, []byte{
 			0, // no carried release
+		}, noEnded)},
+		{&reqLock{ReqID: 7, Mode: lockWrite, Addrs: []mem.Addr{0x0a0b}, Ended: attemptRef{Core: 2, TxID: 41}}, slices.Concat([]byte{
+			2,                      // kind: reqLock
+			7, 0, 0, 0, 0, 0, 0, 0, // ReqID
+			0, 0, 0, 0, 0, 0, 0, 0, // Epoch
+			1,          // Mode: write
+			1, 0, 0, 0, // len(Addrs)
+			0x0b, 0x0a, 0, 0, 0, 0, 0, 0, // Addrs[0]
+		}, meta, []byte{
+			0,                      // no carried release
+			2, 0, 0, 0, 0, 0, 0, 0, // Ended.Core: the ended winner's core
+			41, 0, 0, 0, 0, 0, 0, 0, // Ended.TxID: its attempt
 		})},
 		{&respLock{ReqID: 6, Kind: cm.RAW, NackEpoch: 41, NackOwner: 2}, []byte{
 			3,                      // kind: respLock
@@ -375,6 +401,9 @@ func TestWireEncodingStable(t *testing.T) {
 		if r, ok := c.v.(*reqLock); ok {
 			r.Meta = cm.Meta{Core: 3, TxID: 9, Prio: -1, Offset: 5}
 			r.Reply, r.ReplyTo = idPort{id: 17}, 3
+			if r.Ended == (attemptRef{}) {
+				r.Ended.Core = -1 // as getLockReq leaves it
+			}
 		}
 		e := wire.NewEnc(nil)
 		if err := wire.EncodePayload(e, c.v); err != nil {
@@ -443,6 +472,12 @@ func FuzzDecodePayload(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(e.Bytes())
+	// A read request sent again past an ended attempt.
+	e = wire.NewEnc(nil)
+	if err := wire.EncodePayload(e, &reqLock{Mode: lockRead, Addrs: []mem.Addr{4}, Ended: attemptRef{Core: 2, TxID: 9}}); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(e.Bytes())
 	f.Add([]byte{wkBatch, 0xff, 0xff, 0xff, 0xff})
 	f.Add([]byte{wkBatch, 1, 0, 0, 0, wkBatch, 0, 0, 0, 0})
 	for _, frame := range retiredKindFrames {
@@ -464,6 +499,9 @@ func FuzzDecodePayload(f *testing.F) {
 		}
 		if r, ok := v.(*respLock); ok && (r.NackOwner < -1 || r.NackOwner > math.MaxInt32) {
 			t.Errorf("NACK hint %d decoded", r.NackOwner)
+		}
+		if r, ok := v.(*reqLock); ok && (r.Ended.Core < -1 || r.Ended.Core > math.MaxInt32) {
+			t.Errorf("ended attempt's core %d decoded", r.Ended.Core)
 		}
 		if limit := uint64(64*len(b) + 16<<10); alloc > limit {
 			t.Errorf("decoding %d bytes allocated %d (limit %d)", len(b), alloc, limit)

@@ -177,6 +177,9 @@ func WriteChrome(w io.Writer, t *Trace) error {
 				if k := kindName(e.B + 1); k != "" {
 					args["kind"] = k
 				}
+				if core, tx, ok := WinnerParts(e.C); ok {
+					args["winner_core"], args["winner_tx"] = core, tx
+				}
 			case KLockStale:
 				name = "stale-nack"
 				args["epoch"] = e.B

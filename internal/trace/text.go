@@ -46,6 +46,9 @@ func WriteText(w io.Writer, t *Trace) error {
 			if k := kindName(e.B + 1); k != "" {
 				fmt.Fprintf(bw, " kind=%s", k)
 			}
+			if core, tx, ok := WinnerParts(e.C); ok {
+				fmt.Fprintf(bw, " winner core=%d tx=%d", core, tx)
+			}
 		case KLockStale:
 			fmt.Fprintf(bw, "tx=%d stale-nack flow=%d/%d epoch=%d",
 				e.TxID, e.A>>40, e.A&(1<<40-1), e.B)

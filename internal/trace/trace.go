@@ -56,7 +56,8 @@ const (
 	// A = flow ID, B = batch size.
 	KLockGrant
 	// KLockNack records a DTM node rejecting a request on a conflict.
-	// A = flow ID, B = conflict kind (cm.Kind).
+	// A = flow ID, B = conflict kind (cm.Kind), C = the attempt the NACK
+	// names as its winner (see WinnerWord; 0 = none).
 	KLockNack
 	// KLockStale records a stale-placement NACK. A = flow ID, B = the
 	// directory epoch piggybacked on the NACK, C = owner hint + 1 (0 = no
@@ -224,6 +225,20 @@ func Reasons() []Reason {
 // correlation IDs are per-core, so the pair is globally unique.
 func FlowID(core int, reqID uint64) uint64 {
 	return uint64(core)<<40 | reqID
+}
+
+// WinnerWord packs a KLockNack's C word, the attempt the NACK names as its
+// winner, like FlowID with the core plus one: 0 means none (core < 0).
+func WinnerWord(core int, txID uint64) uint64 {
+	if core < 0 {
+		return 0
+	}
+	return FlowID(core+1, txID)
+}
+
+// WinnerParts unpacks WinnerWord; ok is false when the NACK named none.
+func WinnerParts(c uint64) (core int, txID uint64, ok bool) {
+	return int(c>>40) - 1, c & (1<<40 - 1), c != 0
 }
 
 // RevokeWord packs a KRevoke's A word: the victim's core in the low 32

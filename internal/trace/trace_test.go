@@ -144,7 +144,7 @@ func syntheticTrace() *Trace {
 	app.Emit(120, KLockReq, 7, flow, 42, 1)
 	app.Emit(125, KWireSend, 7, 8, 24, 3)
 	dtm.Emit(140, KEnvelopeDeliver, 0, 0, 0, 3)
-	dtm.Emit(150, KLockNack, 7, flow, 1, 0)
+	dtm.Emit(150, KLockNack, 7, flow, 1, WinnerWord(4, 3))
 	app.Emit(180, KAbort, 7, uint64(ReasonConflict), 2, 0)
 	app.Emit(200, KAttemptStart, 8, 1, 0, 0)
 	app.Emit(210, KPhaseBegin, 8, uint64(PhaseScatter), 0, 0)
@@ -179,7 +179,7 @@ func TestWriteChrome(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &parsed); err != nil {
 		t.Fatalf("chrome output is not valid JSON: %v", err)
 	}
-	var abortSpan, abortInstant, envelope, flowStart, flowEnd bool
+	var abortSpan, abortInstant, envelope, flowStart, flowEnd, winner bool
 	for _, ev := range parsed.TraceEvents {
 		name, _ := ev["name"].(string)
 		ph, _ := ev["ph"].(string)
@@ -192,6 +192,9 @@ func TestWriteChrome(t *testing.T) {
 		if args, ok := ev["args"].(map[string]any); ok && ph == "X" {
 			if args["outcome"] == "abort" && args["reason"] == "conflict" {
 				abortSpan = true
+			}
+			if name == "nack" && args["winner_core"] == 4.0 && args["winner_tx"] == 3.0 {
+				winner = true
 			}
 		}
 		if strings.HasPrefix(name, "abort:") && ph == "i" {
@@ -216,6 +219,9 @@ func TestWriteChrome(t *testing.T) {
 	if !flowStart || !flowEnd {
 		t.Fatalf("flow arrow missing (s=%v f=%v)", flowStart, flowEnd)
 	}
+	if !winner {
+		t.Fatal("nack naming its winner missing")
+	}
 }
 
 func TestWriteText(t *testing.T) {
@@ -229,6 +235,7 @@ func TestWriteText(t *testing.T) {
 		"ABORT reason=conflict kind=WAW",
 		"read key=42",
 		"doomed read key=13",
+		"nack flow=2/5 kind=WAW winner core=4 tx=3",
 		"stale-nack flow=3/1 epoch=4 owner=10",
 		"coalesced envelope",
 		"phase scatter {",
@@ -255,6 +262,27 @@ func TestRevokeWordRoundTrips(t *testing.T) {
 		if victim != c.victim || by != c.by || stale != c.stale {
 			t.Errorf("RevokeWord(%d, %d, %v) unpacks to %d, %d, %v", c.victim, c.by, c.stale, victim, by, stale)
 		}
+	}
+}
+
+// TestWinnerWordRoundTrips: a KLockNack's C word gives back the winner's
+// core and attempt it was packed from, and 0 stands for a NACK that named
+// none.
+func TestWinnerWordRoundTrips(t *testing.T) {
+	for _, c := range []struct {
+		core int
+		tx   uint64
+	}{{0, 0}, {0, 1}, {4, 3}, {47, 1<<40 - 1}, {1<<23 - 2, 99}} {
+		core, tx, ok := WinnerParts(WinnerWord(c.core, c.tx))
+		if !ok || core != c.core || tx != c.tx {
+			t.Errorf("WinnerWord(%d, %d) unpacks to %d, %d, %v", c.core, c.tx, core, tx, ok)
+		}
+	}
+	if w := WinnerWord(-1, 7); w != 0 {
+		t.Errorf("WinnerWord(-1, 7) = %d, want 0 for none", w)
+	}
+	if _, _, ok := WinnerParts(0); ok {
+		t.Error("WinnerParts(0) names a winner")
 	}
 }
 

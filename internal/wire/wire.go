@@ -36,7 +36,7 @@ import (
 // Version identifies the wire format: frame layout, handshake shape, and
 // every registered payload encoding. Peers with different versions refuse
 // to talk during the handshake rather than misparse each other mid-run.
-const Version uint16 = 6
+const Version uint16 = 7
 
 // MaxFrame bounds a frame body so a corrupt or hostile length prefix cannot
 // make a reader allocate unboundedly. The largest legitimate frames are
