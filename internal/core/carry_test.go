@@ -2,6 +2,7 @@ package core
 
 import (
 	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -100,18 +101,27 @@ func byBackend(b Backend, sim, host time.Duration) port.Time {
 }
 
 // TestCarriedReleaseBound: every lock an attempt held is in a release that
-// has left the core — on its own or inside a lock request — before the core
-// next blocks on a lock response or a token, waits between attempts, pauses
-// or computes for the workload, waits at a barrier or exits, and before the
-// next attempt aborts, or commits holding locks. A committed attempt that
-// held none (TL2's scans) leaves the carry alone, so on TL2 some of them end
-// with an earlier update's release still carried: a row fails if none does,
-// which is what a flush at a lock-free commit would cause. A hook on every
-// release that leaves, one on every such point and the attempts' own commit
-// and abort hooks check it, across transfers, read-ahead scans,
+// has left the core — on its own or inside a lock request — by a bound that
+// depends on the backend. On sim, before the core next blocks on a lock
+// response or a token, waits between attempts, pauses or computes for the
+// workload, waits at a barrier or exits, and before the next attempt aborts,
+// or commits holding locks; a committed attempt that held none (TL2's scans)
+// leaves the carry alone, so on TL2 some of them end with an earlier
+// update's release still carried: a row fails if none does, which is what a
+// flush at a lock-free commit would cause. On live and net, where a finished
+// lock costs a requester a resend, never an abort (System.resendsPastEnded),
+// before the core's next lock request to the lock's node, and before it
+// waits (between attempts, for a token, at a barrier, in a pause or a
+// compute) or exits. A live or net row fails unless some core blocked on a
+// lock response while another node's release stayed carried, which a flush
+// after rpcLock's send or in the scatter would prevent, and some attempt
+// that held locks ended with an earlier attempt's release still carried,
+// which a flush in releaseAll would prevent. Hooks on every release and
+// lock request that leaves, on every blocking point and the attempts' own
+// commit and abort hooks check it, across transfers, read-ahead scans,
 // elastic-early reads, irrevocables, compute, pauses and a barrier, under
 // both protocols and both deployments, with back-off and winner waits. The
-// live rows also run in CI's -race step.
+// live rows also run in CI's -race step, the net row in the net job's.
 func TestCarriedReleaseBound(t *testing.T) {
 	rows := []struct {
 		name    string
@@ -126,48 +136,82 @@ func TestCarriedReleaseBound(t *testing.T) {
 		{"sim/tl2/faircm", BackendSim, ProtocolTL2, Dedicated, cm.FairCM},
 		{"live/visible/faircm", BackendLive, ProtocolVisible, Dedicated, cm.FairCM},
 		{"live/tl2/faircm", BackendLive, ProtocolTL2, Dedicated, cm.FairCM},
+		{"net/visible/faircm", BackendNet, ProtocolVisible, Dedicated, cm.FairCM},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
-			// unreleased[core] holds the (attempt, key) locks of the core's
-			// finished attempts that no release has carried off yet. Each
-			// core touches only its own entry, from its own goroutine.
-			var unreleased map[int]map[[2]uint64]bool
-			var violations, releases, kept atomic.Int64
+			realtime := row.backend != BackendSim
+			// unreleased[core] maps the (attempt, key) locks of the core's
+			// finished attempts that no release has carried off yet to the
+			// key's DTM node. Each core touches only its own entry, from
+			// its own goroutine; on net both ranks share the map.
+			var (
+				once       sync.Once
+				unreleased map[int]map[[2]uint64]int
+				tokenCore  atomic.Int64 // the core waiting for tokens, or -1
+			)
+			tokenCore.Store(-1)
+			var violations, releases, kept, lingered, rode atomic.Int64
+			violate := func(format string, args ...any) {
+				if violations.Add(1) <= 5 {
+					t.Errorf(format, args...)
+				}
+			}
 			releaseSent = func(_ int, msg *relLocks) {
 				releases.Add(1)
 				for _, k := range slices.Concat(msg.ReadAddrs, msg.WriteAddrs) {
 					delete(unreleased[msg.Core], [2]uint64{msg.TxID, uint64(k)})
 				}
 			}
-			blocking = func(rt *Runtime) {
-				if left := len(unreleased[rt.core]); left > 0 && violations.Add(1) <= 5 {
-					t.Errorf("core %d blocks with %d locks of finished attempts unreleased", rt.core, left)
+			lockSent = func(node int, req *reqLock) {
+				for l, n := range unreleased[req.ReplyTo] {
+					if n == node {
+						violate("core %d sends a lock request to node %d, where attempt %d's lock on %#x is unreleased", req.ReplyTo, node, l[0], l[1])
+						return
+					}
 				}
 			}
-			t.Cleanup(func() { releaseSent, blocking = nil, nil })
+			blocking = func(rt *Runtime) {
+				left := len(unreleased[rt.core])
+				if realtime && len(rt.awaitIDs) > 0 && int64(rt.core) != tokenCore.Load() {
+					if left > 0 {
+						rode.Add(1) // lockSent checked the request's own node
+					}
+					return
+				}
+				if left > 0 {
+					violate("core %d blocks with %d locks of finished attempts unreleased", rt.core, left)
+				}
+			}
+			t.Cleanup(func() { releaseSent, lockSent, blocking = nil, nil, nil })
 			// ended checks, from an attempt's commit or abort hook, that
 			// every earlier attempt's locks are released, unless the
-			// attempt committed without holding a lock (kept), and records
-			// the locks this one held: what releaseAll drafted for it.
+			// attempt committed without holding a lock (kept) or the row
+			// runs in real time (lingered), and records the locks this one
+			// held: what releaseAll drafted for it.
 			ended := func(tx *Tx, committed bool) func() {
 				return func() {
-					held := unreleased[tx.rt.core]
-					lockFree := committed && len(tx.wlocked) == 0 && !tx.rt.s.proto.readsHoldLocks()
-					if lockFree && len(held) > 0 {
+					rt := tx.rt
+					held := unreleased[rt.core]
+					lockFree := committed && len(tx.wlocked) == 0 && !rt.s.proto.readsHoldLocks()
+					switch {
+					case len(held) == 0:
+					case lockFree:
 						kept.Add(1)
-					} else if len(held) > 0 && violations.Add(1) <= 5 {
-						t.Errorf("core %d ends attempt %d with %d locks of earlier attempts unreleased", tx.rt.core, tx.id, len(held))
+					case realtime:
+						lingered.Add(1)
+					default:
+						violate("core %d ends attempt %d with %d locks of earlier attempts unreleased", rt.core, tx.id, len(held))
 					}
-					if tx.rt.s.proto.readsHoldLocks() {
+					if rt.s.proto.readsHoldLocks() {
 						for _, e := range tx.reads.entries {
 							if !e.released() {
-								held[[2]uint64{tx.id, uint64(e.base)}] = true
+								held[[2]uint64{tx.id, uint64(e.base)}] = rt.s.nodeFor(e.base)
 							}
 						}
 					}
 					for _, k := range tx.wlocked {
-						held[[2]uint64{tx.id, uint64(k)}] = true
+						held[[2]uint64{tx.id, uint64(k)}] = rt.s.nodeFor(k)
 					}
 				}
 			}
@@ -175,10 +219,12 @@ func TestCarriedReleaseBound(t *testing.T) {
 				c.Protocol, c.Deployment, c.Policy = row.proto, row.deploy, row.policy
 				c.Acquire = map[bool]AcquireMode{false: Lazy, true: Eager}[row.policy == cm.Wholly]
 			}, func(s *System) func(rt *Runtime) {
-				unreleased = map[int]map[[2]uint64]bool{}
-				for _, c := range s.AppCores() {
-					unreleased[c] = map[[2]uint64]bool{}
-				}
+				once.Do(func() {
+					unreleased = map[int]map[[2]uint64]int{}
+					for _, c := range s.AppCores() {
+						unreleased[c] = map[[2]uint64]int{}
+					}
+				})
 				const accounts, ops = 48, 60
 				accts := NewTArray(s, Uint64Codec(), accounts, 100)
 				return func(rt *Runtime) {
@@ -194,9 +240,11 @@ func TestCarriedReleaseBound(t *testing.T) {
 						}
 						switch k := r.Intn(10); {
 						case k == 0 && rt.AppIndex() == 0 && row.proto == ProtocolVisible:
+							tokenCore.Store(int64(rt.Core()))
 							rt.RunIrrevocable(func(ir *Irrevocable) {
 								accts.At(0).SetIr(ir, accts.At(0).GetIr(ir))
 							})
+							tokenCore.Store(-1)
 						case k < 3:
 							from := r.Intn(accounts - 8)
 							rt.RunReadOnly(func(tx *Tx) {
@@ -239,6 +287,132 @@ func TestCarriedReleaseBound(t *testing.T) {
 			}
 			if row.proto == ProtocolTL2 && kept.Load() == 0 {
 				t.Error("no lock-free commit ended with an earlier attempt's release still carried")
+			}
+			if realtime && rode.Load() == 0 {
+				t.Error("no core blocked on a lock response while another node's release stayed carried")
+			}
+			if realtime && lingered.Load() == 0 {
+				t.Error("no attempt holding locks ended with an earlier attempt's release still carried")
+			}
+		})
+	}
+}
+
+// TestCarriedReleaseWaitsForItsNode: an attempt locks keys on DTM nodes A
+// and B, the next one reads only on A, and the one after reads on B. On
+// live and net, B's release waits in the carry until the third attempt's
+// request to B carries it; on sim, it leaves on its own right after the
+// second attempt's request to A. The live row also runs in CI's -race
+// step, the net row in the net job's.
+func TestCarriedReleaseWaitsForItsNode(t *testing.T) {
+	for _, backend := range []Backend{BackendSim, BackendLive, BackendNet} {
+		t.Run(backend.String(), func(t *testing.T) {
+			var (
+				phase, nodeB atomic.Int64  // the attempt running (1-3), and B
+				first        atomic.Uint64 // the first attempt
+				left, rode   atomic.Int64  // the phase B's first release left in, and rode a request in (0: never)
+			)
+			releaseSent = func(node int, msg *relLocks) {
+				if int64(node) == nodeB.Load() && msg.TxID == first.Load() {
+					left.Store(phase.Load())
+				}
+			}
+			lockSent = func(node int, req *reqLock) {
+				if int64(node) == nodeB.Load() && req.Rel != nil && req.Rel.TxID == first.Load() {
+					rode.Store(phase.Load())
+				}
+			}
+			t.Cleanup(func() { releaseSent, lockSent = nil, nil })
+			runRanks(t, backend, func(c *Config) { c.TotalCores = 4 }, func(s *System) func(rt *Runtime) {
+				a := s.Mem.Alloc(16, 0)
+				b := a + 1
+				for s.nodeFor(b) == s.nodeFor(a) {
+					b++
+				}
+				nodeB.Store(int64(s.nodeFor(b)))
+				return func(rt *Runtime) {
+					if rt.Core() != firstApp(s) {
+						return
+					}
+					phase.Store(1)
+					rt.Run(func(tx *Tx) {
+						first.Store(tx.id)
+						tx.Write(a, tx.Read(a)+1)
+						tx.Write(b, tx.Read(b)+1)
+					})
+					phase.Store(2)
+					rt.RunReadOnly(func(tx *Tx) { tx.Read(a) })
+					phase.Store(3)
+					rt.RunReadOnly(func(tx *Tx) { tx.Read(b) })
+				}
+			})
+			wantLeft, wantRode := int64(3), int64(3)
+			if backend == BackendSim {
+				wantLeft, wantRode = 2, 0
+			}
+			if left.Load() != wantLeft || rode.Load() != wantRode {
+				t.Errorf("B's release left in attempt %d and rode a request in attempt %d (0: none); want %d and %d",
+					left.Load(), rode.Load(), wantLeft, wantRode)
+			}
+		})
+	}
+}
+
+// TestOneCarriedReleasePerNode: the carry holds at most one release per
+// DTM node. An attempt ending with an older release still carried for a
+// node it drafts a release for — which only a placement migration since
+// the older attempt's request to the node can leave, so the older release
+// is planted here — sends the older one on its own first, counted in
+// ReleaseMsgs. The attempt's own release is the carry's only one, and
+// leaves at the worker's exit.
+func TestOneCarriedReleasePerNode(t *testing.T) {
+	for _, backend := range []Backend{BackendSim, BackendLive, BackendNet} {
+		t.Run(backend.String(), func(t *testing.T) {
+			const planted = 1 << 40 // an attempt ID the core never reaches
+			var (
+				alone, carried atomic.Int64 // the planted release left on its own / on a request
+				attempt        atomic.Uint64
+				kept           atomic.Bool // the carry held the attempt's release alone
+			)
+			releaseSent = func(_ int, msg *relLocks) {
+				if msg.TxID == planted {
+					alone.Add(1)
+				}
+			}
+			lockSent = func(_ int, req *reqLock) {
+				if req.Rel != nil && req.Rel.TxID == planted {
+					carried.Add(1)
+				}
+			}
+			t.Cleanup(func() { releaseSent, lockSent = nil, nil })
+			_, st := runRanks(t, backend, func(c *Config) { c.TotalCores = 4 }, func(s *System) func(rt *Runtime) {
+				a := s.Mem.Alloc(16, 0)
+				c := a + 1
+				for s.nodeFor(c) != s.nodeFor(a) {
+					c++
+				}
+				return func(rt *Runtime) {
+					if rt.Core() != firstApp(s) {
+						return
+					}
+					rt.RunReadOnly(func(tx *Tx) {
+						attempt.Store(tx.id)
+						tx.Read(a) // the request to a's node leaves before the plant
+						old := getRelLocks()
+						old.Core, old.TxID, old.ReadAddrs = rt.core, planted, append(old.ReadAddrs, c)
+						rt.carry = append(rt.carry, relDraft{node: s.nodeFor(a), msg: old})
+					})
+					kept.Store(len(rt.carry) == 1 && rt.carry[0].msg.TxID == attempt.Load())
+				}
+			})
+			if alone.Load() != 1 || carried.Load() != 0 {
+				t.Errorf("the planted release left %d times, %d of them on a request; want once, on its own", alone.Load(), carried.Load())
+			}
+			if !kept.Load() {
+				t.Error("the carry does not hold the attempt's release alone after the commit")
+			}
+			if st.ReleaseMsgs != 2 {
+				t.Errorf("%d release messages, want 2: the planted one and the attempt's at exit", st.ReleaseMsgs)
 			}
 		})
 	}

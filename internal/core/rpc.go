@@ -143,7 +143,7 @@ func (rt *Runtime) conflictAbort(resp *respLock, polled bool) {
 // reports a read that showed the winner running, awaitWinner's first poll.
 func (rt *Runtime) winnerEnded(resp *respLock, past *attemptRef) (ended, polled bool) {
 	w := attemptRef{resp.NackOwner, resp.NackEpoch}
-	if rt.s.host == nil || w.Core < 0 || w == *past {
+	if !rt.s.resendsPastEnded() || w.Core < 0 || w == *past {
 		return false, false
 	}
 	if !rt.s.ended(rt.proc, rt.core, cm.Meta{Core: w.Core, TxID: w.TxID}) {
@@ -178,7 +178,9 @@ func (rt *Runtime) rpcLock(tx *Tx, keys []mem.Addr, mode lockMode) []mem.Addr {
 			lockSent(node, req)
 		}
 		rt.sendToNode(node, req)
-		rt.sendCarry() // the other carried releases leave before the core blocks
+		if !rt.s.resendsPastEnded() {
+			rt.sendCarry() // the other carried releases leave before the core blocks
+		}
 		resp := rt.awaitOne(id)
 		if resp == nil {
 			// Deadline expired: the request or its response is lost. The
@@ -215,8 +217,9 @@ func (rt *Runtime) rpcLock(tx *Tx, keys []mem.Addr, mode lockMode) []mem.Addr {
 	}
 }
 
-// lockSent, when set by a test, sees every lock request rpcLock sends just
-// before it is sent, with the release it carries.
+// lockSent, when set by a test, sees every lock request rpcLock or
+// scatterWriteLocks sends just before it is sent, with the release it
+// carries.
 var lockSent func(node int, req *reqLock)
 
 // scatterWriteLocks sends every write-lock batch in one burst and gathers
@@ -236,10 +239,15 @@ func (rt *Runtime) scatterWriteLocks(tx *Tx, epoch uint64, batches []nodeGroup) 
 		// sent, the node may consume and recycle the pooled request.
 		ids = append(ids, req.ReqID)
 		rt.carryOn(b.node, req)
+		if lockSent != nil {
+			lockSent(b.node, req)
+		}
 		rt.burstToNode(b.node, req)
 	}
 	rt.scatterIDs = ids
-	rt.sendCarry() // the other carried releases join the burst
+	if !rt.s.resendsPastEnded() {
+		rt.sendCarry() // the other carried releases join the burst
+	}
 	rt.flushOut()
 	rt.emit(trace.KPhaseEnd, tx.id, uint64(trace.PhaseScatter), 0, 0)
 	rt.scatterLat.Observe(rt.proc.Now() - scStart)

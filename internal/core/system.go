@@ -405,6 +405,15 @@ func (s *System) run(deadline, simCap port.Time, watchdog time.Duration) *Stats 
 	return &s.stats
 }
 
+// resendsPastEnded reports whether a finished attempt's lock costs a
+// requester one register read and one resend, never an abort: on live and
+// net, a conflict NACK naming an attempt that has ended sends the request
+// again (Runtime.winnerEnded). There a carried release waits for the core's
+// next request to its own node, or its next wait (Runtime.carry); the
+// simulator aborts such a requester, so it sends the carry at every lock
+// request and attempt end.
+func (s *System) resendsPastEnded() bool { return s.host != nil }
+
 // liveDrainExpired reports whether a deadline-bounded real-time run is past
 // its drain window (6x the deadline, like the sim backend's hard cap in
 // Run): transactions that are still aborting then are killed at their next

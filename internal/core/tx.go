@@ -88,11 +88,13 @@ type Runtime struct {
 	winBuf       []uint64    // windowChanged re-read buffer
 	rvBuf        []uint64    // TL2 clock-snapshot buffer (tx.rv)
 
-	// carry is the last attempt's release messages, one per DTM node, in
-	// first-use order: releaseAll drafts them and sends none. The core's
-	// next lock request to a node carries that node's (carryOn), and
-	// sendCarry sends the rest on their own before the core blocks or
-	// waits. riding keeps, on net only, a copy of each release carried by a
+	// carry is the finished attempts' release messages, at most one per DTM
+	// node, in first-use order: releaseAll drafts them and sends none. The
+	// core's next lock request to a node carries that node's (carryOn), and
+	// sendCarry sends the rest on their own before the core waits, and on
+	// sim also before it blocks on a lock response or ends an attempt, so
+	// there they are all the last attempt's (System.resendsPastEnded).
+	// riding keeps, on net only, a copy of each release carried by a
 	// request still unanswered: the request may be lost with its release.
 	carry  []relDraft
 	riding []relDraft
@@ -381,9 +383,10 @@ func (rt *Runtime) runLoop(kind TxKind, fn func(*Tx) error) (attempts int, userE
 		// 6x the deadline: a transaction still aborting that far past the
 		// window (e.g. the paper's NoCM livelock) would otherwise spin its
 		// goroutine forever, because a retry loop never observes Stopped.
-		// The check sits at the retry boundary, where the attempt has
-		// already released every lock, so killing it leaves no state
-		// behind; the worker unwinds and the drain completes.
+		// The check sits at the retry boundary, where every lock the core
+		// holds belongs to a finished attempt and is in a carried release,
+		// which the worker's exit sends; the worker unwinds and the drain
+		// completes.
 		if rt.s.liveDrainExpired() {
 			panic(liveDrainKill{})
 		}
@@ -802,6 +805,9 @@ func (rt *Runtime) abortCleanup(tx *Tx, sig abortSignal) {
 // message per node covering the remaining read locks and the acquired write
 // locks, and keeps them as the core's carry (see Runtime.carry), since a
 // finished attempt's lock never wins a conflict (dtmNode.revokeFinished).
+// An older release still carried for a node drafted here leaves on its own
+// first, so the carry holds one release per node; only a placement migration
+// since the older attempt's request to that node can leave one behind.
 // Nodes are visited in first-use order (reads in read order, then write
 // locks in acquisition order) so identical runs schedule identical events.
 // A first walk counts each node's keys, so the messages' key slices are
@@ -811,7 +817,9 @@ func (rt *Runtime) abortCleanup(tx *Tx, sig abortSignal) {
 // every key's node even while stripes migrate.
 func (rt *Runtime) releaseAll(tx *Tx) {
 	rt.emit(trace.KPhaseBegin, tx.id, uint64(trace.PhaseRelease), 0, 0)
-	rt.sendCarry()
+	if !rt.s.resendsPastEnded() {
+		rt.sendCarry()
+	}
 	tx.run.end(rt)
 	reads, place := rt.s.proto.readsHoldLocks(), rt.s.dir.Snapshot()
 	if reads {
@@ -842,7 +850,13 @@ func (rt *Runtime) releaseAll(tx *Tx) {
 		msg.WriteAddrs = append(msg.WriteAddrs, k)
 	}
 	rt.endDrafts()
-	rt.carry = append(rt.carry, rt.rels...) // sendCarry emptied it
+	for _, d := range rt.rels {
+		if i := rt.carried(d.node); i >= 0 {
+			rt.sendReleases(rt.carry[i:i+1], &rt.shard.ReleaseMsgs)
+			rt.carry = slices.Delete(rt.carry, i, i+1)
+		}
+	}
+	rt.carry = append(rt.carry, rt.rels...)
 	rt.rels = rt.rels[:0]
 	rt.emit(trace.KPhaseEnd, tx.id, uint64(trace.PhaseRelease), 0, 0)
 }
@@ -915,26 +929,36 @@ func (rt *Runtime) sendCarry() {
 	}
 }
 
+// carried returns the index in rt.carry of DTM node ni's carried release,
+// or -1.
+func (rt *Runtime) carried(ni int) int {
+	for i, d := range rt.carry {
+		if d.node == ni {
+			return i
+		}
+	}
+	return -1
+}
+
 // carryOn moves DTM node ni's carried release, if there is one, into req,
 // which the core is about to send to ni.
 func (rt *Runtime) carryOn(ni int, req *reqLock) {
-	for i, d := range rt.carry {
-		if d.node != ni {
-			continue
-		}
-		req.Rel = d.msg
-		rt.carry = slices.Delete(rt.carry, i, i+1)
-		rt.shard.CarriedReleases++
-		if releaseSent != nil {
-			releaseSent(ni, d.msg)
-		}
-		if rt.deadlineRecv != nil {
-			c := getRelLocks()
-			*c = relLocks{Core: d.msg.Core, TxID: d.msg.TxID,
-				ReadAddrs: append(c.ReadAddrs, d.msg.ReadAddrs...), WriteAddrs: append(c.WriteAddrs, d.msg.WriteAddrs...)}
-			rt.riding = append(rt.riding, relDraft{node: ni, msg: c})
-		}
+	i := rt.carried(ni)
+	if i < 0 {
 		return
+	}
+	d := rt.carry[i]
+	req.Rel = d.msg
+	rt.carry = slices.Delete(rt.carry, i, i+1)
+	rt.shard.CarriedReleases++
+	if releaseSent != nil {
+		releaseSent(ni, d.msg)
+	}
+	if rt.deadlineRecv != nil {
+		c := getRelLocks()
+		*c = relLocks{Core: d.msg.Core, TxID: d.msg.TxID,
+			ReadAddrs: append(c.ReadAddrs, d.msg.ReadAddrs...), WriteAddrs: append(c.WriteAddrs, d.msg.WriteAddrs...)}
+		rt.riding = append(rt.riding, relDraft{node: ni, msg: c})
 	}
 }
 
