@@ -337,8 +337,8 @@ func report(w io.Writer, sys *repro.System, st *repro.Stats) {
 		fmt.Fprintf(w, "node load           imbalance %.2f (max/mean across %d DTM nodes)\n",
 			st.LoadImbalance(), len(st.NodeLoad))
 	}
-	fmt.Fprintf(w, "messages            %d (%.1f KB), read-lock %d, write-lock %d, release %d (+%d carried), early %d\n",
-		st.Msgs, float64(st.MsgBytes)/1024, st.ReadLockReqs, st.WriteLockReqs, st.ReleaseMsgs, st.CarriedReleases, st.EarlyReleases)
+	fmt.Fprintf(w, "messages            %d (%.1f KB), read-lock %d, write-lock %d (%d at a read for update, %d of them committed unwritten), release %d (+%d carried), early %d\n",
+		st.Msgs, float64(st.MsgBytes)/1024, st.ReadLockReqs, st.WriteLockReqs, st.UpdateReads, st.UpdateReadsUnwritten, st.ReleaseMsgs, st.CarriedReleases, st.EarlyReleases)
 	fmt.Fprintf(w, "wire messages       %d (%.2f avg payloads/wire msg; %d payloads coalesced into shared envelopes)\n",
 		st.WireMsgs, st.PayloadsPerWireMsg(), st.CoalescedPayloads)
 	if st.Commits > 0 {

@@ -272,8 +272,10 @@ func TestReadOnlyBalanceScan(t *testing.T) {
 }
 
 // TestReadOnlyBalanceMixedWithTransfers: read-only scans interleaved with
-// transfers keep CommitRoundTrips attributable to the transfers alone —
-// the scans add none — and conserve money.
+// transfers keep CommitRoundTrips and reads for update attributable to the
+// transfers alone — the scans add none — and conserve money. A committed
+// transfer took its write locks either in a commit round trip or at its two
+// reads (core.Tx's read for update, from its body's third commit).
 func TestReadOnlyBalanceMixedWithTransfers(t *testing.T) {
 	s := newSys(t, nil)
 	b := New(s, 12)
@@ -299,9 +301,10 @@ func TestReadOnlyBalanceMixedWithTransfers(t *testing.T) {
 	if st.CommitRoundTrips == 0 && transferCommits > 0 {
 		t.Fatal("transfers must pay commit round trips")
 	}
-	// Every commit round trip belongs to a transfer attempt: scans add none.
-	if st.CommitRoundTrips < transferCommits {
-		t.Fatalf("CommitRoundTrips %d < transfer commits %d", st.CommitRoundTrips, transferCommits)
+	// Every commit round trip and read for update belongs to a transfer
+	// attempt: scans add none.
+	if st.CommitRoundTrips+st.UpdateReads/2 < transferCommits {
+		t.Fatalf("CommitRoundTrips %d + reads for update %d / 2 < transfer commits %d", st.CommitRoundTrips, st.UpdateReads, transferCommits)
 	}
 	if b.TotalRaw() != b.Total() {
 		t.Fatalf("money not conserved: %d != %d", b.TotalRaw(), b.Total())

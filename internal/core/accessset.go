@@ -12,6 +12,8 @@ import (
 // positions + 1 (0: empty) maps a base to its latest entry. EarlyRelease
 // marks an entry released in place, so the order the release bursts and the
 // audit follow holds, and a base read again gets one new entry at the end.
+// A read for update marks its entry write-locked: the lock it holds is the
+// write lock, in Tx.wlocked, not a read lock.
 // reset keeps every capacity, so a warm runtime allocates nothing here.
 type accessSet struct {
 	entries []accessEntry
@@ -21,15 +23,26 @@ type accessSet struct {
 
 type accessEntry struct {
 	base   mem.Addr
-	off, n uint32 // the value is arena[off, off+n); n carries entryReleased
+	off, n uint32 // the value is arena[off, off+n); n carries the flags
 }
 
-const entryReleased = 1 << 31
+const (
+	entryReleased    = 1 << 31
+	entryWriteLocked = 1 << 30
+	entryFlags       = entryReleased | entryWriteLocked
+)
 
-func (e accessEntry) released() bool { return e.n&entryReleased != 0 }
+func (e accessEntry) released() bool    { return e.n&entryReleased != 0 }
+func (e accessEntry) writeLocked() bool { return e.n&entryWriteLocked != 0 }
+
+// readLocked reports whether the entry holds a read lock under visible reads.
+func (e accessEntry) readLocked() bool { return e.n&entryFlags == 0 }
 
 // vals returns a live entry's value.
-func (e accessEntry) vals(arena []uint64) []uint64 { return arena[e.off : e.off+e.n : e.off+e.n] }
+func (e accessEntry) vals(arena []uint64) []uint64 {
+	n := e.n &^ entryFlags
+	return arena[e.off : e.off+n : e.off+n]
+}
 
 // slot returns the index slot holding base, or the empty one it would take,
 // probing from base's fibonacci hash.
@@ -53,11 +66,11 @@ func (s *accessSet) find(base mem.Addr) int {
 }
 
 // put makes arena[off, off+n) base's value, in place if base is in the set
-// and as a new last entry otherwise.
-func (s *accessSet) put(base mem.Addr, off, n int) {
+// and as a new last entry otherwise, and returns the entry's position.
+func (s *accessSet) put(base mem.Addr, off, n int) int {
 	if j := s.find(base); j >= 0 {
 		s.entries[j].off, s.entries[j].n = uint32(off), uint32(n)
-		return
+		return j
 	}
 	s.entries = append(s.entries, accessEntry{base, uint32(off), uint32(n)})
 	if 2*len(s.entries) > len(s.index) {
@@ -68,6 +81,7 @@ func (s *accessSet) put(base mem.Addr, off, n int) {
 	}
 	s.index[s.slot(base)] = int32(len(s.entries))
 	s.live++
+	return len(s.entries) - 1
 }
 
 // release marks base's entry released and reports whether it was in the set.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"reflect"
 
 	"repro/internal/trace"
 )
@@ -92,7 +93,7 @@ func (rt *Runtime) Atomic(fn func(*Tx) error) error { return rt.AtomicKind(Norma
 // AtomicKind is Atomic for an explicit transaction kind (elastic models,
 // ReadOnly).
 func (rt *Runtime) AtomicKind(kind TxKind, fn func(*Tx) error) error {
-	_, err := rt.runLoop(kind, fn)
+	_, err := rt.runLoop(kind, reflect.ValueOf(fn).Pointer(), fn)
 	return err
 }
 

@@ -144,7 +144,7 @@ func TestRunReturnsAttemptCount(t *testing.T) {
 		// Force exactly two aborted attempts through the error path the
 		// retry loop shares with conflict aborts.
 		runs := 0
-		retried, _ = rt.runLoop(Normal, func(tx *Tx) error {
+		retried, _ = rt.runLoop(Normal, 0, func(tx *Tx) error {
 			runs++
 			tx.Write(a, tx.Read(a)+1)
 			if runs < 3 {

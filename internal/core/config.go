@@ -545,6 +545,14 @@ type Stats struct {
 	ReadAheadKeys   uint64
 	ReadAheadUnused uint64
 
+	// UpdateReads counts the reads that took their key's write lock because
+	// the transaction's body wrote that read in its last two commits
+	// (Tx.forUpdate), and UpdateReadsUnwritten those whose attempt committed
+	// without writing the key: the predictor's misses. An attempt that
+	// aborts says nothing about the guess, and is not counted there.
+	UpdateReads          uint64
+	UpdateReadsUnwritten uint64
+
 	// StateRPCs counts the state-plane round trips the net backend issued:
 	// word reads and write-backs forwarded to the rank-0 home, register
 	// operations forwarded to the owning rank. They are synchronous socket
@@ -602,6 +610,8 @@ func (s *Stats) addShard(o *Stats) {
 	s.EndedResends += o.EndedResends
 	s.ReadAheadKeys += o.ReadAheadKeys
 	s.ReadAheadUnused += o.ReadAheadUnused
+	s.UpdateReads += o.UpdateReads
+	s.UpdateReadsUnwritten += o.UpdateReadsUnwritten
 	s.StateRPCs += o.StateRPCs
 }
 

@@ -202,8 +202,10 @@ func TestReadAheadScan(t *testing.T) {
 
 // TestReadAheadBypass: every read that is not the third or later element of
 // a forward run of TArray.Get in a Normal or ReadOnly visible transaction
-// sends what it sent before reads were batched: one read-lock request per
-// first read, none under elastic-read or TL2.
+// sends what it sent before reads were batched: one single-key lock request
+// per first read — a read lock, or the write lock of a read for update
+// (the transfer row, from its third commit) — and none under elastic-read or
+// TL2.
 func TestReadAheadBypass(t *testing.T) {
 	const n = 64
 	rows := []struct {
@@ -281,9 +283,9 @@ func TestReadAheadBypass(t *testing.T) {
 					}
 				}
 			})
-			if st.ReadLockReqs != row.reqs || st.ReadAheadKeys != 0 || multi.Load() != 0 {
-				t.Errorf("%d read-lock requests, %d of them multi-key, %d keys read ahead; want %d, none, none",
-					st.ReadLockReqs, multi.Load(), st.ReadAheadKeys, row.reqs)
+			if reqs := st.ReadLockReqs + st.UpdateReads; reqs != row.reqs || st.ReadAheadKeys != 0 || multi.Load() != 0 {
+				t.Errorf("%d lock requests at first reads (%d for update), %d multi-key, %d keys read ahead; want %d, none, none",
+					reqs, st.UpdateReads, multi.Load(), st.ReadAheadKeys, row.reqs)
 			}
 		})
 	}
@@ -649,14 +651,21 @@ func TestReadAheadAuditedMix(t *testing.T) {
 	}
 }
 
-// TestShardsMergeReadAhead: the read-ahead counters are kept per runtime and
-// summed at the snapshot, like WinnerWaits.
+// TestShardsMergeReadAhead: the read-ahead and read-for-update counters are
+// kept per runtime and summed at the snapshot, like WinnerWaits.
 func TestShardsMergeReadAhead(t *testing.T) {
 	var st Stats
-	for _, sh := range []Stats{{ReadAheadKeys: 40, ReadAheadUnused: 3}, {}, {ReadAheadKeys: 2, ReadAheadUnused: 1}} {
+	for _, sh := range []Stats{
+		{ReadAheadKeys: 40, ReadAheadUnused: 3, UpdateReads: 10, UpdateReadsUnwritten: 1},
+		{},
+		{ReadAheadKeys: 2, ReadAheadUnused: 1, UpdateReads: 6, UpdateReadsUnwritten: 2},
+	} {
 		st.addShard(&sh)
 	}
 	if st.ReadAheadKeys != 42 || st.ReadAheadUnused != 4 {
 		t.Fatalf("merged %d keys read ahead, %d unused; want 42, 4", st.ReadAheadKeys, st.ReadAheadUnused)
+	}
+	if st.UpdateReads != 16 || st.UpdateReadsUnwritten != 3 {
+		t.Fatalf("merged %d reads for update, %d unwritten; want 16, 3", st.UpdateReads, st.UpdateReadsUnwritten)
 	}
 }

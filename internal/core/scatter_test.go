@@ -42,46 +42,92 @@ func scatterWriteWorker(pool mem.Addr, words, writes, ops int) func(rt *Runtime)
 	}
 }
 
+// blindWriteWorker returns a worker running ops transactions that each
+// write `writes` objects drawn from a pool without reading them first, so no
+// read takes a write lock ahead of the commit (Tx.forUpdate).
+func blindWriteWorker(pool mem.Addr, words, writes, ops int) func(rt *Runtime) {
+	return func(rt *Runtime) {
+		r := rt.Rand()
+		for i := 0; i < ops; i++ {
+			rt.Run(func(tx *Tx) {
+				for j := 0; j < writes; j++ {
+					tx.Write(pool+mem.Addr(r.Intn(words)), uint64(i))
+				}
+			})
+			rt.AddOps(1)
+		}
+	}
+}
+
+// rmwWorker returns a worker running ops read-modify-write transactions of
+// `writes` distinct objects of a pool, the same number every time: from its
+// third commit on, every read takes its write lock (Tx.forUpdate).
+func rmwWorker(pool mem.Addr, words, writes, ops int) func(rt *Runtime) {
+	return func(rt *Runtime) {
+		for i := 0; i < ops; i++ {
+			rt.Run(func(tx *Tx) {
+				for j := 0; j < writes; j++ {
+					a := pool + mem.Addr((i*writes+j)%words)
+					tx.Write(a, tx.Read(a)+1)
+				}
+			})
+			rt.AddOps(1)
+		}
+	}
+}
+
 // TestScatterGatherReducesCommitRoundTrips pins the scatter-gather
 // invariant as an absolute count: a commit attempt with a non-empty write
-// set awaits exactly one round-trip phase however many DTM nodes its write
-// set spans. Every worker writes its own slice of the pool, so no attempt
-// aborts and attempts equal commits; the write-lock request count shows the
-// commits really did span several nodes.
+// set that its reads did not lock awaits exactly one round-trip phase
+// however many DTM nodes its write set spans. Every worker writes its own
+// slice of the pool, so no attempt aborts and attempts equal commits; the
+// write-lock request count shows the commits really did span several nodes.
+// Blind writes take every write lock at the commit; a read-modify-write
+// body pays its two warm-up commits' round trips and none after them.
 func TestScatterGatherReducesCommitRoundTrips(t *testing.T) {
 	const workers, writes, ops, slice = 4, 8, 25, 64
-	for _, svc := range []int{2, 4, 8, 16} {
-		cfg := Config{
-			Platform:     noc.SCC(0),
-			Seed:         11,
-			TotalCores:   workers + svc,
-			ServiceCores: svc,
-			Policy:       cm.FairCM,
-		}
-		s, err := NewSystem(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.EnableAudit()
-		pool := s.Mem.Alloc(workers*slice, 0)
-		s.SpawnWorkers(func(rt *Runtime) {
-			scatterWriteWorker(pool+mem.Addr(rt.AppIndex()*slice), slice, writes, ops)(rt)
-		})
-		st := s.RunToCompletion()
-		if err := s.CheckAudit(nil); err != nil {
-			t.Fatalf("%d nodes: %v", svc, err)
-		}
-		if leaked := s.LockedAddrs(); leaked != 0 {
-			t.Fatalf("%d nodes: %d locks leaked", svc, leaked)
-		}
-		if st.Commits != workers*ops || st.Aborts != 0 {
-			t.Fatalf("%d nodes: commits=%d aborts=%d, want %d/0 (disjoint write sets)", svc, st.Commits, st.Aborts, workers*ops)
-		}
-		if st.CommitRoundTrips != st.Commits {
-			t.Errorf("%d nodes: CommitRoundTrips = %d for %d commit attempts, want exactly one each", svc, st.CommitRoundTrips, st.Commits)
-		}
-		if st.WriteLockReqs < 2*st.Commits {
-			t.Errorf("%d nodes: %d write-lock batches for %d commits: write sets did not span nodes", svc, st.WriteLockReqs, st.Commits)
+	for _, row := range []struct {
+		name   string
+		worker func(pool mem.Addr, words, writes, ops int) func(rt *Runtime)
+		rts    uint64 // commit round trips per worker
+		reads  uint64 // reads for update per worker
+	}{{"blind", blindWriteWorker, ops, 0}, {"read-modify-write", rmwWorker, 2, (ops - 2) * writes}} {
+		for _, svc := range []int{2, 4, 8, 16} {
+			cfg := Config{
+				Platform:     noc.SCC(0),
+				Seed:         11,
+				TotalCores:   workers + svc,
+				ServiceCores: svc,
+				Policy:       cm.FairCM,
+			}
+			s, err := NewSystem(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.EnableAudit()
+			pool := s.Mem.Alloc(workers*slice, 0)
+			s.SpawnWorkers(func(rt *Runtime) {
+				row.worker(pool+mem.Addr(rt.AppIndex()*slice), slice, writes, ops)(rt)
+			})
+			st := s.RunToCompletion()
+			if err := s.CheckAudit(nil); err != nil {
+				t.Fatalf("%s, %d nodes: %v", row.name, svc, err)
+			}
+			if leaked := s.LockedAddrs(); leaked != 0 {
+				t.Fatalf("%s, %d nodes: %d locks leaked", row.name, svc, leaked)
+			}
+			if st.Commits != workers*ops || st.Aborts != 0 {
+				t.Fatalf("%s, %d nodes: commits=%d aborts=%d, want %d/0 (disjoint write sets)", row.name, svc, st.Commits, st.Aborts, workers*ops)
+			}
+			if st.CommitRoundTrips != workers*row.rts {
+				t.Errorf("%s, %d nodes: CommitRoundTrips = %d for %d commit attempts, want %d a worker", row.name, svc, st.CommitRoundTrips, st.Commits, row.rts)
+			}
+			if st.UpdateReads != workers*row.reads || st.UpdateReadsUnwritten != 0 {
+				t.Errorf("%s, %d nodes: %d reads for update, %d unwritten; want %d a worker, none", row.name, svc, st.UpdateReads, st.UpdateReadsUnwritten, row.reads)
+			}
+			if batches := st.WriteLockReqs - st.UpdateReads; batches < 2*st.CommitRoundTrips {
+				t.Errorf("%s, %d nodes: %d write-lock batches for %d commit round trips: write sets did not span nodes", row.name, svc, batches, st.CommitRoundTrips)
+			}
 		}
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"slices"
 	"time"
 
@@ -98,6 +99,11 @@ type Runtime struct {
 	// request still unanswered: the request may be lost with its release.
 	carry  []relDraft
 	riding []relDraft
+
+	// sites is the read-for-update predictor: the transaction bodies this
+	// core ran last, replaced round-robin from siteNext (Tx.forUpdate).
+	sites    [8]txSite
+	siteNext int
 
 	barrierEpoch uint64
 	barrierSeen  map[uint64]int
@@ -206,7 +212,12 @@ type Tx struct {
 
 	reads   accessSet  // first-read values; released entries stay in place
 	writes  accessSet  // buffered values, in first-write order
-	wlocked []mem.Addr // lock keys of write locks already held (eager mode)
+	wlocked []mem.Addr // lock keys of the write locks held: eager writes, reads for update, commit grants
+
+	// forUpdate is the read-set positions whose first read takes the write
+	// lock (visibleProto.firstRead): those the body's predictor entry saw
+	// written in its last two commits.
+	forUpdate uint64
 
 	window [2]winEntry // elastic-read validation window (last two reads)
 	nwin   int
@@ -243,6 +254,43 @@ type winEntry struct {
 	vals []uint64
 }
 
+// txSite is one transaction body in the read-for-update predictor: its code
+// pointer, and the read-set positions (0 to 63) whose key its last commit
+// and the one before wrote. A position in both is read for update.
+type txSite struct {
+	pc         uintptr
+	last, prev uint64
+}
+
+// siteFor returns the predictor entry of the body at pc, taking the oldest
+// entry's place when the body is not in the table.
+func (rt *Runtime) siteFor(pc uintptr) *txSite {
+	for i := range rt.sites {
+		if rt.sites[i].pc == pc {
+			return &rt.sites[i]
+		}
+	}
+	site := &rt.sites[rt.siteNext]
+	rt.siteNext = (rt.siteNext + 1) % len(rt.sites)
+	*site = txSite{pc: pc}
+	return site
+}
+
+// learn records which read-set positions a committed attempt wrote, and
+// counts its reads for update that it did not write: the predictor's misses.
+func (site *txSite) learn(tx *Tx) {
+	var wrote uint64
+	for j, e := range tx.reads.entries {
+		switch written := tx.writes.find(e.base) >= 0; {
+		case written && j < 64:
+			wrote |= 1 << j
+		case !written && e.writeLocked():
+			tx.rt.shard.UpdateReadsUnwritten++
+		}
+	}
+	site.prev, site.last = site.last, wrote
+}
+
 // reset prepares the runtime's reusable Tx for a fresh attempt: sets and maps
 // are cleared in place and slice capacities retained, while slots
 // referencing heap objects (hooks, window values) are zeroed so nothing
@@ -254,6 +302,7 @@ func (tx *Tx) reset(id uint64, kind TxKind) {
 	tx.reads.reset()
 	tx.writes.reset()
 	tx.wlocked = tx.wlocked[:0]
+	tx.forUpdate = 0
 	tx.window = [2]winEntry{}
 	tx.nwin = 0
 	tx.run.end(tx.rt)
@@ -296,7 +345,7 @@ func (rt *Runtime) Run(fn func(*Tx)) int { return rt.RunKind(Normal, fn) }
 // local computation (§2: no side effects in transactions) — deferred side
 // effects go through Tx.OnCommit/Tx.OnAbort.
 func (rt *Runtime) RunKind(kind TxKind, fn func(*Tx)) int {
-	attempts, err := rt.runLoop(kind, func(tx *Tx) error {
+	attempts, err := rt.runLoop(kind, reflect.ValueOf(fn).Pointer(), func(tx *Tx) error {
 		fn(tx)
 		return nil
 	})
@@ -311,10 +360,16 @@ func (rt *Runtime) RunKind(kind TxKind, fn func(*Tx)) int {
 // conflict aborts (and ErrRetry) until the transaction commits or fn
 // withdraws it with a terminal error. The word-level Run path wraps fn with
 // a nil-returning adapter and performs the exact same sequence of virtual-
-// time advances and random draws it always has.
-func (rt *Runtime) runLoop(kind TxKind, fn func(*Tx) error) (attempts int, userErr error) {
+// time advances and random draws it always has. pc is the code pointer of
+// the body the caller was handed, the key of its read-for-update predictor
+// entry: only a Normal transaction under visible reads predicts.
+func (rt *Runtime) runLoop(kind TxKind, pc uintptr, fn func(*Tx) error) (attempts int, userErr error) {
 	rt.local.StartLifespan(rt.proc.Now())
 	var lifeStart port.Time
+	var site *txSite
+	if kind == Normal && rt.s.proto.readsHoldLocks() {
+		site = rt.siteFor(pc)
+	}
 	for {
 		attempts++
 		rt.drainRequests()
@@ -325,6 +380,9 @@ func (rt *Runtime) runLoop(kind TxKind, fn func(*Tx) error) (attempts int, userE
 			rt.txScratch = tx
 		}
 		tx.reset(rt.nextTxID, kind)
+		if site != nil {
+			tx.forUpdate = site.last & site.prev
+		}
 		rt.words = rt.words[:0]
 		rt.s.Regs.SetStatusLocal(rt.core, tx.id, mem.TxPending)
 		if attempts == 1 {
@@ -358,6 +416,9 @@ func (rt *Runtime) runLoop(kind TxKind, fn func(*Tx) error) (attempts int, userE
 			rt.shard.MaxAttempts = max(rt.shard.MaxAttempts, uint64(attempts))
 			rt.emit(trace.KCommit, tx.id, uint64(attempts), 0, 0)
 			rt.s.snap.AddCommit()
+			if site != nil {
+				site.learn(tx)
+			}
 			tx.runHooks(tx.onCommit)
 			return attempts, nil
 		case attemptUserAborted:
@@ -688,6 +749,7 @@ func (tx *Tx) acquireCommitLocks() {
 	rt := tx.rt
 	keys := tx.writeKeys()
 	rt.s.dir.Record(rt.cluster, keys...) // once per attempt; stale retries resend, not re-record
+	keys = tx.notReadForUpdate(keys)
 	for hop := 0; ; hop++ {
 		stale := tx.scatterAcquire(keys)
 		if len(stale) == 0 {
@@ -803,8 +865,9 @@ func (rt *Runtime) abortCleanup(tx *Tx, sig abortSignal) {
 
 // releaseAll ends an attempt's hold on the DTM nodes: it drafts one release
 // message per node covering the remaining read locks and the acquired write
-// locks, and keeps them as the core's carry (see Runtime.carry), since a
-// finished attempt's lock never wins a conflict (dtmNode.revokeFinished).
+// locks (a read for update's key among the write locks only), and keeps them
+// as the core's carry (see Runtime.carry), since a finished attempt's lock
+// never wins a conflict (dtmNode.revokeFinished).
 // An older release still carried for a node drafted here leaves on its own
 // first, so the carry holds one release per node; only a placement migration
 // since the older attempt's request to that node can leave one behind.
@@ -824,7 +887,7 @@ func (rt *Runtime) releaseAll(tx *Tx) {
 	reads, place := rt.s.proto.readsHoldLocks(), rt.s.dir.Snapshot()
 	if reads {
 		for _, e := range tx.reads.entries {
-			if !e.released() {
+			if e.readLocked() {
 				rt.rels[rt.draftFor(tx, place.Owner(e.base))].reads++
 			}
 		}
@@ -839,7 +902,7 @@ func (rt *Runtime) releaseAll(tx *Tx) {
 	}
 	if reads {
 		for _, e := range tx.reads.entries {
-			if !e.released() {
+			if e.readLocked() {
 				msg := rt.rels[rt.groupIdx[place.Owner(e.base)]-1].msg
 				msg.ReadAddrs = append(msg.ReadAddrs, e.base)
 			}
@@ -981,6 +1044,21 @@ func (tx *Tx) writeKeys() []mem.Addr {
 	}
 	rt.wkKeys = keys
 	return keys
+}
+
+// notReadForUpdate drops, in place, the keys whose write lock a read for
+// update already holds: the commit sends no request for them.
+func (tx *Tx) notReadForUpdate(keys []mem.Addr) []mem.Addr {
+	if len(tx.wlocked) == 0 {
+		return keys
+	}
+	out := keys[:0]
+	for _, k := range keys {
+		if j := tx.reads.find(k); j < 0 || !tx.reads.entries[j].writeLocked() {
+			out = append(out, k)
+		}
+	}
+	return out
 }
 
 // nodeGroup is the write-lock keys one DTM node is responsible for, out of

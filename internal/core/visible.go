@@ -16,6 +16,11 @@ import (
 // no validation at commit. The elastic kinds (§6.1) soften exactly that
 // locking: ElasticEarly gives read locks back before commit (EarlyRelease),
 // ElasticRead takes none and re-reads a two-object window instead.
+//
+// One departure (docs/DEVIATIONS.md): a Normal transaction's read at a
+// read-set position its body wrote in each of its last two commits takes
+// the write lock instead (Tx.forUpdate), and the commit sends no request
+// for it.
 type visibleProto struct{}
 
 func (*visibleProto) begin(*Tx)            {}
@@ -27,17 +32,22 @@ func (*visibleProto) firstRead(tx *Tx, base mem.Addr, n int) []uint64 {
 	}
 	rt := tx.rt
 	rt.lockKeys = append(rt.lockKeys[:0], base)
-	return tx.lockedRead(rt.lockKeys, n)
+	mode := lockRead
+	if pos := len(tx.reads.entries); pos < 64 && tx.forUpdate&(1<<pos) != 0 {
+		mode = lockWrite
+	}
+	return tx.lockedRead(rt.lockKeys, n, mode)
 }
 
-// lockedRead takes the read locks of keys, n-word objects one DTM node owns,
-// in one request, then reads each object, and returns the value of keys[0].
+// lockedRead takes the locks of keys, n-word objects one DTM node owns, in
+// one request, then reads each object, and returns the value of keys[0].
 // A stale NACK leaves keys[0] alone to chase (rpcLock); any other key granted
-// is one locked ahead of a TArray scan (readAhead).
-func (tx *Tx) lockedRead(keys []mem.Addr, n int) []uint64 {
+// is one locked ahead of a TArray scan (readAhead). Mode lockWrite reads the
+// one key for update: its entry holds the write lock, in tx.wlocked.
+func (tx *Tx) lockedRead(keys []mem.Addr, n int, mode lockMode) []uint64 {
 	rt := tx.rt
 	tx.checkAborted()
-	keys = rt.rpcLock(tx, keys, lockRead)
+	keys = rt.rpcLock(tx, keys, mode)
 	// Record the grants before anything can abort the attempt: if a lock
 	// were not in the read set when the post-read abort check fires, the
 	// cleanup would never release it and the stale entry could block that
@@ -46,12 +56,21 @@ func (tx *Tx) lockedRead(keys []mem.Addr, n int) []uint64 {
 	for j, k := range keys {
 		off, buf := rt.wordBuf(n)
 		vals := rt.s.Mem.ReadBatchTo(rt.proc, rt.core, k, buf)
-		tx.reads.put(k, off, n)
-		rt.emit(trace.KRead, tx.id, uint64(k), 0, 0)
+		e := &tx.reads.entries[tx.reads.put(k, off, n)]
+		hold := trace.HoldRead
+		switch {
+		case j > 0:
+			hold = trace.HoldAhead
+			tx.run.lockedAhead(k)
+		case mode == lockWrite:
+			hold = trace.HoldUpdate
+			e.n |= entryWriteLocked
+			tx.wlocked = append(tx.wlocked, k)
+			rt.shard.UpdateReads++
+		}
+		rt.emit(trace.KRead, tx.id, uint64(k), 0, uint64(hold))
 		if j == 0 {
 			first = vals
-		} else {
-			tx.run.lockedAhead(k)
 		}
 	}
 	rt.shard.ReadAheadKeys += uint64(len(keys) - 1)
@@ -149,7 +168,7 @@ func (tx *Tx) readAhead(arr mem.Addr, words, n, i, win int) []uint64 {
 		}
 	}
 	rt.lockKeys = keys
-	return tx.lockedRead(keys, words)
+	return tx.lockedRead(keys, words, lockRead)
 }
 
 // validate has nothing to prove for reads that hold locks; an ElasticRead's

@@ -103,7 +103,8 @@ func isPlanned(moves []Move, s int) bool {
 // the coolest node when the affinity cluster has no improving node or the
 // directory has no clusters. Moves therefore pull data toward its users
 // (shrinking the remote-access ratio) while still strictly narrowing the
-// gap.
+// gap. A stripe whose accessors' cluster is the donor's own never falls
+// back: moving it would buy balance with locality, so the round ends there.
 func repartition(d *Directory) []Move {
 	n := d.cfg.Nodes
 	if n < 2 {
@@ -144,6 +145,9 @@ func repartition(d *Directory) []Move {
 			if recip >= 0 && load[recip]+bestCount >= load[donor] {
 				recip = -1
 			}
+		}
+		if recip < 0 && d.clustered() && affCluster(aff) == d.cfg.Clusters[donor] {
+			break // its accessors' cluster has no other node: the stripe stays with them
 		}
 		if recip < 0 {
 			if load[coolest]+bestCount >= load[donor] {

@@ -55,8 +55,10 @@ type openSpan struct {
 // transaction attempts and commit phases become nested duration spans,
 // lock request→grant/NACK pairs become flow arrows between the app and DTM
 // lanes, and aborts, doomed reads, clock ticks, coalesced envelopes,
-// freezes and handoffs become instant events. Individual KRead events are
-// omitted to keep the render small; WriteText includes them.
+// freezes and handoffs become instant events. A KRead becomes one only when
+// its key is held by more than the read's own read lock (locked ahead by a
+// scan, or write-locked for update), to keep the render small; WriteText
+// includes every KRead.
 func WriteChrome(w io.Writer, t *Trace) error {
 	var out []chromeEvent
 
@@ -157,6 +159,14 @@ func WriteChrome(w io.Writer, t *Trace) error {
 				}
 			}
 			phases[e.Actor] = st
+		case KRead:
+			if Hold(e.C) == HoldRead {
+				continue
+			}
+			out = append(out, chromeEvent{
+				Name: "read", Cat: "read", Ph: "i", Ts: ts, Pid: 1, Tid: tid, S: "t",
+				Args: map[string]any{"tx": e.TxID, "key": e.A, "held": Hold(e.C).String()},
+			})
 		case KDoomedRead:
 			out = append(out, chromeEvent{
 				Name: "doomed read",

@@ -32,7 +32,7 @@ func WriteText(w io.Writer, t *Trace) error {
 				fmt.Fprintf(bw, " kind=%s", k)
 			}
 		case KRead:
-			fmt.Fprintf(bw, "tx=%d read key=%d", e.TxID, e.A)
+			fmt.Fprintf(bw, "tx=%d read key=%d held=%s", e.TxID, e.A, Hold(e.C))
 		case KDoomedRead:
 			fmt.Fprintf(bw, "tx=%d doomed read key=%d", e.TxID, e.A)
 		case KLockReq:

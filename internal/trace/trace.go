@@ -43,7 +43,8 @@ const (
 	// KAbort closes the attempt span with an abort. A = Reason,
 	// B = conflict kind + 1 (cm.Kind; 0 when the abort carries no kind).
 	KAbort
-	// KRead records a successful transactional read. A = lock key.
+	// KRead records a successful transactional read. A = lock key, C = the
+	// Hold the key is held by.
 	KRead
 	// KDoomedRead records a TL2/elastic read refused by snapshot or window
 	// validation, immediately before the attempt aborts. A = lock key.
@@ -158,6 +159,33 @@ func (p Phase) String() string {
 		return "write-back"
 	case PhaseRelease:
 		return "release"
+	}
+	return "unknown"
+}
+
+// Hold is how a read's key is held (KRead's C word).
+type Hold uint8
+
+const (
+	// HoldRead: the read's own read lock.
+	HoldRead Hold = iota
+	// HoldAhead: a read lock a TArray scan's batched request took for an
+	// element the scan has not read yet.
+	HoldAhead
+	// HoldUpdate: the write lock, taken at the read because the
+	// transaction's body wrote the key it read at this read-set position in
+	// its last two commits.
+	HoldUpdate
+)
+
+func (h Hold) String() string {
+	switch h {
+	case HoldRead:
+		return "read-lock"
+	case HoldAhead:
+		return "locked-ahead"
+	case HoldUpdate:
+		return "write-lock"
 	}
 	return "unknown"
 }

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"maps"
 	"strings"
 	"testing"
 	"time"
@@ -140,7 +141,9 @@ func syntheticTrace() *Trace {
 	place := NewRecorder(PlacementActor, 64)
 	flow := FlowID(2, 5)
 	app.Emit(100, KAttemptStart, 7, 1, 0, 0)
-	app.Emit(110, KRead, 7, 42, 0, 0)
+	app.Emit(110, KRead, 7, 42, 0, uint64(HoldRead))
+	app.Emit(112, KRead, 7, 43, 0, uint64(HoldAhead))
+	app.Emit(114, KRead, 7, 44, 0, uint64(HoldUpdate))
 	app.Emit(120, KLockReq, 7, flow, 42, 1)
 	app.Emit(125, KWireSend, 7, 8, 24, 3)
 	dtm.Emit(140, KEnvelopeDeliver, 0, 0, 0, 3)
@@ -180,6 +183,7 @@ func TestWriteChrome(t *testing.T) {
 		t.Fatalf("chrome output is not valid JSON: %v", err)
 	}
 	var abortSpan, abortInstant, envelope, flowStart, flowEnd, winner bool
+	held := map[float64]string{} // key -> held, for the reads rendered
 	for _, ev := range parsed.TraceEvents {
 		name, _ := ev["name"].(string)
 		ph, _ := ev["ph"].(string)
@@ -196,6 +200,9 @@ func TestWriteChrome(t *testing.T) {
 			if name == "nack" && args["winner_core"] == 4.0 && args["winner_tx"] == 3.0 {
 				winner = true
 			}
+		}
+		if args, ok := ev["args"].(map[string]any); ok && name == "read" && ph == "i" {
+			held[args["key"].(float64)], _ = args["held"].(string)
 		}
 		if strings.HasPrefix(name, "abort:") && ph == "i" {
 			abortInstant = true
@@ -222,6 +229,9 @@ func TestWriteChrome(t *testing.T) {
 	if !winner {
 		t.Fatal("nack naming its winner missing")
 	}
+	if want := map[float64]string{43: "locked-ahead", 44: "write-lock"}; !maps.Equal(held, want) {
+		t.Fatalf("reads rendered %v, want %v: only the ones held by more than their read lock", held, want)
+	}
 }
 
 func TestWriteText(t *testing.T) {
@@ -233,7 +243,9 @@ func TestWriteText(t *testing.T) {
 	out := buf.String()
 	for _, want := range []string{
 		"ABORT reason=conflict kind=WAW",
-		"read key=42",
+		"read key=42 held=read-lock",
+		"read key=43 held=locked-ahead",
+		"read key=44 held=write-lock",
 		"doomed read key=13",
 		"nack flow=2/5 kind=WAW winner core=4 tx=3",
 		"stale-nack flow=3/1 epoch=4 owner=10",
