@@ -44,13 +44,20 @@ func TestAuditPassesOnConflictHeavyRun(t *testing.T) {
 					})
 				}
 			})
-			s.RunToCompletion()
+			st := s.RunToCompletion()
 			if s.AuditedCommits() == 0 {
 				t.Fatal("no commits recorded")
 			}
 			if err := s.CheckAudit(initial); err != nil {
 				t.Fatalf("serializability violated: %v", err)
 			}
+			// The audited history must include requests resent past an
+			// ended winner and waits for a named one (NoCM's NACKs name
+			// nobody), or the audit says nothing about those rules.
+			if p.StarvationFree() && (st.EndedResends == 0 || st.WinnerWaits == 0) {
+				t.Errorf("%d ended-winner resends, %d winner waits; want both > 0", st.EndedResends, st.WinnerWaits)
+			}
+			t.Logf("%d ended-winner resends, %d winner waits", st.EndedResends, st.WinnerWaits)
 		})
 	}
 }

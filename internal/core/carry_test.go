@@ -108,11 +108,10 @@ func byBackend(b Backend, sim, host time.Duration) port.Time {
 // or commits holding locks; a committed attempt that held none (TL2's scans)
 // leaves the carry alone, so on TL2 some of them end with an earlier
 // update's release still carried: a row fails if none does, which is what a
-// flush at a lock-free commit would cause. On live and net, where a finished
-// lock costs a requester a resend, never an abort (System.resendsPastEnded),
-// before the core's next lock request to the lock's node, and before it
-// waits (between attempts, for a token, at a barrier, in a pause or a
-// compute) or exits. A live or net row fails unless some core blocked on a
+// flush at a lock-free commit would cause. On live and net
+// (System.releaseWaitsForNode), before the core's next lock request to the
+// lock's node, and before it waits (between attempts, for a token, at a
+// barrier, in a pause or a compute) or exits. A live or net row fails unless some core blocked on a
 // lock response while another node's release stayed carried, which a flush
 // after rpcLock's send or in the scatter would prevent, and some attempt
 // that held locks ended with an earlier attempt's release still carried,

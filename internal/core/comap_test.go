@@ -159,8 +159,8 @@ func TestCoMappingSleepsThroughMildSkew(t *testing.T) {
 }
 
 // TestDirectoryStateIsOTouched asserts the hierarchical directory's scaling
-// contract end to end: under the default million-leaf universe (MemWords
-// 2^26 per region), a run touching a small pool materializes leaves
+// contract end to end: under the million-leaf universe (memWords 2^26 per
+// region), a run touching a small pool materializes leaves
 // proportional to the pool, leaving the leaf universe overwhelmingly
 // unmaterialized — and the gauges surface through Stats for the bench
 // artifacts to record. The leaf gauge is read when the run ends, so the run
@@ -177,7 +177,7 @@ func TestDirectoryStateIsOTouched(t *testing.T) {
 		t.Fatal("no materialized leaves reported")
 	}
 	if st.LeafUniverse < 1<<20 {
-		t.Fatalf("leaf universe = %d, want >= 2^20 under the default MemWords", st.LeafUniverse)
+		t.Fatalf("leaf universe = %d, want >= 2^20 under memWords", st.LeafUniverse)
 	}
 	if 1000*st.MaterializedLeaves >= st.LeafUniverse {
 		t.Fatalf("materialized leaves %d not ≪ leaf universe %d", st.MaterializedLeaves, st.LeafUniverse)

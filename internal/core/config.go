@@ -304,12 +304,6 @@ type Config struct {
 	// of recorded lock-key accesses between repartition evaluations
 	// (default 2048). Static policies ignore it.
 	RepartitionEpoch int
-	// MemWords is the per-memory-controller-region word capacity the
-	// placement directory's stripe universe covers (default 1<<26, 67M
-	// words per region). Addresses beyond it panic loudly at directory
-	// resolution instead of silently aliasing onto low stripes; raise it
-	// for workloads allocating beyond 64M words behind one controller.
-	MemWords uint64
 	// Trace enables the flight recorder (internal/trace): every runtime,
 	// DTM node and the placement directory gets a ring buffer of fixed-size
 	// event records, assembled into a Trace at snapshot time (System.Trace,
@@ -408,9 +402,6 @@ func (c *Config) normalize() error {
 	}
 	if c.RepartitionEpoch < 0 {
 		return fmt.Errorf("core: negative repartition epoch %d", c.RepartitionEpoch)
-	}
-	if c.MemWords == 0 {
-		c.MemWords = 1 << 26
 	}
 	return nil
 }
@@ -527,15 +518,14 @@ type Stats struct {
 	RPCTimeouts uint64
 
 	// WinnerWaits counts the aborts after which a core waited for the
-	// attempt its conflict NACK named as the winner to end (on live and net
-	// after every NACK that names one; on sim after a WAR NACK under Wholly
-	// and FairCM), and WinnerWaitTime sums those waits.
+	// attempt its conflict NACK named as the winner to end (after every
+	// NACK that names one), and WinnerWaitTime sums those waits.
 	WinnerWaits    uint64
 	WinnerWaitTime port.Time
 
 	// EndedResends counts the lock requests sent again in the same attempt
-	// because the attempt their conflict NACK named had already ended (live
-	// and net only; Runtime.winnerEnded).
+	// because the attempt their conflict NACK named had already ended
+	// (Runtime.winnerEnded).
 	EndedResends uint64
 
 	// ReadAheadKeys counts the read locks a batched TArray scan request took

@@ -69,7 +69,7 @@ type reqLock struct {
 	// Ended names an attempt the requester found ended, by its status
 	// register, after a NACK of this request named it as the winner
 	// (Core < 0: none). The node revokes that attempt's locks on Addrs
-	// before it judges the request again: live and net only.
+	// before it judges the request again (Runtime.winnerEnded).
 	Ended attemptRef
 }
 

@@ -133,17 +133,17 @@ func (rt *Runtime) conflictAbort(resp *respLock, polled bool) {
 }
 
 // winnerEnded reports whether a conflict NACK's request is sent again, in
-// the same attempt: on live and net, when one read of the named winner's
-// status register shows its attempt has ended. An attempt that has ended is
-// not concurrent and must not abort the requester; its lock only stands for
-// a release still on its way, which a busy node did not check for. The
-// resend names it (reqLock.Ended, set from *past) and the node revokes its
-// locks first. A NACK naming *past again aborts: an ended irrevocable
-// transaction blocks its node until its token release arrives. polled
-// reports a read that showed the winner running, awaitWinner's first poll.
+// the same attempt: when one read of the named winner's status register
+// shows its attempt has ended. An attempt that has ended is not concurrent
+// and must not abort the requester; its lock only stands for a release
+// still on its way, which a busy node did not check for. The resend names
+// it (reqLock.Ended, set from *past) and the node revokes its locks first.
+// A NACK naming *past again aborts: an ended irrevocable transaction blocks
+// its node until its token release arrives. polled reports a read that
+// showed the winner running, awaitWinner's first poll.
 func (rt *Runtime) winnerEnded(resp *respLock, past *attemptRef) (ended, polled bool) {
 	w := attemptRef{resp.NackOwner, resp.NackEpoch}
-	if !rt.s.resendsPastEnded() || w.Core < 0 || w == *past {
+	if w.Core < 0 || w == *past {
 		return false, false
 	}
 	if !rt.s.ended(rt.proc, rt.core, cm.Meta{Core: w.Core, TxID: w.TxID}) {
@@ -178,7 +178,7 @@ func (rt *Runtime) rpcLock(tx *Tx, keys []mem.Addr, mode lockMode) []mem.Addr {
 			lockSent(node, req)
 		}
 		rt.sendToNode(node, req)
-		if !rt.s.resendsPastEnded() {
+		if !rt.s.releaseWaitsForNode() {
 			rt.sendCarry() // the other carried releases leave before the core blocks
 		}
 		resp := rt.awaitOne(id)
@@ -245,7 +245,7 @@ func (rt *Runtime) scatterWriteLocks(tx *Tx, epoch uint64, batches []nodeGroup) 
 		rt.burstToNode(b.node, req)
 	}
 	rt.scatterIDs = ids
-	if !rt.s.resendsPastEnded() {
+	if !rt.s.releaseWaitsForNode() {
 		rt.sendCarry() // the other carried releases join the burst
 	}
 	rt.flushOut()

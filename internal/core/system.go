@@ -184,9 +184,9 @@ func NewSystem(cfg Config) (*System, error) {
 		s.nodes = append(s.nodes, &dtmNode{s: s, idx: i, core: c, table: dslock.NewTable()})
 	}
 	if len(s.nodes) > 0 {
-		// The stripe universe derives from the configured memory size (one
-		// region per controller, MemWords words each) so far-apart addresses
-		// can never alias onto one stripe; the cluster map wires each node's
+		// The stripe universe derives from the memory size (one region per
+		// controller, memWords words each) so far-apart addresses can never
+		// alias onto one stripe; the cluster map wires each node's
 		// mesh quadrant / socket for the locality accounting and the hier
 		// policy's co-mapping bias.
 		clusters := make([]int, len(s.nodes))
@@ -197,7 +197,7 @@ func NewSystem(cfg Config) (*System, error) {
 			Nodes:       len(s.nodes),
 			Kind:        cfg.Placement,
 			Regions:     cfg.Platform.MCCount(),
-			RegionWords: cfg.MemWords,
+			RegionWords: memWords,
 			Clusters:    clusters,
 			EvalEvery:   cfg.RepartitionEpoch,
 		})
@@ -405,14 +405,18 @@ func (s *System) run(deadline, simCap port.Time, watchdog time.Duration) *Stats 
 	return &s.stats
 }
 
-// resendsPastEnded reports whether a finished attempt's lock costs a
-// requester one register read and one resend, never an abort: on live and
-// net, a conflict NACK naming an attempt that has ended sends the request
-// again (Runtime.winnerEnded). There a carried release waits for the core's
-// next request to its own node, or its next wait (Runtime.carry); the
-// simulator aborts such a requester, so it sends the carry at every lock
-// request and attempt end.
-func (s *System) resendsPastEnded() bool { return s.host != nil }
+// memWords is the per-memory-controller-region word capacity the placement
+// directory's stripe universe covers: 64M words per region. An address
+// beyond it panics at directory resolution instead of silently aliasing onto
+// a low stripe.
+const memWords = 1 << 26
+
+// releaseWaitsForNode reports whether a carried release waits for the
+// core's next request to its own node, or its next wait (Runtime.carry): on
+// live and net. The simulator sends the whole carry at every lock request
+// and attempt end, so a finished attempt's locks leave its nodes before the
+// core's next block.
+func (s *System) releaseWaitsForNode() bool { return s.host != nil }
 
 // liveDrainExpired reports whether a deadline-bounded real-time run is past
 // its drain window (6x the deadline, like the sim backend's hard cap in

@@ -40,7 +40,7 @@ type Runtime struct {
 
 	// winner is the attempt that beat this core's last attempt, as its
 	// conflict NACK named it (conflictAbort; Core < 0: none), and winKind
-	// the conflict's class: runLoop may wait for it to end before the next
+	// the conflict's class: runLoop waits for it to end before the next
 	// attempt (awaitWinner). winPolled: the loser read the winner's
 	// register once before it aborted, and saw it running (winnerEnded).
 	winner    cm.Meta
@@ -94,7 +94,7 @@ type Runtime struct {
 	// core's next lock request to a node carries that node's (carryOn), and
 	// sendCarry sends the rest on their own before the core waits, and on
 	// sim also before it blocks on a lock response or ends an attempt, so
-	// there they are all the last attempt's (System.resendsPastEnded).
+	// there they are all the last attempt's (System.releaseWaitsForNode).
 	// riding keeps, on net only, a copy of each release carried by a
 	// request still unanswered: the request may be lost with its release.
 	carry  []relDraft
@@ -427,18 +427,14 @@ func (rt *Runtime) runLoop(kind TxKind, pc uintptr, fn func(*Tx) error) (attempt
 		if backoff := rt.local.OnAbort(); backoff > 0 {
 			rt.wait(rt.s.compute(backoff))
 		}
-		// A loss that named a winner waits for the winner's attempt to end.
-		// In real time, where the host deschedules a holder for milliseconds,
-		// every such loser waits; the simulator keeps its one case, a WAR
-		// loss under priorities fixed for a lifespan. Any other loss retries
-		// at once: the begin jitter is its whole wait.
+		// A loss that named a winner waits for the winner's attempt to end:
+		// until then a retry meets the same verdict (awaitWinner). Any other
+		// loss retries at once: the begin jitter is its whole wait.
 		if w := rt.winner; w.Core >= 0 {
 			rt.winner.Core = -1
-			if rt.s.host != nil || rt.winKind == cm.WAR && rt.s.cfg.Policy.StarvationFree() {
-				rt.sendCarry()
-				rt.blockingHook()
-				rt.awaitWinner(w, rt.winPolled)
-			}
+			rt.sendCarry()
+			rt.blockingHook()
+			rt.awaitWinner(w, rt.winPolled)
 		}
 		// Live-backend drain cap, mirroring the sim backend's hard stop at
 		// 6x the deadline: a transaction still aborting that far past the
@@ -880,7 +876,7 @@ func (rt *Runtime) abortCleanup(tx *Tx, sig abortSignal) {
 // every key's node even while stripes migrate.
 func (rt *Runtime) releaseAll(tx *Tx) {
 	rt.emit(trace.KPhaseBegin, tx.id, uint64(trace.PhaseRelease), 0, 0)
-	if !rt.s.resendsPastEnded() {
+	if !rt.s.releaseWaitsForNode() {
 		rt.sendCarry()
 	}
 	tx.run.end(rt)

@@ -34,19 +34,17 @@ type loserRow struct {
 	// attempts pins the transfer's attempts on sim under a policy that does
 	// not wait: the count the runtime gave before losers waited for winners
 	// (FairCM's was 70 too, 68 of them while the scan was live), less one
-	// for no-cm and offset-greedy since an aborted attempt's release rides
-	// the retry's first lock request.
+	// for no-cm since an aborted attempt's release rides the retry's first
+	// lock request.
 	attempts int
 }
 
 // waits reports whether the row's loser must wait for the winner: the NACK
 // names it (a priority or the token decided the conflict, not NoCM's or
-// BackoffRetry's unconditional verdict), and every such loser waits in real
-// time, while the simulator keeps only a WAR loss under a policy whose
-// priorities are fixed for a lifespan.
+// BackoffRetry's unconditional verdict), and every such loser waits, on
+// every backend.
 func (row loserRow) waits() bool {
-	named := row.conflict == "token" || row.policy != cm.NoCM && row.policy != cm.BackoffRetry
-	return named && (row.backend != BackendSim || row.conflict == "war" && row.policy.StarvationFree())
+	return row.conflict == "token" || row.policy != cm.NoCM && row.policy != cm.BackoffRetry
 }
 
 // loserOutcome is what a row observed of the loser.
@@ -57,15 +55,15 @@ type loserOutcome struct {
 }
 
 // TestWARLoserWaitsForWinner: a transfer that loses WAR to a scan waits
-// for the scan's attempt to end where the NACK names it — in real time
-// under every policy with priorities, on sim under the fixed-priority ones —
-// and retries exactly as before otherwise. The live rows also run in CI's
+// for the scan's attempt to end where the NACK names it — under every
+// policy with priorities, on every backend — and retries exactly as before
+// otherwise. The live rows also run in CI's
 // -race step, the net rows in the net job's.
 func TestWARLoserWaitsForWinner(t *testing.T) {
 	rows := []loserRow{
 		{name: "sim/no-cm", policy: cm.NoCM, attempts: 69},
 		{name: "sim/backoff", policy: cm.BackoffRetry, attempts: 11},
-		{name: "sim/offset-greedy", policy: cm.OffsetGreedy, attempts: 69},
+		{name: "sim/offset-greedy", policy: cm.OffsetGreedy},
 		{name: "sim/wholly", policy: cm.Wholly},
 		{name: "sim/faircm", policy: cm.FairCM},
 		{name: "sim/faircm-multitask", policy: cm.FairCM, deploy: Multitask},
@@ -83,10 +81,10 @@ func TestWARLoserWaitsForWinner(t *testing.T) {
 }
 
 // TestLoserWaitsForWinner: every conflict NACK names the attempt that
-// decided it, so in real time a loser to a write lock kept by a holder that
-// is away (RAW, WAW), or to an irrevocable transaction's token, sends
+// decided it, so on every backend a loser to a write lock kept by a holder
+// that is away (RAW, WAW), or to an irrevocable transaction's token, sends
 // nothing while that attempt is live and commits within two attempts of its
-// end; on sim those losers retry at once. The token rows run under NoCM:
+// end. The token rows run under NoCM:
 // the token, not a priority, decides them. The live rows also run in CI's
 // -race step, the net rows in the net job's.
 func TestLoserWaitsForWinner(t *testing.T) {
@@ -279,8 +277,8 @@ func TestConflictNackNamesWinner(t *testing.T) {
 	}
 }
 
-// TestEndedWinnerResend: on live and net, a request whose conflict NACK names
-// an attempt that has already ended is sent again in the same attempt,
+// TestEndedWinnerResend: on every backend, a request whose conflict NACK
+// names an attempt that has already ended is sent again in the same attempt,
 // naming that attempt, and the node revokes its locks before judging it.
 //
 //	holder/read   a write lock of an ended attempt, whose release never
@@ -295,9 +293,7 @@ func TestConflictNackNamesWinner(t *testing.T) {
 //	              instead of sending again; the abort sends that release,
 //	              and the retry commits
 //
-// On sim the loser aborts at the first NACK and resends nothing: the retry
-// commits, over the idle node's own stale revocation in the holder rows. The
-// live rows also run in CI's -race step, the net rows in the net job's.
+// The live rows also run in CI's -race step, the net rows in the net job's.
 func TestEndedWinnerResend(t *testing.T) {
 	for _, b := range []Backend{BackendSim, BackendLive, BackendNet} {
 		for _, row := range []string{"holder/read", "holder/write", "token-held"} {
@@ -306,9 +302,6 @@ func TestEndedWinnerResend(t *testing.T) {
 				wantAttempts, wantResends, wantRevokes := 1, uint64(1), uint64(1)
 				if row == "token-held" {
 					wantAttempts, wantRevokes = 2, 0
-				}
-				if b == BackendSim {
-					wantAttempts, wantResends = 2, 0
 				}
 				if attempts != wantAttempts || st.EndedResends != wantResends || st.StaleRevokes != wantRevokes {
 					t.Errorf("%d attempts, %d resends, %d stale revocations; want %d, %d, %d",

@@ -466,7 +466,7 @@ func (d *Directory) StripeOf(key mem.Addr) int {
 	off := uint64(key) & (1<<mem.RegionShift - 1)
 	if int(r) >= d.cfg.Regions || off >= uint64(d.stripesPerRegion) {
 		panic(fmt.Sprintf(
-			"placement: address %#x outside the configured stripe universe (%d regions x %d words); raise the configured memory size (core.Config.MemWords) instead of relying on aliasing",
+			"placement: address %#x outside the configured stripe universe (%d regions x %d words); raise the region size (core's memWords) instead of relying on aliasing",
 			uint64(key), d.cfg.Regions, d.cfg.RegionWords))
 	}
 	return int(r)*d.stripesPerRegion + int(off)
