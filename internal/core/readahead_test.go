@@ -127,7 +127,7 @@ func TestReadAheadScan(t *testing.T) {
 		cores   int
 		reqs    uint64 // pinned read-lock requests of one scan (sim)
 	}{
-		{name: "sim/dedicated", cores: 48, reqs: 152},
+		{name: "sim/dedicated", cores: 48, reqs: 47},
 		{name: "sim/multitask", deploy: Multitask},
 		{name: "live/dedicated", backend: BackendLive},
 		{name: "live/multitask", backend: BackendLive, deploy: Multitask},
@@ -197,6 +197,54 @@ func TestReadAheadScan(t *testing.T) {
 			}
 			t.Logf("%d read-lock requests for %d elements, %d keys read ahead", st.ReadLockReqs, 2*n, st.ReadAheadKeys)
 		})
+	}
+}
+
+// TestReadAheadStopsEarly: a Normal scan that stops after its k-th element
+// holds no more than min(k², readAheadCap) locks it never reads, and its
+// commit releases them: every lock table is empty afterwards. The scan's
+// first k-1 elements are already in the read set (read backwards, which
+// does not batch), so the k-th is the miss with the widest window a k-element
+// run can ask for, and one DTM node owns every element, so that window is
+// locked whole. The live and net rows also run in CI's -race steps.
+func TestReadAheadStopsEarly(t *testing.T) {
+	const n = 2048 // longer than k + readAheadCap for every k
+	for _, b := range []Backend{BackendSim, BackendLive, BackendNet} {
+		for _, k := range []int{3, 5, 10, 40} {
+			t.Run(fmt.Sprintf("%v/k=%d", b, k), func(t *testing.T) {
+				var sum atomic.Uint64
+				_, st := runRanks(t, b, func(c *Config) { c.TotalCores, c.ServiceCores = 4, 1 }, func(s *System) func(rt *Runtime) {
+					a := NewTArray(s, Uint64Codec(), n, 7)
+					scanner := firstApp(s)
+					return func(rt *Runtime) {
+						if rt.Core() != scanner {
+							return
+						}
+						rt.Run(func(tx *Tx) {
+							for j := k - 2; j >= 0; j-- {
+								a.Get(tx, j)
+							}
+							var got uint64
+							for j := range k {
+								got += a.Get(tx, j)
+							}
+							sum.Store(got)
+						})
+					}
+				})
+				if got := sum.Load(); got != 7*uint64(k) {
+					t.Errorf("the scan saw %d, want %d", got, 7*k)
+				}
+				bound := uint64(min(k*k, readAheadCap))
+				if st.ReadAheadUnused > bound || st.ReadAheadUnused != st.ReadAheadKeys {
+					t.Errorf("%d keys read ahead, %d never read; want every one unread, at most min(k², %d) = %d",
+						st.ReadAheadKeys, st.ReadAheadUnused, readAheadCap, bound)
+				}
+				if st.ReadAheadUnused == 0 {
+					t.Error("the k-th element's miss read nothing ahead")
+				}
+			})
+		}
 	}
 }
 

@@ -122,14 +122,14 @@ func (rt *Runtime) lockReq(txID uint64, mode lockMode, epoch uint64, keys []mem.
 }
 
 // conflictAbort aborts the attempt over a conflict NACK, consuming it. The
-// attempt the NACK names as its winner, if any, is kept with the conflict's
-// class for runLoop to wait on (awaitWinner); polled says winnerEnded has
-// read its register once already.
+// attempt the NACK names as its winner, if any, is kept for runLoop to wait
+// on (awaitWinner); polled says winnerEnded has read its register once
+// already.
 func (rt *Runtime) conflictAbort(resp *respLock, polled bool) {
-	rt.winner, rt.winKind = cm.Meta{Core: resp.NackOwner, TxID: resp.NackEpoch}, resp.Kind
-	rt.winPolled = polled
+	rt.winner, rt.winPolled = cm.Meta{Core: resp.NackOwner, TxID: resp.NackEpoch}, polled
+	kind := resp.Kind
 	putRespLock(resp)
-	panic(rt.signal(abortSignal{kind: rt.winKind, hasKind: true, reason: trace.ReasonConflict}))
+	panic(rt.signal(abortSignal{kind: kind, hasKind: true, reason: trace.ReasonConflict}))
 }
 
 // winnerEnded reports whether a conflict NACK's request is sent again, in

@@ -39,12 +39,11 @@ type Runtime struct {
 	revalLat   hist.Histogram // TL2 read-set revalidation latencies
 
 	// winner is the attempt that beat this core's last attempt, as its
-	// conflict NACK named it (conflictAbort; Core < 0: none), and winKind
-	// the conflict's class: runLoop waits for it to end before the next
-	// attempt (awaitWinner). winPolled: the loser read the winner's
-	// register once before it aborted, and saw it running (winnerEnded).
+	// conflict NACK named it (conflictAbort; Core < 0: none): runLoop waits
+	// for it to end before the next attempt (awaitWinner). winPolled: the
+	// loser read the winner's register once before it aborted, and saw it
+	// running (winnerEnded).
 	winner    cm.Meta
-	winKind   cm.Kind
 	winPolled bool
 
 	// rec is the core's flight-recorder lane (nil when Config.Trace is

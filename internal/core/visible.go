@@ -81,10 +81,10 @@ func (tx *Tx) lockedRead(keys []mem.Addr, n int, mode lockMode) []uint64 {
 
 // readAheadCap caps how many elements past the one that missed a batched
 // read-lock request looks at, and so how many locks a scan that stops early
-// can hold without reading them. Swept from 64 to 1,024 on sim-bank-scc48
-// (docs/perf/PR-35.md), wire msgs/op went 164.7, 116.5, 90.6, 80.9, 80.9:
-// 256 is the last doubling that cut more than a fifth. A multiple of 64.
-const readAheadCap = 256
+// can hold unread. Under the squared window sim-bank-scc48 sent 43.6 wire
+// msgs/op at 512 and 36.3 at 1,024, its scans' length (docs/perf/PR-43.md;
+// docs/perf/PR-35.md swept the linear one). A multiple of 64.
+const readAheadCap = 1024
 
 // scanRun is an attempt's run of consecutive TArray.Get reads of one array:
 // the array, the index that continues the run, the run's length, and the
@@ -101,8 +101,8 @@ type scanRun struct {
 }
 
 // step moves the run to element i of the array at arr and returns the
-// lookahead window of a miss there: the run's length, capped, from its third
-// element on, and 0 before. A read out of sequence starts a new run.
+// lookahead window of a miss there: the run's length squared, capped, from
+// its third element on, and 0 before. A read out of sequence starts a new run.
 func (r *scanRun) step(rt *Runtime, arr mem.Addr, words, i int) int {
 	if r.len == 0 || arr != r.arr || i != r.next {
 		r.end(rt)
@@ -115,7 +115,7 @@ func (r *scanRun) step(rt *Runtime, arr mem.Addr, words, i int) int {
 	if r.len < 3 {
 		return 0
 	}
-	return min(r.len, readAheadCap)
+	return min(r.len*r.len, readAheadCap)
 }
 
 // lockedAhead notes that the element at k was locked ahead of the run.

@@ -244,7 +244,6 @@ func TestConflictNackNamesWinner(t *testing.T) {
 			end := c.plant(s, s.nodes[s.nodeFor(addr)], addr)
 			var (
 				named   []cm.Meta
-				kinds   []cm.Kind
 				attempt int
 			)
 			requester := s.AppCores()[0]
@@ -255,7 +254,7 @@ func TestConflictNackNamesWinner(t *testing.T) {
 				rt.Run(func(tx *Tx) {
 					attempt++
 					tx.OnAbort(func() {
-						named, kinds = append(named, rt.winner), append(kinds, rt.winKind)
+						named = append(named, rt.winner)
 						end()
 					})
 					if c.write {
@@ -267,8 +266,8 @@ func TestConflictNackNamesWinner(t *testing.T) {
 			})
 			st := s.RunToCompletion()
 			want := cm.Meta{Core: enemyCore, TxID: enemyTx}
-			if len(named) != 1 || named[0] != want || kinds[0] != c.kind {
-				t.Fatalf("NACKs named %v (kinds %v); want one %v NACK naming %v", named, kinds, c.kind, want)
+			if len(named) != 1 || named[0] != want || st.AbortsByKind[c.kind] != 1 {
+				t.Fatalf("NACKs named %v (aborts by kind %v); want one %v NACK naming %v", named, st.AbortsByKind, c.kind, want)
 			}
 			if st.Commits != 1 || attempt != 2 {
 				t.Errorf("%d commits in %d attempts; want the retry to commit", st.Commits, attempt)
