@@ -7,7 +7,6 @@
 //	tm2c-bench -run fig5a
 //	tm2c-bench -run all -scale quick
 //	tm2c-bench -run fig8a,fig8b -scale full -csv
-//	tm2c-bench -run fig5a -coalesce
 //	tm2c-bench -run fig5a -placement hier
 //	tm2c-bench -run abltl2 -scale quick
 //	tm2c-bench -run fig5a -protocol tl2
@@ -16,10 +15,9 @@
 // Scales: quick (seconds), default (a few minutes), full (closest to the
 // paper's parameters; tens of minutes), large (million-object working sets
 // on a 256-core mesh — the scale dimension of the scaleplace experiment).
-// Results print as aligned text tables, or CSV with -csv. -coalesce enables
-// the coalescing message plane (per-destination wire batching,
-// Config.Coalesce) in every experiment. -placement forces an object→DTM-node
-// placement policy in every experiment; scaleplace compares hash and hier.
+// Results print as aligned text tables, or CSV with -csv. -placement forces
+// an object→DTM-node placement policy in every experiment; scaleplace
+// compares hash and hier.
 // -protocol forces a read-visibility protocol (visible | tl2) in every
 // experiment; the abltl2 ablation compares the two protocols directly.
 // -backend selects the execution backend: the deterministic simulator

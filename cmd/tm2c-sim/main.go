@@ -339,8 +339,7 @@ func report(w io.Writer, sys *repro.System, st *repro.Stats) {
 	}
 	fmt.Fprintf(w, "messages            %d (%.1f KB), read-lock %d, write-lock %d (%d at a read for update, %d of them committed unwritten), release %d (+%d carried), early %d\n",
 		st.Msgs, float64(st.MsgBytes)/1024, st.ReadLockReqs, st.WriteLockReqs, st.UpdateReads, st.UpdateReadsUnwritten, st.ReleaseMsgs, st.CarriedReleases, st.EarlyReleases)
-	fmt.Fprintf(w, "wire messages       %d (%.2f avg payloads/wire msg; %d payloads coalesced into shared envelopes)\n",
-		st.WireMsgs, st.PayloadsPerWireMsg(), st.CoalescedPayloads)
+	fmt.Fprintf(w, "wire messages       %d (one per payload)\n", st.WireMsgs)
 	if st.Commits > 0 {
 		fmt.Fprintf(w, "commit round trips  %d (%.2f awaited/commit)\n",
 			st.CommitRoundTrips, float64(st.CommitRoundTrips)/float64(st.Commits))

@@ -281,20 +281,12 @@ type Config struct {
 	Policy cm.Policy
 	// Acquire selects lazy (default) or eager write-lock acquisition.
 	Acquire AcquireMode
-	// Coalesce is the message plane's one setting. Every burst — a commit
-	// scatter, a release burst, the responses of one DTM dispatch — goes
-	// through one staging point (System.stage) and leaves at the burst's
-	// flush point. Set, payloads headed to the same destination within a
-	// burst share a single multi-payload wire message (port.Outbox →
-	// port.Batch), charged the batched cost model (noc.BatchDelay: fixed
-	// software overheads once per wire message, marginal bytes per
-	// payload). Unset (the default) is the degenerate plane: staging sends
-	// at once, the flush points find nothing to flush, and behaviour is the
-	// bit-identical historic one the figure fingerprints pin.
-	// Stats.WireMsgs/CoalescedPayloads quantify the effect. Write-lock
-	// batching is unconditional, so every protocol burst already holds one
-	// payload per node and the set plane merges nothing (docs/RETIRED.md,
-	// ablbatch).
+	// Coalesce does nothing. It once merged a burst's same-destination
+	// payloads into one wire message; write-lock batching already holds
+	// every burst to one payload per node, so it merged nothing and was
+	// retired (docs/RETIRED.md, ablbatch). Every payload is its own wire
+	// message. The field stays only for the repository benchmark, which
+	// still sets it.
 	Coalesce bool
 	// Placement selects the object→DTM-node placement policy: the static
 	// multiplicative hash of §3.2 (default) or the hierarchical adaptive
@@ -440,13 +432,10 @@ type Stats struct {
 	// the sum over AbortReasons equals Aborts + UserAborts.
 	AbortReasons [trace.NumReasons]uint64
 
-	// Message traffic. Msgs counts protocol payloads (the logical message
-	// plane); WireMsgs counts physical wire messages. Without coalescing
-	// they are equal. With Config.Coalesce, payloads staged for the same
-	// destination within one burst share a wire message, so WireMsgs <=
-	// Msgs and Msgs/WireMsgs is the average payloads per wire message.
-	// CoalescedPayloads counts the payloads that rode in multi-payload
-	// envelopes (0 when coalescing is off or never merged anything).
+	// Message traffic. Msgs counts protocol payloads and WireMsgs physical
+	// wire messages; every payload is its own wire message, so they are
+	// equal. CoalescedPayloads is always 0: it stays only for the
+	// repository benchmark, which still reports it (Config.Coalesce).
 	Msgs              uint64
 	MsgBytes          uint64
 	WireMsgs          uint64
@@ -575,7 +564,6 @@ func (s *Stats) addShard(o *Stats) {
 	s.Msgs += o.Msgs
 	s.MsgBytes += o.MsgBytes
 	s.WireMsgs += o.WireMsgs
-	s.CoalescedPayloads += o.CoalescedPayloads
 	s.ReadLockReqs += o.ReadLockReqs
 	s.WriteLockReqs += o.WriteLockReqs
 	s.ReleaseMsgs += o.ReleaseMsgs
@@ -639,8 +627,8 @@ func (s *Stats) LoadImbalance() float64 {
 }
 
 // PayloadsPerWireMsg returns the average number of protocol payloads per
-// physical wire message: 1 when nothing coalesced, higher when
-// Config.Coalesce merged bursts. It returns 0 when no message was sent.
+// physical wire message: 1, since every payload is its own wire message. It
+// returns 0 when no message was sent.
 func (s *Stats) PayloadsPerWireMsg() float64 {
 	if s.WireMsgs == 0 {
 		return 0

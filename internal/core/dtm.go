@@ -53,13 +53,6 @@ type dtmNode struct {
 	// so far, for rollback on a mid-batch conflict. Serving is single-
 	// threaded per node, so one buffer serves every batch.
 	acqScratch []mem.Addr
-
-	// out is the node's outbox: responses are staged into it during a
-	// dispatch (System.stage) and flush when the sender changes or the
-	// mailbox is momentarily empty, so on the coalescing plane the
-	// grants/NACKs answering requests that arrived together share one wire
-	// message per requesting core. Always empty on the uncoalesced plane.
-	out port.Outbox
 }
 
 // serveLoop is the one DTM service loop — a dedicated node's whole life, and
@@ -73,23 +66,13 @@ func (n *dtmNode) serveLoop(p port.Port) {
 }
 
 // dispatchBurst serves m and the already-queued backlog in strict arrival
-// order, flushing the staged responses every time the sender changes and
-// once the mailbox is momentarily empty. The next message is taken before
-// the current one is served, so the node knows whether anyone waits behind
-// it (busy). Payloads of an unpacked envelope sit contiguously in the
-// mailbox, so one core's burst is answered with one coalesced response
-// envelope, while a response to anyone else never waits
-// (a sender change flushes first: responses to different cores cannot share
-// an envelope anyway, so delaying them behind another core's service time
-// would cost latency for nothing) and a lone request is answered the
-// instant it was served. Service order is plain FIFO — the loop is
-// Recv-handle unrolled with O(1) receives, no mailbox scans — and on the
-// uncoalesced plane, where nothing is ever staged, the flushes are no-ops
-// and the loop is exactly Recv-handle.
+// order. The next message is taken before the current one is served, so the
+// node knows whether anyone waits behind it (busy). Service order is plain
+// FIFO — the loop is Recv-handle unrolled with O(1) receives, no mailbox
+// scans — and every response leaves the instant it was served.
 func (n *dtmNode) dispatchBurst(p port.Port, m port.Msg) {
 	next, ok := p.TryRecv()
 	for {
-		from := m.From
 		n.busy = ok
 		n.handle(p, m)
 		if !ok {
@@ -97,25 +80,10 @@ func (n *dtmNode) dispatchBurst(p port.Port, m port.Msg) {
 				break
 			}
 		}
-		if next.From != from {
-			// The previous sender's burst is over; its responses leave now.
-			n.flushOut(p)
-		}
 		m = next
 		next, ok = p.TryRecv()
 	}
 	n.busy = false
-	n.flushOut(p)
-}
-
-// flushOut transmits the responses staged during the current dispatch, one
-// wire message per requesting core. Every dispatch site flushes before its
-// port can block on a receive, so a staged grant never deadlocks against
-// the requester awaiting it.
-func (n *dtmNode) flushOut(p port.Port) {
-	n.out.Flush(func(e *port.OutEntry) {
-		n.s.sendEntry(&n.shard, n.rec, p, n.core, e)
-	})
 }
 
 // handle dispatches one incoming message. It returns true if the message
@@ -139,7 +107,6 @@ func (n *dtmNode) handle(p port.Port, m port.Msg) bool {
 			// conflict with its request, and a lock the request took
 			// replaced the older attempt's entry, which the release then no
 			// longer matches.
-			n.flushOut(p)
 			n.handleRelease(p, rel, 0)
 			n.tryGrantExclusive(p)
 			putRelLocks(rel)
@@ -498,5 +465,5 @@ func (n *dtmNode) respond(p port.Port, reply port.Port, replyCore int, resp *res
 		panic(fmt.Sprintf("core: dtm%d response with no reply proc", n.core))
 	}
 	n.shard.Responses++
-	n.s.stage(&n.out, &n.shard, n.rec, p, n.core, reply, replyCore, resp, respBytes(resp))
+	n.s.send(&n.shard, n.rec, p, n.core, reply, replyCore, resp, respBytes(resp))
 }

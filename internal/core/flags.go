@@ -23,7 +23,6 @@ func BindFlags(fs *flag.FlagSet) func(*Config) {
 		func(v string) (err error) { f.Protocol, err = ParseProtocol(v); return })
 	fs.Func("placement", "object→DTM-node placement policy: hash (the default) | hier",
 		func(v string) (err error) { f.Placement, err = placement.Parse(v); return })
-	fs.BoolVar(&f.Coalesce, "coalesce", false, "coalescing message plane: same-destination payloads of one burst share a wire message")
 	fs.Uint64Var(&f.Seed, "seed", 1, "simulation seed")
 	return func(c *Config) {
 		fs.Visit(func(fl *flag.Flag) { // set flags only
@@ -34,8 +33,6 @@ func BindFlags(fs *flag.FlagSet) func(*Config) {
 				c.Protocol = f.Protocol
 			case "placement":
 				c.Placement = f.Placement
-			case "coalesce":
-				c.Coalesce = c.Coalesce || f.Coalesce
 			case "seed":
 				c.Seed = f.Seed
 			}

@@ -15,7 +15,7 @@ import (
 func TestBindFlags(t *testing.T) {
 	// A Config an experiment already filled in, every bound field non-zero.
 	filled := Config{Backend: BackendLive, Protocol: ProtocolTL2, Placement: placement.AdaptiveHier,
-		Coalesce: true, Seed: 7, TotalCores: 8}
+		Seed: 7, TotalCores: 8}
 	parse := func(args ...string) (func(*Config), error) {
 		fs := flag.NewFlagSet("test", flag.ContinueOnError)
 		fs.SetOutput(io.Discard)
@@ -36,8 +36,6 @@ func TestBindFlags(t *testing.T) {
 		{[]string{"-protocol", "visible"}, filled, with(filled, func(c *Config) { c.Protocol = ProtocolVisible })},
 		{[]string{"-placement", "hier"}, Config{}, Config{Placement: placement.AdaptiveHier}},
 		{[]string{"-placement", "hash"}, filled, with(filled, func(c *Config) { c.Placement = placement.Hash })},
-		{[]string{"-coalesce"}, Config{}, Config{Coalesce: true}},
-		{[]string{"-coalesce=false"}, filled, filled}, // forces on, never off
 		{[]string{"-seed", "42"}, filled, with(filled, func(c *Config) { c.Seed = 42 })},
 		{[]string{"-seed", "0"}, filled, with(filled, func(c *Config) { c.Seed = 0 })},
 		{[]string{"-backend=live", "-protocol=tl2", "-seed=3"}, Config{TotalCores: 4},
@@ -54,11 +52,13 @@ func TestBindFlags(t *testing.T) {
 			t.Errorf("%v on %+v:\n got %+v\nwant %+v", tc.args, tc.from, got, tc.want)
 		}
 	}
-	// The retired adaptive-flush flag is as unknown as any other. (Spelled in
-	// two halves so a grep for the retired names finds no Go source.)
-	retired := "-adaptive" + "flush"
-	if _, err := parse(retired); err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
-		t.Errorf("%s: error %v, want \"flag provided but not defined\"", retired, err)
+	// The retired adaptive-flush and coalescing flags are as unknown as any
+	// other. (Spelled in two halves so a grep for the retired names finds no
+	// Go source.)
+	for _, retired := range []string{"-adaptive" + "flush", "-coal" + "esce"} {
+		if _, err := parse(retired); err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("%s: error %v, want \"flag provided but not defined\"", retired, err)
+		}
 	}
 	for flagName, accepted := range map[string]string{
 		"backend":   "sim|live|net",

@@ -150,15 +150,12 @@ func (rt *Runtime) RunIrrevocable(fn func(*Irrevocable)) {
 		putRespLock(resp)
 	}
 	fn(&Irrevocable{rt: rt, id: id})
-	// Token-release burst: fire-and-forget to every node, coalesced like
-	// any other burst when the message plane coalesces (one payload per
-	// node here, so the win is uniformity, not merging).
+	// Token-release burst: fire-and-forget to every node.
 	for ni := range rt.s.nodes {
 		rel := getRelLocks()
 		rel.Core, rel.TxID, rel.Exclusive = rt.core, id, true
-		rt.burstToNode(ni, rel)
+		rt.sendToNode(ni, rel)
 	}
-	rt.flushOut()
 	rt.s.Regs.SetStatusLocal(rt.core, id, mem.TxCommitted)
 	rt.stats.Commits++
 	rt.shard.Irrevocables++

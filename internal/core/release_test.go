@@ -1,10 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
+	"repro/internal/cm"
 	"repro/internal/mem"
+	"repro/internal/noc"
 )
 
 // TestReleaseBurstAfterPoolDrain: every GC empties the message pools, so the
@@ -61,4 +64,73 @@ func TestReleaseBurstAfterPoolDrain(t *testing.T) {
 	if allocs > uint64(2*msgs) {
 		t.Errorf("drafting %d release messages allocated %d objects, want <= 2 per message", msgs, allocs)
 	}
+}
+
+// TestNoLockLeaksAcrossBarrierRounds: rounds of one transaction then one
+// barrier, in every deployment, acquisition mode and protocol, and under
+// elastic-early and irrevocable transactions, must quiesce with no lock left
+// in any DTM table. Each barrier is entered with the last transaction's
+// release burst behind it, so a release that a barrier strands shows here.
+func TestNoLockLeaksAcrossBarrierRounds(t *testing.T) {
+	const words = 16
+	run := func(t *testing.T, cfg Config, txn func(rt *Runtime, base mem.Addr, i int)) {
+		cfg.Platform, cfg.Seed, cfg.TotalCores, cfg.Policy = noc.SCC(0), 19, 8, cm.FairCM
+		s, err := NewSystem(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base := s.Mem.Alloc(words, 0)
+		s.SpawnWorkers(func(rt *Runtime) {
+			for i := 0; i < 10; i++ {
+				txn(rt, base, i)
+				rt.Barrier()
+			}
+		})
+		if st := s.RunToCompletion(); st.Commits == 0 {
+			t.Fatal("nothing committed")
+		}
+		if leaked := s.LockedAddrs(); leaked != 0 {
+			t.Errorf("%d locks leaked", leaked)
+		}
+	}
+	// scatter reads two words and writes four.
+	scatter := func(kind TxKind) func(*Runtime, mem.Addr, int) {
+		return func(rt *Runtime, base mem.Addr, i int) {
+			r := rt.Rand()
+			rt.RunKind(kind, func(tx *Tx) {
+				a := base + mem.Addr(r.Intn(words))
+				v := tx.Read(a) + tx.Read(base+mem.Addr(r.Intn(words)))
+				if kind == ElasticEarly {
+					tx.EarlyRelease(a)
+				}
+				for k := 0; k < 4; k++ {
+					tx.Write(base+mem.Addr(r.Intn(words)), v+uint64(i))
+				}
+			})
+		}
+	}
+	for _, dep := range []Deployment{Dedicated, Multitask} {
+		for _, acq := range []AcquireMode{Lazy, Eager} {
+			for _, proto := range []Protocol{ProtocolVisible, ProtocolTL2} {
+				cfg := Config{Deployment: dep, Acquire: acq, Protocol: proto}
+				t.Run(fmt.Sprintf("%v/%v/%v", dep, acq, proto), func(t *testing.T) { run(t, cfg, scatter(Normal)) })
+			}
+		}
+	}
+	for _, acq := range []AcquireMode{Lazy, Eager} {
+		t.Run(fmt.Sprintf("elastic-early/%v", acq), func(t *testing.T) {
+			run(t, Config{Acquire: acq}, scatter(ElasticEarly))
+		})
+	}
+	t.Run("irrevocable", func(t *testing.T) {
+		run(t, Config{}, func(rt *Runtime, base mem.Addr, i int) {
+			if rt.AppIndex() != 0 {
+				scatter(Normal)(rt, base, i)
+				return
+			}
+			rt.RunIrrevocable(func(ir *Irrevocable) {
+				ir.Write(base+mem.Addr(i%words), ir.Read(base)+1)
+			})
+		})
+	})
 }

@@ -57,28 +57,10 @@ func (rt *Runtime) nextReqID() uint64 {
 }
 
 // sendToNode transmits one protocol message to DTM node ni, charging the
-// platform's message latency. It does not block.
+// platform's message latency. It does not block: a burst (a commit scatter,
+// a release burst) is a run of sendToNode calls, one wire message each.
 func (rt *Runtime) sendToNode(ni int, msg wireMsg) {
 	rt.s.send(&rt.shard, rt.rec, rt.proc, rt.core, rt.s.nodePorts[ni], rt.s.nodes[ni].core, msg, msg.bytes())
-}
-
-// burstToNode hands one protocol message of a burst for DTM node ni to the
-// message plane's staging point (System.stage). Burst sites call it for
-// every message of the burst and end the burst with flushOut. Awaited single
-// requests (read locks, eager write locks) use sendToNode instead: the core
-// blocks on the response at once, so there is no burst for them to join.
-func (rt *Runtime) burstToNode(ni int, msg wireMsg) {
-	rt.s.stage(&rt.out, &rt.shard, rt.rec, rt.proc, rt.core, rt.s.nodePorts[ni], rt.s.nodes[ni].core, msg, msg.bytes())
-}
-
-// flushOut ends a burst: everything staged in the core's outbox leaves, one
-// wire message per destination node. Every burst site flushes before the
-// core can block on a receive, so no payload is ever staged across a point
-// where its port can block.
-func (rt *Runtime) flushOut() {
-	rt.out.Flush(func(e *port.OutEntry) {
-		rt.s.sendEntry(&rt.shard, rt.rec, rt.proc, rt.core, e)
-	})
 }
 
 // maxPlacementHops bounds how many times one logical lock request chases
@@ -96,8 +78,7 @@ func (rt *Runtime) placementAbort() {
 }
 
 // lockReq builds one lock request with a fresh correlation ID, counting it
-// in the shard (the request will be transmitted exactly once, sent directly
-// or staged for a coalesced burst).
+// in the shard (the request will be transmitted exactly once).
 func (rt *Runtime) lockReq(txID uint64, mode lockMode, epoch uint64, keys []mem.Addr) *reqLock {
 	req := getLockReq()
 	req.ReqID = rt.nextReqID()
@@ -224,10 +205,7 @@ var lockSent func(node int, req *reqLock)
 
 // scatterWriteLocks sends every write-lock batch in one burst and gathers
 // all responses, stamping every request with the batches' shared grouping
-// epoch. Results are indexed by batch, in send order. The burst goes through
-// the staging point like every burst, though with one batch per node it has
-// nothing to merge; the flush marks the end of the scatter burst, before the
-// gather phase blocks.
+// epoch. Results are indexed by batch, in send order.
 func (rt *Runtime) scatterWriteLocks(tx *Tx, epoch uint64, batches []nodeGroup) []*respLock {
 	scStart := rt.proc.Now()
 	rt.emit(trace.KPhaseBegin, tx.id, uint64(trace.PhaseScatter), 0, 0)
@@ -235,20 +213,19 @@ func (rt *Runtime) scatterWriteLocks(tx *Tx, epoch uint64, batches []nodeGroup) 
 	for _, b := range batches {
 		req := rt.lockReq(tx.id, lockWrite, epoch, b.writes)
 		req.Ended = b.past
-		// Record the correlation ID before the handoff: once staged or
-		// sent, the node may consume and recycle the pooled request.
+		// Record the correlation ID before the handoff: once sent, the
+		// node may consume and recycle the pooled request.
 		ids = append(ids, req.ReqID)
 		rt.carryOn(b.node, req)
 		if lockSent != nil {
 			lockSent(b.node, req)
 		}
-		rt.burstToNode(b.node, req)
+		rt.sendToNode(b.node, req)
 	}
 	rt.scatterIDs = ids
 	if !rt.s.releaseWaitsForNode() {
 		rt.sendCarry() // the other carried releases join the burst
 	}
-	rt.flushOut()
 	rt.emit(trace.KPhaseEnd, tx.id, uint64(trace.PhaseScatter), 0, 0)
 	rt.scatterLat.Observe(rt.proc.Now() - scStart)
 	gaStart := rt.proc.Now()
@@ -337,11 +314,7 @@ func (rt *Runtime) recvRPC() (resp *respLock, timedOut bool) {
 
 // absorb takes a message that is not what the core is waiting for: a barrier
 // arrival is counted for Barrier to find, a request is served by the
-// co-located DTM node (Multitask), anything else is a protocol bug. The
-// response the node staged leaves at once: a requester has at most one
-// request awaiting a response at any node, so a backlog never holds two
-// responses that could share an envelope, and holding one back would only
-// delay it.
+// co-located DTM node (Multitask), anything else is a protocol bug.
 func (rt *Runtime) absorb(m port.Msg, where string) {
 	if b, ok := m.Payload.(barrierMsg); ok {
 		rt.barrierSeen[b.Epoch]++
@@ -356,7 +329,6 @@ func (rt *Runtime) absorb(m port.Msg, where string) {
 	if rt.node == nil || !rt.node.handle(rt.proc, m) {
 		panic(fmt.Sprintf("core: app%d unexpected message %T %s", rt.core, m.Payload, where))
 	}
-	rt.node.flushOut(rt.proc)
 }
 
 // timeoutAbort aborts the attempt after an awaited lock RPC exceeded its

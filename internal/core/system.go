@@ -63,7 +63,7 @@ type System struct {
 
 	// Per-commit-phase latency breakdowns, populated like CommitLatency.
 	// ScatterLatency covers the scatter-gather commit's send burst (batch
-	// build through outbox flush), GatherLatency its response-await phase.
+	// build through the last send), GatherLatency its response-await phase.
 	// RevalidateLatency covers the TL2 commit's read-set revalidation
 	// (successful ones; a failed revalidation aborts the commit). Valid
 	// after Run.
@@ -215,7 +215,6 @@ func NewSystem(cfg Config) (*System, error) {
 		for _, n := range s.nodes {
 			n := n
 			s.nodePorts[n.idx] = s.spawn(fmt.Sprintf("dtm%d", n.core), n.core, n.serveLoop)
-			s.hookBatches(s.nodePorts[n.idx], n.rec)
 		}
 	}
 	return s, nil
@@ -319,9 +318,6 @@ func (s *System) SpawnWorkers(worker func(rt *Runtime)) {
 		// backend's Spawn returns before the proc runs, and the live
 		// engine's goroutines block until Run, so this is always ordered.
 		rt.proc = p
-		// Envelope delivers land on the physical core's app lane; under
-		// Multitask the co-located node shares the port and the lane.
-		s.hookBatches(p, rt.rec)
 		if rt.node != nil {
 			s.nodePorts[rt.node.idx] = p
 		}
@@ -608,20 +604,6 @@ func (s *System) recvPeers(dstCore int) int {
 	return len(s.svcCores)
 }
 
-// stage is the message plane's one staging point, and the only place outside
-// configuration that reads Config.Coalesce: a burst payload from srcCore for
-// dstPort on dstCore is staged in the sender's outbox, to leave with the rest
-// of its burst at the owner's next flush, or — on the degenerate plane — sent
-// now, which leaves that flush nothing to do. The arguments after out are
-// send's.
-func (s *System) stage(out *port.Outbox, st *Stats, rec *trace.Recorder, p port.Port, srcCore int, dstPort port.Port, dstCore int, payload any, nbytes int) {
-	if !s.cfg.Coalesce {
-		s.send(st, rec, p, srcCore, dstPort, dstCore, payload, nbytes)
-		return
-	}
-	out.Stage(dstPort, dstCore, payload, nbytes, p.Now())
-}
-
 // send transmits payload from srcCore (running on port p) to dstPort on
 // dstCore, charging the platform's message latency on sim (real time has no
 // use for a delay and none is computed). The message counters land in the
@@ -629,7 +611,7 @@ func (s *System) stage(out *port.Outbox, st *Stats, rec *trace.Recorder, p port.
 // tracing is off).
 func (s *System) send(st *Stats, rec *trace.Recorder, p port.Port, srcCore int, dstPort port.Port, dstCore int, payload any, nbytes int) {
 	if rec != nil {
-		rec.Emit(p.Now(), trace.KWireSend, 0, uint64(dstCore), uint64(nbytes), 1)
+		rec.Emit(p.Now(), trace.KWireSend, 0, uint64(dstCore), uint64(nbytes), 0)
 	}
 	var delay time.Duration
 	if s.K != nil {
@@ -639,40 +621,6 @@ func (s *System) send(st *Stats, rec *trace.Recorder, p port.Port, srcCore int, 
 	st.Msgs++
 	st.WireMsgs++
 	st.MsgBytes += uint64(nbytes)
-}
-
-// sendEntry transmits one flushed Outbox entry from srcCore: a singleton
-// entry goes out exactly like an uncoalesced send (bare payload, MsgDelay —
-// so a burst that never merged behaves identically to the uncoalesced
-// plane), a multi-payload entry as one Batch envelope charged the batched
-// cost model (fixed overheads once, payload bytes summed). The receiving
-// backend unpacks the envelope into individual mailbox messages, so
-// selective receive never observes it.
-func (s *System) sendEntry(st *Stats, rec *trace.Recorder, p port.Port, srcCore int, e *port.OutEntry) {
-	dstCore := e.DstTag
-	if len(e.Payloads) == 1 {
-		s.send(st, rec, p, srcCore, e.Dst, dstCore, e.Payloads[0], e.Bytes)
-		return
-	}
-	if rec != nil {
-		// A payload count >= 2 marks this wire message as a coalesced
-		// envelope; the receiver's lane answers with KEnvelopeDeliver.
-		rec.Emit(p.Now(), trace.KWireSend, 0, uint64(dstCore), uint64(e.Bytes), uint64(len(e.Payloads)))
-	}
-	var delay time.Duration
-	if s.K != nil {
-		delay = s.cfg.Platform.BatchDelay(srcCore, dstCore, e.Bytes, len(e.Payloads), s.recvPeers(dstCore))
-	}
-	// The outbox retains e.Payloads after the flush, so the envelope copies
-	// the staged payloads into pooled storage; the receiving mailbox recycles
-	// the envelope after unpacking it.
-	b := port.GetBatch()
-	b.Payloads = append(b.Payloads, e.Payloads...)
-	p.Send(e.Dst, b, delay)
-	st.Msgs += uint64(len(e.Payloads))
-	st.WireMsgs++
-	st.CoalescedPayloads += uint64(len(e.Payloads))
-	st.MsgBytes += uint64(e.Bytes)
 }
 
 // compute scales a nominal duration to the platform.

@@ -205,13 +205,12 @@ func TestTL2AllKindsStrictAudit(t *testing.T) {
 	}
 }
 
-// TestTL2ConfigMatrix drives TL2 through the acquisition/transport variants
-// it must compose with: eager acquisition, the coalescing plane and
-// multitask deployment. Conservation plus audit in each cell.
+// TestTL2ConfigMatrix drives TL2 through the acquisition/deployment variants
+// it must compose with: eager acquisition and multitask deployment.
+// Conservation plus audit in each cell.
 func TestTL2ConfigMatrix(t *testing.T) {
 	muts := map[string]func(*Config){
 		"eager":     func(c *Config) { c.Acquire = Eager },
-		"coalesce":  func(c *Config) { c.Coalesce = true },
 		"multitask": func(c *Config) { c.Deployment = Multitask; c.TotalCores = 4 },
 	}
 	for name, mut := range muts {

@@ -42,8 +42,8 @@ func (n *dtmNode) emit(p port.Port, k trace.Kind, txID, a, b, c uint64) {
 }
 
 // now is the backend-neutral current time for emit sites that run outside
-// any port context: envelope-deliver hooks (kernel/receiver context) and
-// the placement tracer (caller context, directory lock held).
+// any port context: the placement tracer (caller context, directory lock
+// held).
 func (s *System) now() port.Time {
 	if s.host != nil {
 		return s.host.Now()
@@ -72,22 +72,6 @@ func (s *System) setupTrace() {
 			// The directory lock serializes these calls, so the recorder
 			// keeps its single-writer discipline on the live backend.
 			rec.Emit(s.now(), k, 0, uint64(stripe), uint64(from), uint64(to))
-		})
-	}
-}
-
-// hookBatches installs the envelope-deliver observer on port p: every
-// multi-payload envelope unpacked at p's mailbox emits one KEnvelopeDeliver
-// on rec's lane. The hook runs in the receiver's execution context — the
-// sim kernel's delivery closure, or the real-time receiver's own goroutine —
-// the same single writer as the lane's other emits.
-func (s *System) hookBatches(p port.Port, rec *trace.Recorder) {
-	if rec == nil {
-		return
-	}
-	if h, ok := p.(interface{ SetBatchHook(func(int)) }); ok {
-		h.SetBatchHook(func(payloads int) {
-			rec.Emit(s.now(), trace.KEnvelopeDeliver, 0, 0, 0, uint64(payloads))
 		})
 	}
 }

@@ -59,13 +59,6 @@ type Runtime struct {
 	awaitPred    func(port.Msg) bool
 	deadlineRecv *port.HostPort
 
-	// out is the core's outbox: burst sends — commit scatter, release
-	// bursts — are staged into it (System.stage) and flush at the end of
-	// the burst, so on the coalescing plane payloads sharing a destination
-	// DTM node share one wire message. Always empty on the uncoalesced
-	// plane.
-	out port.Outbox
-
 	// Hot-path scratch, all single-consumer state of this runtime's port:
 	// one attempt is ever live per runtime, so the commit and read paths
 	// reuse these across attempts and allocate nothing in steady state.
@@ -974,9 +967,8 @@ func (rt *Runtime) sendReleases(drafts []relDraft, sent *uint64) []relDraft {
 			releaseSent(d.node, d.msg)
 		}
 		*sent++
-		rt.burstToNode(d.node, d.msg)
+		rt.sendToNode(d.node, d.msg)
 	}
-	rt.flushOut()
 	return drafts[:0]
 }
 

@@ -373,7 +373,6 @@ func runEndedWinner(t *testing.T, backend Backend, row string) (int, *Stats) {
 				n.busy = true
 				n.handle(rt.proc, m)
 				n.busy = false
-				n.flushOut(rt.proc)
 			}
 		}
 	})

@@ -6,17 +6,15 @@ import (
 
 	"repro/internal/cm"
 	"repro/internal/mem"
-	"repro/internal/port"
 	"repro/internal/wire"
 )
 
 // Wire codec registration for the cross-process net backend. Exactly the
-// closed set of DTM protocol messages (messages.go) plus the Batch
-// coalescing envelope ever crosses a port boundary — applications go
-// through the typed transaction API, never Port.Send — so these five codecs
-// are the complete wire vocabulary. Kind bytes are stable protocol
-// constants: never renumber one or reuse a retired one, add new ones at the
-// end and bump wire.Version.
+// closed set of DTM protocol messages (messages.go) ever crosses a port
+// boundary — applications go through the typed transaction API, never
+// Port.Send — so these four codecs are the complete wire vocabulary. Kind
+// bytes are stable protocol constants: never renumber one or reuse a retired
+// one, add new ones at the end and bump wire.Version.
 //
 // Encodings are little-endian and fixed-width (see internal/wire and
 // docs/WIRE.md). Ints are encoded as two's-complement u64 so negative
@@ -34,7 +32,7 @@ const (
 	_ // 7 retired: reqExclusive, now reqLock's exclusive mode
 	_ // 8 retired: respExclusive, now a respLock grant
 	_ // 9 retired: relExclusive, now relLocks with Exclusive set
-	wkBatch
+	_ // 10 retired: Batch, the coalescing envelope; every payload is its own message
 )
 
 func encMeta(e *wire.Enc, m cm.Meta) {
@@ -182,53 +180,6 @@ func init() {
 		},
 		Decode: func(d *wire.Dec) any {
 			return barrierMsg{Epoch: d.U64()}
-		},
-	})
-	wire.Register(wire.Codec{
-		// The coalescing envelope: a count followed by the nested encoding of
-		// each staged payload. Nesting reuses the registry, so an envelope
-		// may carry any mix of the message types above — but not another
-		// Batch: the Outbox never stages envelopes, and a decoder that
-		// followed them would recurse as deep as a hostile frame is long.
-		Kind: wkBatch, Type: typeOf[*port.Batch](),
-		Encode: func(e *wire.Enc, v any) {
-			b := v.(*port.Batch)
-			e.U32(uint32(len(b.Payloads)))
-			for _, pl := range b.Payloads {
-				if err := wire.EncodePayload(e, pl); err != nil {
-					panic(err)
-				}
-			}
-		},
-		Decode: func(d *wire.Dec) any {
-			// Every payload takes at least its kind byte, which bounds the
-			// count — and what the appends below can grow — by the bytes
-			// received.
-			n := d.Count(1)
-			if d.Err() != nil {
-				return nil
-			}
-			b := port.GetBatch()
-			for i := 0; i < n; i++ {
-				if d.Peek() == wkBatch {
-					d.Failf("wire: Batch envelope nested inside a Batch envelope")
-					return nil
-				}
-				pl, err := wire.DecodePayload(d)
-				if err != nil {
-					return nil // d carries the error
-				}
-				b.Payloads = append(b.Payloads, pl)
-			}
-			return b
-		},
-		// An envelope releases its payloads, then itself.
-		Release: func(v any) {
-			b := v.(*port.Batch)
-			for _, pl := range b.Payloads {
-				wire.ReleasePayload(pl)
-			}
-			port.PutBatch(b)
 		},
 	})
 }

@@ -74,9 +74,9 @@ func randReply(r *rand.Rand) port.Port {
 }
 
 // messageGens builds one random instance per protocol message type, and per
-// reqLock mode and relLocks flavour. Every registered wire type except the
-// Batch envelope must appear here; the completeness check in
-// TestWireRoundTripAllMessages enforces that.
+// reqLock mode and relLocks flavour. Every registered wire type must appear
+// here; the completeness check in TestWireRoundTripAllMessages enforces
+// that.
 func messageGens() []func(r *rand.Rand) any {
 	reqLockGen := func(mode lockMode, maxAddrs int, carry bool) func(r *rand.Rand) any {
 		return func(r *rand.Rand) any {
@@ -142,18 +142,12 @@ func wireRoundTrip(t *testing.T, v any) any {
 }
 
 // nilEmpty returns v with every empty slice field set to nil (in place, for
-// the pointer messages; through an envelope's payloads and a carried
-// release): decoders fill pooled structs, whose empty lists are len 0 over
+// the pointer messages; through a carried release): decoders fill pooled structs, whose empty lists are len 0 over
 // retained storage, so a round trip preserves contents, not nil-ness.
 func nilEmpty(v any) any {
 	rv := reflect.ValueOf(v)
 	if rv.Kind() != reflect.Pointer {
 		return v
-	}
-	if b, ok := v.(*port.Batch); ok {
-		for _, pl := range b.Payloads {
-			nilEmpty(pl)
-		}
 	}
 	for i, st := 0, rv.Elem(); i < st.NumField(); i++ {
 		if f := st.Field(i); f.Kind() == reflect.Slice && f.Len() == 0 {
@@ -180,17 +174,6 @@ func TestWireRoundTripAllMessages(t *testing.T) {
 			covered[reflect.TypeOf(v)] = true
 		}
 	}
-	// The Batch envelope: random mixes of the message types above.
-	for i := 0; i < 200; i++ {
-		n := r.Intn(7)
-		b := &port.Batch{Payloads: make([]any, 0, n)}
-		for j := 0; j < n; j++ {
-			b.Payloads = append(b.Payloads, gens[r.Intn(len(gens))](r))
-		}
-		wireRoundTrip(t, b)
-	}
-	covered[reflect.TypeOf(&port.Batch{})] = true
-
 	for _, typ := range wire.RegisteredTypes() {
 		if !covered[typ] {
 			t.Errorf("registered wire type %v has no round-trip generator in this test", typ)
@@ -223,7 +206,7 @@ func TestWireDecodeRejectsCorruptInput(t *testing.T) {
 		t.Fatal("unknown payload kind decoded without error")
 	}
 	// Retired kinds, each in its old encoding: 1 reqReadLock, 5 earlyRelease,
-	// 7 reqExclusive, 8 respExclusive, 9 relExclusive.
+	// 7 reqExclusive, 8 respExclusive, 9 relExclusive, 10 Batch.
 	for _, frame := range retiredKindFrames {
 		d = wire.NewDec(frame, testResolver)
 		if _, err := wire.DecodePayload(d); err == nil {
@@ -317,6 +300,7 @@ var retiredKindFrames = [][]byte{
 	append([]byte{7}, make([]byte, 8+8+4)...),                       // reqExclusive
 	{8},                                     // respExclusive
 	append([]byte{9}, make([]byte, 8+8)...), // relExclusive
+	append([]byte{10, 1, 0, 0, 0, 6}, make([]byte, 8)...), // Batch of one barrierMsg
 }
 
 // TestWireEncodingStable pins exact bytes for a read-mode reqLock with and
@@ -426,13 +410,11 @@ func decodeAllocated(b []byte) (v any, alloc uint64, err error) {
 }
 
 // TestWireDecodeDistrustsCounts: a count field is a claim by the peer, not
-// a size to allocate. Both frames are five to eleven bytes long; neither may
-// cost more than the error that rejects it.
+// a size to allocate. A five-byte frame may cost no more than the error
+// that rejects it.
 func TestWireDecodeDistrustsCounts(t *testing.T) {
 	for name, frame := range map[string][]byte{
-		"batch of 2^32-1 payloads": {wkBatch, 0xff, 0xff, 0xff, 0xff},
-		"batch inside a batch":     {wkBatch, 1, 0, 0, 0, wkBatch, 0, 0, 0, 0},
-		"2^32-1 lock addresses":    {wkRelLocks, 0xff, 0xff, 0xff, 0xff},
+		"2^32-1 lock addresses": {wkRelLocks, 0xff, 0xff, 0xff, 0xff},
 	} {
 		v, alloc, err := decodeAllocated(frame)
 		if err == nil {
@@ -442,17 +424,11 @@ func TestWireDecodeDistrustsCounts(t *testing.T) {
 			t.Errorf("%s: rejecting %d bytes allocated %d", name, len(frame), alloc)
 		}
 	}
-	// An unknown kind inside an envelope must fail the envelope, not
-	// silently shorten it.
-	if v, _, err := decodeAllocated([]byte{wkBatch, 1, 0, 0, 0, 0xee}); err == nil {
-		t.Errorf("envelope with an unknown nested kind decoded to %#v", v)
-	}
 }
 
 // FuzzDecodePayload feeds arbitrary bytes to the decoder every MSG frame off
 // a socket goes through. Properties: it never panics, and it never allocates
-// more than a small multiple of what it was sent — the densest legitimate
-// encoding is an envelope of one-byte payloads, 16 bytes of slice per byte.
+// more than a small multiple of what it was sent.
 func FuzzDecodePayload(f *testing.F) {
 	for _, typ := range wire.RegisteredTypes() {
 		zero := reflect.Zero(typ).Interface()
@@ -478,8 +454,10 @@ func FuzzDecodePayload(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(e.Bytes())
-	f.Add([]byte{wkBatch, 0xff, 0xff, 0xff, 0xff})
-	f.Add([]byte{wkBatch, 1, 0, 0, 0, wkBatch, 0, 0, 0, 0})
+	// The hostile Batch frames of wire version 7, a count of 2^32-1 and a
+	// nested envelope, now stopped at their retired kind byte.
+	f.Add([]byte{10, 0xff, 0xff, 0xff, 0xff})
+	f.Add([]byte{10, 1, 0, 0, 0, 10, 0, 0, 0, 0})
 	for _, frame := range retiredKindFrames {
 		f.Add(frame) // rejected
 	}
@@ -494,7 +472,7 @@ func FuzzDecodePayload(f *testing.F) {
 		if err != nil && v != nil {
 			t.Errorf("decode failed (%v) but returned %#v", err, v)
 		}
-		if len(b) > 0 && slices.Contains([]byte{1, 5, 7, 8, 9}, b[0]) && err == nil {
+		if len(b) > 0 && slices.Contains([]byte{1, 5, 7, 8, 9, 10}, b[0]) && err == nil {
 			t.Errorf("retired payload kind %d decoded to %#v", b[0], v)
 		}
 		if r, ok := v.(*respLock); ok && (r.NackOwner < -1 || r.NackOwner > math.MaxInt32) {

@@ -25,8 +25,7 @@ var update = flag.Bool("update", false, "rewrite testdata/fingerprints.golden")
 // timing change) re-captures the file with -update, and the diff shows the
 // cells that moved; this test exists so that such changes are loud and
 // deliberate, never accidental. Irrevocables are pinned in internal/core
-// (TestIrrevocableMixFingerprint), the coalescing plane there too
-// (TestCoalesceSingletonPlaneBitIdentical, TestOutboxEnvelopeDelivered).
+// (TestIrrevocableMixFingerprint).
 var figFingerprints = func() (rows []fingerprintRow) {
 	figs := []string{"fig4a", "fig4b", "fig4c", "fig5a", "fig5b", "fig5c", "fig5d",
 		"fig6a", "fig6b", "fig7a", "fig7b", "fig8a", "fig8b", "fig8c", "fig8d"}

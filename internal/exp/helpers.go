@@ -18,7 +18,7 @@ type Overrides struct {
 	// Sys, when non-nil, edits the core.Config of every system an
 	// experiment builds, after the experiment filled it in — how tm2c-bench
 	// forces the shared system flags (core.BindFlags: -backend, -protocol,
-	// -placement, -coalesce), the flight recorder and this
+	// -placement, -seed), the flight recorder and this
 	// process's place in a net-backend group onto any figure for A/B runs.
 	// An ablation that sweeps a forced knob itself degenerates to the forced
 	// value on every row. The fig8a ping-pong microbenchmark measures the

@@ -53,12 +53,12 @@ func TestBuildPanicsOnBadConfig(t *testing.T) {
 func TestBuildAppliesSysOverride(t *testing.T) {
 	c := defaultSys(4)
 	c.Seed = 9
-	ov := Overrides{Sys: func(c *core.Config) { c.Coalesce = true }}
+	ov := Overrides{Sys: func(c *core.Config) { c.Protocol = core.ProtocolTL2 }}
 	got := ov.build(c).Config()
-	if !got.Coalesce || got.Seed != 9 || got.TotalCores != 4 {
-		t.Fatalf("built config = coalesce %v seed %d cores %d, want true/9/4", got.Coalesce, got.Seed, got.TotalCores)
+	if got.Protocol != core.ProtocolTL2 || got.Seed != 9 || got.TotalCores != 4 {
+		t.Fatalf("built config = protocol %v seed %d cores %d, want tl2/9/4", got.Protocol, got.Seed, got.TotalCores)
 	}
-	if (Overrides{}).build(c).Config().Coalesce {
+	if (Overrides{}).build(c).Config().Protocol != c.Protocol {
 		t.Fatal("nil Sys changed the experiment's config")
 	}
 }

@@ -1,5 +1,5 @@
 // Allocation regression tests for the live-backend hot paths: the pooled
-// envelope/scratch machinery must make steady-state commits allocation-free
+// message/scratch machinery must make steady-state commits allocation-free
 // (up to a small floor the Go runtime itself imposes — channel wakeups and
 // scheduler bookkeeping on blocked receives).
 //
@@ -9,7 +9,7 @@
 // batch of transactions, and a second snapshot bounds Mallocs over the
 // window. Keys are disjoint per worker, so no transaction ever aborts and
 // the measured window is pure hot path: begin, read/write-lock RPCs,
-// write-back, release burst, outbox flush.
+// write-back, release burst.
 package live_test
 
 import (
@@ -112,16 +112,15 @@ func readMostlyBody(tx *core.Tx, a core.TArray[uint64], base, n int) {
 // 10+ allocs per commit on these workloads before pooling.
 const liveAllocBudget = 0.5
 
-// liveWarmup is the per-worker warm-up that fills the message-plane pools.
+// liveWarmup is the per-worker warm-up that fills the message pools.
 const liveWarmup = 400
 
 func TestLiveCommitAllocationFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates on otherwise allocation-free paths")
 	}
-	bothPlanes(t, func(t *testing.T, coalesce bool) {
-		tune := func(c *core.Config) { c.Coalesce = coalesce }
-		got, _ := measureLiveAllocs(t, tune, core.Normal, 2, liveWarmup, transferBody)
+	onPlainPlane(t, func(t *testing.T) {
+		got, _ := measureLiveAllocs(t, func(*core.Config) {}, core.Normal, 2, liveWarmup, transferBody)
 		t.Logf("visible commit: %.2f allocs/tx", got)
 		if got > liveAllocBudget {
 			t.Errorf("visible commit hot path allocates %.2f objects/tx, budget %.1f", got, liveAllocBudget)
@@ -133,8 +132,8 @@ func TestLiveTL2ReadAllocationFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates on otherwise allocation-free paths")
 	}
-	bothPlanes(t, func(t *testing.T, coalesce bool) {
-		tune := func(c *core.Config) { c.Coalesce, c.Protocol = coalesce, core.ProtocolTL2 }
+	onPlainPlane(t, func(t *testing.T) {
+		tune := func(c *core.Config) { c.Protocol = core.ProtocolTL2 }
 		got, _ := measureLiveAllocs(t, tune, core.Normal, 8, liveWarmup, readMostlyBody)
 		t.Logf("TL2 read-mostly commit: %.2f allocs/tx", got)
 		if got > liveAllocBudget {

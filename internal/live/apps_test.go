@@ -5,12 +5,9 @@
 // level, exactly as on real hardware: conservation laws, structural
 // integrity of the shared structures, and empty lock tables at quiesce.
 //
-// Every app runs once per message plane — the uncoalesced default and the
-// coalescing transport (Config.Coalesce) — so batch envelopes, the outbox
-// flush points and the per-sender DTM dispatch all race real goroutines.
-// The app tests additionally run once per read-visibility protocol: the
-// invisible-read TL2 mode's version-table reads, write-back markers, clock
-// ticks and commit-time revalidation race real goroutines too.
+// The app tests run once per read-visibility protocol: the invisible-read
+// TL2 mode's version-table reads, write-back markers, clock ticks and
+// commit-time revalidation race real goroutines too.
 package live_test
 
 import (
@@ -37,25 +34,22 @@ import (
 // is exercising real concurrency, not throughput.
 const liveWindow = 40 * time.Millisecond
 
-// bothPlanes runs body once per message plane, as subtests. Used by the
-// tests that are visible-protocol-only (irrevocability); app tests use
-// eachVariant to cover the protocols too.
-func bothPlanes(t *testing.T, body func(t *testing.T, coalesce bool)) {
-	t.Run("plain", func(t *testing.T) { body(t, false) })
-	t.Run("coalesce", func(t *testing.T) { body(t, true) })
+// onPlainPlane runs body as the subtest "plain", named for the one message
+// plane: every payload is its own wire message.
+func onPlainPlane(t *testing.T, body func(t *testing.T)) {
+	t.Run("plain", body)
 }
 
-// eachVariant runs body once per message plane × read-visibility protocol.
-func eachVariant(t *testing.T, body func(t *testing.T, coalesce bool, proto core.Protocol)) {
-	bothPlanes(t, func(t *testing.T, coalesce bool) {
+// eachProtocol runs body once per read-visibility protocol, as subtests.
+func eachProtocol(t *testing.T, body func(t *testing.T, proto core.Protocol)) {
+	onPlainPlane(t, func(t *testing.T) {
 		for _, proto := range []core.Protocol{core.ProtocolVisible, core.ProtocolTL2} {
-			proto := proto
-			t.Run(proto.String(), func(t *testing.T) { body(t, coalesce, proto) })
+			t.Run(proto.String(), func(t *testing.T) { body(t, proto) })
 		}
 	})
 }
 
-func liveSystem(t *testing.T, coalesce bool, proto core.Protocol, mut func(*core.Config)) *core.System {
+func liveSystem(t *testing.T, proto core.Protocol, mut func(*core.Config)) *core.System {
 	t.Helper()
 	cfg := core.Config{
 		Backend:    core.BackendLive,
@@ -65,7 +59,6 @@ func liveSystem(t *testing.T, coalesce bool, proto core.Protocol, mut func(*core
 		// and the post-deadline drain stays short (NoCM can livelock on
 		// hot keys — on live that is real spinning, not virtual time).
 		Policy:   cm.FairCM,
-		Coalesce: coalesce,
 		Protocol: proto,
 		// Every live app test runs with the flight recorder on, so the
 		// emit paths race real goroutines under -race in CI.
@@ -99,8 +92,8 @@ func checkQuiesced(t *testing.T, s *core.System, st *core.Stats) {
 }
 
 func TestLiveBank(t *testing.T) {
-	eachVariant(t, func(t *testing.T, coalesce bool, proto core.Protocol) {
-		s := liveSystem(t, coalesce, proto, nil)
+	eachProtocol(t, func(t *testing.T, proto core.Protocol) {
+		s := liveSystem(t, proto, nil)
 		const accounts = 128
 		b := bank.New(s, accounts)
 		s.SpawnWorkers(b.TransferWorker(10))
@@ -124,8 +117,8 @@ func TestLiveBankZipfAdaptive(t *testing.T) {
 		window *= 4
 	}
 	var migrations uint64
-	eachVariant(t, func(t *testing.T, coalesce bool, proto core.Protocol) {
-		s := liveSystem(t, coalesce, proto, func(c *core.Config) {
+	eachProtocol(t, func(t *testing.T, proto core.Protocol) {
+		s := liveSystem(t, proto, func(c *core.Config) {
 			c.Placement = placement.AdaptiveHier
 			c.RepartitionEpoch = 512
 		})
@@ -149,8 +142,8 @@ func TestLiveBankZipfAdaptive(t *testing.T) {
 }
 
 func TestLiveHashSet(t *testing.T) {
-	eachVariant(t, func(t *testing.T, coalesce bool, proto core.Protocol) {
-		s := liveSystem(t, coalesce, proto, nil)
+	eachProtocol(t, func(t *testing.T, proto core.Protocol) {
+		s := liveSystem(t, proto, nil)
 		set := hashset.New(s, 32)
 		r := port.NewRand(11)
 		keys := set.InitFill(128, 512, &r)
@@ -174,8 +167,8 @@ func TestLiveIntSet(t *testing.T) {
 	for _, mode := range []intset.Mode{intset.Normal, intset.ElasticEarly, intset.ElasticRead} {
 		mode := mode
 		t.Run(mode.String(), func(t *testing.T) {
-			eachVariant(t, func(t *testing.T, coalesce bool, proto core.Protocol) {
-				s := liveSystem(t, coalesce, proto, nil)
+			eachProtocol(t, func(t *testing.T, proto core.Protocol) {
+				s := liveSystem(t, proto, nil)
 				l := intset.New(s)
 				r := port.NewRand(13)
 				l.InitFill(96, 384, &r)
@@ -197,8 +190,8 @@ func TestLiveIntSet(t *testing.T) {
 }
 
 func TestLiveMapReduce(t *testing.T) {
-	eachVariant(t, func(t *testing.T, coalesce bool, proto core.Protocol) {
-		s := liveSystem(t, coalesce, proto, func(c *core.Config) { c.ServiceCores = 2 })
+	eachProtocol(t, func(t *testing.T, proto core.Protocol) {
+		s := liveSystem(t, proto, func(c *core.Config) { c.ServiceCores = 2 })
 		const size = 96 << 10
 		j := mapreduce.NewJob(s, 7, size, 8<<10)
 		s.SpawnWorkers(func(rt *core.Runtime) { j.Worker(rt) })
@@ -214,8 +207,8 @@ func TestLiveMapReduce(t *testing.T) {
 }
 
 func TestLiveMultitaskDeployment(t *testing.T) {
-	eachVariant(t, func(t *testing.T, coalesce bool, proto core.Protocol) {
-		s := liveSystem(t, coalesce, proto, func(c *core.Config) { c.Deployment = core.Multitask; c.TotalCores = 8 })
+	eachProtocol(t, func(t *testing.T, proto core.Protocol) {
+		s := liveSystem(t, proto, func(c *core.Config) { c.Deployment = core.Multitask; c.TotalCores = 8 })
 		b := bank.New(s, 64)
 		s.SpawnWorkers(b.TransferWorker(5))
 		st := s.Run(liveWindow)
@@ -229,7 +222,7 @@ func TestLiveMultitaskDeployment(t *testing.T) {
 func TestLiveRawBaseline(t *testing.T) {
 	// SpawnRaw + global lock on the live backend: TAS mutual exclusion
 	// must hold under real concurrency.
-	s := liveSystem(t, false, core.ProtocolVisible, func(c *core.Config) { c.ServiceCores = -1; c.TotalCores = 8 })
+	s := liveSystem(t, core.ProtocolVisible, func(c *core.Config) { c.ServiceCores = -1; c.TotalCores = 8 })
 	b := bank.New(s, 32)
 	l := bank.NewGlobalLock(s)
 	deadline := port.Time(liveWindow)
@@ -254,8 +247,8 @@ func TestLiveBarrier(t *testing.T) {
 	// The §8 privatization barrier across really-concurrent workers: every
 	// core increments its slot transactionally, meets the barrier, then
 	// reads everyone else's slot directly (privatized by the barrier).
-	eachVariant(t, func(t *testing.T, coalesce bool, proto core.Protocol) {
-		s := liveSystem(t, coalesce, proto, func(c *core.Config) { c.TotalCores = 8 })
+	eachProtocol(t, func(t *testing.T, proto core.Protocol) {
+		s := liveSystem(t, proto, func(c *core.Config) { c.TotalCores = 8 })
 		n := s.NumAppCores()
 		slots := core.NewTArray(s, core.Uint64Codec(), n, 0)
 		s.SpawnWorkers(func(rt *core.Runtime) {
@@ -277,9 +270,7 @@ func TestLiveBarrier(t *testing.T) {
 // TestLiveIrrevocable stays on the visible protocol: irrevocability
 // requires it (RunIrrevocable panics under tl2).
 func TestLiveIrrevocable(t *testing.T) {
-	bothPlanes(t, func(t *testing.T, coalesce bool) {
-		runIrrevocableBank(t, coalesce, nil)
-	})
+	onPlainPlane(t, func(t *testing.T) { runIrrevocableBank(t, nil) })
 }
 
 // TestLiveIrrevocableSnapshotCountsCommits: the snapshotter's final JSONL
@@ -287,7 +278,7 @@ func TestLiveIrrevocable(t *testing.T) {
 // Stats.Commits on an irrevocable mix.
 func TestLiveIrrevocableSnapshotCountsCommits(t *testing.T) {
 	var buf bytes.Buffer
-	st := runIrrevocableBank(t, false, func(c *core.Config) {
+	st := runIrrevocableBank(t, func(c *core.Config) {
 		c.Snapshot = &trace.SnapshotOptions{W: &buf, Every: time.Millisecond}
 	})
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
@@ -302,8 +293,8 @@ func TestLiveIrrevocableSnapshotCountsCommits(t *testing.T) {
 
 // runIrrevocableBank runs a bank mix whose transfers are 5 % irrevocable and
 // checks it quiesced, ran irrevocables and conserved the money.
-func runIrrevocableBank(t *testing.T, coalesce bool, mut func(*core.Config)) *core.Stats {
-	s := liveSystem(t, coalesce, core.ProtocolVisible, func(c *core.Config) {
+func runIrrevocableBank(t *testing.T, mut func(*core.Config)) *core.Stats {
+	s := liveSystem(t, core.ProtocolVisible, func(c *core.Config) {
 		c.TotalCores = 8
 		if mut != nil {
 			mut(c)

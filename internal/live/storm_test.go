@@ -35,7 +35,7 @@ func TestLiveRetryStormBounded(t *testing.T) {
 
 // retryStorm runs the scenario once and returns the loser's attempt count.
 func retryStorm(t *testing.T) (attempts int) {
-	s := liveSystem(t, false, core.ProtocolVisible, func(c *core.Config) { c.TotalCores = 4 })
+	s := liveSystem(t, core.ProtocolVisible, func(c *core.Config) { c.TotalCores = 4 })
 	const accounts, funds = 4, 1000
 	a := core.NewTArray(s, core.Uint64Codec(), accounts, uint64(funds))
 	transfer := func(rt *core.Runtime, from, to int) int {
@@ -115,7 +115,7 @@ func TestLiveOversubscribedCommitRate(t *testing.T) {
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
 			for try := 0; try < 3; try++ {
-				s := liveSystem(t, false, core.ProtocolVisible, func(c *core.Config) { c.TotalCores = 48 })
+				s := liveSystem(t, core.ProtocolVisible, func(c *core.Config) { c.TotalCores = 48 })
 				b := bank.New(s, 1024)
 				s.SpawnWorkers(b.TransferWorker(row.balancePct))
 				st := s.Run(300 * time.Millisecond)

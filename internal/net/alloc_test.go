@@ -18,8 +18,8 @@ import (
 const netAllocBudget = 12
 
 // TestNetBankAllocBudget is internal/live's measureLiveAllocs on the net
-// backend: two in-process ranks over one unix socket, coalescing on as
-// bench's net-bank runs it, every worker transferring between two accounts
+// backend: two in-process ranks over one unix socket, as bench's net-bank
+// runs it, every worker transferring between two accounts
 // of its own so that no attempt aborts. Workers warm every pool and scratch
 // buffer up, meet at a cross-rank barrier, and the Mallocs delta of the
 // whole process (both ranks: a frame's sender and its reader) is taken
@@ -39,7 +39,7 @@ func TestNetBankAllocBudget(t *testing.T) {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			cfg := netConfig(r, ranks, addrs, true)
+			cfg := netConfig(r, ranks, addrs)
 			cfg.Trace = nil
 			_, _, errs[r] = runOneRank(netApp{run: func(s *core.System) (*core.Stats, func() error) {
 				accts := core.NewTArray(s, core.Uint64Codec(), 2*s.NumAppCores(), 100)

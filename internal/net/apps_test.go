@@ -132,15 +132,14 @@ var appNames = []string{"bank", "hashset", "intset", "mapreduce"}
 
 // netConfig is the shared per-rank Config: everything identical across
 // ranks except Net.Rank.
-func netConfig(rank, ranks int, addrs []string, coalesce bool) core.Config {
+func netConfig(rank, ranks int, addrs []string) core.Config {
 	return core.Config{
 		Backend:    core.BackendNet,
 		Seed:       7,
 		TotalCores: 8,
 		// FairCM: starvation-free, so the post-deadline drain stays short
 		// (see the live tests — on net, livelock would be real RPCs).
-		Policy:   cm.FairCM,
-		Coalesce: coalesce,
+		Policy: cm.FairCM,
 		// The flight recorder stays on so every emit path runs per-process.
 		Trace: &trace.Options{ActorEvents: 1024},
 		Net:   &core.NetConfig{Ranks: ranks, Rank: rank, Addrs: addrs, Session: 0},
@@ -191,7 +190,7 @@ func runOneRank(app netApp, cfg core.Config) (st *core.Stats, check func() error
 // runRanks runs one workload across ranks engine replicas inside this
 // process (one goroutine per rank) and checks rank-0 invariants plus the
 // cross-rank agreement of the merged stats.
-func runRanks(t *testing.T, ranks int, name string, coalesce bool) {
+func runRanks(t *testing.T, ranks int, name string) {
 	t.Helper()
 	app, ok := netApps[name]
 	if !ok {
@@ -207,7 +206,7 @@ func runRanks(t *testing.T, ranks int, name string, coalesce bool) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			cfg := netConfig(r, ranks, addrs, coalesce)
+			cfg := netConfig(r, ranks, addrs)
 			if app.mut != nil {
 				app.mut(&cfg)
 			}
@@ -239,9 +238,10 @@ func runRanks(t *testing.T, ranks int, name string, coalesce bool) {
 func TestNetApps(t *testing.T) {
 	for _, name := range appNames {
 		name := name
+		// "plain" names the one message plane: every payload is its own
+		// wire message.
 		t.Run(name, func(t *testing.T) {
-			t.Run("plain", func(t *testing.T) { runRanks(t, 2, name, false) })
-			t.Run("coalesce", func(t *testing.T) { runRanks(t, 2, name, true) })
+			t.Run("plain", func(t *testing.T) { runRanks(t, 2, name) })
 		})
 	}
 }
@@ -249,7 +249,7 @@ func TestNetApps(t *testing.T) {
 // TestNetBankThreeRanks covers the many-link topology: rank 2 dials both
 // lower ranks, core→rank assignment is non-uniform (8 cores over 3 ranks).
 func TestNetBankThreeRanks(t *testing.T) {
-	runRanks(t, 3, "bank", true)
+	runRanks(t, 3, "bank")
 }
 
 // TestNetBarrier runs the §8 privatization barrier across ranks: the
@@ -271,7 +271,7 @@ func TestNetBarrier(t *testing.T) {
 					errs[r] = fmt.Errorf("rank %d: panic: %v", r, p)
 				}
 			}()
-			cfg := netConfig(r, ranks, addrs, false)
+			cfg := netConfig(r, ranks, addrs)
 			s, err := core.NewSystem(cfg)
 			if err != nil {
 				errs[r] = err
@@ -326,7 +326,7 @@ func TestNetIrrevocable(t *testing.T) {
 					errs[r] = fmt.Errorf("rank %d: panic: %v", r, p)
 				}
 			}()
-			cfg := netConfig(r, ranks, addrs, false)
+			cfg := netConfig(r, ranks, addrs)
 			s, err := core.NewSystem(cfg)
 			if err != nil {
 				errs[r] = err
@@ -395,11 +395,10 @@ func TestNetIrrevocable(t *testing.T) {
 // the child runs one non-zero rank of the named workload and exits 0 on
 // success.
 const (
-	envApp      = "TM2C_NET_TEST_APP"
-	envRank     = "TM2C_NET_TEST_RANK"
-	envRanks    = "TM2C_NET_TEST_RANKS"
-	envAddrs    = "TM2C_NET_TEST_ADDRS"
-	envCoalesce = "TM2C_NET_TEST_COALESCE"
+	envApp   = "TM2C_NET_TEST_APP"
+	envRank  = "TM2C_NET_TEST_RANK"
+	envRanks = "TM2C_NET_TEST_RANKS"
+	envAddrs = "TM2C_NET_TEST_ADDRS"
 )
 
 func TestMain(m *testing.M) {
@@ -424,7 +423,7 @@ func helperMain(name string) int {
 		return 2
 	}
 	addrs := strings.Split(os.Getenv(envAddrs), ",")
-	cfg := netConfig(rank, ranks, addrs, os.Getenv(envCoalesce) == "1")
+	cfg := netConfig(rank, ranks, addrs)
 	if app.mut != nil {
 		app.mut(&cfg)
 	}
@@ -462,7 +461,6 @@ func TestNetOSProcesses(t *testing.T) {
 				envRank+"=1",
 				envRanks+"=2",
 				envAddrs+"="+strings.Join(addrs, ","),
-				envCoalesce+"=1",
 			)
 			var childOut strings.Builder
 			cmd.Stdout = &childOut
@@ -471,7 +469,7 @@ func TestNetOSProcesses(t *testing.T) {
 				t.Fatalf("fork rank 1: %v", err)
 			}
 			app := netApps[name]
-			cfg := netConfig(0, 2, addrs, true)
+			cfg := netConfig(0, 2, addrs)
 			if app.mut != nil {
 				app.mut(&cfg)
 			}

@@ -217,23 +217,6 @@ func (pl *Platform) MsgDelay(src, dst, payloadBytes, recvPeers int) time.Duratio
 	return d
 }
 
-// BatchDelay returns the one-way latency of a coalesced wire message
-// carrying payloads protocol payloads totaling payloadBytes, from src to
-// dst, where the receiver polls recvPeers potential senders. The fixed
-// per-message software costs — SendOverhead, RecvOverhead, hop traversal,
-// per-peer polling — are charged ONCE for the whole envelope; only the
-// payload bytes (each payload's framing included in its own byte count)
-// scale with the batch. This is the amortization the paper's numbers make
-// worthwhile: on the SCC the fixed costs are microseconds while a payload
-// byte is nanoseconds, so k coalesced payloads cost barely more than one.
-// A single-payload batch costs exactly MsgDelay.
-func (pl *Platform) BatchDelay(src, dst, payloadBytes, payloads, recvPeers int) time.Duration {
-	if payloads < 1 {
-		panic(fmt.Sprintf("noc: batch of %d payloads", payloads))
-	}
-	return pl.MsgDelay(src, dst, payloadBytes, recvPeers)
-}
-
 // Compute scales a nominal (SCC-533) compute duration to this platform.
 func (pl *Platform) Compute(d time.Duration) time.Duration {
 	return time.Duration(float64(d) * pl.ComputeScale)

@@ -230,38 +230,3 @@ func TestMCCountFloor(t *testing.T) {
 		t.Fatalf("MCCount floor = %d, want 1", pl.MCCount())
 	}
 }
-
-// TestBatchDelayAmortizesFixedCosts pins the batched cost model: a
-// coalesced envelope pays the fixed software costs (send/receive overhead,
-// hops, polling) once, so k payloads in one wire message must be strictly
-// cheaper than k separate messages of the same total bytes — and a
-// single-payload batch must cost exactly MsgDelay.
-func TestBatchDelayAmortizesFixedCosts(t *testing.T) {
-	for _, pl := range []Platform{SCC(0), SCC(1), Opteron()} {
-		const perPayload, k, peers = 48, 8, 24
-		single := pl.MsgDelay(0, 47, perPayload, peers)
-		if got := pl.BatchDelay(0, 47, perPayload, 1, peers); got != single {
-			t.Errorf("%s: BatchDelay(1 payload) = %v, want MsgDelay %v", pl.Name, got, single)
-		}
-		batched := pl.BatchDelay(0, 47, k*perPayload, k, peers)
-		if batched >= time.Duration(k)*single {
-			t.Errorf("%s: batched %v not cheaper than %d singles %v", pl.Name, batched, k, time.Duration(k)*single)
-		}
-		// The whole fixed cost is amortized: the batch costs one fixed part
-		// plus k payloads' bytes.
-		want := single + time.Duration((k-1)*perPayload)*pl.PerByte
-		if batched != want {
-			t.Errorf("%s: BatchDelay = %v, want fixed-once model %v", pl.Name, batched, want)
-		}
-	}
-}
-
-func TestBatchDelayRejectsEmptyBatch(t *testing.T) {
-	pl := SCC(0)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("BatchDelay(0 payloads) did not panic")
-		}
-	}()
-	pl.BatchDelay(0, 1, 0, 0, 1)
-}

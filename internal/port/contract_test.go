@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	_ "repro/internal/core" // registers the Batch envelope's wire codec
 	"repro/internal/live"
 	tmnet "repro/internal/net"
 	"repro/internal/port"
@@ -38,14 +37,6 @@ func val(m port.Msg) int { return m.Payload.(*note).V }
 
 func is(v int) func(port.Msg) bool {
 	return func(m port.Msg) bool { return val(m) == v }
-}
-
-func batch(vs ...int) *port.Batch {
-	b := &port.Batch{}
-	for _, v := range vs {
-		b.Payloads = append(b.Payloads, &note{V: v})
-	}
-	return b
 }
 
 const rigSeed = 42
@@ -254,30 +245,6 @@ var contract = []contractCase{
 					t.Errorf("service drained %d of %d messages before dying", got, n)
 				}
 			}
-		},
-	},
-	{
-		// Receivers never observe an envelope: one message per payload, in
-		// staged order, pickable from the middle; the hook sees the count.
-		name: "a Batch envelope unpacks at the mailbox",
-		build: func(t *testing.T) (actor, actor, func()) {
-			recv := func(self, peer port.Port) {
-				var hooked []int
-				self.(interface{ SetBatchHook(func(int)) }).SetBatchHook(func(n int) { hooked = append(hooked, n) })
-				self.RecvMatch(is(0))
-				m := self.RecvMatch(is(11))
-				if m.From != peer.ID() {
-					t.Errorf("unpacked payload From = %d, want the envelope's sender %d", m.From, peer.ID())
-				}
-				expect(t, "TryRecv the rest of the envelope", self.TryRecv, 10, 12)
-				if m, ok := self.TryRecv(); ok {
-					t.Errorf("TryRecv past the envelope returned %v", m.Payload)
-				}
-				if len(hooked) != 1 || hooked[0] != 3 {
-					t.Errorf("batch hook saw %v, want one envelope of 3", hooked)
-				}
-			}
-			return recv, sendAll(batch(10, 11, 12), 0), nil
 		},
 	},
 	{

@@ -183,8 +183,8 @@ func (h *Host) Fail(r any) {
 
 // HostPort is one real-time execution context: a goroutine with a mailbox.
 // All methods except ID and Push must be called from the port's own
-// goroutine; the stash (messages set aside by selective receive) and the
-// batch hook are single-consumer state.
+// goroutine; the stash (messages set aside by selective receive) is
+// single-consumer state.
 type HostPort struct {
 	host *Host
 	id   int
@@ -193,8 +193,7 @@ type HostPort struct {
 	// The raw inbox: a channel of inboxCap slots, and a spill queue that is
 	// used only while the channel is full (like the stash, it keeps the
 	// array a burst grew). It is touched only through Push, tryPop, pop and
-	// next below. Raw messages may be Batch envelopes; deliver unpacks them
-	// on the receiver's goroutine.
+	// next below.
 	ch       chan Msg
 	spilling atomic.Bool // raised under mu by the push that starts a spill, lowered when it empties
 	mu       sync.Mutex  // guards spill and every change of spilling
@@ -213,18 +212,10 @@ type HostPort struct {
 	// procs use as their mailbox.
 	stash MsgQueue
 
-	onBatch func(n int)
-	timer   *time.Timer // reused by RecvMatchTimeout and parked pauses
+	timer *time.Timer // reused by RecvMatchTimeout and parked pauses
 }
 
 var _ Port = (*HostPort)(nil)
-
-// SetBatchHook installs fn to observe every multi-payload Batch envelope
-// this port unpacks (called with the envelope's payload count, on the
-// port's own goroutine). Install it before Host.Start; nil disables it. The
-// hook sits outside the Port interface — observers discover it by type
-// assertion, as they do on *sim.Proc.
-func (p *HostPort) SetBatchHook(fn func(n int)) { p.onBatch = fn }
 
 // ID returns the spawn-order port identifier.
 func (p *HostPort) ID() int { return p.id }
@@ -328,9 +319,6 @@ func (p *HostPort) Send(dst Port, payload any, delay time.Duration) {
 	if delay < 0 {
 		panic(fmt.Sprintf("port: negative send delay %v", delay))
 	}
-	if b, ok := payload.(*Batch); ok && len(b.Payloads) == 0 {
-		panic("port: empty batch envelope")
-	}
 	if d, ok := dst.(*HostPort); ok {
 		d.Push(Msg{From: p.id, Payload: payload})
 		return
@@ -431,25 +419,6 @@ func (p *HostPort) pop(t *time.Timer) (Msg, bool) {
 	panic(unwind{})
 }
 
-// deliver appends a raw message to the stash, unpacking a Batch envelope
-// into one stashed message per payload (staged order, the envelope's
-// sender). Receivers therefore only ever observe individual protocol
-// payloads, exactly as on the simulated backend.
-func (p *HostPort) deliver(m Msg) {
-	b, ok := m.Payload.(*Batch)
-	if !ok {
-		p.stash.Push(m)
-		return
-	}
-	for _, pl := range b.Payloads {
-		p.stash.Push(Msg{From: m.From, Payload: pl})
-	}
-	if p.onBatch != nil {
-		p.onBatch(len(b.Payloads))
-	}
-	PutBatch(b)
-}
-
 // next blocks for the next raw message: pop(nil), with the common case — no
 // spill, a wait that ends with a channel message — in a frame of its own
 // that holds a two-case select and nothing else. A receiver resumes on a
@@ -479,7 +448,7 @@ func (p *HostPort) next() Msg {
 func (p *HostPort) tryFill() bool {
 	m, ok := p.tryPop()
 	if ok {
-		p.deliver(m)
+		p.stash.Push(m)
 	}
 	return ok
 }
@@ -498,7 +467,7 @@ func (p *HostPort) fillUntil(deadline time.Time) bool {
 	m, ok := p.pop(p.timer)
 	p.timer.Stop()
 	if ok {
-		p.deliver(m)
+		p.stash.Push(m)
 	}
 	return ok
 }
@@ -507,7 +476,7 @@ func (p *HostPort) fillUntil(deadline time.Time) bool {
 // delivered one (stashed messages first — they were delivered earlier).
 func (p *HostPort) Recv() Msg {
 	for p.stash.Len() == 0 {
-		p.deliver(p.next())
+		p.stash.Push(p.next())
 	}
 	return p.stash.Pop()
 }
@@ -528,7 +497,7 @@ func (p *HostPort) RecvMatch(pred func(Msg) bool) Msg {
 		if m, ok := p.stash.TakeMatch(pred); ok {
 			return m
 		}
-		p.deliver(p.next())
+		p.stash.Push(p.next())
 	}
 }
 

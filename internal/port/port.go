@@ -1,7 +1,6 @@
 // Package port defines the execution-port abstraction of TM2C-Go: the thin
 // message-passing and timing interface the whole DTM protocol is written
-// against, and the value types that cross it (Time, Msg, MsgQueue, Batch,
-// Rand).
+// against, and the value types that cross it (Time, Msg, MsgQueue, Rand).
 //
 // TM2C's portability story (§3 of the paper) is that the protocol only ever
 // touches a small message-passing library, which is how the same code ran on
@@ -39,8 +38,8 @@ import "time"
 // satisfying a pure predicate and leaves everything else queued in delivery
 // order. The DTM protocol relies on exactly these semantics for its
 // correlation-tagged RPC layer. The interface holds only what the protocol
-// calls; a backend's extras (HostPort.RecvMatchTimeout, the SetBatchHook
-// observers) sit outside it and are found by type assertion.
+// calls; a backend's extra (HostPort.RecvMatchTimeout) sits outside it and
+// is found by type assertion.
 type Port interface {
 	// ID returns the backend-assigned port identifier.
 	ID() int

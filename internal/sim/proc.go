@@ -26,20 +26,10 @@ type Proc struct {
 	mbox    port.MsgQueue
 	waiting bool
 
-	// onBatch, when set, observes every Batch envelope unpacked into this
-	// proc's mailbox (the payload count). It runs in kernel context at the
-	// delivery instant; it must not touch kernel state or block.
-	onBatch func(n int)
-
 	rng Rand
 }
 
 var _ port.Port = (*Proc)(nil)
-
-// SetBatchHook installs fn to observe every multi-payload Batch envelope
-// delivered to this proc (called with the envelope's payload count at the
-// delivery instant). Install before the kernel runs; a nil fn disables it.
-func (p *Proc) SetBatchHook(fn func(n int)) { p.onBatch = fn }
 
 // Spawn creates a new proc running fn and schedules it to start at the
 // current virtual time. Spawn may be called from kernel context or from a
@@ -122,9 +112,6 @@ func (p *Proc) Send(dst port.Port, payload any, delay time.Duration) {
 	if delay < 0 {
 		panic(fmt.Sprintf("sim: negative send delay %v", delay))
 	}
-	if b, ok := payload.(*port.Batch); ok && len(b.Payloads) == 0 {
-		panic("sim: empty batch envelope")
-	}
 	k := p.k
 	at := k.deliverAt(int32(p.id), int32(d.id), k.now+Time(delay))
 	k.schedule(at, event{kind: evDeliver, src: int32(p.id), proc: d, payload: payload})
@@ -137,20 +124,7 @@ func (k *Kernel) deliver(ev *event) {
 	if dst.finished {
 		return
 	}
-	// A Batch envelope is unpacked here, at the mailbox: each payload
-	// becomes its own Msg in staged order, so receive loops and
-	// selective-receive predicates never see the envelope itself.
-	if b, ok := ev.payload.(*port.Batch); ok {
-		for _, pl := range b.Payloads {
-			dst.mbox.Push(port.Msg{From: src, Payload: pl})
-		}
-		if dst.onBatch != nil {
-			dst.onBatch(len(b.Payloads))
-		}
-		port.PutBatch(b)
-	} else {
-		dst.mbox.Push(port.Msg{From: src, Payload: ev.payload})
-	}
+	dst.mbox.Push(port.Msg{From: src, Payload: ev.payload})
 	if dst.waiting {
 		dst.waiting = false
 		k.resume(dst)

@@ -397,71 +397,3 @@ func TestRecvMatchBlocksUntilMatchArrives(t *testing.T) {
 		t.Fatalf("matched at %v, want 5µs", matchedAt)
 	}
 }
-
-// TestBatchEnvelopeUnpacksAtMailbox: a *Batch payload must be unpacked at
-// delivery — the receiver observes one Msg per payload, in staged order, at
-// the envelope's delivery instant and carrying its sender, and never sees
-// the Batch itself. This is the delivery half of the coalescing message
-// plane.
-func TestBatchEnvelopeUnpacksAtMailbox(t *testing.T) {
-	k := New(1)
-	var got []port.Msg
-	var at []Time
-	recvd := k.Spawn("recv", func(p *Proc) {
-		for i := 0; i < 4; i++ {
-			got = append(got, p.Recv())
-			at = append(at, p.Now())
-		}
-	})
-	sender := k.Spawn("send", func(p *Proc) {
-		p.Send(recvd, &port.Batch{Payloads: []any{"a", "b", "c"}}, 10*time.Nanosecond)
-		p.Send(recvd, "solo", 20*time.Nanosecond)
-	})
-	k.Run(Infinity)
-	if len(got) != 4 {
-		t.Fatalf("received %d messages, want 4", len(got))
-	}
-	want := []any{"a", "b", "c", "solo"}
-	for i, m := range got {
-		if m.Payload != want[i] {
-			t.Errorf("msg %d payload %v, want %v", i, m.Payload, want[i])
-		}
-		if _, isBatch := m.Payload.(*port.Batch); isBatch {
-			t.Errorf("msg %d: receiver observed a raw Batch envelope", i)
-		}
-	}
-	// The unpacked messages share the envelope's delivery instant and sender.
-	if at[0] != Time(10) || at[1] != at[0] || at[2] != at[0] || at[3] != Time(20) {
-		t.Errorf("received at %v, want [10ns 10ns 10ns 20ns]", at)
-	}
-	for i, m := range got {
-		if m.From != sender.ID() {
-			t.Errorf("msg %d from %d, want the envelope's sender %d", i, m.From, sender.ID())
-		}
-	}
-}
-
-// TestBatchEnvelopeSelectiveReceive: selective receive must see the
-// unpacked payloads individually — a predicate can take one payload out of
-// the middle of an envelope and leave the rest queued in order.
-func TestBatchEnvelopeSelectiveReceive(t *testing.T) {
-	k := New(1)
-	var order []any
-	recvd := k.Spawn("recv", func(p *Proc) {
-		m := p.RecvMatch(func(m port.Msg) bool { return m.Payload == "pick" })
-		order = append(order, m.Payload)
-		for i := 0; i < 2; i++ {
-			order = append(order, p.Recv().Payload)
-		}
-	})
-	k.Spawn("send", func(p *Proc) {
-		p.Send(recvd, &port.Batch{Payloads: []any{"x", "pick", "y"}}, 0)
-	})
-	k.Run(Infinity)
-	want := []any{"pick", "x", "y"}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order %v, want %v", order, want)
-		}
-	}
-}

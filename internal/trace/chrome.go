@@ -54,11 +54,11 @@ type openSpan struct {
 // chrome://tracing or Perfetto. Each actor gets one lane (thread):
 // transaction attempts and commit phases become nested duration spans,
 // lock request→grant/NACK pairs become flow arrows between the app and DTM
-// lanes, and aborts, doomed reads, clock ticks, coalesced envelopes,
-// freezes and handoffs become instant events. A KRead becomes one only when
-// its key is held by more than the read's own read lock (locked ahead by a
-// scan, or write-locked for update), to keep the render small; WriteText
-// includes every KRead.
+// lanes, and aborts, doomed reads, clock ticks, freezes and handoffs become
+// instant events. Wire sends are left out, as noise at chrome scale, and a
+// KRead becomes an event only when its key is held by more than the read's
+// own read lock (locked ahead by a scan, or write-locked for update), to keep
+// the render small; WriteText includes every event.
 func WriteChrome(w io.Writer, t *Trace) error {
 	var out []chromeEvent
 
@@ -219,21 +219,6 @@ func WriteChrome(w io.Writer, t *Trace) error {
 			out = append(out, chromeEvent{
 				Name: "clock tick", Cat: "tl2", Ph: "i", Ts: ts, Pid: 1, Tid: tid, S: "t",
 				Args: map[string]any{"tx": e.TxID, "wv": e.A},
-			})
-		case KWireSend:
-			if e.C < 2 {
-				continue // singleton sends are noise at chrome scale
-			}
-			out = append(out, chromeEvent{
-				Name: fmt.Sprintf("envelope(%d)", e.C),
-				Cat:  "wire", Ph: "i", Ts: ts, Pid: 1, Tid: tid, S: "t",
-				Args: map[string]any{"dst_core": e.A, "bytes": e.B, "payloads": e.C},
-			})
-		case KEnvelopeDeliver:
-			out = append(out, chromeEvent{
-				Name: fmt.Sprintf("deliver(%d)", e.C),
-				Cat:  "wire", Ph: "i", Ts: ts, Pid: 1, Tid: tid, S: "t",
-				Args: map[string]any{"payloads": e.C},
 			})
 		case KFreeze:
 			out = append(out, chromeEvent{

@@ -24,17 +24,13 @@ import (
 var update = flag.Bool("update", false, "rewrite the golden trace testdata")
 
 // goldenConfig is the pinned contended-bank run: few accounts on many cores
-// forces conflict aborts (the taxonomy coverage). Every burst goes through
-// the coalescing plane's staging point; with one payload per node per burst
-// nothing merges, so envelope rendering is TestWriteChrome's, on a
-// synthetic trace.
+// forces conflict aborts (the taxonomy coverage).
 func goldenConfig(proto core.Protocol) core.Config {
 	return core.Config{
 		Backend:    core.BackendSim,
 		Seed:       3,
 		TotalCores: 8,
 		Policy:     cm.FairCM,
-		Coalesce:   true,
 		Protocol:   proto,
 		Trace:      &trace.Options{ActorEvents: 1 << 15},
 	}

@@ -68,12 +68,7 @@ func WriteText(w io.Writer, t *Trace) error {
 		case KClockTick:
 			fmt.Fprintf(bw, "tx=%d clock tick wv=%d", e.TxID, e.A)
 		case KWireSend:
-			fmt.Fprintf(bw, "wire send dst=%d bytes=%d payloads=%d", e.A, e.B, e.C)
-			if e.C >= 2 {
-				fmt.Fprint(bw, " (coalesced envelope)")
-			}
-		case KEnvelopeDeliver:
-			fmt.Fprintf(bw, "envelope deliver payloads=%d", e.C)
+			fmt.Fprintf(bw, "wire send dst=%d bytes=%d", e.A, e.B)
 		case KFreeze:
 			fmt.Fprintf(bw, "freeze stripe=%d %d->%d", e.A, e.B, e.C)
 		case KHandoff:

@@ -5,7 +5,7 @@
 // a DTM service node, the placement directory — owns one Recorder and emits
 // events into it as the protocol runs: transaction attempts, reads, lock
 // request/grant/NACK pairs, commit phases, aborts with a reason taxonomy,
-// wire envelopes, stripe freezes and handoffs. Events are stamped with the
+// wire messages, stripe freezes and handoffs. Events are stamped with the
 // owning port's Now(), so simulator traces are deterministic (virtual time,
 // bit-identical across runs of one seed) and live-backend traces are
 // monotonic wall-clock.
@@ -76,12 +76,8 @@ const (
 	// KClockTick records a TL2 version-clock tick. A = the new version.
 	KClockTick
 	// KWireSend records one physical wire message leaving an actor.
-	// A = destination core, B = modeled bytes, C = payload count (>= 2
-	// means a coalesced multi-payload envelope).
+	// A = destination core, B = modeled bytes.
 	KWireSend
-	// KEnvelopeDeliver records a multi-payload envelope being unpacked at
-	// the receiving mailbox. C = payload count.
-	KEnvelopeDeliver
 	// KFreeze records the placement directory freezing a stripe for
 	// migration. A = stripe, B = current owner node, C = target node.
 	KFreeze
@@ -120,8 +116,6 @@ func (k Kind) String() string {
 		return "clock-tick"
 	case KWireSend:
 		return "wire-send"
-	case KEnvelopeDeliver:
-		return "envelope-deliver"
 	case KFreeze:
 		return "freeze"
 	case KHandoff:
@@ -135,7 +129,7 @@ type Phase uint8
 
 const (
 	// PhaseScatter is the commit's write-lock scatter burst: building and
-	// sending every per-node batch, through the outbox flush.
+	// sending every per-node batch.
 	PhaseScatter Phase = iota
 	// PhaseGather is the await phase collecting the scatter's responses.
 	PhaseGather

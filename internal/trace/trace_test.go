@@ -145,8 +145,7 @@ func syntheticTrace() *Trace {
 	app.Emit(112, KRead, 7, 43, 0, uint64(HoldAhead))
 	app.Emit(114, KRead, 7, 44, 0, uint64(HoldUpdate))
 	app.Emit(120, KLockReq, 7, flow, 42, 1)
-	app.Emit(125, KWireSend, 7, 8, 24, 3)
-	dtm.Emit(140, KEnvelopeDeliver, 0, 0, 0, 3)
+	app.Emit(125, KWireSend, 7, 8, 24, 0)
 	dtm.Emit(150, KLockNack, 7, flow, 1, WinnerWord(4, 3))
 	app.Emit(180, KAbort, 7, uint64(ReasonConflict), 2, 0)
 	app.Emit(200, KAttemptStart, 8, 1, 0, 0)
@@ -182,7 +181,7 @@ func TestWriteChrome(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &parsed); err != nil {
 		t.Fatalf("chrome output is not valid JSON: %v", err)
 	}
-	var abortSpan, abortInstant, envelope, flowStart, flowEnd, winner bool
+	var abortSpan, abortInstant, flowStart, flowEnd, winner bool
 	held := map[float64]string{} // key -> held, for the reads rendered
 	for _, ev := range parsed.TraceEvents {
 		name, _ := ev["name"].(string)
@@ -207,9 +206,6 @@ func TestWriteChrome(t *testing.T) {
 		if strings.HasPrefix(name, "abort:") && ph == "i" {
 			abortInstant = true
 		}
-		if strings.HasPrefix(name, "envelope(") {
-			envelope = true
-		}
 		if ph == "s" {
 			flowStart = true
 		}
@@ -219,9 +215,6 @@ func TestWriteChrome(t *testing.T) {
 	}
 	if !abortSpan || !abortInstant {
 		t.Fatalf("abort span/instant missing (span=%v instant=%v)", abortSpan, abortInstant)
-	}
-	if !envelope {
-		t.Fatal("coalesced envelope instant missing")
 	}
 	if !flowStart || !flowEnd {
 		t.Fatalf("flow arrow missing (s=%v f=%v)", flowStart, flowEnd)
@@ -249,7 +242,7 @@ func TestWriteText(t *testing.T) {
 		"doomed read key=13",
 		"nack flow=2/5 kind=WAW winner core=4 tx=3",
 		"stale-nack flow=3/1 epoch=4 owner=10",
-		"coalesced envelope",
+		"wire send dst=8 bytes=24",
 		"phase scatter {",
 		"clock tick wv=17",
 		"freeze stripe=6",

@@ -9,9 +9,9 @@
 //
 //   - Payload codec: a registry mapping each protocol message type to a
 //     stable one-byte payload kind and a hand-written encoder/decoder pair.
-//     internal/core registers its four DTM protocol messages plus the Batch
-//     envelope at init time; nothing else ever crosses the wire, so the
-//     registry is closed and the encoding is exhaustively property-tested.
+//     internal/core registers its four DTM protocol messages at init time;
+//     nothing else ever crosses the wire, so the registry is closed and the
+//     encoding is exhaustively property-tested.
 //
 // All integers are little-endian and fixed-width — no varints, no
 // reflection, no per-build layout dependence — so two processes built from
@@ -36,12 +36,11 @@ import (
 // Version identifies the wire format: frame layout, handshake shape, and
 // every registered payload encoding. Peers with different versions refuse
 // to talk during the handshake rather than misparse each other mid-run.
-const Version uint16 = 7
+const Version uint16 = 8
 
 // MaxFrame bounds a frame body so a corrupt or hostile length prefix cannot
 // make a reader allocate unboundedly. The largest legitimate frames are
-// coalesced Batch envelopes and state-RPC read-batch responses, both far
-// below this.
+// state-RPC read-batch responses, far below this.
 const MaxFrame = 16 << 20
 
 // PortResolver maps a spawn-order port ID back to the local process's
@@ -164,15 +163,6 @@ func (d *Dec) Failf(format string, args ...any) {
 	if d.err == nil {
 		d.err = fmt.Errorf(format, args...)
 	}
-}
-
-// Peek returns the next unread byte without consuming it; zero when none is
-// left (the read that follows latches the truncation).
-func (d *Dec) Peek() uint8 {
-	if d.err != nil || d.off >= len(d.b) {
-		return 0
-	}
-	return d.b[d.off]
 }
 
 // Count reads a u32 element count written ahead of a sequence whose every
@@ -340,8 +330,7 @@ func DecodePayload(d *Dec) (any, error) {
 	}
 	c := byKind[k]
 	if c == nil {
-		// Latched, not just returned: an envelope decoder nesting this call
-		// reports failure through d.
+		// Latched, not just returned, so d.Err agrees with the result.
 		d.Failf("wire: unknown payload kind %d", k)
 		return nil, d.err
 	}
