@@ -65,7 +65,7 @@ func TestReportPlacementLine(t *testing.T) {
 					t.Errorf("placement line %q lacks %q", line, want)
 				}
 			}
-			for _, w := range []string{"throughput", "node load", "wire messages"} {
+			for _, w := range []string{"throughput", "node load", "messages"} {
 				if !strings.Contains(out.String(), w) {
 					t.Errorf("report lacks the %q line", w)
 				}

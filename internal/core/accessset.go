@@ -10,8 +10,8 @@ import (
 // first-access order, each entry holding the offset and length of its value
 // in the runtime's word arena (16 bytes). A linear-probing index of entry
 // positions + 1 (0: empty) maps a base to its latest entry. EarlyRelease
-// marks an entry released in place, so the order the release bursts and the
-// audit follow holds, and a base read again gets one new entry at the end.
+// marks an entry released in place, so the order the release bursts follow
+// holds, and a base read again gets one new entry at the end.
 // A read for update marks its entry write-locked: the lock it holds is the
 // write lock, in Tx.wlocked, not a read lock.
 // reset keeps every capacity, so a warm runtime allocates nothing here.

@@ -354,7 +354,7 @@ func TestReadOnlyKindString(t *testing.T) {
 }
 
 // TestReadOnlyAuditClean: declared read-only scans interleaved with writers
-// keep the linearizability auditor green — the scan serializes at its last
+// keep the linearizability audit green — the scan serializes at its last
 // read like any lock-holding read-only transaction.
 func TestReadOnlyAuditClean(t *testing.T) {
 	s := testSystem(t, func(cfg *Config) { cfg.Policy = cm.FairCM })

@@ -1,10 +1,14 @@
 package core
 
 import (
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/cm"
 	"repro/internal/mem"
+	"repro/internal/trace"
 )
 
 func TestAuditPassesOnConflictHeavyRun(t *testing.T) {
@@ -63,16 +67,22 @@ func TestAuditPassesOnConflictHeavyRun(t *testing.T) {
 }
 
 func TestAuditCatchesFabricatedViolation(t *testing.T) {
-	// Sanity: the checker is not vacuous — a hand-planted inconsistent
-	// record must be flagged.
+	// Sanity: the checker is not vacuous — a hand-built record whose second
+	// commit read a value the first had overwritten must be flagged.
 	s := testSystem(t, nil)
 	s.EnableAudit()
-	s.audit.records = append(s.audit.records,
-		auditRecord{core: 0, txID: 1, strict: true, commit: 10, seq: 1,
-			writes: []auditAccess{{base: 100, vals: []uint64{5}}}},
-		auditRecord{core: 1, txID: 2, strict: true, commit: 20, seq: 2,
-			reads: []auditAccess{{base: 100, vals: []uint64{4}}}}, // stale read
-	)
+	app0, app1 := trace.NewRecorder(0, 16), trace.NewRecorder(1, 16)
+	app0.Emit(1, trace.KAttemptStart, 1, 1, uint64(Normal), 0)
+	app0.Emit(5, trace.KWrite, 1, 100, 5, 1)
+	app0.Emit(10, trace.KCommit, 1, 1, 10, 1)
+	app1.Emit(12, trace.KAttemptStart, 2, 1, uint64(Normal), 0)
+	app1.Emit(15, trace.KRead, 2, 100, 4, trace.ReadWord(trace.HoldRead, 1)) // stale read
+	app1.Emit(20, trace.KCommit, 2, 1, 20, 2)
+	tr := trace.New()
+	tr.Add(app0, "app0")
+	tr.Add(app1, "app1")
+	tr.Finish()
+	s.traceOut = tr
 	err := s.CheckAudit(nil)
 	if err == nil {
 		t.Fatal("checker accepted an inconsistent history")
@@ -86,6 +96,103 @@ func TestAuditCatchesFabricatedViolation(t *testing.T) {
 	}
 	if v.Error() == "" {
 		t.Fatal("empty error message")
+	}
+}
+
+// TestAuditFailsOnWrappedLane: the audit never skips. A run whose
+// application lane wrapped its ring fails the check with the count it lost.
+func TestAuditFailsOnWrappedLane(t *testing.T) {
+	defer func(n int) { auditLaneEvents = n }(auditLaneEvents)
+	auditLaneEvents = 64
+	s := testSystem(t, nil)
+	s.EnableAudit()
+	a := s.Mem.Alloc(4, 0)
+	s.SpawnWorkers(func(rt *Runtime) {
+		for range 20 {
+			rt.Run(func(tx *Tx) { tx.Write(a, tx.Read(a)+1) })
+		}
+	})
+	s.RunToCompletion()
+	var dropped uint64 // by the application lanes, the ones the check reads
+	for _, rt := range s.runtimes {
+		dropped += s.Trace().LaneDropped[appActor(rt.core)]
+	}
+	if dropped == 0 {
+		t.Fatal("no application lane wrapped; the run must outgrow its ring")
+	}
+	err := s.CheckAudit(nil)
+	if err == nil {
+		t.Fatal("the check passed a record with dropped events")
+	}
+	if want := fmt.Sprintf("dropped %d events", dropped); !strings.Contains(err.Error(), want) {
+		t.Fatalf("error %q does not count the %d dropped events", err, dropped)
+	}
+}
+
+// TestAuditRecordsValues: one hand-checked transaction's record, under both
+// protocols. It reads a word and a two-word object and writes both; its
+// KReads carry the values read and its KWrites the values written, a
+// two-word object's as trace.ValueWord of its words.
+func TestAuditRecordsValues(t *testing.T) {
+	pair := FuncCodec(2, func(v [2]uint64, d []uint64) { copy(d, v[:]) },
+		func(s []uint64) [2]uint64 { return [2]uint64{s[0], s[1]} })
+	for _, proto := range []Protocol{ProtocolVisible, ProtocolTL2} {
+		t.Run(proto.String(), func(t *testing.T) {
+			s := testSystem(t, func(c *Config) { c.Protocol = proto })
+			s.EnableAudit()
+			w := NewTVar(s, Uint64Codec(), 7)
+			p := NewTVar(s, pair, [2]uint64{1, 2})
+			s.SpawnWorkers(func(rt *Runtime) {
+				if rt.AppIndex() != 0 {
+					return
+				}
+				rt.Run(func(tx *Tx) {
+					v, q := w.Get(tx), p.Get(tx)
+					w.Set(tx, v+2)
+					p.Set(tx, [2]uint64{q[0] + 2, q[1] + 2})
+				})
+			})
+			s.RunToCompletion()
+			initial := map[mem.Addr]uint64{w.Addr(): 7, p.Addr(): 1, p.Addr() + 1: 2}
+			if err := s.CheckAudit(initial); err != nil {
+				t.Fatal(err)
+			}
+			if n := s.AuditedCommits(); n != 1 {
+				t.Fatalf("%d audited commits, want 1", n)
+			}
+			hold := trace.HoldRead
+			if proto == ProtocolTL2 {
+				hold = trace.HoldInvisible
+			}
+			type access struct {
+				kind        trace.Kind
+				key, val, c uint64
+			}
+			want := []access{
+				{trace.KRead, uint64(w.Addr()), 7, trace.ReadWord(hold, 1)},
+				{trace.KRead, uint64(p.Addr()), trace.ValueWord([]uint64{1, 2}), trace.ReadWord(hold, 2)},
+				{trace.KWrite, uint64(w.Addr()), 9, 1},
+				{trace.KWrite, uint64(p.Addr()), trace.ValueWord([]uint64{3, 4}), 2},
+			}
+			var got []access
+			var start, commit trace.Event
+			for _, e := range s.Trace().Events {
+				switch e.Kind {
+				case trace.KRead, trace.KWrite:
+					got = append(got, access{e.Kind, e.A, e.B, e.C})
+				case trace.KAttemptStart:
+					start = e
+				case trace.KCommit:
+					commit = e
+				}
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("accesses recorded %+v, want %+v", got, want)
+			}
+			if TxKind(start.B) != Normal || commit.B == 0 || commit.C == 0 {
+				t.Fatalf("attempt start %+v, commit %+v: want kind Normal, an instant and a sequence", start, commit)
+			}
+		})
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/cm"
 	"repro/internal/mem"
+	"repro/internal/trace"
 )
 
 func TestEarlyReleaseDropsLocksAndSkipsCommitRelease(t *testing.T) {
@@ -36,8 +37,8 @@ func TestEarlyReleaseDropsLocksAndSkipsCommitRelease(t *testing.T) {
 }
 
 // TestEarlyReleaseThenRereadRecordsOnce: an object read again after its early
-// release is back in the read set once — counted once, audited once and
-// released once by the commit, like any other read.
+// release is back in the read set once — counted once and released once by
+// the commit, like any other read; the record holds each of its reads.
 func TestEarlyReleaseThenRereadRecordsOnce(t *testing.T) {
 	s := testSystem(t, nil)
 	s.EnableAudit()
@@ -61,15 +62,17 @@ func TestEarlyReleaseThenRereadRecordsOnce(t *testing.T) {
 		})
 	})
 	s.RunToCompletion()
-	if len(s.audit.records) != 1 {
-		t.Fatalf("audited %d commits, want 1", len(s.audit.records))
+	if n := s.AuditedCommits(); n != 1 {
+		t.Fatalf("audited %d commits, want 1", n)
 	}
-	var audited []mem.Addr
-	for _, rd := range s.audit.records[0].reads {
-		audited = append(audited, rd.base)
+	var recorded []mem.Addr // one KRead per read-set entry the attempt made
+	for _, e := range s.Trace().Events {
+		if e.Kind == trace.KRead {
+			recorded = append(recorded, mem.Addr(e.A))
+		}
 	}
-	if want := []mem.Addr{a, a + 1}; !slices.Equal(audited, want) {
-		t.Errorf("audited reads %v, want %v", audited, want)
+	if want := []mem.Addr{a, a, a + 1}; !slices.Equal(recorded, want) {
+		t.Errorf("recorded reads %v, want %v", recorded, want)
 	}
 	slices.Sort(released)
 	if want := []mem.Addr{a, a + 1}; !slices.Equal(released, want) {

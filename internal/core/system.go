@@ -98,7 +98,8 @@ type System struct {
 
 	deadline port.Time
 	stats    Stats
-	audit    *auditor
+	audited  bool          // EnableAudit was called (audit.go)
+	commits  atomic.Uint64 // KCommit's sequence word, drawn only while tracing
 	spawned  bool
 	ran      bool
 

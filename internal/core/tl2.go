@@ -31,13 +31,13 @@ import (
 // prefix of a transaction is a consistent view as of its snapshot instant,
 // even for attempts that later abort — which is opacity.
 //
-// Serialization instants (what the sim audit replays): an update commit
-// serializes at its clock tick — revalidation proves the read set unchanged
-// from first read through a point after the tick, and the write locks +
-// markers keep the write set exclusive from before the tick through
-// publication. A transaction that wrote nothing serializes at its snapshot
-// instant: its reads were each validated against that same snapshot, so no
-// commit-time work (and no message) is needed at all.
+// Serialization instants (KCommit's B word, what the sim audit replays): an
+// update commit serializes at its clock tick — revalidation proves the read
+// set unchanged from first read through a point after the tick, and the
+// write locks + markers keep the write set exclusive from before the tick
+// through publication. A transaction that wrote nothing serializes at its
+// snapshot instant: its reads were each validated against that same
+// snapshot, so no commit-time work (and no message) is needed at all.
 //
 // Under this mode every TxKind degenerates to the same invisible-read
 // semantics: elastic windows and early release exist to relax visible read
@@ -91,6 +91,9 @@ func (*tl2Proto) firstRead(tx *Tx, base mem.Addr, n int) []uint64 {
 	}
 	tx.readVers[base] = ver
 	tx.reads.put(base, off, n)
+	if rt.rec != nil {
+		rt.emit(trace.KRead, tx.id, uint64(base), trace.ValueWord(vals), trace.ReadWord(trace.HoldInvisible, n))
+	}
 	rt.shard.LocalReads++
 	return vals
 }

@@ -11,10 +11,10 @@ import (
 // Flight-recorder wiring (Config.Trace; see internal/trace). Every emit
 // site below and across tx.go/rpc.go/tl2.go/dtm.go funnels through the two
 // helpers here, whose trace-off fast path is exactly one nil comparison:
-// Now() is only evaluated with tracing on, no time is advanced, no
-// randomness is drawn, and nothing allocates — which is why trace-off runs
-// stay bit-identical to the pinned figure fingerprints and trace-on sim
-// runs stay deterministic.
+// Now() and value words are only computed with tracing on, no time is
+// advanced, no randomness is drawn, and nothing allocates — which is why
+// trace-off runs stay bit-identical to the pinned figure fingerprints and
+// trace-on sim runs stay deterministic.
 
 // appActor is an application runtime's trace lane: its physical core ID.
 func appActor(core int) int32 { return int32(core) }
@@ -23,8 +23,7 @@ func appActor(core int) int32 { return int32(core) }
 // services get distinct lanes.
 func dtmActor(core int) int32 { return trace.DTMActorBase + int32(core) }
 
-// emit records one event on the runtime's lane; a no-op when tracing is
-// off.
+// emit records one event on the runtime's lane; a no-op with tracing off.
 func (rt *Runtime) emit(k trace.Kind, txID, a, b, c uint64) {
 	if rt.rec == nil {
 		return
@@ -32,8 +31,7 @@ func (rt *Runtime) emit(k trace.Kind, txID, a, b, c uint64) {
 	rt.rec.Emit(rt.proc.Now(), k, txID, a, b, c)
 }
 
-// emit records one event on the node's lane, stamped with the serving
-// port's clock; a no-op when tracing is off.
+// emit records one event on the node's lane, at the serving port's clock.
 func (n *dtmNode) emit(p port.Port, k trace.Kind, txID, a, b, c uint64) {
 	if n.rec == nil {
 		return
@@ -52,8 +50,8 @@ func (s *System) now() port.Time {
 }
 
 // setupTrace allocates the per-DTM-node recorders and the placement lane;
-// called from NewSystem once the nodes and directory exist, before any port
-// is spawned.
+// called from NewSystem once the nodes and directory exist, and again by
+// EnableAudit, before any port runs.
 func (s *System) setupTrace() {
 	if s.cfg.Trace == nil {
 		return
@@ -77,7 +75,8 @@ func (s *System) setupTrace() {
 }
 
 // Trace returns the flight record assembled after the run quiesced, or nil
-// when Config.Trace was unset. Valid only after Run.
+// when Config.Trace was unset and the run was not audited. Valid only after
+// Run.
 func (s *System) Trace() *trace.Trace { return s.traceOut }
 
 // assembleTrace merges every lane's ring into one Trace, in a fixed order

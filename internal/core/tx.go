@@ -64,9 +64,8 @@ type Runtime struct {
 	// reuse these across attempts and allocate nothing in steady state.
 	// tx is the reusable attempt (reset per attempt); words is the arena
 	// backing every tx-internal word copy (read/write-set values), reset at
-	// attempt start — values handed to user code or the auditor are always
-	// fresh clones (cloneWords), never arena slices, so callers may retain
-	// them across attempts.
+	// attempt start — values handed to user code are always fresh clones
+	// (cloneWords), never arena slices, so callers may retain them.
 	txScratch    *Tx
 	words        []uint64
 	lockKeys     []mem.Addr  // rpcLock's key list: one key, or a read-ahead batch
@@ -223,10 +222,13 @@ type Tx struct {
 	onAbort  []func()
 
 	// serialAt is the instant a transaction that wrote nothing serializes
-	// at, kept by the protocol (the auditor's replay point): under visible
-	// reads the completion of the latest read — the only instant all of its
-	// locks are provably held — under TL2 the clock snapshot.
+	// at, kept by the protocol: under visible reads the completion of the
+	// latest read — the only instant all of its locks are provably held —
+	// under TL2 the clock snapshot. commit sets it to the commit's instant,
+	// and seq to its place in the system's commit sequence when the core
+	// records (KCommit's B and C words, the audit's replay order).
 	serialAt port.Time
+	seq      uint64
 
 	// TL2 state (tl2.go), untouched under the visible protocol: the clock
 	// snapshot, the version each read stripe was first observed at, the
@@ -394,7 +396,7 @@ func (rt *Runtime) runLoop(kind TxKind, pc uintptr, fn func(*Tx) error) (attempt
 		jitter := time.Duration(rt.proc.Rand().Intn(bound)) * time.Nanosecond
 		rt.proc.Advance(rt.s.compute(costs.TxBegin + jitter))
 		rt.s.proto.begin(tx)
-		rt.emit(trace.KAttemptStart, tx.id, uint64(attempts), 0, 0)
+		rt.emit(trace.KAttemptStart, tx.id, uint64(attempts), uint64(kind), 0)
 		switch outcome, err := rt.attempt(tx, fn); outcome {
 		case attemptCommitted:
 			rt.local.OnCommit(rt.proc.Now())
@@ -406,7 +408,7 @@ func (rt *Runtime) runLoop(kind TxKind, pc uintptr, fn func(*Tx) error) (attempt
 			// aborts — the paper's §4.1 definition.
 			rt.life.Observe(rt.proc.Now() - lifeStart)
 			rt.shard.MaxAttempts = max(rt.shard.MaxAttempts, uint64(attempts))
-			rt.emit(trace.KCommit, tx.id, uint64(attempts), 0, 0)
+			rt.emit(trace.KCommit, tx.id, uint64(attempts), uint64(tx.serialAt), tx.seq)
 			rt.s.snap.AddCommit()
 			if site != nil {
 				site.learn(tx)
@@ -642,10 +644,9 @@ func (tx *Tx) WriteN(base mem.Addr, vals []uint64) {
 // every write lock is held → Pending becomes Committing, after which no
 // contention manager can abort it or revoke a lock → the protocol validates
 // what the transaction read → the write set persists → the protocol
-// publishes it → Committed → audit record → release burst → latency. A
-// transaction that wrote nothing skips from the first step to Committed: the
-// protocol vouched for each of its reads as it happened, and it serializes
-// at tx.serialAt.
+// publishes it → Committed → release burst → latency. A transaction that
+// wrote nothing skips from the first step to Committed: the protocol vouched
+// for each of its reads as it happened, and it serializes at tx.serialAt.
 func (tx *Tx) commit() {
 	rt, p := tx.rt, tx.rt.s.proto
 	tx.checkAborted()
@@ -670,14 +671,21 @@ func (tx *Tx) commit() {
 			tx.rollback(at)
 		}
 		rt.emit(trace.KPhaseBegin, tx.id, uint64(trace.PhaseWriteBack), 0, 0)
+		if rt.rec != nil {
+			for _, e := range tx.writes.entries {
+				vals := e.vals(rt.words)
+				rt.emit(trace.KWrite, tx.id, uint64(e.base), trace.ValueWord(vals), uint64(len(vals)))
+			}
+		}
 		addrs, vals := tx.writeBackLists()
 		rt.s.Mem.WriteBatch(rt.proc, rt.core, addrs, vals)
 		instant = p.publish(tx)
 		rt.emit(trace.KPhaseEnd, tx.id, uint64(trace.PhaseWriteBack), 0, 0)
 	}
 	rt.s.Regs.SetStatusLocal(rt.core, tx.id, mem.TxCommitted)
-	if rt.s.audit != nil {
-		rt.s.recordCommit(tx, instant)
+	tx.serialAt = instant
+	if rt.rec != nil {
+		tx.seq = rt.s.commits.Add(1)
 	}
 	// An attempt that held no lock leaves the carry as it is: an earlier
 	// attempt's releases ride the core's next lock request, or leave at its
@@ -846,7 +854,7 @@ func (rt *Runtime) abortCleanup(tx *Tx, sig abortSignal) {
 	if sig.hasKind {
 		kindEnc = uint64(sig.kind) + 1
 	}
-	rt.emit(trace.KAbort, tx.id, uint64(sig.reason), kindEnc, 0)
+	rt.emit(trace.KAbort, tx.id, uint64(sig.reason), kindEnc, trace.WinnerWord(rt.winner.Core, rt.winner.TxID))
 	rt.s.snap.AddAbort()
 	tx.runHooks(tx.onAbort)
 }

@@ -68,7 +68,9 @@ func (tx *Tx) lockedRead(keys []mem.Addr, n int, mode lockMode) []uint64 {
 			tx.wlocked = append(tx.wlocked, k)
 			rt.shard.UpdateReads++
 		}
-		rt.emit(trace.KRead, tx.id, uint64(k), 0, uint64(hold))
+		if rt.rec != nil {
+			rt.emit(trace.KRead, tx.id, uint64(k), trace.ValueWord(vals), trace.ReadWord(hold, n))
+		}
 		if j == 0 {
 			first = vals
 		}

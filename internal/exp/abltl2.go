@@ -82,7 +82,7 @@ func addTL2Row(t *Table, workload string, proto core.Protocol, st *core.Stats) {
 	ops := float64(st.Ops)
 	t.AddRow(workload, proto.String(),
 		perMs(st.Ops, st.Duration),
-		ratio(float64(st.WireMsgs), ops),
+		ratio(float64(st.Msgs), ops),
 		st.CommitRate(),
 		ratio(float64(st.LocalReads), ops),
 		revalPerCommit,

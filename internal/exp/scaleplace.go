@@ -67,7 +67,7 @@ func scalePlace(sc Scale, ov Overrides) []*Table {
 				return b.LocalZipfWorker(parts, pl.ClusterOf, theta)
 			})
 			t.AddRow(label(theta), k.String(), objects, perMs(st.Ops, st.Duration), st.CommitRate(),
-				st.LoadImbalance(), ratio(float64(st.WireMsgs), float64(st.Ops)),
+				st.LoadImbalance(), ratio(float64(st.Msgs), float64(st.Ops)),
 				st.Migrations, st.MaterializedLeaves, st.LeafUniverse,
 				100*st.RemoteAccessRatio())
 		}

@@ -444,28 +444,15 @@ func (p *HostPort) next() Msg {
 	return m
 }
 
-// tryFill delivers one raw message to the stash if one is queued.
-func (p *HostPort) tryFill() bool {
-	m, ok := p.tryPop()
-	if ok {
-		p.stash.Push(m)
-	}
-	return ok
-}
-
 // fillUntil delivers one raw message to the stash, waiting for it until
 // deadline; false when the deadline passes first.
 func (p *HostPort) fillUntil(deadline time.Time) bool {
-	if p.tryFill() {
-		return true
+	m, ok := p.tryPop()
+	if left := time.Until(deadline); !ok && left > 0 {
+		p.armTimer(left)
+		m, ok = p.pop(p.timer)
+		p.timer.Stop()
 	}
-	left := time.Until(deadline)
-	if left <= 0 {
-		return false
-	}
-	p.armTimer(left)
-	m, ok := p.pop(p.timer)
-	p.timer.Stop()
 	if ok {
 		p.stash.Push(m)
 	}
@@ -475,18 +462,18 @@ func (p *HostPort) fillUntil(deadline time.Time) bool {
 // Recv blocks until a message is available and returns the earliest
 // delivered one (stashed messages first — they were delivered earlier).
 func (p *HostPort) Recv() Msg {
-	for p.stash.Len() == 0 {
-		p.stash.Push(p.next())
+	if p.stash.Len() > 0 {
+		return p.stash.Pop()
 	}
-	return p.stash.Pop()
+	return p.next()
 }
 
 // TryRecv returns the earliest queued message without blocking.
 func (p *HostPort) TryRecv() (Msg, bool) {
-	if p.stash.Len() == 0 && !p.tryFill() {
-		return Msg{}, false
+	if p.stash.Len() > 0 {
+		return p.stash.Pop(), true
 	}
-	return p.stash.Pop(), true
+	return p.tryPop()
 }
 
 // RecvMatch blocks until a message satisfying pred is available and returns

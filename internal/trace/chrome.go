@@ -29,17 +29,9 @@ type chromeFile struct {
 	DisplayTimeUnit string        `json:"displayTimeUnit"`
 }
 
-var cmKindNames = [...]string{"RAW", "WAW", "WAR"}
+var cmKindNames = [...]string{1: "RAW", 2: "WAW", 3: "WAR"} // by cm.Kind + 1
 
-func kindName(enc uint64) string {
-	if enc == 0 {
-		return ""
-	}
-	if int(enc-1) < len(cmKindNames) {
-		return cmKindNames[enc-1]
-	}
-	return "?"
-}
+func kindName(enc uint64) string { return name(cmKindNames[:], enc) }
 
 // micros converts a nanosecond virtual/wall timestamp to trace_event
 // microseconds.
@@ -54,11 +46,11 @@ type openSpan struct {
 // chrome://tracing or Perfetto. Each actor gets one lane (thread):
 // transaction attempts and commit phases become nested duration spans,
 // lock request→grant/NACK pairs become flow arrows between the app and DTM
-// lanes, and aborts, doomed reads, clock ticks, freezes and handoffs become
-// instant events. Wire sends are left out, as noise at chrome scale, and a
-// KRead becomes an event only when its key is held by more than the read's
-// own read lock (locked ahead by a scan, or write-locked for update), to keep
-// the render small; WriteText includes every event.
+// lanes, and aborts, doomed reads, committed writes, clock ticks, freezes
+// and handoffs become instant events. Wire sends are left out, as noise at
+// chrome scale, and a KRead becomes an event only when its key is held by
+// more than a plain read's (locked ahead by a scan, or write-locked for
+// update), to keep the render small; WriteText includes every event.
 func WriteChrome(w io.Writer, t *Trace) error {
 	var out []chromeEvent
 
@@ -160,12 +152,16 @@ func WriteChrome(w io.Writer, t *Trace) error {
 			}
 			phases[e.Actor] = st
 		case KRead:
-			if Hold(e.C) == HoldRead {
-				continue
+			if h, _ := ReadParts(e.C); h == HoldAhead || h == HoldUpdate {
+				out = append(out, chromeEvent{
+					Name: "read", Cat: "read", Ph: "i", Ts: ts, Pid: 1, Tid: tid, S: "t",
+					Args: map[string]any{"tx": e.TxID, "key": e.A, "held": h.String()},
+				})
 			}
+		case KWrite:
 			out = append(out, chromeEvent{
-				Name: "read", Cat: "read", Ph: "i", Ts: ts, Pid: 1, Tid: tid, S: "t",
-				Args: map[string]any{"tx": e.TxID, "key": e.A, "held": Hold(e.C).String()},
+				Name: "write", Cat: "write", Ph: "i", Ts: ts, Pid: 1, Tid: tid, S: "t",
+				Args: map[string]any{"tx": e.TxID, "key": e.A},
 			})
 		case KDoomedRead:
 			out = append(out, chromeEvent{

@@ -23,16 +23,19 @@ func WriteText(w io.Writer, t *Trace) error {
 		fmt.Fprintf(bw, "[%12dns] %-10s ", int64(e.At), label)
 		switch e.Kind {
 		case KAttemptStart:
-			fmt.Fprintf(bw, "tx=%d attempt #%d", e.TxID, e.A)
+			fmt.Fprintf(bw, "tx=%d attempt #%d kind=%d", e.TxID, e.A, e.B)
 		case KCommit:
-			fmt.Fprintf(bw, "tx=%d COMMIT attempts=%d", e.TxID, e.A)
+			fmt.Fprintf(bw, "tx=%d COMMIT attempts=%d at=%dns seq=%d", e.TxID, e.A, e.B, e.C)
 		case KAbort:
 			fmt.Fprintf(bw, "tx=%d ABORT reason=%s", e.TxID, Reason(e.A))
 			if k := kindName(e.B); k != "" {
 				fmt.Fprintf(bw, " kind=%s", k)
 			}
 		case KRead:
-			fmt.Fprintf(bw, "tx=%d read key=%d held=%s", e.TxID, e.A, Hold(e.C))
+			h, words := ReadParts(e.C)
+			fmt.Fprintf(bw, "tx=%d read key=%d held=%s value=%d words=%d", e.TxID, e.A, h, e.B, words)
+		case KWrite:
+			fmt.Fprintf(bw, "tx=%d write key=%d value=%d words=%d", e.TxID, e.A, e.B, e.C)
 		case KDoomedRead:
 			fmt.Fprintf(bw, "tx=%d doomed read key=%d", e.TxID, e.A)
 		case KLockReq:

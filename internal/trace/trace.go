@@ -17,6 +17,10 @@
 // wraps, the oldest events are overwritten (flight-recorder semantics:
 // the most recent window survives) and Dropped reports how many were lost.
 //
+// The application lanes also carry what each committed transaction read and
+// wrote, its kind and its serialization instant: the whole record that the
+// opacity check (internal/check) replays, so a lane it reads must not wrap.
+//
 // After a run quiesces, the per-actor rings are merged into a Trace and
 // rendered: WriteChrome emits Chrome trace_event JSON (chrome://tracing,
 // Perfetto) with one lane per actor, spans for transaction attempts and
@@ -36,15 +40,23 @@ type Kind uint8
 
 const (
 	// KAttemptStart opens a transaction attempt span. A = attempt number
-	// within the transaction (1 = first).
+	// within the transaction (1 = first), B = the transaction kind
+	// (core.TxKind).
 	KAttemptStart Kind = iota
-	// KCommit closes the attempt span with a commit. A = attempts used.
+	// KCommit closes the attempt span with a commit. A = attempts used,
+	// B = the instant the commit serializes at (a port.Time), C = a
+	// system-wide commit sequence that orders commits of one instant.
+	// Irrevocable transactions emit none.
 	KCommit
 	// KAbort closes the attempt span with an abort. A = Reason,
-	// B = conflict kind + 1 (cm.Kind; 0 when the abort carries no kind).
+	// B = conflict kind + 1 (cm.Kind; 0 when the abort carries no kind),
+	// C = the attempt the abort lost to, as its NACK named it (WinnerWord;
+	// 0 = none).
 	KAbort
-	// KRead records a successful transactional read. A = lock key, C = the
-	// Hold the key is held by.
+	// KRead records a successful transactional read, one per read-set
+	// entry. A = lock key (the object's base address), B = the value read
+	// (ValueWord), C = ReadWord(the Hold the key is held by, the object's
+	// words).
 	KRead
 	// KDoomedRead records a TL2/elastic read refused by snapshot or window
 	// validation, immediately before the attempt aborts. A = lock key.
@@ -84,42 +96,26 @@ const (
 	// KHandoff records a drained stripe's ownership handoff completing.
 	// A = stripe, B = old owner node, C = new owner node.
 	KHandoff
+	// KWrite records one write-set entry of a committing attempt, emitted in
+	// its write-back phase, after validation. A = the object's base address,
+	// B = the value written (ValueWord), C = the object's words.
+	KWrite
 )
 
-func (k Kind) String() string {
-	switch k {
-	case KAttemptStart:
-		return "attempt-start"
-	case KCommit:
-		return "commit"
-	case KAbort:
-		return "abort"
-	case KRead:
-		return "read"
-	case KDoomedRead:
-		return "doomed-read"
-	case KLockReq:
-		return "lock-req"
-	case KLockGrant:
-		return "lock-grant"
-	case KLockNack:
-		return "lock-nack"
-	case KLockStale:
-		return "lock-stale"
-	case KRevoke:
-		return "revoke"
-	case KPhaseBegin:
-		return "phase-begin"
-	case KPhaseEnd:
-		return "phase-end"
-	case KClockTick:
-		return "clock-tick"
-	case KWireSend:
-		return "wire-send"
-	case KFreeze:
-		return "freeze"
-	case KHandoff:
-		return "handoff"
+var kindNames = [...]string{
+	KAttemptStart: "attempt-start", KCommit: "commit", KAbort: "abort", KRead: "read",
+	KDoomedRead: "doomed-read", KLockReq: "lock-req", KLockGrant: "lock-grant",
+	KLockNack: "lock-nack", KLockStale: "lock-stale", KRevoke: "revoke",
+	KPhaseBegin: "phase-begin", KPhaseEnd: "phase-end", KClockTick: "clock-tick",
+	KWireSend: "wire-send", KFreeze: "freeze", KHandoff: "handoff", KWrite: "write",
+}
+
+func (k Kind) String() string { return name(kindNames[:], uint64(k)) }
+
+// name returns names[i], or "unknown" past the end of the table.
+func name(names []string, i uint64) string {
+	if i < uint64(len(names)) {
+		return names[i]
 	}
 	return "unknown"
 }
@@ -141,21 +137,12 @@ const (
 	PhaseRelease
 )
 
-func (p Phase) String() string {
-	switch p {
-	case PhaseScatter:
-		return "scatter"
-	case PhaseGather:
-		return "gather"
-	case PhaseRevalidate:
-		return "revalidate"
-	case PhaseWriteBack:
-		return "write-back"
-	case PhaseRelease:
-		return "release"
-	}
-	return "unknown"
+var phaseNames = [...]string{
+	PhaseScatter: "scatter", PhaseGather: "gather", PhaseRevalidate: "revalidate",
+	PhaseWriteBack: "write-back", PhaseRelease: "release",
 }
+
+func (p Phase) String() string { return name(phaseNames[:], uint64(p)) }
 
 // Hold is how a read's key is held (KRead's C word).
 type Hold uint8
@@ -170,18 +157,37 @@ const (
 	// transaction's body wrote the key it read at this read-set position in
 	// its last two commits.
 	HoldUpdate
+	// HoldInvisible: no lock at all, a TL2 read validated against the
+	// attempt's clock snapshot.
+	HoldInvisible
 )
 
-func (h Hold) String() string {
-	switch h {
-	case HoldRead:
-		return "read-lock"
-	case HoldAhead:
-		return "locked-ahead"
-	case HoldUpdate:
-		return "write-lock"
+var holdNames = [...]string{
+	HoldRead: "read-lock", HoldAhead: "locked-ahead", HoldUpdate: "write-lock", HoldInvisible: "invisible",
+}
+
+func (h Hold) String() string { return name(holdNames[:], uint64(h)) }
+
+// ReadWord packs a KRead's C word: the Hold in the low 8 bits, the object's
+// word count above them.
+func ReadWord(h Hold, words int) uint64 { return uint64(h) | uint64(words)<<8 }
+
+// ReadParts unpacks ReadWord.
+func ReadParts(c uint64) (Hold, int) { return Hold(c), int(c >> 8) }
+
+// ValueWord is the value a KRead or KWrite carries for an object: its one
+// word, or for an object of several words a 64-bit FNV-1a hash taken a
+// word at a time (each step a bijection of the word, so objects that differ
+// in one word never collide).
+func ValueWord(vals []uint64) uint64 {
+	if len(vals) == 1 {
+		return vals[0]
 	}
-	return "unknown"
+	h := uint64(14695981039346656037)
+	for _, w := range vals {
+		h = (h ^ w) * 1099511628211
+	}
+	return h
 }
 
 // Reason is the abort taxonomy: why a transaction attempt died. It replaces
@@ -219,23 +225,12 @@ const (
 	NumReasons = int(ReasonTimeout) + 1
 )
 
-func (r Reason) String() string {
-	switch r {
-	case ReasonConflict:
-		return "conflict"
-	case ReasonRevoked:
-		return "revoked"
-	case ReasonDoomedRead:
-		return "doomed-read"
-	case ReasonStalePlacement:
-		return "stale-placement"
-	case ReasonUser:
-		return "user"
-	case ReasonTimeout:
-		return "timeout"
-	}
-	return "unknown"
+var reasonNames = [...]string{
+	ReasonConflict: "conflict", ReasonRevoked: "revoked", ReasonDoomedRead: "doomed-read",
+	ReasonStalePlacement: "stale-placement", ReasonUser: "user", ReasonTimeout: "timeout",
 }
+
+func (r Reason) String() string { return name(reasonNames[:], uint64(r)) }
 
 // Reasons lists every abort reason in presentation order.
 func Reasons() []Reason {
@@ -400,13 +395,14 @@ type Trace struct {
 	// Labels names each actor lane ("app3", "dtm8", "placement").
 	Labels map[int32]string
 	// Dropped is the total number of events lost to ring wrap across all
-	// actors.
-	Dropped uint64
+	// actors, and LaneDropped the count of each lane that lost any.
+	Dropped     uint64
+	LaneDropped map[int32]uint64
 }
 
 // New returns an empty trace ready for Add.
 func New() *Trace {
-	return &Trace{Labels: make(map[int32]string)}
+	return &Trace{Labels: make(map[int32]string), LaneDropped: make(map[int32]uint64)}
 }
 
 // Add merges one recorder's events under the given lane label. Call in a
@@ -417,7 +413,10 @@ func (t *Trace) Add(r *Recorder, label string) {
 	}
 	t.Labels[r.actor] = label
 	t.Events = r.appendEvents(t.Events)
-	t.Dropped += r.Dropped()
+	if d := r.Dropped(); d > 0 {
+		t.Dropped += d
+		t.LaneDropped[r.actor] = d
+	}
 }
 
 // Finish time-sorts the merged events. Stable, so same-instant events keep

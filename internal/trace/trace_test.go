@@ -155,6 +155,8 @@ func syntheticTrace() *Trace {
 	dtm.Emit(230, KLockGrant, 8, FlowID(2, 6), 2, 0)
 	app.Emit(240, KPhaseEnd, 8, uint64(PhaseGather), 0, 0)
 	app.Emit(245, KClockTick, 8, 17, 0, 0)
+	app.Emit(246, KRead, 8, 45, 6, ReadWord(HoldInvisible, 2))
+	app.Emit(248, KWrite, 8, 46, 5, 1)
 	app.Emit(250, KCommit, 8, 2, 0, 0)
 	dtm.Emit(260, KRevoke, 8, RevokeWord(5, 2, true), 9, 42)
 	dtm.Emit(270, KLockStale, 9, FlowID(3, 1), 4, 11)
@@ -181,7 +183,7 @@ func TestWriteChrome(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &parsed); err != nil {
 		t.Fatalf("chrome output is not valid JSON: %v", err)
 	}
-	var abortSpan, abortInstant, flowStart, flowEnd, winner bool
+	var abortSpan, abortInstant, flowStart, flowEnd, winner, write bool
 	held := map[float64]string{} // key -> held, for the reads rendered
 	for _, ev := range parsed.TraceEvents {
 		name, _ := ev["name"].(string)
@@ -203,6 +205,9 @@ func TestWriteChrome(t *testing.T) {
 		if args, ok := ev["args"].(map[string]any); ok && name == "read" && ph == "i" {
 			held[args["key"].(float64)], _ = args["held"].(string)
 		}
+		if args, ok := ev["args"].(map[string]any); ok && name == "write" && ph == "i" && args["key"] == 46.0 {
+			write = true
+		}
 		if strings.HasPrefix(name, "abort:") && ph == "i" {
 			abortInstant = true
 		}
@@ -222,8 +227,11 @@ func TestWriteChrome(t *testing.T) {
 	if !winner {
 		t.Fatal("nack naming its winner missing")
 	}
+	if !write {
+		t.Fatal("committed write missing")
+	}
 	if want := map[float64]string{43: "locked-ahead", 44: "write-lock"}; !maps.Equal(held, want) {
-		t.Fatalf("reads rendered %v, want %v: only the ones held by more than their read lock", held, want)
+		t.Fatalf("reads rendered %v, want %v: only the ones held by more than a plain read", held, want)
 	}
 }
 
@@ -239,6 +247,8 @@ func TestWriteText(t *testing.T) {
 		"read key=42 held=read-lock",
 		"read key=43 held=locked-ahead",
 		"read key=44 held=write-lock",
+		"read key=45 held=invisible value=6 words=2",
+		"write key=46 value=5 words=1",
 		"doomed read key=13",
 		"nack flow=2/5 kind=WAW winner core=4 tx=3",
 		"stale-nack flow=3/1 epoch=4 owner=10",
@@ -253,6 +263,21 @@ func TestWriteText(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("text render missing %q in:\n%s", want, out)
 		}
+	}
+}
+
+// TestValueWord: a one-word object's value word is the word; a longer
+// object's hashes every word, in order.
+func TestValueWord(t *testing.T) {
+	if w := ValueWord([]uint64{42}); w != 42 {
+		t.Errorf("ValueWord of one word = %d, want 42", w)
+	}
+	a, b := ValueWord([]uint64{1, 2}), ValueWord([]uint64{2, 1})
+	if a == b || a == ValueWord([]uint64{1, 3}) || a != ValueWord([]uint64{1, 2}) {
+		t.Errorf("ValueWord does not tell two-word objects apart: %#x, %#x", a, b)
+	}
+	if h, words := ReadParts(ReadWord(HoldUpdate, 3)); h != HoldUpdate || words != 3 {
+		t.Errorf("ReadWord(HoldUpdate, 3) unpacks to %v, %d", h, words)
 	}
 }
 

@@ -18,7 +18,8 @@ import (
 // TestLayering holds the import graph to the paper's portability argument:
 // internal/port, the seam the protocol is written against, is a leaf of
 // this module; the three backends stand beside each other above it; and the
-// discrete-event kernel is linked only by the two files that boot one. The
+// discrete-event kernel is linked only by the two files that boot one; the
+// opacity check (internal/check) sees a run only through its trace. The
 // adapter that once carried *sim.Proc across an upside-down edge stays
 // deleted. bench/ is its own module and is not walked.
 func TestLayering(t *testing.T) {
@@ -42,6 +43,9 @@ func TestLayering(t *testing.T) {
 			}
 			if p == simPkg && !isTest {
 				bootsKernel = append(bootsKernel, path)
+			}
+			if strings.HasPrefix(path, "internal/check/") && p == "repro/internal/core" {
+				t.Errorf("%s imports %s: the opacity check reads a trace, not the runtime", path, p)
 			}
 		}
 		inSeam := strings.HasPrefix(path, "internal/port/") || strings.HasPrefix(path, "internal/sim/")
