@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/cm"
@@ -64,13 +65,16 @@ func clusteredWorker(pl *noc.Platform, pool mem.Addr, partWords int, fx comapFix
 	}
 }
 
-// runComap runs the clustered workload under one placement kind and returns
-// the stats and the directory.
-func runComap(t *testing.T, kind placement.Kind, fx comapFixture) (*Stats, *placement.Directory) {
+// comapSeed is the seed of every co-mapping run but the per-seed claims.
+const comapSeed = 13
+
+// runComap runs the clustered workload under one placement kind and seed and
+// returns the stats and the directory.
+func runComap(t *testing.T, kind placement.Kind, fx comapFixture, seed uint64) (*Stats, *placement.Directory) {
 	t.Helper()
 	cfg := Config{
 		Platform:         noc.SCC(0),
-		Seed:             13,
+		Seed:             seed,
 		TotalCores:       48,
 		ServiceCores:     8,
 		Policy:           cm.FairCM,
@@ -100,43 +104,59 @@ func runComap(t *testing.T, kind placement.Kind, fx comapFixture) (*Stats, *plac
 // interleavedStart runs fx with an epoch no run reaches: the directory never
 // evaluates, so every stripe stays on its interleaved default owner — the
 // start every migration departs from — while the accesses are still counted.
-func interleavedStart(t *testing.T, fx comapFixture) *Stats {
+func interleavedStart(t *testing.T, fx comapFixture, seed uint64) *Stats {
 	t.Helper()
 	fx.epoch = 1 << 30
-	st, _ := runComap(t, placement.AdaptiveHier, fx)
+	st, _ := runComap(t, placement.AdaptiveHier, fx, seed)
 	if st.Migrations != 0 || st.PlacementEpochs != 0 {
 		t.Fatalf("interleaved start: %d migrations over %d epochs, want none", st.Migrations, st.PlacementEpochs)
 	}
 	return st
 }
 
-// TestCoMappingConvergesOnStableSkew is the deterministic end-to-end
-// co-mapping test: on a stable clustered Zipf workload, the hier policy's
-// migrations must pull stripes toward their accessor clusters, so (a) its
-// remote-access ratio across epoch windows strictly drops from the first
-// window to the last, and (b) its final remote ratio beats the interleaved
-// start's on the identical workload and seed — the Stats.RemoteAccessRatio
-// counter proving the win.
-func TestCoMappingConvergesOnStableSkew(t *testing.T) {
-	hierStats, hierDir := runComap(t, placement.AdaptiveHier, comapSteep)
-	startStats := interleavedStart(t, comapSteep)
+// comapTail is how many of the hier run's last epoch windows claim (a) of
+// TestCoMappingConvergesOnStableSkew averages.
+const comapTail = 8
 
-	if hierStats.Migrations == 0 {
-		t.Fatal("hier policy initiated no migrations under clustered skew")
-	}
-	hist := hierDir.RemoteHistory()
-	if len(hist) < 2 {
-		t.Fatalf("only %d epoch windows recorded", len(hist))
-	}
-	if first, last := hist[0], hist[len(hist)-1]; last >= first {
-		t.Errorf("hier remote-access ratio did not drop: first window %.3f, last %.3f", first, last)
-	}
-	hr, sr := hierStats.RemoteAccessRatio(), startStats.RemoteAccessRatio()
-	if hr == 0 || sr == 0 {
-		t.Fatalf("remote ratios not tracked (hier %.3f, interleaved start %.3f)", hr, sr)
-	}
-	if hr >= sr {
-		t.Errorf("co-mapping remote ratio %.3f not below the interleaved start's %.3f", hr, sr)
+// TestCoMappingConvergesOnStableSkew is the deterministic end-to-end
+// co-mapping test: on a stable clustered Zipf workload, for each of seeds
+// 1-8, the hier policy's migrations must pull stripes toward their accessor
+// clusters, so (a) its mean remote-access ratio over the last comapTail
+// epoch windows and (b) its whole run's remote ratio are both below the
+// interleaved start's on the identical workload and seed — the
+// Stats.RemoteAccessRatio counter proving the win. One window against one
+// other window cannot tell: it passed on 11 of 20 seeds with every migration
+// switched off.
+func TestCoMappingConvergesOnStableSkew(t *testing.T) {
+	for seed := uint64(1); seed <= 8; seed++ {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			t.Parallel()
+			hierStats, hierDir := runComap(t, placement.AdaptiveHier, comapSteep, seed)
+			startStats := interleavedStart(t, comapSteep, seed)
+
+			if hierStats.Migrations == 0 {
+				t.Fatal("hier policy initiated no migrations under clustered skew")
+			}
+			sr := startStats.RemoteAccessRatio()
+			hist := hierDir.RemoteHistory()
+			if len(hist) < comapTail {
+				t.Fatalf("only %d epoch windows recorded, want >= %d", len(hist), comapTail)
+			}
+			tail := 0.0
+			for _, r := range hist[len(hist)-comapTail:] {
+				tail += r
+			}
+			if tail /= comapTail; tail >= sr {
+				t.Errorf("hier remote share over the last %d windows %.3f not below the interleaved start's %.3f", comapTail, tail, sr)
+			}
+			hr := hierStats.RemoteAccessRatio()
+			if hr == 0 || sr == 0 {
+				t.Fatalf("remote ratios not tracked (hier %.3f, interleaved start %.3f)", hr, sr)
+			}
+			if hr >= sr {
+				t.Errorf("co-mapping remote ratio %.3f not below the interleaved start's %.3f", hr, sr)
+			}
+		})
 	}
 }
 
@@ -147,8 +167,8 @@ func TestCoMappingConvergesOnStableSkew(t *testing.T) {
 // ever learns to act on a persistent 1.24x, this test fails and the
 // assertions above move back onto comapMild.
 func TestCoMappingSleepsThroughMildSkew(t *testing.T) {
-	hier, _ := runComap(t, placement.AdaptiveHier, comapMild)
-	start := interleavedStart(t, comapMild)
+	hier, _ := runComap(t, placement.AdaptiveHier, comapMild, comapSeed)
+	start := interleavedStart(t, comapMild, comapSeed)
 	if hier.PlacementEpochs < 30 || hier.AwakeEpochs != 0 || hier.Migrations != 0 || hier.DirSplits != 0 {
 		t.Errorf("hier: awake %d of %d epochs, %d migrations, %d splits; want a run of >= 30 epochs slept through",
 			hier.AwakeEpochs, hier.PlacementEpochs, hier.Migrations, hier.DirSplits)
@@ -172,7 +192,7 @@ func TestCoMappingSleepsThroughMildSkew(t *testing.T) {
 func TestDirectoryStateIsOTouched(t *testing.T) {
 	fx := comapSteep
 	fx.untilAwake = true
-	st, _ := runComap(t, placement.AdaptiveHier, fx)
+	st, _ := runComap(t, placement.AdaptiveHier, fx, comapSeed)
 	if st.MaterializedLeaves == 0 {
 		t.Fatal("no materialized leaves reported")
 	}
@@ -186,7 +206,7 @@ func TestDirectoryStateIsOTouched(t *testing.T) {
 		t.Fatal("no splits counted")
 	}
 
-	st, _ = runComap(t, placement.AdaptiveHier, comapSteep)
+	st, _ = runComap(t, placement.AdaptiveHier, comapSteep, comapSeed)
 	if st.AwakeEpochs == 0 || st.AwakeEpochs >= st.PlacementEpochs {
 		t.Fatalf("awake %d of %d epochs: the full run must wake the heat plane, and balancing it must let it sleep", st.AwakeEpochs, st.PlacementEpochs)
 	}
