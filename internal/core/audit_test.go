@@ -61,7 +61,13 @@ func TestAuditPassesOnConflictHeavyRun(t *testing.T) {
 			if p.StarvationFree() && (st.EndedResends == 0 || st.WinnerWaits == 0) {
 				t.Errorf("%d ended-winner resends, %d winner waits; want both > 0", st.EndedResends, st.WinnerWaits)
 			}
-			t.Logf("%d ended-winner resends, %d winner waits", st.EndedResends, st.WinnerWaits)
+			// And most releases must ride a lock request to their own
+			// node, or the audit says nothing about the per-node carry.
+			if st.CarriedReleases <= st.ReleaseMsgs {
+				t.Errorf("%d releases carried, %d sent on their own; want more carried", st.CarriedReleases, st.ReleaseMsgs)
+			}
+			t.Logf("%d ended-winner resends, %d winner waits, %d/%d releases carried/alone",
+				st.EndedResends, st.WinnerWaits, st.CarriedReleases, st.ReleaseMsgs)
 		})
 	}
 }

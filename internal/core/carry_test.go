@@ -101,26 +101,21 @@ func byBackend(b Backend, sim, host time.Duration) port.Time {
 }
 
 // TestCarriedReleaseBound: every lock an attempt held is in a release that
-// has left the core — on its own or inside a lock request — by a bound that
-// depends on the backend. On sim, before the core next blocks on a lock
-// response or a token, waits between attempts, pauses or computes for the
-// workload, waits at a barrier or exits, and before the next attempt aborts,
-// or commits holding locks; a committed attempt that held none (TL2's scans)
-// leaves the carry alone, so on TL2 some of them end with an earlier
-// update's release still carried: a row fails if none does, which is what a
-// flush at a lock-free commit would cause. On live and net
-// (System.releaseWaitsForNode), before the core's next lock request to the
-// lock's node, and before it waits (between attempts, for a token, at a
-// barrier, in a pause or a compute) or exits. A live or net row fails unless some core blocked on a
-// lock response while another node's release stayed carried, which a flush
-// after rpcLock's send or in the scatter would prevent, and some attempt
-// that held locks ended with an earlier attempt's release still carried,
-// which a flush in releaseAll would prevent. Hooks on every release and
-// lock request that leaves, on every blocking point and the attempts' own
-// commit and abort hooks check it, across transfers, read-ahead scans,
-// elastic-early reads, irrevocables, compute, pauses and a barrier, under
-// both protocols and both deployments, with back-off and winner waits. The
-// live rows also run in CI's -race step, the net row in the net job's.
+// has left the core — on its own or inside a lock request — before the
+// core's next lock request to the lock's node, and before it waits (between
+// attempts, for a winner, for a token, at a barrier, in a pause or a
+// compute) or exits. A row fails unless some core blocked on a lock
+// response while another node's release stayed carried, which a flush after
+// rpcLock's send or in the scatter would prevent, and some attempt that held
+// locks ended with an earlier attempt's release still carried, which a
+// flush in releaseAll would prevent; a TL2 row also fails unless some
+// committed attempt that held no lock (a scan) ended so, which a flush at a
+// lock-free commit would prevent. Hooks on every release and lock request
+// that leaves, on every blocking point and the attempts' own commit and
+// abort hooks check it, across transfers, read-ahead scans, elastic-early
+// reads, irrevocables, compute, pauses and a barrier, under both protocols
+// and both deployments, with back-off and winner waits, on every backend.
+// The live rows also run in CI's -race step, the net row in the net job's.
 func TestCarriedReleaseBound(t *testing.T) {
 	rows := []struct {
 		name    string
@@ -139,7 +134,6 @@ func TestCarriedReleaseBound(t *testing.T) {
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
-			realtime := row.backend != BackendSim
 			// unreleased[core] maps the (attempt, key) locks of the core's
 			// finished attempts that no release has carried off yet to the
 			// key's DTM node. Each core touches only its own entry, from
@@ -172,7 +166,7 @@ func TestCarriedReleaseBound(t *testing.T) {
 			}
 			blocking = func(rt *Runtime) {
 				left := len(unreleased[rt.core])
-				if realtime && len(rt.awaitIDs) > 0 && int64(rt.core) != tokenCore.Load() {
+				if len(rt.awaitIDs) > 0 && int64(rt.core) != tokenCore.Load() {
 					if left > 0 {
 						rode.Add(1) // lockSent checked the request's own node
 					}
@@ -183,10 +177,10 @@ func TestCarriedReleaseBound(t *testing.T) {
 				}
 			}
 			t.Cleanup(func() { releaseSent, lockSent, blocking = nil, nil, nil })
-			// ended checks, from an attempt's commit or abort hook, that
-			// every earlier attempt's locks are released, unless the
-			// attempt committed without holding a lock (kept) or the row
-			// runs in real time (lingered), and records the locks this one
+			// ended counts, from an attempt's commit or abort hook, the
+			// attempts that end with an earlier attempt's locks still
+			// carried — kept if the attempt committed without holding a
+			// lock, lingered otherwise — and records the locks this one
 			// held: what releaseAll drafted for it.
 			ended := func(tx *Tx, committed bool) func() {
 				return func() {
@@ -197,10 +191,8 @@ func TestCarriedReleaseBound(t *testing.T) {
 					case len(held) == 0:
 					case lockFree:
 						kept.Add(1)
-					case realtime:
-						lingered.Add(1)
 					default:
-						violate("core %d ends attempt %d with %d locks of earlier attempts unreleased", rt.core, tx.id, len(held))
+						lingered.Add(1)
 					}
 					if rt.s.proto.readsHoldLocks() {
 						for _, e := range tx.reads.entries {
@@ -287,10 +279,10 @@ func TestCarriedReleaseBound(t *testing.T) {
 			if row.proto == ProtocolTL2 && kept.Load() == 0 {
 				t.Error("no lock-free commit ended with an earlier attempt's release still carried")
 			}
-			if realtime && rode.Load() == 0 {
+			if rode.Load() == 0 {
 				t.Error("no core blocked on a lock response while another node's release stayed carried")
 			}
-			if realtime && lingered.Load() == 0 {
+			if lingered.Load() == 0 {
 				t.Error("no attempt holding locks ended with an earlier attempt's release still carried")
 			}
 		})
@@ -298,11 +290,10 @@ func TestCarriedReleaseBound(t *testing.T) {
 }
 
 // TestCarriedReleaseWaitsForItsNode: an attempt locks keys on DTM nodes A
-// and B, the next one reads only on A, and the one after reads on B. On
-// live and net, B's release waits in the carry until the third attempt's
-// request to B carries it; on sim, it leaves on its own right after the
-// second attempt's request to A. The live row also runs in CI's -race
-// step, the net row in the net job's.
+// and B, the next one reads only on A, and the one after reads on B. B's
+// release waits in the carry until the third attempt's request to B carries
+// it. The live row also runs in CI's -race step, the net row in the net
+// job's.
 func TestCarriedReleaseWaitsForItsNode(t *testing.T) {
 	for _, backend := range []Backend{BackendSim, BackendLive, BackendNet} {
 		t.Run(backend.String(), func(t *testing.T) {
@@ -345,13 +336,9 @@ func TestCarriedReleaseWaitsForItsNode(t *testing.T) {
 					rt.RunReadOnly(func(tx *Tx) { tx.Read(b) })
 				}
 			})
-			wantLeft, wantRode := int64(3), int64(3)
-			if backend == BackendSim {
-				wantLeft, wantRode = 2, 0
-			}
-			if left.Load() != wantLeft || rode.Load() != wantRode {
-				t.Errorf("B's release left in attempt %d and rode a request in attempt %d (0: none); want %d and %d",
-					left.Load(), rode.Load(), wantLeft, wantRode)
+			if left.Load() != 3 || rode.Load() != 3 {
+				t.Errorf("B's release left in attempt %d and rode a request in attempt %d (0: none); want 3 and 3",
+					left.Load(), rode.Load())
 			}
 		})
 	}

@@ -124,9 +124,9 @@ const comapTail = 8
 // clusters, so (a) its mean remote-access ratio over the last comapTail
 // epoch windows and (b) its whole run's remote ratio are both below the
 // interleaved start's on the identical workload and seed — the
-// Stats.RemoteAccessRatio counter proving the win. One window against one
-// other window cannot tell: it passed on 11 of 20 seeds with every migration
-// switched off.
+// Stats.RemoteAccessRatio counter proving the win. Comparing one window
+// with another cannot tell co-mapping from noise: with every migration
+// switched off, such a comparison still held on 11 of seeds 1-20.
 func TestCoMappingConvergesOnStableSkew(t *testing.T) {
 	for seed := uint64(1); seed <= 8; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {

@@ -159,9 +159,6 @@ func (rt *Runtime) rpcLock(tx *Tx, keys []mem.Addr, mode lockMode) []mem.Addr {
 			lockSent(node, req)
 		}
 		rt.sendToNode(node, req)
-		if !rt.s.releaseWaitsForNode() {
-			rt.sendCarry() // the other carried releases leave before the core blocks
-		}
 		resp := rt.awaitOne(id)
 		if resp == nil {
 			// Deadline expired: the request or its response is lost. The
@@ -223,9 +220,6 @@ func (rt *Runtime) scatterWriteLocks(tx *Tx, epoch uint64, batches []nodeGroup) 
 		rt.sendToNode(b.node, req)
 	}
 	rt.scatterIDs = ids
-	if !rt.s.releaseWaitsForNode() {
-		rt.sendCarry() // the other carried releases join the burst
-	}
 	rt.emit(trace.KPhaseEnd, tx.id, uint64(trace.PhaseScatter), 0, 0)
 	rt.scatterLat.Observe(rt.proc.Now() - scStart)
 	gaStart := rt.proc.Now()

@@ -408,13 +408,6 @@ func (s *System) run(deadline, simCap port.Time, watchdog time.Duration) *Stats 
 // a low stripe.
 const memWords = 1 << 26
 
-// releaseWaitsForNode reports whether a carried release waits for the
-// core's next request to its own node, or its next wait (Runtime.carry): on
-// live and net. The simulator sends the whole carry at every lock request
-// and attempt end, so a finished attempt's locks leave its nodes before the
-// core's next block.
-func (s *System) releaseWaitsForNode() bool { return s.host != nil }
-
 // liveDrainExpired reports whether a deadline-bounded real-time run is past
 // its drain window (6x the deadline, like the sim backend's hard cap in
 // Run): transactions that are still aborting then are killed at their next

@@ -83,9 +83,10 @@ type Runtime struct {
 	// carry is the finished attempts' release messages, at most one per DTM
 	// node, in first-use order: releaseAll drafts them and sends none. The
 	// core's next lock request to a node carries that node's (carryOn), and
-	// sendCarry sends the rest on their own before the core waits, and on
-	// sim also before it blocks on a lock response or ends an attempt, so
-	// there they are all the last attempt's (System.releaseWaitsForNode).
+	// sendCarry sends the rest on their own before the core next waits
+	// (between attempts, for a winner, a token or a barrier, in a compute or
+	// a pause) or exits. A release may so outlive several attempts: an idle
+	// node revokes a finished attempt's lock (dtmNode.revokeFinished).
 	// riding keeps, on net only, a copy of each release carried by a
 	// request still unanswered: the request may be lost with its release.
 	carry  []relDraft
@@ -876,9 +877,6 @@ func (rt *Runtime) abortCleanup(tx *Tx, sig abortSignal) {
 // every key's node even while stripes migrate.
 func (rt *Runtime) releaseAll(tx *Tx) {
 	rt.emit(trace.KPhaseBegin, tx.id, uint64(trace.PhaseRelease), 0, 0)
-	if !rt.s.releaseWaitsForNode() {
-		rt.sendCarry()
-	}
 	tx.run.end(rt)
 	reads, place := rt.s.proto.readsHoldLocks(), rt.s.dir.Snapshot()
 	if reads {

@@ -150,34 +150,49 @@ func TestInboxShutdownServesEverySpill(t *testing.T) {
 	}
 }
 
-// TestLiveOversubscribedOverflowsChannel: the shape of internal/live's
-// TestLiveOversubscribedCommitRate (24 workers on 24 DTM nodes, two-account
-// transfers over 1,024 accounts) queues more than a channel's worth at some
-// port, so the spill path runs in a protocol workload and not only in the
-// cases above: it is a DTM node whose thread the OS has descheduled while
-// the workers on the other threads keep sending. At the default GOMAXPROCS
-// of the 2-vCPU reference host that happens in one 300 ms window in four;
-// with twice as many threads as CPUs, in every window (docs/perf/PR-25.md).
-func TestLiveOversubscribedOverflowsChannel(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2 * runtime.NumCPU()))
-	for try := 0; try < 5; try++ {
-		before := port.Spills()
-		s, err := core.NewSystem(core.Config{Backend: core.BackendLive, Seed: 7, TotalCores: 48, Policy: cm.FairCM})
-		if err != nil {
-			t.Fatal(err)
-		}
-		b := bank.New(s, 1024)
-		s.SpawnWorkers(b.TransferWorker(0))
-		s.Run(300 * time.Millisecond)
-		if b.TotalRaw() != b.Total() {
-			t.Fatalf("money not conserved: %d != %d", b.TotalRaw(), b.Total())
-		}
-		if n := port.Spills() - before; n > 0 {
-			t.Logf("%d spills in a 300 ms window", n)
+// TestInboxSpillsBehindStalledMultitaskNode: the protocol reaches the spill
+// path, and not only the cases above. On live under Multitask, every app
+// core serves its own DTM node whenever it waits. App core 0 computes and
+// never waits, so its node is not served, while the other cores run bank
+// transfers until more than a channel's worth of requests queue behind it:
+// each core that asks node 0 stays blocked there, so the queue only grows.
+// Then core 0 stops, its node serves them all, and the bank's money is
+// conserved. No core stops on a clock of its own: on a loaded host a timed
+// window could end before enough cores had asked node 0.
+func TestInboxSpillsBehindStalledMultitaskNode(t *testing.T) {
+	const accounts = 1024
+	before := port.Spills()
+	s, err := core.NewSystem(core.Config{Backend: core.BackendLive, Deployment: core.Multitask,
+		Seed: 7, TotalCores: 48, Policy: cm.FairCM})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := bank.New(s, accounts)
+	end := time.Now().Add(10 * time.Second)
+	stalled := func() bool { return port.Spills() == before && time.Now().Before(end) }
+	s.SpawnWorkers(func(rt *core.Runtime) {
+		if rt.AppIndex() == 0 {
+			for stalled() {
+				rt.Compute(time.Microsecond)
+			}
 			return
 		}
+		r := rt.Rand()
+		for stalled() {
+			from, to := bank.PickTransfer(r, accounts)
+			b.Transfer(rt, from, to, 1)
+			rt.AddOps(1)
+		}
+	})
+	s.RunToCompletion()
+	if b.TotalRaw() != b.Total() {
+		t.Fatalf("money not conserved: %d != %d", b.TotalRaw(), b.Total())
 	}
-	t.Error("five 300 ms windows of 48 oversubscribed cores never filled a port's channel")
+	n := port.Spills() - before
+	if n == 0 {
+		t.Fatal("10 s of a stalled Multitask node never filled its channel")
+	}
+	t.Logf("%d spills", n)
 }
 
 // BenchmarkInboxHandoff: one round trip between two ports — a channel hand-

@@ -21,7 +21,8 @@ import "repro/internal/port"
 // The value types every backend shares are defined in internal/port, the leaf
 // below all three backends. These four names stay as aliases only because
 // bench/, frozen between benchmark PRs, spells them through this package
-// (ROADMAP item 6 drops them); the kernel's own source reads through them.
+// (the next benchmark PR drops them); the kernel's own source reads through
+// them.
 type (
 	// Time is a virtual timestamp in nanoseconds since the start of the
 	// simulation. It is unrelated to wall-clock time.
