@@ -186,22 +186,24 @@ func main() {
 		rr := repro.NewRand(seed)
 		set.InitFill(n, uint64(2*n), &rr)
 		sys.SpawnWorkers(set.Worker(hashset.Workload{UpdatePct: *update, KeyRange: uint64(2 * n)}))
+		verify = set.Check
 	case "list":
 		l := intset.New(sys)
 		rr := repro.NewRand(seed)
 		l.InitFill(*elems, uint64(2**elems), &rr)
-		var m intset.Mode
+		var kind repro.TxKind
 		switch *mode {
 		case "normal":
-			m = intset.Normal
+			kind = repro.Normal
 		case "elastic-early":
-			m = intset.ElasticEarly
+			kind = repro.ElasticEarly
 		case "elastic-read":
-			m = intset.ElasticRead
+			kind = repro.ElasticRead
 		default:
 			fatal(fmt.Errorf("unknown list mode %q", *mode))
 		}
-		sys.SpawnWorkers(l.Worker(intset.Workload{UpdatePct: *update, KeyRange: uint64(2 * *elems), Mode: m}))
+		sys.SpawnWorkers(l.Worker(intset.Workload{UpdatePct: *update, KeyRange: uint64(2 * *elems), Kind: kind}))
+		verify = l.Check
 	case "mapreduce":
 		j := mapreduce.NewJob(sys, seed, *size, *chunk)
 		sys.SpawnWorkers(func(rt *repro.Runtime) { j.Worker(rt) })

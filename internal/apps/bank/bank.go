@@ -1,12 +1,11 @@
 // Package bank implements the bank application of §5.3: accounts in shared
-// memory with transfer and balance operations. Three variants exist, exactly
-// as in the paper's evaluation:
+// memory with transfer and balance operations. Two variants exist, as in
+// the paper's evaluation:
 //
 //   - transactional, through the TM2C runtime;
 //   - lock-based, serializing every operation behind a single global
 //     test-and-set register (the SCC offers one register per core, too few
-//     for fine-grained locking, §5.3);
-//   - bare sequential, for speedup baselines.
+//     for fine-grained locking, §5.3).
 //
 // The invariant used throughout the tests is money conservation: the sum of
 // all accounts never changes, and every transactional balance snapshot must
@@ -149,24 +148,6 @@ func (b *Bank) LockBalance(l *GlobalLock, p core.Port, coreID int) uint64 {
 		sum += b.accts.At(i).GetDirect(p, coreID)
 	}
 	l.Release(p, coreID)
-	return sum
-}
-
-// SeqTransfer is the bare sequential transfer (no synchronization; valid
-// only single-core).
-func (b *Bank) SeqTransfer(p core.Port, coreID, from, to int, amount uint64) {
-	f := b.accts.At(from).GetDirect(p, coreID)
-	t := b.accts.At(to).GetDirect(p, coreID)
-	b.accts.At(from).SetDirect(p, coreID, f-amount)
-	b.accts.At(to).SetDirect(p, coreID, t+amount)
-}
-
-// SeqBalance is the bare sequential balance scan.
-func (b *Bank) SeqBalance(p core.Port, coreID int) uint64 {
-	var sum uint64
-	for i := 0; i < b.n; i++ {
-		sum += b.accts.At(i).GetDirect(p, coreID)
-	}
 	return sum
 }
 

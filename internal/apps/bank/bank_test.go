@@ -85,24 +85,6 @@ func TestLockBasedConservationAndMutualExclusion(t *testing.T) {
 	}
 }
 
-func TestSequentialVariant(t *testing.T) {
-	s := newSys(t, func(c *core.Config) { c.TotalCores = 2; c.ServiceCores = 1 })
-	b := New(s, 6)
-	s.SpawnRaw(func(p core.Port, coreID int) {
-		b.SeqTransfer(p, coreID, 0, 1, 100)
-		if got := b.SeqBalance(p, coreID); got != b.Total() {
-			t.Errorf("seq balance = %d, want %d", got, b.Total())
-		}
-	})
-	s.RunToCompletion()
-	if s.Mem.ReadRaw(b.addr(0)) != InitialPerAccount-100 {
-		t.Fatal("seq transfer did not apply")
-	}
-	if b.TotalRaw() != b.Total() {
-		t.Fatal("seq conservation broken")
-	}
-}
-
 func TestPickTransferProperty(t *testing.T) {
 	if err := quick.Check(func(seed uint64, n8 uint8) bool {
 		n := int(n8%100) + 2

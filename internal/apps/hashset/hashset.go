@@ -1,20 +1,23 @@
 // Package hashset implements the synchrobench-style hash table benchmark of
 // §5.2: a fixed array of buckets, each a sorted singly-linked list of nodes
-// living in shared memory. The operations are contains, add, remove and (for
-// the eager/lazy comparison of Figure 4(c)) move.
+// living in shared memory. A bucket is an intset.List whose head pointer is
+// the bucket's slot. The operations are contains, add, remove and (for the
+// eager/lazy comparison of Figure 4(c)) move.
 //
-// Both a transactional version (through the TM2C runtime) and a bare
-// sequential version (direct shared-memory accesses) are provided; they run
-// the same traversal logic over the same memory layout.
+// Both a transactional version (through the TM2C runtime, on the buckets'
+// lists) and a bare sequential version (direct shared-memory accesses, word
+// by word) are provided; they walk the same memory layout.
 //
 // Layout: the set header holds the bucket array (one head pointer per
-// bucket); a node is a two-word object [key, next]. Address 0 is the nil
-// pointer (never allocated by internal/mem).
+// bucket); a node is intset's two-word object [key, next]. Address 0 is the
+// nil pointer (never allocated by internal/mem).
 package hashset
 
 import (
+	"fmt"
 	"time"
 
+	"repro/internal/apps/intset"
 	"repro/internal/core"
 	"repro/internal/mem"
 	"repro/internal/port"
@@ -28,31 +31,10 @@ const (
 	PerNodeCompute = 1 * time.Microsecond
 )
 
-// node is one list cell: the key and the next pointer, stored as a single
-// two-word object under one lock.
-type node struct {
-	Key  uint64
-	Next mem.Addr
-}
-
-// nodeW is the node object size in words; nodeNextOff is the word offset
-// of the Next field, used by the word-granular sequential baselines.
-const (
-	nodeW       = 2
-	nodeNextOff = 1
-)
-
-// nodeCodec translates node structs to and from their two-word layout.
-var nodeCodec = core.FuncCodec(nodeW,
-	func(n node, dst []uint64) { dst[0], dst[1] = n.Key, uint64(n.Next) },
-	func(src []uint64) node { return node{Key: src[0], Next: mem.Addr(src[1])} },
-)
-
 // Set is the shared-memory hash table.
 type Set struct {
-	sys      *core.System
-	buckets  core.TArray[mem.Addr] // bucket head pointers, one word each
-	nbuckets int
+	sys     *core.System
+	buckets core.TArray[mem.Addr] // bucket head pointers, one word each
 }
 
 // New allocates a set with nbuckets buckets. Like the paper's initial hash
@@ -60,11 +42,7 @@ type Set struct {
 // (§5.2: "the initial hash table resides only in one of the four memory
 // controllers").
 func New(sys *core.System, nbuckets int) *Set {
-	return &Set{
-		sys:      sys,
-		buckets:  core.NewTArray(sys, core.AddrCodec(), nbuckets, mem.Nil),
-		nbuckets: nbuckets,
-	}
+	return &Set{sys: sys, buckets: core.NewTArray(sys, core.AddrCodec(), nbuckets, mem.Nil)}
 }
 
 func hashKey(key uint64) uint64 {
@@ -74,14 +52,12 @@ func hashKey(key uint64) uint64 {
 	return key
 }
 
-// bucketVar returns the head-pointer variable of key's bucket.
-func (s *Set) bucketVar(key uint64) core.TVar[mem.Addr] {
-	return s.buckets.At(int(hashKey(key) % uint64(s.nbuckets)))
-}
+// bucketOf returns the index of key's bucket.
+func (s *Set) bucketOf(key uint64) int { return int(hashKey(key) % uint64(s.buckets.Len())) }
 
-// nodeAt views the node object at base.
-func (s *Set) nodeAt(base mem.Addr) core.TVar[node] {
-	return core.TVarAt(s.sys, nodeCodec, base)
+// list views bucket i as a sorted list.
+func (s *Set) list(i int) *intset.List {
+	return intset.At(s.sys, s.buckets.At(i), PerNodeCompute)
 }
 
 // InitFill populates the set with n distinct keys drawn from [1, keyRange]
@@ -91,75 +67,45 @@ func (s *Set) InitFill(n int, keyRange uint64, r *port.Rand) []uint64 {
 	inserted := make([]uint64, 0, n)
 	for len(inserted) < n {
 		key := r.Uint64()%keyRange + 1
-		if s.rawInsert(key) {
+		if s.list(s.bucketOf(key)).AddRaw(key) {
 			inserted = append(inserted, key)
 		}
 	}
 	return inserted
 }
 
-// rawInsert inserts without latency accounting; false if present.
-func (s *Set) rawInsert(key uint64) bool {
-	b := s.bucketVar(key)
-	prev, cur := mem.Nil, b.GetRaw()
-	for cur != 0 && s.nodeAt(cur).GetRaw().Key < key {
-		prev, cur = cur, s.nodeAt(cur).GetRaw().Next
-	}
-	if cur != 0 && s.nodeAt(cur).GetRaw().Key == key {
-		return false
-	}
-	nv := core.NewTVar(s.sys, nodeCodec, node{Key: key, Next: cur})
-	if prev == 0 {
-		b.SetRaw(nv.Addr())
-	} else {
-		pv := s.nodeAt(prev)
-		pv.SetRaw(node{Key: pv.GetRaw().Key, Next: nv.Addr()})
-	}
-	return true
-}
-
-// RawKeys walks the whole table without latency and returns every key, for
-// invariant checking (sortedness and uniqueness are verified by tests).
+// RawKeys walks the whole table without latency and returns every key,
+// bucket by bucket.
 func (s *Set) RawKeys() []uint64 {
 	var keys []uint64
-	for i := 0; i < s.nbuckets; i++ {
-		cur := s.buckets.GetRaw(i)
-		for cur != 0 {
-			n := s.nodeAt(cur).GetRaw()
-			keys = append(keys, n.Key)
-			cur = n.Next
-		}
+	for i := range s.buckets.Len() {
+		keys = append(keys, s.list(i).RawKeys()...)
 	}
 	return keys
 }
 
-// locate walks one bucket inside tx, returning the predecessor node (0 if
-// the head pointer) and the current node (0 if past the end), such that
-// cur.key >= key.
-func (s *Set) locate(tx *core.Tx, rt *core.Runtime, key uint64) (bucket core.TVar[mem.Addr], prev, cur mem.Addr, curKey uint64) {
-	bucket = s.bucketVar(key)
-	cur = bucket.Get(tx)
-	for cur != 0 {
-		rt.Compute(PerNodeCompute)
-		n := s.nodeAt(cur).Get(tx)
-		curKey = n.Key
-		if curKey >= key {
-			return bucket, prev, cur, curKey
+// Check verifies the table from raw memory: every bucket is a strictly
+// increasing list, and every key sits in the bucket its hash names — so no
+// key is in the table twice.
+func (s *Set) Check() error {
+	for i := range s.buckets.Len() {
+		l := s.list(i)
+		if err := l.Check(); err != nil {
+			return fmt.Errorf("hashset: bucket %d: %w", i, err)
 		}
-		prev, cur = cur, n.Next
+		for _, k := range l.RawKeys() {
+			if b := s.bucketOf(k); b != i {
+				return fmt.Errorf("hashset: key %d in bucket %d, hashes to %d", k, i, b)
+			}
+		}
 	}
-	return bucket, prev, 0, 0
+	return nil
 }
 
 // Contains reports whether key is in the set (transactional).
 func (s *Set) Contains(rt *core.Runtime, key uint64) bool {
 	rt.Compute(OpBaseCompute)
-	var found bool
-	rt.Run(func(tx *core.Tx) {
-		_, _, cur, curKey := s.locate(tx, rt, key)
-		found = cur != 0 && curKey == key
-	})
-	return found
+	return s.list(s.bucketOf(key)).Contains(rt, core.Normal, key)
 }
 
 // Add inserts key; false if it was already present ("failed updates count as
@@ -167,59 +113,13 @@ func (s *Set) Contains(rt *core.Runtime, key uint64) bool {
 // core's closest memory controller, as in the paper.
 func (s *Set) Add(rt *core.Runtime, key uint64) bool {
 	rt.Compute(OpBaseCompute)
-	var added bool
-	rt.Run(func(tx *core.Tx) {
-		added = s.addInTx(tx, rt, key)
-	})
-	return added
-}
-
-func (s *Set) addInTx(tx *core.Tx, rt *core.Runtime, key uint64) bool {
-	bucket, prev, cur, curKey := s.locate(tx, rt, key)
-	if cur != 0 && curKey == key {
-		return false
-	}
-	// Allocate near the inserting core (§5.2); the zero init is free and the
-	// object is populated transactionally before the pointer publishes it.
-	nv := core.NewTVarNear(s.sys, nodeCodec, rt.Core(), node{})
-	nv.Set(tx, node{Key: key, Next: cur})
-	if prev == 0 {
-		bucket.Set(tx, nv.Addr())
-	} else {
-		// Whole-object write: the lock unit is the object, so updating a
-		// node rewrites [key, next] under the node's base lock — the same
-		// lock its readers hold (txwrite(obj) in the paper).
-		pv := s.nodeAt(prev)
-		pkey := pv.Get(tx).Key // served from the tx cache
-		pv.Set(tx, node{Key: pkey, Next: nv.Addr()})
-	}
-	return true
+	return s.list(s.bucketOf(key)).Add(rt, core.Normal, key)
 }
 
 // Remove deletes key; false if absent.
 func (s *Set) Remove(rt *core.Runtime, key uint64) bool {
 	rt.Compute(OpBaseCompute)
-	var removed bool
-	rt.Run(func(tx *core.Tx) {
-		removed = s.removeInTx(tx, rt, key)
-	})
-	return removed
-}
-
-func (s *Set) removeInTx(tx *core.Tx, rt *core.Runtime, key uint64) bool {
-	bucket, prev, cur, curKey := s.locate(tx, rt, key)
-	if cur == 0 || curKey != key {
-		return false
-	}
-	next := s.nodeAt(cur).Get(tx).Next
-	if prev == 0 {
-		bucket.Set(tx, next)
-	} else {
-		pv := s.nodeAt(prev)
-		pkey := pv.Get(tx).Key
-		pv.Set(tx, node{Key: pkey, Next: next})
-	}
-	return true
+	return s.list(s.bucketOf(key)).Remove(rt, core.Normal, key)
 }
 
 // Move atomically removes from and inserts to (the §5.2 move operation used
@@ -227,34 +127,28 @@ func (s *Set) removeInTx(tx *core.Tx, rt *core.Runtime, key uint64) bool {
 // transaction). It returns false if from was absent or to already present.
 func (s *Set) Move(rt *core.Runtime, from, to uint64) bool {
 	rt.Compute(2 * OpBaseCompute)
+	src, dst := s.list(s.bucketOf(from)), s.list(s.bucketOf(to))
 	var ok bool
 	rt.Run(func(tx *core.Tx) {
-		ok = false
-		if !s.removeInTx(tx, rt, from) {
-			return
-		}
-		if !s.addInTx(tx, rt, to) {
-			return
-		}
-		ok = true
+		ok = src.RemoveTx(tx, rt, from) && dst.AddTx(tx, rt, to)
 	})
 	return ok
 }
 
-// Sequential variants: identical logic over raw memory with latency charged
-// through mem.Read/ReadBatch, without any locking.
+// Sequential variants: the same traversal over raw memory with latency
+// charged through mem.Read/ReadBatch, without any locking, word by word.
 
 func (s *Set) seqLocate(p core.Port, coreID int, key uint64) (bucket core.TVar[mem.Addr], prev, cur mem.Addr, curKey uint64) {
-	bucket = s.bucketVar(key)
+	bucket = s.buckets.At(s.bucketOf(key))
 	cur = bucket.GetDirect(p, coreID)
 	for cur != 0 {
 		p.Advance(s.sys.Platform().Compute(PerNodeCompute))
-		n := s.nodeAt(cur).GetDirect(p, coreID)
-		curKey = n.Key
+		n := s.sys.Mem.ReadBatch(p, coreID, cur, intset.NodeWords)
+		curKey = n[0]
 		if curKey >= key {
 			return bucket, prev, cur, curKey
 		}
-		prev, cur = cur, n.Next
+		prev, cur = cur, mem.Addr(n[intset.NextOff])
 	}
 	return bucket, prev, 0, 0
 }
@@ -273,16 +167,16 @@ func (s *Set) SeqAdd(p core.Port, coreID int, key uint64) bool {
 	if cur != 0 && curKey == key {
 		return false
 	}
-	nv := core.NewTVarNear(s.sys, nodeCodec, coreID, node{})
-	nv.SetDirect(p, coreID, node{Key: key, Next: cur})
+	nv := s.sys.Mem.AllocNear(intset.NodeWords, coreID)
+	s.sys.Mem.WriteBatch(p, coreID, []mem.Addr{nv, nv + intset.NextOff}, []uint64{key, uint64(cur)})
 	if prev == 0 {
-		bucket.SetDirect(p, coreID, nv.Addr())
+		bucket.SetDirect(p, coreID, nv)
 	} else {
 		// The bare-sequential baseline needs no locking and therefore no
 		// whole-object write: splice by storing the single next-pointer
 		// word, exactly the charge the fig4 speedup denominators have
 		// always paid.
-		s.sys.Mem.Write(p, coreID, prev+nodeNextOff, uint64(nv.Addr()))
+		s.sys.Mem.Write(p, coreID, prev+intset.NextOff, uint64(nv))
 	}
 	return true
 }
@@ -294,13 +188,13 @@ func (s *Set) SeqRemove(p core.Port, coreID int, key uint64) bool {
 	if cur == 0 || curKey != key {
 		return false
 	}
-	next := s.sys.Mem.Read(p, coreID, cur+nodeNextOff)
+	next := s.sys.Mem.Read(p, coreID, cur+intset.NextOff)
 	if prev == 0 {
 		bucket.SetDirect(p, coreID, mem.Addr(next))
 	} else {
 		// Word-granular splice, matching the baseline's historic charge
 		// (one 1-word read of cur.next, one 1-word write of prev.next).
-		s.sys.Mem.Write(p, coreID, prev+nodeNextOff, next)
+		s.sys.Mem.Write(p, coreID, prev+intset.NextOff, next)
 	}
 	return true
 }

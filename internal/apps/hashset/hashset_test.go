@@ -23,20 +23,8 @@ func newSys(t *testing.T, cores int) *core.System {
 
 func checkIntegrity(t *testing.T, s *Set) []uint64 {
 	t.Helper()
-	for i := 0; i < s.nbuckets; i++ {
-		var prev uint64
-		cur := s.buckets.GetRaw(i)
-		for cur != 0 {
-			n := s.nodeAt(cur).GetRaw()
-			if n.Key <= prev {
-				t.Fatalf("bucket %d not strictly sorted: %d after %d", i, n.Key, prev)
-			}
-			if int(hashKey(n.Key)%uint64(s.nbuckets)) != i {
-				t.Fatalf("key %d in wrong bucket %d", n.Key, i)
-			}
-			prev = n.Key
-			cur = n.Next
-		}
+	if err := s.Check(); err != nil {
+		t.Fatal(err)
 	}
 	all := s.RawKeys()
 	seen := make(map[uint64]bool)
@@ -232,6 +220,22 @@ func TestMoveWorkloadMix(t *testing.T) {
 		t.Fatal("no ops")
 	}
 	checkIntegrity(t, set)
+}
+
+// TestCheckCatchesMisplacedKey files a key, in order, into a bucket its hash
+// does not name: each bucket is still sorted, and Check must fail.
+func TestCheckCatchesMisplacedKey(t *testing.T) {
+	set := New(newSys(t, 2), 8)
+	r := port.NewRand(3)
+	set.InitFill(32, 256, &r)
+	if err := set.Check(); err != nil {
+		t.Fatalf("filled table fails Check: %v", err)
+	}
+	const key = 1000
+	set.list((set.bucketOf(key) + 1) % 8).AddRaw(key)
+	if err := set.Check(); err == nil {
+		t.Fatal("Check passed a key in the wrong bucket")
+	}
 }
 
 func TestHashKeySpreads(t *testing.T) {

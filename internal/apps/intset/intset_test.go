@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/cm"
 	"repro/internal/core"
+	"repro/internal/mem"
 	"repro/internal/noc"
 	"repro/internal/port"
 )
@@ -21,15 +22,14 @@ func newSys(t *testing.T, cores int) *core.System {
 	return s
 }
 
+var kinds = []core.TxKind{core.Normal, core.ElasticEarly, core.ElasticRead}
+
 func checkSorted(t *testing.T, l *List) []uint64 {
 	t.Helper()
-	keys := l.RawKeys()
-	for i := 1; i < len(keys); i++ {
-		if keys[i] <= keys[i-1] {
-			t.Fatalf("list not strictly sorted at %d: %v", i, keys[i-1:i+1])
-		}
+	if err := l.Check(); err != nil {
+		t.Fatal(err)
 	}
-	return keys
+	return l.RawKeys()
 }
 
 func TestInitFillSorted(t *testing.T) {
@@ -45,19 +45,40 @@ func TestInitFillSorted(t *testing.T) {
 	}
 }
 
-func TestModeStringsAndKinds(t *testing.T) {
-	if Normal.String() != "normal" || ElasticEarly.String() != "elastic-early" || ElasticRead.String() != "elastic-read" {
-		t.Fatal("Mode.String mismatch")
-	}
-	if Normal.TxKind() != core.Normal || ElasticEarly.TxKind() != core.ElasticEarly || ElasticRead.TxKind() != core.ElasticRead {
-		t.Fatal("TxKind mapping mismatch")
+// TestCheckCatchesCorruption rewrites a filled list's second node with raw
+// writes — a key out of order, a duplicate, a tombstone left linked, a
+// cycle back to the head — and expects Check to fail on each.
+func TestCheckCatchesCorruption(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		corrupt func(head mem.Addr, first, second node) node
+	}{
+		{"out-of-order", func(_ mem.Addr, _, n node) node { return node{Key: 1 << 40, Next: n.Next} }},
+		{"duplicate", func(_ mem.Addr, f, n node) node { return node{Key: f.Key, Next: n.Next} }},
+		{"tombstone", func(_ mem.Addr, _, n node) node { return node{Key: 0, Next: n.Next} }},
+		{"cycle", func(head mem.Addr, _, n node) node { return node{Key: n.Key, Next: head} }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			l := New(newSys(t, 2))
+			r := port.NewRand(1)
+			l.InitFill(8, 100, &r)
+			if err := l.Check(); err != nil {
+				t.Fatalf("filled list fails Check: %v", err)
+			}
+			head := l.head.GetRaw()
+			first := l.nodeAt(head).GetRaw()
+			second := l.nodeAt(first.Next)
+			second.SetRaw(tc.corrupt(head, first, second.GetRaw()))
+			if err := l.Check(); err == nil {
+				t.Fatal("Check passed a corrupted list")
+			}
+		})
 	}
 }
 
 func TestOpsMatchModelPerMode(t *testing.T) {
-	for _, mode := range []Mode{Normal, ElasticEarly, ElasticRead} {
-		mode := mode
-		t.Run(mode.String(), func(t *testing.T) {
+	for _, kind := range kinds {
+		t.Run(kind.String(), func(t *testing.T) {
 			s := newSys(t, 2) // single app core vs model
 			l := New(s)
 			model := make(map[uint64]bool)
@@ -67,18 +88,18 @@ func TestOpsMatchModelPerMode(t *testing.T) {
 					key := r.Uint64()%48 + 1
 					switch r.Intn(3) {
 					case 0:
-						if got, want := l.Add(rt, mode, key), !model[key]; got != want {
-							t.Errorf("%v Add(%d) = %v want %v", mode, key, got, want)
+						if got, want := l.Add(rt, kind, key), !model[key]; got != want {
+							t.Errorf("%v Add(%d) = %v want %v", kind, key, got, want)
 						}
 						model[key] = true
 					case 1:
-						if got, want := l.Remove(rt, mode, key), model[key]; got != want {
-							t.Errorf("%v Remove(%d) = %v want %v", mode, key, got, want)
+						if got, want := l.Remove(rt, kind, key), model[key]; got != want {
+							t.Errorf("%v Remove(%d) = %v want %v", kind, key, got, want)
 						}
 						delete(model, key)
 					default:
-						if got, want := l.Contains(rt, mode, key), model[key]; got != want {
-							t.Errorf("%v Contains(%d) = %v want %v", mode, key, got, want)
+						if got, want := l.Contains(rt, kind, key), model[key]; got != want {
+							t.Errorf("%v Contains(%d) = %v want %v", kind, key, got, want)
 						}
 					}
 				}
@@ -98,9 +119,8 @@ func TestOpsMatchModelPerMode(t *testing.T) {
 }
 
 func TestConcurrentTorturePerMode(t *testing.T) {
-	for _, mode := range []Mode{Normal, ElasticEarly, ElasticRead} {
-		mode := mode
-		t.Run(mode.String(), func(t *testing.T) {
+	for _, kind := range kinds {
+		t.Run(kind.String(), func(t *testing.T) {
 			s := newSys(t, 8)
 			l := New(s)
 			r := port.NewRand(9)
@@ -112,11 +132,11 @@ func TestConcurrentTorturePerMode(t *testing.T) {
 				for i := 0; i < 40; i++ {
 					key := rr.Uint64()%64 + 1
 					if rr.Intn(2) == 0 {
-						if l.Add(rt, mode, key) {
+						if l.Add(rt, kind, key) {
 							d++
 						}
 					} else {
-						if l.Remove(rt, mode, key) {
+						if l.Remove(rt, kind, key) {
 							d--
 						}
 					}
@@ -130,7 +150,7 @@ func TestConcurrentTorturePerMode(t *testing.T) {
 				net += d
 			}
 			if len(keys) != net {
-				t.Fatalf("%v: size %d != initial+net %d (lost/phantom update)", mode, len(keys), net)
+				t.Fatalf("%v: size %d != initial+net %d (lost/phantom update)", kind, len(keys), net)
 			}
 		})
 	}
@@ -143,7 +163,7 @@ func TestElasticEarlySendsEarlyReleases(t *testing.T) {
 	l.InitFill(32, 64, &r)
 	s.SpawnWorkers(func(rt *core.Runtime) {
 		for i := 0; i < 10; i++ {
-			l.Contains(rt, ElasticEarly, 60) // deep traversal
+			l.Contains(rt, core.ElasticEarly, 60) // deep traversal
 		}
 	})
 	st := s.RunToCompletion()
@@ -159,7 +179,7 @@ func TestElasticReadTakesNoReadLocks(t *testing.T) {
 	l.InitFill(32, 64, &r)
 	s.SpawnWorkers(func(rt *core.Runtime) {
 		for i := 0; i < 10; i++ {
-			l.Contains(rt, ElasticRead, 60)
+			l.Contains(rt, core.ElasticRead, 60)
 		}
 	})
 	st := s.RunToCompletion()
@@ -184,12 +204,12 @@ func TestElasticReadDetectsConcurrentChange(t *testing.T) {
 			key := rr.Uint64()%128 + 1
 			switch rt.AppIndex() {
 			case 0:
-				l.Contains(rt, ElasticRead, key)
+				l.Contains(rt, core.ElasticRead, key)
 			default:
 				if rr.Intn(2) == 0 {
-					l.Add(rt, Normal, key)
+					l.Add(rt, core.Normal, key)
 				} else {
-					l.Remove(rt, Normal, key)
+					l.Remove(rt, core.Normal, key)
 				}
 			}
 		}
@@ -200,15 +220,15 @@ func TestElasticReadDetectsConcurrentChange(t *testing.T) {
 }
 
 func TestWorkerSmokeAllModes(t *testing.T) {
-	for _, mode := range []Mode{Normal, ElasticEarly, ElasticRead} {
+	for _, kind := range kinds {
 		s := newSys(t, 8)
 		l := New(s)
 		r := port.NewRand(4)
 		l.InitFill(64, 128, &r)
-		s.SpawnWorkers(l.Worker(Workload{UpdatePct: 20, KeyRange: 128, Mode: mode}))
+		s.SpawnWorkers(l.Worker(Workload{UpdatePct: 20, KeyRange: 128, Kind: kind}))
 		st := s.Run(2 * time.Millisecond)
 		if st.Ops == 0 {
-			t.Fatalf("%v: no ops", mode)
+			t.Fatalf("%v: no ops", kind)
 		}
 		checkSorted(t, l)
 	}

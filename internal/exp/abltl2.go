@@ -60,7 +60,7 @@ func ablTL2(sc Scale, ov Overrides) []*Table {
 		r := port.NewRand(sc.Seed ^ 0x77)
 		keyRange := uint64(2 * elems)
 		l.InitFill(elems, keyRange, &r)
-		s.SpawnWorkers(l.Worker(intset.Workload{UpdatePct: 10, KeyRange: keyRange, Mode: intset.Normal}))
+		s.SpawnWorkers(l.Worker(intset.Workload{UpdatePct: 10, KeyRange: keyRange, Kind: core.Normal}))
 		st := s.Run(sc.Duration)
 		addTL2Row(t, "intset-lookup", proto, st)
 	}

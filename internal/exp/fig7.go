@@ -14,8 +14,8 @@ func init() {
 	register("fig7b", "Linked list: elastic-read speedup over normal and elastic-early", fig7b)
 }
 
-// listRun measures the list benchmark throughput for one mode.
-func listRun(sc Scale, ov Overrides, pl noc.Platform, n, elems, updatePct int, mode intset.Mode, seed uint64) *core.Stats {
+// listRun measures the list benchmark throughput for one transaction kind.
+func listRun(sc Scale, ov Overrides, pl noc.Platform, n, elems, updatePct int, kind core.TxKind, seed uint64) *core.Stats {
 	c := defaultSys(n)
 	c.Platform = pl
 	c.Seed = seed
@@ -24,7 +24,7 @@ func listRun(sc Scale, ov Overrides, pl noc.Platform, n, elems, updatePct int, m
 	r := port.NewRand(seed ^ 0x77)
 	keyRange := uint64(2 * elems)
 	l.InitFill(elems, keyRange, &r)
-	s.SpawnWorkers(l.Worker(intset.Workload{UpdatePct: updatePct, KeyRange: keyRange, Mode: mode}))
+	s.SpawnWorkers(l.Worker(intset.Workload{UpdatePct: updatePct, KeyRange: keyRange, Kind: kind}))
 	return s.Run(sc.Duration)
 }
 
@@ -40,8 +40,8 @@ func fig7a(sc Scale, ov Overrides) []*Table {
 		Columns: []string{"cores", "speedup", "normal ops/ms", "elastic-early ops/ms"},
 	}
 	for _, n := range sc.Cores {
-		norm := listRun(sc, ov, noc.SCC(0), n, elems, 20, intset.Normal, sc.Seed)
-		early := listRun(sc, ov, noc.SCC(0), n, elems, 20, intset.ElasticEarly, sc.Seed)
+		norm := listRun(sc, ov, noc.SCC(0), n, elems, 20, core.Normal, sc.Seed)
+		early := listRun(sc, ov, noc.SCC(0), n, elems, 20, core.ElasticEarly, sc.Seed)
 		nT := perMs(norm.Ops, norm.Duration)
 		eT := perMs(early.Ops, early.Duration)
 		t.AddRow(n, ratio(eT, nT), nT, eT)
@@ -59,9 +59,9 @@ func fig7b(sc Scale, ov Overrides) []*Table {
 		Columns: []string{"cores", "vs normal", "vs elastic-early", "elastic-read ops/ms"},
 	}
 	for _, n := range sc.Cores {
-		norm := listRun(sc, ov, noc.SCC(0), n, elems, 20, intset.Normal, sc.Seed)
-		early := listRun(sc, ov, noc.SCC(0), n, elems, 20, intset.ElasticEarly, sc.Seed)
-		er := listRun(sc, ov, noc.SCC(0), n, elems, 20, intset.ElasticRead, sc.Seed)
+		norm := listRun(sc, ov, noc.SCC(0), n, elems, 20, core.Normal, sc.Seed)
+		early := listRun(sc, ov, noc.SCC(0), n, elems, 20, core.ElasticEarly, sc.Seed)
+		er := listRun(sc, ov, noc.SCC(0), n, elems, 20, core.ElasticRead, sc.Seed)
 		nT := perMs(norm.Ops, norm.Duration)
 		eT := perMs(early.Ops, early.Duration)
 		rT := perMs(er.Ops, er.Duration)

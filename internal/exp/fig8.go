@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/apps/bank"
 	"repro/internal/apps/hashset"
-	"repro/internal/apps/intset"
 	"repro/internal/core"
 	"repro/internal/noc"
 	"repro/internal/port"
@@ -145,7 +144,7 @@ func fig8c(sc Scale, ov Overrides) []*Table {
 	for _, n := range sc.Cores {
 		row := []any{n}
 		for _, pl := range platforms() {
-			st := listRun(sc, ov, pl, n, elems, 10, intset.Normal, sc.Seed)
+			st := listRun(sc, ov, pl, n, elems, 10, core.Normal, sc.Seed)
 			row = append(row, perMs(st.Ops, st.Duration))
 		}
 		t.AddRow(row...)

@@ -14,7 +14,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -153,36 +152,25 @@ func TestLiveHashSet(t *testing.T) {
 		if len(keys) == 0 {
 			t.Fatal("init fill inserted nothing")
 		}
-		seen := make(map[uint64]bool)
-		for _, k := range set.RawKeys() {
-			if seen[k] {
-				t.Fatalf("duplicate key %d in hash set", k)
-			}
-			seen[k] = true
+		if err := set.Check(); err != nil {
+			t.Fatal(err)
 		}
 	})
 }
 
 func TestLiveIntSet(t *testing.T) {
-	for _, mode := range []intset.Mode{intset.Normal, intset.ElasticEarly, intset.ElasticRead} {
-		mode := mode
-		t.Run(mode.String(), func(t *testing.T) {
+	for _, kind := range []core.TxKind{core.Normal, core.ElasticEarly, core.ElasticRead} {
+		t.Run(kind.String(), func(t *testing.T) {
 			eachProtocol(t, func(t *testing.T, proto core.Protocol) {
 				s := liveSystem(t, proto, nil)
 				l := intset.New(s)
 				r := port.NewRand(13)
 				l.InitFill(96, 384, &r)
-				s.SpawnWorkers(l.Worker(intset.Workload{UpdatePct: 25, KeyRange: 384, Mode: mode}))
+				s.SpawnWorkers(l.Worker(intset.Workload{UpdatePct: 25, KeyRange: 384, Kind: kind}))
 				st := s.Run(liveWindow)
 				checkQuiesced(t, s, st)
-				keys := l.RawKeys()
-				if !sort.SliceIsSorted(keys, func(i, j int) bool { return keys[i] < keys[j] }) {
-					t.Fatalf("list keys out of order: %v", keys)
-				}
-				for i := 1; i < len(keys); i++ {
-					if keys[i] == keys[i-1] {
-						t.Fatalf("duplicate key %d in sorted list", keys[i])
-					}
+				if err := l.Check(); err != nil {
+					t.Fatal(err)
 				}
 			})
 		})

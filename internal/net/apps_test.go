@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -75,14 +74,7 @@ var netApps = map[string]netApp{
 				if len(keys) == 0 {
 					return fmt.Errorf("init fill inserted nothing")
 				}
-				seen := make(map[uint64]bool)
-				for _, k := range set.RawKeys() {
-					if seen[k] {
-						return fmt.Errorf("duplicate key %d in hash set", k)
-					}
-					seen[k] = true
-				}
-				return nil
+				return set.Check()
 			}
 		},
 	},
@@ -91,20 +83,9 @@ var netApps = map[string]netApp{
 			l := intset.New(s)
 			r := port.NewRand(13)
 			l.InitFill(96, 384, &r)
-			s.SpawnWorkers(l.Worker(intset.Workload{UpdatePct: 25, KeyRange: 384, Mode: intset.ElasticEarly}))
+			s.SpawnWorkers(l.Worker(intset.Workload{UpdatePct: 25, KeyRange: 384, Kind: core.ElasticEarly}))
 			st := s.Run(netWindow)
-			return st, func() error {
-				keys := l.RawKeys()
-				if !sort.SliceIsSorted(keys, func(i, j int) bool { return keys[i] < keys[j] }) {
-					return fmt.Errorf("list keys out of order: %v", keys)
-				}
-				for i := 1; i < len(keys); i++ {
-					if keys[i] == keys[i-1] {
-						return fmt.Errorf("duplicate key %d in sorted list", keys[i])
-					}
-				}
-				return nil
-			}
+			return st, l.Check
 		},
 	},
 	"mapreduce": {
