@@ -322,7 +322,8 @@ func report(w io.Writer, sys *repro.System, st *repro.Stats) {
 		st.AbortReasons[trace.ReasonTimeout], st.AbortReasons[trace.ReasonUser])
 	fmt.Fprintf(w, "  conflict kinds    RAW=%d WAW=%d WAR=%d\n",
 		st.AbortsByKind[0], st.AbortsByKind[1], st.AbortsByKind[2])
-	fmt.Fprintf(w, "conflicts/revokes   %d / %d, %d locks of finished attempts revoked\n", st.Conflicts, st.Revocations, st.StaleRevokes)
+	fmt.Fprintf(w, "conflicts/revokes   %d / %d, %d locks of finished attempts revoked; node register ops: %d ended reads, %d answered by the watermark, %d abort CASes\n",
+		st.Conflicts, st.Revocations, st.StaleRevokes, st.NodeEndedReads, st.NodeEndedKnown, st.NodeAbortCASes)
 	fmt.Fprintf(w, "winner waits        %d (%v waited for the attempt that won to end), %d requests resent past a winner that had ended\n",
 		st.WinnerWaits, st.WinnerWaitTime, st.EndedResends)
 	fmt.Fprintf(w, "read-ahead locks    %d (taken past the element a TArray scan missed), %d of them never read\n", st.ReadAheadKeys, st.ReadAheadUnused)

@@ -460,6 +460,15 @@ type Stats struct {
 	Revocations  uint64 // enemy aborts performed by CMs
 	StaleRevokes uint64 // locks of already finished attempts revoked for a requester
 
+	// The DTM nodes' remote register operations on lock holders: reads of
+	// a holder's status register to learn whether its attempt has ended
+	// (NodeEndedReads), answers to that question from the node's per-core
+	// watermark with no read (NodeEndedKnown), and the contention
+	// manager's Pending-to-Aborted CASes (NodeAbortCASes, abortEnemies).
+	NodeEndedReads uint64
+	NodeEndedKnown uint64
+	NodeAbortCASes uint64
+
 	// Placement activity (hier placement; see internal/placement).
 	StaleNacks        uint64 // lock requests NACKed for stale placement resolution
 	StaleNackHints    uint64 // stale-NACK retries steered by the piggybacked owner hint
@@ -574,6 +583,9 @@ func (s *Stats) addShard(o *Stats) {
 	s.Conflicts += o.Conflicts
 	s.Revocations += o.Revocations
 	s.StaleRevokes += o.StaleRevokes
+	s.NodeEndedReads += o.NodeEndedReads
+	s.NodeEndedKnown += o.NodeEndedKnown
+	s.NodeAbortCASes += o.NodeAbortCASes
 	s.StaleNacks += o.StaleNacks
 	s.StaleNackHints += o.StaleNackHints
 	s.PlacementAborts += o.PlacementAborts

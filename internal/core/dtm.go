@@ -352,6 +352,7 @@ func (n *dtmNode) handleLock(p port.Port, r *reqLock) bool {
 // every enemy was revoked.
 func (n *dtmNode) abortEnemies(p port.Port, addr mem.Addr, by cm.Meta, enemies []cm.Meta) int {
 	for i, e := range enemies {
+		n.shard.NodeAbortCASes++
 		swapped, obsID, obsState := n.s.Regs.CASStatusRemoteObserve(
 			p, n.core, e.Core, e.TxID, mem.TxPending, mem.TxAborted)
 		if swapped {
@@ -383,6 +384,7 @@ func (n *dtmNode) abortEnemies(p port.Port, addr mem.Addr, by cm.Meta, enemies [
 func (n *dtmNode) revokeFinished(p port.Port, addr mem.Addr, by cm.Meta, enemies []cm.Meta, win int) bool {
 	revoked := false
 	for _, e := range enemies[max(win, 0):] {
+		n.shard.NodeEndedReads++
 		if !n.s.ended(p, n.core, e) {
 			break
 		}
