@@ -47,6 +47,12 @@ type dtmNode struct {
 	// whether a winning holder has finished (handleLock).
 	busy bool
 
+	// endedTo holds, per core, the highest attempt ID of that core the node
+	// knows to have ended (0: none). A core runs its attempts one at a time,
+	// under IDs that only increase (Runtime.nextTxID), so every attempt of
+	// the core at or below it has ended too, and its locks here are stale.
+	endedTo []uint64
+
 	keyScratch []mem.Addr // drainFinished, tryHandoffs: locked keys, in order
 
 	// acqScratch accumulates the addresses a write-lock batch has acquired
@@ -242,11 +248,12 @@ func (n *dtmNode) nack(p port.Port, r *reqLock, kind cm.Kind, winner cm.Meta) {
 
 // handleLock implements Algorithm 1 (dsl_read_lock) in read mode and
 // Algorithm 2 (dsl_write_lock) in write mode, for every key of the request,
-// plus the revocation protocol: on a conflict the contention manager either
-// aborts the requester or remotely aborts the holders and steals their
-// locks; at a node nobody waits at, a verdict for the holders first takes
-// the locks of finished attempts away (revokeFinished). A batch is all or
-// nothing: on failure its own acquisitions are rolled back before the
+// plus the revocation protocol: on a conflict the locks of holders the node
+// knows to have ended go first (revokeKnown); then the contention manager
+// either aborts the requester or remotely aborts the holders and steals
+// their locks; at a node nobody waits at, a verdict for the holders first
+// takes the locks of finished attempts away (revokeFinished). A batch is all
+// or nothing: on failure its own acquisitions are rolled back before the
 // conflict reply, so the requester never holds partial state it does not
 // know about. Exclusive mode queues for the token instead; only then does it
 // return false, and tryGrantExclusive recycles the request once it grants.
@@ -262,10 +269,7 @@ func (n *dtmNode) handleLock(p port.Port, r *reqLock) bool {
 		return true
 	}
 	if e := r.Ended; e.Core >= 0 {
-		// The requester found this attempt ended: its locks here are stale.
-		for _, a := range r.Addrs {
-			n.revoke(p, a, r.Meta, cm.Meta{Core: e.Core, TxID: e.TxID}, true)
-		}
+		n.learn(cm.Meta{Core: e.Core, TxID: e.TxID}) // the requester found it ended
 	}
 	write := r.Mode == lockWrite
 	if n.excl.blocked() {
@@ -300,6 +304,9 @@ func (n *dtmNode) handleLock(p port.Port, r *reqLock) bool {
 				break
 			}
 			n.shard.Conflicts++
+			if n.revokeKnown(p, addr, meta, conf.Enemies) {
+				continue // busy or not, a lock the watermark shows stale does not count
+			}
 			d, win := n.s.cfg.Policy.ResolveWinner(meta, conf.Enemies, conf.Kind)
 			if d == cm.AbortRequester && !n.busy && n.revokeFinished(p, addr, meta, conf.Enemies, win) {
 				continue // a finished attempt's lock does not win: re-check
@@ -384,12 +391,49 @@ func (n *dtmNode) abortEnemies(p port.Port, addr mem.Addr, by cm.Meta, enemies [
 func (n *dtmNode) revokeFinished(p port.Port, addr mem.Addr, by cm.Meta, enemies []cm.Meta, win int) bool {
 	revoked := false
 	for _, e := range enemies[max(win, 0):] {
-		n.shard.NodeEndedReads++
-		if !n.s.ended(p, n.core, e) {
+		if !n.ended(p, e) {
 			break
 		}
 		n.revoke(p, addr, by, e, true)
 		revoked = true
+	}
+	return revoked
+}
+
+// ended reports whether attempt e has ended: at or below its core's
+// watermark with no register operation, above it by one read of its status
+// register (System.ended).
+func (n *dtmNode) ended(p port.Port, e cm.Meta) bool {
+	if n.known(e) {
+		return true
+	}
+	n.shard.NodeEndedReads++
+	return n.s.ended(p, n.core, e)
+}
+
+// known reports whether e's core's watermark shows attempt e ended.
+func (n *dtmNode) known(e cm.Meta) bool {
+	ok := e.TxID <= n.endedTo[e.Core]
+	if ok {
+		n.shard.NodeEndedKnown++
+	}
+	return ok
+}
+
+// learn raises e's core's watermark to attempt e, which has ended.
+func (n *dtmNode) learn(e cm.Meta) {
+	n.endedTo[e.Core] = max(n.endedTo[e.Core], e.TxID)
+}
+
+// revokeKnown takes away, for by, the locks at addr of every enemy the
+// watermark shows ended, and reports whether it revoked any.
+func (n *dtmNode) revokeKnown(p port.Port, addr mem.Addr, by cm.Meta, enemies []cm.Meta) bool {
+	revoked := false
+	for _, e := range enemies {
+		if n.known(e) {
+			n.revoke(p, addr, by, e, true)
+			revoked = true
+		}
 	}
 	return revoked
 }
@@ -423,8 +467,10 @@ func (n *dtmNode) lockedKeys(keep func(mem.Addr) bool) []mem.Addr {
 
 // revoke takes enemy e's lock at addr away for requester by, if e holds
 // one: a remote abort, or with stale set the lock of an attempt that had
-// already finished.
+// already finished. Either way e's attempt has ended: the watermark learns
+// it.
 func (n *dtmNode) revoke(p port.Port, addr mem.Addr, by, e cm.Meta, stale bool) {
+	n.learn(e)
 	if !n.table.Revoke(addr, e.Core, e.TxID) {
 		return
 	}

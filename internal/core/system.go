@@ -182,7 +182,7 @@ func NewSystem(cfg Config) (*System, error) {
 		}
 	}
 	for i, c := range s.svcCores {
-		s.nodes = append(s.nodes, &dtmNode{s: s, idx: i, core: c, table: dslock.NewTable()})
+		s.nodes = append(s.nodes, &dtmNode{s: s, idx: i, core: c, table: dslock.NewTable(), endedTo: make([]uint64, cfg.TotalCores)})
 	}
 	if len(s.nodes) > 0 {
 		// The stripe universe derives from the memory size (one region per
