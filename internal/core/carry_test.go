@@ -91,6 +91,114 @@ func TestFinishedHolderNeverWins(t *testing.T) {
 	}
 }
 
+// TestEndedWatermark: a DTM node that has learned an attempt ended clears
+// that attempt's other locks at first sight, without a register read or a
+// NACK, even while a backlog waits behind the request. An attempt that
+// cannot exist (attempt 5 of a core that runs nothing, whose status register
+// shows no attempt) write-locks two keys at one node. Under NoCM, where a
+// requester loses every conflict it is judged in, a reader reads both keys
+// in one transaction: the node serves its first request idle, reading the
+// holder's register once (revokeFinished), and its second one marked busy,
+// as a backlog would mark it (dtmNode.busy), where only the watermark can
+// clear the second lock (revokeKnown). The reader then holds both keys while
+// a writer of the first key loses to it: a running attempt's lock is never
+// cleared as ended. The live row also runs in CI's -race step, the net row
+// in the net job's.
+func TestEndedWatermark(t *testing.T) {
+	for _, backend := range []Backend{BackendSim, BackendLive, BackendNet} {
+		t.Run(backend.String(), func(t *testing.T) {
+			const endedTx = 5
+			giveUp := byBackend(backend, 2*time.Millisecond, 200*time.Millisecond)
+			var (
+				reads    [2]atomic.Int64 // the node's register reads after each request
+				known    [2]atomic.Int64 // its watermark answers after each request
+				held     atomic.Bool     // the reader holds both keys
+				lost     atomic.Bool     // the writer has lost to the running reader
+				finished atomic.Bool     // the reader has committed
+				readerN  atomic.Int64    // the reader's attempts
+				resends  atomic.Int64    // the reader's requests resent past an ended winner
+				writerN  atomic.Int64    // the writer's attempts
+				readerTo atomic.Int64    // the reader's state when the writer lost
+			)
+			runRanks(t, backend, func(c *Config) {
+				c.TotalCores, c.Policy, c.Deployment = 4, cm.NoCM, Multitask
+			}, func(s *System) func(rt *Runtime) {
+				pool := s.Mem.Alloc(16, 0)
+				a, ni := pool, s.nodeFor(pool)
+				b := a + 1
+				for s.nodeFor(b) != ni {
+					b++
+				}
+				n := s.nodes[ni]
+				// The holder, reader and writer apart from the node's core,
+				// and on net the reader on the other rank.
+				ended, reader, writer := (n.core+1)%4, (n.core+2)%4, (n.core+3)%4
+				if s.localCore(n.core) {
+					for _, k := range []mem.Addr{a, b} {
+						n.table.SetWriter(k, cm.Meta{Core: ended, TxID: endedTx})
+					}
+				}
+				return func(rt *Runtime) {
+					switch rt.Core() {
+					case reader:
+						readerN.Store(int64(rt.Run(func(tx *Tx) {
+							tx.Read(a)
+							tx.Read(b)
+							held.Store(true)
+							for end := rt.proc.Now() + giveUp; !lost.Load() && rt.proc.Now() < end; {
+								pauseServing(rt)
+							}
+						})))
+						finished.Store(true)
+						resends.Store(int64(rt.shard.EndedResends))
+					case writer:
+						for !held.Load() {
+							pauseServing(rt)
+						}
+						writerN.Store(int64(rt.Run(func(tx *Tx) {
+							for lost.Load() && !finished.Load() {
+								pauseServing(rt) // the retry starts once the reader has finished
+							}
+							tx.OnAbort(func() {
+								if !lost.Load() {
+									_, _, st := rt.s.Regs.CASStatusRemoteObserve(rt.proc, rt.core, reader, 0, mem.TxFree, mem.TxFree)
+									readerTo.Store(int64(st))
+								}
+								lost.Store(true)
+							})
+							tx.Write(a, 1)
+						})))
+					case n.core:
+						for i := range 2 {
+							m := rt.proc.Recv() // the reader's request for key i
+							n.busy = i == 1
+							n.handle(rt.proc, m)
+							n.busy = false
+							reads[i].Store(int64(n.shard.NodeEndedReads))
+							known[i].Store(int64(n.shard.NodeEndedKnown))
+						}
+					}
+				}
+			})
+			if r0, r1 := reads[0].Load(), reads[1].Load(); r0 != 1 || r1 != r0 {
+				t.Errorf("node register reads after the reader's requests: %d, %d; want 1, 1", r0, r1)
+			}
+			if k := known[1].Load() - known[0].Load(); k < 1 {
+				t.Errorf("the busy node answered %d ended checks from its watermark, want at least 1", k)
+			}
+			if n, r := readerN.Load(), resends.Load(); n != 1 || r != 0 {
+				t.Errorf("reader: %d attempts, %d resends; want 1 attempt and no NACK to resend past", n, r)
+			}
+			if got := mem.TxState(readerTo.Load()); got != mem.TxPending {
+				t.Errorf("the writer's first loss met a reader in state %v, want Pending", got)
+			}
+			if n := writerN.Load(); n != 2 {
+				t.Errorf("writer took %d attempts, want 2: one lost to the running reader, one granted over its finished attempt", n)
+			}
+		})
+	}
+}
+
 // byBackend picks a duration by backend: virtual time on sim, real time on
 // live and net.
 func byBackend(b Backend, sim, host time.Duration) port.Time {
