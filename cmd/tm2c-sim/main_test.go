@@ -89,29 +89,58 @@ func TestParsePlatform(t *testing.T) {
 	}
 }
 
-// TestBadInputExitsWithOneLine runs the command, re-executed from the test
-// binary, on flag values the platform table or an app cannot take: each
-// must print one "tm2c-sim:" line and exit 1, not panic or run anyway.
-func TestBadInputExitsWithOneLine(t *testing.T) {
+// TestMain runs the command itself when the test binary is re-executed
+// with TM2C_SIM_ARGS set (runCLI).
+func TestMain(m *testing.M) {
 	if args := os.Getenv("TM2C_SIM_ARGS"); args != "" {
 		os.Args = append([]string{"tm2c-sim"}, strings.Fields(args)...)
 		main()
 		os.Exit(0)
 	}
+	os.Exit(m.Run())
+}
+
+// runCLI runs the command, re-executed from the test binary, with args.
+func runCLI(args string) (string, error) {
+	cmd := exec.Command(os.Args[0])
+	cmd.Env = append(os.Environ(), "TM2C_SIM_ARGS="+args)
+	out, err := cmd.CombinedOutput()
+	return string(out), err
+}
+
+// TestBadInputExitsWithOneLine runs the command on flag values the platform
+// table or an app cannot take: each must print one "tm2c-sim:" line and
+// exit 1, not panic or run anyway.
+func TestBadInputExitsWithOneLine(t *testing.T) {
 	for _, args := range []string{
 		"-platform scc:7", "-platform scc:-1", "-platform scc:1x",
 		"-app hashset -buckets 0", "-app hashset -load 0", "-app list -elems 0",
 		"-app mapreduce -chunk 0", "-app mapreduce -size -1", "-app bank -accounts 1",
 	} {
-		cmd := exec.Command(os.Args[0], "-test.run=^TestBadInputExitsWithOneLine$")
-		cmd.Env = append(os.Environ(), "TM2C_SIM_ARGS="+args+" -duration 100us")
-		out, err := cmd.CombinedOutput()
+		out, err := runCLI(args + " -duration 100us")
 		var exit *exec.ExitError
 		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
 			t.Errorf("%s: exit %v, want 1", args, err)
 		}
 		if lines := strings.Split(strings.TrimSpace(string(out)), "\n"); len(lines) != 1 || !strings.HasPrefix(lines[0], "tm2c-sim: ") {
 			t.Errorf("%s: output %q, want one tm2c-sim: line", args, out)
+		}
+	}
+}
+
+// TestMapreduceVerification: a mapreduce run cut before the job finished
+// says it verified nothing, and a finished one checks the histogram exactly.
+func TestMapreduceVerification(t *testing.T) {
+	for args, want := range map[string]string{
+		"-app mapreduce -duration 100us":                      "verification: skipped (job incomplete: 0 of 4194304 bytes)",
+		"-app mapreduce -size 65536 -chunk 4096 -duration 1s": "verification: OK",
+	} {
+		out, err := runCLI(args)
+		if err != nil {
+			t.Errorf("%s: %v\n%s", args, err, out)
+		}
+		if lines := strings.Split(strings.TrimSpace(out), "\n"); lines[len(lines)-1] != want {
+			t.Errorf("%s: last line %q, want %q", args, lines[len(lines)-1], want)
 		}
 	}
 }
