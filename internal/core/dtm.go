@@ -411,7 +411,7 @@ func (n *dtmNode) ended(p port.Port, e cm.Meta) bool {
 	return n.s.ended(p, n.core, e)
 }
 
-// known reports whether e's core's watermark shows attempt e ended.
+// known reports, and counts, whether e's core's watermark shows e ended.
 func (n *dtmNode) known(e cm.Meta) bool {
 	ok := e.TxID <= n.endedTo[e.Core]
 	if ok {
