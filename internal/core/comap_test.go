@@ -16,7 +16,7 @@ type comapFixture struct {
 	epoch int // Config.RepartitionEpoch
 	ops   int // transactions per worker
 	// untilAwake stops a worker at the first transaction boundary where the
-	// directory holds leaves (its heat plane is awake), ops being a cap.
+	// directory holds heat stripes (its heat plane is awake), ops being a cap.
 	untilAwake bool
 }
 
@@ -58,7 +58,7 @@ func clusteredWorker(pl *noc.Platform, pool mem.Addr, partWords int, fx comapFix
 				tx.Write(a, tx.Read(a)+1)
 			})
 			rt.AddOps(1)
-			if fx.untilAwake && rt.s.dir.MaterializedLeaves() > 0 {
+			if fx.untilAwake && rt.s.dir.HeatStripes() > 0 {
 				return
 			}
 		}
@@ -169,9 +169,9 @@ func TestCoMappingConvergesOnStableSkew(t *testing.T) {
 func TestCoMappingSleepsThroughMildSkew(t *testing.T) {
 	hier, _ := runComap(t, placement.AdaptiveHier, comapMild, comapSeed)
 	start := interleavedStart(t, comapMild, comapSeed)
-	if hier.PlacementEpochs < 30 || hier.AwakeEpochs != 0 || hier.Migrations != 0 || hier.DirSplits != 0 {
-		t.Errorf("hier: awake %d of %d epochs, %d migrations, %d splits; want a run of >= 30 epochs slept through",
-			hier.AwakeEpochs, hier.PlacementEpochs, hier.Migrations, hier.DirSplits)
+	if hier.PlacementEpochs < 30 || hier.AwakeEpochs != 0 || hier.Migrations != 0 || hier.MaterializedLeaves != 0 {
+		t.Errorf("hier: awake %d of %d epochs, %d migrations, %d heat stripes; want a run of >= 30 epochs slept through",
+			hier.AwakeEpochs, hier.PlacementEpochs, hier.Migrations, hier.MaterializedLeaves)
 	}
 	if hr, sr := hier.RemoteAccessRatio(), start.RemoteAccessRatio(); hr != sr || hr < 0.7 {
 		t.Errorf("remote share hier %.3f, interleaved start %.3f; want equal, ~0.75", hr, sr)
@@ -179,39 +179,35 @@ func TestCoMappingSleepsThroughMildSkew(t *testing.T) {
 }
 
 // TestDirectoryStateIsOTouched asserts the hierarchical directory's scaling
-// contract end to end: under the million-leaf universe (memWords 2^26 per
-// region), a run touching a small pool materializes leaves
-// proportional to the pool, leaving the leaf universe overwhelmingly
-// unmaterialized — and the gauges surface through Stats for the bench
-// artifacts to record. The leaf gauge is read when the run ends, so the run
-// ends while the plane is awake: every worker stops at the first transaction
-// boundary that finds leaves, and the last to stop found them after every
-// access of the run had been recorded, so no later epoch can put the plane
-// back to sleep. Run to its end, the same workload balances itself, falls
-// asleep and reports what it then holds — nothing.
+// contract end to end: under the 2^28-stripe universe (memWords 2^26 per
+// region), a run touching a 1024-word pool holds heat for at most the pool's
+// stripes, leaving the universe overwhelmingly without state — and the gauge
+// surfaces through Stats for the bench artifacts to record. The gauge is
+// read when the run ends, so the run ends while the plane is awake: every
+// worker stops at the first transaction boundary that finds heat stripes,
+// and the last to stop found them after every access of the run had been
+// recorded, so no later epoch can put the plane back to sleep. Run to its
+// end, the same workload balances itself, falls asleep and reports what it
+// then holds — nothing.
 func TestDirectoryStateIsOTouched(t *testing.T) {
 	fx := comapSteep
 	fx.untilAwake = true
-	st, _ := runComap(t, placement.AdaptiveHier, fx, comapSeed)
+	st, dir := runComap(t, placement.AdaptiveHier, fx, comapSeed)
 	if st.MaterializedLeaves == 0 {
-		t.Fatal("no materialized leaves reported")
+		t.Fatal("no heat stripes reported")
 	}
-	if st.LeafUniverse < 1<<20 {
-		t.Fatalf("leaf universe = %d, want >= 2^20 under memWords", st.LeafUniverse)
+	if dir.NumStripes() < 1<<28 {
+		t.Fatalf("stripe universe = %d, want >= 2^28 under memWords", dir.NumStripes())
 	}
-	if 1000*st.MaterializedLeaves >= st.LeafUniverse {
-		t.Fatalf("materialized leaves %d not ≪ leaf universe %d", st.MaterializedLeaves, st.LeafUniverse)
-	}
-	if st.DirSplits == 0 {
-		t.Fatal("no splits counted")
+	if st.MaterializedLeaves > 1024 || 1<<16*st.MaterializedLeaves >= dir.NumStripes() {
+		t.Fatalf("%d heat stripes for a 1024-word pool in a %d-stripe universe: not O(touched)", st.MaterializedLeaves, dir.NumStripes())
 	}
 
 	st, _ = runComap(t, placement.AdaptiveHier, comapSteep, comapSeed)
 	if st.AwakeEpochs == 0 || st.AwakeEpochs >= st.PlacementEpochs {
 		t.Fatalf("awake %d of %d epochs: the full run must wake the heat plane, and balancing it must let it sleep", st.AwakeEpochs, st.PlacementEpochs)
 	}
-	// The 1024-word pool spans at most five 256-stripe leaves per wake.
-	if st.MaterializedLeaves != 0 || st.DirSplits == 0 || st.DirSplits != st.DirMerges || st.DirSplits > 5*st.AwakeEpochs {
-		t.Fatalf("asleep at the end with %d leaves, %d splits, %d merges over %d awake epochs", st.MaterializedLeaves, st.DirSplits, st.DirMerges, st.AwakeEpochs)
+	if st.MaterializedLeaves != 0 {
+		t.Fatalf("asleep at the end with %d heat stripes over %d awake epochs", st.MaterializedLeaves, st.AwakeEpochs)
 	}
 }

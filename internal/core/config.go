@@ -479,13 +479,12 @@ type Stats struct {
 	Migrations        uint64 // stripe migrations initiated by the directory
 	Handoffs          uint64 // stripe handoffs completed by DTM nodes
 
-	// Hierarchical-directory activity (hier placement). The leaf counters
-	// are end-of-run gauges, not sums: MaterializedLeaves ≪ LeafUniverse is
-	// the O(touched) scaling witness.
-	DirSplits          uint64 // super-stripes materialized into leaves
-	DirMerges          uint64 // cooled leaves dematerialized
-	MaterializedLeaves int    // leaves materialized at the end of the run
-	LeafUniverse       int    // super-stripes the universe divides into
+	// MaterializedLeaves is an end-of-run gauge, not a sum: the stripes
+	// holding heat in the hier directory's stripe tier when the run ended
+	// (placement.Directory.HeatStripes), zero once its heat plane sleeps. It
+	// keeps the name of the retired leaf gauge for the repository benchmark,
+	// which reads it.
+	MaterializedLeaves int
 
 	// Thread/data locality (hier placement, over the platform's clusters;
 	// see noc.Platform.ClusterOf). A recorded access is local when the
@@ -557,9 +556,9 @@ type Stats struct {
 // addShard folds one execution context's counter shard into s. Every
 // runtime and DTM node accumulates into its own shard — the only thing
 // that makes the live backend's concurrent increments race-free — and the
-// post-quiesce snapshot merges them here. All fields are sums (MaxAttempts
-// a max), so the merged totals are independent of merge order and
-// bit-identical to the old single-struct accumulation on the sim backend.
+// post-quiesce snapshot merges them here. Every counter is a sum
+// (MaxAttempts a max), so the merged totals are independent of merge order;
+// TestAddShardMergesEveryCounter lists the fields the snapshot writes once.
 func (s *Stats) addShard(o *Stats) {
 	s.ReadOnlyCommits += o.ReadOnlyCommits
 	s.MaxAttempts = max(s.MaxAttempts, o.MaxAttempts)

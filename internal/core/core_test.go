@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -419,6 +421,89 @@ func TestShardsMergeWinnerWaits(t *testing.T) {
 	if st.WinnerWaits != 7 || st.WinnerWaitTime != 1000 || st.RPCTimeouts != 3 || st.EndedResends != 10 {
 		t.Fatalf("merged winner waits %d lasting %v, %d RPC timeouts, %d ended-winner resends; want 7, 1µs, 3, 10",
 			st.WinnerWaits, st.WinnerWaitTime, st.RPCTimeouts, st.EndedResends)
+	}
+}
+
+// TestAddShardMergesEveryCounter walks Stats by reflection: addShard must
+// sum every numeric field and every element of a numeric array (MaxAttempts
+// by max), unless the list below names the field as one the snapshot writes
+// once. A counter added to Stats and never merged fails here.
+func TestAddShardMergesEveryCounter(t *testing.T) {
+	writtenOnce := map[string]string{
+		"Commits": "CoreStats, summed per runtime by the snapshot",
+		"Aborts":  "CoreStats, summed per runtime by the snapshot",
+		"Ops":     "CoreStats, summed per runtime by the snapshot",
+		// The directory gauges, read from the one placement.Directory.
+		"RepartitionRounds":  "directory",
+		"PlacementEpochs":    "directory",
+		"AwakeEpochs":        "directory",
+		"Migrations":         "directory",
+		"Handoffs":           "directory",
+		"MaterializedLeaves": "directory",
+		"LocalAccesses":      "directory",
+		"RemoteAccesses":     "directory",
+		"CoalescedPayloads":  "never counted: always 0",
+		"NodeLoad":           "one element per DTM node",
+		"PerCore":            "one element per runtime",
+		"Duration":           "the run's length",
+	}
+	var st, sh Stats
+	sv, hv := reflect.ValueOf(&st).Elem(), reflect.ValueOf(&sh).Elem()
+	for name := range writtenOnce {
+		if !sv.FieldByName(name).IsValid() {
+			t.Errorf("the written-once list names Stats.%s, which does not exist", name)
+		}
+	}
+	type counter struct {
+		field, name string
+		s, h        reflect.Value
+	}
+	var counters []counter
+	for i := 0; i < sv.NumField(); i++ {
+		f, s, h := sv.Type().Field(i), sv.Field(i), hv.Field(i)
+		switch f.Type.Kind() {
+		case reflect.Uint64, reflect.Int, reflect.Int64:
+			counters = append(counters, counter{f.Name, f.Name, s, h})
+		case reflect.Array:
+			for j := 0; j < s.Len(); j++ {
+				counters = append(counters, counter{f.Name, fmt.Sprintf("%s[%d]", f.Name, j), s.Index(j), h.Index(j)})
+			}
+		default:
+			if _, ok := writtenOnce[f.Name]; !ok {
+				t.Errorf("Stats.%s is a %s that addShard cannot sum and the written-once list does not name", f.Name, f.Type)
+			}
+		}
+	}
+	set := func(v reflect.Value, x uint64) {
+		if v.CanUint() {
+			v.SetUint(x)
+		} else {
+			v.SetInt(int64(x))
+		}
+	}
+	get := func(v reflect.Value) uint64 {
+		if v.CanUint() {
+			return v.Uint()
+		}
+		return uint64(v.Int())
+	}
+	// Distinct values everywhere: a sum, a max and an untouched field each
+	// give a different result, and a field merged into its neighbour shows.
+	for i, c := range counters {
+		set(c.s, uint64(1+i))
+		set(c.h, uint64(1000+i))
+	}
+	st.addShard(&sh)
+	for i, c := range counters {
+		want, rule := uint64(1001+2*i), "summed"
+		if _, ok := writtenOnce[c.field]; ok {
+			want, rule = uint64(1+i), "left to the snapshot"
+		} else if c.field == "MaxAttempts" {
+			want, rule = uint64(1000+i), "merged by max"
+		}
+		if got := get(c.s); got != want {
+			t.Errorf("Stats.%s = %d after addShard, want %d (%s)", c.name, got, want, rule)
+		}
 	}
 }
 

@@ -551,10 +551,7 @@ func (s *System) snapshot(d port.Time) {
 		s.stats.PlacementEpochs, s.stats.AwakeEpochs = s.dir.Evaluated, s.dir.AwakeEpochs
 		s.stats.Migrations = s.dir.Migrations
 		s.stats.Handoffs = s.dir.Handoffs
-		s.stats.DirSplits = s.dir.Splits
-		s.stats.DirMerges = s.dir.Merges
-		s.stats.MaterializedLeaves = s.dir.MaterializedLeaves()
-		s.stats.LeafUniverse = s.dir.LeafUniverse()
+		s.stats.MaterializedLeaves = s.dir.HeatStripes()
 		s.stats.LocalAccesses, s.stats.RemoteAccesses = s.dir.AccessLocality()
 	}
 	s.assembleTrace()

@@ -255,14 +255,14 @@ func rowWhere(t *testing.T, tab *Table, kv ...string) []string {
 }
 
 // TestShapeHierPlacementAtScale checks the scaleplace claims on fresh runs:
-// the hierarchical directory materializes far fewer leaves than the universe
-// a flat table would scan; on the uniform rows, where no mapping can gain,
-// hier moves nothing, holds no leaves and runs no more than 1 % behind hash
-// (the interleaved start assignment is often ahead of it); and on the Zipf
-// rows hier holds hash's throughput while pulling the remote-access share
-// below the uniform hier row's — the dormant interleaved start's — with
-// bounded node imbalance and wire traffic. Live keeps leaves vs universe,
-// the one claim that does not compare two rows.
+// the hierarchical directory holds heat for far fewer stripes than the
+// universe a flat table would scan; on the uniform rows, where no mapping
+// can gain, hier moves nothing, holds no heat and runs no more than 1 %
+// behind hash (the interleaved start assignment is often ahead of it); and
+// on the Zipf rows hier holds hash's throughput while pulling the
+// remote-access share below the uniform hier row's — the dormant
+// interleaved start's — with bounded node imbalance and wire traffic. Live
+// keeps heat vs universe, the one claim that does not compare two rows.
 //
 // The sim runs are Quick at seeds 1-8. A Quick Zipf row is 3 ms at a ~36 %
 // commit rate with one to six migrations in it, so two rows of one seed
@@ -285,8 +285,8 @@ func TestShapeHierPlacementAtScale(t *testing.T) {
 				for _, row := range tab.Rows {
 					skew, policy := row[colIndex(t, tab, "skew")], row[colIndex(t, tab, "policy")]
 					nonEmpty(t, tab, row)
-					if leaves, univ := num(t, tab, row, "leaves"), num(t, tab, row, "leaf universe"); univ <= 0 || 10*leaves >= univ {
-						t.Errorf("seed %d %s %s: %v leaves of a %v-leaf universe (not ≪)", seed, skew, policy, leaves, univ)
+					if heat, univ := num(t, tab, row, "heat stripes"), num(t, tab, row, "stripe universe"); univ <= 0 || 10*heat >= univ {
+						t.Errorf("seed %d %s %s: %v heat stripes of a %v-stripe universe (not ≪)", seed, skew, policy, heat, univ)
 					}
 					if be.live {
 						continue
@@ -299,8 +299,8 @@ func TestShapeHierPlacementAtScale(t *testing.T) {
 					}
 					if skew == "uniform" && policy != "hash" {
 						h := num(t, tab, rowWhere(t, tab, "skew", skew, "policy", "hash"), "ops/ms")
-						if m, l, r := num(t, tab, row, "migrations"), num(t, tab, row, "leaves"), num(t, tab, row, "ops/ms"); m != 0 || l != 0 || r < 0.99*h {
-							t.Errorf("seed %d uniform %s: %v migrations, %v leaves, %v ops/ms vs hash %v; want a dormant heat plane no more than 1%% behind hash", seed, policy, m, l, r, h)
+						if m, l, r := num(t, tab, row, "migrations"), num(t, tab, row, "heat stripes"), num(t, tab, row, "ops/ms"); m != 0 || l != 0 || r < 0.99*h {
+							t.Errorf("seed %d uniform %s: %v migrations, %v heat stripes, %v ops/ms vs hash %v; want a dormant heat plane no more than 1%% behind hash", seed, policy, m, l, r, h)
 						}
 					}
 					for _, col := range []string{"ops/ms", "remote %"} {

@@ -38,13 +38,13 @@ func uniformKeys(n int) []mem.Addr {
 var benchSink int
 
 // TestRecordSteadyStateAllocFree states the awake heat plane's claim: once
-// the leaf pool and the epoch scratch have reached their working size,
-// resolving and recording allocates nothing while leaves split and merge.
-// Two accesses in three hit stripe 0 — hotter than its node's excess over the
-// mean, so it can never move and the plane stays awake without migrating —
-// and the third is a uniform key of the other node: a leaf split for nearly
-// each, a merge at the end of the epoch. (The dormant plane's zero is a case
-// of TestHeatPlaneSleepsAndWakes.)
+// the stripe map and the epoch scratch have reached their working size,
+// resolving and recording allocates nothing while stripes enter and leave
+// the map. Two accesses in three hit stripe 0 — hotter than its node's
+// excess over the mean, so it can never move and the plane stays awake
+// without migrating — and the third is a uniform key of the other node: a
+// new entry for nearly each, deleted at the end of the epoch. (The dormant
+// plane's zero is a case of TestHeatPlaneSleepsAndWakes.)
 func TestRecordSteadyStateAllocFree(t *testing.T) {
 	d := benchDirectory(t, AdaptiveHier)
 	keys := uniformKeys(1 << 16)
@@ -67,8 +67,8 @@ func TestRecordSteadyStateAllocFree(t *testing.T) {
 	if d.AwakeEpochs+1 != d.Evaluated || d.Migrations != 0 {
 		t.Errorf("awake %d of %d epochs with %d migrations, want all but the first and none: not the case under test", d.AwakeEpochs, d.Evaluated, d.Migrations)
 	}
-	if d.Merges == 0 || d.MaterializedLeaves() < 2 {
-		t.Errorf("stream never cycled leaves (%d merges, %d materialized): not the case under test", d.Merges, d.MaterializedLeaves())
+	if n := d.HeatStripes(); n < 2 || n > 2*(1024+1) {
+		t.Errorf("%d heat stripes after ~16k one-touch keys: the stream did not cycle stripes through the map, not the case under test", n)
 	}
 	if err := d.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -114,28 +114,37 @@ func BenchmarkRecordUniform(b *testing.B) {
 	}
 }
 
-// BenchmarkEvaluate closes one awake epoch over 700 materialized leaves,
-// each re-heated first so none merges away. Every hot stripe is node 0's, so
-// the plane stays awake.
+// BenchmarkEvaluate closes one awake epoch over 700 hot stripes of node 0,
+// each re-heated first so none decays away; every hot stripe is node 0's, so
+// the plane stays awake. The sparse row spaces them 256 stripes apart, the
+// dense row packs them into 1,400 adjacent addresses (node 0 owns the even
+// ones).
 func BenchmarkEvaluate(b *testing.B) {
-	d := benchDirectory(b, AdaptiveHier)
-	d.nextEval = ^uint64(0) // evaluate only when the loop says so
-	d.awake = true
-	hot := make([]mem.Addr, 700)
-	for i := range hot {
-		hot[i] = mem.Addr(i * d.LeafSpan())
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		d.Record(0, hot...)
-		d.Record(1, hot...)
-		b.StartTimer()
-		d.mu.Lock()
-		d.evaluate()
-		d.mu.Unlock()
-	}
-	if got := d.MaterializedLeaves(); got != len(hot) {
-		b.Fatalf("%d leaves materialized, want %d", got, len(hot))
+	for _, tc := range []struct {
+		name   string
+		stride int
+	}{{"sparse", 256}, {"dense", 2}} {
+		b.Run(tc.name, func(b *testing.B) {
+			d := benchDirectory(b, AdaptiveHier)
+			d.nextEval = ^uint64(0) // evaluate only when the loop says so
+			d.awake = true
+			hot := make([]mem.Addr, 700)
+			for i := range hot {
+				hot[i] = mem.Addr(i * tc.stride)
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				d.Record(0, hot...)
+				d.Record(1, hot...)
+				b.StartTimer()
+				d.mu.Lock()
+				d.evaluate()
+				d.mu.Unlock()
+			}
+			if got := d.HeatStripes(); got != len(hot) {
+				b.Fatalf("%d heat stripes, want %d", got, len(hot))
+			}
+		})
 	}
 }

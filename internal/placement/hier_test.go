@@ -8,14 +8,15 @@ import (
 	"repro/internal/port"
 )
 
-// TestHierSplitMergeProperty drives hierarchical directories through random
-// schedules of clustered accesses, forced migrations, handoff completions
-// and full decay cycles — waking and sleeping along the way — asserting after
+// TestHierHeatLifecycleProperty drives hierarchical directories through
+// random schedules of clustered accesses, forced migrations, handoff
+// completions and full decay cycles — stripes entering the heat map and
+// leaving it, the plane waking and sleeping along the way — asserting after
 // every step that the structural invariants hold: in particular that exactly
-// one node owns every stripe (materialized or not), that a freeze or a
-// handoff on a stripe whose leaf has merged away or was dropped by a sleep
-// is sound (leaves are heat only; nothing pins one).
-func TestHierSplitMergeProperty(t *testing.T) {
+// one node owns every stripe (holding heat or not), that a freeze or a
+// handoff on a stripe whose heat decayed away or was dropped by a sleep is
+// sound (heat is heat only; nothing pins an entry).
+func TestHierHeatLifecycleProperty(t *testing.T) {
 	r := port.NewRand(99)
 	for trial := 0; trial < 20; trial++ {
 		nodes := 2 + r.Intn(6)
@@ -25,8 +26,7 @@ func TestHierSplitMergeProperty(t *testing.T) {
 			clusters[i] = r.Intn(1 + i)
 		}
 		d, err := New(Config{
-			Nodes: nodes, Kind: AdaptiveHier, RegionWords: uint64(stripes),
-			LeafStripes: 8, Clusters: clusters,
+			Nodes: nodes, Kind: AdaptiveHier, RegionWords: uint64(stripes), Clusters: clusters,
 			EvalEvery: 32 + r.Intn(32), MaxMoves: 1 + r.Intn(4),
 		})
 		if err != nil {
@@ -44,7 +44,7 @@ func TestHierSplitMergeProperty(t *testing.T) {
 				}
 			default:
 				// Alternating bursts: four stripes that all start on node 0
-				// (the plane wakes; splits, moves and merges follow), then
+				// (the plane wakes; stripes gain heat and move), then
 				// uniform traffic (it goes back to sleep).
 				k := nodes * r.Intn(4)
 				if step/400%2 == 1 {
@@ -90,42 +90,41 @@ func TestHierSplitMergeProperty(t *testing.T) {
 	}
 }
 
-// TestHierLeavesMergeWhenCold checks the merge half of the lifecycle while
-// the plane stays awake: after a burst of localized traffic stops, epoch
-// decay must dematerialize the cooled leaf — even though stripes in it were
-// migrated, because ownership lives in the snapshot and pins nothing.
+// TestHierLeavesMergeWhenCold checks the decay half of the lifecycle while
+// the plane stays awake: after a burst of localized traffic stops, a stripe
+// that cools leaves the heat map at an epoch boundary while the hot one
+// stays — even though the cooled stripes were migrated, because ownership
+// lives in the snapshot and pins nothing.
 func TestHierLeavesMergeWhenCold(t *testing.T) {
-	d, err := New(Config{
-		Nodes: 4, Kind: AdaptiveHier, RegionWords: 1 << 12,
-		LeafStripes: 64, EvalEvery: 256,
-	})
+	d, err := New(Config{Nodes: 4, Kind: AdaptiveHier, RegionWords: 1 << 12, EvalEvery: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Half the traffic on one distant stripe of node 0's: hotter than its
 	// node's excess over the mean, it cannot move, so the plane wakes and
-	// stays awake. The other half hammers eight stripes of leaf 0, node 0's
-	// too: the leaf materializes and some of them move away.
+	// stays awake. The other half hammers eight nearby stripes, node 0's
+	// too: they gain heat and some of them move away.
+	const distant = 4000
 	for i := 0; i < 1024; i++ {
-		d.Record(-1, mem.Addr(4000), mem.Addr(4*(i%8)))
+		d.Record(-1, mem.Addr(distant), mem.Addr(4*(i%8)))
 		drain(d)
 	}
-	if got := d.MaterializedLeaves(); got != 2 {
-		t.Fatalf("%d leaves materialized for a working set inside two 64-stripe leaves, want 2", got)
+	if got := d.HeatStripes(); got != 9 {
+		t.Fatalf("%d heat stripes for a nine-stripe working set, want 9", got)
 	}
 	if d.Handoffs == 0 {
 		t.Fatal("no stripe moved off the one loaded node")
 	}
-	// The distant stripe alone keeps evaluation ticking while the first
-	// leaf's counts decay to zero.
+	// The distant stripe alone keeps evaluation ticking while the eight
+	// stripes' counts decay to zero.
 	for i := 0; i < 64*256; i++ {
-		d.Record(-1, mem.Addr(4000))
+		d.Record(-1, mem.Addr(distant))
 	}
-	if got := d.MaterializedLeaves(); got != 1 || d.Merges != 1 || !d.awake {
-		t.Errorf("%d leaves, %d merges, awake %v: want the hot leaf only, the cooled one merged, still awake", got, d.Merges, d.awake)
+	if _, hot := d.stripes[distant]; d.HeatStripes() != 1 || !hot || !d.awake {
+		t.Errorf("%d heat stripes, distant one held %v, awake %v: want the hot stripe only, the cooled ones gone, still awake", d.HeatStripes(), hot, d.awake)
 	}
 	if n := len(d.Snapshot().o.over); n == 0 {
-		t.Error("no stripe of the merged leaf is off its default owner: not the case under test")
+		t.Error("no cooled stripe is off its default owner: not the case under test")
 	}
 	if err := d.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -148,15 +147,17 @@ func drain(d *Directory) {
 // nodes see ~32 samples a node an epoch: the parent's bare 1.25 factor fired
 // on that noise thousands of times); a stream that turns skewed wakes it
 // within two epochs and moves the hot stripes; when the skew stops every
-// leaf and the recycling pool go; and a Zipf stream wide enough to fill the
-// leaf table stays inside the cap and still moves its head.
+// stripe's heat goes; and a Zipf stream over windows long enough to fill the
+// stripe map stays inside the cap and still moves its head. After every
+// epoch the map holds at most twice one window's accesses: counts halve at
+// each boundary, so no more can survive.
 func TestHeatPlaneSleepsAndWakes(t *testing.T) {
 	const words = 1 << 20
 	uniform := func(r *port.Rand) mem.Addr { return mem.Addr(r.Intn(words)) }
 	dormant := func(t *testing.T, d *Directory, peak int) {
-		if d.Migrations != 0 || d.Splits != 0 || d.AwakeEpochs != 0 || peak != 0 {
-			t.Errorf("uniform stream: %d migrations, %d splits, awake %d of %d epochs, peak %d leaves; want none",
-				d.Migrations, d.Splits, d.AwakeEpochs, d.Evaluated, peak)
+		if d.Migrations != 0 || d.AwakeEpochs != 0 || peak != 0 {
+			t.Errorf("uniform stream: %d migrations, awake %d of %d epochs, peak %d heat stripes; want none",
+				d.Migrations, d.AwakeEpochs, d.Evaluated, peak)
 		}
 		r := port.NewRand(2)
 		if got := testing.AllocsPerRun(4096, func() { d.Record(0, uniform(&r)) }); got != 0 {
@@ -171,8 +172,7 @@ func TestHeatPlaneSleepsAndWakes(t *testing.T) {
 		return uniform(r)
 	}
 	// Zipf(0.99) ranks by the continuous inverse CDF, scattered over the
-	// universe by an odd multiplier so the head stripes sit in distinct
-	// leaves and each needs a slot of its own.
+	// universe by an odd multiplier.
 	zipfStripe := func(rank int) int { return rank * 2654435761 % words }
 	zipf := func(r *port.Rand) mem.Addr {
 		const e = 1 - 0.99
@@ -182,7 +182,7 @@ func TestHeatPlaneSleepsAndWakes(t *testing.T) {
 	type phase struct {
 		epochs int
 		key    func(*port.Rand) mem.Addr
-		after  func(t *testing.T, d *Directory, peak int) // peak: most leaves any epoch so far ended with
+		after  func(t *testing.T, d *Directory, peak int) // peak: most heat stripes any epoch so far ended with
 	}
 	for _, tc := range []struct {
 		name      string
@@ -196,8 +196,8 @@ func TestHeatPlaneSleepsAndWakes(t *testing.T) {
 		{"skew-comes-and-goes", 6, 1024, []phase{
 			{20, uniform, dormant},
 			{2, hot4, func(t *testing.T, d *Directory, _ int) {
-				if !d.awake || d.MaterializedLeaves() == 0 {
-					t.Errorf("two skewed epochs in: awake %v, %d leaves", d.awake, d.MaterializedLeaves())
+				if !d.awake || d.HeatStripes() == 0 {
+					t.Errorf("two skewed epochs in: awake %v, %d heat stripes", d.awake, d.HeatStripes())
 				}
 			}},
 			{8, hot4, func(t *testing.T, d *Directory, _ int) {
@@ -212,18 +212,18 @@ func TestHeatPlaneSleepsAndWakes(t *testing.T) {
 				}
 			}},
 			{10, uniform, func(t *testing.T, d *Directory, _ int) {
-				if d.awake || d.MaterializedLeaves() != 0 || len(d.freeLeaves) != 0 || d.Splits != d.Merges {
-					t.Errorf("ten uniform epochs after the skew: awake %v, %d leaves, %d pooled, %d splits vs %d merges; want asleep and empty",
-						d.awake, d.MaterializedLeaves(), len(d.freeLeaves), d.Splits, d.Merges)
+				if d.awake || d.HeatStripes() != 0 {
+					t.Errorf("ten uniform epochs after the skew: awake %v, %d heat stripes; want asleep and empty",
+						d.awake, d.HeatStripes())
 				}
 				if len(d.Snapshot().o.over) == 0 {
 					t.Error("the moved stripes went home: ownership must outlive the heat that moved it")
 				}
 			}},
 		}},
-		{"zipf-fills-the-table", 8, 4096, []phase{{50, zipf, func(t *testing.T, d *Directory, peak int) {
-			if peak != maxLeaves {
-				t.Errorf("peak %d leaves, want the cap %d reached and held: not the case under test", peak, maxLeaves)
+		{"zipf-fills-the-table", 8, 1 << 18, []phase{{6, zipf, func(t *testing.T, d *Directory, peak int) {
+			if peak != maxStripes {
+				t.Errorf("peak %d heat stripes, want the cap %d reached and held: not the case under test", peak, maxStripes)
 			}
 			moved := 0
 			for rank := 0; rank < 32; rank++ {
@@ -252,9 +252,13 @@ func TestHeatPlaneSleepsAndWakes(t *testing.T) {
 					for i := 0; i < tc.evalEvery-1; i++ {
 						d.Record(i&1, ph.key(&r))
 					}
-					peak = max(peak, d.MaterializedLeaves()) // before the boundary's merges
+					n := d.HeatStripes() // before the boundary's decay
+					peak = max(peak, n)
 					d.Record(1, ph.key(&r))
 					drain(d)
+					if bound := 2 * (tc.evalEvery + 1); n > bound || d.HeatStripes() > bound {
+						t.Fatalf("epoch %d: %d heat stripes before the boundary, %d after: past 2 x (EvalEvery + 1) = %d", d.Evaluated, n, d.HeatStripes(), bound)
+					}
 				}
 				if err := d.CheckInvariants(); err != nil {
 					t.Fatal(err)
@@ -266,35 +270,42 @@ func TestHeatPlaneSleepsAndWakes(t *testing.T) {
 }
 
 // TestHierDirectoryWorkIsOTouched is the scaling witness at the directory
-// level: a million-stripe universe with a small working set must
-// materialize leaves proportional to the working set, not the universe.
+// level: a million-stripe universe with a small, skewed working set wakes
+// the heat plane and holds heat for stripes of the working set only, never
+// in proportion to the universe.
 func TestHierDirectoryWorkIsOTouched(t *testing.T) {
 	const universeWords = 1 << 20
-	d, err := New(Config{
-		Nodes: 8, Kind: AdaptiveHier, RegionWords: universeWords,
-		LeafStripes: 256, EvalEvery: 1024,
-	})
+	d, err := New(Config{Nodes: 8, Kind: AdaptiveHier, RegionWords: universeWords, EvalEvery: 1024})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.LeafUniverse() != universeWords/256 {
-		t.Fatalf("leaf universe = %d, want %d", d.LeafUniverse(), universeWords/256)
+	if d.NumStripes() != universeWords {
+		t.Fatalf("stripe universe = %d, want %d", d.NumStripes(), universeWords)
 	}
-	// A 4096-word working set scattered across the universe.
+	// A 4096-word working set scattered across the universe, whose first
+	// eight keys take half the accesses.
 	r := port.NewRand(7)
 	keys := make([]mem.Addr, 4096)
 	for i := range keys {
 		keys[i] = mem.Addr(r.Intn(universeWords))
 	}
+	peak := 0
 	for i := 0; i < 1<<16; i++ {
-		d.Record(i%4, keys[r.Intn(len(keys))])
+		k := keys[r.Intn(len(keys))]
+		if i%2 == 0 {
+			k = keys[r.Intn(8)]
+		}
+		d.Record(i%4, k)
+		peak = max(peak, d.HeatStripes())
 	}
-	leaves, universe := d.MaterializedLeaves(), d.LeafUniverse()
-	if leaves > len(keys) { // one leaf per key is the worst case
-		t.Fatalf("%d leaves for a %d-key working set", leaves, len(keys))
+	if d.AwakeEpochs == 0 || peak == 0 {
+		t.Fatalf("awake %d of %d epochs, peak %d heat stripes: the skew never woke the plane, not the case under test", d.AwakeEpochs, d.Evaluated, peak)
 	}
-	if 10*leaves >= universe {
-		t.Fatalf("materialized leaves %d not ≪ leaf universe %d", leaves, universe)
+	if peak > len(keys) { // one entry per key is the worst case
+		t.Fatalf("%d heat stripes for a %d-key working set", peak, len(keys))
+	}
+	if 100*peak >= d.NumStripes() {
+		t.Fatalf("peak heat stripes %d not ≪ stripe universe %d", peak, d.NumStripes())
 	}
 	if err := d.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -310,8 +321,7 @@ func TestHierDirectoryWorkIsOTouched(t *testing.T) {
 func TestHierCoMappingPullsDataToAccessors(t *testing.T) {
 	run := func(imbalance float64) *Directory {
 		d, err := New(Config{
-			Nodes: 4, Kind: AdaptiveHier, RegionWords: 256,
-			LeafStripes: 16, Clusters: []int{0, 0, 1, 1},
+			Nodes: 4, Kind: AdaptiveHier, RegionWords: 256, Clusters: []int{0, 0, 1, 1},
 			EvalEvery: 512, MaxMoves: 8, ImbalanceFactor: imbalance,
 		})
 		if err != nil {

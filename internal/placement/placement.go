@@ -67,24 +67,22 @@
 //     one-touch tail the coarse tier counts in full — so the gate only
 //     stands in front of the policy and does not change what a round moves,
 //     unless the imbalance the round sees is within noise. Falling asleep
-//     drops every leaf and the recycling pool: a balanced workload holds no
-//     per-stripe state at all.
+//     drops every stripe's heat: a balanced workload holds no per-stripe
+//     state at all.
 //
-// The stripe tier is stored hierarchically, because a universe sized for
-// millions of objects makes flat per-stripe arrays an O(universe) cost paid
-// on every epoch: the universe is divided into super-stripes of LeafStripes
-// leaf stripes, and a super-stripe is materialized into a leaf only when one
-// of its stripes is first recorded while awake (a split). Leaves are pure
-// heat — ownership lives in the snapshot, where a stripe without an override
-// has the interleaved default owner (stripe mod Nodes) — so nothing pins
-// one: a leaf whose counts have decayed to zero is merged away and its
-// arrays recycled for the next split. At most maxLeaves are materialized at
-// once; when the table is full an access to a new super-stripe counts in the
-// coarse tier only. A leaf touched once in a window decays to zero at its
-// end, so the cold tail turns its slots over every epoch, while a stripe hot
-// enough to move is touched again before it can decay and keeps its slot.
-// Directory work is O(touched) while awake, O(nodes) per epoch while
-// dormant, and steady-state recording allocates nothing in either state.
+// The stripe tier is one map from stripe to heat, so it costs O(touched) in
+// a universe sized for millions of objects, where flat per-stripe arrays
+// would be an O(universe) cost paid on every epoch. An entry is pure heat —
+// ownership lives in the snapshot, where a stripe without an override has
+// the interleaved default owner (stripe mod Nodes) — so nothing pins one:
+// counts halve at every epoch boundary and an entry whose count reaches zero
+// is deleted. A stripe touched once in a window is gone at its end, while a
+// stripe hot enough to move is touched again before it can decay and keeps
+// its entry; the map therefore never holds more than twice one window's
+// accesses. At most maxStripes are held at once; when the map is full an
+// access to a new stripe counts in the coarse tier only. Directory work is
+// O(touched) while awake, O(nodes) per epoch while dormant, and
+// steady-state recording allocates nothing in either state.
 //
 // # Migration protocol
 //
@@ -172,10 +170,6 @@ type Config struct {
 	// RegionWords is the per-region word capacity of the stripe universe
 	// (required, > 0). Keys outside it panic instead of aliasing.
 	RegionWords uint64
-	// LeafStripes is the number of leaf stripes per super-stripe (rounded
-	// up to a power of two; default 256). Adaptive state materializes in
-	// units of this size.
-	LeafStripes int
 	// Clusters maps each DTM node index to its locality cluster (mesh
 	// quadrant or socket; see noc.Platform.ClusterOf). Required for the
 	// AdaptiveHier co-mapping bias and for the local/remote access
@@ -205,15 +199,6 @@ func (c *Config) normalize() error {
 	if c.RegionWords > 1<<mem.RegionShift {
 		return fmt.Errorf("placement: RegionWords %d exceeds the %d-word region capacity", c.RegionWords, uint64(1)<<mem.RegionShift)
 	}
-	if c.LeafStripes <= 0 {
-		c.LeafStripes = 256
-	}
-	// Round the leaf size up to a power of two so leaf lookup is a shift.
-	ls := 1
-	for ls < c.LeafStripes {
-		ls <<= 1
-	}
-	c.LeafStripes = ls
 	if c.Clusters != nil && len(c.Clusters) != c.Nodes {
 		return fmt.Errorf("placement: %d node clusters for %d nodes", len(c.Clusters), c.Nodes)
 	}
@@ -248,13 +233,12 @@ const (
 	TraceHandoff
 )
 
-// leaf is one materialized super-stripe of the heat plane's stripe tier,
-// guarded by the directory mutex. It is heat only: ownership is the
-// snapshot's, so a leaf can be dropped whenever its heat is gone.
-type leaf struct {
-	counts []uint32 // stripe -> accesses in the current epoch window (saturating)
-	aff    []uint64 // stripe -> packed accessor-affinity vote (co-mapping); nil unclustered
-	total  uint64   // sum of counts (the super-stripe heat aggregate)
+// heat is one stripe's entry in the heat plane's stripe tier, guarded by the
+// directory mutex. It is heat only: ownership is the snapshot's, so an entry
+// can be dropped whenever its count is gone.
+type heat struct {
+	count uint32 // accesses, halved at every epoch boundary (saturating)
+	aff   uint64 // packed accessor-affinity vote (co-mapping); 0 unclustered
 }
 
 const (
@@ -269,8 +253,10 @@ const (
 	// does not (README "Placement" has the table over k and what that gives
 	// up).
 	noiseK = 4
-	// maxLeaves caps the stripe tier (3 KB a clustered leaf: 3 MB).
-	maxLeaves = 1024
+	// maxStripes caps the stripe tier (3.5 MB of map when full). Counts halve
+	// every epoch, so it binds only on a window longer than maxStripes/2
+	// accesses.
+	maxStripes = 1 << 16
 	// remoteHistLen is how many epoch windows RemoteHistory remembers.
 	remoteHistLen = 256
 )
@@ -317,10 +303,8 @@ func (o *ownership) next() *ownership {
 type Directory struct {
 	cfg Config
 
-	stripesPerRegion int // leaf stripes per region
-	totalStripes     int // leaf-stripe universe size
-	leafShift        uint
-	numLeaves        int // super-stripe universe size
+	stripesPerRegion int // stripes per region
+	totalStripes     int // stripe universe size
 
 	// own is the ownership plane: loaded lock-free by every reader, stored
 	// only with mu held and only with a fully built snapshot.
@@ -337,15 +321,12 @@ type Directory struct {
 	nodeLoad []uint64
 
 	// Stripe tier, populated only while awake.
-	awake     bool
-	leaves    map[int]*leaf // super-stripe -> materialized leaf (adaptive only)
-	leafOrder []int         // materialized super-stripes, ascending
+	awake   bool
+	stripes map[int]heat // stripe -> its heat (adaptive only)
 
-	// Recycled so steady-state Record and evaluate allocate nothing: merged
-	// leaves (never more than the peak materialized at once), epoch scratch.
-	freeLeaves []*leaf
-	load       []uint64
-	moves      []Move
+	// Epoch scratch, recycled so steady-state evaluate allocates nothing.
+	load  []uint64
+	moves []Move
 
 	// Locality accounting (Clusters set): recorded accesses whose owner
 	// node shares / does not share the accessor's cluster, cumulative and
@@ -359,8 +340,6 @@ type Directory struct {
 	Epochs      uint64 // repartition rounds that initiated at least one move
 	Migrations  uint64 // stripe migrations initiated
 	Handoffs    uint64 // stripe handoffs completed
-	Splits      uint64 // super-stripes materialized into leaves
-	Merges      uint64 // leaves dematerialized after cooling down
 	Evaluated   uint64 // epoch windows closed
 	AwakeEpochs uint64 // of those, windows that recorded per stripe
 
@@ -387,12 +366,8 @@ func New(cfg Config) (*Directory, error) {
 	d := &Directory{cfg: cfg, nextEval: uint64(cfg.EvalEvery)}
 	d.stripesPerRegion = int(cfg.RegionWords)
 	d.totalStripes = d.stripesPerRegion * cfg.Regions
-	for 1<<d.leafShift < cfg.LeafStripes {
-		d.leafShift++
-	}
-	d.numLeaves = (d.totalStripes + cfg.LeafStripes - 1) / cfg.LeafStripes
 	if cfg.Kind == AdaptiveHier {
-		d.leaves = make(map[int]*leaf)
+		d.stripes = make(map[int]heat)
 		d.load = make([]uint64, cfg.Nodes)
 		d.nodeLoad = make([]uint64, cfg.Nodes)
 		d.remoteHist = make([]float64, remoteHistLen)
@@ -411,23 +386,16 @@ func (d *Directory) PolicyName() string { return d.cfg.Kind.String() }
 // Nodes returns the number of DTM nodes.
 func (d *Directory) Nodes() int { return d.cfg.Nodes }
 
-// NumStripes returns the size of the leaf-stripe universe.
+// NumStripes returns the size of the stripe universe.
 func (d *Directory) NumStripes() int { return d.totalStripes }
 
-// LeafUniverse returns how many super-stripes the universe divides into.
-func (d *Directory) LeafUniverse() int { return d.numLeaves }
-
-// LeafSpan returns the number of leaf stripes per super-stripe.
-func (d *Directory) LeafSpan() int { return d.cfg.LeafStripes }
-
-// MaterializedLeaves returns how many super-stripes currently hold
-// materialized adaptive state: zero while the heat plane is dormant, and
-// while awake proportional to the touched working set (at most maxLeaves),
-// never to the universe.
-func (d *Directory) MaterializedLeaves() int {
+// HeatStripes returns how many stripes hold heat in the stripe tier: zero
+// while the heat plane is dormant, and while awake at most the stripes
+// touched in the last windows (and maxStripes), never the universe.
+func (d *Directory) HeatStripes() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return len(d.leaves)
+	return len(d.stripes)
 }
 
 // AccessLocality returns the cumulative recorded accesses whose owning DTM
@@ -453,7 +421,7 @@ func (d *Directory) RemoteHistory() []float64 {
 	return slices.Concat(d.remoteHist[at:], d.remoteHist[:at])
 }
 
-func (d *Directory) adaptive() bool { return d.leaves != nil }
+func (d *Directory) adaptive() bool { return d.stripes != nil }
 
 func (d *Directory) clustered() bool { return d.cfg.Clusters != nil }
 
@@ -590,43 +558,13 @@ func (d *Directory) PendingTarget(s int) (int, bool) {
 	return 0, false
 }
 
-// materialize splits the super-stripe covering s into a leaf (no-op when
-// already materialized), recycling a merged leaf if one is free. It returns
-// nil when the table is full: the access stays in the coarse tier. mu held.
-func (d *Directory) materialize(s int) *leaf {
-	id := s >> d.leafShift
-	lf := d.leaves[id]
-	if lf != nil || len(d.leaves) >= maxLeaves {
-		return lf
-	}
-	size := min(d.cfg.LeafStripes, d.totalStripes-id<<d.leafShift)
-	if n := len(d.freeLeaves); n > 0 {
-		lf, d.freeLeaves = d.freeLeaves[n-1], d.freeLeaves[:n-1]
-	} else {
-		// Full capacity even for the short last leaf: recycled leaves fit anywhere.
-		lf = &leaf{counts: make([]uint32, d.cfg.LeafStripes)}
-		if d.clustered() {
-			lf.aff = make([]uint64, d.cfg.LeafStripes)
-		}
-	}
-	lf.counts = lf.counts[:size]
-	if lf.aff != nil {
-		lf.aff = lf.aff[:size]
-	}
-	d.leaves[id] = lf
-	d.leafOrder = slices.Insert(d.leafOrder, sort.SearchInts(d.leafOrder, id), id)
-	d.Splits++
-	return lf
-}
-
 // Record accounts intended lock acquisitions on each key by an accessor in
 // cluster src (see noc.Platform.ClusterOf; pass -1 when unknown) and, at
 // epoch boundaries, lets the policy initiate a repartition round. Static
 // policies ignore it. Every access counts in the coarse tier; only while the
-// directory is awake does it also materialize the touched super-stripe and
-// count per stripe, so everything downstream — epoch decay, repartition
-// scans — costs O(touched) while awake and O(nodes) while dormant, never
-// O(universe).
+// directory is awake does it also count per stripe, so everything downstream
+// — epoch decay, repartition scans — costs O(touched) while awake and
+// O(nodes) while dormant, never O(universe).
 func (d *Directory) Record(src int, keys ...mem.Addr) {
 	if !d.adaptive() {
 		return
@@ -634,7 +572,6 @@ func (d *Directory) Record(src int, keys ...mem.Addr) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	v := d.Snapshot()
-	mask := d.cfg.LeafStripes - 1
 	for _, k := range keys {
 		s := d.StripeOf(k)
 		owner, _ := v.stripe(s)
@@ -651,17 +588,17 @@ func (d *Directory) Record(src int, keys ...mem.Addr) {
 		if !d.awake {
 			continue
 		}
-		lf, i := d.materialize(s), s&mask
-		if lf == nil {
-			continue
+		h, ok := d.stripes[s]
+		if !ok && len(d.stripes) >= maxStripes {
+			continue // the tier is full: the access stays in the coarse tier
 		}
-		if lf.counts[i] != math.MaxUint32 {
-			lf.counts[i]++
-			lf.total++
+		if h.count != math.MaxUint32 {
+			h.count++
 		}
-		if lf.aff != nil && src >= 0 {
-			lf.aff[i] = affVote(lf.aff[i], src)
+		if d.clustered() && src >= 0 {
+			h.aff = affVote(h.aff, src)
 		}
+		d.stripes[s] = h
 	}
 	d.accesses += uint64(len(keys))
 	if d.accesses >= d.nextEval {
@@ -681,10 +618,10 @@ func (d *Directory) hot(peak uint64, mean float64) bool {
 
 // evaluate closes an epoch window. Awake, the policy proposes migrations,
 // the directory freezes the chosen stripes, and the per-stripe counts decay
-// so old heat fades across windows; the decay walks materialized leaves only
-// and a leaf that has fully cooled merges away. Then the coarse tier decides
-// the next window's state — awake while some node is hot, and on falling
-// asleep the whole stripe tier is dropped — and decays too. mu held.
+// so old heat fades across windows; a stripe whose count reaches zero is
+// deleted. Then the coarse tier decides the next window's state — awake
+// while some node is hot, and on falling asleep the whole stripe tier is
+// dropped — and decays too. mu held.
 func (d *Directory) evaluate() {
 	d.Evaluated++
 	if d.awake {
@@ -698,31 +635,16 @@ func (d *Directory) evaluate() {
 		if moved {
 			d.Epochs++
 		}
-		kept := d.leafOrder[:0]
-		for _, id := range d.leafOrder {
-			lf := d.leaves[id]
-			var tot uint64
-			for i := range lf.counts {
-				lf.counts[i] >>= 1
-				tot += uint64(lf.counts[i])
-			}
-			lf.total = tot
-			for i, a := range lf.aff {
-				if a != 0 {
-					lf.aff[i] = affDecay(a)
-				}
-			}
-			if tot != 0 {
-				kept = append(kept, id)
+		for s, h := range d.stripes {
+			// A vote's lead grows by at most one per access and the count by
+			// exactly one, and both halve here: a zero count drops no vote.
+			if h.count >>= 1; h.count == 0 {
+				delete(d.stripes, s)
 				continue
 			}
-			// Cold. Counts are all zero; a vote may still name a leadless candidate.
-			clear(lf.aff)
-			d.freeLeaves = append(d.freeLeaves, lf)
-			delete(d.leaves, id)
-			d.Merges++
+			h.aff = affDecay(h.aff)
+			d.stripes[s] = h
 		}
-		d.leafOrder = kept
 	}
 	var total, peak uint64
 	for i, l := range d.nodeLoad {
@@ -732,9 +654,7 @@ func (d *Directory) evaluate() {
 	}
 	hot := d.hot(peak, float64(total)/float64(d.cfg.Nodes))
 	if d.awake && !hot {
-		d.Merges += uint64(len(d.leaves))
-		clear(d.leaves)
-		d.leafOrder, d.freeLeaves = nil, nil
+		clear(d.stripes)
 	}
 	d.awake = hot
 	if w := d.winLocal + d.winRemote; w > 0 {
@@ -829,18 +749,22 @@ func (d *Directory) CompleteHandoff(s int) {
 // overrides are ascending, in range, and each is frozen or off its default
 // owner (so every stripe has exactly one owner); a pending target never
 // equals the current owner; the per-node frozen lists are exactly the
-// overrides with a pending target; every leaf's total agrees with its
-// counts, no leaf is empty, and there are none at all while dormant nor more
-// than maxLeaves ever.
+// overrides with a pending target; every stripe in the stripe tier is in
+// range with a nonzero count and a vote lead no larger than it, and there
+// are none at all while dormant nor more than maxStripes ever.
 func (d *Directory) CheckInvariants() error {
 	if !d.adaptive() {
 		return nil
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if len(d.leafOrder) != len(d.leaves) || len(d.leaves) > maxLeaves || (!d.awake && len(d.leaves)+len(d.freeLeaves) != 0) {
-		return fmt.Errorf("%d leaves ordered, %d materialized, %d free (cap %d, awake %v)",
-			len(d.leafOrder), len(d.leaves), len(d.freeLeaves), maxLeaves, d.awake)
+	if len(d.stripes) > maxStripes || (!d.awake && len(d.stripes) != 0) {
+		return fmt.Errorf("%d heat stripes (cap %d, awake %v)", len(d.stripes), maxStripes, d.awake)
+	}
+	for s, h := range d.stripes {
+		if s < 0 || s >= d.totalStripes || h.count == 0 || uint32(h.aff) > h.count {
+			return fmt.Errorf("stripe %d holds count %d, vote lead %d: out of range, cold, or a lead past its count", s, h.count, uint32(h.aff))
+		}
 	}
 	o := d.own.Load()
 	wantFrozen := make([][]int, d.cfg.Nodes)
@@ -857,22 +781,6 @@ func (d *Directory) CheckInvariants() error {
 		}
 		if ov.pending >= 0 {
 			wantFrozen[ov.owner] = append(wantFrozen[ov.owner], s)
-		}
-	}
-	for oi, id := range d.leafOrder {
-		if oi > 0 && d.leafOrder[oi-1] >= id {
-			return fmt.Errorf("leaf order not ascending at %d", oi)
-		}
-		lf := d.leaves[id]
-		if lf == nil {
-			return fmt.Errorf("ordered leaf %d not materialized", id)
-		}
-		var tot uint64
-		for _, c := range lf.counts {
-			tot += uint64(c)
-		}
-		if tot != lf.total || tot == 0 {
-			return fmt.Errorf("leaf %d total %d, its counts sum to %d (an empty leaf should have merged)", id, lf.total, tot)
 		}
 	}
 	for n, want := range wantFrozen {

@@ -84,7 +84,6 @@ func TestDirectoryOwnershipProperty(t *testing.T) {
 		d, err := New(Config{
 			Nodes: nodes, Kind: AdaptiveHier, RegionWords: uint64(stripes),
 			EvalEvery: 16 + r.Intn(64), MaxMoves: 1 + r.Intn(4),
-			LeafStripes: 8 << r.Intn(3), // several leaves even at 16 stripes
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -14,9 +14,9 @@ func hashOwner(key mem.Addr, nodes int) int {
 }
 
 // nodeLoads sums the per-stripe access counts per owning node over the
-// materialized leaves, into the directory's load scratch — the loads the
-// policy balances. They are not the coarse tier's: a stripe touched once in
-// a window decays to zero at its end, so these sums weigh heat that persists
+// stripe tier, into the directory's load scratch — the loads the policy
+// balances. They are not the coarse tier's: a stripe touched once in a
+// window decays to zero at its end, so these sums weigh heat that persists
 // across windows (what a migration can carry along) over the one-touch tail,
 // and a stripe counts for its current owner however recently it moved.
 // Called with d.mu held.
@@ -24,48 +24,32 @@ func nodeLoads(d *Directory) (load []uint64, total uint64) {
 	load = d.load
 	clear(load)
 	v := d.Snapshot()
-	for _, id := range d.leafOrder {
-		base := id << d.leafShift
-		for i, c := range d.leaves[id].counts {
-			if c != 0 {
-				owner, _ := v.stripe(base + i)
-				load[owner] += uint64(c)
-				total += uint64(c)
-			}
-		}
+	for s, h := range d.stripes {
+		owner, _ := v.stripe(s)
+		load[owner] += uint64(h.count)
+		total += uint64(h.count)
 	}
 	return load, total
 }
 
-// hottestFit scans the materialized stripes in ascending order for the
-// hottest stripe owned by donor that is not frozen, not already planned,
-// and no hotter than maxHeat; ties break to the lowest stripe index. A
-// whole leaf is skipped when its aggregate heat cannot beat the incumbent.
-// Returns the stripe, its count and its packed affinity vote, or stripe -1.
-// Called with d.mu held.
+// hottestFit scans the stripe tier for the hottest stripe owned by donor
+// that is not frozen, not already planned, and no hotter than maxHeat.
+// Equal counts go to the lowest stripe, so the answer does not depend on the
+// map's iteration order. Returns the stripe, its count and its packed
+// affinity vote, or stripe -1. Called with d.mu held.
 func hottestFit(d *Directory, donor int, maxHeat float64, planned []Move) (stripe int, count, aff uint64) {
 	stripe = -1
 	v := d.Snapshot()
-	for _, id := range d.leafOrder {
-		lf := d.leaves[id]
-		if lf.total <= count {
-			continue // no stripe inside can beat the incumbent
+	for s, h := range d.stripes {
+		c := uint64(h.count)
+		if c < count || c == count && s > stripe || float64(c) > maxHeat {
+			continue
 		}
-		base := id << d.leafShift
-		for i, c := range lf.counts {
-			if uint64(c) <= count || float64(c) > maxHeat {
-				continue
-			}
-			s := base + i
-			owner, pending := v.stripe(s)
-			if int(owner) != donor || pending >= 0 || isPlanned(planned, s) {
-				continue
-			}
-			stripe, count = s, uint64(c)
-			if lf.aff != nil {
-				aff = lf.aff[i]
-			}
+		owner, pending := v.stripe(s)
+		if int(owner) != donor || pending >= 0 || isPlanned(planned, s) {
+			continue
 		}
+		stripe, count, aff = s, c, h.aff
 	}
 	return stripe, count, aff
 }

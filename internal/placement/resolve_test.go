@@ -117,14 +117,14 @@ func startResolvers(t *testing.T, d *Directory, stripes int, stop *atomic.Bool, 
 
 // TestResolveAcrossWakeAndSleep runs the same readers while the heat plane
 // itself changes state: a recorder alternates bursts in which one node owns
-// every accessed stripe (the plane wakes, materializes leaves and freezes
+// every accessed stripe (the plane wakes, gives stripes heat and freezes
 // stripes of its own accord) with uniform stretches (it drops them and goes
 // dormant), and the test goroutine completes the handoffs. Under -race this
-// covers the dormant↔awake transition — leaves created, recycled and dropped
-// under the mutex — against snapshot publication and the lock-free readers.
+// covers the dormant↔awake transition — heat entries created, decayed and
+// dropped under the mutex — against snapshot publication and the lock-free readers.
 func TestResolveAcrossWakeAndSleep(t *testing.T) {
 	const stripes = 64
-	d, err := New(Config{Nodes: 2, Kind: AdaptiveHier, RegionWords: stripes, LeafStripes: 8,
+	d, err := New(Config{Nodes: 2, Kind: AdaptiveHier, RegionWords: stripes,
 		Clusters: []int{0, 1}, EvalEvery: 64})
 	if err != nil {
 		t.Fatal(err)
@@ -167,8 +167,8 @@ func TestResolveAcrossWakeAndSleep(t *testing.T) {
 	if d.AwakeEpochs == 0 || d.AwakeEpochs == d.Evaluated || d.Handoffs == 0 {
 		t.Errorf("awake %d of %d epochs, %d handoffs: want the plane to have woken, moved stripes and slept", d.AwakeEpochs, d.Evaluated, d.Handoffs)
 	}
-	if d.awake || d.MaterializedLeaves() != 0 {
-		t.Errorf("ended awake=%v with %d leaves after a balanced stretch", d.awake, d.MaterializedLeaves())
+	if d.awake || d.HeatStripes() != 0 {
+		t.Errorf("ended awake=%v with %d heat stripes after a balanced stretch", d.awake, d.HeatStripes())
 	}
 	if err := d.CheckInvariants(); err != nil {
 		t.Fatal(err)
