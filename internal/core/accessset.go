@@ -7,13 +7,15 @@ import (
 )
 
 // accessSet is a read or write set: the objects a transaction touched, in
-// first-access order, each entry holding the offset and length of its value
-// in the runtime's word arena (16 bytes). A linear-probing index of entry
+// first-access order, one 8-byte key each. A linear-probing index of entry
 // positions + 1 (0: empty) maps a base to its latest entry. EarlyRelease
 // marks an entry released in place, so the order the release bursts follow
 // holds, and a base read again gets one new entry at the end.
 // A read for update marks its entry write-locked: the lock it holds is the
 // write lock, in Tx.wlocked, not a read lock.
+// The set holds no values: those the protocol needs sit beside it by entry
+// position (Tx.writeVals, Tx.tl2Reads); a visible read's lock pins its words
+// in shared memory (Tx.cached).
 // reset keeps every capacity, so a warm runtime allocates nothing here.
 type accessSet struct {
 	entries []accessEntry
@@ -21,35 +23,30 @@ type accessSet struct {
 	live    int // entries not released
 }
 
-type accessEntry struct {
-	base   mem.Addr
-	off, n uint32 // the value is arena[off, off+n); n carries the flags
-}
+// accessEntry is an object's base address, with the entry's flags in top
+// bits no address uses (a region is 2^mem.RegionShift words, and the
+// regions are few).
+type accessEntry uint64
 
 const (
-	entryReleased    = 1 << 31
-	entryWriteLocked = 1 << 30
-	entryFlags       = entryReleased | entryWriteLocked
+	entryReleased    accessEntry = 1 << 63
+	entryWriteLocked accessEntry = 1 << 62
+	entryFlags                   = entryReleased | entryWriteLocked
 )
 
-func (e accessEntry) released() bool    { return e.n&entryReleased != 0 }
-func (e accessEntry) writeLocked() bool { return e.n&entryWriteLocked != 0 }
+func (e accessEntry) base() mem.Addr    { return mem.Addr(e &^ entryFlags) }
+func (e accessEntry) released() bool    { return e&entryReleased != 0 }
+func (e accessEntry) writeLocked() bool { return e&entryWriteLocked != 0 }
 
 // readLocked reports whether the entry holds a read lock under visible reads.
-func (e accessEntry) readLocked() bool { return e.n&entryFlags == 0 }
-
-// vals returns a live entry's value.
-func (e accessEntry) vals(arena []uint64) []uint64 {
-	n := e.n &^ entryFlags
-	return arena[e.off : e.off+n : e.off+n]
-}
+func (e accessEntry) readLocked() bool { return e&entryFlags == 0 }
 
 // slot returns the index slot holding base, or the empty one it would take,
 // probing from base's fibonacci hash.
 func (s *accessSet) slot(base mem.Addr) int {
 	mask := len(s.index) - 1
 	i := int(uint64(base) * 0x9e3779b97f4a7c15 >> bits.LeadingZeros64(uint64(mask)))
-	for s.index[i] != 0 && s.entries[s.index[i]-1].base != base {
+	for s.index[i] != 0 && s.entries[s.index[i]-1].base() != base {
 		i = (i + 1) & mask
 	}
 	return i
@@ -65,18 +62,17 @@ func (s *accessSet) find(base mem.Addr) int {
 	return -1
 }
 
-// put makes arena[off, off+n) base's value, in place if base is in the set
-// and as a new last entry otherwise, and returns the entry's position.
-func (s *accessSet) put(base mem.Addr, off, n int) int {
+// put returns the position of base's entry, adding it as the new last entry
+// if base is not in the set.
+func (s *accessSet) put(base mem.Addr) int {
 	if j := s.find(base); j >= 0 {
-		s.entries[j].off, s.entries[j].n = uint32(off), uint32(n)
 		return j
 	}
-	s.entries = append(s.entries, accessEntry{base, uint32(off), uint32(n)})
+	s.entries = append(s.entries, accessEntry(base))
 	if 2*len(s.entries) > len(s.index) {
 		s.index = make([]int32, max(16, 2*len(s.index)))
 		for j, e := range s.entries[:len(s.entries)-1] {
-			s.index[s.slot(e.base)] = int32(j + 1)
+			s.index[s.slot(e.base())] = int32(j + 1)
 		}
 	}
 	s.index[s.slot(base)] = int32(len(s.entries))
@@ -88,7 +84,7 @@ func (s *accessSet) put(base mem.Addr, off, n int) int {
 func (s *accessSet) release(base mem.Addr) bool {
 	j := s.find(base)
 	if j >= 0 {
-		s.entries[j].n |= entryReleased
+		s.entries[j] |= entryReleased
 		s.live--
 	}
 	return j >= 0
@@ -98,3 +94,8 @@ func (s *accessSet) reset() {
 	clear(s.index)
 	s.entries, s.live = s.entries[:0], 0
 }
+
+// wordSpan is a value in the runtime's word arena: arena[off, off+n).
+type wordSpan struct{ off, n uint32 }
+
+func (w wordSpan) of(arena []uint64) []uint64 { return arena[w.off : w.off+w.n : w.off+w.n] }

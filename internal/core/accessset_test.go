@@ -7,9 +7,9 @@ import (
 	"repro/internal/mem"
 )
 
-// FuzzAccessSet drives an accessSet with put, overwrite, release, re-put
-// after release, lookup and reset, across index growth, against a map plus an
-// order list. Each op is two bytes: the low three bits of the first pick the
+// FuzzAccessSet drives an accessSet with put, put of a held base, release,
+// re-put after release, lookup and reset, across index growth, against a map
+// plus an order list. Each op is two bytes: the low three bits of the first pick the
 // op, its high bits and the second byte the base.
 func FuzzAccessSet(f *testing.F) {
 	var grow []byte
@@ -21,7 +21,6 @@ func FuzzAccessSet(f *testing.F) {
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		type entry struct {
 			base     mem.Addr
-			off, n   int
 			released bool
 		}
 		var s accessSet
@@ -35,7 +34,7 @@ func FuzzAccessSet(f *testing.F) {
 			}
 			for j, e := range s.entries {
 				m := order[j]
-				if e.base != m.base || int(e.off) != m.off || int(e.n&^entryReleased) != m.n || e.released() != m.released {
+				if e.base() != m.base || e.writeLocked() || e.released() != m.released {
 					t.Fatalf("entry %d = %+v, model %+v", j, e, m)
 				}
 			}
@@ -56,12 +55,16 @@ func FuzzAccessSet(f *testing.F) {
 			held := seen && !order[j].released
 			switch op {
 			case 0, 1, 2: // put
-				off, n := i, int(ops[i+1]&3)
-				s.put(base, off, n)
+				got := s.put(base)
 				if held {
-					order[j].off, order[j].n = off, n
+					if got != j {
+						t.Fatalf("put(%#x) = %d, model held at %d", base, got, j)
+					}
 				} else {
-					order = append(order, entry{base: base, off: off, n: n})
+					if got != len(order) {
+						t.Fatalf("put(%#x) = %d, want the new last position %d", base, got, len(order))
+					}
+					order = append(order, entry{base: base})
 					latest[base] = len(order) - 1
 					live++
 				}
@@ -94,9 +97,10 @@ func FuzzAccessSet(f *testing.F) {
 	})
 }
 
-// TestScanReadSetFootprint: after a 1,024-object scan the read set keeps at
-// most 32 KB of storage (entries and index; the values are in the arena). A
-// Go map from base to value slice plus an order list keeps about 88 KB.
+// TestScanReadSetFootprint: after a 1,024-object visible scan the read set
+// keeps at most 20 KB of storage (8-byte entries and their index) and the
+// word arena holds nothing: the read locks pin the values in shared memory.
+// A Go map from base to value slice plus an order list keeps about 88 KB.
 func TestScanReadSetFootprint(t *testing.T) {
 	const objects = 1024
 	s := testSystem(t, nil)
@@ -118,9 +122,12 @@ func TestScanReadSetFootprint(t *testing.T) {
 	if reads.live != objects {
 		t.Fatalf("read set holds %d objects, want %d", reads.live, objects)
 	}
-	size := cap(reads.entries)*int(unsafe.Sizeof(accessEntry{})) + cap(reads.index)*int(unsafe.Sizeof(int32(0)))
+	size := cap(reads.entries)*int(unsafe.Sizeof(accessEntry(0))) + cap(reads.index)*int(unsafe.Sizeof(int32(0)))
 	t.Logf("read set of %d objects: %d B (%d entries, %d index slots)", objects, size, cap(reads.entries), cap(reads.index))
-	if size > 32<<10 {
-		t.Errorf("read set of %d objects keeps %d B, want <= 32 KB", objects, size)
+	if size > 20<<10 {
+		t.Errorf("read set of %d objects keeps %d B, want <= 20 KB", objects, size)
+	}
+	if n := len(r0.words); n != 0 {
+		t.Errorf("the scan carved %d arena words, want 0", n)
 	}
 }

@@ -305,7 +305,7 @@ func TestCarriedReleaseBound(t *testing.T) {
 					if rt.s.proto.readsHoldLocks() {
 						for _, e := range tx.reads.entries {
 							if !e.released() {
-								held[[2]uint64{tx.id, uint64(e.base)}] = rt.s.nodeFor(e.base)
+								held[[2]uint64{tx.id, uint64(e.base())}] = rt.s.nodeFor(e.base())
 							}
 						}
 					}

@@ -54,6 +54,13 @@ const tl2ClockShards = 8
 // tl2Proto is the invisible-read strategy described above.
 type tl2Proto struct{}
 
+// tl2Read is a read-set entry's first-read value, which a re-read returns
+// (no lock pins the object), and the version validate compares against.
+type tl2Read struct {
+	wordSpan
+	ver uint64
+}
+
 func (*tl2Proto) readsHoldLocks() bool { return false }
 
 // begin loads the version clock into the attempt's read snapshot. Each
@@ -63,8 +70,8 @@ func (*tl2Proto) readsHoldLocks() bool { return false }
 // transaction that writes nothing serializes here.
 func (*tl2Proto) begin(tx *Tx) {
 	rt := tx.rt
-	if tx.readVers == nil {
-		tx.readVers, tx.grantVers = make(map[mem.Addr]uint64), make(map[mem.Addr]uint64)
+	if tx.grantVers == nil {
+		tx.grantVers = make(map[mem.Addr]uint64)
 	}
 	rt.proc.Advance(rt.s.compute(costs.ClockSnap))
 	rt.rvBuf = rt.s.clock.Snapshot(rt.rvBuf[:0])
@@ -80,7 +87,7 @@ func (*tl2Proto) begin(tx *Tx) {
 func (*tl2Proto) firstRead(tx *Tx, base mem.Addr, n int) []uint64 {
 	rt := tx.rt
 	tx.checkAborted() // eager-mode enemies can still remote-abort us
-	off, buf := rt.wordBuf(n)
+	span, buf := rt.wordBuf(n)
 	vals, ver, locked := rt.s.Mem.ReadVersionedTo(rt.proc, rt.core, base, base, buf)
 	// Doomed: a committer's write-back is in flight, or the object is newer
 	// than our snapshot. Returning the value could tear the snapshot, so the
@@ -89,8 +96,8 @@ func (*tl2Proto) firstRead(tx *Tx, base mem.Addr, n int) []uint64 {
 		rt.shard.DoomedReads++
 		tx.doomed(base)
 	}
-	tx.readVers[base] = ver
-	tx.reads.put(base, off, n)
+	tx.reads.put(base)
+	tx.tl2Reads = append(tx.tl2Reads, tl2Read{span, ver})
 	if rt.rec != nil {
 		rt.emit(trace.KRead, tx.id, uint64(base), trace.ValueWord(vals), trace.ReadWord(trace.HoldInvisible, n))
 	}
@@ -118,8 +125,8 @@ func (*tl2Proto) validate(tx *Tx) (mem.Addr, bool) {
 	rt.emit(trace.KClockTick, tx.id, tx.wv, 0, 0)
 	tx.tickAt = rt.proc.Now()
 	rt.emit(trace.KPhaseBegin, tx.id, uint64(trace.PhaseRevalidate), 0, 0)
-	for _, e := range tx.reads.entries {
-		key, want := e.base, tx.readVers[e.base] // one entry, and one version, per object
+	for j, e := range tx.reads.entries {
+		key, want := e.base(), tx.tl2Reads[j].ver // one entry, and one version, per object
 		rt.shard.Revalidations++
 		var ok bool
 		if granted, mine := tx.grantVers[key]; mine {

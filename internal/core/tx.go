@@ -63,11 +63,16 @@ type Runtime struct {
 	// one attempt is ever live per runtime, so the commit and read paths
 	// reuse these across attempts and allocate nothing in steady state.
 	// tx is the reusable attempt (reset per attempt); words is the arena
-	// backing every tx-internal word copy (read/write-set values), reset at
-	// attempt start — values handed to user code are always fresh clones
-	// (cloneWords), never arena slices, so callers may retain them.
+	// backing the tx-internal word copies (write-set values, TL2's first-read
+	// values, window entries), reset at attempt start — values handed to user
+	// code are always fresh clones (cloneWords), never arena slices, so
+	// callers may retain them. readBuf holds the words a visible read
+	// returns, valid until the transaction's next operation (readNView), and
+	// aheadBuf those of the keys a read locks ahead (lockedRead).
 	txScratch    *Tx
 	words        []uint64
+	readBuf      []uint64
+	aheadBuf     []uint64
 	lockKeys     []mem.Addr  // rpcLock's key list: one key, or a read-ahead batch
 	scatterIDs   []uint64    // scatter-gather correlation IDs
 	scatterResps []*respLock // scatter-gather response slots
@@ -102,19 +107,28 @@ type Runtime struct {
 }
 
 // wordBuf carves n words out of the runtime's word arena, reset at every
-// attempt start, and returns them with their offset: they back only
-// attempt-internal state (read/write-set values, window entries), and
-// anything kept longer is cloned (cloneWords). A full arena grows by copying,
-// since the sets hold offsets; slices handed out earlier keep the old array.
-func (rt *Runtime) wordBuf(n int) (off int, buf []uint64) {
-	off = len(rt.words)
+// attempt start, and returns them with their span: they back only
+// attempt-internal state (write-set and TL2 first-read values, window
+// entries), and anything kept longer is cloned (cloneWords). A full arena
+// grows by copying, since the sets' values are offsets; slices handed out
+// earlier keep the old array.
+func (rt *Runtime) wordBuf(n int) (wordSpan, []uint64) {
+	off := len(rt.words)
 	if off+n > cap(rt.words) {
 		grown := make([]uint64, off, max(2*cap(rt.words), off+n, 64))
 		copy(grown, rt.words)
 		rt.words = grown
 	}
 	rt.words = rt.words[:off+n]
-	return off, rt.words[off : off+n : off+n]
+	return wordSpan{uint32(off), uint32(n)}, rt.words[off : off+n : off+n]
+}
+
+// scratchWords returns n words of *buf, growing it if it is shorter.
+func scratchWords(buf *[]uint64, n int) []uint64 {
+	if cap(*buf) < n {
+		*buf = make([]uint64, n)
+	}
+	return (*buf)[:n]
 }
 
 func (rt *Runtime) initLocal() {
@@ -202,9 +216,10 @@ type Tx struct {
 	id   uint64
 	kind TxKind
 
-	reads   accessSet  // first-read values; released entries stay in place
-	writes  accessSet  // buffered values, in first-write order
-	wlocked []mem.Addr // lock keys of the write locks held: eager writes, reads for update, commit grants
+	reads     accessSet  // the objects read; released entries stay in place
+	writes    accessSet  // the objects written, in first-write order
+	writeVals []wordSpan // the buffered value of each write-set entry, by position
+	wlocked   []mem.Addr // lock keys of the write locks held: eager writes, reads for update, commit grants
 
 	// forUpdate is the read-set positions whose first read takes the write
 	// lock (visibleProto.firstRead): those the body's predictor entry saw
@@ -232,12 +247,13 @@ type Tx struct {
 	seq      uint64
 
 	// TL2 state (tl2.go), untouched under the visible protocol: the clock
-	// snapshot, the version each read stripe was first observed at, the
-	// versions piggybacked on write-lock grants, and — between validate and
-	// publish — the write stripes carrying this commit's write-back marker,
-	// its new version and the instant of the tick that drew it.
+	// snapshot, each read-set entry's first-read value and version (by
+	// position), the versions piggybacked on write-lock grants, and — between
+	// validate and publish — the write stripes carrying this commit's
+	// write-back marker, its new version and the instant of the tick that
+	// drew it.
 	rv        []uint64
-	readVers  map[mem.Addr]uint64
+	tl2Reads  []tl2Read
 	grantVers map[mem.Addr]uint64
 	marked    []mem.Addr
 	wv        uint64
@@ -276,7 +292,7 @@ func (rt *Runtime) siteFor(pc uintptr) *txSite {
 func (site *txSite) learn(tx *Tx) {
 	var wrote uint64
 	for j, e := range tx.reads.entries {
-		switch written := tx.writes.find(e.base) >= 0; {
+		switch written := tx.writes.find(e.base()) >= 0; {
 		case written && j < 64:
 			wrote |= 1 << j
 		case !written && e.writeLocked():
@@ -296,6 +312,7 @@ func (tx *Tx) reset(id uint64, kind TxKind) {
 	tx.kind = kind
 	tx.reads.reset()
 	tx.writes.reset()
+	tx.writeVals = tx.writeVals[:0]
 	tx.wlocked = tx.wlocked[:0]
 	tx.forUpdate = 0
 	tx.window = [2]winEntry{}
@@ -307,7 +324,7 @@ func (tx *Tx) reset(id uint64, kind TxKind) {
 	tx.onAbort = tx.onAbort[:0]
 	tx.serialAt = 0
 	tx.rv = nil
-	clear(tx.readVers)
+	tx.tl2Reads = tx.tl2Reads[:0]
 	clear(tx.grantVers)
 	tx.marked = nil
 }
@@ -583,30 +600,42 @@ func (tx *Tx) ReadN(base mem.Addr, n int) []uint64 {
 }
 
 // readNView is ReadN minus the defensive copy: the returned slice aliases
-// transaction-owned storage (write buffer, read set, validation window or
-// the per-attempt word arena) and is valid only until the next operation on
-// the transaction. The typed accessors decode from it immediately, which
-// keeps the codec hot path allocation-free; everything user-facing goes
-// through ReadN.
+// runtime-owned storage (the write buffer, TL2's first-read values, the
+// validation window or rt.readBuf) and is valid only until the next
+// operation on the transaction. The typed accessors decode from it
+// immediately, which keeps the codec hot path allocation-free; everything
+// user-facing goes through ReadN.
 func (tx *Tx) readNView(base mem.Addr, n int) []uint64 {
-	if vals, ok := tx.cached(base); ok {
+	if vals, ok := tx.cached(base, n); ok {
 		return vals
 	}
 	return tx.rt.s.proto.firstRead(tx, base, n)
 }
 
-// cached charges a read wrapper's cost and returns base's value from the
-// write buffer or the read set, if the transaction has touched it.
-func (tx *Tx) cached(base mem.Addr) ([]uint64, bool) {
+// cached charges a read wrapper's cost and returns the n-word object at base
+// if the transaction has touched it: from the write buffer, from TL2's
+// first-read values, or, for a visible read, from shared memory again. The
+// object's lock pins those words: only a revocation lets a writer in, and it
+// sets this attempt's status to Aborted first (mem.go's "Remote abort -> the
+// victim's checkAborted"), so the check after the read catches any words a
+// writer left.
+func (tx *Tx) cached(base mem.Addr, n int) ([]uint64, bool) {
 	rt := tx.rt
 	rt.proc.Advance(rt.s.compute(costs.Wrapper))
 	if j := tx.writes.find(base); j >= 0 {
-		return tx.writes.entries[j].vals(rt.words), true
+		return tx.writeVals[j].of(rt.words), true
 	}
-	if j := tx.reads.find(base); j >= 0 {
-		return tx.reads.entries[j].vals(rt.words), true
+	j := tx.reads.find(base)
+	switch {
+	case j < 0:
+		return nil, false
+	case !rt.s.proto.readsHoldLocks():
+		return tx.tl2Reads[j].of(rt.words), true
 	}
-	return nil, false
+	vals := scratchWords(&rt.readBuf, n)
+	rt.s.Mem.ReadBatchRaw(base, vals)
+	tx.checkAborted()
+	return vals, true
 }
 
 // doomed aborts the attempt over a read that cannot be part of a consistent
@@ -635,9 +664,13 @@ func (tx *Tx) WriteN(base mem.Addr, vals []uint64) {
 		rt.rpcLock(tx, rt.lockKeys, lockWrite)
 		tx.wlocked = append(tx.wlocked, base)
 	}
-	off, buf := rt.wordBuf(len(vals))
+	span, buf := rt.wordBuf(len(vals))
 	copy(buf, vals)
-	tx.writes.put(base, off, len(buf))
+	if j := tx.writes.put(base); j < len(tx.writeVals) {
+		tx.writeVals[j] = span
+	} else {
+		tx.writeVals = append(tx.writeVals, span)
+	}
 }
 
 // commit is the one commit (Algorithm 3, txcommit), and the order of its
@@ -673,9 +706,9 @@ func (tx *Tx) commit() {
 		}
 		rt.emit(trace.KPhaseBegin, tx.id, uint64(trace.PhaseWriteBack), 0, 0)
 		if rt.rec != nil {
-			for _, e := range tx.writes.entries {
-				vals := e.vals(rt.words)
-				rt.emit(trace.KWrite, tx.id, uint64(e.base), trace.ValueWord(vals), uint64(len(vals)))
+			for j, e := range tx.writes.entries {
+				vals := tx.writeVals[j].of(rt.words)
+				rt.emit(trace.KWrite, tx.id, uint64(e.base()), trace.ValueWord(vals), uint64(len(vals)))
 			}
 		}
 		addrs, vals := tx.writeBackLists()
@@ -715,9 +748,9 @@ func (tx *Tx) writeBackLists() ([]mem.Addr, []uint64) {
 	rt := tx.rt
 	addrs := rt.wbAddrs[:0]
 	vals := rt.wbVals[:0]
-	for _, e := range tx.writes.entries {
-		for i, v := range e.vals(rt.words) {
-			addrs = append(addrs, e.base+mem.Addr(i))
+	for j, e := range tx.writes.entries {
+		for i, v := range tx.writeVals[j].of(rt.words) {
+			addrs = append(addrs, e.base()+mem.Addr(i))
 			vals = append(vals, v)
 		}
 	}
@@ -882,7 +915,7 @@ func (rt *Runtime) releaseAll(tx *Tx) {
 	if reads {
 		for _, e := range tx.reads.entries {
 			if e.readLocked() {
-				rt.rels[rt.draftFor(tx, place.Owner(e.base))].reads++
+				rt.rels[rt.draftFor(tx, place.Owner(e.base()))].reads++
 			}
 		}
 	}
@@ -897,8 +930,8 @@ func (rt *Runtime) releaseAll(tx *Tx) {
 	if reads {
 		for _, e := range tx.reads.entries {
 			if e.readLocked() {
-				msg := rt.rels[rt.groupIdx[place.Owner(e.base)]-1].msg
-				msg.ReadAddrs = append(msg.ReadAddrs, e.base)
+				msg := rt.rels[rt.groupIdx[place.Owner(e.base())]-1].msg
+				msg.ReadAddrs = append(msg.ReadAddrs, e.base())
 			}
 		}
 	}
@@ -1033,7 +1066,7 @@ func (tx *Tx) writeKeys() []mem.Addr {
 	rt := tx.rt
 	keys := rt.wkKeys[:0]
 	for _, e := range tx.writes.entries {
-		keys = append(keys, e.base)
+		keys = append(keys, e.base())
 	}
 	rt.wkKeys = keys
 	return keys

@@ -44,6 +44,9 @@ func (*visibleProto) firstRead(tx *Tx, base mem.Addr, n int) []uint64 {
 // A stale NACK leaves keys[0] alone to chase (rpcLock); any other key granted
 // is one locked ahead of a TArray scan (readAhead). Mode lockWrite reads the
 // one key for update: its entry holds the write lock, in tx.wlocked.
+// The read set keeps the keys only: each read here is the grant-time read
+// the model charges and the trace records, and a later read of the key reads
+// the words again under its lock (Tx.cached).
 func (tx *Tx) lockedRead(keys []mem.Addr, n int, mode lockMode) []uint64 {
 	rt := tx.rt
 	tx.checkAborted()
@@ -52,11 +55,14 @@ func (tx *Tx) lockedRead(keys []mem.Addr, n int, mode lockMode) []uint64 {
 	// were not in the read set when the post-read abort check fires, the
 	// cleanup would never release it and the stale entry could block that
 	// object forever.
-	var first []uint64
+	first := scratchWords(&rt.readBuf, n)
 	for j, k := range keys {
-		off, buf := rt.wordBuf(n)
+		buf := first
+		if j > 0 {
+			buf = scratchWords(&rt.aheadBuf, n)
+		}
 		vals := rt.s.Mem.ReadBatchTo(rt.proc, rt.core, k, buf)
-		e := &tx.reads.entries[tx.reads.put(k, off, n)]
+		e := &tx.reads.entries[tx.reads.put(k)]
 		hold := trace.HoldRead
 		switch {
 		case j > 0:
@@ -64,15 +70,12 @@ func (tx *Tx) lockedRead(keys []mem.Addr, n int, mode lockMode) []uint64 {
 			tx.run.lockedAhead(k)
 		case mode == lockWrite:
 			hold = trace.HoldUpdate
-			e.n |= entryWriteLocked
+			*e |= entryWriteLocked
 			tx.wlocked = append(tx.wlocked, k)
 			rt.shard.UpdateReads++
 		}
 		if rt.rec != nil {
 			rt.emit(trace.KRead, tx.id, uint64(k), trace.ValueWord(vals), trace.ReadWord(hold, n))
-		}
-		if j == 0 {
-			first = vals
 		}
 	}
 	rt.shard.ReadAheadKeys += uint64(len(keys) - 1)
@@ -145,7 +148,7 @@ func (r *scanRun) end(rt *Runtime) {
 func (tx *Tx) readElem(arr, base mem.Addr, words, n int) []uint64 {
 	i := int(base-arr) / words
 	win := tx.run.step(tx.rt, arr, words, i)
-	if vals, ok := tx.cached(base); ok {
+	if vals, ok := tx.cached(base, words); ok {
 		return vals
 	}
 	if win == 0 || !tx.rt.s.proto.readsHoldLocks() || tx.kind != Normal && tx.kind != ReadOnly {
@@ -222,10 +225,7 @@ func (tx *Tx) windowChanged(charged bool) (at mem.Addr, ok bool) {
 	for _, w := range tx.window[:tx.nwin] {
 		changed := false
 		if charged {
-			if cap(rt.winBuf) < len(w.vals) {
-				rt.winBuf = make([]uint64, len(w.vals))
-			}
-			cur := rt.s.Mem.ReadBatchTo(rt.proc, rt.core, w.base, rt.winBuf[:len(w.vals)])
+			cur := rt.s.Mem.ReadBatchTo(rt.proc, rt.core, w.base, scratchWords(&rt.winBuf, len(w.vals)))
 			changed = !slices.Equal(cur, w.vals)
 		} else {
 			for j, was := range w.vals {

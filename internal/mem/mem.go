@@ -469,11 +469,7 @@ func (m *Memory) ReadBatchTo(p Ctx, core int, base Addr, dst []uint64) []uint64 
 		panic("mem: ReadBatchTo of empty buffer")
 	}
 	m.charge(p, core, m.MCOf(base), n, read)
-	if m.remote != nil {
-		m.remote.ReadBatchRaw(base, dst)
-	} else {
-		m.ReadBatchRaw(base, dst)
-	}
+	m.ReadBatchRaw(base, dst)
 	return dst
 }
 
@@ -609,8 +605,16 @@ func (m *Memory) FillRaw(base Addr, n int, pattern []uint64) {
 }
 
 // ReadBatchRaw reads the len(dst) contiguous words starting at base into dst
-// without charging latency: the serving side of a forwarded ReadBatch.
-func (m *Memory) ReadBatchRaw(base Addr, dst []uint64) { m.readWith(base, base, dst) }
+// without charging latency, from the rank that holds them: the serving side
+// of a forwarded ReadBatch, and a visible read's re-read of words its lock
+// pins.
+func (m *Memory) ReadBatchRaw(base Addr, dst []uint64) {
+	if m.remote != nil {
+		m.remote.ReadBatchRaw(base, dst)
+		return
+	}
+	m.readWith(base, base, dst)
+}
 
 // WriteBatchRaw stores values[i] at addrs[i] without charging latency: the
 // serving side of a forwarded WriteBatch.
