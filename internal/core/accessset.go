@@ -1,21 +1,19 @@
 package core
 
 import (
+	"iter"
 	"math/bits"
 
 	"repro/internal/mem"
 )
 
-// accessSet is a read or write set: the objects a transaction touched, in
-// first-access order, one 8-byte key each. A linear-probing index of entry
+// accessSet is the write set, and TL2's read set: the objects a transaction
+// touched, in first-access order, one 8-byte key each. A linear-probing index of entry
 // positions + 1 (0: empty) maps a base to its latest entry. EarlyRelease
 // marks an entry released in place, so the order the release bursts follow
 // holds, and a base read again gets one new entry at the end.
-// A read for update marks its entry write-locked: the lock it holds is the
-// write lock, in Tx.wlocked, not a read lock.
 // The set holds no values: those the protocol needs sit beside it by entry
-// position (Tx.writeVals, Tx.tl2Reads); a visible read's lock pins its words
-// in shared memory (Tx.cached).
+// position (Tx.writeVals, Tx.tl2Reads).
 // reset keeps every capacity, so a warm runtime allocates nothing here.
 type accessSet struct {
 	entries []accessEntry
@@ -23,23 +21,15 @@ type accessSet struct {
 	live    int // entries not released
 }
 
-// accessEntry is an object's base address, with the entry's flags in top
-// bits no address uses (a region is 2^mem.RegionShift words, and the
-// regions are few).
+// accessEntry is an object's base address, with the released flag in a top
+// bit no address uses (a region is 2^mem.RegionShift words, and the regions
+// are few).
 type accessEntry uint64
 
-const (
-	entryReleased    accessEntry = 1 << 63
-	entryWriteLocked accessEntry = 1 << 62
-	entryFlags                   = entryReleased | entryWriteLocked
-)
+const entryReleased accessEntry = 1 << 63
 
-func (e accessEntry) base() mem.Addr    { return mem.Addr(e &^ entryFlags) }
-func (e accessEntry) released() bool    { return e&entryReleased != 0 }
-func (e accessEntry) writeLocked() bool { return e&entryWriteLocked != 0 }
-
-// readLocked reports whether the entry holds a read lock under visible reads.
-func (e accessEntry) readLocked() bool { return e&entryFlags == 0 }
+func (e accessEntry) base() mem.Addr { return mem.Addr(e &^ entryReleased) }
+func (e accessEntry) released() bool { return e&entryReleased != 0 }
 
 // slot returns the index slot holding base, or the empty one it would take,
 // probing from base's fibonacci hash.
@@ -93,6 +83,141 @@ func (s *accessSet) release(base mem.Addr) bool {
 func (s *accessSet) reset() {
 	clear(s.index)
 	s.entries, s.live = s.entries[:0], 0
+}
+
+// blockSet is the read set under visible reads. Every read there is a lock
+// held at a DTM node, so the set records which locks the attempt holds, not
+// what it read: one entry per 64-word block touched, its base and two masks,
+// the keys held and, of those, the ones read for update (whose lock is the
+// write lock, in Tx.wlocked). Entries stay in first-touch order behind a
+// linear-probing index of entry positions + 1 (0: empty), at most 3/4 full. A release clears
+// its key's bits in place and a later put sets them again, so iteration
+// visits blocks in first-touch order and keys ascending within a block.
+// The set also keeps its first 64 puts in order, as block position << 6 |
+// bit: the read positions of the read-for-update predictor (Tx.forUpdate).
+// reset keeps every capacity, so a warm runtime allocates nothing here.
+type blockSet struct {
+	blocks []readBlock
+	index  []int32
+	first  []uint16
+	live   int // keys held
+}
+
+// readBlock is the keys of one 64-word block in a blockSet: key base+i is
+// in the set when bit i of held is set.
+type readBlock struct {
+	base           mem.Addr
+	held, forWrite uint64
+}
+
+// blockOf splits k into its block's base and its bit in the block.
+func blockOf(k mem.Addr) (mem.Addr, uint64) { return k &^ 63, 1 << (k & 63) }
+
+// block returns the position of the entry of the block at base, or -1.
+func (s *blockSet) block(base mem.Addr) int {
+	if len(s.blocks) == 0 {
+		return -1
+	}
+	return int(s.index[s.slot(base)]) - 1
+}
+
+// slot is accessSet.slot over block bases.
+func (s *blockSet) slot(base mem.Addr) int {
+	mask := len(s.index) - 1
+	i := int(uint64(base) * 0x9e3779b97f4a7c15 >> bits.LeadingZeros64(uint64(mask)))
+	for s.index[i] != 0 && s.blocks[s.index[i]-1].base != base {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+// mask returns the held mask of the block at base (0 if it was never touched).
+func (s *blockSet) mask(base mem.Addr) uint64 {
+	if j := s.block(base); j >= 0 {
+		return s.blocks[j].held
+	}
+	return 0
+}
+
+// holds reports whether k is held.
+func (s *blockSet) holds(k mem.Addr) bool {
+	base, bit := blockOf(k)
+	return s.mask(base)&bit != 0
+}
+
+// forWrite reports whether k is held for update.
+func (s *blockSet) forWrite(k mem.Addr) bool {
+	base, bit := blockOf(k)
+	j := s.block(base)
+	return j >= 0 && s.blocks[j].forWrite&bit != 0
+}
+
+// put adds k to the set, a read lock held, and returns k's block and bit.
+// A key already held stays as it is.
+func (s *blockSet) put(k mem.Addr) (*readBlock, uint64) {
+	base, bit := blockOf(k)
+	j := s.block(base)
+	if j < 0 {
+		j = len(s.blocks)
+		if j == cap(s.blocks) { // by half, not double: a scan's blocks are few and exact
+			s.blocks = append(make([]readBlock, 0, max(4, j+j/2)), s.blocks...)
+		}
+		s.blocks = append(s.blocks, readBlock{base: base})
+		if 4*len(s.blocks) > 3*len(s.index) {
+			s.index = make([]int32, max(8, 2*len(s.index)))
+			for i, b := range s.blocks[:j] {
+				s.index[s.slot(b.base)] = int32(i + 1)
+			}
+		}
+		s.index[s.slot(base)] = int32(j + 1)
+	}
+	b := &s.blocks[j]
+	if b.held&bit == 0 {
+		b.held |= bit
+		s.live++
+		if len(s.first) < 64 {
+			s.first = append(s.first, uint16(j<<6|bits.TrailingZeros64(bit)))
+		}
+	}
+	return b, bit
+}
+
+// firstKey returns the key of the set's put at read position p < len(first).
+func (s *blockSet) firstKey(p int) mem.Addr {
+	f := s.first[p]
+	return s.blocks[f>>6].base + mem.Addr(f&63)
+}
+
+// release drops k and reports whether it was held.
+func (s *blockSet) release(k mem.Addr) bool {
+	base, bit := blockOf(k)
+	j := s.block(base)
+	if j < 0 || s.blocks[j].held&bit == 0 {
+		return false
+	}
+	s.blocks[j].held &^= bit
+	s.blocks[j].forWrite &^= bit
+	s.live--
+	return true
+}
+
+// readLocked yields the keys held under a read lock: blocks in first-touch
+// order, keys ascending within a block.
+func (s *blockSet) readLocked() iter.Seq[mem.Addr] {
+	return func(yield func(mem.Addr) bool) {
+		for _, b := range s.blocks {
+			for m := b.held &^ b.forWrite; m != 0; m &= m - 1 {
+				if !yield(b.base + mem.Addr(bits.TrailingZeros64(m))) {
+					return
+				}
+			}
+		}
+	}
+}
+
+func (s *blockSet) reset() {
+	clear(s.index)
+	s.blocks, s.first, s.live = s.blocks[:0], s.first[:0], 0
 }
 
 // wordSpan is a value in the runtime's word arena: arena[off, off+n).

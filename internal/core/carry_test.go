@@ -303,9 +303,11 @@ func TestCarriedReleaseBound(t *testing.T) {
 						lingered.Add(1)
 					}
 					if rt.s.proto.readsHoldLocks() {
-						for _, e := range tx.reads.entries {
-							if !e.released() {
-								held[[2]uint64{tx.id, uint64(e.base())}] = rt.s.nodeFor(e.base())
+						for _, b := range tx.held.blocks {
+							for i := range mem.Addr(64) {
+								if b.held&(1<<i) != 0 {
+									held[[2]uint64{tx.id, uint64(b.base + i)}] = rt.s.nodeFor(b.base + i)
+								}
 							}
 						}
 					}

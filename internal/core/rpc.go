@@ -342,7 +342,7 @@ func (rt *Runtime) timeoutAbort(tx *Tx, keys []mem.Addr, write bool) {
 		tx.wlocked = append(tx.wlocked, keys...)
 	} else {
 		for _, k := range keys {
-			tx.reads.put(k) // a held entry keeps its place
+			tx.held.put(k) // a held key keeps its place
 		}
 	}
 	panic(rt.signal(abortSignal{reason: trace.ReasonTimeout}))

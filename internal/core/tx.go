@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"reflect"
 	"slices"
 	"time"
@@ -216,14 +217,15 @@ type Tx struct {
 	id   uint64
 	kind TxKind
 
-	reads     accessSet  // the objects read; released entries stay in place
+	held      blockSet   // visible reads: the locks the reads hold
+	reads     accessSet  // TL2: the objects read, their values in tl2Reads
 	writes    accessSet  // the objects written, in first-write order
 	writeVals []wordSpan // the buffered value of each write-set entry, by position
 	wlocked   []mem.Addr // lock keys of the write locks held: eager writes, reads for update, commit grants
 
-	// forUpdate is the read-set positions whose first read takes the write
-	// lock (visibleProto.firstRead): those the body's predictor entry saw
-	// written in its last two commits.
+	// forUpdate is the read positions (the order of held's puts) whose read
+	// takes the write lock (visibleProto.firstRead): those the body's
+	// predictor entry saw written in its last two commits.
 	forUpdate uint64
 
 	window [2]winEntry // elastic-read validation window (last two reads)
@@ -287,16 +289,21 @@ func (rt *Runtime) siteFor(pc uintptr) *txSite {
 	return site
 }
 
-// learn records which read-set positions a committed attempt wrote, and
-// counts its reads for update that it did not write: the predictor's misses.
+// learn records which of its first 64 read positions a committed attempt
+// wrote, and counts its reads for update that it did not write: the
+// predictor's misses.
 func (site *txSite) learn(tx *Tx) {
 	var wrote uint64
-	for j, e := range tx.reads.entries {
-		switch written := tx.writes.find(e.base()) >= 0; {
-		case written && j < 64:
-			wrote |= 1 << j
-		case !written && e.writeLocked():
-			tx.rt.shard.UpdateReadsUnwritten++
+	for p := range tx.held.first {
+		if tx.writes.find(tx.held.firstKey(p)) >= 0 {
+			wrote |= 1 << p
+		}
+	}
+	for _, b := range tx.held.blocks {
+		for m := b.forWrite; m != 0; m &= m - 1 {
+			if tx.writes.find(b.base+mem.Addr(bits.TrailingZeros64(m))) < 0 {
+				tx.rt.shard.UpdateReadsUnwritten++
+			}
 		}
 	}
 	site.prev, site.last = site.last, wrote
@@ -310,6 +317,7 @@ func (site *txSite) learn(tx *Tx) {
 func (tx *Tx) reset(id uint64, kind TxKind) {
 	tx.id = id
 	tx.kind = kind
+	tx.held.reset()
 	tx.reads.reset()
 	tx.writes.reset()
 	tx.writeVals = tx.writeVals[:0]
@@ -338,7 +346,7 @@ func (tx *Tx) Kind() TxKind { return tx.kind }
 // ReadSetSize returns the number of objects in the read set: those read
 // through the protocol and not given back by EarlyRelease. Under visible
 // reads each holds a read lock; TL2 holds none.
-func (tx *Tx) ReadSetSize() int { return tx.reads.live }
+func (tx *Tx) ReadSetSize() int { return tx.held.live + tx.reads.live }
 
 // WriteSetSize returns the number of objects in the write buffer.
 func (tx *Tx) WriteSetSize() int { return tx.writes.live }
@@ -625,12 +633,14 @@ func (tx *Tx) cached(base mem.Addr, n int) ([]uint64, bool) {
 	if j := tx.writes.find(base); j >= 0 {
 		return tx.writeVals[j].of(rt.words), true
 	}
-	j := tx.reads.find(base)
-	switch {
-	case j < 0:
+	if !rt.s.proto.readsHoldLocks() {
+		if j := tx.reads.find(base); j >= 0 {
+			return tx.tl2Reads[j].of(rt.words), true
+		}
 		return nil, false
-	case !rt.s.proto.readsHoldLocks():
-		return tx.tl2Reads[j].of(rt.words), true
+	}
+	if !tx.held.holds(base) {
+		return nil, false
 	}
 	vals := scratchWords(&rt.readBuf, n)
 	rt.s.Mem.ReadBatchRaw(base, vals)
@@ -901,7 +911,8 @@ func (rt *Runtime) abortCleanup(tx *Tx, sig abortSignal) {
 // An older release still carried for a node drafted here leaves on its own
 // first, so the carry holds one release per node; only a placement migration
 // since the older attempt's request to that node can leave one behind.
-// Nodes are visited in first-use order (reads in read order, then write
+// Nodes are visited in first-use order (read locks in the read set's order:
+// blocks in first-touch order, keys ascending within a block; then write
 // locks in acquisition order) so identical runs schedule identical events.
 // A first walk counts each node's keys, so the messages' key slices are
 // sized once before a second walk fills them: a message drawn fresh from
@@ -913,10 +924,8 @@ func (rt *Runtime) releaseAll(tx *Tx) {
 	tx.run.end(rt)
 	reads, place := rt.s.proto.readsHoldLocks(), rt.s.dir.Snapshot()
 	if reads {
-		for _, e := range tx.reads.entries {
-			if e.readLocked() {
-				rt.rels[rt.draftFor(tx, place.Owner(e.base()))].reads++
-			}
+		for k := range tx.held.readLocked() {
+			rt.rels[rt.draftFor(tx, place.Owner(k))].reads++
 		}
 	}
 	for _, k := range tx.wlocked {
@@ -928,11 +937,9 @@ func (rt *Runtime) releaseAll(tx *Tx) {
 		d.msg.WriteAddrs = slices.Grow(d.msg.WriteAddrs, int(d.writes))
 	}
 	if reads {
-		for _, e := range tx.reads.entries {
-			if e.readLocked() {
-				msg := rt.rels[rt.groupIdx[place.Owner(e.base())]-1].msg
-				msg.ReadAddrs = append(msg.ReadAddrs, e.base())
-			}
+		for k := range tx.held.readLocked() {
+			msg := rt.rels[rt.groupIdx[place.Owner(k)]-1].msg
+			msg.ReadAddrs = append(msg.ReadAddrs, k)
 		}
 	}
 	for _, k := range tx.wlocked {
@@ -1080,7 +1087,7 @@ func (tx *Tx) notReadForUpdate(keys []mem.Addr) []mem.Addr {
 	}
 	out := keys[:0]
 	for _, k := range keys {
-		if j := tx.reads.find(k); j < 0 || !tx.reads.entries[j].writeLocked() {
+		if !tx.held.forWrite(k) {
 			out = append(out, k)
 		}
 	}

@@ -33,7 +33,7 @@ func (*visibleProto) firstRead(tx *Tx, base mem.Addr, n int) []uint64 {
 	rt := tx.rt
 	rt.lockKeys = append(rt.lockKeys[:0], base)
 	mode := lockRead
-	if pos := len(tx.reads.entries); pos < 64 && tx.forUpdate&(1<<pos) != 0 {
+	if pos := len(tx.held.first); pos < 64 && tx.forUpdate&(1<<pos) != 0 {
 		mode = lockWrite
 	}
 	return tx.lockedRead(rt.lockKeys, n, mode)
@@ -43,7 +43,7 @@ func (*visibleProto) firstRead(tx *Tx, base mem.Addr, n int) []uint64 {
 // one request, then reads each object, and returns the value of keys[0].
 // A stale NACK leaves keys[0] alone to chase (rpcLock); any other key granted
 // is one locked ahead of a TArray scan (readAhead). Mode lockWrite reads the
-// one key for update: its entry holds the write lock, in tx.wlocked.
+// one key for update: it holds the write lock, in tx.wlocked.
 // The read set keeps the keys only: each read here is the grant-time read
 // the model charges and the trace records, and a later read of the key reads
 // the words again under its lock (Tx.cached).
@@ -62,7 +62,7 @@ func (tx *Tx) lockedRead(keys []mem.Addr, n int, mode lockMode) []uint64 {
 			buf = scratchWords(&rt.aheadBuf, n)
 		}
 		vals := rt.s.Mem.ReadBatchTo(rt.proc, rt.core, k, buf)
-		e := &tx.reads.entries[tx.reads.put(k)]
+		b, bit := tx.held.put(k)
 		hold := trace.HoldRead
 		switch {
 		case j > 0:
@@ -70,7 +70,7 @@ func (tx *Tx) lockedRead(keys []mem.Addr, n int, mode lockMode) []uint64 {
 			tx.run.lockedAhead(k)
 		case mode == lockWrite:
 			hold = trace.HoldUpdate
-			*e |= entryWriteLocked
+			b.forWrite |= bit
 			tx.wlocked = append(tx.wlocked, k)
 			rt.shard.UpdateReads++
 		}
@@ -166,9 +166,14 @@ func (tx *Tx) readAhead(arr mem.Addr, words, n, i, win int) []uint64 {
 	place := rt.s.dir.Snapshot()
 	node := place.Owner(base)
 	keys := append(rt.lockKeys[:0], base)
+	blk, held := mem.Addr(1), uint64(0) // the held mask of the block at blk (1: no block)
 	for j := i + 1; j <= min(i+win, n-1); j++ {
 		k := arr + mem.Addr(j*words)
-		if place.Owner(k) == node && tx.reads.find(k) < 0 && tx.writes.find(k) < 0 {
+		b, bit := blockOf(k)
+		if b != blk {
+			blk, held = b, tx.held.mask(b)
+		}
+		if held&bit == 0 && place.Owner(k) == node && tx.writes.find(k) < 0 {
 			keys = append(keys, k)
 		}
 	}
@@ -257,7 +262,7 @@ func (tx *Tx) EarlyRelease(bases ...mem.Addr) {
 	}
 	rt.sendCarry()
 	for _, b := range bases {
-		if tx.reads.release(b) {
+		if tx.held.release(b) {
 			rt.relAdd(tx, false, b)
 		}
 	}
