@@ -42,10 +42,12 @@ type dtmNode struct {
 	shrunk      bool
 	heldScratch []bool // tryHandoffs: pending stripe i still holds a lock
 
-	// busy: another message waits behind the one being served
+	// busy: another message, queued, waits behind the one being served
 	// (dispatchBurst). A busy node spends no register read on deciding
-	// whether a winning holder has finished (handleLock).
-	busy bool
+	// whether a winning holder has finished (handleLock); it only looks
+	// whether queued releases the holder's lock (releasedNext).
+	busy   bool
+	queued port.Msg
 
 	// endedTo holds, per core, the highest attempt ID of that core the node
 	// knows to have ended (0: none). A core runs its attempts one at a time,
@@ -77,19 +79,18 @@ func (n *dtmNode) serveLoop(p port.Port) {
 // FIFO — the loop is Recv-handle unrolled with O(1) receives, no mailbox
 // scans — and every response leaves the instant it was served.
 func (n *dtmNode) dispatchBurst(p port.Port, m port.Msg) {
-	next, ok := p.TryRecv()
+	n.queued, n.busy = p.TryRecv()
 	for {
-		n.busy = ok
 		n.handle(p, m)
-		if !ok {
-			if next, ok = p.TryRecv(); !ok {
+		if !n.busy {
+			if n.queued, n.busy = p.TryRecv(); !n.busy {
 				break
 			}
 		}
-		m = next
-		next, ok = p.TryRecv()
+		m = n.queued
+		n.queued, n.busy = p.TryRecv()
 	}
-	n.busy = false
+	n.queued, n.busy = port.Msg{}, false
 }
 
 // handle dispatches one incoming message. It returns true if the message
@@ -308,6 +309,9 @@ func (n *dtmNode) handleLock(p port.Port, r *reqLock) bool {
 				continue // busy or not, a lock the watermark shows stale does not count
 			}
 			d, win := n.s.cfg.Policy.ResolveWinner(meta, conf.Enemies, conf.Kind)
+			if d == cm.AbortRequester && n.busy && n.releasedNext(addr, conf.Enemies) {
+				continue // the lock was on its way out: re-check
+			}
 			if d == cm.AbortRequester && !n.busy && n.revokeFinished(p, addr, meta, conf.Enemies, win) {
 				continue // a finished attempt's lock does not win: re-check
 			}
@@ -398,6 +402,35 @@ func (n *dtmNode) revokeFinished(p port.Port, addr mem.Addr, by cm.Meta, enemies
 		revoked = true
 	}
 	return revoked
+}
+
+// releasedNext applies, ahead of its turn, the release of addr by one of
+// enemies that is the message queued next (on its own or carried by a lock
+// request), and reports whether it did. That release would drop the lock one
+// message later; served in turn, the busy node would let the lock win over
+// the request in hand. Only addr is released early, and the release's own
+// turn then finds it gone. The release may be an early release of a running
+// attempt, so the watermark learns nothing from it.
+func (n *dtmNode) releasedNext(addr mem.Addr, enemies []cm.Meta) bool {
+	r, _ := n.queued.Payload.(*relLocks)
+	if req, ok := n.queued.Payload.(*reqLock); ok {
+		r = req.Rel
+	}
+	if r == nil {
+		return false
+	}
+	for _, e := range enemies {
+		if e.Core != r.Core || e.TxID != r.TxID {
+			continue
+		}
+		switch {
+		case slices.Contains(r.ReadAddrs, addr):
+			return n.table.ReleaseRead(addr, e.Core, e.TxID)
+		case slices.Contains(r.WriteAddrs, addr):
+			return n.table.ReleaseWrite(addr, e.Core, e.TxID)
+		}
+	}
+	return false
 }
 
 // ended reports whether attempt e has ended: at or below its core's
