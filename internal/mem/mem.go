@@ -276,8 +276,14 @@ type Remote interface {
 // releases any worker goroutine — the field is read without
 // synchronization after that point. Setup code that ran before SetRemote
 // wrote to the local replica; by replicated construction every rank ran the
-// identical setup, so the owning rank's copy already agrees.
-func (m *Memory) SetRemote(r Remote) { m.remote = r }
+// identical setup, so the owning rank's copy already agrees, and the
+// replica's pages and directory are dropped: every word access forwards from
+// now on, so they would never be read again. (Stripe versions live in the
+// pages too; TL2, their only user, does not run on the net backend.)
+func (m *Memory) SetRemote(r Remote) {
+	m.remote = r
+	m.dir = make([]dirNode, len(m.dir))
+}
 
 // MemStats counts memory traffic.
 type MemStats struct {

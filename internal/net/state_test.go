@@ -293,3 +293,31 @@ func TestStateCallLateResponseAfterTimeout(t *testing.T) {
 		}
 	}
 }
+
+// TestBoundReplicaReadsRankZero: after BindState, rank 1's replica — which
+// ran the same setup fill as rank 0 — reads and writes rank 0's words
+// through FillRaw and ReadRaw, and none of its own (internal/mem's
+// TestSetRemoteDropsReplica: the replica keeps no page).
+func TestBoundReplicaReadsRankZero(t *testing.T) {
+	var mems [2]*mem.Memory
+	var base mem.Addr
+	startPair(t, func(rank int, e *Engine) {
+		mems[rank] = mem.New(&sccPlatform)
+		base = mems[rank].Alloc(64, 0)
+		mems[rank].FillRaw(base, 64, []uint64{3}) // replicated setup
+		e.BindState(mems[rank], mem.NewRegisters(&sccPlatform), func(int) int { return 0 })
+	})
+	mems[0].WriteRaw(base+1, 8)
+	if got := mems[1].ReadRaw(base + 1); got != 8 {
+		t.Errorf("rank 1 ReadRaw = %d, want rank 0's 8", got)
+	}
+	if got := mems[1].ReadRaw(base + 2); got != 3 {
+		t.Errorf("rank 1 ReadRaw = %d, want the setup's 3", got)
+	}
+	mems[1].FillRaw(base+4, 2, []uint64{6, 7})
+	for i, want := range []uint64{3, 6, 7, 6, 7, 3} {
+		if got := mems[0].ReadRaw(base + 3 + mem.Addr(i)); got != want {
+			t.Errorf("rank 0 word %d = %d after rank 1's FillRaw, want %d", 3+i, got, want)
+		}
+	}
+}
