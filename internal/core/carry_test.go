@@ -199,6 +199,67 @@ func TestEndedWatermark(t *testing.T) {
 	}
 }
 
+// TestBusyNodeAppliesQueuedRelease: a busy DTM node reads no register, so a
+// finished holder's lock wins there, unless the message queued next releases
+// that lock: then the node drops it a message early and grants the request
+// (dtmNode.releasedNext). The holder is an attempt that cannot exist
+// (attempt 5 of a core that runs nothing) reading two keys at one node.
+// Under NoCM the writer loses every conflict it is judged in, so it takes
+// one attempt when the queued release names its key, and two when it names
+// another key or comes from another attempt (the retry meets an idle node,
+// which reads the holder's register). The release may be an early release
+// of a running attempt, so the watermark learns nothing from it.
+func TestBusyNodeAppliesQueuedRelease(t *testing.T) {
+	const holderTx = 5
+	for _, tc := range []struct {
+		name     string
+		txID     uint64
+		released func(a, b mem.Addr) []mem.Addr
+		attempts int
+	}{
+		{"its-key", holderTx, func(a, b mem.Addr) []mem.Addr { return []mem.Addr{b, a} }, 1},
+		{"other-key", holderTx, func(a, b mem.Addr) []mem.Addr { return []mem.Addr{b} }, 2},
+		{"other-attempt", holderTx + 1, func(a, b mem.Addr) []mem.Addr { return []mem.Addr{a} }, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var attempts int
+			var learned uint64
+			runRanks(t, BackendSim, func(c *Config) {
+				c.TotalCores, c.Policy, c.Deployment = 4, cm.NoCM, Multitask
+			}, func(s *System) func(rt *Runtime) {
+				a := s.Mem.Alloc(16, 0)
+				ni := s.nodeFor(a)
+				b := a + 1
+				for s.nodeFor(b) != ni {
+					b++
+				}
+				n := s.nodes[ni]
+				holder, writer := (n.core+1)%4, (n.core+2)%4
+				n.table.AddReader(a, cm.Meta{Core: holder, TxID: holderTx})
+				rel := &relLocks{Core: holder, TxID: tc.txID, ReadAddrs: tc.released(a, b)}
+				return func(rt *Runtime) {
+					switch rt.Core() {
+					case writer:
+						attempts = rt.Run(func(tx *Tx) { tx.Write(a, 1) })
+					case n.core:
+						m := rt.proc.Recv() // the writer's first commit request
+						n.queued, n.busy = port.Msg{Payload: rel}, true
+						n.handle(rt.proc, m)
+						n.queued, n.busy = port.Msg{}, false
+						learned = n.endedTo[holder]
+					}
+				}
+			})
+			if attempts != tc.attempts {
+				t.Errorf("writer took %d attempts, want %d", attempts, tc.attempts)
+			}
+			if learned != 0 {
+				t.Errorf("the busy node's watermark learned attempt %d of the holder, want none", learned)
+			}
+		})
+	}
+}
+
 // byBackend picks a duration by backend: virtual time on sim, real time on
 // live and net.
 func byBackend(b Backend, sim, host time.Duration) port.Time {
