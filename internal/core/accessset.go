@@ -8,48 +8,33 @@ import (
 )
 
 // accessSet is the write set, and TL2's read set: the objects a transaction
-// touched, in first-access order, one 8-byte key each. A linear-probing index of entry
-// positions + 1 (0: empty) maps a base to its latest entry. EarlyRelease
-// marks an entry released in place, so the order the release bursts follow
-// holds, and a base read again gets one new entry at the end.
-// The set holds no values: those the protocol needs sit beside it by entry
-// position (Tx.writeVals, Tx.tl2Reads).
-// reset keeps every capacity, so a warm runtime allocates nothing here.
+// touched, in first-access order, one 8-byte key each, behind a
+// linear-probing index of entry positions + 1 (0: empty). The set holds no
+// values: those the protocol needs sit beside it by entry position
+// (Tx.writeVals, Tx.tl2Reads). reset keeps every capacity, so a warm
+// runtime allocates nothing here.
 type accessSet struct {
-	entries []accessEntry
+	entries []mem.Addr
 	index   []int32
-	live    int // entries not released
 }
-
-// accessEntry is an object's base address, with the released flag in a top
-// bit no address uses (a region is 2^mem.RegionShift words, and the regions
-// are few).
-type accessEntry uint64
-
-const entryReleased accessEntry = 1 << 63
-
-func (e accessEntry) base() mem.Addr { return mem.Addr(e &^ entryReleased) }
-func (e accessEntry) released() bool { return e&entryReleased != 0 }
 
 // slot returns the index slot holding base, or the empty one it would take,
 // probing from base's fibonacci hash.
 func (s *accessSet) slot(base mem.Addr) int {
 	mask := len(s.index) - 1
 	i := int(uint64(base) * 0x9e3779b97f4a7c15 >> bits.LeadingZeros64(uint64(mask)))
-	for s.index[i] != 0 && s.entries[s.index[i]-1].base() != base {
+	for s.index[i] != 0 && s.entries[s.index[i]-1] != base {
 		i = (i + 1) & mask
 	}
 	return i
 }
 
-// find returns the position of base's entry, or -1 if it is absent or released.
+// find returns the position of base's entry, or -1.
 func (s *accessSet) find(base mem.Addr) int {
-	if len(s.entries) > 0 {
-		if j := s.index[s.slot(base)]; j != 0 && !s.entries[j-1].released() {
-			return int(j) - 1
-		}
+	if len(s.entries) == 0 {
+		return -1
 	}
-	return -1
+	return int(s.index[s.slot(base)]) - 1
 }
 
 // put returns the position of base's entry, adding it as the new last entry
@@ -58,31 +43,20 @@ func (s *accessSet) put(base mem.Addr) int {
 	if j := s.find(base); j >= 0 {
 		return j
 	}
-	s.entries = append(s.entries, accessEntry(base))
+	s.entries = append(s.entries, base)
 	if 2*len(s.entries) > len(s.index) {
 		s.index = make([]int32, max(16, 2*len(s.index)))
 		for j, e := range s.entries[:len(s.entries)-1] {
-			s.index[s.slot(e.base())] = int32(j + 1)
+			s.index[s.slot(e)] = int32(j + 1)
 		}
 	}
 	s.index[s.slot(base)] = int32(len(s.entries))
-	s.live++
 	return len(s.entries) - 1
-}
-
-// release marks base's entry released and reports whether it was in the set.
-func (s *accessSet) release(base mem.Addr) bool {
-	j := s.find(base)
-	if j >= 0 {
-		s.entries[j] |= entryReleased
-		s.live--
-	}
-	return j >= 0
 }
 
 func (s *accessSet) reset() {
 	clear(s.index)
-	s.entries, s.live = s.entries[:0], 0
+	s.entries = s.entries[:0]
 }
 
 // blockSet is the read set under visible reads. Every read there is a lock
@@ -110,15 +84,13 @@ type readBlock struct {
 	held, forWrite uint64
 }
 
-// blockOf splits k into its block's base and its bit in the block.
-func blockOf(k mem.Addr) (mem.Addr, uint64) { return k &^ 63, 1 << (k & 63) }
-
-// block returns the position of the entry of the block at base, or -1.
-func (s *blockSet) block(base mem.Addr) int {
+// find returns the position of k's block (-1 if no put touched it) and
+// k's bit in the block.
+func (s *blockSet) find(k mem.Addr) (int, uint64) {
 	if len(s.blocks) == 0 {
-		return -1
+		return -1, 1 << (k & 63)
 	}
-	return int(s.index[s.slot(base)]) - 1
+	return int(s.index[s.slot(k&^63)]) - 1, 1 << (k & 63)
 }
 
 // slot is accessSet.slot over block bases.
@@ -131,52 +103,42 @@ func (s *blockSet) slot(base mem.Addr) int {
 	return i
 }
 
-// mask returns the held mask of the block at base (0 if it was never touched).
-func (s *blockSet) mask(base mem.Addr) uint64 {
-	if j := s.block(base); j >= 0 {
-		return s.blocks[j].held
-	}
-	return 0
-}
-
 // holds reports whether k is held.
 func (s *blockSet) holds(k mem.Addr) bool {
-	base, bit := blockOf(k)
-	return s.mask(base)&bit != 0
+	j, bit := s.find(k)
+	return j >= 0 && s.blocks[j].held&bit != 0
 }
 
 // forWrite reports whether k is held for update.
 func (s *blockSet) forWrite(k mem.Addr) bool {
-	base, bit := blockOf(k)
-	j := s.block(base)
+	j, bit := s.find(k)
 	return j >= 0 && s.blocks[j].forWrite&bit != 0
 }
 
 // put adds k to the set, a read lock held, and returns k's block and bit.
 // A key already held stays as it is.
 func (s *blockSet) put(k mem.Addr) (*readBlock, uint64) {
-	base, bit := blockOf(k)
-	j := s.block(base)
+	j, bit := s.find(k)
 	if j < 0 {
 		j = len(s.blocks)
 		if j == cap(s.blocks) { // by half, not double: a scan's blocks are few and exact
 			s.blocks = append(make([]readBlock, 0, max(4, j+j/2)), s.blocks...)
 		}
-		s.blocks = append(s.blocks, readBlock{base: base})
+		s.blocks = append(s.blocks, readBlock{base: k &^ 63})
 		if 4*len(s.blocks) > 3*len(s.index) {
 			s.index = make([]int32, max(8, 2*len(s.index)))
 			for i, b := range s.blocks[:j] {
 				s.index[s.slot(b.base)] = int32(i + 1)
 			}
 		}
-		s.index[s.slot(base)] = int32(j + 1)
+		s.index[s.slot(k&^63)] = int32(j + 1)
 	}
 	b := &s.blocks[j]
 	if b.held&bit == 0 {
 		b.held |= bit
 		s.live++
 		if len(s.first) < 64 {
-			s.first = append(s.first, uint16(j<<6|bits.TrailingZeros64(bit)))
+			s.first = append(s.first, uint16(j<<6|int(k&63)))
 		}
 	}
 	return b, bit
@@ -190,8 +152,7 @@ func (s *blockSet) firstKey(p int) mem.Addr {
 
 // release drops k and reports whether it was held.
 func (s *blockSet) release(k mem.Addr) bool {
-	base, bit := blockOf(k)
-	j := s.block(base)
+	j, bit := s.find(k)
 	if j < 0 || s.blocks[j].held&bit == 0 {
 		return false
 	}

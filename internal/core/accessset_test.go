@@ -8,74 +8,46 @@ import (
 	"repro/internal/mem"
 )
 
-// FuzzAccessSet drives an accessSet with put, put of a held base, release,
-// re-put after release, lookup and reset, across index growth, against a map
-// plus an order list. Each op is two bytes: the low three bits of the first pick the
-// op, its high bits and the second byte the base.
+// FuzzAccessSet drives an accessSet with put, put of a present base, lookup
+// and reset, across index growth, against a map plus an order list. Each op
+// is two bytes: the low three bits of the first pick the op, its high bits
+// and the second byte the base.
 func FuzzAccessSet(f *testing.F) {
 	var grow []byte
 	for k := 0; k < 300; k++ {
 		grow = append(grow, byte(k>>8)<<3, byte(k)) // puts through index sizes 16 to 1,024
 	}
 	f.Add(grow)
-	f.Add([]byte{0, 1, 0, 2, 3, 1, 5, 1, 0, 1, 1, 2, 3, 2, 3, 2, 0, 2, 5, 2, 7, 0, 0, 9})
+	f.Add([]byte{0, 1, 0, 2, 3, 1, 5, 1, 0, 1, 1, 2, 3, 2, 3, 2, 0, 2, 4, 0, 7, 0, 0, 9})
 	f.Fuzz(func(t *testing.T, ops []byte) {
-		type entry struct {
-			base     mem.Addr
-			released bool
-		}
 		var s accessSet
-		var order []entry
-		latest := map[mem.Addr]int{}
-		live := 0
+		var order []mem.Addr
+		pos := map[mem.Addr]int{}
 		check := func() {
 			t.Helper()
-			if len(s.entries) != len(order) {
-				t.Fatalf("%d entries, model %d", len(s.entries), len(order))
+			if !slices.Equal(s.entries, order) {
+				t.Fatalf("entries %#x, model %#x", s.entries, order)
 			}
-			for j, e := range s.entries {
-				m := order[j]
-				if e.base() != m.base || e.released() != m.released {
-					t.Fatalf("entry %d = %+v, model %+v", j, e, m)
-				}
-			}
-			for base, j := range latest {
-				want := j
-				if order[j].released {
-					want = -1
-				}
-				if got := s.find(base); got != want {
-					t.Fatalf("find(%#x) = %d, model %d", base, got, want)
+			for base, j := range pos {
+				if got := s.find(base); got != j {
+					t.Fatalf("find(%#x) = %d, model %d", base, got, j)
 				}
 			}
 		}
 		for i := 0; i+1 < len(ops); i += 2 {
 			op := ops[i] & 7
 			base := mem.Addr(ops[i]>>3)<<40 | mem.Addr(ops[i+1])
-			j, seen := latest[base]
-			held := seen && !order[j].released
+			j, seen := pos[base]
 			switch op {
-			case 0, 1, 2: // put
+			case 0, 1, 2, 3: // put
 				got := s.put(base)
-				if held {
-					if got != j {
-						t.Fatalf("put(%#x) = %d, model held at %d", base, got, j)
-					}
-				} else {
-					if got != len(order) {
-						t.Fatalf("put(%#x) = %d, want the new last position %d", base, got, len(order))
-					}
-					order = append(order, entry{base: base})
-					latest[base] = len(order) - 1
-					live++
+				if !seen {
+					j = len(order)
+					order = append(order, base)
+					pos[base] = j
 				}
-			case 3: // release
-				if got := s.release(base); got != held {
-					t.Fatalf("release(%#x) = %v, model held %v", base, got, held)
-				}
-				if held {
-					order[j].released = true
-					live--
+				if got != j {
+					t.Fatalf("put(%#x) = %d, model %d", base, got, j)
 				}
 			case 4: // reset
 				if ops[i+1]%4 != 0 {
@@ -83,15 +55,12 @@ func FuzzAccessSet(f *testing.F) {
 				}
 				check()
 				s.reset()
-				order, live = order[:0], 0
-				clear(latest)
+				order = order[:0]
+				clear(pos)
 			default: // lookup
-				if got := s.find(base); (got >= 0) != held || held && got != j {
-					t.Fatalf("find(%#x) = %d, model held %v at %d", base, got, held, j)
+				if got := s.find(base); (got >= 0) != seen || seen && got != j {
+					t.Fatalf("find(%#x) = %d, model present %v at %d", base, got, seen, j)
 				}
-			}
-			if s.live != live {
-				t.Fatalf("%d live entries, model %d", s.live, live)
 			}
 		}
 		check()

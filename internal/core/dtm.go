@@ -404,13 +404,11 @@ func (n *dtmNode) revokeFinished(p port.Port, addr mem.Addr, by cm.Meta, enemies
 	return revoked
 }
 
-// releasedNext applies, ahead of its turn, the release of addr by one of
-// enemies that is the message queued next (on its own or carried by a lock
-// request), and reports whether it did. That release would drop the lock one
-// message later; served in turn, the busy node would let the lock win over
-// the request in hand. Only addr is released early, and the release's own
-// turn then finds it gone. The release may be an early release of a running
-// attempt, so the watermark learns nothing from it.
+// releasedNext applies ahead of its turn the queued message's release (on
+// its own or carried by a request) of an enemy's lock at addr, and reports
+// whether it did: served in turn, the lock would win at a busy node. The
+// release may be a running attempt's early release: the watermark learns
+// nothing.
 func (n *dtmNode) releasedNext(addr mem.Addr, enemies []cm.Meta) bool {
 	r, _ := n.queued.Payload.(*relLocks)
 	if req, ok := n.queued.Payload.(*reqLock); ok {

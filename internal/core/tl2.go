@@ -126,7 +126,7 @@ func (*tl2Proto) validate(tx *Tx) (mem.Addr, bool) {
 	tx.tickAt = rt.proc.Now()
 	rt.emit(trace.KPhaseBegin, tx.id, uint64(trace.PhaseRevalidate), 0, 0)
 	for j, e := range tx.reads.entries {
-		key, want := e.base(), tx.tl2Reads[j].ver // one entry, and one version, per object
+		key, want := e, tx.tl2Reads[j].ver // one entry, and one version, per object
 		rt.shard.Revalidations++
 		var ok bool
 		if granted, mine := tx.grantVers[key]; mine {

@@ -346,10 +346,10 @@ func (tx *Tx) Kind() TxKind { return tx.kind }
 // ReadSetSize returns the number of objects in the read set: those read
 // through the protocol and not given back by EarlyRelease. Under visible
 // reads each holds a read lock; TL2 holds none.
-func (tx *Tx) ReadSetSize() int { return tx.held.live + tx.reads.live }
+func (tx *Tx) ReadSetSize() int { return tx.held.live + len(tx.reads.entries) }
 
 // WriteSetSize returns the number of objects in the write buffer.
-func (tx *Tx) WriteSetSize() int { return tx.writes.live }
+func (tx *Tx) WriteSetSize() int { return len(tx.writes.entries) }
 
 // Run executes fn as a Normal transaction, retrying on aborts until it
 // commits. It returns the number of attempts the transaction used: 1 when
@@ -695,7 +695,7 @@ func (tx *Tx) commit() {
 	rt, p := tx.rt, tx.rt.s.proto
 	tx.checkAborted()
 	start := rt.proc.Now()
-	update := tx.writes.live > 0
+	update := len(tx.writes.entries) > 0
 	// The bookkeeping cost is a write-set scan. A declared read-only
 	// transaction has none to scan; nor does an invisible reader that wrote
 	// nothing, declared or not — nothing at its commit depends on the kind.
@@ -718,7 +718,7 @@ func (tx *Tx) commit() {
 		if rt.rec != nil {
 			for j, e := range tx.writes.entries {
 				vals := tx.writeVals[j].of(rt.words)
-				rt.emit(trace.KWrite, tx.id, uint64(e.base()), trace.ValueWord(vals), uint64(len(vals)))
+				rt.emit(trace.KWrite, tx.id, uint64(e), trace.ValueWord(vals), uint64(len(vals)))
 			}
 		}
 		addrs, vals := tx.writeBackLists()
@@ -760,7 +760,7 @@ func (tx *Tx) writeBackLists() ([]mem.Addr, []uint64) {
 	vals := rt.wbVals[:0]
 	for j, e := range tx.writes.entries {
 		for i, v := range tx.writeVals[j].of(rt.words) {
-			addrs = append(addrs, e.base()+mem.Addr(i))
+			addrs = append(addrs, e+mem.Addr(i))
 			vals = append(vals, v)
 		}
 	}
@@ -1070,13 +1070,8 @@ func (rt *Runtime) dropRiding() {
 // writeKeys returns the lock keys of the write set, in first-write order:
 // the write set's bases, distinct by construction.
 func (tx *Tx) writeKeys() []mem.Addr {
-	rt := tx.rt
-	keys := rt.wkKeys[:0]
-	for _, e := range tx.writes.entries {
-		keys = append(keys, e.base())
-	}
-	rt.wkKeys = keys
-	return keys
+	tx.rt.wkKeys = append(tx.rt.wkKeys[:0], tx.writes.entries...)
+	return tx.rt.wkKeys
 }
 
 // notReadForUpdate drops, in place, the keys whose write lock a read for

@@ -166,14 +166,9 @@ func (tx *Tx) readAhead(arr mem.Addr, words, n, i, win int) []uint64 {
 	place := rt.s.dir.Snapshot()
 	node := place.Owner(base)
 	keys := append(rt.lockKeys[:0], base)
-	blk, held := mem.Addr(1), uint64(0) // the held mask of the block at blk (1: no block)
 	for j := i + 1; j <= min(i+win, n-1); j++ {
 		k := arr + mem.Addr(j*words)
-		b, bit := blockOf(k)
-		if b != blk {
-			blk, held = b, tx.held.mask(b)
-		}
-		if held&bit == 0 && place.Owner(k) == node && tx.writes.find(k) < 0 {
+		if place.Owner(k) == node && !tx.held.holds(k) && tx.writes.find(k) < 0 {
 			keys = append(keys, k)
 		}
 	}
