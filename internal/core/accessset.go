@@ -64,12 +64,13 @@ func (s *accessSet) reset() {
 // what it read: one entry per 64-word block touched, its base and two masks,
 // the keys held and, of those, the ones read for update (whose lock is the
 // write lock, in Tx.wlocked). Entries stay in first-touch order behind a
-// linear-probing index of entry positions + 1 (0: empty), at most 3/4 full. A release clears
-// its key's bits in place and a later put sets them again, so iteration
-// visits blocks in first-touch order and keys ascending within a block.
-// The set also keeps its first 64 puts in order, as block position << 6 |
-// bit: the read positions of the read-for-update predictor (Tx.forUpdate).
-// reset keeps every capacity, so a warm runtime allocates nothing here.
+// linear-probing index of entry positions + 1 (0: empty), at most 3/4
+// full. A release clears its key's bits in place and a later put sets them
+// again, so iteration visits blocks in first-touch order and keys ascending
+// within a block. The set also keeps its first 64 puts in order, as block
+// position << 6 | bit: the read positions of the read-for-update predictor
+// (Tx.forUpdate). reset keeps every capacity, so a warm runtime allocates
+// nothing here.
 type blockSet struct {
 	blocks []readBlock
 	index  []int32

@@ -44,8 +44,8 @@ type dtmNode struct {
 
 	// busy: another message, queued, waits behind the one being served
 	// (dispatchBurst). A busy node spends no register read on deciding
-	// whether a winning holder has finished (handleLock); it only looks
-	// whether queued releases the holder's lock (releasedNext).
+	// whether a winning holder has finished (handleLock); it only checks
+	// whether the queued message releases the holder's lock (releasedNext).
 	busy   bool
 	queued port.Msg
 
