@@ -359,6 +359,8 @@ func report(w io.Writer, sys *repro.System, st *repro.Stats) {
 		fmt.Fprintf(w, "commit round trips  %d (%.2f awaited/commit)\n",
 			st.CommitRoundTrips, float64(st.CommitRoundTrips)/float64(st.Commits))
 	}
+	fmt.Fprintf(w, "requester reads     %d winner checks, %d winner polls (status-register reads of the attempt a NACK named, not in the message counts above)\n",
+		st.WinnerChecks, st.WinnerPolls)
 	if cfg.Backend == repro.BackendNet && st.Ops > 0 {
 		fmt.Fprintf(w, "state rpcs          %d (%.2f/op; synchronous round trips to the rank homing the word or register, not in the message counts above)\n",
 			st.StateRPCs, float64(st.StateRPCs)/float64(st.Ops))

@@ -3,8 +3,10 @@ package core
 import (
 	"iter"
 	"math/bits"
+	"slices"
 
 	"repro/internal/mem"
+	"repro/internal/placement"
 )
 
 // accessSet is the write set, and TL2's read set: the objects a transaction
@@ -186,3 +188,79 @@ func (s *blockSet) reset() {
 type wordSpan struct{ off, n uint32 }
 
 func (w wordSpan) of(arena []uint64) []uint64 { return arena[w.off : w.off+w.n : w.off+w.n] }
+
+// lockSet is a finished attempt's locks, kept until their releases leave
+// (Runtime.carry): the read locks as the attempt's block set held them —
+// blocks in first-touch order, a block's read-locked keys as a mask — and
+// the write locks in acquisition order, with the attempt's ID and the
+// placement snapshot that resolves each key to its DTM node. refs counts
+// the nodes whose release is still to be drafted from it and, on net, its
+// releases riding an unanswered request (Runtime.riding).
+type lockSet struct {
+	reads   []lockBlock
+	wlocked []mem.Addr
+	txID    uint64
+	place   placement.Snapshot
+	refs    int
+
+	// Room for a transfer's locks, where reads and wlocked start: most
+	// sets keep no storage of their own.
+	inReads  [2]lockBlock
+	inWrites [2]mem.Addr
+}
+
+// lockBlock is the read locks of one 64-word block in a lockSet: key
+// base+i when bit i of keys is set.
+type lockBlock struct {
+	base mem.Addr
+	keys uint64
+}
+
+// lockSets is a runtime's free list of lock sets. A set on it is empty but
+// keeps its capacity, and pins no placement snapshot.
+type lockSets []*lockSet
+
+// lockSetChunk is how many lock sets a runtime allocates at once: a
+// core's carry may refer to the sets of a dozen attempts or more.
+const lockSetChunk = 4
+
+// get returns an empty set with room for n read blocks: the list's
+// smallest that has room, or else its largest, grown. The list so keeps a
+// scan's capacity in as few sets as the core's scans need at once.
+func (f *lockSets) get(n int) *lockSet {
+	if len(*f) == 0 {
+		chunk := new([lockSetChunk]lockSet)
+		for i := range chunk {
+			ls := &chunk[i]
+			ls.reads, ls.wlocked = ls.inReads[:0], ls.inWrites[:0]
+			*f = append(*f, ls)
+		}
+	}
+	best := 0
+	for i, ls := range *f {
+		c, b := cap(ls.reads), cap((*f)[best].reads)
+		if c >= n && (b < n || c < b) || c < n && b < n && c > b {
+			best = i
+		}
+	}
+	ls, last := (*f)[best], len(*f)-1
+	(*f)[best], (*f)[last] = (*f)[last], nil
+	*f = (*f)[:last]
+	ls.reads = slices.Grow(ls.reads, n)
+	return ls
+}
+
+// put empties ls and puts it on the list.
+func (f *lockSets) put(ls *lockSet) {
+	ls.reads, ls.wlocked = ls.reads[:0], ls.wlocked[:0]
+	ls.place = placement.Snapshot{}
+	*f = append(*f, ls)
+}
+
+// unref drops one reference to ls, putting it back on the list once none
+// is left.
+func (f *lockSets) unref(ls *lockSet) {
+	if ls.refs--; ls.refs == 0 {
+		f.put(ls)
+	}
+}

@@ -61,13 +61,19 @@ func TestAuditPassesOnConflictHeavyRun(t *testing.T) {
 			if p.StarvationFree() && (st.EndedResends == 0 || st.WinnerWaits == 0) {
 				t.Errorf("%d ended-winner resends, %d winner waits; want both > 0", st.EndedResends, st.WinnerWaits)
 			}
+			// Every resend past an ended winner follows a read of the
+			// winner's status register, and every wait ends at one.
+			if st.WinnerChecks < st.EndedResends || st.WinnerPolls < st.WinnerWaits {
+				t.Errorf("%d winner checks for %d resends, %d winner polls for %d waits; want at least one read each",
+					st.WinnerChecks, st.EndedResends, st.WinnerPolls, st.WinnerWaits)
+			}
 			// And most releases must ride a lock request to their own
 			// node, or the audit says nothing about the per-node carry.
 			if st.CarriedReleases <= st.ReleaseMsgs {
 				t.Errorf("%d releases carried, %d sent on their own; want more carried", st.CarriedReleases, st.ReleaseMsgs)
 			}
-			t.Logf("%d ended-winner resends, %d winner waits, %d/%d releases carried/alone",
-				st.EndedResends, st.WinnerWaits, st.CarriedReleases, st.ReleaseMsgs)
+			t.Logf("%d ended-winner resends (%d winner checks), %d winner waits (%d polls), %d/%d releases carried/alone",
+				st.EndedResends, st.WinnerChecks, st.WinnerWaits, st.WinnerPolls, st.CarriedReleases, st.ReleaseMsgs)
 		})
 	}
 }

@@ -17,7 +17,12 @@ import (
 // virtual-time kernel included; untimed warm attempts first, so neither
 // depends on b.N) it reports B/key: the heap the runtime's
 // reusable attempt and word arena keep once the last attempt ended, beyond
-// what a fresh attempt and an empty arena keep, per key read.
+// what a fresh attempt and an empty arena keep, per key read. The carry row
+// runs the visible scan and reports instead what the carry keeps once the
+// last scan committed, with the runtime's free lock sets and what the
+// message pools hold after one collection (as bench/'s heap sample takes
+// it): the heap that dropping the carry and the free sets and emptying the
+// pools frees, per key.
 func BenchmarkReadSet(b *testing.B) {
 	// warm is the untimed attempts first: the first fills the DTM nodes' lock
 	// tables (entries, reader slices); the second's lock requests carry the
@@ -29,10 +34,12 @@ func BenchmarkReadSet(b *testing.B) {
 		proto  Protocol
 		keys   int
 		stride int // words between two keys read; 1: a TArray scan
+		carry  bool
 	}{
-		{"visible-scan-1024", ProtocolVisible, 1024, 1},
-		{"visible-sparse-1024", ProtocolVisible, 1024, 64},
-		{"tl2-readonly-8", ProtocolTL2, 8, 1},
+		{"visible-scan-1024", ProtocolVisible, 1024, 1, false},
+		{"visible-sparse-1024", ProtocolVisible, 1024, 64, false},
+		{"tl2-readonly-8", ProtocolTL2, 8, 1, false},
+		{"carry-scan-1024", ProtocolVisible, 1024, 1, true},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			s, err := NewSystem(Config{Platform: noc.SCC(0), Seed: 1, TotalCores: 48, Policy: cm.FairCM, Protocol: tc.proto})
@@ -75,14 +82,25 @@ func BenchmarkReadSet(b *testing.B) {
 					}
 				}
 				b.StopTimer() // before the system winds down
+				if tc.carry {
+					// The carry's locks are never released: the system is
+					// dropped with them.
+					runtime.GC()
+					var ms runtime.MemStats
+					runtime.ReadMemStats(&ms)
+					rt.carry, rt.rels, rt.lockSets = nil, nil, nil
+					b.ReportMetric(float64(int64(ms.HeapAlloc)-liveHeap())/float64(tc.keys), "B/key")
+				}
 			})
 			s.RunToCompletion()
 			if sum != uint64(7*tc.keys*(b.N+warm)) {
 				b.Fatalf("read %d in all, want %d", sum, 7*tc.keys*(b.N+warm))
 			}
-			with := liveHeap()
-			r0.txScratch, r0.words = &Tx{rt: r0}, nil
-			b.ReportMetric(float64(with-liveHeap())/float64(tc.keys), "B/key")
+			if !tc.carry {
+				with := liveHeap()
+				r0.txScratch, r0.words = &Tx{rt: r0}, nil
+				b.ReportMetric(float64(with-liveHeap())/float64(tc.keys), "B/key")
+			}
 			runtime.KeepAlive(s)
 		})
 	}

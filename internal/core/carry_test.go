@@ -555,11 +555,12 @@ func TestOneCarriedReleasePerNode(t *testing.T) {
 					rt.RunReadOnly(func(tx *Tx) {
 						attempt.Store(tx.id)
 						tx.Read(a) // the request to a's node leaves before the plant
-						old := getRelLocks()
-						old.Core, old.TxID, old.ReadAddrs = rt.core, planted, append(old.ReadAddrs, c)
-						rt.carry = append(rt.carry, relDraft{node: s.nodeFor(a), msg: old})
+						old := rt.lockSets.get(1)
+						old.reads = append(old.reads, lockBlock{c &^ 63, 1 << (c & 63)})
+						old.txID, old.place, old.refs = planted, s.dir.Snapshot(), 1
+						rt.carry = append(rt.carry, relDraft{node: s.nodeFor(a), set: old, reads: 1})
 					})
-					kept.Store(len(rt.carry) == 1 && rt.carry[0].msg.TxID == attempt.Load())
+					kept.Store(len(rt.carry) == 1 && rt.carry[0].set.txID == attempt.Load())
 				}
 			})
 			if alone.Load() != 1 || carried.Load() != 0 {

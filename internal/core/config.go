@@ -525,6 +525,13 @@ type Stats struct {
 	// (Runtime.winnerEnded).
 	EndedResends uint64
 
+	// The requesters' remote reads of a winner's status register, which
+	// send no message: WinnerChecks after a conflict NACK named the winner
+	// (Runtime.winnerEnded), WinnerPolls while the loser waits for it to end
+	// before its next attempt (Runtime.awaitWinner).
+	WinnerChecks uint64
+	WinnerPolls  uint64
+
 	// ReadAheadKeys counts the read locks a batched TArray scan request took
 	// beyond the element that missed (Tx.readElem), and ReadAheadUnused
 	// those of them the attempt never read: counted when the run that took
@@ -597,6 +604,8 @@ func (s *Stats) addShard(o *Stats) {
 	s.WinnerWaits += o.WinnerWaits
 	s.WinnerWaitTime += o.WinnerWaitTime
 	s.EndedResends += o.EndedResends
+	s.WinnerChecks += o.WinnerChecks
+	s.WinnerPolls += o.WinnerPolls
 	s.ReadAheadKeys += o.ReadAheadKeys
 	s.ReadAheadUnused += o.ReadAheadUnused
 	s.UpdateReads += o.UpdateReads

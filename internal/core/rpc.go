@@ -127,6 +127,7 @@ func (rt *Runtime) winnerEnded(resp *respLock, past *attemptRef) (ended, polled 
 	if w.Core < 0 || w == *past {
 		return false, false
 	}
+	rt.shard.WinnerChecks++
 	if !rt.s.ended(rt.proc, rt.core, cm.Meta{Core: w.Core, TxID: w.TxID}) {
 		return false, true
 	}
@@ -331,13 +332,11 @@ func (rt *Runtime) absorb(m port.Msg, where string) {
 // recorded as held before the abort unwinds: abortCleanup's release burst
 // then frees whatever the nodes actually granted, and a release for a lock
 // never granted is a no-op. Leaking the lock instead would block its object
-// until the run's drain. A release the lost request carried is sent again
-// on its own, for the same reason.
+// until the run's drain. A release the lost request carried is drafted
+// again from its lock set and sent on its own, for the same reason.
 func (rt *Runtime) timeoutAbort(tx *Tx, keys []mem.Addr, write bool) {
 	rt.shard.RPCTimeouts++
-	if len(rt.riding) > 0 {
-		rt.riding = rt.sendReleases(rt.riding, &rt.shard.ReleaseMsgs)
-	}
+	rt.riding = rt.sendReleases(rt.draftAll(rt.riding), &rt.shard.ReleaseMsgs)
 	if write {
 		tx.wlocked = append(tx.wlocked, keys...)
 	} else {

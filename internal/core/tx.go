@@ -78,7 +78,7 @@ type Runtime struct {
 	scatterIDs   []uint64    // scatter-gather correlation IDs
 	scatterResps []*respLock // scatter-gather response slots
 	groups       []nodeGroup // commitBatches' groups, in first-use order
-	rels         []relDraft  // release messages being drafted, in first-use order
+	rels         []relDraft  // releases being drafted, in first-use order
 	groupIdx     []int32     // DTM node → groups or rels index + 1; all 0 between uses
 	wkKeys       []mem.Addr  // writeKeys result
 	wbAddrs      []mem.Addr  // commit write-back address list
@@ -86,17 +86,21 @@ type Runtime struct {
 	winBuf       []uint64    // windowChanged re-read buffer
 	rvBuf        []uint64    // TL2 clock-snapshot buffer (tx.rv)
 
-	// carry is the finished attempts' release messages, at most one per DTM
-	// node, in first-use order: releaseAll drafts them and sends none. The
-	// core's next lock request to a node carries that node's (carryOn), and
+	// carry is the finished attempts' releases, at most one per DTM node,
+	// in first-use order, each a node's share of an attempt's lock set
+	// (releaseAll): no message exists for one until it leaves. The core's
+	// next lock request to a node carries that node's (carryOn), and
 	// sendCarry sends the rest on their own before the core next waits
 	// (between attempts, for a winner, a token or a barrier, in a compute or
 	// a pause) or exits. A release may so outlive several attempts: an idle
 	// node revokes a finished attempt's lock (dtmNode.revokeFinished).
-	// riding keeps, on net only, a copy of each release carried by a
-	// request still unanswered: the request may be lost with its release.
-	carry  []relDraft
-	riding []relDraft
+	// riding keeps, on net only, the entry of each release carried by a
+	// request still unanswered: the request may be lost with its release,
+	// which timeoutAbort then drafts again. lockSets is the sets no entry
+	// refers to any more, for the next attempts to end.
+	carry    []relDraft
+	riding   []relDraft
+	lockSets lockSets
 
 	// sites is the read-for-update predictor: the transaction bodies this
 	// core ran last, replaced round-robin from siteNext (Tx.forUpdate).
@@ -509,8 +513,11 @@ const winnerPollPause = 2 * time.Microsecond
 func (rt *Runtime) awaitWinner(w cm.Meta, polled bool) {
 	start := rt.proc.Now()
 	for !rt.s.liveDrainExpired() {
-		if !polled && rt.s.ended(rt.proc, rt.core, w) {
-			break
+		if !polled {
+			rt.shard.WinnerPolls++
+			if rt.s.ended(rt.proc, rt.core, w) {
+				break
+			}
 		}
 		polled = false
 		rt.drainRequests()
@@ -875,7 +882,7 @@ func (tx *Tx) commitBatches(keys []mem.Addr) ([]nodeGroup, uint64) {
 		rt.groups[gi].writes = append(rt.groups[gi].writes, k)
 	}
 	for _, g := range rt.groups {
-		rt.groupIdx[g.node] = 0 // draftFor shares the index
+		rt.groupIdx[g.node] = 0 // relSlot and draft share the index
 	}
 	return rt.groups, epoch
 }
@@ -903,92 +910,73 @@ func (rt *Runtime) abortCleanup(tx *Tx, sig abortSignal) {
 	tx.runHooks(tx.onAbort)
 }
 
-// releaseAll ends an attempt's hold on the DTM nodes: it drafts one release
-// message per node covering the remaining read locks and the acquired write
-// locks (a read for update's key among the write locks only), and keeps them
-// as the core's carry (see Runtime.carry), since a finished attempt's lock
-// never wins a conflict (dtmNode.revokeFinished).
-// An older release still carried for a node drafted here leaves on its own
-// first, so the carry holds one release per node; only a placement migration
-// since the older attempt's request to that node can leave one behind.
-// Nodes are visited in first-use order (read locks in the read set's order:
-// blocks in first-touch order, keys ascending within a block; then write
-// locks in acquisition order) so identical runs schedule identical events.
-// A first walk counts each node's keys, so the messages' key slices are
-// sized once before a second walk fills them: a message drawn fresh from
-// the pool, as after every GC, would otherwise grow them one append at a
-// time. Both walks resolve keys in one placement snapshot, so they agree on
-// every key's node even while stripes migrate.
+// releaseAll ends an attempt's hold on the DTM nodes. The attempt's locks
+// are copied into a lock set from the free list, with the attempt's ID and
+// the placement snapshot that resolves its keys: the read locks as block
+// masks (a read for update's key among the write locks only), then the
+// write locks. The same walk finds the nodes the set holds locks at, in
+// first-use order, and counts each node's read and write keys; each node's
+// release becomes a carry entry (see Runtime.carry), drafted only when it
+// leaves (draft), since a finished attempt's lock never wins a conflict
+// (dtmNode.revokeFinished). An older release still carried for one of these
+// nodes leaves on its own first, so the carry holds one release per node;
+// only a placement migration since the older attempt's request to that node
+// can leave one behind.
 func (rt *Runtime) releaseAll(tx *Tx) {
 	rt.emit(trace.KPhaseBegin, tx.id, uint64(trace.PhaseRelease), 0, 0)
 	tx.run.end(rt)
-	reads, place := rt.s.proto.readsHoldLocks(), rt.s.dir.Snapshot()
-	if reads {
-		for k := range tx.held.readLocked() {
-			rt.rels[rt.draftFor(tx, place.Owner(k))].reads++
+	ls := rt.lockSets.get(len(tx.held.blocks))
+	ls.txID, ls.place = tx.id, rt.s.dir.Snapshot()
+	for _, b := range tx.held.blocks {
+		if m := b.held &^ b.forWrite; m != 0 {
+			ls.reads = append(ls.reads, lockBlock{b.base, m})
+			for ; m != 0; m &= m - 1 {
+				rt.relSlot(ls.place.Owner(b.base+mem.Addr(bits.TrailingZeros64(m)))).reads++
+			}
 		}
 	}
-	for _, k := range tx.wlocked {
-		rt.rels[rt.draftFor(tx, place.Owner(k))].writes++
-	}
-	for i := range rt.rels {
-		d := &rt.rels[i]
-		d.msg.ReadAddrs = slices.Grow(d.msg.ReadAddrs, int(d.reads))
-		d.msg.WriteAddrs = slices.Grow(d.msg.WriteAddrs, int(d.writes))
-	}
-	if reads {
-		for k := range tx.held.readLocked() {
-			msg := rt.rels[rt.groupIdx[place.Owner(k)]-1].msg
-			msg.ReadAddrs = append(msg.ReadAddrs, k)
-		}
-	}
-	for _, k := range tx.wlocked {
-		msg := rt.rels[rt.groupIdx[place.Owner(k)]-1].msg
-		msg.WriteAddrs = append(msg.WriteAddrs, k)
+	ls.wlocked = append(ls.wlocked, tx.wlocked...)
+	for _, k := range ls.wlocked {
+		rt.relSlot(ls.place.Owner(k)).writes++
 	}
 	rt.endDrafts()
-	for _, d := range rt.rels {
-		if i := rt.carried(d.node); i >= 0 {
-			rt.sendReleases(rt.carry[i:i+1], &rt.shard.ReleaseMsgs)
-			rt.carry = slices.Delete(rt.carry, i, i+1)
+	if ls.refs = len(rt.rels); ls.refs == 0 {
+		rt.lockSets.put(ls)
+	}
+	for i, d := range rt.rels {
+		rt.rels[i].set = ls
+		if j := rt.carried(d.node); j >= 0 {
+			rt.sendReleases(rt.draft(rt.carry[j:j+1]), &rt.shard.ReleaseMsgs)
+			rt.carry = slices.Delete(rt.carry, j, j+1)
 		}
 	}
 	rt.carry = append(rt.carry, rt.rels...)
+	clear(rt.rels)
 	rt.rels = rt.rels[:0]
 	rt.emit(trace.KPhaseEnd, tx.id, uint64(trace.PhaseRelease), 0, 0)
 }
 
-// relDraft is one pooled release message being filled for its DTM node, and
-// the read and write keys releaseAll counted for it.
+// relDraft is one DTM node's release. A carried one is the node's share of
+// a finished attempt's lock set (set, and the node's read and write keys
+// in it) until draft fills msg, a pooled message, as it leaves; an early
+// release (Tx.EarlyRelease) fills msg as it is built, from no set.
 type relDraft struct {
 	node          int
+	set           *lockSet
 	msg           *relLocks
 	reads, writes int32
 }
 
-// draftFor returns the index in rt.rels of DTM node ni's release message,
-// drawing the message from the pool on the node's first key. Messages
-// appear in order of first use and keep their keys' relative order, so
-// identical runs build identical messages.
-func (rt *Runtime) draftFor(tx *Tx, ni int) int32 {
+// relSlot returns DTM node ni's entry in rt.rels, adding it on the node's
+// first key. Entries appear in order of first use.
+func (rt *Runtime) relSlot(ni int) *relDraft {
 	ri := rt.groupIdx[ni] - 1
 	if ri < 0 {
 		ri = int32(len(rt.rels))
 		rt.groupIdx[ni] = ri + 1
-		msg := getRelLocks()
-		msg.Core, msg.TxID = rt.core, tx.id
-		rt.rels = append(rt.rels, relDraft{node: ni, msg: msg})
+		rt.rels = append(rt.rels, relDraft{node: ni})
 	}
-	return ri
-}
-
-// relAdd adds one lock key to its DTM node's release message.
-func (rt *Runtime) relAdd(tx *Tx, write bool, k mem.Addr) {
-	if msg := rt.rels[rt.draftFor(tx, rt.s.nodeFor(k))].msg; write {
-		msg.WriteAddrs = append(msg.WriteAddrs, k)
-	} else {
-		msg.ReadAddrs = append(msg.ReadAddrs, k)
-	}
+	return &rt.rels[ri]
 }
 
 // endDrafts ends the drafting of rt.rels: their indices in rt.groupIdx are
@@ -999,16 +987,93 @@ func (rt *Runtime) endDrafts() {
 	}
 }
 
+// draft draws and fills the messages of ds, releases of one lock set for
+// distinct nodes, in one walk of the set: read locks first, blocks in
+// first-touch order and keys ascending within a block, then write locks in
+// acquisition order (a read for update's key among the write locks only),
+// each key to its node under the set's snapshot, so identical runs build
+// identical messages. The key slices are sized from releaseAll's counts
+// before the walk fills them — a message drawn fresh from the pool, as after
+// every GC, would otherwise grow them one append at a time — and the walk
+// stops once they are full. Each entry then drops its reference to the set.
+// It returns ds.
+func (rt *Runtime) draft(ds []relDraft) []relDraft {
+	ls := ds[0].set
+	var reads, writes int32
+	for i := range ds {
+		d := &ds[i]
+		d.msg = getRelLocks()
+		d.msg.Core, d.msg.TxID = rt.core, ls.txID
+		room := int(d.reads)
+		if room >= scanShare && cap(d.msg.ReadAddrs) < room {
+			room = max(room, scanShareRoom)
+		}
+		d.msg.ReadAddrs = slices.Grow(d.msg.ReadAddrs, room)
+		d.msg.WriteAddrs = slices.Grow(d.msg.WriteAddrs, int(d.writes))
+		reads, writes = reads+d.reads, writes+d.writes
+		rt.groupIdx[d.node] = int32(i + 1)
+	}
+walk:
+	for _, b := range ls.reads {
+		for m := b.keys; m != 0; m &= m - 1 {
+			if reads == 0 {
+				break walk
+			}
+			k := b.base + mem.Addr(bits.TrailingZeros64(m))
+			if i := rt.groupIdx[ls.place.Owner(k)]; i > 0 {
+				ds[i-1].msg.ReadAddrs = append(ds[i-1].msg.ReadAddrs, k)
+				reads--
+			}
+		}
+	}
+	for _, k := range ls.wlocked {
+		if writes == 0 {
+			break
+		}
+		if i := rt.groupIdx[ls.place.Owner(k)]; i > 0 {
+			ds[i-1].msg.WriteAddrs = append(ds[i-1].msg.WriteAddrs, k)
+			writes--
+		}
+	}
+	for i := range ds {
+		rt.groupIdx[ds[i].node] = 0
+		ds[i].set = nil
+		rt.lockSets.unref(ls)
+	}
+	return ds
+}
+
+// A drafted release of scanShare read keys or more that needs a larger
+// slice than its pooled message has gets room for scanShareRoom keys at
+// once: the pool hands messages out in no order of size, and a scan's
+// shares of the nodes vary by a few keys, so a slice sized to one share
+// would grow again at the next.
+const (
+	scanShare     = 16
+	scanShareRoom = 64
+)
+
+// draftAll drafts every entry of ds, one walk per run of entries that share
+// a lock set, and returns ds.
+func (rt *Runtime) draftAll(ds []relDraft) []relDraft {
+	for i, j := 0, 0; i < len(ds); i = j {
+		for j = i + 1; j < len(ds) && ds[j].set == ds[i].set; j++ {
+		}
+		rt.draft(ds[i:j])
+	}
+	return ds
+}
+
 // releaseSent, when set by a test, sees every release message just before
 // it leaves, on its own or carried by a lock request.
 var releaseSent func(node int, msg *relLocks)
 
-// sendReleases sends the release messages of drafts in one fire-and-forget
-// burst (scatter with nothing to gather), counting each in sent, and
-// returns drafts emptied for reuse.
+// sendReleases sends the drafted release messages of drafts in one
+// fire-and-forget burst (scatter with nothing to gather), counting each in
+// sent, and returns drafts emptied for reuse.
 func (rt *Runtime) sendReleases(drafts []relDraft, sent *uint64) []relDraft {
 	for i, d := range drafts {
-		drafts[i].msg = nil
+		drafts[i] = relDraft{}
 		if releaseSent != nil {
 			releaseSent(d.node, d.msg)
 		}
@@ -1020,9 +1085,7 @@ func (rt *Runtime) sendReleases(drafts []relDraft, sent *uint64) []relDraft {
 
 // sendCarry sends the carried releases on their own, in one burst.
 func (rt *Runtime) sendCarry() {
-	if len(rt.carry) > 0 {
-		rt.carry = rt.sendReleases(rt.carry, &rt.shard.ReleaseMsgs)
-	}
+	rt.carry = rt.sendReleases(rt.draftAll(rt.carry), &rt.shard.ReleaseMsgs)
 }
 
 // carried returns the index in rt.carry of DTM node ni's carried release,
@@ -1036,34 +1099,34 @@ func (rt *Runtime) carried(ni int) int {
 	return -1
 }
 
-// carryOn moves DTM node ni's carried release, if there is one, into req,
-// which the core is about to send to ni.
+// carryOn drafts DTM node ni's carried release, if there is one, into req,
+// which the core is about to send to ni. On net the entry rides on until
+// the request is answered, keeping its lock set.
 func (rt *Runtime) carryOn(ni int, req *reqLock) {
 	i := rt.carried(ni)
 	if i < 0 {
 		return
 	}
-	d := rt.carry[i]
-	req.Rel = d.msg
+	if rt.deadlineRecv != nil {
+		d := rt.carry[i]
+		d.set.refs++
+		rt.riding = append(rt.riding, d)
+	}
+	req.Rel = rt.draft(rt.carry[i : i+1])[0].msg
 	rt.carry = slices.Delete(rt.carry, i, i+1)
 	rt.shard.CarriedReleases++
 	if releaseSent != nil {
-		releaseSent(ni, d.msg)
-	}
-	if rt.deadlineRecv != nil {
-		c := getRelLocks()
-		*c = relLocks{Core: d.msg.Core, TxID: d.msg.TxID,
-			ReadAddrs: append(c.ReadAddrs, d.msg.ReadAddrs...), WriteAddrs: append(c.WriteAddrs, d.msg.WriteAddrs...)}
-		rt.riding = append(rt.riding, relDraft{node: ni, msg: c})
+		releaseSent(ni, req.Rel)
 	}
 }
 
-// dropRiding forgets the copies of carried releases once their requests are
+// dropRiding forgets the carried releases once their requests are
 // answered: the node that answered served them.
 func (rt *Runtime) dropRiding() {
 	for _, d := range rt.riding {
-		putRelLocks(d.msg)
+		rt.lockSets.unref(d.set)
 	}
+	clear(rt.riding)
 	rt.riding = rt.riding[:0]
 }
 

@@ -258,7 +258,12 @@ func (tx *Tx) EarlyRelease(bases ...mem.Addr) {
 	rt.sendCarry()
 	for _, b := range bases {
 		if tx.held.release(b) {
-			rt.relAdd(tx, false, b)
+			d := rt.relSlot(rt.s.nodeFor(b))
+			if d.msg == nil {
+				d.msg = getRelLocks()
+				d.msg.Core, d.msg.TxID = rt.core, tx.id
+			}
+			d.msg.ReadAddrs = append(d.msg.ReadAddrs, b)
 		}
 	}
 	rt.endDrafts()
