@@ -344,7 +344,7 @@ func report(w io.Writer, sys *repro.System, st *repro.Stats) {
 		fmt.Fprintf(w, "placement           %s", dir.PolicyName())
 		if dir.Kind() != repro.PlacementHash {
 			fmt.Fprintf(w, ": epoch %d, awake %d/%d epochs, %d rounds, %d migrations (%d completed), %d stale NACKs (%d retries hint-steered), %d placement aborts, %.1f%% remote accesses",
-				dir.Epoch(), st.AwakeEpochs, st.PlacementEpochs, st.RepartitionRounds, st.Migrations, st.Handoffs, st.StaleNacks, st.StaleNackHints, st.PlacementAborts,
+				dir.Snapshot().Epoch(), st.AwakeEpochs, st.PlacementEpochs, st.RepartitionRounds, st.Migrations, st.Handoffs, st.StaleNacks, st.StaleNackHints, st.PlacementAborts,
 				100*st.RemoteAccessRatio())
 		}
 		fmt.Fprintln(w)

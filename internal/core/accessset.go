@@ -220,21 +220,15 @@ type lockBlock struct {
 // keeps its capacity, and pins no placement snapshot.
 type lockSets []*lockSet
 
-// lockSetChunk is how many lock sets a runtime allocates at once: a
-// core's carry may refer to the sets of a dozen attempts or more.
-const lockSetChunk = 4
-
 // get returns an empty set with room for n read blocks: the list's
-// smallest that has room, or else its largest, grown. The list so keeps a
-// scan's capacity in as few sets as the core's scans need at once.
+// smallest that has room, or else its largest, grown, or a new one when the
+// list is empty. The list so keeps a scan's capacity in as few sets as the
+// core's scans need at once.
 func (f *lockSets) get(n int) *lockSet {
 	if len(*f) == 0 {
-		chunk := new([lockSetChunk]lockSet)
-		for i := range chunk {
-			ls := &chunk[i]
-			ls.reads, ls.wlocked = ls.inReads[:0], ls.inWrites[:0]
-			*f = append(*f, ls)
-		}
+		ls := new(lockSet)
+		ls.reads, ls.wlocked = ls.inReads[:0], ls.inWrites[:0]
+		*f = append(*f, ls)
 	}
 	best := 0
 	for i, ls := range *f {

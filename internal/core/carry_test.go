@@ -124,9 +124,9 @@ func TestEndedWatermark(t *testing.T) {
 				c.TotalCores, c.Policy, c.Deployment = 4, cm.NoCM, Multitask
 			}, func(s *System) func(rt *Runtime) {
 				pool := s.Mem.Alloc(16, 0)
-				a, ni := pool, s.nodeFor(pool)
+				a, ni := pool, s.dir.Owner(pool)
 				b := a + 1
-				for s.nodeFor(b) != ni {
+				for s.dir.Owner(b) != ni {
 					b++
 				}
 				n := s.nodes[ni]
@@ -228,9 +228,9 @@ func TestBusyNodeAppliesQueuedRelease(t *testing.T) {
 				c.TotalCores, c.Policy, c.Deployment = 4, cm.NoCM, Multitask
 			}, func(s *System) func(rt *Runtime) {
 				a := s.Mem.Alloc(16, 0)
-				ni := s.nodeFor(a)
+				ni := s.dir.Owner(a)
 				b := a + 1
-				for s.nodeFor(b) != ni {
+				for s.dir.Owner(b) != ni {
 					b++
 				}
 				n := s.nodes[ni]
@@ -367,13 +367,13 @@ func TestCarriedReleaseBound(t *testing.T) {
 						for _, b := range tx.held.blocks {
 							for i := range mem.Addr(64) {
 								if b.held&(1<<i) != 0 {
-									held[[2]uint64{tx.id, uint64(b.base + i)}] = rt.s.nodeFor(b.base + i)
+									held[[2]uint64{tx.id, uint64(b.base + i)}] = rt.s.dir.Owner(b.base + i)
 								}
 							}
 						}
 					}
 					for _, k := range tx.wlocked {
-						held[[2]uint64{tx.id, uint64(k)}] = rt.s.nodeFor(k)
+						held[[2]uint64{tx.id, uint64(k)}] = rt.s.dir.Owner(k)
 					}
 				}
 			}
@@ -487,10 +487,10 @@ func TestCarriedReleaseWaitsForItsNode(t *testing.T) {
 			runRanks(t, backend, func(c *Config) { c.TotalCores = 4 }, func(s *System) func(rt *Runtime) {
 				a := s.Mem.Alloc(16, 0)
 				b := a + 1
-				for s.nodeFor(b) == s.nodeFor(a) {
+				for s.dir.Owner(b) == s.dir.Owner(a) {
 					b++
 				}
-				nodeB.Store(int64(s.nodeFor(b)))
+				nodeB.Store(int64(s.dir.Owner(b)))
 				return func(rt *Runtime) {
 					if rt.Core() != firstApp(s) {
 						return
@@ -545,7 +545,7 @@ func TestOneCarriedReleasePerNode(t *testing.T) {
 			_, st := runRanks(t, backend, func(c *Config) { c.TotalCores = 4 }, func(s *System) func(rt *Runtime) {
 				a := s.Mem.Alloc(16, 0)
 				c := a + 1
-				for s.nodeFor(c) != s.nodeFor(a) {
+				for s.dir.Owner(c) != s.dir.Owner(a) {
 					c++
 				}
 				return func(rt *Runtime) {
@@ -558,7 +558,7 @@ func TestOneCarriedReleasePerNode(t *testing.T) {
 						old := rt.lockSets.get(1)
 						old.reads = append(old.reads, lockBlock{c &^ 63, 1 << (c & 63)})
 						old.txID, old.place, old.refs = planted, s.dir.Snapshot(), 1
-						rt.carry = append(rt.carry, relDraft{node: s.nodeFor(a), set: old, reads: 1})
+						rt.carry = append(rt.carry, relDraft{node: s.dir.Owner(a), set: old, reads: 1})
 					})
 					kept.Store(len(rt.carry) == 1 && rt.carry[0].set.txID == attempt.Load())
 				}
@@ -708,10 +708,10 @@ func TestFrozenStripeHandsOffPastFinishedHolder(t *testing.T) {
 	if st := s.Run(200 * time.Microsecond); st.Commits != 1 {
 		t.Fatalf("%d commits, want 1: the read of the frozen stripe never got through", st.Commits)
 	}
-	if got := dir.StripeOwner(dir.StripeOf(a)); got != to {
+	if got := dir.Owner(a); got != to {
 		t.Errorf("stripe A owned by node %d, want %d", got, to)
 	}
-	if _, frozen := dir.PendingTarget(dir.StripeOf(b)); !frozen {
+	if !slices.Contains(dir.PendingFor(node), dir.StripeOf(b)) {
 		t.Error("stripe B was handed off under a running attempt's lock")
 	}
 }

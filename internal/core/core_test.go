@@ -284,7 +284,7 @@ func TestBatchingReducesMessages(t *testing.T) {
 	base := s.Mem.Alloc(32, 0)
 	nodes := make(map[int]bool)
 	for j := 0; j < 16; j++ {
-		nodes[s.nodeFor(base+mem.Addr(j))] = true
+		nodes[s.dir.Owner(base+mem.Addr(j))] = true
 	}
 	s.SpawnWorkers(func(rt *Runtime) {
 		if rt.AppIndex() != 0 {
@@ -601,12 +601,12 @@ func TestStatsStringsAndEnums(t *testing.T) {
 func TestNodeForStableAndInRange(t *testing.T) {
 	s := testSystem(t, nil)
 	for a := mem.Addr(0); a < 1000; a++ {
-		n1, n2 := s.nodeFor(a), s.nodeFor(a)
+		n1, n2 := s.dir.Owner(a), s.dir.Owner(a)
 		if n1 != n2 {
-			t.Fatal("nodeFor not deterministic")
+			t.Fatal("Owner not deterministic")
 		}
 		if n1 < 0 || n1 >= len(s.nodes) {
-			t.Fatalf("nodeFor out of range: %d", n1)
+			t.Fatalf("Owner out of range: %d", n1)
 		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/cm"
 	"repro/internal/dslock"
 	"repro/internal/mem"
+	"repro/internal/placement"
 	"repro/internal/port"
 	"repro/internal/trace"
 )
@@ -150,15 +151,16 @@ func (n *dtmNode) switchIn(p port.Port) {
 // frozen stripe keeps its owner marked pending until completion) and the
 // per-key scan is skipped. That covers all traffic outside migration
 // windows.
-// All reads come from one snapshot, taken after this node's own handoffs: a
-// freeze another core publishes meanwhile is seen by every read or by none.
-func (n *dtmNode) placeOK(p port.Port, epoch uint64, keys ...mem.Addr) bool {
+// All reads come from one snapshot, taken after this node's own handoffs
+// and returned for nackStale: a freeze another core publishes meanwhile is
+// seen by every read or by none.
+func (n *dtmNode) placeOK(p port.Port, epoch uint64, keys ...mem.Addr) (placement.Snapshot, bool) {
 	n.maybeHandoffs(p)
 	v := n.s.dir.Snapshot()
 	if epoch == v.Epoch() && !v.HasPending(n.idx) {
-		return true
+		return v, true
 	}
-	return v.ValidFor(n.idx, keys...)
+	return v, v.ValidFor(n.idx, keys...)
 }
 
 // maybeHandoffs runs the drained-stripe scan only when a frozen stripe
@@ -213,19 +215,19 @@ func (n *dtmNode) tryHandoffs(p port.Port, pending []int) {
 	n.heldScratch = held
 }
 
-// nackStale rejects a lock request whose placement resolution went stale.
-// The NACK carries the directory epoch and — for single-key requests — the
-// key's current owner, so the requester can chase a migrated stripe without
-// a fresh resolution round; multi-key batches must re-partition against the
-// directory anyway (migration may split them) and get no owner hint. The
-// receiver's placeOK stays authoritative, so a hint gone stale in flight
-// costs at worst one more NACK, inside the same hop bound.
-func (n *dtmNode) nackStale(p port.Port, r *reqLock) {
+// nackStale rejects a lock request whose placement resolution went stale
+// under v, the snapshot placeOK judged it with. The NACK carries v's epoch
+// and — for single-key requests — the key's owner under v, so the requester
+// can chase a migrated stripe without a fresh resolution round; multi-key
+// batches must re-partition against the directory anyway (migration may
+// split them) and get no owner hint. The receiver's placeOK stays
+// authoritative, so a hint gone stale in flight costs at worst one more
+// NACK, inside the same hop bound.
+func (n *dtmNode) nackStale(p port.Port, r *reqLock, v placement.Snapshot) {
 	n.shard.StaleNacks++
 	resp := getRespLock()
 	resp.ReqID = r.ReqID
 	resp.Stale = true
-	v := n.s.dir.Snapshot()
 	resp.NackEpoch = v.Epoch()
 	if len(r.Addrs) == 1 {
 		resp.NackOwner = v.Owner(r.Addrs[0])
@@ -265,8 +267,8 @@ func (n *dtmNode) handleLock(p port.Port, r *reqLock) bool {
 		n.tryGrantExclusive(p)
 		return false
 	}
-	if !n.placeOK(p, r.Epoch, r.Addrs...) {
-		n.nackStale(p, r)
+	if v, ok := n.placeOK(p, r.Epoch, r.Addrs...); !ok {
+		n.nackStale(p, r, v)
 		return true
 	}
 	if e := r.Ended; e.Core >= 0 {

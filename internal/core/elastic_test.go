@@ -244,7 +244,7 @@ func TestMultitaskServesWhileComputing(t *testing.T) {
 	// Find an address whose responsible node is core 1's.
 	var addr mem.Addr
 	for a := mem.Addr(1); ; a++ {
-		if s.nodeFor(a) == 1 {
+		if s.dir.Owner(a) == 1 {
 			addr = a
 			break
 		}

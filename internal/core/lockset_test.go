@@ -205,8 +205,8 @@ func TestReleaseDraftedAtSend(t *testing.T) {
 							// Move the stripe of a key whose release the
 							// carry may still hold.
 							if place == placement.AdaptiveHier && rt.AppIndex() == 0 && op%4 == 3 {
-								st := dir.StripeOf(accts.Addr(a))
-								dir.InitiateMove(st, (dir.StripeOwner(st)+1)%len(s.nodes))
+								k := accts.Addr(a)
+								dir.InitiateMove(dir.StripeOf(k), (dir.Owner(k)+1)%len(s.nodes))
 							}
 						}
 					})

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -492,6 +493,157 @@ func TestReadAheadStaleFallsBack(t *testing.T) {
 	}
 }
 
+// TestReadAheadBatchKeepsItsSnapshot: a read-ahead batch goes out stamped
+// with the epoch of the snapshot that chose its keys. Under hier placement
+// a scan reads element 0, takes a snapshot and picks two further elements
+// one node owns under it; the second one's stripe then moves to the other
+// node (freeze and handoff) before the batch is sent under the old
+// snapshot. The old stamp sends the former owner to its per-key check,
+// which NACKs the batch: the node grants the first key alone on the
+// resend, the moved key is read from its new owner, and nothing stays
+// locked. Stamped from a snapshot taken after the handoff, the batch passes
+// the node's fast path and the former owner grants the moved key, whose
+// release then goes to the new owner.
+func TestReadAheadBatchKeepsItsSnapshot(t *testing.T) {
+	type sent struct {
+		node int
+		keys []mem.Addr
+	}
+	var (
+		reqs             []sent
+		first, moved     mem.Addr
+		from, to, sum    = -1, -1, uint64(0)
+		attempts         int
+		heldMoved, atOld bool
+	)
+	watchLocks(t, func(node int, ks []mem.Addr) { reqs = append(reqs, sent{node, slices.Clone(ks)}) })
+	_, st := runRanks(t, BackendSim, func(c *Config) {
+		c.TotalCores, c.ServiceCores = 4, 2
+		c.Placement = placement.AdaptiveHier
+		c.RepartitionEpoch = 1 << 30 // no automatic rounds; the test drives the move
+	}, func(s *System) func(rt *Runtime) {
+		a := NewTArray(s, Uint64Codec(), 64, 7)
+		dir := s.Placement()
+		scanner := firstApp(s)
+		return func(rt *Runtime) {
+			if rt.Core() != scanner {
+				return
+			}
+			rt.Run(func(tx *Tx) {
+				if attempts++; attempts > 1 {
+					return
+				}
+				sum = a.Get(tx, 0)
+				place := dir.Snapshot()
+				first, from = a.Addr(1), place.Owner(a.Addr(1))
+				j := 2
+				for place.Owner(a.Addr(j)) != from {
+					j++
+				}
+				moved, to = a.Addr(j), 1-from
+				if !dir.InitiateMove(dir.StripeOf(moved), to) {
+					t.Error("InitiateMove refused")
+					return
+				}
+				dir.CompleteHandoff(dir.StripeOf(moved))
+				sum += tx.lockedRead(place, []mem.Addr{first, moved}, 1, lockRead)[0]
+				heldMoved = tx.held.holds(moved)
+				s.nodes[from].table.ForEach(func(k mem.Addr) { atOld = atOld || k == moved })
+				sum += a.Get(tx, j)
+			})
+		}
+	})
+	if attempts != 1 || st.Aborts != 0 || st.StaleNacks != 1 {
+		t.Errorf("%d attempts, %d aborts, %d stale NACKs; want 1, none, 1", attempts, st.Aborts, st.StaleNacks)
+	}
+	if heldMoved || atOld {
+		t.Errorf("the moved key is in the read set (%v) or node %d's table (%v) after the batch: its former owner granted it",
+			heldMoved, from, atOld)
+	}
+	want := []sent{{from, []mem.Addr{first, moved}}, {from, []mem.Addr{first}}, {to, []mem.Addr{moved}}}
+	if len(reqs) != 4 || !slices.EqualFunc(reqs[1:], want, func(x, y sent) bool { return x.node == y.node && slices.Equal(x.keys, y.keys) }) {
+		t.Errorf("read-lock requests %v after element 0's, want the batch, the first key alone at node %d, the moved key at node %d: %v",
+			reqs, from, to, want)
+	}
+	if sum != 21 {
+		t.Errorf("read %d, want 21", sum)
+	}
+}
+
+// TestReadAheadUnderMigrationLive: on live, with hier placement, balance
+// scans of an array run beside transfers between its accounts while a
+// goroutine keeps freezing the array's stripes for migration to another DTM
+// node; the nodes hand them off as they drain. Every committed scan sees the
+// conserved total, and the run ends with no lock left in any table and every
+// table consistent (runRanks). It also runs in CI's -race step.
+func TestReadAheadUnderMigrationLive(t *testing.T) {
+	const (
+		accounts = 256
+		initial  = 100
+		scans    = 40
+	)
+	var (
+		apps      atomic.Int32
+		committed atomic.Int64
+		moverDone = make(chan struct{})
+	)
+	_, st := runRanks(t, BackendLive, func(c *Config) {
+		c.Placement = placement.AdaptiveHier
+		c.RepartitionEpoch = 1 << 30 // only the mover's moves
+	}, func(s *System) func(rt *Runtime) {
+		a := NewTArray(s, Uint64Codec(), accounts, initial)
+		dir := s.Placement()
+		apps.Store(int32(len(s.AppCores())))
+		go func() {
+			defer close(moverDone)
+			for i := 0; apps.Load() > 0; i += 37 {
+				k := a.Addr(i % accounts)
+				dir.InitiateMove(dir.StripeOf(k), (dir.Owner(k)+1)%len(s.nodes))
+				runtime.Gosched()
+			}
+		}()
+		return func(rt *Runtime) {
+			defer apps.Add(-1)
+			r := rt.Rand()
+			for op := 0; op < scans; op++ {
+				if rt.AppIndex() == 0 {
+					var sum uint64
+					scan := func(tx *Tx) {
+						sum = 0
+						for i := range accounts {
+							sum += a.Get(tx, i)
+						}
+					}
+					if op%2 == 0 {
+						rt.RunReadOnly(scan)
+					} else {
+						rt.Run(scan)
+					}
+					committed.Add(1)
+					if sum != accounts*initial {
+						t.Errorf("a committed scan saw %d, want %d", sum, accounts*initial)
+					}
+					continue
+				}
+				for range 5 {
+					from, to := r.Intn(accounts), r.Intn(accounts)
+					rt.Run(func(tx *Tx) {
+						a.Set(tx, from, a.Get(tx, from)-1)
+						a.Set(tx, to, a.Get(tx, to)+1)
+					})
+				}
+			}
+		}
+	})
+	<-moverDone
+	t.Logf("%d scans committed, %d read-ahead keys, %d migrations, %d handoffs, %d stale NACKs, %d placement aborts",
+		committed.Load(), st.ReadAheadKeys, st.Migrations, st.Handoffs, st.StaleNacks, st.PlacementAborts)
+	if committed.Load() != scans || st.ReadAheadKeys == 0 || st.Handoffs == 0 || st.StaleNacks == 0 {
+		t.Errorf("%d scans committed, %d read-ahead keys, %d handoffs, %d stale NACKs: want %d and some of each",
+			committed.Load(), st.ReadAheadKeys, st.Handoffs, st.StaleNacks, scans)
+	}
+}
+
 // TestReadAheadTimeoutReleasesBatch: on net, a batched request whose node
 // stalls past the RPC deadline aborts the scan with every key of the batch
 // recorded as held, so the abort's release to that node covers all of them
@@ -605,10 +757,10 @@ func TestCarriedReleaseResentOnTimeout(t *testing.T) {
 	}, func(s *System) func(rt *Runtime) {
 		words := s.Mem.Alloc(64, 0)
 		key := words
-		for s.rankOf(s.nodes[s.nodeFor(key)].core) != 1 {
+		for s.rankOf(s.nodes[s.dir.Owner(key)].core) != 1 {
 			key++ // a key whose DTM node serves on rank 1
 		}
-		node := s.nodes[s.nodeFor(key)].core
+		node := s.nodes[s.dir.Owner(key)].core
 		xfer := firstApp(s)
 		return func(rt *Runtime) {
 			switch {

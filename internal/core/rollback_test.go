@@ -121,11 +121,11 @@ func runRollbackRow(t *testing.T, c rollbackCell, phase string) {
 	s.Mem.WriteRaw(y, 1000)
 	var w1, w2 mem.Addr
 	for a := pool + 2; a < pool+64 && w2 == 0; a++ {
-		switch n := s.nodeFor(a); {
+		switch n := s.dir.Owner(a); {
 		case c.deploy == Multitask && n < 2:
 		case w1 == 0:
 			w1 = a
-		case n != s.nodeFor(w1):
+		case n != s.dir.Owner(w1):
 			w2 = a
 		}
 	}
@@ -144,7 +144,7 @@ func runRollbackRow(t *testing.T, c rollbackCell, phase string) {
 	case phase == "partial-grant":
 		poisoned = w2
 	}
-	poisonTable := s.nodes[s.nodeFor(poisoned)].table
+	poisonTable := s.nodes[s.dir.Owner(poisoned)].table
 	if poisoned != 0 {
 		poisonTable.SetWriter(poisoned, cm.Meta{Core: enemyCore, TxID: enemyTx})
 		s.Regs.SetStatusLocal(enemyCore, enemyTx, mem.TxPending)
@@ -227,7 +227,7 @@ func runRollbackRow(t *testing.T, c rollbackCell, phase string) {
 			if phase != "lost-cas" {
 				return
 			}
-			table := s.nodes[s.nodeFor(w1)].table
+			table := s.nodes[s.dir.Owner(w1)].table
 			for i := 0; i < 1_000_000; i++ {
 				if c := table.ReadConflict(w1, cm.Meta{Core: -1}); c != nil { // the writer, foreign to every core
 					m := c.Enemies[0]

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/cm"
 	"repro/internal/mem"
+	"repro/internal/placement"
 	"repro/internal/port"
 	"repro/internal/trace"
 )
@@ -137,19 +138,22 @@ func (rt *Runtime) winnerEnded(resp *respLock, past *attemptRef) (ended, polled 
 }
 
 // rpcLock acquires the read or write locks of keys, all owned by one DTM
-// node, in one awaited round trip — every visible read, every eager write —
-// and returns the keys granted once it is granted; a conflict NACK aborts the
-// attempt, unless it names an attempt that has already ended: then the
-// request goes to the same node again (winnerEnded). A NACK for stale
-// placement (a migration moved or froze a stripe) is chased instead, for
-// keys[0] alone: when it carries an owner hint, the epoch and owner the
-// NACKing node saw steer the resend directly, saving the re-resolution
-// against the directory; a hintless one re-resolves. The access is recorded
-// once per logical acquisition — NACK-chasing resends must not inflate the
-// stripe heat the adaptive policy reads.
-func (rt *Runtime) rpcLock(tx *Tx, keys []mem.Addr, mode lockMode) []mem.Addr {
+// node under place, in one awaited round trip — every visible read, every
+// eager write — and returns the keys granted once it is granted. place is
+// the snapshot the caller chose keys under, and the request's node and
+// epoch stamp come from it too: a stamp from a later snapshot would vouch
+// for keys a handoff in between took from the node, and the node's fast
+// path (placeOK) would grant them. A conflict NACK aborts the attempt,
+// unless it names an attempt that has already ended: then the request goes
+// to the same node again (winnerEnded). A NACK for stale placement (a
+// migration moved or froze a stripe) is chased instead, for keys[0] alone:
+// when it carries an owner hint, the epoch and owner the NACKing node saw
+// steer the resend directly; a hintless one takes a fresh snapshot. The
+// access is recorded once per logical acquisition — NACK-chasing resends
+// must not inflate the stripe heat the adaptive policy reads.
+func (rt *Runtime) rpcLock(tx *Tx, place placement.Snapshot, keys []mem.Addr, mode lockMode) []mem.Addr {
 	rt.s.dir.Record(rt.cluster, keys...)
-	node, epoch := rt.s.dir.Resolve(keys[0])
+	node, epoch := place.Owner(keys[0]), place.Epoch()
 	past := attemptRef{Core: -1}
 	for hop := 0; ; {
 		req := rt.lockReq(tx.id, mode, epoch, keys)
@@ -191,7 +195,8 @@ func (rt *Runtime) rpcLock(tx *Tx, keys []mem.Addr, mode lockMode) []mem.Addr {
 			node, epoch = hintOwner, hintEpoch
 			rt.shard.StaleNackHints++
 		} else {
-			node, epoch = rt.s.dir.Resolve(keys[0])
+			place = rt.s.dir.Snapshot()
+			node, epoch = place.Owner(keys[0]), place.Epoch()
 		}
 	}
 }

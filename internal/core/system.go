@@ -576,12 +576,6 @@ func (s *System) LockedAddrs() int {
 // Placement returns the key→DTM-node directory (nil on raw-only systems).
 func (s *System) Placement() *placement.Directory { return s.dir }
 
-// nodeFor maps a lock key to the responsible DTM node under the current
-// placement resolution (§3.2's hash by default; see internal/placement).
-func (s *System) nodeFor(key mem.Addr) int {
-	return s.dir.Owner(key)
-}
-
 // recvPeers returns how many peers the receiving core polls for incoming
 // messages: the size of the opposite partition under Dedicated deployment,
 // everyone under Multitask.

@@ -678,7 +678,7 @@ func (tx *Tx) WriteN(base mem.Addr, vals []uint64) {
 	if rt.s.cfg.Acquire == Eager && !slices.Contains(tx.wlocked, base) {
 		tx.checkAborted()
 		rt.lockKeys = append(rt.lockKeys[:0], base)
-		rt.rpcLock(tx, rt.lockKeys, lockWrite)
+		rt.rpcLock(tx, rt.s.dir.Snapshot(), rt.lockKeys, lockWrite)
 		tx.wlocked = append(tx.wlocked, base)
 	}
 	span, buf := rt.wordBuf(len(vals))
@@ -853,24 +853,19 @@ func (tx *Tx) scatterAcquire(keys []mem.Addr) (stale []mem.Addr) {
 }
 
 // commitBatches partitions lock keys into the batches the commit acquires —
-// one per responsible DTM node, in first-write order — and returns the
-// directory epoch the grouping was resolved at. Requests built from these
-// batches must go to the batch's node and carry that epoch, so a directory
-// change between grouping and send is always visible to the receiver. The
-// epoch is read BEFORE the first owner lookup: a handoff racing the grouping
-// can then only make the stamp older than some owner it vouches for, which
-// fails the receiver's fast path and forces the authoritative per-key check
-// — read after, it would pair an old owner with the new epoch and a
-// non-owner would grant (Directory.Resolve).
+// one per responsible DTM node, in first-write order — under one placement
+// snapshot, and returns that snapshot's epoch. Requests built from these
+// batches go to the batch's node and carry that epoch, so a directory
+// change between grouping and send is always visible to the receiver.
 func (tx *Tx) commitBatches(keys []mem.Addr) ([]nodeGroup, uint64) {
 	rt := tx.rt
-	epoch := rt.s.dir.Epoch()
+	place := rt.s.dir.Snapshot()
 	// Group the keys by DTM node. Groups appear in order of first use and
 	// keep their keys' relative order, so identical runs build identical
 	// messages.
 	rt.groups = rt.groups[:0]
 	for _, k := range keys {
-		ni := rt.s.nodeFor(k)
+		ni := place.Owner(k)
 		gi := int(rt.groupIdx[ni]) - 1
 		if gi < 0 {
 			gi = len(rt.groups)
@@ -884,7 +879,7 @@ func (tx *Tx) commitBatches(keys []mem.Addr) ([]nodeGroup, uint64) {
 	for _, g := range rt.groups {
 		rt.groupIdx[g.node] = 0 // relSlot and draft share the index
 	}
-	return rt.groups, epoch
+	return rt.groups, place.Epoch()
 }
 
 // abortCleanup releases every lock held by the failed attempt and marks the

@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"repro/internal/mem"
+	"repro/internal/placement"
 	"repro/internal/port"
 	"repro/internal/trace"
 )
@@ -36,21 +37,21 @@ func (*visibleProto) firstRead(tx *Tx, base mem.Addr, n int) []uint64 {
 	if pos := len(tx.held.first); pos < 64 && tx.forUpdate&(1<<pos) != 0 {
 		mode = lockWrite
 	}
-	return tx.lockedRead(rt.lockKeys, n, mode)
+	return tx.lockedRead(rt.s.dir.Snapshot(), rt.lockKeys, n, mode)
 }
 
-// lockedRead takes the locks of keys, n-word objects one DTM node owns, in
-// one request, then reads each object, and returns the value of keys[0].
-// A stale NACK leaves keys[0] alone to chase (rpcLock); any other key granted
-// is one locked ahead of a TArray scan (readAhead). Mode lockWrite reads the
-// one key for update: it holds the write lock, in tx.wlocked.
-// The read set keeps the keys only: each read here is the grant-time read
-// the model charges and the trace records, and a later read of the key reads
-// the words again under its lock (Tx.cached).
-func (tx *Tx) lockedRead(keys []mem.Addr, n int, mode lockMode) []uint64 {
+// lockedRead takes the locks of keys, n-word objects one DTM node owns under
+// place, in one request, then reads each object, and returns the value of
+// keys[0]. A stale NACK leaves keys[0] alone to chase (rpcLock); any other
+// key granted is one locked ahead of a TArray scan (readAhead). Mode
+// lockWrite reads the one key for update: it holds the write lock, in
+// tx.wlocked. The read set keeps the keys only: each read here is the
+// grant-time read the model charges and the trace records, and a later read
+// of the key reads the words again under its lock (Tx.cached).
+func (tx *Tx) lockedRead(place placement.Snapshot, keys []mem.Addr, n int, mode lockMode) []uint64 {
 	rt := tx.rt
 	tx.checkAborted()
-	keys = rt.rpcLock(tx, keys, mode)
+	keys = rt.rpcLock(tx, place, keys, mode)
 	// Record the grants before anything can abort the attempt: if a lock
 	// were not in the read set when the post-read abort check fires, the
 	// cleanup would never release it and the stale entry could block that
@@ -159,7 +160,7 @@ func (tx *Tx) readElem(arr, base mem.Addr, words, n int) []uint64 {
 
 // readAhead reads element i, a miss, with the read locks of elements i+1 to
 // i+win that lie inside the array, belong to element i's DTM node and are in
-// neither set, all in one request.
+// neither set, all in one request, sent under the snapshot that chose them.
 func (tx *Tx) readAhead(arr mem.Addr, words, n, i, win int) []uint64 {
 	rt := tx.rt
 	base := arr + mem.Addr(i*words)
@@ -173,7 +174,7 @@ func (tx *Tx) readAhead(arr mem.Addr, words, n, i, win int) []uint64 {
 		}
 	}
 	rt.lockKeys = keys
-	return tx.lockedRead(keys, words, lockRead)
+	return tx.lockedRead(place, keys, words, lockRead)
 }
 
 // validate has nothing to prove for reads that hold locks; an ElasticRead's
@@ -256,9 +257,10 @@ func (tx *Tx) EarlyRelease(bases ...mem.Addr) {
 		return
 	}
 	rt.sendCarry()
+	place := rt.s.dir.Snapshot()
 	for _, b := range bases {
 		if tx.held.release(b) {
-			d := rt.relSlot(rt.s.nodeFor(b))
+			d := rt.relSlot(place.Owner(b))
 			if d.msg == nil {
 				d.msg = getRelLocks()
 				d.msg.Core, d.msg.TxID = rt.core, tx.id

@@ -241,7 +241,7 @@ func TestConflictNackNamesWinner(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			s := testSystem(t, func(cfg *Config) { cfg.TotalCores, cfg.ServiceCores = 4, 2 })
 			addr := s.Mem.Alloc(1, 0)
-			end := c.plant(s, s.nodes[s.nodeFor(addr)], addr)
+			end := c.plant(s, s.nodes[s.dir.Owner(addr)], addr)
 			var (
 				named   []cm.Meta
 				attempt int
@@ -329,8 +329,8 @@ func runEndedWinner(t *testing.T, backend Backend, row string) (int, *Stats) {
 	}, func(s *System) func(rt *Runtime) {
 		pool := s.Mem.Alloc(16, 0)
 		addr, other := pool, pool+1
-		ni := s.nodeFor(addr)
-		for s.nodeFor(other) == ni {
+		ni := s.dir.Owner(addr)
+		for s.dir.Owner(other) == ni {
 			other++
 		}
 		n := s.nodes[ni]

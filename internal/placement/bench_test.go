@@ -76,7 +76,7 @@ func TestRecordSteadyStateAllocFree(t *testing.T) {
 }
 
 // BenchmarkResolveParallel is the number that shows the mutex is gone:
-// Resolve from every P at once, against a snapshot holding overrides.
+// a snapshot's owner and epoch from every P at once, with overrides in it.
 func BenchmarkResolveParallel(b *testing.B) {
 	keys := uniformKeys(1 << 12)
 	for _, kind := range Kinds() {
@@ -91,8 +91,8 @@ func BenchmarkResolveParallel(b *testing.B) {
 			b.RunParallel(func(pb *testing.PB) {
 				sum := 0
 				for i := 0; pb.Next(); i++ {
-					owner, epoch := d.Resolve(keys[i&(len(keys)-1)])
-					sum += owner + int(epoch)
+					v := d.Snapshot()
+					sum += v.Owner(keys[i&(len(keys)-1)]) + int(v.Epoch())
 				}
 				benchSink += sum
 			})

@@ -74,7 +74,7 @@ func TestHierHeatLifecycleProperty(t *testing.T) {
 		// One owner per stripe across the whole universe.
 		perNode := make([]int, nodes)
 		for s := 0; s < d.NumStripes(); s++ {
-			o := d.StripeOwner(s)
+			o := stripeOwner(d, s)
 			if o < 0 || o >= nodes {
 				t.Fatalf("trial %d: stripe %d owned by %d", trial, s, o)
 			}
@@ -203,7 +203,7 @@ func TestHeatPlaneSleepsAndWakes(t *testing.T) {
 			{8, hot4, func(t *testing.T, d *Directory, _ int) {
 				moved := 0
 				for i := 0; i < 4; i++ {
-					if d.StripeOwner(6000*i) != 0 {
+					if stripeOwner(d, 6000*i) != 0 {
 						moved++
 					}
 				}
@@ -227,7 +227,7 @@ func TestHeatPlaneSleepsAndWakes(t *testing.T) {
 			}
 			moved := 0
 			for rank := 0; rank < 32; rank++ {
-				if s := zipfStripe(rank); d.StripeOwner(s) != s%8 {
+				if s := zipfStripe(rank); stripeOwner(d, s) != s%8 {
 					moved++
 				}
 			}

@@ -31,11 +31,12 @@
 //   - The ownership plane is one immutable snapshot — the remap epoch, an
 //     override for every stripe that is frozen or off its default owner, the
 //     per-node frozen lists and freeze generations — behind one atomic
-//     pointer. Every ownership read (Owner, Resolve, Epoch, HasPending,
-//     PendingFor, ValidFor, ...) loads the pointer and takes no lock under
-//     any policy; under Hash the snapshot is never replaced at all. Only
-//     InitiateMove and CompleteHandoff change ownership, copy-on-write, at
-//     most 2·MaxMoves times per epoch and never per access.
+//     pointer. Every ownership read is a Snapshot: one load of the pointer,
+//     no lock under any policy, and every answer (Owner, Epoch, HasPending,
+//     PendingFor, ValidFor, ...) from that one state; under Hash the
+//     snapshot is never replaced at all. Only InitiateMove and
+//     CompleteHandoff change ownership, copy-on-write, at most 2·MaxMoves
+//     times per epoch and never per access.
 //   - The heat plane — access counts, affinity votes, locality accounting
 //     and the epoch evaluation that turns them into migrations — is guarded
 //     by the directory mutex, which Record and the two writers take. It has
@@ -44,8 +45,9 @@
 //
 // The one memory-ordering rule: a snapshot is fully built before it is
 // published and never written afterwards, so a reader sees a freeze or a
-// handoff entirely or not at all, and Resolve — owner and epoch from the
-// same snapshot — cannot pair an old owner with a new epoch.
+// handoff entirely or not at all. A lock request takes its destination, its
+// epoch stamp and its keys from one snapshot, so it can never pair an old
+// owner, or a key filtered under an old owner, with a newer epoch.
 //
 // # A heat plane that sleeps
 //
@@ -515,48 +517,16 @@ func (v Snapshot) ValidFor(node int, keys ...mem.Addr) bool {
 
 // Owner resolves a lock key to its owning DTM node under the current
 // assignment. Resolution is pure lookup; use Record to account accesses.
+// Owner, HasPending and PendingFor read the current snapshot for the repo
+// benchmark's placement micro metric (bench/micro.go) and for tests; the
+// program's own ownership reads each take a Snapshot and ask it every
+// question they have.
 func (d *Directory) Owner(key mem.Addr) int { return d.Snapshot().Owner(key) }
 
-// Resolve is Owner plus the remap epoch that resolution was made at, both
-// read from one snapshot. A lock request carries the pair: the epoch vouches
-// that the owner was current, which is what lets the receiving node skip its
-// per-key ownership scan (core's placeOK). Reading the two from different
-// snapshots — owner first, epoch second — lets a handoff complete in between
-// and produces (old owner, new epoch): a stale resolution the fast path
-// would wave through at a node that no longer owns the key.
-func (d *Directory) Resolve(key mem.Addr) (owner int, epoch uint64) {
-	v := d.Snapshot()
-	return v.Owner(key), v.Epoch()
-}
-
-// Epoch returns the current remap epoch. Static policies stay at 0.
-func (d *Directory) Epoch() uint64 { return d.Snapshot().Epoch() }
-
-// HasPending, PendingFor and ValidFor are the Snapshot methods of the same
-// name on the current snapshot.
+// HasPending and PendingFor are the Snapshot methods of the same name on
+// the current snapshot.
 func (d *Directory) HasPending(node int) bool  { return d.Snapshot().HasPending(node) }
 func (d *Directory) PendingFor(node int) []int { return d.Snapshot().PendingFor(node) }
-func (d *Directory) ValidFor(node int, keys ...mem.Addr) bool {
-	return d.Snapshot().ValidFor(node, keys...)
-}
-
-// StripeOwner returns the current owner of stripe s (adaptive directories;
-// static policies resolve per key, not per stripe).
-func (d *Directory) StripeOwner(s int) int {
-	if !d.adaptive() {
-		return -1
-	}
-	owner, _ := d.Snapshot().stripe(s)
-	return int(owner)
-}
-
-// PendingTarget returns the migration target of stripe s, if it is frozen.
-func (d *Directory) PendingTarget(s int) (int, bool) {
-	if _, t := d.Snapshot().stripe(s); t >= 0 {
-		return int(t), true
-	}
-	return 0, false
-}
 
 // Record accounts intended lock acquisitions on each key by an accessor in
 // cluster src (see noc.Platform.ClusterOf; pass -1 when unknown) and, at

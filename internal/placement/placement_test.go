@@ -44,6 +44,12 @@ func TestNewRejectsZeroRegionWords(t *testing.T) {
 	}
 }
 
+// stripeOwner is stripe s's owner under the current snapshot.
+func stripeOwner(d *Directory, s int) int {
+	owner, _ := d.Snapshot().stripe(s)
+	return int(owner)
+}
+
 // TestHashMatchesLegacyNodeFor pins the hash policy to the seed's
 // multiplicative hash so switching resolution behind the directory cannot
 // silently change the paper's default placement.
@@ -64,8 +70,8 @@ func TestHashMatchesLegacyNodeFor(t *testing.T) {
 			t.Fatalf("Owner(%#x) = %d, legacy hash says %d", uint64(key), got, want)
 		}
 	}
-	if d.Epoch() != 0 {
-		t.Errorf("static hash directory at epoch %d, want 0", d.Epoch())
+	if d.Snapshot().Epoch() != 0 {
+		t.Errorf("static hash directory at epoch %d, want 0", d.Snapshot().Epoch())
 	}
 }
 
@@ -94,7 +100,7 @@ func TestDirectoryOwnershipProperty(t *testing.T) {
 		for i := range keys {
 			keys[i] = mem.Addr(r.Intn(stripes))
 		}
-		lastEpoch := d.Epoch()
+		lastEpoch := d.Snapshot().Epoch()
 		owners := make([]int, len(keys))
 		for i, k := range keys {
 			owners[i] = d.Owner(k)
@@ -117,25 +123,25 @@ func TestDirectoryOwnershipProperty(t *testing.T) {
 			}
 			for i, k := range keys {
 				o := d.Owner(k)
-				if d.Epoch() == lastEpoch && o != owners[i] {
+				if d.Snapshot().Epoch() == lastEpoch && o != owners[i] {
 					t.Fatalf("trial %d step %d: key %#x changed owner %d->%d within epoch %d",
 						trial, step, uint64(k), owners[i], o, lastEpoch)
 				}
 				owners[i] = o
 			}
-			if d.Epoch() < lastEpoch {
+			if d.Snapshot().Epoch() < lastEpoch {
 				t.Fatalf("trial %d step %d: epoch went backwards", trial, step)
 			}
-			lastEpoch = d.Epoch()
+			lastEpoch = d.Snapshot().Epoch()
 			// Exactly one valid owner per unfrozen key, none per frozen key.
 			k := keys[r.Intn(len(keys))]
 			valid := 0
 			for n := 0; n < nodes; n++ {
-				if d.ValidFor(n, k) {
+				if d.Snapshot().ValidFor(n, k) {
 					valid++
 				}
 			}
-			if _, frozen := d.PendingTarget(d.StripeOf(k)); frozen {
+			if _, target := d.Snapshot().stripe(d.StripeOf(k)); target >= 0 {
 				if valid != 0 {
 					t.Fatalf("trial %d step %d: frozen key %#x has %d valid owners, want 0",
 						trial, step, uint64(k), valid)
@@ -158,7 +164,7 @@ func TestDirectoryOwnershipProperty(t *testing.T) {
 		total := 0
 		perNode := make([]int, nodes)
 		for s := 0; s < stripes; s++ {
-			perNode[d.StripeOwner(s)]++
+			perNode[stripeOwner(d, s)]++
 			total++
 		}
 		if total != stripes {

@@ -20,12 +20,12 @@ import (
 // frozen stripe keeps its owner; the receiver's HasPending check covers it.)
 func staleButCurrent(d *Directory, key mem.Addr, owner int, epoch uint64) bool {
 	cur := d.Owner(key)
-	return d.Epoch() == epoch && cur != owner
+	return d.Snapshot().Epoch() == epoch && cur != owner
 }
 
 // TestResolveOwnerThenEpochIsStale is the interleaving behind the leak,
 // single-stepped: the owner is read, a handoff completes, the epoch is
-// read. Resolve cannot be split that way.
+// read. One snapshot's owner and epoch cannot be split that way.
 func TestResolveOwnerThenEpochIsStale(t *testing.T) {
 	d, err := New(Config{Nodes: 2, Kind: AdaptiveHier, RegionWords: 8})
 	if err != nil {
@@ -35,21 +35,22 @@ func TestResolveOwnerThenEpochIsStale(t *testing.T) {
 	owner := d.Owner(key)
 	d.InitiateMove(d.StripeOf(key), 1-owner)
 	d.CompleteHandoff(d.StripeOf(key))
-	if !staleButCurrent(d, key, owner, d.Epoch()) {
+	if !staleButCurrent(d, key, owner, d.Snapshot().Epoch()) {
 		t.Fatal("owner read before a handoff, epoch after it: expected the stale-but-current pair")
 	}
-	if o, e := d.Resolve(key); staleButCurrent(d, key, o, e) {
-		t.Fatalf("Resolve returned stale owner %d under current epoch %d", o, e)
+	if v := d.Snapshot(); staleButCurrent(d, key, v.Owner(key), v.Epoch()) {
+		t.Fatalf("a snapshot named stale owner %d under current epoch %d", v.Owner(key), v.Epoch())
 	}
 }
 
 // TestResolveNeverStaleUnderCurrentEpoch flips stripes between two owners
 // (freeze, then handoff) on one goroutine while others resolve keys of
-// those stripes. Replacing Resolve below with Owner followed by Epoch — the
-// read order core used before — trips it within milliseconds. A recorder
-// and a validator run beside them so -race covers snapshot publication
-// against the heat plane (Record reads ownership under the mutex the
-// writers publish under) and against the other lock-free readers.
+// those stripes. Replacing the readers' one snapshot below with Owner
+// followed by a second snapshot's Epoch — the read order core once used —
+// trips it within milliseconds. A recorder and a validator run beside them
+// so -race covers snapshot publication against the heat plane (Record reads
+// ownership under the mutex the writers publish under) and against the
+// other lock-free readers.
 func TestResolveNeverStaleUnderCurrentEpoch(t *testing.T) {
 	const stripes = 8
 	// ImbalanceFactor prohibitive: Record must not start moves of its own,
@@ -72,7 +73,7 @@ func TestResolveNeverStaleUnderCurrentEpoch(t *testing.T) {
 	deadline := time.Now().Add(300 * time.Millisecond)
 	for flips := 0; time.Now().Before(deadline) || flips < 1000; flips++ {
 		s := flips % stripes
-		if !d.InitiateMove(s, 1-d.StripeOwner(s)) {
+		if !d.InitiateMove(s, 1-stripeOwner(d, s)) {
 			t.Fatalf("flip %d: stripe %d would not freeze", flips, s)
 		}
 		d.CompleteHandoff(s)
@@ -86,7 +87,7 @@ func TestResolveNeverStaleUnderCurrentEpoch(t *testing.T) {
 
 // startResolvers runs the lock-free readers of the two concurrency tests
 // until stop: one checks that no snapshot names two valid owners for a key,
-// three that Resolve never pairs a stale owner with the current epoch.
+// three that a snapshot never pairs a stale owner with the current epoch.
 func startResolvers(t *testing.T, d *Directory, stripes int, stop *atomic.Bool, wg *sync.WaitGroup) {
 	wg.Add(4)
 	go func() {
@@ -98,7 +99,7 @@ func startResolvers(t *testing.T, d *Directory, stripes int, stop *atomic.Bool, 
 				t.Errorf("key %d valid at both nodes in one snapshot", key)
 				return
 			}
-			d.ValidFor(i&1, key)
+			d.Snapshot().ValidFor(i&1, key)
 		}
 	}()
 	for r := 0; r < 3; r++ {
@@ -106,8 +107,8 @@ func startResolvers(t *testing.T, d *Directory, stripes int, stop *atomic.Bool, 
 			defer wg.Done()
 			for i := r; !stop.Load(); i++ {
 				key := mem.Addr(i % stripes)
-				if owner, epoch := d.Resolve(key); staleButCurrent(d, key, owner, epoch) {
-					t.Errorf("key %d resolved to stale owner %d under current epoch %d", key, owner, epoch)
+				if v := d.Snapshot(); staleButCurrent(d, key, v.Owner(key), v.Epoch()) {
+					t.Errorf("key %d resolved to stale owner %d under current epoch %d", key, v.Owner(key), v.Epoch())
 					return
 				}
 			}
@@ -140,7 +141,7 @@ func TestResolveAcrossWakeAndSleep(t *testing.T) {
 			// eight spread evenly over both nodes' stripes.
 			var mine, theirs []mem.Addr
 			for s := 0; s < stripes; s++ {
-				if d.StripeOwner(s) == cycle%2 {
+				if stripeOwner(d, s) == cycle%2 {
 					mine = append(mine, mem.Addr(s))
 				} else {
 					theirs = append(theirs, mem.Addr(s))
@@ -196,16 +197,16 @@ func TestResolveTakesNoLock(t *testing.T) {
 			defer close(done)
 			for key := mem.Addr(0); key < 8; key++ {
 				d.Owner(key)
-				d.Resolve(key)
-				d.ValidFor(0, key)
-				d.StripeOwner(int(key))
-				d.PendingTarget(int(key))
+				v := d.Snapshot()
+				v.Owner(key)
+				v.Epoch()
+				v.ValidFor(0, key)
+				v.stripe(int(key))
 			}
-			d.Epoch()
 			for n := 0; n < 2; n++ {
 				d.HasPending(n)
-				d.Snapshot().FreezeGen(n)
 				d.PendingFor(n)
+				d.Snapshot().FreezeGen(n)
 			}
 		}()
 		select {
