@@ -52,7 +52,6 @@ func main() {
 		platform = flag.String("platform", "scc", "scc | scc800 | opteron | scc:N (setting N)")
 		duration = flag.Duration("duration", 20*time.Millisecond, "virtual run length")
 		traceF   = flag.String("trace", "", "write a flight-recorder trace of the run: .json for chrome://tracing, anything else for a plain-text timeline")
-		snapF    = flag.String("snapshot", "", "live backend: write interval-sampled throughput snapshots (JSONL) to this file")
 
 		// workload knobs
 		update   = flag.Int("update", 20, "hashset/list: update percentage")
@@ -120,18 +119,6 @@ func main() {
 	}
 	if *traceF != "" {
 		cfg.Trace = &trace.Options{}
-	}
-	var snapFile *os.File
-	if *snapF != "" {
-		if backend != repro.BackendLive {
-			fatal(fmt.Errorf("-snapshot requires -backend live (the sim has no wall-clock to sample on)"))
-		}
-		f, err := os.Create(*snapF)
-		if err != nil {
-			fatal(err)
-		}
-		snapFile = f
-		cfg.Snapshot = &trace.SnapshotOptions{W: f}
 	}
 	if cfg.Platform, err = parsePlatform(*platform); err != nil {
 		fatal(err)
@@ -236,12 +223,6 @@ func main() {
 				fmt.Println("verification: OK")
 			}
 		}
-	}
-	if snapFile != nil {
-		if err := snapFile.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("snapshots written to %s\n", *snapF)
 	}
 	if *traceF != "" {
 		path := *traceF

@@ -303,12 +303,6 @@ type Config struct {
 	// emit site then costs exactly one nil comparison, which is what keeps
 	// trace-off runs bit-identical to the pinned fingerprints.
 	Trace *trace.Options
-	// Snapshot enables the live backend's periodic metrics snapshotter:
-	// interval-sampled commit/abort/op counters written as a JSONL time
-	// series while the run is in flight. Ignored on the sim backend (the
-	// sim is single-threaded virtual time; mid-run wall-clock sampling is
-	// meaningless there).
-	Snapshot *trace.SnapshotOptions
 	// Net places this process within a cross-process system. Required (and
 	// only meaningful) on BackendNet.
 	Net *NetConfig

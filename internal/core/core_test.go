@@ -62,6 +62,18 @@ func TestConfigDefaults(t *testing.T) {
 	}
 }
 
+// TestDefaultServiceSplit: with ServiceCores unset, a dedicated deployment
+// gives half the cores to the DTM service, rounded down (the paper's
+// half/half split), leaving at least one core on each side.
+func TestDefaultServiceSplit(t *testing.T) {
+	for total, want := range map[int]int{2: 1, 3: 1, 4: 2, 48: 24} {
+		s := testSystem(t, func(c *Config) { c.TotalCores = total })
+		if got := s.NumServiceCores(); got != want {
+			t.Errorf("%d cores: %d service cores, want %d", total, got, want)
+		}
+	}
+}
+
 func TestPartitionIsDisjointAndSpread(t *testing.T) {
 	s := testSystem(t, nil)
 	seen := make(map[int]bool)

@@ -159,5 +159,4 @@ func (rt *Runtime) RunIrrevocable(fn func(*Irrevocable)) {
 	rt.s.Regs.SetStatusLocal(rt.core, id, mem.TxCommitted)
 	rt.stats.Commits++
 	rt.shard.Irrevocables++
-	rt.s.snap.AddCommit()
 }

@@ -35,6 +35,9 @@ func TestIrrevocableRunsExactlyOnce(t *testing.T) {
 	if st.Irrevocables != 1 {
 		t.Fatalf("Irrevocables = %d", st.Irrevocables)
 	}
+	if st.Commits != 1 {
+		t.Fatalf("Commits = %d: an irrevocable transaction counts as a commit", st.Commits)
+	}
 	if s.LockedAddrs() != 0 {
 		t.Fatal("locks leaked")
 	}

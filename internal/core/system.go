@@ -90,11 +90,9 @@ type System struct {
 	workersDone sync.WaitGroup
 
 	// Flight-recorder state (Config.Trace; see tracing.go): the placement
-	// directory's lane, the trace assembled at snapshot time, and the live
-	// backend's periodic metrics snapshotter (Config.Snapshot).
+	// directory's lane and the trace assembled at snapshot time.
 	placeRec *trace.Recorder
 	traceOut *trace.Trace
-	snap     *trace.Snapshotter
 
 	deadline port.Time
 	stats    Stats
@@ -208,9 +206,6 @@ func NewSystem(cfg Config) (*System, error) {
 		s.dir = dir
 	}
 	s.setupTrace()
-	if cfg.Snapshot != nil && cfg.Backend == BackendLive {
-		s.snap = trace.NewSnapshotter(*cfg.Snapshot)
-	}
 	s.nodePorts = make([]port.Port, len(s.nodes))
 	if cfg.Deployment == Dedicated {
 		for _, n := range s.nodes {
@@ -351,7 +346,6 @@ func (s *System) SpawnRaw(worker func(p Port, core int)) {
 // backend; transactional workers use Runtime.AddOps).
 func (s *System) AddOps(n int) {
 	atomic.AddUint64(&s.stats.Ops, uint64(n))
-	s.snap.AddOps(uint64(n))
 }
 
 // Deadline returns the stop time (set by Run): virtual on sim, monotonic
@@ -439,7 +433,6 @@ func (s *System) runRealtime(watchdog time.Duration) {
 	} else {
 		s.host.Start()
 	}
-	s.snap.Start()
 	done := make(chan struct{})
 	go func() {
 		s.workersDone.Wait()
@@ -464,7 +457,6 @@ func (s *System) runRealtime(watchdog time.Duration) {
 	}
 	dur := s.host.Now()
 	s.host.Shutdown()
-	s.snap.Stop()
 	s.snapshot(dur)
 	if s.neng != nil {
 		s.mergeNetStats()

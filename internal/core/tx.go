@@ -190,7 +190,6 @@ func (rt *Runtime) Compute(d time.Duration) {
 // AddOps records n completed application-level operations.
 func (rt *Runtime) AddOps(n int) {
 	rt.stats.Ops += uint64(n)
-	rt.s.snap.AddOps(uint64(n))
 }
 
 // abortSignal is panicked out of transactional wrappers to unwind an
@@ -439,7 +438,6 @@ func (rt *Runtime) runLoop(kind TxKind, pc uintptr, fn func(*Tx) error) (attempt
 			rt.life.Observe(rt.proc.Now() - lifeStart)
 			rt.shard.MaxAttempts = max(rt.shard.MaxAttempts, uint64(attempts))
 			rt.emit(trace.KCommit, tx.id, uint64(attempts), uint64(tx.serialAt), tx.seq)
-			rt.s.snap.AddCommit()
 			if site != nil {
 				site.learn(tx)
 			}
@@ -901,7 +899,6 @@ func (rt *Runtime) abortCleanup(tx *Tx, sig abortSignal) {
 		kindEnc = uint64(sig.kind) + 1
 	}
 	rt.emit(trace.KAbort, tx.id, uint64(sig.reason), kindEnc, trace.WinnerWord(rt.winner.Core, rt.winner.TxID))
-	rt.s.snap.AddAbort()
 	tx.runHooks(tx.onAbort)
 }
 

@@ -59,16 +59,3 @@ func ratio(a, b float64) float64 {
 	}
 	return a / b
 }
-
-// halfSplit returns the dedicated service-core count used by the paper for
-// a given total (half the cores, at least one of each).
-func halfSplit(total int) int {
-	s := total / 2
-	if s < 1 {
-		s = 1
-	}
-	if s >= total {
-		s = total - 1
-	}
-	return s
-}

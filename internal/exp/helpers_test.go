@@ -30,15 +30,6 @@ func TestPerMsAndRatio(t *testing.T) {
 	}
 }
 
-func TestHalfSplit(t *testing.T) {
-	cases := map[int]int{2: 1, 3: 1, 4: 2, 48: 24}
-	for total, want := range cases {
-		if got := halfSplit(total); got != want {
-			t.Errorf("halfSplit(%d) = %d, want %d", total, got, want)
-		}
-	}
-}
-
 func TestBuildPanicsOnBadConfig(t *testing.T) {
 	defer func() {
 		if recover() == nil {

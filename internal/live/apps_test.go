@@ -11,10 +11,7 @@
 package live_test
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
-	"strings"
 	"testing"
 	"time"
 
@@ -258,38 +255,15 @@ func TestLiveBarrier(t *testing.T) {
 // TestLiveIrrevocable stays on the visible protocol: irrevocability
 // requires it (RunIrrevocable panics under tl2).
 func TestLiveIrrevocable(t *testing.T) {
-	onPlainPlane(t, func(t *testing.T) { runIrrevocableBank(t, nil) })
-}
-
-// TestLiveIrrevocableSnapshotCountsCommits: the snapshotter's final JSONL
-// line counts irrevocable commits like any other, so its commits equal
-// Stats.Commits on an irrevocable mix.
-func TestLiveIrrevocableSnapshotCountsCommits(t *testing.T) {
-	var buf bytes.Buffer
-	st := runIrrevocableBank(t, func(c *core.Config) {
-		c.Snapshot = &trace.SnapshotOptions{W: &buf, Every: time.Millisecond}
-	})
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	var last struct{ Commits uint64 }
-	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &last); err != nil {
-		t.Fatalf("final snapshot line %q: %v", lines[len(lines)-1], err)
-	}
-	if last.Commits != st.Commits {
-		t.Errorf("final snapshot commits = %d, Stats.Commits = %d (%d irrevocable)", last.Commits, st.Commits, st.Irrevocables)
-	}
+	onPlainPlane(t, func(t *testing.T) { runIrrevocableBank(t) })
 }
 
 // runIrrevocableBank runs a bank mix whose transfers are 5 % irrevocable and
 // checks it quiesced, ran irrevocables and conserved the money. App core 0's
 // first transfer is irrevocable and runs however late the core starts, so
 // every run completes at least one, whatever the window leaves time for.
-func runIrrevocableBank(t *testing.T, mut func(*core.Config)) *core.Stats {
-	s := liveSystem(t, core.ProtocolVisible, func(c *core.Config) {
-		c.TotalCores = 8
-		if mut != nil {
-			mut(c)
-		}
-	})
+func runIrrevocableBank(t *testing.T) {
+	s := liveSystem(t, core.ProtocolVisible, func(c *core.Config) { c.TotalCores = 8 })
 	const accounts = 64
 	accts := core.NewTArray(s, core.Uint64Codec(), accounts, 1000)
 	s.SpawnWorkers(func(rt *core.Runtime) {
@@ -326,5 +300,4 @@ func runIrrevocableBank(t *testing.T, mut func(*core.Config)) *core.Stats {
 	if want := uint64(accounts) * 1000; sum != want {
 		t.Errorf("money not conserved across irrevocable mix: %d != %d", sum, want)
 	}
-	return st
 }

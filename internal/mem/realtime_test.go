@@ -98,7 +98,4 @@ func TestRealtimeMemoryRunsNoModel(t *testing.T) {
 	if rst.Reads != 9 || rst.Writes != 7 || !reflect.DeepEqual(rst.PerMC, []uint64{10, 0, 6, 0}) {
 		t.Errorf("counted %d reads, %d writes, per controller %v; want 9, 7, [10 0 6 0]", rst.Reads, rst.Writes, rst.PerMC)
 	}
-	if rr.RemoteOps != pr.RemoteOps || rr.RemoteOps != 6 {
-		t.Errorf("remote register ops: realtime %d, priced %d, want 6", rr.RemoteOps, pr.RemoteOps)
-	}
 }

@@ -72,10 +72,6 @@ type Registers struct {
 	// always lives in its own process. See SetRemote.
 	owns func(core int) bool
 	fwd  RemoteRegs
-
-	// RemoteOps counts remote register operations (guarded by mu); read it
-	// after a run.
-	RemoteOps uint64
 }
 
 // RemoteRegs is the net backend's cross-process register hook: raw,
@@ -111,12 +107,9 @@ func NewRealtimeRegisters(n int) *Registers {
 	return &Registers{status: make([]statusWord, n), tas: make([]bool, n)}
 }
 
-// chargeRemote counts one remote operation by core src on core reg's register
-// and advances p by its price.
+// chargeRemote advances p by the price of one remote operation by core src
+// on core reg's register.
 func (r *Registers) chargeRemote(p Ctx, src, reg int) {
-	r.mu.Lock()
-	r.RemoteOps++
-	r.mu.Unlock()
 	var d time.Duration
 	if r.pl != nil {
 		d = r.pl.AtomicDelay(src, reg)

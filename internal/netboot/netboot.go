@@ -163,9 +163,10 @@ func (p *Plan) NetConfig() *core.NetConfig {
 }
 
 // OversubscriptionWarning returns a warning (or "") for live/net runs whose
-// worker-thread demand exceeds the Go scheduler's parallelism: oversubscribed
-// runs show zero-commit windows while descheduled cores hold locks. cores is
-// the largest per-process core count the run will spawn.
+// worker-thread demand exceeds the Go scheduler's parallelism: a descheduled
+// core keeps its locks until it runs again, so its rivals abort more and
+// operations take more attempts. cores is the largest per-process core count
+// the run will spawn.
 func OversubscriptionWarning(cores, maxprocs int, backend core.Backend) string {
 	if backend != core.BackendLive && backend != core.BackendNet {
 		return ""
@@ -174,6 +175,6 @@ func OversubscriptionWarning(cores, maxprocs int, backend core.Backend) string {
 		return ""
 	}
 	return fmt.Sprintf(
-		"warning: %d cores on the %s backend exceed GOMAXPROCS=%d; expect zero-commit oversubscription windows (inspect them with tm2c-sim -backend live -snapshot <file>)",
+		"warning: %d cores on the %s backend exceed GOMAXPROCS=%d; a descheduled core keeps its locks until it runs again, so expect a lower commit rate and more attempts per operation (internal/live's TestLiveOversubscribedCommitRate measures both at 48 cores)",
 		cores, backend, maxprocs)
 }

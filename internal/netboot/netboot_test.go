@@ -2,9 +2,13 @@ package netboot
 
 import (
 	"flag"
+	"fmt"
 	"io"
 	"reflect"
+	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // TestBindFlagsStandalone: the bound -peers/-rank/-listen flags resolve to
@@ -38,5 +42,35 @@ func TestBindFlagsStandalone(t *testing.T) {
 	}
 	if _, err := resolve("-groups", "1"); err == nil {
 		t.Error("a one-process net group resolved")
+	}
+}
+
+// TestOversubscriptionWarning: only a live or net run with more cores than
+// GOMAXPROCS is warned, and the warning names both counts and no flag.
+func TestOversubscriptionWarning(t *testing.T) {
+	for _, c := range []struct {
+		cores, maxprocs int
+		backend         core.Backend
+		warn            bool
+	}{
+		{48, 2, core.BackendSim, false},
+		{2, 2, core.BackendLive, false},
+		{1, 2, core.BackendLive, false},
+		{48, 2, core.BackendLive, true},
+		{24, 2, core.BackendNet, true},
+	} {
+		w := OversubscriptionWarning(c.cores, c.maxprocs, c.backend)
+		if !c.warn {
+			if w != "" {
+				t.Errorf("%d cores, GOMAXPROCS %d, %v: warned %q", c.cores, c.maxprocs, c.backend, w)
+			}
+			continue
+		}
+		if !strings.Contains(w, fmt.Sprintf("%d cores", c.cores)) || !strings.Contains(w, fmt.Sprintf("GOMAXPROCS=%d", c.maxprocs)) {
+			t.Errorf("%d cores, GOMAXPROCS %d, %v: warning %q does not name both counts", c.cores, c.maxprocs, c.backend, w)
+		}
+		if strings.Contains(w, " -") {
+			t.Errorf("warning %q names a command-line flag: it points at a test, which outlives any flag", w)
+		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"maps"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/port"
 )
@@ -314,33 +313,4 @@ func TestWinnerWordRoundTrips(t *testing.T) {
 	if _, _, ok := WinnerParts(0); ok {
 		t.Error("WinnerParts(0) names a winner")
 	}
-}
-
-func TestSnapshotter(t *testing.T) {
-	var buf bytes.Buffer
-	s := NewSnapshotter(SnapshotOptions{W: &buf, Every: time.Millisecond})
-	s.Start()
-	s.AddCommit()
-	s.AddCommit()
-	s.AddAbort()
-	s.AddOps(10)
-	time.Sleep(5 * time.Millisecond)
-	s.Stop()
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) == 0 {
-		t.Fatal("no snapshot lines written")
-	}
-	var last snapLine
-	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &last); err != nil {
-		t.Fatalf("bad JSONL line %q: %v", lines[len(lines)-1], err)
-	}
-	if last.Commits != 2 || last.Aborts != 1 || last.Ops != 10 {
-		t.Fatalf("final sample = %+v, want commits=2 aborts=1 ops=10", last)
-	}
-	// Nil snapshotter: all methods are no-ops.
-	var nilSnap *Snapshotter
-	nilSnap.AddCommit()
-	nilSnap.AddOps(5)
-	nilSnap.Start()
-	nilSnap.Stop()
 }
